@@ -4,15 +4,14 @@ The paper motivates problem-specific protocols with efficiency
 (Section 2: generic Yao circuits are impractical).  This experiment
 pins the constant factors: wall-clock per protocol run as the Paillier
 modulus grows (modular exponentiation is ~cubic in key size) and as n
-grows (quadratic pair count).  E6c is the PR-1 before/after ablation:
-the seed-era per-point pipeline vs batched region queries with the
-Paillier randomness precomputed offline (same labels, same disclosures
--- only where the time goes changes).
+grows (quadratic pair count).  E6c is the offline/online ablation: every
+encryption's randomness drawn online (``SmcConfig(precompute=False)``)
+vs the same protocol with the Paillier randomness precomputed offline
+(same labels, same disclosures -- only where the time goes changes).
 
-Note: as of PR 1 the E6a/E6b sweeps measure the *current default*
-pipeline (batched region queries, on-demand pools), so their absolute
-seconds/bytes are not comparable with pre-PR-1 recorded tables; E6c
-carries the explicit before/after comparison.
+Note: as of PR 1 the E6a/E6b sweeps measure the batched region-query
+pipeline, so their absolute seconds/bytes are not comparable with
+pre-PR-1 recorded tables.
 """
 
 import time
@@ -30,13 +29,12 @@ KEY_SIZES = (128, 256, 384)
 N_SWEEP = (4, 8, 12)
 
 
-def _config(bits: int, *, batched: bool = True,
-            precompute: bool = True) -> ProtocolConfig:
+def _config(bits: int, *, precompute: bool = True) -> ProtocolConfig:
     return ProtocolConfig(
         eps=1.0, min_pts=2, scale=10,
         smc=SmcConfig(paillier_bits=bits, key_seed=510, mask_sigma=8,
                       precompute=precompute),
-        alice_seed=23, bob_seed=24, batched_region_queries=batched)
+        alice_seed=23, bob_seed=24)
 
 
 def _run_key_sweep():
@@ -70,15 +68,15 @@ def _run_n_sweep():
 
 
 def _run_pipeline_ablation():
-    """E6c: seed pipeline vs offline/online pipeline on one workload."""
+    """E6c: all-online randomness vs the offline/online pipeline."""
     partition = HorizontalPartition(
         alice_points=spread_points(6, step=7),
         bob_points=spread_points(6, offset=3, step=7))
 
-    seed_config = _config(256, batched=False, precompute=False)
+    no_pool_config = _config(256, precompute=False)
     started = time.perf_counter()
-    seed_result = run_horizontal_dbscan(partition, seed_config)
-    seed_seconds = time.perf_counter() - started
+    no_pool_result = run_horizontal_dbscan(partition, no_pool_config)
+    no_pool_seconds = time.perf_counter() - started
 
     # Probe run learns the randomness budget; the real run pregenerates
     # it offline and times only the online protocol.
@@ -99,14 +97,13 @@ def _run_pipeline_ablation():
                                             session=session)
     online_seconds = time.perf_counter() - started
 
-    assert seed_result.alice_labels == pipeline_result.alice_labels
-    assert seed_result.bob_labels == pipeline_result.bob_labels
-    assert seed_result.ledger.events == pipeline_result.ledger.events
+    assert no_pool_result.alice_labels == pipeline_result.alice_labels
+    assert no_pool_result.bob_labels == pipeline_result.bob_labels
+    assert no_pool_result.ledger.events == pipeline_result.ledger.events
 
-    speedup = seed_seconds / online_seconds
-    row = [f"{seed_seconds:.2f}", f"{offline_seconds:.2f}",
+    speedup = no_pool_seconds / online_seconds
+    row = [f"{no_pool_seconds:.2f}", f"{offline_seconds:.2f}",
            f"{online_seconds:.2f}", f"{speedup:.1f}x",
-           seed_result.stats["total_messages"],
            pipeline_result.stats["total_messages"]]
     return row, speedup
 
@@ -122,11 +119,11 @@ def test_e6_runtime(benchmark, record_table):
         ["n", "seconds"], n_rows,
         title="E6b: runtime vs dataset size (256-bit keys)")
     table += "\n\n" + render_table(
-        ["seed_s", "offline_s", "online_s", "online_speedup",
-         "seed_msgs", "pipeline_msgs"],
+        ["no_pool_s", "offline_s", "online_s", "online_speedup",
+         "messages"],
         [ablation_row],
         title="E6c: offline/online pipeline ablation (n=12 horizontal, "
-              "bit-identical labels and disclosures)")
+              "identical labels and disclosures)")
     record_table("e6_runtime", table)
 
     # Bigger keys must cost more time; bytes also grow with key size.
@@ -136,6 +133,5 @@ def test_e6_runtime(benchmark, record_table):
     assert n_timings[-1] > 2.0 * n_timings[0]
     # The offline/online split must pay for itself online.  Typical
     # speedup is 3-4x; the assertion bound is loose because wall-clock
-    # ratios on shared machines absorb scheduling noise (run_quick.py
-    # reports the precise number).
+    # ratios on shared machines absorb scheduling noise.
     assert speedup > 1.0

@@ -111,10 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "simulated-latency network model")
     demo.add_argument("--net-latency-ms", type=float, default=5.0,
                       help="one-way link latency for --transport simulated")
-    demo.add_argument("--peer-concurrency", action="store_true",
-                      help="multiparty scenario: issue the per-peer region "
-                           "queries of each driver step concurrently "
-                           "(identical labels/ledger; overlapped latency)")
 
     attack = commands.add_parser("attack",
                                  help="quantify the Figure 1 attack")
@@ -357,7 +353,6 @@ def _demo_config(args, engine: ModexpEngine) -> ProtocolConfig:
                       key_seed=args.seed, engine=engine,
                       precompute=not args.no_precompute,
                       transport=transport),
-        concurrent_peers=args.peer_concurrency,
         alice_seed=args.seed, bob_seed=args.seed + 1)
 
 
@@ -412,9 +407,7 @@ def _run_demo_with_engine(args, points, engine: ModexpEngine) -> int:
         if args.transport == "simulated":
             print(f"simulated network: "
                   f"{result.simulated_seconds * 1000:.1f}ms "
-                  f"{'concurrent' if args.peer_concurrency else 'sequential'}"
-                  f" passes  (per-link sum "
-                  f"{result.stats['simulated_seconds'] * 1000:.1f}ms)")
+                  f"({args.net_latency_ms:g}ms one-way latency)")
         print(f"disclosures: {result.ledger.profile()}")
         _print_crypto_summary(
             engine, (entry for report in mesh.pool_report().values()

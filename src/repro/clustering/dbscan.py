@@ -20,11 +20,11 @@ from repro.clustering.labels import (
     ClusterLabels,
     next_cluster_id,
 )
-from repro.clustering.neighborhoods import BruteForceIndex, make_index
+from repro.clustering.neighborhoods import BruteForceIndex, GridIndex
 
 
-def dbscan(points: list[tuple[int, ...]], eps_squared: int, min_pts: int, *,
-           use_grid_index: bool = False) -> ClusterLabels:
+def dbscan(points: list[tuple[int, ...]], eps_squared: int,
+           min_pts: int) -> ClusterLabels:
     """Cluster ``points``; returns labels (cluster ids, NOISE).
 
     Args:
@@ -32,15 +32,17 @@ def dbscan(points: list[tuple[int, ...]], eps_squared: int, min_pts: int, *,
         eps_squared: neighbourhood radius threshold, compared against
             exact integer squared distances (``dist^2 <= eps_squared``).
         min_pts: minimum neighbourhood size (the query point counts).
-        use_grid_index: accelerate region queries with a uniform grid;
-            results are identical to the brute-force path.
+
+    Region queries go through a uniform :class:`GridIndex` (the original
+    paper uses an R*-tree for the same purpose); its hit lists equal the
+    brute-force scan's, so the labels do too.
     """
     if min_pts < 1:
         raise ValueError(f"min_pts must be >= 1, got {min_pts}")
     if eps_squared < 0:
         raise ValueError(f"eps_squared must be >= 0, got {eps_squared}")
 
-    index = make_index(points, eps_squared, use_grid=use_grid_index)
+    index = GridIndex(points, eps_squared)
     labels = ClusterLabels(len(points))
     cluster_id = next_cluster_id(NOISE)
     for point_index in range(len(points)):

@@ -8,8 +8,9 @@ plaintext run can be compared bit-for-bit against a protocol run.
 Two implementations of the same interface:
 
 - :class:`BruteForceIndex` -- O(n) per query, the reference.
-- :class:`GridIndex` -- uniform-grid acceleration with identical results
-  (property-tested), used by the larger benchmark workloads.
+- :class:`GridIndex` -- uniform-grid acceleration with identical,
+  ascending hit lists (property-tested); the driving party's local
+  index in centralized DBSCAN and the two-party protocols.
 """
 
 from __future__ import annotations
@@ -85,18 +86,6 @@ class GridIndex:
 
     def __len__(self) -> int:
         return len(self.points)
-
-
-def make_index(points: list[tuple[int, ...]], eps_squared: int, *,
-               use_grid: bool = False) -> "BruteForceIndex | GridIndex":
-    """Index factory shared by the clustering and protocol layers.
-
-    Both implementations return identical, ascending hit lists for the
-    same query (property-tested), so swapping them never changes
-    clustering output -- only local query time.
-    """
-    return (GridIndex(points, eps_squared) if use_grid
-            else BruteForceIndex(points))
 
 
 def _neighbor_offsets(dimensions: int) -> list[tuple[int, ...]]:

@@ -16,6 +16,12 @@ class ConfigError(ValueError):
 class ProtocolConfig:
     """Everything a distributed DBSCAN run needs beyond the data.
 
+    Every field names a behaviour the paper or an experiment depends on.
+    How a region query executes is not configurable: the horizontal
+    protocols always run each secure query as one batched HDP with one
+    amortized comparison batch (see
+    :func:`~repro.core.horizontal.secure_peer_neighbor_count`).
+
     Attributes:
         eps: DBSCAN radius, in original (real) coordinate units.
         min_pts: DBSCAN density threshold (query point included).
@@ -33,56 +39,21 @@ class ProtocolConfig:
             ``blind_cross_sum``: draw **one** random offset per region
             query instead of one per peer point.  The comparison
             thresholds of the query are then constant again, so the
-            amortized DGK batch (``batched_comparisons``) keeps its
-            one-bit-encryption-per-query shape instead of degrading to
-            per-point runs.  The price is a *relative* disclosure: the
-            non-querying party now learns the differences between the
-            query's cross dot products (each shifted by the same
-            unknown offset), recorded as ``DOT_DIFFERENCE`` in the
-            ledger.  Off by default = PR-3 semantics (per-point offsets,
-            no relative leakage, no amortization in blind mode).  See
-            DESIGN.md, "Query-constant blinding".
+            amortized DGK batch keeps its one-bit-encryption-per-query
+            shape instead of degrading to per-point runs.  The price is
+            a *relative* disclosure: the non-querying party now learns
+            the differences between the query's cross dot products
+            (each shifted by the same unknown offset), recorded as
+            ``DOT_DIFFERENCE`` in the ledger.  Off by default = PR-3
+            semantics (per-point offsets, no relative leakage, no
+            amortization in blind mode).  See DESIGN.md,
+            "Query-constant blinding".
         cache_peer_ciphertexts: when True, the horizontal protocols
             (two-party and k-party) reuse each peer point's encrypted
             coordinates across queries -- cheaper, but the stable point
             ids on the wire make hits linkable (the Figure 1 vector;
             ledger records it).  Off by default; experiment E12
             quantifies the trade.
-        batched_region_queries: when True (default), the horizontal
-            protocols -- two-party passes and every per-peer count of
-            the k-party mesh -- run each secure region query as one
-            batched HDP (querier point encrypted once, one cross-term
-            round-trip for all peer points) instead of one HDP per peer
-            point.  Bits, labels, and ledger disclosures are identical
-            (property-tested); only wall-clock and message counts
-            change.  Off reproduces the seed-era per-point loops for
-            ablations.
-        batched_comparisons: when True (default), the threshold
-            comparisons inside each batched region query run as one
-            amortized batch through the comparison backend -- the
-            bitwise backend then encrypts the querier's DGK threshold
-            bits once per query instead of once per peer point, and all
-            witness batches travel in one round-trip.  Predicate bits,
-            comparison counts, and ledger disclosures are identical
-            (property-tested).  Off reproduces the per-point comparison
-            loop for ablations; it only has an effect when
-            ``batched_region_queries`` is on (per-point region queries
-            already compare point by point).
-        use_grid_index: accelerate the *local plaintext* region queries
-            of the driving party with a uniform grid index (identical
-            hit lists to the brute-force scan, property-tested; no
-            change to anything that crosses the wire).  On by default.
-        concurrent_peers: schedule the independent per-peer region
-            queries of each k-party driver step on a thread pool (one
-            pairwise session per worker) instead of visiting peers
-            sequentially.  Labels, per-pair transcripts, the leakage
-            ledger, and comparison counts are bit-identical to the
-            sequential pass (deterministic merge order,
-            property-tested); only wall-clock changes -- with a
-            simulated-network transport the round-trips to different
-            peers overlap.  Off by default.
-        peer_workers: thread-pool width for ``concurrent_peers``;
-            ``None`` sizes the pool to the peer count of each pass.
         alice_seed / bob_seed: per-party RNG seeds; None = nondeterministic.
     """
 
@@ -94,11 +65,6 @@ class ProtocolConfig:
     blind_cross_sum: bool = False
     query_constant_blinding: bool = False
     cache_peer_ciphertexts: bool = False
-    batched_region_queries: bool = True
-    batched_comparisons: bool = True
-    use_grid_index: bool = True
-    concurrent_peers: bool = False
-    peer_workers: int | None = None
     alice_seed: int | None = None
     bob_seed: int | None = None
 
@@ -109,9 +75,6 @@ class ProtocolConfig:
             raise ConfigError(f"min_pts must be >= 1, got {self.min_pts}")
         if self.selection not in ("scan", "quickselect"):
             raise ConfigError(f"unknown selection method {self.selection!r}")
-        if self.peer_workers is not None and self.peer_workers < 1:
-            raise ConfigError(
-                f"peer_workers must be >= 1, got {self.peer_workers}")
         if self.query_constant_blinding and not self.blind_cross_sum:
             raise ConfigError(
                 "query_constant_blinding refines blind_cross_sum; "

@@ -17,14 +17,17 @@ squared distance -- from which mask sizes and comparison intervals are
 derived.  Results are directional: ``reveal_to`` states who may learn
 the predicate (Algorithm 4 steps 3/13 give it to the querier only).
 
-Region-query batching: :func:`hdp_region_query` (and its cached twin
+Region queries: :func:`hdp_region_query` (and its cached twin
 :func:`hdp_region_query_cached`) run one whole Algorithm 4 step-3/13
 region query -- the querier's point against *all* peer points -- through
-a single batched cross-term exchange instead of one HDP per peer point.
-The predicate bits, the comparison sub-protocols, and every ledger
-disclosure are identical to the per-point loop (property-tested); only
-the encryption count (querier: ``O(d)`` per query instead of
-``O(n_peer * d)``) and the message count change.
+a single batched cross-term exchange and one amortized comparison batch.
+They are the only way the protocols query a peer.  The per-point
+:func:`hdp_within_eps` / :func:`hdp_within_eps_cached` are Section 4.2
+as written; they stay as the reference the batched queries are tested
+against.  Predicate bits, comparison counts and every ledger disclosure
+are identical to a loop of the per-point protocol; only the encryption
+count (querier: ``O(d)`` per query instead of ``O(n_peer * d)``) and the
+message count differ.
 """
 
 from __future__ import annotations
@@ -137,7 +140,6 @@ def hdp_region_query(session: SmcSession, querier: Party,
                      ledger: LeakageLedger | None = None,
                      blind_cross_sum: bool = False,
                      query_constant_blinding: bool = False,
-                     batched_comparisons: bool = True,
                      label: str = "hdp") -> list[bool]:
     """Batched HDP: one region query against all of the peer's points.
 
@@ -147,18 +149,15 @@ def hdp_region_query(session: SmcSession, querier: Party,
     comparison interval -- but the querier's coordinates are encrypted
     **once** for the whole query (``O(d)`` querier encryptions,
     independent of the peer point count) and the cross terms for every
-    peer point travel in one message round-trip.  With
-    ``batched_comparisons`` (the default) the per-point threshold
-    comparisons also run as one amortized batch -- under the bitwise
-    backend the querier's threshold bits are encrypted once per query
-    instead of once per peer point (the threshold is constant when
-    ``blind_cross_sum`` is off); ``False`` reproduces the per-point
-    comparison loop for ablations.  Bits and disclosures are identical
-    either way.  With ``blind_cross_sum`` the amortization normally
-    degrades to per-point runs (per-point secret offsets);
-    ``query_constant_blinding`` restores it by sharing one offset per
-    query, trading the ``DOT_DIFFERENCE`` relative disclosure recorded
-    in the ledger.
+    peer point travel in one message round-trip.  The per-point
+    threshold comparisons also run as one amortized batch -- under the
+    bitwise backend the querier's threshold bits are encrypted once per
+    query instead of once per peer point (the threshold is constant when
+    ``blind_cross_sum`` is off).  With ``blind_cross_sum`` the
+    amortization normally degrades to per-point runs (per-point secret
+    offsets); ``query_constant_blinding`` restores it by sharing one
+    offset per query, trading the ``DOT_DIFFERENCE`` relative disclosure
+    recorded in the ledger.
 
     The peer presents its points in a fresh random order
     (Algorithm 4's ``SetOfPointsOfBobPermutation``), so the returned
@@ -194,7 +193,7 @@ def hdp_region_query(session: SmcSession, querier: Party,
         offsets, eps_squared, value_bound, mask_bound, ledger=ledger,
         blind_cross_sum=blind_cross_sum,
         query_constant_blinding=query_constant_blinding, point_ids=None,
-        batched_comparisons=batched_comparisons, label=label)
+        label=label)
 
 
 def _batched_threshold_comparisons(session: SmcSession, querier: Party,
@@ -208,54 +207,40 @@ def _batched_threshold_comparisons(session: SmcSession, querier: Party,
                                    blind_cross_sum: bool,
                                    query_constant_blinding: bool = False,
                                    point_ids: list[int] | None,
-                                   batched_comparisons: bool = True,
                                    label: str) -> list[bool]:
     """Per-point threshold comparisons shared by the batched variants.
 
     Reproduces the per-point HDP tail exactly: identical comparison
-    sides, interval, reveal direction, and ledger record sequence.
-
-    With ``batched_comparisons`` (the default) all thresholds of the
-    query go through :meth:`SmcSession.compare_leq_batch` in one call --
-    the querier's threshold ``eps^2 - querier_side - 2*offset`` is
-    constant across the query when ``blind_cross_sum`` is off, so the
-    bitwise backend shares a single DGK bit-encryption for the whole
-    query.  The predicate bits, invocation counts, and ledger record
-    sequence are identical to the per-point loop (property-tested); off
-    reproduces the per-point comparisons for ablations.
+    sides, interval, reveal direction, and ledger record sequence.  All
+    thresholds of the query go through
+    :meth:`SmcSession.compare_leq_batch` in one call -- the querier's
+    threshold ``eps^2 - querier_side - 2*offset`` is constant across the
+    query when ``blind_cross_sum`` is off, so the bitwise backend shares
+    a single DGK bit-encryption for the whole query.  The predicate bits,
+    invocation counts, and ledger record sequence equal one
+    :meth:`SmcSession.compare_leq` per point (property-tested).
     """
     querier_side = sum(c * c for c in querier_point)
     lo, hi = _comparison_interval(value_bound, eps_squared,
                                   mask_spread=2 * (mask_bound + 1))
-    if batched_comparisons:
-        peer_sides = [sum(c * c for c in peer_point) - 2 * cross_sum
-                      for peer_point, cross_sum in zip(presented, cross_sums)]
-        thresholds = [eps_squared - querier_side - 2 * offset
-                      for offset in offsets]
-        # Without blinding the offsets are all zero, so the querier's
-        # threshold is constant across the query *by protocol structure*
-        # (public knowledge) and the comparison may amortize one
-        # bit-encryption across the batch.  The same structural argument
-        # holds under query-constant blinding: the offset is secret but
-        # declared shared across the query, so the constant-side batch
-        # is public shape, not a value leak.  With per-point blinding
-        # the thresholds are per-point secrets; amortization is never
-        # declared, so the message pattern cannot leak offset
-        # collisions.
-        amortize = not blind_cross_sum or query_constant_blinding
-        outcomes = session.compare_leq_batch(
-            peer, peer_sides, querier, thresholds,
-            lo=lo, hi=hi, reveal_to="b", amortize=amortize,
-            label=f"{label}/threshold")
-    else:
-        outcomes = []
-        for peer_point, cross_sum, offset in zip(presented, cross_sums,
-                                                 offsets):
-            peer_side = sum(c * c for c in peer_point) - 2 * cross_sum
-            threshold = eps_squared - querier_side - 2 * offset
-            outcomes.append(session.compare_leq(
-                peer, peer_side, querier, threshold,
-                lo=lo, hi=hi, reveal_to="b", label=f"{label}/threshold"))
+    peer_sides = [sum(c * c for c in peer_point) - 2 * cross_sum
+                  for peer_point, cross_sum in zip(presented, cross_sums)]
+    thresholds = [eps_squared - querier_side - 2 * offset
+                  for offset in offsets]
+    # Without blinding the offsets are all zero, so the querier's
+    # threshold is constant across the query *by protocol structure*
+    # (public knowledge) and the comparison may amortize one
+    # bit-encryption across the batch.  The same structural argument
+    # holds under query-constant blinding: the offset is secret but
+    # declared shared across the query, so the constant-side batch is
+    # public shape, not a value leak.  With per-point blinding the
+    # thresholds are per-point secrets; amortization is never declared,
+    # so the message pattern cannot leak offset collisions.
+    amortize = not blind_cross_sum or query_constant_blinding
+    outcomes = session.compare_leq_batch(
+        peer, peer_sides, querier, thresholds,
+        lo=lo, hi=hi, reveal_to="b", amortize=amortize,
+        label=f"{label}/threshold")
     # Ledger records replay in per-point order -- DOT_PRODUCT before each
     # point's NEIGHBOR_BIT -- so the disclosure sequence is identical to
     # one hdp_within_eps per peer point.  Query-constant blinding adds
@@ -403,7 +388,6 @@ def hdp_region_query_cached(session: SmcSession, querier: Party,
                             ledger: LeakageLedger | None = None,
                             blind_cross_sum: bool = False,
                             query_constant_blinding: bool = False,
-                            batched_comparisons: bool = True,
                             label: str = "hdp_cached") -> list[bool]:
     """Batched cached HDP: one region query over the peer's cached ciphers.
 
@@ -487,8 +471,7 @@ def hdp_region_query_cached(session: SmcSession, querier: Party,
         cross_sums, offsets, eps_squared, value_bound, mask_bound,
         ledger=ledger, blind_cross_sum=blind_cross_sum,
         query_constant_blinding=query_constant_blinding,
-        point_ids=list(point_ids),
-        batched_comparisons=batched_comparisons, label=label)
+        point_ids=list(point_ids), label=label)
 
 
 def vdp_within_eps(session: SmcSession, alice: Party, alice_partial: int,

@@ -38,7 +38,7 @@ from repro.clustering.labels import (
     ClusterLabels,
     next_cluster_id,
 )
-from repro.clustering.neighborhoods import make_index
+from repro.clustering.neighborhoods import GridIndex
 from repro.core.config import ProtocolConfig
 from repro.core.leakage import Disclosure, LeakageLedger
 from repro.data.partitioning import HorizontalPartition
@@ -114,8 +114,7 @@ def _party_pass(session: SmcSession, *, driver: Party,
                 label: str) -> ClusterLabels:
     """Algorithm 7 for one driving party."""
     labels = ClusterLabels(len(driver_points))
-    index = make_index(driver_points, config.eps_squared,
-                       use_grid=config.use_grid_index)
+    index = GridIndex(driver_points, config.eps_squared)
     cluster_id = next_cluster_id(NOISE)
     for point_index in range(len(driver_points)):
         if labels.is_unclassified(point_index):

@@ -27,21 +27,18 @@ from repro.clustering.labels import (
     ClusterLabels,
     next_cluster_id,
 )
-from repro.clustering.neighborhoods import make_index
+from repro.clustering.neighborhoods import GridIndex
 from repro.core.config import ProtocolConfig
 from repro.core.distance import (
     PeerCipherCache,
     hdp_region_query,
     hdp_region_query_cached,
-    hdp_within_eps,
-    hdp_within_eps_cached,
 )
 from repro.core.leakage import Disclosure, LeakageLedger
 from repro.data.partitioning import HorizontalPartition
 from repro.data.quantize import squared_distance_bound
 from repro.net.channel import Channel
 from repro.net.party import Party, make_party_pair
-from repro.smc.permutation import PermutedView
 from repro.smc.session import SmcSession, channel_for_config
 
 
@@ -119,8 +116,7 @@ def _party_pass(session: SmcSession, *, driver: Party,
                 cache: PeerCipherCache | None = None) -> ClusterLabels:
     """Algorithm 3 for one driving party."""
     labels = ClusterLabels(len(driver_points))
-    index = make_index(driver_points, config.eps_squared,
-                       use_grid=config.use_grid_index)
+    index = GridIndex(driver_points, config.eps_squared)
     cluster_id = next_cluster_id(NOISE)
     for point_index in range(len(driver_points)):
         if labels.is_unclassified(point_index):
@@ -143,11 +139,21 @@ def _expand_cluster(session: SmcSession, *, driver: Party,
                     cache: PeerCipherCache | None = None) -> bool:
     """Algorithm 4 (ExpandCluster) for the driving party."""
     eps_squared = config.eps_squared
-    seeds = index.region_query(index.points[point_index], eps_squared)
-    peer_count = _secure_peer_neighbor_count(
-        session, driver, index.points[point_index], peer, peer_points,
-        eps_squared, value_bound, config, ledger, label=label, cache=cache)
 
+    def neighbourhood(point: tuple[int, ...]) -> tuple[list[int], int]:
+        """``seedsA`` and ``|seedsB|`` for one query (steps 3/13)."""
+        seeds = index.region_query(point, eps_squared)
+        if not peer_points:
+            return seeds, 0
+        count = secure_peer_neighbor_count(
+            session, driver, point, peer, peer_points, config, value_bound,
+            ledger, cache, label=f"{label}/hdp",
+            cached_label=f"{label}/hdp_cached")
+        ledger.record(label, driver.name, Disclosure.NEIGHBOR_COUNT,
+                      detail=f"peer neighbourhood size {count}")
+        return seeds, count
+
+    seeds, peer_count = neighbourhood(index.points[point_index])
     if len(seeds) + peer_count < config.min_pts:
         labels.change_cluster_id(point_index, NOISE)
         return False
@@ -156,11 +162,7 @@ def _expand_cluster(session: SmcSession, *, driver: Party,
     queue = deque(s for s in seeds if s != point_index)
     while queue:
         current = queue.popleft()
-        result = index.region_query(index.points[current], eps_squared)
-        peer_count = _secure_peer_neighbor_count(
-            session, driver, index.points[current], peer, peer_points,
-            eps_squared, value_bound, config, ledger, label=label,
-            cache=cache)
+        result, peer_count = neighbourhood(index.points[current])
         if len(result) + peer_count >= config.min_pts:
             for neighbor in result:
                 if labels[neighbor] in (UNCLASSIFIED, NOISE):
@@ -170,71 +172,47 @@ def _expand_cluster(session: SmcSession, *, driver: Party,
     return True
 
 
-def _secure_peer_neighbor_count(session: SmcSession, driver: Party,
-                                query_point: tuple[int, ...], peer: Party,
-                                peer_points: list[tuple[int, ...]],
-                                eps_squared: int, value_bound: int,
-                                config: ProtocolConfig,
-                                ledger: LeakageLedger, *, label: str,
-                                cache: PeerCipherCache | None = None) -> int:
-    """Steps 3/13 of Algorithm 4: ``|seedsB|`` via HDP over a permutation.
+def secure_peer_neighbor_count(session: SmcSession, driver: Party,
+                               query_point: tuple[int, ...], peer: Party,
+                               peer_points: list[tuple[int, ...]],
+                               config: ProtocolConfig, value_bound: int,
+                               ledger: LeakageLedger,
+                               cache: PeerCipherCache | None = None, *,
+                               label: str, cached_label: str) -> int:
+    """Steps 3/13 of Algorithm 4: ``|seedsB|`` as one batched HDP query.
 
-    The peer presents its points in a fresh random order for every query
+    The single secure region count of every horizontal protocol: the
+    two-party passes above, each per-peer query of the k-party mesh, and
+    the responder side of both distributed runtimes.  The whole query
+    runs through :func:`~repro.core.distance.hdp_region_query` -- the
+    peer presents its points in a fresh random order
     (``SetOfPointsOfBobPermutation``), so the driver's per-point bits are
-    unlinkable across queries; the count is the base protocol's
-    Theorem 9 disclosure, recorded in the ledger.
+    unlinkable across queries -- with one cross-term round-trip and one
+    amortized comparison batch.  Bits and ledger records equal one
+    :func:`~repro.core.distance.hdp_within_eps` per peer point, the
+    seed-era reference the tests compare against.
 
-    With a :class:`PeerCipherCache` (``cache_peer_ciphertexts=True``),
-    the peer's encrypted coordinates travel once per point per pass and
-    the permutation is dropped -- stable ids make it pointless.  The
-    ledger then records the linkable hits.
-
-    With ``batched_region_queries`` (the default) the whole query runs
-    as one batched HDP -- same bits, same ledger records, one cross-term
-    round-trip; the per-point loops below reproduce the seed-era
-    behaviour for ablations.
+    With a :class:`PeerCipherCache` (``cache_peer_ciphertexts=True``)
+    the query runs through the cached twin instead: the peer's encrypted
+    coordinates travel once per point per pass, the permutation is
+    dropped (stable ids make it pointless), and the ledger records the
+    linkable hits.  ``label`` / ``cached_label`` are the caller's
+    transcript labels for the two variants.  The caller records the
+    count's own disclosure.
     """
-    if not peer_points:
-        return 0
-    if config.batched_region_queries:
-        if cache is not None:
-            bits = hdp_region_query_cached(
-                session, driver, query_point, peer, peer_points,
-                list(range(len(peer_points))), cache, eps_squared,
-                value_bound, ledger=ledger,
-                blind_cross_sum=config.blind_cross_sum,
-                query_constant_blinding=config.query_constant_blinding,
-                batched_comparisons=config.batched_comparisons,
-                label=f"{label}/hdp_cached")
-        else:
-            bits = hdp_region_query(
-                session, driver, query_point, peer, peer_points,
-                eps_squared, value_bound, ledger=ledger,
-                blind_cross_sum=config.blind_cross_sum,
-                query_constant_blinding=config.query_constant_blinding,
-                batched_comparisons=config.batched_comparisons,
-                label=f"{label}/hdp")
-        count = sum(bits)
-    elif cache is not None:
-        count = 0
-        for point_id, peer_point in enumerate(peer_points):
-            if hdp_within_eps_cached(
-                    session, driver, query_point, peer, peer_point,
-                    point_id, cache, eps_squared, value_bound,
-                    ledger=ledger, blind_cross_sum=config.blind_cross_sum,
-                    label=f"{label}/hdp_cached"):
-                count += 1
+    if cache is not None:
+        bits = hdp_region_query_cached(
+            session, driver, query_point, peer, list(peer_points),
+            list(range(len(peer_points))), cache, config.eps_squared,
+            value_bound, ledger=ledger,
+            blind_cross_sum=config.blind_cross_sum,
+            query_constant_blinding=config.query_constant_blinding,
+            label=cached_label)
     else:
-        count = 0
-        view = PermutedView.fresh(len(peer_points), peer.rng)
-        for permuted_position in range(len(view)):
-            peer_point = peer_points[view.true_index(permuted_position)]
-            if hdp_within_eps(session, driver, query_point, peer,
-                              peer_point, eps_squared, value_bound,
-                              ledger=ledger,
-                              blind_cross_sum=config.blind_cross_sum,
-                              label=f"{label}/hdp"):
-                count += 1
-    ledger.record(label, driver.name, Disclosure.NEIGHBOR_COUNT,
-                  detail=f"peer neighbourhood size {count}")
-    return count
+        bits = hdp_region_query(
+            session, driver, query_point, peer, list(peer_points),
+            config.eps_squared, value_bound, ledger=ledger,
+            blind_cross_sum=config.blind_cross_sum,
+            query_constant_blinding=config.query_constant_blinding,
+            label=label)
+    return sum(bits)

@@ -125,7 +125,7 @@ class RandomnessPool:
         return self.encryption_factor()
 
     def report(self) -> dict[str, int]:
-        """Accounting snapshot for benchmarks (E6 ablation, run_quick)."""
+        """Accounting snapshot: the CLI summary, E6 and the layered bench."""
         return {
             "pregenerated": self.pregenerated,
             "consumed": self.consumed,

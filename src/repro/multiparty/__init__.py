@@ -19,13 +19,7 @@ from repro.multiparty.horizontal import (
     MultipartyRunResult,
     run_multiparty_horizontal_dbscan,
 )
-from repro.multiparty.scheduler import (
-    ConcurrentPassExecutor,
-    PassExecutor,
-    PeerQuery,
-    SequentialPassExecutor,
-    make_pass_executor,
-)
+from repro.multiparty.scheduler import PassExecutor, PeerQuery
 
 __all__ = [
     "PartyMesh",
@@ -33,8 +27,5 @@ __all__ = [
     "MultipartyRunResult",
     "run_multiparty_horizontal_dbscan",
     "PassExecutor",
-    "SequentialPassExecutor",
-    "ConcurrentPassExecutor",
     "PeerQuery",
-    "make_pass_executor",
 ]

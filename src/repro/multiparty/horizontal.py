@@ -5,13 +5,14 @@ the density test for a queried point sums the local neighbour count with
 one secure count per peer; expansion proceeds through own points only.
 For ``k = 2`` this reduces exactly to the two-party protocol.
 
-Each per-peer secure count runs, by default, as **one batched HDP region
-query** (:func:`repro.core.distance.hdp_region_query`): the driver's
-point is encrypted once per peer (``O(d)`` encryptions regardless of the
-peer's point count) and all cross terms travel in a single round-trip.
-``ProtocolConfig(batched_region_queries=False)`` reproduces the seed-era
-per-point ``hdp_within_eps`` loop -- bit-identical labels and identical
-leakage-ledger sequences, property-tested in ``tests/multiparty``.  With
+Each per-peer secure count is the two-party protocol's
+:func:`~repro.core.horizontal.secure_peer_neighbor_count`: **one batched
+HDP region query** in which the driver's point is encrypted once per
+peer (``O(d)`` encryptions regardless of the peer's point count), all
+cross terms travel in a single round-trip, and the threshold
+comparisons run as one amortized batch.  Labels and leakage-ledger
+sequences equal a loop of the per-point ``hdp_within_eps`` reference
+(property-tested in ``tests/multiparty``).  With
 ``cache_peer_ciphertexts=True`` each driver pass keeps one
 :class:`~repro.core.distance.PeerCipherCache` per peer, so a peer
 point's encrypted coordinates cross the wire once per pass (the linkable
@@ -19,14 +20,11 @@ trade recorded by the ledger, exactly as in the two-party protocol).
 
 Scheduling: the per-peer queries of one driver step are independent
 pairwise protocols (own channel, session, and RNG substream per pair),
-so they go through a :mod:`~repro.multiparty.scheduler` pass executor.
-``ProtocolConfig(concurrent_peers=True)`` issues them on a thread pool;
-disclosure records are merged in deterministic peer order either way,
+so they go through a :mod:`~repro.multiparty.scheduler` pass executor:
+in order here, as overlapping coroutines in the daemon runtime.
+Disclosure records are merged in deterministic peer order either way,
 so labels, per-pair transcripts, the ledger sequence, and comparison
-counts are bit-identical to the sequential pass while the simulated
-round-trips to different peers overlap (the
-:class:`~repro.net.transport.SimulatedNetworkTransport` sweep in
-``benchmarks/run_quick.py`` quantifies the hidden latency).
+counts do not depend on the schedule.
 
 Reference semantics: each party's labels equal
 ``union_density_dbscan(own_points, concatenation_of_all_peer_points)``
@@ -46,22 +44,12 @@ from repro.clustering.labels import (
 )
 from repro.clustering.neighborhoods import BruteForceIndex
 from repro.core.config import ProtocolConfig
-from repro.core.distance import (
-    PeerCipherCache,
-    hdp_region_query,
-    hdp_region_query_cached,
-    hdp_within_eps,
-    hdp_within_eps_cached,
-)
+from repro.core.distance import PeerCipherCache
+from repro.core.horizontal import secure_peer_neighbor_count
 from repro.core.leakage import Disclosure, LeakageLedger
 from repro.data.quantize import squared_distance_bound
 from repro.multiparty.mesh import MeshError, PartyMesh
-from repro.multiparty.scheduler import (
-    PassExecutor,
-    PeerQuery,
-    make_pass_executor,
-)
-from repro.smc.permutation import PermutedView
+from repro.multiparty.scheduler import PassExecutor, PeerQuery
 
 
 @dataclass(frozen=True)
@@ -76,9 +64,9 @@ class MultipartyRunResult:
             conservative sequential figure).
         comparisons: secure-comparison invocations, summed over sessions.
         simulated_seconds: scheduler-accounted virtual network time --
-            per-pass sum of link time when sequential, per-pass maximum
-            when ``concurrent_peers`` overlapped the peer queries.  Zero
-            on real (non-simulated) transports.
+            the per-pass sum of link time, since the peer queries of a
+            pass run back to back.  Zero on real (non-simulated)
+            transports.
     """
 
     labels_by_party: dict[str, tuple[int, ...]]
@@ -99,8 +87,7 @@ def run_multiparty_horizontal_dbscan(points_by_party: dict[str, list],
     Args:
         points_by_party: party name -> that party's integer-grid points.
         config: protocol parameters; ``config.smc`` configures every
-            pairwise session (including its transport fabric) and
-            ``config.concurrent_peers`` selects the pass scheduler.
+            pairwise session (including its transport fabric).
         seeds: optional per-party RNG seeds (ordered as the dict).
         mesh: a pre-built :class:`PartyMesh` over the same party names,
             so callers can run the offline phase
@@ -125,21 +112,15 @@ def run_multiparty_horizontal_dbscan(points_by_party: dict[str, list],
     all_points = [p for points in points_by_party.values() for p in points]
     value_bound = squared_distance_bound(all_points, all_points)
 
-    executor = make_pass_executor(config.concurrent_peers,
-                                  config.peer_workers,
-                                  expected_tasks=max(1, len(names) - 1))
-    try:
-        labels_by_party = {}
-        for driver_name in names:
-            caches = ({peer: PeerCipherCache() for peer in
-                       mesh.peers_of(driver_name)}
-                      if config.cache_peer_ciphertexts else None)
-            labels = _driver_pass(mesh, driver_name, points_by_party,
-                                  config, value_bound, ledger, caches,
-                                  executor)
-            labels_by_party[driver_name] = labels.as_tuple()
-    finally:
-        executor.close()
+    executor = PassExecutor()
+    labels_by_party = {}
+    for driver_name in names:
+        caches = ({peer: PeerCipherCache() for peer in
+                   mesh.peers_of(driver_name)}
+                  if config.cache_peer_ciphertexts else None)
+        labels = _driver_pass(mesh, driver_name, points_by_party, config,
+                              value_bound, ledger, caches, executor)
+        labels_by_party[driver_name] = labels.as_tuple()
 
     comparisons = sum(
         mesh.session_between(a, b).comparison_backend.invocations
@@ -221,10 +202,10 @@ def _all_peer_counts(mesh: PartyMesh, driver_name: str,
                      executor: PassExecutor) -> int:
     """One secure neighbour count per peer, summed.
 
-    The per-peer queries run through the pass executor (sequentially or
-    on a thread pool); each records into a private sub-ledger that is
-    merged here in deterministic peer order, so the disclosure sequence
-    is identical however the queries were scheduled.
+    The per-peer queries run through the pass executor; each records
+    into a private sub-ledger that is merged here in deterministic peer
+    order, so the disclosure sequence is identical however the queries
+    were scheduled.
     """
     tasks = _build_peer_queries(mesh, driver_name, points_by_party,
                                 query_point, config, value_bound, caches)
@@ -280,10 +261,13 @@ def _make_peer_task(mesh: PartyMesh, driver_name: str, peer_name: str,
     peer = mesh.party_in_pair(peer_name, driver_name)
     cache = caches[peer_name] if caches is not None else None
 
+    label = f"multiparty/{driver_name}-{peer_name}"
+
     def run(sub_ledger: LeakageLedger) -> int:
-        count = _peer_count(session, driver, peer, query_point, peer_points,
-                            config, value_bound, sub_ledger, cache,
-                            label=f"multiparty/{driver_name}-{peer_name}")
+        count = secure_peer_neighbor_count(
+            session, driver, query_point, peer, peer_points, config,
+            value_bound, sub_ledger, cache, label=label,
+            cached_label=f"{label}/cached")
         sub_ledger.record(f"multiparty/{driver_name}", driver_name,
                           Disclosure.NEIGHBOR_COUNT,
                           detail=f"peer {peer_name}: {count}")
@@ -295,53 +279,3 @@ def _make_peer_task(mesh: PartyMesh, driver_name: str, peer_name: str,
 def _simulated_clock(mesh: PartyMesh, driver_name: str, peer_name: str):
     channel = mesh.pair_channel(driver_name, peer_name)
     return lambda: channel.simulated_seconds
-
-
-def _peer_count(session, driver, peer, query_point: tuple[int, ...],
-                peer_points: list, config: ProtocolConfig, value_bound: int,
-                ledger: LeakageLedger, cache: PeerCipherCache | None, *,
-                label: str) -> int:
-    """One peer's secure neighbour count, batched or seed-era per-point.
-
-    The batched paths reuse the two-party region-query machinery
-    verbatim, so their bits, comparison sub-protocols, and ledger
-    records are identical to the per-point loops (property-tested).
-    """
-    eps_squared = config.eps_squared
-    if config.batched_region_queries:
-        if cache is not None:
-            bits = hdp_region_query_cached(
-                session, driver, query_point, peer, list(peer_points),
-                list(range(len(peer_points))), cache, eps_squared,
-                value_bound, ledger=ledger,
-                blind_cross_sum=config.blind_cross_sum,
-                query_constant_blinding=config.query_constant_blinding,
-                batched_comparisons=config.batched_comparisons,
-                label=f"{label}/cached")
-        else:
-            bits = hdp_region_query(
-                session, driver, query_point, peer, list(peer_points),
-                eps_squared, value_bound, ledger=ledger,
-                blind_cross_sum=config.blind_cross_sum,
-                query_constant_blinding=config.query_constant_blinding,
-                batched_comparisons=config.batched_comparisons,
-                label=label)
-        return sum(bits)
-    if cache is not None:
-        return sum(
-            hdp_within_eps_cached(
-                session, driver, query_point, peer, peer_point, point_id,
-                cache, eps_squared, value_bound, ledger=ledger,
-                blind_cross_sum=config.blind_cross_sum,
-                label=f"{label}/cached")
-            for point_id, peer_point in enumerate(peer_points))
-    view = PermutedView.fresh(len(peer_points), peer.rng)
-    count = 0
-    for position in range(len(view)):
-        point = peer_points[view.true_index(position)]
-        if hdp_within_eps(session, driver, query_point, peer, point,
-                          eps_squared, value_bound, ledger=ledger,
-                          blind_cross_sum=config.blind_cross_sum,
-                          label=label):
-            count += 1
-    return count

@@ -14,7 +14,7 @@ party's seed and the canonical pair key (SHA-256 of
 the draw sequence depend on the order the pairwise protocols happened
 to interleave -- harmless while driver passes visited peers strictly
 sequentially, but a data race the moment two pairwise sessions run
-concurrently (``ProtocolConfig(concurrent_peers=True)``).  With
+concurrently (the daemon's coroutine-per-peer passes).  With
 substreams, concurrent and sequential executions draw bit-identical
 randomness per pair, so labels, per-pair transcripts, and ledgers match
 exactly (property-tested in ``tests/multiparty/test_scheduler.py``).
@@ -187,9 +187,9 @@ class PartyMesh:
         overrides it to emit the control frame that tells the peer
         process to enter the query choreography (the driver's pass
         structure is data-dependent, so the peer cannot infer it).
-        Called from inside the scheduler task, on the task's thread, so
-        the announcement and the query's protocol frames stay ordered
-        per link even under ``concurrent_peers``.
+        Called once per scheduler task, just before its ``run``, so the
+        announcement and the query's protocol frames stay ordered per
+        link however the executor interleaves peers.
         """
 
     def pool_report(self) -> dict:

@@ -1,33 +1,33 @@
-"""Pass executors: sequential or concurrent per-peer queries of a pass.
+"""Pass executors: how the per-peer queries of one density test run.
 
 Within one driver pass of the k-party protocol, the per-peer secure
 region queries are *independent*: each runs over its own pairwise
 channel, its own :class:`~repro.smc.session.SmcSession` (own keys-view,
 own pools, own comparison backend), and -- since the mesh derives
-per-pair RNG substreams -- its own randomness stream.  The executor
-abstraction makes that independence schedulable: the driver hands every
-pass a list of :class:`PeerQuery` tasks, and the executor runs them
-either in order (seed-era choreography) or on a thread pool
-(``ProtocolConfig(concurrent_peers=True)``).
+per-pair RNG substreams -- its own randomness stream.  The driver hands
+every density test a list of :class:`PeerQuery` tasks; two executors
+run them:
+
+- :class:`PassExecutor` -- in mesh order, one after another: the
+  in-process mesh and the party-process runtime.
+- :class:`AsyncPassExecutor` -- one coroutine per peer under
+  ``asyncio.gather`` on the daemon's event loop, so round-trips to
+  different peers overlap without a thread per query.
 
 Determinism contract: both executors return outcomes **in task order**
 and record each task's disclosures into a private sub-ledger that the
 caller merges in task order -- so labels, per-pair transcripts, the
 leakage-ledger event sequence, and comparison counts are bit-identical
-between sequential and concurrent execution (property-tested in
-``tests/multiparty/test_scheduler.py``).  Concurrency changes only
-wall-clock: with a
+however the queries interleaved (property-tested in
+``tests/multiparty/test_scheduler.py``).  With a
 :class:`~repro.net.transport.SimulatedNetworkTransport` on the links,
-the executor charges a pass the *sum* of its per-link virtual time when
-sequential but only the *maximum* when concurrent -- the round-trips to
-different peers overlap, which is exactly the latency-hiding a real
-network deployment would see.
+a pass is charged the *sum* of its per-link virtual time when run in
+order and the *maximum* when the queries overlap.
 """
 
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Awaitable, Callable
 
@@ -36,7 +36,7 @@ from repro.obs.metrics import default_registry
 
 
 class SchedulerError(ValueError):
-    """Raised on invalid executor parameters."""
+    """Raised when an executor is driven the wrong way."""
 
 
 @dataclass(frozen=True)
@@ -73,15 +73,11 @@ class PeerQueryOutcome:
 
 
 class PassExecutor:
-    """Base: runs the tasks of one pass, accumulates virtual wall-clock.
+    """Runs the tasks of one pass in order; accumulates virtual time.
 
     ``simulated_seconds`` is the executor's running total of virtual
-    network time across every pass it ran -- the figure the latency
-    sweep in ``benchmarks/run_quick.py`` compares between sequential
-    and concurrent scheduling.
+    network time across every pass it ran (0.0 on real fabrics).
     """
-
-    concurrent = False
 
     def __init__(self):
         self.simulated_seconds = 0.0
@@ -103,7 +99,7 @@ class PassExecutor:
         self._obs_queries.inc(len(tasks))
         if not tasks:
             return []
-        outcomes = self._execute(tasks)
+        outcomes = [self._run_one(task) for task in tasks]
         self.simulated_seconds += self._charge(
             [outcome.simulated_delta for outcome in outcomes])
         return outcomes
@@ -118,159 +114,9 @@ class PassExecutor:
             peer=task.peer, count=count, ledger=ledger,
             simulated_delta=task.simulated_clock() - before)
 
-    def _execute(self, tasks: list[PeerQuery]) -> list[PeerQueryOutcome]:
-        return [self._run_one(task) for task in tasks]
-
     def _charge(self, deltas: list[float]) -> float:
-        """Sequential: the peer queries of a pass happen back to back."""
+        """The peer queries of a pass happen back to back."""
         return sum(deltas)
-
-    def close(self) -> None:
-        """Release executor resources (thread pool)."""
-
-
-class SequentialPassExecutor(PassExecutor):
-    """Seed-era scheduling: one peer after another, in mesh order."""
-
-
-class ConcurrentPassExecutor(PassExecutor):
-    """Thread pool over the independent pairwise sessions of a pass.
-
-    Each worker thread drives one complete pairwise choreography -- both
-    parties' local steps plus their private link -- so no two threads
-    ever share a channel, session, pool, or RNG substream.  The shared
-    pieces that remain (the engine's counters, each channel's stats and
-    transcript) are internally locked.
-    """
-
-    concurrent = True
-
-    def __init__(self, max_workers: int | None = None,
-                 expected_tasks: int | None = None):
-        super().__init__()
-        if max_workers is not None and max_workers < 1:
-            raise SchedulerError(
-                f"max_workers must be >= 1, got {max_workers}")
-        if expected_tasks is not None and expected_tasks < 1:
-            raise SchedulerError(
-                f"expected_tasks must be >= 1, got {expected_tasks}")
-        self.max_workers = max_workers
-        # Sizing hint from the caller (the mesh's max peer count): the
-        # pool opens at its steady-state width instead of growing
-        # pass by pass.
-        self.expected_tasks = expected_tasks
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_workers = 0
-        # Shrink accounting: how many pooled workers the last pass left
-        # idle, how many times the pool was narrowed, and how many
-        # consecutive passes have under-used it.
-        self.idle_workers = 0
-        self.shrinks = 0
-        self._surplus_streak = 0
-        registry = default_registry()
-        self._obs_shrinks = registry.counter(
-            "repro_pass_executor_shrinks_total")
-        self._obs_pool_width = registry.gauge(
-            "repro_pass_executor_pool_width")
-
-    def run_pass(self, tasks: list[PeerQuery]) -> list[PeerQueryOutcome]:
-        outcomes = super().run_pass(tasks)
-        # Single-task passes run inline (no pool submit), so their pool
-        # demand is zero.
-        self._note_demand(len(tasks) if len(tasks) >= 2 else 0)
-        return outcomes
-
-    def _note_demand(self, demand: int) -> None:
-        """Narrow the pool once demand has stayed below its width.
-
-        The growth path above never shrinks, so a session whose
-        ``expected_tasks`` hint overshot real demand (peers with empty
-        partitions are skipped, and single-task passes bypass the pool)
-        would hold k-1 idle threads for its whole lifetime.  Two
-        consecutive under-used passes are taken as the new steady
-        state: the pool is recreated at the observed demand -- or torn
-        down entirely when the pool sees no work at all -- and the
-        sizing hint is lowered so ``_ensure_pool`` does not immediately
-        grow it back.
-        """
-        if self._pool is None:
-            self.idle_workers = 0
-            self._surplus_streak = 0
-            return
-        self.idle_workers = max(0, self._pool_workers - demand)
-        if self.idle_workers == 0:
-            self._surplus_streak = 0
-            return
-        self._surplus_streak += 1
-        if self._surplus_streak < 2:
-            return
-        self._pool.shutdown(wait=False)
-        if demand > 0:
-            self._pool = ThreadPoolExecutor(max_workers=demand)
-            self._pool_workers = demand
-        else:
-            self._pool = None
-            self._pool_workers = 0
-        self.expected_tasks = demand or None
-        self.shrinks += 1
-        self._obs_shrinks.inc()
-        self._obs_pool_width.set(self._pool_workers)
-        self._surplus_streak = 0
-        self.idle_workers = 0
-
-    def _ensure_pool(self, task_count: int) -> ThreadPoolExecutor:
-        """A pool at least ``task_count`` wide, without churn.
-
-        The pool is created once -- sized from the ``expected_tasks``
-        hint when given -- and *grown in place* if a later pass needs
-        more width: bumping ``_max_workers`` makes the executor's lazy
-        thread spawner top the pool up on the next submits.  The old
-        behaviour (shutdown + recreate on every wider pass) threw away
-        every warm worker thread each time the task count grew.
-        """
-        workers = self.max_workers or max(task_count,
-                                          self.expected_tasks or 0)
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=workers)
-            self._pool_workers = workers
-            self._obs_pool_width.set(workers)
-        elif workers > self._pool_workers:
-            self._pool._max_workers = workers
-            self._pool_workers = workers
-            self._obs_pool_width.set(workers)
-        return self._pool
-
-    def _execute(self, tasks: list[PeerQuery]) -> list[PeerQueryOutcome]:
-        if len(tasks) == 1:
-            return [self._run_one(tasks[0])]
-        pool = self._ensure_pool(len(tasks))
-        # map() preserves task order regardless of completion order --
-        # the merge-determinism half of the equivalence guarantee.
-        return list(pool.map(self._run_one, tasks))
-
-    def _charge(self, deltas: list[float]) -> float:
-        """Concurrent: round-trips overlap, bounded by the pool width.
-
-        With at least as many workers as peers this is the slowest
-        single link; a width-capped pool can only overlap ``workers``
-        queries at a time, so the charge is the makespan of a greedy
-        least-loaded assignment (longest first) -- ``sum`` at width 1,
-        ``max`` at full width, honest in between.  Deterministic, so
-        repeated runs report identical simulated time regardless of how
-        the OS actually interleaved the threads.
-        """
-        workers = min(self.max_workers or len(deltas), len(deltas))
-        if workers >= len(deltas):
-            return max(deltas)
-        loads = [0.0] * workers
-        for delta in sorted(deltas, reverse=True):
-            loads[loads.index(min(loads))] += delta
-        return max(loads)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
 
 class AsyncPassExecutor(PassExecutor):
@@ -280,17 +126,14 @@ class AsyncPassExecutor(PassExecutor):
     drives one task's pairwise choreography at message granularity,
     parking on the per-(session, pair) frame queue instead of blocking
     a thread.  ``asyncio.gather`` preserves argument order, so outcomes
-    come back in task order and the merge-determinism contract of the
-    threaded executors carries over unchanged; the virtual-time charge
-    is ``max`` (all peers overlap), matching an unbounded
-    :class:`ConcurrentPassExecutor`.
+    come back in task order and the merge-determinism contract of
+    :class:`PassExecutor` carries over unchanged; the virtual-time
+    charge is ``max`` (all peers overlap).
 
     ``prepare`` fires exactly once per task here, *outside* ``run`` --
     the restartable channel may re-execute the query body, and the
     query announcement must not repeat.
     """
-
-    concurrent = True
 
     def __init__(self, run_query: Callable[
             [PeerQuery, LeakageLedger], Awaitable[int]]):
@@ -328,18 +171,3 @@ class AsyncPassExecutor(PassExecutor):
     def _charge(self, deltas: list[float]) -> float:
         """All peer coroutines overlap: the pass costs its slowest link."""
         return max(deltas)
-
-
-def make_pass_executor(concurrent: bool,
-                       max_workers: int | None = None,
-                       expected_tasks: int | None = None) -> PassExecutor:
-    """Executor factory driven by ``ProtocolConfig(concurrent_peers=...)``.
-
-    ``expected_tasks`` -- typically the mesh's max peer count per pass,
-    ``k - 1`` -- pre-sizes the concurrent pool so it never grows (and,
-    before the growth fix, never churned) mid-run.
-    """
-    if concurrent:
-        return ConcurrentPassExecutor(max_workers=max_workers,
-                                      expected_tasks=expected_tasks)
-    return SequentialPassExecutor()

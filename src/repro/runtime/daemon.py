@@ -74,12 +74,12 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.distance import PeerCipherCache
+from repro.core.horizontal import secure_peer_neighbor_count
 from repro.core.leakage import LeakageLedger
 from repro.crypto.engine import ModexpEngine
 from repro.crypto.integer_math import powmod_cache_report
 from repro.crypto.precompute import PrecomputeError, RandomnessService
 from repro.crypto.sealed import paillier_public_digest
-from repro.multiparty.horizontal import _peer_count
 from repro.multiparty.mesh import derive_pair_rng
 from repro.net.framing import (
     FRAME_CONTROL,
@@ -379,8 +379,7 @@ class _SessionMeshView:
 
     The daemon twin of ``repro.runtime.party._LocalMeshView``:
     ``begin_peer_query`` emits the session-tagged query-announcement
-    control frame (thread-safe -- it fires on scheduler worker threads
-    under ``concurrent_peers``, and the hub's outbound queue is fed via
+    control frame (thread-safe: the hub's outbound queue is fed via
     ``call_soon_threadsafe``).
     """
 
@@ -1112,9 +1111,10 @@ class PartyDaemon:
         the driver may spend arbitrarily long on its other peers -- and
         costs no thread while parked: a dead peer surfaces through the
         hub's poison, and each announced query runs the unchanged
-        ``_peer_count`` choreography inline through the restartable
-        runner.  The per-attempt ledger is discarded (the responder's
-        disclosure view is the driver's report, not this daemon's).
+        ``secure_peer_neighbor_count`` choreography inline through the
+        restartable runner.  The per-attempt ledger is discarded (the
+        responder's disclosure view is the driver's report, not this
+        daemon's).
         """
         manifest = state.manifest
         link = state.views[driver]
@@ -1128,10 +1128,11 @@ class PartyDaemon:
         label = f"multiparty/{driver}-{self.name}"
 
         def serve_query(attempt_ledger: LeakageLedger) -> int:
-            return _peer_count(
-                session, pair_parties[driver], pair_parties[self.name],
-                placeholder, state.points, config, manifest.value_bound,
-                attempt_ledger, cache, label=label)
+            return secure_peer_neighbor_count(
+                session, pair_parties[driver], placeholder,
+                pair_parties[self.name], state.points, config,
+                manifest.value_bound, attempt_ledger, cache, label=label,
+                cached_label=f"{label}/cached")
 
         if span is None:
             span = NULL_SPAN

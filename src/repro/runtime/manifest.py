@@ -60,9 +60,7 @@ _SMC_FIELDS = ("paillier_bits", "rsa_bits", "comparison", "mask_sigma",
                "faithful_shared_r", "key_seed", "precompute")
 _PROTOCOL_FIELDS = ("eps", "min_pts", "scale", "selection",
                     "blind_cross_sum", "query_constant_blinding",
-                    "cache_peer_ciphertexts", "batched_region_queries",
-                    "batched_comparisons", "use_grid_index",
-                    "concurrent_peers", "peer_workers")
+                    "cache_peer_ciphertexts")
 
 
 #: Comparison backends the socket runtime can execute, with the reason
@@ -116,8 +114,33 @@ def config_to_dict(config: ProtocolConfig) -> dict:
     return payload
 
 
+def _check_fields(payload, expected: tuple[str, ...], where: str) -> None:
+    """Refuse a config dict whose keys are not exactly ``expected``.
+
+    A manifest written by an older version may carry fields this version
+    no longer has (or lack new ones); loading it anyway would silently
+    run a different configuration than the one its digest describes.
+    """
+    if not isinstance(payload, dict):
+        raise ManifestError(f"{where} config must be a dict, got "
+                            f"{type(payload).__name__}")
+    unknown = sorted(set(payload) - set(expected))
+    missing = sorted(set(expected) - set(payload))
+    problems = []
+    if unknown:
+        problems.append(f"unknown field(s) {', '.join(unknown)}")
+    if missing:
+        problems.append(f"missing field(s) {', '.join(missing)}")
+    if problems:
+        raise ManifestError(f"{where} config: {'; '.join(problems)}")
+
+
 def config_from_dict(payload: dict) -> ProtocolConfig:
-    smc = SmcConfig(**{name: payload["smc"][name] for name in _SMC_FIELDS})
+    """Rebuild the configuration; raises :class:`ManifestError` unless
+    the dict has exactly the :func:`config_to_dict` fields."""
+    _check_fields(payload, _PROTOCOL_FIELDS + ("smc",), "protocol")
+    _check_fields(payload["smc"], _SMC_FIELDS, "smc")
+    smc = SmcConfig(**payload["smc"])
     kwargs = {name: payload[name] for name in _PROTOCOL_FIELDS}
     return ProtocolConfig(smc=smc, **kwargs)
 

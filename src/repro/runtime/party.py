@@ -52,15 +52,15 @@ import json
 import os
 import pathlib
 import socket
-import threading
 import time
 from dataclasses import dataclass, field
 
 from repro.core.distance import PeerCipherCache
 from repro.core.leakage import Disclosure, LeakageEvent, LeakageLedger
-from repro.multiparty.horizontal import _driver_pass, _peer_count
+from repro.core.horizontal import secure_peer_neighbor_count
+from repro.multiparty.horizontal import _driver_pass
 from repro.multiparty.mesh import derive_pair_rng
-from repro.multiparty.scheduler import make_pass_executor
+from repro.multiparty.scheduler import PassExecutor
 from repro.net.framing import (
     FRAME_CONTROL,
     FRAME_GOODBYE,
@@ -385,9 +385,6 @@ class PartyProcess:
         self._ledger = LeakageLedger()
         self._labels: tuple[int, ...] | None = None
         self._pass_records: list[PassRecord] = []
-        # begin_peer_query fires from scheduler worker threads under
-        # concurrent_peers, so the fault-injection counters are locked.
-        self._query_lock = threading.Lock()
         self._queries_seen = 0
         self._queries_in_pass = 0
         self._fail_after_queries = fail_after_queries
@@ -641,14 +638,12 @@ class PartyProcess:
                 f"query: {exc}", peer=peer, frame="control/query") from exc
 
     def _count_query(self) -> None:
-        with self._query_lock:
-            self._queries_seen += 1
-            self._queries_in_pass += 1
-            seen = self._queries_seen
-            in_pass = self._queries_in_pass
-            fired = self._faults.on_query(self.passes_done, in_pass)
+        self._queries_seen += 1
+        self._queries_in_pass += 1
+        in_pass = self._queries_in_pass
+        fired = self._faults.on_query(self.passes_done, in_pass)
         if (self._fail_after_queries is not None
-                and seen > self._fail_after_queries):
+                and self._queries_seen > self._fail_after_queries):
             # Legacy failure-injection hook (pre-FaultPlan): die the way
             # a crashed process dies -- no goodbye, no cleanup.
             print(f"[fault injection] {self.name} dying after "
@@ -780,8 +775,7 @@ class PartyProcess:
         self._labels = None
         self._pass_records = []
         self._replaying = False
-        with self._query_lock:
-            self._queries_in_pass = 0
+        self._queries_in_pass = 0
 
         if self.passes_done >= total_passes:
             # Every pass is already checkpointed (the process died
@@ -804,9 +798,7 @@ class PartyProcess:
                        for name in manifest.names}
 
         self._bind_channels(resume_pass)
-        executor = make_pass_executor(
-            config.concurrent_peers, config.peer_workers,
-            expected_tasks=max(1, len(manifest.names) - 1))
+        executor = PassExecutor()
         passes_started = time.perf_counter()
         self._session_span = self.tracer.span(
             "session", manifest.session_id, epoch=self.epoch,
@@ -824,7 +816,6 @@ class PartyProcess:
                 self._run_pass(pass_index, view, points_view, config,
                                executor)
         finally:
-            executor.close()
             self._session_span.close()
             self._session_span = NULL_SPAN
 
@@ -851,8 +842,7 @@ class PartyProcess:
                   points_view: dict, config, executor) -> None:
         manifest = self.manifest
         driver = manifest.names[pass_index]
-        with self._query_lock:
-            self._queries_in_pass = 0
+        self._queries_in_pass = 0
         role = "drive" if driver == self.name else "respond"
         with self._session_span.child("pass", f"pass{pass_index}",
                                       index=pass_index, role=role,
@@ -884,17 +874,17 @@ class PartyProcess:
         self._phase = "checkpoint"
         self._write_checkpoint()
         self._phase = "pass"
-        with self._query_lock:
-            fired = self._faults.at_boundary(self.passes_done)
+        fired = self._faults.at_boundary(self.passes_done)
         self._apply_fired_faults(
             fired, f"at boundary {self.passes_done}")
 
     def _respond_pass(self, driver: str, config) -> int:
         """Serve one remote driver's pass on our shared link.
 
-        Each announced query runs the *same* ``_peer_count`` choreography
-        the driver runs, with a placeholder query point; the mirror
-        substitutes every driver-side frame with the authentic one.  The
+        Each announced query runs the *same* ``secure_peer_neighbor_count``
+        choreography the driver runs, with a placeholder query point; the
+        mirror substitutes every driver-side frame with the authentic one.
+        The
         locally-computed count and disclosures belong to the driver's
         view and are discarded -- the driver's process records them from
         authentic data.  Returns how many queries were served (the
@@ -918,10 +908,11 @@ class PartyProcess:
                 return served
             served += 1
             self._count_query()
-            _peer_count(pair.session, pair.parties[driver],
-                        pair.parties[self.name], placeholder, self.points,
-                        config, self.manifest.value_bound, discard, cache,
-                        label=label)
+            secure_peer_neighbor_count(
+                pair.session, pair.parties[driver], placeholder,
+                pair.parties[self.name], self.points, config,
+                self.manifest.value_bound, discard, cache, label=label,
+                cached_label=f"{label}/cached")
 
     # -- replay ------------------------------------------------------------
 
@@ -984,10 +975,11 @@ class PartyProcess:
         placeholder = tuple([0] * self.manifest.dimensions)
         label = f"multiparty/{driver}-{self.name}"
         for _ in range(served):
-            _peer_count(pair.session, pair.parties[driver],
-                        pair.parties[self.name], placeholder, self.points,
-                        config, self.manifest.value_bound, discard, cache,
-                        label=label)
+            secure_peer_neighbor_count(
+                pair.session, pair.parties[driver], placeholder,
+                pair.parties[self.name], self.points, config,
+                self.manifest.value_bound, discard, cache, label=label,
+                cached_label=f"{label}/cached")
 
     # -- checkpoints -------------------------------------------------------
 

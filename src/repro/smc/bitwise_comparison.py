@@ -59,19 +59,22 @@ def _check_domain(name: str, value: int, bits: int) -> None:
         raise BitwiseComparisonError(f"{name}={value} outside [0, 2^{bits})")
 
 
-def _blinded_witnesses(public, received, y_bits, rng, pool) -> list[int]:
+def _blinded_witnesses(public, received, complements, y_bits, rng,
+                       pool) -> list[int]:
     """Steps 2-3 for one ``y``: blinded, shuffled witness ciphertexts.
 
-    ``received`` are the key holder's bit ciphertexts (MSB first).  Runs
+    ``received`` are the key holder's bit ciphertexts (MSB first).
+    ``complements`` maps a bit position to ``E(1 - x_t)``; positions are
+    filled on first use and shared by every ``y`` of one call, since the
+    negation costs a full-size modexp and does not depend on ``y``.  Runs
     the other party's RNG in exactly the per-point order (one multiplier
     and one rerandomization per bit, then one shuffle), so batched and
     per-point executions draw identical randomness for this half.
     """
-    one = public.raw_encrypt_constant(1)
     blinded: list[int] = []
     # running_w accumulates E(sum of XORs of strictly-higher bit positions).
     running_w = PaillierCiphertext(public, public.raw_encrypt_constant(0))
-    for enc_x_bit, y_bit in zip(received, y_bits):
+    for position, (enc_x_bit, y_bit) in enumerate(zip(received, y_bits)):
         # c_t = x_t - y_t - 1 + 3 * w_t, all under encryption.
         c = enc_x_bit + (-y_bit - 1) + running_w * 3
         multiplier = rng.randrange(1, 1 << _BLIND_BITS)
@@ -81,7 +84,10 @@ def _blinded_witnesses(public, received, y_bits, rng, pool) -> list[int]:
         if y_bit == 0:
             xor_term = enc_x_bit
         else:
-            xor_term = PaillierCiphertext(public, one) - enc_x_bit
+            xor_term = complements.get(position)
+            if xor_term is None:
+                xor_term = complements[position] = PaillierCiphertext(
+                    public, public.raw_encrypt_constant(1)) - enc_x_bit
         running_w = running_w + xor_term
     rng.shuffle(blinded)
     return blinded
@@ -131,7 +137,7 @@ def dgk_greater_than(key_holder: Party, x: int, other: Party, y: int,
     received_values = other.receive(f"{label}/x_bits")
     received = [PaillierCiphertext(public, v) for v in received_values]
     y_bits = [(y >> (bits - 1 - t)) & 1 for t in range(bits)]
-    blinded = _blinded_witnesses(public, received, y_bits, other.rng,
+    blinded = _blinded_witnesses(public, received, {}, y_bits, other.rng,
                                  other_pool)
     other.send(f"{label}/witnesses", blinded)
 
@@ -177,11 +183,12 @@ def dgk_greater_than_batch(key_holder: Party, x: int, other: Party,
     # --- Steps 2-3 (other party), per y, against the shared bits. ----------
     received_values = other.receive(f"{label}/x_bits")
     received = [PaillierCiphertext(public, v) for v in received_values]
+    complements: dict[int, PaillierCiphertext] = {}
     batches = []
     for y in ys:
         y_bits = [(y >> (bits - 1 - t)) & 1 for t in range(bits)]
-        batches.append(_blinded_witnesses(public, received, y_bits,
-                                          other.rng, other_pool))
+        batches.append(_blinded_witnesses(public, received, complements,
+                                          y_bits, other.rng, other_pool))
     other.send(f"{label}/witnesses", batches)
 
     # --- Step 4 (key holder): one decryption sweep over every batch. -------

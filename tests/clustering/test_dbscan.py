@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.clustering.dbscan import core_points, dbscan
 from repro.clustering.labels import NOISE, UNCLASSIFIED
 from repro.clustering.neighborhoods import BruteForceIndex
+from repro.clustering.union_density import union_density_dbscan
 
 points_strategy = st.lists(
     st.tuples(st.integers(min_value=-100, max_value=100),
@@ -113,10 +114,12 @@ class TestDefinitionalInvariants:
     @given(points_strategy, st.integers(min_value=1, max_value=400),
            st.integers(min_value=1, max_value=6))
     def test_grid_index_equivalence(self, points, eps_squared, min_pts):
-        plain = dbscan(points, eps_squared, min_pts)
-        accelerated = dbscan(points, eps_squared, min_pts,
-                             use_grid_index=True)
-        assert plain.as_tuple() == accelerated.as_tuple()
+        """The grid-indexed DBSCAN equals the brute-force reference:
+        union-density DBSCAN with no peer points is centralized DBSCAN
+        over a linear scan."""
+        accelerated = dbscan(points, eps_squared, min_pts)
+        plain = union_density_dbscan(points, [], eps_squared, min_pts)
+        assert plain.labels.as_tuple() == accelerated.as_tuple()
 
     @settings(max_examples=20, deadline=None)
     @given(points_strategy, st.integers(min_value=1, max_value=400),

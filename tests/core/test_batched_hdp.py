@@ -1,10 +1,11 @@
 """Equivalence tests for the batched HDP region query (the PR-1 tentpole).
 
 The binding property: the batched pipeline must be *indistinguishable in
-outcome* from the seed-era per-point loop -- identical neighbor sets,
-identical ledger disclosure sequences, across random workloads, seeds,
-and both ``blind_cross_sum`` modes.  Only wall-clock, message counts,
-and encryption counts may differ.
+outcome* from the per-point reference (``tests/per_point.py``: one
+Section 4.2 HDP per peer point) -- identical neighbor sets, identical
+ledger disclosure sequences, across random workloads, seeds, and both
+``blind_cross_sum`` modes.  Only wall-clock, message counts, and
+encryption counts may differ.
 """
 
 import random
@@ -12,6 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.clustering.union_density import union_density_dbscan
 from repro.core.config import ProtocolConfig
 from repro.core.distance import (
     PeerCipherCache,
@@ -27,6 +29,11 @@ from repro.data.partitioning import HorizontalPartition
 from repro.net.channel import Channel
 from repro.net.party import make_party_pair
 from repro.smc.session import SmcConfig, SmcSession
+from tests.per_point import (
+    per_point_queries,
+    per_point_region_query,
+    per_point_region_query_cached,
+)
 
 VALUE_BOUND = 8 * 200 * 200
 coordinate = st.integers(min_value=-60, max_value=60)
@@ -157,8 +164,8 @@ class TestRegionQueryAgainstPerPoint:
 
 class TestBatchedComparisons:
     """PR-3 tentpole: the amortized DGK batch inside a region query must
-    be indistinguishable in bits and disclosures from the per-point
-    comparison loop, under real crypto."""
+    be indistinguishable in bits and disclosures from one comparison per
+    point, under real crypto."""
 
     @settings(max_examples=6, deadline=None)
     @given(point2d, points_list, st.integers(min_value=0, max_value=20000),
@@ -170,19 +177,18 @@ class TestBatchedComparisons:
         bits = hdp_region_query(
             batched_session, batched_session.alice, querier_point,
             batched_session.bob, peer_points, eps_squared, VALUE_BOUND,
-            ledger=batched_ledger, blind_cross_sum=blind,
-            batched_comparisons=True, label="q")
+            ledger=batched_ledger, blind_cross_sum=blind, label="q")
 
         __, loop_session = _session(seed)
         loop_ledger = LeakageLedger()
-        loop_bits = hdp_region_query(
+        loop_bits = per_point_region_query(
             loop_session, loop_session.alice, querier_point,
             loop_session.bob, peer_points, eps_squared, VALUE_BOUND,
-            ledger=loop_ledger, blind_cross_sum=blind,
-            batched_comparisons=False, label="q")
+            ledger=loop_ledger, blind_cross_sum=blind, label="q")
 
-        # Same seeds -> same presentation permutation, so the bits
-        # compare positionally, not just as a multiset.
+        # Same seeds -> same presentation permutation (the peer draws it
+        # first), so the bits compare positionally, not just as a
+        # multiset.
         assert bits == loop_bits
         assert sum(bits) == sum(_truth(querier_point, peer_points,
                                        eps_squared))
@@ -193,32 +199,32 @@ class TestBatchedComparisons:
     def test_cached_query_matches_per_point_comparisons(self):
         for blind in (False, True):
             results = []
-            for batched in (True, False):
+            for query in (hdp_region_query_cached,
+                          per_point_region_query_cached):
                 __, session = _session(21)
                 ledger = LeakageLedger()
-                bits = hdp_region_query_cached(
+                bits = query(
                     session, session.alice, (1, 2), session.bob,
                     [(4, 6), (1, 2), (30, 40), (2, 3)], [0, 1, 2, 3],
                     PeerCipherCache(), 25, VALUE_BOUND, ledger=ledger,
-                    blind_cross_sum=blind, batched_comparisons=batched,
-                    label="q")
-                results.append((bits, ledger.events))
+                    blind_cross_sum=blind, label="q")
+                results.append((bits, ledger.events,
+                                session.comparison_backend.invocations))
             assert results[0] == results[1], blind
 
     def test_constant_threshold_shares_one_bit_encryption(self):
         """blind_cross_sum=False keeps the threshold constant across the
         query, so the whole query produces exactly one x_bits message;
-        the per-point loop produces one per peer point."""
-        def count_x_bits(batched_comparisons):
+        the per-point reference produces one per peer point."""
+        def count_x_bits(query):
             channel, session = _session(22)
-            hdp_region_query(
-                session, session.alice, (0, 0), session.bob,
-                [(0, 3), (4, 0), (50, 50), (1, 1)], 25, VALUE_BOUND,
-                batched_comparisons=batched_comparisons, label="q")
+            query(session, session.alice, (0, 0), session.bob,
+                  [(0, 3), (4, 0), (50, 50), (1, 1)], 25, VALUE_BOUND,
+                  label="q")
             return sum(1 for e in channel.transcript.entries
                        if e.label.endswith("/x_bits"))
-        assert count_x_bits(True) == 1
-        assert count_x_bits(False) == 4
+        assert count_x_bits(hdp_region_query) == 1
+        assert count_x_bits(per_point_region_query) == 4
 
 
 class TestQuerierEncryptionCount:
@@ -261,17 +267,15 @@ class TestQuerierEncryptionCount:
 
 
 class TestFullRunEquivalence:
-    """Driver-level: batched pipeline vs seed-era per-point pipeline."""
+    """Driver-level: batched pipeline vs the per-point reference."""
 
-    def _config(self, batched, cached=False, blind=False, grid=True):
+    def _config(self, cached=False, blind=False):
         return ProtocolConfig(
             eps=1.0, min_pts=3, scale=10,
             smc=SmcConfig(key_seed=97, mask_sigma=8, paillier_bits=128),
             alice_seed=11, bob_seed=12,
-            batched_region_queries=batched,
             cache_peer_ciphertexts=cached,
-            blind_cross_sum=blind,
-            use_grid_index=grid)
+            blind_cross_sum=blind)
 
     def _random_partition(self, seed):
         rng = random.Random(seed)
@@ -288,25 +292,30 @@ class TestFullRunEquivalence:
     def test_labels_and_ledger_bit_identical(self, cached, blind):
         for seed in (0, 1, 2):
             partition = self._random_partition(seed)
-            batched = run_horizontal_dbscan(
-                partition, self._config(True, cached=cached, blind=blind))
-            legacy = run_horizontal_dbscan(
-                partition, self._config(False, cached=cached, blind=blind))
+            config = self._config(cached=cached, blind=blind)
+            batched = run_horizontal_dbscan(partition, config)
+            with per_point_queries():
+                legacy = run_horizontal_dbscan(partition, config)
             assert batched.alice_labels == legacy.alice_labels, seed
             assert batched.bob_labels == legacy.bob_labels, seed
             # The whole disclosure sequence -- same events, same order,
             # same labels, same details.
             assert batched.ledger.events == legacy.ledger.events, seed
 
-    def test_grid_index_flag_does_not_change_output(self):
+    def test_grid_index_does_not_change_output(self):
+        """The drivers' grid index yields the brute-force scan's labels
+        (union-density DBSCAN is the plaintext model of each pass)."""
         partition = self._random_partition(3)
-        with_grid = run_horizontal_dbscan(partition, self._config(True,
-                                                                  grid=True))
-        without = run_horizontal_dbscan(partition, self._config(True,
-                                                                grid=False))
-        assert with_grid.alice_labels == without.alice_labels
-        assert with_grid.bob_labels == without.bob_labels
-        assert with_grid.ledger.events == without.ledger.events
+        config = self._config()
+        result = run_horizontal_dbscan(partition, config)
+        for own, other, labels in (
+                (partition.alice_points, partition.bob_points,
+                 result.alice_labels),
+                (partition.bob_points, partition.alice_points,
+                 result.bob_labels)):
+            reference = union_density_dbscan(
+                list(own), list(other), config.eps_squared, config.min_pts)
+            assert reference.labels.as_tuple() == labels
 
 
 class TestSessionPools:

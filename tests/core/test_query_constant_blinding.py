@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import ConfigError, ProtocolConfig
-from repro.core.distance import hdp_region_query, hdp_within_eps
+from repro.core.distance import hdp_region_query
 from repro.core.horizontal import run_horizontal_dbscan
 from repro.core.leakage import Disclosure, LeakageLedger
 from repro.data.partitioning import HorizontalPartition
@@ -23,6 +23,7 @@ from repro.multiparty.horizontal import run_multiparty_horizontal_dbscan
 from repro.net.channel import Channel
 from repro.net.party import make_party_pair
 from repro.smc.session import SmcConfig, SmcSession
+from tests.per_point import per_point_region_query
 
 points_strategy = st.lists(
     st.tuples(st.integers(min_value=0, max_value=30),
@@ -30,15 +31,13 @@ points_strategy = st.lists(
     min_size=1, max_size=5)
 
 
-def _config(backend="oracle", *, query_constant, min_pts=3,
-            batched_comparisons=True, cached=False):
+def _config(backend="oracle", *, query_constant, min_pts=3, cached=False):
     return ProtocolConfig(
         eps=1.5, min_pts=min_pts, scale=1,
         smc=SmcConfig(comparison=backend, key_seed=250, mask_sigma=8,
                       paillier_bits=128),
         blind_cross_sum=True,
         query_constant_blinding=query_constant,
-        batched_comparisons=batched_comparisons,
         cache_peer_ciphertexts=cached,
         alice_seed=11, bob_seed=12)
 
@@ -74,15 +73,9 @@ class TestRegionQueryBits:
         # Reference: one per-point blind HDP per peer point over the
         # same permutation (fresh session, same seeds => same view).
         reference = self._session()
-        from repro.smc.permutation import PermutedView
-        view = PermutedView.fresh(len(peer_points), reference.bob.rng)
-        expected = [
-            hdp_within_eps(reference, reference.alice, query,
-                           reference.bob,
-                           peer_points[view.true_index(position)],
-                           eps_squared, value_bound, blind_cross_sum=True,
-                           label="q")
-            for position in range(len(view))]
+        expected = per_point_region_query(
+            reference, reference.alice, query, reference.bob, peer_points,
+            eps_squared, value_bound, blind_cross_sum=True, label="q")
         assert batch_bits == expected
 
     def test_one_dgk_batch_per_query(self):

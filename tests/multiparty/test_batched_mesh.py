@@ -1,11 +1,12 @@
 """Equivalence tests for the batched k-party mesh (the PR-2 port).
 
-The binding property: with ``batched_region_queries=True`` the k-party
-protocol must be *indistinguishable in outcome* from the seed-era
-per-point mesh -- bit-identical labels for every party and identical
-leakage-ledger disclosure sequences, across random workloads, party
-counts >= 3, and both ``blind_cross_sum`` modes.  Only wall-clock,
-message counts, and encryption counts may differ.
+The binding property: the batched k-party protocol must be
+*indistinguishable in outcome* from the same mesh running the per-point
+reference (``tests/per_point.py``: one Section 4.2 HDP per peer point)
+-- bit-identical labels for every party and identical leakage-ledger
+disclosure sequences, across random workloads, party counts >= 3, and
+both ``blind_cross_sum`` modes.  Only wall-clock, message counts, and
+encryption counts may differ.
 """
 
 import pytest
@@ -16,6 +17,7 @@ from repro.core.leakage import Disclosure
 from repro.multiparty.horizontal import run_multiparty_horizontal_dbscan
 from repro.multiparty.mesh import MeshError, PartyMesh
 from repro.smc.session import SmcConfig
+from tests.per_point import per_point_queries
 
 points_strategy = st.lists(
     st.tuples(st.integers(min_value=0, max_value=30),
@@ -23,21 +25,23 @@ points_strategy = st.lists(
     min_size=1, max_size=5)
 
 
-def _config(backend="oracle", *, batched, blind=False, cached=False,
-            min_pts=3, key_seed=230, batched_comparisons=True):
+def _config(backend="oracle", *, blind=False, cached=False, min_pts=3,
+            key_seed=230):
     return ProtocolConfig(
         eps=1.5, min_pts=min_pts, scale=1,
         smc=SmcConfig(comparison=backend, key_seed=key_seed, mask_sigma=8,
                       paillier_bits=128),
-        batched_region_queries=batched,
-        batched_comparisons=batched_comparisons,
         blind_cross_sum=blind,
         cache_peer_ciphertexts=cached)
 
 
 def _run(points, *, batched, seeds, **kwargs):
-    return run_multiparty_horizontal_dbscan(
-        points, _config(batched=batched, **kwargs), seeds=seeds)
+    """``batched=False`` runs the same mesh on the per-point reference."""
+    config = _config(**kwargs)
+    if batched:
+        return run_multiparty_horizontal_dbscan(points, config, seeds=seeds)
+    with per_point_queries():
+        return run_multiparty_horizontal_dbscan(points, config, seeds=seeds)
 
 
 class TestBatchedMeshAgainstSeedPath:
@@ -96,7 +100,7 @@ class TestBatchedMeshAgainstSeedPath:
 
 class TestBatchedComparisonsMesh:
     """PR-3 tentpole at mesh level: amortized DGK batches inside every
-    per-peer region query vs the per-point comparison loop."""
+    per-peer region query vs one comparison per peer point, same coins."""
 
     @settings(max_examples=8, deadline=None)
     @given(points_strategy, points_strategy, points_strategy,
@@ -105,11 +109,9 @@ class TestBatchedComparisonsMesh:
                                              blind):
         points = {"p0": p0, "p1": p1, "p2": p2}
         amortized = _run(points, batched=True, seeds=[1, 2, 3],
-                         min_pts=min_pts, blind=blind,
-                         batched_comparisons=True)
-        per_point = _run(points, batched=True, seeds=[1, 2, 3],
-                         min_pts=min_pts, blind=blind,
-                         batched_comparisons=False)
+                         min_pts=min_pts, blind=blind)
+        per_point = _run(points, batched=False, seeds=[1, 2, 3],
+                         min_pts=min_pts, blind=blind)
         assert amortized.labels_by_party == per_point.labels_by_party
         assert amortized.ledger.events == per_point.ledger.events
         assert amortized.comparisons == per_point.comparisons
@@ -122,19 +124,17 @@ class TestBatchedComparisonsMesh:
             "p2": [(0, 1), (31, 30)],
         }
         amortized = _run(points, backend="bitwise", batched=True,
-                         seeds=[1, 2, 3], blind=blind,
-                         batched_comparisons=True)
-        per_point = _run(points, backend="bitwise", batched=True,
-                         seeds=[1, 2, 3], blind=blind,
-                         batched_comparisons=False)
+                         seeds=[1, 2, 3], blind=blind)
+        per_point = _run(points, backend="bitwise", batched=False,
+                         seeds=[1, 2, 3], blind=blind)
         assert amortized.labels_by_party == per_point.labels_by_party
         assert amortized.ledger.events == per_point.ledger.events
         assert amortized.comparisons == per_point.comparisons
         if not blind:
             # Constant thresholds: one DGK round-trip per region query
             # instead of one per peer point, so strictly fewer messages.
-            # (Blinded thresholds are per-point random, so the batch
-            # degrades to per-point runs and saves nothing.)
+            # (Blinded thresholds are per-point random, so the comparison
+            # batch degrades to per-point runs.)
             assert amortized.stats["total_messages"] \
                 < per_point.stats["total_messages"]
 
@@ -164,7 +164,7 @@ class TestMeshOfflinePhase:
         """The mesh offline/online contract: prefill by a probe run's
         consumption, then the online run never misses a pool."""
         points = {"p0": [(0, 0), (1, 1)], "p1": [(1, 0)], "p2": [(0, 1)]}
-        config = _config(backend="bitwise", batched=True)
+        config = _config(backend="bitwise")
 
         probe_mesh = PartyMesh(list(points), config.smc, seeds=[1, 2, 3])
         probe = run_multiparty_horizontal_dbscan(points, config,
@@ -186,7 +186,6 @@ class TestMeshOfflinePhase:
 
     def test_mesh_party_mismatch_rejected(self):
         points = {"p0": [(0, 0)], "p1": [(1, 0)]}
-        mesh = PartyMesh(["a", "b"], _config(batched=True).smc)
+        mesh = PartyMesh(["a", "b"], _config().smc)
         with pytest.raises(MeshError, match="do not match"):
-            run_multiparty_horizontal_dbscan(points, _config(batched=True),
-                                             mesh=mesh)
+            run_multiparty_horizontal_dbscan(points, _config(), mesh=mesh)

@@ -1,31 +1,38 @@
-"""Equivalence of sequential vs concurrent mesh passes, across fabrics.
+"""Equivalence of in-order vs overlapping mesh passes, across fabrics.
 
-The PR-4 binding property: scheduling the per-peer region queries of a
-driver pass on a thread pool (``concurrent_peers=True``) and/or moving
-the links onto a different transport fabric must change **nothing**
-observable about the protocol -- bit-identical labels for every party,
-identical leakage-ledger event sequences, identical per-pair
-transcripts, identical comparison counts.  Only wall-clock may differ:
-on a simulated-network fabric the concurrent pass completes in
-measurably less virtual time because the round-trips to different peers
-overlap.
+The PR-4 binding property: running the per-peer region queries of a
+driver pass concurrently -- the daemon's :class:`AsyncPassExecutor`,
+here with each query body on a worker thread so the pairwise sessions
+truly overlap -- and/or moving the links onto a different transport
+fabric must change **nothing** observable about the protocol:
+bit-identical labels for every party, identical leakage-ledger event
+sequences, identical per-pair transcripts, identical comparison counts.
+Only wall-clock may differ: on a simulated-network fabric the
+overlapping pass completes in measurably less virtual time because the
+round-trips to different peers overlap.
 """
+
+import asyncio
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import ProtocolConfig
-from repro.core.leakage import Disclosure
-from repro.multiparty.horizontal import run_multiparty_horizontal_dbscan
+from repro.core.leakage import Disclosure, LeakageLedger
+from repro.data.quantize import squared_distance_bound
+from repro.multiparty.horizontal import (
+    MultipartyRunResult,
+    run_multiparty_horizontal_dbscan,
+)
 from repro.multiparty.mesh import PartyMesh, derive_pair_rng
 from repro.multiparty.scheduler import (
-    ConcurrentPassExecutor,
+    AsyncPassExecutor,
+    PassExecutor,
     PeerQuery,
     SchedulerError,
-    SequentialPassExecutor,
-    make_pass_executor,
 )
 from repro.net.transport import TransportSpec
+from repro.runtime.async_pass import drive_pass_async
 from repro.smc.session import SmcConfig
 
 points_strategy = st.lists(
@@ -34,22 +41,54 @@ points_strategy = st.lists(
     min_size=1, max_size=5)
 
 
-def _config(backend="oracle", *, concurrent, transport=None, blind=False,
-            min_pts=3, key_seed=240, peer_workers=None):
+def _config(backend="oracle", *, transport=None, blind=False, min_pts=3,
+            key_seed=240):
     return ProtocolConfig(
         eps=1.5, min_pts=min_pts, scale=1,
         smc=SmcConfig(comparison=backend, key_seed=key_seed, mask_sigma=8,
                       paillier_bits=128, transport=transport),
-        blind_cross_sum=blind,
-        concurrent_peers=concurrent,
-        peer_workers=peer_workers)
+        blind_cross_sum=blind)
 
 
-def _run(points, seeds, **kwargs):
+class _ThreadedPair:
+    """Stands in for the daemon's ``PairRuntime``: runs each query body
+    on a worker thread, so the queries of one pass overlap for real."""
+
+    async def run(self, body, ledger, span=None):
+        return await asyncio.to_thread(body, ledger)
+
+
+def _run_concurrent(points, config, mesh) -> MultipartyRunResult:
+    """``run_multiparty_horizontal_dbscan`` with the daemon's pass
+    driver: every density test's peer queries under ``asyncio.gather``."""
+    all_points = [point for pts in points.values() for point in pts]
+    value_bound = squared_distance_bound(all_points, all_points)
+    ledger = LeakageLedger()
+    labels_by_party = {}
+    simulated_seconds = 0.0
+    for driver in points:
+        runtimes = {peer: _ThreadedPair() for peer in mesh.peers_of(driver)}
+        labels, executor = asyncio.run(drive_pass_async(
+            mesh, driver, points, config, value_bound, ledger, None,
+            runtimes))
+        labels_by_party[driver] = labels.as_tuple()
+        simulated_seconds += executor.simulated_seconds
+    names = list(points)
+    comparisons = sum(
+        mesh.session_between(a, b).comparison_backend.invocations
+        for index, a in enumerate(names) for b in names[index + 1:])
+    return MultipartyRunResult(
+        labels_by_party=labels_by_party, ledger=ledger,
+        stats=mesh.merged_stats().snapshot(), comparisons=comparisons,
+        simulated_seconds=simulated_seconds)
+
+
+def _run(points, seeds, *, concurrent, **kwargs):
     config = _config(**kwargs)
     mesh = PartyMesh(list(points), config.smc, seeds=seeds)
-    result = run_multiparty_horizontal_dbscan(points, config, mesh=mesh)
-    return result, mesh
+    if concurrent:
+        return _run_concurrent(points, config, mesh), mesh
+    return run_multiparty_horizontal_dbscan(points, config, mesh=mesh), mesh
 
 
 def _pair_transcript_values(mesh):
@@ -64,6 +103,10 @@ def _assert_equivalent(left, left_mesh, right, right_mesh):
     assert left.comparisons == right.comparisons
     assert _pair_transcript_values(left_mesh) \
         == _pair_transcript_values(right_mesh)
+
+
+def _threaded(task, ledger):
+    return asyncio.to_thread(task.run, ledger)
 
 
 class TestConcurrentEqualsSequential:
@@ -111,14 +154,6 @@ class TestConcurrentEqualsSequential:
         sequential = _run(points, [1, 2], concurrent=False)
         concurrent = _run(points, [1, 2], concurrent=True)
         _assert_equivalent(*sequential, *concurrent)
-
-    def test_bounded_worker_pool(self):
-        points = {"p0": [(0, 0)], "p1": [(1, 0)], "p2": [(0, 1)],
-                  "p3": [(1, 1)]}
-        sequential = _run(points, [1, 2, 3, 4], concurrent=False)
-        bounded = _run(points, [1, 2, 3, 4], concurrent=True,
-                       peer_workers=2)
-        _assert_equivalent(*sequential, *bounded)
 
 
 class TestTransportEquivalence:
@@ -191,11 +226,10 @@ class TestExecutorUnit:
             barrier.wait()
             return 1
 
-        executor = ConcurrentPassExecutor()
-        outcomes = executor.run_pass(
+        executor = AsyncPassExecutor(_threaded)
+        outcomes = asyncio.run(executor.run_pass_async(
             [PeerQuery(peer="p0", run=rendezvous),
-             PeerQuery(peer="p1", run=rendezvous)])
-        executor.close()
+             PeerQuery(peer="p1", run=rendezvous)]))
         assert [outcome.count for outcome in outcomes] == [1, 1]
 
     def test_outcomes_in_task_order_even_with_reversed_finish(self):
@@ -208,10 +242,9 @@ class TestExecutorUnit:
                 return ord(name[-1])
             return PeerQuery(peer=name, run=run)
 
-        executor = ConcurrentPassExecutor()
-        outcomes = executor.run_pass(
-            [make_task("p0", 0.05), make_task("p1", 0.0)])
-        executor.close()
+        executor = AsyncPassExecutor(_threaded)
+        outcomes = asyncio.run(executor.run_pass_async(
+            [make_task("p0", 0.05), make_task("p1", 0.0)]))
         assert [outcome.peer for outcome in outcomes] == ["p0", "p1"]
         assert [outcome.ledger.events[0].learner
                 for outcome in outcomes] == ["p0", "p1"]
@@ -223,93 +256,19 @@ class TestExecutorUnit:
             return PeerQuery(peer=name, run=lambda ledger: 0,
                              simulated_clock=lambda: next(clocks[name]))
 
-        sequential = SequentialPassExecutor()
+        sequential = PassExecutor()
         sequential.run_pass([task("a"), task("b")])
         assert sequential.simulated_seconds == pytest.approx(8.0)
 
         clocks = {"a": iter([0.0, 3.0]), "b": iter([0.0, 5.0])}
-        concurrent = ConcurrentPassExecutor()
-        concurrent.run_pass([task("a"), task("b")])
-        concurrent.close()
+        concurrent = AsyncPassExecutor(_threaded)
+        asyncio.run(concurrent.run_pass_async([task("a"), task("b")]))
         assert concurrent.simulated_seconds == pytest.approx(5.0)
 
-    def test_width_capped_pool_charges_honest_makespan(self):
-        """A pool narrower than the pass cannot overlap everything:
-        the charge is the greedy makespan, not the naive max."""
-        def tasks(values):
-            return [PeerQuery(peer=str(index), run=lambda ledger: 0,
-                              simulated_clock=iter([0.0, value]).__next__)
-                    for index, value in enumerate(values)]
-
-        one_wide = ConcurrentPassExecutor(max_workers=1)
-        one_wide.run_pass(tasks([3.0, 5.0, 2.0]))
-        one_wide.close()
-        assert one_wide.simulated_seconds == pytest.approx(10.0)
-
-        two_wide = ConcurrentPassExecutor(max_workers=2)
-        two_wide.run_pass(tasks([3.0, 5.0, 2.0]))
-        two_wide.close()
-        # Greedy longest-first: {5} and {3, 2} -> makespan 5.
-        assert two_wide.simulated_seconds == pytest.approx(5.0)
-
     def test_empty_pass(self):
-        executor = SequentialPassExecutor()
+        executor = PassExecutor()
         assert executor.run_pass([]) == []
         assert executor.simulated_seconds == 0.0
-
-    def test_factory_and_validation(self):
-        assert isinstance(make_pass_executor(False),
-                          SequentialPassExecutor)
-        assert isinstance(make_pass_executor(True, 2),
-                          ConcurrentPassExecutor)
-        with pytest.raises(SchedulerError, match="max_workers"):
-            ConcurrentPassExecutor(max_workers=0)
-        with pytest.raises(SchedulerError, match="expected_tasks"):
-            ConcurrentPassExecutor(expected_tasks=0)
-
-    def test_growing_pass_keeps_the_warm_pool(self):
-        """Regression: a pass with more tasks than the previous one used
-        to shutdown+recreate the pool, discarding every warm worker
-        thread.  Growth must happen in place."""
-        import threading
-
-        def make_tasks(count):
-            return [PeerQuery(peer=f"p{i}", run=lambda ledger: 1)
-                    for i in range(count)]
-
-        executor = ConcurrentPassExecutor()
-        try:
-            executor.run_pass(make_tasks(2))
-            first_pool = executor._pool
-            first_threads = set(first_pool._threads)
-            assert first_threads
-            executor.run_pass(make_tasks(4))
-            assert executor._pool is first_pool
-            assert first_threads <= set(first_pool._threads)
-            assert first_pool._max_workers == 4
-            # A single shrinking pass never touches the pool (two
-            # consecutive ones narrow it -- see TestPoolShrink).
-            executor.run_pass(make_tasks(2))
-            assert executor._pool is first_pool
-        finally:
-            executor.close()
-        assert all(not t.is_alive() or t.daemon is not None
-                   for t in threading.enumerate())
-
-    def test_expected_tasks_presizes_the_pool(self):
-        executor = ConcurrentPassExecutor(expected_tasks=4)
-        try:
-            executor.run_pass([PeerQuery(peer=f"p{i}",
-                                         run=lambda ledger: 1)
-                               for i in range(2)])
-            pool = executor._pool
-            assert pool._max_workers == 4
-            executor.run_pass([PeerQuery(peer=f"p{i}",
-                                         run=lambda ledger: 1)
-                               for i in range(4)])
-            assert executor._pool is pool
-        finally:
-            executor.close()
 
 
 class TestPairRngDerivation:
@@ -334,70 +293,6 @@ def _noop_tasks(count):
             for i in range(count)]
 
 
-class TestPoolShrink:
-    """The satellite fix: a pool sized for a wide pass no longer holds
-    its surplus threads for the session's whole lifetime."""
-
-    def test_two_underused_passes_narrow_the_pool(self):
-        executor = ConcurrentPassExecutor(expected_tasks=4)
-        try:
-            executor.run_pass(_noop_tasks(4))
-            wide_pool = executor._pool
-            assert executor._pool_workers == 4
-
-            executor.run_pass(_noop_tasks(2))
-            # Hysteresis: one under-used pass only records the surplus.
-            assert executor._pool is wide_pool
-            assert executor.idle_workers == 2
-            assert executor.shrinks == 0
-
-            executor.run_pass(_noop_tasks(2))
-            assert executor._pool is not wide_pool
-            assert executor._pool_workers == 2
-            assert executor.shrinks == 1
-            assert executor.idle_workers == 0
-            # The sizing hint follows, so the next pass cannot regrow
-            # the pool right back to the overshoot.
-            assert executor.expected_tasks == 2
-            executor.run_pass(_noop_tasks(2))
-            assert executor._pool_workers == 2
-            assert executor.shrinks == 1
-        finally:
-            executor.close()
-
-    def test_recovered_demand_resets_the_streak(self):
-        executor = ConcurrentPassExecutor(expected_tasks=4)
-        try:
-            executor.run_pass(_noop_tasks(4))
-            executor.run_pass(_noop_tasks(2))    # surplus pass 1
-            executor.run_pass(_noop_tasks(4))    # full again: reset
-            assert executor.idle_workers == 0
-            executor.run_pass(_noop_tasks(2))    # surplus pass 1 again
-            assert executor.shrinks == 0
-            assert executor._pool_workers == 4
-        finally:
-            executor.close()
-
-    def test_pool_closes_when_demand_stays_zero(self):
-        executor = ConcurrentPassExecutor()
-        try:
-            executor.run_pass(_noop_tasks(3))
-            assert executor._pool is not None
-            # Single-task passes run inline: zero pool demand.
-            executor.run_pass(_noop_tasks(1))
-            executor.run_pass(_noop_tasks(1))
-            assert executor._pool is None
-            assert executor._pool_workers == 0
-            assert executor.expected_tasks is None
-            # Later wide passes still work -- the pool comes back.
-            assert [outcome.count
-                    for outcome in executor.run_pass(_noop_tasks(3))] \
-                == [1, 1, 1]
-            assert executor._pool_workers == 3
-        finally:
-            executor.close()
-
-
 class TestPrepareHook:
     def test_prepare_fires_once_before_run(self):
         calls = []
@@ -410,7 +305,7 @@ class TestPrepareHook:
                              prepare=lambda: calls.append(
                                  ("prepare", name)))
 
-        SequentialPassExecutor().run_pass(
+        PassExecutor().run_pass(
             [make_task("p0"), make_task("p1")])
         assert calls == [("prepare", "p0"), ("run", "p0"),
                          ("prepare", "p1"), ("run", "p1")]
@@ -418,8 +313,6 @@ class TestPrepareHook:
 
 class TestAsyncPassExecutor:
     def test_run_pass_is_refused(self):
-        from repro.multiparty.scheduler import AsyncPassExecutor
-
         executor = AsyncPassExecutor(lambda task, ledger: None)
         with pytest.raises(SchedulerError, match="run_pass_async"):
             executor.run_pass(_noop_tasks(2))
@@ -427,10 +320,6 @@ class TestAsyncPassExecutor:
     def test_outcomes_in_task_order_and_prepare_once_per_task(self):
         """Even when the injected runner re-executes a task's ``run``
         (the restartable path), ``prepare`` fires exactly once."""
-        import asyncio
-
-        from repro.multiparty.scheduler import AsyncPassExecutor
-
         calls = []
 
         def make_task(name, clock):

@@ -315,13 +315,3 @@ class TestChaosMatrix:
                               deadline_s=420, faults=["kill:p2@pass2"])
         assert run.respawns["p2"] == 1
         assert_bit_identical(run, by_party, config, seeds)
-
-    def test_concurrent_peer_pass_with_mid_pass_kill(self):
-        by_party = workload(3)
-        seeds = [31, 32, 33]
-        config = make_config(concurrent_peers=True)
-        run = orchestrate_run(by_party, config, seeds=seeds,
-                              deadline_s=300,
-                              faults=["kill:p0@pass0.q1"])
-        assert run.respawns["p0"] == 1
-        assert_bit_identical(run, by_party, config, seeds)

@@ -43,8 +43,6 @@ class TestConfigSerialization:
         original = ProtocolConfig(
             eps=1.5, min_pts=4, scale=100, blind_cross_sum=True,
             query_constant_blinding=True, cache_peer_ciphertexts=True,
-            batched_region_queries=False, batched_comparisons=False,
-            concurrent_peers=True, peer_workers=2,
             smc=SmcConfig(paillier_bits=192, comparison="bitwise",
                           key_seed=33, mask_sigma=12, precompute=False))
         restored = config_from_dict(config_to_dict(original))
@@ -52,6 +50,38 @@ class TestConfigSerialization:
         assert restored.eps == original.eps
         assert restored.smc.key_seed == 33
         assert restored.smc.precompute is False
+
+    def test_old_manifest_fields_refused(self):
+        """A config written before the ablation knobs were removed must
+        not load as a different configuration than it names."""
+        old_shape = config_to_dict(config())
+        old_shape.update(batched_region_queries=False,
+                         batched_comparisons=True, use_grid_index=True,
+                         concurrent_peers=True, peer_workers=None)
+        with pytest.raises(ManifestError) as refused:
+            config_from_dict(old_shape)
+        message = str(refused.value)
+        for name in ("batched_region_queries", "batched_comparisons",
+                     "use_grid_index", "concurrent_peers", "peer_workers"):
+            assert name in message
+        with pytest.raises(ManifestError, match="unknown field"):
+            manifest(config=old_shape).protocol_config()
+
+    def test_missing_and_unknown_fields_named_per_level(self):
+        payload = config_to_dict(config())
+        del payload["min_pts"]
+        with pytest.raises(ManifestError,
+                           match=r"protocol config: missing field\(s\) "
+                                 r"min_pts"):
+            config_from_dict(payload)
+        payload = config_to_dict(config())
+        del payload["smc"]["key_seed"]
+        payload["smc"]["engine_workers"] = 2
+        with pytest.raises(ManifestError,
+                           match=r"smc config: unknown field\(s\) "
+                                 r"engine_workers; missing field\(s\) "
+                                 r"key_seed"):
+            config_from_dict(payload)
 
     def test_oracle_backend_refused(self):
         with pytest.raises(UnsupportedConfigError, match="bitwise"):

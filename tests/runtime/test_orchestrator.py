@@ -97,15 +97,10 @@ class TestOrchestratedMatrix:
                               deadline_s=180)
         assert_bit_identical(run, by_party, config, seeds)
 
-    @pytest.mark.parametrize("variant", ["cached", "per_point",
-                                         "concurrent"])
-    def test_protocol_variants(self, variant):
+    def test_cached_peer_ciphertexts(self):
         by_party = workload(3)
         seeds = [51, 52, 53]
-        config = make_config(
-            cache_peer_ciphertexts=variant == "cached",
-            batched_region_queries=variant != "per_point",
-            concurrent_peers=variant == "concurrent")
+        config = make_config(cache_peer_ciphertexts=True)
         run = orchestrate_run(by_party, config, seeds=seeds,
                               deadline_s=180)
         assert_bit_identical(run, by_party, config, seeds)

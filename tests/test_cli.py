@@ -45,15 +45,15 @@ class TestDemoCommand:
         assert exit_code == 0
         assert "bytes" in capsys.readouterr().out
 
-    def test_simulated_transport_with_peer_concurrency(self, capsys):
+    def test_simulated_transport_multiparty_prints_latency(self, capsys):
         exit_code = main(["demo", "--scenario", "multiparty",
                           "--points", "9", "--backend", "oracle",
                           "--min-pts", "2", "--transport", "simulated",
-                          "--net-latency-ms", "10", "--peer-concurrency"])
+                          "--net-latency-ms", "10"])
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "simulated network" in output
-        assert "concurrent" in output
+        assert "10ms one-way latency" in output
 
     def test_threaded_transport_two_party(self, capsys):
         exit_code = main(["demo", "--points", "6", "--min-pts", "2",
@@ -76,7 +76,7 @@ class TestDemoCommand:
         plain = capsys.readouterr().out
         main(["demo", "--scenario", "multiparty", "--points", "9",
               "--backend", "oracle", "--min-pts", "2",
-              "--transport", "simulated", "--peer-concurrency"])
+              "--transport", "simulated"])
         simulated = capsys.readouterr().out
         for line in plain.splitlines():
             if line.startswith("party"):
