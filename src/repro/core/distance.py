@@ -399,6 +399,10 @@ def hdp_region_query_cached(session: SmcSession, querier: Party,
     homomorphically from the cached coordinates -- instead of ``d``
     masked terms per point.  The peer decrypts the same cross sum the
     per-point protocol delivers, so bits and disclosures are identical.
+
+    Each party's steps run only where it is hosted
+    (:attr:`~repro.net.party.Party.hosted`); a process that does not host
+    the querier returns placeholder bits.
     """
     if len(point_ids) != len(peer_points):
         raise DistanceProtocolError(
@@ -423,21 +427,27 @@ def hdp_region_query_cached(session: SmcSession, querier: Party,
                for point_id, point in zip(point_ids, peer_points)
                if point_id not in cache]
     if missing:
-        peer_pool = session.pool(peer, peer)
-        # One engine batch over all missing coordinates, in the same
-        # RNG order as per-point encryption, then regrouped per point.
-        flat = session.engine.encrypt_batch(
-            public,
-            [encoder.encode(c) for _, point in missing for c in point],
-            peer.rng, peer_pool)
-        payload = []
-        cursor = 0
-        for point_id, point in missing:
-            payload.append([point_id, [cipher.value for cipher in
-                                       flat[cursor:cursor + len(point)]]])
-            cursor += len(point)
+        payload = None
+        if peer.hosted:
+            # One engine batch over all missing coordinates, in the same
+            # RNG order as per-point encryption, then regrouped per point.
+            flat = session.engine.encrypt_batch(
+                public,
+                [encoder.encode(c) for _, point in missing for c in point],
+                peer.rng, session.pool(peer, peer))
+            payload = []
+            cursor = 0
+            for point_id, point in missing:
+                payload.append([point_id, [cipher.value for cipher in
+                                           flat[cursor:cursor + len(point)]]])
+                cursor += len(point)
         peer.send(f"{label}/coords", payload)
-        for point_id, ciphers in querier.receive(f"{label}/coords"):
+        # The cache is the querier's, but the uploading peer picks the
+        # missing ids from it too: without a hosted querier to receive
+        # the upload, the peer records what it sent.
+        if querier.hosted:
+            payload = querier.receive(f"{label}/coords")
+        for point_id, ciphers in payload:
             cache.store(point_id, ciphers)
 
     offsets = _query_offsets(
@@ -446,25 +456,30 @@ def hdp_region_query_cached(session: SmcSession, querier: Party,
         query_constant_blinding=query_constant_blinding)
 
     # Querier accumulates E(<d_x, d_y_i> + offset_i) per cached point.
-    querier_pool = session.pool(querier, peer)
-    replies = []
-    for point_id, offset in zip(point_ids, offsets):
-        accumulator = None
-        for cipher_value, coordinate in zip(cache.get(point_id),
-                                            querier_point):
-            term = (PaillierCiphertext(public, cipher_value)
-                    * encoder.encode(coordinate))
-            accumulator = term if accumulator is None else accumulator + term
-        if offset:
-            accumulator = accumulator + encoder.encode(offset)
-        replies.append(accumulator.rerandomize(querier.rng,
-                                               querier_pool).value)
+    replies = None
+    if querier.hosted:
+        querier_pool = session.pool(querier, peer)
+        replies = []
+        for point_id, offset in zip(point_ids, offsets):
+            accumulator = None
+            for cipher_value, coordinate in zip(cache.get(point_id),
+                                                querier_point):
+                term = (PaillierCiphertext(public, cipher_value)
+                        * encoder.encode(coordinate))
+                accumulator = (term if accumulator is None
+                               else accumulator + term)
+            if offset:
+                accumulator = accumulator + encoder.encode(offset)
+            replies.append(accumulator.rerandomize(querier.rng,
+                                                   querier_pool).value)
     querier.send(f"{label}/masked_sums", replies)
 
-    cross_sums = [encoder.decode(value) for value in
-                  session.engine.decrypt_raw_batch(
-                      peer_keys.private_key,
-                      peer.receive(f"{label}/masked_sums"))]
+    cross_sums = [0] * len(peer_points)
+    if peer.hosted:
+        cross_sums = [encoder.decode(value) for value in
+                      session.engine.decrypt_raw_batch(
+                          peer_keys.private_key,
+                          peer.receive(f"{label}/masked_sums"))]
 
     return _batched_threshold_comparisons(
         session, querier, querier_point, peer, list(peer_points),

@@ -366,7 +366,9 @@ class ModexpEngine:
         ``q^2``) when the key carries CRT constants -- the per-worker
         split the key holder's own processes run -- or one full-width
         ``c^lambda mod n^2`` job otherwise.  Results are bit-identical
-        to ``private.decrypt_raw_batch``.
+        to ``private.decrypt_raw_batch``.  A sealed (public-only) key
+        raises :class:`~repro.crypto.sealed.PublicOnlyKeyError` before
+        any job is built, whatever the worker count.
         """
         from repro.crypto.integer_math import crt_pair
         from repro.crypto.paillier import (
@@ -374,17 +376,11 @@ class ModexpEngine:
             _l_quotient,
             _paillier_l,
         )
+        from repro.crypto.sealed import PublicOnlyKeyError, is_sealed
 
+        if is_sealed(private):
+            raise PublicOnlyKeyError(private.owner, "decrypt_raw_batch")
         values = list(ciphertext_values)
-        if getattr(private, "sealed", False):
-            # Sanctioned discard boundary: a sealed key means the
-            # decrypting party is remote in this process -- no secret
-            # exists here, so no modexp runs.  The placeholder zeros
-            # feed only frames the mirror discards (the bit-identical
-            # equivalence bar proves that on every run); any *direct*
-            # decrypt on the sealed key object still raises
-            # PublicOnlyKeyError.
-            return [0] * len(values)
         self._count(len(values))
         if not self._parallel_eligible(2 * len(values)):
             return private.decrypt_raw_batch(values)

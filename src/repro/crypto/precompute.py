@@ -278,7 +278,8 @@ class RandomnessService:
        session N+1 starts warm from session N's experience even though
        their factor values come from disjoint per-session RNG streams.
     2. **Idle refill.**  :meth:`refill_idle` is a background coroutine
-       that tops up registered pools toward target in small chunks
+       that tops up registered pools toward their remaining need
+       (learned demand minus factors already consumed) in small chunks
        between protocol work, yielding to the loop after every chunk
        and skipping leases that are mid-query.
     3. **Fixed-base tables.**  :class:`FixedBaseExp` tables depend only
@@ -354,12 +355,18 @@ class RandomnessService:
 
     def refill_step(self) -> int:
         """Top up at most one chunk across all idle leases; returns the
-        number of factors generated (0 = every pool is at target)."""
+        number of factors generated (0 = every pool is at target).
+
+        The target is the session's *remaining* need: the learned
+        demand minus what the pool already handed out.  Topping up to
+        the whole demand again would pregenerate factors the session
+        never consumes (they are dropped at release).
+        """
         for grant in list(self._leases.values()):
             if grant.busy or grant.released:
                 continue
             for key, pool in grant.pools:
-                shortfall = self.demand_for(key) - len(pool)
+                shortfall = self.demand_for(key) - pool.consumed - len(pool)
                 if shortfall <= 0:
                     continue
                 count = min(self.refill_chunk, shortfall)

@@ -1,24 +1,22 @@
 """Sealed key halves: public-only key objects for remote parties.
 
-The mirrored choreography (:mod:`repro.runtime.mirror`) executes *both*
-parties' steps in each process, but only the frames computed by the
-data's owner ever reach the wire -- the remote side's sends are
-discarded unserialized.  Until PR 8 that discard was coincidental with
-respect to key material: every process derived every party's full
-keypair from the manifest ``key_seed``, so a compromised process held
-usable private keys it had no business holding.
+The mirrored choreography (:mod:`repro.runtime.mirror`) runs in every
+party process, but each process executes only the party it hosts: a
+remote party's steps -- its decrypts included -- are skipped, and its
+sends are replaced by the authentic frames from the wire.  A process
+that derived every party's full keypair from the manifest ``key_seed``
+would still hold usable private keys it has no business holding, there
+for a compromised process to take.
 
-This module makes the discard *structural*.  A remote party's context
+This module makes key ownership *structural*.  A remote party's context
 carries a :class:`SealedPaillierPrivateKey` (or
 :class:`SealedRsaPrivateKey`): an object with the public half and an
 owner tag but **no secret fields at all** -- there is nothing to steal
 -- and every decrypt/sign entry point raises
-:class:`PublicOnlyKeyError`.  The two sanctioned discard boundaries
-(:meth:`repro.crypto.engine.ModexpEngine.decrypt_raw_batch` and
-:func:`decrypt_or_discard`) substitute placeholder zeros for sealed
-decrypts; everything downstream of those zeros feeds only frames the
-mirror discards, which the bit-identical equivalence bar proves on
-every run.
+:class:`PublicOnlyKeyError`, as does the engine's batch decrypt
+(:meth:`repro.crypto.engine.ModexpEngine.decrypt_raw_batch`).  No
+hosted step decrypts under a peer's key, so there is no sanctioned
+exception: reaching a sealed decrypt is a missing hosted guard.
 
 Public keys for sealed contexts are captured from the authentic wire
 exchange at session start and cross-checked against the manifest's
@@ -42,10 +40,11 @@ from repro.crypto.rsa import RsaKeyPair, RsaPublicKey
 class PublicOnlyKeyError(RuntimeError):
     """A decrypt/sign was attempted on a sealed (public-only) key.
 
-    Raised by every secret-consuming method of the sealed key classes.
-    Reaching this error means a code path tried to use a remote party's
-    private key outside the sanctioned discard boundaries -- always a
-    bug in the choreography or a privacy violation, never recoverable.
+    Raised by every secret-consuming method of the sealed key classes
+    and by the engine's batch decrypt.  Reaching this error means a code
+    path tried to use a remote party's private key -- always a bug in
+    the choreography (a step block missing its hosted guard) or a
+    privacy violation, never recoverable.
     """
 
     def __init__(self, owner: str, operation: str):
@@ -65,8 +64,8 @@ class SealedPaillierPrivateKey:
     mirrored choreography.  It carries only the public key and the
     owning party's name; ``lam``/``mu``/``p``/``q`` do not exist as
     attributes, and every decrypt method raises
-    :class:`PublicOnlyKeyError`.  The ``sealed`` flag is what the
-    sanctioned discard boundaries test for.
+    :class:`PublicOnlyKeyError`.  The ``sealed`` flag is what
+    :func:`is_sealed` tests for.
     """
 
     public_key: PaillierPublicKey
@@ -127,20 +126,6 @@ def seal_rsa_keypair(public_key: RsaPublicKey, owner: str) -> RsaKeyPair:
     return RsaKeyPair(
         public_key=public_key,
         private_key=SealedRsaPrivateKey(public_key=public_key, owner=owner))
-
-
-def decrypt_or_discard(private_key, ciphertext) -> int:
-    """Decrypt, or return a placeholder zero when the key is sealed.
-
-    One of the two sanctioned discard boundaries (the other is the
-    engine's ``decrypt_raw_batch``).  A sealed key means the decrypting
-    party is remote in this process: the true plaintext exists only in
-    the owner's process, and everything computed from the placeholder
-    feeds frames the mirror discards.
-    """
-    if is_sealed(private_key):
-        return 0
-    return private_key.decrypt(ciphertext)
 
 
 def paillier_public_digest(public_key: PaillierPublicKey) -> str:

@@ -98,12 +98,22 @@ class Channel:
 
 
 class ChannelEndpoint:
-    """One party's handle on a channel: ``send`` to the peer, ``receive``."""
+    """One party's handle on a channel: ``send`` to the peer, ``receive``.
 
-    def __init__(self, channel: Channel, name: str, peer_name: str):
+    ``hosted`` says whether this process executes the party's steps.
+    Both endpoints of an in-process :class:`Channel` are hosted; a
+    channel whose far party lives in another process (the runtime's
+    mirror channel) hosts only its local endpoint.  Choreographies
+    guard each party's step blocks with it (see
+    :attr:`repro.net.party.Party.hosted`).
+    """
+
+    def __init__(self, channel: Channel, name: str, peer_name: str, *,
+                 hosted: bool = True):
         self._channel = channel
         self.name = name
         self.peer_name = peer_name
+        self.hosted = hosted
 
     def send(self, label: str, value) -> None:
         """Send ``value`` to the peer, tagged with a protocol-phase label."""

@@ -37,6 +37,18 @@ class Party:
     def peer_name(self) -> str:
         return self.endpoint.peer_name
 
+    @property
+    def hosted(self) -> bool:
+        """Whether this process executes the party's steps.
+
+        Always true in process.  Under the mirrored runtime only the
+        local party is hosted: a choreography skips a non-hosted party's
+        step blocks, keeps its ``send`` as the point where the mirror
+        substitutes the authentic frame, and returns shape-correct
+        placeholders for its results.
+        """
+        return self.endpoint.hosted
+
     def send(self, label: str, value) -> None:
         self.endpoint.send(label, value)
 

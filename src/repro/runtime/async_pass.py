@@ -112,7 +112,7 @@ class RestartableMirrorChannel(MirrorChannel):
         self._staged: deque[tuple[str, bytes]] = deque()
         self._replay_base = 0
         self._cursor = 0
-        self._inbox_snapshot: tuple[tuple, tuple] = ((), ())
+        self._inbox_snapshot: tuple = ()
 
     # -- restart protocol ---------------------------------------------------
 
@@ -120,19 +120,15 @@ class RestartableMirrorChannel(MirrorChannel):
         """Pin the replay base: frames logged before this point are
         settled history and never replayed."""
         self._replay_base = len(self.frame_log)
-        self._inbox_snapshot = (tuple(self._local_echo),
-                                tuple(self._remote_inbox))
+        self._inbox_snapshot = tuple(self._remote_inbox)
 
     def begin_attempt(self) -> None:
-        """Rewind to the query start: replay cursor to base, inboxes to
-        their query-start contents (an aborted attempt leaves them
+        """Rewind to the query start: replay cursor to base, inbox to
+        its query-start contents (an aborted attempt leaves it
         mid-choreography)."""
         self._cursor = self._replay_base
-        echo, inbox = self._inbox_snapshot
-        self._local_echo.clear()
-        self._local_echo.extend(echo)
         self._remote_inbox.clear()
-        self._remote_inbox.extend(inbox)
+        self._remote_inbox.extend(self._inbox_snapshot)
 
     def stage(self, item: tuple[str, bytes]) -> None:
         """Hand the runner's awaited frame to the next attempt."""
@@ -185,6 +181,7 @@ class RestartableMirrorChannel(MirrorChannel):
                 f"{direction!r} {logged_label!r} at position "
                 f"{self._cursor}")
         if sender == self.local_name:
+            # Already on the wire and in stats/transcript: only verify.
             wire = serialize_message(value)
             if wire != logged_wire:
                 raise ReplayDivergenceError(
@@ -193,9 +190,6 @@ class RestartableMirrorChannel(MirrorChannel):
                     f"re-executed send of {label!r} produced different "
                     f"bytes than the delivered frame "
                     f"({len(wire)} vs {len(logged_wire)} bytes)")
-            # Already on the wire and in stats/transcript; only the
-            # local echo must re-exist for the choreographed receive.
-            self._local_echo.append((label, wire))
         else:
             self._remote_inbox.append((label, logged_wire))
         self._cursor += 1

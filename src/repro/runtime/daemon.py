@@ -31,11 +31,12 @@ restartable runner.
 
 A daemon-wide :class:`~repro.crypto.precompute.RandomnessService`
 amortizes the offline phase across sessions: it learns each keypair's
-per-session factor demand as sessions release their leases, prefetches
-new sessions' pools to that demand, and tops pools up from an idle-time
-background coroutine.  Factor *values* stay per-session (each pool
-draws from a per-session forked RNG stream), so warm starts change
-where offline time is spent, never a byte of any transcript.
+per-session factor demand as sessions release their leases, prefills
+the hosted party's pools of new sessions to that demand, and tops them
+up to the remaining need from an idle-time background coroutine.
+Factor *values* stay per-session (each pool draws from a per-session
+forked RNG stream), so warm starts change where offline time is spent,
+never a byte of any transcript.
 
 Determinism: a session's coins, keys, and channel machinery are exactly
 the single-session runtime's (same ``derive_pair_rng`` streams --
@@ -1064,15 +1065,19 @@ class PartyDaemon:
             runtimes[peer].session = session
 
     def _register_pools(self, state: _SessionState, lease) -> None:
-        """Hand every pair session's pools to the randomness service.
+        """Hand the hosted party's pools to the randomness service.
 
-        Registration prefills each pool to the demand the service
-        learned from released sessions under the same keypair -- the
-        cross-session warm start.  The pools themselves (and their
-        factor values) stay session-private.
+        Only this daemon's own party draws from its pools here (the
+        peer's steps run in the peer's daemon), so the peer-actor pools
+        are never registered or prefilled.  Registration prefills each
+        pool to the demand the service learned from released sessions
+        under the same keypair -- the cross-session warm start.  The
+        pools themselves (and their factor values) stay session-private.
         """
         for session in state.sessions.values():
             for (actor, owner), pool in session.pools().items():
+                if actor != self.name:
+                    continue
                 digest = paillier_public_digest(
                     session.paillier_keys(owner).public_key)
                 lease.register_pool(pool, digest, actor == owner)

@@ -297,9 +297,9 @@ class RunManifest:
     def placeholder_points(self, name: str) -> list[tuple[int, ...]]:
         """A remote party's partition as this process may know it: the
         public *count* of points, each an all-zeros coordinate tuple.
-        The mirrored choreography computes on these placeholders only in
-        code paths whose outputs are discarded and replaced by authentic
-        wire frames (see :mod:`repro.runtime.mirror`)."""
+        The mirrored choreography passes these for the remote party, whose
+        steps it does not execute here; only public shapes (counts,
+        dimensions) are read from them (see :mod:`repro.runtime.mirror`)."""
         zero = tuple([0] * self.dimensions)
         return [zero] * self.counts[name]
 

@@ -4,7 +4,7 @@ Execution model
 ---------------
 
 Every protocol in this library is written as a *choreography*: one
-function executes both parties' local steps in their global order, and
+function holds both parties' local steps in their global order, and
 every cross-party value moves through a channel.  That style cannot be
 "split" mechanically -- each party's code is interleaved with its
 peer's -- but it has a property the runtime exploits: **a party's
@@ -14,55 +14,58 @@ and the messages it received**.  That is precisely the semi-honest view
 enforces it structurally (no protocol reads the peer's state except
 through ``send``/``receive``).
 
-So each party process runs the *same* choreography, with the remote
-party's private inputs replaced by public-shape placeholders (all-zero
-points with the true, public, counts), and this channel performs the
-substitution that makes the execution real:
+So each party process runs the *same* choreography, but executes only
+the party it hosts.  This channel's endpoints carry that fact
+(:attr:`~repro.net.channel.ChannelEndpoint.hosted`): the ``local_name``
+endpoint is hosted, the remote one is not, and every choreography
+guards each party's step blocks with :attr:`~repro.net.party.Party.hosted`.
+The remote party's inputs are public-shape placeholders (all-zero points
+with the true, public, counts) that no guarded step reads.  The channel
+performs the substitution that makes the execution real:
 
 - a **local** party's send executes normally: the value is serialized,
-  recorded, written to the socket as one frame -- and also echoed into a
-  local inbox, because the choreography's next step may be the remote
-  party's receive of that very message;
-- a **remote** party's send is where the mirror acts: the
-  locally-computed value is *discarded* (it was derived from
-  placeholders) and the authentic frame is read from the socket
-  instead -- the real peer process, holding the real data, computed and
+  recorded and written to the socket as one frame;
+- a **remote** party's send is only a marker -- the choreography did
+  not compute its value (it passes a placeholder, usually ``None``) --
+  and here the mirror reads the authentic frame from the socket
+  instead: the real peer process, holding the real data, computed and
   sent it at the same point of its own choreography.  Stats and the
   transcript record the authentic bytes, so the accounting is identical
   to an in-process run;
-- receives pop from the corresponding inbox; they never touch the
-  socket (the matching send line already did).
+- a **local** receive pops the frame the preceding remote send
+  substituted; it never touches the socket.  A **remote** receive is a
+  missing guard: it raises :class:`ProtocolDesyncError` naming the
+  label, so a step block that should not run here fails loudly instead
+  of silently burning CPU on placeholders.
 
 Why this terminates: both processes execute the same deterministic
-sequence of sends and receives (control flow depends only on public
-shapes, wire values, and seed-derived coins -- property-tested).  A
-process blocks only at a remote-send substitution, i.e. waiting for a
-frame its peer produces at the same choreography point; since the order
-is shared, there is no circular wait.
+sequence of sends (control flow depends only on public shapes, wire
+values, and seed-derived coins -- property-tested).  A process blocks
+only at a remote-send substitution, i.e. waiting for a frame its peer
+produces at the same choreography point; since the order is shared,
+there is no circular wait.
 
 Why this is equivalent: every frame on the wire is computed by the
 party that owns the data, from authentic inputs and its seed-derived
 coin stream -- the same stream the in-process mesh derives via
-``derive_pair_rng``.  Hence byte-identical messages, transcripts,
-stats, predicate bits, labels, and ledger events (asserted by the
-integration suite).
+``derive_pair_rng``.  A hosted party's steps run exactly as they do in
+process (where every party is hosted), so its coin draws, sends and
+ledger records are unchanged.  Hence byte-identical messages,
+transcripts, stats, predicate bits, labels, and ledger events (asserted
+by the integration suite).
 
-What the placeholders may influence: local garbage that feeds only into
-discarded remote sends, and the *local* copies of remote-side
-decisions, which callers on this side must treat as garbage (the party
-program only consumes results owned by its local party).  Key material
-follows the same ownership rule *structurally*: a party process derives
-only its **own** slot's keypair from ``key_seed``; every peer context
-is a :mod:`sealed <repro.crypto.sealed>` public-only stand-in whose
-authentic public key is captured from the wire key exchange (pinned
-against the manifest's ``key_digests``), and any code path that tries
-to use a peer's private key raises
-:class:`~repro.crypto.sealed.PublicOnlyKeyError` instead of silently
-computing with a secret this process must not hold.  The mirror's
-discard rule is what makes that sound: the only values a sealed
-private key would have produced feed discarded remote sends, so
-substituting zeros changes no authentic byte.  See DESIGN.md, 'Sealed
-per-party keys'.
+What the placeholders may influence: the non-hosted party's results,
+which the guarded choreography returns as shape-correct placeholders
+and callers on this side must treat as garbage (the party program only
+consumes results owned by its local party).  Key material follows the
+same ownership rule *structurally*: a party process derives only its
+**own** slot's keypair from ``key_seed``; every peer context is a
+:mod:`sealed <repro.crypto.sealed>` public-only stand-in whose authentic
+public key is captured from the wire key exchange (pinned against the
+manifest's ``key_digests``).  No hosted step decrypts under a peer's
+key, so every decrypt entry point of a sealed key raises
+:class:`~repro.crypto.sealed.PublicOnlyKeyError`.  See DESIGN.md,
+'Sealed per-party keys'.
 """
 
 from __future__ import annotations
@@ -104,10 +107,7 @@ class MirrorChannel:
         self.remote_name = (right_name if local_name == left_name
                             else left_name)
         self._closed = False
-        # Frames the local party sent, awaiting the choreographed remote
-        # receive; frames substituted off the wire, awaiting the local
-        # receive.
-        self._local_echo: deque[tuple[str, bytes]] = deque()
+        # Frames substituted off the wire, awaiting the local receive.
         self._remote_inbox: deque[tuple[str, bytes]] = deque()
         # The party's wire view of this pair, in choreography order:
         # ("out", label, wire) for local sends, ("in", label, wire) for
@@ -115,8 +115,10 @@ class MirrorChannel:
         # persists and what a replayed pass re-produces (see
         # repro.runtime.checkpoint).
         self.frame_log: list[tuple[str, str, bytes]] = []
-        self.left = ChannelEndpoint(self, left_name, right_name)
-        self.right = ChannelEndpoint(self, right_name, left_name)
+        self.left = ChannelEndpoint(self, left_name, right_name,
+                                    hosted=left_name == local_name)
+        self.right = ChannelEndpoint(self, right_name, left_name,
+                                     hosted=right_name == local_name)
 
     @property
     def endpoints(self) -> tuple[ChannelEndpoint, ChannelEndpoint]:
@@ -149,24 +151,17 @@ class MirrorChannel:
         self.transport = transport
 
     def assert_drained(self) -> None:
-        """Post-run invariant: every sent frame met its receive.
+        """Post-run invariant: every substituted frame met its receive.
 
         A leftover means the two processes' choreographies diverged --
         raise with enough context to see where.
         """
-        leftovers = []
-        if self._local_echo:
-            leftovers.append(
-                f"{len(self._local_echo)} unconsumed local sends "
-                f"(first label {self._local_echo[0][0]!r})")
         if self._remote_inbox:
-            leftovers.append(
-                f"{len(self._remote_inbox)} unconsumed substituted frames "
-                f"(first label {self._remote_inbox[0][0]!r})")
-        if leftovers:
             raise ProtocolDesyncError(
                 f"mirror channel {self.local_name!r}<->{self.remote_name!r} "
-                f"not drained: " + "; ".join(leftovers))
+                f"not drained: {len(self._remote_inbox)} unconsumed "
+                f"substituted frames (first label "
+                f"{self._remote_inbox[0][0]!r})")
 
     # -- Channel protocol --------------------------------------------------
 
@@ -179,12 +174,11 @@ class MirrorChannel:
             self.transcript.record(sender, receiver, label,
                                    deserialize_message(wire), len(wire))
             self.transport.deliver(sender, receiver, label, wire)
-            self._local_echo.append((label, wire))
             self.frame_log.append(("out", label, wire))
             return
         # The remote party's send: substitute the authentic frame.  The
-        # locally-passed value was computed from placeholders and is
-        # dropped unserialized.
+        # locally-passed value is a placeholder and is dropped
+        # unserialized.
         authentic_label, wire = self.transport.collect(self.local_name,
                                                        label)
         if authentic_label != label:
@@ -202,15 +196,20 @@ class MirrorChannel:
     def _receive(self, receiver: str, expected_label: str | None):
         if self._closed:
             raise MirrorChannelError("channel is closed")
-        inbox = (self._remote_inbox if receiver == self.local_name
-                 else self._local_echo)
-        if not inbox:
+        if receiver != self.local_name:
+            raise ProtocolDesyncError(
+                f"{receiver} is not hosted by this process but the "
+                f"choreography reached its receive of "
+                f"{expected_label or 'a message'!r}: a step block is "
+                f"missing its hosted guard (mirror channel "
+                f"{self.local_name!r}<->{self.remote_name!r})")
+        if not self._remote_inbox:
             raise ProtocolDesyncError(
                 f"{receiver} tried to receive "
                 f"{expected_label or 'a message'} but no matching send "
                 f"has executed (mirror channel "
                 f"{self.local_name!r}<->{self.remote_name!r})")
-        label, wire = inbox.popleft()
+        label, wire = self._remote_inbox.popleft()
         if expected_label is not None and label != expected_label:
             raise ProtocolDesyncError(
                 f"{receiver} expected message {expected_label!r} "

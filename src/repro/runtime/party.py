@@ -882,14 +882,14 @@ class PartyProcess:
         """Serve one remote driver's pass on our shared link.
 
         Each announced query runs the *same* ``secure_peer_neighbor_count``
-        choreography the driver runs, with a placeholder query point; the
-        mirror substitutes every driver-side frame with the authentic one.
-        The
-        locally-computed count and disclosures belong to the driver's
-        view and are discarded -- the driver's process records them from
-        authentic data.  Returns how many queries were served (the
-        checkpoint needs it: control frames are not part of the
-        transcript, so replay re-serves from this count).
+        choreography the driver runs, with a placeholder query point; only
+        this party's steps execute here, and the mirror substitutes every
+        driver-side frame with the authentic one.  The returned count and
+        disclosures are placeholders of the driver's view and are
+        discarded -- the driver's process records them from authentic
+        data.  Returns how many queries were served (the checkpoint
+        needs it: control frames are not part of the transcript, so
+        replay re-serves from this count).
         """
         if driver not in self.pairs:
             return 0

@@ -35,6 +35,10 @@ independent shuffle per point), and step 4 decrypts all witness batches
 in one engine sweep.  The predicate bits are bit-identical to ``k``
 per-point runs; only the key holder's encryption count (``bits`` instead
 of ``k * bits``) and the message count (2 instead of ``2k``) change.
+
+Both forms run each party's steps only where it is hosted
+(:attr:`~repro.net.party.Party.hosted`); a process that does not host
+the key holder returns ``False`` placeholders for its predicate bits.
 """
 
 from __future__ import annotations
@@ -57,6 +61,11 @@ class BitwiseComparisonError(ValueError):
 def _check_domain(name: str, value: int, bits: int) -> None:
     if not 0 <= value < (1 << bits):
         raise BitwiseComparisonError(f"{name}={value} outside [0, 2^{bits})")
+
+
+def _bits_of(value: int, bits: int) -> list[int]:
+    """``value``'s ``bits``-bit binary expansion, MSB first."""
+    return [(value >> (bits - 1 - t)) & 1 for t in range(bits)]
 
 
 def _blinded_witnesses(public, received, complements, y_bits, rng,
@@ -128,20 +137,24 @@ def dgk_greater_than(key_holder: Party, x: int, other: Party, y: int,
     engine = engine or default_engine()
 
     # --- Step 1 (key holder): encrypt bits of x, MSB first. ---------------
-    x_bits = [(x >> (bits - 1 - t)) & 1 for t in range(bits)]
-    encrypted_bits = engine.encrypt_batch(public, x_bits, key_holder.rng,
-                                          key_holder_pool)
-    key_holder.send(f"{label}/x_bits", [c.value for c in encrypted_bits])
+    encrypted_bits = None
+    if key_holder.hosted:
+        encrypted_bits = [c.value for c in engine.encrypt_batch(
+            public, _bits_of(x, bits), key_holder.rng, key_holder_pool)]
+    key_holder.send(f"{label}/x_bits", encrypted_bits)
 
     # --- Steps 2-3 (other party): blinded witness ciphertexts. ------------
-    received_values = other.receive(f"{label}/x_bits")
-    received = [PaillierCiphertext(public, v) for v in received_values]
-    y_bits = [(y >> (bits - 1 - t)) & 1 for t in range(bits)]
-    blinded = _blinded_witnesses(public, received, {}, y_bits, other.rng,
-                                 other_pool)
+    blinded = None
+    if other.hosted:
+        received = [PaillierCiphertext(public, v)
+                    for v in other.receive(f"{label}/x_bits")]
+        blinded = _blinded_witnesses(public, received, {}, _bits_of(y, bits),
+                                     other.rng, other_pool)
     other.send(f"{label}/witnesses", blinded)
 
     # --- Step 4 (key holder): decrypt, look for a zero. --------------------
+    if not key_holder.hosted:
+        return False
     witnesses = key_holder.receive(f"{label}/witnesses")
     plaintexts = engine.decrypt_raw_batch(keypair.private_key, witnesses)
     return any(value == 0 for value in plaintexts)
@@ -175,23 +188,27 @@ def dgk_greater_than_batch(key_holder: Party, x: int, other: Party,
     engine = engine or default_engine()
 
     # --- Step 1 (key holder), once for the whole batch. --------------------
-    x_bits = [(x >> (bits - 1 - t)) & 1 for t in range(bits)]
-    encrypted_bits = engine.encrypt_batch(public, x_bits, key_holder.rng,
-                                          key_holder_pool)
-    key_holder.send(f"{label}/x_bits", [c.value for c in encrypted_bits])
+    encrypted_bits = None
+    if key_holder.hosted:
+        encrypted_bits = [c.value for c in engine.encrypt_batch(
+            public, _bits_of(x, bits), key_holder.rng, key_holder_pool)]
+    key_holder.send(f"{label}/x_bits", encrypted_bits)
 
     # --- Steps 2-3 (other party), per y, against the shared bits. ----------
-    received_values = other.receive(f"{label}/x_bits")
-    received = [PaillierCiphertext(public, v) for v in received_values]
-    complements: dict[int, PaillierCiphertext] = {}
-    batches = []
-    for y in ys:
-        y_bits = [(y >> (bits - 1 - t)) & 1 for t in range(bits)]
-        batches.append(_blinded_witnesses(public, received, complements,
-                                          y_bits, other.rng, other_pool))
+    batches = None
+    if other.hosted:
+        received = [PaillierCiphertext(public, v)
+                    for v in other.receive(f"{label}/x_bits")]
+        complements: dict[int, PaillierCiphertext] = {}
+        batches = [_blinded_witnesses(public, received, complements,
+                                      _bits_of(y, bits), other.rng,
+                                      other_pool)
+                   for y in ys]
     other.send(f"{label}/witnesses", batches)
 
     # --- Step 4 (key holder): one decryption sweep over every batch. -------
+    if not key_holder.hosted:
+        return [False] * len(ys)
     witness_batches = key_holder.receive(f"{label}/witnesses")
     flat = [value for batch in witness_batches for value in batch]
     plaintexts = engine.decrypt_raw_batch(keypair.private_key, flat)

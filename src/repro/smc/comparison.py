@@ -276,7 +276,8 @@ class BitwiseComparison(SecureComparison):
             result = not greater
             if reveal_to == "both":
                 a_party.send(f"{label}/conclusion", result)
-                return b_party.receive(f"{label}/conclusion")
+                if b_party.hosted:
+                    result = b_party.receive(f"{label}/conclusion")
             return result
         # b-holder keyed, learns b + 1 > a  <=>  a <= b.
         return dgk_greater_than(
@@ -329,7 +330,8 @@ class BitwiseComparison(SecureComparison):
         results = [not g for g in greater]
         if reveal_to == "both":
             a_party.send(f"{label}/batch/conclusion", results)
-            results = b_party.receive(f"{label}/batch/conclusion")
+            if b_party.hosted:
+                results = b_party.receive(f"{label}/batch/conclusion")
         return results
 
 

@@ -29,7 +29,6 @@ from repro.crypto.encoding import SignedEncoder
 from repro.crypto.integer_math import cached_pow
 from repro.crypto.paillier import PaillierCiphertext, PaillierKeyPair
 from repro.crypto.precompute import RandomnessPool
-from repro.crypto.sealed import decrypt_or_discard
 from repro.net.party import Party
 
 
@@ -99,11 +98,6 @@ def secure_multiplication(receiver: Party, x: int, masker: Party, y: int,
                     masked.rerandomize(masker.rng, masker_pool).value)
 
     # --- Step 7 (receiver): decrypt. ---------------------------------------
-    # decrypt_or_discard: when the receiver is remote in this process
-    # (sealed key, mirrored runtime) the true plaintext exists only in
-    # the owner's process; the placeholder feeds frames the mirror
-    # discards.
     result_cipher = PaillierCiphertext(
         public, receiver.receive(f"{label}/masked_product"))
-    return encoder.decode(
-        decrypt_or_discard(keypair.private_key, result_cipher))
+    return encoder.decode(keypair.private_key.decrypt(result_cipher))

@@ -111,6 +111,10 @@ def secure_masked_dot_terms_batch(holder: Party, alpha: list[int],
     zero-sum-mask disclosure -- or offset-shifted in the blinded mode);
     the holder sees only blind-masked sums, statistically hidden by the
     same ``blind_bound`` sizing every other mask in the system uses.
+
+    Each party's steps run only where it is hosted
+    (:attr:`~repro.net.party.Party.hosted`); a non-hosted receiver's
+    result is ``[0] * len(betas)``, a placeholder.
     """
     if len(betas) != len(offsets):
         raise ScalarProductError(
@@ -128,34 +132,43 @@ def secure_masked_dot_terms_batch(holder: Party, alpha: list[int],
     encoder = SignedEncoder(public.n)
     engine = engine or default_engine()
 
-    encrypted_alpha = [cipher.value for cipher in engine.encrypt_batch(
-        public, [encoder.encode(a) for a in alpha], holder.rng,
-        holder_pool)]
+    encrypted_alpha = None
+    if holder.hosted:
+        encrypted_alpha = [cipher.value for cipher in engine.encrypt_batch(
+            public, [encoder.encode(a) for a in alpha], holder.rng,
+            holder_pool)]
     holder.send(f"{label}/encrypted_alpha", encrypted_alpha)
 
-    received = [PaillierCiphertext(public, value)
-                for value in receiver.receive(f"{label}/encrypted_alpha")]
     blinds = []
-    replies = []
-    for beta in betas:
-        blind = receiver.rng.randrange(blind_bound + 1)
-        blinds.append(blind)
-        accumulator = public.encrypt(encoder.encode(blind), receiver.rng,
-                                     receiver_pool)
-        for cipher, coefficient in zip(received, beta):
-            if coefficient:
-                accumulator = accumulator + cipher * encoder.encode(coefficient)
-        replies.append(accumulator.rerandomize(receiver.rng,
-                                               receiver_pool).value)
+    replies = None
+    if receiver.hosted:
+        received = [PaillierCiphertext(public, value) for value in
+                    receiver.receive(f"{label}/encrypted_alpha")]
+        replies = []
+        for beta in betas:
+            blind = receiver.rng.randrange(blind_bound + 1)
+            blinds.append(blind)
+            accumulator = public.encrypt(encoder.encode(blind),
+                                         receiver.rng, receiver_pool)
+            for cipher, coefficient in zip(received, beta):
+                if coefficient:
+                    accumulator = (accumulator
+                                   + cipher * encoder.encode(coefficient))
+            replies.append(accumulator.rerandomize(receiver.rng,
+                                                   receiver_pool).value)
     receiver.send(f"{label}/blinded_sums", replies)
 
-    blinded = [encoder.decode(value) for value in
-               engine.decrypt_raw_batch(
-                   keypair.private_key,
-                   holder.receive(f"{label}/blinded_sums"))]
-    holder.send(f"{label}/cross_sums",
-                [value + offset for value, offset in zip(blinded, offsets)])
+    sums = None
+    if holder.hosted:
+        blinded = [encoder.decode(value) for value in
+                   engine.decrypt_raw_batch(
+                       keypair.private_key,
+                       holder.receive(f"{label}/blinded_sums"))]
+        sums = [value + offset for value, offset in zip(blinded, offsets)]
+    holder.send(f"{label}/cross_sums", sums)
 
+    if not receiver.hosted:
+        return [0] * len(betas)
     returned = receiver.receive(f"{label}/cross_sums")
     return [value - blind for value, blind in zip(returned, blinds)]
 

@@ -288,23 +288,25 @@ class SmcSession:
     def _exchange_public_keys(self) -> None:
         """Send each party's public keys to the peer, once, accounted.
 
-        For a sealed peer context (mirrored runtime) the locally-held
-        placeholder send is discarded by the mirror and the *receive*
-        returns the owner's authentic announcement from the wire; the
-        sealed context adopts that public key after cross-checking it
-        against the manifest's pinned digest.
+        For a sealed peer context (mirrored runtime) the owner is not
+        hosted: its placeholder send only marks where the mirror
+        substitutes the authentic announcement from the wire, which the
+        hosted peer receives; the sealed context adopts that public key
+        after cross-checking it against the manifest's pinned digest.
         """
         for party, peer in ((self.alice, self.bob), (self.bob, self.alice)):
             context = self._contexts[party.name]
             public = context.paillier.public_key
             party.send("keys/paillier_pub", [public.n, public.g])
-            announced = peer.receive("keys/paillier_pub")
-            if is_sealed(context.paillier.private_key):
-                self._adopt_peer_public(party.name, context, announced)
+            if peer.hosted:
+                announced = peer.receive("keys/paillier_pub")
+                if is_sealed(context.paillier.private_key):
+                    self._adopt_peer_public(party.name, context, announced)
             if context.rsa is not None:
                 party.send("keys/rsa_pub",
                            [context.rsa.public_key.n, context.rsa.public_key.e])
-                peer.receive("keys/rsa_pub")
+                if peer.hosted:
+                    peer.receive("keys/rsa_pub")
 
     @staticmethod
     def _adopt_peer_public(owner: str, context: CryptoContext,

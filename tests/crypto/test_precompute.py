@@ -272,29 +272,40 @@ class TestRandomnessService:
         assert cold_report["hits"] == 0 and cold_report["misses"] == 2
 
     def test_refill_step_skips_busy_leases(self):
+        """Idle refill tops a pool up to the session's *remaining* need
+        (learned demand minus factors consumed), one chunk per step,
+        and never while a query is in flight."""
         service = self._service(refill_chunk=3)
         seed_demand = service.lease("s1")
         pool = _pool(31)
         seed_demand.register_pool(pool, self.DIGEST_A, True)
-        for _ in range(5):
+        for _ in range(8):
             pool.encryption_factor()
         service.release("s1")
 
         grant = service.lease("s2")
-        empty = _pool(32)
-        # Register with demand already learned: prefilled to 5.
-        assert grant.register_pool(empty, self.DIGEST_A, True) == 5
+        prefilled = _pool(32)
+        # Register with demand already learned: prefilled to 8.  Drawing
+        # from the prefill leaves the remaining need covered.
+        assert grant.register_pool(prefilled, self.DIGEST_A, True) == 8
         for _ in range(5):
-            empty.encryption_factor()
+            prefilled.encryption_factor()
+        assert service.refill_step() == 0
+        # A pool that missed its first 2 factors still needs 6.
+        cold = _pool(33)
+        grant.pools.append(((self.DIGEST_A[:16], True), cold))
+        for _ in range(2):
+            cold.encryption_factor()
         grant.busy += 1            # a restartable query is in flight
         assert service.refill_step() == 0
         grant.busy -= 1
         assert service.refill_step() == 3    # one chunk
-        assert service.refill_step() == 2    # the remaining shortfall
+        assert service.refill_step() == 3    # the remaining need
         assert service.refill_step() == 0    # at target
-        assert grant.background_refilled == 5
+        assert len(prefilled) == 3 and len(cold) == 6
+        assert grant.background_refilled == 6
         report = service.release("s2")
-        assert report["background_refilled"] == 5
+        assert report["background_refilled"] == 6
 
     def test_refill_idle_coroutine_tops_up_between_work(self):
         import asyncio

@@ -27,7 +27,10 @@ from repro.runtime.client import (
 )
 from repro.runtime.daemon import DaemonError, MeshSpec, mesh_digest
 from repro.runtime.manifest import pair_key
-from repro.runtime.orchestrator import build_manifest
+from repro.runtime.orchestrator import (
+    build_manifest,
+    verify_against_in_process,
+)
 from repro.smc.session import SmcConfig
 
 
@@ -214,6 +217,69 @@ class TestDaemonEquivalence:
         digest_sets = [frozenset(references[ns][1].items())
                        for ns, _ in jobs]
         assert len(set(digest_sets)) == len(jobs)
+
+
+def own_pool_consumption(mesh: PartyMesh) -> dict[str, int]:
+    """Factors each party drew from its own pools (actor == party)
+    over every pair session of an in-process run."""
+    consumed = {name: 0 for name in mesh.names}
+    for session_report in mesh.pool_report().values():
+        for (actor, _owner), report in session_report.items():
+            consumed[actor] += report["consumed"]
+    return consumed
+
+
+@pytest.mark.sockets
+class TestRoleLocalExecution:
+    """Each daemon executes only the party it hosts: the protocol
+    variants whose guarded paths otherwise run on sockets only in the
+    slow matrix stay bit-identical, and every daemon consumes exactly
+    the randomness its own party consumes in process."""
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"cache_peer_ciphertexts": True},
+        {"blind_cross_sum": True},
+    ], ids=["plain", "cached-ciphertexts", "blind-cross-sum"])
+    def test_daemon_session_matches_in_process_mesh(self, overrides):
+        by_party = workload(3)
+        seeds = [31, 32, 33]
+        config = make_config(**overrides)
+        mesh = PartyMesh(list(by_party), config.smc, seeds=seeds)
+        reference = run_multiparty_horizontal_dbscan(
+            by_party, config, seeds=seeds, mesh=mesh)
+        with DaemonFleet(list(by_party)) as fleet:
+            with fleet.client() as client:
+                run = run_via_daemons(by_party, config, seeds,
+                                      client=client, timeout=120)
+        checks = verify_against_in_process(run, by_party, config, seeds,
+                                           reference=reference, mesh=mesh)
+        assert all(checks.values()), checks
+        expected = own_pool_consumption(mesh)
+        assert all(expected.values())
+        for name, report in run.reports.items():
+            assert report.runtime_info["pool"]["consumed"] \
+                == expected[name], name
+
+    def test_idle_refill_pregenerates_only_the_consumed_factors(self):
+        """From the second sequential session on, the randomness
+        service prefills and tops up each pool to the session's
+        remaining need: every pregenerated factor is consumed."""
+        by_party = workload(3)
+        seeds = [31, 32, 33]
+        config = make_config()
+        with DaemonFleet(list(by_party)) as fleet:
+            with fleet.client() as client:
+                runs = [run_via_daemons(by_party, config, seeds,
+                                        client=client,
+                                        session_id=f"refill-{index}",
+                                        timeout=120)
+                        for index in range(3)]
+        for run in runs[1:]:
+            for name, report in run.reports.items():
+                pool = report.runtime_info["pool"]
+                assert pool["consumed"] > 0 and pool["misses"] == 0
+                assert pool["pregenerated"] == pool["consumed"], name
 
 
 @pytest.mark.sockets

@@ -269,6 +269,22 @@ class TestSealedKeys:
         with pytest.raises(PublicOnlyKeyError, match="peer"):
             sealed.private_key.decrypt(value)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_engine_batch_decrypt_refuses_a_sealed_key(self, workers):
+        """No hosted step decrypts under a peer's key, so the engine
+        has no placeholder path: serial and multi-worker-eligible
+        engines both raise before building a single job."""
+        from repro.crypto.engine import ModexpEngine
+
+        keypair = cached_paillier_keypair(128, 993)
+        sealed = seal_paillier_keypair(keypair.public_key, "peer")
+        cipher = keypair.public_key.encrypt(5, random.Random(1)).value
+        with ModexpEngine(workers=workers, min_parallel_jobs=1) as engine:
+            with pytest.raises(PublicOnlyKeyError, match="peer"):
+                engine.decrypt_raw_batch(sealed.private_key, [cipher] * 4)
+            assert engine.report()["jobs"] == 0
+            assert engine._executor is None
+
     def test_sealed_rsa_private_raises_on_sign_and_secret_access(self):
         keypair = generate_rsa_keypair(bits=512, rng=random.Random(7))
         sealed = seal_rsa_keypair(keypair.public_key, "peer")

@@ -1,10 +1,11 @@
 """Mirrored-choreography channel: substitution, equivalence, desyncs.
 
 These tests run the *same* choreography in two threads -- each with only
-its own party's real input, the peer's replaced by a placeholder -- over
-a socketpair, exactly the execution model the party processes use, and
-assert the protocol observables match a single in-process run with the
-real inputs on both sides.
+its own party's real input, the peer's replaced by a placeholder, and
+only its own party's steps executed -- over a socketpair, exactly the
+execution model the party processes use, and assert the protocol
+observables match a single in-process run with the real inputs on both
+sides.
 """
 
 import socket
@@ -105,12 +106,19 @@ class TestMirrorEquivalence:
 
 
 class TestMirrorMechanics:
-    def test_local_echo_serves_the_choreographed_remote_receive(self):
+    def test_non_hosted_receive_raises(self):
         left, right = mirror_pair()
-        # Single-threaded on one side: local send, then the choreography
-        # plays the remote receive -- served by the echo, not the socket.
+        assert left.left.hosted and not left.right.hosted
+        assert right.right.hosted and not right.left.hosted
+        # A local send is not echoed: the remote party's receive is a
+        # step block missing its hosted guard, and fails loudly.
         left.left.send("m", [1, 2])
-        assert left.right.receive("m") == [1, 2]
+        with pytest.raises(ProtocolDesyncError, match="not hosted.*'m'"):
+            left.right.receive("m")
+        # In the peer's process the same send is the substitution point
+        # and its hosted receive gets the authentic frame.
+        right._send("alice", "bob", "m", None)
+        assert right.right.receive("m") == [1, 2]
         left.close()
         right.close()
 
@@ -154,8 +162,12 @@ class TestMirrorMechanics:
     def test_assert_drained_reports_leftovers(self):
         left, right = mirror_pair()
         left.left.send("m", 5)
-        with pytest.raises(ProtocolDesyncError, match="not drained"):
-            left.assert_drained()
+        left.assert_drained()       # a local send leaves nothing behind
+        # The peer substitutes the frame but never receives it.
+        right._send("alice", "bob", "m", None)
+        with pytest.raises(ProtocolDesyncError,
+                           match="not drained: 1 unconsumed substituted"):
+            right.assert_drained()
         right.close()
         left.close()
 
@@ -173,22 +185,36 @@ class TestMirrorMechanics:
 
 class TestMirrorWithParties:
     def test_party_rngs_stay_independent_of_placeholders(self):
-        """Both processes derive both parties' coin streams from public
-        seeds; placeholder data must not shift any draw."""
+        """Each process draws only its hosted party's coins, from public
+        seeds; the peer's placeholder input must neither shift a draw nor
+        reach an authentic value."""
         def choreography(channel, values):
             alice = Party(channel.left)
             bob = Party(channel.right)
             alice.rng.seed(5)
             bob.rng.seed(6)
-            # Alice's draw feeds her send; bob's draw feeds his.
-            alice.send("a", alice.rng.randrange(1000) + values["alice"] * 0)
-            bob.receive("a")
-            bob.send("b", bob.rng.randrange(1000))
-            return alice.receive("b")
+            # Alice's draw and input feed her send; bob adds his draw.
+            offer = None
+            if alice.hosted:
+                offer = alice.rng.randrange(1000) + values["alice"]
+            alice.send("a", offer)
+            reply = None
+            if bob.hosted:
+                reply = bob.receive("a") + bob.rng.randrange(1000)
+            bob.send("b", reply)
+            if alice.hosted:
+                return alice.receive("b"), alice.rng.getstate()
+            return reply, bob.rng.getstate()
 
         run = run_mirrored(choreography, {"alice": 1, "bob": 2},
                            placeholder=0)
         import random
-        expected = random.Random(6).randrange(1000)
-        assert run["outcomes"]["alice"] == expected
-        assert run["outcomes"]["bob"] == expected
+        expected = (random.Random(5).randrange(1000) + 1
+                    + random.Random(6).randrange(1000))
+        for name, seed in (("alice", 5), ("bob", 6)):
+            result, rng_state = run["outcomes"][name]
+            assert result == expected
+            one_draw = random.Random(seed)
+            one_draw.randrange(1000)
+            assert rng_state == one_draw.getstate()
+            run["channels"][name].assert_drained()
