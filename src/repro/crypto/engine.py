@@ -2,12 +2,13 @@
 
 Every expensive operation in the crypto layer -- randomness-pool refills
 (``r^n mod n^2``), batch encryption, batch decryption, DGK bit
-encryption -- reduces to an *array of independent modexp jobs*
-``(base, exponent, modulus)``.  :class:`ModexpEngine` executes such
-arrays either serially (the default, bit-identical to the seed-era inner
-loops) or sharded across a process pool, so offline wall-clock scales
-with cores on multi-core hosts.  Job arrays are plain integer tuples --
-picklable, key-material-free bytes on the worker boundary.
+encryption, the DGK zero test -- reduces to an *array of independent
+modexp jobs* ``(base, exponent, modulus)``.  :class:`ModexpEngine`
+executes such arrays either serially (the default, bit-identical to the
+seed-era inner loops) or sharded across a process pool, so offline
+wall-clock scales with cores on multi-core hosts.  Job arrays are plain
+integer tuples -- picklable, key-material-free bytes on the worker
+boundary.
 
 Design rules (see DESIGN.md, "Parallel modexp engine"):
 
@@ -23,9 +24,12 @@ Design rules (see DESIGN.md, "Parallel modexp engine"):
   :meth:`report`, never raised.
 - **Trust boundary.** Worker processes belong to the party that owns the
   engine call: refill jobs carry only public-key material
-  ``(r, n, n^2)``; CRT-split decryption jobs carry ``p``/``q``-derived
+  ``(r, n, n^2)`` (an owner pool's serial path computes the same factors
+  with the key's CRT kernel, but its worker jobs stay generic);
+  CRT-split decryption and zero-test jobs carry ``p``/``q``-derived
   moduli and are only ever issued by the private-key holder for its own
-  ciphertexts -- the same boundary as the in-process CRT decrypt.
+  ciphertexts -- the same boundary as the in-process CRT decrypt.  Run
+  in-process, those secret jobs bypass the powmod memo.
 """
 
 from __future__ import annotations
@@ -60,10 +64,10 @@ def _modexp_chunk_cached(jobs: Sequence[ModexpJob]) -> list[int]:
     """In-process variant of :func:`_modexp_chunk` behind the powmod memo.
 
     Worker processes keep the plain version (their memory is not shared,
-    so a memo there only burns RAM); in-process execution shares the
-    :func:`~repro.crypto.integer_math.cached_pow` memo with the online
-    paths, which is what lets a prefill of already-seen factors cost
-    dict hits instead of exponentiations.
+    so a memo there only burns RAM); in-process execution of public jobs
+    shares the :func:`~repro.crypto.integer_math.cached_pow` memo with
+    the online paths, which is what lets a prefill of already-seen
+    factors cost dict hits instead of exponentiations.
     """
     from repro.crypto.integer_math import cached_pow
     return [cached_pow(base, exponent, modulus)
@@ -224,20 +228,31 @@ class ModexpEngine:
             self.jobs += max(job_count, 0)
 
     def modexp_batch(self, jobs: Iterable[ModexpJob]) -> list[int]:
-        """``[pow(b, e, m) for (b, e, m) in jobs]``, possibly sharded."""
+        """``[pow(b, e, m) for (b, e, m) in jobs]``, possibly sharded.
+
+        Memo-free: its caller, YMPP's step-3 sweep, passes the RSA
+        private exponent.
+        """
         jobs = list(jobs)
         self._count(len(jobs))
-        return self._execute(jobs)
+        return self._execute(jobs, memo=False)
 
-    def _execute(self, jobs: list[ModexpJob]) -> list[int]:
-        """Run jobs without accounting (callers counted at entry)."""
+    def _execute(self, jobs: list[ModexpJob], *,
+                 memo: bool = True) -> list[int]:
+        """Run jobs without accounting (callers counted at entry).
+
+        ``memo=False`` marks jobs keyed by the factorization: run
+        in-process they use plain ``pow``, so nothing secret-derived
+        enters the process-wide memo.
+        """
+        local = _modexp_chunk_cached if memo else _modexp_chunk
         if not self._parallel_eligible(len(jobs)):
-            return _modexp_chunk_cached(jobs)
+            return local(jobs)
         executor = self._ensure_executor()
         if executor is None:
             with self._lock:
                 self.fallbacks += 1
-            return _modexp_chunk_cached(jobs)
+            return local(jobs)
         shard_count = min(len(jobs), self.workers * self.shards_per_worker)
         step = (len(jobs) + shard_count - 1) // shard_count
         shards = [jobs[start:start + step]
@@ -251,7 +266,7 @@ class ModexpEngine:
                 self._pool_broken = True
                 self._executor = None
                 self.fallbacks += 1
-            return _modexp_chunk_cached(jobs)
+            return local(jobs)
         with self._lock:
             self.parallel_batches += 1
             self.parallel_modexps += len(jobs)
@@ -315,7 +330,9 @@ class ModexpEngine:
         exactly as ``pool.encryption_factor`` does), misses draw their
         randomness unit in slot order from the pool's RNG (or ``rng``
         when unpooled), and the miss powmods run as one sharded batch
-        before being backfilled by position.
+        before being backfilled by position.  A pooled batch too small
+        to shard computes its misses with the pool's own kernel (the
+        CRT one for an owner pool).
         """
         factors: list[int | None] = []
         pending: list[tuple[int, int]] = []  # (position, randomness unit)
@@ -330,8 +347,11 @@ class ModexpEngine:
                 pending.append((position, public.random_unit(rng)))
             factors.append(None)
         if pending:
-            computed = self._execute(
-                [(r, public.n, public.n_squared) for _, r in pending])
+            if pool is not None and not self._parallel_eligible(len(pending)):
+                computed = [pool.factor(r) for _, r in pending]
+            else:
+                computed = self._execute(
+                    [(r, public.n, public.n_squared) for _, r in pending])
             for (position, _), factor in zip(pending, computed):
                 factors[position] = factor
         return factors
@@ -370,43 +390,80 @@ class ModexpEngine:
         raises :class:`~repro.crypto.sealed.PublicOnlyKeyError` before
         any job is built, whatever the worker count.
         """
-        from repro.crypto.integer_math import crt_pair
-        from repro.crypto.paillier import (
-            PaillierError,
-            _l_quotient,
-            _paillier_l,
-        )
-        from repro.crypto.sealed import PublicOnlyKeyError, is_sealed
+        from repro.crypto.paillier import _paillier_l
 
-        if is_sealed(private):
-            raise PublicOnlyKeyError(private.owner, "decrypt_raw_batch")
-        values = list(ciphertext_values)
-        self._count(len(values))
+        values = self._owner_batch(private, ciphertext_values,
+                                   "decrypt_raw_batch")
         if not self._parallel_eligible(2 * len(values)):
             return private.decrypt_raw_batch(values)
         public = private.public_key
-        n_sq = public.n_squared
+        if private.hp is None or private.hq is None:
+            powers = self._execute(
+                [(value, private.lam, public.n_squared) for value in values],
+                memo=False)
+            return [(_paillier_l(u, public.n) * private.mu) % public.n
+                    for u in powers]
+        p, q, crt = private.p, private.q, private.crt
+        jobs: list[ModexpJob] = []
+        for value in values:
+            jobs.append((value, p - 1, crt.p_squared))
+            jobs.append((value, q - 1, crt.q_squared))
+        powers = self._execute(jobs, memo=False)
+        return [private.crt_plaintext(powers[2 * index],
+                                      powers[2 * index + 1])
+                for index in range(len(values))]
+
+    def zero_test_batch(self, private: "PaillierPrivateKey",
+                        ciphertext_values: Sequence[int],
+                        bound: int) -> list[bool]:
+        """Whether each ciphertext decrypts to zero, for plaintexts known
+        to satisfy ``|m| < bound`` (as signed values).
+
+        The DGK key holder needs only this bit per witness.
+        ``c^(p-1) mod p^2`` equals 1 exactly when p divides the
+        plaintext (for ``g = n + 1`` it is ``1 + (p-1)*m*n``; a random
+        ``g`` scales the same term by the invertible ``L_p(g^(p-1))``),
+        and p dividing ``m`` means ``m = 0`` when ``bound <= p``: one
+        half-width exponentiation per ciphertext, against two for a CRT
+        decryption.  A key with ``p < bound`` (only tiny keys) also
+        requires ``c^(q-1) mod q^2 == 1``, which makes the answer exact
+        for every plaintext.  Every ciphertext is tested, so the work
+        does not depend on the answers.  Same rules as
+        :meth:`decrypt_raw_batch`: sealed keys raise before any job is
+        built, out-of-range ciphertexts raise
+        :class:`~repro.crypto.paillier.PaillierError`, and the jobs
+        shard across workers when the batch is large enough.
+        """
+        values = self._owner_batch(private, ciphertext_values,
+                                   "zero_test_batch")
+        crt = private.crt
+        moduli = [(private.p - 1, crt.p_squared)]
+        if bound > private.p:
+            moduli.append((private.q - 1, crt.q_squared))
+        powers = self._execute([(value, exponent, modulus)
+                                for value in values
+                                for exponent, modulus in moduli], memo=False)
+        width = len(moduli)
+        return [powers[start:start + width].count(1) == width
+                for start in range(0, len(powers), width)]
+
+    def _owner_batch(self, private: "PaillierPrivateKey",
+                     ciphertext_values: Sequence[int],
+                     operation: str) -> list[int]:
+        """Entry checks shared by the key holder's batch operations:
+        refuse a sealed key, count the batch, range-check every value."""
+        from repro.crypto.paillier import PaillierError
+        from repro.crypto.sealed import PublicOnlyKeyError, is_sealed
+
+        if is_sealed(private):
+            raise PublicOnlyKeyError(private.owner, operation)
+        values = list(ciphertext_values)
+        self._count(len(values))
+        n_sq = private.public_key.n_squared
         for value in values:
             if not 0 <= value < n_sq:
                 raise PaillierError("ciphertext outside Z_{n^2}")
-        if private.hp is None or private.hq is None:
-            powers = self._execute(
-                [(value, private.lam, n_sq) for value in values])
-            return [(_paillier_l(u, public.n) * private.mu) % public.n
-                    for u in powers]
-        p, q = private.p, private.q
-        p_sq, q_sq = p * p, q * q
-        jobs: list[ModexpJob] = []
-        for value in values:
-            jobs.append((value, p - 1, p_sq))
-            jobs.append((value, q - 1, q_sq))
-        powers = self._execute(jobs)
-        plaintexts = []
-        for index in range(len(values)):
-            m_p = (_l_quotient(powers[2 * index], p) * private.hp) % p
-            m_q = (_l_quotient(powers[2 * index + 1], q) * private.hq) % q
-            plaintexts.append(crt_pair(m_p, p, m_q, q))
-        return plaintexts
+        return values
 
 
 _SERIAL_ENGINE: ModexpEngine | None = None

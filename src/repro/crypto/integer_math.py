@@ -28,6 +28,11 @@ def cached_pow(base: int, exponent: int, modulus: int) -> int:
     Only worker *processes* keep plain ``pow`` -- their memory is not
     shared, so a memo there would only burn RAM.  The function is pure,
     so memoization cannot change any result, transcript, or ledger.
+
+    Only public arguments belong here: the memo lives as long as the
+    process (a daemon's whole lifetime), so every kernel keyed by the
+    factorization -- decryption, the DGK zero test, an owner's CRT
+    encryption factor -- uses plain ``pow`` instead.
     """
     return pow(base, exponent, modulus)
 
@@ -88,16 +93,19 @@ def lcm(a: int, b: int) -> int:
     return abs(a * b) // math.gcd(a, b)
 
 
-def crt_pair(residue_p: int, p: int, residue_q: int, q: int) -> int:
+def crt_pair(residue_p: int, p: int, residue_q: int, q: int,
+             inv_p_mod_q: int | None = None) -> int:
     """Chinese Remainder Theorem for two coprime moduli.
 
     Returns the unique ``x`` in ``[0, p*q)`` with ``x = residue_p (mod p)``
     and ``x = residue_q (mod q)``.  Used by the CRT-accelerated Paillier
-    decryption path.
+    paths, which pass the key's cached ``p^-1 mod q`` as ``inv_p_mod_q``
+    instead of paying an extended Euclid per call.
     """
-    g, inv_p_mod_q, _ = egcd(p, q)
-    if g != 1:
-        raise ValueError(f"moduli must be coprime, gcd({p}, {q}) = {g}")
+    if inv_p_mod_q is None:
+        g, inv_p_mod_q, _ = egcd(p, q)
+        if g != 1:
+            raise ValueError(f"moduli must be coprime, gcd({p}, {q}) = {g}")
     diff = (residue_q - residue_p) % q
     return (residue_p + p * ((diff * inv_p_mod_q) % q)) % (p * q)
 
@@ -124,9 +132,8 @@ def isqrt_exact(value: int) -> int | None:
 def pow_mod(base: int, exponent: int, modulus: int) -> int:
     """Modular exponentiation supporting negative exponents.
 
-    Negative exponents are resolved through the modular inverse, which the
-    Paillier scalar-multiply-by-negative path needs (e.g. homomorphically
-    computing ``E(-2 * a_i * b_i)`` in the DGK-style comparison).
+    Negative exponents are resolved through the modular inverse (the
+    Paillier scalar multiply gets the same from the built-in ``pow``).
     """
     if modulus <= 0:
         raise ValueError(f"modulus must be positive, got {modulus}")

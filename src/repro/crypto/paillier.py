@@ -20,16 +20,33 @@ makes ``g^m = 1 + m*n (mod n^2)`` a cheap multiplication; passing
 ``random_g=True`` reproduces the paper's "select random integer g" step
 literally (both satisfy the Section 3.7 equations and are property-tested
 against each other).
+
+Scalars are signed: ``E(m) * k`` raises ``E(m)`` to the representative
+of ``k mod n`` nearest zero, so a negative scalar (or a
+``SignedEncoder``-encoded one) costs one modular inverse and a short
+exponent instead of an (n-1)-bit one.  ``E(m)^(k-n)`` and ``E(m)^k``
+differ by the factor ``E(m)^n``, itself an encryption of zero: the
+ciphertext value depends on the representative, the plaintext does not.
+
+The key's owner holds ``p`` and ``q`` and uses them beyond decryption:
+:meth:`PaillierPrivateKey.nth_power` computes encryption factors
+``r^n mod n^2`` by CRT (the owner's randomness pools run on it), and
+:meth:`repro.crypto.engine.ModexpEngine.zero_test_batch` decides
+whether plaintexts are zero with one half-width exponentiation each.
+Neither, nor decryption, goes through the process-wide
+:func:`~repro.crypto.integer_math.cached_pow` memo, so no value keyed
+by the factorization outlives its call.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from repro.crypto.integer_math import cached_pow, lcm, mod_inverse
+from repro.crypto.integer_math import cached_pow, crt_pair, lcm, mod_inverse
 from repro.crypto.primes import generate_distinct_primes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
@@ -62,7 +79,7 @@ class PaillierPublicKey:
             r = rng.randrange(1, self.n)
             # gcd check: for a semiprime n, non-units are multiples of p or
             # q, which are never hit in practice, but the spec requires it.
-            if _gcd(r, self.n) == 1:
+            if math.gcd(r, self.n) == 1:
                 return r
 
     def raw_encrypt(self, plaintext: int, r: int) -> int:
@@ -141,6 +158,17 @@ class PaillierPublicKey:
         return self.encrypt(value % self.n, rng, pool)
 
 
+class CrtConstants(NamedTuple):
+    """Per-key constants of the owner-side CRT kernels."""
+
+    p_squared: int
+    q_squared: int
+    n_mod_p1: int       # n mod (p - 1): exponent of r^n mod p
+    n_mod_q1: int       # n mod (q - 1)
+    p_inv_q: int        # p^-1 mod q: recombines CRT decryptions
+    p_squared_inv: int  # (p^2)^-1 mod q^2: recombines nth_power
+
+
 @dataclass(frozen=True)
 class PaillierPrivateKey:
     """Private decryption key ``(lambda, mu)`` with CRT acceleration data.
@@ -150,6 +178,8 @@ class PaillierPrivateKey:
     present, :meth:`decrypt_raw` exponentiates modulo ``p^2`` and ``q^2``
     separately and recombines -- roughly 3-4x faster than the
     full-modulus path, bit-identical results (property-tested).
+    ``crt`` holds the remaining per-prime constants, derived once from
+    ``p`` and ``q`` when the key is built.
     """
 
     public_key: PaillierPublicKey
@@ -159,6 +189,32 @@ class PaillierPrivateKey:
     q: int
     hp: int | None = None
     hq: int | None = None
+    crt: CrtConstants = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        p, q, n = self.p, self.q, self.public_key.n
+        p_squared, q_squared = p * p, q * q
+        object.__setattr__(self, "crt", CrtConstants(
+            p_squared=p_squared, q_squared=q_squared,
+            n_mod_p1=n % (p - 1), n_mod_q1=n % (q - 1),
+            p_inv_q=pow(p, -1, q),
+            p_squared_inv=pow(p_squared, -1, q_squared)))
+
+    def nth_power(self, r: int) -> int:
+        """``r^n mod n^2`` -- an encryption factor -- computed by CRT.
+
+        Per prime: ``r^n mod p^2`` lies in the order-``(p-1)`` subgroup
+        of ``Z*_{p^2}`` (``n = pq`` is a multiple of p) and is congruent
+        to ``s = (r mod p)^(n mod (p-1))`` modulo p; ``s^p mod p^2`` is
+        the unique element of that subgroup congruent to ``s`` (its
+        Teichmueller lift).  So the result equals ``pow(r, n, n^2)``
+        exactly, from two half-width and two p-sized exponentiations.
+        """
+        p, q, crt = self.p, self.q, self.crt
+        lift_p = pow(pow(r % p, crt.n_mod_p1, p), p, crt.p_squared)
+        lift_q = pow(pow(r % q, crt.n_mod_q1, q), q, crt.q_squared)
+        return crt_pair(lift_p, crt.p_squared, lift_q, crt.q_squared,
+                        crt.p_squared_inv)
 
     def decrypt_raw(self, ciphertext_value: int) -> int:
         """Decrypt an integer ciphertext; CRT path when constants exist."""
@@ -166,7 +222,9 @@ class PaillierPrivateKey:
         if not 0 <= ciphertext_value < n_sq:
             raise PaillierError("ciphertext outside Z_{n^2}")
         if self.hp is not None and self.hq is not None:
-            return self._decrypt_crt(ciphertext_value)
+            return self.crt_plaintext(
+                pow(ciphertext_value, self.p - 1, self.crt.p_squared),
+                pow(ciphertext_value, self.q - 1, self.crt.q_squared))
         return self.decrypt_raw_standard(ciphertext_value)
 
     def decrypt_raw_standard(self, ciphertext_value: int) -> int:
@@ -175,17 +233,15 @@ class PaillierPrivateKey:
         n_sq = self.public_key.n_squared
         if not 0 <= ciphertext_value < n_sq:
             raise PaillierError("ciphertext outside Z_{n^2}")
-        u = cached_pow(ciphertext_value, self.lam, n_sq)
+        u = pow(ciphertext_value, self.lam, n_sq)
         return (_paillier_l(u, n) * self.mu) % n
 
-    def _decrypt_crt(self, ciphertext_value: int) -> int:
-        from repro.crypto.integer_math import crt_pair
+    def crt_plaintext(self, power_p: int, power_q: int) -> int:
+        """The plaintext from ``c^(p-1) mod p^2`` and ``c^(q-1) mod q^2``."""
         p, q = self.p, self.q
-        m_p = (_l_quotient(cached_pow(ciphertext_value, p - 1, p * p), p)
-               * self.hp) % p
-        m_q = (_l_quotient(cached_pow(ciphertext_value, q - 1, q * q), q)
-               * self.hq) % q
-        return crt_pair(m_p, p, m_q, q)
+        m_p = (_l_quotient(power_p, p) * self.hp) % p
+        m_q = (_l_quotient(power_q, q) * self.hq) % q
+        return crt_pair(m_p, p, m_q, q, self.crt.p_inv_q)
 
     def decrypt(self, ciphertext: "PaillierCiphertext") -> int:
         if ciphertext.public_key != self.public_key:
@@ -249,10 +305,18 @@ class PaillierCiphertext:
                 f"can only multiply by integer plaintexts, got {type(scalar)}"
             )
         n = self.public_key.n
-        return PaillierCiphertext(
-            self.public_key,
-            cached_pow(self.value, scalar % n, self.public_key.n_squared),
-        )
+        exponent = scalar % n
+        if exponent > n // 2:
+            # A negative scalar: pow inverts once, then runs a short
+            # exponent instead of an (n-1)-bit one (module docstring).
+            exponent -= n
+        try:
+            value = cached_pow(self.value, exponent, self.public_key.n_squared)
+        except ValueError as error:
+            raise PaillierError(
+                "cannot negate a ciphertext that is not a unit mod n^2"
+            ) from error
+        return PaillierCiphertext(self.public_key, value)
 
     __rmul__ = __mul__
 
@@ -314,12 +378,6 @@ def _l_quotient(u: int, divisor: int) -> int:
     return (u - 1) // divisor
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _raw_encrypt_constant(self: PaillierPublicKey, constant: int) -> int:
     """``g^constant mod n^2`` -- deterministic encryption with unit randomness."""
     return self._g_pow(constant % self.n)
@@ -360,7 +418,7 @@ def generate_paillier_keypair(bits: int, rng: random.Random,
         n = p * q
         # The paper's explicit check; automatic when p, q have equal size,
         # but we verify rather than assume.
-        if _gcd(n, (p - 1) * (q - 1)) == 1:
+        if math.gcd(n, (p - 1) * (q - 1)) == 1:
             break
 
     lam = lcm(p - 1, q - 1)
@@ -369,7 +427,7 @@ def generate_paillier_keypair(bits: int, rng: random.Random,
     if random_g:
         while True:
             g = rng.randrange(2, n_sq)
-            if _gcd(g, n_sq) != 1:
+            if math.gcd(g, n_sq) != 1:
                 continue
             try:
                 mu = mod_inverse(_paillier_l(pow(g, lam, n_sq), n), n)

@@ -20,6 +20,14 @@ protocol runs.  This module supplies the two precomputation tools:
   (``random_g=True``) instead of ``n + 1``: one table per ``(g, n^2)``
   turns each encryption's ``g^m`` into ``~bits/window`` mulmods.
 
+Owner pools: a pool whose actor owns the key (the DGK key holder's bit
+encryptions, the HDP querier's uploads, the Section 5 receiver's
+vector) is built with that private key and computes each factor with
+:meth:`~repro.crypto.paillier.PaillierPrivateKey.nth_power` -- CRT over
+``p^2`` and ``q^2``, the same factor at about half the cost.  Every
+other pool, and every factor shipped to engine workers, uses the
+generic ``r^n mod n^2`` on public-key material.
+
 Security note: a pooled factor is exactly a fresh factor drawn earlier
 from the same party RNG -- pooling reorders randomness generation in
 time, it does not weaken or correlate it.  Each factor is consumed at
@@ -36,7 +44,7 @@ from typing import TYPE_CHECKING
 from repro.crypto.integer_math import cached_pow
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (paillier types)
-    from repro.crypto.paillier import PaillierPublicKey
+    from repro.crypto.paillier import PaillierPrivateKey, PaillierPublicKey
 
 
 class PrecomputeError(ValueError):
@@ -53,6 +61,10 @@ class RandomnessPool:
     encryption of zero -- so one queue serves both uses; the two named
     accessors exist for call-site clarity.
 
+    ``private_key`` is given only when the actor owns the key (an owner
+    pool, see the module docstring); it changes how each factor is
+    computed, never which factor.
+
     Accounting attributes (read by benchmarks and tests):
 
     - ``pregenerated``: factors produced by :meth:`refill` (offline).
@@ -61,12 +73,16 @@ class RandomnessPool:
       empty (online cost identical to the unpooled path).
     """
 
-    __slots__ = ("public_key", "rng", "_factors", "pregenerated",
-                 "consumed", "misses")
+    __slots__ = ("public_key", "rng", "private_key", "_factors",
+                 "pregenerated", "consumed", "misses")
 
-    def __init__(self, public_key: "PaillierPublicKey", rng: random.Random):
+    def __init__(self, public_key: "PaillierPublicKey", rng: random.Random,
+                 private_key: "PaillierPrivateKey | None" = None):
+        if private_key is not None and private_key.public_key != public_key:
+            raise PrecomputeError("private key does not match the pool's key")
         self.public_key = public_key
         self.rng = rng
+        self.private_key = private_key
         self._factors: deque[int] = deque()
         self.pregenerated = 0
         self.consumed = 0
@@ -75,10 +91,16 @@ class RandomnessPool:
     def __len__(self) -> int:
         return len(self._factors)
 
-    def _fresh_factor(self) -> int:
+    def factor(self, r: int) -> int:
+        """``r^n mod n^2`` for the unit ``r``: the owner's CRT kernel when
+        the pool holds the private key, the memoized powmod otherwise."""
+        if self.private_key is not None:
+            return self.private_key.nth_power(r)
         public = self.public_key
-        r = public.random_unit(self.rng)
         return cached_pow(r, public.n, public.n_squared)
+
+    def _fresh_factor(self) -> int:
+        return self.factor(self.public_key.random_unit(self.rng))
 
     def draw_units(self, count: int) -> list[int]:
         """Draw ``count`` randomness units from the actor's RNG, in order.
@@ -100,10 +122,7 @@ class RandomnessPool:
 
     def refill(self, count: int) -> None:
         """Offline phase: pregenerate ``count`` factors."""
-        units = self.draw_units(count)
-        public = self.public_key
-        self.deposit([cached_pow(r, public.n, public.n_squared)
-                      for r in units])
+        self.deposit([self.factor(r) for r in self.draw_units(count)])
 
     def try_factor(self) -> int | None:
         """Pop one factor if available; ``None`` (and a counted miss)

@@ -12,9 +12,11 @@ This module makes key ownership *structural*.  A remote party's context
 carries a :class:`SealedPaillierPrivateKey` (or
 :class:`SealedRsaPrivateKey`): an object with the public half and an
 owner tag but **no secret fields at all** -- there is nothing to steal
--- and every decrypt/sign entry point raises
-:class:`PublicOnlyKeyError`, as does the engine's batch decrypt
-(:meth:`repro.crypto.engine.ModexpEngine.decrypt_raw_batch`).  No
+-- and every decrypt/sign entry point (and the owner's CRT
+``nth_power``) raises :class:`PublicOnlyKeyError`, as do the engine's
+batch decrypt and zero test
+(:meth:`repro.crypto.engine.ModexpEngine.decrypt_raw_batch`,
+:meth:`~repro.crypto.engine.ModexpEngine.zero_test_batch`).  No
 hosted step decrypts under a peer's key, so there is no sanctioned
 exception: reaching a sealed decrypt is a missing hosted guard.
 
@@ -41,10 +43,10 @@ class PublicOnlyKeyError(RuntimeError):
     """A decrypt/sign was attempted on a sealed (public-only) key.
 
     Raised by every secret-consuming method of the sealed key classes
-    and by the engine's batch decrypt.  Reaching this error means a code
-    path tried to use a remote party's private key -- always a bug in
-    the choreography (a step block missing its hosted guard) or a
-    privacy violation, never recoverable.
+    and by the engine's batch decrypt and zero test.  Reaching this
+    error means a code path tried to use a remote party's private key
+    -- always a bug in the choreography (a step block missing its
+    hosted guard) or a privacy violation, never recoverable.
     """
 
     def __init__(self, owner: str, operation: str):
@@ -71,6 +73,9 @@ class SealedPaillierPrivateKey:
     public_key: PaillierPublicKey
     owner: str
     sealed = True
+
+    def nth_power(self, r: int) -> int:
+        raise PublicOnlyKeyError(self.owner, "nth_power")
 
     def decrypt_raw(self, ciphertext_value: int) -> int:
         raise PublicOnlyKeyError(self.owner, "decrypt_raw")

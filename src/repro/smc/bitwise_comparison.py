@@ -22,7 +22,18 @@ Protocol:
    all higher bits equal).
 3. The other party blinds each ``E(c_t)`` with a random multiplier,
    rerandomizes, shuffles, and returns the batch.
-4. The key holder decrypts: some plaintext is 0  <=>  ``x > y``.
+4. The key holder zero-tests every witness: some plaintext is 0  <=>
+   ``x > y``.  It needs no plaintext, only zero-ness, which DGK's own
+   cryptosystem decides with one exponentiation modulo a prime; here
+   :meth:`~repro.crypto.engine.ModexpEngine.zero_test_batch` does the
+   same with ``c^(p-1) mod p^2``, exact because a witness plaintext
+   ``c_t * multiplier`` is smaller than ``p`` in absolute value
+   (:func:`_witness_bound`).
+
+What each role holds also makes steps 1-2 cheaper: the key holder's bit
+encryptions draw from its owner pool (CRT factors, see
+:mod:`repro.crypto.precompute`), and the other party's ``E(1 - x_t)``
+negates by modular inverse (signed scalars, :mod:`repro.crypto.paillier`).
 
 Amortized batches: :func:`dgk_greater_than_batch` compares one
 key-holder value ``x`` against many other-party values ``y_1..y_k`` in a
@@ -31,8 +42,8 @@ ciphertexts are shared by every comparison of the batch, which is sound
 because they are semantically secure and carry no per-``y`` state --
 while steps 2-3 run per ``y_i`` exactly as in the per-point protocol
 (independent blinding multipliers, independent rerandomization, an
-independent shuffle per point), and step 4 decrypts all witness batches
-in one engine sweep.  The predicate bits are bit-identical to ``k``
+independent shuffle per point), and step 4 zero-tests all witness
+batches in one engine sweep.  The predicate bits are bit-identical to ``k``
 per-point runs; only the key holder's encryption count (``bits`` instead
 of ``k * bits``) and the message count (2 instead of ``2k``) change.
 
@@ -50,7 +61,8 @@ from repro.net.party import Party
 
 # Blinding multipliers are drawn from [1, 2^_BLIND_BITS); they keep
 # c_t * r_t nonzero mod n (|c_t| is tiny and n is cryptographic) while
-# hiding the magnitude of nonzero c_t.
+# hiding the magnitude of nonzero c_t.  Step 4's zero test relies on the
+# product staying below _witness_bound.
 _BLIND_BITS = 40
 
 
@@ -68,6 +80,13 @@ def _bits_of(value: int, bits: int) -> list[int]:
     return [(value >> (bits - 1 - t)) & 1 for t in range(bits)]
 
 
+def _witness_bound(bits: int) -> int:
+    """Exclusive bound on ``|c_t * multiplier|`` for a ``bits``-wide
+    comparison: ``-2 <= c_t <= 3 * (bits - 1)`` and
+    ``multiplier < 2^_BLIND_BITS``."""
+    return (3 * bits) << _BLIND_BITS
+
+
 def _blinded_witnesses(public, received, complements, y_bits, rng,
                        pool) -> list[int]:
     """Steps 2-3 for one ``y``: blinded, shuffled witness ciphertexts.
@@ -75,7 +94,7 @@ def _blinded_witnesses(public, received, complements, y_bits, rng,
     ``received`` are the key holder's bit ciphertexts (MSB first).
     ``complements`` maps a bit position to ``E(1 - x_t)``; positions are
     filled on first use and shared by every ``y`` of one call, since the
-    negation costs a full-size modexp and does not depend on ``y``.  Runs
+    negation (a modular inverse) does not depend on ``y``.  Runs
     the other party's RNG in exactly the per-point order (one multiplier
     and one rerandomization per bit, then one shuffle), so batched and
     per-point executions draw identical randomness for this half.
@@ -124,9 +143,9 @@ def dgk_greater_than(key_holder: Party, x: int, other: Party, y: int,
             the bit-encryption and blinding loops are the protocols'
             hottest powmod sites, and pools turn each into a mulmod.
         engine: optional :class:`~repro.crypto.engine.ModexpEngine`
-            executing the bit-encryption batch and the witness
-            decryption as sharded modexp jobs (bit-identical results;
-            serial when omitted).
+            executing the bit-encryption batch and the witness zero
+            test as sharded modexp jobs (bit-identical results; serial
+            when omitted).
     """
     if bits < 1:
         raise BitwiseComparisonError(f"bits must be >= 1, got {bits}")
@@ -152,12 +171,12 @@ def dgk_greater_than(key_holder: Party, x: int, other: Party, y: int,
                                      other.rng, other_pool)
     other.send(f"{label}/witnesses", blinded)
 
-    # --- Step 4 (key holder): decrypt, look for a zero. --------------------
+    # --- Step 4 (key holder): zero-test every witness. ---------------------
     if not key_holder.hosted:
         return False
     witnesses = key_holder.receive(f"{label}/witnesses")
-    plaintexts = engine.decrypt_raw_batch(keypair.private_key, witnesses)
-    return any(value == 0 for value in plaintexts)
+    return any(engine.zero_test_batch(keypair.private_key, witnesses,
+                                      _witness_bound(bits)))
 
 
 def dgk_greater_than_batch(key_holder: Party, x: int, other: Party,
@@ -173,8 +192,9 @@ def dgk_greater_than_batch(key_holder: Party, x: int, other: Party,
     ciphertexts are produced once and shared by every comparison, the
     other party evaluates one independently blinded and shuffled witness
     batch per ``y_i`` against them, and all witness batches travel (and
-    decrypt) together.  One message in each direction regardless of
-    ``len(ys)``; predicate bits identical to ``len(ys)`` per-point runs.
+    are zero-tested) together.  One message in each direction regardless
+    of ``len(ys)``; predicate bits identical to ``len(ys)`` per-point
+    runs.
     """
     if bits < 1:
         raise BitwiseComparisonError(f"bits must be >= 1, got {bits}")
@@ -206,14 +226,12 @@ def dgk_greater_than_batch(key_holder: Party, x: int, other: Party,
                    for y in ys]
     other.send(f"{label}/witnesses", batches)
 
-    # --- Step 4 (key holder): one decryption sweep over every batch. -------
+    # --- Step 4 (key holder): one zero-test sweep over every batch. --------
     if not key_holder.hosted:
         return [False] * len(ys)
     witness_batches = key_holder.receive(f"{label}/witnesses")
     flat = [value for batch in witness_batches for value in batch]
-    plaintexts = engine.decrypt_raw_batch(keypair.private_key, flat)
-    results = []
-    for index in range(len(witness_batches)):
-        group = plaintexts[index * bits:(index + 1) * bits]
-        results.append(any(value == 0 for value in group))
-    return results
+    zeros = engine.zero_test_batch(keypair.private_key, flat,
+                                   _witness_bound(bits))
+    return [any(zeros[index * bits:(index + 1) * bits])
+            for index in range(len(witness_batches))]

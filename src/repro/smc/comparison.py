@@ -240,7 +240,7 @@ class BitwiseComparison(SecureComparison):
     encrypting under the named key owner's key; the session wires its
     per-(actor, key) pools through here so DGK's bit-encryption and
     blinding loops run on pregenerated randomness.  ``engine`` routes
-    the bit-encryption batch and witness decryption through a
+    the bit-encryption batch and witness zero test through a
     :class:`~repro.crypto.engine.ModexpEngine`.
     """
 

@@ -26,7 +26,6 @@ Two fidelity modes:
 from __future__ import annotations
 
 from repro.crypto.encoding import SignedEncoder
-from repro.crypto.integer_math import cached_pow
 from repro.crypto.paillier import PaillierCiphertext, PaillierKeyPair
 from repro.crypto.precompute import RandomnessPool
 from repro.net.party import Party
@@ -85,9 +84,9 @@ def secure_multiplication(receiver: Party, x: int, masker: Party, y: int,
     received = PaillierCiphertext(public, masker.receive(f"{label}/encrypted_x"))
     if faithful_shared_r:
         r_value = masker.receive(f"{label}/shared_r")
+        product = received * encoder.encode(y)
         masked_value = (
-            cached_pow(received.value, encoder.encode(y), public.n_squared)
-            * public.raw_encrypt(encoder.encode(mask), r_value)
+            product.value * public.raw_encrypt(encoder.encode(mask), r_value)
         ) % public.n_squared
         masker.send(f"{label}/masked_product", masked_value)
     else:

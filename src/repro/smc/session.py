@@ -245,14 +245,20 @@ class SmcSession:
         # because pool draws no longer interleave with the party's
         # protocol coin draws.  Pooling therefore only reorders work in
         # time -- the bit-identity contract across runtimes holds
-        # whatever the refill schedule.
+        # whatever the refill schedule.  A party's pool under its own
+        # key gets the private key when this process holds it (an owner
+        # pool: same factors, computed by CRT).
         self._pools: dict[tuple[str, str], RandomnessPool] = {}
         if self.config.precompute:
             for actor in (self.alice, self.bob):
                 for owner in (self.alice, self.bob):
+                    keys = self._contexts[owner.name].paillier
+                    owned = (actor is owner
+                             and not is_sealed(keys.private_key))
                     self._pools[(actor.name, owner.name)] = RandomnessPool(
-                        self._contexts[owner.name].paillier.public_key,
-                        random.Random(actor.rng.getrandbits(128)))
+                        keys.public_key,
+                        random.Random(actor.rng.getrandbits(128)),
+                        keys.private_key if owned else None)
         self.engine: ModexpEngine = self.config.engine or default_engine()
         alice_ctx = self._contexts[self.alice.name]
         bob_ctx = self._contexts[self.bob.name]
