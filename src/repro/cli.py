@@ -71,7 +71,6 @@ from repro.crypto.precompute import combine_pool_reports
 from repro.multiparty.horizontal import run_multiparty_horizontal_dbscan
 from repro.multiparty.mesh import PartyMesh
 from repro.net.party import make_party_pair
-from repro.net.transport import TransportSpec
 from repro.smc.session import SmcConfig, SmcSession, channel_for_config
 
 _SCENARIOS = ("horizontal", "enhanced", "vertical", "arbitrary",
@@ -103,14 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--prefill", type=int, default=0,
                       help="factors to pregenerate per randomness pool "
                            "before the run (offline phase)")
-    demo.add_argument("--transport",
-                      choices=("in-process", "threaded", "simulated"),
-                      default="in-process",
-                      help="message fabric under every channel: seed-era "
-                           "deques, thread-safe blocking queues, or the "
-                           "simulated-latency network model")
-    demo.add_argument("--net-latency-ms", type=float, default=5.0,
-                      help="one-way link latency for --transport simulated")
 
     attack = commands.add_parser("attack",
                                  help="quantify the Figure 1 attack")
@@ -342,17 +333,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _demo_config(args, engine: ModexpEngine) -> ProtocolConfig:
-    transport = None
-    if args.transport != "in-process":
-        transport = TransportSpec(
-            kind=args.transport.replace("-", "_"),
-            latency_s=args.net_latency_ms / 1000.0)
     return ProtocolConfig(
         eps=args.eps, min_pts=args.min_pts, scale=100,
         smc=SmcConfig(paillier_bits=args.key_bits, comparison=args.backend,
                       key_seed=args.seed, engine=engine,
-                      precompute=not args.no_precompute,
-                      transport=transport),
+                      precompute=not args.no_precompute),
         alice_seed=args.seed, bob_seed=args.seed + 1)
 
 
@@ -403,11 +388,8 @@ def _run_demo_with_engine(args, points, engine: ModexpEngine) -> int:
         for name, labels in result.labels_by_party.items():
             print(f"{name}: {labels}")
         print(f"bytes: {result.stats['total_bytes']:,}  "
+              f"rounds: {result.stats['rounds']}  "
               f"comparisons: {result.comparisons}")
-        if args.transport == "simulated":
-            print(f"simulated network: "
-                  f"{result.simulated_seconds * 1000:.1f}ms "
-                  f"({args.net_latency_ms:g}ms one-way latency)")
         print(f"disclosures: {result.ledger.profile()}")
         _print_crypto_summary(
             engine, (entry for report in mesh.pool_report().values()
@@ -444,13 +426,9 @@ def _run_demo_with_engine(args, points, engine: ModexpEngine) -> int:
     print(f"alice labels: {run.alice_labels}")
     print(f"bob   labels: {run.bob_labels}")
     print(f"bytes: {run.stats['total_bytes']:,}  "
+          f"rounds: {run.stats['rounds']}  "
           f"comparisons: {run.comparisons}  "
           f"time: {run.elapsed_seconds:.2f}s")
-    if args.transport == "simulated":
-        print(f"simulated network: "
-              f"{run.stats['simulated_seconds'] * 1000:.1f}ms "
-              f"({args.net_latency_ms:g}ms one-way latency, "
-              f"{run.stats['rounds']} rounds)")
     print(f"disclosures: {run.ledger.profile()}")
     _print_crypto_summary(
         engine, session.pool_report().values() if session else ())

@@ -59,21 +59,14 @@ class MultipartyRunResult:
     Attributes:
         labels_by_party: each party's cluster numbering over its points.
         ledger: disclosure accounting across all pairwise protocols.
-        stats: merged communication snapshot over all pairwise channels
-            (its ``simulated_seconds`` is the per-link sum -- the
-            conservative sequential figure).
+        stats: merged communication snapshot over all pairwise channels.
         comparisons: secure-comparison invocations, summed over sessions.
-        simulated_seconds: scheduler-accounted virtual network time --
-            the per-pass sum of link time, since the peer queries of a
-            pass run back to back.  Zero on real (non-simulated)
-            transports.
     """
 
     labels_by_party: dict[str, tuple[int, ...]]
     ledger: LeakageLedger
     stats: dict
     comparisons: int
-    simulated_seconds: float = 0.0
 
 
 def run_multiparty_horizontal_dbscan(points_by_party: dict[str, list],
@@ -87,7 +80,7 @@ def run_multiparty_horizontal_dbscan(points_by_party: dict[str, list],
     Args:
         points_by_party: party name -> that party's integer-grid points.
         config: protocol parameters; ``config.smc`` configures every
-            pairwise session (including its transport fabric).
+            pairwise session.
         seeds: optional per-party RNG seeds (ordered as the dict).
         mesh: a pre-built :class:`PartyMesh` over the same party names,
             so callers can run the offline phase
@@ -130,7 +123,6 @@ def run_multiparty_horizontal_dbscan(points_by_party: dict[str, list],
         ledger=ledger,
         stats=mesh.merged_stats().snapshot(),
         comparisons=comparisons,
-        simulated_seconds=executor.simulated_seconds,
     )
 
 
@@ -239,7 +231,6 @@ def _build_peer_queries(mesh: PartyMesh, driver_name: str,
                                 list(peer_points), config, value_bound,
                                 caches),
             prepare=_make_prepare(mesh, driver_name, peer_name),
-            simulated_clock=_simulated_clock(mesh, driver_name, peer_name),
         ))
     return tasks
 
@@ -274,8 +265,3 @@ def _make_peer_task(mesh: PartyMesh, driver_name: str, peer_name: str,
         return count
 
     return run
-
-
-def _simulated_clock(mesh: PartyMesh, driver_name: str, peer_name: str):
-    channel = mesh.pair_channel(driver_name, peer_name)
-    return lambda: channel.simulated_seconds

@@ -2,9 +2,9 @@
 
 Each physical party has one set of key material, reused across all of
 its pairwise channels; each unordered pair of parties gets its own
-channel (with its own transcript, over the fabric
-``SmcConfig.transport`` selects) and an :class:`SmcSession` over it.
-Global statistics are the merge of the pairwise channels.
+in-process channel (with its own transcript) and an
+:class:`SmcSession` over it.  Global statistics are the merge of the
+pairwise channels.
 
 Per-pair randomness: a party's coin tosses on the link to peer ``P``
 come from a dedicated substream derived deterministically from the
@@ -205,11 +205,6 @@ class PartyMesh:
 
     def pair_stats(self, a: str, b: str) -> CommunicationStats:
         return self._channels[self._pair_key(a, b)].stats
-
-    def pair_channel(self, a: str, b: str):
-        """The channel of one unordered pair (scheduler timing probes,
-        per-pair transcript comparisons in the equivalence tests)."""
-        return self._channels[self._pair_key(a, b)]
 
     def pair_transcripts(self) -> dict:
         """``{(left, right): transcript}`` over every pair, sorted."""

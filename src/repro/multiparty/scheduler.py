@@ -19,10 +19,7 @@ and record each task's disclosures into a private sub-ledger that the
 caller merges in task order -- so labels, per-pair transcripts, the
 leakage-ledger event sequence, and comparison counts are bit-identical
 however the queries interleaved (property-tested in
-``tests/multiparty/test_scheduler.py``).  With a
-:class:`~repro.net.transport.SimulatedNetworkTransport` on the links,
-a pass is charged the *sum* of its per-link virtual time when run in
-order and the *maximum* when the queries overlap.
+``tests/multiparty/test_scheduler.py``).
 """
 
 from __future__ import annotations
@@ -51,15 +48,11 @@ class PeerQuery:
             query announcement (``begin_peer_query``).  Split out of
             ``run`` so an executor that may *re-execute* ``run`` (the
             restartable async path) never re-announces the query.
-        simulated_clock: zero-argument probe returning the pair link's
-            simulated seconds (0.0 on real fabrics); sampled before and
-            after the query so the executor can charge virtual time.
     """
 
     peer: str
     run: Callable[[LeakageLedger], int]
     prepare: Callable[[], None] = lambda: None
-    simulated_clock: Callable[[], float] = lambda: 0.0
 
 
 @dataclass(frozen=True)
@@ -69,19 +62,12 @@ class PeerQueryOutcome:
     peer: str
     count: int
     ledger: LeakageLedger
-    simulated_delta: float
 
 
 class PassExecutor:
-    """Runs the tasks of one pass in order; accumulates virtual time.
-
-    ``simulated_seconds`` is the executor's running total of virtual
-    network time across every pass it ran (0.0 on real fabrics).
-    """
+    """Runs the tasks of one pass in order."""
 
     def __init__(self):
-        self.simulated_seconds = 0.0
-        self.passes = 0
         # Process-wide scheduling accounting (executors are created per
         # run/session, so per-instance counters would vanish with
         # them); instruments fetched once, incremented per pass.
@@ -94,29 +80,16 @@ class PassExecutor:
 
     def run_pass(self, tasks: list[PeerQuery]) -> list[PeerQueryOutcome]:
         """Execute one pass; outcomes are returned in task order."""
-        self.passes += 1
         self._obs_passes.inc()
         self._obs_queries.inc(len(tasks))
-        if not tasks:
-            return []
-        outcomes = [self._run_one(task) for task in tasks]
-        self.simulated_seconds += self._charge(
-            [outcome.simulated_delta for outcome in outcomes])
-        return outcomes
+        return [self._run_one(task) for task in tasks]
 
     @staticmethod
     def _run_one(task: PeerQuery) -> PeerQueryOutcome:
         task.prepare()
         ledger = LeakageLedger()
-        before = task.simulated_clock()
         count = task.run(ledger)
-        return PeerQueryOutcome(
-            peer=task.peer, count=count, ledger=ledger,
-            simulated_delta=task.simulated_clock() - before)
-
-    def _charge(self, deltas: list[float]) -> float:
-        """The peer queries of a pass happen back to back."""
-        return sum(deltas)
+        return PeerQueryOutcome(peer=task.peer, count=count, ledger=ledger)
 
 
 class AsyncPassExecutor(PassExecutor):
@@ -127,8 +100,7 @@ class AsyncPassExecutor(PassExecutor):
     parking on the per-(session, pair) frame queue instead of blocking
     a thread.  ``asyncio.gather`` preserves argument order, so outcomes
     come back in task order and the merge-determinism contract of
-    :class:`PassExecutor` carries over unchanged; the virtual-time
-    charge is ``max`` (all peers overlap).
+    :class:`PassExecutor` carries over unchanged.
 
     ``prepare`` fires exactly once per task here, *outside* ``run`` --
     the restartable channel may re-execute the query body, and the
@@ -148,26 +120,13 @@ class AsyncPassExecutor(PassExecutor):
     async def run_pass_async(
             self, tasks: list[PeerQuery]) -> list[PeerQueryOutcome]:
         """Execute one pass concurrently; outcomes in task order."""
-        self.passes += 1
         self._obs_passes.inc()
         self._obs_queries.inc(len(tasks))
-        if not tasks:
-            return []
-        outcomes = list(await asyncio.gather(
+        return list(await asyncio.gather(
             *(self._run_one_async(task) for task in tasks)))
-        self.simulated_seconds += self._charge(
-            [outcome.simulated_delta for outcome in outcomes])
-        return outcomes
 
     async def _run_one_async(self, task: PeerQuery) -> PeerQueryOutcome:
         task.prepare()
         ledger = LeakageLedger()
-        before = task.simulated_clock()
         count = await self._run_query(task, ledger)
-        return PeerQueryOutcome(
-            peer=task.peer, count=count, ledger=ledger,
-            simulated_delta=task.simulated_clock() - before)
-
-    def _charge(self, deltas: list[float]) -> float:
-        """All peer coroutines overlap: the pass costs its slowest link."""
-        return max(deltas)
+        return PeerQueryOutcome(peer=task.peer, count=count, ledger=ledger)

@@ -7,11 +7,10 @@ provides both: a duplex channel whose endpoints serialize every message,
 count the exact bytes, and append to a transcript that the privacy
 simulators replay.
 
-Delivery underneath the channel is pluggable (``repro.net.transport``):
-in-process deques for single-threaded choreographies, blocking
-thread-safe queues so party programs can run on separate threads, and a
-simulated-network fabric that charges virtual round-trip latency to the
-stats ledger.
+Delivery underneath the channel is a ``repro.net.transport`` fabric:
+in-process deques for choreographies that run both parties in one
+interpreter, and socket fabrics for the runtimes whose parties live in
+separate processes.
 """
 
 from repro.net.serialization import serialize_message, deserialize_message
@@ -22,12 +21,9 @@ from repro.net.party import Party
 from repro.net.transport import (
     InProcessTransport,
     ProtocolDesyncError,
-    SimulatedNetworkTransport,
-    ThreadedTransport,
     Transport,
     TransportClosedError,
     TransportError,
-    TransportSpec,
     TransportTimeoutError,
 )
 
@@ -42,12 +38,9 @@ __all__ = [
     "CommunicationStats",
     "Party",
     "Transport",
-    "TransportSpec",
     "TransportError",
     "TransportClosedError",
     "TransportTimeoutError",
     "ProtocolDesyncError",
     "InProcessTransport",
-    "ThreadedTransport",
-    "SimulatedNetworkTransport",
 ]

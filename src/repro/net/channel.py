@@ -9,15 +9,13 @@ receiving deserializes from the wire bytes, so a value that cannot
 round-trip the wire format can never silently leak through the
 accounting.
 
-Delivery itself is delegated to a pluggable
+Delivery itself is delegated to a
 :class:`~repro.net.transport.Transport`: the default
 :class:`~repro.net.transport.InProcessTransport` reproduces the seed-era
 FIFO-deque semantics exactly (empty inbox = :class:`ProtocolDesyncError`),
-:class:`~repro.net.transport.ThreadedTransport` lets the two party
-programs run on separate threads, and
-:class:`~repro.net.transport.SimulatedNetworkTransport` charges virtual
-round-trip latency to the stats ledger.  The channel's accounting is
-identical across fabrics -- property-tested in ``tests/net``.
+and a :class:`~repro.net.transport.TcpTransport` carries one endpoint's
+side of the link to another process.  The channel's accounting does not
+depend on the fabric.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ class Channel:
         if transport is None:
             transport = InProcessTransport(left_name, right_name)
         self.transport = transport
-        self.transport.attach_stats(self.stats)
         self._closed = False
         self.left = ChannelEndpoint(self, left_name, right_name)
         self.right = ChannelEndpoint(self, right_name, left_name)
@@ -60,19 +57,11 @@ class Channel:
     def endpoints(self) -> tuple["ChannelEndpoint", "ChannelEndpoint"]:
         return self.left, self.right
 
-    @property
-    def simulated_seconds(self) -> float:
-        """Virtual link time consumed (0.0 unless the fabric simulates)."""
-        return self.transport.simulated_seconds
-
     def close(self, reason: str | None = None) -> None:
-        """Close the link; ``reason`` reaches any peer parked in a
-        blocking receive (see :meth:`Transport.close`) so an orchestrated
-        party that dies mid-protocol leaves a diagnosable error, not a
-        hang.  The channel is marked closed *after* the transport is
-        poisoned: a racing party program either completes its call or
-        fails fast with the transport's diagnosis -- never with a bare
-        "channel is closed" that hides which peer died."""
+        """Close the link; over a socket fabric ``reason`` reaches the
+        peer (see :meth:`Transport.close`), so an orchestrated party
+        that dies mid-protocol leaves a diagnosable error, not a
+        hang."""
         self.transport.close(reason)
         self._closed = True
 

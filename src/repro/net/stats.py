@@ -6,12 +6,11 @@ E3, E4, E9 and E10 benchmarks read these counters and fit them against
 the closed-form predictions in ``repro.analysis.communication``.
 
 Thread safety: one accumulator is shared by both endpoints of a channel,
-and with a :class:`~repro.net.transport.ThreadedTransport` those
-endpoints live on different threads -- so :meth:`record`,
-:meth:`record_simulated_wait`, :meth:`merge`, and :meth:`snapshot` all
-take an internal lock.  Single-threaded choreographies pay one
-uncontended lock acquire per message, which is noise next to
-serialization.
+and a channel may be driven from a worker thread (the scheduler tests
+run each peer query under ``asyncio.to_thread``) -- so :meth:`record`,
+:meth:`merge`, and :meth:`snapshot` all take an internal lock.
+Single-threaded choreographies pay one uncontended lock acquire per
+message, which is noise next to serialization.
 """
 
 from __future__ import annotations
@@ -28,12 +27,6 @@ class CommunicationStats:
     ``rounds`` counts direction switches: consecutive messages from the
     same sender batch into one round (the latency-relevant cost measure
     for interactive protocols).
-
-    ``simulated_seconds`` is the latency ledger: virtual wall-clock a
-    :class:`~repro.net.transport.SimulatedNetworkTransport` charged to
-    this link (the time an endpoint spent waiting for arrivals), broken
-    down per waiting endpoint in ``simulated_waits``.  Real fabrics
-    leave both at zero.
     """
 
     bytes_by_direction: dict[str, int] = field(
@@ -45,9 +38,6 @@ class CommunicationStats:
     messages_by_label: dict[str, int] = field(
         default_factory=lambda: defaultdict(int))
     rounds: int = 0
-    simulated_seconds: float = 0.0
-    simulated_waits: dict[str, float] = field(
-        default_factory=lambda: defaultdict(float))
     _last_sender: str | None = field(default=None, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
@@ -63,12 +53,6 @@ class CommunicationStats:
             if sender != self._last_sender:
                 self.rounds += 1
                 self._last_sender = sender
-
-    def record_simulated_wait(self, receiver: str, seconds: float) -> None:
-        """Charge virtual network wait time to the latency ledger."""
-        with self._lock:
-            self.simulated_seconds += seconds
-            self.simulated_waits[receiver] += seconds
 
     @property
     def total_bytes(self) -> int:
@@ -94,10 +78,8 @@ class CommunicationStats:
     def merge(self, other: "CommunicationStats") -> None:
         """Fold another accumulator into this one (multi-channel runs).
 
-        Rounds and simulated seconds add up: pairwise channels are
-        independent links, so the merged figure is the conservative
-        sequential sum (a concurrent scheduler reports its overlapped
-        wall-clock separately -- see ``multiparty.scheduler``).
+        Rounds add up: pairwise channels are independent links, so the
+        merged figure is the sequential sum.
         """
         with other._lock:
             other_bytes_dir = dict(other.bytes_by_direction)
@@ -105,8 +87,6 @@ class CommunicationStats:
             other_bytes_label = dict(other.bytes_by_label)
             other_msgs_label = dict(other.messages_by_label)
             other_rounds = other.rounds
-            other_sim = other.simulated_seconds
-            other_waits = dict(other.simulated_waits)
         with self._lock:
             for key, value in other_bytes_dir.items():
                 self.bytes_by_direction[key] += value
@@ -117,9 +97,6 @@ class CommunicationStats:
             for key, value in other_msgs_label.items():
                 self.messages_by_label[key] += value
             self.rounds += other_rounds
-            self.simulated_seconds += other_sim
-            for key, value in other_waits.items():
-                self.simulated_waits[key] += value
 
     def snapshot(self) -> dict:
         """Plain-dict copy for reports and benchmark JSON output."""
@@ -128,7 +105,6 @@ class CommunicationStats:
                 "total_bytes": sum(self.bytes_by_direction.values()),
                 "total_messages": sum(self.messages_by_direction.values()),
                 "rounds": self.rounds,
-                "simulated_seconds": self.simulated_seconds,
                 "bytes_by_direction": dict(self.bytes_by_direction),
                 "messages_by_direction": dict(self.messages_by_direction),
                 "bytes_by_label": dict(self.bytes_by_label),
@@ -139,8 +115,7 @@ class CommunicationStats:
 #: the single authoritative field list :func:`merge_snapshots` folds.
 #: Extend these alongside ``snapshot()`` and cross-process merges stay
 #: in lockstep automatically.
-_SNAPSHOT_SCALARS = ("total_bytes", "total_messages", "rounds",
-                     "simulated_seconds")
+_SNAPSHOT_SCALARS = ("total_bytes", "total_messages", "rounds")
 _SNAPSHOT_MAPPINGS = ("bytes_by_direction", "messages_by_direction",
                       "bytes_by_label")
 
@@ -150,13 +125,12 @@ def merge_snapshots(snapshots) -> dict:
 
     Semantically :meth:`CommunicationStats.merge` over independent links
     followed by :meth:`~CommunicationStats.snapshot` -- scalars add (the
-    conservative sequential figure, as ``merge`` documents), mappings
-    add per key.  Lives here, next to the snapshot field list, so the
-    socket runtime's cross-process merge cannot drift from the
-    in-process accounting when a field is added.
+    sequential figure, as ``merge`` documents), mappings add per key.
+    Lives here, next to the snapshot field list, so the socket
+    runtime's cross-process merge cannot drift from the in-process
+    accounting when a field is added.
     """
     merged: dict = {name: 0 for name in _SNAPSHOT_SCALARS}
-    merged["simulated_seconds"] = 0.0
     for name in _SNAPSHOT_MAPPINGS:
         merged[name] = {}
     for snapshot in snapshots:

@@ -30,10 +30,10 @@ class TranscriptEntry:
 class Transcript:
     """Ordered record of all messages in a protocol execution.
 
-    ``record`` is locked so a channel whose two party programs run on
-    separate threads (:class:`~repro.net.transport.ThreadedTransport`)
-    cannot assign duplicate indices; entry *order* under true
-    concurrency is whatever the interleaving produced.
+    ``record`` is locked so threads recording into one transcript (the
+    scheduler tests drive channels from worker threads) cannot assign
+    duplicate indices; entry *order* under true concurrency is whatever
+    the interleaving produced.
     """
 
     entries: list[TranscriptEntry] = field(default_factory=list)

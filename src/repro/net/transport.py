@@ -1,42 +1,33 @@
-"""Pluggable message-delivery fabrics for a two-party link.
+"""Message-delivery fabrics for a two-party link.
 
 A :class:`~repro.net.channel.Channel` owns *accounting* (wire
 serialization, byte/round statistics, the transcript); the
 :class:`Transport` underneath it owns *delivery*: how a framed message
 travels from one endpoint's outbox to the other endpoint's inbox, and
-what "the inbox is empty" means.  Four fabrics implement the interface:
+what "the inbox is empty" means.  The fabrics, one per place a link
+can live:
 
-- :class:`InProcessTransport` -- the seed-era semantics: plain FIFO
-  deques, zero cost, and an empty inbox is a protocol bug
-  (:class:`ProtocolDesyncError`), never a timing condition.  This is
-  what single-threaded choreographies run on.
-- :class:`ThreadedTransport` -- thread-safe queues with blocking
-  receive and a timeout, so the two party programs of one link can run
-  on separate threads; an empty inbox blocks until the peer's send
-  lands, and only a timeout (deadlock, crashed peer) raises
-  (:class:`TransportTimeoutError`).
-- :class:`SimulatedNetworkTransport` -- in-process delivery plus a
-  per-link latency/bandwidth model: every endpoint carries a virtual
-  clock, each message arrives ``latency + wire_bits/bandwidth`` after
-  its sender's clock (plus an optional seeded jitter draw), and a
-  receive that has to "wait" for an arrival advances the receiver's
-  clock and charges the wait to the link's
-  :class:`~repro.net.stats.CommunicationStats` latency ledger.  This is
-  how benchmarks make round-trip latency -- the dominant online cost of
-  interactive protocols on real networks -- visible without sleeping.
+- :class:`InProcessTransport` -- both endpoints in one interpreter:
+  plain FIFO deques, zero cost, and an empty inbox is a protocol bug
+  (:class:`ProtocolDesyncError`), never a timing condition.  Every
+  in-process channel runs on it.
 - :class:`TcpTransport` -- a real socket: the link's two endpoints live
-  in *different OS processes*, connected by a
-  :class:`~repro.net.framing.FramedConnection`.  Each process serves
-  only its local endpoint -- ``deliver`` writes one length-prefixed
-  frame carrying the label and the exact
+  in *different OS processes* (the party-process runtime), connected
+  by a :class:`~repro.net.framing.FramedConnection`.  Each process
+  serves only its local endpoint -- ``deliver`` writes one
+  length-prefixed frame carrying the label and the exact
   :mod:`repro.net.serialization` wire bytes, ``collect`` blocks on the
   socket -- so the message sequence on the wire is byte-identical to
-  what the in-process fabrics queue.  Timeouts map to
+  what the in-process fabric queues.  Timeouts map to
   :class:`TransportTimeoutError`, peer teardown (goodbye frame or EOF)
   to :class:`TransportClosedError`, and both error messages name the
   pair, the local party, and the last frame seen, so an orchestrated
   party that dies mid-protocol is diagnosable from the survivor's
-  exception alone.
+  exception alone.  (A resumed party re-drives its checkpointed passes
+  over :class:`~repro.runtime.checkpoint.ReplayTransport` first.)
+- :class:`SessionLinkTransport` -- one daemon session's view of an
+  :class:`AsyncTcpTransport`, the persistent pair connection that
+  multiplexes many sessions on the daemon's event loop.
 
 Transports never look inside ``wire`` bytes and never see plaintext
 values; the trust boundary stays in the channel layer.
@@ -45,15 +36,10 @@ values; the trust boundary stays in the channel layer.
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import hashlib
-import queue
 import random
-import threading
 from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.net.framing import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -78,9 +64,6 @@ from repro.net.framing import (
     read_frame_async,
 )
 from repro.obs.metrics import MetricsRegistry
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (stats type)
-    from repro.net.stats import CommunicationStats
 
 
 class TransportError(RuntimeError):
@@ -137,13 +120,6 @@ class Transport(ABC):
                 f"{name!r} is not an endpoint of this link "
                 f"({self.left_name!r} <-> {self.right_name!r})")
 
-    def attach_stats(self, stats: "CommunicationStats") -> None:
-        """Give the transport a stats ledger to charge timing costs to.
-
-        Called by the channel at construction; the base fabrics have
-        nothing to charge and ignore it.
-        """
-
     @abstractmethod
     def deliver(self, sender: str, receiver: str, label: str,
                 wire: bytes) -> None:
@@ -168,11 +144,6 @@ class Transport(ABC):
         unblock ignore it.
         """
 
-    @property
-    def simulated_seconds(self) -> float:
-        """Simulated link time consumed so far (0.0 for real fabrics)."""
-        return 0.0
-
 
 class InProcessTransport(Transport):
     """Seed-era FIFO deques: free delivery, loud desync on empty inbox."""
@@ -196,200 +167,6 @@ class InProcessTransport(Transport):
                 f"{receiver} tried to receive "
                 f"{expected_label or 'a message'} but the inbox is empty")
         return inbox.popleft()
-
-
-class ThreadedTransport(Transport):
-    """Blocking thread-safe queues: one party program per thread.
-
-    The choreography style (one thread playing both parties) still works
-    -- a send is always enqueued before the matching receive runs, so
-    the blocking get returns immediately.  Two-thread executions block
-    on empty inboxes until the peer catches up; ``timeout_s`` bounds the
-    wait so a desynchronized pair of programs fails with a
-    :class:`TransportTimeoutError` instead of deadlocking the suite.
-
-    :meth:`close` poisons both inboxes with a sentinel (queued *behind*
-    any undelivered messages, which stay readable), so a receiver that
-    is parked in the blocking get when the peer tears the link down
-    fails immediately with :class:`TransportClosedError` instead of
-    stalling out its full timeout.  ``close(reason=...)`` threads a
-    diagnosis -- typically *which* party program died and why -- into
-    that error, and both the timeout and the closed error name the pair
-    and the last frame that made it across, so a supervisor tearing
-    down a crashed party leaves the surviving program with an exception
-    that says who failed, on which link, and how far the protocol got.
-    """
-
-    _CLOSED = object()  # inbox poison; never crosses serialization
-
-    def __init__(self, left_name: str = "alice", right_name: str = "bob",
-                 timeout_s: float = 5.0):
-        super().__init__(left_name, right_name)
-        if timeout_s <= 0:
-            raise TransportError(f"timeout_s must be > 0, got {timeout_s}")
-        self.timeout_s = timeout_s
-        self._inboxes: dict[str, queue.Queue] = {left_name: queue.Queue(),
-                                                 right_name: queue.Queue()}
-        self._last_frame: tuple[str, str, str] | None = None
-        self._close_reason: str | None = None
-
-    def _pair_context(self) -> str:
-        return link_context(self.left_name, self.right_name,
-                            self._last_frame)
-
-    def deliver(self, sender: str, receiver: str, label: str,
-                wire: bytes) -> None:
-        self._check_endpoint(receiver)
-        self._last_frame = (sender, receiver, label)
-        self._inboxes[receiver].put((label, wire))
-
-    def collect(self, receiver: str,
-                expected_label: str | None) -> tuple[str, bytes]:
-        self._check_endpoint(receiver)
-        try:
-            item = self._inboxes[receiver].get(timeout=self.timeout_s)
-        except queue.Empty:
-            raise TransportTimeoutError(
-                f"{receiver} waited {self.timeout_s}s for "
-                f"{expected_label or 'a message'}; the peer never sent it "
-                f"({self._pair_context()})"
-            ) from None
-        if item is self._CLOSED:
-            # Re-poison so every later receive fails fast too.
-            self._inboxes[receiver].put(self._CLOSED)
-            reason = f": {self._close_reason}" if self._close_reason else ""
-            raise TransportClosedError(
-                f"link closed while {receiver} waited for "
-                f"{expected_label or 'a message'}{reason} "
-                f"({self._pair_context()})")
-        return item
-
-    def close(self, reason: str | None = None) -> None:
-        if reason is not None and self._close_reason is None:
-            self._close_reason = reason
-        for inbox in self._inboxes.values():
-            inbox.put(self._CLOSED)
-
-
-class SimulatedNetworkTransport(Transport):
-    """In-process delivery under a virtual latency/bandwidth clock.
-
-    Each endpoint carries a virtual clock (seconds).  A message sent at
-    sender-time ``t`` arrives at ``t + latency_s + wire_bits/bandwidth``;
-    collecting it advances the receiver's clock to the arrival time (the
-    receiver "waited" for the network) and charges the wait to the stats
-    latency ledger.  Consecutive messages from one sender pipeline: each
-    pays its own transfer time but the link's latency is paid once per
-    direction switch along the conversation, exactly the round structure
-    :class:`~repro.net.stats.CommunicationStats` counts.
-
-    ``elapsed`` -- the maximum endpoint clock -- is the simulated
-    wall-clock a single-threaded choreography over this link would have
-    consumed on a real network with these link parameters.
-
-    Jitter: with ``jitter_s > 0`` every message pays an extra uniform
-    draw from ``[0, jitter_s)`` on top of the base latency, from
-    ``jitter_rng`` -- seed it (see :meth:`TransportSpec.create`, which
-    derives a per-link stream from ``jitter_seed``) and the perturbed
-    timing is exactly reproducible.  Jitter models per-packet delay
-    variance only; it never reorders messages (FIFO per link, as TCP
-    guarantees) and never changes the message sequence, so protocol
-    observables stay bit-identical to the jitter-free run.
-    """
-
-    def __init__(self, left_name: str = "alice", right_name: str = "bob",
-                 latency_s: float = 0.005,
-                 bandwidth_bps: float | None = None,
-                 jitter_s: float = 0.0,
-                 jitter_rng: random.Random | None = None):
-        super().__init__(left_name, right_name)
-        if latency_s < 0:
-            raise TransportError(f"latency_s must be >= 0, got {latency_s}")
-        if bandwidth_bps is not None and bandwidth_bps <= 0:
-            raise TransportError(
-                f"bandwidth_bps must be > 0, got {bandwidth_bps}")
-        if jitter_s < 0:
-            raise TransportError(f"jitter_s must be >= 0, got {jitter_s}")
-        self.latency_s = latency_s
-        self.bandwidth_bps = bandwidth_bps
-        self.jitter_s = jitter_s
-        self._jitter_rng = (jitter_rng if jitter_rng is not None
-                            else random.Random())
-        self._inboxes: dict[str, deque] = {left_name: deque(),
-                                           right_name: deque()}
-        self._clocks: dict[str, float] = {left_name: 0.0, right_name: 0.0}
-        self._stats: "CommunicationStats | None" = None
-
-    def attach_stats(self, stats: "CommunicationStats") -> None:
-        self._stats = stats
-
-    def _transfer_seconds(self, wire: bytes) -> float:
-        if self.bandwidth_bps is None:
-            return 0.0
-        return (8 * len(wire)) / self.bandwidth_bps
-
-    def _charge(self, endpoint: str, elapsed_before: float) -> None:
-        """Charge the link's critical-path advance to the stats ledger.
-
-        Charging ``max(clocks) - previous max(clocks)`` (instead of each
-        endpoint's raw idle time, which overlaps across endpoints in an
-        alternating conversation) telescopes: the per-link ledger total
-        always equals :attr:`elapsed`, the link's simulated wall-clock.
-        """
-        advance = max(self._clocks.values()) - elapsed_before
-        if advance > 0 and self._stats is not None:
-            self._stats.record_simulated_wait(endpoint, advance)
-
-    def deliver(self, sender: str, receiver: str, label: str,
-                wire: bytes) -> None:
-        self._check_endpoint(sender)
-        self._check_endpoint(receiver)
-        # Serialization on the sender's NIC: back-to-back sends queue
-        # behind each other, so the sender's clock advances by the
-        # transfer time while the propagation latency overlaps.
-        elapsed_before = max(self._clocks.values())
-        self._clocks[sender] += self._transfer_seconds(wire)
-        arrival = self._clocks[sender] + self.latency_s
-        if self.jitter_s > 0:
-            arrival += self._jitter_rng.uniform(0.0, self.jitter_s)
-        inbox = self._inboxes[receiver]
-        if inbox:
-            # In-order delivery (TCP semantics): a lucky jitter draw
-            # cannot overtake a message already in flight to the same
-            # receiver -- head-of-line, arrivals are monotone per link
-            # direction.
-            arrival = max(arrival, inbox[-1][2])
-        inbox.append((label, wire, arrival))
-        self._charge(sender, elapsed_before)
-
-    def collect(self, receiver: str,
-                expected_label: str | None) -> tuple[str, bytes]:
-        self._check_endpoint(receiver)
-        inbox = self._inboxes[receiver]
-        if not inbox:
-            raise ProtocolDesyncError(
-                f"{receiver} tried to receive "
-                f"{expected_label or 'a message'} but the inbox is empty")
-        label, wire, arrival = inbox.popleft()
-        if arrival > self._clocks[receiver]:
-            elapsed_before = max(self._clocks.values())
-            self._clocks[receiver] = arrival
-            self._charge(receiver, elapsed_before)
-        return label, wire
-
-    def clock_of(self, name: str) -> float:
-        """The named endpoint's virtual clock, in seconds."""
-        self._check_endpoint(name)
-        return self._clocks[name]
-
-    @property
-    def elapsed(self) -> float:
-        """Simulated wall-clock of the link: the later endpoint clock."""
-        return max(self._clocks.values())
-
-    @property
-    def simulated_seconds(self) -> float:
-        return self.elapsed
 
 
 class TcpTransport(Transport):
@@ -798,15 +575,16 @@ class AsyncTcpTransport:
 class SessionLinkTransport(Transport):
     """One session's view of a shared :class:`AsyncTcpTransport`.
 
-    A full :class:`Transport`: ``deliver`` encodes the protocol message
-    as an ``m`` frame tagged with the session id and hands it to the
-    hub's writer queue; ``collect`` -- called from a session worker
-    thread, never the loop -- parks on the session's inbound future
-    queue via ``run_coroutine_threadsafe``.  The control plane
-    (``c`` frames: query announcements, end-of-pass, session sync) uses
-    :meth:`send_control` / :meth:`next_control` and never touches the
-    message queue, mirroring the single-session runtime's strict
-    C-frame / M-frame separation.
+    ``deliver`` encodes the protocol message as an ``m`` frame tagged
+    with the session id and hands it to the hub's writer queue.
+    Receiving happens on the event loop, never on a blocked thread:
+    :meth:`try_collect` takes an already-arrived frame and
+    :meth:`wait_message` awaits the next one, both from the session's
+    inbound queue (the blocking :meth:`collect` refuses).  The control
+    plane (``c`` frames: query announcements, end-of-pass, session
+    sync) uses :meth:`send_control` / :meth:`next_control` and never
+    touches the message queue, mirroring the single-session runtime's
+    strict C-frame / M-frame separation.
 
     Closing a view never closes the shared connection; it only detaches
     the session from the hub's demux table.
@@ -845,20 +623,15 @@ class SessionLinkTransport(Transport):
 
     def collect(self, receiver: str,
                 expected_label: str | None) -> tuple[str, bytes]:
-        self._check_endpoint(receiver)
-        if receiver != self.local_name:
-            raise TransportError(
-                f"{receiver!r} is not the local endpoint of this daemon "
-                f"({self._context()})")
-        want = expected_label or "a message"
-        item = self._await_from_worker(self._message_queue, want)
-        return item
+        raise TransportError(
+            f"daemon sessions receive through try_collect and "
+            f"wait_message, never a blocking collect ({self._context()})")
 
     def try_collect(self, receiver: str,
                     expected_label: str | None
                     ) -> tuple[str, bytes] | None:
-        """Non-blocking :meth:`collect`: the already-arrived frame, or
-        ``None`` when the peer's frame is still in flight.
+        """The already-arrived frame for ``receiver``, or ``None`` when
+        the peer's frame is still in flight.
 
         This is the message-granularity probe of the async pass
         executor: a restartable choreography segment calls it at a
@@ -882,10 +655,10 @@ class SessionLinkTransport(Transport):
                            ) -> tuple[str, bytes]:
         """Await the session's next protocol frame (loop coroutine).
 
-        The coroutine twin of a worker-thread :meth:`collect`: same
-        timeout budget, same closed/auth-failure classification, but it
-        parks only this coroutine on the per-(session, pair) queue --
-        the daemon's thread count stays flat however many sessions are
+        Bounded by the hub's ``timeout_s``; a closed link or a failed
+        MAC raises as :meth:`_checked_item` classifies it.  Only this
+        coroutine parks on the per-(session, pair) queue, so the
+        daemon's thread count stays flat however many sessions are
         simultaneously waiting here.
         """
         try:
@@ -928,31 +701,10 @@ class SessionLinkTransport(Transport):
 
     # -- plumbing ----------------------------------------------------------
 
-    def _await_from_worker(self, source: asyncio.Queue, want: str):
-        try:
-            asyncio.get_running_loop()
-        except RuntimeError:
-            pass
-        else:
-            raise TransportError(
-                f"collect() must not run on the event loop thread "
-                f"({self._context()})")
-        future = asyncio.run_coroutine_threadsafe(source.get(),
-                                                  self.hub._loop)
-        try:
-            item = future.result(self.hub.timeout_s)
-        except concurrent.futures.TimeoutError:
-            future.cancel()
-            raise TransportTimeoutError(
-                f"{self.local_name} waited {self.hub.timeout_s}s for "
-                f"{want}; the peer never sent it ({self._context()})"
-            ) from None
-        return self._checked_item(item, source, want)
-
     def _checked_item(self, item, source: asyncio.Queue, want: str):
         """Classify a dequeued item: re-seat the closed sentinel (every
-        later receiver must see it too) and raise the same failure the
-        worker-thread path raises -- auth failures named as such."""
+        later receiver must see it too) and raise the link's failure --
+        auth failures named as such, anything else as a closure."""
         if item is AsyncTcpTransport._CLOSED:
             source.put_nowait(AsyncTcpTransport._CLOSED)
             reason = (f": {self.hub._close_reason}"
@@ -980,8 +732,8 @@ def derive_seeded_stream(seed: int | None, *parts) -> random.Random:
     across processes (``PYTHONHASHSEED``-proof) and independent of
     creation order; ``None`` stays nondeterministic.  The derivation
     primitive behind ``repro.multiparty.mesh.derive_pair_rng`` (per-pair
-    protocol coins) and :func:`derive_jitter_rng` (per-link timing
-    noise) -- one implementation, distinct part-tagged streams.
+    protocol coins), the fault plan and the retry backoff -- one
+    implementation, distinct part-tagged streams.
     """
     if seed is None:
         return random.Random()
@@ -990,126 +742,5 @@ def derive_seeded_stream(seed: int | None, *parts) -> random.Random:
         int.from_bytes(hashlib.sha256(material).digest(), "big"))
 
 
-def derive_jitter_rng(seed: int | None, left: str,
-                      right: str) -> random.Random:
-    """Deterministic per-link jitter stream (see
-    :func:`derive_seeded_stream`; the ``"jitter"`` tag keeps it disjoint
-    from every protocol coin stream)."""
-    return derive_seeded_stream(seed, "jitter", left, right)
-
-
-@dataclass(frozen=True)
-class LinkProfile:
-    """Per-link overrides for the simulated fabric (heterogeneous WANs).
-
-    ``None`` fields inherit the :class:`TransportSpec` defaults, so a
-    profile can override just the latency of one slow pair while the
-    rest of the mesh keeps the spec-wide numbers.
-    """
-
-    latency_s: float | None = None
-    bandwidth_bps: float | None = None
-    jitter_s: float | None = None
-
-
-_TRANSPORT_KINDS = ("in_process", "threaded", "simulated")
-
-
 def canonical_pair(left: str, right: str) -> tuple[str, str]:
     return (left, right) if left <= right else (right, left)
-
-
-@dataclass(frozen=True)
-class TransportSpec:
-    """Declarative transport choice, carried by ``SmcConfig``.
-
-    Configs are frozen value objects shared across pairwise links, so
-    they carry a *spec* rather than a transport instance; every link
-    calls :meth:`create` for its own private fabric.  (The TCP fabric is
-    *not* spec-creatable: a real socket needs a connected, handshaken
-    link that only the :mod:`repro.runtime` session layer can provide.)
-
-    Attributes:
-        kind: ``"in_process"`` (default), ``"threaded"``, or
-            ``"simulated"``.
-        latency_s: one-way link latency for the simulated fabric.
-        bandwidth_bps: link bandwidth in bits/second for the simulated
-            fabric; ``None`` models infinite bandwidth (latency only).
-        timeout_s: blocking-receive timeout for the threaded fabric.
-        jitter_s: per-message uniform delay spread for the simulated
-            fabric (0 = the deterministic fixed-latency model).
-        jitter_seed: when set, each link draws its jitter from a
-            deterministic per-link stream (stable across processes and
-            link creation order); ``None`` = nondeterministic jitter.
-        per_link: heterogeneous link parameters -- a mapping from an
-            unordered name pair to a :class:`LinkProfile`; accepted as a
-            dict at construction and normalized to a sorted tuple so the
-            spec stays hashable.  Links without a profile use the
-            spec-wide defaults.
-    """
-
-    kind: str = "in_process"
-    latency_s: float = 0.005
-    bandwidth_bps: float | None = None
-    timeout_s: float = 5.0
-    jitter_s: float = 0.0
-    jitter_seed: int | None = None
-    per_link: object = ()
-
-    def __post_init__(self):
-        if self.kind not in _TRANSPORT_KINDS:
-            raise TransportError(
-                f"unknown transport kind {self.kind!r}; "
-                f"expected one of {_TRANSPORT_KINDS}")
-        if self.jitter_s < 0:
-            raise TransportError(
-                f"jitter_s must be >= 0, got {self.jitter_s}")
-        items = (self.per_link.items() if isinstance(self.per_link, dict)
-                 else self.per_link)
-        normalized = []
-        for pair, profile in items:
-            left, right = pair
-            if left == right:
-                raise TransportError(
-                    f"per_link pair {pair!r} names one endpoint twice")
-            if not isinstance(profile, LinkProfile):
-                raise TransportError(
-                    f"per_link value for {pair!r} must be a LinkProfile, "
-                    f"got {type(profile).__name__}")
-            normalized.append((canonical_pair(left, right), profile))
-        normalized.sort(key=lambda item: item[0])
-        keys = [pair for pair, _ in normalized]
-        if len(set(keys)) != len(keys):
-            raise TransportError(
-                f"duplicate per_link pair in {keys}")
-        object.__setattr__(self, "per_link", tuple(normalized))
-
-    def link_profile(self, left_name: str,
-                     right_name: str) -> LinkProfile | None:
-        key = canonical_pair(left_name, right_name)
-        for pair, profile in self.per_link:
-            if pair == key:
-                return profile
-        return None
-
-    def create(self, left_name: str, right_name: str) -> Transport:
-        """Build a fresh fabric for one link."""
-        if self.kind == "threaded":
-            return ThreadedTransport(left_name, right_name,
-                                     timeout_s=self.timeout_s)
-        if self.kind == "simulated":
-            profile = self.link_profile(left_name, right_name) \
-                or LinkProfile()
-            latency = (profile.latency_s if profile.latency_s is not None
-                       else self.latency_s)
-            bandwidth = (profile.bandwidth_bps
-                         if profile.bandwidth_bps is not None
-                         else self.bandwidth_bps)
-            jitter = (profile.jitter_s if profile.jitter_s is not None
-                      else self.jitter_s)
-            return SimulatedNetworkTransport(
-                left_name, right_name, latency_s=latency,
-                bandwidth_bps=bandwidth, jitter_s=jitter,
-                jitter_rng=derive_jitter_rng(self.jitter_seed, left_name,
-                                             right_name))
-        return InProcessTransport(left_name, right_name)

@@ -1,6 +1,6 @@
 """Socket runtime: party processes over TCP and a session orchestrator.
 
-The in-process fabrics of :mod:`repro.net.transport` simulate a network
+The in-process fabric of :mod:`repro.net.transport` runs every party
 inside one interpreter; this package runs the same protocols across
 *real OS processes* over loopback (or LAN) TCP:
 
@@ -35,9 +35,6 @@ inside one interpreter; this package runs the same protocols across
   deaths with ``--resume`` under a bounded budget), collects the
   per-party reports, and merges them into the same result shape the
   in-process mesh returns.
-- :mod:`repro.runtime.supervisor` -- thread-level party-program
-  supervision used by tests and the threaded fabric: a dying program
-  closes its channel with a diagnosis instead of leaving peers hung.
 - :mod:`repro.runtime.daemon` -- the resident party daemon: one asyncio
   event loop per party, persistent pair links carrying *many*
   interleaved clustering sessions (session-tagged frames, demultiplexed

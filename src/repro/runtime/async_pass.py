@@ -17,10 +17,10 @@ the PR-6 checkpoint recovery uses, applied at message granularity:
 
 1. A per-peer secure query runs inline.  Channel sends by the local
    party execute in full (serialize, record, deliver).  A *remote*
-   send -- the substitution point where the threaded channel would
-   block on the socket -- instead polls the per-(session, pair) frame
-   queue; if the authentic frame has not arrived, the channel raises
-   :class:`NeedFrame`.
+   send -- the substitution point where the party-process channel
+   would block on the socket -- instead polls the per-(session, pair)
+   frame queue; if the authentic frame has not arrived, the channel
+   raises :class:`NeedFrame`.
 2. The pair runtime catches it, rolls the pair's mutable state (party
    RNGs, randomness pools, comparison counter, cipher cache) back to
    the snapshot taken at query start, and ``await``\\ s the frame --
@@ -314,14 +314,13 @@ async def drive_pass_async(mesh, driver_name: str,
                            span=NULL_SPAN):
     """One driver pass at message granularity: the async ``_driver_pass``.
 
-    Steps the *same* :func:`_pass_program` generator as the threaded
+    Steps the *same* :func:`_pass_program` generator as the synchronous
     driver -- identical clustering control flow, identical query
     sequence -- but executes each density test's per-peer queries as
     coroutines under ``asyncio.gather`` via the pair runtimes.  Returns
-    ``(labels, executor)``; the executor carries the pass-level
-    virtual-time charge and pass count.  ``span`` (the pass span) gets
-    one ``peer_query`` child per (step, peer) -- the substrate of the
-    ``repro trace summarize`` critical path.
+    the pass's labels.  ``span`` (the pass span) gets one ``peer_query``
+    child per (step, peer) -- the substrate of the ``repro trace
+    summarize`` critical path.
     """
     step = 0
 
@@ -346,7 +345,7 @@ async def drive_pass_async(mesh, driver_name: str,
             step += 1
             query_point = program.send(total)
     except StopIteration as done:
-        return done.value, executor
+        return done.value
 
 
 __all__ = [

@@ -260,6 +260,8 @@ class SessionClient:
             if not isinstance(record, list) or len(record) not in (3, 4):
                 continue
             tag, session_id, body = record[:3]
+            if not isinstance(tag, str) or not isinstance(session_id, str):
+                continue
             if tag == CONTROL_METRICS:
                 # `session_id` is the request id on this record shape.
                 with self._metrics_lock:
@@ -277,7 +279,16 @@ class SessionClient:
             if handle is None:
                 continue
             if tag == CONTROL_SESSION_REPORT:
-                handle._offer(name, PartyReport.from_json(body), None)
+                # A report that does not parse fails its session; the
+                # reader keeps routing this daemon's later records.
+                try:
+                    report = PartyReport.from_json(body)
+                except (ValueError, TypeError, KeyError) as exc:
+                    handle._offer(name, None,
+                                  f"malformed session report from daemon "
+                                  f"{name!r}: {exc!r}")
+                else:
+                    handle._offer(name, report, None)
             elif tag == CONTROL_SESSION_FAILED:
                 handle._offer(name, None, str(body))
             elif tag == CONTROL_SESSION_REJECTED:

@@ -124,7 +124,6 @@ from repro.runtime.async_pass import (
     RestartableMirrorChannel,
     drive_pass_async,
 )
-from repro.runtime.mirror import MirrorChannel
 from repro.runtime.party import (
     CONTROL_END_PASS,
     CONTROL_QUERY,
@@ -187,7 +186,8 @@ class MeshSpec:
             higher-slot daemons dial lower-slot daemons' ports, and
             clients dial every daemon's port.
         host: bind/dial host (loopback by design, like the manifest).
-        timeout_s: per-receive timeout for parked session workers.
+        timeout_s: per-receive timeout for a session coroutine parked
+            on a pair link (``SessionLinkTransport.wait_message``).
         connect_timeout_s: link-up budget (daemon dials and accepts).
         net_delay_s: simulated one-way inbound latency per pair link --
             *real* event-loop time shared by all sessions on the
@@ -380,8 +380,7 @@ class _SessionMeshView:
 
     The daemon twin of ``repro.runtime.party._LocalMeshView``:
     ``begin_peer_query`` emits the session-tagged query-announcement
-    control frame (thread-safe: the hub's outbound queue is fed via
-    ``call_soon_threadsafe``).
+    control frame, from the session's pass coroutine on the event loop.
     """
 
     _QUERY_WIRE = serialize_message([CONTROL_QUERY])
@@ -406,9 +405,6 @@ class _SessionMeshView:
 
     def party_in_pair(self, name: str, peer: str) -> Party:
         return self._state.parties[self._peer(name, peer)][name]
-
-    def pair_channel(self, a: str, b: str) -> MirrorChannel:
-        return self._state.channels[self._peer(a, b)]
 
     def begin_peer_query(self, driver_name: str, peer_name: str) -> None:
         self._state.views[peer_name].send_control(self._QUERY_WIRE)
@@ -1093,7 +1089,7 @@ class PartyDaemon:
         for peer, runtime in runtimes.items():
             runtime.cache = caches[peer] if caches is not None else None
         try:
-            labels, _executor = await drive_pass_async(
+            labels = await drive_pass_async(
                 view, self.name, points_view, config,
                 manifest.value_bound, ledger, caches, runtimes,
                 span=span if span is not None else NULL_SPAN)

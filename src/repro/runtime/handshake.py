@@ -204,9 +204,10 @@ def perform_handshake(connection: FramedConnection, mine: Hello,
 def read_hello(connection: FramedConnection) -> Hello:
     """Read one hello frame; map EOF/goodbye to the handshake errors.
 
-    Used directly by the daemon's accept loop, which must *read first*
-    to learn the peer's role (mesh daemon vs session client) before it
-    can decide how to answer.
+    The second half of both dialing handshakes (:func:`perform_handshake`
+    and :func:`perform_client_handshake`); the daemon's asyncio accept
+    loop reads hellos with :func:`~repro.runtime.daemon.read_hello_async`
+    instead.
     """
     try:
         kind, payload = connection.read_frame()
@@ -227,27 +228,6 @@ def read_hello(connection: FramedConnection) -> Hello:
         _refuse(connection,
                 f"expected a hello frame, got kind {kind!r}")
     return Hello.from_wire(payload)
-
-
-def answer_handshake(connection: FramedConnection, mine: Hello,
-                     theirs: Hello, expected_peer: str) -> Hello:
-    """Acceptor half of an asymmetric handshake.
-
-    The daemon accept loop has already read the dialer's hello (to
-    dispatch on its role); this validates it against ours and answers
-    with our hello, refusing with a goodbye on any mismatch.  Paired
-    with :func:`perform_handshake` on the dialing side, whose
-    send-first/read-second shape is unchanged.
-    """
-    mine = mine.authenticated(connection.authenticator)
-    _validate_symmetric(connection, mine, theirs, expected_peer)
-    try:
-        connection.write_frame(FRAME_HELLO, mine.to_wire())
-    except (ConnectionClosedError, FramingError) as exc:
-        raise HandshakePeerLost(
-            f"{connection.name}: peer vanished during the handshake "
-            f"({exc})") from exc
-    return theirs
 
 
 def hello_mismatch(mine: Hello, theirs: Hello, expected_peer: str,
@@ -360,39 +340,6 @@ def perform_client_handshake(connection: FramedConnection, *,
                     f"daemon {theirs_value!r}",
                     field_name=field_name, ours=ours_value,
                     theirs=theirs_value)
-    return theirs
-
-
-def answer_client_handshake(connection: FramedConnection, theirs: Hello,
-                            *, daemon_id: str,
-                            config_digest: str) -> Hello:
-    """Daemon side of a session-submission link.
-
-    ``theirs`` was already read by the accept loop.  The daemon cannot
-    know client ids in advance, so only the version and the mesh-spec
-    digest are refused on mismatch; the client id is whatever the
-    client claims and scopes nothing security-relevant (per-session
-    validation happens on submission).
-    """
-    mismatch = client_hello_mismatch(theirs, config_digest,
-                                     connection.authenticator)
-    if mismatch is not None:
-        field_name, ours_value, theirs_value = mismatch
-        _refuse(connection,
-                f"{field_name} mismatch: ours {ours_value!r}, "
-                f"client {theirs_value!r}",
-                field_name=field_name, ours=ours_value,
-                theirs=theirs_value)
-    mine = Hello(version=PROTOCOL_VERSION, session_id="",
-                 pair_left=theirs.pair_left, pair_right=theirs.pair_right,
-                 party_id=daemon_id, config_digest=config_digest,
-                 role=ROLE_DAEMON).authenticated(connection.authenticator)
-    try:
-        connection.write_frame(FRAME_HELLO, mine.to_wire())
-    except (ConnectionClosedError, FramingError) as exc:
-        raise HandshakePeerLost(
-            f"{connection.name}: client vanished during the handshake "
-            f"({exc})") from exc
     return theirs
 
 

@@ -98,11 +98,6 @@ def validate_runtime_config(config: ProtocolConfig) -> None:
         raise UnsupportedConfigError(
             "SmcConfig.engine cannot cross a process boundary; party "
             "processes build their own engines (leave engine=None)")
-    if config.smc.transport is not None:
-        raise UnsupportedConfigError(
-            "SmcConfig.transport is ignored by the socket runtime (every "
-            "link is TCP); leave transport=None rather than configuring "
-            "a fabric that would silently not apply")
 
 
 def config_to_dict(config: ProtocolConfig) -> dict:

@@ -124,11 +124,6 @@ class MirrorChannel:
     def endpoints(self) -> tuple[ChannelEndpoint, ChannelEndpoint]:
         return self.left, self.right
 
-    @property
-    def simulated_seconds(self) -> float:
-        """Real sockets have real time; nothing simulated to report."""
-        return 0.0
-
     def close(self, reason: str | None = None) -> None:
         if not self._closed:
             self._closed = True

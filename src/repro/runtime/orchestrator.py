@@ -453,7 +453,6 @@ def merge_reports(manifest: RunManifest,
         ledger=ledger,
         stats=merge_snapshots(snapshots),
         comparisons=comparisons,
-        simulated_seconds=0.0,
     )
     return result, digests
 

@@ -294,9 +294,9 @@ class _LocalMeshView:
 
     Implements exactly the methods the driver-pass machinery touches
     (``peers_of`` / ``session_between`` / ``party_in_pair`` /
-    ``pair_channel`` / ``begin_peer_query``), with ``begin_peer_query``
-    emitting the control frame the remote responder is waiting on
-    (suppressed during replay -- nobody is listening to history).
+    ``begin_peer_query``), with ``begin_peer_query`` emitting the
+    control frame the remote responder is waiting on (suppressed during
+    replay -- nobody is listening to history).
     """
 
     def __init__(self, process: "PartyProcess"):
@@ -320,9 +320,6 @@ class _LocalMeshView:
 
     def party_in_pair(self, name: str, peer: str) -> Party:
         return self._pair(name, peer).parties[name]
-
-    def pair_channel(self, a: str, b: str) -> MirrorChannel:
-        return self._pair(a, b).channel
 
     def begin_peer_query(self, driver_name: str, peer_name: str) -> None:
         self._process.announce_query(peer_name)

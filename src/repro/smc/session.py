@@ -33,7 +33,6 @@ from repro.crypto.sealed import (
 )
 from repro.net.channel import Channel
 from repro.net.party import Party
-from repro.net.transport import TransportSpec
 from repro.smc.comparison import (
     ComparisonOutcome,
     SecureComparison,
@@ -83,14 +82,6 @@ class SmcConfig:
             serial engine -- identical results, one process.  Supply
             ``ModexpEngine(workers=k)`` to shard those jobs across
             ``k`` worker processes.
-        transport: a :class:`~repro.net.transport.TransportSpec`
-            choosing the delivery fabric for every channel built for
-            this config (``None`` = seed-era in-process deques).  Each
-            link gets its own fabric instance via
-            :func:`channel_for_config`; the fabric changes *where*
-            messages queue and what wall-clock they are charged, never
-            the message sequence itself (property-tested in
-            ``tests/net`` and ``tests/multiparty``).
     """
 
     paillier_bits: int = 256
@@ -101,7 +92,6 @@ class SmcConfig:
     key_seed: int | None = None
     precompute: bool = True
     engine: ModexpEngine | None = None
-    transport: TransportSpec | None = None
 
     def mask_bound(self, value_bound: int) -> int:
         """Mask interval size for hiding values bounded by ``value_bound``."""
@@ -110,17 +100,13 @@ class SmcConfig:
 
 def channel_for_config(config: SmcConfig, left_name: str = "alice",
                        right_name: str = "bob") -> Channel:
-    """Build one link's channel on the fabric the config selects.
+    """Build one in-process link's channel between the two named parties.
 
-    Every caller that used to write ``Channel()`` goes through here so a
-    single ``SmcConfig(transport=...)`` switches the whole run -- the
-    two-party protocols and each pairwise link of the k-party mesh --
-    onto threaded queues or the simulated network.
+    The two-party runners, each pairwise link of the k-party mesh and
+    the benchmark harness build their channels here; every config gets
+    the same :class:`~repro.net.transport.InProcessTransport` fabric.
     """
-    transport = (config.transport.create(left_name, right_name)
-                 if config.transport is not None else None)
-    return Channel(left_name=left_name, right_name=right_name,
-                   transport=transport)
+    return Channel(left_name=left_name, right_name=right_name)
 
 
 @dataclass

@@ -107,71 +107,6 @@ class TestConfigurationErrors:
             ympp_less_than(alice, 1, bob, 2, 2 ** 62, small_keys)
 
 
-class TestPartyProgramDeath:
-    """An orchestrated party dying mid-protocol must surface a
-    diagnosable error -- which peer, which pair, last frame -- never a
-    hang (PR 5 shutdown-ordering fix; see repro.runtime.supervisor)."""
-
-    def test_dying_party_program_diagnosed_not_hung(self):
-        import time
-
-        from repro.net.channel import Channel
-        from repro.net.transport import (
-            ThreadedTransport,
-            TransportClosedError,
-        )
-        from repro.runtime.supervisor import (
-            PartyProgramError,
-            run_party_programs,
-        )
-
-        # Long transport timeout: before the shutdown-ordering fix the
-        # surviving party would sit out these 30s; with it, the failing
-        # program poisons the link immediately.
-        channel = Channel(transport=ThreadedTransport(
-            "alice", "bob", timeout_s=30.0))
-        alice, bob = channel.left, channel.right
-
-        def alice_program():
-            alice.send("phase_one", 1)
-            alice.receive("ack")
-            raise ZeroDivisionError("alice's share computation blew up")
-
-        def bob_program():
-            bob.receive("phase_one")
-            bob.send("ack", True)
-            return bob.receive("phase_two")  # alice dies before sending
-
-        started = time.perf_counter()
-        with pytest.raises(PartyProgramError) as excinfo:
-            run_party_programs(channel, {"alice": alice_program,
-                                         "bob": bob_program})
-        elapsed = time.perf_counter() - started
-        assert elapsed < 10.0  # fail-fast, not the 30s transport timeout
-
-        error = excinfo.value
-        assert "alice" in str(error)                # which party died
-        assert "ZeroDivisionError" in str(error)    # why
-        bob_error = error.failures.get("bob")
-        assert isinstance(bob_error, TransportClosedError)
-        message = str(bob_error)
-        assert "alice" in message                   # which peer
-        assert "'alice'<->'bob'" in message         # which pair
-        assert "ack" in message                     # last frame delivered
-
-    def test_clean_programs_return_results(self):
-        from repro.net.channel import Channel
-        from repro.net.transport import ThreadedTransport
-        from repro.runtime.supervisor import run_party_programs
-
-        channel = Channel(transport=ThreadedTransport("alice", "bob"))
-        results = run_party_programs(channel, {
-            "alice": lambda: (channel.left.send("m", 9) or "sent"),
-            "bob": lambda: channel.right.receive("m"),
-        })
-        assert results == {"alice": "sent", "bob": 9}
-
-
 class TestDeterminismUnderInjection:
     def test_protocol_failure_leaves_channel_accountable(self):
         """Bytes sent before a failure stay counted -- no accounting reset."""

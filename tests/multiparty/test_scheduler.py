@@ -1,15 +1,11 @@
-"""Equivalence of in-order vs overlapping mesh passes, across fabrics.
+"""Equivalence of in-order vs overlapping mesh passes.
 
 The PR-4 binding property: running the per-peer region queries of a
 driver pass concurrently -- the daemon's :class:`AsyncPassExecutor`,
 here with each query body on a worker thread so the pairwise sessions
-truly overlap -- and/or moving the links onto a different transport
-fabric must change **nothing** observable about the protocol:
+truly overlap -- must change **nothing** observable about the protocol:
 bit-identical labels for every party, identical leakage-ledger event
 sequences, identical per-pair transcripts, identical comparison counts.
-Only wall-clock may differ: on a simulated-network fabric the
-overlapping pass completes in measurably less virtual time because the
-round-trips to different peers overlap.
 """
 
 import asyncio
@@ -31,7 +27,6 @@ from repro.multiparty.scheduler import (
     PeerQuery,
     SchedulerError,
 )
-from repro.net.transport import TransportSpec
 from repro.runtime.async_pass import drive_pass_async
 from repro.smc.session import SmcConfig
 
@@ -41,12 +36,11 @@ points_strategy = st.lists(
     min_size=1, max_size=5)
 
 
-def _config(backend="oracle", *, transport=None, blind=False, min_pts=3,
-            key_seed=240):
+def _config(backend="oracle", *, blind=False, min_pts=3, key_seed=240):
     return ProtocolConfig(
         eps=1.5, min_pts=min_pts, scale=1,
         smc=SmcConfig(comparison=backend, key_seed=key_seed, mask_sigma=8,
-                      paillier_bits=128, transport=transport),
+                      paillier_bits=128),
         blind_cross_sum=blind)
 
 
@@ -65,22 +59,19 @@ def _run_concurrent(points, config, mesh) -> MultipartyRunResult:
     value_bound = squared_distance_bound(all_points, all_points)
     ledger = LeakageLedger()
     labels_by_party = {}
-    simulated_seconds = 0.0
     for driver in points:
         runtimes = {peer: _ThreadedPair() for peer in mesh.peers_of(driver)}
-        labels, executor = asyncio.run(drive_pass_async(
+        labels = asyncio.run(drive_pass_async(
             mesh, driver, points, config, value_bound, ledger, None,
             runtimes))
         labels_by_party[driver] = labels.as_tuple()
-        simulated_seconds += executor.simulated_seconds
     names = list(points)
     comparisons = sum(
         mesh.session_between(a, b).comparison_backend.invocations
         for index, a in enumerate(names) for b in names[index + 1:])
     return MultipartyRunResult(
         labels_by_party=labels_by_party, ledger=ledger,
-        stats=mesh.merged_stats().snapshot(), comparisons=comparisons,
-        simulated_seconds=simulated_seconds)
+        stats=mesh.merged_stats().snapshot(), comparisons=comparisons)
 
 
 def _run(points, seeds, *, concurrent, **kwargs):
@@ -156,62 +147,6 @@ class TestConcurrentEqualsSequential:
         _assert_equivalent(*sequential, *concurrent)
 
 
-class TestTransportEquivalence:
-    """Bit-identical runs across in-process / threaded / simulated."""
-
-    @settings(max_examples=6, deadline=None)
-    @given(points_strategy, points_strategy, points_strategy,
-           st.booleans())
-    def test_threaded_fabric_property(self, p0, p1, p2, blind):
-        points = {"p0": p0, "p1": p1, "p2": p2}
-        in_process = _run(points, [1, 2, 3], concurrent=False, blind=blind)
-        threaded = _run(points, [1, 2, 3], concurrent=False, blind=blind,
-                        transport=TransportSpec(kind="threaded"))
-        _assert_equivalent(*in_process, *threaded)
-
-    @pytest.mark.parametrize("blind", [False, True])
-    def test_all_fabrics_real_crypto_concurrent(self, blind):
-        points = {
-            "p0": [(0, 0), (30, 30)],
-            "p1": [(1, 0)],
-            "p2": [(0, 1)],
-        }
-        reference = _run(points, [1, 2, 3], backend="bitwise",
-                         concurrent=False, blind=blind)
-        for spec, concurrent in (
-                (TransportSpec(kind="threaded"), True),
-                (TransportSpec(kind="simulated", latency_s=0.005), True),
-                (TransportSpec(kind="simulated", latency_s=0.005), False)):
-            other = _run(points, [1, 2, 3], backend="bitwise",
-                         concurrent=concurrent, transport=spec, blind=blind)
-            _assert_equivalent(*reference, *other)
-
-
-class TestLatencyHiding:
-    def test_concurrent_pass_overlaps_simulated_round_trips(self):
-        points = {"p0": [(0, 0), (2, 0)], "p1": [(1, 0)], "p2": [(0, 1)],
-                  "p3": [(1, 1)]}
-        spec = TransportSpec(kind="simulated", latency_s=0.005)
-        sequential, _ = _run(points, [1, 2, 3, 4], concurrent=False,
-                             transport=spec)
-        concurrent, _ = _run(points, [1, 2, 3, 4], concurrent=True,
-                             transport=spec)
-        assert sequential.simulated_seconds > 0
-        # Three peers per pass: overlapping should hide a substantial
-        # share of the round trips (bounded by the slowest peer).
-        assert concurrent.simulated_seconds < 0.7 * \
-            sequential.simulated_seconds
-        # The merged per-link ledger is schedule-independent.
-        assert sequential.stats["simulated_seconds"] \
-            == pytest.approx(concurrent.stats["simulated_seconds"])
-
-    def test_real_fabric_reports_zero_simulated_time(self):
-        points = {"p0": [(0, 0)], "p1": [(1, 0)]}
-        result, _ = _run(points, [1, 2], concurrent=True)
-        assert result.simulated_seconds == 0.0
-        assert result.stats["simulated_seconds"] == 0.0
-
-
 class TestExecutorUnit:
     def test_tasks_truly_run_concurrently(self):
         """Not just formula-level overlap: a two-party barrier only
@@ -249,26 +184,9 @@ class TestExecutorUnit:
         assert [outcome.ledger.events[0].learner
                 for outcome in outcomes] == ["p0", "p1"]
 
-    def test_sequential_charges_sum_concurrent_charges_max(self):
-        clocks = {"a": iter([0.0, 3.0]), "b": iter([0.0, 5.0])}
-
-        def task(name):
-            return PeerQuery(peer=name, run=lambda ledger: 0,
-                             simulated_clock=lambda: next(clocks[name]))
-
-        sequential = PassExecutor()
-        sequential.run_pass([task("a"), task("b")])
-        assert sequential.simulated_seconds == pytest.approx(8.0)
-
-        clocks = {"a": iter([0.0, 3.0]), "b": iter([0.0, 5.0])}
-        concurrent = AsyncPassExecutor(_threaded)
-        asyncio.run(concurrent.run_pass_async([task("a"), task("b")]))
-        assert concurrent.simulated_seconds == pytest.approx(5.0)
-
     def test_empty_pass(self):
         executor = PassExecutor()
         assert executor.run_pass([]) == []
-        assert executor.simulated_seconds == 0.0
 
 
 class TestPairRngDerivation:
@@ -322,25 +240,21 @@ class TestAsyncPassExecutor:
         (the restartable path), ``prepare`` fires exactly once."""
         calls = []
 
-        def make_task(name, clock):
+        def make_task(name):
             def run(ledger):
                 calls.append(("run", name))
                 return ord(name[-1])
             return PeerQuery(peer=name, run=run,
                              prepare=lambda: calls.append(
-                                 ("prepare", name)),
-                             simulated_clock=clock)
+                                 ("prepare", name)))
 
         async def run_query(task, ledger):
             await asyncio.sleep(0)
             task.run(ledger)       # first attempt, restarted
             return task.run(ledger)
 
-        clocks = {"p0": iter([0.0, 3.0]).__next__,
-                  "p1": iter([0.0, 5.0]).__next__}
         executor = AsyncPassExecutor(run_query)
-        tasks = [make_task("p0", clocks["p0"]),
-                 make_task("p1", clocks["p1"])]
+        tasks = [make_task("p0"), make_task("p1")]
         outcomes = asyncio.run(executor.run_pass_async(tasks))
         assert [outcome.peer for outcome in outcomes] == ["p0", "p1"]
         assert [outcome.count for outcome in outcomes] \
@@ -348,6 +262,4 @@ class TestAsyncPassExecutor:
         assert calls.count(("prepare", "p0")) == 1
         assert calls.count(("prepare", "p1")) == 1
         assert calls.count(("run", "p0")) == 2
-        # The pass charges the slowest overlapping link, not the sum.
-        assert executor.simulated_seconds == pytest.approx(5.0)
         assert asyncio.run(executor.run_pass_async([])) == []

@@ -1,4 +1,4 @@
-"""Transport fabrics: delivery semantics, timing model, thread safety."""
+"""Transport fabrics: delivery semantics, error diagnosis, thread safety."""
 
 import socket
 import threading
@@ -7,21 +7,16 @@ import pytest
 
 from repro.net.channel import Channel, ProtocolDesyncError
 from repro.net.framing import FRAME_CONTROL, FramedConnection
-from repro.net.party import make_party_pair
 from repro.net.stats import CommunicationStats
 from repro.net.transport import (
+    AsyncTcpTransport,
     InProcessTransport,
-    LinkProfile,
-    SimulatedNetworkTransport,
     TcpTransport,
-    ThreadedTransport,
     TransportClosedError,
     TransportError,
-    TransportSpec,
     TransportTimeoutError,
-    derive_jitter_rng,
 )
-from repro.smc.session import SmcConfig, SmcSession, channel_for_config
+from repro.smc.session import SmcConfig, channel_for_config
 
 
 def tcp_transport_pair(timeout_s: float = 2.0):
@@ -52,275 +47,12 @@ class TestInProcessTransport:
         with pytest.raises(TransportError, match="not an endpoint"):
             transport.deliver("a", "c", "x", b"1")
 
-    def test_no_simulated_time(self):
-        assert InProcessTransport("a", "b").simulated_seconds == 0.0
-
-
-class TestThreadedTransport:
-    def test_single_thread_choreography_works(self):
-        """Send-then-receive in one thread never blocks."""
-        channel = Channel(transport=ThreadedTransport("alice", "bob"))
-        channel.left.send("m", [1, 2])
-        assert channel.right.receive("m") == [1, 2]
-
-    def test_two_thread_party_programs(self):
-        """Each party program on its own thread; blocking receive
-        synchronizes a ping-pong without explicit coordination."""
-        channel = Channel(transport=ThreadedTransport("alice", "bob",
-                                                      timeout_s=10.0))
-        alice, bob = channel.left, channel.right
-        results = {}
-
-        def alice_program():
-            alice.send("ping", 1)
-            results["alice"] = alice.receive("pong")
-
-        def bob_program():
-            value = bob.receive("ping")
-            bob.send("pong", value + 1)
-            results["bob"] = value
-
-        threads = [threading.Thread(target=alice_program),
-                   threading.Thread(target=bob_program)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=15)
-        assert results == {"alice": 2, "bob": 1}
-        assert channel.stats.total_messages == 2
-
-    def test_timeout_raises_desync_subclass(self):
-        transport = ThreadedTransport("a", "b", timeout_s=0.05)
-        with pytest.raises(TransportTimeoutError, match="never sent"):
-            transport.collect("a", "hello")
-        assert issubclass(TransportTimeoutError, ProtocolDesyncError)
-
-    def test_invalid_timeout(self):
-        with pytest.raises(TransportError, match="timeout"):
-            ThreadedTransport("a", "b", timeout_s=0)
-
-    def test_close_unblocks_parked_receiver_immediately(self):
-        """Tearing the link down must not stall blocked receivers for
-        their full timeout: close() poisons the inboxes and the parked
-        get fails fast with TransportClosedError."""
-        import time
-
-        transport = ThreadedTransport("a", "b", timeout_s=30.0)
-        outcome = {}
-
-        def receiver():
-            started = time.perf_counter()
-            with pytest.raises(TransportClosedError, match="link closed"):
-                transport.collect("a", "reply")
-            outcome["waited"] = time.perf_counter() - started
-
-        thread = threading.Thread(target=receiver)
-        thread.start()
-        time.sleep(0.05)  # let the receiver park in the blocking get
-        transport.close()
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-        assert outcome["waited"] < 5.0  # not the 30s timeout
-        # Later receives fail fast too (the poison is re-queued).
-        with pytest.raises(TransportClosedError):
-            transport.collect("a", "anything")
-
-    def test_close_keeps_pending_messages_readable(self):
-        transport = ThreadedTransport("a", "b")
-        transport.deliver("b", "a", "last", b"payload")
-        transport.close()
-        assert transport.collect("a", "last") == ("last", b"payload")
-        with pytest.raises(TransportClosedError):
-            transport.collect("a", "next")
-
-    def test_full_protocol_bit_identical_to_in_process(self):
-        """The fabric changes delivery, never the message sequence."""
-        def run(transport):
-            channel = Channel(transport=transport)
-            session = SmcSession(*make_party_pair(channel, 11, 12),
-                                 SmcConfig(key_seed=321, paillier_bits=128))
-            outcome = session.compare_leq(session.alice, 3, session.bob, 7,
-                                          lo=0, hi=100)
-            entries = [(e.sender, e.receiver, e.label, e.value)
-                       for e in channel.transcript.entries]
-            return outcome.result, entries
-
-        in_process = run(InProcessTransport())
-        threaded = run(ThreadedTransport())
-        assert in_process == threaded
-
-
-class TestSimulatedNetworkTransport:
-    def test_latency_charged_per_round_trip(self):
-        transport = SimulatedNetworkTransport("a", "b", latency_s=0.01)
-        stats = CommunicationStats()
-        transport.attach_stats(stats)
-        transport.deliver("a", "b", "m1", b"x")
-        transport.collect("b", "m1")        # b waits one latency
-        transport.deliver("b", "a", "m2", b"y")
-        transport.collect("a", "m2")        # a waits for the reply
-        assert transport.clock_of("b") == pytest.approx(0.01)
-        assert transport.clock_of("a") == pytest.approx(0.02)
-        assert transport.elapsed == pytest.approx(0.02)
-        assert stats.simulated_seconds == pytest.approx(0.02)
-        assert stats.simulated_waits["a"] == pytest.approx(0.01)
-
-    def test_consecutive_sends_pipeline(self):
-        """Same-direction messages share the latency (one round)."""
-        transport = SimulatedNetworkTransport("a", "b", latency_s=0.01)
-        for index in range(5):
-            transport.deliver("a", "b", f"m{index}", b"x")
-        for index in range(5):
-            transport.collect("b", f"m{index}")
-        assert transport.elapsed == pytest.approx(0.01)
-
-    def test_bandwidth_charges_transfer_time(self):
-        transport = SimulatedNetworkTransport(
-            "a", "b", latency_s=0.0, bandwidth_bps=8000)  # 1000 bytes/s
-        transport.deliver("a", "b", "m", b"x" * 500)      # 0.5s transfer
-        transport.collect("b", "m")
-        assert transport.elapsed == pytest.approx(0.5)
-
-    def test_validation(self):
-        with pytest.raises(TransportError, match="latency"):
-            SimulatedNetworkTransport("a", "b", latency_s=-1)
-        with pytest.raises(TransportError, match="bandwidth"):
-            SimulatedNetworkTransport("a", "b", bandwidth_bps=0)
-
-    def test_protocol_equivalence_and_latency_visibility(self):
-        """Same messages as in-process; rounds * latency shows up."""
-        def run(transport):
-            channel = Channel(transport=transport)
-            session = SmcSession(*make_party_pair(channel, 11, 12),
-                                 SmcConfig(key_seed=321, paillier_bits=128))
-            session.compare_leq(session.alice, 3, session.bob, 7,
-                                lo=0, hi=100)
-            return channel
-
-        plain = run(InProcessTransport())
-        simulated = run(SimulatedNetworkTransport(latency_s=0.005))
-        assert [e.value for e in plain.transcript.entries] \
-            == [e.value for e in simulated.transcript.entries]
-        assert plain.stats.rounds == simulated.stats.rounds
-        # Every direction switch pays one latency on the critical path.
-        assert simulated.simulated_seconds \
-            == pytest.approx(0.005 * simulated.stats.rounds)
-        assert plain.simulated_seconds == 0.0
-
-
-class TestSimulatedJitter:
-    def test_zero_jitter_is_the_fixed_latency_model(self):
-        transport = SimulatedNetworkTransport("a", "b", latency_s=0.01,
-                                              jitter_s=0.0)
-        transport.deliver("a", "b", "m", b"x")
-        transport.collect("b", "m")
-        assert transport.elapsed == pytest.approx(0.01)
-
-    def test_seeded_jitter_is_deterministic(self):
-        def run(seed):
-            transport = SimulatedNetworkTransport(
-                "a", "b", latency_s=0.01, jitter_s=0.004,
-                jitter_rng=derive_jitter_rng(seed, "a", "b"))
-            for index in range(4):
-                transport.deliver("a", "b", f"m{index}", b"x")
-                transport.collect("b", f"m{index}")
-                transport.deliver("b", "a", f"r{index}", b"y")
-                transport.collect("a", f"r{index}")
-            return transport.elapsed
-
-        assert run(7) == run(7)
-        assert run(7) != run(8)
-
-    def test_jitter_adds_to_the_base_latency(self):
-        transport = SimulatedNetworkTransport(
-            "a", "b", latency_s=0.01, jitter_s=0.005,
-            jitter_rng=derive_jitter_rng(3, "a", "b"))
-        transport.deliver("a", "b", "m", b"x")
-        transport.collect("b", "m")
-        assert 0.01 <= transport.elapsed <= 0.015
-
-    def test_jitter_never_reorders_in_flight_messages(self):
-        """Head-of-line: a later message's lucky draw cannot yield an
-        arrival before an earlier one already queued to the receiver."""
-        transport = SimulatedNetworkTransport(
-            "a", "b", latency_s=0.01, jitter_s=0.02,
-            jitter_rng=derive_jitter_rng(5, "a", "b"))
-        for index in range(32):
-            transport.deliver("a", "b", f"m{index}", b"x")
-        arrivals = [entry[2] for entry in transport._inboxes["b"]]
-        assert arrivals == sorted(arrivals)
-
-    def test_negative_jitter_rejected(self):
-        with pytest.raises(TransportError, match="jitter"):
-            SimulatedNetworkTransport("a", "b", jitter_s=-0.001)
-
-    def test_derive_jitter_rng_is_per_link(self):
-        assert derive_jitter_rng(1, "a", "b").random() \
-            != derive_jitter_rng(1, "a", "c").random()
-        assert derive_jitter_rng(1, "a", "b").random() \
-            == derive_jitter_rng(1, "a", "b").random()
-
-
-class TestPerLinkHeterogeneity:
-    def test_override_applies_to_named_pair_only(self):
-        spec = TransportSpec(
-            kind="simulated", latency_s=0.005,
-            per_link={("p0", "p2"): LinkProfile(latency_s=0.05)})
-        slow = spec.create("p0", "p2")
-        fast = spec.create("p0", "p1")
-        assert slow.latency_s == 0.05
-        assert fast.latency_s == 0.005
-
-    def test_override_is_order_insensitive(self):
-        spec = TransportSpec(
-            kind="simulated",
-            per_link={("p2", "p0"): LinkProfile(latency_s=0.07)})
-        assert spec.create("p0", "p2").latency_s == 0.07
-
-    def test_partial_profile_inherits_spec_defaults(self):
-        spec = TransportSpec(
-            kind="simulated", latency_s=0.004, bandwidth_bps=1e6,
-            jitter_s=0.002,
-            per_link={("a", "b"): LinkProfile(bandwidth_bps=5e5)})
-        transport = spec.create("a", "b")
-        assert transport.latency_s == 0.004
-        assert transport.bandwidth_bps == 5e5
-        assert transport.jitter_s == 0.002
-
-    def test_spec_stays_hashable_after_normalization(self):
-        spec = TransportSpec(
-            kind="simulated",
-            per_link={("a", "b"): LinkProfile(latency_s=0.01)})
-        hash(spec)  # frozen dataclass with normalized tuple storage
-
-    def test_bad_profiles_rejected(self):
-        with pytest.raises(TransportError, match="twice"):
-            TransportSpec(per_link={("a", "a"): LinkProfile()})
-        with pytest.raises(TransportError, match="LinkProfile"):
-            TransportSpec(per_link={("a", "b"): 0.5})
-        with pytest.raises(TransportError, match="duplicate"):
-            TransportSpec(per_link=((("a", "b"), LinkProfile()),
-                                    (("b", "a"), LinkProfile())))
-
-    def test_heterogeneous_mesh_timing_differs_observables_do_not(self):
-        """A slow link changes only virtual clocks, never messages."""
-        def run(spec):
-            channel = channel_for_config(SmcConfig(transport=spec),
-                                         "p0", "p1")
-            session = SmcSession(*make_party_pair(channel, 21, 22),
-                                 SmcConfig(key_seed=323, paillier_bits=128))
-            session.compare_leq(session.alice, 4, session.bob, 9,
-                                lo=0, hi=50)
-            return channel
-
-        uniform = run(TransportSpec(kind="simulated", latency_s=0.005))
-        slowed = run(TransportSpec(
-            kind="simulated", latency_s=0.005,
-            per_link={("p0", "p1"): LinkProfile(latency_s=0.05)}))
-        assert [e.value for e in uniform.transcript.entries] \
-            == [e.value for e in slowed.transcript.entries]
-        assert slowed.simulated_seconds \
-            == pytest.approx(10 * uniform.simulated_seconds)
+    def test_channel_for_config(self):
+        channel = channel_for_config(SmcConfig(), "x", "y")
+        assert isinstance(channel, Channel)
+        assert isinstance(channel.transport, InProcessTransport)
+        assert (channel.transport.left_name,
+                channel.transport.right_name) == ("x", "y")
 
 
 class TestTcpTransport:
@@ -369,6 +101,7 @@ class TestTcpTransport:
         assert "never_sent" in message
         assert "'alice'<->'bob'" in message
         assert "'opening'" in message  # the last frame seen
+        assert isinstance(excinfo.value, ProtocolDesyncError)
 
     def test_close_reason_reaches_the_peer(self):
         left, right = tcp_transport_pair()
@@ -378,6 +111,7 @@ class TestTcpTransport:
         message = str(excinfo.value)
         assert "alice died" in message
         assert "'alice'<->'bob'" in message
+        assert "no frames were delivered" in message
 
     def test_peer_death_without_goodbye_is_closed_not_hang(self):
         left, right = tcp_transport_pair()
@@ -405,51 +139,13 @@ class TestTcpTransport:
         assert (label, received) == ("blob", wire)
 
 
-class TestThreadedShutdownDiagnosis:
-    def test_close_reason_and_last_frame_in_error(self):
-        transport = ThreadedTransport("alice", "bob", timeout_s=30.0)
-        transport.deliver("alice", "bob", "phase_one", b"x")
-        transport.collect("bob", "phase_one")
-        transport.close(reason="party 'alice' died: RuntimeError: boom")
-        with pytest.raises(TransportClosedError) as excinfo:
-            transport.collect("bob", "phase_two")
-        message = str(excinfo.value)
-        assert "link closed" in message          # stable phrase
-        assert "alice' died" in message          # the diagnosis
-        assert "phase_one" in message            # how far the protocol got
-        assert "'alice'<->'bob'" in message      # which pair
-
-    def test_timeout_error_names_pair_and_progress(self):
-        transport = ThreadedTransport("a", "b", timeout_s=0.05)
-        with pytest.raises(TransportTimeoutError,
-                           match="no frames were delivered"):
-            transport.collect("a", "hello")
-
-
-class TestTransportSpec:
-    def test_kinds(self):
-        assert isinstance(TransportSpec().create("a", "b"),
-                          InProcessTransport)
-        assert isinstance(TransportSpec(kind="threaded").create("a", "b"),
-                          ThreadedTransport)
-        simulated = TransportSpec(kind="simulated", latency_s=0.02,
-                                  bandwidth_bps=1e6).create("a", "b")
-        assert isinstance(simulated, SimulatedNetworkTransport)
-        assert simulated.latency_s == 0.02
-        assert simulated.bandwidth_bps == 1e6
-
-    def test_unknown_kind(self):
-        with pytest.raises(TransportError, match="unknown transport"):
-            TransportSpec(kind="carrier-pigeon")
-
-    def test_channel_for_config(self):
-        config = SmcConfig(transport=TransportSpec(kind="simulated",
-                                                   latency_s=0.003))
-        channel = channel_for_config(config, "x", "y")
-        assert isinstance(channel.transport, SimulatedNetworkTransport)
-        assert channel.transport.left_name == "x"
-        default = channel_for_config(SmcConfig())
-        assert isinstance(default.transport, InProcessTransport)
+class TestSessionLinkTransport:
+    def test_blocking_collect_refused(self):
+        """Daemon sessions park coroutines, never threads: the blocking
+        receive of the Transport interface is refused by name."""
+        view = AsyncTcpTransport("alice", "bob", "alice").session("s")
+        with pytest.raises(TransportError, match="try_collect"):
+            view.collect("alice", "m")
 
 
 class TestStatsThreadSafety:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.config import ProtocolConfig
-from repro.net.transport import TransportSpec
 from repro.runtime.manifest import (
     ManifestError,
     RunManifest,
@@ -99,10 +98,6 @@ class TestConfigSerialization:
         from repro.crypto.engine import ModexpEngine
         with pytest.raises(UnsupportedConfigError, match="engine"):
             config_to_dict(config(engine=ModexpEngine(workers=1)))
-
-    def test_transport_spec_refused(self):
-        with pytest.raises(UnsupportedConfigError, match="transport"):
-            config_to_dict(config(transport=TransportSpec()))
 
 
 class TestRunManifest:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -45,42 +47,16 @@ class TestDemoCommand:
         assert exit_code == 0
         assert "bytes" in capsys.readouterr().out
 
-    def test_simulated_transport_multiparty_prints_latency(self, capsys):
-        exit_code = main(["demo", "--scenario", "multiparty",
-                          "--points", "9", "--backend", "oracle",
-                          "--min-pts", "2", "--transport", "simulated",
-                          "--net-latency-ms", "10"])
+    @pytest.mark.parametrize("scenario", ["horizontal", "multiparty"])
+    def test_summary_prints_rounds(self, scenario, capsys):
+        """The two-party and the multiparty summary lines both report
+        the run's communication rounds."""
+        exit_code = main(["demo", "--scenario", scenario, "--points", "9",
+                          "--backend", "oracle", "--min-pts", "2"])
         assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "simulated network" in output
-        assert "10ms one-way latency" in output
-
-    def test_threaded_transport_two_party(self, capsys):
-        exit_code = main(["demo", "--points", "6", "--min-pts", "2",
-                          "--backend", "oracle",
-                          "--transport", "threaded"])
-        assert exit_code == 0
-        assert "labels" in capsys.readouterr().out
-
-    def test_simulated_transport_two_party_prints_latency(self, capsys):
-        exit_code = main(["demo", "--points", "6", "--min-pts", "2",
-                          "--backend", "oracle",
-                          "--transport", "simulated",
-                          "--net-latency-ms", "10"])
-        assert exit_code == 0
-        assert "simulated network" in capsys.readouterr().out
-
-    def test_simulated_vs_in_process_same_labels(self, capsys):
-        main(["demo", "--scenario", "multiparty", "--points", "9",
-              "--backend", "oracle", "--min-pts", "2"])
-        plain = capsys.readouterr().out
-        main(["demo", "--scenario", "multiparty", "--points", "9",
-              "--backend", "oracle", "--min-pts", "2",
-              "--transport", "simulated"])
-        simulated = capsys.readouterr().out
-        for line in plain.splitlines():
-            if line.startswith("party"):
-                assert line in simulated
+        rounds = re.search(r"\brounds: (\d+)", capsys.readouterr().out)
+        assert rounds is not None
+        assert int(rounds.group(1)) > 0
 
 
 class TestOrchestrateCommand:
