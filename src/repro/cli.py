@@ -66,6 +66,7 @@ from repro.data.partitioning import (
     partition_horizontal,
     partition_vertical,
 )
+from repro.crypto.dgk import DgkKeySizeError
 from repro.crypto.engine import ModexpEngine
 from repro.crypto.precompute import combine_pool_reports
 from repro.multiparty.horizontal import run_multiparty_horizontal_dbscan
@@ -309,6 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run_command(args)
+    except DgkKeySizeError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run_command(args) -> int:
     if args.command == "demo":
         return _run_demo(args)
     if args.command == "attack":

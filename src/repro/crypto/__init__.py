@@ -8,6 +8,8 @@ Implements everything Section 3.7/3.8 of the paper depends on:
   cryptosystem (Section 3.7), used by the Multiplication Protocol.
 - :mod:`repro.crypto.rsa` -- textbook RSA, the trapdoor permutation
   plugged into Yao's Millionaires' Problem Protocol (Section 3.8).
+- :mod:`repro.crypto.dgk` -- DGK's cryptosystem, on which the bitwise
+  secure comparison (the large-domain substitute for YMPP) runs.
 - :mod:`repro.crypto.encoding` -- signed/fixed-point encodings bridging
   real-valued records and the integer plaintext spaces.
 - :mod:`repro.crypto.precompute` -- offline randomness pools and fixed

@@ -1,9 +1,9 @@
 """Parallel modular-exponentiation engine (the PR-2 tentpole).
 
-Every expensive operation in the crypto layer -- randomness-pool refills
-(``r^n mod n^2``), batch encryption, batch decryption, DGK bit
-encryption, the DGK zero test -- reduces to an *array of independent
-modexp jobs* ``(base, exponent, modulus)``.  :class:`ModexpEngine`
+Every expensive Paillier operation -- randomness-pool refills
+(``r^n mod n^2``), batch encryption, batch decryption -- and YMPP's RSA
+sweep reduces to an *array of independent modexp jobs*
+``(base, exponent, modulus)``.  :class:`ModexpEngine`
 executes such arrays either serially (the default, bit-identical to the
 seed-era inner loops) or sharded across a process pool, so offline
 wall-clock scales with cores on multi-core hosts.  Job arrays are plain
@@ -16,8 +16,8 @@ Design rules (see DESIGN.md, "Parallel modexp engine"):
   computed, only *where*: every high-level helper draws randomness from
   the caller's RNG in exactly the order the serial code path does, then
   ships the pure ``pow`` work to workers.  Engine-vs-serial equivalence
-  is property-tested for pool fills, batch encryption, batch decryption,
-  and DGK bit encryption.
+  is property-tested for pool fills, batch encryption and batch
+  decryption.
 - **Serial fallback.** ``workers <= 1``, batches below
   ``min_parallel_jobs``, or a pool that cannot be spawned (sandboxed
   hosts) all run the jobs in-process; the fallback is recorded in
@@ -26,10 +26,14 @@ Design rules (see DESIGN.md, "Parallel modexp engine"):
   engine call: refill jobs carry only public-key material
   ``(r, n, n^2)`` (an owner pool's serial path computes the same factors
   with the key's CRT kernel, but its worker jobs stay generic);
-  CRT-split decryption and zero-test jobs carry ``p``/``q``-derived
-  moduli and are only ever issued by the private-key holder for its own
-  ciphertexts -- the same boundary as the in-process CRT decrypt.  Run
-  in-process, those secret jobs bypass the powmod memo.
+  CRT-split decryption jobs carry ``p``/``q``-derived moduli and are
+  only ever issued by the private-key holder for its own ciphertexts --
+  the same boundary as the in-process CRT decrypt.  Run in-process,
+  those secret jobs bypass the powmod memo.
+
+The DGK comparison (:mod:`repro.crypto.dgk`) issues no engine jobs: its
+per-ciphertext work is a table lookup and a short power, below the
+cost of shipping a job to a worker.
 """
 
 from __future__ import annotations
@@ -390,13 +394,20 @@ class ModexpEngine:
         raises :class:`~repro.crypto.sealed.PublicOnlyKeyError` before
         any job is built, whatever the worker count.
         """
-        from repro.crypto.paillier import _paillier_l
+        from repro.crypto.paillier import PaillierError, _paillier_l
+        from repro.crypto.sealed import PublicOnlyKeyError, is_sealed
 
-        values = self._owner_batch(private, ciphertext_values,
-                                   "decrypt_raw_batch")
+        if is_sealed(private):
+            raise PublicOnlyKeyError(private.owner, "decrypt_raw_batch")
+        values = list(ciphertext_values)
+        self._count(len(values))
+        public = private.public_key
+        n_sq = public.n_squared
+        for value in values:
+            if not 0 <= value < n_sq:
+                raise PaillierError("ciphertext outside Z_{n^2}")
         if not self._parallel_eligible(2 * len(values)):
             return private.decrypt_raw_batch(values)
-        public = private.public_key
         if private.hp is None or private.hq is None:
             powers = self._execute(
                 [(value, private.lam, public.n_squared) for value in values],
@@ -412,58 +423,6 @@ class ModexpEngine:
         return [private.crt_plaintext(powers[2 * index],
                                       powers[2 * index + 1])
                 for index in range(len(values))]
-
-    def zero_test_batch(self, private: "PaillierPrivateKey",
-                        ciphertext_values: Sequence[int],
-                        bound: int) -> list[bool]:
-        """Whether each ciphertext decrypts to zero, for plaintexts known
-        to satisfy ``|m| < bound`` (as signed values).
-
-        The DGK key holder needs only this bit per witness.
-        ``c^(p-1) mod p^2`` equals 1 exactly when p divides the
-        plaintext (for ``g = n + 1`` it is ``1 + (p-1)*m*n``; a random
-        ``g`` scales the same term by the invertible ``L_p(g^(p-1))``),
-        and p dividing ``m`` means ``m = 0`` when ``bound <= p``: one
-        half-width exponentiation per ciphertext, against two for a CRT
-        decryption.  A key with ``p < bound`` (only tiny keys) also
-        requires ``c^(q-1) mod q^2 == 1``, which makes the answer exact
-        for every plaintext.  Every ciphertext is tested, so the work
-        does not depend on the answers.  Same rules as
-        :meth:`decrypt_raw_batch`: sealed keys raise before any job is
-        built, out-of-range ciphertexts raise
-        :class:`~repro.crypto.paillier.PaillierError`, and the jobs
-        shard across workers when the batch is large enough.
-        """
-        values = self._owner_batch(private, ciphertext_values,
-                                   "zero_test_batch")
-        crt = private.crt
-        moduli = [(private.p - 1, crt.p_squared)]
-        if bound > private.p:
-            moduli.append((private.q - 1, crt.q_squared))
-        powers = self._execute([(value, exponent, modulus)
-                                for value in values
-                                for exponent, modulus in moduli], memo=False)
-        width = len(moduli)
-        return [powers[start:start + width].count(1) == width
-                for start in range(0, len(powers), width)]
-
-    def _owner_batch(self, private: "PaillierPrivateKey",
-                     ciphertext_values: Sequence[int],
-                     operation: str) -> list[int]:
-        """Entry checks shared by the key holder's batch operations:
-        refuse a sealed key, count the batch, range-check every value."""
-        from repro.crypto.paillier import PaillierError
-        from repro.crypto.sealed import PublicOnlyKeyError, is_sealed
-
-        if is_sealed(private):
-            raise PublicOnlyKeyError(private.owner, operation)
-        values = list(ciphertext_values)
-        self._count(len(values))
-        n_sq = private.public_key.n_squared
-        for value in values:
-            if not 0 <= value < n_sq:
-                raise PaillierError("ciphertext outside Z_{n^2}")
-        return values
 
 
 _SERIAL_ENGINE: ModexpEngine | None = None

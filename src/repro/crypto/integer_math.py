@@ -31,8 +31,9 @@ def cached_pow(base: int, exponent: int, modulus: int) -> int:
 
     Only public arguments belong here: the memo lives as long as the
     process (a daemon's whole lifetime), so every kernel keyed by the
-    factorization -- decryption, the DGK zero test, an owner's CRT
-    encryption factor -- uses plain ``pow`` instead.
+    factorization -- decryption, an owner's CRT encryption factor --
+    uses plain ``pow`` instead, and nothing of the DGK comparison
+    (:mod:`repro.crypto.dgk`) enters it.
     """
     return pow(base, exponent, modulus)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
+from repro.crypto.dgk import DgkKeyPair, generate_dgk_keypair
 from repro.crypto.paillier import PaillierKeyPair, generate_paillier_keypair
 from repro.crypto.rsa import RsaKeyPair, generate_rsa_keypair
 
@@ -23,6 +24,13 @@ from repro.crypto.rsa import RsaKeyPair, generate_rsa_keypair
 def cached_paillier_keypair(bits: int, seed: int) -> PaillierKeyPair:
     """Deterministic Paillier keypair for ``(bits, seed)``."""
     return generate_paillier_keypair(bits, random.Random(("paillier", bits, seed).__repr__()))
+
+
+@lru_cache(maxsize=64)
+def cached_dgk_keypair(bits: int, seed: int) -> DgkKeyPair:
+    """Deterministic DGK keypair for ``(bits, seed)``; sessions derive it
+    at the same seeds as the Paillier keypair it travels with."""
+    return generate_dgk_keypair(bits, random.Random(("dgk", bits, seed).__repr__()))
 
 
 @lru_cache(maxsize=64)

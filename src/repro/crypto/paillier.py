@@ -30,12 +30,12 @@ ciphertext value depends on the representative, the plaintext does not.
 
 The key's owner holds ``p`` and ``q`` and uses them beyond decryption:
 :meth:`PaillierPrivateKey.nth_power` computes encryption factors
-``r^n mod n^2`` by CRT (the owner's randomness pools run on it), and
-:meth:`repro.crypto.engine.ModexpEngine.zero_test_batch` decides
-whether plaintexts are zero with one half-width exponentiation each.
-Neither, nor decryption, goes through the process-wide
+``r^n mod n^2`` by CRT (the owner's randomness pools run on it).
+Neither it nor decryption goes through the process-wide
 :func:`~repro.crypto.integer_math.cached_pow` memo, so no value keyed
-by the factorization outlives its call.
+by the factorization outlives its call.  The secure comparison does
+not run on Paillier: it has its own cryptosystem
+(:mod:`repro.crypto.dgk`).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.crypto.integer_math import cached_pow, crt_pair, lcm, mod_inverse
-from repro.crypto.primes import generate_distinct_primes
+from repro.crypto.primes import generate_prime
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
     from repro.crypto.precompute import RandomnessPool
@@ -404,7 +404,8 @@ def generate_paillier_keypair(bits: int, rng: random.Random,
     """Generate a Paillier keypair following Section 3.7.
 
     Args:
-        bits: size of the modulus ``n`` in bits (each prime is ``bits//2``).
+        bits: size of the modulus ``n`` in bits (the primes have
+            ``bits - bits//2`` and ``bits//2`` bits).
         rng: randomness source (seed it for reproducible tests).
         random_g: if True, draw ``g`` uniformly from ``Z*_{n^2}`` and retry
             until the ``mu`` inverse exists -- the paper's literal
@@ -414,7 +415,10 @@ def generate_paillier_keypair(bits: int, rng: random.Random,
     if bits < 64:
         raise PaillierError(f"modulus of {bits} bits is too small to be useful")
     while True:
-        p, q = generate_distinct_primes(bits // 2, rng)
+        p = generate_prime(bits - bits // 2, rng)
+        q = generate_prime(bits // 2, rng)
+        while q == p:
+            q = generate_prime(bits // 2, rng)
         n = p * q
         # The paper's explicit check; automatic when p, q have equal size,
         # but we verify rather than assume.

@@ -20,9 +20,9 @@ protocol runs.  This module supplies the two precomputation tools:
   (``random_g=True``) instead of ``n + 1``: one table per ``(g, n^2)``
   turns each encryption's ``g^m`` into ``~bits/window`` mulmods.
 
-Owner pools: a pool whose actor owns the key (the DGK key holder's bit
-encryptions, the HDP querier's uploads, the Section 5 receiver's
-vector) is built with that private key and computes each factor with
+Owner pools: a pool whose actor owns the key (the HDP querier's
+uploads, the Section 5 receiver's vector) is built with that private
+key and computes each factor with
 :meth:`~repro.crypto.paillier.PaillierPrivateKey.nth_power` -- CRT over
 ``p^2`` and ``q^2``, the same factor at about half the cost.  Every
 other pool, and every factor shipped to engine workers, uses the

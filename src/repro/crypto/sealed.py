@@ -9,22 +9,22 @@ would still hold usable private keys it has no business holding, there
 for a compromised process to take.
 
 This module makes key ownership *structural*.  A remote party's context
-carries a :class:`SealedPaillierPrivateKey` (or
-:class:`SealedRsaPrivateKey`): an object with the public half and an
+carries a :class:`SealedPaillierPrivateKey`, :class:`SealedDgkPrivateKey`
+(or :class:`SealedRsaPrivateKey`): an object with the public half and an
 owner tag but **no secret fields at all** -- there is nothing to steal
--- and every decrypt/sign entry point (and the owner's CRT
-``nth_power``) raises :class:`PublicOnlyKeyError`, as do the engine's
-batch decrypt and zero test
-(:meth:`repro.crypto.engine.ModexpEngine.decrypt_raw_batch`,
-:meth:`~repro.crypto.engine.ModexpEngine.zero_test_batch`).  No
-hosted step decrypts under a peer's key, so there is no sanctioned
-exception: reaching a sealed decrypt is a missing hosted guard.
+-- and every decrypt/sign entry point (the owner's CRT ``nth_power``
+and the DGK zero test included) raises :class:`PublicOnlyKeyError`, as
+does the engine's batch decrypt
+(:meth:`repro.crypto.engine.ModexpEngine.decrypt_raw_batch`).  No
+hosted step decrypts or zero-tests under a peer's key, so there is no
+sanctioned exception: reaching a sealed key's secret is a missing
+hosted guard.
 
 Public keys for sealed contexts are captured from the authentic wire
 exchange at session start and cross-checked against the manifest's
-per-party public-key digests (:func:`paillier_public_digest`), so a
-party never trusts a peer key it cannot verify against the run's
-trusted setup.
+per-party public-key digests (:func:`public_key_digest`, one digest
+over a party's Paillier and DGK public keys), so a party never trusts a
+peer key it cannot verify against the run's trusted setup.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from repro.crypto.dgk import DgkKeyPair, DgkPublicKey
 from repro.crypto.paillier import (
     PaillierKeyPair,
     PaillierPublicKey,
@@ -43,7 +44,7 @@ class PublicOnlyKeyError(RuntimeError):
     """A decrypt/sign was attempted on a sealed (public-only) key.
 
     Raised by every secret-consuming method of the sealed key classes
-    and by the engine's batch decrypt and zero test.  Reaching this
+    and by the engine's batch decrypt.  Reaching this
     error means a code path tried to use a remote party's private key
     -- always a bug in the choreography (a step block missing its
     hosted guard) or a privacy violation, never recoverable.
@@ -97,6 +98,20 @@ class SealedPaillierPrivateKey:
 
 
 @dataclass(frozen=True)
+class SealedDgkPrivateKey:
+    """Public-only stand-in for a remote party's DGK private key: the
+    factorization and ``v_p``/``v_q`` do not exist as attributes, and
+    the zero test raises :class:`PublicOnlyKeyError`."""
+
+    public_key: DgkPublicKey
+    owner: str
+    sealed = True
+
+    def zero_test_batch(self, ciphertext_values) -> list[bool]:
+        raise PublicOnlyKeyError(self.owner, "zero_test_batch")
+
+
+@dataclass(frozen=True)
 class SealedRsaPrivateKey:
     """Public-only stand-in for a remote party's RSA private key."""
 
@@ -127,21 +142,34 @@ def seal_paillier_keypair(public_key: PaillierPublicKey,
                                              owner=owner))
 
 
+def seal_dgk_keypair(public_key: DgkPublicKey, owner: str) -> DgkKeyPair:
+    """A DGK keypair usable for encryption and homomorphic arithmetic,
+    never for the zero test."""
+    return DgkKeyPair(
+        public_key=public_key,
+        private_key=SealedDgkPrivateKey(public_key=public_key, owner=owner))
+
+
 def seal_rsa_keypair(public_key: RsaPublicKey, owner: str) -> RsaKeyPair:
     return RsaKeyPair(
         public_key=public_key,
         private_key=SealedRsaPrivateKey(public_key=public_key, owner=owner))
 
 
-def paillier_public_digest(public_key: PaillierPublicKey) -> str:
-    """Canonical SHA-256 digest of a Paillier public key.
+def public_key_digest(paillier: PaillierPublicKey,
+                      dgk: DgkPublicKey | None = None) -> str:
+    """Canonical SHA-256 digest of a party's public keys.
 
-    The manifest pins each party's expected public key with this digest
+    The manifest pins each party's expected public keys with this digest
     (computed by the orchestrator's trusted setup); sessions cross-check
-    the wire-captured peer key against it before trusting a ciphertext.
+    the wire-captured peer keys against it before trusting a ciphertext.
+    Without a DGK key (the ``ympp`` and ``oracle`` comparisons derive
+    none) the digest covers the Paillier key alone.
     """
-    material = f"paillier|{public_key.n}|{public_key.g}".encode()
-    return hashlib.sha256(material).hexdigest()
+    material = f"paillier|{paillier.n}|{paillier.g}"
+    if dgk is not None:
+        material += f"|dgk|{dgk.n}|{dgk.g}|{dgk.h}"
+    return hashlib.sha256(material.encode()).hexdigest()
 
 
 def rsa_public_digest(public_key: RsaPublicKey) -> str:

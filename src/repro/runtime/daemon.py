@@ -80,7 +80,7 @@ from repro.core.leakage import LeakageLedger
 from repro.crypto.engine import ModexpEngine
 from repro.crypto.integer_math import powmod_cache_report
 from repro.crypto.precompute import PrecomputeError, RandomnessService
-from repro.crypto.sealed import paillier_public_digest
+from repro.crypto.sealed import public_key_digest
 from repro.multiparty.mesh import derive_pair_rng
 from repro.net.framing import (
     FRAME_CONTROL,
@@ -1074,7 +1074,7 @@ class PartyDaemon:
             for (actor, owner), pool in session.pools().items():
                 if actor != self.name:
                     continue
-                digest = paillier_public_digest(
+                digest = public_key_digest(
                     session.paillier_keys(owner).public_key)
                 lease.register_pool(pool, digest, actor == owner)
 

@@ -190,10 +190,11 @@ class RunManifest:
             every pre-existing manifest digest and equivalence is
             untouched.
         key_digests: ``{party: sha256}`` over each party's Paillier
-            *public* key (:func:`repro.crypto.sealed.paillier_public_digest`),
-            computed by the trusted orchestrator at manifest-build time.
-            Each party process derives only its own keypair; peers'
-            public keys are captured from the wire exchange and
+            and DGK *public* keys
+            (:func:`repro.crypto.sealed.public_key_digest`), computed
+            by the trusted orchestrator at manifest-build time.  Each
+            party process derives only its own keys; peers' public
+            keys are captured from the wire exchange and
             cross-checked (constant-time) against these digests before
             any protocol byte depends on them.  Empty -- the legacy
             default -- skips the pin, so pre-PR-8 manifests still load.

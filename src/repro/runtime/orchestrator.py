@@ -53,8 +53,7 @@ from dataclasses import dataclass, field
 
 from repro.core.config import ProtocolConfig
 from repro.core.leakage import LeakageLedger
-from repro.crypto.keycache import cached_paillier_keypair
-from repro.crypto.sealed import paillier_public_digest
+from repro.crypto.sealed import public_key_digest
 from repro.data.quantize import squared_distance_bound
 from repro.multiparty.horizontal import MultipartyRunResult
 from repro.net.stats import merge_snapshots
@@ -76,6 +75,7 @@ from repro.runtime.manifest import (
     pair_key,
 )
 from repro.runtime.party import PartyReport
+from repro.smc.session import FullKeyProvider
 
 
 class OrchestrationError(RuntimeError):
@@ -171,11 +171,13 @@ def build_manifest(points_by_party: dict[str, list],
 
     ``key_digests``: the orchestrator is the one place that may derive
     *every* party's keypair (it is the trusted workload owner handing
-    out partitions anyway), so it pins each party's expected Paillier
-    *public* key digest into the manifest.  The party processes derive
-    only their own slot's keypair; each peer public key arrives over
-    the wire and is cross-checked against these digests at session
-    start.  Digests expose no secret: they hash public parameters.
+    out partitions anyway), so it pins one digest per party over its
+    expected Paillier and DGK *public* keys into the manifest, derived
+    exactly as the in-process mesh derives them.  The party processes
+    derive only their own slot's keys; each peer's public keys arrive
+    over the wire and are cross-checked against these digests at
+    session start.  Digests expose no secret: they hash public
+    parameters.
     """
     names = list(points_by_party)
     if seeds is None or len(seeds) != len(names):
@@ -194,11 +196,12 @@ def build_manifest(points_by_party: dict[str, list],
         ports = dict(zip(pair_keys, allocate_ports(len(pair_keys), host)))
     key_digests: dict[str, str] = {}
     if config.smc.key_seed is not None:
-        key_digests = {
-            name: paillier_public_digest(cached_paillier_keypair(
-                config.smc.paillier_bits,
-                100 * config.smc.key_seed + slot).public_key)
-            for slot, name in enumerate(names)}
+        provider = FullKeyProvider(config.smc)
+        for slot, name in enumerate(names):
+            context = provider.context_for(name, slot)
+            key_digests[name] = public_key_digest(
+                context.paillier.public_key,
+                context.dgk.public_key if context.dgk else None)
     return RunManifest(
         session_id=session_id or uuid.uuid4().hex,
         names=tuple(names),

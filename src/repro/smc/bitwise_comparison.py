@@ -1,12 +1,13 @@
-"""DGK-style bitwise secure comparison over Paillier.
+"""DGK bitwise secure comparison on DGK's own cryptosystem.
 
 This is the large-domain substitute for YMPP (see DESIGN.md,
 Substitutions).  YMPP transfers ``n0`` numbers per comparison, which is
 infeasible when the compared values are fixed-point squared distances
 living in a 2^40-sized domain; this protocol computes the identical
-one-sided functionality with ``O(log n0)`` ciphertexts, following the
-blueprint of Damgard-Geisler-Kroigaard (DGK 2007) instantiated on the
-same Paillier cryptosystem the rest of the paper uses.
+one-sided functionality with ``O(log n0)`` ciphertexts, following
+Damgard-Geisler-Kroigaard (DGK 2007) on their cryptosystem
+(:mod:`repro.crypto.dgk`): ciphertexts mod ``n`` over the plaintext
+space ``Z_u``.
 
 Functionality: the *key holder* has private ``x``, the *other party* has
 private ``y``, both ``bits``-bit non-negative integers.  The key holder
@@ -19,21 +20,21 @@ Protocol:
    ``E(c_t)`` with ``c_t = x_t - y_t - 1 + 3 * w_t`` where
    ``w_t = sum_{s<t} (x_s XOR y_s)`` counts disagreeing higher bits;
    ``c_t = 0`` iff position ``t`` witnesses ``x > y`` (``x_t=1, y_t=0``,
-   all higher bits equal).
-3. The other party blinds each ``E(c_t)`` with a random multiplier,
-   rerandomizes, shuffles, and returns the batch.
-4. The key holder zero-tests every witness: some plaintext is 0  <=>
-   ``x > y``.  It needs no plaintext, only zero-ness, which DGK's own
-   cryptosystem decides with one exponentiation modulo a prime; here
-   :meth:`~repro.crypto.engine.ModexpEngine.zero_test_batch` does the
-   same with ``c^(p-1) mod p^2``, exact because a witness plaintext
-   ``c_t * multiplier`` is smaller than ``p`` in absolute value
-   (:func:`_witness_bound`).
+   all higher bits equal).  In ciphertexts:
+   ``E(c_t) = E(x_t) * g^(-y_t-1) * W_t^3 mod n`` with ``W_t`` the
+   product of the ``E(x_s XOR y_s)``, and ``E(1 - x_t) = g * E(x_t)^-1``.
+3. The other party raises each ``E(c_t)`` to a multiplier drawn
+   uniformly from ``[1, u)``, rerandomizes it by ``h^r``, shuffles, and
+   returns the batch.
+4. The key holder zero-tests every witness
+   (:meth:`~repro.crypto.dgk.DgkPrivateKey.zero_test_batch`): some
+   plaintext is 0  <=>  ``x > y``.  Witnesses lie in ``[-2, 3(bits-1)]``,
+   so with ``3 * bits < u`` a witness is 0 mod ``u`` only when it is 0,
+   and a nonzero witness times a uniform multiplier is uniform in
+   ``Z_u^*``.
 
-What each role holds also makes steps 1-2 cheaper: the key holder's bit
-encryptions draw from its owner pool (CRT factors, see
-:mod:`repro.crypto.precompute`), and the other party's ``E(1 - x_t)``
-negates by modular inverse (signed scalars, :mod:`repro.crypto.paillier`).
+The comparison draws no Paillier pool factors and runs no engine jobs:
+its work is a table lookup and a short power per ciphertext.
 
 Amortized batches: :func:`dgk_greater_than_batch` compares one
 key-holder value ``x`` against many other-party values ``y_1..y_k`` in a
@@ -43,7 +44,7 @@ because they are semantically secure and carry no per-``y`` state --
 while steps 2-3 run per ``y_i`` exactly as in the per-point protocol
 (independent blinding multipliers, independent rerandomization, an
 independent shuffle per point), and step 4 zero-tests all witness
-batches in one engine sweep.  The predicate bits are bit-identical to ``k``
+batches in one sweep.  The predicate bits are bit-identical to ``k``
 per-point runs; only the key holder's encryption count (``bits`` instead
 of ``k * bits``) and the message count (2 instead of ``2k``) change.
 
@@ -54,20 +55,20 @@ the key holder returns ``False`` placeholders for its predicate bits.
 
 from __future__ import annotations
 
-from repro.crypto.engine import ModexpEngine, default_engine
-from repro.crypto.paillier import PaillierCiphertext, PaillierKeyPair
-from repro.crypto.precompute import RandomnessPool
+from repro.crypto.dgk import DGK_U, DgkKeyPair, DgkPublicKey
 from repro.net.party import Party
-
-# Blinding multipliers are drawn from [1, 2^_BLIND_BITS); they keep
-# c_t * r_t nonzero mod n (|c_t| is tiny and n is cryptographic) while
-# hiding the magnitude of nonzero c_t.  Step 4's zero test relies on the
-# product staying below _witness_bound.
-_BLIND_BITS = 40
 
 
 class BitwiseComparisonError(ValueError):
-    """Raised on out-of-domain inputs."""
+    """Raised on out-of-domain inputs or widths DGK's ``u`` cannot hold."""
+
+
+def _check_width(bits: int) -> None:
+    if bits < 1:
+        raise BitwiseComparisonError(f"bits must be >= 1, got {bits}")
+    if 3 * bits >= DGK_U:
+        raise BitwiseComparisonError(
+            f"a {bits}-bit comparison needs 3 * bits < u = {DGK_U}")
 
 
 def _check_domain(name: str, value: int, bits: int) -> None:
@@ -80,112 +81,105 @@ def _bits_of(value: int, bits: int) -> list[int]:
     return [(value >> (bits - 1 - t)) & 1 for t in range(bits)]
 
 
-def _witness_bound(bits: int) -> int:
-    """Exclusive bound on ``|c_t * multiplier|`` for a ``bits``-wide
-    comparison: ``-2 <= c_t <= 3 * (bits - 1)`` and
-    ``multiplier < 2^_BLIND_BITS``."""
-    return (3 * bits) << _BLIND_BITS
+def _encrypted_bits(public: DgkPublicKey, x: int, bits: int, rng) -> list[int]:
+    """Step 1: ``E(x_t)``, MSB first."""
+    return [public.encrypt(bit, rng) for bit in _bits_of(x, bits)]
 
 
-def _blinded_witnesses(public, received, complements, y_bits, rng,
-                       pool) -> list[int]:
+def _checked_batch(public: DgkPublicKey, values, bits: int,
+                   what: str) -> list[int]:
+    """A received batch of ``bits`` ciphertexts, range-checked."""
+    values = public.check_ciphertexts(values)
+    if len(values) != bits:
+        raise BitwiseComparisonError(
+            f"expected {bits} {what}, received {len(values)}")
+    return values
+
+
+def _blinded_witnesses(public: DgkPublicKey, received: list[int],
+                       complements: dict[int, int], y_bits: list[int],
+                       rng) -> list[int]:
     """Steps 2-3 for one ``y``: blinded, shuffled witness ciphertexts.
 
     ``received`` are the key holder's bit ciphertexts (MSB first).
     ``complements`` maps a bit position to ``E(1 - x_t)``; positions are
     filled on first use and shared by every ``y`` of one call, since the
-    negation (a modular inverse) does not depend on ``y``.  Runs
-    the other party's RNG in exactly the per-point order (one multiplier
-    and one rerandomization per bit, then one shuffle), so batched and
+    negation (a modular inverse) does not depend on ``y``.  Runs the
+    other party's RNG in exactly the per-point order (one multiplier and
+    one rerandomization per bit, then one shuffle), so batched and
     per-point executions draw identical randomness for this half.
     """
+    n, g = public.n, public.g
+    g_inverse = pow(g, -1, n)
+    # g^(-y_t - 1) for y_t = 0 and y_t = 1.
+    shifts = (g_inverse, g_inverse * g_inverse % n)
     blinded: list[int] = []
-    # running_w accumulates E(sum of XORs of strictly-higher bit positions).
-    running_w = PaillierCiphertext(public, public.raw_encrypt_constant(0))
+    # running_w encrypts the XORs of strictly-higher bit positions.
+    running_w = 1
     for position, (enc_x_bit, y_bit) in enumerate(zip(received, y_bits)):
-        # c_t = x_t - y_t - 1 + 3 * w_t, all under encryption.
-        c = enc_x_bit + (-y_bit - 1) + running_w * 3
-        multiplier = rng.randrange(1, 1 << _BLIND_BITS)
-        masked = (c * multiplier).rerandomize(rng, pool)
-        blinded.append(masked.value)
+        c = enc_x_bit * shifts[y_bit] % n * pow(running_w, 3, n) % n
+        multiplier = rng.randrange(1, DGK_U)
+        blinded.append(pow(c, multiplier, n) * public.randomizer(rng) % n)
         # XOR under encryption: x ^ y = x when y=0, 1 - x when y=1.
         if y_bit == 0:
             xor_term = enc_x_bit
         else:
             xor_term = complements.get(position)
             if xor_term is None:
-                xor_term = complements[position] = PaillierCiphertext(
-                    public, public.raw_encrypt_constant(1)) - enc_x_bit
-        running_w = running_w + xor_term
+                xor_term = complements[position] = (
+                    g * pow(enc_x_bit, -1, n) % n)
+        running_w = running_w * xor_term % n
     rng.shuffle(blinded)
     return blinded
 
 
 def dgk_greater_than(key_holder: Party, x: int, other: Party, y: int,
-                     bits: int, keypair: PaillierKeyPair, *,
-                     label: str = "dgk",
-                     key_holder_pool: RandomnessPool | None = None,
-                     other_pool: RandomnessPool | None = None,
-                     engine: ModexpEngine | None = None) -> bool:
+                     bits: int, keypair: DgkKeyPair, *,
+                     label: str = "dgk") -> bool:
     """Decide ``x > y``; only ``key_holder`` (who owns ``keypair``) learns it.
 
     Args:
-        key_holder: party holding ``x`` and the Paillier private key.
+        key_holder: party holding ``x`` and the DGK private key.
         x: key holder's value, in ``[0, 2^bits)``.
         other: party holding ``y``.
         y: other party's value, in ``[0, 2^bits)``.
-        bits: public bit-width of the compared domain.
-        keypair: key holder's Paillier keys; the public half is assumed
-            already known to ``other`` (session exchanges it once).
+        bits: public bit-width of the compared domain; ``3 * bits`` must
+            stay below DGK's ``u``.
+        keypair: key holder's DGK keys; the public half is assumed
+            already known to ``other`` (the session exchanges it once).
         label: transcript label prefix.
-        key_holder_pool / other_pool: optional pregenerated randomness
-            for each party's encryptions under the key holder's key --
-            the bit-encryption and blinding loops are the protocols'
-            hottest powmod sites, and pools turn each into a mulmod.
-        engine: optional :class:`~repro.crypto.engine.ModexpEngine`
-            executing the bit-encryption batch and the witness zero
-            test as sharded modexp jobs (bit-identical results; serial
-            when omitted).
     """
-    if bits < 1:
-        raise BitwiseComparisonError(f"bits must be >= 1, got {bits}")
+    _check_width(bits)
     _check_domain("x", x, bits)
     _check_domain("y", y, bits)
-
     public = keypair.public_key
-    engine = engine or default_engine()
 
     # --- Step 1 (key holder): encrypt bits of x, MSB first. ---------------
     encrypted_bits = None
     if key_holder.hosted:
-        encrypted_bits = [c.value for c in engine.encrypt_batch(
-            public, _bits_of(x, bits), key_holder.rng, key_holder_pool)]
+        encrypted_bits = _encrypted_bits(public, x, bits, key_holder.rng)
     key_holder.send(f"{label}/x_bits", encrypted_bits)
 
     # --- Steps 2-3 (other party): blinded witness ciphertexts. ------------
     blinded = None
     if other.hosted:
-        received = [PaillierCiphertext(public, v)
-                    for v in other.receive(f"{label}/x_bits")]
+        received = _checked_batch(public, other.receive(f"{label}/x_bits"),
+                                  bits, "bit ciphertexts")
         blinded = _blinded_witnesses(public, received, {}, _bits_of(y, bits),
-                                     other.rng, other_pool)
+                                     other.rng)
     other.send(f"{label}/witnesses", blinded)
 
     # --- Step 4 (key holder): zero-test every witness. ---------------------
     if not key_holder.hosted:
         return False
-    witnesses = key_holder.receive(f"{label}/witnesses")
-    return any(engine.zero_test_batch(keypair.private_key, witnesses,
-                                      _witness_bound(bits)))
+    witnesses = _checked_batch(
+        public, key_holder.receive(f"{label}/witnesses"), bits, "witnesses")
+    return any(keypair.private_key.zero_test_batch(witnesses))
 
 
 def dgk_greater_than_batch(key_holder: Party, x: int, other: Party,
-                           ys: list[int], bits: int,
-                           keypair: PaillierKeyPair, *,
-                           label: str = "dgk",
-                           key_holder_pool: RandomnessPool | None = None,
-                           other_pool: RandomnessPool | None = None,
-                           engine: ModexpEngine | None = None) -> list[bool]:
+                           ys: list[int], bits: int, keypair: DgkKeyPair, *,
+                           label: str = "dgk") -> list[bool]:
     """Decide ``x > y_i`` for every ``y_i``; only ``key_holder`` learns them.
 
     The amortized form of :func:`dgk_greater_than`: the key holder's bit
@@ -196,33 +190,28 @@ def dgk_greater_than_batch(key_holder: Party, x: int, other: Party,
     of ``len(ys)``; predicate bits identical to ``len(ys)`` per-point
     runs.
     """
-    if bits < 1:
-        raise BitwiseComparisonError(f"bits must be >= 1, got {bits}")
+    _check_width(bits)
     _check_domain("x", x, bits)
     for y in ys:
         _check_domain("y", y, bits)
     if not ys:
         return []
-
     public = keypair.public_key
-    engine = engine or default_engine()
 
     # --- Step 1 (key holder), once for the whole batch. --------------------
     encrypted_bits = None
     if key_holder.hosted:
-        encrypted_bits = [c.value for c in engine.encrypt_batch(
-            public, _bits_of(x, bits), key_holder.rng, key_holder_pool)]
+        encrypted_bits = _encrypted_bits(public, x, bits, key_holder.rng)
     key_holder.send(f"{label}/x_bits", encrypted_bits)
 
     # --- Steps 2-3 (other party), per y, against the shared bits. ----------
     batches = None
     if other.hosted:
-        received = [PaillierCiphertext(public, v)
-                    for v in other.receive(f"{label}/x_bits")]
-        complements: dict[int, PaillierCiphertext] = {}
+        received = _checked_batch(public, other.receive(f"{label}/x_bits"),
+                                  bits, "bit ciphertexts")
+        complements: dict[int, int] = {}
         batches = [_blinded_witnesses(public, received, complements,
-                                      _bits_of(y, bits), other.rng,
-                                      other_pool)
+                                      _bits_of(y, bits), other.rng)
                    for y in ys]
     other.send(f"{label}/witnesses", batches)
 
@@ -230,8 +219,12 @@ def dgk_greater_than_batch(key_holder: Party, x: int, other: Party,
     if not key_holder.hosted:
         return [False] * len(ys)
     witness_batches = key_holder.receive(f"{label}/witnesses")
-    flat = [value for batch in witness_batches for value in batch]
-    zeros = engine.zero_test_batch(keypair.private_key, flat,
-                                   _witness_bound(bits))
+    if len(witness_batches) != len(ys):
+        raise BitwiseComparisonError(
+            f"expected {len(ys)} witness batches, received "
+            f"{len(witness_batches)}")
+    flat = [value for batch in witness_batches
+            for value in _checked_batch(public, batch, bits, "witnesses")]
+    zeros = keypair.private_key.zero_test_batch(flat)
     return [any(zeros[index * bits:(index + 1) * bits])
-            for index in range(len(witness_batches))]
+            for index in range(len(ys))]

@@ -23,12 +23,11 @@ backend ever mis-handles ties.
 
 from __future__ import annotations
 
-import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+from repro.crypto.dgk import DgkKeyPair
 from repro.crypto.engine import ModexpEngine
-from repro.crypto.paillier import PaillierKeyPair
 from repro.crypto.rsa import RsaKeyPair
 from repro.net.party import Party
 from repro.smc.bitwise_comparison import (
@@ -226,40 +225,29 @@ class YaoMillionairesComparison(SecureComparison):
 
 
 class BitwiseComparison(SecureComparison):
-    """DGK-style backend; the key holder is the learning party.
+    """DGK backend; the key holder is the learning party.
 
     Key material is looked up by *party identity*: whichever party plays
-    the DGK key holder runs under its own Paillier keypair, regardless
-    of which argument slot it arrived in (the seed-era code bound keys
-    to the ``a``/``b`` roles, so passing ``a_party=bob`` ran DGK under
+    the DGK key holder runs under its own DGK keypair, regardless of
+    which argument slot it arrived in (the seed-era code bound keys to
+    the ``a``/``b`` roles, so passing ``a_party=bob`` ran DGK under
     alice's keypair -- functionally correct in-process, wrong key
     ownership for any real network deployment).
-
-    ``pool_lookup(actor_name, owner_name)`` optionally resolves a
-    :class:`~repro.crypto.precompute.RandomnessPool` for the named party
-    encrypting under the named key owner's key; the session wires its
-    per-(actor, key) pools through here so DGK's bit-encryption and
-    blinding loops run on pregenerated randomness.  ``engine`` routes
-    the bit-encryption batch and witness zero test through a
-    :class:`~repro.crypto.engine.ModexpEngine`.
     """
 
     name = "bitwise"
 
-    def __init__(self, keys_by_party: dict[str, PaillierKeyPair],
-                 pool_lookup=None, engine: ModexpEngine | None = None):
+    def __init__(self, keys_by_party: dict[str, DgkKeyPair]):
         super().__init__()
         self._keys = dict(keys_by_party)
-        self._pools = pool_lookup or (lambda actor_name, owner_name: None)
-        self._engine = engine
 
-    def _keys_of(self, party: Party) -> PaillierKeyPair:
-        try:
-            return self._keys[party.name]
-        except KeyError:
+    def _keys_of(self, party: Party) -> DgkKeyPair:
+        keypair = self._keys.get(party.name)
+        if keypair is None:
             raise ComparisonError(
-                f"no Paillier key material registered for party "
+                f"no Paillier key exchange delivered a DGK key for party "
                 f"{party.name!r}")
+        return keypair
 
     def _leq(self, a_party: Party, a: int, b_party: Party, b: int, *,
              domain: int, reveal_to: str, label: str) -> bool:
@@ -269,10 +257,7 @@ class BitwiseComparison(SecureComparison):
             # a-holder keyed, learns a > b; a <= b is the negation.
             greater = dgk_greater_than(
                 a_party, a, b_party, b, bits, self._keys_of(a_party),
-                label=label,
-                key_holder_pool=self._pools(a_party.name, a_party.name),
-                other_pool=self._pools(b_party.name, a_party.name),
-                engine=self._engine)
+                label=label)
             result = not greater
             if reveal_to == "both":
                 a_party.send(f"{label}/conclusion", result)
@@ -282,10 +267,7 @@ class BitwiseComparison(SecureComparison):
         # b-holder keyed, learns b + 1 > a  <=>  a <= b.
         return dgk_greater_than(
             b_party, b + 1, a_party, a, bits, self._keys_of(b_party),
-            label=label,
-            key_holder_pool=self._pools(b_party.name, b_party.name),
-            other_pool=self._pools(a_party.name, b_party.name),
-            engine=self._engine)
+            label=label)
 
     def _leq_batch(self, a_party: Party, a_values: list[int], b_party: Party,
                    b_values: list[int], *, domain: int, reveal_to: str,
@@ -319,10 +301,7 @@ class BitwiseComparison(SecureComparison):
             holder_value, other_values = b_values[0] + 1, a_values
         greater = dgk_greater_than_batch(
             key_party, holder_value, other_party, other_values, bits,
-            self._keys_of(key_party), label=f"{label}/batch",
-            key_holder_pool=self._pools(key_party.name, key_party.name),
-            other_pool=self._pools(other_party.name, key_party.name),
-            engine=self._engine)
+            self._keys_of(key_party), label=f"{label}/batch")
         if reveal_to == "b":
             # b-holder keyed, learns b + 1 > a  <=>  a <= b.
             return greater
@@ -352,9 +331,8 @@ class OracleComparison(SecureComparison):
 
 def make_comparison_backend(kind: str, *,
                             rsa_keys: dict[str, RsaKeyPair] | None = None,
-                            paillier_keys: dict[str, PaillierKeyPair] | None
+                            dgk_keys: dict[str, DgkKeyPair | None] | None
                             = None,
-                            pool_lookup=None,
                             engine: ModexpEngine | None = None,
                             ) -> SecureComparison:
     """Factory used by :class:`repro.smc.session.SmcSession`.
@@ -362,9 +340,10 @@ def make_comparison_backend(kind: str, *,
     ``kind`` is one of ``"ympp"``, ``"bitwise"``, ``"oracle"``; the
     relevant key material must be supplied for the crypto backends as a
     ``{party_name: keypair}`` mapping -- keys follow party identity, not
-    argument roles.  ``pool_lookup`` routes pregenerated Paillier
-    randomness into the bitwise backend and ``engine`` routes its batch
-    modexp work (see :class:`BitwiseComparison`).
+    argument roles.  A party whose DGK entry is ``None`` (injected key
+    material without one) fails only when it would hold the key.
+    ``engine`` shards YMPP's RSA sweep; the bitwise backend runs no
+    engine jobs.
     """
     if kind == "ympp":
         if not rsa_keys or len(rsa_keys) < 2:
@@ -372,11 +351,10 @@ def make_comparison_backend(kind: str, *,
                 "ympp backend requires an RSA keypair per party")
         return YaoMillionairesComparison(rsa_keys, engine=engine)
     if kind == "bitwise":
-        if not paillier_keys or len(paillier_keys) < 2:
+        if not dgk_keys or len(dgk_keys) < 2:
             raise ComparisonError(
-                "bitwise backend requires a Paillier keypair per party")
-        return BitwiseComparison(paillier_keys, pool_lookup=pool_lookup,
-                                 engine=engine)
+                "bitwise backend requires a DGK keypair per party")
+        return BitwiseComparison(dgk_keys)
     if kind == "oracle":
         return OracleComparison()
     raise ComparisonError(f"unknown comparison backend {kind!r}")

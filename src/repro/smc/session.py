@@ -2,8 +2,8 @@
 
 A :class:`SmcSession` is created once per distributed-DBSCAN run.  It
 
-- generates (or deterministically caches) each party's Paillier and RSA
-  key material,
+- generates (or deterministically caches) each party's Paillier, DGK
+  and RSA key material,
 - performs the one-time public-key exchange over the channel so key
   bytes are charged to the communication accounting exactly once,
 - exposes the protocol primitives (comparison, multiplication, scalar
@@ -17,8 +17,13 @@ import hmac
 import random
 from dataclasses import dataclass, field
 
+from repro.crypto.dgk import DgkKeyPair, DgkPublicKey, generate_dgk_keypair
 from repro.crypto.engine import ModexpEngine, default_engine
-from repro.crypto.keycache import cached_paillier_keypair, cached_rsa_keypair
+from repro.crypto.keycache import (
+    cached_dgk_keypair,
+    cached_paillier_keypair,
+    cached_rsa_keypair,
+)
 from repro.crypto.paillier import (
     PaillierKeyPair,
     PaillierPublicKey,
@@ -28,7 +33,8 @@ from repro.crypto.precompute import RandomnessPool
 from repro.crypto.rsa import RsaKeyPair, generate_rsa_keypair
 from repro.crypto.sealed import (
     is_sealed,
-    paillier_public_digest,
+    public_key_digest,
+    seal_dgk_keypair,
     seal_paillier_keypair,
 )
 from repro.net.channel import Channel
@@ -57,8 +63,10 @@ class SmcConfig:
     """Tunables for the cryptographic layer.
 
     Attributes:
-        paillier_bits: Paillier modulus size; 256 is comfortable for
-            tests, 512+ realistic for benchmarks.
+        paillier_bits: modulus size of each party's Paillier key and,
+            for the ``bitwise`` comparison, of its DGK key (at least
+            128 bits there); 256 is comfortable for tests, 1024+
+            realistic.
         rsa_bits: RSA modulus for YMPP (only generated when the ympp
             backend is selected).
         comparison: ``"bitwise"`` (default), ``"ympp"``, or ``"oracle"``.
@@ -77,8 +85,9 @@ class SmcConfig:
             into an offline phase.  Off = seed-era behaviour, useful for
             ablations.
         engine: a :class:`~repro.crypto.engine.ModexpEngine` executing
-            the crypto layer's bulk modexp work (pool refills, batch
-            encrypt/decrypt, DGK bit batches).  ``None`` uses the shared
+            the Paillier layer's bulk modexp work (pool refills, batch
+            encrypt/decrypt) and YMPP's RSA sweep; the DGK comparison
+            runs no engine jobs.  ``None`` uses the shared
             serial engine -- identical results, one process.  Supply
             ``ModexpEngine(workers=k)`` to shard those jobs across
             ``k`` worker processes.
@@ -113,30 +122,58 @@ def channel_for_config(config: SmcConfig, left_name: str = "alice",
 class CryptoContext:
     """One party's key material.
 
+    ``dgk`` exists for the ``bitwise`` comparison only; its public half
+    travels in the same announcement as the Paillier key.
     ``expected_digest`` is set on sealed peer contexts: the manifest's
-    pinned public-key digest that the wire-announced key must match
-    before the session trusts it (``None`` skips the pin -- legacy
+    pinned public-key digest that the wire-announced keys must match
+    before the session trusts them (``None`` skips the pin -- legacy
     manifests without ``key_digests``).
     """
 
     paillier: PaillierKeyPair
     rsa: RsaKeyPair | None = None
+    dgk: DgkKeyPair | None = None
     expected_digest: str | None = None
 
 
-def sealed_peer_context(owner: str,
-                        expected_digest: str | None = None) -> CryptoContext:
+def sealed_peer_context(owner: str, expected_digest: str | None = None, *,
+                        with_dgk: bool = False) -> CryptoContext:
     """Key context for a party that is *remote* in this process.
 
-    Holds a sealed keypair with a placeholder public key until the
-    session's key exchange captures the owner's authentic public key
+    Holds sealed keypairs with placeholder public keys until the
+    session's key exchange captures the owner's authentic public keys
     from the wire (the mirrored choreography discards the placeholder
     send unserialized, so the placeholder never reaches any peer).
-    The private half never exists here at all.
+    The private halves never exist here at all.  ``with_dgk`` expects a
+    DGK key in the announcement (the ``bitwise`` comparison).
     """
     placeholder = PaillierPublicKey(n=0, g=0)
+    dgk = (seal_dgk_keypair(DgkPublicKey(n=0, g=0, h=0), owner)
+           if with_dgk else None)
     return CryptoContext(paillier=seal_paillier_keypair(placeholder, owner),
-                         expected_digest=expected_digest)
+                         dgk=dgk, expected_digest=expected_digest)
+
+
+def _derive_context(config: SmcConfig, *, seed: int | None = None,
+                   rng: random.Random | None = None) -> CryptoContext:
+    """One party's keys: from the key cache at ``seed``, else from
+    ``rng``.  RSA keys exist for ``ympp`` and DGK keys for ``bitwise``;
+    both use the modulus sizes of ``config``.  The DGK key is derived
+    last, so the Paillier and RSA keys do not depend on the comparison.
+    """
+    if seed is not None:
+        paillier = cached_paillier_keypair(config.paillier_bits, seed)
+        rsa = (cached_rsa_keypair(config.rsa_bits, seed)
+               if config.comparison == "ympp" else None)
+        dgk = (cached_dgk_keypair(config.paillier_bits, seed)
+               if config.comparison == "bitwise" else None)
+    else:
+        paillier = generate_paillier_keypair(config.paillier_bits, rng)
+        rsa = (generate_rsa_keypair(config.rsa_bits, rng)
+               if config.comparison == "ympp" else None)
+        dgk = (generate_dgk_keypair(config.paillier_bits, rng)
+               if config.comparison == "bitwise" else None)
+    return CryptoContext(paillier=paillier, rsa=rsa, dgk=dgk)
 
 
 class FullKeyProvider:
@@ -156,21 +193,14 @@ class FullKeyProvider:
     def context_for(self, name: str, slot: int,
                     rng: random.Random | None = None) -> CryptoContext:
         cfg = self.config
-        needs_rsa = cfg.comparison == "ympp"
         if cfg.key_seed is not None:
-            seed = self.key_seed_stride * cfg.key_seed + slot
-            paillier = cached_paillier_keypair(cfg.paillier_bits, seed)
-            rsa = (cached_rsa_keypair(cfg.rsa_bits, seed)
-                   if needs_rsa else None)
-        else:
-            if rng is None:
-                raise SessionError(
-                    f"key generation for {name!r} needs an RNG when "
-                    f"key_seed is unset")
-            paillier = generate_paillier_keypair(cfg.paillier_bits, rng)
-            rsa = (generate_rsa_keypair(cfg.rsa_bits, rng)
-                   if needs_rsa else None)
-        return CryptoContext(paillier=paillier, rsa=rsa)
+            return _derive_context(
+                cfg, seed=self.key_seed_stride * cfg.key_seed + slot)
+        if rng is None:
+            raise SessionError(
+                f"key generation for {name!r} needs an RNG when "
+                f"key_seed is unset")
+        return _derive_context(cfg, rng=rng)
 
 
 class SealedKeyProvider:
@@ -193,7 +223,9 @@ class SealedKeyProvider:
     def context_for(self, name: str, slot: int,
                     rng: random.Random | None = None) -> CryptoContext:
         if name != self.own_name:
-            return sealed_peer_context(name, self.key_digests.get(name))
+            return sealed_peer_context(
+                name, self.key_digests.get(name),
+                with_dgk=self.config.comparison == "bitwise")
         return self._own_provider.context_for(name, slot, rng)
 
 
@@ -255,9 +287,8 @@ class SmcSession:
         self.comparison_backend: SecureComparison = make_comparison_backend(
             self.config.comparison,
             rsa_keys=rsa_keys,
-            paillier_keys={self.alice.name: alice_ctx.paillier,
-                           self.bob.name: bob_ctx.paillier},
-            pool_lookup=self.pool,
+            dgk_keys={self.alice.name: alice_ctx.dgk,
+                      self.bob.name: bob_ctx.dgk},
             engine=self.engine,
         )
 
@@ -265,35 +296,35 @@ class SmcSession:
 
     def _make_context(self, party: Party, slot: int) -> CryptoContext:
         cfg = self.config
-        needs_rsa = cfg.comparison == "ympp"
         if cfg.key_seed is not None:
-            paillier = cached_paillier_keypair(cfg.paillier_bits,
-                                               2 * cfg.key_seed + slot)
-            rsa = (cached_rsa_keypair(cfg.rsa_bits, 2 * cfg.key_seed + slot)
-                   if needs_rsa else None)
-        else:
-            paillier = generate_paillier_keypair(cfg.paillier_bits, party.rng)
-            rsa = (generate_rsa_keypair(cfg.rsa_bits, party.rng)
-                   if needs_rsa else None)
-        return CryptoContext(paillier=paillier, rsa=rsa)
+            return _derive_context(cfg, seed=2 * cfg.key_seed + slot)
+        return _derive_context(cfg, rng=party.rng)
 
     def _exchange_public_keys(self) -> None:
         """Send each party's public keys to the peer, once, accounted.
 
-        For a sealed peer context (mirrored runtime) the owner is not
-        hosted: its placeholder send only marks where the mirror
-        substitutes the authentic announcement from the wire, which the
-        hosted peer receives; the sealed context adopts that public key
-        after cross-checking it against the manifest's pinned digest.
+        The Paillier announcement is ``[n, g]``, followed by the DGK
+        public key ``n, g, h`` when the context has one.  For a sealed
+        peer context (mirrored runtime) the owner is not hosted: its
+        placeholder send only marks where the mirror substitutes the
+        authentic announcement from the wire, which the hosted peer
+        receives; the sealed context adopts those public keys after
+        checking their shape and cross-checking them against the
+        manifest's pinned digest.
         """
         for party, peer in ((self.alice, self.bob), (self.bob, self.alice)):
             context = self._contexts[party.name]
             public = context.paillier.public_key
-            party.send("keys/paillier_pub", [public.n, public.g])
+            announcement = [public.n, public.g]
+            if context.dgk is not None:
+                dgk = context.dgk.public_key
+                announcement += [dgk.n, dgk.g, dgk.h]
+            party.send("keys/paillier_pub", announcement)
             if peer.hosted:
                 announced = peer.receive("keys/paillier_pub")
                 if is_sealed(context.paillier.private_key):
-                    self._adopt_peer_public(party.name, context, announced)
+                    self._adopt_peer_public(party.name, context, announced,
+                                            self.config.paillier_bits)
             if context.rsa is not None:
                 party.send("keys/rsa_pub",
                            [context.rsa.public_key.n, context.rsa.public_key.e])
@@ -301,17 +332,36 @@ class SmcSession:
                     peer.receive("keys/rsa_pub")
 
     @staticmethod
-    def _adopt_peer_public(owner: str, context: CryptoContext,
-                           announced) -> None:
-        if (not isinstance(announced, list) or len(announced) != 2
-                or not all(isinstance(part, int) and part > 0
-                           for part in announced)):
+    def _adopt_peer_public(owner: str, context: CryptoContext, announced,
+                           key_bits: int) -> None:
+        """Check a sealed peer's announcement, then adopt its keys.
+
+        Every modulus must have ``key_bits`` bits, the Paillier ``g``
+        must lie in ``(1, n^2)`` and the DGK ``g`` and ``h`` in
+        ``(1, n)``; ``bool`` parts are refused.  The shape is checked
+        before the digest, so a legacy manifest without ``key_digests``
+        cannot run on a degenerate key.
+        """
+        expected = "[n, g, dgk_n, dgk_g, dgk_h]" if context.dgk else "[n, g]"
+        if (not isinstance(announced, list)
+                or len(announced) != (5 if context.dgk else 2)
+                or not all(type(part) is int for part in announced)):
             raise SessionError(
                 f"malformed public-key announcement from {owner!r}: "
-                f"expected [n, g], got {type(announced).__name__}")
-        public = PaillierPublicKey(n=announced[0], g=announced[1])
+                f"expected {expected} of ints")
+        n, g, *dgk = announced
+        sized = range(1 << (key_bits - 1), 1 << key_bits)
+        if (n not in sized or not 1 < g < n * n
+                or (dgk and (dgk[0] not in sized
+                             or not 1 < dgk[1] < dgk[0]
+                             or not 1 < dgk[2] < dgk[0]))):
+            raise SessionError(
+                f"malformed public-key announcement from {owner!r}: "
+                f"expected {key_bits}-bit moduli with g, h inside them")
+        public = PaillierPublicKey(n=n, g=g)
+        dgk_public = DgkPublicKey(*dgk) if dgk else None
         if context.expected_digest is not None:
-            digest = paillier_public_digest(public)
+            digest = public_key_digest(public, dgk_public)
             if not hmac.compare_digest(digest, context.expected_digest):
                 raise SessionError(
                     f"public key announced by {owner!r} does not match "
@@ -319,6 +369,8 @@ class SmcSession:
                     f"{context.expected_digest[:12]}...); refusing the "
                     f"session")
         context.paillier = seal_paillier_keypair(public, owner)
+        if dgk_public is not None:
+            context.dgk = seal_dgk_keypair(dgk_public, owner)
 
     def party(self, name: str) -> Party:
         if name == self.alice.name:
@@ -341,8 +393,8 @@ class SmcSession:
 
         Pools are keyed by both coordinates because each party draws its
         encryption randomness from its *own* forked pool stream, but may
-        encrypt under either Paillier key (e.g. DGK blinding happens
-        under the key holder's key).  All four pools exist from session
+        encrypt under either Paillier key (e.g. the HDP masker encrypts
+        under the querier's key).  All four pools exist from session
         construction (see ``__post_init__``); ``None`` when
         ``precompute`` is disabled, which every pooled primitive treats
         as "generate fresh".

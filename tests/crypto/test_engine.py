@@ -2,9 +2,9 @@
 
 The binding property (the PR-2 tentpole contract): a
 :class:`~repro.crypto.engine.ModexpEngine` never changes *what* is
-computed -- pool fills, batch encryptions, batch decryptions, and DGK
-bit batches must be bit-identical to the seed-era serial loops under the
-same RNG state, for every worker count and for the serial fallback.
+computed -- pool fills, batch encryptions and batch decryptions must be
+bit-identical to the seed-era serial loops under the same RNG state, for
+every worker count and for the serial fallback.
 """
 
 import dataclasses
@@ -18,7 +18,6 @@ from repro.crypto.paillier import PaillierError
 from repro.crypto.precompute import RandomnessPool
 from repro.net.channel import Channel
 from repro.net.party import make_party_pair
-from repro.smc.bitwise_comparison import dgk_greater_than
 
 KEYS = cached_paillier_keypair(256, 920)
 PUB = KEYS.public_key
@@ -275,33 +274,6 @@ class TestDecryptBatchEquivalence:
             _parallel_engine().decrypt_raw_batch(PRIV, [PUB.n_squared])
         with pytest.raises(PaillierError, match="Z_"):
             ModexpEngine(workers=1).decrypt_raw_batch(PRIV, [-1])
-
-
-class TestDgkThroughEngine:
-    def _transcript(self, engine, seed=9):
-        channel = Channel()
-        holder, other = make_party_pair(channel, seed, seed + 1)
-        result = dgk_greater_than(holder, 13, other, 9, 5, KEYS,
-                                  engine=engine)
-        return result, [(e.label, e.value) for e in
-                        channel.transcript.entries]
-
-    def test_bit_identical_transcripts(self):
-        """Same seeds, same messages on the wire -- engine or not."""
-        serial_result, serial_transcript = self._transcript(None)
-        with _parallel_engine() as engine:
-            engine_result, engine_transcript = self._transcript(engine)
-        assert serial_result is True and engine_result is True
-        assert serial_transcript == engine_transcript
-
-    @pytest.mark.parametrize("x,y", [(0, 0), (0, 7), (7, 0), (5, 5),
-                                     (6, 5), (5, 6)])
-    def test_comparison_results(self, x, y):
-        channel = Channel()
-        holder, other = make_party_pair(channel, 11, 12)
-        with _parallel_engine() as engine:
-            assert dgk_greater_than(holder, x, other, y, 3, KEYS,
-                                    engine=engine) == (x > y)
 
 
 @pytest.mark.slow

@@ -18,11 +18,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import ProtocolConfig
-from repro.crypto.keycache import cached_paillier_keypair
+from repro.crypto.keycache import cached_dgk_keypair, cached_paillier_keypair
 from repro.crypto.sealed import (
     PublicOnlyKeyError,
     is_sealed,
-    paillier_public_digest,
+    public_key_digest,
     seal_paillier_keypair,
     seal_rsa_keypair,
 )
@@ -254,10 +254,10 @@ class TestSealedKeys:
         manifest = build_manifest(by_party, config, [1, 2, 3])
         assert set(manifest.key_digests) == set(by_party)
         for slot, name in enumerate(manifest.names):
-            keypair = cached_paillier_keypair(
-                config.smc.paillier_bits,
-                100 * config.smc.key_seed + slot)
-            assert (paillier_public_digest(keypair.public_key)
+            seed = 100 * config.smc.key_seed + slot
+            paillier = cached_paillier_keypair(config.smc.paillier_bits, seed)
+            dgk = cached_dgk_keypair(config.smc.paillier_bits, seed)
+            assert (public_key_digest(paillier.public_key, dgk.public_key)
                     == manifest.key_digests[name])
 
     @settings(max_examples=25, deadline=None)
@@ -300,21 +300,27 @@ class TestSealedKeys:
         )
 
         keypair = cached_paillier_keypair(128, 992)
-        good_digest = paillier_public_digest(keypair.public_key)
-        announced = [keypair.public_key.n, keypair.public_key.g]
+        dgk = cached_dgk_keypair(128, 992).public_key
+        good_digest = public_key_digest(keypair.public_key, dgk)
+        announced = [keypair.public_key.n, keypair.public_key.g,
+                     dgk.n, dgk.g, dgk.h]
 
-        context = sealed_peer_context("peer", expected_digest=good_digest)
-        SmcSession._adopt_peer_public("peer", context, announced)
+        context = sealed_peer_context("peer", expected_digest=good_digest,
+                                      with_dgk=True)
+        SmcSession._adopt_peer_public("peer", context, announced, 128)
         assert context.paillier.public_key.n == keypair.public_key.n
+        assert context.dgk.public_key == dgk
         assert is_sealed(context.paillier.private_key)
+        assert is_sealed(context.dgk.private_key)
 
-        pinned = sealed_peer_context("peer", expected_digest="0" * 64)
+        pinned = sealed_peer_context("peer", expected_digest="0" * 64,
+                                     with_dgk=True)
         with pytest.raises(SessionError, match="pinned digest"):
-            SmcSession._adopt_peer_public("peer", pinned, announced)
+            SmcSession._adopt_peer_public("peer", pinned, announced, 128)
 
         with pytest.raises(SessionError, match="malformed"):
             SmcSession._adopt_peer_public(
-                "peer", sealed_peer_context("peer"), [0, 0])
+                "peer", sealed_peer_context("peer"), [0, 0], 128)
 
     def test_party_process_refuses_auth_manifest_without_psk(self):
         by_party = workload(2)

@@ -1,9 +1,9 @@
-"""Tests for the DGK-style bitwise comparison."""
+"""Tests for the DGK bitwise comparison on DGK's cryptosystem."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.keycache import cached_paillier_keypair
+from repro.crypto.keycache import cached_dgk_keypair
 from repro.net.channel import Channel
 from repro.net.party import make_party_pair
 from repro.smc.bitwise_comparison import (
@@ -12,7 +12,12 @@ from repro.smc.bitwise_comparison import (
     dgk_greater_than_batch,
 )
 
-KEYS = cached_paillier_keypair(256, 810)
+KEYS = cached_dgk_keypair(256, 810)
+
+
+def _zeros(values) -> int:
+    """How many ciphertexts the key holder's zero test flags."""
+    return sum(KEYS.private_key.zero_test_batch(values))
 
 
 def _fresh_parties(seed: int = 0):
@@ -79,8 +84,8 @@ class TestCommunicationShape:
         channel = Channel()
         alice, bob = make_party_pair(channel, 1, 2)
         dgk_greater_than(alice, 2**19, bob, 2**19 - 1, 20, KEYS)
-        n_squared_bytes = (KEYS.public_key.n_squared.bit_length() + 7) // 8
-        assert channel.stats.total_bytes < 3 * 20 * (n_squared_bytes + 8)
+        n_bytes = (KEYS.public_key.n.bit_length() + 7) // 8
+        assert channel.stats.total_bytes < 3 * 20 * (n_bytes + 8)
 
 
 class TestBatch:
@@ -131,9 +136,7 @@ class TestBatch:
         dgk_greater_than_batch(alice, 700, bob, ys, 10, KEYS, label="t")
         batches = channel.transcript.with_label("t/witnesses")[0].value
         for y, batch in zip(ys, batches):
-            zeros = sum(1 for value in batch
-                        if KEYS.private_key.decrypt_raw(value) == 0)
-            assert zeros == (1 if 700 > y else 0), y
+            assert _zeros(batch) == (1 if 700 > y else 0), y
 
     def test_validation_covers_every_item(self):
         alice, bob = _fresh_parties()
@@ -153,15 +156,46 @@ class TestObliviousness:
         alice, bob = make_party_pair(channel, 3, 4)
         dgk_greater_than(alice, 700, bob, 13, 10, KEYS, label="t")
         witnesses = channel.transcript.with_label("t/witnesses")[0].value
-        zeros = sum(1 for value in witnesses
-                    if KEYS.private_key.decrypt_raw(value) == 0)
-        assert zeros == 1  # x > y here, exactly one witness
+        assert _zeros(witnesses) == 1  # x > y here, exactly one witness
 
     def test_no_zero_when_not_greater(self):
         channel = Channel()
         alice, bob = make_party_pair(channel, 5, 6)
         dgk_greater_than(alice, 13, bob, 700, 10, KEYS, label="t")
         witnesses = channel.transcript.with_label("t/witnesses")[0].value
-        zeros = sum(1 for value in witnesses
-                    if KEYS.private_key.decrypt_raw(value) == 0)
-        assert zeros == 0
+        assert _zeros(witnesses) == 0
+
+
+class TestReceivedCiphertexts:
+    """Each side checks what it receives before computing on it."""
+
+    def _tampered(self, party, label_suffix, tamper):
+        send = party.send
+        party.send = lambda label, value: send(
+            label, tamper(value) if label.endswith(label_suffix) else value)
+
+    @pytest.mark.parametrize("tamper,match", [
+        (lambda bits: bits[:-1], "expected 8 bit ciphertexts"),
+        (lambda bits: bits[:-1] + [KEYS.public_key.n], r"outside \(0, n\)"),
+        (lambda bits: bits[:-1] + [True], r"outside \(0, n\)"),
+    ])
+    def test_other_party_checks_the_bit_ciphertexts(self, tamper, match):
+        alice, bob = _fresh_parties(7)
+        self._tampered(alice, "/x_bits", tamper)
+        with pytest.raises(ValueError, match=match):
+            dgk_greater_than(alice, 9, bob, 5, 8, KEYS)
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_key_holder_checks_the_witnesses(self, batch):
+        alice, bob = _fresh_parties(8)
+        if batch:
+            self._tampered(bob, "/witnesses",
+                           lambda batches: batches + [batches[0]])
+            with pytest.raises(BitwiseComparisonError,
+                               match="expected 2 witness batches"):
+                dgk_greater_than_batch(alice, 9, bob, [5, 11], 8, KEYS)
+        else:
+            self._tampered(bob, "/witnesses", lambda values: values[1:])
+            with pytest.raises(BitwiseComparisonError,
+                               match="expected 8 witnesses"):
+                dgk_greater_than(alice, 9, bob, 5, 8, KEYS)

@@ -271,12 +271,12 @@ class TestKeyOwnership:
         out = session.compare_leq(session.bob, 3, session.alice, 5,
                                   lo=0, hi=10, reveal_to="a")
         assert out.result is True
-        assert captured["bob"] is session.paillier_keys("bob")
+        assert captured["bob"] is session._contexts["bob"].dgk
         # Symmetric check: reveal "b" makes alice the key holder.
         captured.clear()
         session.compare_leq(session.bob, 3, session.alice, 5,
                             lo=0, hi=10, reveal_to="b")
-        assert captured["alice"] is session.paillier_keys("alice")
+        assert captured["alice"] is session._contexts["alice"].dgk
 
     def test_ympp_i_holder_uses_own_keypair(self, monkeypatch):
         import repro.smc.comparison as comparison

@@ -91,3 +91,76 @@ class TestSessionProtocols:
                          if isinstance(e.value, int))
 
         assert run() == run()
+
+
+class TestKeyAnnouncements:
+    """A sealed peer's key announcement is shape-checked before the
+    digest pin: a bad shape fails naming the owner even when the
+    manifest pins no digest."""
+
+    BITS = 128
+
+    def _good(self):
+        from repro.crypto.keycache import (
+            cached_dgk_keypair,
+            cached_paillier_keypair,
+        )
+        paillier = cached_paillier_keypair(self.BITS, 992).public_key
+        dgk = cached_dgk_keypair(self.BITS, 992).public_key
+        return [paillier.n, paillier.g, dgk.n, dgk.g, dgk.h]
+
+    def _adopt(self, announced, *, with_dgk=True, digest="0" * 64):
+        from repro.smc.session import sealed_peer_context
+        context = sealed_peer_context("peer", digest, with_dgk=with_dgk)
+        SmcSession._adopt_peer_public("peer", context, announced, self.BITS)
+        return context
+
+    @pytest.mark.parametrize("shape", [
+        "tuple", "paillier_only", "extra_part", "bool_n", "bool_g",
+        "bool_dgk_h", "str_part", "float_part", "short_n", "long_n",
+        "negative_n", "g_one", "g_zero", "g_n_squared", "short_dgk_n",
+        "long_dgk_n", "dgk_g_one", "dgk_g_n", "dgk_h_zero", "dgk_h_n",
+    ])
+    @pytest.mark.parametrize("digest", ["0" * 64, None],
+                             ids=["pinned", "legacy"])
+    def test_malformed_shape_refused(self, shape, digest):
+        n, g, dgk_n, dgk_g, dgk_h = announced = self._good()
+        mutate = {
+            "tuple": lambda: tuple(announced),
+            "paillier_only": lambda: [n, g],
+            "extra_part": lambda: announced + [1],
+            "bool_n": lambda: [True, g, dgk_n, dgk_g, dgk_h],
+            "bool_g": lambda: [n, True, dgk_n, dgk_g, dgk_h],
+            "bool_dgk_h": lambda: [n, g, dgk_n, dgk_g, True],
+            "str_part": lambda: [n, str(g), dgk_n, dgk_g, dgk_h],
+            "float_part": lambda: [n, g, dgk_n, float(dgk_g), dgk_h],
+            "short_n": lambda: [n >> 1, g % (n >> 1) ** 2, dgk_n, dgk_g,
+                                dgk_h],
+            "long_n": lambda: [n << 1, g, dgk_n, dgk_g, dgk_h],
+            "negative_n": lambda: [-n, g, dgk_n, dgk_g, dgk_h],
+            "g_one": lambda: [n, 1, dgk_n, dgk_g, dgk_h],
+            "g_zero": lambda: [n, 0, dgk_n, dgk_g, dgk_h],
+            "g_n_squared": lambda: [n, n * n, dgk_n, dgk_g, dgk_h],
+            "short_dgk_n": lambda: [n, g, dgk_n >> 1, dgk_g >> 2, dgk_h >> 2],
+            "long_dgk_n": lambda: [n, g, dgk_n << 1, dgk_g, dgk_h],
+            "dgk_g_one": lambda: [n, g, dgk_n, 1, dgk_h],
+            "dgk_g_n": lambda: [n, g, dgk_n, dgk_n, dgk_h],
+            "dgk_h_zero": lambda: [n, g, dgk_n, dgk_g, 0],
+            "dgk_h_n": lambda: [n, g, dgk_n, dgk_g, dgk_n],
+        }[shape]()
+        with pytest.raises(SessionError, match="malformed.*'peer'"):
+            self._adopt(mutate, digest=digest)
+
+    def test_legacy_bool_key_refused(self):
+        """``[True, True]`` used to pass and run on n = 1."""
+        with pytest.raises(SessionError, match="malformed.*'peer'"):
+            self._adopt([True, True], with_dgk=False, digest=None)
+
+    def test_well_formed_keys_adopted(self):
+        announced = self._good()
+        context = self._adopt(announced, digest=None)
+        assert context.paillier.public_key.n == announced[0]
+        assert context.dgk.public_key.h == announced[4]
+        paillier_only = self._adopt(announced[:2], with_dgk=False,
+                                    digest=None)
+        assert paillier_only.dgk is None

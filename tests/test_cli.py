@@ -58,6 +58,14 @@ class TestDemoCommand:
         assert rounds is not None
         assert int(rounds.group(1)) > 0
 
+    def test_key_too_small_for_dgk_exits_2(self, capsys):
+        exit_code = main(["demo", "--points", "4", "--key-bits", "64"])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert "repro demo: a 64-bit key is too small" in captured.err
+        assert "at least 128 bits" in captured.err
+        assert "labels" not in captured.out
+
 
 class TestOrchestrateCommand:
     def test_parser_defaults(self):
