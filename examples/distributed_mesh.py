@@ -1,11 +1,13 @@
 """A real 3-party run: each data holder as its own OS process over TCP.
 
 Everything the other examples simulate inside one interpreter happens
-here across genuine process boundaries: the orchestrator writes one
-partition file per clinic, spawns ``python -m repro party`` three times,
-and each process loads *only its own* partition, links up with its peers
-over loopback TCP (versioned handshake binding session id, pair, party,
-and config digest), and runs its driver pass and responder duties.
+here across genuine process boundaries: ``orchestrate_run`` starts one
+``repro serve`` daemon per clinic and submits the session; each daemon
+receives *only its own* partition, links up with its peers over
+loopback TCP (versioned handshake binding protocol version, pair, party,
+and mesh digest), checks the session's manifest digest with every peer,
+and runs its driver pass and responder duties.  If the session fails
+retryably, the orchestrator re-runs it on a fresh fleet.
 
 The run is then verified bit-for-bit against the in-process mesh on the
 same seeds: identical labels, identical disclosure ledger, identical
@@ -14,14 +16,15 @@ sockets, not modeled.
 
 Run:  python examples/distributed_mesh.py
 
-To drive the parties by hand instead (three separate terminals):
+To drive the daemons by hand instead (separate terminals):
 
-    python -m repro orchestrate --parties 3 --points 12 \
-        --run-dir /tmp/mesh-run --prepare-only
+    python -m repro mesh-spec /tmp/mesh.json --parties 3
     # then, one per terminal:
-    python -m repro party --run-dir /tmp/mesh-run --party party0
-    python -m repro party --run-dir /tmp/mesh-run --party party1
-    python -m repro party --run-dir /tmp/mesh-run --party party2
+    python -m repro serve --spec /tmp/mesh.json --party party0
+    python -m repro serve --spec /tmp/mesh.json --party party1
+    python -m repro serve --spec /tmp/mesh.json --party party2
+    # and submit a session to the standing mesh:
+    python -m repro submit --spec /tmp/mesh.json --points 12 --verify
 """
 
 import random
@@ -53,7 +56,7 @@ seeds = [1, 2, 3]
 config = ProtocolConfig(eps=1.5, min_pts=6, scale=100,
                         smc=SmcConfig(paillier_bits=256, key_seed=6))
 
-print("spawning one OS process per clinic (loopback TCP mesh)...")
+print("starting one daemon process per clinic (loopback TCP mesh)...")
 run = orchestrate_run(points, config, seeds=seeds)
 
 rows = [[name, len(points[name]), str(labels)]
@@ -68,7 +71,8 @@ print(f"secure comparisons: {run.result.comparisons}")
 print(f"disclosures: {run.result.ledger.profile()}")
 per_party = {name: f"{report.elapsed_seconds:.2f}s"
              for name, report in run.reports.items()}
-print(f"per-party process wall-clock: {per_party}")
+print(f"per-party session wall-clock: {per_party}  "
+      f"(attempts: {run.attempts})")
 
 # Equivalence: the distributed run must be indistinguishable -- message
 # for message -- from the in-process fabric on the same seeds.

@@ -7,7 +7,6 @@ Usage::
     python -m repro attack --observers 8
     python -m repro figures
     python -m repro orchestrate --parties 3 --points 12 --verify
-    python -m repro party --run-dir /tmp/run --party party0
     python -m repro mesh-spec /tmp/mesh.json --parties 3
     python -m repro serve --spec /tmp/mesh.json --party party0
     python -m repro submit --spec /tmp/mesh.json --sessions 4 --verify
@@ -15,13 +14,12 @@ Usage::
     python -m repro stats --spec /tmp/mesh.json
     python -m repro trace summarize --trace-dir /tmp/traces
 
-``orchestrate`` runs the k-party mesh as *real OS processes* over
-loopback TCP (spawning one ``repro party`` subprocess per data holder);
-``party`` is that subprocess's entry point -- it can equally be launched
-by hand in separate terminals against a shared run directory (see
-``examples/distributed_mesh.py``).
+``orchestrate`` runs one k-party session as *real OS processes* over
+loopback TCP: a throwaway fleet of ``repro serve`` daemons, one per
+data holder, re-run on a fresh fleet if the session fails retryably
+(see ``examples/distributed_mesh.py``).
 
-``serve``/``submit`` are the resident-daemon runtime: ``mesh-spec``
+``serve``/``submit`` drive the same daemons by hand: ``mesh-spec``
 writes a shared mesh description, ``serve`` keeps one party daemon
 alive per terminal (persistent pair links, warmed crypto engine), and
 ``submit`` fires one or many clustering sessions at the standing mesh
@@ -72,6 +70,9 @@ from repro.crypto.precompute import combine_pool_reports
 from repro.multiparty.horizontal import run_multiparty_horizontal_dbscan
 from repro.multiparty.mesh import PartyMesh
 from repro.net.party import make_party_pair
+from repro.runtime.daemon import DaemonError, MeshSpec
+from repro.runtime.faults import FaultSpecError
+from repro.runtime.manifest import ManifestError
 from repro.smc.session import SmcConfig, SmcSession, channel_for_config
 
 _SCENARIOS = ("horizontal", "enhanced", "vertical", "arbitrary",
@@ -124,10 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     orchestrate.add_argument("--min-pts", type=int, default=4)
     orchestrate.add_argument("--seed", type=int, default=7)
     orchestrate.add_argument("--key-bits", type=int, default=256)
-    orchestrate.add_argument("--run-dir", default=None,
-                             help="materialize manifest/partitions/reports "
-                                  "here (kept); default: a temp dir, "
-                                  "removed after the run")
     orchestrate.add_argument("--deadline-s", type=float, default=180.0)
     orchestrate.add_argument("--fault", action="append", default=[],
                              dest="faults", metavar="SPEC",
@@ -135,22 +132,12 @@ def build_parser() -> argparse.ArgumentParser:
                                   "'kill:party1@pass2' or "
                                   "'drop:party0:party0-party2@pass1.q3' "
                                   "(repeatable; grammar in "
-                                  "repro/runtime/faults.py).  The fleet "
-                                  "recovers from its checkpoints and the "
+                                  "repro/runtime/faults.py).  The session "
+                                  "re-runs on a fresh daemon fleet and the "
                                   "result stays bit-identical")
     orchestrate.add_argument("--retry-budget", type=int, default=3,
-                             help="re-spawns of dead parties before the "
-                                  "run is abandoned")
-    orchestrate.add_argument("--keep-run-dir", action="store_true",
-                             help="keep the temporary run directory "
-                                  "(checkpoints, failure reports, party "
-                                  "logs) for inspection")
-    orchestrate.add_argument("--prepare-only", action="store_true",
-                             help="write the manifest and partition files "
-                                  "to --run-dir and print one 'repro "
-                                  "party' command per party (run them in "
-                                  "separate terminals) instead of "
-                                  "spawning the fleet")
+                             help="re-runs after retryable failures before "
+                                  "the run is abandoned")
     orchestrate.add_argument("--verify", action="store_true",
                              help="also run the in-process mesh on the "
                                   "same workload and assert bit-identical "
@@ -158,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "transcripts")
     orchestrate.add_argument("--psk", default=None,
                              help="pre-shared key: authenticate every "
-                                  "party link with per-frame HMACs "
+                                  "daemon link with per-frame HMACs "
                                   "(prefer the REPRO_PSK environment "
                                   "variable over argv on shared hosts)")
     orchestrate.add_argument("--trace-dir", default=None,
@@ -280,39 +267,19 @@ def build_parser() -> argparse.ArgumentParser:
                             "breakdown across parties and passes")
     trace.add_argument("--trace-dir", required=True,
                        help="directory of <party>.jsonl span files")
-
-    party = commands.add_parser(
-        "party",
-        help="one data holder of an orchestrated run (loads only its own "
-             "partition file from --run-dir)")
-    party.add_argument("--run-dir", required=True)
-    party.add_argument("--party", required=True, dest="party_name")
-    party.add_argument("--fail-after-queries", type=int, default=None,
-                       help="failure-injection hook: die hard after N "
-                            "queries (orchestrator failure-path tests)")
-    party.add_argument("--resume", action="store_true",
-                       help="rebuild state from checkpoint_<party>.json "
-                            "in --run-dir and rejoin the mesh at the "
-                            "first incomplete pass")
-    party.add_argument("--epoch", type=int, default=0,
-                       help="recovery-epoch hint from the orchestrator "
-                            "(the checkpoint and the handshake's "
-                            "adopt-max rule refine it)")
-    party.add_argument("--psk", default=None,
-                       help="pre-shared key for link-authenticated "
-                            "manifests (falls back to REPRO_PSK)")
-    party.add_argument("--bind-host", default=None,
-                       help="listen address override for multi-host "
-                            "meshes (dialing still uses the manifest's "
-                            "host)")
     return parser
+
+
+class _SpecFileError(Exception):
+    """A mesh spec file that does not load."""
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run_command(args)
-    except DgkKeySizeError as exc:
+    except (DgkKeySizeError, FaultSpecError, ManifestError,
+            _SpecFileError) as exc:
         print(f"repro {args.command}: {exc}", file=sys.stderr)
         return 2
 
@@ -326,8 +293,6 @@ def _run_command(args) -> int:
         return _run_figures()
     if args.command == "orchestrate":
         return _run_orchestrate(args)
-    if args.command == "party":
-        return _run_party(args)
     if args.command == "mesh-spec":
         return _run_mesh_spec(args)
     if args.command == "serve":
@@ -470,15 +435,11 @@ def _run_orchestrate(args) -> int:
         eps=args.eps, min_pts=args.min_pts, scale=100,
         smc=SmcConfig(paillier_bits=args.key_bits, comparison="bitwise",
                       key_seed=args.seed))
-    if args.prepare_only:
-        return _prepare_run_dir(args, by_party, config, seeds)
     try:
         run = orchestrate_run(by_party, config, seeds=seeds,
-                              run_dir=args.run_dir,
                               deadline_s=args.deadline_s,
                               faults=args.faults,
                               retry_budget=args.retry_budget,
-                              keep_run_dir=args.keep_run_dir,
                               psk=_resolve_psk(args),
                               trace_dir=args.trace_dir)
     except OrchestrationError as exc:
@@ -488,9 +449,9 @@ def _run_orchestrate(args) -> int:
         return 1
     for failure in run.failures:
         print(f"recovered: {failure.summary()}")
-    for name, count in sorted(run.respawns.items()):
-        if count:
-            print(f"re-spawned {name} x{count} (resumed from checkpoint)")
+    if run.attempts > 1:
+        print(f"attempts: {run.attempts} (each failed attempt re-ran the "
+              f"session on a fresh daemon fleet)")
     for name, labels in run.result.labels_by_party.items():
         print(f"{name}: {labels}")
     print(f"bytes: {run.result.stats['total_bytes']:,}  "
@@ -507,47 +468,26 @@ def _run_orchestrate(args) -> int:
     return 0 if all(checks.values()) else 1
 
 
-def _prepare_run_dir(args, by_party, config, seeds) -> int:
-    import pathlib
-
-    from repro.runtime.orchestrator import build_manifest, write_run_dir
-
-    if not args.run_dir:
-        raise SystemExit("--prepare-only requires --run-dir")
-    manifest = build_manifest(by_party, config, seeds)
-    run_dir = pathlib.Path(args.run_dir)
-    write_run_dir(run_dir, manifest, by_party)
-    print(f"run directory prepared: {run_dir}")
-    print("launch each party in its own terminal:")
-    for name in manifest.names:
-        print(f"  python -m repro party --run-dir {run_dir} --party {name}")
-    print("each party writes report_<name>.json when its passes finish")
-    return 0
-
-
 def _resolve_psk(args) -> str | None:
     import os
 
     return args.psk or os.environ.get("REPRO_PSK") or None
 
 
-def _run_party(args) -> int:
-    from repro.runtime.party import run_party
+def _load_spec(path: str) -> MeshSpec:
+    """The mesh spec at ``path``; a malformed file is a usage error."""
+    import pathlib
 
-    report = run_party(args.run_dir, args.party_name,
-                       fail_after_queries=args.fail_after_queries,
-                       resume=args.resume, epoch=args.epoch,
-                       psk=_resolve_psk(args),
-                       bind_host=args.bind_host)
-    print(f"{report.party}: labels={report.labels} "
-          f"elapsed={report.elapsed_seconds:.2f}s")
-    return 0
+    try:
+        return MeshSpec.from_json(pathlib.Path(path).read_text())
+    except DaemonError as exc:
+        raise _SpecFileError(f"{path}: {exc}") from exc
 
 
 def _run_mesh_spec(args) -> int:
     import pathlib
 
-    from repro.runtime.daemon import MeshSpec, mesh_digest
+    from repro.runtime.daemon import mesh_digest
     from repro.runtime.orchestrator import allocate_ports
 
     if args.parties < 2:
@@ -576,12 +516,11 @@ def _run_mesh_spec(args) -> int:
 
 def _run_serve(args) -> int:
     import os
-    import pathlib
     import signal
 
-    from repro.runtime.daemon import MeshSpec, PartyDaemon
+    from repro.runtime.daemon import PartyDaemon
 
-    spec = MeshSpec.from_json(pathlib.Path(args.spec).read_text())
+    spec = _load_spec(args.spec)
     trace_dir = args.trace_dir or os.environ.get("REPRO_TRACE_DIR") or None
     daemon = PartyDaemon(spec, args.party_name, psk=_resolve_psk(args),
                          bind_host=args.bind_host, trace_dir=trace_dir)
@@ -625,15 +564,11 @@ def _run_serve(args) -> int:
 
 
 def _run_submit(args) -> int:
-    import pathlib
-
     from repro.runtime.client import (
         DaemonFleet,
         SessionClient,
         SessionClientError,
     )
-    from repro.runtime.daemon import MeshSpec
-    from repro.runtime.manifest import pair_key
     from repro.runtime.orchestrator import build_manifest
 
     if bool(args.spec) == bool(args.spawn):
@@ -647,7 +582,7 @@ def _run_submit(args) -> int:
                             trace_dir=args.trace_dir).start()
         spec = fleet.spec
     else:
-        spec = MeshSpec.from_json(pathlib.Path(args.spec).read_text())
+        spec = _load_spec(args.spec)
 
     args.parties = len(spec.names)
     by_party, seeds = _orchestrate_workload(args)
@@ -658,9 +593,6 @@ def _run_submit(args) -> int:
         eps=args.eps, min_pts=args.min_pts, scale=100,
         smc=SmcConfig(paillier_bits=args.key_bits, comparison="bitwise",
                       key_seed=args.seed))
-    ports = {pair_key(a, b): 0
-             for i, a in enumerate(spec.names)
-             for b in spec.names[i + 1:]}
     try:
         with SessionClient(spec, psk=psk) as client:
             concurrency = max(1, getattr(args, "concurrency", 1))
@@ -668,8 +600,7 @@ def _run_submit(args) -> int:
             for index in range(max(1, args.sessions)):
                 manifest = build_manifest(
                     by_party, config, seeds,
-                    session_id=f"submit-{index:03d}",
-                    ports=ports, host=spec.host)
+                    session_id=f"submit-{index:03d}", host=spec.host)
                 if concurrency > 1:
                     handles.extend(client.submit_wave(
                         manifest, by_party, concurrency))
@@ -703,12 +634,10 @@ def _run_submit(args) -> int:
 
 def _run_stats(args) -> int:
     import json
-    import pathlib
 
     from repro.runtime.client import SessionClient, SessionClientError
-    from repro.runtime.daemon import MeshSpec
 
-    spec = MeshSpec.from_json(pathlib.Path(args.spec).read_text())
+    spec = _load_spec(args.spec)
     try:
         with SessionClient(spec, psk=_resolve_psk(args)) as client:
             snapshots = client.get_metrics(timeout=args.timeout)

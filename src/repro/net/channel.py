@@ -12,10 +12,10 @@ accounting.
 Delivery itself is delegated to a
 :class:`~repro.net.transport.Transport`: the default
 :class:`~repro.net.transport.InProcessTransport` reproduces the seed-era
-FIFO-deque semantics exactly (empty inbox = :class:`ProtocolDesyncError`),
-and a :class:`~repro.net.transport.TcpTransport` carries one endpoint's
-side of the link to another process.  The channel's accounting does not
-depend on the fabric.
+FIFO-deque semantics exactly (empty inbox = :class:`ProtocolDesyncError`);
+across processes, :class:`~repro.runtime.mirror.MirrorChannel` keeps the
+same accounting over a daemon's session link.  The channel's accounting
+does not depend on the fabric.
 """
 
 from __future__ import annotations
@@ -58,10 +58,8 @@ class Channel:
         return self.left, self.right
 
     def close(self, reason: str | None = None) -> None:
-        """Close the link; over a socket fabric ``reason`` reaches the
-        peer (see :meth:`Transport.close`), so an orchestrated party
-        that dies mid-protocol leaves a diagnosable error, not a
-        hang."""
+        """Close the link; ``reason`` is passed to
+        :meth:`Transport.close` for fabrics that can report it."""
         self.transport.close(reason)
         self._closed = True
 

@@ -1,53 +1,44 @@
 """Length-prefixed frames over a byte stream (the TCP wire format).
 
-Everything the socket runtime puts on a TCP connection travels as one
+Everything the daemon runtime puts on a TCP connection travels as one
 *frame*::
 
     4-byte big-endian frame length | 1 kind byte | payload
 
 The length counts the kind byte plus the payload, so an empty payload
-frames as ``00 00 00 01 <kind>``.  Four kinds exist:
+frames as ``00 00 00 01 <kind>``.  Five kinds exist:
 
 - ``H`` (hello) -- the versioned handshake record exchanged before any
-  protocol traffic (see :mod:`repro.runtime.handshake`).
-- ``M`` (message) -- one protocol message: a label (what the channel
-  layer calls the protocol-phase label) followed by the *exact*
-  :mod:`repro.net.serialization` wire bytes the in-process fabrics
-  carry.  The framing adds routing, never re-encodes the payload, so a
-  TCP run and an in-process run serialize every value identically.
-- ``C`` (control) -- runtime session-control records (begin-query /
-  end-of-pass), encoded with :func:`serialize_message`.  Control frames
-  belong to the orchestration layer and are **not** protocol messages:
-  they never enter a channel's stats or transcript.
+  other traffic (see :mod:`repro.runtime.handshake`).
+- ``C`` (control) -- a client-plane record (submit a session, a
+  session's report or failure, metrics, shutdown), encoded with
+  :func:`serialize_message`.
 - ``X`` (goodbye) -- clean close announcement with a reason string, so
   the peer can distinguish an orderly teardown from a crash.
 
-Two *multiplexed* kinds extend the wire for the daemon runtime, where
+The two *multiplexed* kinds carry the pair links between daemons, where
 one persistent connection per party-pair carries interleaved frames
 from many concurrent clustering sessions:
 
-- ``m`` (mux message) -- an ``M`` payload prefixed with a session tag::
+- ``m`` (mux message) -- one protocol message with a session tag::
 
       2-byte tag length | session id (UTF-8) | message payload
 
-  The inner payload is byte-identical to what a dedicated ``M`` frame
-  would carry for the same protocol message, so demultiplexing strips
-  the tag and hands the single-session machinery the exact same bytes.
-- ``c`` (mux control) -- a control record with the same session-tag
-  prefix; the inner payload is :func:`serialize_message` bytes exactly
-  as in a ``C`` frame.
+  The message payload (:func:`encode_message_payload`) is a label --
+  what the channel layer calls the protocol-phase label -- followed by
+  the *exact* :mod:`repro.net.serialization` wire bytes the in-process
+  fabric carries.  Framing adds routing, never re-encodes, so a daemon
+  run and an in-process run serialize every value identically.
+- ``c`` (mux control) -- a session's runtime control record (session
+  sync, query announcement, end of pass) with the same session-tag
+  prefix.  Control records are **not** protocol messages: they never
+  enter a channel's stats or transcript.
 
-The tag routes; it never re-encodes.  That is the whole equivalence
-argument at the framing layer: a multiplexed run and a single-session
-run put identical protocol bytes on the wire, differing only in the
-envelope that says which session each frame belongs to.
-
-:class:`FramedConnection` wraps a connected socket with these frames,
-a receive timeout, a maximum frame size (malformed length prefixes must
-not trigger gigabyte allocations), and close-versus-timeout error
-mapping.  It is transport-agnostic plumbing: the delivery semantics
-(what an empty inbox means, who may read) live in
-:class:`repro.net.transport.TcpTransport`.
+:class:`FramedConnection` wraps a connected blocking socket with these
+frames, a receive timeout, a maximum frame size (malformed length
+prefixes must not trigger gigabyte allocations), and close-versus-
+timeout error mapping; the session client uses it.  The daemons read
+frames on their event loops with :func:`read_frame_async`.
 
 Link authentication
 -------------------
@@ -55,14 +46,14 @@ Link authentication
 When a :class:`FrameAuthenticator` is attached, every frame's payload
 carries a trailing 32-byte HMAC-SHA256 tag computed from an
 out-of-band pre-shared key over ``context | kind | payload``.  The
-``context`` (the session id for party links, the mesh-spec digest for
-daemon links) is known a priori on both ends -- there is no key
-bootstrap inside the channel -- and makes a frame replayed from a
-*different* session fail verification even under the same PSK.  Tags
+``context`` (the mesh-spec digest) is known a priori on both ends --
+there is no key bootstrap inside the channel -- and makes a frame
+replayed from a *different* mesh fail verification even under the same
+PSK.  Tags
 are verified with :func:`hmac.compare_digest` before a payload reaches
 any parser; failure raises :class:`FrameAuthenticationError`, which the
 runtime classifies as **fatal** (an authentication failure is never
-retried against the recovery budget).  The MAC authenticates and
+retried against the retry budget).  The MAC authenticates and
 integrity-protects; it does not encrypt -- see DESIGN.md's threat
 model for what that buys and what it does not.
 """
@@ -77,13 +68,12 @@ import struct
 import threading
 
 FRAME_HELLO = b"H"
-FRAME_MESSAGE = b"M"
 FRAME_CONTROL = b"C"
 FRAME_GOODBYE = b"X"
 FRAME_MUX_MESSAGE = b"m"
 FRAME_MUX_CONTROL = b"c"
 
-_FRAME_KINDS = (FRAME_HELLO, FRAME_MESSAGE, FRAME_CONTROL, FRAME_GOODBYE,
+_FRAME_KINDS = (FRAME_HELLO, FRAME_CONTROL, FRAME_GOODBYE,
                 FRAME_MUX_MESSAGE, FRAME_MUX_CONTROL)
 
 #: Frame kinds that carry a session tag (see :func:`encode_mux_payload`).
@@ -133,11 +123,11 @@ class FrameAuthenticator:
             serialized anywhere; both ends must receive it through a
             channel outside the mesh (environment, CLI flag).
         context: public per-link binding mixed into every tag -- the
-            session id for party links, the mesh-spec digest for daemon
-            pair/client links.  Both ends know it before connecting, so
-            authentication needs no in-band negotiation, and a frame
-            captured on one session fails verification when replayed
-            into another even under the same PSK.
+            mesh-spec digest for daemon pair and client links.  Both
+            ends know it before connecting, so authentication needs no
+            in-band negotiation, and a frame captured on one mesh fails
+            verification when replayed into another even under the same
+            PSK.
     """
 
     def __init__(self, psk: str | bytes, context: str):
@@ -180,11 +170,10 @@ class FrameAuthenticator:
 def encode_frame(kind: bytes, payload: bytes = b"") -> bytes:
     """The exact bytes :meth:`FramedConnection.write_frame` emits.
 
-    Exposed so the fault injector (``repro.runtime.faults``) can write a
-    deliberately truncated prefix of a *well-formed* frame -- the
-    receiver must then see the stream end mid-frame, which is the
-    connection-loss shape the framing layer distinguishes from a
-    timeout.
+    The daemon hubs encode every frame here; the ``truncate`` fault
+    (``repro.runtime.faults``) writes a prefix of one, so the receiver
+    sees the stream end mid-frame -- the connection-loss shape the
+    framing layer distinguishes from a timeout.
     """
     if kind not in _FRAME_KINDS:
         raise FramingError(f"unknown frame kind {kind!r}")
@@ -192,7 +181,8 @@ def encode_frame(kind: bytes, payload: bytes = b"") -> bytes:
 
 
 def encode_message_payload(label: str, wire: bytes) -> bytes:
-    """Payload of an ``M`` frame: 2-byte label length, label, wire bytes."""
+    """Message payload of an ``m`` frame: 2-byte label length, label,
+    wire bytes."""
     encoded = label.encode("utf-8")
     if len(encoded) > 0xFFFF:
         raise FramingError(f"label too long ({len(encoded)} bytes)")
@@ -218,10 +208,10 @@ def decode_message_payload(payload: bytes) -> tuple[str, bytes]:
 def encode_mux_payload(session_id: str, inner: bytes) -> bytes:
     """Payload of an ``m``/``c`` frame: session tag + untouched inner bytes.
 
-    ``inner`` is exactly what the corresponding single-session frame
-    (``M`` or ``C``) would carry -- the tag is routing only, so the
-    protocol bytes under multiplexing are byte-identical to a dedicated
-    per-session connection.
+    ``inner`` is the message payload (``m``) or the serialized control
+    record (``c``), untouched -- the tag is routing only, so the
+    protocol bytes under multiplexing are byte-identical to an
+    in-process run's.
     """
     tag = session_id.encode("utf-8")
     if not tag:
@@ -260,7 +250,7 @@ async def read_frame_async(reader: asyncio.StreamReader, *,
     The event-loop twin of :meth:`FramedConnection.read_frame`, with the
     same length/kind validation; EOF maps to
     :class:`ConnectionClosedError` so loop-side readers classify peer
-    death exactly like the blocking runtime does.  Timeouts are the
+    death exactly like the blocking client does.  Timeouts are the
     caller's concern (``asyncio.wait_for`` or none at all -- a daemon's
     demux reader legitimately idles between sessions).  When an
     ``authenticator`` is given, the trailing MAC is verified and
@@ -299,10 +289,10 @@ async def read_frame_async(reader: asyncio.StreamReader, *,
 class FramedConnection:
     """Typed length-prefixed frames over one connected socket.
 
-    Writes are locked (the runtime may interleave control-plane writes
-    with protocol writes from a pass-executor thread); reads are
-    single-consumer by design -- exactly one logical reader per link at
-    any time -- and locked anyway so a misuse corrupts nothing.
+    Writes are locked (the client's submitting threads share one
+    connection per daemon); reads are single-consumer by design --
+    exactly one logical reader per link at any time -- and locked anyway
+    so a misuse corrupts nothing.
     """
 
     def __init__(self, sock: socket.socket, *,
@@ -358,9 +348,6 @@ class FramedConnection:
                 raise ConnectionClosedError(
                     f"{self.name}: peer gone while writing "
                     f"{kind!r} frame ({exc})") from exc
-
-    def write_message(self, label: str, wire: bytes) -> None:
-        self.write_frame(FRAME_MESSAGE, encode_message_payload(label, wire))
 
     def write_goodbye(self, reason: str = "done") -> None:
         self.write_frame(FRAME_GOODBYE, reason.encode("utf-8"))

@@ -11,23 +11,16 @@ can live:
   plain FIFO deques, zero cost, and an empty inbox is a protocol bug
   (:class:`ProtocolDesyncError`), never a timing condition.  Every
   in-process channel runs on it.
-- :class:`TcpTransport` -- a real socket: the link's two endpoints live
-  in *different OS processes* (the party-process runtime), connected
-  by a :class:`~repro.net.framing.FramedConnection`.  Each process
-  serves only its local endpoint -- ``deliver`` writes one
-  length-prefixed frame carrying the label and the exact
-  :mod:`repro.net.serialization` wire bytes, ``collect`` blocks on the
-  socket -- so the message sequence on the wire is byte-identical to
-  what the in-process fabric queues.  Timeouts map to
-  :class:`TransportTimeoutError`, peer teardown (goodbye frame or EOF)
-  to :class:`TransportClosedError`, and both error messages name the
-  pair, the local party, and the last frame seen, so an orchestrated
-  party that dies mid-protocol is diagnosable from the survivor's
-  exception alone.  (A resumed party re-drives its checkpointed passes
-  over :class:`~repro.runtime.checkpoint.ReplayTransport` first.)
 - :class:`SessionLinkTransport` -- one daemon session's view of an
   :class:`AsyncTcpTransport`, the persistent pair connection that
-  multiplexes many sessions on the daemon's event loop.
+  multiplexes many sessions on the daemon's event loop.  The link's two
+  endpoints live in different OS processes; each daemon serves only
+  its local endpoint.  Timeouts map to :class:`TransportTimeoutError`,
+  peer teardown (goodbye frame or EOF) to
+  :class:`TransportClosedError`, and both error messages name the
+  session, the pair, the local party and the last frame seen, so a
+  session that dies mid-protocol is diagnosable from the survivor's
+  exception alone.
 
 Transports never look inside ``wire`` bytes and never see plaintext
 values; the trust boundary stays in the channel layer.
@@ -43,19 +36,14 @@ from collections import deque
 
 from repro.net.framing import (
     DEFAULT_MAX_FRAME_BYTES,
-    FRAME_CONTROL,
     FRAME_GOODBYE,
-    FRAME_HELLO,
-    FRAME_MESSAGE,
     FRAME_MUX_CONTROL,
     FRAME_MUX_MESSAGE,
     MUX_KINDS,
     ConnectionClosedError,
     FrameAuthenticationError,
     FrameAuthenticator,
-    FramedConnection,
     FramingError,
-    ReceiveTimeout,
     decode_message_payload,
     decode_mux_payload,
     encode_frame,
@@ -167,120 +155,6 @@ class InProcessTransport(Transport):
                 f"{receiver} tried to receive "
                 f"{expected_label or 'a message'} but the inbox is empty")
         return inbox.popleft()
-
-
-class TcpTransport(Transport):
-    """Real socket fabric: each endpoint lives in its own OS process.
-
-    One process constructs this transport around the connected,
-    handshaken :class:`~repro.net.framing.FramedConnection` of a link
-    and names which endpoint is *local*.  ``deliver`` is only valid for
-    the local sender (a process cannot fabricate its peer's traffic) and
-    writes one message frame -- the label plus the exact serialization
-    wire bytes.  ``collect`` is only valid for the local receiver and
-    blocks on the socket.
-
-    Error mapping, all carrying pair / party / last-frame context:
-
-    - receive timeout -> :class:`TransportTimeoutError` (a desync or a
-      hung peer);
-    - goodbye frame or EOF/reset -> :class:`TransportClosedError`
-      (orderly teardown vs. peer death, the reason string tells which);
-    - control/hello frames inside the protocol stream, or malformed
-      frames -> :class:`ProtocolDesyncError`.
-    """
-
-    def __init__(self, left_name: str, right_name: str,
-                 connection: FramedConnection, local_name: str):
-        super().__init__(left_name, right_name)
-        self._check_endpoint(local_name)
-        self.connection = connection
-        self.local_name = local_name
-        self.peer_name = (right_name if local_name == left_name
-                          else left_name)
-        self._last_frame: tuple[str, str, str] | None = None
-
-    def _context(self) -> str:
-        return link_context(self.left_name, self.right_name,
-                            self._last_frame, local_name=self.local_name)
-
-    def deliver(self, sender: str, receiver: str, label: str,
-                wire: bytes) -> None:
-        self._check_endpoint(sender)
-        self._check_endpoint(receiver)
-        if sender != self.local_name:
-            raise TransportError(
-                f"{sender!r} is not the local endpoint of this process; "
-                f"a socket fabric only transmits its own party's messages "
-                f"({self._context()})")
-        try:
-            self.connection.write_message(label, wire)
-        except ConnectionClosedError as exc:
-            raise TransportClosedError(
-                f"{sender} could not send {label!r}: {exc} "
-                f"({self._context()})") from exc
-        self._last_frame = (sender, receiver, label)
-
-    def collect(self, receiver: str,
-                expected_label: str | None) -> tuple[str, bytes]:
-        self._check_endpoint(receiver)
-        if receiver != self.local_name:
-            raise TransportError(
-                f"{receiver!r} is not the local endpoint of this process "
-                f"({self._context()})")
-        want = expected_label or "a message"
-        try:
-            kind, payload = self.connection.read_frame()
-        except ReceiveTimeout as exc:
-            raise TransportTimeoutError(
-                f"{receiver} waited {self.connection.timeout_s}s for "
-                f"{want}; the peer never sent it ({self._context()})"
-            ) from exc
-        except ConnectionClosedError as exc:
-            raise TransportClosedError(
-                f"link closed while {receiver} waited for {want}: {exc} "
-                f"({self._context()})") from exc
-        except FrameAuthenticationError:
-            # Not a desync: the peer (or someone on the path) fails the
-            # MAC.  Propagate unchanged so the failure classifier maps
-            # it to the fatal, never-retried auth cause instead of the
-            # generic desync.
-            raise
-        except FramingError as exc:
-            raise ProtocolDesyncError(
-                f"malformed frame while {receiver} waited for {want}: "
-                f"{exc} ({self._context()})") from exc
-        if kind == FRAME_GOODBYE:
-            raise TransportClosedError(
-                f"peer {self.peer_name!r} closed the link "
-                f"({payload.decode('utf-8', 'replace')!r}) while "
-                f"{receiver} waited for {want} ({self._context()})")
-        if kind != FRAME_MESSAGE:
-            # Control/hello frames inside the protocol stream, or a
-            # session-multiplexed ``m``/``c`` frame on a dedicated
-            # single-session link -- either way the two ends disagree
-            # about what this connection carries.
-            what = ("control frame" if kind == FRAME_CONTROL
-                    else f"{kind!r} frame")
-            raise ProtocolDesyncError(
-                f"unexpected {what} inside the protocol stream "
-                f"while {receiver} waited for {want} ({self._context()})")
-        try:
-            label, wire = decode_message_payload(payload)
-        except FramingError as exc:
-            raise ProtocolDesyncError(
-                f"unreadable message frame while {receiver} waited for "
-                f"{want}: {exc} ({self._context()})") from exc
-        self._last_frame = (self.peer_name, receiver, label)
-        return label, wire
-
-    def close(self, reason: str | None = None) -> None:
-        if not self.connection.closed:
-            try:
-                self.connection.write_goodbye(reason or "done")
-            except ConnectionClosedError:
-                pass  # peer already gone; nothing to announce
-            self.connection.close()
 
 
 class AsyncTcpTransport:
@@ -434,7 +308,7 @@ class AsyncTcpTransport:
             view._message_queue.put_nowait(self._CLOSED)
             view._control_queue.put_nowait(self._CLOSED)
 
-    def _abort(self, reason: str) -> None:
+    def abort(self, reason: str) -> None:
         """Connection-level failure seen by the demux reader: every
         session on this link fails with the same diagnosis."""
         self._poison(reason)
@@ -452,9 +326,9 @@ class AsyncTcpTransport:
         the abort through the same ``call_later`` lane preserves the
         stream's FIFO order end to end."""
         if self.net_delay_s > 0:
-            self._loop.call_later(self.net_delay_s, self._abort, reason)
+            self._loop.call_later(self.net_delay_s, self.abort, reason)
         else:
-            self._abort(reason)
+            self.abort(reason)
 
     # -- outbound (any thread) ---------------------------------------------
 
@@ -498,6 +372,20 @@ class AsyncTcpTransport:
         else:
             self._loop.call_soon_threadsafe(self._outbox.put_nowait, frame)
 
+    # -- fault injection (event-loop thread) -------------------------------
+
+    def hold_writes(self, seconds: float) -> None:
+        """Write nothing for ``seconds`` of loop time once every frame
+        queued so far is out; later frames follow in order (the
+        ``delay`` fault of :mod:`repro.runtime.faults`)."""
+        self._outbox.put_nowait(("hold", seconds))
+
+    def truncate_and_close(self, prefix: bytes, reason: str) -> None:
+        """After every frame queued so far, write ``prefix`` -- the
+        head of a frame -- and abort the connection, so the peer reads
+        EOF mid-frame (the ``truncate`` fault)."""
+        self._outbox.put_nowait(("truncate", prefix, reason))
+
     # -- pump tasks (event-loop thread) ------------------------------------
 
     async def _pump_out(self) -> None:
@@ -506,10 +394,18 @@ class AsyncTcpTransport:
             if frame is self._CLOSED:
                 return
             try:
+                if isinstance(frame, tuple):
+                    if frame[0] == "hold":
+                        await asyncio.sleep(frame[1])
+                        continue
+                    self._writer.write(frame[1])
+                    await self._writer.drain()
+                    self.abort(frame[2])
+                    return
                 self._writer.write(frame)
                 await self._writer.drain()
             except (ConnectionResetError, OSError) as exc:
-                self._abort(f"peer gone while writing ({exc})")
+                self.abort(f"peer gone while writing ({exc})")
                 return
 
     async def _pump_in(self) -> None:
@@ -527,10 +423,10 @@ class AsyncTcpTransport:
                 # the auth failure instead of a retryable closure.
                 self._auth_failed = True
                 self._auth_failures.inc()
-                self._abort(f"link authentication failed ({exc})")
+                self.abort(f"link authentication failed ({exc})")
                 return
             except FramingError as exc:
-                self._abort(f"malformed frame ({exc})")
+                self.abort(f"malformed frame ({exc})")
                 return
             self._frame_counter(self._frames_in, "in", kind).inc()
             self._bytes_in.inc(5 + len(payload))
@@ -540,7 +436,7 @@ class AsyncTcpTransport:
                     f"({payload.decode('utf-8', 'replace')!r})")
                 return
             if kind not in MUX_KINDS:
-                self._abort(f"non-multiplexed {kind!r} frame on a mux "
+                self.abort(f"non-multiplexed {kind!r} frame on a mux "
                             f"connection")
                 return
             try:
@@ -550,7 +446,7 @@ class AsyncTcpTransport:
                 else:
                     item = inner
             except FramingError as exc:
-                self._abort(f"unreadable mux frame ({exc})")
+                self.abort(f"unreadable mux frame ({exc})")
                 return
             view = self.session(session_id)
             target = (view._message_queue if kind == FRAME_MUX_MESSAGE
@@ -583,8 +479,8 @@ class SessionLinkTransport(Transport):
     inbound queue (the blocking :meth:`collect` refuses).  The control
     plane (``c`` frames: query announcements, end-of-pass, session
     sync) uses :meth:`send_control` / :meth:`next_control` and never
-    touches the message queue, mirroring the single-session runtime's
-    strict C-frame / M-frame separation.
+    touches the message queue: control records are runtime plumbing,
+    never protocol messages.
 
     Closing a view never closes the shared connection; it only detaches
     the session from the hub's demux table.
@@ -609,17 +505,21 @@ class SessionLinkTransport(Transport):
                 f"{sender!r} is not the local endpoint of this daemon; "
                 f"a socket fabric only transmits its own party's messages "
                 f"({self._context()})")
-        inner = encode_message_payload(label, wire)
         try:
-            self.hub.send_frame(self.hub.encode_sealed(
-                FRAME_MUX_MESSAGE,
-                encode_mux_payload(self.session_id, inner)))
+            self.hub.send_frame(self.encode_message(label, wire))
         except TransportClosedError as exc:
             raise TransportClosedError(
                 f"{sender} could not send {label!r}: {exc} "
                 f"({self._context()})") from exc
         self.hub._last_frame = (sender, receiver,
                                 f"{self.session_id}:{label}")
+
+    def encode_message(self, label: str, wire: bytes) -> bytes:
+        """The sealed, session-tagged ``m`` frame carrying one message."""
+        return self.hub.encode_sealed(
+            FRAME_MUX_MESSAGE,
+            encode_mux_payload(self.session_id,
+                               encode_message_payload(label, wire)))
 
     def collect(self, receiver: str,
                 expected_label: str | None) -> tuple[str, bytes]:

@@ -312,7 +312,7 @@ def _exposition_key(key: str) -> str:
 
 
 #: Process-wide default registry for call sites with no daemon to hang a
-#: registry off (orchestrator, party processes, scheduler executors).
+#: registry off (scheduler executors).
 DEFAULT_REGISTRY = MetricsRegistry(enabled=True)
 
 

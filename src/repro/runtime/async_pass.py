@@ -12,13 +12,13 @@ Restartable execution
 ---------------------
 
 Python cannot suspend a plain synchronous call stack from underneath
-(no continuations without C extensions), so the trick is the same one
-the PR-6 checkpoint recovery uses, applied at message granularity:
+(no continuations without C extensions), so the trick is re-execution
+of a deterministic prefix, applied at message granularity:
 
 1. A per-peer secure query runs inline.  Channel sends by the local
    party execute in full (serialize, record, deliver).  A *remote*
-   send -- the substitution point where the party-process channel
-   would block on the socket -- instead polls the per-(session, pair)
+   send -- the substitution point where a blocking channel would wait
+   on the socket -- instead polls the per-(session, pair)
    frame queue; if the authentic frame has not arrived, the channel
    raises :class:`NeedFrame`.
 2. The pair runtime catches it, rolls the pair's mutable state (party

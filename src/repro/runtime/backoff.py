@@ -1,11 +1,10 @@
-"""Seeded-jitter exponential backoff, shared by every retry loop.
+"""Seeded-jitter exponential backoff for retry loops.
 
-One implementation serves the party program's dial-with-retry loop and
-the orchestrator's re-spawn loop, so the two sides of a recovery never
-drift apart in cadence: both compute ``base * 2**attempt`` capped at
-``max_delay_s``, scaled by a jitter factor drawn from a seeded stream
-(:func:`repro.net.transport.derive_seeded_stream`), which keeps test
-runs deterministic while still decorrelating real fleets.
+The orchestrator waits ``base * 2**attempt`` (capped at
+``max_delay_s``) between attempts, scaled by a jitter factor drawn from
+a seeded stream (:func:`repro.net.transport.derive_seeded_stream`),
+which keeps test runs deterministic while still decorrelating real
+fleets.
 """
 
 from __future__ import annotations

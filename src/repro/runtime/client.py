@@ -1,28 +1,30 @@
-"""Session client + in-process daemon fleet harness.
+"""Session client + daemon fleet harness.
 
 :class:`SessionClient` is the submission plane of the daemon runtime:
-it keeps one framed connection open to every resident
+it keeps one framed connection open to every
 :class:`~repro.runtime.daemon.PartyDaemon` of a mesh and submits runs
 as ``start_session`` control records -- each daemon receiving the full
 :class:`~repro.runtime.manifest.RunManifest` plus *only its own
-partition*, the same privacy boundary the PR-5 orchestrator enforces
-with run directories.  Submissions return immediately with a
+partition*, the per-process privacy boundary.  Submissions return
+immediately with a
 :class:`SessionHandle`; reports stream back asynchronously on the same
 connections (a reader thread per daemon routes them), so many sessions
 can be in flight at once and ``submit(...); submit(...); wait both``
 is the natural client idiom.
 
-Merging and verification reuse the orchestrator's machinery
-(:func:`~repro.runtime.orchestrator.merge_reports` cross-checks the
-per-pair transcript digests between both owners of every pair), so a
-daemon run yields the same :class:`MultipartyRunResult` surface -- and
-the same equivalence guarantees -- as every other runtime.
+Merging (:func:`~repro.runtime.orchestrator.merge_reports`)
+cross-checks the per-pair transcript digests between both owners of
+every pair, so a daemon run yields the same :class:`MultipartyRunResult`
+surface -- and the same equivalence guarantees -- as the in-process
+mesh.  A failed session raises :class:`SessionClientError` carrying one
+typed :class:`~repro.runtime.failure.FailureReport` per failed party.
 
 :class:`DaemonFleet` is the harness: it allocates ports, builds the
 :class:`~repro.runtime.daemon.MeshSpec`, and runs one daemon per party
 either on background threads (each with its own event loop -- the
-default for tests and benchmarks) or as ``repro serve`` subprocesses
-(real process isolation, used by the CLI walkthrough).
+default for tests) or as ``repro serve`` subprocesses (real process
+isolation: ``repro orchestrate``, ``submit --spawn`` and the
+benchmark).
 """
 
 from __future__ import annotations
@@ -66,7 +68,16 @@ from repro.runtime.daemon import (
     DaemonError,
     MeshSpec,
     PartyDaemon,
+    PartyReport,
     mesh_digest,
+)
+from repro.runtime.failure import (
+    CAUSE_AUTH_FAILED,
+    CAUSE_CONNECTION_LOST,
+    CAUSE_INTERNAL,
+    CAUSE_REJECTED,
+    CAUSE_TIMEOUT,
+    FailureReport,
 )
 from repro.runtime.handshake import perform_client_handshake
 from repro.runtime.manifest import RunManifest
@@ -75,13 +86,22 @@ from repro.runtime.orchestrator import (
     build_manifest,
     merge_reports,
 )
-from repro.runtime.party import PartyReport
 
 _CONNECT_BACKOFF_S = 0.05
 
 
 class SessionClientError(RuntimeError):
-    """Submission-plane failure: lost daemon, failed session, timeout."""
+    """Submission-plane failure: lost daemon, failed session, timeout.
+
+    ``failures`` holds one typed report per party that failed the
+    session or could not be reached (empty when no party is to blame,
+    e.g. a submit on a closed client).
+    """
+
+    def __init__(self, message: str,
+                 failures: tuple[FailureReport, ...] = ()):
+        super().__init__(message)
+        self.failures = failures
 
 
 @dataclass(frozen=True)
@@ -106,11 +126,11 @@ class SessionHandle:
         self._submitted = time.perf_counter()
         self._event = threading.Event()
         self._reports: dict[str, PartyReport] = {}
-        self._errors: dict[str, str] = {}
+        self._errors: dict[str, FailureReport] = {}
         self._lock = threading.Lock()
 
     def _offer(self, party: str, report: PartyReport | None,
-               error: str | None) -> None:
+               error: FailureReport | None) -> None:
         with self._lock:
             if report is not None:
                 self._reports[party] = report
@@ -128,18 +148,28 @@ class SessionHandle:
             else self._client.spec.timeout_s * (len(self.manifest.names)
                                                 + len(self.manifest.names))
         if not self._event.wait(budget):
+            with self._lock:
+                missing = [name for name in self.manifest.names
+                           if name not in self._reports]
             raise SessionClientError(
                 f"session {self.session_id!r} produced no result within "
-                f"{budget}s ({len(self._reports)}/"
-                f"{len(self.manifest.names)} reports in)")
+                f"{budget}s ({len(self.manifest.names) - len(missing)}/"
+                f"{len(self.manifest.names)} reports in)",
+                failures=tuple(
+                    FailureReport.from_cause(
+                        name, CAUSE_TIMEOUT, f"no report within {budget}s")
+                    for name in missing))
         with self._lock:
             if self._errors:
+                failures = tuple(self._errors[party]
+                                 for party in sorted(self._errors))
                 details = "; ".join(
-                    f"{party}: {error}"
-                    for party, error in sorted(self._errors.items()))
+                    f"{failure.party}: {failure.message}"
+                    for failure in failures)
                 raise SessionClientError(
                     f"session {self.session_id!r} failed on "
-                    f"{sorted(self._errors)}: {details}")
+                    f"{sorted(self._errors)}: {details}",
+                    failures=failures)
             reports = dict(self._reports)
         result, digests = merge_reports(self.manifest, reports)
         return DaemonRun(result=result, reports=reports,
@@ -191,10 +221,14 @@ class SessionClient:
         try:
             for name in spec.names:
                 connection = self._connect(name)
-                perform_client_handshake(connection,
-                                         client_id=client_id,
-                                         daemon_id=name,
-                                         config_digest=self.digest)
+                try:
+                    perform_client_handshake(connection,
+                                             client_id=client_id,
+                                             daemon_id=name,
+                                             config_digest=self.digest)
+                except BaseException:
+                    connection.close()
+                    raise
                 self._connections[name] = connection
                 self._write_locks[name] = threading.Lock()
             for name, connection in self._connections.items():
@@ -221,10 +255,11 @@ class SessionClient:
             except OSError as exc:
                 last_error = exc
                 time.sleep(_CONNECT_BACKOFF_S)
-        raise SessionClientError(
-            f"could not reach daemon {name!r} at "
-            f"{self.spec.host}:{self.spec.ports[name]} within "
-            f"{self.spec.connect_timeout_s}s: {last_error}")
+        message = (f"could not reach daemon {name!r} at "
+                   f"{self.spec.host}:{self.spec.ports[name]} within "
+                   f"{self.spec.connect_timeout_s}s: {last_error}")
+        raise SessionClientError(message, failures=(FailureReport.from_cause(
+            name, CAUSE_CONNECTION_LOST, message),))
 
     # -- inbound report routing --------------------------------------------
 
@@ -240,16 +275,18 @@ class SessionClient:
                 # Tampered or mis-keyed daemon frames are terminal for
                 # every in-flight session on this link -- and named as
                 # such, never as a generic lost connection.
-                self._fail_pending(name,
+                self._fail_pending(name, CAUSE_AUTH_FAILED,
                                    f"link authentication failed: {exc}")
                 return
             except (ConnectionClosedError, FramingError, OSError):
-                self._fail_pending(name, "daemon connection lost")
+                self._fail_pending(name, CAUSE_CONNECTION_LOST,
+                                   "daemon connection lost")
                 return
             if kind == FRAME_GOODBYE:
                 self._fail_pending(
-                    name, f"daemon said goodbye: "
-                          f"{payload.decode('utf-8', 'replace')}")
+                    name, CAUSE_CONNECTION_LOST,
+                    f"daemon said goodbye: "
+                    f"{payload.decode('utf-8', 'replace')}")
                 return
             if kind != FRAME_CONTROL:
                 continue
@@ -284,23 +321,26 @@ class SessionClient:
                 try:
                     report = PartyReport.from_json(body)
                 except (ValueError, TypeError, KeyError) as exc:
-                    handle._offer(name, None,
-                                  f"malformed session report from daemon "
-                                  f"{name!r}: {exc!r}")
+                    handle._offer(name, None, FailureReport.from_cause(
+                        name, CAUSE_INTERNAL,
+                        f"malformed session report from daemon "
+                        f"{name!r}: {exc!r}"))
                 else:
                     handle._offer(name, report, None)
             elif tag == CONTROL_SESSION_FAILED:
-                handle._offer(name, None, str(body))
+                # The daemon's classified cause rides fourth.
+                cause = (str(record[3]) if len(record) == 4
+                         else CAUSE_INTERNAL)
+                handle._offer(name, None, FailureReport.from_cause(
+                    name, cause, str(body)))
             elif tag == CONTROL_SESSION_REJECTED:
                 # Typed rejections carry a machine-readable code fourth
-                # ("capacity", "draining"); older daemons send three.
-                if len(record) == 4:
-                    handle._offer(name, None,
-                                  f"rejected ({record[3]}): {body}")
-                else:
-                    handle._offer(name, None, f"rejected: {body}")
+                # ("capacity", "draining").
+                code = f" ({record[3]})" if len(record) == 4 else ""
+                handle._offer(name, None, FailureReport.from_cause(
+                    name, CAUSE_REJECTED, f"rejected{code}: {body}"))
 
-    def _fail_pending(self, name: str, reason: str) -> None:
+    def _fail_pending(self, name: str, cause: str, reason: str) -> None:
         if self._closed:
             return
         with self._handles_lock:
@@ -317,7 +357,8 @@ class SessionClient:
                 delivered = (name in handle._reports
                              or name in handle._errors)
             if not delivered:
-                handle._offer(name, None, reason)
+                handle._offer(name, None,
+                              FailureReport.from_cause(name, cause, reason))
 
     # -- submission --------------------------------------------------------
 
@@ -358,7 +399,8 @@ class SessionClient:
                     self._connections[name].write_frame(
                         FRAME_CONTROL, record)
             except (ConnectionClosedError, FramingError) as exc:
-                handle._offer(name, None, f"submit failed: {exc}")
+                handle._offer(name, None, FailureReport.from_cause(
+                    name, CAUSE_CONNECTION_LOST, f"submit failed: {exc}"))
         return handle
 
     def run(self, manifest: RunManifest,
@@ -473,13 +515,10 @@ def run_via_daemons(points_by_party: dict[str, list], config,
                     timeout: float | None = None) -> DaemonRun:
     """Run one clustering session on a resident daemon mesh.
 
-    The drop-in daemon twin of ``orchestrate_run`` (same workload
+    The standing-mesh twin of ``orchestrate_run`` (same workload
     signature: one RNG seed per party, in party order): same manifest
     construction, same merge/cross-check, but against daemons that are
-    already linked up and warm.  The manifest's port plan is a
-    placeholder (daemons route over their standing links and never read
-    it); everything the protocol *consumes* -- names, seeds, counts,
-    value bound, config digest -- is the real thing.
+    already linked up and warm, and with no re-run on failure.
     """
     spec = client.spec
     if set(points_by_party) != set(spec.names):
@@ -489,13 +528,8 @@ def run_via_daemons(points_by_party: dict[str, list], config,
     # Manifest party order is partition-dict insertion order; pin it to
     # the mesh slot order so any dict ordering yields the same run.
     ordered = {name: points_by_party[name] for name in spec.names}
-    from repro.runtime.manifest import pair_key
-    ports = {pair_key(a, b): 0
-             for i, a in enumerate(spec.names)
-             for b in spec.names[i + 1:]}
     manifest = build_manifest(ordered, config, seeds,
-                              session_id=session_id, ports=ports,
-                              host=spec.host,
+                              session_id=session_id, host=spec.host,
                               rng_namespace=rng_namespace)
     return client.run(manifest, ordered, timeout)
 
@@ -529,19 +563,37 @@ class _DaemonThread:
                 f"daemon {self.daemon.name!r} failed during startup: "
                 f"{self.daemon.error}") from self.daemon.error
 
-    def stop(self, timeout: float) -> None:
+    def signal_stop(self) -> None:
         self.daemon.stop()
+
+    def wait(self, timeout: float) -> None:
         self.thread.join(timeout)
 
 
 class _DaemonProcess:
-    """One ``repro serve`` subprocess (real process isolation)."""
+    """One ``repro serve`` subprocess (real process isolation).
+
+    After :meth:`wait`, ``process.returncode`` is the exit code: 0 for
+    a daemon that shut down through its own stop path, the fault exit
+    code for an injected kill, 1 for a startup crash.
+    ``exited_on_its_own`` tells a crash from the fleet's own stop, and
+    ``stderr_tail`` keeps the last lines the daemon wrote.
+    """
 
     def __init__(self, spec_path: pathlib.Path, name: str,
                  psk: str | None = None, *,
                  trace_dir: str | None = None):
         self.name = name
+        self.exited_on_its_own = False
+        self.stderr_tail = ""
+        self._signaled = False
         env = dict(os.environ)
+        # The child imports repro the way this process found it, even
+        # when that was through sys.path rather than PYTHONPATH.
+        src_root = pathlib.Path(__file__).resolve().parents[2]
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src_root)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
         if psk:
             # The PSK travels by environment, never argv: command lines
             # are world-readable on a shared host.
@@ -553,14 +605,28 @@ class _DaemonProcess:
              "--spec", str(spec_path), "--party", name],
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env)
 
-    def stop(self, timeout: float) -> None:
-        if self.process.poll() is None:
+    def signal_stop(self) -> None:
+        self._signaled = self.process.poll() is None
+        if self._signaled:
             self.process.terminate()
+
+    def wait(self, timeout: float) -> None:
         try:
             self.process.wait(timeout)
         except subprocess.TimeoutExpired:
             self.process.kill()
             self.process.wait()
+        code = self.process.returncode
+        # A nonzero code is the daemon's own, except a signal death
+        # after the fleet signalled it (a terminate that landed before
+        # the daemon installed its handlers, or the kill fallback).
+        self.exited_on_its_own = code != 0 and not (
+            code < 0 and self._signaled)
+        if self.process.stderr is not None:
+            lines = self.process.stderr.read().decode(
+                "utf-8", "replace").strip().splitlines()
+            self.process.stderr.close()
+            self.stderr_tail = "\n".join(lines[-12:])
 
 
 class DaemonFleet:
@@ -633,16 +699,27 @@ class DaemonFleet:
     def client(self, *, client_id: str = "client") -> SessionClient:
         return SessionClient(self.spec, client_id=client_id, psk=self.psk)
 
-    def stop(self) -> None:
-        for member in self._members:
+    def stop(self) -> list:
+        """Stop every member: signal all of them, then wait on each,
+        so one slow member never delays the others' stop.  Returns the
+        stopped members, whose exit codes a caller may read."""
+        members = self._members
+        for member in members:
             try:
-                member.stop(5.0)
+                member.signal_stop()
+            except Exception:  # noqa: BLE001 - teardown is best-effort
+                pass
+        deadline = time.monotonic() + 5.0
+        for member in members:
+            try:
+                member.wait(max(0.1, deadline - time.monotonic()))
             except Exception:  # noqa: BLE001 - teardown is best-effort
                 pass
         self._members = []
         if self._spec_dir is not None:
             self._spec_dir.cleanup()
             self._spec_dir = None
+        return members
 
     def __enter__(self) -> "DaemonFleet":
         return self.start()

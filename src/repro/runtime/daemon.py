@@ -1,14 +1,14 @@
-"""Resident party daemon: one event loop, many clustering sessions.
+"""Party daemon: one event loop, many clustering sessions.
 
-The PR-5 runtime pays full process spin-up -- interpreter boot, key
-derivation, engine warm-up, link-up, handshakes -- for *every* run.
-This module keeps the party processes resident instead: ``k`` daemons
-(one per data holder, described by a shared :class:`MeshSpec`) hold one
-persistent TCP connection per mesh pair and accept ``start_session``
-requests from clients, each carrying a full
+``k`` daemons (one per data holder, described by a shared
+:class:`MeshSpec`) hold one persistent TCP connection per mesh pair and
+accept ``start_session`` requests from clients, each carrying a full
 :class:`~repro.runtime.manifest.RunManifest` plus that daemon's own
-partition -- the per-process privacy boundary of the orchestrated
-runtime, unchanged.
+partition -- the per-process privacy boundary: no daemon ever receives
+a peer's points.  The daemons are the one distributed runtime: a
+standing mesh (``repro serve``) and ``repro orchestrate``'s throwaway
+fleet, which re-runs a failed session on a fresh fleet, run the same
+code.
 
 Execution model
 ---------------
@@ -39,7 +39,7 @@ forked RNG stream), so warm starts change where offline time is spent,
 never a byte of any transcript.
 
 Determinism: a session's coins, keys, and channel machinery are exactly
-the single-session runtime's (same ``derive_pair_rng`` streams --
+the in-process mesh's (same ``derive_pair_rng`` streams --
 optionally namespaced per session, see
 :attr:`~repro.runtime.manifest.RunManifest.rng_namespace` -- same
 own-slot key derivation with sealed peer contexts
@@ -48,15 +48,15 @@ own-slot key derivation with sealed peer contexts
 which frames share a socket, never the bytes or per-(session, pair,
 direction) order of any stream, so every session's labels, ledger,
 per-pair transcripts, and comparison counts are bit-identical to the
-dedicated-process run (property-tested with interleaved concurrent
-sessions in ``tests/runtime/test_daemon.py``).
+in-process run (property-tested with interleaved concurrent sessions
+in ``tests/runtime/test_daemon.py``).
 
 Amortization: the daemon builds and warms one
 :class:`~repro.crypto.engine.ModexpEngine` at startup and injects it
 into every session's :class:`~repro.smc.session.SmcSession`; the
 process-level key cache makes every session after the first reuse the
 derived key material.  Each session's
-:attr:`~repro.runtime.party.PartyReport.runtime_info` records whether
+:attr:`PartyReport.runtime_info` records whether
 it warm-started and its setup/pool figures, so the amortization is
 observable in reports, not just in wall-clock.
 """
@@ -76,7 +76,7 @@ from dataclasses import dataclass, field
 
 from repro.core.distance import PeerCipherCache
 from repro.core.horizontal import secure_peer_neighbor_count
-from repro.core.leakage import LeakageLedger
+from repro.core.leakage import Disclosure, LeakageEvent, LeakageLedger
 from repro.crypto.engine import ModexpEngine
 from repro.crypto.integer_math import powmod_cache_report
 from repro.crypto.precompute import PrecomputeError, RandomnessService
@@ -103,6 +103,8 @@ from repro.net.transcript import transcript_digest
 from repro.net.transport import AsyncTcpTransport
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_SPAN, Tracer, tracer_for
+from repro.runtime.failure import classify_exception
+from repro.runtime.faults import FaultPlan, PartyFaults
 from repro.runtime.handshake import (
     PROTOCOL_VERSION,
     ROLE_CLIENT,
@@ -116,6 +118,8 @@ from repro.runtime.handshake import (
 from repro.runtime.manifest import (
     DEFAULT_HOST,
     RunManifest,
+    json_field,
+    json_object,
     manifest_digest,
     pair_key,
 )
@@ -123,12 +127,6 @@ from repro.runtime.async_pass import (
     PairRuntime,
     RestartableMirrorChannel,
     drive_pass_async,
-)
-from repro.runtime.party import (
-    CONTROL_END_PASS,
-    CONTROL_QUERY,
-    PartyReport,
-    PartyRuntimeError,
 )
 from repro.smc.session import SealedKeyProvider, SmcSession
 
@@ -159,12 +157,76 @@ CONTROL_METRICS = "metrics"
 #: daemon announces the manifest digest of a freshly submitted session
 #: on every pair link and refuses the session unless the peer's matches.
 CONTROL_SESSION_SYNC = "session_sync"
+#: Pair-plane pass control: the driver announces each per-peer query
+#: and the end of its pass; the responder serves until end-of-pass.
+CONTROL_QUERY = "query"
+CONTROL_END_PASS = "end_pass"
 
 _DIAL_BACKOFF_S = 0.05
 
 
 class DaemonError(RuntimeError):
     """Mesh-spec, link-up, or session-validation failure in a daemon."""
+
+
+class PartyRuntimeError(RuntimeError):
+    """Pass-sequencing failure inside a daemon session."""
+
+
+@dataclass(frozen=True)
+class PartyReport:
+    """What one daemon hands back for one session.
+
+    ``elapsed_seconds`` covers the whole session (key derivation and
+    exchange, setup, passes); ``passes_seconds`` only its protocol
+    passes, so benchmarks can separate round-trip cost from setup.
+    ``runtime_info`` holds the daemon's per-session amortization
+    figures: whether the session warm-started on an already-warmed
+    engine, setup timings, and the randomness-pool hit/miss counts.
+    """
+
+    party: str
+    labels: tuple[int, ...]
+    ledger_events: tuple[tuple[str, str, str, str], ...]
+    pair_reports: dict
+    elapsed_seconds: float
+    passes_seconds: float
+    runtime_info: dict = field(default_factory=dict)
+
+    def to_json(self) -> str:
+        payload = {
+            "party": self.party,
+            "labels": list(self.labels),
+            "ledger_events": [list(event) for event in self.ledger_events],
+            "pair_reports": self.pair_reports,
+            "elapsed_seconds": self.elapsed_seconds,
+            "passes_seconds": self.passes_seconds,
+        }
+        if self.runtime_info:
+            payload["runtime_info"] = self.runtime_info
+        return json.dumps(payload, sort_keys=True) + "\n"
+
+    @classmethod
+    def from_json(cls, payload: str) -> "PartyReport":
+        data = json.loads(payload)
+        return cls(
+            party=data["party"],
+            labels=tuple(data["labels"]),
+            ledger_events=tuple(tuple(event)
+                                for event in data["ledger_events"]),
+            pair_reports=data["pair_reports"],
+            elapsed_seconds=data["elapsed_seconds"],
+            passes_seconds=data["passes_seconds"],
+            runtime_info=data.get("runtime_info", {}),
+        )
+
+    def ledger(self) -> LeakageLedger:
+        ledger = LeakageLedger()
+        for protocol, learner, disclosure, detail in self.ledger_events:
+            ledger.events.append(LeakageEvent(
+                protocol=protocol, learner=learner,
+                disclosure=Disclosure(disclosure), detail=detail))
+        return ledger
 
 
 @dataclass(frozen=True)
@@ -223,6 +285,8 @@ class MeshSpec:
             raise DaemonError("a mesh needs at least two parties")
         if len(set(self.names)) != len(self.names):
             raise DaemonError(f"duplicate party names in {self.names}")
+        if not all(isinstance(name, str) for name in self.names):
+            raise DaemonError(f"party names must be strings: {self.names}")
         if set(self.ports) != set(self.names):
             raise DaemonError(
                 f"ports must cover exactly the party names "
@@ -275,25 +339,27 @@ class MeshSpec:
 
     @classmethod
     def from_json(cls, payload: str) -> "MeshSpec":
-        try:
-            data = json.loads(payload)
-        except json.JSONDecodeError as exc:
-            raise DaemonError(f"unreadable mesh spec: {exc}") from exc
-        try:
-            return cls(
-                names=tuple(data["names"]),
-                ports=dict(data["ports"]),
-                host=data.get("host", DEFAULT_HOST),
-                timeout_s=data.get("timeout_s", 30.0),
-                connect_timeout_s=data.get("connect_timeout_s", 15.0),
-                net_delay_s=data.get("net_delay_s", 0.0),
-                engine_workers=data.get("engine_workers", 1),
-                max_sessions=data.get("max_sessions", 0),
-                link_auth=bool(data.get("link_auth", False)),
-                version=data.get("version", 1),
-            )
-        except KeyError as exc:
-            raise DaemonError(f"mesh spec missing field {exc}") from exc
+        """Parse a spec; :class:`DaemonError` names the first missing
+        or wrong-shaped field."""
+        data = json_object(payload, DaemonError, "mesh spec")
+
+        def get(name, types, *default):
+            return json_field(data, name, types, DaemonError, "mesh spec",
+                              *default)
+
+        number = (int, float)
+        return cls(
+            names=tuple(get("names", list)),
+            ports=dict(get("ports", dict)),
+            host=get("host", str, DEFAULT_HOST),
+            timeout_s=get("timeout_s", number, 30.0),
+            connect_timeout_s=get("connect_timeout_s", number, 15.0),
+            net_delay_s=get("net_delay_s", number, 0.0),
+            engine_workers=get("engine_workers", int, 1),
+            max_sessions=get("max_sessions", int, 0),
+            link_auth=get("link_auth", bool, False),
+            version=get("version", int, 1),
+        )
 
 
 def mesh_digest(spec: MeshSpec) -> str:
@@ -369,6 +435,7 @@ class _SessionState:
 
     manifest: RunManifest
     points: list
+    faults: PartyFaults | None = None
     views: dict = field(default_factory=dict)      # peer -> link view
     channels: dict = field(default_factory=dict)   # peer -> MirrorChannel
     sessions: dict = field(default_factory=dict)   # peer -> SmcSession
@@ -378,9 +445,11 @@ class _SessionState:
 class _SessionMeshView:
     """The ``PartyMesh`` surface of one daemon session's k-1 links.
 
-    The daemon twin of ``repro.runtime.party._LocalMeshView``:
-    ``begin_peer_query`` emits the session-tagged query-announcement
-    control frame, from the session's pass coroutine on the event loop.
+    Implements exactly what the driver-pass machinery touches
+    (``peers_of`` / ``session_between`` / ``party_in_pair`` /
+    ``begin_peer_query``); ``begin_peer_query`` emits the session-tagged
+    query-announcement control frame, from the session's pass coroutine
+    on the event loop.
     """
 
     _QUERY_WIRE = serialize_message([CONTROL_QUERY])
@@ -407,6 +476,8 @@ class _SessionMeshView:
         return self._state.parties[self._peer(name, peer)][name]
 
     def begin_peer_query(self, driver_name: str, peer_name: str) -> None:
+        if self._state.faults is not None:
+            self._state.faults.on_query()
         self._state.views[peer_name].send_control(self._QUERY_WIRE)
 
 
@@ -553,11 +624,8 @@ class PartyDaemon:
             self._on_connection, self.bind_host or self.spec.host,
             self.spec.ports[self.name])
         try:
-            # Engine warm-up off the loop: accepting links while the
-            # worker pool boots.
-            self.engine_warm = await self._loop.run_in_executor(
-                None, self.engine.warm_up)
-            await self._link_up()
+            if not await self._unless_stopped(self._start_up()):
+                return  # stopped during link-up: tear down what exists
             self._setup_seconds = time.perf_counter() - started
             self._refill_task = self._loop.create_task(
                 self.randomness.refill_idle())
@@ -585,6 +653,33 @@ class PartyDaemon:
             await server.wait_closed()
             self.engine.close()
             self.tracer.close()
+
+    async def _start_up(self) -> None:
+        # Engine warm-up off the loop: accepting links while the worker
+        # pool boots.
+        self.engine_warm = await self._loop.run_in_executor(
+            None, self.engine.warm_up)
+        await self._link_up()
+
+    async def _unless_stopped(self, coroutine) -> bool:
+        """Run ``coroutine`` to completion unless a stop request comes
+        first, in which case cancel it and return False.  Link-up can
+        wait up to ``connect_timeout_s`` on a peer that never answers;
+        a stop must not."""
+        task = self._loop.create_task(coroutine)
+        stop = self._loop.create_task(self._stop_event.wait())
+        try:
+            await asyncio.wait({task, stop},
+                               return_when=asyncio.FIRST_COMPLETED)
+        finally:
+            stop.cancel()
+        if not task.done():
+            task.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await task
+            return False
+        task.result()
+        return True
 
     # -- pair link-up ------------------------------------------------------
 
@@ -645,9 +740,10 @@ class PartyDaemon:
                 theirs = await asyncio.wait_for(
                     read_hello_async(reader, name, self._authenticator),
                     self.spec.connect_timeout_s)
-            except HandshakePeerLost as exc:
+            except (HandshakePeerLost, OSError) as exc:
                 # The peer daemon may be booting (accepted, not yet
-                # serving); retry within the budget.
+                # serving), or the connection died before the hello;
+                # retry within the budget.
                 writer.close()
                 last_error = exc
                 if self._loop.time() >= deadline:
@@ -849,8 +945,9 @@ class PartyDaemon:
             raise
         except Exception as exc:  # noqa: BLE001 - reported to the client
             self._obs_failed.inc()
+            cause, _ = classify_exception(exc)
             await send_record([CONTROL_SESSION_FAILED, session_id,
-                               f"{type(exc).__name__}: {exc}"])
+                               f"{type(exc).__name__}: {exc}", cause])
         else:
             self._obs_completed.inc()
             await send_record([CONTROL_SESSION_REPORT,
@@ -884,6 +981,12 @@ class PartyDaemon:
         await self._links_ready.wait()
         started = time.perf_counter()
         self._validate_session(manifest, points)
+        # Fault state exists only when the session's plan names this
+        # party; a fault-free session does no per-frame fault work.
+        faults = (FaultPlan.from_dicts(manifest.faults).for_party(
+                      self.name, hubs={pair_key(self.name, peer): hub
+                                       for peer, hub in self.hubs.items()})
+                  if manifest.faults else None)
         digest = manifest_digest(manifest)
         config = manifest.protocol_config()
         # Inject the daemon's shared warmed engine.  The manifest
@@ -897,7 +1000,8 @@ class PartyDaemon:
         warm_start = session_index > 0
         self._active.add(manifest.session_id)
 
-        state = _SessionState(manifest=manifest, points=points)
+        state = _SessionState(manifest=manifest, points=points,
+                              faults=faults)
         lease = self.randomness.lease(manifest.session_id)
         lease_report: dict | None = None
         runtimes: dict[str, PairRuntime] = {}
@@ -909,8 +1013,10 @@ class PartyDaemon:
             for peer in manifest.peers_of(self.name):
                 view = self.hubs[peer].session(manifest.session_id)
                 state.views[peer] = view
+                link = (view if faults is None
+                        else faults.link(view, pair_key(self.name, peer)))
                 channel = RestartableMirrorChannel(
-                    view.left_name, view.right_name, self.name, view)
+                    view.left_name, view.right_name, self.name, link)
                 channel.obs_live = self._obs_segments["live"]
                 channel.obs_replayed = self._obs_segments["replayed"]
                 state.channels[peer] = channel
@@ -934,6 +1040,8 @@ class PartyDaemon:
             ledger = LeakageLedger()
             labels: tuple[int, ...] = ()
             passes_started = time.perf_counter()
+            if faults is not None:
+                faults.at_boundary(0)
             for pass_index, driver in enumerate(manifest.names):
                 role = "drive" if driver == self.name else "respond"
                 with session_span.child("pass", f"pass{pass_index}",
@@ -948,6 +1056,8 @@ class PartyDaemon:
                             state, driver, config, runtimes,
                             span=pass_span)
                         pass_span.set(served=served)
+                if faults is not None:
+                    faults.at_boundary(pass_index + 1)
             finished = time.perf_counter()
             lease_report = self.randomness.release(manifest.session_id)
             restarts = sum(rt.restarts for rt in runtimes.values())
@@ -1010,11 +1120,11 @@ class PartyDaemon:
 
     async def _build_sessions(self, state: _SessionState, config,
                               runtimes: dict[str, PairRuntime]) -> None:
-        """Event-loop twin of ``PartyProcess.build_sessions``: same
-        global pair order, same key slots, same RNG substreams.
+        """Build one ``SmcSession`` per pair in the in-process mesh's
+        global pair order, with the same key slots and RNG substreams.
 
-        Key material is sealed exactly like the dedicated-process
-        runtime's: this daemon derives only its *own* slot's keypair;
+        Key material is sealed: this daemon derives only its *own*
+        slot's keypair;
         every peer context is a sealed placeholder whose authentic
         public key arrives over the wire during session setup, pinned
         against the manifest's ``key_digests`` when present.
@@ -1105,8 +1215,7 @@ class PartyDaemon:
                             config,
                             runtimes: dict[str, PairRuntime],
                             span=None) -> int:
-        """Serve one remote driver's pass (coroutine twin of
-        ``PartyProcess._respond_pass``).
+        """Serve one remote driver's pass.
 
         Waiting for the next control record is unbounded *by design* --
         the driver may spend arbitrarily long on its other peers -- and
@@ -1156,6 +1265,8 @@ class PartyDaemon:
                 if record[0] == CONTROL_END_PASS:
                     return served
                 served += 1
+                if state.faults is not None:
+                    state.faults.on_query()
                 with span.child("peer_query", f"serve{served}:{driver}",
                                 step=served - 1,
                                 peer=driver) as query_span:

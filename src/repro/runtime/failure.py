@@ -1,152 +1,119 @@
-"""Structured failure reports for the supervised session layer.
+"""Typed failures of the distributed runtime.
 
-When a party process dies -- crash, injected fault, digest divergence,
-exhausted recovery budget -- the bare exit code tells the orchestrator
-almost nothing.  Before exiting on an error, the party program writes a
-``failure_<name>.json`` into the run directory: which phase it was in
-(link-up, replay, pass execution, checkpointing), the pass index and
-recovery epoch, the peer and last frame label it was talking to, and a
-*classification* the supervisor acts on:
+A failed session is described by one :class:`FailureReport` per party
+that failed it: the party, a stable *cause* string, and the
+*classification* the orchestrator acts on:
 
-- ``retryable`` -- transient process/network failures (a crash, a
-  timeout, a lost connection).  The orchestrator re-spawns the party
-  with ``--resume`` under the bounded retry budget.
-- ``fatal`` -- determinism or configuration violations (replay digest
-  divergence, a refused handshake on config/session fields, a corrupt
-  checkpoint).  Retrying cannot help and could mask a correctness bug,
-  so the run fails fast with the report attached.
+- ``retryable`` -- transient process or network failures (a crashed
+  daemon, a timeout, a lost connection).  ``repro orchestrate`` re-runs
+  the whole session on a fresh daemon fleet under its retry budget.
+- ``fatal`` -- determinism or configuration violations (a desync, a
+  refused handshake, a failed MAC).  A re-run fails identically and
+  could mask a correctness bug, so the run stops with the report
+  attached.
 
-The report is the contract between the two processes: the party
-classifies (it knows *why* it died), the orchestrator decides (it knows
-the budget).  A party that dies too hard to write a report -- SIGKILL,
-``os._exit`` from an injected fault -- is classified from its exit code
-alone, conservatively as retryable.
+The daemon that fails a session classifies it (it knows *why*,
+:func:`classify_exception`) and sends the cause with its
+``session_failed`` record; the client rebuilds the report, and the
+orchestrator decides (it knows the budget).  A daemon that dies too
+hard to say anything -- ``os._exit`` from an injected kill, a signal --
+is classified from its exit code alone, as a retryable ``crash``.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-#: Classifications the orchestrator's recovery loop understands.
+from repro.net.framing import (
+    ConnectionClosedError,
+    FrameAuthenticationError,
+    FramingError,
+    ReceiveTimeout,
+)
+from repro.net.serialization import SerializationError
+from repro.net.transport import (
+    ProtocolDesyncError,
+    TransportClosedError,
+    TransportTimeoutError,
+)
+from repro.runtime.handshake import HandshakeError, HandshakePeerLost
+from repro.runtime.mirror import MirrorChannelError
+
+#: Classifications the orchestrator's retry loop understands.
 RETRYABLE = "retryable"
 FATAL = "fatal"
 
-#: Causes, stable strings for tests and for the CLI summary.
-CAUSE_CRASH = "crash"                       # nonzero exit, no report
+#: Causes, stable strings for tests, the wire and the CLI summary.
+CAUSE_CRASH = "crash"                       # the daemon process exited
 CAUSE_TIMEOUT = "timeout"                   # peer silent past the deadline
 CAUSE_CONNECTION_LOST = "connection-lost"   # EOF/reset mid-protocol
+CAUSE_REJECTED = "rejected"                 # admission refused the session
 CAUSE_HANDSHAKE_REFUSED = "handshake-refused"
 CAUSE_DESYNC = "desync"                     # protocol-level label mismatch
-CAUSE_DIGEST_DIVERGENCE = "digest-divergence"
-CAUSE_CHECKPOINT_INVALID = "checkpoint-invalid"
 CAUSE_AUTH_FAILED = "auth-failed"           # frame MAC / PSK rejection
-CAUSE_BUDGET_EXHAUSTED = "recovery-budget-exhausted"
 CAUSE_INTERNAL = "internal-error"
 
 _FATAL_CAUSES = frozenset({
     CAUSE_DESYNC,
-    CAUSE_DIGEST_DIVERGENCE,
-    CAUSE_CHECKPOINT_INVALID,
     CAUSE_HANDSHAKE_REFUSED,
-    # A MAC failure is either an attacker or a misconfigured PSK;
-    # re-dialing re-fails identically, so spending the recovery budget
-    # on it would only delay (and blur) the diagnosis.
+    # A MAC failure is either an attacker or a misconfigured PSK; a
+    # re-run re-fails identically, so spending the retry budget on it
+    # would only delay (and blur) the diagnosis.
     CAUSE_AUTH_FAILED,
-    # The party already spent its own in-process recovery cycles; a
-    # re-spawn would just spend the orchestrator's budget re-exhausting
-    # them.  Fail fast with the attempt history attached.
-    CAUSE_BUDGET_EXHAUSTED,
+    CAUSE_INTERNAL,
 })
 
 
 def classification_of(cause: str) -> str:
-    """Default classification for a cause string."""
+    """The classification of a cause string."""
     return FATAL if cause in _FATAL_CAUSES else RETRYABLE
+
+
+def classify_exception(exc: BaseException) -> tuple[str, str]:
+    """Map a session failure to its ``(cause, classification)``.
+
+    Order matters: the framing and transport hierarchies overlap
+    (``ReceiveTimeout`` and ``ConnectionClosedError`` subclass
+    ``FramingError``; ``TransportTimeoutError`` subclasses
+    ``ProtocolDesyncError``; ``HandshakePeerLost`` subclasses
+    ``HandshakeError``), so the retryable leaves are matched before
+    their fatal ancestors.
+    """
+    if isinstance(exc, FrameAuthenticationError):
+        # Before every retryable branch: it subclasses FramingError.
+        cause = CAUSE_AUTH_FAILED
+    elif isinstance(exc, HandshakePeerLost):
+        cause = CAUSE_CONNECTION_LOST
+    elif isinstance(exc, HandshakeError):
+        cause = CAUSE_HANDSHAKE_REFUSED
+    elif isinstance(exc, (TransportTimeoutError, ReceiveTimeout)):
+        cause = CAUSE_TIMEOUT
+    elif isinstance(exc, (TransportClosedError, ConnectionClosedError)):
+        cause = CAUSE_CONNECTION_LOST
+    elif isinstance(exc, (ProtocolDesyncError, MirrorChannelError,
+                          FramingError, SerializationError)):
+        cause = CAUSE_DESYNC
+    else:
+        cause = CAUSE_INTERNAL
+    return cause, classification_of(cause)
 
 
 @dataclass(frozen=True)
 class FailureReport:
-    """One party's account of why it died.
-
-    ``phase`` is the coarse lifecycle stage (``link-up``, ``replay``,
-    ``pass``, ``checkpoint``, ``report``); ``pass_index`` the number of
-    passes completed when the failure hit; ``peer`` / ``last_frame`` the
-    link and frame label in flight, when one was.
-    """
+    """One party's account of why a session failed."""
 
     party: str
     cause: str
     classification: str
     message: str
-    phase: str = "unknown"
-    pass_index: int = 0
-    epoch: int = 0
-    peer: str | None = None
-    last_frame: str | None = None
-    attempts: tuple[dict, ...] = field(default_factory=tuple)
-
-    def summary(self) -> str:
-        where = f"pass {self.pass_index}, epoch {self.epoch}"
-        link = f", peer {self.peer!r}" if self.peer else ""
-        frame = f", frame {self.last_frame!r}" if self.last_frame else ""
-        return (f"party {self.party!r} failed ({self.classification} "
-                f"{self.cause}) during {self.phase} at {where}{link}"
-                f"{frame}: {self.message}")
-
-    def to_json(self) -> str:
-        payload = {
-            "party": self.party,
-            "cause": self.cause,
-            "classification": self.classification,
-            "message": self.message,
-            "phase": self.phase,
-            "pass_index": self.pass_index,
-            "epoch": self.epoch,
-            "peer": self.peer,
-            "last_frame": self.last_frame,
-            "attempts": [dict(attempt) for attempt in self.attempts],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     @classmethod
-    def from_json(cls, payload: str) -> "FailureReport":
-        data = json.loads(payload)
-        return cls(
-            party=data["party"],
-            cause=data["cause"],
-            classification=data["classification"],
-            message=data["message"],
-            phase=data.get("phase", "unknown"),
-            pass_index=data.get("pass_index", 0),
-            epoch=data.get("epoch", 0),
-            peer=data.get("peer"),
-            last_frame=data.get("last_frame"),
-            attempts=tuple(dict(attempt)
-                           for attempt in data.get("attempts", ())),
-        )
+    def from_cause(cls, party: str, cause: str,
+                   message: str) -> "FailureReport":
+        return cls(party=party, cause=cause,
+                   classification=classification_of(cause),
+                   message=message)
 
-
-def failure_path(run_dir: pathlib.Path, party: str) -> pathlib.Path:
-    return pathlib.Path(run_dir) / f"failure_{party}.json"
-
-
-def write_failure(run_dir: pathlib.Path, report: FailureReport) -> None:
-    """Best-effort persist; a failing disk must not mask the original
-    error (the exit code still carries the retryable/fatal split)."""
-    try:
-        failure_path(run_dir, report.party).write_text(report.to_json())
-    except OSError:
-        pass
-
-
-def load_failure(run_dir: pathlib.Path,
-                 party: str) -> FailureReport | None:
-    path = failure_path(run_dir, party)
-    if not path.exists():
-        return None
-    try:
-        return FailureReport.from_json(path.read_text())
-    except (json.JSONDecodeError, KeyError, TypeError):
-        return None
+    def summary(self) -> str:
+        return (f"party {self.party!r} failed ({self.classification} "
+                f"{self.cause}): {self.message}")

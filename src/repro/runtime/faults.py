@@ -1,66 +1,63 @@
-"""Deterministic fault injection for the socket runtime.
+"""Deterministic fault injection for the daemon runtime.
 
 A :class:`FaultPlan` is a *manifest-carried*, seeded description of the
 failures a run must survive (or die of, for the failure-path tests).
-Carrying the plan in the manifest -- inside the handshake digest, like
-every other run parameter -- means every process interprets the same
-plan, so chaos runs are exactly as reproducible as fault-free runs: the
-same manifest produces the same kills at the same protocol points, and
-the recovery machinery can be property-tested against the bit-identical
+Carrying the plan in the manifest -- inside the session-sync digest,
+like every other run parameter -- means every daemon interprets the
+same plan, so chaos runs are exactly as reproducible as fault-free
+runs: the same manifest produces the same kills at the same protocol
+points, and recovery can be tested against the bit-identical
 equivalence bar.
 
 Spec grammar (the CLI's ``--fault`` strings)::
 
-    kill:<party>@pass<N>              die hard at the boundary where N
-                                      passes have completed
-    kill:<party>@pass<N>.q<Q>         die mid-pass: N passes completed,
-                                      after seeing Q queries of the
-                                      in-flight pass
-    drop:<party>:<a>-<b>@pass<N>      abruptly close the pair's socket
-                                      (no goodbye) at boundary N; both
-                                      ends recover in-process
+    kill:<party>@pass<N>              exit hard (code 13) at the
+                                      boundary where N passes have
+                                      completed
+    kill:<party>@pass<N>.q<Q>         exit hard during the next pass,
+                                      after Q queries this party
+                                      announced or served in it
+    drop:<party>:<a>-<b>@pass<N>      abort the pair's link (no goodbye)
+                                      at boundary N
     drop:<party>:<a>-<b>@pass<N>.q<Q> the same, mid-pass
     delay:<party>:<a>-<b>@pass<N>.f<F>:<seconds>
-                                      sleep before writing the F-th
-                                      protocol frame after boundary N
+                                      hold the F-th message frame this
+                                      party sends on the pair after
+                                      boundary N -- and every later
+                                      frame on that link -- for
+                                      <seconds>; all arrive intact and
+                                      in order
     truncate:<party>:<a>-<b>@pass<N>.f<F>
                                       write a seeded-length prefix of
-                                      the F-th protocol frame after
-                                      boundary N, then hard-close (the
-                                      peer sees the stream end
-                                      mid-frame)
-    refuse:<party>:<a>-<b>            the listening party closes the
-                                      first accepted connection before
-                                      handshaking (the dialer re-dials)
+                                      that frame, then close the link
+                                      (the peer reads EOF mid-frame)
 
-Any spec may end with ``@e<E>``: it fires only at recovery epoch ``E``
-(default 0) -- which is what makes kill faults terminate: the re-spawned
-party runs at the next epoch, where the spec no longer matches.  Every
-fault fires at most once per process lifetime.
+Any spec may end with ``@e<E>``: it belongs to attempt ``E`` (default
+0) of ``repro orchestrate``, which puts into each attempt's manifest
+exactly the specs addressed to that attempt.  That is what makes a
+kill terminate: the re-run no longer carries it.  A daemon fires every
+spec its manifest carries for its party, each at most once.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import socket
-import time
 from dataclasses import dataclass, replace
 
-from repro.net.framing import (
-    FRAME_MESSAGE,
-    ConnectionClosedError,
-    FramedConnection,
-    encode_frame,
+from repro.net.transport import (
+    Transport,
+    TransportClosedError,
+    canonical_pair,
+    derive_seeded_stream,
 )
-from repro.net.transport import canonical_pair, derive_seeded_stream
 
 #: Exit code of an injected hard death (``os._exit``); the orchestrator
 #: classifies it as a retryable crash, exactly like a real one.
 FAULT_EXIT_CODE = 13
 
-_KINDS = ("kill", "drop", "delay", "truncate", "refuse")
-_PAIR_KINDS = ("drop", "delay", "truncate", "refuse")
+_KINDS = ("kill", "drop", "delay", "truncate")
+_PAIR_KINDS = ("drop", "delay", "truncate")
 
 _AT_RE = re.compile(
     r"^pass(?P<boundary>\d+)"
@@ -78,9 +75,9 @@ class FaultSpec:
     ``boundary`` is a completed-pass count: a boundary fault fires the
     moment ``passes_done == boundary``; a mid-pass fault (``queries``
     set) fires during the following pass, after that many of its
-    queries; a frame fault (``frame`` set) fires on that protocol frame
-    written after the boundary.  ``refuse`` faults have no boundary --
-    they act during link-up at their epoch.
+    queries; a frame fault (``frame`` set) acts on that message frame
+    sent after the boundary.  ``epoch`` is the orchestrated attempt the
+    spec belongs to (``@e<E>``).
     """
 
     kind: str
@@ -100,11 +97,7 @@ class FaultSpec:
             raise FaultSpecError(f"{self.kind} faults need a pair")
         if self.kind == "kill" and self.pair is not None:
             raise FaultSpecError("kill faults take no pair")
-        if self.kind == "refuse":
-            if self.boundary is not None:
-                raise FaultSpecError("refuse faults act at link-up, "
-                                     "not at a pass boundary")
-        elif self.boundary is None:
+        if self.boundary is None:
             raise FaultSpecError(f"{self.kind} faults need @pass<N>")
         if self.kind in ("delay", "truncate") and self.frame is None:
             raise FaultSpecError(f"{self.kind} faults need .f<F>")
@@ -129,6 +122,10 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, record: dict) -> "FaultSpec":
+        if not isinstance(record, dict):
+            raise FaultSpecError(
+                f"fault record must be an object, got "
+                f"{type(record).__name__}")
         try:
             pair = record.get("pair")
             return cls(kind=record["kind"], party=record["party"],
@@ -170,7 +167,9 @@ def parse_fault(text: str, *, seed: int = 0) -> FaultSpec:
     parts = head.split(":")
     kind = parts[0]
     if kind not in _KINDS:
-        raise FaultSpecError(f"unknown fault kind {kind!r} in {text!r}")
+        raise FaultSpecError(
+            f"unknown fault kind {kind!r} in {text!r} (expected one of "
+            f"{', '.join(_KINDS)})")
     if kind == "kill":
         if len(parts) != 2:
             raise FaultSpecError(f"kill spec is kill:<party>, got {text!r}")
@@ -210,27 +209,38 @@ class FaultPlan:
         specs = tuple(FaultSpec.from_dict(record) for record in records)
         return cls(specs=specs, seed=specs[0].seed if specs else 0)
 
-    def for_party(self, party: str, epoch: int) -> "PartyFaults":
-        return PartyFaults(
-            [spec for spec in self.specs
-             if spec.party == party and spec.epoch == epoch],
-            party=party, seed=self.seed)
+    def for_attempt(self, attempt: int) -> "FaultPlan":
+        """The specs addressed to one orchestrated attempt (``@e<E>``)."""
+        return replace(self, specs=tuple(spec for spec in self.specs
+                                         if spec.epoch == attempt))
+
+    def for_party(self, party: str, hubs=None) -> "PartyFaults | None":
+        """One daemon's live fault state for a session, or ``None``
+        when no spec names ``party`` (a fault-free session then does
+        no per-frame work).  ``hubs`` maps each pair key to the pair's
+        :class:`~repro.net.transport.AsyncTcpTransport`."""
+        specs = [spec for spec in self.specs if spec.party == party]
+        if not specs:
+            return None
+        return PartyFaults(specs, party=party, hubs=hubs)
 
 
 class PartyFaults:
-    """One process's live view of the plan at its current epoch.
+    """One daemon's live view of a session's plan for its party.
 
-    The party program consults :meth:`at_boundary` after every
-    checkpoint and :meth:`on_query` per announced/served query; frame
-    faults act inside :class:`FaultyConnection`.  Each spec fires at
-    most once (``_fired``), and the whole object is rebuilt per epoch,
-    so a recovered process only sees specs addressed to its new epoch.
+    The daemon reports every pass boundary (:meth:`at_boundary`) and
+    every query its party announces or serves (:meth:`on_query`); kill
+    and drop specs fire there.  Frame specs act inside the
+    :class:`FaultyLink` that :meth:`link` wraps around a pair's session
+    view.  Each spec fires at most once.
     """
 
-    def __init__(self, specs, *, party: str, seed: int = 0):
+    def __init__(self, specs, *, party: str, hubs=None):
         self.specs = list(specs)
         self.party = party
-        self.seed = seed
+        self.hubs = dict(hubs or {})
+        self.passes_done = 0
+        self._queries_in_pass = 0
         self._fired: set[int] = set()
 
     def _take(self, predicate) -> list[FaultSpec]:
@@ -241,110 +251,97 @@ class PartyFaults:
                 taken.append(spec)
         return taken
 
-    def at_boundary(self, passes_done: int) -> list[FaultSpec]:
-        return self._take(
+    def at_boundary(self, passes_done: int) -> None:
+        self.passes_done = passes_done
+        self._queries_in_pass = 0
+        self._apply(self._take(
             lambda s: s.kind in ("kill", "drop") and s.queries is None
-            and s.boundary == passes_done)
+            and s.boundary == passes_done), f"at boundary {passes_done}")
 
-    def on_query(self, passes_done: int,
-                 queries_in_pass: int) -> list[FaultSpec]:
-        return self._take(
-            lambda s: s.kind in ("kill", "drop") and s.queries is not None
-            and s.boundary == passes_done and s.queries == queries_in_pass)
+    def on_query(self) -> None:
+        self._queries_in_pass += 1
+        count = self._queries_in_pass
+        self._apply(self._take(
+            lambda s: s.kind in ("kill", "drop") and s.queries == count
+            and s.boundary == self.passes_done),
+            f"mid-pass at {self.passes_done} passes, query {count}")
 
-    def refuse_once(self, pair_key: str) -> bool:
-        """True exactly once per matching refuse spec for this pair."""
-        return bool(self._take(
-            lambda s: s.kind == "refuse" and s.pair_key() == pair_key))
+    def _apply(self, fired: list[FaultSpec], context: str) -> None:
+        for spec in fired:
+            if spec.kind == "kill":
+                # The injected hard death: no goodbye, no cleanup, no
+                # report -- exactly the shape of a real crash.
+                print(f"[fault injection] {self.party} dying ({context})",
+                      flush=True)
+                os._exit(FAULT_EXIT_CODE)
+        for spec in fired:
+            hub = self.hubs.get(spec.pair_key())
+            if hub is not None:
+                hub.abort(f"[fault injection] {self.party} dropped link "
+                          f"{spec.pair_key()} {context}")
 
-    def frame_specs(self, pair_key: str) -> list[FaultSpec]:
-        return [spec for spec in self.specs
-                if spec.kind in ("delay", "truncate")
-                and spec.pair_key() == pair_key]
-
-    @staticmethod
-    def die(spec: FaultSpec, context: str) -> None:
-        """The injected hard death: no goodbye, no cleanup, no report --
-        exactly the shape of a real crash."""
-        print(f"[fault injection] {spec.party} dying ({spec.kind} "
-              f"{context})", flush=True)
-        os._exit(FAULT_EXIT_CODE)
+    def link(self, view, pair_key: str) -> Transport:
+        """``view`` itself, or a :class:`FaultyLink` around it when a
+        frame spec names this pair."""
+        specs = [spec for spec in self.specs
+                 if spec.kind in ("delay", "truncate")
+                 and spec.pair_key() == pair_key]
+        return FaultyLink(view, specs, self) if specs else view
 
 
-class FaultyConnection(FramedConnection):
-    """A :class:`FramedConnection` that interprets frame-level faults.
+class FaultyLink(Transport):
+    """A session's pair link that interprets frame-level faults.
 
-    ``state`` is a zero-argument callback returning the party's current
-    ``passes_done`` (frame counts reset at each boundary, so ``.f<F>``
-    means "the F-th protocol frame after that checkpoint").  Delay
-    faults sleep before the write; truncate faults send a seeded-length
-    prefix of the encoded frame, hard-close the socket -- the peer sees
-    the stream end mid-frame, this side sees its next operation fail --
-    and never deliver the rest.
+    Counts the live message frames the session's channel delivers
+    (replayed resends of a restarted query never reach ``deliver``),
+    resetting at each pass boundary, so ``.f<F>`` means "the F-th
+    message frame sent after that boundary".  A delay holds the pair
+    connection's writer; a truncation writes a seeded-length prefix of
+    the encoded frame and closes the connection, and this side's send
+    fails as a lost connection.
     """
 
-    def __init__(self, sock, *, specs, state, timeout_s: float,
-                 name: str = "link", authenticator=None):
-        super().__init__(sock, timeout_s=timeout_s, name=name,
-                         authenticator=authenticator)
+    def __init__(self, view, specs, faults: PartyFaults):
+        super().__init__(view.left_name, view.right_name)
+        self.view = view
         self._specs = list(specs)
-        self._state = state
-        self._frames_since_boundary = 0
+        self._faults = faults
         self._boundary_seen = -1
+        self._frames = 0
         self._spent: set[int] = set()
 
-    def write_frame(self, kind: bytes, payload: bytes = b"") -> None:
-        if kind != FRAME_MESSAGE or not self._specs:
-            return super().write_frame(kind, payload)
-        passes_done = self._state()
+    def deliver(self, sender: str, receiver: str, label: str,
+                wire: bytes) -> None:
+        passes_done = self._faults.passes_done
         if passes_done != self._boundary_seen:
             self._boundary_seen = passes_done
-            self._frames_since_boundary = 0
-        self._frames_since_boundary += 1
+            self._frames = 0
+        self._frames += 1
+        hub = self.view.hub
         for index, spec in enumerate(self._specs):
             if (index in self._spent or spec.boundary != passes_done
-                    or spec.frame != self._frames_since_boundary):
+                    or spec.frame != self._frames):
                 continue
             self._spent.add(index)
             if spec.kind == "delay":
-                time.sleep(spec.seconds)
-            elif spec.kind == "truncate":
-                self._truncate(spec, kind, payload)
-        super().write_frame(kind, payload)
+                hub.hold_writes(spec.seconds)
+                continue
+            frame = self.view.encode_message(label, wire)
+            rng = derive_seeded_stream(spec.seed, "fault-truncate",
+                                       spec.party, spec.boundary,
+                                       spec.frame)
+            cut = rng.randrange(1, len(frame))
+            reason = (f"[fault injection] frame {label!r} truncated after "
+                      f"{cut}/{len(frame)} bytes")
+            hub.truncate_and_close(frame[:cut], reason)
+            raise TransportClosedError(f"{hub.name}: {reason}")
+        self.view.deliver(sender, receiver, label, wire)
 
-    def _truncate(self, spec: FaultSpec, kind: bytes,
-                  payload: bytes) -> None:
-        frame = encode_frame(kind, payload)
-        rng = derive_seeded_stream(spec.seed, "fault-truncate", spec.party,
-                                   spec.boundary, spec.frame)
-        cut = rng.randrange(1, len(frame))
-        with self._send_lock:
-            self._closed = True
-            try:
-                self._sock.sendall(frame[:cut])
-            except OSError:
-                pass
-            # No shutdown: the partial bytes must flush, then FIN -- the
-            # peer reads a frame prefix and hits EOF mid-frame.
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-        raise ConnectionClosedError(
-            f"{self.name}: [fault injection] frame truncated after "
-            f"{cut}/{len(frame)} bytes")
+    def collect(self, receiver: str, expected_label: str | None):
+        return self.view.collect(receiver, expected_label)
 
+    def try_collect(self, receiver: str, expected_label: str | None):
+        return self.view.try_collect(receiver, expected_label)
 
-def refuse_first_accept(listener: socket.socket, faults: PartyFaults,
-                        pair_key: str) -> None:
-    """Link-up hook: consume one ``refuse`` spec by accepting and
-    immediately closing the next connection (the dialer retries)."""
-    if not faults.refuse_once(pair_key):
-        return
-    try:
-        victim, _ = listener.accept()
-        victim.close()
-        print(f"[fault injection] {faults.party} refused a connection "
-              f"on pair {pair_key}", flush=True)
-    except OSError:
-        pass
+    def close(self, reason: str | None = None) -> None:
+        self.view.close(reason)

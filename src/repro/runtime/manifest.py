@@ -1,20 +1,20 @@
-"""The public run description shared by every party process.
+"""The public run description shared by every party daemon.
 
-A :class:`RunManifest` is everything about an orchestrated run that is
-*public by protocol design* -- party names and order, per-party RNG
+A :class:`RunManifest` is everything about one clustering session that
+is *public by protocol design* -- party names and order, per-party RNG
 seeds, per-party point counts, the dimensionality, the comparison-domain
-bound, the full protocol configuration, and the port plan.  Private data
-(the coordinates themselves) never enters the manifest; each party loads
-its own partition file and nothing else.
+bound, the full protocol configuration, and the planned faults.
+Private data (the coordinates themselves) never enters the manifest;
+each daemon receives its own partition and nothing else.
 
-The manifest is also the unit the handshake digests: two processes whose
-manifests differ in *any* field produce different digests and refuse
-each other's links before a single protocol byte flows.
+The manifest is also the unit the session sync digests: two daemons
+whose manifests differ in *any* field produce different digests and
+refuse the session before a single protocol byte of it flows.
 
 Supported configuration surface
 -------------------------------
 
-The socket runtime executes the existing choreography implementations on
+The daemon runtime executes the existing choreography implementations on
 both ends of every link (see :mod:`repro.runtime.mirror`), which
 requires every party's *coin streams* to be derivable from public
 seeds: ``SmcConfig.key_seed`` and per-party seeds are mandatory, and
@@ -27,7 +27,8 @@ the authentic wire exchange and cross-checked against the manifest's
 per-party ``key_digests``, and their private halves exist in this
 process only as public-only sealed stand-ins
 (:mod:`repro.crypto.sealed`).  Unsupported configurations raise
-:class:`UnsupportedConfigError` at orchestration time, never mid-run.
+:class:`UnsupportedConfigError` when the manifest is built, never
+mid-run.
 """
 
 from __future__ import annotations
@@ -39,21 +40,59 @@ from dataclasses import dataclass, field
 from repro.core.config import ProtocolConfig
 from repro.smc.session import SmcConfig
 
-#: Default hostname party processes bind and dial.  Loopback by
-#: default: single-machine runs need no routing.  Multi-host meshes
-#: pass an explicit host per manifest plus a ``bind_host`` on the
-#: listening side, and should enable link authentication (a pre-shared
-#: key -- see DESIGN.md, "Threat model") so frames crossing a real
-#: network are integrity-checked.
+#: Default hostname daemons bind and dial.  Loopback by default:
+#: single-machine runs need no routing.  Multi-host meshes pass an
+#: explicit host in the mesh spec plus a ``bind_host`` on the listening
+#: side, and should enable link authentication (a pre-shared key -- see
+#: DESIGN.md, "Threat model") so frames crossing a real network are
+#: integrity-checked.
 DEFAULT_HOST = "127.0.0.1"
 
 
 class UnsupportedConfigError(ValueError):
-    """The configuration cannot run on the socket runtime (yet)."""
+    """The configuration cannot run on the daemon runtime (yet)."""
 
 
 class ManifestError(ValueError):
     """Malformed or inconsistent manifest data."""
+
+
+_REQUIRED = object()
+
+
+def json_field(data: dict, name: str, types, error: type[Exception],
+               where: str, default=_REQUIRED):
+    """Field ``name`` of a decoded JSON object, shape-checked.
+
+    Raises ``error`` naming the field when it is missing (and has no
+    ``default``) or holds the wrong JSON type, so malformed outside
+    input fails with a typed error instead of a ``TypeError`` deep in
+    a constructor.
+    """
+    if name not in data:
+        if default is _REQUIRED:
+            raise error(f"{where} missing field {name!r}")
+        return default
+    value = data[name]
+    if not isinstance(value, types):
+        expected = " or ".join(
+            "null" if kind is type(None) else kind.__name__
+            for kind in (types if isinstance(types, tuple) else (types,)))
+        raise error(f"{where} field {name!r} must be {expected}, got "
+                    f"{type(value).__name__}")
+    return value
+
+
+def json_object(payload: str, error: type[Exception], where: str) -> dict:
+    """Decode ``payload``; raise ``error`` unless it is a JSON object."""
+    try:
+        data = json.loads(payload)
+    except json.JSONDecodeError as exc:
+        raise error(f"unreadable {where}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise error(f"{where} must be a JSON object, got "
+                    f"{type(data).__name__}")
+    return data
 
 
 _SMC_FIELDS = ("paillier_bits", "rsa_bits", "comparison", "mask_sigma",
@@ -63,7 +102,7 @@ _PROTOCOL_FIELDS = ("eps", "min_pts", "scale", "selection",
                     "cache_peer_ciphertexts")
 
 
-#: Comparison backends the socket runtime can execute, with the reason
+#: Comparison backends the daemon runtime can execute, with the reason
 #: each *other* backend is refused -- surfaced verbatim in
 #: :class:`UnsupportedConfigError` so a rejection names what IS allowed.
 SUPPORTED_COMPARISON_BACKENDS = ("bitwise",)
@@ -76,7 +115,7 @@ _UNSUPPORTED_COMPARISON_REASONS = {
 
 
 def validate_runtime_config(config: ProtocolConfig) -> None:
-    """Refuse configurations the socket runtime cannot execute."""
+    """Refuse configurations the daemon runtime cannot execute."""
     if config.smc.comparison not in SUPPORTED_COMPARISON_BACKENDS:
         supported = ", ".join(repr(name)
                               for name in SUPPORTED_COMPARISON_BACKENDS)
@@ -85,19 +124,19 @@ def validate_runtime_config(config: ProtocolConfig) -> None:
             "runtime knows how to mirror")
         raise UnsupportedConfigError(
             f"comparison backend {config.smc.comparison!r} cannot run on "
-            f"the socket runtime: {reason}.  Supported backends: "
+            f"the daemon runtime: {reason}.  Supported backends: "
             f"{supported}")
     if config.smc.key_seed is None:
         raise UnsupportedConfigError(
-            "the socket runtime requires SmcConfig(key_seed=...): every "
-            "party process derives its OWN slot's keypair "
+            "the daemon runtime requires SmcConfig(key_seed=...): every "
+            "party daemon derives its OWN slot's keypair "
             "deterministically (peers' public keys arrive over the wire, "
             "pinned by the manifest's key_digests -- see DESIGN.md, "
             "'Sealed per-party keys')")
     if config.smc.engine is not None:
         raise UnsupportedConfigError(
             "SmcConfig.engine cannot cross a process boundary; party "
-            "processes build their own engines (leave engine=None)")
+            "daemons build their own engines (leave engine=None)")
 
 
 def config_to_dict(config: ProtocolConfig) -> dict:
@@ -142,11 +181,11 @@ def config_from_dict(payload: dict) -> ProtocolConfig:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Public description of one orchestrated run.
+    """Public description of one clustering session.
 
     Attributes:
-        session_id: unique id of this run; the handshake refuses links
-            across sessions.
+        session_id: unique id of this session; the daemons key its
+            frames, coroutines and reports by it.
         names: party names in mesh slot order (the order drives pass
             sequencing, key-slot derivation, and pair orientation).
         seeds: per-party RNG seeds, parallel to ``names``.  Public by
@@ -160,50 +199,36 @@ class RunManifest:
             (``squared_distance_bound`` over the union of all parties'
             points; every process must use the same bound or mask sizes
             and DGK widths diverge).
-        ports: ``{pair_key: port}`` -- one TCP port per unordered pair;
-            the lower-slot party listens, the higher-slot party dials.
+        ports: ``{pair_key: port}`` -- one entry per unordered pair.
+            Daemons route over their standing links and never read it;
+            callers that have no port plan pass zeros.
         config: the protocol configuration dict
             (:func:`config_to_dict` shape).
-        host: bind/dial host for every link.
-        timeout_s: socket receive timeout for protocol frames.
-        connect_timeout_s: total budget for one link's dial (and the
-            matching accept wait) during link-up -- generous, because
-            after a failure the surviving parties wait here for the
-            dead party's re-spawn.
-        connect_retries: maximum dial attempts within that budget.
-        backoff_base_s: base of the shared exponential-backoff-with-
-            seeded-jitter cadence (see :mod:`repro.runtime.backoff`)
-            used between dial attempts and between orchestrator
-            re-spawns.
-        recovery_budget: how many recovery cycles (teardown, epoch
-            bump, re-link-up, resume) one party process tolerates
-            before giving up fatally.
+        host: the host the session's links run on.
         faults: the serialized :class:`~repro.runtime.faults.FaultPlan`
-            (empty for a fault-free run).  Manifest-carried so every
-            process interprets the same seeded plan -- deterministic
-            chaos, inside the handshake digest like everything else.
+            (empty for a fault-free session).  Manifest-carried so
+            every daemon interprets the same seeded plan --
+            deterministic chaos, inside the session-sync digest like
+            everything else.
         rng_namespace: optional per-session coin-stream namespace (see
-            :func:`repro.multiparty.mesh.derive_pair_rng`).  The daemon
-            runtime sets it to the session id so concurrent sessions
+            :func:`repro.multiparty.mesh.derive_pair_rng`).  Concurrent
+            sessions on one mesh set it to their session id so sessions
             sharing seeds never share coins; ``None`` -- the
-            single-session default -- keeps the legacy streams, so
-            every pre-existing manifest digest and equivalence is
-            untouched.
+            single-session default -- keeps the in-process mesh's
+            streams, which is what lets ``repro orchestrate`` re-run a
+            failed session frame for frame.
         key_digests: ``{party: sha256}`` over each party's Paillier
             and DGK *public* keys
             (:func:`repro.crypto.sealed.public_key_digest`), computed
-            by the trusted orchestrator at manifest-build time.  Each
-            party process derives only its own keys; peers' public
-            keys are captured from the wire exchange and
-            cross-checked (constant-time) against these digests before
-            any protocol byte depends on them.  Empty -- the legacy
-            default -- skips the pin, so pre-PR-8 manifests still load.
+            by the trusted workload owner at manifest-build time.  Each
+            daemon derives only its own keys; peers' public keys are
+            captured from the wire exchange and cross-checked
+            (constant-time) against these digests before any protocol
+            byte depends on them.  Empty skips the pin.
         link_auth: whether every link authenticates its frames with the
             out-of-band pre-shared key (HMAC handshake tag + per-frame
             MACs).  The PSK itself NEVER enters the manifest -- only
-            this public flag does, inside the handshake digest, so an
-            authenticated and an unauthenticated deployment can never
-            half-connect.
+            this public flag does.
     """
 
     session_id: str
@@ -215,11 +240,6 @@ class RunManifest:
     ports: dict[str, int]
     config: dict
     host: str = DEFAULT_HOST
-    timeout_s: float = 30.0
-    connect_timeout_s: float = 15.0
-    connect_retries: int = 120
-    backoff_base_s: float = 0.02
-    recovery_budget: int = 3
     faults: tuple = ()
     rng_namespace: str | None = None
     key_digests: dict = field(default_factory=dict)
@@ -231,6 +251,8 @@ class RunManifest:
             raise ManifestError("a run needs at least two parties")
         if len(set(self.names)) != len(self.names):
             raise ManifestError(f"duplicate party names in {self.names}")
+        if not all(isinstance(name, str) for name in self.names):
+            raise ManifestError(f"party names must be strings: {self.names}")
         if len(self.seeds) != len(self.names):
             raise ManifestError("seeds must parallel names")
         if set(self.counts) != set(self.names):
@@ -246,19 +268,6 @@ class RunManifest:
             raise ManifestError(
                 f"ports must cover exactly the mesh pairs "
                 f"{sorted(expected_pairs)}, got {sorted(self.ports)}")
-        if self.connect_timeout_s <= 0:
-            raise ManifestError(
-                f"connect_timeout_s must be > 0, got "
-                f"{self.connect_timeout_s}")
-        if self.connect_retries < 1:
-            raise ManifestError(
-                f"connect_retries must be >= 1, got {self.connect_retries}")
-        if self.backoff_base_s < 0:
-            raise ManifestError(
-                f"backoff_base_s must be >= 0, got {self.backoff_base_s}")
-        if self.recovery_budget < 0:
-            raise ManifestError(
-                f"recovery_budget must be >= 0, got {self.recovery_budget}")
         if self.key_digests and set(self.key_digests) != set(self.names):
             raise ManifestError(
                 f"key_digests must cover exactly the party names "
@@ -315,11 +324,6 @@ class RunManifest:
             "ports": dict(self.ports),
             "config": self.config,
             "host": self.host,
-            "timeout_s": self.timeout_s,
-            "connect_timeout_s": self.connect_timeout_s,
-            "connect_retries": self.connect_retries,
-            "backoff_base_s": self.backoff_base_s,
-            "recovery_budget": self.recovery_budget,
             "faults": [dict(spec) for spec in self.faults],
             "rng_namespace": self.rng_namespace,
             "key_digests": dict(self.key_digests),
@@ -330,34 +334,34 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, payload: str) -> "RunManifest":
-        try:
-            data = json.loads(payload)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"unreadable manifest: {exc}") from exc
-        try:
-            return cls(
-                session_id=data["session_id"],
-                names=tuple(data["names"]),
-                seeds=tuple(data["seeds"]),
-                counts=dict(data["counts"]),
-                dimensions=data["dimensions"],
-                value_bound=data["value_bound"],
-                ports=dict(data["ports"]),
-                config=data["config"],
-                host=data.get("host", DEFAULT_HOST),
-                timeout_s=data.get("timeout_s", 30.0),
-                connect_timeout_s=data.get("connect_timeout_s", 15.0),
-                connect_retries=data.get("connect_retries", 120),
-                backoff_base_s=data.get("backoff_base_s", 0.02),
-                recovery_budget=data.get("recovery_budget", 3),
-                faults=tuple(data.get("faults", ())),
-                rng_namespace=data.get("rng_namespace"),
-                key_digests=dict(data.get("key_digests", {})),
-                link_auth=bool(data.get("link_auth", False)),
-                version=data.get("version", 1),
-            )
-        except KeyError as exc:
-            raise ManifestError(f"manifest missing field {exc}") from exc
+        """Parse a manifest; :class:`ManifestError` names the first
+        missing or wrong-shaped field."""
+        data = json_object(payload, ManifestError, "manifest")
+
+        def get(name, types, *default):
+            return json_field(data, name, types, ManifestError, "manifest",
+                              *default)
+
+        faults = get("faults", list, [])
+        if not all(isinstance(spec, dict) for spec in faults):
+            raise ManifestError(
+                "manifest field 'faults' must be a list of objects")
+        return cls(
+            session_id=get("session_id", str),
+            names=tuple(get("names", list)),
+            seeds=tuple(get("seeds", list)),
+            counts=dict(get("counts", dict)),
+            dimensions=get("dimensions", int),
+            value_bound=get("value_bound", int),
+            ports=dict(get("ports", dict)),
+            config=get("config", dict),
+            host=get("host", str, DEFAULT_HOST),
+            faults=tuple(faults),
+            rng_namespace=get("rng_namespace", (str, type(None)), None),
+            key_digests=dict(get("key_digests", dict, {})),
+            link_auth=get("link_auth", bool, False),
+            version=get("version", int, 1),
+        )
 
 
 def pair_key(a: str, b: str) -> str:

@@ -14,7 +14,7 @@ and the messages it received**.  That is precisely the semi-honest view
 enforces it structurally (no protocol reads the peer's state except
 through ``send``/``receive``).
 
-So each party process runs the *same* choreography, but executes only
+So each party daemon runs the *same* choreography, but executes only
 the party it hosts.  This channel's endpoints carry that fact
 (:attr:`~repro.net.channel.ChannelEndpoint.hosted`): the ``local_name``
 endpoint is hosted, the remote one is not, and every choreography
@@ -38,6 +38,11 @@ performs the substitution that makes the execution real:
   label, so a step block that should not run here fails loudly instead
   of silently burning CPU on placeholders.
 
+The daemons run a restartable subclass
+(:class:`~repro.runtime.async_pass.RestartableMirrorChannel`) whose
+substitution never blocks a thread; this base class collects through
+the transport's ``collect``.
+
 Why this terminates: both processes execute the same deterministic
 sequence of sends (control flow depends only on public shapes, wire
 values, and seed-derived coins -- property-tested).  A process blocks
@@ -58,7 +63,7 @@ What the placeholders may influence: the non-hosted party's results,
 which the guarded choreography returns as shape-correct placeholders
 and callers on this side must treat as garbage (the party program only
 consumes results owned by its local party).  Key material follows the
-same ownership rule *structurally*: a party process derives only its
+same ownership rule *structurally*: a party daemon derives only its
 **own** slot's keypair from ``key_seed``; every peer context is a
 :mod:`sealed <repro.crypto.sealed>` public-only stand-in whose authentic
 public key is captured from the wire key exchange (pinned against the
@@ -76,7 +81,7 @@ from repro.net.channel import ChannelEndpoint
 from repro.net.serialization import deserialize_message, serialize_message
 from repro.net.stats import CommunicationStats
 from repro.net.transcript import Transcript
-from repro.net.transport import ProtocolDesyncError, TcpTransport
+from repro.net.transport import ProtocolDesyncError, Transport
 
 
 class MirrorChannelError(RuntimeError):
@@ -89,11 +94,11 @@ class MirrorChannel:
     Drop-in for :class:`repro.net.channel.Channel` wherever a session or
     protocol holds a channel: same endpoints, stats, transcript, and
     close semantics; delivery is the mirrored substitution described in
-    the module docstring, over a :class:`~repro.net.transport.TcpTransport`.
+    the module docstring, over a transport serving ``local_name``.
     """
 
     def __init__(self, left_name: str, right_name: str, local_name: str,
-                 transport: TcpTransport):
+                 transport: Transport):
         if left_name == right_name:
             raise MirrorChannelError("parties must have distinct names")
         if local_name not in (left_name, right_name):
@@ -111,9 +116,8 @@ class MirrorChannel:
         self._remote_inbox: deque[tuple[str, bytes]] = deque()
         # The party's wire view of this pair, in choreography order:
         # ("out", label, wire) for local sends, ("in", label, wire) for
-        # substituted authentic frames.  This is what a checkpoint
-        # persists and what a replayed pass re-produces (see
-        # repro.runtime.checkpoint).
+        # substituted authentic frames -- what a restarted query of
+        # repro.runtime.async_pass replays against.
         self.frame_log: list[tuple[str, str, bytes]] = []
         self.left = ChannelEndpoint(self, left_name, right_name,
                                     hosted=left_name == local_name)
@@ -128,22 +132,6 @@ class MirrorChannel:
         if not self._closed:
             self._closed = True
             self.transport.close(reason)
-
-    def rebind_transport(self, transport) -> None:
-        """Swap the delivery fabric under a live channel.
-
-        The recovery path uses this twice: a resumed party first drives
-        the channel over a :class:`~repro.runtime.checkpoint.ReplayTransport`
-        (rebuilding state from the recorded wire view, no sockets), then
-        rebinds to the fresh epoch's :class:`~repro.net.transport.TcpTransport`
-        for live execution.  Channel-level state (stats, transcript,
-        inboxes, frame log) carries across untouched -- only delivery
-        changes.
-        """
-        if self._closed:
-            raise MirrorChannelError(
-                "cannot rebind the transport of a closed channel")
-        self.transport = transport
 
     def assert_drained(self) -> None:
         """Post-run invariant: every substituted frame met its receive.

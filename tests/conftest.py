@@ -28,14 +28,12 @@ from repro.smc.session import SmcConfig, SmcSession
 # DaemonFleet -- so the whole existing matrix exercises MAC'd frames
 # without each test growing an auth parameter; tests that pass an
 # explicit psk (including the wrong-PSK rejection tests) keep it.
+# orchestrate_run hands its own psk to its process fleets explicitly,
+# so it is patched on its own.
 _matrix_psk = os.environ.get("REPRO_TEST_PSK")
 if _matrix_psk:
     import repro.runtime.client as _client_module
     import repro.runtime.orchestrator as _orchestrator_module
-
-    # Direct run_party() calls (offline resume tests) find the secret
-    # the same way a real operator's shell provides it.
-    os.environ.setdefault("REPRO_PSK", _matrix_psk)
 
     _plain_orchestrate_run = _orchestrator_module.orchestrate_run
 

@@ -11,7 +11,8 @@ from repro.net.framing import (
     FRAME_CONTROL,
     FRAME_GOODBYE,
     FRAME_HELLO,
-    FRAME_MESSAGE,
+    FRAME_MUX_CONTROL,
+    FRAME_MUX_MESSAGE,
     ConnectionClosedError,
     FramedConnection,
     FramingError,
@@ -70,8 +71,8 @@ class TestMessagePayload:
 class TestFramedConnection:
     def test_frame_roundtrip_all_kinds(self):
         left, right = connected_pair()
-        for kind in (FRAME_HELLO, FRAME_MESSAGE, FRAME_CONTROL,
-                     FRAME_GOODBYE):
+        for kind in (FRAME_HELLO, FRAME_CONTROL, FRAME_GOODBYE,
+                     FRAME_MUX_MESSAGE, FRAME_MUX_CONTROL):
             left.write_frame(kind, b"payload-" + kind)
             assert right.read_frame() == (kind, b"payload-" + kind)
         left.close()
@@ -104,7 +105,7 @@ class TestFramedConnection:
         the producing call site, not as a desync at the receiver."""
         left, _ = connected_pair(max_frame_bytes=64)
         with pytest.raises(FramingError, match="ceiling"):
-            left.write_frame(FRAME_MESSAGE, b"x" * 64)
+            left.write_frame(FRAME_CONTROL, b"x" * 64)
 
     def test_zero_length_refused(self):
         left, right = connected_pair()
@@ -137,15 +138,14 @@ class TestFramedConnection:
     def test_timeout_mid_frame_is_retryable_without_corruption(self):
         """Partially received bytes survive a ReceiveTimeout: the next
         read_frame resumes the same frame instead of parsing garbage
-        from its middle (the responder control-wait retries on
-        timeout)."""
+        from its middle (the client's reader retries on timeout)."""
         left, right = connected_pair(timeout_s=0.1)
-        frame = struct.pack(">I", 6) + b"M" + b"hello"
+        frame = struct.pack(">I", 6) + b"C" + b"hello"
         left._sock.sendall(frame[:7])  # header + kind + 2 payload bytes
         with pytest.raises(ReceiveTimeout):
             right.read_frame()
         left._sock.sendall(frame[7:])
-        assert right.read_frame() == (FRAME_MESSAGE, b"hello")
+        assert right.read_frame() == (FRAME_CONTROL, b"hello")
 
     def test_timeout_before_any_bytes_then_clean_read(self):
         left, right = connected_pair(timeout_s=0.1)
@@ -168,7 +168,7 @@ class TestFramedConnection:
 
         def hammer(tag: bytes):
             for index in range(per_thread):
-                left.write_frame(FRAME_MESSAGE,
+                left.write_frame(FRAME_CONTROL,
                                  tag * 3 + str(index).encode())
 
         threads = [threading.Thread(target=hammer, args=(tag,))
@@ -178,7 +178,7 @@ class TestFramedConnection:
         seen = []
         for _ in range(2 * per_thread):
             kind, payload = right.read_frame()
-            assert kind == FRAME_MESSAGE
+            assert kind == FRAME_CONTROL
             assert payload[:3] in (b"aaa", b"bbb")
             seen.append(payload)
         for thread in threads:
@@ -197,6 +197,6 @@ class TestFramedConnection:
 
         thread = threading.Thread(target=reader)
         thread.start()
-        left.write_frame(FRAME_MESSAGE, blob)
+        left.write_frame(FRAME_CONTROL, blob)
         thread.join(timeout=10)
-        assert received["frame"] == (FRAME_MESSAGE, blob)
+        assert received["frame"] == (FRAME_CONTROL, blob)

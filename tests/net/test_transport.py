@@ -1,17 +1,16 @@
 """Transport fabrics: delivery semantics, error diagnosis, thread safety."""
 
-import socket
+import asyncio
 import threading
 
 import pytest
 
 from repro.net.channel import Channel, ProtocolDesyncError
-from repro.net.framing import FRAME_CONTROL, FramedConnection
+from repro.net.framing import FRAME_CONTROL
 from repro.net.stats import CommunicationStats
 from repro.net.transport import (
     AsyncTcpTransport,
     InProcessTransport,
-    TcpTransport,
     TransportClosedError,
     TransportError,
     TransportTimeoutError,
@@ -19,16 +18,19 @@ from repro.net.transport import (
 from repro.smc.session import SmcConfig, channel_for_config
 
 
-def tcp_transport_pair(timeout_s: float = 2.0):
-    left_sock, right_sock = socket.socketpair()
-    left = TcpTransport("alice", "bob",
-                        FramedConnection(left_sock, timeout_s=timeout_s,
-                                         name="alice@pair"),
-                        local_name="alice")
-    right = TcpTransport("alice", "bob",
-                         FramedConnection(right_sock, timeout_s=timeout_s,
-                                          name="bob@pair"),
-                         local_name="bob")
+async def tcp_transport_pair(timeout_s: float = 2.0):
+    """Two ``AsyncTcpTransport`` hubs, alice's and bob's, on the two
+    ends of one real loopback connection (call on a running loop)."""
+    accepted = asyncio.get_running_loop().create_future()
+    server = await asyncio.start_server(
+        lambda reader, writer: accepted.set_result((reader, writer)),
+        "127.0.0.1", 0)
+    port = server.sockets[0].getsockname()[1]
+    left = AsyncTcpTransport("alice", "bob", "alice", timeout_s=timeout_s)
+    left.start(*await asyncio.open_connection("127.0.0.1", port))
+    right = AsyncTcpTransport("alice", "bob", "bob", timeout_s=timeout_s)
+    right.start(*await accepted)
+    server.close()
     return left, right
 
 
@@ -56,87 +58,117 @@ class TestInProcessTransport:
 
 
 class TestTcpTransport:
+    """The TCP transport: one ``AsyncTcpTransport`` hub per endpoint,
+    each serving only its local party, over a real connection."""
+
     def test_split_party_programs_over_a_real_socket(self):
-        """The genuine split execution: each endpoint in its own
-        transport (here threads; processes in tests/runtime)."""
-        left, right = tcp_transport_pair()
-        channel_left = Channel(transport=left)
-        channel_right = Channel(transport=right)
-        results = {}
+        """The genuine split execution: each endpoint in its own hub
+        (here one loop; daemon processes in tests/runtime)."""
+        async def run():
+            left, right = await tcp_transport_pair()
+            alice, bob = left.session("s"), right.session("s")
+            alice.deliver("alice", "bob", "ping", b"123")
+            assert await bob.wait_message("ping") == ("ping", b"123")
+            bob.deliver("bob", "alice", "pong", b"6")
+            assert await alice.wait_message("pong") == ("pong", b"6")
+            await left.aclose()
+            await right.aclose()
 
-        def alice_program():
-            channel_left.left.send("ping", [1, 2, 3])
-            results["alice"] = channel_left.left.receive("pong")
-
-        def bob_program():
-            value = channel_right.right.receive("ping")
-            channel_right.right.send("pong", sum(value))
-            results["bob"] = value
-
-        threads = [threading.Thread(target=alice_program),
-                   threading.Thread(target=bob_program)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-        assert results == {"alice": 6, "bob": [1, 2, 3]}
-        # Each side accounts what it saw: one send, one receive.
-        assert channel_left.stats.total_messages == 1
-        assert channel_right.stats.total_messages == 1
+        asyncio.run(run())
 
     def test_remote_endpoint_rejected(self):
-        left, _ = tcp_transport_pair()
-        with pytest.raises(TransportError, match="not the local endpoint"):
-            left.deliver("bob", "alice", "m", b"x")
-        with pytest.raises(TransportError, match="not the local endpoint"):
-            left.collect("bob", "m")
+        async def run():
+            left, right = await tcp_transport_pair()
+            view = left.session("s")
+            with pytest.raises(TransportError,
+                               match="not the local endpoint"):
+                view.deliver("bob", "alice", "m", b"x")
+            with pytest.raises(TransportError,
+                               match="not the local endpoint"):
+                view.try_collect("bob", "m")
+            await left.aclose()
+            await right.aclose()
+
+        asyncio.run(run())
 
     def test_timeout_names_pair_and_last_frame(self):
-        left, right = tcp_transport_pair(timeout_s=0.05)
-        left.deliver("alice", "bob", "opening", b"x")
-        assert right.collect("bob", "opening") == ("opening", b"x")
-        with pytest.raises(TransportTimeoutError) as excinfo:
-            right.collect("bob", "never_sent")
-        message = str(excinfo.value)
+        async def run():
+            left, right = await tcp_transport_pair(timeout_s=0.05)
+            left.session("s").deliver("alice", "bob", "opening", b"x")
+            view = right.session("s")
+            assert await view.wait_message("opening") == ("opening", b"x")
+            with pytest.raises(TransportTimeoutError) as excinfo:
+                await view.wait_message("never_sent")
+            await left.aclose()
+            await right.aclose()
+            return excinfo.value
+
+        error = asyncio.run(run())
+        message = str(error)
         assert "never_sent" in message
         assert "'alice'<->'bob'" in message
-        assert "'opening'" in message  # the last frame seen
-        assert isinstance(excinfo.value, ProtocolDesyncError)
+        assert "'s:opening'" in message  # the last frame seen
+        assert isinstance(error, ProtocolDesyncError)
 
     def test_close_reason_reaches_the_peer(self):
-        left, right = tcp_transport_pair()
-        left.close(reason="party alice died: ZeroDivisionError")
-        with pytest.raises(TransportClosedError) as excinfo:
-            right.collect("bob", "reply")
-        message = str(excinfo.value)
+        async def run():
+            left, right = await tcp_transport_pair()
+            view = right.session("s")
+            await left.aclose("party alice died: ZeroDivisionError")
+            with pytest.raises(TransportClosedError) as excinfo:
+                await view.wait_message("reply")
+            await right.aclose()
+            return str(excinfo.value)
+
+        message = asyncio.run(run())
         assert "alice died" in message
         assert "'alice'<->'bob'" in message
         assert "no frames were delivered" in message
 
     def test_peer_death_without_goodbye_is_closed_not_hang(self):
-        left, right = tcp_transport_pair()
-        left.connection.close()  # crash: no goodbye frame
-        with pytest.raises(TransportClosedError, match="link closed"):
-            right.collect("bob", "reply")
+        async def run():
+            left, right = await tcp_transport_pair()
+            view = right.session("s")
+            left.abort("crash")  # no goodbye frame
+            with pytest.raises(TransportClosedError, match="link closed"):
+                await view.wait_message("reply")
+            await right.aclose()
 
-    def test_control_frame_in_protocol_stream_is_desync(self):
-        left, right = tcp_transport_pair()
-        left.connection.write_frame(FRAME_CONTROL, b"oops")
-        with pytest.raises(ProtocolDesyncError, match="control frame"):
-            right.collect("bob", "m")
+        asyncio.run(run())
+
+    def test_unmultiplexed_frame_aborts_the_link(self):
+        """A plain control frame on a pair link means the two ends
+        disagree about what the connection carries: every session on
+        it fails."""
+        async def run():
+            left, right = await tcp_transport_pair()
+            view = right.session("s")
+            left.send_frame(left.encode_sealed(FRAME_CONTROL, b"oops"))
+            with pytest.raises(TransportClosedError,
+                               match="non-multiplexed"):
+                await view.wait_message("m")
+            await left.aclose()
+            await right.aclose()
+
+        asyncio.run(run())
 
     def test_protocol_equivalence_over_socket(self):
-        """A full SMC protocol run over TCP (choreographed from one
-        thread per side is not possible; use the split ping-pong level
-        plus the wire-format guarantee: frames carry the exact
-        serialization bytes)."""
-        left, right = tcp_transport_pair()
+        """Frames carry the exact serialization bytes: what one end
+        delivers is what the other end's session receives."""
         from repro.net.serialization import serialize_message
-        value = [12345678901234567890, "label", True, None]
-        wire = serialize_message(value)
-        left.deliver("alice", "bob", "blob", wire)
-        label, received = right.collect("bob", "blob")
-        assert (label, received) == ("blob", wire)
+
+        async def run():
+            left, right = await tcp_transport_pair()
+            wire = serialize_message([12345678901234567890, "label", True,
+                                      None])
+            left.session("s").deliver("alice", "bob", "blob", wire)
+            received = await right.session("s").wait_message("blob")
+            await left.aclose()
+            await right.aclose()
+            return wire, received
+
+        wire, received = asyncio.run(run())
+        assert received == ("blob", wire)
 
 
 class TestSessionLinkTransport:

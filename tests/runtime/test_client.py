@@ -137,3 +137,43 @@ class TestMalformedDaemonRecords:
             for fake in fakes.values():
                 fake.thread.join(timeout=5.0)
                 assert not fake.thread.is_alive()
+
+
+@pytest.mark.sockets
+class TestHandshakeFailureCleanup:
+    def test_connection_whose_handshake_failed_is_closed(self, monkeypatch):
+        """A daemon that drops the client hello unanswered (what it does
+        on a failed MAC) fails the client construction -- and the
+        client closes that connection too, not only the ones it had
+        already registered."""
+        from repro.runtime.handshake import HandshakePeerLost
+
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+
+        def drop_the_hello():
+            sock, _ = listener.accept()
+            sock.recv(65536)
+            sock.close()
+
+        thread = threading.Thread(target=drop_the_hello, daemon=True)
+        thread.start()
+        spec = MeshSpec(names=("p0", "p1"), ports={"p0": port, "p1": port},
+                        timeout_s=5.0, connect_timeout_s=5.0)
+        opened = []
+        real_connect = SessionClient._connect
+
+        def recording_connect(self, name):
+            connection = real_connect(self, name)
+            opened.append(connection)
+            return connection
+
+        monkeypatch.setattr(SessionClient, "_connect", recording_connect)
+        try:
+            with pytest.raises(HandshakePeerLost):
+                SessionClient(spec)
+        finally:
+            thread.join(timeout=5.0)
+            listener.close()
+        assert len(opened) == 1
+        assert opened[0].closed

@@ -105,6 +105,19 @@ class TestMeshSpec:
         with pytest.raises(DaemonError, match=needle):
             MeshSpec(**kwargs)
 
+    @pytest.mark.parametrize("payload,needle", [
+        ("[]", "JSON object, got list"),
+        ('"x"', "JSON object, got str"),
+        ('{"names": 5, "ports": {}}', "'names'"),
+        ('{"names": ["a", "b"], "ports": []}', "'ports'"),
+        ('{"names": ["a", "b"], "ports": {"a": 1, "b": 2}, '
+         '"timeout_s": "soon"}', "'timeout_s'"),
+        ('{"ports": {"a": 1, "b": 2}}', "missing field 'names'"),
+    ])
+    def test_from_json_names_the_malformed_field(self, payload, needle):
+        with pytest.raises(DaemonError, match=needle):
+            MeshSpec.from_json(payload)
+
     def test_slot_order_is_the_pair_orientation(self):
         spec = MeshSpec(names=("zeta", "alpha"),
                         ports={"zeta": 1, "alpha": 2})
@@ -476,3 +489,126 @@ class TestRandomnessServiceAcrossSessions:
         service = runs[-1].reports["p0"].runtime_info["randomness"]
         assert service["service"]["sessions_served"] >= 2
         assert service["service"]["factors_prefilled"] > 0
+
+
+@pytest.mark.sockets
+class TestDaemonLinkUp:
+    def test_link_up_survives_a_connection_closed_before_the_hello(self):
+        """The higher-slot daemon's first dial lands on a listener that
+        closes it unanswered; the daemon re-dials, links up with the
+        real peer, and serves a session."""
+        import socket
+
+        from repro.runtime.client import SessionClient, _DaemonThread
+        from repro.runtime.orchestrator import allocate_ports
+
+        by_party = workload(2)
+        seeds = [31, 32]
+        config = make_config()
+        names = tuple(by_party)
+        spec = MeshSpec(names=names,
+                        ports=dict(zip(names, allocate_ports(2))))
+        impostor = socket.create_server(("127.0.0.1", spec.ports["p0"]))
+        impostor.settimeout(15.0)
+        dialer = _DaemonThread(spec, "p1")
+        members = [dialer]
+        try:
+            dialer.start()
+            first_dial, _ = impostor.accept()
+            first_dial.close()
+            impostor.close()
+            members.append(_DaemonThread(spec, "p0"))
+            members[-1].start()
+            for member in members:
+                member.wait_ready(20.0)
+            with SessionClient(spec) as client:
+                run = run_via_daemons(by_party, config, seeds,
+                                      client=client, timeout=120)
+        finally:
+            impostor.close()
+            for member in members:
+                member.signal_stop()
+            for member in members:
+                member.wait(10.0)
+        reference, digests = reference_run(by_party, config, seeds)
+        assert_matches_reference(run, reference, digests)
+
+
+@pytest.mark.sockets
+class TestProcessFleet:
+    def test_daemons_import_repro_without_pythonpath(self, tmp_path):
+        """A parent that found repro through ``sys.path`` alone still
+        gets daemons that can import it."""
+        import json
+        import os
+        import pathlib
+
+        import repro
+
+        by_party = workload(2)
+        seeds = [31, 32]
+        src_root = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        script = f"""
+import json, sys
+sys.path.insert(0, {src_root!r})
+from repro.core.config import ProtocolConfig
+from repro.runtime.client import DaemonFleet, run_via_daemons
+from repro.smc.session import SmcConfig
+
+by_party = {{name: [tuple(p) for p in points]
+            for name, points in json.loads({json.dumps(json.dumps(by_party))}).items()}}
+config = ProtocolConfig(eps=1.0, min_pts=3, scale=10, smc=SmcConfig(
+    paillier_bits=128, comparison="bitwise", key_seed=77, mask_sigma=8))
+with DaemonFleet(list(by_party), mode="process") as fleet:
+    with fleet.client() as client:
+        run = run_via_daemons(by_party, config, {seeds!r}, client=client,
+                              timeout=120)
+print(json.dumps(run.result.labels_by_party))
+"""
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONPATH"}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              cwd=tmp_path, capture_output=True, text=True,
+                              timeout=180)
+        assert proc.returncode == 0, proc.stderr
+        labels = json.loads(proc.stdout.strip().splitlines()[-1])
+        reference, _ = reference_run(by_party, make_config(), seeds)
+        assert {name: tuple(value) for name, value in labels.items()} \
+            == reference.labels_by_party
+
+    def test_mis_keyed_fleet_stops_promptly(self, monkeypatch):
+        """One daemon under another PSK never links up.  Stopping the
+        fleet must not wait out the link-up timeout: every member exits
+        through its own shutdown (code 0) in under two seconds."""
+        import socket
+        import time
+
+        from repro.runtime.handshake import HandshakePeerLost
+        from tests.runtime.test_link_auth import skew_psk
+
+        skew_psk(monkeypatch, "p1")
+        fleet = DaemonFleet(["p0", "p1", "p2"], mode="process",
+                            psk="the fleet's secret").start()
+        members = list(fleet._members)
+        try:
+            with pytest.raises(HandshakePeerLost):
+                fleet.client()
+            # Every daemon is serving (its stop handlers installed).
+            deadline = time.monotonic() + 20.0
+            for port in fleet.spec.ports.values():
+                while True:
+                    try:
+                        socket.create_connection(("127.0.0.1", port),
+                                                 timeout=1.0).close()
+                        break
+                    except OSError:
+                        assert time.monotonic() < deadline
+                        time.sleep(0.05)
+        finally:
+            started = time.monotonic()
+            fleet.stop()
+            elapsed = time.monotonic() - started
+        assert elapsed < 2.0
+        assert [member.process.returncode for member in members] \
+            == [0, 0, 0]
+        assert not any(member.exited_on_its_own for member in members)

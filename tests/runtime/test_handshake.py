@@ -1,16 +1,20 @@
-"""Handshake: matched links accept, every mismatch refuses with the field."""
+"""Handshake: matched hellos accept, every mismatch refuses with the field."""
 
+import dataclasses
 import socket
-import threading
 
 import pytest
 
-from repro.net.framing import FramedConnection
+from repro.net.framing import FrameAuthenticator, FramedConnection
+from repro.runtime.client import DaemonFleet, SessionClient
 from repro.runtime.handshake import (
     PROTOCOL_VERSION,
+    ROLE_CLIENT,
     HandshakeError,
+    HandshakePeerLost,
     Hello,
-    perform_handshake,
+    hello_mismatch,
+    perform_client_handshake,
 )
 
 
@@ -22,111 +26,70 @@ def hello(**overrides) -> Hello:
     return Hello(**fields)
 
 
-def exchange(mine: Hello, theirs: Hello, expect_mine: str,
-             expect_theirs: str):
-    """Run both ends of a handshake over a socketpair; return outcomes."""
-    left_sock, right_sock = socket.socketpair()
-    left = FramedConnection(left_sock, timeout_s=2.0, name="left")
-    right = FramedConnection(right_sock, timeout_s=2.0, name="right")
-    outcomes = {}
-
-    def side(name, connection, record, expected_peer):
-        try:
-            outcomes[name] = perform_handshake(connection, record,
-                                               expected_peer)
-        except HandshakeError as exc:
-            outcomes[name] = exc
-
-    threads = [
-        threading.Thread(target=side,
-                         args=("mine", left, mine, expect_mine)),
-        threading.Thread(target=side,
-                         args=("theirs", right, theirs, expect_theirs)),
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=5)
-    return outcomes
+def mismatches(mine: Hello, theirs: Hello):
+    """Both daemons' verdicts on one link: ``mine`` expects p1 on the
+    far end, ``theirs`` expects p0."""
+    return (hello_mismatch(mine, theirs, expected_peer="p1"),
+            hello_mismatch(theirs, mine, expected_peer="p0"))
 
 
 class TestHandshake:
     def test_matched_hellos_accept_both_ends(self):
-        outcomes = exchange(hello(party_id="p0"), hello(party_id="p1"),
-                            expect_mine="p1", expect_theirs="p0")
-        assert outcomes["mine"].party_id == "p1"
-        assert outcomes["theirs"].party_id == "p0"
+        assert mismatches(hello(party_id="p0"),
+                          hello(party_id="p1")) == (None, None)
 
     @pytest.mark.parametrize("field,value,expected", [
-        ("version", PROTOCOL_VERSION + 1, "protocol version"),
+        pytest.param("version", PROTOCOL_VERSION + 1, "protocol version",
+                     id="version"),
         ("session_id", "run-2", "session id"),
         ("pair_left", "p9", "pair"),
         ("config_digest", "e" * 64, "config digest"),
     ])
     def test_mismatch_refused_with_field_name(self, field, value, expected):
-        outcomes = exchange(hello(party_id="p0"),
-                            hello(party_id="p1", **{field: value}),
-                            expect_mine="p1", expect_theirs="p0")
-        failures = [outcome for outcome in outcomes.values()
-                    if isinstance(outcome, HandshakeError)]
-        assert failures, f"a {field} mismatch must refuse the link"
-        assert any(expected in str(failure) for failure in failures)
+        verdicts = mismatches(hello(party_id="p0"),
+                              hello(party_id="p1", **{field: value}))
+        assert all(verdict is not None for verdict in verdicts), \
+            f"a {field} mismatch must refuse the link on both ends"
+        assert {verdict[0] for verdict in verdicts} == {expected}
 
     def test_wrong_party_on_the_far_end_refused(self):
-        outcomes = exchange(hello(party_id="p0"),
-                            hello(party_id="p7"),
-                            expect_mine="p1", expect_theirs="p0")
-        assert isinstance(outcomes["mine"], HandshakeError)
-        assert "p7" in str(outcomes["mine"])
+        verdict = hello_mismatch(hello(party_id="p0"), hello(party_id="p7"),
+                                 expected_peer="p1")
+        assert verdict == ("party", "p1", "p7")
 
+    def test_role_and_auth_tag_are_bound(self):
+        assert hello_mismatch(hello(), hello(role=ROLE_CLIENT),
+                              expected_peer="p0")[0] == "role"
+        auth = FrameAuthenticator("psk", "mesh")
+        theirs = hello(party_id="p1").authenticated(auth)
+        assert hello_mismatch(hello(), theirs, "p1", auth) is None
+        forged = dataclasses.replace(theirs, auth_tag="00" * 32)
+        assert hello_mismatch(hello(), forged, "p1", auth)[0] == "auth tag"
+
+    @pytest.mark.sockets
     def test_refusal_reason_reaches_the_refused_peer(self):
-        """The refusing side sends a goodbye naming the mismatch, so the
-        other process logs the same diagnosis instead of a bare EOF."""
-        outcomes = exchange(hello(party_id="p0"),
-                            hello(party_id="p1", session_id="stale-run"),
-                            expect_mine="p1", expect_theirs="p0")
-        assert all(isinstance(outcome, HandshakeError)
-                   for outcome in outcomes.values())
-        assert any("session id" in str(outcome)
-                   for outcome in outcomes.values())
-
-    def test_epoch_mismatch_refused_field_by_field(self):
-        """A stale-epoch link must be refused like any other binding
-        mismatch, with both ends seeing the two epoch values (the lower
-        side adopts the higher epoch and re-links from scratch)."""
-        outcomes = exchange(hello(party_id="p0", epoch=2),
-                            hello(party_id="p1", epoch=0),
-                            expect_mine="p1", expect_theirs="p0")
-        failures = [outcome for outcome in outcomes.values()
-                    if isinstance(outcome, HandshakeError)]
-        assert failures, "an epoch mismatch must refuse the link"
-        epoch_failures = [failure for failure in failures
-                          if failure.field_name == "epoch"]
-        assert epoch_failures
-        assert {epoch_failures[0].ours, epoch_failures[0].theirs} == {0, 2}
-
-    def test_matching_epochs_accept(self):
-        outcomes = exchange(hello(party_id="p0", epoch=3),
-                            hello(party_id="p1", epoch=3),
-                            expect_mine="p1", expect_theirs="p0")
-        assert outcomes["mine"].epoch == 3
-        assert outcomes["theirs"].epoch == 3
-
-    def test_passes_done_is_informational_never_refused(self):
-        """The completed-pass count negotiates the resume point; links
-        between parties at different boundaries must still come up."""
-        outcomes = exchange(hello(party_id="p0", passes_done=2),
-                            hello(party_id="p1", passes_done=0),
-                            expect_mine="p1", expect_theirs="p0")
-        assert outcomes["mine"].passes_done == 0
-        assert outcomes["theirs"].passes_done == 2
+        """The refusing daemon sends a goodbye naming the mismatch, so
+        a client holding another spec logs the same diagnosis instead
+        of a bare EOF.  Unauthenticated on purpose: on an
+        authenticated mesh the spec digest is also the MAC context, so
+        a stale client fails the MAC and gets no answer at all."""
+        with DaemonFleet(["p0", "p1"], psk=None) as fleet:
+            stale = dataclasses.replace(fleet.spec, net_delay_s=0.5)
+            with pytest.raises(HandshakeError,
+                               match="config digest") as excinfo:
+                SessionClient(stale)
+        assert not isinstance(excinfo.value, HandshakePeerLost)
+        assert excinfo.value.peer == "p0"
 
     def test_peer_vanishing_mid_handshake(self):
         left_sock, right_sock = socket.socketpair()
         left = FramedConnection(left_sock, timeout_s=2.0, name="left")
         right_sock.close()
-        with pytest.raises(HandshakeError, match="vanished"):
-            perform_handshake(left, hello(), expected_peer="p1")
+        with pytest.raises(HandshakePeerLost, match="vanished") as excinfo:
+            perform_client_handshake(left, client_id="c", daemon_id="p1",
+                                     config_digest="d" * 64)
+        assert excinfo.value.peer == "p1"
+        left.close()
 
     def test_malformed_hello_record(self):
         with pytest.raises(HandshakeError, match="malformed"):

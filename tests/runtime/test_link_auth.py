@@ -2,11 +2,11 @@
 
 Two trust-boundary changes land together and both get their rejection
 matrix here: per-frame HMAC link authentication (flipped MAC bytes,
-truncated MACs, cross-session replay, PSK mismatch on dial and accept,
-across the sync TCP path and the daemon's asyncio path) and sealed
-per-party key material (a party process holds a usable private key for
-its own slot ONLY; any code path touching a peer's private raises
-``PublicOnlyKeyError``).  The equivalence bar stays bit-exact: the same
+truncated MACs, cross-mesh replay, PSK mismatch on dial and accept,
+across the client's blocking connection and the daemon's asyncio path)
+and sealed per-party key material (a party daemon holds a usable
+private key for its own slot ONLY; any code path touching a peer's
+private raises ``PublicOnlyKeyError``).  The equivalence bar stays bit-exact: the same
 workload with auth on and auth off must reproduce the in-process mesh
 on every protocol observable.
 """
@@ -33,7 +33,8 @@ from repro.multiparty.mesh import PartyMesh
 from repro.net.framing import (
     FRAME_CONTROL,
     FRAME_HELLO,
-    FRAME_MESSAGE,
+    FRAME_MUX_CONTROL,
+    FRAME_MUX_MESSAGE,
     MAC_BYTES,
     FrameAuthenticationError,
     FrameAuthenticator,
@@ -48,8 +49,13 @@ from repro.runtime.client import (
     SessionClientError,
     run_via_daemons,
 )
-from repro.runtime.daemon import DaemonError, MeshSpec, mesh_digest
-from repro.runtime.failure import CAUSE_AUTH_FAILED, FATAL
+from repro.runtime.daemon import (
+    DaemonError,
+    MeshSpec,
+    PartyDaemon,
+    mesh_digest,
+)
+from repro.runtime.failure import CAUSE_AUTH_FAILED, FATAL, classify_exception
 from repro.runtime.handshake import (
     PROTOCOL_VERSION,
     ROLE_CLIENT,
@@ -62,7 +68,6 @@ from repro.runtime.orchestrator import (
     build_manifest,
     orchestrate_run,
 )
-from repro.runtime.party import PartyProcess, PartyRuntimeError, classify_exception
 from repro.smc.session import SealedKeyProvider, SmcConfig, SmcSession
 
 PSK = "tier1 shared secret"
@@ -93,6 +98,22 @@ def reference_run(by_party, config, seeds):
     return result, digests
 
 
+def skew_psk(monkeypatch, party: str) -> None:
+    """Make every process fleet start ``party``'s daemon under a PSK
+    the rest of the fleet does not share."""
+    import repro.runtime.client as client_module
+
+    real_init = client_module._DaemonProcess.__init__
+
+    def skewed_init(self, spec_path, name, psk=None, **kwargs):
+        if name == party:
+            psk = "the wrong secret"
+        real_init(self, spec_path, name, psk, **kwargs)
+
+    monkeypatch.setattr(client_module._DaemonProcess, "__init__",
+                        skewed_init)
+
+
 def assert_matches_reference(run, reference, digests) -> None:
     assert run.result.labels_by_party == reference.labels_by_party
     assert run.result.ledger.events == reference.ledger.events
@@ -105,63 +126,62 @@ def assert_matches_reference(run, reference, digests) -> None:
 class TestFrameAuthenticator:
     def test_seal_open_roundtrip(self):
         auth = FrameAuthenticator(PSK, "session-a")
-        sealed = auth.seal(FRAME_MESSAGE, b"payload")
+        sealed = auth.seal(FRAME_CONTROL, b"payload")
         assert len(sealed) == len(b"payload") + MAC_BYTES
-        assert auth.open(FRAME_MESSAGE, sealed) == b"payload"
+        assert auth.open(FRAME_CONTROL, sealed) == b"payload"
 
     def test_flipped_mac_byte_rejected(self):
         auth = FrameAuthenticator(PSK, "session-a")
-        sealed = bytearray(auth.seal(FRAME_MESSAGE, b"payload"))
+        sealed = bytearray(auth.seal(FRAME_CONTROL, b"payload"))
         sealed[-1] ^= 0x01
         with pytest.raises(FrameAuthenticationError):
-            auth.open(FRAME_MESSAGE, bytes(sealed))
+            auth.open(FRAME_CONTROL, bytes(sealed))
 
     def test_flipped_payload_byte_rejected(self):
         auth = FrameAuthenticator(PSK, "session-a")
-        sealed = bytearray(auth.seal(FRAME_MESSAGE, b"payload"))
+        sealed = bytearray(auth.seal(FRAME_CONTROL, b"payload"))
         sealed[0] ^= 0x01
         with pytest.raises(FrameAuthenticationError):
-            auth.open(FRAME_MESSAGE, bytes(sealed))
+            auth.open(FRAME_CONTROL, bytes(sealed))
 
     def test_truncated_mac_rejected(self):
         auth = FrameAuthenticator(PSK, "session-a")
-        sealed = auth.seal(FRAME_MESSAGE, b"payload")
+        sealed = auth.seal(FRAME_CONTROL, b"payload")
         with pytest.raises(FrameAuthenticationError):
-            auth.open(FRAME_MESSAGE, sealed[:-1])
+            auth.open(FRAME_CONTROL, sealed[:-1])
         with pytest.raises(FrameAuthenticationError):
-            auth.open(FRAME_MESSAGE, sealed[:MAC_BYTES - 1])
+            auth.open(FRAME_CONTROL, sealed[:MAC_BYTES - 1])
 
     def test_kind_confusion_rejected(self):
         """The MAC binds the frame kind: a message frame replayed as a
         control frame must not verify."""
         auth = FrameAuthenticator(PSK, "session-a")
-        sealed = auth.seal(FRAME_MESSAGE, b"payload")
+        sealed = auth.seal(FRAME_MUX_MESSAGE, b"payload")
         with pytest.raises(FrameAuthenticationError):
-            auth.open(FRAME_CONTROL, sealed)
+            auth.open(FRAME_MUX_CONTROL, sealed)
 
     def test_cross_session_replay_rejected(self):
-        """The MAC context is the session id (parties) or the mesh
-        digest (daemons): a frame captured from another session under
-        the *same* PSK fails verification."""
+        """The MAC context is the mesh digest: a frame captured on
+        another mesh under the *same* PSK fails verification."""
         sealed = FrameAuthenticator(PSK, "session-a").seal(
-            FRAME_MESSAGE, b"payload")
+            FRAME_CONTROL, b"payload")
         with pytest.raises(FrameAuthenticationError):
             FrameAuthenticator(PSK, "session-b").open(
-                FRAME_MESSAGE, sealed)
+                FRAME_CONTROL, sealed)
 
     def test_wrong_psk_rejected(self):
         sealed = FrameAuthenticator(PSK, "session-a").seal(
-            FRAME_MESSAGE, b"payload")
+            FRAME_CONTROL, b"payload")
         with pytest.raises(FrameAuthenticationError):
             FrameAuthenticator("other secret", "session-a").open(
-                FRAME_MESSAGE, sealed)
+                FRAME_CONTROL, sealed)
 
     def test_empty_psk_refused(self):
         with pytest.raises(FramingError, match="non-empty"):
             FrameAuthenticator("", "session-a")
 
 
-# -- the sync TCP path ------------------------------------------------------
+# -- the client's blocking connection ---------------------------------------
 
 def connected_pair(left_auth=None, right_auth=None):
     left_sock, right_sock = socket.socketpair()
@@ -175,15 +195,15 @@ class TestAuthenticatedConnection:
     def test_roundtrip_with_matching_psk(self):
         auth = FrameAuthenticator(PSK, "s")
         left, right = connected_pair(auth, FrameAuthenticator(PSK, "s"))
-        left.write_frame(FRAME_MESSAGE, b"hello")
-        assert right.read_frame() == (FRAME_MESSAGE, b"hello")
+        left.write_frame(FRAME_CONTROL, b"hello")
+        assert right.read_frame() == (FRAME_CONTROL, b"hello")
         left.close()
         right.close()
 
     def test_psk_mismatch_rejected_on_read(self):
         left, right = connected_pair(FrameAuthenticator(PSK, "s"),
                                      FrameAuthenticator("wrong", "s"))
-        left.write_frame(FRAME_MESSAGE, b"hello")
+        left.write_frame(FRAME_CONTROL, b"hello")
         with pytest.raises(FrameAuthenticationError):
             right.read_frame()
         left.close()
@@ -193,7 +213,7 @@ class TestAuthenticatedConnection:
         """A peer that doesn't seal at all (no PSK configured) must be
         refused by an authenticating endpoint."""
         left, right = connected_pair(None, FrameAuthenticator(PSK, "s"))
-        left.write_frame(FRAME_MESSAGE, b"hello")
+        left.write_frame(FRAME_CONTROL, b"hello")
         with pytest.raises(FrameAuthenticationError):
             right.read_frame()
         left.close()
@@ -206,7 +226,7 @@ class TestAuthenticatedConnection:
         right = FramedConnection(right_sock, timeout_s=2.0, name="right",
                                  authenticator=auth)
         frame = bytearray(encode_frame(
-            FRAME_MESSAGE, auth.seal(FRAME_MESSAGE, b"payload")))
+            FRAME_CONTROL, auth.seal(FRAME_CONTROL, b"payload")))
         frame[-5] ^= 0x40  # inside the sealed payload
         left_sock.sendall(bytes(frame))
         with pytest.raises(FrameAuthenticationError):
@@ -322,12 +342,11 @@ class TestSealedKeys:
             SmcSession._adopt_peer_public(
                 "peer", sealed_peer_context("peer"), [0, 0], 128)
 
-    def test_party_process_refuses_auth_manifest_without_psk(self):
-        by_party = workload(2)
-        manifest = build_manifest(by_party, make_config(), [1, 2],
-                                  link_auth=True)
-        with pytest.raises(PartyRuntimeError, match="REPRO_PSK"):
-            PartyProcess(manifest, "p0", by_party["p0"])
+    def test_daemon_refuses_auth_spec_without_psk(self):
+        spec = MeshSpec(names=("p0", "p1"), ports={"p0": 1, "p1": 2},
+                        link_auth=True)
+        with pytest.raises(DaemonError, match="REPRO_PSK"):
+            PartyDaemon(spec, "p0")
 
     def test_manifest_key_digests_must_cover_the_parties(self):
         import dataclasses
@@ -355,28 +374,26 @@ class TestOrchestratedLinkAuth:
         assert_matches_reference(run, reference, digests)
         assert run.result.stats == reference.stats
 
-    def test_psk_mismatch_is_fatal_and_spends_no_retry_budget(self, monkeypatch):
-        """One party holding a different PSK kills the run at the first
-        hello MAC check -- classified ``auth-failed``/fatal, never
-        re-spawned against the retry budget."""
-        import repro.runtime.orchestrator as orchestrator_module
+    def test_psk_mismatch_is_fatal_and_spends_no_retry_budget(
+            self, monkeypatch):
+        """One daemon holding a different PSK drops the orchestrator's
+        client hello without a reply -- classified ``auth-failed``/fatal
+        after one attempt, never re-run against the retry budget."""
+        import time
 
-        real_spawn = orchestrator_module._spawn_party
-
-        def skewed_spawn(run_dir, name, **kwargs):
-            if name == "p1":
-                kwargs["psk"] = "the wrong secret"
-            return real_spawn(run_dir, name, **kwargs)
-
-        monkeypatch.setattr(orchestrator_module, "_spawn_party",
-                            skewed_spawn)
+        skew_psk(monkeypatch, "p1")
         by_party = workload(3)
+        started = time.monotonic()
         with pytest.raises(OrchestrationError,
                            match="fatal -- not retrying") as excinfo:
             orchestrate_run(by_party, make_config(), seeds=[21, 22, 23],
                             psk=PSK, deadline_s=60.0, retry_budget=3)
-        assert any(failure.cause == CAUSE_AUTH_FAILED
-                   for failure in excinfo.value.failures)
+        assert time.monotonic() - started < 10.0
+        failures = excinfo.value.failures
+        assert len(failures) == 1
+        assert (failures[0].party, failures[0].cause,
+                failures[0].classification) == ("p1", CAUSE_AUTH_FAILED,
+                                                 FATAL)
 
 
 # -- the daemon's asyncio path ----------------------------------------------

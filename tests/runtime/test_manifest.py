@@ -149,38 +149,16 @@ class TestRunManifest:
     def test_pair_key_is_order_insensitive(self):
         assert pair_key("b", "a") == pair_key("a", "b") == "a|b"
 
-    def test_recovery_knobs_roundtrip(self):
-        original = manifest(connect_timeout_s=7.5, connect_retries=40,
-                            backoff_base_s=0.1, recovery_budget=5)
-        restored = RunManifest.from_json(original.to_json())
-        assert restored.connect_timeout_s == 7.5
-        assert restored.connect_retries == 40
-        assert restored.backoff_base_s == 0.1
-        assert restored.recovery_budget == 5
-
-    def test_recovery_knobs_have_back_compat_defaults(self):
-        """Manifests written before the fault-tolerant session layer
-        carry none of the knobs; loading them must still work."""
+    def test_optional_fields_have_defaults(self):
+        """Only the session's shape is required; faults, namespace, key
+        pins and the auth flag default to a plain fault-free run."""
         import json
         payload = json.loads(manifest().to_json())
-        for knob in ("connect_timeout_s", "connect_retries",
-                     "backoff_base_s", "recovery_budget", "faults"):
-            payload.pop(knob)
+        for name in ("host", "faults", "rng_namespace", "key_digests",
+                     "link_auth", "version"):
+            payload.pop(name)
         restored = RunManifest.from_json(json.dumps(payload))
-        assert restored.connect_timeout_s == 15.0
-        assert restored.connect_retries == 120
-        assert restored.recovery_budget == 3
-        assert restored.faults == ()
-
-    def test_recovery_knob_validation(self):
-        with pytest.raises(ManifestError, match="connect_timeout_s"):
-            manifest(connect_timeout_s=0)
-        with pytest.raises(ManifestError, match="connect_retries"):
-            manifest(connect_retries=0)
-        with pytest.raises(ManifestError, match="backoff_base_s"):
-            manifest(backoff_base_s=-1)
-        with pytest.raises(ManifestError, match="recovery_budget"):
-            manifest(recovery_budget=-1)
+        assert restored == manifest()
 
     def test_digest_binds_the_fault_plan(self):
         """Faults ride inside the manifest digest: a fleet where one
@@ -189,3 +167,41 @@ class TestRunManifest:
         plan = FaultPlan.parse(["kill:p1@pass1"])
         assert manifest_digest(manifest()) \
             != manifest_digest(manifest(faults=plan.to_dicts()))
+
+
+class TestMalformedManifestJson:
+    """Outside input fails with a typed error naming what is wrong,
+    never a TypeError from deep inside the constructor."""
+
+    @pytest.mark.parametrize("payload,needle", [
+        ("[]", "JSON object, got list"),
+        ('"x"', "JSON object, got str"),
+        ("{not json", "unreadable manifest"),
+    ])
+    def test_non_object_json(self, payload, needle):
+        with pytest.raises(ManifestError, match=needle):
+            RunManifest.from_json(payload)
+
+    @pytest.mark.parametrize("field,value", [
+        ("names", 5),
+        ("seeds", "123"),
+        ("counts", []),
+        ("dimensions", "2"),
+        ("config", None),
+        ("faults", ["kill"]),
+        ("rng_namespace", 3),
+        ("link_auth", "yes"),
+    ])
+    def test_wrong_shaped_field_is_named(self, field, value):
+        import json
+        payload = json.loads(manifest().to_json())
+        payload[field] = value
+        with pytest.raises(ManifestError, match=f"'{field}'"):
+            RunManifest.from_json(json.dumps(payload))
+
+    def test_missing_field_is_named(self):
+        import json
+        payload = json.loads(manifest().to_json())
+        del payload["value_bound"]
+        with pytest.raises(ManifestError, match="'value_bound'"):
+            RunManifest.from_json(json.dumps(payload))

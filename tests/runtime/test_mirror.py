@@ -2,38 +2,58 @@
 
 These tests run the *same* choreography in two threads -- each with only
 its own party's real input, the peer's replaced by a placeholder, and
-only its own party's steps executed -- over a socketpair, exactly the
-execution model the party processes use, and assert the protocol
+only its own party's steps executed -- over a pair of blocking queues,
+the execution model the party daemons use, and assert the protocol
 observables match a single in-process run with the real inputs on both
 sides.
 """
 
-import socket
+import queue
 import threading
 
 import pytest
 
 from repro.net.channel import Channel, ProtocolDesyncError
-from repro.net.framing import FramedConnection
 from repro.net.party import Party, make_party_pair
 from repro.net.transcript import transcript_digest
-from repro.net.transport import TcpTransport
+from repro.net.transport import Transport, TransportTimeoutError
 from repro.runtime.mirror import MirrorChannel
 from repro.smc.session import SmcConfig, SmcSession
 
 SMC = SmcConfig(paillier_bits=128, comparison="bitwise", key_seed=871)
 
 
+class QueueTransport(Transport):
+    """One endpoint's side of a link whose far end is another thread:
+    ``deliver`` feeds the peer's inbox, ``collect`` blocks on ours."""
+
+    def __init__(self, local_name: str, inbox: queue.Queue,
+                 outbox: queue.Queue, timeout_s: float):
+        super().__init__("alice", "bob")
+        self.local_name = local_name
+        self.inbox, self.outbox = inbox, outbox
+        self.timeout_s = timeout_s
+
+    def deliver(self, sender, receiver, label, wire):
+        self.outbox.put((label, wire))
+
+    def collect(self, receiver, expected_label):
+        try:
+            return self.inbox.get(timeout=self.timeout_s)
+        except queue.Empty:
+            raise TransportTimeoutError(
+                f"{receiver} waited {self.timeout_s}s for "
+                f"{expected_label}") from None
+
+
 def mirror_pair(timeout_s: float = 10.0):
-    left_sock, right_sock = socket.socketpair()
-    channels = []
-    for sock, local in ((left_sock, "alice"), (right_sock, "bob")):
-        connection = FramedConnection(sock, timeout_s=timeout_s,
-                                      name=f"{local}@test")
-        transport = TcpTransport("alice", "bob", connection,
-                                 local_name=local)
-        channels.append(MirrorChannel("alice", "bob", local, transport))
-    return channels
+    to_alice, to_bob = queue.Queue(), queue.Queue()
+    return [MirrorChannel("alice", "bob", "alice",
+                          QueueTransport("alice", to_alice, to_bob,
+                                         timeout_s)),
+            MirrorChannel("alice", "bob", "bob",
+                          QueueTransport("bob", to_bob, to_alice,
+                                         timeout_s))]
 
 
 def run_mirrored(choreography, inputs: dict[str, object],
@@ -172,15 +192,11 @@ class TestMirrorMechanics:
         left.close()
 
     def test_unknown_local_party_rejected(self):
-        left_sock, right_sock = socket.socketpair()
-        connection = FramedConnection(left_sock, timeout_s=1.0, name="x")
-        transport = TcpTransport("alice", "bob", connection,
-                                 local_name="alice")
+        transport = QueueTransport("alice", queue.Queue(), queue.Queue(),
+                                   timeout_s=1.0)
         from repro.runtime.mirror import MirrorChannelError
         with pytest.raises(MirrorChannelError, match="not an endpoint"):
             MirrorChannel("alice", "bob", "carol", transport)
-        right_sock.close()
-        connection.close()
 
 
 class TestMirrorWithParties:

@@ -134,7 +134,8 @@ class TestInstrumentedMesh:
 
 @pytest.mark.sockets
 class TestObservabilityCli:
-    def test_stats_and_trace_summarize(self, tmp_path, capsys):
+    def test_stats_and_trace_summarize(self, tmp_path, capsys,
+                                       monkeypatch):
         by_party = workload(3)
         seeds = [31, 32, 33]
         config = make_config()
@@ -142,6 +143,10 @@ class TestObservabilityCli:
         names = list(by_party)
 
         with DaemonFleet(names, trace_dir=str(trace_dir)) as fleet:
+            if fleet.psk:
+                # An authenticated mesh: `repro stats` finds the secret
+                # the way an operator's shell provides it.
+                monkeypatch.setenv("REPRO_PSK", fleet.psk)
             spec_path = tmp_path / "mesh.json"
             spec_path.write_text(fleet.spec.to_json())
             with fleet.client() as client:

@@ -1,13 +1,15 @@
-"""Orchestrated runs: real party processes over loopback TCP.
+"""Orchestrated runs: a throwaway daemon fleet over loopback TCP.
 
 The acceptance bar of the runtime: a k-party mesh run with parties as
-separate OS processes must produce labels, a disclosure ledger, per-pair
-transcripts, comparison counts, and a merged stats snapshot that are
-**bit-identical** to the in-process fabric on the same seeds.  The
-3-party smoke test runs in tier-1 (``sockets`` marker); the wider
-configuration matrix is additionally marked ``slow`` for the weekly job.
+separate ``repro serve`` processes must produce labels, a disclosure
+ledger, per-pair transcripts, comparison counts, and a merged stats
+snapshot that are **bit-identical** to the in-process fabric on the
+same seeds.  The 3-party smoke test runs in tier-1 (``sockets``
+marker); the wider configuration matrix is additionally marked ``slow``
+for the weekly job.
 """
 
+import os
 import random
 
 import pytest
@@ -69,7 +71,12 @@ class TestOrchestratedEquivalence:
         run = orchestrate_run(by_party, config, seeds=seeds,
                               deadline_s=120)
         assert run.elapsed_seconds > 0
+        assert run.attempts == 1 and run.failures == ()
         assert set(run.reports) == set(by_party)
+        # Under the REPRO_TEST_PSK matrix every orchestrated link is
+        # authenticated; without it, none is.
+        assert run.manifest.link_auth is bool(os.environ.get(
+            "REPRO_TEST_PSK"))
         assert_bit_identical(run, by_party, config, seeds)
 
 
@@ -118,16 +125,14 @@ class TestOrchestratedMatrix:
 @pytest.mark.sockets
 class TestOrchestratorFailurePaths:
     def test_party_death_is_named_with_exit_code(self):
-        """Failure injection: one party dies hard mid-run; the
+        """Failure injection: one daemon dies hard mid-pass; the
         orchestrator must name it, report the exit code, and tear the
         fleet down instead of hanging."""
         by_party = workload(3)
         with pytest.raises(OrchestrationError) as excinfo:
-            # retry_budget=0: the legacy hook re-fires on every
-            # incarnation, so a resume could never outrun it anyway.
             orchestrate_run(by_party, make_config(), seeds=[31, 32, 33],
                             deadline_s=120, retry_budget=0,
-                            fault_injection={"p1": 1})
+                            faults=["kill:p1@pass0.q1"])
         message = str(excinfo.value)
         assert "'p1'" in message
         assert "code 13" in message
@@ -149,58 +154,61 @@ class TestOrchestratorFailurePaths:
 
 
 @pytest.mark.sockets
-class TestRunDirCleanup:
-    def test_temp_run_dir_removed_even_when_the_run_aborts(
-            self, monkeypatch):
-        """The cleanup bugfix bar: an aborted run must still reap its
-        children and remove the temporary run directory."""
-        import pathlib
-        import tempfile
+class TestNoOrphans:
+    """No ``repro serve`` child of ``orchestrate_run`` outlives the
+    call, whatever path ends it."""
+
+    @pytest.fixture
+    def members(self, monkeypatch):
+        import repro.runtime.client as client_module
 
         created = []
-        real_mkdtemp = tempfile.mkdtemp
+        real_init = client_module._DaemonProcess.__init__
 
-        def spying_mkdtemp(*args, **kwargs):
-            path = real_mkdtemp(*args, **kwargs)
-            created.append(path)
-            return path
+        def recording_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            created.append(self)
 
-        monkeypatch.setattr(tempfile, "mkdtemp", spying_mkdtemp)
-        with pytest.raises(OrchestrationError):
-            orchestrate_run(workload(2), make_config(), seeds=[31, 32],
-                            deadline_s=120, retry_budget=0,
-                            fault_injection={"p1": 1})
-        assert created, "the orchestrator must have made a temp run dir"
-        assert not pathlib.Path(created[0]).exists()
+        monkeypatch.setattr(client_module._DaemonProcess, "__init__",
+                            recording_init)
+        return created
 
-    def test_keep_run_dir_preserves_recovery_artifacts(self, monkeypatch):
-        import pathlib
-        import shutil
-        import tempfile
+    @pytest.mark.parametrize("case", [
+        "clean", "recovered", "budget-0", "psk-mismatch"])
+    def test_no_daemon_outlives_the_call(self, case, members,
+                                         monkeypatch):
+        by_party = workload(2)
+        kwargs = dict(seeds=[31, 32], deadline_s=120)
+        if case in ("recovered", "budget-0"):
+            kwargs["faults"] = ["kill:p1@pass1"]
+        if case == "budget-0":
+            kwargs["retry_budget"] = 0
+        if case == "psk-mismatch":
+            from tests.runtime.test_link_auth import skew_psk
 
-        created = []
-        real_mkdtemp = tempfile.mkdtemp
+            skew_psk(monkeypatch, "p1")
+            kwargs["psk"] = "the fleet's secret"
+        if case in ("clean", "recovered"):
+            orchestrate_run(by_party, make_config(), **kwargs)
+        else:
+            with pytest.raises(OrchestrationError):
+                orchestrate_run(by_party, make_config(), **kwargs)
+        expected_fleets = 2 if case == "recovered" else 1
+        assert len(members) == 2 * expected_fleets
+        for member in members:
+            assert member.process.returncode is not None
+            assert not os.path.exists(f"/proc/{member.process.pid}") \
+                or _not_a_daemon(member.process.pid)
 
-        def spying_mkdtemp(*args, **kwargs):
-            path = real_mkdtemp(*args, **kwargs)
-            created.append(path)
-            return path
 
-        monkeypatch.setattr(tempfile, "mkdtemp", spying_mkdtemp)
-        try:
-            orchestrate_run(workload(2), make_config(), seeds=[31, 32],
-                            deadline_s=120, keep_run_dir=True)
-            run_dir = pathlib.Path(created[0])
-            assert run_dir.exists()
-            assert (run_dir / "manifest.json").exists()
-            # Pass-boundary checkpoints are written on fault-free runs
-            # too -- that is what makes a later crash recoverable.
-            assert (run_dir / "checkpoint_p0.json").exists()
-            assert (run_dir / "checkpoint_p1.json").exists()
-            assert (run_dir / "report_p0.json").exists()
-        finally:
-            for path in created:
-                shutil.rmtree(path, ignore_errors=True)
+def _not_a_daemon(pid: int) -> bool:
+    """A reaped pid may be reused at once; only a ``repro serve``
+    holding it would be an orphan."""
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as handle:
+            return b"serve" not in handle.read()
+    except OSError:
+        return True
 
 
 class TestOrchestratorPlumbing:

@@ -71,35 +71,13 @@ class TestOrchestrateCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["orchestrate"])
         assert args.parties == 3
+        assert args.retry_budget == 3
         assert not args.verify
-        assert not args.prepare_only
-
-    def test_party_requires_run_dir(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["party", "--party", "p0"])
-
-    def test_prepare_only_writes_run_dir_and_commands(self, tmp_path,
-                                                      capsys):
-        exit_code = main(["orchestrate", "--parties", "2", "--points", "6",
-                          "--key-bits", "128", "--prepare-only",
-                          "--run-dir", str(tmp_path / "run")])
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "separate" in output or "terminal" in output
-        assert (tmp_path / "run" / "manifest.json").exists()
-        assert (tmp_path / "run" / "partition_party0.json").exists()
-        assert (tmp_path / "run" / "partition_party1.json").exists()
-        for name in ("party0", "party1"):
-            assert f"--party {name}" in output
-
-    def test_prepare_only_requires_run_dir(self):
-        with pytest.raises(SystemExit):
-            main(["orchestrate", "--prepare-only"])
 
     @pytest.mark.sockets
     def test_orchestrate_verify_end_to_end(self, capsys):
-        """Spawns real party subprocesses and checks the bit-identical
-        verification lines all pass."""
+        """Runs a daemon fleet as subprocesses and checks the
+        bit-identical verification lines all pass."""
         exit_code = main(["orchestrate", "--parties", "2", "--points", "6",
                           "--key-bits", "128", "--min-pts", "2",
                           "--verify"])
@@ -108,7 +86,75 @@ class TestOrchestrateCommand:
         assert "OS processes over loopback TCP" in output
         # labels / ledger / comparisons / transcripts / stats
         assert output.count("bit-identical") == 5
-        assert "MISMATCH" not in output
+
+    @pytest.mark.sockets
+    @pytest.mark.faults
+    def test_kill_fault_is_recovered_by_a_rerun(self, capsys):
+        exit_code = main(["orchestrate", "--parties", "3", "--points", "12",
+                          "--key-bits", "128", "--fault",
+                          "kill:party1@pass2", "--verify"])
+        assert exit_code == 0
+        output = capsys.readouterr().out
+        assert ("recovered: party 'party1' failed (retryable crash): "
+                "daemon exited with code 13") in output
+        assert "attempts: 2" in output
+        assert output.count("bit-identical") == 5
+
+
+class TestMeshSpecCommand:
+    def test_writes_spec_and_one_serve_line_per_party(self, tmp_path,
+                                                      capsys):
+        """The separate-terminals flow: the spec file plus one
+        ``repro serve`` command per party to paste."""
+        from repro.runtime.daemon import MeshSpec
+
+        path = tmp_path / "mesh.json"
+        exit_code = main(["mesh-spec", str(path), "--parties", "3"])
+        assert exit_code == 0
+        spec = MeshSpec.from_json(path.read_text())
+        assert spec.names == ("party0", "party1", "party2")
+        output = capsys.readouterr().out
+        serve_lines = [line for line in output.splitlines()
+                       if "repro serve" in line]
+        assert len(serve_lines) == 3
+        for name in spec.names:
+            assert any(f"--spec {path} --party {name}" in line
+                       for line in serve_lines)
+        assert "repro submit --spec" in output
+
+
+class TestCliInputErrors:
+    """Malformed outside input exits 2 with its message, no traceback."""
+
+    @pytest.mark.parametrize("command", ["serve", "submit", "stats"])
+    @pytest.mark.parametrize("content,needle", [
+        ("[]", "JSON object"),
+        ('{"names": 5, "ports": {}}', "'names'"),
+    ])
+    def test_malformed_spec_file(self, command, content, needle, tmp_path,
+                                 capsys):
+        path = tmp_path / "mesh.json"
+        path.write_text(content)
+        argv = [command, "--spec", str(path)]
+        if command == "serve":
+            argv += ["--party", "party0"]
+        assert main(argv) == 2
+        error = capsys.readouterr().err
+        assert f"repro {command}: {path}" in error
+        assert needle in error
+        assert "Traceback" not in error
+
+    @pytest.mark.parametrize("fault,needle", [
+        ("explode:p1@pass1", "unknown fault kind 'explode'"),
+        ("kill:p1@pass1.f2", "take no .f<F>"),
+        ("refuse:p0:p0-p1", "unknown fault kind 'refuse'"),
+    ])
+    def test_bad_fault_spec(self, fault, needle, capsys):
+        assert main(["orchestrate", "--key-bits", "128",
+                     "--fault", fault]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("repro orchestrate: ")
+        assert needle in error
 
 
 class TestAttackCommand:
