@@ -341,7 +341,9 @@ def hdp_within_eps_cached(session: SmcSession, querier: Party,
               else 0)
     masks.append(offset - sum(masks))
 
-    # Querier is the masker: reply = E(y_t)^{x_t} * E(r_t), rerandomized.
+    # Querier is the masker: reply = E(y_t)^{x_t} * E(r_t).  The fresh
+    # encryption of the mask is the reply's rerandomization (one factor;
+    # see repro.smc.scalar_product).
     querier_pool = session.pool(querier, peer)
     replies = []
     for cipher_value, coordinate, mask in zip(cache.get(announced_id),
@@ -350,7 +352,7 @@ def hdp_within_eps_cached(session: SmcSession, querier: Party,
                    * encoder.encode(coordinate))
         masked = product + public.encrypt(encoder.encode(mask), querier.rng,
                                           querier_pool)
-        replies.append(masked.rerandomize(querier.rng, querier_pool).value)
+        replies.append(masked.value)
     querier.send(f"{label}/masked_terms", replies)
 
     received = peer.receive(f"{label}/masked_terms")
@@ -470,6 +472,9 @@ def hdp_region_query_cached(session: SmcSession, querier: Party,
                                else accumulator + term)
             if offset:
                 accumulator = accumulator + encoder.encode(offset)
+            # Only a plaintext offset entered: the sum is still a
+            # function of the peer's own ciphertexts, so it needs its
+            # own fresh randomness.
             replies.append(accumulator.rerandomize(querier.rng,
                                                    querier_pool).value)
     querier.send(f"{label}/masked_sums", replies)

@@ -247,25 +247,30 @@ class RandomnessLease:
     def __init__(self, service: "RandomnessService", session_id: str):
         self.service = service
         self.session_id = session_id
-        self.pools: list[tuple[tuple[str, bool], RandomnessPool]] = []
+        self.pools: list[tuple[tuple, RandomnessPool]] = []
         self.busy = 0
         self.prefilled = 0
         self.background_refilled = 0
         self.released = False
 
     def register_pool(self, pool: RandomnessPool, owner_digest: str,
-                      actor_is_owner: bool) -> int:
+                      actor_is_owner: bool, *, role: str = "") -> int:
         """Adopt one session pool; prefill it to the learned demand.
 
         ``owner_digest`` is the Paillier public-key digest of the pool's
         key owner -- the cross-session identity demand is scoped by
         (factor *counts* transfer between sessions of the same keypair;
-        nothing else does).  Returns the number of factors prefilled.
+        nothing else does).  ``role`` names the protocol role that draws
+        from the pool (a daemon registers ``drive`` and ``respond``
+        stream pools), so two pools under one key whose roles draw
+        differently never share a demand.  Returns the number of
+        factors prefilled.
         """
         if self.released:
             raise PrecomputeError(
                 f"lease {self.session_id!r} already released")
-        key = (owner_digest[:16], bool(actor_is_owner))
+        key = (owner_digest[:16], bool(actor_is_owner)) + (
+            (role,) if role else ())
         self.pools.append((key, pool))
         target = self.service.demand_for(key)
         shortfall = max(0, target - len(pool))
@@ -291,8 +296,10 @@ class RandomnessService:
     locks).  Three jobs:
 
     1. **Demand model.**  Keyed by ``(key digest[:16], actor-is-owner)``
-       -- the two pool roles a keypair induces -- the service remembers
-       the peak factor consumption any released session reported.  A new
+       -- the two pool roles a keypair induces -- refined by the
+       protocol role that draws from the pool when one is registered,
+       the service remembers the peak factor consumption any released
+       session reported.  A new
        session's pools are prefilled to that target at registration, so
        session N+1 starts warm from session N's experience even though
        their factor values come from disjoint per-session RNG streams.
@@ -315,7 +322,7 @@ class RandomnessService:
         self.engine = engine
         self.refill_chunk = refill_chunk
         self.idle_interval_s = idle_interval_s
-        self._demand: dict[tuple[str, bool], int] = {}
+        self._demand: dict[tuple, int] = {}
         self._leases: dict[str, RandomnessLease] = {}
         self._tables: dict[tuple[str, int, int], FixedBaseExp] = {}
         self.sessions_served = 0
@@ -357,7 +364,7 @@ class RandomnessService:
         self.factors_missed += report["misses"]
         return report
 
-    def demand_for(self, key: tuple[str, bool]) -> int:
+    def demand_for(self, key: tuple) -> int:
         return self._demand.get(key, 0)
 
     def fill(self, pool: RandomnessPool, count: int) -> None:

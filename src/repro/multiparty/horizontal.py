@@ -18,13 +18,19 @@ sequences equal a loop of the per-point ``hdp_within_eps`` reference
 point's encrypted coordinates cross the wire once per pass (the linkable
 trade recorded by the ledger, exactly as in the two-party protocol).
 
-Scheduling: the per-peer queries of one driver step are independent
-pairwise protocols (own channel, session, and RNG substream per pair),
-so they go through a :mod:`~repro.multiparty.scheduler` pass executor:
-in order here, as overlapping coroutines in the daemon runtime.
-Disclosure records are merged in deterministic peer order either way,
-so labels, per-pair transcripts, the ledger sequence, and comparison
-counts do not depend on the schedule.
+Scheduling: each driver's pass reads only its own points plus the
+secure counts its peers return, so the k passes do not depend on each
+other.  Every pass queries each peer on its own
+:class:`~repro.multiparty.mesh.PairStream` (own channel, session, pools
+and RNG substream per (pair, driver)), so the passes may run at the same
+time: here they run one after another, in a daemon all at once.  Within
+a pass, the per-peer queries of one driver step are independent too and
+go through a :mod:`~repro.multiparty.scheduler` pass executor: in order
+here, as overlapping coroutines in a daemon.  Disclosure records are
+merged in deterministic peer and pass order either way, and each pair's
+transcript and stats are reported in canonical pass order, so labels,
+per-pair transcripts, the ledger sequence, and comparison counts do not
+depend on the schedule.
 
 Reference semantics: each party's labels equal
 ``union_density_dbscan(own_points, concatenation_of_all_peer_points)``
@@ -115,14 +121,11 @@ def run_multiparty_horizontal_dbscan(points_by_party: dict[str, list],
                               value_bound, ledger, caches, executor)
         labels_by_party[driver_name] = labels.as_tuple()
 
-    comparisons = sum(
-        mesh.session_between(a, b).comparison_backend.invocations
-        for index, a in enumerate(names) for b in names[index + 1:])
     return MultipartyRunResult(
         labels_by_party=labels_by_party,
         ledger=ledger,
         stats=mesh.merged_stats().snapshot(),
-        comparisons=comparisons,
+        comparisons=mesh.comparisons(),
     )
 
 
@@ -246,10 +249,12 @@ def _make_peer_task(mesh: PartyMesh, driver_name: str, peer_name: str,
                     query_point: tuple[int, ...], peer_points: list,
                     config: ProtocolConfig, value_bound: int,
                     caches: dict[str, PeerCipherCache] | None):
-    """Bind one peer's query into a scheduler task closure."""
-    session = mesh.session_between(driver_name, peer_name)
-    driver = mesh.party_in_pair(driver_name, peer_name)
-    peer = mesh.party_in_pair(peer_name, driver_name)
+    """Bind one peer's query, on the driver's stream to that peer, into
+    a scheduler task closure."""
+    stream = mesh.stream(driver_name, peer_name)
+    session = stream.session
+    driver = stream.parties[driver_name]
+    peer = stream.parties[peer_name]
     cache = caches[peer_name] if caches is not None else None
 
     label = f"multiparty/{driver_name}-{peer_name}"

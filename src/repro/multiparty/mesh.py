@@ -1,32 +1,40 @@
 """Pairwise session mesh for k-party protocols.
 
 Each physical party has one set of key material, reused across all of
-its pairwise channels; each unordered pair of parties gets its own
-in-process channel (with its own transcript) and an
-:class:`SmcSession` over it.  Global statistics are the merge of the
-pairwise channels.
+its pairwise channels.  Each unordered pair of parties gets one
+key-exchange channel and session (the public keys cross once per pair)
+plus one **stream per driver**: the channel, parties and
+:class:`SmcSession` that driver's pass runs its queries to the pair's
+other party on.  A stream has its own transcript and stats, its own
+randomness pools and its own comparison counter, so the k driver passes
+share no mutable state and may run at the same time.
 
-Per-pair randomness: a party's coin tosses on the link to peer ``P``
-come from a dedicated substream derived deterministically from the
-party's seed and the canonical pair key (SHA-256 of
-``seed | party | pair``).  The seed-era mesh handed *one*
-``random.Random`` per party to all of its pairwise channels, which made
-the draw sequence depend on the order the pairwise protocols happened
-to interleave -- harmless while driver passes visited peers strictly
-sequentially, but a data race the moment two pairwise sessions run
-concurrently (the daemon's coroutine-per-peer passes).  With
-substreams, concurrent and sequential executions draw bit-identical
-randomness per pair, so labels, per-pair transcripts, and ledgers match
-exactly (property-tested in ``tests/multiparty/test_scheduler.py``).
+Coins: a party's coin tosses on a stream come from a dedicated
+substream derived from the party's seed, the canonical pair key and the
+stream's driver (SHA-256 of ``seed | party | pair | driver``).  One
+generator shared by several streams would hand out its draws in
+whatever order the streams happened to interleave; with per-(pair,
+driver) substreams a stream draws the same coins whenever it runs --
+alone, next to the party's other peers, or next to the other drivers'
+passes -- so labels, transcripts and ledgers match exactly
+(property-tested in ``tests/multiparty/test_scheduler.py``).
+
+Accounting: a pair's transcript and stats are the *canonical pass-order
+concatenation* of its key exchange and its streams
+(:func:`link_accounting`); the rounds of that concatenation are the
+link's sequential count (:meth:`CommunicationStats.extend`), however the
+streams were scheduled.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 from repro.net.party import Party
-from repro.net.transport import derive_seeded_stream
 from repro.net.stats import CommunicationStats
+from repro.net.transcript import Transcript
+from repro.net.transport import derive_seeded_stream
 from repro.smc.session import (
     CryptoContext,
     FullKeyProvider,
@@ -38,7 +46,8 @@ from repro.smc.session import (
 
 def derive_pair_rng(seed: int | None, party: str, left: str,
                     right: str,
-                    namespace: str | None = None) -> random.Random:
+                    namespace: str | None = None, *,
+                    driver: str | None = None) -> random.Random:
     """A party's private RNG substream for one pairwise link.
 
     Derived (via :func:`~repro.net.transport.derive_seeded_stream`) by
@@ -46,37 +55,90 @@ def derive_pair_rng(seed: int | None, party: str, left: str,
     (ordered) pair key, so the stream is (a) deterministic under a
     seed, (b) distinct per (party, pair), and (c) independent of *when*
     the pair's protocol runs relative to the party's other pairs --
-    which is also what lets the PR-5 socket runtime re-derive the exact
-    same coins in every party process.  ``None`` stays
-    nondeterministic.
+    which is also what lets every daemon re-derive the exact same coins
+    for the party it hosts.  ``None`` stays nondeterministic.
 
     ``namespace`` adds a further derivation level for multi-session
     deployments: a daemon serving many clustering sessions derives each
     session's coins from (seed, namespace=session id, party, pair), so
     two sessions sharing seeds never share a coin stream.  ``None``
-    keeps the legacy per-(party, pair) stream -- the default everywhere,
-    so all existing single-session equivalences are unchanged.
+    keeps the per-(party, pair) stream.
+
+    ``driver`` names the stream: the coins of one driver's pass over
+    the pair (see :class:`PairStream`).  ``None`` is the pair's own
+    stream, which only the key exchange uses.
     """
+    stream = () if driver is None else ("driver", driver)
     if namespace is None:
-        return derive_seeded_stream(seed, party, left, right)
+        return derive_seeded_stream(seed, party, left, right, *stream)
     return derive_seeded_stream(seed, "session", namespace, party, left,
-                                right)
+                                right, *stream)
 
 
 class MeshError(ValueError):
     """Raised for degenerate meshes or unknown parties."""
 
 
+@dataclass
+class PairStream:
+    """One driver's pass over one pair.
+
+    Its own channel (transcript and stats), both parties with coins
+    keyed by (pair, driver), and a session that reuses the pair's
+    exchanged keys with its own pools and comparison counter.  The
+    in-process mesh builds them over in-process channels, a daemon over
+    its mirror channels; :func:`build_stream` is the one constructor.
+    """
+
+    driver: str
+    channel: object
+    parties: dict[str, Party]
+    session: SmcSession
+
+
+def build_stream(key_session: SmcSession, channel, driver: str,
+                 seeds: dict, namespace: str | None = None) -> PairStream:
+    """The ``driver`` stream of ``key_session``'s pair over ``channel``.
+
+    ``seeds`` maps party name to its seed.  Only the driver's own pass
+    ever runs on the stream, so the coins each side draws on it depend
+    on nothing that happens on the pair's other streams.
+    """
+    left, right = channel.left.name, channel.right.name
+    parties = {
+        endpoint.name: Party(endpoint, derive_pair_rng(
+            seeds[endpoint.name], endpoint.name, left, right,
+            namespace=namespace, driver=driver))
+        for endpoint in (channel.left, channel.right)}
+    return PairStream(driver, channel, parties,
+                      key_session.stream(parties[left], parties[right]))
+
+
+def link_accounting(channels) -> tuple[CommunicationStats, Transcript]:
+    """One pair's stats and transcript: its channels concatenated in the
+    given (canonical pass) order -- the key exchange first, then one
+    stream per driver in pass order.  Both ends of a link and the
+    in-process mesh concatenate in that order, so the result does not
+    depend on how the streams interleaved in time."""
+    stats, transcript = CommunicationStats(), Transcript()
+    for channel in channels:
+        stats.extend(channel.stats)
+        transcript.extend(channel.transcript)
+    return stats, transcript
+
+
 class PartyMesh:
-    """``k`` parties, a channel and session per unordered pair.
+    """``k`` parties; per unordered pair a key exchange and one stream
+    per driver.
 
     Args:
-        names: distinct party names, e.g. ``["party0", "party1", ...]``.
+        names: distinct party names, e.g. ``["party0", "party1", ...]``;
+            their order is the pass order.
         config: shared cryptographic configuration.
         seeds: optional per-party RNG seeds (parallel to ``names``).
         rng_namespace: optional per-session derivation tag threaded into
             every :func:`derive_pair_rng` call (see there); ``None``
-            keeps the legacy streams.
+            keeps the un-namespaced streams.
     """
 
     def __init__(self, names: list[str], config: SmcConfig,
@@ -111,9 +173,10 @@ class PartyMesh:
             name: self._make_context(name, slot)
             for slot, name in enumerate(names)
         }
-        self._channels: dict[tuple[str, str], Channel] = {}
+        self._channels: dict[tuple[str, str], object] = {}
         self._sessions: dict[tuple[str, str], SmcSession] = {}
         self._parties: dict[tuple[str, str], dict[str, Party]] = {}
+        self._streams: dict[tuple[str, str], dict[str, PairStream]] = {}
         for index, left in enumerate(names):
             for right in names[index + 1:]:
                 self._build_pair(left, right)
@@ -137,6 +200,13 @@ class PartyMesh:
         self._channels[key] = channel
         self._sessions[key] = session
         self._parties[key] = {left: left_party, right: right_party}
+        # The lower slot drives first: streams in pass order.
+        self._streams[key] = {
+            driver: build_stream(session,
+                                 channel_for_config(self.config, left,
+                                                    right),
+                                 driver, self._seeds, self.rng_namespace)
+            for driver in key}
 
     def _pair_key(self, a: str, b: str) -> tuple[str, str]:
         if a == b:
@@ -147,11 +217,22 @@ class PartyMesh:
         return (a, b) if self._slots[a] < self._slots[b] else (b, a)
 
     def session_between(self, a: str, b: str) -> SmcSession:
+        """The pair's key-exchange session (the passes run on
+        :meth:`stream`)."""
         return self._sessions[self._pair_key(a, b)]
 
     def party_in_pair(self, name: str, peer: str) -> Party:
-        """The :class:`Party` handle ``name`` uses when talking to ``peer``."""
+        """The :class:`Party` ``name`` uses on the key-exchange channel
+        to ``peer``."""
         return self._parties[self._pair_key(name, peer)][name]
+
+    def stream(self, driver: str, peer: str) -> PairStream:
+        """The stream ``driver``'s pass queries ``peer`` on."""
+        return self._streams[self._pair_key(driver, peer)][driver]
+
+    def _stream_sessions(self) -> list[SmcSession]:
+        return [stream.session for streams in self._streams.values()
+                for stream in streams.values()]
 
     def peers_of(self, name: str) -> list[str]:
         if name not in self.names:
@@ -162,54 +243,72 @@ class PartyMesh:
         """Offline phase across the whole mesh.
 
         ``factors`` is either one count applied to every (actor, key)
-        pair of every pairwise session, or a
-        ``{(left, right): session_plan}`` mapping keyed like
-        :meth:`pool_report` -- e.g. the consumption a probe run
-        reported.  Refills run through each session's engine; every
+        pool of every stream, or a ``{(left, right): plan}`` mapping
+        keyed like :meth:`pool_report` -- e.g. the consumption a probe
+        run reported.  Refills run through each session's engine; every
         distinct engine is warmed up first so the pool-spawn latency is
         paid here, in the offline phase, not by the first online batch.
         """
+        sessions = self._stream_sessions()
         for engine in {id(session.engine): session.engine
-                       for session in self._sessions.values()}.values():
+                       for session in sessions}.values():
             engine.warm_up()
         if isinstance(factors, int):
-            for session in self._sessions.values():
+            for session in sessions:
                 session.precompute_pools(factors)
             return
         for pair, plan in factors.items():
-            self._sessions[self._pair_key(*pair)].precompute_pools(plan)
+            streams = self._streams[self._pair_key(*pair)]
+            for (driver, actor, owner), count in plan.items():
+                streams[driver].session.precompute_pools(
+                    {(actor, owner): count})
 
     def begin_peer_query(self, driver_name: str, peer_name: str) -> None:
         """Runtime hook: one per-peer secure query is about to start.
 
         The in-process mesh needs no announcement -- both parties live
-        here -- so this is a no-op.  The socket runtime's mesh view
-        overrides it to emit the control frame that tells the peer
-        process to enter the query choreography (the driver's pass
-        structure is data-dependent, so the peer cannot infer it).
-        Called once per scheduler task, just before its ``run``, so the
-        announcement and the query's protocol frames stay ordered per
-        link however the executor interleaves peers.
+        here -- so this is a no-op.  A daemon's mesh view overrides it
+        to emit the control frame that tells the peer daemon to enter
+        the query choreography (the driver's pass structure is
+        data-dependent, so the peer cannot infer it).  Called once per
+        scheduler task, just before its ``run``, so the announcement
+        and the query's protocol frames stay ordered per stream however
+        the executor interleaves peers.
         """
 
     def pool_report(self) -> dict:
-        """Per-pair pool accounting: ``{(left, right): session_report}``."""
-        return {pair: session.pool_report()
-                for pair, session in sorted(self._sessions.items())}
+        """Per-pair pool accounting over the pair's streams:
+        ``{(left, right): {(driver, actor, key_owner): pool_report}}``."""
+        return {pair: {(driver, actor, owner): report
+                       for driver, stream in streams.items()
+                       for (actor, owner), report
+                       in stream.session.pool_report().items()}
+                for pair, streams in sorted(self._streams.items())}
+
+    def _pair_channels(self, pair: tuple[str, str]) -> list:
+        return [self._channels[pair]] + [
+            stream.channel for stream in self._streams[pair].values()]
+
+    def comparisons(self) -> int:
+        """Secure-comparison invocations over every session."""
+        return sum(session.comparison_backend.invocations
+                   for session in (*self._sessions.values(),
+                                   *self._stream_sessions()))
 
     def merged_stats(self) -> CommunicationStats:
         total = CommunicationStats()
-        for channel in self._channels.values():
-            total.merge(channel.stats)
+        for pair in self._channels:
+            total.merge(link_accounting(self._pair_channels(pair))[0])
         return total
 
     def pair_stats(self, a: str, b: str) -> CommunicationStats:
-        return self._channels[self._pair_key(a, b)].stats
+        return link_accounting(self._pair_channels(self._pair_key(a, b)))[0]
 
     def pair_transcripts(self) -> dict:
-        """``{(left, right): transcript}`` over every pair, sorted."""
-        return {pair: channel.transcript
-                for pair, channel in sorted(self._channels.items())}
+        """``{(left, right): transcript}`` over every pair, sorted; each
+        the pair's canonical pass-order concatenation."""
+        return {pair: link_accounting(self._pair_channels(pair))[1]
+                for pair in sorted(self._channels)}
 
     @property
     def size(self) -> int:

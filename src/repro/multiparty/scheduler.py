@@ -1,15 +1,15 @@
 """Pass executors: how the per-peer queries of one density test run.
 
 Within one driver pass of the k-party protocol, the per-peer secure
-region queries are *independent*: each runs over its own pairwise
-channel, its own :class:`~repro.smc.session.SmcSession` (own keys-view,
-own pools, own comparison backend), and -- since the mesh derives
-per-pair RNG substreams -- its own randomness stream.  The driver hands
-every density test a list of :class:`PeerQuery` tasks; two executors
-run them:
+region queries are *independent*: each runs over the driver's own
+stream to that peer (:class:`~repro.multiparty.mesh.PairStream`: own
+channel, own :class:`~repro.smc.session.SmcSession` with its own pools
+and comparison backend, and its own per-(pair, driver) randomness
+stream).  The driver hands every density test a list of
+:class:`PeerQuery` tasks; two executors run them:
 
 - :class:`PassExecutor` -- in mesh order, one after another: the
-  in-process mesh and the party-process runtime.
+  in-process mesh.
 - :class:`AsyncPassExecutor` -- one coroutine per peer under
   ``asyncio.gather`` on the daemon's event loop, so round-trips to
   different peers overlap without a thread per query.

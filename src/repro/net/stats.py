@@ -26,7 +26,8 @@ class CommunicationStats:
 
     ``rounds`` counts direction switches: consecutive messages from the
     same sender batch into one round (the latency-relevant cost measure
-    for interactive protocols).
+    for interactive protocols).  The first and last senders are kept so
+    :meth:`extend` can append another stream of the same link.
     """
 
     bytes_by_direction: dict[str, int] = field(
@@ -38,6 +39,7 @@ class CommunicationStats:
     messages_by_label: dict[str, int] = field(
         default_factory=lambda: defaultdict(int))
     rounds: int = 0
+    _first_sender: str | None = field(default=None, repr=False)
     _last_sender: str | None = field(default=None, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
@@ -53,6 +55,8 @@ class CommunicationStats:
             if sender != self._last_sender:
                 self.rounds += 1
                 self._last_sender = sender
+            if self._first_sender is None:
+                self._first_sender = sender
 
     @property
     def total_bytes(self) -> int:
@@ -97,6 +101,27 @@ class CommunicationStats:
             for key, value in other_msgs_label.items():
                 self.messages_by_label[key] += value
             self.rounds += other_rounds
+
+    def extend(self, other: "CommunicationStats") -> None:
+        """Append another stream of the *same* link after this one.
+
+        Counts add as in :meth:`merge`, but rounds follow the link's
+        sequential count: when ``other``'s first sender is this
+        accumulator's last sender, the boundary messages share a round,
+        exactly as if both streams had been recorded into one
+        accumulator in this order.
+        """
+        with other._lock:
+            first, last = other._first_sender, other._last_sender
+        self.merge(other)
+        if first is None:
+            return
+        with self._lock:
+            if first == self._last_sender:
+                self.rounds -= 1
+            if self._first_sender is None:
+                self._first_sender = first
+            self._last_sender = last
 
     def snapshot(self) -> dict:
         """Plain-dict copy for reports and benchmark JSON output."""

@@ -54,6 +54,13 @@ class Transcript:
             self.entries.append(entry)
         return entry
 
+    def extend(self, other: "Transcript") -> None:
+        """Append another stream of the same link, re-indexed -- how a
+        pair's per-driver streams form its one canonical transcript."""
+        for entry in list(other.entries):
+            self.record(entry.sender, entry.receiver, entry.label,
+                        entry.value, entry.size_bytes)
+
     def received_by(self, party_name: str) -> list[TranscriptEntry]:
         """The messages constituting ``party_name``'s view (Def. 5)."""
         return [e for e in self.entries if e.receiver == party_name]

@@ -247,11 +247,15 @@ def summarize_trace_dir(trace_dir: str | os.PathLike) -> dict:
     """Fold a trace directory into per-session breakdowns.
 
     Returns ``{"sessions": {session: {"parties": {party: {...}}}}}``
-    where each party entry carries total duration, per-pass rows (role,
-    duration, queries, attempts, restarts), and the pass critical path:
-    the sum over protocol steps of the *slowest* peer query at that
-    step -- concurrent peers overlap, so the per-step max is the time a
-    pass actually spends waiting.
+    where each party entry carries total duration, per-pass rows in
+    pass order (role, duration, queries, attempts, restarts), and the
+    pass critical path: the sum over protocol steps of the *slowest*
+    peer query at that step -- concurrent peers overlap, so the
+    per-step max is the time a pass actually spends waiting.  A daemon
+    runs all of its pass roles at once, so each party entry also
+    carries ``passes_sum`` (the passes' summed durations) and
+    ``passes_union`` (the time covered by at least one pass): the gap
+    between them is the overlap.
     """
     spans = read_trace_dir(trace_dir)
     by_party_id = {(span["party"], span["id"]): span for span in spans}
@@ -278,7 +282,9 @@ def summarize_trace_dir(trace_dir: str | os.PathLike) -> dict:
         elif span["kind"] == "pass":
             entry["passes"].append({
                 "name": span["name"],
+                "index": span["attrs"].get("index"),
                 "id": span["id"],
+                "interval": (span["t0"], span["t1"]),
                 "role": span["attrs"].get("role"),
                 "duration": span["dur"],
                 "queries": 0,
@@ -297,7 +303,14 @@ def summarize_trace_dir(trace_dir: str | os.PathLike) -> dict:
         for entry in session["parties"].values():
             queries = entry.pop("_queries", {})
             attempts = entry.pop("_attempts", {})
-            entry["passes"].sort(key=lambda row: row["name"])
+            # Pass order is the span's index: names sort pass10 before
+            # pass2.
+            entry["passes"].sort(key=lambda row: (
+                row["index"] is None, row["index"], row["name"]))
+            intervals = [row.pop("interval") for row in entry["passes"]]
+            entry["passes_sum"] = round(
+                sum(row["duration"] for row in entry["passes"]), 6)
+            entry["passes_union"] = round(_union_length(intervals), 6)
             for row in entry["passes"]:
                 pass_queries = queries.get(row.pop("id"), [])
                 row["queries"] = len(pass_queries)
@@ -313,6 +326,20 @@ def summarize_trace_dir(trace_dir: str | os.PathLike) -> dict:
     return {"sessions": sessions}
 
 
+def _union_length(intervals) -> float:
+    """Total length covered by at least one ``(start, end)`` interval."""
+    covered = 0.0
+    reach = None
+    for start, end in sorted(intervals):
+        if reach is None or start > reach:
+            covered += end - start
+            reach = end
+        elif end > reach:
+            covered += end - reach
+            reach = end
+    return covered
+
+
 def format_trace_summary(summary: dict) -> str:
     """Human-readable critical-path breakdown for ``repro trace``."""
     lines: list[str] = []
@@ -320,7 +347,9 @@ def format_trace_summary(summary: dict) -> str:
         lines.append(f"session {session}")
         for party, entry in sorted(data["parties"].items()):
             lines.append(f"  party {party}: "
-                         f"{entry['duration']:.3f}s total")
+                         f"{entry['duration']:.3f}s total, passes "
+                         f"{entry['passes_sum']:.3f}s summed "
+                         f"{entry['passes_union']:.3f}s union")
             for row in entry["passes"]:
                 role = row["role"] or "?"
                 lines.append(

@@ -29,6 +29,18 @@ concurrency.  Responder duties are coroutines awaiting the session's
 control queue, serving each announced query through the same
 restartable runner.
 
+Overlapped passes: the k driver passes of a session do not depend on
+each other, so a daemon runs all of its pass roles at once -- its own
+drive pass next to one respond task per peer, in one task group -- and
+exchanges keys with all of its peers at once before that.  Each pass
+runs on its own per-(pair, driver) streams
+(:class:`~repro.multiparty.mesh.PairStream`): a sub-session of the pair
+hub with its own frame and control queues, channel, coins, pools and
+comparison counter.  A session therefore waits for its longest pass,
+not for the sum of them.  Reports carry each pair's canonical
+pass-order concatenation of its key exchange and streams, the same
+figures the in-process mesh reports.
+
 A daemon-wide :class:`~repro.crypto.precompute.RandomnessService`
 amortizes the offline phase across sessions: it learns each keypair's
 per-session factor demand as sessions release their leases, prefills
@@ -39,7 +51,8 @@ forked RNG stream), so warm starts change where offline time is spent,
 never a byte of any transcript.
 
 Determinism: a session's coins, keys, and channel machinery are exactly
-the in-process mesh's (same ``derive_pair_rng`` streams --
+the in-process mesh's (same ``derive_pair_rng`` streams per (pair,
+driver) --
 optionally namespaced per session, see
 :attr:`~repro.runtime.manifest.RunManifest.rng_namespace` -- same
 own-slot key derivation with sealed peer contexts
@@ -81,7 +94,12 @@ from repro.crypto.engine import ModexpEngine
 from repro.crypto.integer_math import powmod_cache_report
 from repro.crypto.precompute import PrecomputeError, RandomnessService
 from repro.crypto.sealed import public_key_digest
-from repro.multiparty.mesh import derive_pair_rng
+from repro.multiparty.mesh import (
+    PairStream,
+    build_stream,
+    derive_pair_rng,
+    link_accounting,
+)
 from repro.net.framing import (
     FRAME_CONTROL,
     FRAME_GOODBYE,
@@ -102,7 +120,7 @@ from repro.net.serialization import (
 from repro.net.transcript import transcript_digest
 from repro.net.transport import AsyncTcpTransport
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import NULL_SPAN, Tracer, tracer_for
+from repro.obs.trace import Tracer, tracer_for
 from repro.runtime.failure import classify_exception
 from repro.runtime.faults import FaultPlan, PartyFaults
 from repro.runtime.handshake import (
@@ -161,6 +179,8 @@ CONTROL_SESSION_SYNC = "session_sync"
 #: and the end of its pass; the responder serves until end-of-pass.
 CONTROL_QUERY = "query"
 CONTROL_END_PASS = "end_pass"
+#: Joins a session id and a driver into a stream's mux tag.
+STREAM_TAG_SEPARATOR = "#"
 
 _DIAL_BACKOFF_S = 0.05
 
@@ -429,6 +449,42 @@ def _session_id_of(manifest_json: str) -> str:
         return "?"
 
 
+def _stream_tag(session_id: str, driver: str) -> str:
+    """The mux tag of one session's stream for ``driver``'s pass: a
+    sub-session of the pair hub, with its own frame and control queues.
+    Session ids may not contain :data:`STREAM_TAG_SEPARATOR`, so no
+    session's own tag equals another session's stream tag."""
+    return f"{session_id}{STREAM_TAG_SEPARATOR}{driver}"
+
+
+async def _run_together(coroutines) -> list:
+    """Await ``coroutines`` as one task group, results in order.
+
+    The first failure cancels the others, and it -- not an exception
+    group -- is what propagates, so a failed session keeps its typed,
+    classifiable cause.
+    """
+    try:
+        async with asyncio.TaskGroup() as group:
+            tasks = [group.create_task(coroutine)
+                     for coroutine in coroutines]
+    except BaseExceptionGroup as failed:
+        cause: BaseException = failed
+        while isinstance(cause, BaseExceptionGroup):
+            cause = cause.exceptions[0]
+        raise cause from None
+    return [task.result() for task in tasks]
+
+
+@dataclass
+class _Stream:
+    """One (pair, driver) stream as a daemon runs it."""
+
+    view: object                      # its sub-session of the pair hub
+    runtime: PairRuntime
+    stream: PairStream
+
+
 @dataclass
 class _SessionState:
     """Everything one running session owns inside the daemon."""
@@ -437,19 +493,28 @@ class _SessionState:
     points: list
     faults: PartyFaults | None = None
     views: dict = field(default_factory=dict)      # peer -> link view
-    channels: dict = field(default_factory=dict)   # peer -> MirrorChannel
+    keys: dict = field(default_factory=dict)       # peer -> key exchange
     sessions: dict = field(default_factory=dict)   # peer -> SmcSession
-    parties: dict = field(default_factory=dict)    # peer -> {name: Party}
+    streams: dict = field(default_factory=dict)    # (peer, driver) -> _Stream
+
+    def pair_streams(self, peer: str) -> list[_Stream]:
+        """The pair's streams in pass order."""
+        return [self.streams[(peer, driver)]
+                for driver in self.manifest.names
+                if (peer, driver) in self.streams]
+
+    def runtimes(self) -> list[PairRuntime]:
+        return [*self.keys.values(),
+                *(stream.runtime for stream in self.streams.values())]
 
 
 class _SessionMeshView:
-    """The ``PartyMesh`` surface of one daemon session's k-1 links.
+    """The ``PartyMesh`` surface of one daemon session's drive pass.
 
     Implements exactly what the driver-pass machinery touches
-    (``peers_of`` / ``session_between`` / ``party_in_pair`` /
-    ``begin_peer_query``); ``begin_peer_query`` emits the session-tagged
-    query-announcement control frame, from the session's pass coroutine
-    on the event loop.
+    (``peers_of`` / ``stream`` / ``begin_peer_query``);
+    ``begin_peer_query`` emits the query-announcement control frame on
+    the driver's stream to that peer.
     """
 
     _QUERY_WIRE = serialize_message([CONTROL_QUERY])
@@ -457,28 +522,27 @@ class _SessionMeshView:
     def __init__(self, local_name: str, state: _SessionState):
         self._name = local_name
         self._state = state
+        self._pass_index = state.manifest.names.index(local_name)
 
     def peers_of(self, name: str) -> list[str]:
         return self._state.manifest.peers_of(name)
 
-    def _peer(self, a: str, b: str) -> str:
-        peer = b if a == self._name else a
-        if peer not in self._state.channels:
+    def _stream(self, driver: str, peer: str) -> _Stream:
+        stream = self._state.streams.get((peer, driver))
+        if driver != self._name or stream is None:
             raise PartyRuntimeError(
-                f"no link between {a!r} and {b!r} in daemon "
+                f"no {driver!r} stream to {peer!r} in daemon "
                 f"{self._name!r}")
-        return peer
+        return stream
 
-    def session_between(self, a: str, b: str) -> SmcSession:
-        return self._state.sessions[self._peer(a, b)]
-
-    def party_in_pair(self, name: str, peer: str) -> Party:
-        return self._state.parties[self._peer(name, peer)][name]
+    def stream(self, driver: str, peer: str) -> PairStream:
+        return self._stream(driver, peer).stream
 
     def begin_peer_query(self, driver_name: str, peer_name: str) -> None:
         if self._state.faults is not None:
-            self._state.faults.on_query()
-        self._state.views[peer_name].send_control(self._QUERY_WIRE)
+            self._state.faults.on_query(self._pass_index)
+        self._stream(driver_name, peer_name).view.send_control(
+            self._QUERY_WIRE)
 
 
 class PartyDaemon:
@@ -975,6 +1039,11 @@ class PartyDaemon:
             raise DaemonError(
                 f"session {manifest.session_id!r} is already running on "
                 f"daemon {self.name!r}")
+        if STREAM_TAG_SEPARATOR in manifest.session_id:
+            raise DaemonError(
+                f"session id {manifest.session_id!r} contains "
+                f"{STREAM_TAG_SEPARATOR!r}, which tags a session's "
+                f"per-driver streams")
 
     async def _run_session(self, manifest: RunManifest,
                            points: list) -> PartyReport:
@@ -1004,7 +1073,6 @@ class PartyDaemon:
                               faults=faults)
         lease = self.randomness.lease(manifest.session_id)
         lease_report: dict | None = None
-        runtimes: dict[str, PairRuntime] = {}
         session_span = self.tracer.span(
             "session", manifest.session_id,
             session_index=session_index, warm_start=warm_start,
@@ -1013,70 +1081,62 @@ class PartyDaemon:
             for peer in manifest.peers_of(self.name):
                 view = self.hubs[peer].session(manifest.session_id)
                 state.views[peer] = view
-                link = (view if faults is None
-                        else faults.link(view, pair_key(self.name, peer)))
-                channel = RestartableMirrorChannel(
-                    view.left_name, view.right_name, self.name, link)
-                channel.obs_live = self._obs_segments["live"]
-                channel.obs_replayed = self._obs_segments["replayed"]
-                state.channels[peer] = channel
-                runtime = PairRuntime(channel, view, lease)
-                runtime.obs_restarts = self.metrics.counter(
-                    "repro_restarts_total")
-                runtime.obs_parked = self.metrics.gauge(
-                    "repro_parked_coroutines")
-                runtimes[peer] = runtime
+                state.keys[peer] = self._pair_runtime(view, lease)
             await self._session_sync(state, digest)
-            await self._build_sessions(state, config, runtimes)
+            await self._build_sessions(state, config, lease)
             self._register_pools(state, lease)
             setup_seconds = time.perf_counter() - started
             session_span.set(setup_seconds=round(setup_seconds, 6))
 
-            view = _SessionMeshView(self.name, state)
-            points_view = {
-                name: (state.points if name == self.name
-                       else manifest.placeholder_points(name))
-                for name in manifest.names}
             ledger = LeakageLedger()
-            labels: tuple[int, ...] = ()
             passes_started = time.perf_counter()
             if faults is not None:
                 faults.at_boundary(0)
-            for pass_index, driver in enumerate(manifest.names):
-                role = "drive" if driver == self.name else "respond"
-                with session_span.child("pass", f"pass{pass_index}",
-                                        index=pass_index, role=role,
-                                        driver=driver) as pass_span:
-                    if driver == self.name:
-                        labels = await self._drive_pass(
-                            state, view, points_view, config, ledger,
-                            runtimes, span=pass_span)
-                    else:
-                        served = await self._respond_pass(
-                            state, driver, config, runtimes,
-                            span=pass_span)
-                        pass_span.set(served=served)
-                if faults is not None:
-                    faults.at_boundary(pass_index + 1)
+            # Every pass at once: this daemon drives its own and serves
+            # each peer's, each on its own streams.  The first failing
+            # role cancels the others and fails the session.
+            roles = await _run_together(
+                self._pass_role(state, pass_index, driver, config, ledger,
+                                session_span)
+                for pass_index, driver in enumerate(manifest.names))
+            labels = roles[manifest.names.index(self.name)]
             finished = time.perf_counter()
             lease_report = self.randomness.release(manifest.session_id)
-            restarts = sum(rt.restarts for rt in runtimes.values())
+            restarts = sum(rt.restarts for rt in state.runtimes())
             session_span.set(restarts=restarts)
             return self._build_report(
                 state, labels, ledger,
                 elapsed=finished - started,
                 passes=finished - passes_started,
                 runtime_info=self._runtime_info(
-                    state, session_index, warm_start, setup_seconds,
-                    runtimes, lease_report))
+                    session_index, warm_start, setup_seconds, restarts,
+                    lease_report))
         finally:
             session_span.close()
             if lease_report is None:
                 with contextlib.suppress(PrecomputeError):
                     self.randomness.release(manifest.session_id)
-            for link_view in state.views.values():
-                link_view.close()
+            # Every view this session may own on each hub, opened here
+            # or created by an early peer frame.
+            for peer in manifest.peers_of(self.name):
+                hub = self.hubs[peer]
+                hub.release(manifest.session_id)
+                for driver in (self.name, peer):
+                    hub.release(_stream_tag(manifest.session_id, driver))
             self._active.discard(manifest.session_id)
+
+    def _pair_runtime(self, view, lease, link=None) -> PairRuntime:
+        """A restartable runner over a fresh mirror channel on ``view``
+        (through ``link``, a fault wrapper, when given)."""
+        channel = RestartableMirrorChannel(
+            view.left_name, view.right_name, self.name,
+            view if link is None else link)
+        channel.obs_live = self._obs_segments["live"]
+        channel.obs_replayed = self._obs_segments["replayed"]
+        runtime = PairRuntime(channel, view, lease)
+        runtime.obs_restarts = self.metrics.counter("repro_restarts_total")
+        runtime.obs_parked = self.metrics.gauge("repro_parked_coroutines")
+        return runtime
 
     async def _session_sync(self, state: _SessionState,
                             digest: str) -> None:
@@ -1119,103 +1179,150 @@ class PartyDaemon:
                                for peer, view in state.views.items()))
 
     async def _build_sessions(self, state: _SessionState, config,
-                              runtimes: dict[str, PairRuntime]) -> None:
-        """Build one ``SmcSession`` per pair in the in-process mesh's
-        global pair order, with the same key slots and RNG substreams.
+                              lease) -> None:
+        """Exchange keys with every peer at once, then build the streams.
 
-        Key material is sealed: this daemon derives only its *own*
-        slot's keypair;
-        every peer context is a sealed placeholder whose authentic
-        public key arrives over the wire during session setup, pinned
-        against the manifest's ``key_digests`` when present.
+        The key exchanges reproduce the in-process mesh's per-pair
+        ``SmcSession``: the same key slots, RNG substreams and channel
+        machinery.  Key material is sealed: this daemon derives only
+        its *own* slot's keypair; every peer context is a sealed
+        placeholder whose authentic public key arrives over the wire,
+        pinned against the manifest's ``key_digests`` when present.
 
-        The key exchange inside ``SmcSession`` is itself a choreography
-        (sends and receives on the pair channel), so it runs through
-        the restartable runner: an attempt that reaches the peer's
-        announcement before it has arrived unwinds and rebuilds from
-        scratch once the frame lands.  Rebuilding is cheap (the keypair
-        is process-cached after the first session) and deterministic --
-        party RNGs are re-derived from the manifest seeds, so every
-        attempt re-produces byte-identical announcements, which the
-        channel's replay check enforces.  Pairs build sequentially in
-        the same global order on every daemon; each daemon's outbound
-        announcements are produced without waiting on the peer's, so
-        the order admits no circular wait.
+        A key exchange is a choreography (sends and receives on the
+        pair's session view), so it runs through the restartable
+        runner: an attempt that reaches the peer's announcement before
+        it has arrived unwinds and rebuilds once the frame lands.
+        Rebuilding is cheap (the keypair is process-cached after the
+        first session) and deterministic -- party RNGs are re-derived
+        from the manifest seeds, so every attempt re-produces
+        byte-identical announcements, which the channel's replay check
+        enforces.  The exchanges of different pairs share no state, and
+        each daemon sends its announcement without waiting on the
+        peer's, so running them all at once admits no circular wait.
+
+        Then each pair gets one stream per driver, in pass order, on
+        its own sub-session of the pair hub (:func:`_stream_tag`):
+        per-driver coins and pools, and the contexts the exchange
+        established (:meth:`SmcSession.stream`).
         """
         manifest = state.manifest
         provider = SealedKeyProvider(config.smc, self.name,
                                      key_digests=manifest.key_digests)
         contexts = {name: provider.context_for(name, slot)
                     for slot, name in enumerate(manifest.names)}
-        for left, right in manifest.pairs():
-            if self.name not in (left, right):
-                continue
-            peer = right if self.name == left else left
-            channel = state.channels[peer]
+        seeds = {name: manifest.seed_of(name) for name in manifest.names}
 
-            def build(_ledger, left=left, right=right, channel=channel):
-                left_party = Party(channel.left, derive_pair_rng(
-                    manifest.seed_of(left), left, left, right,
-                    namespace=manifest.rng_namespace))
-                right_party = Party(channel.right, derive_pair_rng(
-                    manifest.seed_of(right), right, left, right,
-                    namespace=manifest.rng_namespace))
-                session = SmcSession(left_party, right_party, config.smc,
-                                     preset_contexts=contexts)
-                return left_party, right_party, session
+        async def exchange(peer: str) -> None:
+            channel = state.keys[peer].channel
+            left, right = channel.left.name, channel.right.name
 
-            left_party, right_party, session = await runtimes[peer].run(
-                build)
-            state.parties[peer] = {left: left_party, right: right_party}
-            state.sessions[peer] = session
-            runtimes[peer].session = session
+            def build(_ledger):
+                return SmcSession(
+                    Party(channel.left, derive_pair_rng(
+                        seeds[left], left, left, right,
+                        namespace=manifest.rng_namespace)),
+                    Party(channel.right, derive_pair_rng(
+                        seeds[right], right, left, right,
+                        namespace=manifest.rng_namespace)),
+                    config.smc, preset_contexts=contexts)
+
+            state.sessions[peer] = await state.keys[peer].run(build)
+
+        peers = manifest.peers_of(self.name)
+        await _run_together(exchange(peer) for peer in peers)
+        for peer in peers:
+            pair = pair_key(self.name, peer)
+            for pass_index, driver in enumerate(manifest.names):
+                if driver not in (self.name, peer):
+                    continue
+                view = self.hubs[peer].session(
+                    _stream_tag(manifest.session_id, driver))
+                link = (None if state.faults is None
+                        else state.faults.link(view, pair, pass_index))
+                runtime = self._pair_runtime(view, lease, link)
+                stream = build_stream(state.sessions[peer],
+                                      runtime.channel, driver, seeds,
+                                      manifest.rng_namespace)
+                runtime.session = stream.session
+                state.streams[(peer, driver)] = _Stream(view, runtime,
+                                                        stream)
 
     def _register_pools(self, state: _SessionState, lease) -> None:
-        """Hand the hosted party's pools to the randomness service.
+        """Hand the hosted party's stream pools to the randomness service.
 
         Only this daemon's own party draws from its pools here (the
         peer's steps run in the peer's daemon), so the peer-actor pools
-        are never registered or prefilled.  Registration prefills each
-        pool to the demand the service learned from released sessions
-        under the same keypair -- the cross-session warm start.  The
-        pools themselves (and their factor values) stay session-private.
+        are never registered or prefilled.  Each pool is registered
+        under its pass role -- ``drive`` on this party's own stream,
+        ``respond`` on a peer's -- because each pool is drawn by one
+        role only (by default the driver encrypts under its own key and
+        the responder under the driver's; cached ciphertexts swap
+        them).  Registration prefills each pool to the demand the
+        service learned for that (key, ownership, role) from released
+        sessions -- the cross-session warm start -- so a pool its role
+        never draws is never prefilled.  The pools themselves (and their
+        factor values) stay session-private.
         """
-        for session in state.sessions.values():
+        for (_peer, driver), entry in state.streams.items():
+            role = "drive" if driver == self.name else "respond"
+            session = entry.stream.session
             for (actor, owner), pool in session.pools().items():
                 if actor != self.name:
                     continue
                 digest = public_key_digest(
                     session.paillier_keys(owner).public_key)
-                lease.register_pool(pool, digest, actor == owner)
+                lease.register_pool(pool, digest, actor == owner,
+                                    role=role)
 
-    async def _drive_pass(self, state: _SessionState, view, points_view,
-                          config, ledger,
-                          runtimes: dict[str, PairRuntime],
-                          span=None) -> tuple[int, ...]:
+    async def _pass_role(self, state: _SessionState, pass_index: int,
+                         driver: str, config, ledger, session_span):
+        """This daemon's role in one pass: drive it or serve it."""
+        role = "drive" if driver == self.name else "respond"
+        with session_span.child("pass", f"pass{pass_index}",
+                                index=pass_index, role=role,
+                                driver=driver) as pass_span:
+            if driver == self.name:
+                result = await self._drive_pass(state, config, ledger,
+                                                pass_span)
+            else:
+                result = await self._respond_pass(state, pass_index,
+                                                  driver, config, pass_span)
+                pass_span.set(served=result)
+        if state.faults is not None:
+            state.faults.complete_pass()
+        return result
+
+    async def _drive_pass(self, state: _SessionState, config, ledger,
+                          span) -> tuple[int, ...]:
         manifest = state.manifest
-        caches = ({peer: PeerCipherCache()
-                   for peer in manifest.peers_of(self.name)}
+        peers = manifest.peers_of(self.name)
+        streams = {peer: state.streams[(peer, self.name)] for peer in peers}
+        runtimes = {peer: stream.runtime for peer, stream in streams.items()}
+        caches = ({peer: PeerCipherCache() for peer in peers}
                   if config.cache_peer_ciphertexts else None)
         for peer, runtime in runtimes.items():
             runtime.cache = caches[peer] if caches is not None else None
+        points_view = {
+            name: (state.points if name == self.name
+                   else manifest.placeholder_points(name))
+            for name in manifest.names}
         try:
             labels = await drive_pass_async(
-                view, self.name, points_view, config,
-                manifest.value_bound, ledger, caches, runtimes,
-                span=span if span is not None else NULL_SPAN)
+                _SessionMeshView(self.name, state), self.name, points_view,
+                config, manifest.value_bound, ledger, caches, runtimes,
+                span=span)
         finally:
             for runtime in runtimes.values():
                 runtime.cache = None
         end = serialize_message([CONTROL_END_PASS])
-        for peer in manifest.peers_of(self.name):
-            state.views[peer].send_control(end)
+        for stream in streams.values():
+            stream.view.send_control(end)
         return labels.as_tuple()
 
-    async def _respond_pass(self, state: _SessionState, driver: str,
-                            config,
-                            runtimes: dict[str, PairRuntime],
-                            span=None) -> int:
-        """Serve one remote driver's pass.
+    async def _respond_pass(self, state: _SessionState, pass_index: int,
+                            driver: str, config, span) -> int:
+        """Serve one remote driver's pass on its stream.
 
         Waiting for the next control record is unbounded *by design* --
         the driver may spend arbitrarily long on its other peers -- and
@@ -1227,10 +1334,9 @@ class PartyDaemon:
         daemon's).
         """
         manifest = state.manifest
-        link = state.views[driver]
-        session = state.sessions[driver]
-        pair_parties = state.parties[driver]
-        runtime = runtimes[driver]
+        entry = state.streams[(driver, driver)]
+        session, parties = entry.stream.session, entry.stream.parties
+        runtime = entry.runtime
         cache = (PeerCipherCache() if config.cache_peer_ciphertexts
                  else None)
         runtime.cache = cache
@@ -1239,17 +1345,15 @@ class PartyDaemon:
 
         def serve_query(attempt_ledger: LeakageLedger) -> int:
             return secure_peer_neighbor_count(
-                session, pair_parties[driver], placeholder,
-                pair_parties[self.name], state.points, config,
+                session, parties[driver], placeholder,
+                parties[self.name], state.points, config,
                 manifest.value_bound, attempt_ledger, cache, label=label,
                 cached_label=f"{label}/cached")
 
-        if span is None:
-            span = NULL_SPAN
         served = 0
         try:
             while True:
-                raw = await link.next_control()
+                raw = await entry.view.next_control()
                 try:
                     record = deserialize_message(raw)
                 except (SerializationError, UnicodeDecodeError) as exc:
@@ -1266,7 +1370,7 @@ class PartyDaemon:
                     return served
                 served += 1
                 if state.faults is not None:
-                    state.faults.on_query()
+                    state.faults.on_query(pass_index)
                 with span.child("peer_query", f"serve{served}:{driver}",
                                 step=served - 1,
                                 peer=driver) as query_span:
@@ -1276,26 +1380,13 @@ class PartyDaemon:
 
     # -- reporting ---------------------------------------------------------
 
-    def _runtime_info(self, state: _SessionState, session_index: int,
-                      warm_start: bool, setup_seconds: float,
-                      runtimes: dict[str, PairRuntime] | None = None,
-                      lease_report: dict | None = None) -> dict:
+    def _runtime_info(self, session_index: int, warm_start: bool,
+                      setup_seconds: float, restarts: int,
+                      lease_report: dict) -> dict:
         # One accounting source: the session's pool totals come from
         # its lease's hit report (the same numbers the randomness
-        # service folds into the registry at release), not a second
-        # sum over the pools.  The fallback re-sum only covers a
-        # session that died before its lease released.
-        if lease_report is not None:
-            pool_totals = {key: lease_report.get(key, 0)
-                           for key in ("pregenerated", "consumed",
-                                       "misses")}
-        else:
-            pool_totals = {"pregenerated": 0, "consumed": 0, "misses": 0}
-            for session in state.sessions.values():
-                for report in session.pool_report().values():
-                    for key in pool_totals:
-                        pool_totals[key] += report.get(key, 0)
-        info = {
+        # service folds into the registry at release).
+        return {
             "runtime": "daemon",
             "pass_model": "async-restartable",
             "session_index": session_index,
@@ -1304,35 +1395,42 @@ class PartyDaemon:
             "engine": self.engine.report(),
             "daemon_setup_seconds": round(self._setup_seconds, 6),
             "setup_seconds": round(setup_seconds, 6),
-            "pool": pool_totals,
+            "pool": {key: lease_report.get(key, 0)
+                     for key in ("pregenerated", "consumed", "misses")},
             # The scale-out observable: loop + engine machinery only,
             # independent of how many sessions run concurrently.
             # Published through the registry gauge so `repro stats`
             # and per-session reports can never disagree.
             "thread_count": self._observe_thread_count(),
-        }
-        if runtimes is not None:
-            info["restarts"] = sum(rt.restarts for rt in runtimes.values())
-        if lease_report is not None:
-            info["randomness"] = {
+            "restarts": restarts,
+            "randomness": {
                 "lease": lease_report,
                 "service": self.randomness.report(),
-            }
-        return info
+            },
+        }
 
     def _build_report(self, state: _SessionState, labels, ledger, *,
                       elapsed: float, passes: float,
                       runtime_info: dict) -> PartyReport:
+        """Per pair, the canonical pass-order concatenation of the key
+        exchange and the pair's streams -- what the in-process mesh
+        reports for the pair, and what the peer daemon reports too."""
         pair_reports = {}
-        for peer, channel in state.channels.items():
-            channel.assert_drained()
-            key = pair_key(*self.spec.ordered_pair(self.name, peer))
-            pair_reports[key] = {
-                "stats": channel.stats.snapshot(),
-                "transcript_sha256": transcript_digest(channel.transcript),
-                "messages": channel.transcript.message_count(),
-                "comparisons":
-                    state.sessions[peer].comparison_backend.invocations,
+        for peer, key in state.keys.items():
+            streams = state.pair_streams(peer)
+            channels = [key.channel] + [entry.runtime.channel
+                                        for entry in streams]
+            for channel in channels:
+                channel.assert_drained()
+            stats, transcript = link_accounting(channels)
+            pair_reports[pair_key(*self.spec.ordered_pair(self.name,
+                                                          peer))] = {
+                "stats": stats.snapshot(),
+                "transcript_sha256": transcript_digest(transcript),
+                "messages": transcript.message_count(),
+                "comparisons": sum(
+                    entry.stream.session.comparison_backend.invocations
+                    for entry in streams),
             }
         events = tuple((event.protocol, event.learner,
                         event.disclosure.value, event.detail)

@@ -12,25 +12,34 @@ equivalence bar.
 Spec grammar (the CLI's ``--fault`` strings)::
 
     kill:<party>@pass<N>              exit hard (code 13) at the
-                                      boundary where N passes have
-                                      completed
-    kill:<party>@pass<N>.q<Q>         exit hard during the next pass,
-                                      after Q queries this party
-                                      announced or served in it
+                                      boundary where N of this party's
+                                      pass roles have completed
+    kill:<party>@pass<N>.q<Q>         exit hard in pass N, after Q
+                                      queries this party announced or
+                                      served in it
     drop:<party>:<a>-<b>@pass<N>      abort the pair's link (no goodbye)
                                       at boundary N
     drop:<party>:<a>-<b>@pass<N>.q<Q> the same, mid-pass
     delay:<party>:<a>-<b>@pass<N>.f<F>:<seconds>
                                       hold the F-th message frame this
-                                      party sends on the pair after
-                                      boundary N -- and every later
-                                      frame on that link -- for
-                                      <seconds>; all arrive intact and
-                                      in order
+                                      party sends on the pair in pass
+                                      N -- and every later frame on
+                                      that link -- for <seconds>; all
+                                      arrive intact and in order
     truncate:<party>:<a>-<b>@pass<N>.f<F>
                                       write a seeded-length prefix of
                                       that frame, then close the link
                                       (the peer reads EOF mid-frame)
+
+Pass N is the pass driven by the manifest's N-th party (0-based).  The
+k passes of a session run at the same time, each on its own
+per-(pair, driver) streams, and each daemon holds one *role* in every
+pass: it drives its own and responds to each peer's.  A boundary counts
+this daemon's completed roles, in whatever order they complete.
+``.q<Q>`` and ``.f<F>`` count inside pass N -- the queries of pass N's
+role, the frames of pass N's stream on the pair -- so a mid-pass fault
+hits the same protocol point on every run, however the concurrent
+passes interleave.
 
 Any spec may end with ``@e<E>``: it belongs to attempt ``E`` (default
 0) of ``repro orchestrate``, which puts into each attempt's manifest
@@ -72,12 +81,12 @@ class FaultSpecError(ValueError):
 class FaultSpec:
     """One planned failure.
 
-    ``boundary`` is a completed-pass count: a boundary fault fires the
-    moment ``passes_done == boundary``; a mid-pass fault (``queries``
-    set) fires during the following pass, after that many of its
-    queries; a frame fault (``frame`` set) acts on that message frame
-    sent after the boundary.  ``epoch`` is the orchestrated attempt the
-    spec belongs to (``@e<E>``).
+    ``boundary`` is a completed-role count for a boundary fault (it
+    fires the moment ``passes_done == boundary``) and the pass index
+    for a mid-pass fault (``queries`` set: after that many queries of
+    pass ``boundary``) or a frame fault (``frame`` set: that message
+    frame of pass ``boundary``'s stream).  ``epoch`` is the
+    orchestrated attempt the spec belongs to (``@e<E>``).
     """
 
     kind: str
@@ -228,11 +237,12 @@ class FaultPlan:
 class PartyFaults:
     """One daemon's live view of a session's plan for its party.
 
-    The daemon reports every pass boundary (:meth:`at_boundary`) and
-    every query its party announces or serves (:meth:`on_query`); kill
-    and drop specs fire there.  Frame specs act inside the
-    :class:`FaultyLink` that :meth:`link` wraps around a pair's session
-    view.  Each spec fires at most once.
+    The daemon reports the session start (:meth:`at_boundary` with 0),
+    every completed pass role (:meth:`complete_pass`) and every query
+    its party announces or serves (:meth:`on_query`); kill and drop
+    specs fire there.  Frame specs act inside the :class:`FaultyLink`
+    that :meth:`link` wraps around a stream's view.  Each spec fires at
+    most once.
     """
 
     def __init__(self, specs, *, party: str, hubs=None):
@@ -240,7 +250,7 @@ class PartyFaults:
         self.party = party
         self.hubs = dict(hubs or {})
         self.passes_done = 0
-        self._queries_in_pass = 0
+        self._queries: dict[int, int] = {}
         self._fired: set[int] = set()
 
     def _take(self, predicate) -> list[FaultSpec]:
@@ -253,18 +263,21 @@ class PartyFaults:
 
     def at_boundary(self, passes_done: int) -> None:
         self.passes_done = passes_done
-        self._queries_in_pass = 0
         self._apply(self._take(
             lambda s: s.kind in ("kill", "drop") and s.queries is None
             and s.boundary == passes_done), f"at boundary {passes_done}")
 
-    def on_query(self) -> None:
-        self._queries_in_pass += 1
-        count = self._queries_in_pass
+    def complete_pass(self) -> None:
+        """One more of this party's pass roles has finished."""
+        self.at_boundary(self.passes_done + 1)
+
+    def on_query(self, pass_index: int) -> None:
+        count = self._queries[pass_index] = (
+            self._queries.get(pass_index, 0) + 1)
         self._apply(self._take(
             lambda s: s.kind in ("kill", "drop") and s.queries == count
-            and s.boundary == self.passes_done),
-            f"mid-pass at {self.passes_done} passes, query {count}")
+            and s.boundary == pass_index),
+            f"in pass {pass_index}, query {count}")
 
     def _apply(self, fired: list[FaultSpec], context: str) -> None:
         for spec in fired:
@@ -280,49 +293,42 @@ class PartyFaults:
                 hub.abort(f"[fault injection] {self.party} dropped link "
                           f"{spec.pair_key()} {context}")
 
-    def link(self, view, pair_key: str) -> Transport:
-        """``view`` itself, or a :class:`FaultyLink` around it when a
-        frame spec names this pair."""
+    def link(self, view, pair_key: str, pass_index: int) -> Transport:
+        """``view`` -- pass ``pass_index``'s stream on the pair -- itself,
+        or a :class:`FaultyLink` around it when a frame spec names this
+        pair and pass."""
         specs = [spec for spec in self.specs
                  if spec.kind in ("delay", "truncate")
-                 and spec.pair_key() == pair_key]
-        return FaultyLink(view, specs, self) if specs else view
+                 and spec.pair_key() == pair_key
+                 and spec.boundary == pass_index]
+        return FaultyLink(view, specs) if specs else view
 
 
 class FaultyLink(Transport):
-    """A session's pair link that interprets frame-level faults.
+    """A stream's pair link that interprets frame-level faults.
 
-    Counts the live message frames the session's channel delivers
-    (replayed resends of a restarted query never reach ``deliver``),
-    resetting at each pass boundary, so ``.f<F>`` means "the F-th
-    message frame sent after that boundary".  A delay holds the pair
-    connection's writer; a truncation writes a seeded-length prefix of
-    the encoded frame and closes the connection, and this side's send
-    fails as a lost connection.
+    Counts the live message frames the stream's channel delivers
+    (replayed resends of a restarted query never reach ``deliver``), so
+    ``.f<F>`` means "the F-th message frame this party sends on the
+    pair in that pass".  A delay holds the pair connection's writer; a
+    truncation writes a seeded-length prefix of the encoded frame and
+    closes the connection, and this side's send fails as a lost
+    connection.
     """
 
-    def __init__(self, view, specs, faults: PartyFaults):
+    def __init__(self, view, specs):
         super().__init__(view.left_name, view.right_name)
         self.view = view
         self._specs = list(specs)
-        self._faults = faults
-        self._boundary_seen = -1
         self._frames = 0
-        self._spent: set[int] = set()
 
     def deliver(self, sender: str, receiver: str, label: str,
                 wire: bytes) -> None:
-        passes_done = self._faults.passes_done
-        if passes_done != self._boundary_seen:
-            self._boundary_seen = passes_done
-            self._frames = 0
         self._frames += 1
         hub = self.view.hub
-        for index, spec in enumerate(self._specs):
-            if (index in self._spent or spec.boundary != passes_done
-                    or spec.frame != self._frames):
-                continue
-            self._spent.add(index)
+        for spec in [spec for spec in self._specs
+                     if spec.frame == self._frames]:
+            self._specs.remove(spec)
             if spec.kind == "delay":
                 hub.hold_writes(spec.seconds)
                 continue

@@ -216,10 +216,12 @@ def merge_reports(manifest: RunManifest,
     """Merge per-party reports into the in-process result shape.
 
     Both ends of every pair independently recorded the pair's full
-    message sequence; their digests must agree (the mirror makes them
-    byte-identical by construction, so a mismatch means a runtime bug
-    and raises).  Per-pair figures are then taken from the lower-slot
-    party, never double-counted.
+    message sequence and report it as the canonical pass-order
+    concatenation of its key exchange and per-driver streams; their
+    digests must agree (the mirror makes them byte-identical by
+    construction, so a mismatch means a runtime bug and raises).
+    Per-pair figures are then taken from the lower-slot party, never
+    double-counted.
     """
     digests: dict[str, str] = {}
     snapshots: list[dict] = []
@@ -270,9 +272,12 @@ def verify_against_in_process(run: OrchestratedRun,
 
     Returns ``{check: passed}`` for labels, the disclosure ledger, the
     comparison count, the per-pair transcript digests, and the merged
-    stats snapshot.  The CLI's ``--verify``, the distributed example,
-    and the benchmark's ``socket_runtime`` arm all call this one helper,
-    so the bar cannot drift between surfaces.  Callers that already ran
+    stats snapshot (rounds included).  The daemons run the k passes at
+    once and the mesh one after another; both report each pair in
+    canonical pass order, so the two compare bit for bit.  The CLI's
+    ``--verify``, the distributed example, and the benchmark's
+    ``socket_runtime`` arm all call this one helper, so the bar cannot
+    drift between surfaces.  Callers that already ran
     the in-process arm (benchmarks, timing both sides) pass their
     ``reference`` result and ``mesh`` to skip the duplicate execution.
     """

@@ -90,11 +90,13 @@ def secure_multiplication(receiver: Party, x: int, masker: Party, y: int,
         ) % public.n_squared
         masker.send(f"{label}/masked_product", masked_value)
     else:
+        # The fresh encryption of the mask rerandomizes the product:
+        # E(xy; r1) * E(v; r2) = E(xy + v; r1 r2) with r2 fresh and
+        # uniform, so one factor suffices.
         product = received * encoder.encode(y)
         masked = product + public.encrypt(encoder.encode(mask),
                                           masker.rng, masker_pool)
-        masker.send(f"{label}/masked_product",
-                    masked.rerandomize(masker.rng, masker_pool).value)
+        masker.send(f"{label}/masked_product", masked.value)
 
     # --- Step 7 (receiver): decrypt. ---------------------------------------
     result_cipher = PaillierCiphertext(

@@ -24,7 +24,16 @@ Three call shapes the DBSCAN protocols need:
 
 All three accept optional :class:`~repro.crypto.precompute.RandomnessPool`
 arguments -- one per (acting party, key) -- which move the ``r^n mod n^2``
-powmods of encryption and rerandomization into an offline phase.
+powmods of encryption into an offline phase.
+
+Rerandomization note: every reply the masker (or the batch receiver)
+returns is a homomorphic combination of ciphertexts the other party
+produced *times a fresh encryption* of the masker's mask or blind.
+Since ``E(m1; r1) * E(m2; r2) = E(m1 + m2; r1 * r2)`` and ``r2`` is a
+fresh uniform unit unknown to the other party, ``r1 * r2`` is uniform
+and independent of ``r1``: the reply is already a fresh encryption of
+its plaintext, and a further ``rerandomize`` would only cost one more
+``r^n`` powmod.  So each reply draws exactly one factor.
 """
 
 from __future__ import annotations
@@ -71,9 +80,11 @@ def secure_masked_dot_terms(receiver: Party, x_vector: list[int],
     replies = []
     for value, y, mask in zip(received, y_vector, masks):
         product = PaillierCiphertext(public, value) * encoder.encode(y)
+        # The fresh encryption of the mask is also the reply's only
+        # rerandomization (the module docstring's note).
         masked = product + public.encrypt(encoder.encode(mask), masker.rng,
                                           masker_pool)
-        replies.append(masked.rerandomize(masker.rng, masker_pool).value)
+        replies.append(masked.value)
     masker.send(f"{label}/masked_terms", replies)
 
     results = receiver.receive(f"{label}/masked_terms")
@@ -148,14 +159,16 @@ def secure_masked_dot_terms_batch(holder: Party, alpha: list[int],
         for beta in betas:
             blind = receiver.rng.randrange(blind_bound + 1)
             blinds.append(blind)
+            # Starting from a fresh encryption of the blind makes the
+            # accumulated reply a fresh encryption (one factor, no
+            # extra rerandomization).
             accumulator = public.encrypt(encoder.encode(blind),
                                          receiver.rng, receiver_pool)
             for cipher, coefficient in zip(received, beta):
                 if coefficient:
                     accumulator = (accumulator
                                    + cipher * encoder.encode(coefficient))
-            replies.append(accumulator.rerandomize(receiver.rng,
-                                                   receiver_pool).value)
+            replies.append(accumulator.value)
     receiver.send(f"{label}/blinded_sums", replies)
 
     sums = None
@@ -216,24 +229,22 @@ def secure_scalar_products(receiver: Party, alpha: list[int],
 
     received = [PaillierCiphertext(public, v)
                 for v in masker.receive(f"{label}/encrypted_alpha")]
-    # Masker-side powmods (mask encryption + rerandomization per beta,
-    # the ``r^n`` halves) run as one sharded engine batch; the factors
-    # come back in the serial interleaved draw order, so the produced
-    # ciphertexts are bit-identical to the per-item loop.
-    factors = engine.encryption_factors(public, 2 * len(betas), masker.rng,
+    # Masker-side powmods (one mask encryption per beta, the ``r^n``
+    # halves) run as one sharded engine batch; the factors come back in
+    # the serial draw order, so the produced ciphertexts are
+    # bit-identical to the per-item loop.  The fresh mask encryption is
+    # each reply's only rerandomization (the module docstring's note).
+    factors = engine.encryption_factors(public, len(betas), masker.rng,
                                         masker_pool)
-    n_squared = public.n_squared
     replies = []
-    for index, (beta, mask) in enumerate(zip(betas, masks)):
+    for beta, mask, factor in zip(betas, masks, factors):
         accumulator = PaillierCiphertext(
             public, public.raw_encrypt_with_factor(encoder.encode(mask),
-                                                   factors[2 * index]))
+                                                   factor))
         for cipher, coefficient in zip(received, beta):
             if coefficient:
                 accumulator = accumulator + cipher * encoder.encode(coefficient)
-        # Rerandomize with the pre-drawn factor (a fresh zero encryption).
-        replies.append((accumulator.value * factors[2 * index + 1])
-                       % n_squared)
+        replies.append(accumulator.value)
     masker.send(f"{label}/masked_products", replies)
 
     results = receiver.receive(f"{label}/masked_products")

@@ -13,6 +13,7 @@ A :class:`SmcSession` is created once per distributed-DBSCAN run.  It
 
 from __future__ import annotations
 
+import copy
 import hmac
 import random
 from dataclasses import dataclass, field
@@ -254,6 +255,11 @@ class SmcSession:
             self._make_context(self.bob, slot=1),
         }
         self._exchange_public_keys()
+        self._start()
+
+    def _start(self) -> None:
+        """The session's own mutable state: pools, engine, comparison
+        backend -- built after the key exchange, from its contexts."""
         # Every (actor, key_owner) pool is created eagerly, in fixed
         # order, each with its own RNG stream *forked* from the actor's
         # protocol RNG at this pinned point.  The fork is what makes
@@ -371,6 +377,22 @@ class SmcSession:
         context.paillier = seal_paillier_keypair(public, owner)
         if dgk_public is not None:
             context.dgk = seal_dgk_keypair(dgk_public, owner)
+
+    def stream(self, alice: Party, bob: Party) -> "SmcSession":
+        """A session for another stream of this pair: the same two
+        names on another channel, with the contexts this session's key
+        exchange established -- no second exchange -- but its own pools
+        (forked from the new parties' coins) and its own comparison
+        counter, so streams of one pair can run concurrently without
+        sharing any mutable state."""
+        if (alice.name, bob.name) != (self.alice.name, self.bob.name):
+            raise SessionError(
+                f"stream parties {(alice.name, bob.name)} do not match "
+                f"the session's {(self.alice.name, self.bob.name)}")
+        stream = copy.copy(self)
+        stream.alice, stream.bob = alice, bob
+        stream._start()
+        return stream
 
     def party(self, name: str) -> Party:
         if name == self.alice.name:

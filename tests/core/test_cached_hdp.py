@@ -109,3 +109,31 @@ class TestCachedFullProtocol:
         cached = run_horizontal_dbscan(self._partition(), self._config(True))
         assert base.ledger.count(Disclosure.LINKED_NEIGHBOR_ID) == 0
         assert cached.ledger.count(Disclosure.LINKED_NEIGHBOR_ID) > 0
+
+
+class TestCachedReplyFactors:
+    """The cached variants' reply randomness: the per-point protocol's
+    masked terms carry a fresh mask encryption (one factor each, no
+    separate rerandomization); the batched variant adds only a
+    plaintext offset, so it keeps one rerandomization per reply."""
+
+    def test_per_point_reply_draws_one_factor_per_coordinate(self):
+        __, session = _session(3)
+        pool = session.pool(session.alice, session.bob)
+        before = pool.consumed
+        hdp_within_eps_cached(session, session.alice, (1, 2, 3),
+                              session.bob, (4, 6, 8), 0, PeerCipherCache(),
+                              25, VALUE_BOUND)
+        assert pool.consumed - before == 3
+
+    def test_batched_reply_keeps_one_rerandomization_per_point(self):
+        from repro.core.distance import hdp_region_query_cached
+
+        __, session = _session(4)
+        pool = session.pool(session.alice, session.bob)
+        before = pool.consumed
+        peer_points = [(4, 6), (1, 1), (0, 9)]
+        hdp_region_query_cached(
+            session, session.alice, (1, 2), session.bob, peer_points,
+            [0, 1, 2], PeerCipherCache(), 25, VALUE_BOUND)
+        assert pool.consumed - before == len(peer_points)

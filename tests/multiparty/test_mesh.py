@@ -105,3 +105,58 @@ class TestMeshConstruction:
             receiver = mesh.party_in_pair("a", peer)
             masker = mesh.party_in_pair(peer, "a")
             assert session.multiplication(receiver, 6, masker, 7, 1) == 43
+
+
+class TestPairStreams:
+    def test_one_stream_per_driver_in_pass_order(self):
+        mesh = PartyMesh(["a", "b", "c"], CONFIG, seeds=[1, 2, 3])
+        stream = mesh.stream("b", "a")
+        assert stream.driver == "b"
+        assert set(stream.parties) == {"a", "b"}
+        assert stream is not mesh.stream("a", "b")
+        assert stream.channel is not mesh.stream("a", "b").channel
+        with pytest.raises(MeshError, match="itself"):
+            mesh.stream("a", "a")
+
+    def test_stream_coins_are_keyed_by_driver(self):
+        """A party's coins on a pair differ per stream and from the key
+        exchange's: the two passes over a pair never reuse a mask or
+        blind, and each stream's draws are reproducible alone."""
+        mesh = PartyMesh(["a", "b", "c"], CONFIG, seeds=[7, 8, 9])
+        draws = {
+            "key": mesh.party_in_pair("a", "b").rng.random(),
+            "a drives": mesh.stream("a", "b").parties["a"].rng.random(),
+            "b drives": mesh.stream("b", "a").parties["a"].rng.random(),
+        }
+        assert len(set(draws.values())) == 3
+        rebuilt = PartyMesh(["a", "b", "c"], CONFIG, seeds=[7, 8, 9])
+        assert rebuilt.stream("b", "a").parties["a"].rng.random() \
+            == draws["b drives"]
+
+    def test_streams_reuse_the_pair_keys_with_their_own_state(self):
+        mesh = PartyMesh(["a", "b"], CONFIG, seeds=[1, 2])
+        key_session = mesh.session_between("a", "b")
+        sessions = [mesh.stream(driver, peer).session
+                    for driver, peer in (("a", "b"), ("b", "a"))]
+        for session in sessions:
+            assert session.paillier_keys("a") is key_session.paillier_keys(
+                "a")
+            assert session.comparison_backend \
+                is not key_session.comparison_backend
+        assert sessions[0].pool("a", "a") is not sessions[1].pool("a", "a")
+        # The keys crossed once, on the key-exchange channel.
+        assert mesh.merged_stats().messages_by_label == {
+            "keys/paillier_pub": 2}
+
+    def test_pool_report_is_keyed_by_stream(self):
+        mesh = PartyMesh(["a", "b"], CONFIG, seeds=[1, 2])
+        [(pair, report)] = mesh.pool_report().items()
+        assert pair == ("a", "b")
+        assert sorted(report) == sorted(
+            (driver, actor, owner) for driver in "ab" for actor in "ab"
+            for owner in "ab")
+        mesh.precompute_pools({("a", "b"): {("b", "a", "b"): 3}})
+        report = mesh.pool_report()[("a", "b")]
+        assert report[("b", "a", "b")]["pregenerated"] == 3
+        assert sum(entry["pregenerated"]
+                   for entry in report.values()) == 3

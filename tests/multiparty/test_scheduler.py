@@ -1,17 +1,20 @@
 """Equivalence of in-order vs overlapping mesh passes.
 
-The PR-4 binding property: running the per-peer region queries of a
-driver pass concurrently -- the daemon's :class:`AsyncPassExecutor`,
-here with each query body on a worker thread so the pairwise sessions
-truly overlap -- must change **nothing** observable about the protocol:
-bit-identical labels for every party, identical leakage-ledger event
-sequences, identical per-pair transcripts, identical comparison counts.
+The binding property: running the per-peer region queries of a driver
+pass concurrently -- the daemon's :class:`AsyncPassExecutor`, here with
+each query body on a worker thread so the pairwise sessions truly
+overlap -- and running all k driver passes at once, each on its own
+per-(pair, driver) streams, must change **nothing** observable about
+the protocol: bit-identical labels for every party, identical
+leakage-ledger event sequences, identical per-pair transcripts,
+identical comparison counts and stats, rounds included.
 """
 
 import asyncio
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.core.config import ProtocolConfig
 from repro.core.leakage import Disclosure, LeakageLedger
@@ -34,6 +37,12 @@ points_strategy = st.lists(
     st.tuples(st.integers(min_value=0, max_value=30),
               st.integers(min_value=0, max_value=30)),
     min_size=1, max_size=5)
+# Up to four parties, any of which may hold no points.
+parties_strategy = st.integers(min_value=2, max_value=4).flatmap(
+    lambda k: st.lists(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=30),
+                  st.integers(min_value=0, max_value=30)),
+        min_size=0, max_size=4), min_size=k, max_size=k))
 
 
 def _config(backend="oracle", *, blind=False, min_pts=3, key_seed=240):
@@ -65,18 +74,52 @@ def _run_concurrent(points, config, mesh) -> MultipartyRunResult:
             mesh, driver, points, config, value_bound, ledger, None,
             runtimes))
         labels_by_party[driver] = labels.as_tuple()
-    names = list(points)
-    comparisons = sum(
-        mesh.session_between(a, b).comparison_backend.invocations
-        for index, a in enumerate(names) for b in names[index + 1:])
     return MultipartyRunResult(
         labels_by_party=labels_by_party, ledger=ledger,
-        stats=mesh.merged_stats().snapshot(), comparisons=comparisons)
+        stats=mesh.merged_stats().snapshot(),
+        comparisons=mesh.comparisons())
+
+
+def _run_overlapped(points, config, mesh) -> MultipartyRunResult:
+    """Every driver's pass at once, as a daemon runs them: k
+    ``drive_pass_async`` coroutines under one ``asyncio.gather``, every
+    query body on its own worker thread, each pass on its own streams.
+    Each pass records into its own ledger, merged in pass order."""
+    all_points = [point for pts in points.values() for point in pts]
+    value_bound = squared_distance_bound(all_points, all_points)
+    ledgers = {driver: LeakageLedger() for driver in points}
+
+    async def all_passes():
+        return await asyncio.gather(*(
+            drive_pass_async(
+                mesh, driver, points, config, value_bound,
+                ledgers[driver], None,
+                {peer: _ThreadedPair() for peer in mesh.peers_of(driver)})
+            for driver in points))
+
+    # A short switch interval makes the query threads interleave at
+    # bytecode granularity, so a draw shared between streams would race.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        labels = asyncio.run(all_passes())
+    finally:
+        sys.setswitchinterval(interval)
+    ledger = LeakageLedger()
+    for driver in points:
+        ledger.extend(ledgers[driver])
+    return MultipartyRunResult(
+        labels_by_party={driver: result.as_tuple()
+                         for driver, result in zip(points, labels)},
+        ledger=ledger, stats=mesh.merged_stats().snapshot(),
+        comparisons=mesh.comparisons())
 
 
 def _run(points, seeds, *, concurrent, **kwargs):
     config = _config(**kwargs)
     mesh = PartyMesh(list(points), config.smc, seeds=seeds)
+    if concurrent == "passes":
+        return _run_overlapped(points, config, mesh), mesh
     if concurrent:
         return _run_concurrent(points, config, mesh), mesh
     return run_multiparty_horizontal_dbscan(points, config, mesh=mesh), mesh
@@ -92,6 +135,7 @@ def _assert_equivalent(left, left_mesh, right, right_mesh):
     assert left.labels_by_party == right.labels_by_party
     assert left.ledger.events == right.ledger.events
     assert left.comparisons == right.comparisons
+    assert left.stats == right.stats
     assert _pair_transcript_values(left_mesh) \
         == _pair_transcript_values(right_mesh)
 
@@ -145,6 +189,42 @@ class TestConcurrentEqualsSequential:
         sequential = _run(points, [1, 2], concurrent=False)
         concurrent = _run(points, [1, 2], concurrent=True)
         _assert_equivalent(*sequential, *concurrent)
+
+
+class TestAllPassesAtOnce:
+    """The k driver passes overlap: each runs on its own per-(pair,
+    driver) streams, so running them all at once is bit-identical to
+    the sequential mesh -- stats and rounds included, because each
+    pair reports its streams concatenated in pass order."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(parties_strategy, st.integers(min_value=1, max_value=5),
+           st.booleans())
+    @example([[(0, 0), (1, 1)], [], [(0, 1)], [(1, 0), (30, 30)]], 2,
+             False)
+    def test_property_k2_to_k4_with_empty_parties(self, parties, min_pts,
+                                                  blind):
+        assume(any(parties))
+        points = {f"p{index}": own for index, own in enumerate(parties)}
+        seeds = list(range(1, len(parties) + 1))
+        sequential = _run(points, seeds, concurrent=False,
+                          min_pts=min_pts, blind=blind)
+        overlapped = _run(points, seeds, concurrent="passes",
+                          min_pts=min_pts, blind=blind)
+        _assert_equivalent(*sequential, *overlapped)
+
+    def test_real_crypto_three_parties_with_an_empty_party(self):
+        points = {
+            "p0": [(0, 0), (30, 30)],
+            "p1": [],
+            "p2": [(0, 1), (1, 1), (31, 30)],
+        }
+        sequential = _run(points, [1, 2, 3], backend="bitwise",
+                          concurrent=False)
+        overlapped = _run(points, [1, 2, 3], backend="bitwise",
+                          concurrent="passes")
+        _assert_equivalent(*sequential, *overlapped)
+        assert sequential[0].stats["rounds"] > 0
 
 
 class TestExecutorUnit:

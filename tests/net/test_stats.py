@@ -1,5 +1,7 @@
 """Communication accounting tests."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.net.stats import CommunicationStats
 
 
@@ -142,3 +144,77 @@ class TestConcurrency:
         for worker in workers:
             worker.join()
         assert target.total_bytes == merges * source.total_bytes
+
+
+def _stream(*senders: str) -> CommunicationStats:
+    """One stream of a link: a message per sender, in order."""
+    stats = CommunicationStats()
+    for sender in senders:
+        receiver = "b" if sender == "a" else "a"
+        stats.record(sender, receiver, f"from/{sender}", 10)
+    return stats
+
+
+class TestExtendBoundaryRound:
+    """Streams of one link concatenate into the link's sequential count:
+    the boundary messages share a round when the next stream's first
+    sender is the previous stream's last sender."""
+
+    def test_same_sender_at_the_boundary_shares_a_round(self):
+        link = _stream("a", "b")          # 2 rounds, ends with b
+        link.extend(_stream("b", "a"))    # starts with b: merged
+        assert link.rounds == 2 + 2 - 1
+        assert link.total_messages == 4
+
+    def test_different_sender_at_the_boundary_adds_rounds(self):
+        link = _stream("a", "b")
+        link.extend(_stream("a", "b"))
+        assert link.rounds == 4
+
+    def test_empty_streams_do_not_move_the_boundary(self):
+        link = _stream("a", "b")
+        link.extend(CommunicationStats())
+        link.extend(_stream("b"))         # still meets b's last message
+        assert link.rounds == 2
+        empty = CommunicationStats()
+        empty.extend(_stream("b", "a"))
+        empty.extend(_stream("a"))
+        assert empty.rounds == 2
+
+    def test_mesh_pair_is_one_plus_four_rounds_per_query(self):
+        """Key exchange (left, right), the left driver's query stream
+        (left, right, left, right per query), then the right driver's:
+        1 + 4Q rounds, the count model's figure per pair."""
+        key_exchange = CommunicationStats()
+        key_exchange.record("l", "r", "keys", 1)
+        key_exchange.record("r", "l", "keys", 1)
+        left_pass = CommunicationStats()
+        right_pass = CommunicationStats()
+        for stats, driver, peer, count in ((left_pass, "l", "r", 3),
+                                           (right_pass, "r", "l", 2)):
+            for _ in range(count):
+                for sender in (driver, peer, driver, peer):
+                    stats.record(sender, "x", "q", 1)
+        link = CommunicationStats()
+        for stream in (key_exchange, left_pass, right_pass):
+            link.extend(stream)
+        assert link.rounds == 1 + 4 * (3 + 2)
+        # merge() keeps adding rounds: independent links, not streams.
+        merged = CommunicationStats()
+        for stream in (key_exchange, left_pass, right_pass):
+            merged.merge(stream)
+        assert merged.rounds == link.rounds + 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from("ab"), max_size=6),
+                    max_size=5))
+    def test_extend_equals_recording_the_concatenation(self, streams):
+        concatenated = CommunicationStats()
+        link = CommunicationStats()
+        for senders in streams:
+            stream = _stream(*senders)
+            for sender in senders:
+                concatenated.record(sender, "b" if sender == "a" else "a",
+                                    f"from/{sender}", 10)
+            link.extend(stream)
+        assert link.snapshot() == concatenated.snapshot()

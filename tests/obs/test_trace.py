@@ -147,9 +147,9 @@ def _write_trace(path, party, records):
             handle.write(json.dumps(record) + "\n")
 
 
-def _span(party, span_id, parent, kind, name, dur, **attrs):
+def _span(party, span_id, parent, kind, name, dur, t0=0.0, **attrs):
     return {"id": span_id, "parent": parent, "kind": kind, "name": name,
-            "party": party, "t0": 0.0, "t1": dur, "dur": dur,
+            "party": party, "t0": t0, "t1": t0 + dur, "dur": dur,
             "attrs": attrs}
 
 
@@ -212,6 +212,52 @@ class TestSummaries:
         assert "party p0: 4.000s total" in text
         assert "pass0 [drive] 3.000s" in text
         assert "pass1 [respond] 1.000s" in text
+
+    def test_pass_rows_follow_the_pass_index(self, tmp_path):
+        """From eleven parties on, names sort pass10 before pass2; the
+        rows follow each span's index instead."""
+        records = [_span("p0", 1, None, "session", "s0", 20.0)]
+        for span_id, index in enumerate((10, 2, 0, 9, 1), start=2):
+            records.append(_span("p0", span_id, 1, "pass", f"pass{index}",
+                                 1.0, index=index, role="respond"))
+        _write_trace(tmp_path, "p0", records)
+        summary = summarize_trace_dir(tmp_path)
+        rows = summary["sessions"]["s0"]["parties"]["p0"]["passes"]
+        assert [row["name"] for row in rows] \
+            == ["pass0", "pass1", "pass2", "pass9", "pass10"]
+        assert [row["index"] for row in rows] == [0, 1, 2, 9, 10]
+        text = format_trace_summary(summary)
+        assert text.index("pass2 [") < text.index("pass10 [")
+
+    def test_overlapping_passes_report_union_and_sum(self, tmp_path):
+        """A daemon runs its pass roles at once: the summary shows the
+        time covered by any pass next to the passes' summed time."""
+        _write_trace(tmp_path, "p0", [
+            _span("p0", 1, None, "session", "s0", 8.0),
+            _span("p0", 2, 1, "pass", "pass0", 3.0, t0=0.0, index=0,
+                  role="drive"),
+            _span("p0", 3, 1, "pass", "pass1", 3.0, t0=1.0, index=1,
+                  role="respond"),
+            _span("p0", 4, 1, "pass", "pass2", 1.0, t0=6.0, index=2,
+                  role="respond"),
+        ])
+        summary = summarize_trace_dir(tmp_path)
+        entry = summary["sessions"]["s0"]["parties"]["p0"]
+        assert entry["passes_sum"] == pytest.approx(7.0)
+        assert entry["passes_union"] == pytest.approx(5.0)
+        assert "passes 7.000s summed 5.000s union" \
+            in format_trace_summary(summary)
+
+    def test_sequential_passes_union_equals_sum(self, tmp_path):
+        _write_trace(tmp_path, "p0", [
+            _span("p0", 1, None, "session", "s0", 4.0),
+            _span("p0", 2, 1, "pass", "pass0", 1.5, t0=0.0, index=0),
+            _span("p0", 3, 1, "pass", "pass1", 2.0, t0=1.5, index=1),
+        ])
+        entry = summarize_trace_dir(tmp_path)["sessions"]["s0"][
+            "parties"]["p0"]
+        assert entry["passes_union"] == pytest.approx(
+            entry["passes_sum"]) == pytest.approx(3.5)
 
     def test_non_jsonl_files_ignored(self, tmp_path):
         _write_trace(tmp_path, "p0", [

@@ -234,10 +234,10 @@ class TestDaemonEquivalence:
 
 def own_pool_consumption(mesh: PartyMesh) -> dict[str, int]:
     """Factors each party drew from its own pools (actor == party)
-    over every pair session of an in-process run."""
+    over every pair stream of an in-process run."""
     consumed = {name: 0 for name in mesh.names}
     for session_report in mesh.pool_report().values():
-        for (actor, _owner), report in session_report.items():
+        for (_driver, actor, _owner), report in session_report.items():
             consumed[actor] += report["consumed"]
     return consumed
 
@@ -293,6 +293,99 @@ class TestRoleLocalExecution:
                 pool = report.runtime_info["pool"]
                 assert pool["consumed"] > 0 and pool["misses"] == 0
                 assert pool["pregenerated"] == pool["consumed"], name
+
+
+@pytest.mark.sockets
+class TestOverlappedPasses:
+    """A daemon runs all of its pass roles at once on per-(pair,
+    driver) streams: over 50 ms links every daemon's pass spans share a
+    common instant, and the session stays bit-identical to the
+    in-process mesh, stats and rounds included."""
+
+    def test_pass_spans_overlap_and_session_is_bit_identical(
+            self, tmp_path):
+        from repro.obs.trace import read_trace_dir, summarize_trace_dir
+
+        by_party = workload(3)
+        seeds = [31, 32, 33]
+        config = make_config()
+        with DaemonFleet(list(by_party), net_delay_s=0.05,
+                         trace_dir=str(tmp_path)) as fleet:
+            with fleet.client() as client:
+                run = run_via_daemons(by_party, config, seeds,
+                                      client=client, session_id="overlap",
+                                      timeout=120)
+        mesh = PartyMesh(list(by_party), config.smc, seeds=seeds)
+        reference = run_multiparty_horizontal_dbscan(
+            by_party, config, seeds=seeds, mesh=mesh)
+        checks = verify_against_in_process(run, by_party, config, seeds,
+                                           reference=reference, mesh=mesh)
+        assert all(checks.values()), checks
+        passes = {}
+        for span in read_trace_dir(tmp_path):
+            if span["kind"] == "pass":
+                passes.setdefault(span["party"], []).append(span)
+        assert sorted(passes) == sorted(by_party)
+        for party, spans in passes.items():
+            assert sorted(span["attrs"]["index"] for span in spans) \
+                == [0, 1, 2], party
+            # One instant inside every pass of this daemon.
+            assert max(span["t0"] for span in spans) \
+                < min(span["t1"] for span in spans), party
+        summary = summarize_trace_dir(tmp_path)["sessions"]["overlap"]
+        for party, entry in summary["parties"].items():
+            assert entry["passes_union"] < entry["passes_sum"], party
+
+    def test_finished_session_leaves_no_view_on_any_hub(self):
+        """The session's own tag and both stream tags of every pair are
+        released on every daemon."""
+        by_party = workload(3)
+        with DaemonFleet(list(by_party)) as fleet:
+            with fleet.client() as client:
+                run_via_daemons(by_party, make_config(), [31, 32, 33],
+                                client=client, session_id="done",
+                                timeout=120)
+            for daemon in fleet.daemons:
+                for hub in daemon.hubs.values():
+                    assert not [tag for tag in hub._sessions
+                                if tag.startswith("done")], daemon.name
+
+    def test_a_failing_role_cancels_its_siblings_with_its_own_cause(self):
+        """The pass roles run as one task group: the first failure
+        cancels the roles still waiting and propagates as itself -- not
+        as an exception group -- so it stays classifiable."""
+        import asyncio
+
+        from repro.net.transport import TransportClosedError
+        from repro.runtime.daemon import _run_together
+        from repro.runtime.failure import (
+            CAUSE_CONNECTION_LOST,
+            classify_exception,
+        )
+
+        cancelled = []
+
+        async def waits_forever():
+            try:
+                await asyncio.Event().wait()
+            except asyncio.CancelledError:
+                cancelled.append(True)
+                raise
+
+        async def fails():
+            await asyncio.sleep(0.01)
+            raise TransportClosedError("link closed")
+
+        async def finishes():
+            return 7
+
+        with pytest.raises(TransportClosedError) as excinfo:
+            asyncio.run(_run_together([waits_forever(), fails(),
+                                       finishes()]))
+        assert cancelled == [True]
+        assert classify_exception(excinfo.value)[0] == CAUSE_CONNECTION_LOST
+        assert asyncio.run(_run_together([finishes(), finishes()])) \
+            == [7, 7]
 
 
 @pytest.mark.sockets
@@ -530,6 +623,94 @@ class TestDaemonLinkUp:
                 member.signal_stop()
             for member in members:
                 member.wait(10.0)
+        reference, digests = reference_run(by_party, config, seeds)
+        assert_matches_reference(run, reference, digests)
+
+    def test_link_up_survives_a_dial_reset_before_the_hello(
+            self, monkeypatch):
+        """The first dial lands on a listener that accepts it and resets
+        it (RST) before the daemon's hello goes out, so the hello write
+        itself dies with an OSError -- the dial's retry path, not the
+        EOF one above.  The daemon re-dials, links up with the real
+        peer, and serves a bit-identical session."""
+        import asyncio
+        import queue
+        import socket
+        import struct
+        import threading
+
+        from repro.runtime import daemon as daemon_module
+        from repro.runtime.client import SessionClient, _DaemonThread
+        from repro.runtime.orchestrator import allocate_ports
+
+        by_party = workload(2)
+        seeds = [31, 32]
+        config = make_config()
+        names = tuple(by_party)
+        spec = MeshSpec(names=names,
+                        ports=dict(zip(names, allocate_ports(2))))
+        impostor = socket.create_server(("127.0.0.1", spec.ports["p0"]))
+        impostor.settimeout(15.0)
+        dialed: queue.Queue = queue.Queue()
+        reset = threading.Event()
+        first_send: list = []
+        real_send = daemon_module._send_frame
+
+        async def send_after_reset(writer, kind, payload,
+                                   authenticator=None):
+            # Only the timing is staged: the first hello to the
+            # impostor waits until the impostor has reset that very
+            # connection and this daemon's loop has seen the reset (a
+            # loaded host may deliver a loopback RST late); then the
+            # real send meets the reset socket.
+            peer = writer.get_extra_info("peername")
+            if first_send or peer[1] != spec.ports["p0"]:
+                await real_send(writer, kind, payload, authenticator)
+                return
+            first_send.append(None)
+            dialed.put(writer.get_extra_info("sockname"))
+            await asyncio.get_running_loop().run_in_executor(
+                None, reset.wait, 15.0)
+            for _ in range(1000):
+                if writer.transport.is_closing():
+                    break
+                await asyncio.sleep(0.01)
+            try:
+                await real_send(writer, kind, payload, authenticator)
+            except OSError as exc:
+                first_send[0] = exc
+                raise
+
+        monkeypatch.setattr(daemon_module, "_send_frame", send_after_reset)
+        dialer = _DaemonThread(spec, "p1")
+        members = [dialer]
+        try:
+            dialer.start()
+            dialer_address = dialed.get(timeout=15.0)
+            while True:  # reset every connection up to the dialer's
+                connection, address = impostor.accept()
+                connection.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                      struct.pack("ii", 1, 0))
+                connection.close()
+                if address == dialer_address:
+                    break
+            impostor.close()
+            reset.set()
+            members.append(_DaemonThread(spec, "p0"))
+            members[-1].start()
+            for member in members:
+                member.wait_ready(20.0)
+            with SessionClient(spec) as client:
+                run = run_via_daemons(by_party, config, seeds,
+                                      client=client, timeout=120)
+        finally:
+            reset.set()
+            impostor.close()
+            for member in members:
+                member.signal_stop()
+            for member in members:
+                member.wait(10.0)
+        assert isinstance(first_send[0], OSError), first_send
         reference, digests = reference_run(by_party, config, seeds)
         assert_matches_reference(run, reference, digests)
 

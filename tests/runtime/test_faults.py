@@ -103,10 +103,11 @@ class TestFaultGrammar:
 
 
 def link_with_faults(texts, hub, party="alice"):
-    """``hub``'s session view, wrapped by ``party``'s fault state."""
+    """``hub``'s session view as pass 0's stream, wrapped by
+    ``party``'s fault state."""
     faults = FaultPlan.parse(texts, seed=9).for_party(
         party, hubs={"alice|bob": hub})
-    return faults.link(hub.session("s"), "alice|bob")
+    return faults.link(hub.session("s"), "alice|bob", 0)
 
 
 @pytest.mark.faults

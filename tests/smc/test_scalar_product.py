@@ -129,3 +129,76 @@ class TestScalarProducts:
         assert len(alpha_entries[0].value) == 3
         reply = channel.transcript.with_label("sp/masked_products")[0]
         assert len(reply.value) == 10
+
+
+class TestOneFactorPerReply:
+    """Every masked reply multiplies in a fresh encryption of the mask
+    or blind, which already makes it a fresh encryption: the masker
+    draws exactly one randomness factor per reply, none for a separate
+    rerandomization."""
+
+    @staticmethod
+    def _pools(seed: int = 5):
+        import random
+
+        from repro.crypto.precompute import RandomnessPool
+
+        return (RandomnessPool(KEYS.public_key, random.Random(seed)),
+                RandomnessPool(KEYS.public_key, random.Random(seed + 1)))
+
+    def test_masked_dot_terms(self):
+        __, alice, bob = _fresh_parties()
+        receiver_pool, masker_pool = self._pools()
+        terms = secure_masked_dot_terms(
+            alice, [2, 3, 4], bob, [5, 6, 7], [1, -2, 3], KEYS,
+            receiver_pool=receiver_pool, masker_pool=masker_pool)
+        assert terms == [11, 16, 31]
+        assert receiver_pool.consumed == 3   # E(x_t), one per term
+        assert masker_pool.consumed == 3     # one per reply
+
+    def test_masked_dot_terms_batch(self):
+        from repro.smc.scalar_product import secure_masked_dot_terms_batch
+
+        __, alice, bob = _fresh_parties()
+        holder_pool, receiver_pool = self._pools()
+        betas = [[1, 0], [2, 5], [0, 0], [-3, 4]]
+        sums = secure_masked_dot_terms_batch(
+            alice, [7, -1], bob, betas, [0, 3, 0, 1], KEYS, blind_bound=99,
+            holder_pool=holder_pool, receiver_pool=receiver_pool)
+        assert sums == [7, 12, 0, -24]
+        assert holder_pool.consumed == 2     # alpha, encrypted once
+        assert receiver_pool.consumed == len(betas)
+
+    def test_scalar_products(self):
+        __, alice, bob = _fresh_parties()
+        receiver_pool, masker_pool = self._pools()
+        betas = [[1, 2], [3, 4], [5, 6]]
+        results = secure_scalar_products(
+            alice, [10, 20], bob, betas, [1, 2, 3], KEYS,
+            receiver_pool=receiver_pool, masker_pool=masker_pool)
+        assert results == [51, 112, 173]
+        assert masker_pool.consumed == len(betas)
+
+    def test_multiplication(self):
+        from repro.smc.multiplication import secure_multiplication
+
+        __, alice, bob = _fresh_parties()
+        receiver_pool, masker_pool = self._pools()
+        assert secure_multiplication(
+            alice, 6, bob, 7, 5, KEYS, receiver_pool=receiver_pool,
+            masker_pool=masker_pool) == 47
+        assert (receiver_pool.consumed, masker_pool.consumed) == (1, 1)
+
+    def test_replies_stay_fresh_encryptions(self):
+        """Same plaintexts, different masker coins: the replies share no
+        ciphertext even though the masker no longer rerandomizes."""
+        replies = []
+        for seed in (1, 2):
+            channel, alice, bob = _fresh_parties(10)
+            bob.rng.seed(seed)
+            secure_masked_dot_terms(alice, [2, 3], bob, [4, 5], [0, 0],
+                                    KEYS)
+            [entry] = [e for e in channel.transcript.entries
+                       if e.label == "dot/masked_terms"]
+            replies.append(set(entry.value))
+        assert not replies[0] & replies[1]
