@@ -2,8 +2,9 @@
 
 Each physical party has one set of key material, reused across all of
 its pairwise channels.  Each unordered pair of parties gets one
-key-exchange channel and session (the public keys cross once per pair)
-plus one **stream per driver**: the channel, parties and
+key-exchange channel and session (the public keys cross once per pair,
+:func:`~repro.smc.session.exchange_public_keys`) plus one **stream per
+driver**: the channel, parties and
 :class:`SmcSession` that driver's pass runs its queries to the pair's
 other party on.  A stream has its own transcript and stats, its own
 randomness pools and its own comparison counter, so the k driver passes
@@ -20,10 +21,13 @@ passes -- so labels, transcripts and ledgers match exactly
 (property-tested in ``tests/multiparty/test_scheduler.py``).
 
 Accounting: a pair's transcript and stats are the *canonical pass-order
-concatenation* of its key exchange and its streams
-(:func:`link_accounting`); the rounds of that concatenation are the
-link's sequential count (:meth:`CommunicationStats.extend`), however the
-streams were scheduled.
+concatenation* of its key exchange -- the left party's announcement,
+then the right party's -- and its streams (:func:`link_accounting`);
+the rounds of that concatenation are the link's sequential count
+(:meth:`CommunicationStats.extend`), however the streams were
+scheduled.  Here the two announcements share the pair's key channel; a
+daemon records each on its own channel, because the two cross the link
+at the same time, and reports the same concatenation.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from repro.smc.session import (
     SmcConfig,
     SmcSession,
     channel_for_config,
+    exchange_public_keys,
 )
 
 
@@ -84,10 +89,10 @@ class PairStream:
     """One driver's pass over one pair.
 
     Its own channel (transcript and stats), both parties with coins
-    keyed by (pair, driver), and a session that reuses the pair's
-    exchanged keys with its own pools and comparison counter.  The
-    in-process mesh builds them over in-process channels, a daemon over
-    its mirror channels; :func:`build_stream` is the one constructor.
+    keyed by (pair, driver), and a session on the pair's exchanged key
+    contexts with its own pools and comparison counter.  The in-process
+    mesh builds them over in-process channels, a daemon over its mirror
+    channels; :func:`build_stream` is the one constructor.
     """
 
     driver: str
@@ -96,13 +101,17 @@ class PairStream:
     session: SmcSession
 
 
-def build_stream(key_session: SmcSession, channel, driver: str,
-                 seeds: dict, namespace: str | None = None) -> PairStream:
-    """The ``driver`` stream of ``key_session``'s pair over ``channel``.
+def build_stream(contexts: dict[str, CryptoContext], config: SmcConfig,
+                 channel, driver: str, seeds: dict,
+                 namespace: str | None = None) -> PairStream:
+    """The ``driver`` stream of ``channel``'s pair.
 
-    ``seeds`` maps party name to its seed.  Only the driver's own pass
-    ever runs on the stream, so the coins each side draws on it depend
-    on nothing that happens on the pair's other streams.
+    ``contexts`` maps party name to the key material the pair's key
+    exchange established (shared by the pair's streams, never
+    re-exchanged); ``seeds`` maps party name to its seed.  Only the
+    driver's own pass ever runs on the stream, so the coins each side
+    draws on it depend on nothing that happens on the pair's other
+    streams.
     """
     left, right = channel.left.name, channel.right.name
     parties = {
@@ -111,15 +120,17 @@ def build_stream(key_session: SmcSession, channel, driver: str,
             namespace=namespace, driver=driver))
         for endpoint in (channel.left, channel.right)}
     return PairStream(driver, channel, parties,
-                      key_session.stream(parties[left], parties[right]))
+                      SmcSession(parties[left], parties[right], config,
+                                 preset_contexts=contexts))
 
 
 def link_accounting(channels) -> tuple[CommunicationStats, Transcript]:
     """One pair's stats and transcript: its channels concatenated in the
-    given (canonical pass) order -- the key exchange first, then one
-    stream per driver in pass order.  Both ends of a link and the
-    in-process mesh concatenate in that order, so the result does not
-    depend on how the streams interleaved in time."""
+    given (canonical pass) order -- the key exchange first (the left
+    party's announcement, then the right party's), then one stream per
+    driver in pass order.  Both ends of a link and the in-process mesh
+    concatenate in that order, so the result does not depend on how the
+    announcements and streams interleaved in time."""
     stats, transcript = CommunicationStats(), Transcript()
     for channel in channels:
         stats.extend(channel.stats)
@@ -194,6 +205,8 @@ class PartyMesh:
             channel.right, derive_pair_rng(self._seeds[right], right,
                                            left, right,
                                            namespace=self.rng_namespace))
+        exchange_public_keys(left_party, right_party, self._contexts,
+                             self.config.paillier_bits)
         session = SmcSession(left_party, right_party, self.config,
                              preset_contexts=self._contexts)
         key = (left, right)
@@ -202,7 +215,7 @@ class PartyMesh:
         self._parties[key] = {left: left_party, right: right_party}
         # The lower slot drives first: streams in pass order.
         self._streams[key] = {
-            driver: build_stream(session,
+            driver: build_stream(self._contexts, self.config,
                                  channel_for_config(self.config, left,
                                                     right),
                                  driver, self._seeds, self.rng_namespace)

@@ -255,7 +255,11 @@ def summarize_trace_dir(trace_dir: str | os.PathLike) -> dict:
     runs all of its pass roles at once, so each party entry also
     carries ``passes_sum`` (the passes' summed durations) and
     ``passes_union`` (the time covered by at least one pass): the gap
-    between them is the overlap.
+    between them is the overlap.  ``setup`` is the session span's
+    ``setup_seconds`` (session start to the drive role's start) and
+    ``first_query`` the offset from the session's start at which the
+    first query of this party's drive pass started (``None`` when the
+    trace has neither).
     """
     spans = read_trace_dir(trace_dir)
     by_party_id = {(span["party"], span["id"]): span for span in spans}
@@ -276,9 +280,12 @@ def summarize_trace_dir(trace_dir: str | os.PathLike) -> dict:
             continue
         parties = sessions.setdefault(session, {"parties": {}})["parties"]
         entry = parties.setdefault(span["party"], {
-            "duration": 0.0, "passes": [], "_queries": {}})
+            "duration": 0.0, "setup": None, "first_query": None,
+            "passes": [], "_queries": {}, "_start": 0.0})
         if span["kind"] == "session":
             entry["duration"] = span["dur"]
+            entry["setup"] = span["attrs"].get("setup_seconds")
+            entry["_start"] = span["t0"]
         elif span["kind"] == "pass":
             entry["passes"].append({
                 "name": span["name"],
@@ -303,6 +310,7 @@ def summarize_trace_dir(trace_dir: str | os.PathLike) -> dict:
         for entry in session["parties"].values():
             queries = entry.pop("_queries", {})
             attempts = entry.pop("_attempts", {})
+            start = entry.pop("_start")
             # Pass order is the span's index: names sort pass10 before
             # pass2.
             entry["passes"].sort(key=lambda row: (
@@ -314,6 +322,10 @@ def summarize_trace_dir(trace_dir: str | os.PathLike) -> dict:
             for row in entry["passes"]:
                 pass_queries = queries.get(row.pop("id"), [])
                 row["queries"] = len(pass_queries)
+                if row["role"] == "drive" and pass_queries:
+                    entry["first_query"] = round(
+                        min(query["t0"] for query in pass_queries)
+                        - start, 6)
                 by_step: dict[object, float] = {}
                 for query in pass_queries:
                     step = query["attrs"].get("step")
@@ -340,6 +352,10 @@ def _union_length(intervals) -> float:
     return covered
 
 
+def _seconds(value: float | None) -> str:
+    return "-" if value is None else f"{value:.3f}s"
+
+
 def format_trace_summary(summary: dict) -> str:
     """Human-readable critical-path breakdown for ``repro trace``."""
     lines: list[str] = []
@@ -347,7 +363,9 @@ def format_trace_summary(summary: dict) -> str:
         lines.append(f"session {session}")
         for party, entry in sorted(data["parties"].items()):
             lines.append(f"  party {party}: "
-                         f"{entry['duration']:.3f}s total, passes "
+                         f"{entry['duration']:.3f}s total, setup "
+                         f"{_seconds(entry['setup'])}, first drive query "
+                         f"at {_seconds(entry['first_query'])}, passes "
                          f"{entry['passes_sum']:.3f}s summed "
                          f"{entry['passes_union']:.3f}s union")
             for row in entry["passes"]:

@@ -198,7 +198,7 @@ class RestartableMirrorChannel(MirrorChannel):
 
 class PairRuntime:
     """Restartable executor for one (session, pair) stream's choreography
-    -- the pair's key exchange, or one driver's queries over the pair.
+    -- a peer's key announcement, or one driver's queries over the pair.
 
     Owns the snapshot/restore of everything a re-executed attempt
     mutates: both parties' RNG states, every randomness pool (factors,

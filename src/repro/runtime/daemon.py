@@ -31,15 +31,24 @@ restartable runner.
 
 Overlapped passes: the k driver passes of a session do not depend on
 each other, so a daemon runs all of its pass roles at once -- its own
-drive pass next to one respond task per peer, in one task group -- and
-exchanges keys with all of its peers at once before that.  Each pass
-runs on its own per-(pair, driver) streams
+drive pass next to one respond task per peer, in one task group.  Each
+pass runs on its own per-(pair, driver) streams
 (:class:`~repro.multiparty.mesh.PairStream`): a sub-session of the pair
 hub with its own frame and control queues, channel, coins, pools and
 comparison counter.  A session therefore waits for its longest pass,
 not for the sum of them.  Reports carry each pair's canonical
 pass-order concatenation of its key exchange and streams, the same
 figures the in-process mesh reports.
+
+One-flight setup: once every peer's session-sync record has checked
+out, a daemon sends its key announcements and its drive pass's first
+queries in one flight.  Each announcement has its own mirror channel,
+so a pair's two announcements cross at the same time; a drive role
+uses only its own keys (unless it caches peer ciphertexts) and so waits
+for no announcement; a respond role starts once its driver's keys have
+passed the shape and pinned-digest checks and been adopted -- and that
+announcement arrived in the same flight as the driver's first query.
+A session's setup is therefore one link delay: the sync.
 
 A daemon-wide :class:`~repro.crypto.precompute.RandomnessService`
 amortizes the offline phase across sessions: it learns each keypair's
@@ -97,7 +106,6 @@ from repro.crypto.sealed import public_key_digest
 from repro.multiparty.mesh import (
     PairStream,
     build_stream,
-    derive_pair_rng,
     link_accounting,
 )
 from repro.net.framing import (
@@ -118,7 +126,7 @@ from repro.net.serialization import (
     serialize_message,
 )
 from repro.net.transcript import transcript_digest
-from repro.net.transport import AsyncTcpTransport
+from repro.net.transport import AsyncTcpTransport, TransportTimeoutError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, tracer_for
 from repro.runtime.failure import classify_exception
@@ -146,7 +154,11 @@ from repro.runtime.async_pass import (
     RestartableMirrorChannel,
     drive_pass_async,
 )
-from repro.smc.session import SealedKeyProvider, SmcSession
+from repro.smc.session import (
+    SealedKeyProvider,
+    announce_public_keys,
+    receive_public_keys,
+)
 
 #: Client-plane control records (plain C frames on a client connection).
 CONTROL_START_SESSION = "start_session"
@@ -197,9 +209,10 @@ class PartyRuntimeError(RuntimeError):
 class PartyReport:
     """What one daemon hands back for one session.
 
-    ``elapsed_seconds`` covers the whole session (key derivation and
-    exchange, setup, passes); ``passes_seconds`` only its protocol
-    passes, so benchmarks can separate round-trip cost from setup.
+    ``elapsed_seconds`` covers the whole session (sync, key derivation
+    and exchange, passes); ``passes_seconds`` only its protocol passes
+    (from the key announcements on), so benchmarks can separate
+    round-trip cost from setup.
     ``runtime_info`` holds the daemon's per-session amortization
     figures: whether the session warm-started on an already-warmed
     engine, setup timings, and the randomness-pool hit/miss counts.
@@ -449,6 +462,12 @@ def _session_id_of(manifest_json: str) -> str:
         return "?"
 
 
+def _endpoint(channel, name: str) -> Party:
+    """``name``'s side of a mirror channel, as a :class:`Party`."""
+    return Party(channel.left if channel.left.name == name
+                 else channel.right)
+
+
 def _stream_tag(session_id: str, driver: str) -> str:
     """The mux tag of one session's stream for ``driver``'s pass: a
     sub-session of the pair hub, with its own frame and control queues.
@@ -491,11 +510,15 @@ class _SessionState:
 
     manifest: RunManifest
     points: list
+    started: float
     faults: PartyFaults | None = None
+    contexts: dict = field(default_factory=dict)   # party -> CryptoContext
     views: dict = field(default_factory=dict)      # peer -> link view
-    keys: dict = field(default_factory=dict)       # peer -> key exchange
-    sessions: dict = field(default_factory=dict)   # peer -> SmcSession
+    # peer -> {announcer: runtime}: one announcement channel per side
+    keys: dict = field(default_factory=dict)
+    adopted: dict = field(default_factory=dict)    # peer -> asyncio.Event
     streams: dict = field(default_factory=dict)    # (peer, driver) -> _Stream
+    setup_seconds: float = 0.0
 
     def pair_streams(self, peer: str) -> list[_Stream]:
         """The pair's streams in pass order."""
@@ -504,7 +527,8 @@ class _SessionState:
                 if (peer, driver) in self.streams]
 
     def runtimes(self) -> list[PairRuntime]:
-        return [*self.keys.values(),
+        return [*(runtime for announcers in self.keys.values()
+                  for runtime in announcers.values()),
                 *(stream.runtime for stream in self.streams.values())]
 
 
@@ -1070,7 +1094,7 @@ class PartyDaemon:
         self._active.add(manifest.session_id)
 
         state = _SessionState(manifest=manifest, points=points,
-                              faults=faults)
+                              started=started, faults=faults)
         lease = self.randomness.lease(manifest.session_id)
         lease_report: dict | None = None
         session_span = self.tracer.span(
@@ -1078,28 +1102,37 @@ class PartyDaemon:
             session_index=session_index, warm_start=warm_start,
             parties=len(manifest.names), points=len(points))
         try:
-            for peer in manifest.peers_of(self.name):
-                view = self.hubs[peer].session(manifest.session_id)
-                state.views[peer] = view
-                state.keys[peer] = self._pair_runtime(view, lease)
-            await self._session_sync(state, digest)
-            await self._build_sessions(state, config, lease)
-            self._register_pools(state, lease)
-            setup_seconds = time.perf_counter() - started
-            session_span.set(setup_seconds=round(setup_seconds, 6))
-
-            ledger = LeakageLedger()
-            passes_started = time.perf_counter()
+            peers = manifest.peers_of(self.name)
+            for peer in peers:
+                state.views[peer] = self.hubs[peer].session(
+                    manifest.session_id)
+            with session_span.child("sync", "sync", peers=len(peers)):
+                self._send_sync(state, digest)
+                # Let the writers put the records on the wire, then
+                # build the streams and prefill the own-key pools while
+                # the peers' records are in flight.
+                await asyncio.sleep(0)
+                self._build_streams(state, config, lease)
+                await self._session_sync(state, digest)
             if faults is not None:
                 faults.at_boundary(0)
-            # Every pass at once: this daemon drives its own and serves
-            # each peer's, each on its own streams.  The first failing
-            # role cancels the others and fails the session.
-            roles = await _run_together(
-                self._pass_role(state, pass_index, driver, config, ledger,
-                                session_span)
-                for pass_index, driver in enumerate(manifest.names))
-            labels = roles[manifest.names.index(self.name)]
+
+            # One flight: the key announcements on every pair, then --
+            # the roles start on the next loop turn -- the drive pass's
+            # first queries.  Each peer's announcement is adopted next
+            # to the roles; only a role that uses that peer's keys
+            # waits for it.  The first failure cancels the rest and
+            # fails the session.
+            self._announce_keys(state)
+            ledger = LeakageLedger()
+            passes_started = time.perf_counter()
+            results = await _run_together([
+                *(self._adopt_keys(state, peer, config, lease,
+                                   session_span) for peer in peers),
+                *(self._pass_role(state, pass_index, driver, config,
+                                  ledger, session_span)
+                  for pass_index, driver in enumerate(manifest.names))])
+            labels = results[len(peers) + manifest.names.index(self.name)]
             finished = time.perf_counter()
             lease_report = self.randomness.release(manifest.session_id)
             restarts = sum(rt.restarts for rt in state.runtimes())
@@ -1109,8 +1142,8 @@ class PartyDaemon:
                 elapsed=finished - started,
                 passes=finished - passes_started,
                 runtime_info=self._runtime_info(
-                    session_index, warm_start, setup_seconds, restarts,
-                    lease_report))
+                    session_index, warm_start, state.setup_seconds,
+                    restarts, lease_report))
         finally:
             session_span.close()
             if lease_report is None:
@@ -1125,7 +1158,7 @@ class PartyDaemon:
                     hub.release(_stream_tag(manifest.session_id, driver))
             self._active.discard(manifest.session_id)
 
-    def _pair_runtime(self, view, lease, link=None) -> PairRuntime:
+    def _pair_runtime(self, view, lease=None, link=None) -> PairRuntime:
         """A restartable runner over a fresh mirror channel on ``view``
         (through ``link``, a fault wrapper, when given)."""
         channel = RestartableMirrorChannel(
@@ -1138,29 +1171,36 @@ class PartyDaemon:
         runtime.obs_parked = self.metrics.gauge("repro_parked_coroutines")
         return runtime
 
+    def _send_sync(self, state: _SessionState, digest: str) -> None:
+        """Announce the manifest digest on every pair link (the
+        session's first control record there)."""
+        wire = serialize_message([CONTROL_SESSION_SYNC, digest])
+        for view in state.views.values():
+            view.send_control(wire)
+
     async def _session_sync(self, state: _SessionState,
                             digest: str) -> None:
         """Cross-check the manifest digest with every peer daemon.
 
         The pair handshake bound only the mesh spec; each *session* is
-        validated here, before any protocol byte of it flows: both ends
-        of every link announce the digest of the manifest they were
-        handed and refuse the session on mismatch.  Per-link FIFO makes
-        this record the first control record of the session stream, so
-        it can never be confused with a query announcement.
+        validated here, before any protocol frame of it leaves this
+        daemon: both ends of every link announce the digest of the
+        manifest they were handed (:meth:`_send_sync`) and refuse the
+        session on mismatch.  Per-link FIFO makes this record the first
+        control record of the session stream, so it can never be
+        confused with a query announcement.  A peer whose record does
+        not arrive within ``timeout_s`` fails the session with a typed
+        timeout -- retryable, like the same silence mid-protocol.
         """
-        wire = serialize_message([CONTROL_SESSION_SYNC, digest])
-        for view in state.views.values():
-            view.send_control(wire)
-
         async def check(peer, view):
             try:
                 raw = await asyncio.wait_for(view.next_control(),
                                              self.spec.timeout_s)
             except asyncio.TimeoutError:
-                raise DaemonError(
+                raise TransportTimeoutError(
                     f"peer daemon {peer!r} never answered the session "
-                    f"sync for {state.manifest.session_id!r}") from None
+                    f"sync for {state.manifest.session_id!r} within "
+                    f"{self.spec.timeout_s}s") from None
             record = deserialize_message(raw)
             if (not isinstance(record, list) or len(record) != 2
                     or record[0] != CONTROL_SESSION_SYNC
@@ -1175,63 +1215,40 @@ class PartyDaemon:
                     f"for session {state.manifest.session_id!r}: ours "
                     f"{digest[:12]}..., theirs {str(record[1])[:12]}...")
 
-        await asyncio.gather(*(check(peer, view)
-                               for peer, view in state.views.items()))
+        await _run_together(check(peer, view)
+                            for peer, view in state.views.items())
 
-    async def _build_sessions(self, state: _SessionState, config,
-                              lease) -> None:
-        """Exchange keys with every peer at once, then build the streams.
+    def _build_streams(self, state: _SessionState, config, lease) -> None:
+        """Build everything of the session that needs no peer's keys;
+        no frame leaves here.
 
-        The key exchanges reproduce the in-process mesh's per-pair
-        ``SmcSession``: the same key slots, RNG substreams and channel
-        machinery.  Key material is sealed: this daemon derives only
-        its *own* slot's keypair; every peer context is a sealed
-        placeholder whose authentic public key arrives over the wire,
-        pinned against the manifest's ``key_digests`` when present.
-
-        A key exchange is a choreography (sends and receives on the
-        pair's session view), so it runs through the restartable
-        runner: an attempt that reaches the peer's announcement before
-        it has arrived unwinds and rebuilds once the frame lands.
-        Rebuilding is cheap (the keypair is process-cached after the
-        first session) and deterministic -- party RNGs are re-derived
-        from the manifest seeds, so every attempt re-produces
-        byte-identical announcements, which the channel's replay check
-        enforces.  The exchanges of different pairs share no state, and
-        each daemon sends its announcement without waiting on the
-        peer's, so running them all at once admits no circular wait.
-
-        Then each pair gets one stream per driver, in pass order, on
-        its own sub-session of the pair hub (:func:`_stream_tag`):
-        per-driver coins and pools, and the contexts the exchange
-        established (:meth:`SmcSession.stream`).
+        Key material is sealed: this daemon derives only its *own*
+        slot's keypair; every peer context is a pending sealed
+        placeholder whose authentic public key arrives in the peer's
+        announcement (:meth:`_adopt_keys`), pinned against the
+        manifest's ``key_digests`` when present.  Per pair, each
+        announcement gets its own mirror channel on the session's tag,
+        so neither side's waits on the other's.  Then each pair gets one
+        stream per driver, in pass order, on its own sub-session of the
+        pair hub (:func:`_stream_tag`): per-driver coins and pools on
+        the shared contexts -- the same key slots, RNG substreams and
+        channel machinery as the in-process mesh.  The hosted party's
+        pools under its own key are registered (and prefilled) here,
+        while the sync records are in flight.
         """
         manifest = state.manifest
         provider = SealedKeyProvider(config.smc, self.name,
                                      key_digests=manifest.key_digests)
-        contexts = {name: provider.context_for(name, slot)
-                    for slot, name in enumerate(manifest.names)}
+        state.contexts = {name: provider.context_for(name, slot)
+                          for slot, name in enumerate(manifest.names)}
         seeds = {name: manifest.seed_of(name) for name in manifest.names}
-
-        async def exchange(peer: str) -> None:
-            channel = state.keys[peer].channel
-            left, right = channel.left.name, channel.right.name
-
-            def build(_ledger):
-                return SmcSession(
-                    Party(channel.left, derive_pair_rng(
-                        seeds[left], left, left, right,
-                        namespace=manifest.rng_namespace)),
-                    Party(channel.right, derive_pair_rng(
-                        seeds[right], right, left, right,
-                        namespace=manifest.rng_namespace)),
-                    config.smc, preset_contexts=contexts)
-
-            state.sessions[peer] = await state.keys[peer].run(build)
-
-        peers = manifest.peers_of(self.name)
-        await _run_together(exchange(peer) for peer in peers)
-        for peer in peers:
+        for peer, session_view in state.views.items():
+            # No lease: an announcement draws from no pool, and one
+            # parked on a silent peer must not hold off the idle refill.
+            state.keys[peer] = {
+                announcer: self._pair_runtime(session_view)
+                for announcer in self.spec.ordered_pair(self.name, peer)}
+            state.adopted[peer] = asyncio.Event()
             pair = pair_key(self.name, peer)
             for pass_index, driver in enumerate(manifest.names):
                 if driver not in (self.name, peer):
@@ -1241,15 +1258,58 @@ class PartyDaemon:
                 link = (None if state.faults is None
                         else state.faults.link(view, pair, pass_index))
                 runtime = self._pair_runtime(view, lease, link)
-                stream = build_stream(state.sessions[peer],
+                stream = build_stream(state.contexts, config.smc,
                                       runtime.channel, driver, seeds,
                                       manifest.rng_namespace)
                 runtime.session = stream.session
                 state.streams[(peer, driver)] = _Stream(view, runtime,
                                                         stream)
+        self._register_pools(state, lease, self.name)
 
-    def _register_pools(self, state: _SessionState, lease) -> None:
-        """Hand the hosted party's stream pools to the randomness service.
+    def _announce_keys(self, state: _SessionState) -> None:
+        """Send this daemon's key announcement on every pair link; no
+        wait -- each goes out on its own channel."""
+        own = state.contexts[self.name]
+        for announcers in state.keys.values():
+            announce_public_keys(
+                _endpoint(announcers[self.name].channel, self.name), own)
+
+    async def _adopt_keys(self, state: _SessionState, peer: str, config,
+                          lease, session_span) -> None:
+        """Take ``peer``'s announcement, check and adopt its keys, then
+        open the roles that use them.
+
+        The announcement is substituted like any remote send: an attempt
+        that reaches it before it arrived parks on the session view,
+        bounded by ``timeout_s``, so a silent peer fails the session
+        with a typed timeout.  A malformed or unpinned key fails it
+        before any role has used it.  Adoption re-points the pair's
+        streams at the authentic keys
+        (:meth:`~repro.smc.session.SmcSession.peer_keys_adopted`) and
+        registers the hosted pools under them.
+        """
+        channel = state.keys[peer][peer].channel
+        owner, receiver = _endpoint(channel, peer), _endpoint(channel,
+                                                              self.name)
+        context = state.contexts[peer]
+
+        def take(_ledger):
+            announce_public_keys(owner, context)
+            receive_public_keys(receiver, peer, context,
+                                config.smc.paillier_bits)
+
+        with session_span.child("adopt", f"keys:{peer}", peer=peer):
+            await state.keys[peer][peer].run(take)
+        for entry in state.pair_streams(peer):
+            entry.stream.session.peer_keys_adopted(peer)
+        self._register_pools(state, lease, peer)
+        state.adopted[peer].set()
+
+    def _register_pools(self, state: _SessionState, lease,
+                        key_owner: str) -> None:
+        """Hand the hosted party's pools under ``key_owner``'s key to
+        the randomness service -- its own key's before the sync wait,
+        each peer's once adopted.
 
         Only this daemon's own party draws from its pools here (the
         peer's steps run in the peer's daemon), so the peer-actor pools
@@ -1268,7 +1328,7 @@ class PartyDaemon:
             role = "drive" if driver == self.name else "respond"
             session = entry.stream.session
             for (actor, owner), pool in session.pools().items():
-                if actor != self.name:
+                if actor != self.name or owner != key_owner:
                     continue
                 digest = public_key_digest(
                     session.paillier_keys(owner).public_key)
@@ -1277,8 +1337,23 @@ class PartyDaemon:
 
     async def _pass_role(self, state: _SessionState, pass_index: int,
                          driver: str, config, ledger, session_span):
-        """This daemon's role in one pass: drive it or serve it."""
+        """This daemon's role in one pass: drive it or serve it, once
+        the peer keys the role uses are adopted.
+
+        A respond role encrypts and compares under its driver's keys.
+        A drive role uses only its own -- unless it caches peer
+        ciphertexts, which it rerandomizes under each peer's key -- so
+        it starts at once: the session's setup ends here.
+        """
         role = "drive" if driver == self.name else "respond"
+        if role == "respond":
+            await state.adopted[driver].wait()
+        else:
+            if config.cache_peer_ciphertexts:
+                for event in state.adopted.values():
+                    await event.wait()
+            state.setup_seconds = time.perf_counter() - state.started
+            session_span.set(setup_seconds=round(state.setup_seconds, 6))
         with session_span.child("pass", f"pass{pass_index}",
                                 index=pass_index, role=role,
                                 driver=driver) as pass_span:
@@ -1413,13 +1488,15 @@ class PartyDaemon:
                       elapsed: float, passes: float,
                       runtime_info: dict) -> PartyReport:
         """Per pair, the canonical pass-order concatenation of the key
-        exchange and the pair's streams -- what the in-process mesh
+        exchange (the left party's announcement, then the right
+        party's) and the pair's streams -- what the in-process mesh
         reports for the pair, and what the peer daemon reports too."""
         pair_reports = {}
-        for peer, key in state.keys.items():
+        for peer, announcers in state.keys.items():
             streams = state.pair_streams(peer)
-            channels = [key.channel] + [entry.runtime.channel
-                                        for entry in streams]
+            channels = [announcers[name].channel
+                        for name in self.spec.ordered_pair(self.name, peer)]
+            channels += [entry.runtime.channel for entry in streams]
             for channel in channels:
                 channel.assert_drained()
             stats, transcript = link_accounting(channels)

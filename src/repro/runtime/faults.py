@@ -35,7 +35,9 @@ Pass N is the pass driven by the manifest's N-th party (0-based).  The
 k passes of a session run at the same time, each on its own
 per-(pair, driver) streams, and each daemon holds one *role* in every
 pass: it drives its own and responds to each peer's.  A boundary counts
-this daemon's completed roles, in whatever order they complete.
+this daemon's completed roles, in whatever order they complete;
+boundary 0 is the session's start, after the session sync and before
+the key announcements.
 ``.q<Q>`` and ``.f<F>`` count inside pass N -- the queries of pass N's
 role, the frames of pass N's stream on the pair -- so a mid-pass fault
 hits the same protocol point on every run, however the concurrent
@@ -237,12 +239,13 @@ class FaultPlan:
 class PartyFaults:
     """One daemon's live view of a session's plan for its party.
 
-    The daemon reports the session start (:meth:`at_boundary` with 0),
-    every completed pass role (:meth:`complete_pass`) and every query
-    its party announces or serves (:meth:`on_query`); kill and drop
-    specs fire there.  Frame specs act inside the :class:`FaultyLink`
-    that :meth:`link` wraps around a stream's view.  Each spec fires at
-    most once.
+    The daemon reports the session start (:meth:`at_boundary` with 0:
+    the session sync has checked out, and neither the key announcements
+    nor any pass role has started), every completed pass role
+    (:meth:`complete_pass`) and every query its party announces or
+    serves (:meth:`on_query`); kill and drop specs fire there.  Frame
+    specs act inside the :class:`FaultyLink` that :meth:`link` wraps
+    around a stream's view.  Each spec fires at most once.
     """
 
     def __init__(self, specs, *, party: str, hubs=None):

@@ -48,7 +48,12 @@ sequence of sends (control flow depends only on public shapes, wire
 values, and seed-derived coins -- property-tested).  A process blocks
 only at a remote-send substitution, i.e. waiting for a frame its peer
 produces at the same choreography point; since the order is shared,
-there is no circular wait.
+there is no circular wait.  The same order also means a party's send
+waits for every remote send before it on the channel.  Where two sends
+do not depend on each other -- a pair's two key announcements -- the
+daemon gives each its own channel, so both leave at once, and the
+pair's accounting concatenates the channels in choreography order
+(:func:`repro.multiparty.mesh.link_accounting`).
 
 Why this is equivalent: every frame on the wire is computed by the
 party that owns the data, from authentic inputs and its seed-derived

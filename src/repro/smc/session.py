@@ -5,7 +5,10 @@ A :class:`SmcSession` is created once per distributed-DBSCAN run.  It
 - generates (or deterministically caches) each party's Paillier, DGK
   and RSA key material,
 - performs the one-time public-key exchange over the channel so key
-  bytes are charged to the communication accounting exactly once,
+  bytes are charged to the communication accounting exactly once
+  (:func:`announce_public_keys` / :func:`receive_public_keys`, the
+  announcement choreography the multi-party mesh and the daemons run
+  per pair too),
 - exposes the protocol primitives (comparison, multiplication, scalar
   products, k-th smallest) with party lookup by name, so the DBSCAN
   layers never touch raw key objects.
@@ -13,7 +16,6 @@ A :class:`SmcSession` is created once per distributed-DBSCAN run.  It
 
 from __future__ import annotations
 
-import copy
 import hmac
 import random
 from dataclasses import dataclass, field
@@ -136,23 +138,87 @@ class CryptoContext:
     dgk: DgkKeyPair | None = None
     expected_digest: str | None = None
 
+    @property
+    def pending(self) -> bool:
+        """A sealed peer context whose placeholder keys still wait for
+        the owner's announcement: a session refuses to encrypt, pool or
+        compare under a pending key
+        (:meth:`SmcSession.peer_keys_adopted`)."""
+        return self.paillier.public_key.n == 0
+
 
 def sealed_peer_context(owner: str, expected_digest: str | None = None, *,
                         with_dgk: bool = False) -> CryptoContext:
     """Key context for a party that is *remote* in this process.
 
-    Holds sealed keypairs with placeholder public keys until the
-    session's key exchange captures the owner's authentic public keys
-    from the wire (the mirrored choreography discards the placeholder
-    send unserialized, so the placeholder never reaches any peer).
-    The private halves never exist here at all.  ``with_dgk`` expects a
-    DGK key in the announcement (the ``bitwise`` comparison).
+    Holds sealed keypairs with placeholder public keys (the context is
+    ``pending``) until :func:`receive_public_keys` captures the owner's
+    authentic public keys from the wire (the mirrored choreography
+    discards the placeholder send unserialized, so the placeholder
+    never reaches any peer).  The private halves never exist here at
+    all.  ``with_dgk`` expects a DGK key in the announcement (the
+    ``bitwise`` comparison).
     """
     placeholder = PaillierPublicKey(n=0, g=0)
     dgk = (seal_dgk_keypair(DgkPublicKey(n=0, g=0, h=0), owner)
            if with_dgk else None)
     return CryptoContext(paillier=seal_paillier_keypair(placeholder, owner),
                          dgk=dgk, expected_digest=expected_digest)
+
+
+def announce_public_keys(party: Party, context: CryptoContext) -> None:
+    """Send ``party``'s public keys to its peer.
+
+    The Paillier announcement is ``[n, g]``, followed by the DGK public
+    key ``n, g, h`` when the context has one; an RSA key follows as
+    ``keys/rsa_pub``.  For a party this process does not host (a
+    sealed peer context on a mirror channel) the call only marks where
+    the mirror substitutes the authentic announcement from the wire.
+    """
+    public = context.paillier.public_key
+    announcement = [public.n, public.g]
+    if context.dgk is not None:
+        dgk = context.dgk.public_key
+        announcement += [dgk.n, dgk.g, dgk.h]
+    party.send("keys/paillier_pub", announcement)
+    if context.rsa is not None:
+        party.send("keys/rsa_pub",
+                   [context.rsa.public_key.n, context.rsa.public_key.e])
+
+
+def receive_public_keys(receiver: Party, owner: str,
+                        context: CryptoContext, key_bits: int) -> None:
+    """``receiver`` takes ``owner``'s announcement off its channel.
+
+    A sealed ``context`` (the owner is remote) adopts the announced
+    keys once they pass the shape and pinned-digest checks
+    (:meth:`SmcSession._adopt_peer_public`); until then it stays
+    ``pending``.
+    """
+    announced = receiver.receive("keys/paillier_pub")
+    if context.rsa is not None:
+        receiver.receive("keys/rsa_pub")
+    if is_sealed(context.paillier.private_key):
+        SmcSession._adopt_peer_public(owner, context, announced, key_bits)
+
+
+def exchange_public_keys(alice: Party, bob: Party,
+                         contexts: dict[str, CryptoContext],
+                         key_bits: int) -> None:
+    """One pair's key exchange on one channel: ``alice`` announces,
+    then ``bob``, then each hosted party takes the other's keys.
+
+    The accounting records the left party's announcement, then the
+    right party's.  A daemon runs the same two functions with one
+    mirror channel per announcer, so neither side's announcement waits
+    for the other's (``repro.runtime.daemon``).
+    """
+    for party in (alice, bob):
+        announce_public_keys(party, contexts[party.name])
+    for owner, receiver in ((alice, bob), (bob, alice)):
+        if receiver.hosted:
+            receive_public_keys(receiver, owner.name,
+                                contexts[owner.name], key_bits)
 
 
 def _derive_context(config: SmcConfig, *, seed: int | None = None,
@@ -234,9 +300,15 @@ class SealedKeyProvider:
 class SmcSession:
     """Protocol session between two parties over one channel.
 
-    ``preset_contexts`` lets callers inject pre-generated key material --
-    the multi-party mesh reuses one keypair per physical party across all
-    of its pairwise sessions.
+    Without ``preset_contexts`` the session derives both parties' keys
+    and exchanges them on its channel (:func:`exchange_public_keys`).
+    ``preset_contexts`` maps each party name to key material that
+    already crossed: the multi-party mesh reuses one keypair per
+    physical party across all of its pairwise sessions and announces it
+    once per pair, so a session built on preset contexts runs no
+    exchange.  A sealed peer context may still be ``pending`` then --
+    a daemon builds its streams before the peer's announcement lands
+    and calls :meth:`peer_keys_adopted` once it has.
     """
 
     alice: Party
@@ -247,19 +319,21 @@ class SmcSession:
     def __post_init__(self):
         if self.alice.name == self.bob.name:
             raise SessionError("parties must have distinct names")
-        preset = self.preset_contexts or {}
-        self._contexts = {
-            self.alice.name: preset.get(self.alice.name) or
-            self._make_context(self.alice, slot=0),
-            self.bob.name: preset.get(self.bob.name) or
-            self._make_context(self.bob, slot=1),
-        }
-        self._exchange_public_keys()
+        if self.preset_contexts is not None:
+            self._contexts = {party.name: self.preset_contexts[party.name]
+                              for party in (self.alice, self.bob)}
+        else:
+            self._contexts = {
+                self.alice.name: self._make_context(self.alice, slot=0),
+                self.bob.name: self._make_context(self.bob, slot=1),
+            }
+            exchange_public_keys(self.alice, self.bob, self._contexts,
+                                 self.config.paillier_bits)
         self._start()
 
     def _start(self) -> None:
         """The session's own mutable state: pools, engine, comparison
-        backend -- built after the key exchange, from its contexts."""
+        backend -- built from its contexts."""
         # Every (actor, key_owner) pool is created eagerly, in fixed
         # order, each with its own RNG stream *forked* from the actor's
         # protocol RNG at this pinned point.  The fork is what makes
@@ -271,7 +345,8 @@ class SmcSession:
         # time -- the bit-identity contract across runtimes holds
         # whatever the refill schedule.  A party's pool under its own
         # key gets the private key when this process holds it (an owner
-        # pool: same factors, computed by CRT).
+        # pool: same factors, computed by CRT).  A pool under a pending
+        # peer key holds the placeholder until peer_keys_adopted.
         self._pools: dict[tuple[str, str], RandomnessPool] = {}
         if self.config.precompute:
             for actor in (self.alice, self.bob):
@@ -284,19 +359,37 @@ class SmcSession:
                         random.Random(actor.rng.getrandbits(128)),
                         keys.private_key if owned else None)
         self.engine: ModexpEngine = self.config.engine or default_engine()
+        self.comparison_backend: SecureComparison = self._comparison_backend()
+
+    def _comparison_backend(self) -> SecureComparison:
+        """The configured backend over the contexts' current keys; a
+        pending peer gets no DGK key, so comparing under it fails."""
         alice_ctx = self._contexts[self.alice.name]
         bob_ctx = self._contexts[self.bob.name]
         rsa_keys = ({self.alice.name: alice_ctx.rsa,
                      self.bob.name: bob_ctx.rsa}
                     if alice_ctx.rsa is not None and bob_ctx.rsa is not None
                     else None)
-        self.comparison_backend: SecureComparison = make_comparison_backend(
+        return make_comparison_backend(
             self.config.comparison,
             rsa_keys=rsa_keys,
-            dgk_keys={self.alice.name: alice_ctx.dgk,
-                      self.bob.name: bob_ctx.dgk},
+            dgk_keys={name: None if context.pending else context.dgk
+                      for name, context in self._contexts.items()},
             engine=self.engine,
         )
+
+    def peer_keys_adopted(self, owner: str) -> None:
+        """Re-point this session at ``owner``'s keys, adopted from its
+        announcement after the session was built: the pools under that
+        key and the comparison backend (its invocation count carries
+        over)."""
+        public = self.paillier_keys(owner).public_key
+        for (_actor, key_owner), pool in self._pools.items():
+            if key_owner == owner:
+                pool.public_key = public
+        invocations = self.comparison_backend.invocations
+        self.comparison_backend = self._comparison_backend()
+        self.comparison_backend.invocations = invocations
 
     # -- key management ----------------------------------------------------
 
@@ -305,37 +398,6 @@ class SmcSession:
         if cfg.key_seed is not None:
             return _derive_context(cfg, seed=2 * cfg.key_seed + slot)
         return _derive_context(cfg, rng=party.rng)
-
-    def _exchange_public_keys(self) -> None:
-        """Send each party's public keys to the peer, once, accounted.
-
-        The Paillier announcement is ``[n, g]``, followed by the DGK
-        public key ``n, g, h`` when the context has one.  For a sealed
-        peer context (mirrored runtime) the owner is not hosted: its
-        placeholder send only marks where the mirror substitutes the
-        authentic announcement from the wire, which the hosted peer
-        receives; the sealed context adopts those public keys after
-        checking their shape and cross-checking them against the
-        manifest's pinned digest.
-        """
-        for party, peer in ((self.alice, self.bob), (self.bob, self.alice)):
-            context = self._contexts[party.name]
-            public = context.paillier.public_key
-            announcement = [public.n, public.g]
-            if context.dgk is not None:
-                dgk = context.dgk.public_key
-                announcement += [dgk.n, dgk.g, dgk.h]
-            party.send("keys/paillier_pub", announcement)
-            if peer.hosted:
-                announced = peer.receive("keys/paillier_pub")
-                if is_sealed(context.paillier.private_key):
-                    self._adopt_peer_public(party.name, context, announced,
-                                            self.config.paillier_bits)
-            if context.rsa is not None:
-                party.send("keys/rsa_pub",
-                           [context.rsa.public_key.n, context.rsa.public_key.e])
-                if peer.hosted:
-                    peer.receive("keys/rsa_pub")
 
     @staticmethod
     def _adopt_peer_public(owner: str, context: CryptoContext, announced,
@@ -378,22 +440,6 @@ class SmcSession:
         if dgk_public is not None:
             context.dgk = seal_dgk_keypair(dgk_public, owner)
 
-    def stream(self, alice: Party, bob: Party) -> "SmcSession":
-        """A session for another stream of this pair: the same two
-        names on another channel, with the contexts this session's key
-        exchange established -- no second exchange -- but its own pools
-        (forked from the new parties' coins) and its own comparison
-        counter, so streams of one pair can run concurrently without
-        sharing any mutable state."""
-        if (alice.name, bob.name) != (self.alice.name, self.bob.name):
-            raise SessionError(
-                f"stream parties {(alice.name, bob.name)} do not match "
-                f"the session's {(self.alice.name, self.bob.name)}")
-        stream = copy.copy(self)
-        stream.alice, stream.bob = alice, bob
-        stream._start()
-        return stream
-
     def party(self, name: str) -> Party:
         if name == self.alice.name:
             return self.alice
@@ -404,8 +450,17 @@ class SmcSession:
     def peer_of(self, name: str) -> Party:
         return self.bob if name == self.alice.name else self.alice
 
+    def _context(self, name: str) -> CryptoContext:
+        context = self._contexts[self.party(name).name]
+        if context.pending:
+            raise SessionError(
+                f"{name!r} has not announced its keys yet: nothing is "
+                f"encrypted, pooled or compared under them before its "
+                f"announcement is adopted")
+        return context
+
     def paillier_keys(self, name: str) -> PaillierKeyPair:
-        return self._contexts[self.party(name).name].paillier
+        return self._context(name).paillier
 
     # -- randomness pools (offline/online split) ----------------------------
 
@@ -425,6 +480,7 @@ class SmcSession:
             return None
         actor_name = actor if isinstance(actor, str) else actor.name
         owner_name = key_owner if isinstance(key_owner, str) else key_owner.name
+        self._context(owner_name)
         return self._pools[(self.party(actor_name).name,
                             self.party(owner_name).name)]
 

@@ -160,3 +160,62 @@ class TestPairStreams:
         assert report[("b", "a", "b")]["pregenerated"] == 3
         assert sum(entry["pregenerated"]
                    for entry in report.values()) == 3
+
+
+class TestKeyExchangeAccounting:
+    """Per pair, the key exchange is the left party's announcement, then
+    the right party's -- whether both share the pair's key channel (in
+    process) or each has its own channel (a daemon, where the two cross
+    the link at the same time)."""
+
+    @staticmethod
+    def _reference(config, left, right, slots):
+        from repro.net.channel import Channel
+        from repro.smc.session import FullKeyProvider
+
+        provider = FullKeyProvider(config)
+        channel = Channel(left, right)
+        for endpoint, name in ((channel.left, left), (channel.right, right)):
+            context = provider.context_for(name, slots[name])
+            public, dgk = context.paillier.public_key, context.dgk.public_key
+            endpoint.send("keys/paillier_pub",
+                          [public.n, public.g, dgk.n, dgk.g, dgk.h])
+        return channel
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_each_pair_records_left_then_right(self, k):
+        from repro.multiparty.mesh import link_accounting
+        from repro.net.channel import Channel
+        from repro.net.party import Party
+        from repro.net.transcript import transcript_digest
+        from repro.smc.session import FullKeyProvider, announce_public_keys
+
+        config = SmcConfig(paillier_bits=128, key_seed=202)
+        names = [f"p{slot}" for slot in range(k)]
+        slots = {name: slot for slot, name in enumerate(names)}
+        mesh = PartyMesh(names, config, seeds=list(range(k)))
+        provider = FullKeyProvider(config)
+        for index, left in enumerate(names):
+            for right in names[index + 1:]:
+                reference = self._reference(config, left, right, slots)
+                key_channel = mesh.party_in_pair(left, right).endpoint
+                assert transcript_digest(key_channel.transcript) \
+                    == transcript_digest(reference.transcript)
+                assert key_channel.stats.snapshot() \
+                    == reference.stats.snapshot()
+                assert key_channel.stats.rounds == 2
+                # The daemon's layout: one channel per announcer,
+                # concatenated left first.
+                announcements = []
+                for name in (left, right):
+                    channel = Channel(left, right)
+                    endpoint = (channel.left if name == left
+                                else channel.right)
+                    announce_public_keys(Party(endpoint),
+                                         provider.context_for(name,
+                                                              slots[name]))
+                    announcements.append(channel)
+                stats, transcript = link_accounting(announcements)
+                assert transcript_digest(transcript) \
+                    == transcript_digest(reference.transcript)
+                assert stats.snapshot() == reference.stats.snapshot()

@@ -66,3 +66,27 @@ class TestProtocolRoundCounts:
         setup_rounds = channel.stats.rounds
         session.compare_leq(alice, 3, bob, 7, lo=0, hi=10, reveal_to="a")
         assert channel.stats.rounds == setup_rounds + 2
+
+    def test_enhanced_two_party_session_keeps_its_exchange(self):
+        """The Section 5 protocol over one channel: the session's own
+        key exchange opens it, and a 2 x 4 point run over three blobs
+        costs 122 messages in 121 rounds."""
+        from repro.core import enhanced
+        from repro.core.config import ProtocolConfig
+        from repro.data.partitioning import HorizontalPartition
+
+        config = ProtocolConfig(eps=1.2, min_pts=4, scale=100,
+                                smc=SmcConfig(paillier_bits=256,
+                                              key_seed=3))
+        channel = Channel()
+        alice, bob = make_party_pair(channel, 11, 12)
+        session = SmcSession(alice, bob, config.smc)
+        assert channel.stats.messages_for_phase("keys/") == 2
+        assert channel.stats.rounds == 2
+        result = enhanced.run_enhanced_horizontal_dbscan(
+            HorizontalPartition(
+                ((0, 10), (20, 0), (600, 610), (10, 600)),
+                ((5, 25), (-15, 5), (590, 600), (0, 585))),
+            config, session=session)
+        assert result.stats["total_messages"] == 122
+        assert result.stats["rounds"] == 121

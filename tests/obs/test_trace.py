@@ -248,6 +248,43 @@ class TestSummaries:
         assert "passes 7.000s summed 5.000s union" \
             in format_trace_summary(summary)
 
+    def test_setup_and_first_drive_query_offset(self, tmp_path):
+        """Per party, the session's setup and the offset from its start
+        at which the first drive query started; setup spans and
+        respond queries do not move either."""
+        _write_trace(tmp_path, "p0", [
+            _span("p0", 1, None, "session", "s0", 1.0, t0=2.0,
+                  setup_seconds=0.051),
+            _span("p0", 2, 1, "sync", "sync", 0.05, t0=2.0, peers=1),
+            _span("p0", 3, 1, "adopt", "keys:p1", 0.05, t0=2.051,
+                  peer="p1"),
+            _span("p0", 4, 1, "pass", "pass0", 0.9, t0=2.051, index=0,
+                  role="drive"),
+            _span("p0", 5, 4, "peer_query", "step1:p1", 0.2, t0=2.4,
+                  step=1, peer="p1"),
+            _span("p0", 6, 4, "peer_query", "step0:p1", 0.2, t0=2.052,
+                  step=0, peer="p1"),
+            _span("p0", 7, 1, "pass", "pass1", 0.9, t0=2.1, index=1,
+                  role="respond"),
+            _span("p0", 8, 7, "peer_query", "serve1:p1", 0.1, t0=2.101,
+                  step=0, peer="p1"),
+        ])
+        _write_trace(tmp_path, "p1", [
+            _span("p1", 1, None, "session", "s0", 1.0)])
+        summary = summarize_trace_dir(tmp_path)
+        parties = summary["sessions"]["s0"]["parties"]
+        assert parties["p0"]["setup"] == 0.051
+        assert parties["p0"]["first_query"] == pytest.approx(0.052)
+        assert [row["name"] for row in parties["p0"]["passes"]] \
+            == ["pass0", "pass1"]
+        assert parties["p1"]["setup"] is None
+        assert parties["p1"]["first_query"] is None
+        text = format_trace_summary(summary)
+        assert ("party p0: 1.000s total, setup 0.051s, first drive query "
+                "at 0.052s") in text
+        assert "party p1: 1.000s total, setup -, first drive query at -" \
+            in text
+
     def test_sequential_passes_union_equals_sum(self, tmp_path):
         _write_trace(tmp_path, "p0", [
             _span("p0", 1, None, "session", "s0", 4.0),

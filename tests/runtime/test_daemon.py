@@ -9,9 +9,12 @@ validation) run unmarked; everything touching real sockets carries the
 ``sockets`` marker like the rest of the runtime suite.
 """
 
+import asyncio
+import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -72,6 +75,55 @@ def spec_ports(names) -> dict[str, int]:
     return {pair_key(a, b): 0
             for index, a in enumerate(names)
             for b in names[index + 1:]}
+
+
+def submit_per_daemon(client, manifests: dict, by_party: dict):
+    """Hand each named daemon its own manifest of one session id -- what
+    ``SessionClient.submit`` never does -- and return the session's
+    handle.  A daemon missing from ``manifests`` never hears of the
+    session."""
+    from repro.net.framing import FRAME_CONTROL
+    from repro.net.serialization import serialize_message
+    from repro.runtime.client import SessionHandle
+    from repro.runtime.daemon import CONTROL_START_SESSION
+
+    first = next(iter(manifests.values()))
+    handle = SessionHandle(client, first)
+    client._handles[first.session_id] = handle
+    for name, manifest in manifests.items():
+        record = serialize_message([
+            CONTROL_START_SESSION, manifest.to_json(),
+            json.dumps([list(point) for point in by_party[name]])])
+        with client._write_locks[name]:
+            client._connections[name].write_frame(FRAME_CONTROL, record)
+    return handle
+
+
+def wait_for_failures(handle, parties, timeout: float) -> dict:
+    """The failure reports of ``parties``, once all of them are in."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        with handle._lock:
+            if set(parties) <= set(handle._errors):
+                return {party: handle._errors[party] for party in parties}
+        time.sleep(0.05)
+    raise AssertionError(f"no failure from {parties} within {timeout}s: "
+                         f"{sorted(handle._errors)}")
+
+
+def frames_in(daemon, kind: str) -> int:
+    """Inbound mux frames of ``kind`` over all of the daemon's links."""
+    return sum(value for key, value
+               in daemon.metrics.snapshot()["counters"].items()
+               if key.startswith("repro_link_frames_total{")
+               and "dir=in" in key and f"kind={kind}," in key)
+
+
+def session_tags_left(daemons, session_id: str) -> list:
+    """The views of the session's tags still open on the daemons' hubs."""
+    return [(daemon.name, tag) for daemon in daemons
+            for hub in daemon.hubs.values() for tag in hub._sessions
+            if tag.split("#")[0] == session_id]
 
 
 class TestMeshSpec:
@@ -299,8 +351,10 @@ class TestRoleLocalExecution:
 class TestOverlappedPasses:
     """A daemon runs all of its pass roles at once on per-(pair,
     driver) streams: over 50 ms links every daemon's pass spans share a
-    common instant, and the session stays bit-identical to the
-    in-process mesh, stats and rounds included."""
+    common instant, its first drive query leaves one link delay into
+    the session (the sync; the key announcements travel with it), and
+    the session stays bit-identical to the in-process mesh, stats and
+    rounds included."""
 
     def test_pass_spans_overlap_and_session_is_bit_identical(
             self, tmp_path):
@@ -335,6 +389,21 @@ class TestOverlappedPasses:
         summary = summarize_trace_dir(tmp_path)["sessions"]["overlap"]
         for party, entry in summary["parties"].items():
             assert entry["passes_union"] < entry["passes_sum"], party
+            # The sync takes one link delay; without the one-flight
+            # setup the right party of a pair announced only after the
+            # left party's announcement arrived -- about three in all.
+            assert entry["first_query"] < 2 * 0.05, (party, entry)
+            assert run.reports[party].runtime_info["setup_seconds"] \
+                == entry["setup"]
+        setup_spans = {}
+        for span in read_trace_dir(tmp_path):
+            if span["kind"] in ("sync", "adopt"):
+                setup_spans.setdefault(span["party"], []).append(
+                    span["name"])
+        for party in by_party:
+            assert sorted(setup_spans[party]) == sorted(
+                ["sync"] + [f"keys:{peer}" for peer in by_party
+                            if peer != party]), party
 
     def test_finished_session_leaves_no_view_on_any_hub(self):
         """The session's own tag and both stream tags of every pair are
@@ -386,6 +455,135 @@ class TestOverlappedPasses:
         assert classify_exception(excinfo.value)[0] == CAUSE_CONNECTION_LOST
         assert asyncio.run(_run_together([finishes(), finishes()])) \
             == [7, 7]
+
+
+@pytest.mark.sockets
+class TestSetupSafety:
+    """The one-flight setup keeps its gates: no protocol frame before
+    the session sync checked out, nothing under a peer's key before its
+    announcement passed the checks, and a silent peer at any setup wait
+    is a typed, retryable timeout within ``timeout_s``."""
+
+    TIMEOUT_S = 2.0
+
+    def test_sync_digest_mismatch_sends_no_protocol_frame(self):
+        by_party = workload(3)
+        config = make_config()
+        ours = build_manifest(by_party, config, [31, 32, 33],
+                              session_id="mismatch")
+        theirs = build_manifest(by_party, config, [31, 32, 34],
+                                session_id="mismatch")
+        with DaemonFleet(list(by_party),
+                         timeout_s=self.TIMEOUT_S) as fleet:
+            before = {daemon.name: (frames_in(daemon, "m"),
+                                    frames_in(daemon, "c"))
+                      for daemon in fleet.daemons}
+            with fleet.client() as client:
+                handle = submit_per_daemon(
+                    client, {"p0": ours, "p1": ours, "p2": theirs},
+                    by_party)
+                failures = wait_for_failures(handle, list(by_party),
+                                             timeout=30)
+            for party, failure in failures.items():
+                assert "manifest digest mismatch" in failure.message, party
+            for daemon in fleet.daemons:
+                messages, controls = before[daemon.name]
+                # Only the session-sync records crossed: one per peer.
+                assert frames_in(daemon, "m") == messages, daemon.name
+                assert frames_in(daemon, "c") == controls + 2, daemon.name
+
+    def test_unpinned_key_fails_before_any_query_is_served(
+            self, tmp_path):
+        import dataclasses
+
+        from repro.obs.trace import read_trace_dir
+
+        by_party = workload(3)
+        config = make_config()
+        manifest = build_manifest(by_party, config, [31, 32, 33],
+                                  session_id="unpinned")
+        digests = dict(manifest.key_digests)
+        digests["p0"] = digests["p1"]
+        manifest = dataclasses.replace(manifest, key_digests=digests)
+        with DaemonFleet(list(by_party), timeout_s=self.TIMEOUT_S,
+                         trace_dir=str(tmp_path)) as fleet:
+            with fleet.client() as client:
+                handle = client.submit(manifest, by_party)
+                failures = wait_for_failures(handle, ["p1", "p2"],
+                                             timeout=30)
+                wait_for_failures(handle, ["p0"], timeout=30)
+        for party, failure in failures.items():
+            assert "pinned digest" in failure.message, party
+            assert failure.classification == "fatal", party
+        served = [span for span in read_trace_dir(tmp_path)
+                  if span["kind"] == "peer_query"
+                  and span["name"].startswith("serve")
+                  and span["attrs"].get("peer") == "p0"]
+        assert served == []
+
+    def test_silent_announcer_is_a_typed_timeout(self, tmp_path):
+        """p2 passes the sync and then says nothing: p0 and p1 fail
+        with a retryable timeout, their drive roles -- already running,
+        parked on p2 -- are cancelled, and once p2 gives up no view of
+        the session is left on any hub."""
+        from repro.obs.trace import read_trace_dir
+
+        by_party = workload(3)
+        with DaemonFleet(list(by_party), timeout_s=self.TIMEOUT_S,
+                         trace_dir=str(tmp_path)) as fleet:
+            silent = fleet.daemons[2]
+            synced = silent._session_sync
+
+            async def sync_then_silence(state, digest):
+                await synced(state, digest)
+                await asyncio.sleep(2 * self.TIMEOUT_S)
+                raise RuntimeError("silent peer gives up")
+
+            silent._session_sync = sync_then_silence
+            started = time.monotonic()
+            with fleet.client() as client:
+                handle = client.submit(
+                    build_manifest(by_party, make_config(), [31, 32, 33],
+                                   session_id="silent"), by_party)
+                failures = wait_for_failures(handle, ["p0", "p1"],
+                                             timeout=30)
+                elapsed = time.monotonic() - started
+                wait_for_failures(handle, ["p2"], timeout=30)
+            for party, failure in failures.items():
+                assert failure.cause == "timeout", failure
+                assert failure.classification == "retryable", failure
+            assert elapsed < self.TIMEOUT_S + 1.5
+            assert session_tags_left(fleet.daemons, "silent") == []
+        drives = {span["party"]: span for span in read_trace_dir(tmp_path)
+                  if span["kind"] == "pass"
+                  and span["attrs"].get("role") == "drive"}
+        for party in ("p0", "p1"):
+            assert drives[party]["attrs"]["error"] == "CancelledError"
+        assert "p2" not in drives
+
+    def test_silent_sync_peer_is_a_retryable_timeout(self):
+        """A peer that never sends its sync record: the same typed
+        timeout as silence mid-protocol, so orchestrate re-runs it."""
+        by_party = workload(3)
+        manifest = build_manifest(by_party, make_config(), [31, 32, 33],
+                                  session_id="unsynced")
+        with DaemonFleet(list(by_party),
+                         timeout_s=self.TIMEOUT_S) as fleet:
+            started = time.monotonic()
+            with fleet.client() as client:
+                handle = submit_per_daemon(
+                    client, {"p0": manifest, "p1": manifest}, by_party)
+                failures = wait_for_failures(handle, ["p0", "p1"],
+                                             timeout=30)
+            elapsed = time.monotonic() - started
+            for party, failure in failures.items():
+                assert failure.cause == "timeout", failure
+                assert failure.classification == "retryable", failure
+                assert "session sync" in failure.message, failure
+            assert elapsed < self.TIMEOUT_S + 1.5
+            # p2 never ran the session, so the sync records it was sent
+            # stay queued there; the daemons that ran it released all.
+            assert session_tags_left(fleet.daemons[:2], "unsynced") == []
 
 
 @pytest.mark.sockets

@@ -4,6 +4,7 @@ import pytest
 
 from repro.net.channel import Channel
 from repro.net.party import make_party_pair
+from repro.smc.comparison import ComparisonError
 from repro.smc.session import SessionError, SmcConfig, SmcSession
 
 
@@ -164,3 +165,70 @@ class TestKeyAnnouncements:
         paillier_only = self._adopt(announced[:2], with_dgk=False,
                                     digest=None)
         assert paillier_only.dgk is None
+
+
+class TestAnnouncedLater:
+    """A session built on a sealed peer context before the peer's
+    announcement landed: nothing runs under the pending key, and once
+    the announcement is adopted the session follows it."""
+
+    BITS = 128
+
+    def _sessions(self):
+        from repro.crypto.sealed import public_key_digest
+        from repro.smc.session import (
+            FullKeyProvider,
+            announce_public_keys,
+            receive_public_keys,
+            sealed_peer_context,
+        )
+
+        config = SmcConfig(paillier_bits=self.BITS, key_seed=81)
+        own = FullKeyProvider(config).context_for("alice", 0)
+        peer = FullKeyProvider(config).context_for("bob", 1)
+        digest = public_key_digest(peer.paillier.public_key,
+                                   peer.dgk.public_key)
+        contexts = {"alice": own,
+                    "bob": sealed_peer_context("bob", digest,
+                                               with_dgk=True)}
+        alice, bob = make_party_pair(Channel(), 1, 2)
+        session = SmcSession(alice, bob, config, preset_contexts=contexts)
+
+        def adopt():
+            wire = Channel()
+            announce_public_keys(wire.right, peer)
+            receive_public_keys(wire.left, "bob", contexts["bob"],
+                                self.BITS)
+            session.peer_keys_adopted("bob")
+
+        return session, peer, adopt
+
+    def test_pending_key_is_refused_until_adopted(self):
+        session, peer, adopt = self._sessions()
+        with pytest.raises(SessionError, match="not announced"):
+            session.paillier_keys("bob")
+        with pytest.raises(SessionError, match="not announced"):
+            session.pool("alice", "bob")
+        alice, bob = session.alice, session.bob
+        # Comparing under the pending DGK key fails too: the backend
+        # holds no key for bob yet.
+        with pytest.raises(ComparisonError, match="DGK key for party 'bob'"):
+            session.compare_leq(alice, 3, bob, 5, lo=0, hi=16,
+                                reveal_to="b")
+        # Alice's own keys work meanwhile.
+        assert session.paillier_keys("alice").public_key.n > 0
+        assert session.pool("alice", "alice") is not None
+        adopt()
+        assert session.paillier_keys("bob").public_key \
+            == peer.paillier.public_key
+        assert session.pool("alice", "bob").public_key \
+            == peer.paillier.public_key
+
+    def test_adoption_keeps_the_comparison_count(self):
+        session, _peer, adopt = self._sessions()
+        alice, bob = session.alice, session.bob
+        assert session.compare_leq(alice, 3, bob, 5, lo=0, hi=16,
+                                   reveal_to="a").result is True
+        before = session.comparison_backend.invocations
+        adopt()
+        assert session.comparison_backend.invocations == before
