@@ -8,7 +8,8 @@ verifies identical outputs).  E13c times each kernel against the form
 it replaces: DGK's ``h^r`` from a fixed-base table against Paillier's
 ``r^n mod n^2`` rerandomization, DGK's zero test ``c^(v_p) mod p``
 against Paillier's ``c^(p-1) mod p^2`` (with equal zero decisions on
-witness-shaped plaintexts), the key owner's CRT encryption factor
+witness-shaped plaintexts), the Paillier randomness factor every
+encryptor draws -- DJN's ``h_s^r`` from the key's fixed-base table --
 against ``r^n mod n^2``, and negation by modular inverse against an
 (n-1)-bit exponent.
 """
@@ -88,11 +89,15 @@ def _kernel_ablation():
         dgk = cached_dgk_keypair(bits, 572)
         dgk_public, dgk_private = dgk.public_key, dgk.private_key
         rng = random.Random(bits)
-        units = [public.random_unit(rng) for __ in range(KERNEL_BATCH)]
+        units = [rng.randrange(1, n) for __ in range(KERNEL_BATCH)]
+        exponents = [rng.getrandbits(public.randomness_bits)
+                     for __ in range(KERNEL_BATCH)]
         # Witness values c_t in [-2, 2], a fifth of them zero.
         c_t_values = [index % 5 - 2 for index in range(KERNEL_BATCH)]
         expected = [c_t == 0 for c_t in c_t_values]
-        dgk_public.randomizer(rng)  # build the h^r table outside the timing
+        # Build the h^r and h_s^r tables outside the timing.
+        dgk_public.randomizer(rng)
+        public.fresh_factor(rng)
 
         # Rerandomization: Paillier r^n mod n^2 vs DGK h^r from the table.
         generic_ms, generic = _per_op_ms(lambda r: pow(r, n, n_sq), units)
@@ -122,11 +127,12 @@ def _kernel_ablation():
         rows.append(["zero test: c^(p-1) mod p^2 -> DGK c^(v_p) mod p",
                      bits, paillier_zero_ms, dgk_zero_ms])
 
-        # Owner factor: CRT nth_power vs the generic powmod.
-        owner_ms, owned = _per_op_ms(private.nth_power, units)
-        assert owned == generic
-        rows.append(["owner factor: r^n mod n^2 -> CRT nth_power", bits,
-                     generic_ms, owner_ms])
+        # Randomness factor: DJN's h_s^r from the table vs r^n mod n^2;
+        # both are encryptions of zero.
+        djn_ms, factors = _per_op_ms(public.randomness_factor, exponents)
+        assert {private.decrypt_raw(f) for f in factors + generic} == {0}
+        rows.append(["factor: r^n mod n^2 -> DJN h_s^r table", bits,
+                     generic_ms, djn_ms])
 
         # Negation: one inverse vs the (n-1)-bit exponent.
         ciphers = [public.encrypt(index, rng) for index in range(KERNEL_BATCH)]

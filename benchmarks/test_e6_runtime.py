@@ -131,7 +131,9 @@ def test_e6_runtime(benchmark, record_table):
     assert key_rows[-1][2] > key_rows[0][2]
     # Quadratic-ish growth in n: 12 vs 4 points is 9x the pairs.
     assert n_timings[-1] > 2.0 * n_timings[0]
-    # The offline/online split must pay for itself online.  Typical
-    # speedup is 3-4x; the assertion bound is loose because wall-clock
-    # ratios on shared machines absorb scheduling noise.
+    # The offline/online split must pay for itself online.  With
+    # table-based factors the speedup reads 1.0-1.2x at these sizes, so
+    # this bound now sits inside the wall-clock noise of a shared host
+    # and can fail intermittently.  Deleting the pools (ROADMAP
+    # direction 7, step 2) retires the ablation.
     assert speedup > 1.0

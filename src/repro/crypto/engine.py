@@ -1,35 +1,36 @@
 """Parallel modular-exponentiation engine (the PR-2 tentpole).
 
-Every expensive Paillier operation -- randomness-pool refills
-(``r^n mod n^2``), batch encryption, batch decryption -- and YMPP's RSA
-sweep reduces to an *array of independent modexp jobs*
-``(base, exponent, modulus)``.  :class:`ModexpEngine`
-executes such arrays either serially (the default, bit-identical to the
-seed-era inner loops) or sharded across a process pool, so offline
-wall-clock scales with cores on multi-core hosts.  Job arrays are plain
-integer tuples -- picklable, key-material-free bytes on the worker
+Paillier batch decryption and YMPP's RSA sweep reduce to an *array of
+independent modexp jobs* ``(base, exponent, modulus)``.
+:class:`ModexpEngine` executes such arrays either serially (the
+default, bit-identical to the seed-era inner loops) or sharded across a
+process pool, so wall-clock scales with cores on multi-core hosts.  Job
+arrays are plain integer tuples -- picklable bytes on the worker
 boundary.
+
+The engine is also the entry point of the Paillier layer's batch
+encryption, factor batches and pool fills (:meth:`encrypt_batch`,
+:meth:`encryption_factors`, :meth:`fill_pool`), which count their jobs
+here but run in-process: a randomness factor is a few lookups in the
+key's fixed-base table (:mod:`repro.crypto.paillier`), cheaper than a
+worker's plain ``pow`` of the same factor, let alone the round trip.
 
 Design rules (see DESIGN.md, "Parallel modexp engine"):
 
 - **Bit-identical results.** The engine never changes *what* is
-  computed, only *where*: every high-level helper draws randomness from
-  the caller's RNG in exactly the order the serial code path does, then
-  ships the pure ``pow`` work to workers.  Engine-vs-serial equivalence
-  is property-tested for pool fills, batch encryption and batch
-  decryption.
+  computed, only *where*: randomness is drawn from the caller's RNG in
+  exactly the order the serial code path draws it.  Engine-vs-serial
+  equivalence is property-tested for pool fills, batch encryption and
+  batch decryption.
 - **Serial fallback.** ``workers <= 1``, batches below
   ``min_parallel_jobs``, or a pool that cannot be spawned (sandboxed
   hosts) all run the jobs in-process; the fallback is recorded in
   :meth:`report`, never raised.
 - **Trust boundary.** Worker processes belong to the party that owns the
-  engine call: refill jobs carry only public-key material
-  ``(r, n, n^2)`` (an owner pool's serial path computes the same factors
-  with the key's CRT kernel, but its worker jobs stay generic);
-  CRT-split decryption jobs carry ``p``/``q``-derived moduli and are
-  only ever issued by the private-key holder for its own ciphertexts --
-  the same boundary as the in-process CRT decrypt.  Run in-process,
-  those secret jobs bypass the powmod memo.
+  engine call: CRT-split decryption jobs carry ``p``/``q``-derived
+  moduli and are only ever issued by the private-key holder for its own
+  ciphertexts -- the same boundary as the in-process CRT decrypt.  No
+  engine job goes through the powmod memo.
 
 The DGK comparison (:mod:`repro.crypto.dgk`) issues no engine jobs: its
 per-ciphertext work is a table lookup and a short power, below the
@@ -62,20 +63,6 @@ class EngineError(ValueError):
 def _modexp_chunk(jobs: Sequence[ModexpJob]) -> list[int]:
     """Worker entry point: run one shard of jobs (top-level: picklable)."""
     return [pow(base, exponent, modulus) for base, exponent, modulus in jobs]
-
-
-def _modexp_chunk_cached(jobs: Sequence[ModexpJob]) -> list[int]:
-    """In-process variant of :func:`_modexp_chunk` behind the powmod memo.
-
-    Worker processes keep the plain version (their memory is not shared,
-    so a memo there only burns RAM); in-process execution of public jobs
-    shares the :func:`~repro.crypto.integer_math.cached_pow` memo with
-    the online paths, which is what lets a prefill of already-seen
-    factors cost dict hits instead of exponentiations.
-    """
-    from repro.crypto.integer_math import cached_pow
-    return [cached_pow(base, exponent, modulus)
-            for base, exponent, modulus in jobs]
 
 
 class ModexpEngine:
@@ -234,29 +221,22 @@ class ModexpEngine:
     def modexp_batch(self, jobs: Iterable[ModexpJob]) -> list[int]:
         """``[pow(b, e, m) for (b, e, m) in jobs]``, possibly sharded.
 
-        Memo-free: its caller, YMPP's step-3 sweep, passes the RSA
-        private exponent.
+        Memo-free, like every engine job: its caller, YMPP's step-3
+        sweep, passes the RSA private exponent.
         """
         jobs = list(jobs)
         self._count(len(jobs))
-        return self._execute(jobs, memo=False)
+        return self._execute(jobs)
 
-    def _execute(self, jobs: list[ModexpJob], *,
-                 memo: bool = True) -> list[int]:
-        """Run jobs without accounting (callers counted at entry).
-
-        ``memo=False`` marks jobs keyed by the factorization: run
-        in-process they use plain ``pow``, so nothing secret-derived
-        enters the process-wide memo.
-        """
-        local = _modexp_chunk_cached if memo else _modexp_chunk
+    def _execute(self, jobs: list[ModexpJob]) -> list[int]:
+        """Run jobs without accounting (callers counted at entry)."""
         if not self._parallel_eligible(len(jobs)):
-            return local(jobs)
+            return _modexp_chunk(jobs)
         executor = self._ensure_executor()
         if executor is None:
             with self._lock:
                 self.fallbacks += 1
-            return local(jobs)
+            return _modexp_chunk(jobs)
         shard_count = min(len(jobs), self.workers * self.shards_per_worker)
         step = (len(jobs) + shard_count - 1) // shard_count
         shards = [jobs[start:start + step]
@@ -270,7 +250,7 @@ class ModexpEngine:
                 self._pool_broken = True
                 self._executor = None
                 self.fallbacks += 1
-            return local(jobs)
+            return _modexp_chunk(jobs)
         with self._lock:
             self.parallel_batches += 1
             self.parallel_modexps += len(jobs)
@@ -281,84 +261,21 @@ class ModexpEngine:
     # -- high-level operations --------------------------------------------
 
     def fill_pool(self, pool: "RandomnessPool", count: int) -> None:
-        """Offline pool refill: RNG draws stay in-process, modexps shard.
-
-        Bit-identical to ``pool.refill(count)``: the randomness units are
-        drawn from ``pool.rng`` in the same order, so the deposited
-        factors are exactly the ones the serial refill would queue.
-        Workers see only ``(r, n, n^2)`` -- public-key material.
-        """
+        """Offline pool refill, counted as ``count`` jobs: exactly
+        ``pool.refill(count)`` (module docstring: factors run
+        in-process)."""
         self._count(count)
-        if not self._parallel_eligible(count):
-            pool.refill(count)
-            return
-        public = pool.public_key
-        units = pool.draw_units(count)
-        factors = self._execute(
-            [(r, public.n, public.n_squared) for r in units])
-        pool.deposit(factors)
+        pool.refill(count)
 
     def encrypt_batch(self, public: "PaillierPublicKey",
                       plaintexts: Sequence[int], rng: "random.Random",
                       pool: "RandomnessPool | None" = None,
                       ) -> "list[PaillierCiphertext]":
-        """Batch Paillier encryption with the ``r^n`` powmods sharded.
-
-        Consumes pool factors and RNG draws in exactly the order of
-        ``public.encrypt_batch`` (pop per plaintext, on-demand draw per
-        miss), so the produced ciphertexts are bit-identical to the
-        serial path under the same RNG state.
-        """
-        from repro.crypto.paillier import PaillierCiphertext, PaillierError
-
-        if pool is not None and pool.public_key != public:
-            raise PaillierError("randomness pool bound to a different key")
+        """Batch Paillier encryption: ``public.encrypt_batch``, counted
+        as one job per plaintext."""
         plaintexts = list(plaintexts)
         self._count(len(plaintexts))
-        if not self._parallel_eligible(len(plaintexts)):
-            # Serial: run the seed-era per-item path verbatim.
-            return public.encrypt_batch(plaintexts, rng, pool)
-        factors = self._gather_factors(public, len(plaintexts), rng, pool)
-        return [PaillierCiphertext(public,
-                                   public.raw_encrypt_with_factor(m, factor))
-                for m, factor in zip(plaintexts, factors)]
-
-    def _gather_factors(self, public: "PaillierPublicKey", count: int,
-                        rng: "random.Random",
-                        pool: "RandomnessPool | None") -> list[int]:
-        """``count`` randomness factors in the serial pop/miss draw order.
-
-        The one copy of the subtle part shared by :meth:`encrypt_batch`
-        and :meth:`encryption_factors` (no accounting -- callers count):
-        each slot pops the pool first (counting consumption and misses
-        exactly as ``pool.encryption_factor`` does), misses draw their
-        randomness unit in slot order from the pool's RNG (or ``rng``
-        when unpooled), and the miss powmods run as one sharded batch
-        before being backfilled by position.  A pooled batch too small
-        to shard computes its misses with the pool's own kernel (the
-        CRT one for an owner pool).
-        """
-        factors: list[int | None] = []
-        pending: list[tuple[int, int]] = []  # (position, randomness unit)
-        for position in range(count):
-            if pool is not None:
-                factor = pool.try_factor()
-                if factor is not None:
-                    factors.append(factor)
-                    continue
-                pending.append((position, public.random_unit(pool.rng)))
-            else:
-                pending.append((position, public.random_unit(rng)))
-            factors.append(None)
-        if pending:
-            if pool is not None and not self._parallel_eligible(len(pending)):
-                computed = [pool.factor(r) for _, r in pending]
-            else:
-                computed = self._execute(
-                    [(r, public.n, public.n_squared) for _, r in pending])
-            for (position, _), factor in zip(pending, computed):
-                factors[position] = factor
-        return factors
+        return public.encrypt_batch(plaintexts, rng, pool)
 
     def encryption_factors(self, public: "PaillierPublicKey", count: int,
                            rng: "random.Random",
@@ -368,19 +285,20 @@ class ModexpEngine:
 
         For masker-side loops that alternate encrypt and rerandomize
         per item (Section 5 share generation): every slot pops the pool
-        first -- counting consumption and misses exactly as the
-        per-item ``encrypt``/``rerandomize`` path does -- and the
-        ``r^n mod n^2`` powmods of the misses run as one sharded batch.
-        RNG draws happen in slot order, so the returned factors are
-        bit-identical to the serial interleaved sequence under the same
-        RNG state (property-tested in ``tests/crypto/test_engine.py``).
+        -- counting consumption and misses exactly as the per-item
+        ``encrypt``/``rerandomize`` path does -- or, unpooled, draws a
+        fresh factor from ``rng``, so the factors are bit-identical to
+        the serial interleaved sequence under the same RNG state
+        (property-tested in ``tests/crypto/test_engine.py``).
         """
         from repro.crypto.paillier import PaillierError
 
         if pool is not None and pool.public_key != public:
             raise PaillierError("randomness pool bound to a different key")
         self._count(count)
-        return self._gather_factors(public, count, rng, pool)
+        if pool is not None:
+            return [pool.encryption_factor() for _ in range(count)]
+        return [public.fresh_factor(rng) for _ in range(count)]
 
     def decrypt_raw_batch(self, private: "PaillierPrivateKey",
                           ciphertext_values: Sequence[int]) -> list[int]:
@@ -410,8 +328,7 @@ class ModexpEngine:
             return private.decrypt_raw_batch(values)
         if private.hp is None or private.hq is None:
             powers = self._execute(
-                [(value, private.lam, public.n_squared) for value in values],
-                memo=False)
+                [(value, private.lam, public.n_squared) for value in values])
             return [(_paillier_l(u, public.n) * private.mu) % public.n
                     for u in powers]
         p, q, crt = private.p, private.q, private.crt
@@ -419,7 +336,7 @@ class ModexpEngine:
         for value in values:
             jobs.append((value, p - 1, crt.p_squared))
             jobs.append((value, q - 1, crt.q_squared))
-        powers = self._execute(jobs, memo=False)
+        powers = self._execute(jobs)
         return [private.crt_plaintext(powers[2 * index],
                                       powers[2 * index + 1])
                 for index in range(len(values))]

@@ -22,18 +22,18 @@ def cached_pow(base: int, exponent: int, modulus: int) -> int:
     its start whenever a missing frame parks it, so the online powmods
     of the replayed prefix repeat with *identical* arguments -- this
     memo turns every repeat into a dict hit instead of a fresh
-    exponentiation.  The in-process refill paths share the memo too, so
-    a resident daemon prefilling pools for a session whose coin stream
-    it has served before pays dict hits, exactly like the replays.
-    Only worker *processes* keep plain ``pow`` -- their memory is not
-    shared, so a memo there would only burn RAM.  The function is pure,
-    so memoization cannot change any result, transcript, or ledger.
+    exponentiation.  The function is pure, so memoization cannot change
+    any result, transcript, or ledger.
 
     Only public arguments belong here: the memo lives as long as the
     process (a daemon's whole lifetime), so every kernel keyed by the
-    factorization -- decryption, an owner's CRT encryption factor --
-    uses plain ``pow`` instead, and nothing of the DGK comparison
-    (:mod:`repro.crypto.dgk`) enters it.
+    factorization -- decryption above all -- uses plain ``pow``
+    instead.  Paillier randomness factors do not pass through it either:
+    a factor is one mulmod per six exponent bits from its key's table
+    (:mod:`repro.crypto.paillier`), so a replayed one is recomputed
+    rather than looked up, and the memo holds no entry per factor.
+    Nothing of the DGK comparison (:mod:`repro.crypto.dgk`) enters it.
+    What remains are the homomorphic scalar powers ``E(m)^k``.
     """
     return pow(base, exponent, modulus)
 

@@ -7,7 +7,8 @@ The implementation follows the paper's description verbatim:
   ``Z*_{n^2}`` and checks the modular inverse
   ``mu = (L(g^lambda mod n^2))^{-1} mod n`` exists, where
   ``L(u) = (u - 1) / n``.
-- Encryption of ``m`` with randomness ``r``: ``c = g^m * r^n mod n^2``.
+- Encryption of ``m`` with randomness ``r``: ``c = g^m * r^n mod n^2``
+  (here with DJN's ``r^n = h_s^r``, below).
 - Decryption: ``m = L(c^lambda mod n^2) * mu mod n``.
 
 Homomorphic properties exploited by the protocols:
@@ -28,18 +29,24 @@ exponent instead of an (n-1)-bit one.  ``E(m)^(k-n)`` and ``E(m)^k``
 differ by the factor ``E(m)^n``, itself an encryption of zero: the
 ciphertext value depends on the representative, the plaintext does not.
 
-The key's owner holds ``p`` and ``q`` and uses them beyond decryption:
-:meth:`PaillierPrivateKey.nth_power` computes encryption factors
-``r^n mod n^2`` by CRT (the owner's randomness pools run on it).
-Neither it nor decryption goes through the process-wide
-:func:`~repro.crypto.integer_math.cached_pow` memo, so no value keyed
-by the factorization outlives its call.  The secure comparison does
-not run on Paillier: it has its own cryptosystem
+Randomness factors follow Damgard, Jurik and Nielsen (DJN, "A
+generalization of Paillier's public-key system with applications to
+electronic voting", IJIS 2010): each encryption multiplies by
+``h_s^r mod n^2`` instead of ``r^n mod n^2``, with ``h_s = (-x^2)^n mod
+n^2`` fixed per key (:func:`djn_base`; ``x`` is a hash of ``n``, so
+nobody chooses it) and ``r`` of ``k + 128`` uniform bits for a ``k``-bit
+``n`` (:data:`RANDOMNESS_SLACK_BITS` says why not DJN's ``k/2``).
+``h_s^r`` is an ``n``-th power, an encryption of zero.  Every party,
+owner or not, draws its factors from one cached fixed-base table per
+key; neither the table nor decryption goes through the process-wide
+:func:`~repro.crypto.integer_math.cached_pow` memo.  The secure
+comparison does not run on Paillier: it has its own cryptosystem
 (:mod:`repro.crypto.dgk`).
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from dataclasses import dataclass, field
@@ -73,32 +80,33 @@ class PaillierPublicKey:
         """Size of the modulus in bits (the 'key size' of benchmarks)."""
         return self.n.bit_length()
 
-    def random_unit(self, rng: random.Random) -> int:
-        """Random ``r`` in ``Z*_n`` (encryption randomness)."""
-        while True:
-            r = rng.randrange(1, self.n)
-            # gcd check: for a semiprime n, non-units are multiples of p or
-            # q, which are never hit in practice, but the spec requires it.
-            if math.gcd(r, self.n) == 1:
-                return r
+    @property
+    def randomness_bits(self) -> int:
+        """Bits of a randomness exponent: ``k + 128`` for a ``k``-bit
+        ``n`` (:data:`RANDOMNESS_SLACK_BITS`)."""
+        return _randomness_bits(self.n)
+
+    def randomness_factor(self, r: int) -> int:
+        """``h_s^r mod n^2`` -- an encryption of zero -- from the key's
+        fixed-base table, for an exponent of :attr:`randomness_bits`."""
+        return _factor_table(self.n).pow(r)
+
+    def fresh_factor(self, rng: random.Random) -> int:
+        """A randomness factor for a fresh exponent drawn from ``rng``."""
+        return self.randomness_factor(rng.getrandbits(self.randomness_bits))
 
     def raw_encrypt(self, plaintext: int, r: int) -> int:
-        """``c = g^m * r^n mod n^2`` with caller-supplied randomness.
+        """``c = g^m * h_s^r mod n^2`` with a caller-supplied exponent.
 
         The Multiplication Protocol's ``faithful_shared_r`` mode needs to
         encrypt under a randomness value both parties agreed on, hence the
         explicit ``r`` parameter.
         """
-        if not 0 <= plaintext < self.n:
-            raise PaillierError(
-                f"plaintext {plaintext} outside [0, n); encode signed values "
-                "with SignedEncoder first"
-            )
-        n_sq = self.n_squared
-        return (self._g_pow(plaintext) * cached_pow(r, self.n, n_sq)) % n_sq
+        return self.raw_encrypt_with_factor(plaintext,
+                                            self.randomness_factor(r))
 
     def raw_encrypt_with_factor(self, plaintext: int, factor: int) -> int:
-        """``c = g^m * factor`` with a pregenerated factor ``r^n mod n^2``.
+        """``c = g^m * factor`` with a randomness factor ``h_s^r mod n^2``.
 
         The online half of the offline/online split: with the factor
         drawn from a :class:`~repro.crypto.precompute.RandomnessPool`
@@ -135,8 +143,9 @@ class PaillierPublicKey:
                 self,
                 self.raw_encrypt_with_factor(plaintext,
                                              pool.encryption_factor()))
-        r = self.random_unit(rng)
-        return PaillierCiphertext(self, self.raw_encrypt(plaintext, r))
+        return PaillierCiphertext(
+            self, self.raw_encrypt_with_factor(plaintext,
+                                               self.fresh_factor(rng)))
 
     def encrypt_batch(self, plaintexts: list[int], rng: random.Random,
                       pool: "RandomnessPool | None" = None,
@@ -159,14 +168,11 @@ class PaillierPublicKey:
 
 
 class CrtConstants(NamedTuple):
-    """Per-key constants of the owner-side CRT kernels."""
+    """Per-key constants of CRT decryption."""
 
     p_squared: int
     q_squared: int
-    n_mod_p1: int       # n mod (p - 1): exponent of r^n mod p
-    n_mod_q1: int       # n mod (q - 1)
     p_inv_q: int        # p^-1 mod q: recombines CRT decryptions
-    p_squared_inv: int  # (p^2)^-1 mod q^2: recombines nth_power
 
 
 @dataclass(frozen=True)
@@ -192,29 +198,9 @@ class PaillierPrivateKey:
     crt: CrtConstants = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p, q, n = self.p, self.q, self.public_key.n
-        p_squared, q_squared = p * p, q * q
+        p, q = self.p, self.q
         object.__setattr__(self, "crt", CrtConstants(
-            p_squared=p_squared, q_squared=q_squared,
-            n_mod_p1=n % (p - 1), n_mod_q1=n % (q - 1),
-            p_inv_q=pow(p, -1, q),
-            p_squared_inv=pow(p_squared, -1, q_squared)))
-
-    def nth_power(self, r: int) -> int:
-        """``r^n mod n^2`` -- an encryption factor -- computed by CRT.
-
-        Per prime: ``r^n mod p^2`` lies in the order-``(p-1)`` subgroup
-        of ``Z*_{p^2}`` (``n = pq`` is a multiple of p) and is congruent
-        to ``s = (r mod p)^(n mod (p-1))`` modulo p; ``s^p mod p^2`` is
-        the unique element of that subgroup congruent to ``s`` (its
-        Teichmueller lift).  So the result equals ``pow(r, n, n^2)``
-        exactly, from two half-width and two p-sized exponentiations.
-        """
-        p, q, crt = self.p, self.q, self.crt
-        lift_p = pow(pow(r % p, crt.n_mod_p1, p), p, crt.p_squared)
-        lift_q = pow(pow(r % q, crt.n_mod_q1, q), q, crt.q_squared)
-        return crt_pair(lift_p, crt.p_squared, lift_q, crt.q_squared,
-                        crt.p_squared_inv)
+            p_squared=p * p, q_squared=q * q, p_inv_q=pow(p, -1, q)))
 
     def decrypt_raw(self, ciphertext_value: int) -> int:
         """Decrypt an integer ciphertext; CRT path when constants exist."""
@@ -335,16 +321,15 @@ class PaillierCiphertext:
         with homomorphic ops is sent to the key holder.  With ``pool``
         the zero-encryption comes pregenerated (one mulmod online).
         """
-        n_sq = self.public_key.n_squared
         if pool is not None:
             if pool.public_key != self.public_key:
                 raise PaillierError("randomness pool bound to a different key")
             zero_enc = pool.rerandomization_unit()
         else:
-            r = self.public_key.random_unit(rng)
-            zero_enc = cached_pow(r, self.public_key.n, n_sq)
-        return PaillierCiphertext(self.public_key,
-                                  (self.value * zero_enc) % n_sq)
+            zero_enc = self.public_key.fresh_factor(rng)
+        return PaillierCiphertext(
+            self.public_key,
+            (self.value * zero_enc) % self.public_key.n_squared)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, PaillierCiphertext)
@@ -392,6 +377,61 @@ def _fixed_base_table(g: int, n_squared: int, bits: int):
     """
     from repro.crypto.precompute import FixedBaseExp
     return FixedBaseExp(g, n_squared, bits)
+
+
+#: Bits a randomness exponent carries beyond the modulus.  The order
+#: of ``h_s`` is below ``n``, so an exponent of ``k + 128`` uniform bits
+#: leaves every factor -- and every masked reply's, whatever the
+#: masker's coefficients added to its exponent -- within ``2^-128`` of
+#: uniform over the group ``h_s`` generates.  That holds against the
+#: key's owner too, who can take discrete logarithms modulo ``p`` and
+#: ``q``; with DJN's ``ceil(k/2)``-bit exponents it could read the
+#: coefficients off a reply (DESIGN.md).
+RANDOMNESS_SLACK_BITS = 128
+
+#: Window of every key's factor table (:func:`_factor_table`).  At
+#: 1024 bits a factor costs about 2 ms from a 3.5 MB table built in
+#: 0.13 s on a 2-CPU host; window 8 saves a quarter per factor but
+#: triples the table.
+FACTOR_WINDOW = 6
+
+
+def _randomness_bits(n: int) -> int:
+    return n.bit_length() + RANDOMNESS_SLACK_BITS
+
+
+def djn_base(n: int) -> int:
+    """``h_s = (-x^2)^n mod n^2``, the base of every randomness factor
+    under the modulus ``n`` (DJN).
+
+    ``x`` is a SHA-256 expansion of ``n`` (counter mode, 128 bits wider
+    than ``n``) reduced mod ``n``; a candidate that is not a unit mod
+    ``n`` is rejected and the next attempt hashed.  So ``h_s`` is a
+    public function of ``n``: no party chooses it, and no announcement
+    carries it.
+    """
+    width = (n.bit_length() + 7) // 8
+    material = n.to_bytes(width, "big")
+    blocks = -(-(width + 16) // 32)
+    attempt = 0
+    while True:
+        stream = b"".join(
+            hashlib.sha256(b"repro/djn-h_s|%d|%d|" % (attempt, block)
+                           + material).digest()
+            for block in range(blocks))
+        x = int.from_bytes(stream, "big") % n
+        if math.gcd(x, n) == 1:
+            return pow(-x * x % n, n, n * n)
+        attempt += 1
+
+
+@lru_cache(maxsize=16)
+def _factor_table(n: int):
+    """The fixed-base table of ``h_s`` for one modulus: public values
+    only, built once per key and never entered into the powmod memo."""
+    from repro.crypto.precompute import FixedBaseExp
+    return FixedBaseExp(djn_base(n), n * n, _randomness_bits(n),
+                        window=FACTOR_WINDOW)
 
 
 # Attached here rather than in the dataclass body to keep the frozen

@@ -1,32 +1,29 @@
 """Offline precomputation for Paillier: randomness pools and fixed bases.
 
-Every Paillier encryption pays one full-width modular exponentiation
-``r^n mod n^2`` for the randomness factor, and every rerandomization
-pays the same again -- by far the dominant online cost of the DBSCAN
-protocols (the plaintext part ``g^m`` is a single mulmod for the
-standard ``g = n + 1`` choice).  Both factors depend only on the public
-key, never on the plaintext, so they can be generated *before* the
-protocol runs.  This module supplies the two precomputation tools:
+Every Paillier encryption pays one randomness factor, and every
+rerandomization pays the same again: in the fixed-base variant of
+Damgard, Jurik and Nielsen (:mod:`repro.crypto.paillier`) a factor is
+``h_s^r mod n^2`` from a fixed-base table of the key, at most
+``ceil((k + 128) / 6)`` mulmods for a ``k``-bit ``n``.  The plaintext
+part ``g^m`` is a single mulmod for the standard ``g = n + 1`` choice.
+Factors depend only on the public key, never on the plaintext, so they
+can be generated *before* the protocol runs.  This module supplies the two
+precomputation tools:
 
 - :class:`RandomnessPool` -- a per-(actor, public-key) queue of
-  pregenerated factors ``r^n mod n^2``.  With a filled pool, online
-  ``encrypt`` and ``rerandomize`` each collapse to one mulmod; an empty
-  pool falls back to on-demand generation (identical results, seed-era
-  cost), so pools never change correctness -- only where the modexp time
-  is spent.  This is the standard offline/online split of the MPC
-  literature.
-- :class:`FixedBaseExp` -- windowed fixed-base exponentiation for the
+  pregenerated factors.  With a filled pool, online ``encrypt`` and
+  ``rerandomize`` each collapse to one mulmod; an empty pool falls back
+  to on-demand generation (identical results), so pools never change
+  correctness -- only when the factor work is done.  This is the
+  standard offline/online split of the MPC literature.
+- :class:`FixedBaseExp` -- windowed fixed-base exponentiation: the
+  ``h_s`` table behind every factor, DGK's ``h^r`` table, and the
   ``g^m`` term when a keypair uses the paper's literal "random g"
-  (``random_g=True``) instead of ``n + 1``: one table per ``(g, n^2)``
-  turns each encryption's ``g^m`` into ``~bits/window`` mulmods.
+  (``random_g=True``) instead of ``n + 1``.
 
-Owner pools: a pool whose actor owns the key (the HDP querier's
-uploads, the Section 5 receiver's vector) is built with that private
-key and computes each factor with
-:meth:`~repro.crypto.paillier.PaillierPrivateKey.nth_power` -- CRT over
-``p^2`` and ``q^2``, the same factor at about half the cost.  Every
-other pool, and every factor shipped to engine workers, uses the
-generic ``r^n mod n^2`` on public-key material.
+Every pool computes its factors the same way, whether or not its actor
+owns the key: the table holds public values only, and no factor passes
+through the :func:`~repro.crypto.integer_math.cached_pow` memo.
 
 Security note: a pooled factor is exactly a fresh factor drawn earlier
 from the same party RNG -- pooling reorders randomness generation in
@@ -41,10 +38,8 @@ import random
 from collections import deque
 from typing import TYPE_CHECKING
 
-from repro.crypto.integer_math import cached_pow
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (paillier types)
-    from repro.crypto.paillier import PaillierPrivateKey, PaillierPublicKey
+    from repro.crypto.paillier import PaillierPublicKey
 
 
 class PrecomputeError(ValueError):
@@ -52,18 +47,14 @@ class PrecomputeError(ValueError):
 
 
 class RandomnessPool:
-    """Pregenerated Paillier encryption factors ``r^n mod n^2``.
+    """Pregenerated Paillier randomness factors ``h_s^r mod n^2``.
 
     A pool belongs to one *actor* (whose private RNG ``rng`` supplies
-    every ``r``) and one *public key* (under which the actor encrypts or
-    rerandomizes).  Encryption factors and rerandomization units are the
-    same algebraic object -- a random ``r^n mod n^2``, i.e. a fresh
-    encryption of zero -- so one queue serves both uses; the two named
-    accessors exist for call-site clarity.
-
-    ``private_key`` is given only when the actor owns the key (an owner
-    pool, see the module docstring); it changes how each factor is
-    computed, never which factor.
+    every exponent ``r``) and one *public key* (under which the actor
+    encrypts or rerandomizes).  Encryption factors and rerandomization
+    units are the same algebraic object -- a fresh encryption of zero --
+    so one queue serves both uses; the two named accessors exist for
+    call-site clarity.
 
     Accounting attributes (read by benchmarks and tests):
 
@@ -73,16 +64,12 @@ class RandomnessPool:
       empty (online cost identical to the unpooled path).
     """
 
-    __slots__ = ("public_key", "rng", "private_key", "_factors",
-                 "pregenerated", "consumed", "misses")
+    __slots__ = ("public_key", "rng", "_factors", "pregenerated",
+                 "consumed", "misses")
 
-    def __init__(self, public_key: "PaillierPublicKey", rng: random.Random,
-                 private_key: "PaillierPrivateKey | None" = None):
-        if private_key is not None and private_key.public_key != public_key:
-            raise PrecomputeError("private key does not match the pool's key")
+    def __init__(self, public_key: "PaillierPublicKey", rng: random.Random):
         self.public_key = public_key
         self.rng = rng
-        self.private_key = private_key
         self._factors: deque[int] = deque()
         self.pregenerated = 0
         self.consumed = 0
@@ -91,53 +78,21 @@ class RandomnessPool:
     def __len__(self) -> int:
         return len(self._factors)
 
-    def factor(self, r: int) -> int:
-        """``r^n mod n^2`` for the unit ``r``: the owner's CRT kernel when
-        the pool holds the private key, the memoized powmod otherwise."""
-        if self.private_key is not None:
-            return self.private_key.nth_power(r)
-        public = self.public_key
-        return cached_pow(r, public.n, public.n_squared)
-
-    def _fresh_factor(self) -> int:
-        return self.factor(self.public_key.random_unit(self.rng))
-
-    def draw_units(self, count: int) -> list[int]:
-        """Draw ``count`` randomness units from the actor's RNG, in order.
-
-        The RNG half of :meth:`refill`, split out so a
-        :class:`~repro.crypto.engine.ModexpEngine` can keep the private
-        randomness draws in-process while sharding the ``r^n`` powmods
-        across workers.  Consuming the same RNG in the same order keeps
-        engine fills bit-identical to serial fills.
-        """
-        if count < 0:
-            raise PrecomputeError(f"cannot draw {count} units")
-        return [self.public_key.random_unit(self.rng) for _ in range(count)]
-
-    def deposit(self, factors: list[int]) -> None:
-        """Queue externally computed factors (the modexp half of refill)."""
-        self._factors.extend(factors)
-        self.pregenerated += len(factors)
-
     def refill(self, count: int) -> None:
         """Offline phase: pregenerate ``count`` factors."""
-        self.deposit([self.factor(r) for r in self.draw_units(count)])
+        if count < 0:
+            raise PrecomputeError(f"cannot pregenerate {count} factors")
+        public, rng = self.public_key, self.rng
+        self._factors.extend(public.fresh_factor(rng) for _ in range(count))
+        self.pregenerated += count
 
-    def try_factor(self) -> int | None:
-        """Pop one factor if available; ``None`` (and a counted miss)
-        when the queue is empty, letting batched callers collect their
-        misses and generate them in one sharded modexp batch."""
+    def encryption_factor(self) -> int:
+        """Pop one factor; falls back to on-demand generation when empty."""
         self.consumed += 1
         if self._factors:
             return self._factors.popleft()
         self.misses += 1
-        return None
-
-    def encryption_factor(self) -> int:
-        """Pop one factor; falls back to on-demand generation when empty."""
-        factor = self.try_factor()
-        return self._fresh_factor() if factor is None else factor
+        return self.public_key.fresh_factor(self.rng)
 
     def rerandomization_unit(self) -> int:
         """Alias of :meth:`encryption_factor` (same object, see class doc)."""
@@ -170,9 +125,10 @@ class FixedBaseExp:
     Precomputes ``base^(j * 2^(i*window))`` for every window position
     ``i`` and digit ``j``, so any ``base^e`` with ``e < 2^max_bits``
     costs at most ``ceil(max_bits / window) - 1`` multiplications and no
-    squarings.  Worth building once per ``(g, n^2)`` pair when the
-    Paillier key uses a random ``g`` (the ``n + 1`` default never needs
-    a table -- its ``g^m`` is already a single mulmod).
+    squarings.  Built once per key for the Paillier factor base ``h_s``
+    and DGK's ``h``, and per ``(g, n^2)`` pair when the Paillier key
+    uses a random ``g`` (the ``n + 1`` default never needs a ``g^m``
+    table -- its ``g^m`` is already a single mulmod).
     """
 
     __slots__ = ("modulus", "window", "max_bits", "_table")

@@ -12,9 +12,8 @@ This module makes key ownership *structural*.  A remote party's context
 carries a :class:`SealedPaillierPrivateKey`, :class:`SealedDgkPrivateKey`
 (or :class:`SealedRsaPrivateKey`): an object with the public half and an
 owner tag but **no secret fields at all** -- there is nothing to steal
--- and every decrypt/sign entry point (the owner's CRT ``nth_power``
-and the DGK zero test included) raises :class:`PublicOnlyKeyError`, as
-does the engine's batch decrypt
+-- and every decrypt/sign entry point (the DGK zero test included)
+raises :class:`PublicOnlyKeyError`, as does the engine's batch decrypt
 (:meth:`repro.crypto.engine.ModexpEngine.decrypt_raw_batch`).  No
 hosted step decrypts or zero-tests under a peer's key, so there is no
 sanctioned exception: reaching a sealed key's secret is a missing
@@ -74,9 +73,6 @@ class SealedPaillierPrivateKey:
     public_key: PaillierPublicKey
     owner: str
     sealed = True
-
-    def nth_power(self, r: int) -> int:
-        raise PublicOnlyKeyError(self.owner, "nth_power")
 
     def decrypt_raw(self, ciphertext_value: int) -> int:
         raise PublicOnlyKeyError(self.owner, "decrypt_raw")

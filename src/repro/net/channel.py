@@ -68,8 +68,7 @@ class Channel:
             raise ChannelClosedError("channel is closed")
         wire = serialize_message(value)
         self.stats.record(sender, receiver, label, len(wire))
-        self.transcript.record(sender, receiver, label,
-                               deserialize_message(wire), len(wire))
+        self.transcript.record(sender, receiver, label, wire)
         self.transport.deliver(sender, receiver, label, wire)
 
     def _receive(self, receiver: str, expected_label: str | None):

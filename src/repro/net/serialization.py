@@ -51,6 +51,12 @@ def serialized_size(value) -> int:
     return len(serialize_message(value))
 
 
+def list_header(count: int) -> bytes:
+    """The bytes a ``count``-element list's encoding starts with; the
+    elements' encodings follow it, concatenated."""
+    return b"L" + struct.pack(">I", count)
+
+
 def _write(out: bytearray, value) -> None:
     # bool must be checked before int: bool is an int subclass.
     if isinstance(value, bool):
@@ -70,8 +76,7 @@ def _write(out: bytearray, value) -> None:
         out += struct.pack(">I", len(encoded))
         out += encoded
     elif isinstance(value, (list, tuple)):
-        out += b"L"
-        out += struct.pack(">I", len(value))
+        out += list_header(len(value))
         for element in value:
             _write(out, element)
     elif value is None:

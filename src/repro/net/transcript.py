@@ -1,8 +1,9 @@
 """Protocol transcripts -- the "view" of Definition 5.
 
 A :class:`Transcript` records every message that crossed the channel:
-sender, receiver, a protocol-phase label, the deserialized value, and the
-wire size.  The privacy simulators (``repro.core.simulators``) compare
+sender, receiver, a protocol-phase label and the message's wire bytes,
+from which each entry derives the deserialized value and the wire
+size.  The privacy simulators (``repro.core.simulators``) compare
 the distribution of real transcript entries against simulator output, and
 the leakage ledger cites transcript labels as evidence.
 """
@@ -13,17 +14,32 @@ import hashlib
 import threading
 from dataclasses import dataclass, field
 
+from repro.net.serialization import (
+    deserialize_message,
+    list_header,
+    serialize_message,
+)
+
 
 @dataclass(frozen=True)
 class TranscriptEntry:
-    """One message crossing the channel."""
+    """One message crossing the channel, kept as its wire bytes."""
 
     index: int
     sender: str
     receiver: str
     label: str
-    value: object
-    size_bytes: int
+    wire: bytes = field(repr=False)
+
+    @property
+    def value(self):
+        """The message value, deserialized from :attr:`wire` on access
+        (only analyses read it, so a run never pays for it)."""
+        return deserialize_message(self.wire)
+
+    @property
+    def size_bytes(self) -> int:
+        return len(self.wire)
 
 
 @dataclass
@@ -40,16 +56,18 @@ class Transcript:
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
 
-    def record(self, sender: str, receiver: str, label: str, value,
-               size_bytes: int) -> TranscriptEntry:
+    def record(self, sender: str, receiver: str, label: str,
+               wire: bytes) -> TranscriptEntry:
+        """Record one message by its wire bytes (``serialize_message``
+        of its value), which every channel already holds; the value and
+        the size derive from them."""
         with self._lock:
             entry = TranscriptEntry(
                 index=len(self.entries),
                 sender=sender,
                 receiver=receiver,
                 label=label,
-                value=value,
-                size_bytes=size_bytes,
+                wire=wire,
             )
             self.entries.append(entry)
         return entry
@@ -59,7 +77,7 @@ class Transcript:
         pair's per-driver streams form its one canonical transcript."""
         for entry in list(other.entries):
             self.record(entry.sender, entry.receiver, entry.label,
-                        entry.value, entry.size_bytes)
+                        entry.wire)
 
     def received_by(self, party_name: str) -> list[TranscriptEntry]:
         """The messages constituting ``party_name``'s view (Def. 5)."""
@@ -92,15 +110,18 @@ def transcript_digest(transcript: Transcript) -> str:
     Each entry contributes ``serialize_message([sender, receiver, label,
     value])`` -- the canonical encoding the fuzz suite guarantees is
     injective -- so two transcripts share a digest iff their message
-    sequences are bit-identical.  The socket runtime compares digests
-    instead of shipping full transcripts between processes: both ends of
-    every TCP pair must agree, and an orchestrated run must match the
-    in-process fabric entry for entry.
+    sequences are bit-identical.  The bytes are assembled from the list
+    header, the three encoded strings and the recorded wire bytes of
+    the value, so no value is serialized a second time.  The socket
+    runtime compares digests instead of shipping full transcripts
+    between processes: both ends of every TCP pair must agree, and an
+    orchestrated run must match the in-process fabric entry for entry.
     """
-    from repro.net.serialization import serialize_message
-
     digest = hashlib.sha256()
     for entry in transcript.entries:
-        digest.update(serialize_message(
-            [entry.sender, entry.receiver, entry.label, entry.value]))
+        digest.update(list_header(4))
+        digest.update(serialize_message(entry.sender))
+        digest.update(serialize_message(entry.receiver))
+        digest.update(serialize_message(entry.label))
+        digest.update(entry.wire)
     return digest.hexdigest()

@@ -23,7 +23,9 @@ can live:
   exception alone.
 
 Transports never look inside ``wire`` bytes and never see plaintext
-values; the trust boundary stays in the channel layer.
+values; the trust boundary stays in the channel layer.  (A hub checks
+the first field of a control record -- runtime plumbing, not a protocol
+message -- only for a session it has released.)
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from repro.net.framing import (
     encode_mux_payload,
     read_frame_async,
 )
+from repro.net.serialization import list_header, serialize_message
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -157,6 +160,26 @@ class InProcessTransport(Transport):
         return inbox.popleft()
 
 
+#: Released session tags each hub remembers, oldest forgotten first.  A
+#: frame that arrives for one of them after its session ended is
+#: dropped; older tags would get a fresh view, as any unseen tag does.
+#: One late arrival still leaks: a session-sync record re-opens a
+#: released tag (a session id used again looks the same), so a peer
+#: that syncs only after this hub timed the session out and released it
+#: re-creates the view, and nothing releases it again.  Binding the
+#: sync to an attempt number would close that (ROADMAP direction 5).
+RELEASED_TAGS_KEPT = 4096
+
+#: First element of the control record that opens a session on a pair
+#: link (the daemon's manifest-digest sync): the one record that
+#: re-opens a released tag.
+SESSION_SYNC_RECORD = "session_sync"
+
+# The wire bytes every such record starts with: a two-element list
+# whose first element is SESSION_SYNC_RECORD (the digest follows).
+_SYNC_PREFIX = list_header(2) + serialize_message(SESSION_SYNC_RECORD)
+
+
 class AsyncTcpTransport:
     """Session-demultiplexing hub over one persistent mux connection.
 
@@ -168,7 +191,11 @@ class AsyncTcpTransport:
       by session tag, into the per-session future queues of a
       :class:`SessionLinkTransport` view (created eagerly on first
       sight of a tag, so a peer whose session raced ahead of ours never
-      loses frames);
+      loses frames).  A frame for a tag this hub released (one of the
+      last :data:`RELEASED_TAGS_KEPT`) is late: it is dropped and
+      counted on ``repro_link_late_frames_total``, so it cannot re-create
+      a view nothing would release.  Only a session-sync record re-opens
+      a released tag -- a session id used again;
     - an *outbound writer task* drains a loop-side queue of pre-encoded
       frames, so worker threads enqueue via ``call_soon_threadsafe``
       and per-thread send order is preserved end to end.
@@ -225,6 +252,9 @@ class AsyncTcpTransport:
         self._writer: asyncio.StreamWriter | None = None
         self._outbox: asyncio.Queue | None = None
         self._sessions: dict[str, SessionLinkTransport] = {}
+        # Insertion-ordered set of released tags, bounded by
+        # RELEASED_TAGS_KEPT.
+        self._released: dict[str, None] = {}
         self._tasks: list[asyncio.Task] = []
         self._closed = False
         self._close_reason: str | None = None
@@ -245,6 +275,8 @@ class AsyncTcpTransport:
             "repro_link_bytes_total", pair=self._obs_pair, dir="in")
         self._auth_failures = metrics.counter(
             "repro_link_auth_failures_total", pair=self._obs_pair)
+        self._late_frames = metrics.counter(
+            "repro_link_late_frames_total", pair=self._obs_pair)
 
     def _frame_counter(self, table: dict, direction: str, kind: bytes):
         counter = table.get(kind)
@@ -267,7 +299,9 @@ class AsyncTcpTransport:
                        self._loop.create_task(self._pump_in())]
 
     def session(self, session_id: str) -> "SessionLinkTransport":
-        """The (auto-created) per-session view of this connection."""
+        """The (auto-created) per-session view of this connection; a
+        released tag opened here again is live again."""
+        self._released.pop(session_id, None)
         view = self._sessions.get(session_id)
         if view is None:
             if self._closed:
@@ -280,8 +314,23 @@ class AsyncTcpTransport:
         return view
 
     def release(self, session_id: str) -> None:
-        """Forget a finished session's queues (memory hygiene)."""
+        """Forget a finished session's queues (memory hygiene) and drop
+        the frames that still arrive for it."""
         self._sessions.pop(session_id, None)
+        self._released.pop(session_id, None)
+        self._released[session_id] = None
+        if len(self._released) > RELEASED_TAGS_KEPT:
+            del self._released[next(iter(self._released))]
+
+    def _late(self, session_id: str, kind: bytes, item) -> bool:
+        """Whether an inbound frame belongs to a released session; a
+        session-sync record opens the tag again instead."""
+        if session_id not in self._released:
+            return False
+        if kind == FRAME_MUX_CONTROL and item.startswith(_SYNC_PREFIX):
+            return False
+        self._late_frames.inc()
+        return True
 
     async def aclose(self, reason: str = "done") -> None:
         """Orderly teardown: goodbye frame, close the stream, poison
@@ -448,6 +497,8 @@ class AsyncTcpTransport:
             except FramingError as exc:
                 self.abort(f"unreadable mux frame ({exc})")
                 return
+            if self._late(session_id, kind, item):
+                continue
             view = self.session(session_id)
             target = (view._message_queue if kind == FRAME_MUX_MESSAGE
                       else view._control_queue)

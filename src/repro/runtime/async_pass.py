@@ -51,7 +51,7 @@ from repro.multiparty.horizontal import (
     _pass_program,
 )
 from repro.multiparty.scheduler import AsyncPassExecutor, PeerQuery
-from repro.net.serialization import deserialize_message, serialize_message
+from repro.net.serialization import serialize_message
 from repro.net.transport import ProtocolDesyncError
 from repro.obs.metrics import NULL_INSTRUMENT
 from repro.obs.trace import NULL_SPAN
@@ -163,8 +163,7 @@ class RestartableMirrorChannel(MirrorChannel):
                 f"choreography reached {sender}'s send of {label!r} but "
                 f"the peer process sent {authentic_label!r}")
         self.stats.record(sender, receiver, label, len(wire))
-        self.transcript.record(sender, receiver, label,
-                               deserialize_message(wire), len(wire))
+        self.transcript.record(sender, receiver, label, wire)
         self._remote_inbox.append((label, wire))
         self.frame_log.append(("in", label, wire))
         self._cursor = len(self.frame_log)

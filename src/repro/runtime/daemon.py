@@ -126,7 +126,11 @@ from repro.net.serialization import (
     serialize_message,
 )
 from repro.net.transcript import transcript_digest
-from repro.net.transport import AsyncTcpTransport, TransportTimeoutError
+from repro.net.transport import (
+    SESSION_SYNC_RECORD,
+    AsyncTcpTransport,
+    TransportTimeoutError,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, tracer_for
 from repro.runtime.failure import classify_exception
@@ -183,10 +187,6 @@ SHUTDOWN_DRAIN = "drain"
 #: touches session state, so it is served even while draining.
 CONTROL_GET_METRICS = "get_metrics"
 CONTROL_METRICS = "metrics"
-#: Pair-plane per-session sync record (session-tagged ``c`` frame): each
-#: daemon announces the manifest digest of a freshly submitted session
-#: on every pair link and refuses the session unless the peer's matches.
-CONTROL_SESSION_SYNC = "session_sync"
 #: Pair-plane pass control: the driver announces each per-peer query
 #: and the end of its pass; the responder serves until end-of-pass.
 CONTROL_QUERY = "query"
@@ -1174,7 +1174,7 @@ class PartyDaemon:
     def _send_sync(self, state: _SessionState, digest: str) -> None:
         """Announce the manifest digest on every pair link (the
         session's first control record there)."""
-        wire = serialize_message([CONTROL_SESSION_SYNC, digest])
+        wire = serialize_message([SESSION_SYNC_RECORD, digest])
         for view in state.views.values():
             view.send_control(wire)
 
@@ -1203,7 +1203,7 @@ class PartyDaemon:
                     f"{self.spec.timeout_s}s") from None
             record = deserialize_message(raw)
             if (not isinstance(record, list) or len(record) != 2
-                    or record[0] != CONTROL_SESSION_SYNC
+                    or record[0] != SESSION_SYNC_RECORD
                     or not isinstance(record[1], str)):
                 raise DaemonError(
                     f"malformed session sync from {peer!r}: {record!r}")

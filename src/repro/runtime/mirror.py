@@ -159,8 +159,7 @@ class MirrorChannel:
         if sender == self.local_name:
             wire = serialize_message(value)
             self.stats.record(sender, receiver, label, len(wire))
-            self.transcript.record(sender, receiver, label,
-                                   deserialize_message(wire), len(wire))
+            self.transcript.record(sender, receiver, label, wire)
             self.transport.deliver(sender, receiver, label, wire)
             self.frame_log.append(("out", label, wire))
             return
@@ -176,8 +175,7 @@ class MirrorChannel:
                 f"choreography reached {sender}'s send of {label!r} but "
                 f"the peer process sent {authentic_label!r}")
         self.stats.record(sender, receiver, label, len(wire))
-        self.transcript.record(sender, receiver, label,
-                               deserialize_message(wire), len(wire))
+        self.transcript.record(sender, receiver, label, wire)
         self._remote_inbox.append((label, wire))
         self.frame_log.append(("in", label, wire))
 

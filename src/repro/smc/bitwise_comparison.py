@@ -23,6 +23,10 @@ Protocol:
    all higher bits equal).  In ciphertexts:
    ``E(c_t) = E(x_t) * g^(-y_t-1) * W_t^3 mod n`` with ``W_t`` the
    product of the ``E(x_s XOR y_s)``, and ``E(1 - x_t) = g * E(x_t)^-1``.
+   Each call inverts every ``E(x_t)`` with one modular inverse
+   (Montgomery's batch inversion), whatever the ``y`` bits, so a bit
+   ciphertext that is not a unit mod ``n`` fails the same way for every
+   ``y``; ``g^-1`` and ``g^-2`` are computed once per key.
 3. The other party raises each ``E(c_t)`` to a multiplier drawn
    uniformly from ``[1, u)``, rerandomizes it by ``h^r``, shuffles, and
    returns the batch.
@@ -54,6 +58,8 @@ the key holder returns ``False`` placeholders for its predicate bits.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from repro.crypto.dgk import DGK_U, DgkKeyPair, DgkPublicKey
 from repro.net.party import Party
@@ -96,39 +102,61 @@ def _checked_batch(public: DgkPublicKey, values, bits: int,
     return values
 
 
+@lru_cache(maxsize=16)
+def _shifts(g: int, n: int) -> tuple[int, int]:
+    """``g^(-y_t - 1)`` for ``y_t = 0`` and ``y_t = 1`` under one key."""
+    g_inverse = pow(g, -1, n)
+    return g_inverse, g_inverse * g_inverse % n
+
+
+def _complements(public: DgkPublicKey, received: list[int]) -> list[int]:
+    """``E(1 - x_t) = g * E(x_t)^-1`` for every bit position, from one
+    modular inverse (Montgomery's batch inversion).
+
+    Every position is inverted, not only those where some ``y`` has a
+    1 bit, so a non-unit bit ciphertext raises whatever the peer's bits
+    are.
+    """
+    n, g = public.n, public.g
+    prefix = [1]  # prefix[t]: the product of the first t ciphertexts
+    for value in received:
+        prefix.append(prefix[-1] * value % n)
+    try:
+        inverse = pow(prefix[-1], -1, n)
+    except ValueError:
+        raise BitwiseComparisonError(
+            "a bit ciphertext is not a unit mod n") from None
+    complements = [0] * len(received)
+    for position in range(len(received) - 1, -1, -1):
+        # Here inverse is prefix[position + 1]^-1.
+        complements[position] = g * (inverse * prefix[position] % n) % n
+        inverse = inverse * received[position] % n
+    return complements
+
+
 def _blinded_witnesses(public: DgkPublicKey, received: list[int],
-                       complements: dict[int, int], y_bits: list[int],
+                       complements: list[int], y_bits: list[int],
                        rng) -> list[int]:
     """Steps 2-3 for one ``y``: blinded, shuffled witness ciphertexts.
 
-    ``received`` are the key holder's bit ciphertexts (MSB first).
-    ``complements`` maps a bit position to ``E(1 - x_t)``; positions are
-    filled on first use and shared by every ``y`` of one call, since the
-    negation (a modular inverse) does not depend on ``y``.  Runs the
-    other party's RNG in exactly the per-point order (one multiplier and
-    one rerandomization per bit, then one shuffle), so batched and
-    per-point executions draw identical randomness for this half.
+    ``received`` are the key holder's bit ciphertexts (MSB first) and
+    ``complements`` their ``E(1 - x_t)``, shared by every ``y`` of one
+    call.  Runs the other party's RNG in exactly the per-point order
+    (one multiplier and one rerandomization per bit, then one shuffle),
+    so batched and per-point executions draw identical randomness for
+    this half.
     """
-    n, g = public.n, public.g
-    g_inverse = pow(g, -1, n)
-    # g^(-y_t - 1) for y_t = 0 and y_t = 1.
-    shifts = (g_inverse, g_inverse * g_inverse % n)
+    n = public.n
+    shifts = _shifts(public.g, n)
     blinded: list[int] = []
     # running_w encrypts the XORs of strictly-higher bit positions.
     running_w = 1
-    for position, (enc_x_bit, y_bit) in enumerate(zip(received, y_bits)):
+    for enc_x_bit, complement, y_bit in zip(received, complements, y_bits):
         c = enc_x_bit * shifts[y_bit] % n * pow(running_w, 3, n) % n
         multiplier = rng.randrange(1, DGK_U)
         blinded.append(pow(c, multiplier, n) * public.randomizer(rng) % n)
         # XOR under encryption: x ^ y = x when y=0, 1 - x when y=1.
-        if y_bit == 0:
-            xor_term = enc_x_bit
-        else:
-            xor_term = complements.get(position)
-            if xor_term is None:
-                xor_term = complements[position] = (
-                    g * pow(enc_x_bit, -1, n) % n)
-        running_w = running_w * xor_term % n
+        running_w = running_w * (complement if y_bit else enc_x_bit) % n
     rng.shuffle(blinded)
     return blinded
 
@@ -165,8 +193,9 @@ def dgk_greater_than(key_holder: Party, x: int, other: Party, y: int,
     if other.hosted:
         received = _checked_batch(public, other.receive(f"{label}/x_bits"),
                                   bits, "bit ciphertexts")
-        blinded = _blinded_witnesses(public, received, {}, _bits_of(y, bits),
-                                     other.rng)
+        blinded = _blinded_witnesses(public, received,
+                                     _complements(public, received),
+                                     _bits_of(y, bits), other.rng)
     other.send(f"{label}/witnesses", blinded)
 
     # --- Step 4 (key holder): zero-test every witness. ---------------------
@@ -209,7 +238,7 @@ def dgk_greater_than_batch(key_holder: Party, x: int, other: Party,
     if other.hosted:
         received = _checked_batch(public, other.receive(f"{label}/x_bits"),
                                   bits, "bit ciphertexts")
-        complements: dict[int, int] = {}
+        complements = _complements(public, received)
         batches = [_blinded_witnesses(public, received, complements,
                                       _bits_of(y, bits), other.rng)
                    for y in ys]

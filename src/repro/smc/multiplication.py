@@ -17,7 +17,8 @@ Two fidelity modes:
 - ``faithful_shared_r=True``: reproduces Algorithm 2 literally, where
   step 2 has the parties "collaborate to select a random r" that is then
   *sent to the masker* along with ``E(x; r)``.  Sharing the encryption
-  randomness lets the masker strip ``r^n`` and recover ``g^x``, enabling
+  randomness lets the masker strip the factor ``h_s^r`` (the key's
+  ``r^n``, :mod:`repro.crypto.paillier`) and recover ``g^x``, enabling
   a brute-force of small plaintext domains -- a write-up defect the
   DESIGN.md documents.  The mode exists so the leakage experiment (E7)
   can demonstrate the defect; nothing else uses it.
@@ -71,7 +72,7 @@ def secure_multiplication(receiver: Party, x: int, masker: Party, y: int,
 
     # --- Steps 1-3 (receiver): send E(x) [, r]. ---------------------------
     if faithful_shared_r:
-        shared_r = public.random_unit(receiver.rng)
+        shared_r = receiver.rng.getrandbits(public.randomness_bits)
         ciphertext = public.raw_encrypt(encoder.encode(x), shared_r)
         receiver.send(f"{label}/encrypted_x", ciphertext)
         receiver.send(f"{label}/shared_r", shared_r)

@@ -23,17 +23,20 @@ Three call shapes the DBSCAN protocols need:
   ``m + 2`` ciphertexts up front plus one per point.
 
 All three accept optional :class:`~repro.crypto.precompute.RandomnessPool`
-arguments -- one per (acting party, key) -- which move the ``r^n mod n^2``
-powmods of encryption into an offline phase.
+arguments -- one per (acting party, key) -- which move the randomness
+factors of encryption into an offline phase.
 
 Rerandomization note: every reply the masker (or the batch receiver)
 returns is a homomorphic combination of ciphertexts the other party
 produced *times a fresh encryption* of the masker's mask or blind.
-Since ``E(m1; r1) * E(m2; r2) = E(m1 + m2; r1 * r2)`` and ``r2`` is a
-fresh uniform unit unknown to the other party, ``r1 * r2`` is uniform
-and independent of ``r1``: the reply is already a fresh encryption of
-its plaintext, and a further ``rerandomize`` would only cost one more
-``r^n`` powmod.  So each reply draws exactly one factor.
+Factors multiply as ``h_s^r1 * h_s^r2 = h_s^(r1 + r2)``, and ``r2`` is
+a fresh exponent of ``k + 128`` bits, so ``r1 * y + r2`` modulo the
+order of ``h_s`` is within ``2^-128`` of uniform whatever ``r1 * y``
+is: the reply's factor is as fresh as any encryption's, even to the
+key's owner, who can take its discrete logarithm (DESIGN.md,
+"Fixed-base Paillier randomness (DJN)"); a further ``rerandomize``
+would only cost one more factor.  So each reply draws exactly one
+factor.
 """
 
 from __future__ import annotations

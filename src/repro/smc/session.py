@@ -82,18 +82,17 @@ class SmcConfig:
             benchmarks that should not pay key-generation time.
         precompute: enable per-(actor, key) randomness pools (the
             offline/online split).  Pools change only *when* the
-            ``r^n mod n^2`` powmods happen -- never the protocol
+            randomness factors are computed -- never the protocol
             semantics or disclosures; empty pools generate on demand.
             Call :meth:`SmcSession.precompute_pools` to move that work
             into an offline phase.  Off = seed-era behaviour, useful for
             ablations.
         engine: a :class:`~repro.crypto.engine.ModexpEngine` executing
-            the Paillier layer's bulk modexp work (pool refills, batch
-            encrypt/decrypt) and YMPP's RSA sweep; the DGK comparison
-            runs no engine jobs.  ``None`` uses the shared
-            serial engine -- identical results, one process.  Supply
-            ``ModexpEngine(workers=k)`` to shard those jobs across
-            ``k`` worker processes.
+            the Paillier layer's batch decryption and YMPP's RSA sweep;
+            randomness factors and the DGK comparison run no engine
+            jobs.  ``None`` uses the shared serial engine -- identical
+            results, one process.  Supply ``ModexpEngine(workers=k)`` to
+            shard those jobs across ``k`` worker processes.
     """
 
     paillier_bits: int = 256
@@ -343,21 +342,15 @@ class SmcSession:
         # because pool draws no longer interleave with the party's
         # protocol coin draws.  Pooling therefore only reorders work in
         # time -- the bit-identity contract across runtimes holds
-        # whatever the refill schedule.  A party's pool under its own
-        # key gets the private key when this process holds it (an owner
-        # pool: same factors, computed by CRT).  A pool under a pending
-        # peer key holds the placeholder until peer_keys_adopted.
+        # whatever the refill schedule.  A pool under a pending peer key
+        # holds the placeholder until peer_keys_adopted.
         self._pools: dict[tuple[str, str], RandomnessPool] = {}
         if self.config.precompute:
             for actor in (self.alice, self.bob):
                 for owner in (self.alice, self.bob):
-                    keys = self._contexts[owner.name].paillier
-                    owned = (actor is owner
-                             and not is_sealed(keys.private_key))
                     self._pools[(actor.name, owner.name)] = RandomnessPool(
-                        keys.public_key,
-                        random.Random(actor.rng.getrandbits(128)),
-                        keys.private_key if owned else None)
+                        self._contexts[owner.name].paillier.public_key,
+                        random.Random(actor.rng.getrandbits(128)))
         self.engine: ModexpEngine = self.config.engine or default_engine()
         self.comparison_backend: SecureComparison = self._comparison_backend()
 

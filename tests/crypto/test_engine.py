@@ -193,8 +193,7 @@ class TestEncryptionFactorsEquivalence:
             if pool is not None:
                 factors.append(pool.encryption_factor())
             else:
-                factors.append(pow(PUB.random_unit(rng), PUB.n,
-                                   PUB.n_squared))
+                factors.append(PUB.fresh_factor(rng))
         return factors
 
     def test_no_pool(self):

@@ -1,13 +1,14 @@
-"""Tests for the owner-side Paillier kernels.
+"""Tests for the kernels that use what each party holds.
 
-Two kernels use what each party holds instead of the generic powmod:
-the key owner's CRT encryption factor (``PaillierPrivateKey.nth_power``)
-and negation by modular inverse (signed scalars in
-``PaillierCiphertext.__mul__``).  Each must agree exactly with the
-generic computation it replaces, and neither may put a value keyed by
-the factorization into the process-wide powmod memo.  The DGK key
+Negation by modular inverse (signed scalars in
+``PaillierCiphertext.__mul__``) must agree exactly with the generic
+computation it replaces, and neither decryption nor any randomness
+factor may put a value into the process-wide powmod memo.  The DGK key
 holder's zero test is tested in ``tests/crypto/test_dgk.py``; here only
-its refusal on a sealed key inside a session.
+its refusal on a sealed key inside a session.  Randomness factors have
+one kernel for every holder of a key: the owner's pools match a peer's
+here, and the kernel itself is tested in
+``tests/crypto/test_djn_factors.py``.
 """
 
 import dataclasses
@@ -24,27 +25,22 @@ from repro.crypto.keycache import cached_dgk_keypair
 from repro.crypto.paillier import (
     PaillierCiphertext,
     PaillierError,
+    PaillierPublicKey,
     generate_paillier_keypair,
 )
-from repro.crypto.precompute import PrecomputeError, RandomnessPool
-from repro.crypto.sealed import (
-    PublicOnlyKeyError,
-    seal_dgk_keypair,
-    seal_paillier_keypair,
-)
+from repro.crypto.precompute import RandomnessPool
+from repro.crypto.sealed import PublicOnlyKeyError, seal_dgk_keypair
 from repro.net.channel import Channel
 from repro.net.party import make_party_pair
 from repro.smc.session import CryptoContext, SmcConfig, SmcSession
 
-KEY_BITS = (64, 128, 256, 512, 1024, 2048)
-
 
 @lru_cache(maxsize=None)
-def _keys(bits: int, random_g: bool = False):
+def _keys(bits: int):
     """This module's own keys: the shared ``cached_paillier_keypair``
     LRU is bounded, and other modules check its entries by identity."""
     return generate_paillier_keypair(
-        bits, random.Random(f"owner-kernels-{bits}"), random_g=random_g)
+        bits, random.Random(f"owner-kernels-{bits}"))
 
 
 KEYS = _keys(256)
@@ -54,48 +50,6 @@ PRIV = KEYS.private_key
 
 def _parallel_engine():
     return ModexpEngine(workers=2, min_parallel_jobs=1)
-
-
-class TestNthPower:
-    @settings(max_examples=30, deadline=None)
-    @given(st.sampled_from(KEY_BITS), st.booleans(),
-           st.integers(min_value=0, max_value=2**2048))
-    def test_equals_generic_powmod(self, bits, random_g, raw):
-        if random_g and bits > 1024:
-            bits = 1024  # spares a second 2048-bit keygen (~2 s)
-        keys = _keys(bits, random_g)
-        public = keys.public_key
-        r = raw % public.n
-        assert keys.private_key.nth_power(r) \
-            == pow(r, public.n, public.n_squared)
-
-    @pytest.mark.parametrize("bits", KEY_BITS)
-    def test_units_from_the_key(self, bits):
-        keys = _keys(bits)
-        public = keys.public_key
-        rng = random.Random(bits)
-        for _ in range(3):
-            r = public.random_unit(rng)
-            assert keys.private_key.nth_power(r) \
-                == pow(r, public.n, public.n_squared)
-
-    def test_non_units_too(self):
-        p, q = PRIV.p, PRIV.q
-        for r in (0, p, 3 * p, q, 5 * q):
-            assert PRIV.nth_power(r) == pow(r, PUB.n, PUB.n_squared)
-
-    def test_random_g_key(self):
-        keys = _keys(256, random_g=True)
-        public = keys.public_key
-        assert public.g != public.n + 1
-        r = public.random_unit(random.Random(4))
-        assert keys.private_key.nth_power(r) \
-            == pow(r, public.n, public.n_squared)
-
-    def test_sealed_key_refuses(self):
-        sealed = seal_paillier_keypair(PUB, "peer").private_key
-        with pytest.raises(PublicOnlyKeyError, match="nth_power"):
-            sealed.nth_power(3)
 
 
 class TestZeroTest:
@@ -168,9 +122,14 @@ class TestSignedScalars:
 
 
 class TestOwnerPools:
+    """The key owner's pool and a pool on the same key rebuilt from its
+    announced ``(n, g)`` -- what a peer holds -- draw identical factors
+    from the same coins: the owner has no kernel of its own."""
+
     def _pair(self, seed):
-        return (RandomnessPool(PUB, random.Random(seed), PRIV),
-                RandomnessPool(PUB, random.Random(seed)))
+        peer_view = PaillierPublicKey(n=PUB.n, g=PUB.g)
+        return (RandomnessPool(KEYS.public_key, random.Random(seed)),
+                RandomnessPool(peer_view, random.Random(seed)))
 
     def test_refill_and_misses_match_a_public_pool(self):
         owner, public = self._pair(1)
@@ -190,35 +149,21 @@ class TestOwnerPools:
             engine.fill_pool(public, 3)
             assert list(owner._factors) == list(public._factors)
             rng_a, rng_b = random.Random(3), random.Random(3)
-            owned = engine.encrypt_batch(PUB, list(range(5)), rng_a, owner)
-            plain = engine.encrypt_batch(PUB, list(range(5)), rng_b, public)
+            owned = engine.encrypt_batch(
+                owner.public_key, list(range(5)), rng_a, owner)
+            plain = engine.encrypt_batch(
+                public.public_key, list(range(5)), rng_b, public)
             assert owned == plain
-            assert engine.encryption_factors(PUB, 4, rng_a, owner) \
-                == engine.encryption_factors(PUB, 4, rng_b, public)
+            assert engine.encryption_factors(
+                owner.public_key, 4, rng_a, owner) \
+                == engine.encryption_factors(
+                    public.public_key, 4, rng_b, public)
         assert owner.report() == public.report()
-
-    def test_mismatched_private_key_rejected(self):
-        other = _keys(128).private_key
-        with pytest.raises(PrecomputeError, match="does not match"):
-            RandomnessPool(PUB, random.Random(0), other)
-
-    def test_session_gives_each_party_its_own_key_only(self):
-        alice, bob = make_party_pair(Channel(), 1, 2)
-        contexts = {alice.name: CryptoContext(paillier=KEYS),
-                    bob.name: CryptoContext(paillier=_keys(128))}
-        session = SmcSession(alice, bob, SmcConfig(),
-                             preset_contexts=contexts)
-        for actor in (alice.name, bob.name):
-            for owner in (alice.name, bob.name):
-                pool = session.pool(actor, owner)
-                expected = (session.paillier_keys(owner).private_key
-                            if actor == owner else None)
-                assert pool.private_key is expected
 
 
 class TestMemoStaysPublic:
-    """Decryption and owner factors never touch the process-wide powmod
-    memo, serially or through a fallen-back engine."""
+    """Decryption and randomness factors never touch the process-wide
+    powmod memo, serially or through a fallen-back engine."""
 
     def _closed_engine(self):
         engine = _parallel_engine()
@@ -227,19 +172,23 @@ class TestMemoStaysPublic:
 
     def test_no_memo_entries(self):
         rng = random.Random(8)
-        values = [PUB.encrypt(m % PUB.n, rng).value for m in (0, 99, -198)]
         standard = dataclasses.replace(PRIV, hp=None, hq=None)
-        pool = RandomnessPool(PUB, random.Random(9), PRIV)
+        pool = RandomnessPool(PUB, random.Random(9))
         before = cached_pow.cache_info()
+        values = [PUB.encrypt(m % PUB.n, rng).value for m in (0, 99, -198)]
         PRIV.decrypt_raw(values[0])
         standard.decrypt_raw(values[0])
         PRIV.decrypt_raw_standard(values[1])
         for engine in (default_engine(), self._closed_engine()):
             engine.decrypt_raw_batch(PRIV, values)
             engine.decrypt_raw_batch(standard, values)
+            engine.fill_pool(pool, 2)
+            engine.encrypt_batch(PUB, [1, 2, 3], rng, pool)
+            engine.encryption_factors(PUB, 2, rng)
         pool.refill(2)
         pool.encryption_factor()
         pool.encryption_factor()
         pool.encryption_factor()  # a miss
-        PRIV.nth_power(12345)
+        PUB.raw_encrypt(5, 12345)
+        PaillierCiphertext(PUB, values[2]).rerandomize(rng)
         assert cached_pow.cache_info() == before

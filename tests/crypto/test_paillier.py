@@ -153,8 +153,3 @@ class TestCiphertextBehaviour:
 
     def test_repr_hides_value(self):
         assert "value" not in repr(PUB.encrypt(9, RNG))
-
-    def test_random_unit_is_coprime(self):
-        import math
-        for _ in range(10):
-            assert math.gcd(PUB.random_unit(RNG), PUB.n) == 1

@@ -1,16 +1,15 @@
 """A deployment-size key end to end: one 1024-bit mesh3 session.
 
 The layered benchmark runs 256-bit keys so that a full check fits its
-time budget; this weekly test keeps a realistic key size from rotting.
-It deals the benchmark's mesh3 plan -- three parties holding (2, 1, 0),
+time budget; this tier-1 test (a few seconds, fixed-base factor tables
+included) keeps a realistic key size from rotting on every push.  It
+deals the benchmark's mesh3 plan -- three parties holding (2, 1, 0),
 (2, 0, 1) and (1, 1, 1) points from the three blobs of the ``blobs``
 standard workload -- runs one in-process session at 1024 bits, checks
 every party's labels against ``union_density_dbscan``, and checks that
 messages, rounds and comparisons equal a 256-bit run of the same plan:
 the key size changes the ciphertexts, never the protocol's shape.
 """
-
-import pytest
 
 from repro.clustering.union_density import union_density_dbscan
 from repro.core.config import ProtocolConfig
@@ -57,7 +56,6 @@ def _session(key_bits: int):
     return config, points, result
 
 
-@pytest.mark.slow
 def test_1024_bit_mesh3_session_matches_reference_and_shape():
     config, points, result = _session(1024)
     for name, own in points.items():

@@ -7,20 +7,24 @@ import pytest
 
 from repro.net.channel import Channel, ProtocolDesyncError
 from repro.net.framing import FRAME_CONTROL
+from repro.net.serialization import serialize_message
 from repro.net.stats import CommunicationStats
 from repro.net.transport import (
+    RELEASED_TAGS_KEPT,
     AsyncTcpTransport,
     InProcessTransport,
     TransportClosedError,
     TransportError,
     TransportTimeoutError,
 )
+from repro.obs.metrics import MetricsRegistry, series_key
 from repro.smc.session import SmcConfig, channel_for_config
 
 
-async def tcp_transport_pair(timeout_s: float = 2.0):
+async def tcp_transport_pair(timeout_s: float = 2.0, metrics=None):
     """Two ``AsyncTcpTransport`` hubs, alice's and bob's, on the two
-    ends of one real loopback connection (call on a running loop)."""
+    ends of one real loopback connection (call on a running loop);
+    ``metrics`` is bob's registry."""
     accepted = asyncio.get_running_loop().create_future()
     server = await asyncio.start_server(
         lambda reader, writer: accepted.set_result((reader, writer)),
@@ -28,7 +32,8 @@ async def tcp_transport_pair(timeout_s: float = 2.0):
     port = server.sockets[0].getsockname()[1]
     left = AsyncTcpTransport("alice", "bob", "alice", timeout_s=timeout_s)
     left.start(*await asyncio.open_connection("127.0.0.1", port))
-    right = AsyncTcpTransport("alice", "bob", "bob", timeout_s=timeout_s)
+    right = AsyncTcpTransport("alice", "bob", "bob", timeout_s=timeout_s,
+                              metrics=metrics)
     right.start(*await accepted)
     server.close()
     return left, right
@@ -171,6 +176,113 @@ class TestTcpTransport:
         assert received == ("blob", wire)
 
 
+async def _arrived(hub: AsyncTcpTransport, tag: str) -> None:
+    """Wait until the demux task has created ``tag``'s view."""
+    for _ in range(200):
+        if tag in hub._sessions:
+            return
+        await asyncio.sleep(0.005)
+    raise AssertionError(f"no view for {tag!r} on {hub.name}")
+
+
+class TestReleasedTags:
+    """A frame that lands after its session released the tag is late:
+    dropped and counted, never a view that nothing would release."""
+
+    LATE = series_key("repro_link_late_frames_total", {"pair": "alice-bob"})
+
+    def test_late_frames_leave_no_view(self):
+        registry = MetricsRegistry()
+
+        async def run():
+            left, right = await tcp_transport_pair(metrics=registry)
+            tags = ("s", "s#alice")
+            for tag in tags:
+                right.session(tag)
+                right.release(tag)
+            for tag in tags:
+                view = left.session(tag)
+                view.deliver("alice", "bob", "late", b"1")
+                view.send_control(serialize_message(["end_pass"]))
+            # Same connection, so the fresh frame lands after the late
+            # ones; its tag was never seen and gets a view.
+            left.session("fresh").deliver("alice", "bob", "early", b"2")
+            await _arrived(right, "fresh")
+            views = set(right._sessions)
+            collected = right._sessions["fresh"].try_collect("bob", "early")
+            await left.aclose()
+            await right.aclose()
+            return views, collected
+
+        views, collected = asyncio.run(run())
+        assert views == {"fresh"}
+        assert collected == ("early", b"2")
+        assert registry.snapshot()["counters"][self.LATE] == 4
+
+    def test_session_sync_reopens_a_released_tag(self):
+        """A session id used again starts with its sync record, which
+        may overtake the local open; a local open re-admits too."""
+        registry = MetricsRegistry()
+        sync = serialize_message(["session_sync", "digest"])
+
+        async def run():
+            left, right = await tcp_transport_pair(metrics=registry)
+            for tag in ("again", "local"):
+                right.session(tag)
+                right.release(tag)
+            left.session("again").send_control(sync)
+            await _arrived(right, "again")
+            record = await right.session("again").next_control()
+            right.session("local")
+            left.session("local").deliver("alice", "bob", "m", b"3")
+            message = await right.session("local").wait_message("m")
+            await left.aclose()
+            await right.aclose()
+            return record, message
+
+        record, message = asyncio.run(run())
+        assert record == sync
+        assert message == ("m", b"3")
+        assert registry.snapshot()["counters"].get(self.LATE, 0) == 0
+
+    def test_late_session_sync_still_reopens_for_good(self):
+        """Pins the leak that remains: a peer that syncs only after
+        this hub timed the session out and released its tag re-creates
+        the view, its next frames fill it, and nothing releases it
+        again.  A sync bound to an attempt number would be dropped
+        instead (ROADMAP direction 5)."""
+        registry = MetricsRegistry()
+        sync = serialize_message(["session_sync", "digest"])
+
+        async def run():
+            left, right = await tcp_transport_pair(metrics=registry)
+            right.session("timed-out")
+            right.release("timed-out")
+            late = left.session("timed-out")
+            late.send_control(sync)
+            late.deliver("alice", "bob", "keys/paillier_pub", b"4")
+            left.session("marker").deliver("alice", "bob", "m", b"5")
+            await _arrived(right, "marker")
+            stranded = right._sessions.get("timed-out")
+            queued = (None if stranded is None else
+                      (stranded._control_queue.qsize(),
+                       stranded._message_queue.qsize()))
+            await left.aclose()
+            await right.aclose()
+            return queued
+
+        assert asyncio.run(run()) == (1, 1)
+        assert registry.snapshot()["counters"].get(self.LATE, 0) == 0
+
+    def test_released_tags_are_bounded(self):
+        hub = AsyncTcpTransport("alice", "bob", "bob")
+        for index in range(RELEASED_TAGS_KEPT + 10):
+            hub.release(f"s{index}")
+        assert len(hub._released) == RELEASED_TAGS_KEPT
+        assert "s0" not in hub._released
+        assert f"s{RELEASED_TAGS_KEPT + 9}" in hub._released
+
+
 class TestSessionLinkTransport:
     def test_blocking_collect_refused(self):
         """Daemon sessions park coroutines, never threads: the blocking
@@ -203,10 +315,11 @@ class TestStatsThreadSafety:
     def test_concurrent_transcript_indices_unique(self):
         from repro.net.transcript import Transcript
         transcript = Transcript()
+        wire = serialize_message(1)
 
         def hammer(sender):
             for _ in range(500):
-                transcript.record(sender, "peer", "l", 1, 1)
+                transcript.record(sender, "peer", "l", wire)
 
         threads = [threading.Thread(target=hammer, args=(str(i),))
                    for i in range(4)]

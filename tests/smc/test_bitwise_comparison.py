@@ -1,8 +1,11 @@
 """Tests for the DGK bitwise comparison on DGK's cryptosystem."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto.dgk import DGK_U
 from repro.crypto.keycache import cached_dgk_keypair
 from repro.net.channel import Channel
 from repro.net.party import make_party_pair
@@ -199,3 +202,82 @@ class TestReceivedCiphertexts:
             with pytest.raises(BitwiseComparisonError,
                                match="expected 8 witnesses"):
                 dgk_greater_than(alice, 9, bob, 5, 8, KEYS)
+
+
+def _reference_witnesses(public, received, y, bits, rng):
+    """Steps 2-3 as the module docstring states them, one modular
+    inverse per position where ``y`` has a 1 bit and ``g^-1`` per call:
+    what the batched inversion must reproduce bit for bit."""
+    n, g = public.n, public.g
+    g_inverse = pow(g, -1, n)
+    shifts = (g_inverse, g_inverse * g_inverse % n)
+    blinded, running_w = [], 1
+    for position, enc_x_bit in enumerate(received):
+        y_bit = (y >> (bits - 1 - position)) & 1
+        c = enc_x_bit * shifts[y_bit] % n * pow(running_w, 3, n) % n
+        multiplier = rng.randrange(1, DGK_U)
+        blinded.append(pow(c, multiplier, n) * public.randomizer(rng) % n)
+        xor_term = g * pow(enc_x_bit, -1, n) % n if y_bit else enc_x_bit
+        running_w = running_w * xor_term % n
+    rng.shuffle(blinded)
+    return blinded
+
+
+def _peer_values(pattern: str, bits: int, count: int, seed: int):
+    rng = random.Random(seed)
+    if pattern == "zeros":
+        return [0] * count
+    if pattern == "ones":
+        return [(1 << bits) - 1] * count
+    return [rng.randrange(1 << bits) for _ in range(count)]
+
+
+class TestBatchedInversion:
+    """Every ``E(1 - x_t)`` of a call comes from one modular inverse;
+    the witnesses on the wire stay those of the per-position form."""
+
+    @pytest.mark.parametrize("bits", [1, 40])
+    @pytest.mark.parametrize("pattern", ["random", "zeros", "ones"])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_witnesses_equal_the_per_position_reference(self, bits, pattern,
+                                                        batched):
+        for seed in range(3):
+            channel = Channel()
+            alice, bob = make_party_pair(channel, 40 + seed, 50 + seed)
+            ys = _peer_values(pattern, bits, 3 if batched else 1, seed)
+            x = random.Random(seed).randrange(1 << bits)
+            state = bob.rng.getstate()
+            if batched:
+                dgk_greater_than_batch(alice, x, bob, ys, bits, KEYS,
+                                       label="t")
+            else:
+                dgk_greater_than(alice, x, bob, ys[0], bits, KEYS,
+                                 label="t")
+            received = channel.transcript.with_label("t/x_bits")[0].value
+            rng = random.Random()
+            rng.setstate(state)
+            expected = [_reference_witnesses(KEYS.public_key, received, y,
+                                             bits, rng) for y in ys]
+            sent = channel.transcript.with_label("t/witnesses")[0].value
+            assert sent == (expected if batched else expected[0])
+
+    @pytest.mark.parametrize("pattern", ["random", "zeros", "ones"])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_non_unit_bit_ciphertext_raises_whatever_the_peer_bits(
+            self, pattern, batched):
+        """A bit ciphertext sharing a factor with n fails at the one
+        inverse, even where every peer bit is 0 and no complement of
+        that position is used."""
+        p = KEYS.private_key.p
+        for position in (0, 7):
+            alice, bob = _fresh_parties(position)
+            send = alice.send
+            alice.send = lambda label, value: send(label, (
+                value[:position] + [p] + value[position + 1:]
+                if label.endswith("/x_bits") else value))
+            ys = _peer_values(pattern, 8, 2, position)
+            with pytest.raises(BitwiseComparisonError, match="not a unit"):
+                if batched:
+                    dgk_greater_than_batch(alice, 9, bob, ys, 8, KEYS)
+                else:
+                    dgk_greater_than(alice, 9, bob, ys[0], 8, KEYS)

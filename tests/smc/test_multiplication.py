@@ -75,7 +75,8 @@ class TestWireBehaviour:
 
     def test_faithful_r_exposes_g_to_the_x(self):
         """The documented defect of Algorithm 2's shared r: with r on the
-        wire the masker can strip r^n and brute-force a small domain."""
+        wire the masker can strip the factor it selects and brute-force a
+        small domain."""
         channel, alice, bob = _fresh_parties()
         secure_multiplication(alice, 42, bob, 2, 0, KEYS, label="m",
                               faithful_shared_r=True)
@@ -83,9 +84,8 @@ class TestWireBehaviour:
         shared_r = channel.transcript.with_label("m/shared_r")[0].value
         public = KEYS.public_key
         from repro.crypto.integer_math import mod_inverse
-        g_to_x = (cipher * mod_inverse(
-            pow(shared_r, public.n, public.n_squared),
-            public.n_squared)) % public.n_squared
+        g_to_x = (cipher * mod_inverse(public.randomness_factor(shared_r),
+                                       public.n_squared)) % public.n_squared
         # Brute force the small domain, as a semi-honest masker could.
         recovered = next(x for x in range(100)
                          if public.raw_encrypt_constant(x) == g_to_x)
