@@ -356,7 +356,16 @@ def _run_demo_with_engine(args, points, engine: ModexpEngine) -> int:
         mesh = PartyMesh(list(by_party), config.smc,
                          seeds=[args.seed, args.seed + 1, args.seed + 2])
         if prefill:
-            mesh.precompute_pools(prefill)
+            # A fresh mesh has no stream before its run: name each one
+            # the run queries on -- per driver, own point and peer
+            # holding points -- with ``prefill`` factors in every pool.
+            mesh.precompute_pools({
+                (driver, peer): {(driver, query, actor, owner): prefill
+                                 for query in range(len(own))
+                                 for actor in (driver, peer)
+                                 for owner in (driver, peer)}
+                for driver, own in by_party.items()
+                for peer in by_party if peer != driver and by_party[peer]})
         result = run_multiparty_horizontal_dbscan(by_party, config,
                                                   mesh=mesh)
         for name, labels in result.labels_by_party.items():

@@ -128,16 +128,3 @@ def isqrt_exact(value: int) -> int | None:
         return None
     root = math.isqrt(value)
     return root if root * root == value else None
-
-
-def pow_mod(base: int, exponent: int, modulus: int) -> int:
-    """Modular exponentiation supporting negative exponents.
-
-    Negative exponents are resolved through the modular inverse (the
-    Paillier scalar multiply gets the same from the built-in ``pow``).
-    """
-    if modulus <= 0:
-        raise ValueError(f"modulus must be positive, got {modulus}")
-    if exponent < 0:
-        return cached_pow(mod_inverse(base, modulus), -exponent, modulus)
-    return cached_pow(base, exponent, modulus)

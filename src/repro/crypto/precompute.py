@@ -249,7 +249,7 @@ class RandomnessService:
     """Daemon-wide offline-phase broker: demand learning + idle refill.
 
     Lives on the daemon event loop (single-threaded by construction; no
-    locks).  Three jobs:
+    locks).  Two jobs:
 
     1. **Demand model.**  Keyed by ``(key digest[:16], actor-is-owner)``
        -- the two pool roles a keypair induces -- refined by the
@@ -264,10 +264,6 @@ class RandomnessService:
        (learned demand minus factors already consumed) in small chunks
        between protocol work, yielding to the loop after every chunk
        and skipping leases that are mid-query.
-    3. **Fixed-base tables.**  :class:`FixedBaseExp` tables depend only
-       on the public key, so they are cached per key digest and shared
-       across every session under that keypair (``random_g`` keys
-       only; the ``n + 1`` default never builds one).
     """
 
     def __init__(self, engine=None, *, refill_chunk: int = 8,
@@ -280,7 +276,6 @@ class RandomnessService:
         self.idle_interval_s = idle_interval_s
         self._demand: dict[tuple, int] = {}
         self._leases: dict[str, RandomnessLease] = {}
-        self._tables: dict[tuple[str, int, int], FixedBaseExp] = {}
         self.sessions_served = 0
         self.factors_prefilled = 0
         self.factors_background = 0
@@ -288,8 +283,6 @@ class RandomnessService:
         # single source for the daemon-wide pool hit rate.
         self.factors_consumed = 0
         self.factors_missed = 0
-        self.table_builds = 0
-        self.table_hits = 0
         self._closed = False
 
     # -- leases -------------------------------------------------------------
@@ -366,21 +359,6 @@ class RandomnessService:
             # new demand.
             await asyncio.sleep(0 if generated else self.idle_interval_s)
 
-    # -- fixed-base tables --------------------------------------------------
-
-    def fixed_base_table(self, base: int, modulus: int, max_bits: int,
-                         key_digest: str, *, window: int = 4) -> FixedBaseExp:
-        """Shared ``g^m`` table for one keypair, built at most once."""
-        cache_key = (key_digest[:16], max_bits, window)
-        table = self._tables.get(cache_key)
-        if table is None:
-            table = FixedBaseExp(base, modulus, max_bits, window=window)
-            self._tables[cache_key] = table
-            self.table_builds += 1
-        else:
-            self.table_hits += 1
-        return table
-
     # -- reporting / lifecycle ----------------------------------------------
 
     def report(self) -> dict[str, int]:
@@ -393,11 +371,8 @@ class RandomnessService:
             "factors_consumed": self.factors_consumed,
             "factors_missed": self.factors_missed,
             "factors_hit": self.factors_consumed - self.factors_missed,
-            "table_builds": self.table_builds,
-            "table_hits": self.table_hits,
         }
 
     def close(self) -> None:
         self._closed = True
         self._leases.clear()
-        self._tables.clear()

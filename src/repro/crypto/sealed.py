@@ -166,9 +166,3 @@ def public_key_digest(paillier: PaillierPublicKey,
     if dgk is not None:
         material += f"|dgk|{dgk.n}|{dgk.g}|{dgk.h}"
     return hashlib.sha256(material.encode()).hexdigest()
-
-
-def rsa_public_digest(public_key: RsaPublicKey) -> str:
-    """Canonical SHA-256 digest of an RSA public key."""
-    material = f"rsa|{public_key.n}|{public_key.e}".encode()
-    return hashlib.sha256(material).hexdigest()

@@ -1,9 +1,9 @@
 """k-party privacy preserving DBSCAN over horizontally partitioned data.
 
 Algorithm 3/4 generalized: each party drives a pass over its own points;
-the density test for a queried point sums the local neighbour count with
-one secure count per peer; expansion proceeds through own points only.
-For ``k = 2`` this reduces exactly to the two-party protocol.
+the density test for a point sums the local neighbour count with one
+secure count per peer; expansion proceeds through own points only.  For
+``k = 2`` this reduces exactly to the two-party protocol.
 
 Each per-peer secure count is the two-party protocol's
 :func:`~repro.core.horizontal.secure_peer_neighbor_count`: **one batched
@@ -16,21 +16,21 @@ sequences equal a loop of the per-point ``hdp_within_eps`` reference
 ``cache_peer_ciphertexts=True`` each driver pass keeps one
 :class:`~repro.core.distance.PeerCipherCache` per peer, so a peer
 point's encrypted coordinates cross the wire once per pass (the linkable
-trade recorded by the ledger, exactly as in the two-party protocol).
+trade recorded by the ledger, exactly as in the two-party protocol):
+the query on the driver's point 0 fills it, and the pass's other
+queries to that peer read it.
 
-Scheduling: each driver's pass reads only its own points plus the
-secure counts its peers return, so the k passes do not depend on each
-other.  Every pass queries each peer on its own
-:class:`~repro.multiparty.mesh.PairStream` (own channel, session, pools
-and RNG substream per (pair, driver)), so the passes may run at the same
-time: here they run one after another, in a daemon all at once.  Within
-a pass, the per-peer queries of one driver step are independent too and
-go through a :mod:`~repro.multiparty.scheduler` pass executor: in order
-here, as overlapping coroutines in a daemon.  Disclosure records are
-merged in deterministic peer and pass order either way, and each pair's
-transcript and stats are reported in canonical pass order, so labels,
-per-pair transcripts, the ledger sequence, and comparison counts do not
-depend on the schedule.
+Order-free density tests: a point's secure count depends only on the
+point, never on when the expansion asks for it, so each point asks one
+query per peer per pass, each on its own
+:class:`~repro.multiparty.mesh.PairStream`, and the Algorithm 3/4
+expansion (:func:`expand_clusters`) reads the count at every test of
+the point; the pass's :mod:`~repro.multiparty.scheduler` executor hands
+a re-test the counts it already got.  Here each test runs as the
+traversal reaches it; a daemon asks every point's queries first.
+Disclosure records are merged in (point, peer) order and each pair's
+transcript and stats are reported in canonical order, so nothing
+observable depends on the schedule.
 
 Reference semantics: each party's labels equal
 ``union_density_dbscan(own_points, concatenation_of_all_peer_points)``
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.clustering.labels import (
     NOISE,
@@ -111,14 +112,13 @@ def run_multiparty_horizontal_dbscan(points_by_party: dict[str, list],
     all_points = [p for points in points_by_party.values() for p in points]
     value_bound = squared_distance_bound(all_points, all_points)
 
-    executor = PassExecutor()
     labels_by_party = {}
     for driver_name in names:
         caches = ({peer: PeerCipherCache() for peer in
                    mesh.peers_of(driver_name)}
                   if config.cache_peer_ciphertexts else None)
         labels = _driver_pass(mesh, driver_name, points_by_party, config,
-                              value_bound, ledger, caches, executor)
+                              value_bound, ledger, caches)
         labels_by_party[driver_name] = labels.as_tuple()
 
     return MultipartyRunResult(
@@ -129,30 +129,30 @@ def run_multiparty_horizontal_dbscan(points_by_party: dict[str, list],
     )
 
 
-def _pass_program(own_points: list, config: ProtocolConfig):
-    """Algorithm 3+4 as a generator: the single protocol implementation.
+def expand_clusters(own_points: list, peer_count: Callable[[int], int],
+                    config: ProtocolConfig) -> ClusterLabels:
+    """Algorithm 3+4: the single expansion.
 
-    Yields each query point whose cross-party neighbour count the
-    protocol needs (one yield per density test -- the seed test of
-    Algorithm 3 and every BFS step of Algorithm 4), receives the summed
-    peer total back via ``send``, and returns the finished
-    :class:`ClusterLabels` through ``StopIteration.value``.
-
-    Both drivers -- the synchronous :func:`_driver_pass` below and the
-    daemon's message-granularity ``drive_pass_async`` -- step this same
-    generator, so the clustering control flow (and therefore the exact
-    sequence of secure queries) cannot diverge between runtimes.
+    ``peer_count(i)`` is own point ``i``'s neighbour count summed over
+    every peer, asked at each density test of the point.  The traversal
+    is the paper's -- each point the outer loop reaches unclassified
+    seeds a cluster or becomes noise, and the expansion queue grows
+    through own points only -- so the labels do not depend on where the
+    counts come from or when they were computed.
     """
     labels = ClusterLabels(len(own_points))
     index = BruteForceIndex(own_points)
     eps_squared = config.eps_squared
+
+    def dense(point_index: int, neighbours: list[int]) -> bool:
+        return len(neighbours) + peer_count(point_index) >= config.min_pts
+
     cluster_id = next_cluster_id(NOISE)
     for point_index in range(len(own_points)):
         if not labels.is_unclassified(point_index):
             continue
         seeds = index.region_query(index.points[point_index], eps_squared)
-        peer_total = yield index.points[point_index]
-        if len(seeds) + peer_total < config.min_pts:
+        if not dense(point_index, seeds):
             labels.change_cluster_id(point_index, NOISE)
             continue
         labels.change_cluster_ids(seeds, cluster_id)
@@ -160,8 +160,7 @@ def _pass_program(own_points: list, config: ProtocolConfig):
         while queue:
             current = queue.popleft()
             result = index.region_query(index.points[current], eps_squared)
-            peer_total = yield index.points[current]
-            if len(result) + peer_total >= config.min_pts:
+            if dense(current, result):
                 for neighbor in result:
                     if labels[neighbor] in (UNCLASSIFIED, NOISE):
                         if labels[neighbor] == UNCLASSIFIED:
@@ -175,83 +174,50 @@ def _driver_pass(mesh: PartyMesh, driver_name: str,
                  points_by_party: dict[str, list], config: ProtocolConfig,
                  value_bound: int, ledger: LeakageLedger,
                  caches: dict[str, PeerCipherCache] | None,
-                 executor: PassExecutor) -> ClusterLabels:
-    """Drive :func:`_pass_program` with blocking per-peer queries."""
-    program = _pass_program(list(points_by_party[driver_name]), config)
-    try:
-        query_point = next(program)
-        while True:
-            total = _all_peer_counts(mesh, driver_name, points_by_party,
-                                     query_point, config, value_bound,
-                                     ledger, caches, executor)
-            query_point = program.send(total)
-    except StopIteration as done:
-        return done.value
+                 ) -> ClusterLabels:
+    """One pass: the expansion, each density test through the pass's
+    executor as the traversal reaches it -- point 0 first, so its
+    queries fill any peer cipher caches."""
+    executor = PassExecutor()
+
+    def density_test(point_index: int) -> int:
+        return sum(outcome.count for outcome in executor.run_pass(
+            point_queries(mesh, driver_name, point_index, points_by_party,
+                          config, value_bound, caches)))
+
+    labels = expand_clusters(points_by_party[driver_name], density_test,
+                             config)
+    executor.merge_into(ledger)
+    return labels
 
 
-def _all_peer_counts(mesh: PartyMesh, driver_name: str,
-                     points_by_party: dict[str, list],
-                     query_point: tuple[int, ...], config: ProtocolConfig,
-                     value_bound: int, ledger: LeakageLedger,
-                     caches: dict[str, PeerCipherCache] | None,
-                     executor: PassExecutor) -> int:
-    """One secure neighbour count per peer, summed.
-
-    The per-peer queries run through the pass executor; each records
-    into a private sub-ledger that is merged here in deterministic peer
-    order, so the disclosure sequence is identical however the queries
-    were scheduled.
-    """
-    tasks = _build_peer_queries(mesh, driver_name, points_by_party,
-                                query_point, config, value_bound, caches)
-    return _merge_outcomes(executor.run_pass(tasks), ledger)
-
-
-def _merge_outcomes(outcomes, ledger: LeakageLedger) -> int:
-    """Fold pass outcomes (already in task order) into the run ledger."""
-    total = 0
-    for outcome in outcomes:
-        ledger.extend(outcome.ledger)
-        total += outcome.count
-    return total
-
-
-def _build_peer_queries(mesh: PartyMesh, driver_name: str,
-                        points_by_party: dict[str, list],
-                        query_point: tuple[int, ...],
-                        config: ProtocolConfig, value_bound: int,
-                        caches: dict[str, PeerCipherCache] | None,
-                        ) -> list[PeerQuery]:
-    """The scheduler tasks of one density test, in mesh peer order."""
-    tasks = []
-    for peer_name in mesh.peers_of(driver_name):
-        peer_points = points_by_party[peer_name]
-        if not peer_points:
-            continue
-        tasks.append(PeerQuery(
-            peer=peer_name,
-            run=_make_peer_task(mesh, driver_name, peer_name, query_point,
-                                list(peer_points), config, value_bound,
-                                caches),
-            prepare=_make_prepare(mesh, driver_name, peer_name),
-        ))
-    return tasks
-
-
-def _make_prepare(mesh: PartyMesh, driver_name: str, peer_name: str):
-    """The query announcement, split from ``run`` so executors that may
-    re-execute the query body (the restartable async path) announce it
-    exactly once."""
-    return lambda: mesh.begin_peer_query(driver_name, peer_name)
+def point_queries(mesh: PartyMesh, driver_name: str, point_index: int,
+                  points_by_party: dict[str, list],
+                  config: ProtocolConfig, value_bound: int,
+                  caches: dict[str, PeerCipherCache] | None,
+                  ) -> list[PeerQuery]:
+    """The scheduler tasks of one density test -- the driver's own point
+    ``point_index`` against every peer holding points -- in mesh peer
+    order, each on its own stream."""
+    query_point = tuple(points_by_party[driver_name][point_index])
+    return [
+        PeerQuery(peer=peer_name, query=point_index,
+                  run=_make_peer_task(mesh, driver_name, peer_name,
+                                      point_index, query_point,
+                                      list(points_by_party[peer_name]),
+                                      config, value_bound, caches))
+        for peer_name in mesh.peers_of(driver_name)
+        if points_by_party[peer_name]]
 
 
 def _make_peer_task(mesh: PartyMesh, driver_name: str, peer_name: str,
-                    query_point: tuple[int, ...], peer_points: list,
-                    config: ProtocolConfig, value_bound: int,
+                    point_index: int, query_point: tuple[int, ...],
+                    peer_points: list, config: ProtocolConfig,
+                    value_bound: int,
                     caches: dict[str, PeerCipherCache] | None):
-    """Bind one peer's query, on the driver's stream to that peer, into
-    a scheduler task closure."""
-    stream = mesh.stream(driver_name, peer_name)
+    """Bind one peer's query, on its stream, into a scheduler task
+    closure."""
+    stream = mesh.stream(driver_name, peer_name, point_index)
     session = stream.session
     driver = stream.parties[driver_name]
     peer = stream.parties[peer_name]

@@ -4,26 +4,30 @@ Each physical party has one set of key material, reused across all of
 its pairwise channels.  Each unordered pair of parties gets one
 key-exchange channel and session (the public keys cross once per pair,
 :func:`~repro.smc.session.exchange_public_keys`) plus one **stream per
-driver**: the channel, parties and
-:class:`SmcSession` that driver's pass runs its queries to the pair's
-other party on.  A stream has its own transcript and stats, its own
-randomness pools and its own comparison counter, so the k driver passes
-share no mutable state and may run at the same time.
+density test**: the channel, parties and :class:`SmcSession` that one
+driver's query on one of its own points runs on, to the pair's other
+party.  A stream has its own transcript and stats, its own randomness
+pools and its own comparison counter, so no two queries share mutable
+state and every query of every pass may run at the same time.  A
+stream is built on first use (:meth:`PartyMesh.stream`); a peer with
+no points is never queried and gets none.
 
 Coins: a party's coin tosses on a stream come from a dedicated
-substream derived from the party's seed, the canonical pair key and the
-stream's driver (SHA-256 of ``seed | party | pair | driver``).  One
-generator shared by several streams would hand out its draws in
-whatever order the streams happened to interleave; with per-(pair,
-driver) substreams a stream draws the same coins whenever it runs --
-alone, next to the party's other peers, or next to the other drivers'
-passes -- so labels, transcripts and ledgers match exactly
-(property-tested in ``tests/multiparty/test_scheduler.py``).
+substream derived from the party's seed, the canonical pair key, the
+stream's driver and the driver's point index (SHA-256 of
+``seed | party | pair | driver | query``).  One generator shared by
+several streams would hand out its draws in whatever order the streams
+happened to interleave; with per-(pair, driver, query) substreams a
+stream draws the same coins whenever it runs -- alone, next to the
+pass's other queries, or next to the other drivers' passes -- so
+labels, transcripts and ledgers match exactly (property-tested in
+``tests/multiparty/test_scheduler.py``).
 
-Accounting: a pair's transcript and stats are the *canonical pass-order
+Accounting: a pair's transcript and stats are the *canonical
 concatenation* of its key exchange -- the left party's announcement,
-then the right party's -- and its streams (:func:`link_accounting`);
-the rounds of that concatenation are the link's sequential count
+then the right party's -- and its streams, pass by pass in slot order
+and each pass's queries in point order (:func:`link_accounting`); the
+rounds of that concatenation are the link's sequential count
 (:meth:`CommunicationStats.extend`), however the streams were
 scheduled.  Here the two announcements share the pair's key channel; a
 daemon records each on its own channel, because the two cross the link
@@ -52,7 +56,8 @@ from repro.smc.session import (
 def derive_pair_rng(seed: int | None, party: str, left: str,
                     right: str,
                     namespace: str | None = None, *,
-                    driver: str | None = None) -> random.Random:
+                    driver: str | None = None,
+                    query: int | None = None) -> random.Random:
     """A party's private RNG substream for one pairwise link.
 
     Derived (via :func:`~repro.net.transport.derive_seeded_stream`) by
@@ -69,11 +74,12 @@ def derive_pair_rng(seed: int | None, party: str, left: str,
     two sessions sharing seeds never share a coin stream.  ``None``
     keeps the per-(party, pair) stream.
 
-    ``driver`` names the stream: the coins of one driver's pass over
-    the pair (see :class:`PairStream`).  ``None`` is the pair's own
-    stream, which only the key exchange uses.
+    ``driver`` and ``query`` name the stream: the coins of ``driver``'s
+    density test on its own point ``query``, over the pair (see
+    :class:`PairStream`).  ``driver=None`` is the pair's own stream,
+    which only the key exchange uses.
     """
-    stream = () if driver is None else ("driver", driver)
+    stream = () if driver is None else ("driver", driver, "query", query)
     if namespace is None:
         return derive_seeded_stream(seed, party, left, right, *stream)
     return derive_seeded_stream(seed, "session", namespace, party, left,
@@ -86,40 +92,43 @@ class MeshError(ValueError):
 
 @dataclass
 class PairStream:
-    """One driver's pass over one pair.
+    """One density test's query over one pair: ``driver``'s query on its
+    own point ``query``.
 
     Its own channel (transcript and stats), both parties with coins
-    keyed by (pair, driver), and a session on the pair's exchanged key
-    contexts with its own pools and comparison counter.  The in-process
-    mesh builds them over in-process channels, a daemon over its mirror
-    channels; :func:`build_stream` is the one constructor.
+    keyed by (pair, driver, query), and a session on the pair's
+    exchanged key contexts with its own pools and comparison counter.
+    The in-process mesh builds them over in-process channels, a daemon
+    over its mirror channels; :func:`build_stream` is the one
+    constructor.
     """
 
     driver: str
+    query: int
     channel: object
     parties: dict[str, Party]
     session: SmcSession
 
 
 def build_stream(contexts: dict[str, CryptoContext], config: SmcConfig,
-                 channel, driver: str, seeds: dict,
+                 channel, driver: str, query: int, seeds: dict,
                  namespace: str | None = None) -> PairStream:
-    """The ``driver`` stream of ``channel``'s pair.
+    """The stream of ``driver``'s query on its point ``query`` over
+    ``channel``'s pair.
 
     ``contexts`` maps party name to the key material the pair's key
     exchange established (shared by the pair's streams, never
-    re-exchanged); ``seeds`` maps party name to its seed.  Only the
-    driver's own pass ever runs on the stream, so the coins each side
-    draws on it depend on nothing that happens on the pair's other
-    streams.
+    re-exchanged); ``seeds`` maps party name to its seed.  Only that one
+    query ever runs on the stream, so the coins each side draws on it
+    depend on nothing that happens on the pair's other streams.
     """
     left, right = channel.left.name, channel.right.name
     parties = {
         endpoint.name: Party(endpoint, derive_pair_rng(
             seeds[endpoint.name], endpoint.name, left, right,
-            namespace=namespace, driver=driver))
+            namespace=namespace, driver=driver, query=query))
         for endpoint in (channel.left, channel.right)}
-    return PairStream(driver, channel, parties,
+    return PairStream(driver, query, channel, parties,
                       SmcSession(parties[left], parties[right], config,
                                  preset_contexts=contexts))
 
@@ -127,8 +136,9 @@ def build_stream(contexts: dict[str, CryptoContext], config: SmcConfig,
 def link_accounting(channels) -> tuple[CommunicationStats, Transcript]:
     """One pair's stats and transcript: its channels concatenated in the
     given (canonical pass) order -- the key exchange first (the left
-    party's announcement, then the right party's), then one stream per
-    driver in pass order.  Both ends of a link and the in-process mesh
+    party's announcement, then the right party's), then the streams,
+    pass by pass in slot order and each pass's queries in point order.
+    Both ends of a link and the in-process mesh
     concatenate in that order, so the result does not depend on how the
     announcements and streams interleaved in time."""
     stats, transcript = CommunicationStats(), Transcript()
@@ -140,7 +150,7 @@ def link_accounting(channels) -> tuple[CommunicationStats, Transcript]:
 
 class PartyMesh:
     """``k`` parties; per unordered pair a key exchange and one stream
-    per driver.
+    per (driver, own point) query.
 
     Args:
         names: distinct party names, e.g. ``["party0", "party1", ...]``;
@@ -187,7 +197,9 @@ class PartyMesh:
         self._channels: dict[tuple[str, str], object] = {}
         self._sessions: dict[tuple[str, str], SmcSession] = {}
         self._parties: dict[tuple[str, str], dict[str, Party]] = {}
-        self._streams: dict[tuple[str, str], dict[str, PairStream]] = {}
+        # pair -> {(driver, query): stream}, filled on first use.
+        self._streams: dict[tuple[str, str],
+                            dict[tuple[str, int], PairStream]] = {}
         for index, left in enumerate(names):
             for right in names[index + 1:]:
                 self._build_pair(left, right)
@@ -213,13 +225,7 @@ class PartyMesh:
         self._channels[key] = channel
         self._sessions[key] = session
         self._parties[key] = {left: left_party, right: right_party}
-        # The lower slot drives first: streams in pass order.
-        self._streams[key] = {
-            driver: build_stream(self._contexts, self.config,
-                                 channel_for_config(self.config, left,
-                                                    right),
-                                 driver, self._seeds, self.rng_namespace)
-            for driver in key}
+        self._streams[key] = {}
 
     def _pair_key(self, a: str, b: str) -> tuple[str, str]:
         if a == b:
@@ -230,7 +236,7 @@ class PartyMesh:
         return (a, b) if self._slots[a] < self._slots[b] else (b, a)
 
     def session_between(self, a: str, b: str) -> SmcSession:
-        """The pair's key-exchange session (the passes run on
+        """The pair's key-exchange session (the queries run on
         :meth:`stream`)."""
         return self._sessions[self._pair_key(a, b)]
 
@@ -239,9 +245,25 @@ class PartyMesh:
         to ``peer``."""
         return self._parties[self._pair_key(name, peer)][name]
 
-    def stream(self, driver: str, peer: str) -> PairStream:
-        """The stream ``driver``'s pass queries ``peer`` on."""
-        return self._streams[self._pair_key(driver, peer)][driver]
+    def stream(self, driver: str, peer: str, query: int) -> PairStream:
+        """The stream ``driver``'s density test on its own point
+        ``query`` asks ``peer`` on, built on first use."""
+        pair = self._pair_key(driver, peer)
+        streams = self._streams[pair]
+        stream = streams.get((driver, query))
+        if stream is None:
+            stream = streams[(driver, query)] = build_stream(
+                self._contexts, self.config,
+                channel_for_config(self.config, *pair), driver, query,
+                self._seeds, self.rng_namespace)
+        return stream
+
+    def _ordered_streams(self, pair: tuple[str, str]) -> list[PairStream]:
+        """The pair's streams in canonical order: pass by pass in slot
+        order, each pass's queries in point order."""
+        streams = self._streams[pair]
+        return [streams[key] for key in sorted(
+            streams, key=lambda key: (self._slots[key[0]], key[1]))]
 
     def _stream_sessions(self) -> list[SmcSession]:
         return [stream.session for streams in self._streams.values()
@@ -256,51 +278,43 @@ class PartyMesh:
         """Offline phase across the whole mesh.
 
         ``factors`` is either one count applied to every (actor, key)
-        pool of every stream, or a ``{(left, right): plan}`` mapping
-        keyed like :meth:`pool_report` -- e.g. the consumption a probe
-        run reported.  Refills run through each session's engine; every
-        distinct engine is warmed up first so the pool-spawn latency is
-        paid here, in the offline phase, not by the first online batch.
+        pool of every stream built so far, or a ``{(left, right):
+        plan}`` mapping keyed like :meth:`pool_report`, e.g. the
+        consumption a probe run reported, which builds the streams it
+        names -- a fresh mesh has no stream before its run, so the
+        mapping is how an offline phase reaches them.  Refills run
+        through each session's engine; every distinct engine is warmed
+        up first so the pool-spawn latency is paid here, in the offline
+        phase, not by the first online batch.
         """
-        sessions = self._stream_sessions()
+        sessions = [*self._sessions.values(), *self._stream_sessions()]
         for engine in {id(session.engine): session.engine
                        for session in sessions}.values():
             engine.warm_up()
         if isinstance(factors, int):
-            for session in sessions:
+            for session in self._stream_sessions():
                 session.precompute_pools(factors)
             return
         for pair, plan in factors.items():
-            streams = self._streams[self._pair_key(*pair)]
-            for (driver, actor, owner), count in plan.items():
-                streams[driver].session.precompute_pools(
+            left, right = self._pair_key(*pair)
+            for (driver, query, actor, owner), count in plan.items():
+                peer = right if driver == left else left
+                self.stream(driver, peer, query).session.precompute_pools(
                     {(actor, owner): count})
-
-    def begin_peer_query(self, driver_name: str, peer_name: str) -> None:
-        """Runtime hook: one per-peer secure query is about to start.
-
-        The in-process mesh needs no announcement -- both parties live
-        here -- so this is a no-op.  A daemon's mesh view overrides it
-        to emit the control frame that tells the peer daemon to enter
-        the query choreography (the driver's pass structure is
-        data-dependent, so the peer cannot infer it).  Called once per
-        scheduler task, just before its ``run``, so the announcement
-        and the query's protocol frames stay ordered per stream however
-        the executor interleaves peers.
-        """
 
     def pool_report(self) -> dict:
         """Per-pair pool accounting over the pair's streams:
-        ``{(left, right): {(driver, actor, key_owner): pool_report}}``."""
-        return {pair: {(driver, actor, owner): report
-                       for driver, stream in streams.items()
+        ``{(left, right): {(driver, query, actor, key_owner):
+        pool_report}}``."""
+        return {pair: {(stream.driver, stream.query, actor, owner): report
+                       for stream in self._ordered_streams(pair)
                        for (actor, owner), report
                        in stream.session.pool_report().items()}
-                for pair, streams in sorted(self._streams.items())}
+                for pair in sorted(self._streams)}
 
     def _pair_channels(self, pair: tuple[str, str]) -> list:
         return [self._channels[pair]] + [
-            stream.channel for stream in self._streams[pair].values()]
+            stream.channel for stream in self._ordered_streams(pair)]
 
     def comparisons(self) -> int:
         """Secure-comparison invocations over every session."""

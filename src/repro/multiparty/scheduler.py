@@ -1,24 +1,27 @@
-"""Pass executors: how the per-peer queries of one density test run.
+"""Pass executors: how the per-peer queries of a pass's density tests run.
 
-Within one driver pass of the k-party protocol, the per-peer secure
-region queries are *independent*: each runs over the driver's own
-stream to that peer (:class:`~repro.multiparty.mesh.PairStream`: own
+Every secure region query of the k-party protocol is *independent*: it
+runs on its own stream (:class:`~repro.multiparty.mesh.PairStream`: own
 channel, own :class:`~repro.smc.session.SmcSession` with its own pools
-and comparison backend, and its own per-(pair, driver) randomness
-stream).  The driver hands every density test a list of
-:class:`PeerQuery` tasks; two executors run them:
+and comparison backend, and its own per-(pair, driver, point)
+randomness stream).  A density test of a driver's point hands the
+pass's executor one :class:`PeerQuery` task per peer, and each task
+runs once per pass: a later test of the point (the traversal re-tests
+a noise seed) gets the counts back and asks nothing.  Two executors:
 
 - :class:`PassExecutor` -- in mesh order, one after another: the
-  in-process mesh.
+  in-process mesh, which runs each test as its traversal reaches it.
 - :class:`AsyncPassExecutor` -- one coroutine per peer under
   ``asyncio.gather`` on the daemon's event loop, so round-trips to
-  different peers overlap without a thread per query.
+  different peers overlap without a thread per query; a daemon runs
+  every point's first test ahead of its traversal, many at once.
 
 Determinism contract: both executors return outcomes **in task order**
-and record each task's disclosures into a private sub-ledger that the
-caller merges in task order -- so labels, per-pair transcripts, the
-leakage-ledger event sequence, and comparison counts are bit-identical
-however the queries interleaved (property-tested in
+and keep each task's disclosures in a private sub-ledger that
+:meth:`PassExecutor.merge_into` folds into the run ledger in (point,
+peer) order -- so labels, per-pair transcripts, the leakage-ledger
+event sequence, and comparison counts are bit-identical however the
+queries interleaved (property-tested in
 ``tests/multiparty/test_scheduler.py``).
 """
 
@@ -44,15 +47,15 @@ class PeerQuery:
         peer: the queried peer's name (merge order follows task order).
         run: executes the pairwise protocol, recording every disclosure
             into the supplied sub-ledger; returns the neighbour count.
-        prepare: fired exactly once per task, before ``run`` -- the
-            query announcement (``begin_peer_query``).  Split out of
-            ``run`` so an executor that may *re-execute* ``run`` (the
-            restartable async path) never re-announces the query.
+            An executor may run it more than once (the restartable
+            async path re-executes an attempt that waited for a frame).
+        query: the driver's own point the test is about -- which stream
+            the query runs on.
     """
 
     peer: str
     run: Callable[[LeakageLedger], int]
-    prepare: Callable[[], None] = lambda: None
+    query: int = 0
 
 
 @dataclass(frozen=True)
@@ -65,28 +68,43 @@ class PeerQueryOutcome:
 
 
 class PassExecutor:
-    """Runs the tasks of one pass in order."""
+    """Runs the density tests of one driver pass, each test's tasks in
+    order; a task already run in the pass is not run again."""
 
     def __init__(self):
         # Process-wide scheduling accounting (executors are created per
-        # run/session, so per-instance counters would vanish with
-        # them); instruments fetched once, incremented per pass.
+        # pass, so per-instance counters would vanish with them);
+        # instruments fetched once, incremented per density test.
         registry = default_registry()
         kind = type(self).__name__
         self._obs_passes = registry.counter(
             "repro_pass_executor_passes_total", kind=kind)
         self._obs_queries = registry.counter(
             "repro_pass_executor_queries_total", kind=kind)
+        self._outcomes: dict[tuple[int, str], PeerQueryOutcome] = {}
 
     def run_pass(self, tasks: list[PeerQuery]) -> list[PeerQueryOutcome]:
-        """Execute one pass; outcomes are returned in task order."""
+        """Execute one density test; outcomes are returned in task order."""
+        for task in self._fresh(tasks):
+            self._outcomes[task.query, task.peer] = self._run_one(task)
+        return [self._outcomes[task.query, task.peer] for task in tasks]
+
+    def merge_into(self, ledger: LeakageLedger) -> None:
+        """Fold every query's disclosures into ``ledger`` in (point,
+        peer) order (a stable sort keeps each point's peers in task
+        order)."""
+        for key in sorted(self._outcomes, key=lambda key: key[0]):
+            ledger.extend(self._outcomes[key].ledger)
+
+    def _fresh(self, tasks: list[PeerQuery]) -> list[PeerQuery]:
+        fresh = [task for task in tasks
+                 if (task.query, task.peer) not in self._outcomes]
         self._obs_passes.inc()
-        self._obs_queries.inc(len(tasks))
-        return [self._run_one(task) for task in tasks]
+        self._obs_queries.inc(len(fresh))
+        return fresh
 
     @staticmethod
     def _run_one(task: PeerQuery) -> PeerQueryOutcome:
-        task.prepare()
         ledger = LeakageLedger()
         count = task.run(ledger)
         return PeerQueryOutcome(peer=task.peer, count=count, ledger=ledger)
@@ -97,14 +115,10 @@ class AsyncPassExecutor(PassExecutor):
 
     The daemon runtime injects ``run_query`` -- an awaitable that
     drives one task's pairwise choreography at message granularity,
-    parking on the per-(session, pair) frame queue instead of blocking
-    a thread.  ``asyncio.gather`` preserves argument order, so outcomes
+    parking on its stream's frame queue instead of blocking a thread.
+    ``asyncio.gather`` preserves argument order, so outcomes
     come back in task order and the merge-determinism contract of
     :class:`PassExecutor` carries over unchanged.
-
-    ``prepare`` fires exactly once per task here, *outside* ``run`` --
-    the restartable channel may re-execute the query body, and the
-    query announcement must not repeat.
     """
 
     def __init__(self, run_query: Callable[
@@ -119,14 +133,16 @@ class AsyncPassExecutor(PassExecutor):
 
     async def run_pass_async(
             self, tasks: list[PeerQuery]) -> list[PeerQueryOutcome]:
-        """Execute one pass concurrently; outcomes in task order."""
-        self._obs_passes.inc()
-        self._obs_queries.inc(len(tasks))
-        return list(await asyncio.gather(
-            *(self._run_one_async(task) for task in tasks)))
+        """Execute one density test, its peers at once; outcomes in
+        task order."""
+        fresh = self._fresh(tasks)
+        outcomes = await asyncio.gather(
+            *(self._run_one_async(task) for task in fresh))
+        for task, outcome in zip(fresh, outcomes):
+            self._outcomes[task.query, task.peer] = outcome
+        return [self._outcomes[task.query, task.peer] for task in tasks]
 
     async def _run_one_async(self, task: PeerQuery) -> PeerQueryOutcome:
-        task.prepare()
         ledger = LeakageLedger()
         count = await self._run_query(task, ledger)
         return PeerQueryOutcome(peer=task.peer, count=count, ledger=ledger)

@@ -29,10 +29,10 @@ from many concurrent clustering sessions:
   the *exact* :mod:`repro.net.serialization` wire bytes the in-process
   fabric carries.  Framing adds routing, never re-encodes, so a daemon
   run and an in-process run serialize every value identically.
-- ``c`` (mux control) -- a session's runtime control record (session
-  sync, query announcement, end of pass) with the same session-tag
-  prefix.  Control records are **not** protocol messages: they never
-  enter a channel's stats or transcript.
+- ``c`` (mux control) -- a session's runtime control record (the
+  session sync) with the same session-tag prefix.  Control records are
+  **not** protocol messages: they never enter a channel's stats or
+  transcript.
 
 :class:`FramedConnection` wraps a connected blocking socket with these
 frames, a receive timeout, a maximum frame size (malformed length

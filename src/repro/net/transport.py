@@ -160,15 +160,29 @@ class InProcessTransport(Transport):
         return inbox.popleft()
 
 
-#: Released session tags each hub remembers, oldest forgotten first.  A
-#: frame that arrives for one of them after its session ended is
-#: dropped; older tags would get a fresh view, as any unseen tag does.
-#: One late arrival still leaks: a session-sync record re-opens a
-#: released tag (a session id used again looks the same), so a peer
-#: that syncs only after this hub timed the session out and released it
-#: re-creates the view, and nothing releases it again.  Binding the
-#: sync to an attempt number would close that (ROADMAP direction 5).
+#: Released sessions each hub remembers, oldest forgotten first.  A
+#: frame that arrives for any tag of one of them after the session
+#: ended is dropped; a tag of an older session would get a fresh view,
+#: as any unseen tag does.  Entries are sessions, not tags: a tag
+#: ``<session>#<stream>`` belongs to ``<session>``
+#: (:data:`STREAM_TAG_SEPARATOR`), so a session with more streams does
+#: not shorten the history.  One late arrival still leaks: a
+#: session-sync record re-opens a released session (a session id used
+#: again looks the same), so a peer that syncs only after this hub timed
+#: the session out and released it re-creates the view, and nothing
+#: releases it again.  Binding the sync to an attempt number would close
+#: that (ROADMAP direction 5).
 RELEASED_TAGS_KEPT = 4096
+
+#: Joins a session id and a stream name into a sub-session tag of the
+#: session; session ids may not contain it.
+STREAM_TAG_SEPARATOR = "#"
+
+
+def session_of_tag(tag: str) -> str:
+    """The session a mux tag belongs to: the tag up to its first
+    :data:`STREAM_TAG_SEPARATOR`."""
+    return tag.partition(STREAM_TAG_SEPARATOR)[0]
 
 #: First element of the control record that opens a session on a pair
 #: link (the daemon's manifest-digest sync): the one record that
@@ -191,11 +205,12 @@ class AsyncTcpTransport:
       by session tag, into the per-session future queues of a
       :class:`SessionLinkTransport` view (created eagerly on first
       sight of a tag, so a peer whose session raced ahead of ours never
-      loses frames).  A frame for a tag this hub released (one of the
-      last :data:`RELEASED_TAGS_KEPT`) is late: it is dropped and
-      counted on ``repro_link_late_frames_total``, so it cannot re-create
-      a view nothing would release.  Only a session-sync record re-opens
-      a released tag -- a session id used again;
+      loses frames).  A frame for a tag of a session this hub released
+      (one of the last :data:`RELEASED_TAGS_KEPT`) is late: it is
+      dropped and counted on ``repro_link_late_frames_total``, so it
+      cannot re-create a view nothing would release.  Only a
+      session-sync record re-opens a released session -- a session id
+      used again;
     - an *outbound writer task* drains a loop-side queue of pre-encoded
       frames, so worker threads enqueue via ``call_soon_threadsafe``
       and per-thread send order is preserved end to end.
@@ -252,7 +267,7 @@ class AsyncTcpTransport:
         self._writer: asyncio.StreamWriter | None = None
         self._outbox: asyncio.Queue | None = None
         self._sessions: dict[str, SessionLinkTransport] = {}
-        # Insertion-ordered set of released tags, bounded by
+        # Insertion-ordered set of released sessions, bounded by
         # RELEASED_TAGS_KEPT.
         self._released: dict[str, None] = {}
         self._tasks: list[asyncio.Task] = []
@@ -299,9 +314,10 @@ class AsyncTcpTransport:
                        self._loop.create_task(self._pump_in())]
 
     def session(self, session_id: str) -> "SessionLinkTransport":
-        """The (auto-created) per-session view of this connection; a
-        released tag opened here again is live again."""
-        self._released.pop(session_id, None)
+        """The (auto-created) view of one tag of this connection; a
+        released session, one of whose tags is opened here again, is
+        live again."""
+        self._released.pop(session_of_tag(session_id), None)
         view = self._sessions.get(session_id)
         if view is None:
             if self._closed:
@@ -314,18 +330,19 @@ class AsyncTcpTransport:
         return view
 
     def release(self, session_id: str) -> None:
-        """Forget a finished session's queues (memory hygiene) and drop
-        the frames that still arrive for it."""
+        """Forget one tag's queues (memory hygiene) and drop the frames
+        that still arrive for any tag of its session."""
         self._sessions.pop(session_id, None)
-        self._released.pop(session_id, None)
-        self._released[session_id] = None
+        session = session_of_tag(session_id)
+        self._released.pop(session, None)
+        self._released[session] = None
         if len(self._released) > RELEASED_TAGS_KEPT:
             del self._released[next(iter(self._released))]
 
     def _late(self, session_id: str, kind: bytes, item) -> bool:
         """Whether an inbound frame belongs to a released session; a
-        session-sync record opens the tag again instead."""
-        if session_id not in self._released:
+        session-sync record opens the session again instead."""
+        if session_of_tag(session_id) not in self._released:
             return False
         if kind == FRAME_MUX_CONTROL and item.startswith(_SYNC_PREFIX):
             return False
@@ -370,8 +387,8 @@ class AsyncTcpTransport:
         With simulated latency, data frames are released to their
         queues ``net_delay_s`` after being read; poisoning immediately
         on goodbye/EOF would let the closure overtake frames the peer
-        sent (and TCP delivered) before closing -- e.g. a final
-        END_PASS racing the peer daemon's drain teardown.  Scheduling
+        sent (and TCP delivered) before closing -- e.g. a query's final
+        frame racing the peer daemon's drain teardown.  Scheduling
         the abort through the same ``call_later`` lane preserves the
         stream's FIFO order end to end."""
         if self.net_delay_s > 0:
@@ -528,10 +545,9 @@ class SessionLinkTransport(Transport):
     :meth:`try_collect` takes an already-arrived frame and
     :meth:`wait_message` awaits the next one, both from the session's
     inbound queue (the blocking :meth:`collect` refuses).  The control
-    plane (``c`` frames: query announcements, end-of-pass, session
-    sync) uses :meth:`send_control` / :meth:`next_control` and never
-    touches the message queue: control records are runtime plumbing,
-    never protocol messages.
+    plane (``c`` frames: the session sync) uses :meth:`send_control` /
+    :meth:`next_control` and never touches the message queue: control
+    records are runtime plumbing, never protocol messages.
 
     Closing a view never closes the shared connection; it only detaches
     the session from the hub's demux table.

@@ -249,9 +249,9 @@ def summarize_trace_dir(trace_dir: str | os.PathLike) -> dict:
     Returns ``{"sessions": {session: {"parties": {party: {...}}}}}``
     where each party entry carries total duration, per-pass rows in
     pass order (role, duration, queries, attempts, restarts), and the
-    pass critical path: the sum over protocol steps of the *slowest*
-    peer query at that step -- concurrent peers overlap, so the
-    per-step max is the time a pass actually spends waiting.  A daemon
+    pass critical path: the time covered by at least one of the pass's
+    peer queries -- a pass runs its queries at once, so their union,
+    not their sum, is the time it spends on them.  A daemon
     runs all of its pass roles at once, so each party entry also
     carries ``passes_sum`` (the passes' summed durations) and
     ``passes_union`` (the time covered by at least one pass): the gap
@@ -326,15 +326,13 @@ def summarize_trace_dir(trace_dir: str | os.PathLike) -> dict:
                     entry["first_query"] = round(
                         min(query["t0"] for query in pass_queries)
                         - start, 6)
-                by_step: dict[object, float] = {}
                 for query in pass_queries:
-                    step = query["attrs"].get("step")
-                    by_step[step] = max(by_step.get(step, 0.0),
-                                        query["dur"])
                     query_attempts = attempts.get(query["id"], [])
                     row["attempts"] += len(query_attempts)
                     row["restarts"] += max(0, len(query_attempts) - 1)
-                row["critical_path"] = round(sum(by_step.values()), 6)
+                row["critical_path"] = round(_union_length(
+                    (query["t0"], query["t1"]) for query in pass_queries),
+                    6)
     return {"sessions": sessions}
 
 

@@ -41,15 +41,13 @@ frames, which the replay check enforces rather than assumes.
 
 from __future__ import annotations
 
+import asyncio
 from collections import deque
-from typing import Callable
+from typing import Awaitable, Callable
 
+from repro.clustering.labels import ClusterLabels
 from repro.core.leakage import LeakageLedger
-from repro.multiparty.horizontal import (
-    _build_peer_queries,
-    _merge_outcomes,
-    _pass_program,
-)
+from repro.multiparty.horizontal import expand_clusters, point_queries
 from repro.multiparty.scheduler import AsyncPassExecutor, PeerQuery
 from repro.net.serialization import serialize_message
 from repro.net.transport import ProtocolDesyncError
@@ -197,7 +195,8 @@ class RestartableMirrorChannel(MirrorChannel):
 
 class PairRuntime:
     """Restartable executor for one (session, pair) stream's choreography
-    -- a peer's key announcement, or one driver's queries over the pair.
+    -- a peer's key announcement, or one density test's query over the
+    pair.
 
     Owns the snapshot/restore of everything a re-executed attempt
     mutates: both parties' RNG states, every randomness pool (factors,
@@ -307,51 +306,64 @@ class PairRuntime:
                 self.lease.busy -= 1
 
 
-async def drive_pass_async(mesh, driver_name: str,
-                           points_by_party: dict[str, list], config,
-                           value_bound: int, ledger: LeakageLedger,
-                           caches, runtimes: dict[str, PairRuntime],
-                           span=NULL_SPAN):
-    """One driver pass at message granularity: the async ``_driver_pass``.
+#: Points one pass role works on at once: it bounds the restart
+#: snapshots in flight and the segments a parked frame waits behind.
+POINTS_IN_FLIGHT = 3
 
-    Steps the *same* :func:`_pass_program` generator as the synchronous
-    driver -- identical clustering control flow, identical query
-    sequence -- but executes each density test's per-peer queries as
-    coroutines under ``asyncio.gather`` via the pair runtimes.  Returns
-    the pass's labels.  ``span`` (the pass span) gets one ``peer_query``
-    child per (step, peer) -- the substrate of the ``repro trace
-    summarize`` critical path.
-    """
-    step = 0
 
-    async def run_query(task: PeerQuery, out_ledger: LeakageLedger) -> int:
-        # All queries of one step run before ``step`` advances, so the
-        # closure read is race-free under the gather.
-        with span.child("peer_query", f"step{step}:{task.peer}",
-                        step=step, peer=task.peer) as query_span:
-            return await runtimes[task.peer].run(task.run, out_ledger,
-                                                 span=query_span)
+async def run_points(count: int, cached: bool,
+                     run_one: Callable[[int], Awaitable]) -> list:
+    """The one schedule of a pass role, at both ends of its queries:
+    ``run_one`` on points ``0 .. count-1`` started in point order, at
+    most :data:`POINTS_IN_FLIGHT` at once, so the lowest point either
+    end has not finished is in flight at both; results in point order.
+    With ``cached`` peer ciphertexts point 0 runs alone first -- its
+    queries fill the caches the others read."""
+    results = [None] * count
+    first = 1 if cached and count else 0
+    if first:
+        results[0] = await run_one(0)
+    pending = iter(range(first, count))
 
+    async def lane() -> None:
+        for point in pending:
+            results[point] = await run_one(point)
+
+    await asyncio.gather(*(lane() for _ in range(POINTS_IN_FLIGHT)))
+    return results
+
+
+async def drive_pass_async(
+        mesh, driver_name: str, points_by_party: dict[str, list], config,
+        value_bound: int, ledger: LeakageLedger, caches,
+        run_query: Callable[[PeerQuery, LeakageLedger], Awaitable[int]],
+) -> ClusterLabels:
+    """One driver pass at message granularity: each own point's
+    per-peer queries (the :func:`~repro.multiparty.horizontal.point_queries`
+    tasks) as one :meth:`AsyncPassExecutor.run_pass_async` test, the
+    points on the :func:`run_points` schedule, then the in-process
+    expansion over the counts.  ``run_query`` (the daemon's pair
+    runtimes, in tests a thread) executes each task; the outcomes are
+    merged into ``ledger`` in (point, peer) order."""
     executor = AsyncPassExecutor(run_query)
-    program = _pass_program(list(points_by_party[driver_name]), config)
-    try:
-        query_point = next(program)
-        while True:
-            tasks = _build_peer_queries(mesh, driver_name, points_by_party,
-                                        query_point, config, value_bound,
-                                        caches)
-            total = _merge_outcomes(
-                await executor.run_pass_async(tasks), ledger)
-            step += 1
-            query_point = program.send(total)
-    except StopIteration as done:
-        return done.value
+    own = points_by_party[driver_name]
+
+    async def density_test(point_index: int) -> int:
+        return sum(outcome.count for outcome in await executor.run_pass_async(
+            point_queries(mesh, driver_name, point_index, points_by_party,
+                          config, value_bound, caches)))
+
+    counts = await run_points(len(own), caches is not None, density_test)
+    executor.merge_into(ledger)
+    return expand_clusters(own, counts.__getitem__, config)
 
 
 __all__ = [
     "NeedFrame",
+    "POINTS_IN_FLIGHT",
     "PairRuntime",
     "ReplayDivergenceError",
     "RestartableMirrorChannel",
     "drive_pass_async",
+    "run_points",
 ]

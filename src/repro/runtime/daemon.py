@@ -25,20 +25,26 @@ session's frame queue, and the segment re-executes (replay-verified
 against the pair's frame log) once the frame lands.  No session owns a
 worker thread, so the daemon's thread count is O(1) in its session
 count -- the loop plus the shared engine's workers, whatever the
-concurrency.  Responder duties are coroutines awaiting the session's
-control queue, serving each announced query through the same
-restartable runner.
+concurrency.
 
-Overlapped passes: the k driver passes of a session do not depend on
-each other, so a daemon runs all of its pass roles at once -- its own
-drive pass next to one respond task per peer, in one task group.  Each
-pass runs on its own per-(pair, driver) streams
-(:class:`~repro.multiparty.mesh.PairStream`): a sub-session of the pair
-hub with its own frame and control queues, channel, coins, pools and
-comparison counter.  A session therefore waits for its longest pass,
-not for the sum of them.  Reports carry each pair's canonical
-pass-order concatenation of its key exchange and streams, the same
-figures the in-process mesh reports.
+Overlapped passes and order-free density tests: the k driver passes of
+a session do not depend on each other, and within a pass no density
+test depends on another -- a point's count never depends on when the
+expansion asks for it.  So a daemon runs all of its pass roles at once
+-- its own drive pass next to one respond role per peer, in one task
+group -- and each role runs its queries at once, on the
+:func:`~repro.runtime.async_pass.run_points` schedule: one per (own
+point of the driver, peer), each on its own stream
+(:class:`~repro.multiparty.mesh.PairStream`), a sub-session of the pair
+hub (tag ``<session>#<driver>#<point>``) with its own frame queue,
+channel, coins, pools and comparison counter.  The drive role then
+expands its clusters locally over the counts.  A respond role serves
+exactly the driver's point count from the manifest, so no control
+record announces a query or ends a pass: a pass waits for its slowest
+query, a session for its longest pass.  Reports carry each pair's
+canonical concatenation of its key exchange and streams -- pass by pass,
+each pass's queries in point order -- the same figures the in-process
+mesh reports.
 
 One-flight setup: once every peer's session-sync record has checked
 out, a daemon sends its key announcements and its drive pass's first
@@ -47,7 +53,7 @@ so a pair's two announcements cross at the same time; a drive role
 uses only its own keys (unless it caches peer ciphertexts) and so waits
 for no announcement; a respond role starts once its driver's keys have
 passed the shape and pinned-digest checks and been adopted -- and that
-announcement arrived in the same flight as the driver's first query.
+announcement arrived in the same flight as the driver's queries.
 A session's setup is therefore one link delay: the sync.
 
 A daemon-wide :class:`~repro.crypto.precompute.RandomnessService`
@@ -108,6 +114,7 @@ from repro.multiparty.mesh import (
     build_stream,
     link_accounting,
 )
+from repro.multiparty.scheduler import PeerQuery
 from repro.net.framing import (
     FRAME_CONTROL,
     FRAME_GOODBYE,
@@ -128,6 +135,7 @@ from repro.net.serialization import (
 from repro.net.transcript import transcript_digest
 from repro.net.transport import (
     SESSION_SYNC_RECORD,
+    STREAM_TAG_SEPARATOR,
     AsyncTcpTransport,
     TransportTimeoutError,
 )
@@ -157,6 +165,7 @@ from repro.runtime.async_pass import (
     PairRuntime,
     RestartableMirrorChannel,
     drive_pass_async,
+    run_points,
 )
 from repro.smc.session import (
     SealedKeyProvider,
@@ -187,13 +196,6 @@ SHUTDOWN_DRAIN = "drain"
 #: touches session state, so it is served even while draining.
 CONTROL_GET_METRICS = "get_metrics"
 CONTROL_METRICS = "metrics"
-#: Pair-plane pass control: the driver announces each per-peer query
-#: and the end of its pass; the responder serves until end-of-pass.
-CONTROL_QUERY = "query"
-CONTROL_END_PASS = "end_pass"
-#: Joins a session id and a driver into a stream's mux tag.
-STREAM_TAG_SEPARATOR = "#"
-
 _DIAL_BACKOFF_S = 0.05
 
 
@@ -468,12 +470,12 @@ def _endpoint(channel, name: str) -> Party:
                  else channel.right)
 
 
-def _stream_tag(session_id: str, driver: str) -> str:
-    """The mux tag of one session's stream for ``driver``'s pass: a
-    sub-session of the pair hub, with its own frame and control queues.
+def _stream_tag(session_id: str, driver: str, query: int) -> str:
+    """The mux tag of the stream of ``driver``'s query on its point
+    ``query``: a sub-session of the pair hub, with its own frame queue.
     Session ids may not contain :data:`STREAM_TAG_SEPARATOR`, so no
     session's own tag equals another session's stream tag."""
-    return f"{session_id}{STREAM_TAG_SEPARATOR}{driver}"
+    return STREAM_TAG_SEPARATOR.join((session_id, driver, str(query)))
 
 
 async def _run_together(coroutines) -> list:
@@ -497,7 +499,7 @@ async def _run_together(coroutines) -> list:
 
 @dataclass
 class _Stream:
-    """One (pair, driver) stream as a daemon runs it."""
+    """One (pair, driver, query) stream as a daemon runs it."""
 
     view: object                      # its sub-session of the pair hub
     runtime: PairRuntime
@@ -517,14 +519,22 @@ class _SessionState:
     # peer -> {announcer: runtime}: one announcement channel per side
     keys: dict = field(default_factory=dict)
     adopted: dict = field(default_factory=dict)    # peer -> asyncio.Event
-    streams: dict = field(default_factory=dict)    # (peer, driver) -> _Stream
+    # (peer, driver, query) -> _Stream
+    streams: dict = field(default_factory=dict)
     setup_seconds: float = 0.0
 
+    def pass_streams(self, peer: str, driver: str) -> list[_Stream]:
+        """The streams of ``driver``'s pass on the pair, in point order
+        (none when the party it queries holds no points)."""
+        return [self.streams[key]
+                for query in range(self.manifest.counts[driver])
+                if (key := (peer, driver, query)) in self.streams]
+
     def pair_streams(self, peer: str) -> list[_Stream]:
-        """The pair's streams in pass order."""
-        return [self.streams[(peer, driver)]
-                for driver in self.manifest.names
-                if (peer, driver) in self.streams]
+        """The pair's streams: pass by pass in pass order, each pass's
+        queries in point order."""
+        return [entry for driver in self.manifest.names
+                for entry in self.pass_streams(peer, driver)]
 
     def runtimes(self) -> list[PairRuntime]:
         return [*(runtime for announcers in self.keys.values()
@@ -533,40 +543,24 @@ class _SessionState:
 
 
 class _SessionMeshView:
-    """The ``PartyMesh`` surface of one daemon session's drive pass.
-
-    Implements exactly what the driver-pass machinery touches
-    (``peers_of`` / ``stream`` / ``begin_peer_query``);
-    ``begin_peer_query`` emits the query-announcement control frame on
-    the driver's stream to that peer.
-    """
-
-    _QUERY_WIRE = serialize_message([CONTROL_QUERY])
+    """The ``PartyMesh`` surface of one daemon session's drive pass:
+    exactly what :func:`~repro.multiparty.horizontal.point_queries`
+    touches (``peers_of`` / ``stream``)."""
 
     def __init__(self, local_name: str, state: _SessionState):
         self._name = local_name
         self._state = state
-        self._pass_index = state.manifest.names.index(local_name)
 
     def peers_of(self, name: str) -> list[str]:
         return self._state.manifest.peers_of(name)
 
-    def _stream(self, driver: str, peer: str) -> _Stream:
-        stream = self._state.streams.get((peer, driver))
-        if driver != self._name or stream is None:
+    def stream(self, driver: str, peer: str, query: int) -> PairStream:
+        entry = self._state.streams.get((peer, driver, query))
+        if driver != self._name or entry is None:
             raise PartyRuntimeError(
-                f"no {driver!r} stream to {peer!r} in daemon "
-                f"{self._name!r}")
-        return stream
-
-    def stream(self, driver: str, peer: str) -> PairStream:
-        return self._stream(driver, peer).stream
-
-    def begin_peer_query(self, driver_name: str, peer_name: str) -> None:
-        if self._state.faults is not None:
-            self._state.faults.on_query(self._pass_index)
-        self._stream(driver_name, peer_name).view.send_control(
-            self._QUERY_WIRE)
+                f"no stream of {driver!r}'s query {query} to {peer!r} in "
+                f"daemon {self._name!r}")
+        return entry.stream
 
 
 class PartyDaemon:
@@ -1150,12 +1144,15 @@ class PartyDaemon:
                 with contextlib.suppress(PrecomputeError):
                     self.randomness.release(manifest.session_id)
             # Every view this session may own on each hub, opened here
-            # or created by an early peer frame.
+            # or created by an early peer frame: its own tag and one per
+            # query of both passes over the pair.
             for peer in manifest.peers_of(self.name):
                 hub = self.hubs[peer]
                 hub.release(manifest.session_id)
                 for driver in (self.name, peer):
-                    hub.release(_stream_tag(manifest.session_id, driver))
+                    for query in range(manifest.counts[driver]):
+                        hub.release(_stream_tag(manifest.session_id,
+                                                driver, query))
             self._active.discard(manifest.session_id)
 
     def _pair_runtime(self, view, lease=None, link=None) -> PairRuntime:
@@ -1186,9 +1183,8 @@ class PartyDaemon:
         validated here, before any protocol frame of it leaves this
         daemon: both ends of every link announce the digest of the
         manifest they were handed (:meth:`_send_sync`) and refuse the
-        session on mismatch.  Per-link FIFO makes this record the first
-        control record of the session stream, so it can never be
-        confused with a query announcement.  A peer whose record does
+        session on mismatch.  It is the session's only control record on
+        a pair link.  A peer whose record does
         not arrive within ``timeout_s`` fails the session with a typed
         timeout -- retryable, like the same silence mid-protocol.
         """
@@ -1229,12 +1225,15 @@ class PartyDaemon:
         manifest's ``key_digests`` when present.  Per pair, each
         announcement gets its own mirror channel on the session's tag,
         so neither side's waits on the other's.  Then each pair gets one
-        stream per driver, in pass order, on its own sub-session of the
-        pair hub (:func:`_stream_tag`): per-driver coins and pools on
-        the shared contexts -- the same key slots, RNG substreams and
-        channel machinery as the in-process mesh.  The hosted party's
-        pools under its own key are registered (and prefilled) here,
-        while the sync records are in flight.
+        stream per query of both passes over it -- one per point of the
+        driver, none when the party it queries holds no points -- each
+        on its own sub-session of the pair hub (:func:`_stream_tag`):
+        per-query coins and pools on the shared contexts, the same key
+        slots, RNG substreams and channel machinery as the in-process
+        mesh.  With cached peer ciphertexts, a pass's queries to one
+        peer share one cache.  The hosted party's pools under its own
+        key are registered (and prefilled) here, while the sync records
+        are in flight.
         """
         manifest = state.manifest
         provider = SealedKeyProvider(config.smc, self.name,
@@ -1251,19 +1250,26 @@ class PartyDaemon:
             state.adopted[peer] = asyncio.Event()
             pair = pair_key(self.name, peer)
             for pass_index, driver in enumerate(manifest.names):
-                if driver not in (self.name, peer):
+                queried = peer if driver == self.name else self.name
+                if driver not in (self.name, peer) \
+                        or not manifest.counts[queried]:
                     continue
-                view = self.hubs[peer].session(
-                    _stream_tag(manifest.session_id, driver))
-                link = (None if state.faults is None
-                        else state.faults.link(view, pair, pass_index))
-                runtime = self._pair_runtime(view, lease, link)
-                stream = build_stream(state.contexts, config.smc,
-                                      runtime.channel, driver, seeds,
-                                      manifest.rng_namespace)
-                runtime.session = stream.session
-                state.streams[(peer, driver)] = _Stream(view, runtime,
-                                                        stream)
+                cache = (PeerCipherCache() if config.cache_peer_ciphertexts
+                         else None)
+                for query in range(manifest.counts[driver]):
+                    view = self.hubs[peer].session(
+                        _stream_tag(manifest.session_id, driver, query))
+                    link = (None if state.faults is None
+                            else state.faults.link(view, pair, pass_index,
+                                                   query))
+                    runtime = self._pair_runtime(view, lease, link)
+                    stream = build_stream(state.contexts, config.smc,
+                                          runtime.channel, driver, query,
+                                          seeds, manifest.rng_namespace)
+                    runtime.session = stream.session
+                    runtime.cache = cache
+                    state.streams[(peer, driver, query)] = _Stream(
+                        view, runtime, stream)
         self._register_pools(state, lease, self.name)
 
     def _announce_keys(self, state: _SessionState) -> None:
@@ -1324,7 +1330,7 @@ class PartyDaemon:
         never draws is never prefilled.  The pools themselves (and their
         factor values) stay session-private.
         """
-        for (_peer, driver), entry in state.streams.items():
+        for (_peer, driver, _query), entry in state.streams.items():
             role = "drive" if driver == self.name else "respond"
             session = entry.stream.session
             for (actor, owner), pool in session.pools().items():
@@ -1358,8 +1364,8 @@ class PartyDaemon:
                                 index=pass_index, role=role,
                                 driver=driver) as pass_span:
             if driver == self.name:
-                result = await self._drive_pass(state, config, ledger,
-                                                pass_span)
+                result = await self._drive_pass(state, pass_index, config,
+                                                ledger, pass_span)
             else:
                 result = await self._respond_pass(state, pass_index,
                                                   driver, config, pass_span)
@@ -1368,90 +1374,84 @@ class PartyDaemon:
             state.faults.complete_pass()
         return result
 
-    async def _drive_pass(self, state: _SessionState, config, ledger,
-                          span) -> tuple[int, ...]:
+    async def _drive_pass(self, state: _SessionState, pass_index: int,
+                          config, ledger, span) -> tuple[int, ...]:
+        """This daemon's own pass
+        (:func:`~repro.runtime.async_pass.drive_pass_async`), each query
+        through its stream's restartable runner."""
         manifest = state.manifest
-        peers = manifest.peers_of(self.name)
-        streams = {peer: state.streams[(peer, self.name)] for peer in peers}
-        runtimes = {peer: stream.runtime for peer, stream in streams.items()}
-        caches = ({peer: PeerCipherCache() for peer in peers}
+        caches = ({peer: entries[0].runtime.cache
+                   for peer in manifest.peers_of(self.name)
+                   if (entries := state.pass_streams(peer, self.name))}
                   if config.cache_peer_ciphertexts else None)
-        for peer, runtime in runtimes.items():
-            runtime.cache = caches[peer] if caches is not None else None
         points_view = {
             name: (state.points if name == self.name
                    else manifest.placeholder_points(name))
             for name in manifest.names}
-        try:
-            labels = await drive_pass_async(
-                _SessionMeshView(self.name, state), self.name, points_view,
-                config, manifest.value_bound, ledger, caches, runtimes,
-                span=span)
-        finally:
-            for runtime in runtimes.values():
-                runtime.cache = None
-        end = serialize_message([CONTROL_END_PASS])
-        for stream in streams.values():
-            stream.view.send_control(end)
+
+        async def run_query(task: PeerQuery,
+                            out_ledger: LeakageLedger) -> int:
+            if state.faults is not None:
+                state.faults.on_query(pass_index, task.query)
+            runtime = state.streams[(task.peer, self.name,
+                                     task.query)].runtime
+            with span.child("peer_query", f"query{task.query}:{task.peer}",
+                            query=task.query,
+                            peer=task.peer) as query_span:
+                return await runtime.run(task.run, out_ledger,
+                                         span=query_span)
+
+        labels = await drive_pass_async(
+            _SessionMeshView(self.name, state), self.name, points_view,
+            config, manifest.value_bound, ledger, caches, run_query)
         return labels.as_tuple()
 
     async def _respond_pass(self, state: _SessionState, pass_index: int,
                             driver: str, config, span) -> int:
-        """Serve one remote driver's pass on its stream.
+        """Serve one remote driver's pass: one query per point the
+        manifest declares for it, on the driver's schedule
+        (:func:`~repro.runtime.async_pass.run_points`).
 
-        Waiting for the next control record is unbounded *by design* --
-        the driver may spend arbitrarily long on its other peers -- and
-        costs no thread while parked: a dead peer surfaces through the
-        hub's poison, and each announced query runs the unchanged
-        ``secure_peer_neighbor_count`` choreography inline through the
-        restartable runner.  The per-attempt ledger is discarded (the
-        responder's disclosure view is the driver's report, not this
-        daemon's).
+        Each query runs the unchanged ``secure_peer_neighbor_count``
+        choreography inline through its stream's restartable runner,
+        after its first frame from the driver has arrived -- awaited
+        within ``timeout_s``, so a silent driver fails the session with
+        a typed timeout -- and been staged, so the first attempt does
+        not park at once.  With cached peer ciphertexts the query on
+        point 0 opens by uploading this party's coordinates, which the
+        pass's other queries read.  The per-attempt ledger is
+        discarded (the responder's disclosure view is the driver's
+        report, not this daemon's).  Returns the number of queries
+        served.
         """
         manifest = state.manifest
-        entry = state.streams[(driver, driver)]
-        session, parties = entry.stream.session, entry.stream.parties
-        runtime = entry.runtime
-        cache = (PeerCipherCache() if config.cache_peer_ciphertexts
-                 else None)
-        runtime.cache = cache
+        entries = state.pass_streams(driver, driver)
         placeholder = tuple([0] * manifest.dimensions)
         label = f"multiparty/{driver}-{self.name}"
 
-        def serve_query(attempt_ledger: LeakageLedger) -> int:
-            return secure_peer_neighbor_count(
-                session, parties[driver], placeholder,
-                parties[self.name], state.points, config,
-                manifest.value_bound, attempt_ledger, cache, label=label,
-                cached_label=f"{label}/cached")
+        async def serve(query: int, entry: _Stream) -> None:
+            runtime = entry.runtime
+            session, parties = entry.stream.session, entry.stream.parties
 
-        served = 0
-        try:
-            while True:
-                raw = await entry.view.next_control()
-                try:
-                    record = deserialize_message(raw)
-                except (SerializationError, UnicodeDecodeError) as exc:
-                    raise PartyRuntimeError(
-                        f"unreadable control record from {driver!r}: "
-                        f"{exc}") from exc
-                if (not isinstance(record, list) or not record
-                        or record[0] not in (CONTROL_QUERY,
-                                             CONTROL_END_PASS)):
-                    raise PartyRuntimeError(
-                        f"malformed control record from {driver!r}: "
-                        f"{record!r}")
-                if record[0] == CONTROL_END_PASS:
-                    return served
-                served += 1
-                if state.faults is not None:
-                    state.faults.on_query(pass_index)
-                with span.child("peer_query", f"serve{served}:{driver}",
-                                step=served - 1,
-                                peer=driver) as query_span:
-                    await runtime.run(serve_query, span=query_span)
-        finally:
-            runtime.cache = None
+            def serve_query(attempt_ledger: LeakageLedger) -> int:
+                return secure_peer_neighbor_count(
+                    session, parties[driver], placeholder,
+                    parties[self.name], state.points, config,
+                    manifest.value_bound, attempt_ledger, runtime.cache,
+                    label=label, cached_label=f"{label}/cached")
+
+            if runtime.cache is None or query > 0:
+                runtime.channel.stage(await entry.view.wait_message(
+                    f"{driver}'s query {query}"))
+            if state.faults is not None:
+                state.faults.on_query(pass_index, query)
+            with span.child("peer_query", f"serve{query}:{driver}",
+                            query=query, peer=driver) as query_span:
+                await runtime.run(serve_query, span=query_span)
+
+        await run_points(len(entries), config.cache_peer_ciphertexts,
+                         lambda query: serve(query, entries[query]))
+        return len(entries)
 
     # -- reporting ---------------------------------------------------------
 

@@ -14,34 +14,44 @@ Spec grammar (the CLI's ``--fault`` strings)::
     kill:<party>@pass<N>              exit hard (code 13) at the
                                       boundary where N of this party's
                                       pass roles have completed
-    kill:<party>@pass<N>.q<Q>         exit hard in pass N, after Q
-                                      queries this party announced or
-                                      served in it
+    kill:<party>@pass<N>.q<Q>         exit hard in pass N, as this
+                                      party starts the query on the
+                                      driver's point Q-1
     drop:<party>:<a>-<b>@pass<N>      abort the pair's link (no goodbye)
                                       at boundary N
     drop:<party>:<a>-<b>@pass<N>.q<Q> the same, mid-pass
     delay:<party>:<a>-<b>@pass<N>.f<F>:<seconds>
                                       hold the F-th message frame this
-                                      party sends on the pair in pass
-                                      N -- and every later frame on
-                                      that link -- for <seconds>; all
-                                      arrive intact and in order
+                                      party sends on the pair in the
+                                      query on pass N's point 0 -- and
+                                      every later frame on that link --
+                                      for <seconds>; all arrive intact
+                                      and in order
     truncate:<party>:<a>-<b>@pass<N>.f<F>
                                       write a seeded-length prefix of
                                       that frame, then close the link
                                       (the peer reads EOF mid-frame)
 
 Pass N is the pass driven by the manifest's N-th party (0-based).  The
-k passes of a session run at the same time, each on its own
-per-(pair, driver) streams, and each daemon holds one *role* in every
-pass: it drives its own and responds to each peer's.  A boundary counts
-this daemon's completed roles, in whatever order they complete;
-boundary 0 is the session's start, after the session sync and before
-the key announcements.
-``.q<Q>`` and ``.f<F>`` count inside pass N -- the queries of pass N's
-role, the frames of pass N's stream on the pair -- so a mid-pass fault
-hits the same protocol point on every run, however the concurrent
-passes interleave.
+k passes of a session run at the same time, and each daemon holds one
+*role* in every pass: it drives its own and responds to each peer's.
+Within a pass every query -- one per (driver's point, peer), each on
+its own stream -- runs at the same time too.  A boundary counts this
+daemon's completed roles, in whatever order they complete; boundary 0
+is the session's start, after the session sync and before the key
+announcements.
+
+Mid-pass faults are keyed by the driver's point index, never by
+arrival order, so each names the same protocol point on every run
+however the concurrent passes and queries interleave:
+
+- ``.q<Q>`` is the query on pass N's point Q-1.  A drive role fires it
+  as that point's first peer query starts; a respond role once the
+  driver's first frame of that query has arrived and is about to be
+  served.  ``.q1`` is point 0.
+- ``.f<F>`` is the F-th message frame this party sends on the pair in
+  the query on pass N's point 0 (its stream alone; the frames of the
+  pass's other queries are not counted).
 
 Any spec may end with ``@e<E>``: it belongs to attempt ``E`` (default
 0) of ``repro orchestrate``, which puts into each attempt's manifest
@@ -85,9 +95,10 @@ class FaultSpec:
 
     ``boundary`` is a completed-role count for a boundary fault (it
     fires the moment ``passes_done == boundary``) and the pass index
-    for a mid-pass fault (``queries`` set: after that many queries of
-    pass ``boundary``) or a frame fault (``frame`` set: that message
-    frame of pass ``boundary``'s stream).  ``epoch`` is the
+    for a mid-pass fault (``queries`` set: at the query on point
+    ``queries - 1`` of pass ``boundary``) or a frame fault (``frame``
+    set: that message frame of the stream of pass ``boundary``'s
+    point 0).  ``epoch`` is the
     orchestrated attempt the spec belongs to (``@e<E>``).
     """
 
@@ -242,10 +253,10 @@ class PartyFaults:
     The daemon reports the session start (:meth:`at_boundary` with 0:
     the session sync has checked out, and neither the key announcements
     nor any pass role has started), every completed pass role
-    (:meth:`complete_pass`) and every query its party announces or
-    serves (:meth:`on_query`); kill and drop specs fire there.  Frame
-    specs act inside the :class:`FaultyLink` that :meth:`link` wraps
-    around a stream's view.  Each spec fires at most once.
+    (:meth:`complete_pass`) and every query its party starts or serves
+    (:meth:`on_query`); kill and drop specs fire there.  Frame specs act
+    inside the :class:`FaultyLink` that :meth:`link` wraps around the
+    view of a pass's point-0 stream.  Each spec fires at most once.
     """
 
     def __init__(self, specs, *, party: str, hubs=None):
@@ -253,7 +264,6 @@ class PartyFaults:
         self.party = party
         self.hubs = dict(hubs or {})
         self.passes_done = 0
-        self._queries: dict[int, int] = {}
         self._fired: set[int] = set()
 
     def _take(self, predicate) -> list[FaultSpec]:
@@ -274,13 +284,15 @@ class PartyFaults:
         """One more of this party's pass roles has finished."""
         self.at_boundary(self.passes_done + 1)
 
-    def on_query(self, pass_index: int) -> None:
-        count = self._queries[pass_index] = (
-            self._queries.get(pass_index, 0) + 1)
+    def on_query(self, pass_index: int, point_index: int) -> None:
+        """A query on pass ``pass_index``'s point ``point_index`` starts
+        here (a drive role calls this once per peer; the spec fires on
+        the first)."""
         self._apply(self._take(
-            lambda s: s.kind in ("kill", "drop") and s.queries == count
+            lambda s: s.kind in ("kill", "drop")
+            and s.queries == point_index + 1
             and s.boundary == pass_index),
-            f"in pass {pass_index}, query {count}")
+            f"in pass {pass_index}, query {point_index + 1}")
 
     def _apply(self, fired: list[FaultSpec], context: str) -> None:
         for spec in fired:
@@ -296,14 +308,16 @@ class PartyFaults:
                 hub.abort(f"[fault injection] {self.party} dropped link "
                           f"{spec.pair_key()} {context}")
 
-    def link(self, view, pair_key: str, pass_index: int) -> Transport:
-        """``view`` -- pass ``pass_index``'s stream on the pair -- itself,
-        or a :class:`FaultyLink` around it when a frame spec names this
-        pair and pass."""
+    def link(self, view, pair_key: str, pass_index: int,
+             point_index: int) -> Transport:
+        """``view`` -- the pair's stream of the query on pass
+        ``pass_index``'s point ``point_index`` -- itself, or a
+        :class:`FaultyLink` around it when a frame spec names this pair
+        and pass and the stream is the point-0 one."""
         specs = [spec for spec in self.specs
                  if spec.kind in ("delay", "truncate")
                  and spec.pair_key() == pair_key
-                 and spec.boundary == pass_index]
+                 and spec.boundary == pass_index and point_index == 0]
         return FaultyLink(view, specs) if specs else view
 
 
@@ -313,10 +327,10 @@ class FaultyLink(Transport):
     Counts the live message frames the stream's channel delivers
     (replayed resends of a restarted query never reach ``deliver``), so
     ``.f<F>`` means "the F-th message frame this party sends on the
-    pair in that pass".  A delay holds the pair connection's writer; a
-    truncation writes a seeded-length prefix of the encoded frame and
-    closes the connection, and this side's send fails as a lost
-    connection.
+    pair in the query on that pass's point 0".  A delay holds the pair
+    connection's writer; a truncation writes a seeded-length prefix of
+    the encoded frame and closes the connection, and this side's send
+    fails as a lost connection.
     """
 
     def __init__(self, view, specs):

@@ -283,9 +283,6 @@ class RunManifest:
                 for index, left in enumerate(self.names)
                 for right in self.names[index + 1:]]
 
-    def pairs_of(self, name: str) -> list[tuple[str, str]]:
-        return [pair for pair in self.pairs() if name in pair]
-
     def slot_of(self, name: str) -> int:
         try:
             return self.names.index(name)

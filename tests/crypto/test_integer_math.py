@@ -12,7 +12,6 @@ from repro.crypto.integer_math import (
     isqrt_exact,
     lcm,
     mod_inverse,
-    pow_mod,
 )
 
 
@@ -116,24 +115,3 @@ class TestIsqrtExact:
     @given(st.integers(min_value=0, max_value=10**9))
     def test_squares_recognized(self, root):
         assert isqrt_exact(root * root) == root
-
-
-class TestPowMod:
-    def test_positive_exponent(self):
-        assert pow_mod(3, 4, 7) == 81 % 7
-
-    def test_negative_exponent(self):
-        # 3^-1 mod 7 = 5, so 3^-2 = 25 mod 7 = 4.
-        assert pow_mod(3, -2, 7) == 4
-
-    def test_bad_modulus(self):
-        with pytest.raises(ValueError, match="positive"):
-            pow_mod(2, 2, 0)
-
-    @given(st.integers(min_value=1, max_value=10**6),
-           st.integers(min_value=-20, max_value=20))
-    def test_inverse_consistency(self, base, exponent):
-        modulus = 1000003  # prime, so every base is invertible
-        forward = pow_mod(base, exponent, modulus)
-        backward = pow_mod(base, -exponent, modulus)
-        assert (forward * backward) % modulus == 1

@@ -352,19 +352,6 @@ class TestRandomnessService:
         with pytest.raises(PrecomputeError, match="refill_chunk"):
             self._service(refill_chunk=0)
 
-    def test_fixed_base_tables_shared_per_key_digest(self):
-        service = self._service()
-        table = service.fixed_base_table(7, 1000003, 16, self.DIGEST_A)
-        again = service.fixed_base_table(7, 1000003, 16, self.DIGEST_A)
-        assert table is again
-        other = service.fixed_base_table(7, 1000003, 16, self.DIGEST_B)
-        assert other is not table
-        wider = service.fixed_base_table(7, 1000003, 32, self.DIGEST_A)
-        assert wider is not table
-        assert service.report()["table_builds"] == 3
-        assert service.report()["table_hits"] == 1
-        assert table.pow(12345) == pow(7, 12345, 1000003)
-
     def test_engine_fill_matches_serial_fill(self):
         from repro.crypto.engine import ModexpEngine
 

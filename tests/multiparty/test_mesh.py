@@ -108,56 +108,75 @@ class TestMeshConstruction:
 
 
 class TestPairStreams:
-    def test_one_stream_per_driver_in_pass_order(self):
+    def test_one_stream_per_driver_and_query(self):
         mesh = PartyMesh(["a", "b", "c"], CONFIG, seeds=[1, 2, 3])
-        stream = mesh.stream("b", "a")
-        assert stream.driver == "b"
+        stream = mesh.stream("b", "a", 0)
+        assert (stream.driver, stream.query) == ("b", 0)
         assert set(stream.parties) == {"a", "b"}
-        assert stream is not mesh.stream("a", "b")
-        assert stream.channel is not mesh.stream("a", "b").channel
+        assert stream is mesh.stream("b", "a", 0)
+        assert stream is not mesh.stream("a", "b", 0)
+        assert stream is not mesh.stream("b", "a", 1)
+        assert stream.channel is not mesh.stream("a", "b", 0).channel
         with pytest.raises(MeshError, match="itself"):
-            mesh.stream("a", "a")
+            mesh.stream("a", "a", 0)
+
+    def test_streams_report_in_pass_then_point_order(self):
+        """Streams are built on first use, in any order; the pair's
+        accounting lists them pass by pass, each pass in point order."""
+        mesh = PartyMesh(["a", "b"], CONFIG, seeds=[1, 2])
+        for driver, query in (("b", 1), ("a", 1), ("b", 0), ("a", 0)):
+            mesh.stream(driver, "a" if driver == "b" else "b", query)
+        assert list(mesh.pool_report()[("a", "b")])[::4] == [
+            ("a", 0, "a", "a"), ("a", 1, "a", "a"),
+            ("b", 0, "a", "a"), ("b", 1, "a", "a")]
 
     def test_stream_coins_are_keyed_by_driver(self):
         """A party's coins on a pair differ per stream and from the key
-        exchange's: the two passes over a pair never reuse a mask or
-        blind, and each stream's draws are reproducible alone."""
+        exchange's: the two passes over a pair and the queries of one
+        pass never reuse a mask or blind, and each stream's draws are
+        reproducible alone."""
         mesh = PartyMesh(["a", "b", "c"], CONFIG, seeds=[7, 8, 9])
         draws = {
             "key": mesh.party_in_pair("a", "b").rng.random(),
-            "a drives": mesh.stream("a", "b").parties["a"].rng.random(),
-            "b drives": mesh.stream("b", "a").parties["a"].rng.random(),
+            "a drives": mesh.stream("a", "b", 0).parties["a"].rng.random(),
+            "a drives, point 1":
+                mesh.stream("a", "b", 1).parties["a"].rng.random(),
+            "b drives": mesh.stream("b", "a", 0).parties["a"].rng.random(),
         }
-        assert len(set(draws.values())) == 3
+        assert len(set(draws.values())) == 4
         rebuilt = PartyMesh(["a", "b", "c"], CONFIG, seeds=[7, 8, 9])
-        assert rebuilt.stream("b", "a").parties["a"].rng.random() \
+        assert rebuilt.stream("b", "a", 0).parties["a"].rng.random() \
             == draws["b drives"]
 
     def test_streams_reuse_the_pair_keys_with_their_own_state(self):
         mesh = PartyMesh(["a", "b"], CONFIG, seeds=[1, 2])
         key_session = mesh.session_between("a", "b")
-        sessions = [mesh.stream(driver, peer).session
-                    for driver, peer in (("a", "b"), ("b", "a"))]
+        sessions = [mesh.stream(driver, peer, query).session
+                    for driver, peer, query in (("a", "b", 0),
+                                                ("b", "a", 0),
+                                                ("b", "a", 1))]
         for session in sessions:
             assert session.paillier_keys("a") is key_session.paillier_keys(
                 "a")
             assert session.comparison_backend \
                 is not key_session.comparison_backend
-        assert sessions[0].pool("a", "a") is not sessions[1].pool("a", "a")
+        assert len({id(session.pool("a", "a")) for session in sessions}) \
+            == 3
         # The keys crossed once, on the key-exchange channel.
         assert mesh.merged_stats().messages_by_label == {
             "keys/paillier_pub": 2}
 
     def test_pool_report_is_keyed_by_stream(self):
         mesh = PartyMesh(["a", "b"], CONFIG, seeds=[1, 2])
+        assert mesh.pool_report() == {("a", "b"): {}}
+        mesh.stream("a", "b", 0)
         [(pair, report)] = mesh.pool_report().items()
         assert pair == ("a", "b")
         assert sorted(report) == sorted(
-            (driver, actor, owner) for driver in "ab" for actor in "ab"
-            for owner in "ab")
-        mesh.precompute_pools({("a", "b"): {("b", "a", "b"): 3}})
+            ("a", 0, actor, owner) for actor in "ab" for owner in "ab")
+        mesh.precompute_pools({("a", "b"): {("b", 2, "a", "b"): 3}})
         report = mesh.pool_report()[("a", "b")]
-        assert report[("b", "a", "b")]["pregenerated"] == 3
+        assert report[("b", 2, "a", "b")]["pregenerated"] == 3
         assert sum(entry["pregenerated"]
                    for entry in report.values()) == 3
 

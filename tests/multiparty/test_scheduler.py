@@ -1,16 +1,17 @@
 """Equivalence of in-order vs overlapping mesh passes.
 
-The binding property: running the per-peer region queries of a driver
-pass concurrently -- the daemon's :class:`AsyncPassExecutor`, here with
-each query body on a worker thread so the pairwise sessions truly
-overlap -- and running all k driver passes at once, each on its own
-per-(pair, driver) streams, must change **nothing** observable about
-the protocol: bit-identical labels for every party, identical
-leakage-ledger event sequences, identical per-pair transcripts,
-identical comparison counts and stats, rounds included.
+The binding property: running every region query of a driver pass at
+once -- the daemon's :class:`AsyncPassExecutor` over all own points,
+here with each query body on a worker thread so the pairwise sessions
+truly overlap -- and running all k driver passes at once, each query on
+its own per-(pair, driver, point) stream, must change **nothing**
+observable about the protocol: bit-identical labels for every party,
+identical leakage-ledger event sequences, identical per-pair
+transcripts, identical comparison counts and stats, rounds included.
 """
 
 import asyncio
+import random
 import sys
 
 import pytest
@@ -30,7 +31,11 @@ from repro.multiparty.scheduler import (
     PeerQuery,
     SchedulerError,
 )
-from repro.runtime.async_pass import drive_pass_async
+from repro.runtime.async_pass import (
+    POINTS_IN_FLIGHT,
+    drive_pass_async,
+    run_points,
+)
 from repro.smc.session import SmcConfig
 
 points_strategy = st.lists(
@@ -53,26 +58,23 @@ def _config(backend="oracle", *, blind=False, min_pts=3, key_seed=240):
         blind_cross_sum=blind)
 
 
-class _ThreadedPair:
-    """Stands in for the daemon's ``PairRuntime``: runs each query body
+def _threaded(task, ledger):
+    """Stands in for the daemon's pair runtimes: runs each query body
     on a worker thread, so the queries of one pass overlap for real."""
-
-    async def run(self, body, ledger, span=None):
-        return await asyncio.to_thread(body, ledger)
+    return asyncio.to_thread(task.run, ledger)
 
 
 def _run_concurrent(points, config, mesh) -> MultipartyRunResult:
     """``run_multiparty_horizontal_dbscan`` with the daemon's pass
-    driver: every density test's peer queries under ``asyncio.gather``."""
+    driver: every query of a pass at once."""
     all_points = [point for pts in points.values() for point in pts]
     value_bound = squared_distance_bound(all_points, all_points)
     ledger = LeakageLedger()
     labels_by_party = {}
     for driver in points:
-        runtimes = {peer: _ThreadedPair() for peer in mesh.peers_of(driver)}
         labels = asyncio.run(drive_pass_async(
             mesh, driver, points, config, value_bound, ledger, None,
-            runtimes))
+            _threaded))
         labels_by_party[driver] = labels.as_tuple()
     return MultipartyRunResult(
         labels_by_party=labels_by_party, ledger=ledger,
@@ -83,8 +85,8 @@ def _run_concurrent(points, config, mesh) -> MultipartyRunResult:
 def _run_overlapped(points, config, mesh) -> MultipartyRunResult:
     """Every driver's pass at once, as a daemon runs them: k
     ``drive_pass_async`` coroutines under one ``asyncio.gather``, every
-    query body on its own worker thread, each pass on its own streams.
-    Each pass records into its own ledger, merged in pass order."""
+    query body on its own worker thread and its own stream.  Each pass
+    records into its own ledger, merged in pass order."""
     all_points = [point for pts in points.values() for point in pts]
     value_bound = squared_distance_bound(all_points, all_points)
     ledgers = {driver: LeakageLedger() for driver in points}
@@ -93,8 +95,7 @@ def _run_overlapped(points, config, mesh) -> MultipartyRunResult:
         return await asyncio.gather(*(
             drive_pass_async(
                 mesh, driver, points, config, value_bound,
-                ledgers[driver], None,
-                {peer: _ThreadedPair() for peer in mesh.peers_of(driver)})
+                ledgers[driver], None, _threaded)
             for driver in points))
 
     # A short switch interval makes the query threads interleave at
@@ -138,10 +139,6 @@ def _assert_equivalent(left, left_mesh, right, right_mesh):
     assert left.stats == right.stats
     assert _pair_transcript_values(left_mesh) \
         == _pair_transcript_values(right_mesh)
-
-
-def _threaded(task, ledger):
-    return asyncio.to_thread(task.run, ledger)
 
 
 class TestConcurrentEqualsSequential:
@@ -281,6 +278,19 @@ class TestPairRngDerivation:
         assert derive_pair_rng(8, "a", "a", "b").random() \
             != derive_pair_rng(7, "a", "a", "b").random()
 
+    def test_streams_distinct_per_query_index(self):
+        """Each density test's stream draws its own coins: per query
+        index, apart from the pair's own stream, reproducible alone."""
+        draws = [derive_pair_rng(7, "a", "a", "b", driver="a",
+                                 query=query).random()
+                 for query in range(4)]
+        assert len(set(draws)) == 4
+        assert derive_pair_rng(7, "a", "a", "b").random() not in draws
+        assert derive_pair_rng(7, "a", "a", "b", driver="b",
+                               query=0).random() != draws[0]
+        assert derive_pair_rng(7, "a", "a", "b", driver="a",
+                               query=2).random() == draws[2]
+
     def test_unseeded_stays_nondeterministic(self):
         assert derive_pair_rng(None, "a", "a", "b").random() \
             != derive_pair_rng(None, "a", "a", "b").random()
@@ -291,42 +301,23 @@ def _noop_tasks(count):
             for i in range(count)]
 
 
-class TestPrepareHook:
-    def test_prepare_fires_once_before_run(self):
-        calls = []
-
-        def make_task(name):
-            def run(ledger):
-                calls.append(("run", name))
-                return 0
-            return PeerQuery(peer=name, run=run,
-                             prepare=lambda: calls.append(
-                                 ("prepare", name)))
-
-        PassExecutor().run_pass(
-            [make_task("p0"), make_task("p1")])
-        assert calls == [("prepare", "p0"), ("run", "p0"),
-                         ("prepare", "p1"), ("run", "p1")]
-
-
 class TestAsyncPassExecutor:
     def test_run_pass_is_refused(self):
         executor = AsyncPassExecutor(lambda task, ledger: None)
         with pytest.raises(SchedulerError, match="run_pass_async"):
             executor.run_pass(_noop_tasks(2))
 
-    def test_outcomes_in_task_order_and_prepare_once_per_task(self):
-        """Even when the injected runner re-executes a task's ``run``
-        (the restartable path), ``prepare`` fires exactly once."""
+    def test_outcomes_in_order_when_a_run_repeats(self):
+        """The restartable path re-executes a task's ``run``: each task
+        still yields one outcome, in task order, with the last run's
+        count."""
         calls = []
 
-        def make_task(name):
+        def make_task(name, query):
             def run(ledger):
-                calls.append(("run", name))
+                calls.append(name)
                 return ord(name[-1])
-            return PeerQuery(peer=name, run=run,
-                             prepare=lambda: calls.append(
-                                 ("prepare", name)))
+            return PeerQuery(peer=name, run=run, query=query)
 
         async def run_query(task, ledger):
             await asyncio.sleep(0)
@@ -334,12 +325,74 @@ class TestAsyncPassExecutor:
             return task.run(ledger)
 
         executor = AsyncPassExecutor(run_query)
-        tasks = [make_task("p0"), make_task("p1")]
+        tasks = [make_task("p0", 3), make_task("p1", 3)]
         outcomes = asyncio.run(executor.run_pass_async(tasks))
         assert [outcome.peer for outcome in outcomes] == ["p0", "p1"]
         assert [outcome.count for outcome in outcomes] \
             == [ord("0"), ord("1")]
-        assert calls.count(("prepare", "p0")) == 1
-        assert calls.count(("prepare", "p1")) == 1
-        assert calls.count(("run", "p0")) == 2
+        assert calls.count("p0") == calls.count("p1") == 2
         assert asyncio.run(executor.run_pass_async([])) == []
+
+
+class TestRunPoints:
+    """The one schedule of a pass role: points started in point order,
+    a bounded window of them at once, results in point order."""
+
+    def test_window_and_order(self):
+        count = 3 * POINTS_IN_FLIGHT + 1
+        started, running, peak = [], [0], [0]
+
+        async def run_one(point):
+            started.append(point)
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+            # Later points finish first within a window.
+            await asyncio.sleep(0.001 * (count - point))
+            running[0] -= 1
+            return point * 10
+
+        results = asyncio.run(run_points(count, False, run_one))
+        assert results == [point * 10 for point in range(count)]
+        assert started == list(range(count))
+        assert peak[0] == POINTS_IN_FLIGHT
+
+    def test_cached_point_zero_runs_alone_first(self):
+        events = []
+
+        async def run_one(point):
+            events.append(("start", point))
+            await asyncio.sleep(0)
+            events.append(("end", point))
+            return point
+
+        assert asyncio.run(run_points(4, True, run_one)) == [0, 1, 2, 3]
+        assert events[:2] == [("start", 0), ("end", 0)]
+        assert asyncio.run(run_points(0, True, run_one)) == []
+
+    def test_two_ends_with_windows_never_stall(self):
+        """A query progresses only while both ends have it in flight;
+        both ends start in point order, so however their queries finish
+        the lowest unfinished query is always in flight at both."""
+        count = 4 * POINTS_IN_FLIGHT + 3
+        rng = random.Random(7)
+
+        async def both_ends():
+            present = {end: [asyncio.Event() for _ in range(count)]
+                       for end in ("driver", "responder")}
+            delays = {end: [rng.random() * 0.002 for _ in range(count)]
+                      for end in present}
+
+            def end_of(end, other):
+                async def run_one(point):
+                    present[end][point].set()
+                    await asyncio.wait_for(present[other][point].wait(), 5)
+                    await asyncio.sleep(delays[end][point])
+                    return point
+                return run_one
+
+            return await asyncio.gather(
+                run_points(count, False, end_of("driver", "responder")),
+                run_points(count, False, end_of("responder", "driver")))
+
+        driver, responder = asyncio.run(both_ends())
+        assert driver == responder == list(range(count))

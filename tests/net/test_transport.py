@@ -274,6 +274,31 @@ class TestReleasedTags:
         assert asyncio.run(run()) == (1, 1)
         assert registry.snapshot()["counters"].get(self.LATE, 0) == 0
 
+    def test_history_is_kept_per_session(self):
+        """A session releases one tag per stream; the history holds one
+        entry for it, and a frame for any tag of it -- even one this hub
+        never opened -- is late."""
+        registry = MetricsRegistry()
+
+        async def run():
+            left, right = await tcp_transport_pair(metrics=registry)
+            for tag in ("s", "s#alice#0", "s#alice#1", "s#bob#0"):
+                right.session(tag)
+                right.release(tag)
+            released = dict(right._released)
+            left.session("s#bob#7").deliver("alice", "bob", "late", b"1")
+            left.session("fresh").deliver("alice", "bob", "m", b"2")
+            await _arrived(right, "fresh")
+            views = set(right._sessions)
+            await left.aclose()
+            await right.aclose()
+            return released, views
+
+        released, views = asyncio.run(run())
+        assert released == {"s": None}
+        assert views == {"fresh"}
+        assert registry.snapshot()["counters"][self.LATE] == 1
+
     def test_released_tags_are_bounded(self):
         hub = AsyncTcpTransport("alice", "bob", "bob")
         for index in range(RELEASED_TAGS_KEPT + 10):

@@ -154,18 +154,19 @@ def _span(party, span_id, parent, kind, name, dur, t0=0.0, **attrs):
 
 
 class TestSummaries:
-    def test_critical_path_is_per_step_max(self, tmp_path):
-        """Two peers per step overlap: the pass waits for the slower
-        one, so the critical path sums the per-step maxima."""
+    def test_critical_path_is_the_union_of_queries(self, tmp_path):
+        """A pass runs its queries at once: the critical path is the
+        time covered by at least one of them, not their sum (6.5 here)
+        nor the sum of per-point maxima (4.5)."""
         _write_trace(tmp_path, "p0", [
             _span("p0", 1, None, "session", "s0", 10.0),
             _span("p0", 2, 1, "pass", "pass0", 9.0, role="drive"),
-            _span("p0", 3, 2, "peer_query", "step0:p1", 2.0,
-                  step=0, peer="p1"),
-            _span("p0", 4, 2, "peer_query", "step0:p2", 3.0,
-                  step=0, peer="p2"),
-            _span("p0", 5, 2, "peer_query", "step1:p1", 1.5,
-                  step=1, peer="p1"),
+            _span("p0", 3, 2, "peer_query", "query0:p1", 2.0, t0=0.0,
+                  query=0, peer="p1"),
+            _span("p0", 4, 2, "peer_query", "query0:p2", 3.0, t0=0.5,
+                  query=0, peer="p2"),
+            _span("p0", 5, 2, "peer_query", "query1:p1", 1.5, t0=5.0,
+                  query=1, peer="p1"),
             _span("p0", 6, 3, "attempt", "attempt0", 1.0, attempt=0),
             _span("p0", 7, 3, "attempt", "attempt1", 1.0, attempt=1),
             _span("p0", 8, 4, "attempt", "attempt0", 3.0, attempt=0),
@@ -176,7 +177,7 @@ class TestSummaries:
         [row] = entry["passes"]
         assert row["role"] == "drive"
         assert row["queries"] == 3
-        assert row["critical_path"] == pytest.approx(3.0 + 1.5)
+        assert row["critical_path"] == pytest.approx(3.5 + 1.5)
         assert row["attempts"] == 3
         assert row["restarts"] == 1  # one query needed a second attempt
 
@@ -260,14 +261,14 @@ class TestSummaries:
                   peer="p1"),
             _span("p0", 4, 1, "pass", "pass0", 0.9, t0=2.051, index=0,
                   role="drive"),
-            _span("p0", 5, 4, "peer_query", "step1:p1", 0.2, t0=2.4,
-                  step=1, peer="p1"),
-            _span("p0", 6, 4, "peer_query", "step0:p1", 0.2, t0=2.052,
-                  step=0, peer="p1"),
+            _span("p0", 5, 4, "peer_query", "query1:p1", 0.2, t0=2.4,
+                  query=1, peer="p1"),
+            _span("p0", 6, 4, "peer_query", "query0:p1", 0.2, t0=2.052,
+                  query=0, peer="p1"),
             _span("p0", 7, 1, "pass", "pass1", 0.9, t0=2.1, index=1,
                   role="respond"),
-            _span("p0", 8, 7, "peer_query", "serve1:p1", 0.1, t0=2.101,
-                  step=0, peer="p1"),
+            _span("p0", 8, 7, "peer_query", "serve0:p1", 0.1, t0=2.101,
+                  query=0, peer="p1"),
         ])
         _write_trace(tmp_path, "p1", [
             _span("p1", 1, None, "session", "s0", 1.0)])

@@ -289,7 +289,8 @@ def own_pool_consumption(mesh: PartyMesh) -> dict[str, int]:
     over every pair stream of an in-process run."""
     consumed = {name: 0 for name in mesh.names}
     for session_report in mesh.pool_report().values():
-        for (_driver, actor, _owner), report in session_report.items():
+        for (_driver, _query, actor, _owner), report \
+                in session_report.items():
             consumed[actor] += report["consumed"]
     return consumed
 
@@ -326,6 +327,75 @@ class TestRoleLocalExecution:
             assert report.runtime_info["pool"]["consumed"] \
                 == expected[name], name
 
+    def test_cached_coordinates_cross_once_per_peer_point_per_pass(self):
+        """With cached peer ciphertexts the query on a pass's point 0
+        uploads the peer's coordinates and the pass's other queries read
+        them, on both ends: one upload per (pass, peer), one entry per
+        peer point, the same bits in process and on the daemons."""
+        from repro.net.serialization import deserialize_message
+
+        by_party = workload(3, per_party=3)
+        seeds = [31, 32, 33]
+        config = make_config(cache_peer_ciphertexts=True)
+        mesh = PartyMesh(list(by_party), config.smc, seeds=seeds)
+        reference = run_multiparty_horizontal_dbscan(
+            by_party, config, seeds=seeds, mesh=mesh)
+        uploads = {}
+        for transcript in mesh.pair_transcripts().values():
+            for entry in transcript.entries:
+                if entry.label.endswith("/coords"):
+                    ids = [point_id for point_id, _ in
+                           deserialize_message(entry.wire)]
+                    uploads.setdefault((entry.receiver, entry.sender),
+                                       []).append(ids)
+        assert uploads == {(driver, peer): [[0, 1, 2]]
+                           for driver in by_party for peer in by_party
+                           if peer != driver}
+        with DaemonFleet(list(by_party)) as fleet:
+            with fleet.client() as client:
+                run = run_via_daemons(by_party, config, seeds,
+                                      client=client, timeout=120)
+        checks = verify_against_in_process(run, by_party, config, seeds,
+                                           reference=reference, mesh=mesh)
+        assert all(checks.values()), checks
+
+    def test_retested_noise_seed_counts_one_test_per_point(self):
+        """The data set on which a serial traversal tested a noise seed
+        twice: on the daemons too every point takes one test, so the
+        messages are exactly k(k-1) + 5(k-1) per point."""
+        from tests.multiparty.test_order_free import RETESTED_NOISE_SEED
+
+        seeds = [31, 32, 33]
+        config = make_config()
+        with DaemonFleet(list(RETESTED_NOISE_SEED)) as fleet:
+            with fleet.client() as client:
+                run = run_via_daemons(RETESTED_NOISE_SEED, config, seeds,
+                                      client=client, timeout=120)
+        checks = verify_against_in_process(run, RETESTED_NOISE_SEED,
+                                           config, seeds)
+        assert all(checks.values()), checks
+        k, points = 3, sum(map(len, RETESTED_NOISE_SEED.values()))
+        assert run.result.stats["total_messages"] \
+            == k * (k - 1) + 5 * (k - 1) * points
+        assert run.result.labels_by_party["p0"] == (1, 1)
+
+    def test_traversal_out_of_point_order_is_bit_identical(self):
+        """In process the first density tests follow the traversal --
+        p0's point 2 before its point 1 -- while the daemons ask every
+        point at once: the same bits either way."""
+        from tests.multiparty.test_order_free import OUT_OF_POINT_ORDER
+
+        seeds = [31, 32, 33]
+        config = make_config()
+        with DaemonFleet(list(OUT_OF_POINT_ORDER)) as fleet:
+            with fleet.client() as client:
+                run = run_via_daemons(OUT_OF_POINT_ORDER, config, seeds,
+                                      client=client, timeout=120)
+        checks = verify_against_in_process(run, OUT_OF_POINT_ORDER,
+                                           config, seeds)
+        assert all(checks.values()), checks
+        assert run.result.labels_by_party["p0"] == (1, -1, 1)
+
     def test_idle_refill_pregenerates_only_the_consumed_factors(self):
         """From the second sequential session on, the randomness
         service prefills and tops up each pool to the session's
@@ -349,12 +419,15 @@ class TestRoleLocalExecution:
 
 @pytest.mark.sockets
 class TestOverlappedPasses:
-    """A daemon runs all of its pass roles at once on per-(pair,
-    driver) streams: over 50 ms links every daemon's pass spans share a
-    common instant, its first drive query leaves one link delay into
-    the session (the sync; the key announcements travel with it), and
-    the session stays bit-identical to the in-process mesh, stats and
-    rounds included."""
+    """A daemon runs all of its pass roles at once, and each role all of
+    its queries at once, one per (driver's point, peer) on its own
+    stream: over 50 ms links every daemon's pass spans share a common
+    instant, and so do every drive pass's queries; a drive pass lasts
+    about four link delays, not four per point it tests; its first
+    query leaves one link delay into the session (the sync; the key
+    announcements travel with it); no control record but the sync
+    crosses a pair link; and the session stays bit-identical to the
+    in-process mesh, stats and rounds included."""
 
     def test_pass_spans_overlap_and_session_is_bit_identical(
             self, tmp_path):
@@ -363,40 +436,65 @@ class TestOverlappedPasses:
         by_party = workload(3)
         seeds = [31, 32, 33]
         config = make_config()
-        with DaemonFleet(list(by_party), net_delay_s=0.05,
+        delay = 0.05
+        with DaemonFleet(list(by_party), net_delay_s=delay,
                          trace_dir=str(tmp_path)) as fleet:
+            controls = {daemon.name: frames_in(daemon, "c")
+                        for daemon in fleet.daemons}
             with fleet.client() as client:
                 run = run_via_daemons(by_party, config, seeds,
                                       client=client, session_id="overlap",
                                       timeout=120)
+            # The session syncs are the only control records: one from
+            # each peer, on each daemon.
+            for daemon in fleet.daemons:
+                assert frames_in(daemon, "c") \
+                    == controls[daemon.name] + len(by_party) - 1, \
+                    daemon.name
         mesh = PartyMesh(list(by_party), config.smc, seeds=seeds)
         reference = run_multiparty_horizontal_dbscan(
             by_party, config, seeds=seeds, mesh=mesh)
         checks = verify_against_in_process(run, by_party, config, seeds,
                                            reference=reference, mesh=mesh)
         assert all(checks.values()), checks
+        spans = read_trace_dir(tmp_path)
         passes = {}
-        for span in read_trace_dir(tmp_path):
+        for span in spans:
             if span["kind"] == "pass":
                 passes.setdefault(span["party"], []).append(span)
         assert sorted(passes) == sorted(by_party)
-        for party, spans in passes.items():
-            assert sorted(span["attrs"]["index"] for span in spans) \
-                == [0, 1, 2], party
+        for party, party_passes in passes.items():
+            assert sorted(span["attrs"]["index"]
+                          for span in party_passes) == [0, 1, 2], party
             # One instant inside every pass of this daemon.
-            assert max(span["t0"] for span in spans) \
-                < min(span["t1"] for span in spans), party
+            assert max(span["t0"] for span in party_passes) \
+                < min(span["t1"] for span in party_passes), party
+            [drive] = [span for span in party_passes
+                       if span["attrs"]["role"] == "drive"]
+            queries = [span for span in spans
+                       if span["party"] == party
+                       and span["parent"] == drive["id"]
+                       and span["kind"] == "peer_query"]
+            # Both points against both peers, all in flight at once.
+            assert len(queries) == 4, party
+            assert max(span["t0"] for span in queries) \
+                < min(span["t1"] for span in queries), party
+            # Four link delays plus CPU; two tests in series wait at
+            # least eight.  (The three daemons here share one
+            # interpreter lock: on a 2-CPU host a pass read 0.24-0.33 s,
+            # so six link delays would not be a reliable bound.)
+            assert drive["dur"] < 8 * delay, (party, drive["dur"])
         summary = summarize_trace_dir(tmp_path)["sessions"]["overlap"]
         for party, entry in summary["parties"].items():
             assert entry["passes_union"] < entry["passes_sum"], party
             # The sync takes one link delay; without the one-flight
             # setup the right party of a pair announced only after the
             # left party's announcement arrived -- about three in all.
-            assert entry["first_query"] < 2 * 0.05, (party, entry)
+            assert entry["first_query"] < 2 * delay, (party, entry)
             assert run.reports[party].runtime_info["setup_seconds"] \
                 == entry["setup"]
         setup_spans = {}
-        for span in read_trace_dir(tmp_path):
+        for span in spans:
             if span["kind"] in ("sync", "adopt"):
                 setup_spans.setdefault(span["party"], []).append(
                     span["name"])
@@ -406,8 +504,8 @@ class TestOverlappedPasses:
                             if peer != party]), party
 
     def test_finished_session_leaves_no_view_on_any_hub(self):
-        """The session's own tag and both stream tags of every pair are
-        released on every daemon."""
+        """The session's own tag and the stream tag of every query of
+        both passes over every pair are released on every daemon."""
         by_party = workload(3)
         with DaemonFleet(list(by_party)) as fleet:
             with fleet.client() as client:

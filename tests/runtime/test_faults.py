@@ -103,11 +103,48 @@ class TestFaultGrammar:
 
 
 def link_with_faults(texts, hub, party="alice"):
-    """``hub``'s session view as pass 0's stream, wrapped by
-    ``party``'s fault state."""
+    """``hub``'s session view as the stream of pass 0's point 0,
+    wrapped by ``party``'s fault state."""
     faults = FaultPlan.parse(texts, seed=9).for_party(
         party, hubs={"alice|bob": hub})
-    return faults.link(hub.session("s"), "alice|bob", 0)
+    return faults.link(hub.session("s"), "alice|bob", 0, 0)
+
+
+class _RecordingHub:
+    def __init__(self):
+        self.aborts = []
+
+    def abort(self, reason):
+        self.aborts.append(reason)
+
+
+class TestMidPassFaultsKeyedByPoint:
+    """A pass runs all of its queries at once, so ``.q``/``.f`` name
+    the driver's point, never an arrival order."""
+
+    def test_query_fault_fires_at_its_point_whatever_the_order(self):
+        hub = _RecordingHub()
+        faults = FaultPlan.parse(["drop:a:a-b@pass1.q2"]).for_party(
+            "a", hubs={"a|b": hub})
+        # Points 2 and 0 of pass 1 and point 1 of pass 0 start first.
+        for pass_index, point in ((1, 2), (1, 0), (0, 1)):
+            faults.on_query(pass_index, point)
+        assert hub.aborts == []
+        faults.on_query(1, 1)
+        faults.on_query(1, 1)    # the point's query to a second peer
+        assert len(hub.aborts) == 1
+        assert "in pass 1, query 2" in hub.aborts[0]
+
+    def test_frame_fault_wraps_only_the_point_zero_stream(self):
+        hub = AsyncTcpTransport("alice", "bob", "alice")
+        faults = FaultPlan.parse(
+            ["truncate:alice:alice-bob@pass1.f2"]).for_party(
+                "alice", hubs={"alice|bob": hub})
+        views = [hub.session(f"s#alice#{point}") for point in range(3)]
+        assert faults.link(views[1], "alice|bob", 1, 1) is views[1]
+        assert faults.link(views[0], "alice|bob", 0, 0) is views[0]
+        wrapped = faults.link(views[0], "alice|bob", 1, 0)
+        assert wrapped is not views[0] and wrapped.view is views[0]
 
 
 @pytest.mark.faults

@@ -41,6 +41,19 @@ class TestDemoCommand:
         output = capsys.readouterr().out
         assert "party0" in output and "party2" in output
 
+    def test_multiparty_prefill_runs_before_the_run(self, capsys):
+        """``--prefill`` fills the pool of every stream the run will
+        query on ahead of it (a fresh mesh has none yet), so the online
+        run never misses a pool."""
+        exit_code = main(["demo", "--scenario", "multiparty",
+                          "--points", "9", "--backend", "oracle",
+                          "--min-pts", "2", "--prefill", "8"])
+        assert exit_code == 0
+        pools = re.search(r"pools: pregenerated=(\d+) .* misses=(\d+)",
+                          capsys.readouterr().out)
+        assert pools is not None
+        assert int(pools.group(1)) > 0 and int(pools.group(2)) == 0
+
     def test_crypto_backend_small(self, capsys):
         exit_code = main(["demo", "--points", "4", "--min-pts", "2",
                           "--backend", "bitwise"])
