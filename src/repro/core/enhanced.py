@@ -6,7 +6,7 @@ neighbourhood, each core-point test reveals a single bit -- whether the
 peer holds at least ``k = MinPts - |own neighbours|`` points within Eps
 (Theorem 11's statement).
 
-The core test per queried point ``A``:
+The core test per own point ``A``:
 
 1. ``k <= 0``: core, with **zero interaction** (own points suffice).
 2. ``k > n_peer``: not core, with zero interaction.
@@ -19,25 +19,29 @@ The core test per queried point ``A``:
       ``u_i = dist^2(A, B_i) + v_i`` with ``v_i`` private to the peer.
    b. Secure selection of the k-th smallest shared distance
       (scan ``O(kn)`` or quickselect expected ``O(n)``, paper's two
-      variants) through YMPP comparisons of
+      variants) through comparisons of
       ``(u_i - u_j)`` vs ``(v_i - v_j)``.
    c. One final comparison ``u_kth - Eps^2 <= v_kth`` -- the core bit.
 
-Expansion then proceeds exactly as in Algorithm 4 (through own points
-only; Algorithm 8).
+A point's core bit depends only on the point, never on when the
+traversal asks for it, so a pass computes every own point's bit first
+and runs the interactive tests in lockstep: one round-trip shares every
+tested point's distances, each selection step runs the next comparison
+of every unfinished selection, and one more round-trip runs all the
+final tests.  A pass with tested points takes ``2 + 2(S + 1)`` rounds on
+the bitwise backend, ``S`` its longest selection's comparison count;
+each comparison and each point's sharing keeps its own messages.
+Expansion then proceeds exactly as in Algorithm 4, through own points
+only (Algorithm 8), in the traversal every horizontal protocol shares
+(:func:`~repro.clustering.expansion.expand_clusters`).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from repro.clustering.labels import (
-    NOISE,
-    UNCLASSIFIED,
-    ClusterLabels,
-    next_cluster_id,
-)
+from repro.clustering.expansion import expand_clusters
+from repro.clustering.labels import ClusterLabels
 from repro.clustering.neighborhoods import GridIndex
 from repro.core.config import ProtocolConfig
 from repro.core.leakage import Disclosure, LeakageLedger
@@ -112,119 +116,95 @@ def _party_pass(session: SmcSession, *, driver: Party,
                 peer_points: list[tuple[int, ...]], config: ProtocolConfig,
                 value_bound: int, ledger: LeakageLedger,
                 label: str) -> ClusterLabels:
-    """Algorithm 7 for one driving party."""
-    labels = ClusterLabels(len(driver_points))
+    """Algorithms 7 + 8 for one driving party: every own point's core
+    bit, then the expansion reads them."""
+    core = _core_bits(session, driver, driver_points, peer, peer_points,
+                      config, value_bound, ledger, label=label)
+    return expand_clusters(driver_points, config.eps_squared,
+                           lambda point_index, _own: core[point_index])
+
+
+def _core_bits(session: SmcSession, driver: Party,
+               driver_points: list[tuple[int, ...]], peer: Party,
+               peer_points: list[tuple[int, ...]], config: ProtocolConfig,
+               value_bound: int, ledger: LeakageLedger, *,
+               label: str) -> list[bool]:
+    """Section 5's "Updated Protocol": every own point's single-bit core
+    test, the interactive ones in lockstep."""
     index = GridIndex(driver_points, config.eps_squared)
-    cluster_id = next_cluster_id(NOISE)
-    for point_index in range(len(driver_points)):
-        if labels.is_unclassified(point_index):
-            if _enhanced_expand_cluster(
-                    session, driver=driver, index=index, labels=labels,
-                    point_index=point_index, cluster_id=cluster_id,
-                    peer=peer, peer_points=peer_points, config=config,
-                    value_bound=value_bound, ledger=ledger, label=label):
-                cluster_id = next_cluster_id(cluster_id)
-    return labels
+    needed = [config.min_pts
+              - len(index.region_query(point, config.eps_squared))
+              for point in driver_points]
+    # k <= 0: own points already reach MinPts -- core, no interaction, no
+    # disclosure.  k > n_peer: even all of the peer's points could not
+    # reach MinPts -- not core, no interaction.
+    core = [k <= 0 for k in needed]
+    tested = [i for i, k in enumerate(needed) if 0 < k <= len(peer_points)]
+    if not tested:
+        return core
 
+    shares = _share_distances(
+        session, driver, [driver_points[i] for i in tested], peer,
+        peer_points, value_bound, label=label)
+    kth_indices = session.kth_smallest(
+        driver, peer, shares, [needed[i] for i in tested],
+        method=config.selection, label=f"{label}/kselect")
 
-def _enhanced_expand_cluster(session: SmcSession, *, driver: Party,
-                             index, labels: ClusterLabels,
-                             point_index: int, cluster_id: int, peer: Party,
-                             peer_points: list[tuple[int, ...]],
-                             config: ProtocolConfig, value_bound: int,
-                             ledger: LeakageLedger, label: str) -> bool:
-    """Algorithm 8 (EnhancedExpandCluster) for the driving party."""
-    eps_squared = config.eps_squared
-    seeds = index.region_query(index.points[point_index], eps_squared)
-    if not _is_core_point(session, driver, index.points[point_index],
-                          len(seeds), peer, peer_points, config,
-                          value_bound, ledger, label=label):
-        labels.change_cluster_id(point_index, NOISE)
-        return False
-
-    labels.change_cluster_ids(seeds, cluster_id)
-    queue = deque(s for s in seeds if s != point_index)
-    while queue:
-        current = queue.popleft()
-        result = index.region_query(index.points[current], eps_squared)
-        if _is_core_point(session, driver, index.points[current],
-                          len(result), peer, peer_points, config,
-                          value_bound, ledger, label=label):
-            for neighbor in result:
-                if labels[neighbor] in (UNCLASSIFIED, NOISE):
-                    if labels[neighbor] == UNCLASSIFIED:
-                        queue.append(neighbor)
-                    labels.change_cluster_id(neighbor, cluster_id)
-    return True
-
-
-def _is_core_point(session: SmcSession, driver: Party,
-                   query_point: tuple[int, ...], own_neighbor_count: int,
-                   peer: Party, peer_points: list[tuple[int, ...]],
-                   config: ProtocolConfig, value_bound: int,
-                   ledger: LeakageLedger, *, label: str) -> bool:
-    """Section 5's "Updated Protocol": the single-bit core test."""
-    needed = config.min_pts - own_neighbor_count
-    if needed <= 0:
-        # Own points already reach MinPts: no interaction, no disclosure.
-        return True
-    if needed > len(peer_points):
-        # Even all of the peer's points could not reach MinPts.
-        return False
-
-    shares = _share_distances(session, driver, query_point, peer,
-                              peer_points, value_bound, label=label)
-    kth_index = session.kth_smallest(
-        driver, peer, shares, needed, method=config.selection,
-        label=f"{label}/kselect")
-    order_bits = session.comparison_backend.invocations
-    ledger.record(label, driver.name, Disclosure.ORDER_BIT,
-                  detail=f"selection used secure comparisons "
-                         f"(cumulative {order_bits})")
-
-    # Final test: dist_kth <= Eps^2  <=>  u_kth - Eps^2 <= v_kth.
-    lo, hi = shares.threshold_interval(config.eps_squared)
-    outcome = session.compare_leq(
-        driver, shares.u_values[kth_index] - config.eps_squared,
-        peer, shares.v_values[kth_index],
+    # Final tests: dist_kth <= Eps^2  <=>  u_kth - Eps^2 <= v_kth.  Every
+    # point's shares have the same public bounds, so one interval holds.
+    lo, hi = shares[0].threshold_interval(config.eps_squared)
+    outcomes = session.compare_leq_batch(
+        driver, [vector.u_values[kth] - config.eps_squared
+                 for vector, kth in zip(shares, kth_indices)],
+        peer, [vector.v_values[kth]
+               for vector, kth in zip(shares, kth_indices)],
         lo=lo, hi=hi, reveal_to="a", label=f"{label}/core_test")
-    ledger.record(label, driver.name, Disclosure.CORE_BIT,
-                  detail=f"k={needed}")
-    return outcome.result
+    for point_index, outcome in zip(tested, outcomes):
+        ledger.record(label, driver.name, Disclosure.ORDER_BIT,
+                      detail=f"selection of rank {needed[point_index]} "
+                             f"among {len(peer_points)} shared distances")
+        ledger.record(label, driver.name, Disclosure.CORE_BIT,
+                      detail=f"k={needed[point_index]}")
+        core[point_index] = outcome.result
+    return core
 
 
 def _share_distances(session: SmcSession, driver: Party,
-                     query_point: tuple[int, ...], peer: Party,
+                     query_points: list[tuple[int, ...]], peer: Party,
                      peer_points: list[tuple[int, ...]], value_bound: int,
-                     *, label: str) -> SharedValues:
-    """Section 5 distance sharing over a fresh permutation of peer points.
+                     *, label: str) -> list[SharedValues]:
+    """Section 5 distance sharing, each query point against a fresh
+    permutation of the peer's points, all in one round-trip.
 
     ``alpha = (sum A_t^2, -2A_1, ..., -2A_m, 1)`` and
     ``beta_i = (1, B_i1, ..., B_im, sum B_it^2)`` give
     ``<alpha, beta_i> = dist^2(A, B_i)``; the Multiplication Protocol
     hands the driver ``u_i = dist^2 + v_i``.
     """
-    view = PermutedView.fresh(len(peer_points), peer.rng)
-    alpha = [sum(c * c for c in query_point)]
-    alpha.extend(-2 * c for c in query_point)
-    alpha.append(1)
-
     mask_bound = session.config.mask_bound(value_bound)
+    alphas = []
     betas = []
     masks = []
-    for permuted_position in range(len(view)):
-        peer_point = peer_points[view.true_index(permuted_position)]
-        beta = [1]
-        beta.extend(peer_point)
-        beta.append(sum(c * c for c in peer_point))
-        betas.append(beta)
-        masks.append(peer.rng.randrange(mask_bound))
+    for query_point in query_points:
+        view = PermutedView.fresh(len(peer_points), peer.rng)
+        alpha = [sum(c * c for c in query_point)]
+        alpha.extend(-2 * c for c in query_point)
+        alpha.append(1)
+        alphas.append(alpha)
+        point_betas = []
+        point_masks = []
+        for permuted_position in range(len(view)):
+            peer_point = peer_points[view.true_index(permuted_position)]
+            beta = [1]
+            beta.extend(peer_point)
+            beta.append(sum(c * c for c in peer_point))
+            point_betas.append(beta)
+            point_masks.append(peer.rng.randrange(mask_bound))
+        betas.append(point_betas)
+        masks.append(point_masks)
 
-    u_values = session.scalar_products(driver, alpha, peer, betas, masks,
+    u_values = session.scalar_products(driver, alphas, peer, betas, masks,
                                        label=f"{label}/share")
-    return SharedValues(
-        u_values=tuple(u_values),
-        v_values=tuple(masks),
-        value_bound=value_bound,
-        mask_bound=mask_bound,
-    )
+    return [SharedValues(u_values=tuple(point_u), v_values=tuple(point_v),
+                         value_bound=value_bound, mask_bound=mask_bound)
+            for point_u, point_v in zip(u_values, masks)]

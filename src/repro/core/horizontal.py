@@ -1,6 +1,7 @@
 """Privacy preserving DBSCAN over horizontally partitioned data.
 
-Algorithms 3 and 4 of the paper, as two symmetric passes:
+Algorithms 3 and 4 of the paper, as two symmetric passes through the
+shared traversal (:func:`~repro.clustering.expansion.expand_clusters`):
 
 - Alice drives a DBSCAN over *her* points in which every region query
   combines a local query (``seedsA``) with a secure query against Bob's
@@ -18,16 +19,10 @@ plaintext model of it lives in
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from repro.clustering.labels import (
-    NOISE,
-    UNCLASSIFIED,
-    ClusterLabels,
-    next_cluster_id,
-)
-from repro.clustering.neighborhoods import GridIndex
+from repro.clustering.expansion import expand_clusters
 from repro.core.config import ProtocolConfig
 from repro.core.distance import (
     PeerCipherCache,
@@ -87,18 +82,16 @@ def run_horizontal_dbscan(partition: HorizontalPartition,
     value_bound = squared_distance_bound(partition.alice_points,
                                          partition.bob_points)
 
-    alice_labels = _party_pass(
-        session, driver=alice, driver_points=list(partition.alice_points),
-        peer=bob, peer_points=list(partition.bob_points),
-        config=config, value_bound=value_bound, ledger=ledger,
-        label="horizontal/alice_pass",
-        cache=PeerCipherCache() if config.cache_peer_ciphertexts else None)
-    bob_labels = _party_pass(
-        session, driver=bob, driver_points=list(partition.bob_points),
-        peer=alice, peer_points=list(partition.alice_points),
-        config=config, value_bound=value_bound, ledger=ledger,
-        label="horizontal/bob_pass",
-        cache=PeerCipherCache() if config.cache_peer_ciphertexts else None)
+    alice_labels = expand_clusters(
+        list(partition.alice_points), config.eps_squared,
+        _density_test(session, alice, partition.alice_points, bob,
+                      partition.bob_points, config, value_bound, ledger,
+                      label="horizontal/alice_pass"))
+    bob_labels = expand_clusters(
+        list(partition.bob_points), config.eps_squared,
+        _density_test(session, bob, partition.bob_points, alice,
+                      partition.alice_points, config, value_bound, ledger,
+                      label="horizontal/bob_pass"))
 
     return HorizontalRunResult(
         alice_labels=alice_labels.as_tuple(),
@@ -109,67 +102,30 @@ def run_horizontal_dbscan(partition: HorizontalPartition,
     )
 
 
-def _party_pass(session: SmcSession, *, driver: Party,
-                driver_points: list[tuple[int, ...]], peer: Party,
-                peer_points: list[tuple[int, ...]], config: ProtocolConfig,
-                value_bound: int, ledger: LeakageLedger, label: str,
-                cache: PeerCipherCache | None = None) -> ClusterLabels:
-    """Algorithm 3 for one driving party."""
-    labels = ClusterLabels(len(driver_points))
-    index = GridIndex(driver_points, config.eps_squared)
-    cluster_id = next_cluster_id(NOISE)
-    for point_index in range(len(driver_points)):
-        if labels.is_unclassified(point_index):
-            if _expand_cluster(session, driver=driver, index=index,
-                               labels=labels, point_index=point_index,
-                               cluster_id=cluster_id, peer=peer,
-                               peer_points=peer_points, config=config,
-                               value_bound=value_bound, ledger=ledger,
-                               label=label, cache=cache):
-                cluster_id = next_cluster_id(cluster_id)
-    return labels
+def _density_test(session: SmcSession, driver: Party,
+                  driver_points: Sequence[tuple[int, ...]], peer: Party,
+                  peer_points: Sequence[tuple[int, ...]],
+                  config: ProtocolConfig, value_bound: int,
+                  ledger: LeakageLedger, *,
+                  label: str) -> Callable[[int, int], bool]:
+    """One pass's density test (steps 3/13 of Algorithm 4):
+    ``|seedsA| + |seedsB| >= MinPts``, with ``|seedsB|`` one secure
+    query per test -- a re-tested point queries the peer again."""
+    peer_points = list(peer_points)
+    cache = PeerCipherCache() if config.cache_peer_ciphertexts else None
 
-
-def _expand_cluster(session: SmcSession, *, driver: Party,
-                    index, labels: ClusterLabels,
-                    point_index: int, cluster_id: int, peer: Party,
-                    peer_points: list[tuple[int, ...]],
-                    config: ProtocolConfig, value_bound: int,
-                    ledger: LeakageLedger, label: str,
-                    cache: PeerCipherCache | None = None) -> bool:
-    """Algorithm 4 (ExpandCluster) for the driving party."""
-    eps_squared = config.eps_squared
-
-    def neighbourhood(point: tuple[int, ...]) -> tuple[list[int], int]:
-        """``seedsA`` and ``|seedsB|`` for one query (steps 3/13)."""
-        seeds = index.region_query(point, eps_squared)
+    def dense(point_index: int, own_count: int) -> bool:
         if not peer_points:
-            return seeds, 0
+            return own_count >= config.min_pts
         count = secure_peer_neighbor_count(
-            session, driver, point, peer, peer_points, config, value_bound,
-            ledger, cache, label=f"{label}/hdp",
+            session, driver, driver_points[point_index], peer, peer_points,
+            config, value_bound, ledger, cache, label=f"{label}/hdp",
             cached_label=f"{label}/hdp_cached")
         ledger.record(label, driver.name, Disclosure.NEIGHBOR_COUNT,
                       detail=f"peer neighbourhood size {count}")
-        return seeds, count
+        return own_count + count >= config.min_pts
 
-    seeds, peer_count = neighbourhood(index.points[point_index])
-    if len(seeds) + peer_count < config.min_pts:
-        labels.change_cluster_id(point_index, NOISE)
-        return False
-
-    labels.change_cluster_ids(seeds, cluster_id)
-    queue = deque(s for s in seeds if s != point_index)
-    while queue:
-        current = queue.popleft()
-        result, peer_count = neighbourhood(index.points[current])
-        if len(result) + peer_count >= config.min_pts:
-            for neighbor in result:
-                if labels[neighbor] in (UNCLASSIFIED, NOISE):
-                    if labels[neighbor] == UNCLASSIFIED:
-                        queue.append(neighbor)
-                    labels.change_cluster_id(neighbor, cluster_id)
-    return True
+    return dense
 
 
 def secure_peer_neighbor_count(session: SmcSession, driver: Party,

@@ -24,10 +24,11 @@ Order-free density tests: a point's secure count depends only on the
 point, never on when the expansion asks for it, so each point asks one
 query per peer per pass, each on its own
 :class:`~repro.multiparty.mesh.PairStream`, and the Algorithm 3/4
-expansion (:func:`expand_clusters`) reads the count at every test of
-the point; the pass's :mod:`~repro.multiparty.scheduler` executor hands
-a re-test the counts it already got.  Here each test runs as the
-traversal reaches it; a daemon asks every point's queries first.
+expansion (:func:`~repro.clustering.expansion.expand_clusters`) reads
+the count at every test of the point; the pass's
+:mod:`~repro.multiparty.scheduler` executor hands a re-test the counts
+it already got.  Here each test runs as the traversal reaches it; a
+daemon asks every point's queries first.
 Disclosure records are merged in (point, peer) order and each pair's
 transcript and stats are reported in canonical order, so nothing
 observable depends on the schedule.
@@ -39,17 +40,10 @@ Reference semantics: each party's labels equal
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
-from repro.clustering.labels import (
-    NOISE,
-    UNCLASSIFIED,
-    ClusterLabels,
-    next_cluster_id,
-)
-from repro.clustering.neighborhoods import BruteForceIndex
+from repro.clustering.expansion import expand_clusters
+from repro.clustering.labels import ClusterLabels
 from repro.core.config import ProtocolConfig
 from repro.core.distance import PeerCipherCache
 from repro.core.horizontal import secure_peer_neighbor_count
@@ -129,47 +123,6 @@ def run_multiparty_horizontal_dbscan(points_by_party: dict[str, list],
     )
 
 
-def expand_clusters(own_points: list, peer_count: Callable[[int], int],
-                    config: ProtocolConfig) -> ClusterLabels:
-    """Algorithm 3+4: the single expansion.
-
-    ``peer_count(i)`` is own point ``i``'s neighbour count summed over
-    every peer, asked at each density test of the point.  The traversal
-    is the paper's -- each point the outer loop reaches unclassified
-    seeds a cluster or becomes noise, and the expansion queue grows
-    through own points only -- so the labels do not depend on where the
-    counts come from or when they were computed.
-    """
-    labels = ClusterLabels(len(own_points))
-    index = BruteForceIndex(own_points)
-    eps_squared = config.eps_squared
-
-    def dense(point_index: int, neighbours: list[int]) -> bool:
-        return len(neighbours) + peer_count(point_index) >= config.min_pts
-
-    cluster_id = next_cluster_id(NOISE)
-    for point_index in range(len(own_points)):
-        if not labels.is_unclassified(point_index):
-            continue
-        seeds = index.region_query(index.points[point_index], eps_squared)
-        if not dense(point_index, seeds):
-            labels.change_cluster_id(point_index, NOISE)
-            continue
-        labels.change_cluster_ids(seeds, cluster_id)
-        queue = deque(s for s in seeds if s != point_index)
-        while queue:
-            current = queue.popleft()
-            result = index.region_query(index.points[current], eps_squared)
-            if dense(current, result):
-                for neighbor in result:
-                    if labels[neighbor] in (UNCLASSIFIED, NOISE):
-                        if labels[neighbor] == UNCLASSIFIED:
-                            queue.append(neighbor)
-                        labels.change_cluster_id(neighbor, cluster_id)
-        cluster_id = next_cluster_id(cluster_id)
-    return labels
-
-
 def _driver_pass(mesh: PartyMesh, driver_name: str,
                  points_by_party: dict[str, list], config: ProtocolConfig,
                  value_bound: int, ledger: LeakageLedger,
@@ -185,8 +138,10 @@ def _driver_pass(mesh: PartyMesh, driver_name: str,
             point_queries(mesh, driver_name, point_index, points_by_party,
                           config, value_bound, caches)))
 
-    labels = expand_clusters(points_by_party[driver_name], density_test,
-                             config)
+    labels = expand_clusters(
+        points_by_party[driver_name], config.eps_squared,
+        lambda point_index, own: own + density_test(point_index)
+        >= config.min_pts)
     executor.merge_into(ledger)
     return labels
 

@@ -45,9 +45,10 @@ import asyncio
 from collections import deque
 from typing import Awaitable, Callable
 
+from repro.clustering.expansion import expand_clusters
 from repro.clustering.labels import ClusterLabels
 from repro.core.leakage import LeakageLedger
-from repro.multiparty.horizontal import expand_clusters, point_queries
+from repro.multiparty.horizontal import point_queries
 from repro.multiparty.scheduler import AsyncPassExecutor, PeerQuery
 from repro.net.serialization import serialize_message
 from repro.net.transport import ProtocolDesyncError
@@ -219,6 +220,9 @@ class PairRuntime:
         self.session = None
         self.cache = None
         self.restarts = 0
+        # Set once the peer's keys are adopted (an asyncio.Event), or
+        # None: a parked attempt awaits it before its frame wait.
+        self.peer_keys = None
 
     def _capture(self):
         session = self.session
@@ -268,7 +272,11 @@ class PairRuntime:
         flight the lease is flagged busy, so the service's idle refill
         never deposits into a pool between snapshot and restore.
         ``span`` (a peer-query span) gets one child per attempt; parked
-        attempts record the frame label they waited for.
+        attempts record the frame label they waited for.  A parked
+        attempt's ``timeout_s`` frame wait starts only once
+        :attr:`peer_keys` is set: the peer announces its keys before it
+        sends any frame of the pair, so this adds no wait, and a silent
+        peer fails the session at its announcement alone.
         """
         if self.lease is not None:
             self.lease.busy += 1
@@ -292,6 +300,8 @@ class PairRuntime:
                     attempt_span.close()
                     self.obs_parked.inc()
                     try:
+                        if self.peer_keys is not None:
+                            await self.peer_keys.wait()
                         self.channel.stage(await self.link.wait_message(
                             f"frame {need.label!r}"))
                     finally:
@@ -355,7 +365,10 @@ async def drive_pass_async(
 
     counts = await run_points(len(own), caches is not None, density_test)
     executor.merge_into(ledger)
-    return expand_clusters(own, counts.__getitem__, config)
+    return expand_clusters(
+        own, config.eps_squared,
+        lambda point_index, own_count: own_count + counts[point_index]
+        >= config.min_pts)
 
 
 __all__ = [

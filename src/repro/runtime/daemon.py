@@ -100,6 +100,7 @@ import json
 import os
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.core.distance import PeerCipherCache
@@ -162,6 +163,7 @@ from repro.runtime.manifest import (
     pair_key,
 )
 from repro.runtime.async_pass import (
+    POINTS_IN_FLIGHT,
     PairRuntime,
     RestartableMirrorChannel,
     drive_pass_async,
@@ -503,7 +505,17 @@ class _Stream:
 
     view: object                      # its sub-session of the pair hub
     runtime: PairRuntime
-    stream: PairStream
+    stream: PairStream | None         # None once retired
+    comparisons: int = 0
+
+    def retire(self) -> None:
+        """Drop the finished query's protocol state -- its session,
+        parties and coins -- and keep what the report reads: the
+        channel's stats and transcript and the comparison count."""
+        self.comparisons = \
+            self.stream.session.comparison_backend.invocations
+        self.stream = None
+        self.runtime.session = None
 
 
 @dataclass
@@ -519,13 +531,18 @@ class _SessionState:
     # peer -> {announcer: runtime}: one announcement channel per side
     keys: dict = field(default_factory=dict)
     adopted: dict = field(default_factory=dict)    # peer -> asyncio.Event
-    # (peer, driver, query) -> _Stream
+    # (peer, driver, query) -> _Stream, built as the query's point
+    # enters its pass's window
     streams: dict = field(default_factory=dict)
+    # (peer, driver) -> the pass's PeerCipherCache, or None
+    caches: dict = field(default_factory=dict)
+    config: object = None                          # the session's SmcConfig
+    lease: object = None
     setup_seconds: float = 0.0
 
     def pass_streams(self, peer: str, driver: str) -> list[_Stream]:
-        """The streams of ``driver``'s pass on the pair, in point order
-        (none when the party it queries holds no points)."""
+        """The streams built so far of ``driver``'s pass on the pair, in
+        point order (none when the party it queries holds no points)."""
         return [self.streams[key]
                 for query in range(self.manifest.counts[driver])
                 if (key := (peer, driver, query)) in self.streams]
@@ -545,22 +562,27 @@ class _SessionState:
 class _SessionMeshView:
     """The ``PartyMesh`` surface of one daemon session's drive pass:
     exactly what :func:`~repro.multiparty.horizontal.point_queries`
-    touches (``peers_of`` / ``stream``)."""
+    touches (``peers_of`` / ``stream``); ``build(peer, query)`` returns
+    the drive pass's stream, built on first use."""
 
-    def __init__(self, local_name: str, state: _SessionState):
+    def __init__(self, local_name: str, state: _SessionState,
+                 build: Callable[[str, int], _Stream]):
         self._name = local_name
         self._state = state
+        self._build = build
 
     def peers_of(self, name: str) -> list[str]:
         return self._state.manifest.peers_of(name)
 
     def stream(self, driver: str, peer: str, query: int) -> PairStream:
-        entry = self._state.streams.get((peer, driver, query))
-        if driver != self._name or entry is None:
+        manifest = self._state.manifest
+        if (driver != self._name or peer not in self._state.views
+                or not manifest.counts[peer]
+                or not 0 <= query < manifest.counts[driver]):
             raise PartyRuntimeError(
                 f"no stream of {driver!r}'s query {query} to {peer!r} in "
                 f"daemon {self._name!r}")
-        return entry.stream
+        return self._build(peer, query).stream
 
 
 class PartyDaemon:
@@ -1103,8 +1125,8 @@ class PartyDaemon:
             with session_span.child("sync", "sync", peers=len(peers)):
                 self._send_sync(state, digest)
                 # Let the writers put the records on the wire, then
-                # build the streams and prefill the own-key pools while
-                # the peers' records are in flight.
+                # build the first window's streams and prefill their
+                # own-key pools while the peers' records are in flight.
                 await asyncio.sleep(0)
                 self._build_streams(state, config, lease)
                 await self._session_sync(state, digest)
@@ -1121,8 +1143,8 @@ class PartyDaemon:
             ledger = LeakageLedger()
             passes_started = time.perf_counter()
             results = await _run_together([
-                *(self._adopt_keys(state, peer, config, lease,
-                                   session_span) for peer in peers),
+                *(self._adopt_keys(state, peer, config, session_span)
+                  for peer in peers),
                 *(self._pass_role(state, pass_index, driver, config,
                                   ledger, session_span)
                   for pass_index, driver in enumerate(manifest.names))])
@@ -1224,23 +1246,21 @@ class PartyDaemon:
         announcement (:meth:`_adopt_keys`), pinned against the
         manifest's ``key_digests`` when present.  Per pair, each
         announcement gets its own mirror channel on the session's tag,
-        so neither side's waits on the other's.  Then each pair gets one
-        stream per query of both passes over it -- one per point of the
-        driver, none when the party it queries holds no points -- each
-        on its own sub-session of the pair hub (:func:`_stream_tag`):
-        per-query coins and pools on the shared contexts, the same key
-        slots, RNG substreams and channel machinery as the in-process
-        mesh.  With cached peer ciphertexts, a pass's queries to one
-        peer share one cache.  The hosted party's pools under its own
-        key are registered (and prefilled) here, while the sync records
-        are in flight.
+        so neither side's waits on the other's.  Then each pair gets the
+        streams of the first :data:`~repro.runtime.async_pass.POINTS_IN_FLIGHT`
+        queries of both passes over it (:meth:`_stream`); a later
+        query's stream is built when its point enters the pass's window.
+        With cached peer ciphertexts, a pass's queries to one peer
+        share one cache.  The hosted party's pools under its own key
+        are registered (and prefilled) with each stream -- here, while
+        the sync records are in flight.
         """
         manifest = state.manifest
         provider = SealedKeyProvider(config.smc, self.name,
                                      key_digests=manifest.key_digests)
         state.contexts = {name: provider.context_for(name, slot)
                           for slot, name in enumerate(manifest.names)}
-        seeds = {name: manifest.seed_of(name) for name in manifest.names}
+        state.config, state.lease = config.smc, lease
         for peer, session_view in state.views.items():
             # No lease: an announcement draws from no pool, and one
             # parked on a silent peer must not hold off the idle refill.
@@ -1248,29 +1268,56 @@ class PartyDaemon:
                 announcer: self._pair_runtime(session_view)
                 for announcer in self.spec.ordered_pair(self.name, peer)}
             state.adopted[peer] = asyncio.Event()
-            pair = pair_key(self.name, peer)
-            for pass_index, driver in enumerate(manifest.names):
+            for driver in manifest.names:
                 queried = peer if driver == self.name else self.name
                 if driver not in (self.name, peer) \
                         or not manifest.counts[queried]:
                     continue
-                cache = (PeerCipherCache() if config.cache_peer_ciphertexts
-                         else None)
-                for query in range(manifest.counts[driver]):
-                    view = self.hubs[peer].session(
-                        _stream_tag(manifest.session_id, driver, query))
-                    link = (None if state.faults is None
-                            else state.faults.link(view, pair, pass_index,
-                                                   query))
-                    runtime = self._pair_runtime(view, lease, link)
-                    stream = build_stream(state.contexts, config.smc,
-                                          runtime.channel, driver, query,
-                                          seeds, manifest.rng_namespace)
-                    runtime.session = stream.session
-                    runtime.cache = cache
-                    state.streams[(peer, driver, query)] = _Stream(
-                        view, runtime, stream)
-        self._register_pools(state, lease, self.name)
+                state.caches[(peer, driver)] = (
+                    PeerCipherCache() if config.cache_peer_ciphertexts
+                    else None)
+                for query in range(min(POINTS_IN_FLIGHT,
+                                       manifest.counts[driver])):
+                    self._stream(state, peer, driver, query)
+
+    def _stream(self, state: _SessionState, peer: str, driver: str,
+                query: int) -> _Stream:
+        """The stream of ``driver``'s query on its point ``query`` over
+        the pair with ``peer``, built on first use.
+
+        Its own sub-session of the pair hub (:func:`_stream_tag`; frames
+        that arrived before it was built wait there), per-query coins
+        and pools on the shared contexts, the same key slots, RNG
+        substreams and channel machinery as the in-process mesh.  A
+        stream built after the peer's keys were adopted starts on them;
+        the hosted party's pools are registered under every key already
+        known.  Its frame waits start once the peer's keys are adopted
+        (:attr:`~repro.runtime.async_pass.PairRuntime.peer_keys`), so a
+        peer silent at its announcement times out there alone.
+        """
+        key = (peer, driver, query)
+        entry = state.streams.get(key)
+        if entry is not None:
+            return entry
+        manifest = state.manifest
+        view = self.hubs[peer].session(
+            _stream_tag(manifest.session_id, driver, query))
+        link = (None if state.faults is None
+                else state.faults.link(view, pair_key(self.name, peer),
+                                       manifest.names.index(driver), query))
+        runtime = self._pair_runtime(view, state.lease, link)
+        stream = build_stream(
+            state.contexts, state.config, runtime.channel, driver, query,
+            {name: manifest.seed_of(name) for name in manifest.names},
+            manifest.rng_namespace)
+        runtime.session = stream.session
+        runtime.cache = state.caches[(peer, driver)]
+        runtime.peer_keys = state.adopted[peer]
+        entry = state.streams[key] = _Stream(view, runtime, stream)
+        self._register_pools(state, entry, self.name)
+        if state.adopted[peer].is_set():
+            self._register_pools(state, entry, peer)
+        return entry
 
     def _announce_keys(self, state: _SessionState) -> None:
         """Send this daemon's key announcement on every pair link; no
@@ -1281,7 +1328,7 @@ class PartyDaemon:
                 _endpoint(announcers[self.name].channel, self.name), own)
 
     async def _adopt_keys(self, state: _SessionState, peer: str, config,
-                          lease, session_span) -> None:
+                          session_span) -> None:
         """Take ``peer``'s announcement, check and adopt its keys, then
         open the roles that use them.
 
@@ -1290,9 +1337,10 @@ class PartyDaemon:
         bounded by ``timeout_s``, so a silent peer fails the session
         with a typed timeout.  A malformed or unpinned key fails it
         before any role has used it.  Adoption re-points the pair's
-        streams at the authentic keys
+        streams built so far at the authentic keys
         (:meth:`~repro.smc.session.SmcSession.peer_keys_adopted`) and
-        registers the hosted pools under them.
+        registers the hosted pools under them; a stream built later
+        starts on them.
         """
         channel = state.keys[peer][peer].channel
         owner, receiver = _endpoint(channel, peer), _endpoint(channel,
@@ -1308,14 +1356,15 @@ class PartyDaemon:
             await state.keys[peer][peer].run(take)
         for entry in state.pair_streams(peer):
             entry.stream.session.peer_keys_adopted(peer)
-        self._register_pools(state, lease, peer)
+            self._register_pools(state, entry, peer)
         state.adopted[peer].set()
 
-    def _register_pools(self, state: _SessionState, lease,
+    def _register_pools(self, state: _SessionState, entry: _Stream,
                         key_owner: str) -> None:
-        """Hand the hosted party's pools under ``key_owner``'s key to
-        the randomness service -- its own key's before the sync wait,
-        each peer's once adopted.
+        """Hand the hosted party's pools of one stream under
+        ``key_owner``'s key to the randomness service -- its own key's
+        when the stream is built, each peer's once adopted (or at once
+        for a stream built after that).
 
         Only this daemon's own party draws from its pools here (the
         peer's steps run in the peer's daemon), so the peer-actor pools
@@ -1330,16 +1379,15 @@ class PartyDaemon:
         never draws is never prefilled.  The pools themselves (and their
         factor values) stay session-private.
         """
-        for (_peer, driver, _query), entry in state.streams.items():
-            role = "drive" if driver == self.name else "respond"
-            session = entry.stream.session
-            for (actor, owner), pool in session.pools().items():
-                if actor != self.name or owner != key_owner:
-                    continue
-                digest = public_key_digest(
-                    session.paillier_keys(owner).public_key)
-                lease.register_pool(pool, digest, actor == owner,
-                                    role=role)
+        role = "drive" if entry.stream.driver == self.name else "respond"
+        session = entry.stream.session
+        for (actor, owner), pool in session.pools().items():
+            if actor != self.name or owner != key_owner:
+                continue
+            digest = public_key_digest(
+                session.paillier_keys(owner).public_key)
+            state.lease.register_pool(pool, digest, actor == owner,
+                                      role=role)
 
     async def _pass_role(self, state: _SessionState, pass_index: int,
                          driver: str, config, ledger, session_span):
@@ -1380,9 +1428,8 @@ class PartyDaemon:
         (:func:`~repro.runtime.async_pass.drive_pass_async`), each query
         through its stream's restartable runner."""
         manifest = state.manifest
-        caches = ({peer: entries[0].runtime.cache
-                   for peer in manifest.peers_of(self.name)
-                   if (entries := state.pass_streams(peer, self.name))}
+        caches = ({peer: cache for (peer, driver), cache
+                   in state.caches.items() if driver == self.name}
                   if config.cache_peer_ciphertexts else None)
         points_view = {
             name: (state.points if name == self.name
@@ -1393,17 +1440,22 @@ class PartyDaemon:
                             out_ledger: LeakageLedger) -> int:
             if state.faults is not None:
                 state.faults.on_query(pass_index, task.query)
-            runtime = state.streams[(task.peer, self.name,
-                                     task.query)].runtime
+            entry = self._stream(state, task.peer, self.name, task.query)
             with span.child("peer_query", f"query{task.query}:{task.peer}",
                             query=task.query,
                             peer=task.peer) as query_span:
-                return await runtime.run(task.run, out_ledger,
-                                         span=query_span)
+                count = await entry.runtime.run(task.run, out_ledger,
+                                                span=query_span)
+            entry.retire()
+            return count
+
+        def build(peer: str, query: int) -> _Stream:
+            return self._stream(state, peer, self.name, query)
 
         labels = await drive_pass_async(
-            _SessionMeshView(self.name, state), self.name, points_view,
-            config, manifest.value_bound, ledger, caches, run_query)
+            _SessionMeshView(self.name, state, build), self.name,
+            points_view, config, manifest.value_bound, ledger, caches,
+            run_query)
         return labels.as_tuple()
 
     async def _respond_pass(self, state: _SessionState, pass_index: int,
@@ -1425,11 +1477,12 @@ class PartyDaemon:
         served.
         """
         manifest = state.manifest
-        entries = state.pass_streams(driver, driver)
+        queries = manifest.counts[driver] if state.points else 0
         placeholder = tuple([0] * manifest.dimensions)
         label = f"multiparty/{driver}-{self.name}"
 
-        async def serve(query: int, entry: _Stream) -> None:
+        async def serve(query: int) -> None:
+            entry = self._stream(state, driver, driver, query)
             runtime = entry.runtime
             session, parties = entry.stream.session, entry.stream.parties
 
@@ -1448,10 +1501,10 @@ class PartyDaemon:
             with span.child("peer_query", f"serve{query}:{driver}",
                             query=query, peer=driver) as query_span:
                 await runtime.run(serve_query, span=query_span)
+            entry.retire()
 
-        await run_points(len(entries), config.cache_peer_ciphertexts,
-                         lambda query: serve(query, entries[query]))
-        return len(entries)
+        await run_points(queries, config.cache_peer_ciphertexts, serve)
+        return queries
 
     # -- reporting ---------------------------------------------------------
 
@@ -1505,9 +1558,7 @@ class PartyDaemon:
                 "stats": stats.snapshot(),
                 "transcript_sha256": transcript_digest(transcript),
                 "messages": transcript.message_count(),
-                "comparisons": sum(
-                    entry.stream.session.comparison_backend.invocations
-                    for entry in streams),
+                "comparisons": sum(entry.comparisons for entry in streams),
             }
         events = tuple((event.protocol, event.learner,
                         event.disclosure.value, event.detail)

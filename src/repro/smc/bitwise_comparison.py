@@ -52,7 +52,14 @@ batches in one sweep.  The predicate bits are bit-identical to ``k``
 per-point runs; only the key holder's encryption count (``bits`` instead
 of ``k * bits``) and the message count (2 instead of ``2k``) change.
 
-Both forms run each party's steps only where it is hosted
+Pairwise batches: :func:`dgk_greater_than_pairwise` runs many
+independent comparisons -- each pair its own key-holder value, bit
+ciphertexts and two messages -- phase by phase, so they share one
+round-trip instead of taking one each.  Messages, bytes and each
+party's coin draws equal a loop of :func:`dgk_greater_than`; only the
+message order changes.
+
+Every form runs each party's steps only where it is hosted
 (:attr:`~repro.net.party.Party.hosted`); a process that does not host
 the key holder returns ``False`` placeholders for its predicate bits.
 """
@@ -177,33 +184,62 @@ def dgk_greater_than(key_holder: Party, x: int, other: Party, y: int,
             already known to ``other`` (the session exchanges it once).
         label: transcript label prefix.
     """
+    return dgk_greater_than_pairwise(key_holder, [x], other, [y], bits,
+                                     keypair, label=label)[0]
+
+
+def dgk_greater_than_pairwise(key_holder: Party, xs: list[int],
+                              other: Party, ys: list[int], bits: int,
+                              keypair: DgkKeyPair, *,
+                              label: str = "dgk") -> list[bool]:
+    """Decide ``x_i > y_i`` for every pair; only ``key_holder`` learns them.
+
+    Every pair is its own :func:`dgk_greater_than` -- its own bit
+    ciphertexts, witnesses and messages -- but the pairs advance phase
+    by phase: the key holder sends every pair's ``x_bits``, the other
+    party answers with every pair's ``witnesses``, and the key holder
+    zero-tests them.  So any number of pairs takes one round trip, and
+    each party draws its coins in the order a loop of single
+    comparisons draws them.
+    """
     _check_width(bits)
-    _check_domain("x", x, bits)
-    _check_domain("y", y, bits)
+    if len(xs) != len(ys):
+        raise BitwiseComparisonError(
+            f"{len(xs)} key-holder values but {len(ys)} other values")
+    for x, y in zip(xs, ys):
+        _check_domain("x", x, bits)
+        _check_domain("y", y, bits)
     public = keypair.public_key
 
-    # --- Step 1 (key holder): encrypt bits of x, MSB first. ---------------
-    encrypted_bits = None
-    if key_holder.hosted:
-        encrypted_bits = _encrypted_bits(public, x, bits, key_holder.rng)
-    key_holder.send(f"{label}/x_bits", encrypted_bits)
+    # --- Step 1 (key holder): encrypt bits of each x, MSB first. ----------
+    for x in xs:
+        encrypted_bits = None
+        if key_holder.hosted:
+            encrypted_bits = _encrypted_bits(public, x, bits, key_holder.rng)
+        key_holder.send(f"{label}/x_bits", encrypted_bits)
 
     # --- Steps 2-3 (other party): blinded witness ciphertexts. ------------
-    blinded = None
-    if other.hosted:
-        received = _checked_batch(public, other.receive(f"{label}/x_bits"),
-                                  bits, "bit ciphertexts")
-        blinded = _blinded_witnesses(public, received,
-                                     _complements(public, received),
-                                     _bits_of(y, bits), other.rng)
-    other.send(f"{label}/witnesses", blinded)
+    for y in ys:
+        blinded = None
+        if other.hosted:
+            received = _checked_batch(
+                public, other.receive(f"{label}/x_bits"), bits,
+                "bit ciphertexts")
+            blinded = _blinded_witnesses(public, received,
+                                         _complements(public, received),
+                                         _bits_of(y, bits), other.rng)
+        other.send(f"{label}/witnesses", blinded)
 
     # --- Step 4 (key holder): zero-test every witness. ---------------------
     if not key_holder.hosted:
-        return False
-    witnesses = _checked_batch(
-        public, key_holder.receive(f"{label}/witnesses"), bits, "witnesses")
-    return any(keypair.private_key.zero_test_batch(witnesses))
+        return [False] * len(xs)
+    results = []
+    for _ in xs:
+        witnesses = _checked_batch(
+            public, key_holder.receive(f"{label}/witnesses"), bits,
+            "witnesses")
+        results.append(any(keypair.private_key.zero_test_batch(witnesses)))
+    return results
 
 
 def dgk_greater_than_batch(key_holder: Party, x: int, other: Party,

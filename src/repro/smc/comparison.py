@@ -15,6 +15,13 @@ answer"*.  Three interchangeable backends provide it:
   (a) run fast functional tests of the clustering layers and (b) serve as
   the ideal world that the simulation-paradigm tests compare against.
 
+Batches: :meth:`SecureComparison.leq_batch` decides many pairs in one
+call.  On the bitwise backend an undeclared batch is one DGK round-trip
+for all its pairs, each pair keeping its own messages (a batch of
+selection steps or final core tests in the Section 5 protocol, or a
+blinded region query's thresholds); a batch declared ``amortize`` also
+shares one bit-encryption.
+
 Strict/loose mapping: all backends reduce ``a <= b`` to the primitive
 each protocol natively offers (YMPP decides ``i < j``; DGK decides
 ``x > y``) using the integer identity ``a <= b  <=>  a < b + 1`` so no
@@ -33,6 +40,7 @@ from repro.net.party import Party
 from repro.smc.bitwise_comparison import (
     dgk_greater_than,
     dgk_greater_than_batch,
+    dgk_greater_than_pairwise,
 )
 from repro.smc.millionaires import ympp_less_than
 
@@ -131,8 +139,10 @@ class SecureComparison(ABC):
         protocol then share a single bit-encryption and round-trip for
         the whole batch; the declaration is validated and a mismatch
         raises before anything crosses the wire.  Without the
-        declaration every backend runs one :meth:`_leq` per pair --
-        identical messages to a caller-side loop.  The amortization
+        declaration every pair runs its own comparison, with the
+        messages of a caller-side loop of :meth:`leq`; the bitwise
+        backend sends them phase by phase, so the whole batch takes one
+        round-trip (YMPP and the oracle loop).  The amortization
         decision is deliberately *never inferred* by comparing the
         private values themselves: message shapes would then depend on
         secret-value collisions, an equality side channel the
@@ -272,7 +282,16 @@ class BitwiseComparison(SecureComparison):
     def _leq_batch(self, a_party: Party, a_values: list[int], b_party: Party,
                    b_values: list[int], *, domain: int, reveal_to: str,
                    amortize: bool, label: str) -> list[bool]:
-        """Amortized DGK: one bit-encryption for a declared-constant side.
+        """Every pair of the batch in one DGK round-trip.
+
+        Undeclared batches run one independent comparison per pair --
+        its own bit ciphertexts, witnesses and messages, as in
+        :meth:`_leq` -- phase by phase
+        (:func:`~repro.smc.bitwise_comparison.dgk_greater_than_pairwise`):
+        every pair's bit ciphertexts, then every pair's witnesses, then
+        (``reveal_to="both"``) every conclusion.  Messages, bytes and
+        each party's coins equal the per-pair loop; only their order
+        changes, so the batch takes one round-trip whatever its size.
 
         Only when the caller *declared* (``amortize=True``, validated in
         :meth:`SecureComparison.leq_batch`) that the key holder's value
@@ -280,37 +299,45 @@ class BitwiseComparison(SecureComparison):
         learns) is constant across the batch does the whole batch run as
         a single
         :func:`~repro.smc.bitwise_comparison.dgk_greater_than_batch`:
-        one bit-encryption, one round-trip.  Undeclared batches fall
-        back to the per-pair loop, so the message pattern is a pure
-        function of the declaration -- never of private-value equality,
-        which would leak key-holder-side collisions (e.g. equal
-        ``blind_cross_sum`` offsets) to the evaluating party.
-        Predicate bits are identical to the per-pair loop either way.
+        one bit-encryption, two messages.  The message pattern is a pure
+        function of the declaration and the batch size -- never of
+        private-value equality, which would leak key-holder-side
+        collisions (e.g. equal ``blind_cross_sum`` offsets) to the
+        evaluating party.  Predicate bits are identical to the per-pair
+        loop either way.
         """
-        if not amortize:
-            return super()._leq_batch(
-                a_party, a_values, b_party, b_values, domain=domain,
-                reveal_to=reveal_to, amortize=amortize, label=label)
         # Width covers domain + 1 so the b + 1 trick cannot overflow.
         bits = max(1, (domain + 1).bit_length())
         if reveal_to in ("a", "both"):
             key_party, other_party = a_party, b_party
-            holder_value, other_values = a_values[0], b_values
+            holder_values, other_values = a_values, b_values
         else:
             key_party, other_party = b_party, a_party
-            holder_value, other_values = b_values[0] + 1, a_values
-        greater = dgk_greater_than_batch(
-            key_party, holder_value, other_party, other_values, bits,
-            self._keys_of(key_party), label=f"{label}/batch")
+            holder_values, other_values = [b + 1 for b in b_values], a_values
+        keypair = self._keys_of(key_party)
+        if amortize:
+            label = f"{label}/batch"
+            greater = dgk_greater_than_batch(
+                key_party, holder_values[0], other_party, other_values,
+                bits, keypair, label=label)
+        else:
+            greater = dgk_greater_than_pairwise(
+                key_party, holder_values, other_party, other_values, bits,
+                keypair, label=label)
         if reveal_to == "b":
             # b-holder keyed, learns b + 1 > a  <=>  a <= b.
             return greater
         # a-holder keyed, learns a > b; a <= b is the negation.
         results = [not g for g in greater]
         if reveal_to == "both":
-            a_party.send(f"{label}/batch/conclusion", results)
+            # One conclusion for the amortized batch, one per pair else.
+            conclusions = [results] if amortize else results
+            for conclusion in conclusions:
+                a_party.send(f"{label}/conclusion", conclusion)
             if b_party.hosted:
-                results = b_party.receive(f"{label}/batch/conclusion")
+                received = [b_party.receive(f"{label}/conclusion")
+                            for _ in conclusions]
+                results = received[0] if amortize else received
         return results
 
 

@@ -15,12 +15,13 @@ Three call shapes the DBSCAN protocols need:
   Protocol HDP hands the non-querying party, for a whole region query
   in one message round-trip.
 
-- :func:`secure_scalar_products` -- the Section 5 distance sharing: the
-  receiver's vector ``alpha`` is encrypted once, then for each of the
-  masker's vectors ``beta_i`` the receiver obtains
+- :func:`secure_scalar_products` -- the Section 5 distance sharing: each
+  of the receiver's vectors ``alpha`` is encrypted once, then for each
+  of the masker's vectors ``beta_i`` the receiver obtains
   ``<alpha, beta_i> + v_i``.  This is the batched form of Algorithm 2
   that makes the enhanced protocol's ``u_i = dist^2 + v_i`` shares cost
-  ``m + 2`` ciphertexts up front plus one per point.
+  ``m + 2`` ciphertexts up front plus one per point; a pass's tested
+  points share one round-trip.
 
 All three accept optional :class:`~repro.crypto.precompute.RandomnessPool`
 arguments -- one per (acting party, key) -- which move the randomness
@@ -189,68 +190,88 @@ def secure_masked_dot_terms_batch(holder: Party, alpha: list[int],
     return [value - blind for value, blind in zip(returned, blinds)]
 
 
-def secure_scalar_products(receiver: Party, alpha: list[int],
-                           masker: Party, betas: list[list[int]],
-                           masks: list[int], keypair: PaillierKeyPair, *,
+def secure_scalar_products(receiver: Party, alphas: list[list[int]],
+                           masker: Party, betas: list[list[list[int]]],
+                           masks: list[list[int]],
+                           keypair: PaillierKeyPair, *,
                            label: str = "sprod",
                            receiver_pool: RandomnessPool | None = None,
                            masker_pool: RandomnessPool | None = None,
                            engine: ModexpEngine | None = None,
-                           ) -> list[int]:
-    """Section 5 batched sharing: receiver learns ``<alpha, beta_i> + v_i``.
+                           ) -> list[list[int]]:
+    """Section 5 batched sharing: receiver learns ``<alpha, beta_i> + v_i``
+    for every ``beta_i`` of every ``alpha``.
+
+    Each receiver vector keeps its own two messages -- its encrypted
+    ``alpha`` and the masker's replies -- but the receiver sends every
+    encrypted vector before the masker replies, so any number of
+    vectors shares one round-trip.
 
     Args:
-        receiver: holds ``alpha`` and the keypair; learns the masked
-            products.
-        alpha: receiver's vector (signed ints).
+        receiver: holds the ``alphas`` and the keypair; learns the
+            masked products.
+        alphas: receiver's vectors (signed ints).
         masker: holds the ``beta_i`` vectors and the masks ``v_i``.
-        betas: list of vectors, each the same length as ``alpha``.
-        masks: one signed mask per beta vector.
+        betas: per alpha, a list of vectors, each as long as the alpha.
+        masks: per alpha, one signed mask per beta vector.
         keypair: receiver's Paillier keys.
         receiver_pool / masker_pool: optional randomness pools for each
             party's encryptions under the receiver's key.
         engine: optional :class:`~repro.crypto.engine.ModexpEngine`
             executing the batch encryptions/decryptions as sharded jobs.
     """
-    if len(betas) != len(masks):
+    if not len(alphas) == len(betas) == len(masks):
         raise ScalarProductError(
-            f"{len(betas)} beta vectors but {len(masks)} masks")
-    for index, beta in enumerate(betas):
-        if len(beta) != len(alpha):
+            f"{len(alphas)} alphas but {len(betas)} beta lists and "
+            f"{len(masks)} mask lists")
+    for alpha, group, group_masks in zip(alphas, betas, masks):
+        if len(group) != len(group_masks):
             raise ScalarProductError(
-                f"beta[{index}] has length {len(beta)}, alpha has "
-                f"{len(alpha)}"
-            )
+                f"{len(group)} beta vectors but {len(group_masks)} masks")
+        for index, beta in enumerate(group):
+            if len(beta) != len(alpha):
+                raise ScalarProductError(
+                    f"beta[{index}] has length {len(beta)}, alpha has "
+                    f"{len(alpha)}"
+                )
     public = keypair.public_key
     encoder = SignedEncoder(public.n)
     engine = engine or default_engine()
 
-    encrypted_alpha = [cipher.value for cipher in engine.encrypt_batch(
-        public, [encoder.encode(a) for a in alpha], receiver.rng,
-        receiver_pool)]
-    receiver.send(f"{label}/encrypted_alpha", encrypted_alpha)
+    encrypted = iter([cipher.value for cipher in engine.encrypt_batch(
+        public, [encoder.encode(a) for alpha in alphas for a in alpha],
+        receiver.rng, receiver_pool)])
+    for alpha in alphas:
+        receiver.send(f"{label}/encrypted_alpha",
+                      [next(encrypted) for _ in alpha])
 
-    received = [PaillierCiphertext(public, v)
-                for v in masker.receive(f"{label}/encrypted_alpha")]
+    received = [[PaillierCiphertext(public, v)
+                 for v in masker.receive(f"{label}/encrypted_alpha")]
+                for _ in alphas]
     # Masker-side powmods (one mask encryption per beta, the ``r^n``
     # halves) run as one sharded engine batch; the factors come back in
     # the serial draw order, so the produced ciphertexts are
     # bit-identical to the per-item loop.  The fresh mask encryption is
     # each reply's only rerandomization (the module docstring's note).
-    factors = engine.encryption_factors(public, len(betas), masker.rng,
-                                        masker_pool)
-    replies = []
-    for beta, mask, factor in zip(betas, masks, factors):
-        accumulator = PaillierCiphertext(
-            public, public.raw_encrypt_with_factor(encoder.encode(mask),
-                                                   factor))
-        for cipher, coefficient in zip(received, beta):
-            if coefficient:
-                accumulator = accumulator + cipher * encoder.encode(coefficient)
-        replies.append(accumulator.value)
-    masker.send(f"{label}/masked_products", replies)
+    factors = iter(engine.encryption_factors(
+        public, sum(len(group) for group in betas), masker.rng,
+        masker_pool))
+    for ciphers, group, group_masks in zip(received, betas, masks):
+        replies = []
+        for beta, mask in zip(group, group_masks):
+            accumulator = PaillierCiphertext(
+                public, public.raw_encrypt_with_factor(encoder.encode(mask),
+                                                       next(factors)))
+            for cipher, coefficient in zip(ciphers, beta):
+                if coefficient:
+                    accumulator = (accumulator
+                                   + cipher * encoder.encode(coefficient))
+            replies.append(accumulator.value)
+        masker.send(f"{label}/masked_products", replies)
 
-    results = receiver.receive(f"{label}/masked_products")
-    return [encoder.decode(value)
-            for value in engine.decrypt_raw_batch(keypair.private_key,
-                                                  results)]
+    replies = [receiver.receive(f"{label}/masked_products")
+               for _ in alphas]
+    decrypted = iter(engine.decrypt_raw_batch(
+        keypair.private_key, [value for group in replies for value in group]))
+    return [[encoder.decode(next(decrypted)) for _ in group]
+            for group in replies]

@@ -571,29 +571,31 @@ class SmcSession:
             receiver_pool=self.pool(receiver, holder),
             engine=self.engine)
 
-    def scalar_products(self, receiver: Party, alpha: list[int],
-                        masker: Party, betas: list[list[int]],
-                        masks: list[int], *,
-                        label: str = "sprod") -> list[int]:
-        """Section 5 batched sharing: receiver learns ``<alpha, b_i> + v_i``."""
+    def scalar_products(self, receiver: Party, alphas: list[list[int]],
+                        masker: Party, betas: list[list[list[int]]],
+                        masks: list[list[int]], *,
+                        label: str = "sprod") -> list[list[int]]:
+        """Section 5 batched sharing: for every ``alpha``, the receiver
+        learns ``<alpha, b_i> + v_i`` -- one round-trip for all."""
         return secure_scalar_products(
-            receiver, alpha, masker, betas, masks,
+            receiver, alphas, masker, betas, masks,
             self.paillier_keys(receiver.name), label=label,
             receiver_pool=self.pool(receiver, receiver),
             masker_pool=self.pool(masker, receiver),
             engine=self.engine)
 
     def kth_smallest(self, u_party: Party, v_party: Party,
-                     shares: SharedValues, k: int, *,
+                     shares: list[SharedValues], ks: list[int], *,
                      method: str = "scan",
-                     label: str = "kselect") -> int:
-        """Section 5 selection; ``method`` is ``"scan"`` or ``"quickselect"``."""
+                     label: str = "kselect") -> list[int]:
+        """Section 5 selection, every share vector's ``ks``-th smallest
+        in lockstep; ``method`` is ``"scan"`` or ``"quickselect"``."""
         if method == "scan":
             return kth_smallest_scan(
-                self.comparison_backend, u_party, v_party, shares, k,
+                self.comparison_backend, u_party, v_party, shares, ks,
                 label=label)
         if method == "quickselect":
             return kth_smallest_quickselect(
-                self.comparison_backend, u_party, v_party, shares, k,
+                self.comparison_backend, u_party, v_party, shares, ks,
                 label=label)
         raise SessionError(f"unknown selection method {method!r}")

@@ -233,8 +233,8 @@ class TestEncryptionFactorsEquivalence:
                 *make_party_pair(channel, 31, 32),
                 SmcConfig(paillier_bits=128, key_seed=922, engine=engine))
             values = session.scalar_products(
-                session.alice, [3, -1, 4], session.bob,
-                [[1, 5, 9], [2, 6, 5], [0, 0, 1]], [7, 8, 9])
+                session.alice, [[3, -1, 4]], session.bob,
+                [[[1, 5, 9], [2, 6, 5], [0, 0, 1]]], [[7, 8, 9]])
             wire = [(e.sender, e.label, e.value)
                     for e in channel.transcript.entries]
             return values, wire
@@ -244,7 +244,7 @@ class TestEncryptionFactorsEquivalence:
             engine_values, engine_wire = run(engine)
         assert serial_values == engine_values
         assert serial_wire == engine_wire
-        assert serial_values == [3 - 5 + 36 + 7, 6 - 6 + 20 + 8, 4 + 9]
+        assert serial_values == [[3 - 5 + 36 + 7, 6 - 6 + 20 + 8, 4 + 9]]
 
 
 class TestDecryptBatchEquivalence:

@@ -189,3 +189,24 @@ class TestMeshOfflinePhase:
         mesh = PartyMesh(["a", "b"], _config().smc)
         with pytest.raises(MeshError, match="do not match"):
             run_multiparty_horizontal_dbscan(points, _config(), mesh=mesh)
+
+
+class TestBlindQueryRounds:
+    @pytest.mark.parametrize("peer_points", [1, 2, 4])
+    def test_a_blind_query_is_four_rounds(self, peer_points):
+        """Blinded thresholds are per-point secrets, so a blind query's
+        threshold comparisons are an undeclared batch; the bitwise
+        backend still sends them as one round-trip, each with its own
+        two messages.  So a region query takes four rounds whatever its
+        number of peer points."""
+        points = {"p0": [(0, 0)],
+                  "p1": [(index, 0) for index in range(peer_points)]}
+        config = _config("bitwise", blind=True)
+        mesh = PartyMesh(list(points), config.smc, seeds=[1, 2])
+        run_multiparty_horizontal_dbscan(points, config, mesh=mesh)
+        for driver, peer in (("p0", "p1"), ("p1", "p0")):
+            for query in range(len(points[driver])):
+                stats = mesh.stream(driver, peer, query).channel.stats
+                assert stats.rounds == 4
+                assert stats.total_messages \
+                    == 3 + 2 * len(points[peer])

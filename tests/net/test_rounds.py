@@ -70,7 +70,9 @@ class TestProtocolRoundCounts:
     def test_enhanced_two_party_session_keeps_its_exchange(self):
         """The Section 5 protocol over one channel: the session's own
         key exchange opens it, and a 2 x 4 point run over three blobs
-        costs 122 messages in 121 rounds."""
+        costs 122 messages in 33 rounds -- 2 for the exchange, 16 per
+        pass (the sharing, then 7 lockstep steps: 6 selection steps and
+        the final core tests), less 1 where the passes meet."""
         from repro.core import enhanced
         from repro.core.config import ProtocolConfig
         from repro.data.partitioning import HorizontalPartition
@@ -89,4 +91,4 @@ class TestProtocolRoundCounts:
                 ((5, 25), (-15, 5), (590, 600), (0, 585))),
             config, session=session)
         assert result.stats["total_messages"] == 122
-        assert result.stats["rounds"] == 121
+        assert result.stats["rounds"] == 33

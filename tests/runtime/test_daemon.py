@@ -396,6 +396,51 @@ class TestRoleLocalExecution:
         assert all(checks.values()), checks
         assert run.result.labels_by_party["p0"] == (1, -1, 1)
 
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"cache_peer_ciphertexts": True},
+        {"blind_cross_sum": True},
+    ], ids=["plain", "cached-ciphertexts", "blind-cross-sum"])
+    def test_later_streams_are_built_as_their_points_enter_the_window(
+            self, overrides, monkeypatch):
+        """With more points per party than a pass keeps in flight, the
+        sync builds only the first window's streams; the rest are built
+        as their points start, and the session stays bit-identical, each
+        daemon's pools included."""
+        from repro.runtime.async_pass import POINTS_IN_FLIGHT
+        from repro.runtime.daemon import PartyDaemon
+
+        by_party = workload(3, per_party=POINTS_IN_FLIGHT + 2)
+        seeds = [31, 32, 33]
+        config = make_config(**overrides)
+        built_at_sync = {}
+        build_streams = PartyDaemon._build_streams
+
+        def recording(daemon, state, *args):
+            build_streams(daemon, state, *args)
+            built_at_sync[daemon.name] = sorted(state.streams)
+
+        monkeypatch.setattr(PartyDaemon, "_build_streams", recording)
+        mesh = PartyMesh(list(by_party), config.smc, seeds=seeds)
+        reference = run_multiparty_horizontal_dbscan(
+            by_party, config, seeds=seeds, mesh=mesh)
+        with DaemonFleet(list(by_party)) as fleet:
+            with fleet.client() as client:
+                run = run_via_daemons(by_party, config, seeds,
+                                      client=client, timeout=120)
+        checks = verify_against_in_process(run, by_party, config, seeds,
+                                           reference=reference, mesh=mesh)
+        assert all(checks.values()), checks
+        for name in by_party:
+            assert built_at_sync[name] == sorted(
+                (peer, driver, query) for peer in by_party if peer != name
+                for driver in (name, peer)
+                for query in range(POINTS_IN_FLIGHT)), name
+        expected = own_pool_consumption(mesh)
+        for name, report in run.reports.items():
+            assert report.runtime_info["pool"]["consumed"] \
+                == expected[name], name
+
     def test_idle_refill_pregenerates_only_the_consumed_factors(self):
         """From the second sequential session on, the randomness
         service prefills and tops up each pool to the session's
@@ -658,6 +703,52 @@ class TestSetupSafety:
         for party in ("p0", "p1"):
             assert drives[party]["attrs"]["error"] == "CancelledError"
         assert "p2" not in drives
+
+    def test_a_late_adoption_deadline_still_cancels_the_drive_roles(
+            self, tmp_path):
+        """The race of two deadlines on one silent peer, forced: p0's
+        and p1's waits for p2's announcement start half a second late,
+        so their drive queries' frame waits would expire first.  A
+        frame wait starts only once the peer's keys are adopted, so the
+        announcement's timeout still fails the session and the drive
+        roles end cancelled, not timed out."""
+        from repro.obs.trace import read_trace_dir
+
+        by_party = workload(3)
+        with DaemonFleet(list(by_party), timeout_s=self.TIMEOUT_S,
+                         trace_dir=str(tmp_path)) as fleet:
+            silent = fleet.daemons[2]
+            synced = silent._session_sync
+
+            async def sync_then_silence(state, digest):
+                await synced(state, digest)
+                await asyncio.sleep(2 * self.TIMEOUT_S)
+                raise RuntimeError("silent peer gives up")
+
+            silent._session_sync = sync_then_silence
+            for daemon in fleet.daemons[:2]:
+                def late(*args, adopt=daemon._adopt_keys):
+                    async def adopt_late():
+                        await asyncio.sleep(0.5)
+                        await adopt(*args)
+                    return adopt_late()
+
+                daemon._adopt_keys = late
+            with fleet.client() as client:
+                handle = client.submit(
+                    build_manifest(by_party, make_config(), [31, 32, 33],
+                                   session_id="late"), by_party)
+                failures = wait_for_failures(handle, ["p0", "p1"],
+                                             timeout=30)
+                wait_for_failures(handle, ["p2"], timeout=30)
+            for party, failure in failures.items():
+                assert failure.cause == "timeout", failure
+            assert session_tags_left(fleet.daemons, "late") == []
+        drives = {span["party"]: span for span in read_trace_dir(tmp_path)
+                  if span["kind"] == "pass"
+                  and span["attrs"].get("role") == "drive"}
+        for party in ("p0", "p1"):
+            assert drives[party]["attrs"]["error"] == "CancelledError"
 
     def test_silent_sync_peer_is_a_retryable_timeout(self):
         """A peer that never sends its sync record: the same typed

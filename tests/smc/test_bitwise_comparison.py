@@ -13,6 +13,7 @@ from repro.smc.bitwise_comparison import (
     BitwiseComparisonError,
     dgk_greater_than,
     dgk_greater_than_batch,
+    dgk_greater_than_pairwise,
 )
 
 KEYS = cached_dgk_keypair(256, 810)
@@ -281,3 +282,51 @@ class TestBatchedInversion:
                     dgk_greater_than_batch(alice, 9, bob, ys, 8, KEYS)
                 else:
                     dgk_greater_than(alice, 9, bob, ys[0], 8, KEYS)
+
+
+class TestPairwise:
+    """Independent comparisons run phase by phase: one round-trip, each
+    pair with the messages and coins of its own
+    :func:`dgk_greater_than`."""
+
+    PAIRS = [(9, 5), (5, 9), (7, 7), (0, 255), (255, 0)]
+
+    def test_predicates(self):
+        alice, bob = _fresh_parties(5)
+        xs, ys = zip(*self.PAIRS)
+        assert dgk_greater_than_pairwise(alice, list(xs), bob, list(ys), 8,
+                                         KEYS) == [x > y for x, y in
+                                                   self.PAIRS]
+
+    def test_messages_of_a_loop_in_one_round_trip(self):
+        pairwise, looped = Channel(), Channel()
+        alice, bob = make_party_pair(pairwise, 6, 7)
+        xs, ys = zip(*self.PAIRS)
+        dgk_greater_than_pairwise(alice, list(xs), bob, list(ys), 8, KEYS,
+                                  label="t")
+        alice, bob = make_party_pair(looped, 6, 7)
+        for x, y in self.PAIRS:
+            dgk_greater_than(alice, x, bob, y, 8, KEYS, label="t")
+
+        def payloads(channel, label):
+            return [e.wire for e in channel.transcript.with_label(label)]
+
+        for label in ("t/x_bits", "t/witnesses"):
+            assert payloads(pairwise, label) == payloads(looped, label)
+        count = len(self.PAIRS)
+        assert [e.label for e in pairwise.transcript.entries] \
+            == ["t/x_bits"] * count + ["t/witnesses"] * count
+        assert pairwise.stats.total_bytes == looped.stats.total_bytes
+        assert (pairwise.stats.rounds, looped.stats.rounds) \
+            == (2, 2 * count)
+
+    def test_checks_before_sending(self):
+        channel = Channel()
+        alice, bob = make_party_pair(channel, 1, 2)
+        with pytest.raises(BitwiseComparisonError, match="values"):
+            dgk_greater_than_pairwise(alice, [1, 2], bob, [1], 3, KEYS)
+        with pytest.raises(BitwiseComparisonError, match="outside"):
+            dgk_greater_than_pairwise(alice, [1, 8], bob, [1, 1], 3, KEYS)
+        assert channel.transcript.entries == []
+        assert dgk_greater_than_pairwise(alice, [], bob, [], 3, KEYS) == []
+        assert channel.transcript.entries == []

@@ -106,6 +106,34 @@ class TestBatchApi:
             lo=-5, hi=20, reveal_to=reveal, amortize=True)
         assert [o.result for o in outcomes] == expected
 
+    @pytest.mark.parametrize("reveal,messages", [
+        ("a", 2), ("b", 2), ("both", 3)])
+    def test_bitwise_undeclared_batch_is_one_round_trip(self, reveal,
+                                                        messages):
+        """Every pair keeps its own messages, sent phase by phase: the
+        batch's rounds do not grow with its size, its bytes are a
+        loop's."""
+        a_values = [0, 3, -7, 12, 12, -10]
+        b_values = [0, 3, 12, -7, 12, 12]
+        batch_session = _session("bitwise", seed=13)
+        batch_stats = batch_session.alice.endpoint.stats
+        transcript = batch_session.alice.endpoint.transcript
+        before = len(transcript.entries)
+        batch_session.compare_leq_batch(
+            batch_session.alice, a_values, batch_session.bob, b_values,
+            lo=-10, hi=12, reveal_to=reveal)
+        loop_session = _session("bitwise", seed=13)
+        for a, b in zip(a_values, b_values):
+            loop_session.compare_leq(loop_session.alice, a,
+                                     loop_session.bob, b, lo=-10, hi=12,
+                                     reveal_to=reveal)
+        loop_stats = loop_session.alice.endpoint.stats
+        senders = [entry.sender for entry in transcript.entries[before:]]
+        assert 1 + sum(first != second for first, second
+                       in zip(senders, senders[1:])) == messages
+        assert batch_stats.total_messages == loop_stats.total_messages
+        assert batch_stats.total_bytes == loop_stats.total_bytes
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_invocations_count_pairs_not_round_trips(self, backend):
         session = _session(backend, seed=13)

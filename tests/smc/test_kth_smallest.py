@@ -43,8 +43,9 @@ class TestScanSelection:
     ])
     def test_cases(self, values, k):
         session, shares = _setup(values, seed=k)
-        index = kth_smallest_scan(session.comparison_backend, session.alice,
-                                  session.bob, shares, k)
+        [index] = kth_smallest_scan(session.comparison_backend,
+                                    session.alice, session.bob, [shares],
+                                    [k])
         assert values[index] == sorted(values)[k - 1]
 
     @settings(max_examples=25, deadline=None)
@@ -54,26 +55,29 @@ class TestScanSelection:
     def test_random_property(self, values, data):
         k = data.draw(st.integers(min_value=1, max_value=len(values)))
         session, shares = _setup(values, seed=k)
-        index = kth_smallest_scan(session.comparison_backend, session.alice,
-                                  session.bob, shares, k)
+        [index] = kth_smallest_scan(session.comparison_backend,
+                                    session.alice, session.bob, [shares],
+                                    [k])
         assert values[index] == sorted(values)[k - 1]
 
     def test_rank_validation(self):
         session, shares = _setup([1, 2, 3])
         with pytest.raises(SelectionError, match="rank"):
             kth_smallest_scan(session.comparison_backend, session.alice,
-                              session.bob, shares, 0)
+                              session.bob, [shares], [0])
         with pytest.raises(SelectionError, match="rank"):
             kth_smallest_scan(session.comparison_backend, session.alice,
-                              session.bob, shares, 4)
+                              session.bob, [shares], [4])
 
     def test_comparison_count_is_k_scaled(self):
         values = list(range(20))
         session, shares = _setup(values)
         backend = session.comparison_backend
-        kth_smallest_scan(backend, session.alice, session.bob, shares, 1)
+        kth_smallest_scan(backend, session.alice, session.bob, [shares],
+                          [1])
         after_k1 = backend.invocations
-        kth_smallest_scan(backend, session.alice, session.bob, shares, 5)
+        kth_smallest_scan(backend, session.alice, session.bob, [shares],
+                          [5])
         after_k5 = backend.invocations - after_k1
         assert after_k1 == 19        # n - 1 comparisons for the minimum
         assert after_k5 == 19 + 18 + 17 + 16 + 15
@@ -85,9 +89,9 @@ class TestQuickselect:
     ])
     def test_cases(self, values, k):
         session, shares = _setup(values, seed=k + 50)
-        index = kth_smallest_quickselect(
+        [index] = kth_smallest_quickselect(
             session.comparison_backend, session.alice, session.bob,
-            shares, k)
+            [shares], [k])
         assert values[index] == sorted(values)[k - 1]
 
     @settings(max_examples=25, deadline=None)
@@ -97,16 +101,17 @@ class TestQuickselect:
     def test_random_property(self, values, data):
         k = data.draw(st.integers(min_value=1, max_value=len(values)))
         session, shares = _setup(values, seed=k + 7)
-        index = kth_smallest_quickselect(
+        [index] = kth_smallest_quickselect(
             session.comparison_backend, session.alice, session.bob,
-            shares, k)
+            [shares], [k])
         assert values[index] == sorted(values)[k - 1]
 
     def test_rank_validation(self):
         session, shares = _setup([1])
         with pytest.raises(SelectionError, match="rank"):
             kth_smallest_quickselect(session.comparison_backend,
-                                     session.alice, session.bob, shares, 2)
+                                     session.alice, session.bob, [shares],
+                                     [2])
 
     def test_expected_linear_comparisons(self):
         """For small k, quickselect should use far fewer comparisons than
@@ -115,10 +120,11 @@ class TestQuickselect:
         session, shares = _setup(values, seed=13)
         backend = session.comparison_backend
         kth_smallest_quickselect(backend, session.alice, session.bob,
-                                 shares, 32)
+                                 [shares], [32])
         quickselect_count = backend.invocations
         before = backend.invocations
-        kth_smallest_scan(backend, session.alice, session.bob, shares, 32)
+        kth_smallest_scan(backend, session.alice, session.bob, [shares],
+                          [32])
         scan_count = backend.invocations - before
         assert quickselect_count < scan_count
 
@@ -132,6 +138,65 @@ class TestWithCryptoBackend:
         k = data.draw(st.integers(min_value=1, max_value=len(values)))
         session, shares = _setup(values, backend="bitwise", seed=k,
                                  mask_sigma=8)
-        index = kth_smallest_scan(session.comparison_backend, session.alice,
-                                  session.bob, shares, k)
+        [index] = kth_smallest_scan(session.comparison_backend,
+                                    session.alice, session.bob, [shares],
+                                    [k])
         assert values[index] == sorted(values)[k - 1]
+
+
+class TestLockstep:
+    """Several selections advance together: each step runs the next
+    comparison of every unfinished selection as one batch."""
+
+    VECTORS = [([9, 1, 5, 7, 3], 3), ([4, 8, 2], 1), ([6, 6, 1, 0], 4)]
+
+    def _shares(self, session, values, seed):
+        mask_bound = session.config.mask_bound(10)
+        rng = random.Random(seed)
+        pairs = [share_additively(v, rng, mask_bound) for v in values]
+        return SharedValues(u_values=tuple(p[0] for p in pairs),
+                            v_values=tuple(p[1] for p in pairs),
+                            value_bound=10, mask_bound=mask_bound)
+
+    @pytest.mark.parametrize("select", [kth_smallest_scan,
+                                        kth_smallest_quickselect])
+    def test_each_selection_as_if_alone(self, select):
+        session, _ = _setup([1], backend="bitwise", mask_sigma=8)
+        shares = [self._shares(session, values, seed)
+                  for seed, (values, _) in enumerate(self.VECTORS)]
+        indices = select(session.comparison_backend, session.alice,
+                         session.bob, shares,
+                         [k for _, k in self.VECTORS])
+        for (values, k), index in zip(self.VECTORS, indices):
+            assert values[index] == sorted(values)[k - 1]
+
+    def test_scan_rounds_follow_the_longest_selection(self):
+        session, _ = _setup([1], backend="bitwise", mask_sigma=8)
+        stats = session.alice.endpoint.stats
+        shares = [self._shares(session, values, seed)
+                  for seed, (values, _) in enumerate(self.VECTORS)]
+        before = (stats.rounds, session.comparison_backend.invocations)
+        kth_smallest_scan(session.comparison_backend, session.alice,
+                          session.bob, shares, [k for _, k in self.VECTORS])
+        lengths = [k * (2 * len(values) - k - 1) // 2
+                   for values, k in self.VECTORS]
+        assert lengths == [9, 2, 6]
+        assert stats.rounds - before[0] == 2 * max(lengths)
+        assert session.comparison_backend.invocations - before[1] \
+            == sum(lengths)
+
+    def test_mismatched_inputs(self):
+        session, shares = _setup([1, 2, 3])
+        backend = session.comparison_backend
+        with pytest.raises(SelectionError, match="ranks"):
+            kth_smallest_scan(backend, session.alice, session.bob,
+                              [shares], [1, 2])
+        wider = SharedValues(u_values=shares.u_values,
+                             v_values=shares.v_values,
+                             value_bound=shares.value_bound + 1,
+                             mask_bound=shares.mask_bound)
+        with pytest.raises(SelectionError, match="interval"):
+            kth_smallest_scan(backend, session.alice, session.bob,
+                              [shares, wider], [1, 1])
+        assert kth_smallest_scan(backend, session.alice, session.bob,
+                                 [], []) == []

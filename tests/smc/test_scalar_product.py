@@ -68,8 +68,8 @@ class TestScalarProducts:
         alpha = [30, -2, -4, 1]
         betas = [[1, 3, 5, 34], [1, 0, 0, 0], [1, -1, -1, 2]]
         masks = [55, -7, 0]
-        results = secure_scalar_products(alice, alpha, bob, betas, masks,
-                                         KEYS)
+        [results] = secure_scalar_products(alice, [alpha], bob, [betas],
+                                           [masks], KEYS)
         expected = [sum(a * b for a, b in zip(alpha, beta)) + mask
                     for beta, mask in zip(betas, masks)]
         assert results == expected
@@ -84,8 +84,8 @@ class TestScalarProducts:
                  -2 * point_a[1], 1]
         betas = [[1, b[0], b[1], b[0] ** 2 + b[1] ** 2] for b in points_b]
         masks = [100, 200, 300]
-        results = secure_scalar_products(alice, alpha, bob, betas, masks,
-                                         KEYS)
+        [results] = secure_scalar_products(alice, [alpha], bob, [betas],
+                                           [masks], KEYS)
         for result, point_b, mask in zip(results, points_b, masks):
             true_distance = sum((a - b) ** 2 for a, b in zip(point_a, point_b))
             assert result - mask == true_distance
@@ -102,8 +102,8 @@ class TestScalarProducts:
         betas = [[rng.randrange(-100, 101) for _ in range(width)]
                  for _ in range(count)]
         masks = [rng.randrange(-1000, 1001) for _ in range(count)]
-        results = secure_scalar_products(alice, alpha, bob, betas, masks,
-                                         KEYS)
+        [results] = secure_scalar_products(alice, [alpha], bob, [betas],
+                                           [masks], KEYS)
         assert results == [
             sum(a * b for a, b in zip(alpha, beta)) + mask
             for beta, mask in zip(betas, masks)]
@@ -111,24 +111,53 @@ class TestScalarProducts:
     def test_mask_count_mismatch(self):
         __, alice, bob = _fresh_parties()
         with pytest.raises(ScalarProductError, match="masks"):
-            secure_scalar_products(alice, [1], bob, [[2]], [0, 0], KEYS)
+            secure_scalar_products(alice, [[1]], bob, [[[2]]], [[0, 0]],
+                                   KEYS)
 
     def test_beta_width_mismatch(self):
         __, alice, bob = _fresh_parties()
         with pytest.raises(ScalarProductError, match="length"):
-            secure_scalar_products(alice, [1, 2], bob, [[3]], [0], KEYS)
+            secure_scalar_products(alice, [[1, 2]], bob, [[[3]]], [[0]],
+                                   KEYS)
 
     def test_alpha_sent_once(self):
         """The batching advantage: alpha ciphertexts go out once no matter
         how many betas are evaluated."""
         channel, alice, bob = _fresh_parties()
-        secure_scalar_products(alice, [1, 2, 3], bob,
-                               [[1, 1, 1]] * 10, [0] * 10, KEYS, label="sp")
+        secure_scalar_products(alice, [[1, 2, 3]], bob,
+                               [[[1, 1, 1]] * 10], [[0] * 10], KEYS,
+                               label="sp")
         alpha_entries = channel.transcript.with_label("sp/encrypted_alpha")
         assert len(alpha_entries) == 1
         assert len(alpha_entries[0].value) == 3
         reply = channel.transcript.with_label("sp/masked_products")[0]
         assert len(reply.value) == 10
+
+
+    def test_several_alphas_share_one_round_trip(self):
+        """Each alpha keeps its own two messages; all alphas go out
+        before the masker replies."""
+        channel, alice, bob = _fresh_parties()
+        alphas = [[1, 2], [3, -4], [0, 5]]
+        betas = [[[1, 1]], [[2, 0], [0, 2]], [[7, 1], [1, 7], [0, 0]]]
+        masks = [[5], [6, 7], [8, 9, 10]]
+        results = secure_scalar_products(alice, alphas, bob, betas, masks,
+                                         KEYS, label="sp")
+        assert results == [
+            [sum(a * b for a, b in zip(alpha, beta)) + mask
+             for beta, mask in zip(group, group_masks)]
+            for alpha, group, group_masks in zip(alphas, betas, masks)]
+        assert [e.label for e in channel.transcript.entries] \
+            == ["sp/encrypted_alpha"] * 3 + ["sp/masked_products"] * 3
+        assert [len(e.value) for e in channel.transcript.entries] \
+            == [2, 2, 2, 1, 2, 3]
+        assert channel.stats.rounds == 2
+
+    def test_alpha_count_mismatch(self):
+        __, alice, bob = _fresh_parties()
+        with pytest.raises(ScalarProductError, match="alphas"):
+            secure_scalar_products(alice, [[1], [2]], bob, [[[2]]], [[0]],
+                                   KEYS)
 
 
 class TestOneFactorPerReply:
@@ -173,8 +202,8 @@ class TestOneFactorPerReply:
         __, alice, bob = _fresh_parties()
         receiver_pool, masker_pool = self._pools()
         betas = [[1, 2], [3, 4], [5, 6]]
-        results = secure_scalar_products(
-            alice, [10, 20], bob, betas, [1, 2, 3], KEYS,
+        [results] = secure_scalar_products(
+            alice, [[10, 20]], bob, [betas], [[1, 2, 3]], KEYS,
             receiver_pool=receiver_pool, masker_pool=masker_pool)
         assert results == [51, 112, 173]
         assert masker_pool.consumed == len(betas)

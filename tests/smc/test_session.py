@@ -57,7 +57,8 @@ class TestSessionSetup:
         shares = SharedValues(u_values=(1,), v_values=(0,),
                               value_bound=2, mask_bound=2)
         with pytest.raises(SessionError, match="selection"):
-            session.kth_smallest(alice, bob, shares, 1, method="bogosort")
+            session.kth_smallest(alice, bob, [shares], [1],
+                                 method="bogosort")
 
 
 class TestConfig:
