@@ -333,7 +333,18 @@ class AsyncTcpTransport:
         """Forget one tag's queues (memory hygiene) and drop the frames
         that still arrive for any tag of its session."""
         self._sessions.pop(session_id, None)
-        session = session_of_tag(session_id)
+        self._mark_released(session_of_tag(session_id))
+
+    def release_session(self, session_id: str) -> None:
+        """Forget the views of every tag of one session -- its own and
+        its streams', opened here or by a peer's early frame -- and drop
+        the frames that still arrive for any of them."""
+        for tag in [tag for tag in self._sessions
+                    if session_of_tag(tag) == session_id]:
+            del self._sessions[tag]
+        self._mark_released(session_id)
+
+    def _mark_released(self, session: str) -> None:
         self._released.pop(session, None)
         self._released[session] = None
         if len(self._released) > RELEASED_TAGS_KEPT:

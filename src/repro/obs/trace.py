@@ -258,8 +258,11 @@ def summarize_trace_dir(trace_dir: str | os.PathLike) -> dict:
     between them is the overlap.  ``setup`` is the session span's
     ``setup_seconds`` (session start to the drive role's start) and
     ``first_query`` the offset from the session's start at which the
-    first query of this party's drive pass started (``None`` when the
-    trace has neither).
+    first query of this party's drive pass started, ``sync_checked``
+    the offset at which its check of the peers' session-sync records
+    ended (each ``None`` when the trace has no such span): a daemon's
+    first queries leave before the check, in the session's first
+    flight.
     """
     spans = read_trace_dir(trace_dir)
     by_party_id = {(span["party"], span["id"]): span for span in spans}
@@ -281,11 +284,14 @@ def summarize_trace_dir(trace_dir: str | os.PathLike) -> dict:
         parties = sessions.setdefault(session, {"parties": {}})["parties"]
         entry = parties.setdefault(span["party"], {
             "duration": 0.0, "setup": None, "first_query": None,
-            "passes": [], "_queries": {}, "_start": 0.0})
+            "sync_checked": None, "passes": [], "_queries": {},
+            "_start": 0.0, "_sync_end": None})
         if span["kind"] == "session":
             entry["duration"] = span["dur"]
             entry["setup"] = span["attrs"].get("setup_seconds")
             entry["_start"] = span["t0"]
+        elif span["kind"] == "sync":
+            entry["_sync_end"] = span["t1"]
         elif span["kind"] == "pass":
             entry["passes"].append({
                 "name": span["name"],
@@ -311,6 +317,9 @@ def summarize_trace_dir(trace_dir: str | os.PathLike) -> dict:
             queries = entry.pop("_queries", {})
             attempts = entry.pop("_attempts", {})
             start = entry.pop("_start")
+            sync_end = entry.pop("_sync_end")
+            if sync_end is not None:
+                entry["sync_checked"] = round(sync_end - start, 6)
             # Pass order is the span's index: names sort pass10 before
             # pass2.
             entry["passes"].sort(key=lambda row: (
@@ -363,8 +372,9 @@ def format_trace_summary(summary: dict) -> str:
             lines.append(f"  party {party}: "
                          f"{entry['duration']:.3f}s total, setup "
                          f"{_seconds(entry['setup'])}, first drive query "
-                         f"at {_seconds(entry['first_query'])}, passes "
-                         f"{entry['passes_sum']:.3f}s summed "
+                         f"at {_seconds(entry['first_query'])}, sync "
+                         f"checked at {_seconds(entry['sync_checked'])}, "
+                         f"passes {entry['passes_sum']:.3f}s summed "
                          f"{entry['passes_union']:.3f}s union")
             for row in entry["passes"]:
                 role = row["role"] or "?"

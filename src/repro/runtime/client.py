@@ -248,6 +248,13 @@ class SessionClient:
             try:
                 sock = socket.create_connection(
                     (self.spec.host, self.spec.ports[name]), timeout=5.0)
+                # Every record is one whole frame, written at once.
+                # Nagle would hold a second record sent right behind the
+                # first -- the next submit of a wave -- until the daemon
+                # acknowledged the first: up to its delayed-ACK timeout,
+                # 40 ms on Linux.  (The daemons' asyncio sockets set
+                # TCP_NODELAY already.)
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 return FramedConnection(
                     sock, timeout_s=self.spec.timeout_s,
                     name=f"{self.client_id}->{name}",

@@ -46,15 +46,18 @@ canonical concatenation of its key exchange and streams -- pass by pass,
 each pass's queries in point order -- the same figures the in-process
 mesh reports.
 
-One-flight setup: once every peer's session-sync record has checked
-out, a daemon sends its key announcements and its drive pass's first
-queries in one flight.  Each announcement has its own mirror channel,
-so a pair's two announcements cross at the same time; a drive role
-uses only its own keys (unless it caches peer ciphertexts) and so waits
-for no announcement; a respond role starts once its driver's keys have
-passed the shape and pinned-digest checks and been adopted -- and that
-announcement arrived in the same flight as the driver's queries.
-A session's setup is therefore one link delay: the sync.
+Single-flight start: at session start a daemon sends, in one flight,
+its session-sync record (first on every link), its key announcements
+and its drive pass's first-window queries -- the coordinates encrypted
+under its own key -- and checks the peers' sync records next to its
+pass roles.  Each announcement has its own mirror channel, so a pair's
+two announcements cross at the same time; a drive role uses only its
+own keys (unless it caches peer ciphertexts) and so waits for no
+announcement; no peer's keys are adopted before every peer's record has
+checked out, and a respond role starts once its driver's keys have
+passed the shape and pinned-digest checks and been adopted -- all of
+which arrived in the same flight as the driver's queries.  A session
+spends no link delay on setup.
 
 A daemon-wide :class:`~repro.crypto.precompute.RandomnessService`
 amortizes the offline phase across sessions: it learns each keypair's
@@ -531,6 +534,13 @@ class _SessionState:
     # peer -> {announcer: runtime}: one announcement channel per side
     keys: dict = field(default_factory=dict)
     adopted: dict = field(default_factory=dict)    # peer -> asyncio.Event
+    # Set once every peer's session-sync record has checked out; no
+    # peer's keys are adopted before.
+    synced: asyncio.Event = field(default_factory=asyncio.Event)
+    # The first flight's drive queries, (peer, query), that have not
+    # made their first attempt yet; `flown` is set once none is left.
+    flight: set = field(default_factory=set)
+    flown: asyncio.Event = field(default_factory=asyncio.Event)
     # (peer, driver, query) -> _Stream, built as the query's point
     # enters its pass's window
     streams: dict = field(default_factory=dict)
@@ -557,6 +567,14 @@ class _SessionState:
         return [*(runtime for announcers in self.keys.values()
                   for runtime in announcers.values()),
                 *(stream.runtime for stream in self.streams.values())]
+
+    def took_off(self, peer: str, query: int) -> None:
+        """The drive query on point ``query`` to ``peer`` starts its
+        first attempt in this loop step -- which runs up to the query's
+        first reply, so its first frame leaves in the same step."""
+        self.flight.discard((peer, query))
+        if not self.flight:
+            self.flown.set()
 
 
 class _SessionMeshView:
@@ -769,7 +787,11 @@ class PartyDaemon:
         """Run ``coroutine`` to completion unless a stop request comes
         first, in which case cancel it and return False.  Link-up can
         wait up to ``connect_timeout_s`` on a peer that never answers;
-        a stop must not."""
+        a stop must not.  So link-up bounds its waits with
+        ``asyncio.timeout``, not ``wait_for``: a ``wait_for`` cancelled
+        just as its awaitable finished returns (or raises) that result
+        instead of the cancellation (Python 3.11), and a dial retry loop
+        would then run on to its deadline."""
         task = self._loop.create_task(coroutine)
         stop = self._loop.create_task(self._stop_event.wait())
         try:
@@ -815,9 +837,9 @@ class PartyDaemon:
         for peer in self.spec.names:
             if self.spec.slot_of(peer) > my_slot:
                 try:
-                    await asyncio.wait_for(self._hub_events[peer].wait(),
-                                           self.spec.connect_timeout_s)
-                except asyncio.TimeoutError:
+                    async with asyncio.timeout(self.spec.connect_timeout_s):
+                        await self._hub_events[peer].wait()
+                except TimeoutError:
                     raise DaemonError(
                         f"daemon {self.name!r} waited "
                         f"{self.spec.connect_timeout_s}s for peer daemon "
@@ -841,9 +863,9 @@ class PartyDaemon:
             try:
                 await _send_frame(writer, FRAME_HELLO, mine.to_wire(),
                                   self._authenticator)
-                theirs = await asyncio.wait_for(
-                    read_hello_async(reader, name, self._authenticator),
-                    self.spec.connect_timeout_s)
+                async with asyncio.timeout(self.spec.connect_timeout_s):
+                    theirs = await read_hello_async(reader, name,
+                                                    self._authenticator)
             except (HandshakePeerLost, OSError) as exc:
                 # The peer daemon may be booting (accepted, not yet
                 # serving), or the connection died before the hello;
@@ -878,9 +900,9 @@ class PartyDaemon:
                              writer: asyncio.StreamWriter) -> None:
         name = f"daemon {self.name} accept"
         try:
-            theirs = await asyncio.wait_for(
-                read_hello_async(reader, name, self._authenticator),
-                self.spec.connect_timeout_s)
+            async with asyncio.timeout(self.spec.connect_timeout_s):
+                theirs = await read_hello_async(reader, name,
+                                                self._authenticator)
             if theirs.role == ROLE_DAEMON:
                 await self._accept_peer(theirs, reader, writer)
             elif theirs.role == ROLE_CLIENT:
@@ -1010,6 +1032,7 @@ class PartyDaemon:
                     return
                 if self._draining:
                     self._obs_rejected[REJECT_DRAINING].inc()
+                    self._refuse(_session_id_of(record[1]))
                     await send_record([
                         CONTROL_SESSION_REJECTED,
                         _session_id_of(record[1]),
@@ -1021,6 +1044,7 @@ class PartyDaemon:
                         and len(self._session_tasks)
                         >= self.spec.max_sessions):
                     self._obs_rejected[REJECT_CAPACITY].inc()
+                    self._refuse(_session_id_of(record[1]))
                     await send_record([
                         CONTROL_SESSION_REJECTED,
                         _session_id_of(record[1]),
@@ -1041,9 +1065,13 @@ class PartyDaemon:
                             send_record) -> None:
         session_id = "?"
         try:
-            manifest = RunManifest.from_json(manifest_json)
-            session_id = manifest.session_id
-            points = [tuple(point) for point in json.loads(points_json)]
+            try:
+                manifest = RunManifest.from_json(manifest_json)
+                session_id = manifest.session_id
+                points = [tuple(point) for point in json.loads(points_json)]
+            except Exception:
+                self._refuse(_session_id_of(manifest_json))
+                raise
             report = await self._run_session(manifest, points)
         except asyncio.CancelledError:
             raise
@@ -1085,11 +1113,23 @@ class PartyDaemon:
                 f"{STREAM_TAG_SEPARATOR!r}, which tags a session's "
                 f"per-driver streams")
 
+    def _refuse(self, session_id: str) -> None:
+        """Release the views a refused session's peers opened on this
+        daemon's hubs -- unless a session of that id runs here, whose
+        views they are."""
+        if session_id not in self._active:
+            for hub in self.hubs.values():
+                hub.release_session(session_id)
+
     async def _run_session(self, manifest: RunManifest,
                            points: list) -> PartyReport:
         await self._links_ready.wait()
         started = time.perf_counter()
-        self._validate_session(manifest, points)
+        try:
+            self._validate_session(manifest, points)
+        except DaemonError:
+            self._refuse(manifest.session_id)
+            raise
         # Fault state exists only when the session's plan names this
         # party; a fault-free session does no per-frame fault work.
         faults = (FaultPlan.from_dicts(manifest.faults).for_party(
@@ -1117,38 +1157,38 @@ class PartyDaemon:
             "session", manifest.session_id,
             session_index=session_index, warm_start=warm_start,
             parties=len(manifest.names), points=len(points))
+        sync_span = session_span.child("sync", "sync",
+                                       peers=len(manifest.names) - 1)
         try:
             peers = manifest.peers_of(self.name)
             for peer in peers:
                 state.views[peer] = self.hubs[peer].session(
                     manifest.session_id)
-            with session_span.child("sync", "sync", peers=len(peers)):
-                self._send_sync(state, digest)
-                # Let the writers put the records on the wire, then
-                # build the first window's streams and prefill their
-                # own-key pools while the peers' records are in flight.
-                await asyncio.sleep(0)
-                self._build_streams(state, config, lease)
-                await self._session_sync(state, digest)
+            # One flight: the sync records -- on the wire at the next
+            # loop turn, ahead of every other frame of the session --
+            # then the key announcements on every pair and, as the
+            # roles start, the drive pass's first-window queries.  The
+            # peers' records are checked next to the roles; every
+            # adoption waits for the whole check, and every role that
+            # uses a peer's keys for that adoption.  The first failure
+            # cancels the rest and fails the session.
+            self._send_sync(state, digest)
+            await asyncio.sleep(0)
+            self._build_streams(state, config, lease)
             if faults is not None:
                 faults.at_boundary(0)
-
-            # One flight: the key announcements on every pair, then --
-            # the roles start on the next loop turn -- the drive pass's
-            # first queries.  Each peer's announcement is adopted next
-            # to the roles; only a role that uses that peer's keys
-            # waits for it.  The first failure cancels the rest and
-            # fails the session.
             self._announce_keys(state)
             ledger = LeakageLedger()
             passes_started = time.perf_counter()
             results = await _run_together([
+                self._session_sync(state, digest, sync_span),
                 *(self._adopt_keys(state, peer, config, session_span)
                   for peer in peers),
                 *(self._pass_role(state, pass_index, driver, config,
                                   ledger, session_span)
                   for pass_index, driver in enumerate(manifest.names))])
-            labels = results[len(peers) + manifest.names.index(self.name)]
+            labels = results[1 + len(peers)
+                             + manifest.names.index(self.name)]
             finished = time.perf_counter()
             lease_report = self.randomness.release(manifest.session_id)
             restarts = sum(rt.restarts for rt in state.runtimes())
@@ -1161,20 +1201,15 @@ class PartyDaemon:
                     session_index, warm_start, state.setup_seconds,
                     restarts, lease_report))
         finally:
+            sync_span.close()
             session_span.close()
             if lease_report is None:
                 with contextlib.suppress(PrecomputeError):
                     self.randomness.release(manifest.session_id)
-            # Every view this session may own on each hub, opened here
-            # or created by an early peer frame: its own tag and one per
-            # query of both passes over the pair.
-            for peer in manifest.peers_of(self.name):
-                hub = self.hubs[peer]
-                hub.release(manifest.session_id)
-                for driver in (self.name, peer):
-                    for query in range(manifest.counts[driver]):
-                        hub.release(_stream_tag(manifest.session_id,
-                                                driver, query))
+            # Every view this session owns on each hub, opened here or
+            # created by an early peer frame.
+            for hub in self.hubs.values():
+                hub.release_session(manifest.session_id)
             self._active.discard(manifest.session_id)
 
     def _pair_runtime(self, view, lease=None, link=None) -> PairRuntime:
@@ -1192,53 +1227,72 @@ class PartyDaemon:
 
     def _send_sync(self, state: _SessionState, digest: str) -> None:
         """Announce the manifest digest on every pair link (the
-        session's first control record there)."""
+        session's first frame there)."""
         wire = serialize_message([SESSION_SYNC_RECORD, digest])
         for view in state.views.values():
             view.send_control(wire)
 
-    async def _session_sync(self, state: _SessionState,
-                            digest: str) -> None:
-        """Cross-check the manifest digest with every peer daemon.
+    async def _session_sync(self, state: _SessionState, digest: str,
+                            span) -> None:
+        """Cross-check the manifest digest with every peer daemon, then
+        open the adoptions (:attr:`_SessionState.synced`).
 
         The pair handshake bound only the mesh spec; each *session* is
-        validated here, before any protocol frame of it leaves this
-        daemon: both ends of every link announce the digest of the
-        manifest they were handed (:meth:`_send_sync`) and refuse the
-        session on mismatch.  It is the session's only control record on
-        a pair link.  A peer whose record does
-        not arrive within ``timeout_s`` fails the session with a typed
-        timeout -- retryable, like the same silence mid-protocol.
+        validated here: both ends of every link announce the digest of
+        the manifest they were handed (:meth:`_send_sync`) and refuse
+        the session on mismatch.  It is the session's only control
+        record on a pair link.  The check runs next to the roles, so
+        this daemon's first flight -- its keys and its drive pass's
+        first-window queries, under its own key -- leaves before it;
+        but no peer's keys are adopted, so no query is served and no
+        frame derived from a peer's data or key leaves, until every
+        peer's record has checked out.  The check decides only once it
+        holds every peer's record and the first flight is out, so every
+        peer sees the same flight from this daemon whatever the check
+        finds, and no peer's record is left in flight to re-open the
+        views a failed session releases.  A peer whose record does not
+        arrive within ``timeout_s`` fails the session with a typed
+        timeout -- retryable, like the same silence mid-protocol --
+        unless another peer's record failed the check.
         """
-        async def check(peer, view):
+        async def check(peer, view) -> Exception | None:
             try:
                 raw = await asyncio.wait_for(view.next_control(),
                                              self.spec.timeout_s)
             except asyncio.TimeoutError:
-                raise TransportTimeoutError(
+                return TransportTimeoutError(
                     f"peer daemon {peer!r} never answered the session "
                     f"sync for {state.manifest.session_id!r} within "
-                    f"{self.spec.timeout_s}s") from None
+                    f"{self.spec.timeout_s}s")
             record = deserialize_message(raw)
             if (not isinstance(record, list) or len(record) != 2
                     or record[0] != SESSION_SYNC_RECORD
                     or not isinstance(record[1], str)):
-                raise DaemonError(
+                return DaemonError(
                     f"malformed session sync from {peer!r}: {record!r}")
             # compare_digest: same constant-time treatment as every
             # other digest comparison on the runtime's trust boundary.
             if not hmac.compare_digest(record[1], digest):
-                raise DaemonError(
+                return DaemonError(
                     f"manifest digest mismatch with peer daemon {peer!r} "
                     f"for session {state.manifest.session_id!r}: ours "
                     f"{digest[:12]}..., theirs {str(record[1])[:12]}...")
+            return None
 
-        await _run_together(check(peer, view)
-                            for peer, view in state.views.items())
+        with span:
+            outcomes = await _run_together(
+                check(peer, view) for peer, view in state.views.items())
+            await state.flown.wait()
+            failures = [outcome for outcome in outcomes
+                        if outcome is not None]
+            if failures:
+                raise next((failure for failure in failures
+                            if isinstance(failure, DaemonError)),
+                           failures[0])
+        state.synced.set()
 
     def _build_streams(self, state: _SessionState, config, lease) -> None:
-        """Build everything of the session that needs no peer's keys;
-        no frame leaves here.
+        """Build what the first flight needs; no frame leaves here.
 
         Key material is sealed: this daemon derives only its *own*
         slot's keypair; every peer context is a pending sealed
@@ -1247,13 +1301,15 @@ class PartyDaemon:
         manifest's ``key_digests`` when present.  Per pair, each
         announcement gets its own mirror channel on the session's tag,
         so neither side's waits on the other's.  Then each pair gets the
-        streams of the first :data:`~repro.runtime.async_pass.POINTS_IN_FLIGHT`
-        queries of both passes over it (:meth:`_stream`); a later
-        query's stream is built when its point enters the pass's window.
+        streams of the drive pass's first
+        :data:`~repro.runtime.async_pass.POINTS_IN_FLIGHT` queries over
+        it (:meth:`_stream`), with the hosted party's pools under its
+        own key registered and prefilled: the queries of the first
+        flight draw on them.  A respond role's streams, and a later
+        query's, are built when their points enter the pass's window.
         With cached peer ciphertexts, a pass's queries to one peer
-        share one cache.  The hosted party's pools under its own key
-        are registered (and prefilled) with each stream -- here, while
-        the sync records are in flight.
+        share one cache, and the drive role waits for every adoption,
+        so the first flight carries no query.
         """
         manifest = state.manifest
         provider = SealedKeyProvider(config.smc, self.name,
@@ -1268,17 +1324,21 @@ class PartyDaemon:
                 announcer: self._pair_runtime(session_view)
                 for announcer in self.spec.ordered_pair(self.name, peer)}
             state.adopted[peer] = asyncio.Event()
-            for driver in manifest.names:
+            for driver in (self.name, peer):
                 queried = peer if driver == self.name else self.name
-                if driver not in (self.name, peer) \
-                        or not manifest.counts[queried]:
-                    continue
-                state.caches[(peer, driver)] = (
-                    PeerCipherCache() if config.cache_peer_ciphertexts
-                    else None)
-                for query in range(min(POINTS_IN_FLIGHT,
-                                       manifest.counts[driver])):
-                    self._stream(state, peer, driver, query)
+                if manifest.counts[queried]:
+                    state.caches[(peer, driver)] = (
+                        PeerCipherCache() if config.cache_peer_ciphertexts
+                        else None)
+            if not manifest.counts[peer]:
+                continue
+            for query in range(min(POINTS_IN_FLIGHT,
+                                   manifest.counts[self.name])):
+                self._stream(state, peer, self.name, query)
+                if not config.cache_peer_ciphertexts:
+                    state.flight.add((peer, query))
+        if not state.flight:
+            state.flown.set()
 
     def _stream(self, state: _SessionState, peer: str, driver: str,
                 query: int) -> _Stream:
@@ -1329,8 +1389,9 @@ class PartyDaemon:
 
     async def _adopt_keys(self, state: _SessionState, peer: str, config,
                           session_span) -> None:
-        """Take ``peer``'s announcement, check and adopt its keys, then
-        open the roles that use them.
+        """Once every peer's session sync has checked out, take
+        ``peer``'s announcement, check and adopt its keys, then open the
+        roles that use them.
 
         The announcement is substituted like any remote send: an attempt
         that reaches it before it arrived parks on the session view,
@@ -1352,6 +1413,7 @@ class PartyDaemon:
             receive_public_keys(receiver, peer, context,
                                 config.smc.paillier_bits)
 
+        await state.synced.wait()
         with session_span.child("adopt", f"keys:{peer}", peer=peer):
             await state.keys[peer][peer].run(take)
         for entry in state.pair_streams(peer):
@@ -1397,7 +1459,8 @@ class PartyDaemon:
         A respond role encrypts and compares under its driver's keys.
         A drive role uses only its own -- unless it caches peer
         ciphertexts, which it rerandomizes under each peer's key -- so
-        it starts at once: the session's setup ends here.
+        it starts at once, its first-window queries in the session's
+        first flight: the session's setup ends here.
         """
         role = "drive" if driver == self.name else "respond"
         if role == "respond":
@@ -1441,6 +1504,7 @@ class PartyDaemon:
             if state.faults is not None:
                 state.faults.on_query(pass_index, task.query)
             entry = self._stream(state, task.peer, self.name, task.query)
+            state.took_off(task.peer, task.query)
             with span.child("peer_query", f"query{task.query}:{task.peer}",
                             query=task.query,
                             peer=task.peer) as query_span:

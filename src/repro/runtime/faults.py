@@ -38,8 +38,8 @@ k passes of a session run at the same time, and each daemon holds one
 Within a pass every query -- one per (driver's point, peer), each on
 its own stream -- runs at the same time too.  A boundary counts this
 daemon's completed roles, in whatever order they complete; boundary 0
-is the session's start, after the session sync and before the key
-announcements.
+is the session's start, once the session-sync records are sent and
+before the key announcements.
 
 Mid-pass faults are keyed by the driver's point index, never by
 arrival order, so each names the same protocol point on every run
@@ -251,8 +251,9 @@ class PartyFaults:
     """One daemon's live view of a session's plan for its party.
 
     The daemon reports the session start (:meth:`at_boundary` with 0:
-    the session sync has checked out, and neither the key announcements
-    nor any pass role has started), every completed pass role
+    the session-sync records are sent, and neither the key
+    announcements nor any pass role has started; the peers' records are
+    checked later, next to the roles), every completed pass role
     (:meth:`complete_pass`) and every query its party starts or serves
     (:meth:`on_query`); kill and drop specs fire there.  Frame specs act
     inside the :class:`FaultyLink` that :meth:`link` wraps around the

@@ -286,6 +286,31 @@ class TestSummaries:
         assert "party p1: 1.000s total, setup -, first drive query at -" \
             in text
 
+    def test_sync_check_end_next_to_the_first_drive_query(self, tmp_path):
+        """A daemon's first queries leave before its check of the peers'
+        sync records ends; the summary prints both offsets from the
+        session's start, so the overlap shows."""
+        _write_trace(tmp_path, "p0", [
+            _span("p0", 2, 1, "sync", "sync", 0.052, t0=2.0, peers=2),
+            _span("p0", 3, 1, "pass", "pass0", 0.25, t0=2.003, index=0,
+                  role="drive"),
+            _span("p0", 4, 3, "peer_query", "query0:p1", 0.2, t0=2.004,
+                  query=0, peer="p1"),
+            _span("p0", 1, None, "session", "s0", 0.3, t0=2.0,
+                  setup_seconds=0.003),
+        ])
+        _write_trace(tmp_path, "p1", [
+            _span("p1", 1, None, "session", "s0", 0.3)])
+        summary = summarize_trace_dir(tmp_path)
+        parties = summary["sessions"]["s0"]["parties"]
+        assert parties["p0"]["first_query"] == pytest.approx(0.004)
+        assert parties["p0"]["sync_checked"] == pytest.approx(0.052)
+        assert parties["p1"]["sync_checked"] is None
+        text = format_trace_summary(summary)
+        assert ("setup 0.003s, first drive query at 0.004s, sync checked "
+                "at 0.052s, passes 0.250s summed") in text
+        assert "first drive query at -, sync checked at -, passes" in text
+
     def test_sequential_passes_union_equals_sum(self, tmp_path):
         _write_trace(tmp_path, "p0", [
             _span("p0", 1, None, "session", "s0", 4.0),

@@ -77,26 +77,41 @@ def spec_ports(names) -> dict[str, int]:
             for b in names[index + 1:]}
 
 
+def send_start(client, manifest, by_party: dict, name: str) -> None:
+    """Send daemon ``name`` the session's start record, with its own
+    partition from ``by_party``."""
+    from repro.net.framing import FRAME_CONTROL
+    from repro.net.serialization import serialize_message
+    from repro.runtime.daemon import CONTROL_START_SESSION
+
+    record = serialize_message([
+        CONTROL_START_SESSION, manifest.to_json(),
+        json.dumps([list(point) for point in by_party[name]])])
+    with client._write_locks[name]:
+        client._connections[name].write_frame(FRAME_CONTROL, record)
+
+
 def submit_per_daemon(client, manifests: dict, by_party: dict):
     """Hand each named daemon its own manifest of one session id -- what
     ``SessionClient.submit`` never does -- and return the session's
-    handle.  A daemon missing from ``manifests`` never hears of the
-    session."""
-    from repro.net.framing import FRAME_CONTROL
-    from repro.net.serialization import serialize_message
+    handle.  A daemon missing from ``manifests`` does not hear of the
+    session here (:func:`send_start` can tell it later)."""
     from repro.runtime.client import SessionHandle
-    from repro.runtime.daemon import CONTROL_START_SESSION
 
     first = next(iter(manifests.values()))
     handle = SessionHandle(client, first)
     client._handles[first.session_id] = handle
     for name, manifest in manifests.items():
-        record = serialize_message([
-            CONTROL_START_SESSION, manifest.to_json(),
-            json.dumps([list(point) for point in by_party[name]])])
-        with client._write_locks[name]:
-            client._connections[name].write_frame(FRAME_CONTROL, record)
+        send_start(client, manifest, by_party, name)
     return handle
+
+
+def wait_until(predicate, timeout: float) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() >= deadline:
+            raise AssertionError(f"condition not met within {timeout}s")
+        time.sleep(0.01)
 
 
 def wait_for_failures(handle, parties, timeout: float) -> dict:
@@ -122,8 +137,41 @@ def frames_in(daemon, kind: str) -> int:
 def session_tags_left(daemons, session_id: str) -> list:
     """The views of the session's tags still open on the daemons' hubs."""
     return [(daemon.name, tag) for daemon in daemons
-            for hub in daemon.hubs.values() for tag in hub._sessions
+            for hub in daemon.hubs.values() for tag in list(hub._sessions)
             if tag.split("#")[0] == session_id]
+
+
+def first_flight_tags(by_party: dict, session_id: str, receiver: str):
+    """The tags the peers' first flights open on ``receiver``'s hubs:
+    each peer's session tag, and the stream of each of its drive pass's
+    first-window queries to ``receiver``."""
+    from repro.runtime.async_pass import POINTS_IN_FLIGHT
+
+    return sorted(
+        (receiver, tag) for peer, points in by_party.items()
+        if peer != receiver
+        for tag in [session_id, *(
+            f"{session_id}#{peer}#{query}"
+            for query in range(min(POINTS_IN_FLIGHT, len(points)))
+            if by_party[receiver])])
+
+
+def first_flight_messages(mesh, sender: str, receiver: str) -> int:
+    """The protocol messages of ``sender``'s first flight to
+    ``receiver``, read off the in-process mesh after its run: the key
+    announcement, and each first-window query's messages up to the
+    receiver's first reply."""
+    from repro.runtime.async_pass import POINTS_IN_FLIGHT
+
+    pair = mesh._pair_key(sender, receiver)
+    messages = sum(entry.sender == sender
+                   for entry in mesh._channels[pair].transcript.entries)
+    for (driver, query), stream in mesh._streams[pair].items():
+        if driver == sender and query < POINTS_IN_FLIGHT:
+            entries = stream.channel.transcript.entries
+            messages += next(index for index, entry in enumerate(entries)
+                             if entry.sender != sender)
+    return messages
 
 
 class TestMeshSpec:
@@ -404,21 +452,22 @@ class TestRoleLocalExecution:
     def test_later_streams_are_built_as_their_points_enter_the_window(
             self, overrides, monkeypatch):
         """With more points per party than a pass keeps in flight, the
-        sync builds only the first window's streams; the rest are built
-        as their points start, and the session stays bit-identical, each
-        daemon's pools included."""
+        first flight builds only the drive pass's first-window streams;
+        the rest, and every respond role's, are built as their points
+        start, and the session stays bit-identical, each daemon's pools
+        included."""
         from repro.runtime.async_pass import POINTS_IN_FLIGHT
         from repro.runtime.daemon import PartyDaemon
 
         by_party = workload(3, per_party=POINTS_IN_FLIGHT + 2)
         seeds = [31, 32, 33]
         config = make_config(**overrides)
-        built_at_sync = {}
+        built_for_flight = {}
         build_streams = PartyDaemon._build_streams
 
         def recording(daemon, state, *args):
             build_streams(daemon, state, *args)
-            built_at_sync[daemon.name] = sorted(state.streams)
+            built_for_flight[daemon.name] = sorted(state.streams)
 
         monkeypatch.setattr(PartyDaemon, "_build_streams", recording)
         mesh = PartyMesh(list(by_party), config.smc, seeds=seeds)
@@ -432,9 +481,8 @@ class TestRoleLocalExecution:
                                            reference=reference, mesh=mesh)
         assert all(checks.values()), checks
         for name in by_party:
-            assert built_at_sync[name] == sorted(
-                (peer, driver, query) for peer in by_party if peer != name
-                for driver in (name, peer)
+            assert built_for_flight[name] == sorted(
+                (peer, name, query) for peer in by_party if peer != name
                 for query in range(POINTS_IN_FLIGHT)), name
         expected = own_pool_consumption(mesh)
         for name, report in run.reports.items():
@@ -469,10 +517,11 @@ class TestOverlappedPasses:
     stream: over 50 ms links every daemon's pass spans share a common
     instant, and so do every drive pass's queries; a drive pass lasts
     about four link delays, not four per point it tests; its first
-    query leaves one link delay into the session (the sync; the key
-    announcements travel with it); no control record but the sync
-    crosses a pair link; and the session stays bit-identical to the
-    in-process mesh, stats and rounds included."""
+    query leaves in the session's first flight, with the sync record and
+    the key announcements, before the peers' records are checked one
+    link delay in; no control record but the sync crosses a pair link;
+    and the session stays bit-identical to the in-process mesh, stats
+    and rounds included."""
 
     def test_pass_spans_overlap_and_session_is_bit_identical(
             self, tmp_path):
@@ -482,6 +531,13 @@ class TestOverlappedPasses:
         seeds = [31, 32, 33]
         config = make_config()
         delay = 0.05
+        # The reference runs first: it derives every party's keys into
+        # this process's key cache, so the daemons' session starts warm,
+        # as a standing mesh's sessions do, and its timings hold no key
+        # generation.
+        mesh = PartyMesh(list(by_party), config.smc, seeds=seeds)
+        reference = run_multiparty_horizontal_dbscan(
+            by_party, config, seeds=seeds, mesh=mesh)
         with DaemonFleet(list(by_party), net_delay_s=delay,
                          trace_dir=str(tmp_path)) as fleet:
             controls = {daemon.name: frames_in(daemon, "c")
@@ -496,9 +552,6 @@ class TestOverlappedPasses:
                 assert frames_in(daemon, "c") \
                     == controls[daemon.name] + len(by_party) - 1, \
                     daemon.name
-        mesh = PartyMesh(list(by_party), config.smc, seeds=seeds)
-        reference = run_multiparty_horizontal_dbscan(
-            by_party, config, seeds=seeds, mesh=mesh)
         checks = verify_against_in_process(run, by_party, config, seeds,
                                            reference=reference, mesh=mesh)
         assert all(checks.values()), checks
@@ -532,10 +585,13 @@ class TestOverlappedPasses:
         summary = summarize_trace_dir(tmp_path)["sessions"]["overlap"]
         for party, entry in summary["parties"].items():
             assert entry["passes_union"] < entry["passes_sum"], party
-            # The sync takes one link delay; without the one-flight
-            # setup the right party of a pair announced only after the
-            # left party's announcement arrived -- about three in all.
-            assert entry["first_query"] < 2 * delay, (party, entry)
+            # The first queries leave with the sync record, and the
+            # peers' records arrive one link delay later; when the
+            # queries waited for the check, they left about one link
+            # delay in, and before the one-flight setup about three.
+            assert entry["first_query"] < delay, (party, entry)
+            assert entry["first_query"] < entry["sync_checked"] \
+                < 2 * delay, (party, entry)
             assert run.reports[party].runtime_info["setup_seconds"] \
                 == entry["setup"]
         setup_spans = {}
@@ -600,40 +656,91 @@ class TestOverlappedPasses:
             == [7, 7]
 
 
+def silence_after_sync(daemon, seconds: float) -> None:
+    """Make ``daemon`` send its sync record, read its peers' records and
+    then say nothing -- no key announcement, no pass role -- until it
+    gives up after ``seconds``."""
+    async def silence(*args):
+        await asyncio.sleep(seconds)
+        raise RuntimeError("silent peer gives up")
+
+    daemon._announce_keys = lambda state: None
+    daemon._pass_role = silence
+
+
 @pytest.mark.sockets
 class TestSetupSafety:
-    """The one-flight setup keeps its gates: no protocol frame before
-    the session sync checked out, nothing under a peer's key before its
-    announcement passed the checks, and a silent peer at any setup wait
-    is a typed, retryable timeout within ``timeout_s``."""
+    """The single-flight start keeps its gates: only the first flight --
+    the sync record, the key announcements and the first-window queries
+    under the sender's own key -- leaves before the peers' sync records
+    checked out, nothing under a peer's key before its announcement
+    passed the checks, and a silent peer at any setup wait is a typed,
+    retryable timeout within ``timeout_s``."""
 
     TIMEOUT_S = 2.0
 
-    def test_sync_digest_mismatch_sends_no_protocol_frame(self):
+    def test_sync_digest_mismatch_lets_only_the_first_flight_leave(
+            self, tmp_path):
+        """Every daemon fails naming the mismatch and receives exactly
+        its peers' first flights and nothing more: no key is adopted,
+        no query served, and no view of the session is left on any
+        hub."""
+        from repro.obs.trace import read_trace_dir
+
         by_party = workload(3)
         config = make_config()
-        ours = build_manifest(by_party, config, [31, 32, 33],
+        seeds = [31, 32, 33]
+        ours = build_manifest(by_party, config, seeds,
                               session_id="mismatch")
         theirs = build_manifest(by_party, config, [31, 32, 34],
                                 session_id="mismatch")
-        with DaemonFleet(list(by_party),
-                         timeout_s=self.TIMEOUT_S) as fleet:
-            before = {daemon.name: (frames_in(daemon, "m"),
-                                    frames_in(daemon, "c"))
-                      for daemon in fleet.daemons}
+        mesh = PartyMesh(list(by_party), config.smc, seeds=seeds)
+        run_multiparty_horizontal_dbscan(by_party, config, seeds=seeds,
+                                         mesh=mesh)
+        with DaemonFleet(list(by_party), timeout_s=self.TIMEOUT_S,
+                         trace_dir=str(tmp_path)) as fleet:
+
+            def frames():
+                return {daemon.name: (frames_in(daemon, "m"),
+                                      frames_in(daemon, "c"))
+                        for daemon in fleet.daemons}
+
+            before = frames()
+            # Per daemon, one sync record from each peer, and each
+            # peer's key announcement and first-window query frames.
+            expected = {
+                name: (messages + sum(
+                    first_flight_messages(mesh, peer, name)
+                    for peer in by_party if peer != name),
+                       controls + len(by_party) - 1)
+                for name, (messages, controls) in before.items()}
             with fleet.client() as client:
+                # p1 hears of the session only once p0's and p2's
+                # flights wait on its hubs.  p0 and p2 hold each other's
+                # mismatched record long before p1's arrives; a check
+                # that failed at once would release the session before
+                # p1's record re-opened it for good.  p1's check holds
+                # every record at once and still lets its own flight
+                # leave first.
                 handle = submit_per_daemon(
-                    client, {"p0": ours, "p1": ours, "p2": theirs},
-                    by_party)
+                    client, {"p0": ours, "p2": theirs}, by_party)
+                late = fleet.daemons[1]
+                wait_until(lambda: sorted(session_tags_left(
+                    [late], "mismatch")) == first_flight_tags(
+                        by_party, "mismatch", "p1"), timeout=10)
+                send_start(client, ours, by_party, "p1")
                 failures = wait_for_failures(handle, list(by_party),
                                              timeout=30)
-            for party, failure in failures.items():
-                assert "manifest digest mismatch" in failure.message, party
-            for daemon in fleet.daemons:
-                messages, controls = before[daemon.name]
-                # Only the session-sync records crossed: one per peer.
-                assert frames_in(daemon, "m") == messages, daemon.name
-                assert frames_in(daemon, "c") == controls + 2, daemon.name
+            wait_until(lambda: frames() == expected, timeout=5)
+            time.sleep(0.2)
+            assert frames() == expected
+            assert session_tags_left(fleet.daemons, "mismatch") == []
+        for party, failure in failures.items():
+            assert "manifest digest mismatch" in failure.message, party
+        spans = read_trace_dir(tmp_path)
+        assert [span for span in spans if span["kind"] == "adopt"] == []
+        assert [span for span in spans if span["kind"] == "peer_query"
+                and span["name"].startswith("serve")] == []
 
     def test_unpinned_key_fails_before_any_query_is_served(
             self, tmp_path):
@@ -665,24 +772,16 @@ class TestSetupSafety:
         assert served == []
 
     def test_silent_announcer_is_a_typed_timeout(self, tmp_path):
-        """p2 passes the sync and then says nothing: p0 and p1 fail
-        with a retryable timeout, their drive roles -- already running,
-        parked on p2 -- are cancelled, and once p2 gives up no view of
-        the session is left on any hub."""
+        """p2 sends its sync record and then says nothing: p0 and p1
+        fail with a retryable timeout, their drive roles -- already
+        running, parked on p2 -- are cancelled, and once p2 gives up no
+        view of the session is left on any hub."""
         from repro.obs.trace import read_trace_dir
 
         by_party = workload(3)
         with DaemonFleet(list(by_party), timeout_s=self.TIMEOUT_S,
                          trace_dir=str(tmp_path)) as fleet:
-            silent = fleet.daemons[2]
-            synced = silent._session_sync
-
-            async def sync_then_silence(state, digest):
-                await synced(state, digest)
-                await asyncio.sleep(2 * self.TIMEOUT_S)
-                raise RuntimeError("silent peer gives up")
-
-            silent._session_sync = sync_then_silence
+            silence_after_sync(fleet.daemons[2], 2 * self.TIMEOUT_S)
             started = time.monotonic()
             with fleet.client() as client:
                 handle = client.submit(
@@ -717,15 +816,7 @@ class TestSetupSafety:
         by_party = workload(3)
         with DaemonFleet(list(by_party), timeout_s=self.TIMEOUT_S,
                          trace_dir=str(tmp_path)) as fleet:
-            silent = fleet.daemons[2]
-            synced = silent._session_sync
-
-            async def sync_then_silence(state, digest):
-                await synced(state, digest)
-                await asyncio.sleep(2 * self.TIMEOUT_S)
-                raise RuntimeError("silent peer gives up")
-
-            silent._session_sync = sync_then_silence
+            silence_after_sync(fleet.daemons[2], 2 * self.TIMEOUT_S)
             for daemon in fleet.daemons[:2]:
                 def late(*args, adopt=daemon._adopt_keys):
                     async def adopt_late():
@@ -750,14 +841,17 @@ class TestSetupSafety:
         for party in ("p0", "p1"):
             assert drives[party]["attrs"]["error"] == "CancelledError"
 
-    def test_silent_sync_peer_is_a_retryable_timeout(self):
+    def test_silent_sync_peer_is_a_retryable_timeout(self, tmp_path):
         """A peer that never sends its sync record: the same typed
-        timeout as silence mid-protocol, so orchestrate re-runs it."""
+        timeout as silence mid-protocol, so orchestrate re-runs it, and
+        no key is adopted meanwhile."""
+        from repro.obs.trace import read_trace_dir
+
         by_party = workload(3)
         manifest = build_manifest(by_party, make_config(), [31, 32, 33],
                                   session_id="unsynced")
-        with DaemonFleet(list(by_party),
-                         timeout_s=self.TIMEOUT_S) as fleet:
+        with DaemonFleet(list(by_party), timeout_s=self.TIMEOUT_S,
+                         trace_dir=str(tmp_path)) as fleet:
             started = time.monotonic()
             with fleet.client() as client:
                 handle = submit_per_daemon(
@@ -770,9 +864,38 @@ class TestSetupSafety:
                 assert failure.classification == "retryable", failure
                 assert "session sync" in failure.message, failure
             assert elapsed < self.TIMEOUT_S + 1.5
-            # p2 never ran the session, so the sync records it was sent
+            # p2 never ran the session, so the first flights it was sent
             # stay queued there; the daemons that ran it released all.
             assert session_tags_left(fleet.daemons[:2], "unsynced") == []
+        assert [span for span in read_trace_dir(tmp_path)
+                if span["kind"] == "adopt"] == []
+
+    def test_a_late_start_finds_the_first_flights_waiting(self):
+        """p2 hears of the session 0.2 s after p0's and p1's first
+        flights reached it: they wait in the views its hubs created on
+        sight, and the session still finishes bit-identical to the
+        in-process mesh."""
+        by_party = workload(3)
+        config = make_config()
+        seeds = [31, 32, 33]
+        manifest = build_manifest(by_party, config, seeds,
+                                  session_id="late-start")
+        flights = first_flight_tags(by_party, "late-start", "p2")
+        with DaemonFleet(list(by_party)) as fleet:
+            late = fleet.daemons[2]
+            with fleet.client() as client:
+                handle = submit_per_daemon(
+                    client, {"p0": manifest, "p1": manifest}, by_party)
+                wait_until(lambda: sorted(session_tags_left(
+                    [late], "late-start")) == flights, timeout=10)
+                time.sleep(0.2)
+                assert sorted(session_tags_left([late], "late-start")) \
+                    == flights
+                send_start(client, manifest, by_party, "p2")
+                run = handle.result(120)
+            assert session_tags_left(fleet.daemons, "late-start") == []
+        checks = verify_against_in_process(run, by_party, config, seeds)
+        assert all(checks.values()), checks
 
 
 @pytest.mark.sockets
@@ -803,6 +926,39 @@ class TestDaemonRejections:
                 with pytest.raises(SessionClientError,
                                    match="do not match the mesh"):
                     client.submit(manifest, rogue)
+
+    def test_a_refused_session_leaves_no_view_and_runs_again(self):
+        """p2 refuses a session whose partition misses a point, after
+        p0's and p1's first flights reached it: once every daemon has
+        reported no hub holds a view of the session, and a resubmission
+        of the same id completes."""
+        by_party = workload(3)
+        config = make_config()
+        seeds = [31, 32, 33]
+        manifest = build_manifest(by_party, config, seeds,
+                                  session_id="refused")
+        short = dict(by_party, p2=by_party["p2"][:1])
+        with DaemonFleet(list(by_party), timeout_s=2.0) as fleet:
+            refusing = fleet.daemons[2]
+            with fleet.client() as client:
+                handle = submit_per_daemon(
+                    client, {"p0": manifest, "p1": manifest}, short)
+                wait_until(lambda: all("refused" in hub._sessions
+                                       for hub in refusing.hubs.values()),
+                           timeout=10)
+                time.sleep(0.1)
+                send_start(client, manifest, short, "p2")
+                failures = wait_for_failures(handle, list(by_party),
+                                             timeout=30)
+            assert "partition for 'p2' has 1 points" \
+                in failures["p2"].message
+            assert session_tags_left(fleet.daemons, "refused") == []
+            with fleet.client() as client:
+                run = run_via_daemons(by_party, config, seeds,
+                                      client=client, session_id="refused",
+                                      timeout=120)
+        checks = verify_against_in_process(run, by_party, config, seeds)
+        assert all(checks.values()), checks
 
     def test_duplicate_in_flight_session_id_is_rejected(self):
         by_party = workload(2)
