@@ -1,8 +1,9 @@
 """Shared benchmark helpers.
 
 Every experiment prints a paper-style table and also writes it under
-``benchmarks/results/`` so EXPERIMENTS.md rows can be regenerated from
-artifacts rather than scrollback.
+``benchmarks/results/``, so the paper-vs-measured record is a set of
+committed artifacts, not scrollback; each experiment module's docstring
+says what its table measures against the paper.
 """
 
 from __future__ import annotations

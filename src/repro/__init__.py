@@ -17,8 +17,10 @@ Quickstart::
                               ProtocolConfig(eps=1.0, min_pts=4))
     print(run.alice_labels, run.bob_labels)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record.
+See DESIGN.md for the system inventory.  The paper-vs-measured record
+is the experiment tables under ``benchmarks/results/``, each written by
+the ``benchmarks/test_e*.py`` module whose docstring says what it
+measures against the paper.
 """
 
 from repro.core.api import ClusteringRun, cluster_partitioned

@@ -1,8 +1,9 @@
 """Plain-text table rendering for the benchmark harness.
 
 Benchmarks print paper-style tables (experiment id, workload, measured
-vs predicted) through :func:`render_table` so EXPERIMENTS.md rows can be
-pasted straight from the bench output.
+vs predicted) through :func:`render_table`; each experiment also writes
+its table under ``benchmarks/results/``, and its module docstring says
+what the table measures against the paper.
 """
 
 from __future__ import annotations

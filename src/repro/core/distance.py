@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from repro.core.leakage import Disclosure, LeakageLedger
 from repro.net.party import Party
+from repro.net.serialization import FixedWidthList
 from repro.smc.permutation import PermutedView
 from repro.smc.session import SmcSession
 
@@ -321,6 +322,7 @@ def hdp_within_eps_cached(session: SmcSession, querier: Party,
     mask_bound = session.config.mask_bound(value_bound)
     peer_keys = session.paillier_keys(peer.name)
     public = peer_keys.public_key
+    width = public.ciphertext_width
     encoder = SignedEncoder(public.n)
 
     # Peer announces which cached entry this query uses (the linkable id)
@@ -328,11 +330,13 @@ def hdp_within_eps_cached(session: SmcSession, querier: Party,
     peer.send(f"{label}/point_id", peer_point_id)
     announced_id = querier.receive(f"{label}/point_id")
     if peer_point_id not in cache:
-        encrypted = [cipher.value for cipher in session.engine.encrypt_batch(
-            public, [encoder.encode(c) for c in peer_point], peer.rng,
-            session.pool(peer, peer))]
+        encrypted = FixedWidthList(
+            [cipher.value for cipher in session.engine.encrypt_batch(
+                public, [encoder.encode(c) for c in peer_point], peer.rng,
+                session.pool(peer, peer))], width)
         peer.send(f"{label}/coords", encrypted)
-        cache.store(peer_point_id, querier.receive(f"{label}/coords"))
+        cache.store(peer_point_id,
+                    public.check_width(querier.receive(f"{label}/coords")))
 
     # Querier-side masks, as in the base protocol.
     masks = [querier.rng.randrange(-mask_bound, mask_bound + 1)
@@ -345,7 +349,7 @@ def hdp_within_eps_cached(session: SmcSession, querier: Party,
     # encryption of the mask is the reply's rerandomization (one factor;
     # see repro.smc.scalar_product).
     querier_pool = session.pool(querier, peer)
-    replies = []
+    replies = FixedWidthList([], width)
     for cipher_value, coordinate, mask in zip(cache.get(announced_id),
                                               querier_point, masks):
         product = (PaillierCiphertext(public, cipher_value)
@@ -355,7 +359,7 @@ def hdp_within_eps_cached(session: SmcSession, querier: Party,
         replies.append(masked.value)
     querier.send(f"{label}/masked_terms", replies)
 
-    received = peer.receive(f"{label}/masked_terms")
+    received = public.check_width(peer.receive(f"{label}/masked_terms"))
     cross_sum = sum(
         encoder.decode(value) for value in session.engine.decrypt_raw_batch(
             peer_keys.private_key, received))
@@ -422,6 +426,7 @@ def hdp_region_query_cached(session: SmcSession, querier: Party,
     mask_bound = session.config.mask_bound(value_bound)
     peer_keys = session.paillier_keys(peer.name)
     public = peer_keys.public_key
+    width = public.ciphertext_width
     encoder = SignedEncoder(public.n)
 
     # First-use upload: ids the cache has not seen yet, in one message.
@@ -440,8 +445,9 @@ def hdp_region_query_cached(session: SmcSession, querier: Party,
             payload = []
             cursor = 0
             for point_id, point in missing:
-                payload.append([point_id, [cipher.value for cipher in
-                                           flat[cursor:cursor + len(point)]]])
+                payload.append([point_id, FixedWidthList(
+                    [cipher.value for cipher in
+                     flat[cursor:cursor + len(point)]], width)])
                 cursor += len(point)
         peer.send(f"{label}/coords", payload)
         # The cache is the querier's, but the uploading peer picks the
@@ -450,7 +456,7 @@ def hdp_region_query_cached(session: SmcSession, querier: Party,
         if querier.hosted:
             payload = querier.receive(f"{label}/coords")
         for point_id, ciphers in payload:
-            cache.store(point_id, ciphers)
+            cache.store(point_id, public.check_width(ciphers))
 
     offsets = _query_offsets(
         querier, len(peer_points), mask_bound,
@@ -461,7 +467,7 @@ def hdp_region_query_cached(session: SmcSession, querier: Party,
     replies = None
     if querier.hosted:
         querier_pool = session.pool(querier, peer)
-        replies = []
+        replies = FixedWidthList([], width)
         for point_id, offset in zip(point_ids, offsets):
             accumulator = None
             for cipher_value, coordinate in zip(cache.get(point_id),
@@ -484,7 +490,8 @@ def hdp_region_query_cached(session: SmcSession, querier: Party,
         cross_sums = [encoder.decode(value) for value in
                       session.engine.decrypt_raw_batch(
                           peer_keys.private_key,
-                          peer.receive(f"{label}/masked_sums"))]
+                          public.check_width(
+                              peer.receive(f"{label}/masked_sums")))]
 
     return _batched_threshold_comparisons(
         session, querier, querier_point, peer, list(peer_points),

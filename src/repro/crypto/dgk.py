@@ -126,6 +126,20 @@ class DgkPublicKey:
             raise DgkError(f"plaintext {plaintext} outside [0, {DGK_U})")
         return pow(self.g, plaintext, self.n) * self.randomizer(rng) % self.n
 
+    @property
+    def ciphertext_width(self) -> int:
+        """Bytes of one ciphertext on the wire: ``ceil(bits(n) / 8)``."""
+        return (self.n.bit_length() + 7) // 8
+
+    def check_width(self, values):
+        """``values``, refused unless it is a ciphertext list sent at
+        :attr:`ciphertext_width` (a ``FixedWidthList`` of
+        :mod:`repro.net.serialization`)."""
+        if getattr(values, "width", None) != self.ciphertext_width:
+            raise DgkError(f"DGK ciphertexts not at the key's "
+                           f"{self.ciphertext_width}-byte width")
+        return values
+
     def check_ciphertexts(self, values) -> list[int]:
         """``values`` as a list, each checked to be an int in ``(0, n)``."""
         values = list(values)

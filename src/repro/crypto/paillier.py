@@ -81,6 +81,20 @@ class PaillierPublicKey:
         return self.n.bit_length()
 
     @property
+    def ciphertext_width(self) -> int:
+        """Bytes of one ciphertext on the wire: ``ceil(bits(n^2) / 8)``."""
+        return (self.n_squared.bit_length() + 7) // 8
+
+    def check_width(self, values):
+        """``values``, refused unless it is a ciphertext list sent at
+        :attr:`ciphertext_width` (a ``FixedWidthList`` of
+        :mod:`repro.net.serialization`)."""
+        if getattr(values, "width", None) != self.ciphertext_width:
+            raise PaillierError(f"Paillier ciphertexts not at the key's "
+                                f"{self.ciphertext_width}-byte width")
+        return values
+
+    @property
     def randomness_bits(self) -> int:
         """Bits of a randomness exponent: ``k + 128`` for a ``k``-bit
         ``n`` (:data:`RANDOMNESS_SLACK_BITS`)."""

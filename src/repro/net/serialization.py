@@ -4,15 +4,24 @@ Every value a protocol sends is serialized here, so the byte counts the
 channel reports are the *actual wire size* of the protocol, not an
 estimate.  Supported value types are the ones the paper's protocols
 transmit: non-negative/negative integers (arbitrary precision), booleans,
-strings (labels), and nested lists/tuples of these.
+strings (labels), nested lists/tuples of these, and lists of
+non-negative integers at one byte width (:class:`FixedWidthList`, the
+form every ciphertext list takes).
 
-Wire format (type tag byte, then payload):
+Wire format (type tag byte, then payload; lengths, counts and widths
+are 4-byte big-endian):
 
-- ``I`` int: 1 sign byte + 4-byte big-endian length + magnitude bytes
+- ``I`` int: 1 sign byte + length + magnitude bytes
 - ``B`` bool: 1 byte
-- ``S`` str: 4-byte length + UTF-8 bytes
-- ``L`` list/tuple: 4-byte element count + concatenated elements
+- ``S`` str: length + UTF-8 bytes
+- ``L`` list/tuple: element count + concatenated elements
+- ``W`` :class:`FixedWidthList`: element count + width + each element
+  as ``width`` big-endian unsigned bytes
 - ``N`` None: no payload
+
+Decoding a ``W`` gives back a :class:`FixedWidthList` of the same
+width, so every tag round-trips: decoding then encoding reproduces the
+bytes.
 """
 
 from __future__ import annotations
@@ -22,6 +31,23 @@ import struct
 
 class SerializationError(ValueError):
     """Raised for unsupported types or truncated/invalid wire data."""
+
+
+class FixedWidthList(list):
+    """A list of non-negative integers that travels at one byte width.
+
+    Each element costs exactly ``width`` bytes, so the message's size
+    depends on its length only, never on its values.  A protocol sends
+    its ciphertext lists in this form, at the width of the key that
+    produced them (``ciphertext_width`` of the Paillier and DGK public
+    keys).  It compares equal to a plain list of the same elements.
+    """
+
+    __slots__ = ("width",)
+
+    def __init__(self, values, width: int):
+        super().__init__(values)
+        self.width = width
 
 
 def serialize_message(value) -> bytes:
@@ -75,6 +101,8 @@ def _write(out: bytearray, value) -> None:
         out += b"S"
         out += struct.pack(">I", len(encoded))
         out += encoded
+    elif isinstance(value, FixedWidthList):
+        _write_fixed_width(out, value)
     elif isinstance(value, (list, tuple)):
         out += list_header(len(value))
         for element in value:
@@ -85,6 +113,25 @@ def _write(out: bytearray, value) -> None:
         raise SerializationError(
             f"unsupported message type: {type(value).__name__}"
         )
+
+
+def _write_fixed_width(out: bytearray, value: FixedWidthList) -> None:
+    width = value.width
+    if type(width) is not int or not 0 < width < 1 << 32:
+        raise SerializationError(f"integer list width {width!r} outside "
+                                 "[1, 2^32)")
+    out += b"W" + struct.pack(">II", len(value), width)
+    for element in value:
+        if type(element) is not int or element < 0:
+            raise SerializationError(
+                f"a {width}-byte integer list holds {element!r}, not a "
+                "non-negative int")
+        try:
+            out += element.to_bytes(width, "big")
+        except OverflowError:
+            raise SerializationError(
+                f"{element.bit_length()}-bit integer does not fit a "
+                f"{width}-byte list") from None
 
 
 def _read(data: bytes, offset: int):
@@ -133,6 +180,17 @@ def _read(data: bytes, offset: int):
             element, offset = _read(data, offset)
             elements.append(element)
         return elements, offset
+    if tag == b"W":
+        _need(data, offset, 8)
+        count, width = struct.unpack_from(">II", data, offset)
+        offset += 8
+        if width == 0:
+            raise SerializationError("zero-width integer list")
+        end = offset + count * width
+        _need(data, offset, count * width)
+        return FixedWidthList(
+            [int.from_bytes(data[start:start + width], "big")
+             for start in range(offset, end, width)], width), end
     if tag == b"N":
         return None, offset
     raise SerializationError(f"unknown type tag {tag!r}")

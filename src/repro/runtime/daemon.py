@@ -648,6 +648,8 @@ class PartyDaemon:
         self._links_ready: asyncio.Event | None = None
         self._hub_events: dict[str, asyncio.Event] = {}
         self._session_tasks: set[asyncio.Task] = set()
+        # Open client connections: each handler task and its writer.
+        self._clients: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._refill_task: asyncio.Task | None = None
         self._draining = False
         self._drain = False
@@ -771,6 +773,18 @@ class PartyDaemon:
             self.randomness.close()
             for hub in self.hubs.values():
                 await hub.aclose("daemon stopping")
+            # A client connection outlives a drain on purpose (the
+            # requester still reads its reports).  Close it here, so its
+            # handler ends on end-of-stream before the loop shuts down,
+            # instead of being cancelled -- which the server's done
+            # callback would log as an error.  The close flushes what
+            # is buffered first; a client that stopped reading gets
+            # timeout_s for it.
+            for writer in self._clients.values():
+                writer.close()
+            if self._clients:
+                await asyncio.wait(list(self._clients),
+                                   timeout=self.spec.timeout_s)
             server.close()
             await server.wait_closed()
             self.engine.close()
@@ -973,6 +987,8 @@ class PartyDaemon:
         await _send_frame(writer, FRAME_HELLO, mine.to_wire(),
                           self._authenticator)
 
+        handler = asyncio.current_task()
+        self._clients[handler] = writer
         write_lock = asyncio.Lock()
 
         async def send_record(record: list) -> None:
@@ -1059,6 +1075,7 @@ class PartyDaemon:
                 self._session_tasks.add(task)
                 task.add_done_callback(self._session_tasks.discard)
         finally:
+            del self._clients[handler]
             writer.close()
 
     async def _session_task(self, manifest_json: str, points_json: str,

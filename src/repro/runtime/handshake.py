@@ -47,8 +47,9 @@ from repro.net.serialization import (
 #: unauthenticated links) and authenticated links MAC every frame.
 #: 5: the recovery epoch, the completed-pass count and the ``party``
 #: role leave the hello, and the dedicated ``M`` message frame leaves
-#: the wire.
-PROTOCOL_VERSION = 5
+#: the wire.  6: protocol messages send ciphertext lists as the
+#: serializer's fixed-width ``W`` lists, at their key's width.
+PROTOCOL_VERSION = 6
 
 #: Endpoint roles.  ``daemon`` marks a resident daemon's pair links;
 #: ``client`` marks a session-submission connection into a daemon.

@@ -62,6 +62,10 @@ message order changes.
 Every form runs each party's steps only where it is hosted
 (:attr:`~repro.net.party.Party.hosted`); a process that does not host
 the key holder returns ``False`` placeholders for its predicate bits.
+
+Bit ciphertexts and witnesses travel as fixed-width lists
+(:class:`~repro.net.serialization.FixedWidthList`) at the DGK key's
+width, and a receiver refuses a batch sent at any other width.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ from functools import lru_cache
 
 from repro.crypto.dgk import DGK_U, DgkKeyPair, DgkPublicKey
 from repro.net.party import Party
+from repro.net.serialization import FixedWidthList
 
 
 class BitwiseComparisonError(ValueError):
@@ -94,19 +99,24 @@ def _bits_of(value: int, bits: int) -> list[int]:
     return [(value >> (bits - 1 - t)) & 1 for t in range(bits)]
 
 
-def _encrypted_bits(public: DgkPublicKey, x: int, bits: int, rng) -> list[int]:
-    """Step 1: ``E(x_t)``, MSB first."""
-    return [public.encrypt(bit, rng) for bit in _bits_of(x, bits)]
+def _encrypted_bits(public: DgkPublicKey, x: int, bits: int,
+                    rng) -> FixedWidthList:
+    """Step 1: ``E(x_t)``, MSB first, at the key's width."""
+    return FixedWidthList([public.encrypt(bit, rng)
+                           for bit in _bits_of(x, bits)],
+                          public.ciphertext_width)
 
 
 def _checked_batch(public: DgkPublicKey, values, bits: int,
                    what: str) -> list[int]:
-    """A received batch of ``bits`` ciphertexts, range-checked."""
-    values = public.check_ciphertexts(values)
-    if len(values) != bits:
+    """A received batch of ``bits`` ciphertexts, range-checked, counted,
+    and refused unless it was sent at the key's width."""
+    checked = public.check_ciphertexts(values)
+    if len(checked) != bits:
         raise BitwiseComparisonError(
-            f"expected {bits} {what}, received {len(values)}")
-    return values
+            f"expected {bits} {what}, received {len(checked)}")
+    public.check_width(values)
+    return checked
 
 
 @lru_cache(maxsize=16)
@@ -143,8 +153,9 @@ def _complements(public: DgkPublicKey, received: list[int]) -> list[int]:
 
 def _blinded_witnesses(public: DgkPublicKey, received: list[int],
                        complements: list[int], y_bits: list[int],
-                       rng) -> list[int]:
-    """Steps 2-3 for one ``y``: blinded, shuffled witness ciphertexts.
+                       rng) -> FixedWidthList:
+    """Steps 2-3 for one ``y``: blinded, shuffled witness ciphertexts,
+    at the key's width.
 
     ``received`` are the key holder's bit ciphertexts (MSB first) and
     ``complements`` their ``E(1 - x_t)``, shared by every ``y`` of one
@@ -165,7 +176,7 @@ def _blinded_witnesses(public: DgkPublicKey, received: list[int],
         # XOR under encryption: x ^ y = x when y=0, 1 - x when y=1.
         running_w = running_w * (complement if y_bit else enc_x_bit) % n
     rng.shuffle(blinded)
-    return blinded
+    return FixedWidthList(blinded, public.ciphertext_width)
 
 
 def dgk_greater_than(key_holder: Party, x: int, other: Party, y: int,

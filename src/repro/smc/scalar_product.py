@@ -25,7 +25,10 @@ Three call shapes the DBSCAN protocols need:
 
 All three accept optional :class:`~repro.crypto.precompute.RandomnessPool`
 arguments -- one per (acting party, key) -- which move the randomness
-factors of encryption into an offline phase.
+factors of encryption into an offline phase.  Every ciphertext list
+travels as a :class:`~repro.net.serialization.FixedWidthList` at the
+key's width (``n^2``'s bytes), and every receiver refuses one sent at
+any other width.
 
 Rerandomization note: every reply the masker (or the batch receiver)
 returns is a homomorphic combination of ciphertexts the other party
@@ -47,6 +50,7 @@ from repro.crypto.engine import ModexpEngine, default_engine
 from repro.crypto.paillier import PaillierCiphertext, PaillierKeyPair
 from repro.crypto.precompute import RandomnessPool
 from repro.net.party import Party
+from repro.net.serialization import FixedWidthList
 
 
 class ScalarProductError(ValueError):
@@ -75,13 +79,16 @@ def secure_masked_dot_terms(receiver: Party, x_vector: list[int],
     encoder = SignedEncoder(public.n)
     engine = engine or default_engine()
 
-    encrypted = [cipher.value for cipher in engine.encrypt_batch(
-        public, [encoder.encode(x) for x in x_vector], receiver.rng,
-        receiver_pool)]
+    width = public.ciphertext_width
+    encrypted = FixedWidthList(
+        [cipher.value for cipher in engine.encrypt_batch(
+            public, [encoder.encode(x) for x in x_vector], receiver.rng,
+            receiver_pool)], width)
     receiver.send(f"{label}/encrypted_vector", encrypted)
 
-    received = masker.receive(f"{label}/encrypted_vector")
-    replies = []
+    received = public.check_width(
+        masker.receive(f"{label}/encrypted_vector"))
+    replies = FixedWidthList([], width)
     for value, y, mask in zip(received, y_vector, masks):
         product = PaillierCiphertext(public, value) * encoder.encode(y)
         # The fresh encryption of the mask is also the reply's only
@@ -91,7 +98,7 @@ def secure_masked_dot_terms(receiver: Party, x_vector: list[int],
         replies.append(masked.value)
     masker.send(f"{label}/masked_terms", replies)
 
-    results = receiver.receive(f"{label}/masked_terms")
+    results = public.check_width(receiver.receive(f"{label}/masked_terms"))
     return [encoder.decode(value)
             for value in engine.decrypt_raw_batch(keypair.private_key,
                                                   results)]
@@ -147,19 +154,22 @@ def secure_masked_dot_terms_batch(holder: Party, alpha: list[int],
     encoder = SignedEncoder(public.n)
     engine = engine or default_engine()
 
+    width = public.ciphertext_width
     encrypted_alpha = None
     if holder.hosted:
-        encrypted_alpha = [cipher.value for cipher in engine.encrypt_batch(
-            public, [encoder.encode(a) for a in alpha], holder.rng,
-            holder_pool)]
+        encrypted_alpha = FixedWidthList(
+            [cipher.value for cipher in engine.encrypt_batch(
+                public, [encoder.encode(a) for a in alpha], holder.rng,
+                holder_pool)], width)
     holder.send(f"{label}/encrypted_alpha", encrypted_alpha)
 
     blinds = []
     replies = None
     if receiver.hosted:
         received = [PaillierCiphertext(public, value) for value in
-                    receiver.receive(f"{label}/encrypted_alpha")]
-        replies = []
+                    public.check_width(
+                        receiver.receive(f"{label}/encrypted_alpha"))]
+        replies = FixedWidthList([], width)
         for beta in betas:
             blind = receiver.rng.randrange(blind_bound + 1)
             blinds.append(blind)
@@ -180,7 +190,8 @@ def secure_masked_dot_terms_batch(holder: Party, alpha: list[int],
         blinded = [encoder.decode(value) for value in
                    engine.decrypt_raw_batch(
                        keypair.private_key,
-                       holder.receive(f"{label}/blinded_sums"))]
+                       public.check_width(
+                           holder.receive(f"{label}/blinded_sums")))]
         sums = [value + offset for value, offset in zip(blinded, offsets)]
     holder.send(f"{label}/cross_sums", sums)
 
@@ -238,15 +249,18 @@ def secure_scalar_products(receiver: Party, alphas: list[list[int]],
     encoder = SignedEncoder(public.n)
     engine = engine or default_engine()
 
+    width = public.ciphertext_width
     encrypted = iter([cipher.value for cipher in engine.encrypt_batch(
         public, [encoder.encode(a) for alpha in alphas for a in alpha],
         receiver.rng, receiver_pool)])
     for alpha in alphas:
         receiver.send(f"{label}/encrypted_alpha",
-                      [next(encrypted) for _ in alpha])
+                      FixedWidthList([next(encrypted) for _ in alpha],
+                                     width))
 
     received = [[PaillierCiphertext(public, v)
-                 for v in masker.receive(f"{label}/encrypted_alpha")]
+                 for v in public.check_width(
+                     masker.receive(f"{label}/encrypted_alpha"))]
                 for _ in alphas]
     # Masker-side powmods (one mask encryption per beta, the ``r^n``
     # halves) run as one sharded engine batch; the factors come back in
@@ -257,7 +271,7 @@ def secure_scalar_products(receiver: Party, alphas: list[list[int]],
         public, sum(len(group) for group in betas), masker.rng,
         masker_pool))
     for ciphers, group, group_masks in zip(received, betas, masks):
-        replies = []
+        replies = FixedWidthList([], width)
         for beta, mask in zip(group, group_masks):
             accumulator = PaillierCiphertext(
                 public, public.raw_encrypt_with_factor(encoder.encode(mask),
@@ -269,8 +283,8 @@ def secure_scalar_products(receiver: Party, alphas: list[list[int]],
             replies.append(accumulator.value)
         masker.send(f"{label}/masked_products", replies)
 
-    replies = [receiver.receive(f"{label}/masked_products")
-               for _ in alphas]
+    replies = [public.check_width(
+        receiver.receive(f"{label}/masked_products")) for _ in alphas]
     decrypted = iter(engine.decrypt_raw_batch(
         keypair.private_key, [value for group in replies for value in group]))
     return [[encoder.decode(next(decrypted)) for _ in group]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.net.serialization import (
+    FixedWidthList,
     SerializationError,
     deserialize_message,
     serialize_message,
@@ -39,6 +40,13 @@ class TestRoundtrip:
     def test_tuples_become_lists(self):
         assert deserialize_message(serialize_message((1, 2))) == [1, 2]
 
+    def test_fixed_width_list_keeps_its_width(self):
+        value = [[7, FixedWidthList([0, 1, 2**64 - 1], 8)], "x"]
+        restored = deserialize_message(serialize_message(value))
+        assert restored == value
+        assert type(restored[0][1]) is FixedWidthList
+        assert restored[0][1].width == 8
+
 
 class TestSizes:
     def test_small_int_size(self):
@@ -47,6 +55,11 @@ class TestSizes:
 
     def test_int_size_grows_with_magnitude(self):
         assert serialized_size(2**100) > serialized_size(2**10)
+
+    def test_fixed_width_size_depends_on_shape_only(self):
+        # Tag(1) + count(4) + width(4) + 32 bytes per element.
+        for values in ([1, 2], [2**255, 2**256 - 1]):
+            assert serialized_size(FixedWidthList(values, 32)) == 9 + 64
 
     def test_size_matches_serialization(self):
         for value in (12345, "abc", [1, "x", None]):
@@ -71,6 +84,20 @@ class TestErrors:
         wire = serialize_message(5) + b"\x00"
         with pytest.raises(SerializationError, match="trailing"):
             deserialize_message(wire)
+
+    @pytest.mark.parametrize("values,width,match", [
+        ([256], 1, "does not fit"),
+        ([-1], 4, "non-negative int"),
+        ([True], 4, "non-negative int"),
+        ([1], 0, "width"),
+    ])
+    def test_fixed_width_encoding_refuses(self, values, width, match):
+        with pytest.raises(SerializationError, match=match):
+            serialize_message(FixedWidthList(values, width))
+
+    def test_fixed_width_zero_width_refused(self):
+        with pytest.raises(SerializationError, match="zero-width"):
+            deserialize_message(b"W" + bytes(8))
 
     def test_unknown_tag(self):
         with pytest.raises(SerializationError, match="unknown"):

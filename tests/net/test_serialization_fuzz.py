@@ -1,10 +1,15 @@
 """Fuzz robustness: arbitrary bytes must never crash the deserializer
 with anything but SerializationError, and valid wire data must be
-re-encodable to identical bytes.  The TCP message-frame envelope gets
-the same treatment: a malicious or corrupted frame must fail with the
-explicit boundary errors, never an unhandled exception, and a valid
-``(label, serialized value)`` envelope must round-trip exactly."""
+re-encodable to identical bytes -- fixed-width integer lists (tag
+``W``) included, which must also refuse values outside their width.
+The TCP message-frame envelope gets the same treatment: a malicious or
+corrupted frame must fail with the explicit boundary errors, never an
+unhandled exception, and a valid ``(label, serialized value)`` envelope
+must round-trip exactly."""
 
+import struct
+
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.net.framing import (
@@ -13,10 +18,17 @@ from repro.net.framing import (
     encode_message_payload,
 )
 from repro.net.serialization import (
+    FixedWidthList,
     SerializationError,
     deserialize_message,
     serialize_message,
 )
+
+widths = st.integers(min_value=1, max_value=40)
+
+fixed_width_lists = widths.flatmap(lambda width: st.lists(
+    st.integers(min_value=0, max_value=(1 << (8 * width)) - 1),
+    max_size=5).map(lambda values: FixedWidthList(values, width)))
 
 message_values = st.recursive(
     st.one_of(
@@ -24,6 +36,7 @@ message_values = st.recursive(
         st.booleans(),
         st.text(max_size=20),
         st.none(),
+        fixed_width_lists,
     ),
     lambda children: st.lists(children, max_size=5),
     max_leaves=20,
@@ -43,6 +56,27 @@ class TestFuzz:
             return
         # If it parsed, it must round-trip to the same bytes.
         assert serialize_message(value) == blob
+
+    @given(st.integers(min_value=0, max_value=6),
+           st.integers(min_value=0, max_value=6), st.binary(max_size=40))
+    def test_fixed_width_headers_fail_cleanly_or_parse(self, count, width,
+                                                       body):
+        """A ``W`` header with a small count and width, then arbitrary
+        bytes: parsing yields the same type and width, and re-encodes
+        to the same bytes."""
+        blob = b"W" + struct.pack(">II", count, width) + body
+        try:
+            value = deserialize_message(blob)
+        except SerializationError:
+            return
+        assert type(value) is FixedWidthList and value.width == width
+        assert serialize_message(value) == blob
+
+    @given(widths, st.one_of(st.integers(max_value=-1),
+                             st.integers(min_value=1 << 320)))
+    def test_values_outside_the_width_refused(self, width, value):
+        with pytest.raises(SerializationError):
+            serialize_message(FixedWidthList([1, value], width))
 
     @given(message_values)
     def test_canonical_encoding(self, value):

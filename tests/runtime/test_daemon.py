@@ -11,6 +11,7 @@ validation) run unmarked; everything touching real sockets carries the
 
 import asyncio
 import json
+import logging
 import random
 import subprocess
 import sys
@@ -1086,6 +1087,22 @@ class TestDaemonDrain:
                 run = running.result(240)
         # The drained session is a full-fidelity session, not a rush.
         assert_matches_reference(run, reference, digests)
+
+    def test_stop_with_a_client_connected_logs_no_traceback(self, caplog):
+        """A drain keeps the requesting client's connection open; the
+        daemon's teardown closes it, so its handler ends on
+        end-of-stream instead of being cancelled by the loop's shutdown
+        (which the server's done callback logs with a traceback)."""
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with DaemonFleet(list(workload(3))) as fleet:
+                with fleet.client():
+                    for daemon in fleet.daemons:
+                        daemon.stop(drain=True)
+                    for member in fleet._members:
+                        member.thread.join(10)
+                        assert not member.thread.is_alive()
+        assert [record.getMessage() for record in caplog.records
+                if record.name == "asyncio"] == []
 
     def test_hard_shutdown_still_tears_down(self):
         by_party = workload(2)

@@ -5,10 +5,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.dgk import DGK_U
+from repro.crypto.dgk import DGK_U, DgkError
 from repro.crypto.keycache import cached_dgk_keypair
 from repro.net.channel import Channel
 from repro.net.party import make_party_pair
+from repro.net.serialization import FixedWidthList
 from repro.smc.bitwise_comparison import (
     BitwiseComparisonError,
     dgk_greater_than,
@@ -204,6 +205,27 @@ class TestReceivedCiphertexts:
                                match="expected 8 witnesses"):
                 dgk_greater_than(alice, 9, bob, 5, 8, KEYS)
 
+    @pytest.mark.parametrize("resize", [
+        list, lambda values: FixedWidthList(values, values.width + 1)])
+    def test_other_party_refuses_bits_not_at_the_key_width(self, resize):
+        alice, bob = _fresh_parties(9)
+        self._tampered(alice, "/x_bits", resize)
+        with pytest.raises(DgkError, match="32-byte width"):
+            dgk_greater_than(alice, 9, bob, 5, 8, KEYS)
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_key_holder_refuses_witnesses_not_at_the_key_width(self, batch):
+        alice, bob = _fresh_parties(10)
+        if batch:
+            self._tampered(bob, "/witnesses", lambda batches: [
+                FixedWidthList(values, 64) for values in batches])
+            with pytest.raises(DgkError, match="32-byte width"):
+                dgk_greater_than_batch(alice, 9, bob, [5, 11], 8, KEYS)
+        else:
+            self._tampered(bob, "/witnesses", list)
+            with pytest.raises(DgkError, match="32-byte width"):
+                dgk_greater_than(alice, 9, bob, 5, 8, KEYS)
+
 
 def _reference_witnesses(public, received, y, bits, rng):
     """Steps 2-3 as the module docstring states them, one modular
@@ -274,7 +296,8 @@ class TestBatchedInversion:
             alice, bob = _fresh_parties(position)
             send = alice.send
             alice.send = lambda label, value: send(label, (
-                value[:position] + [p] + value[position + 1:]
+                FixedWidthList(value[:position] + [p]
+                               + value[position + 1:], value.width)
                 if label.endswith("/x_bits") else value))
             ys = _peer_values(pattern, 8, 2, position)
             with pytest.raises(BitwiseComparisonError, match="not a unit"):

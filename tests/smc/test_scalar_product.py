@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.keycache import cached_paillier_keypair
+from repro.crypto.paillier import PaillierError
 from repro.net.channel import Channel
 from repro.net.party import make_party_pair
+from repro.net.serialization import FixedWidthList
 from repro.smc.scalar_product import (
     ScalarProductError,
     secure_masked_dot_terms,
+    secure_masked_dot_terms_batch,
     secure_scalar_products,
 )
 
@@ -231,3 +234,34 @@ class TestOneFactorPerReply:
                        if e.label == "dot/masked_terms"]
             replies.append(set(entry.value))
         assert not replies[0] & replies[1]
+
+
+class TestReceivedWidth:
+    """Every receiver refuses a ciphertext list that was not sent at its
+    key's width (64 bytes: ``n^2`` of a 256-bit key), with the error it
+    raises for a ciphertext outside ``Z_{n^2}``."""
+
+    RUNS = {
+        "dot": lambda alice, bob: secure_masked_dot_terms(
+            alice, [2, 3], bob, [4, 5], [0, 0], KEYS),
+        "dotbatch": lambda alice, bob: secure_masked_dot_terms_batch(
+            alice, [7, -1], bob, [[1, 0], [2, 5]], [0, 3], KEYS,
+            blind_bound=99),
+        "sprod": lambda alice, bob: secure_scalar_products(
+            alice, [[10, 20]], bob, [[[1, 2], [3, 4]]], [[1, 2]], KEYS),
+    }
+
+    @pytest.mark.parametrize("resize", [
+        list, lambda values: FixedWidthList(values, values.width + 1)])
+    @pytest.mark.parametrize("run,message", [
+        ("dot", "encrypted_vector"), ("dot", "masked_terms"),
+        ("dotbatch", "encrypted_alpha"), ("dotbatch", "blinded_sums"),
+        ("sprod", "encrypted_alpha"), ("sprod", "masked_products")])
+    def test_receiver_refuses_other_widths(self, run, message, resize):
+        __, alice, bob = _fresh_parties()
+        for party in (alice, bob):
+            party.send = lambda label, value, send=party.send: send(
+                label, resize(value) if label.endswith(f"/{message}")
+                else value)
+        with pytest.raises(PaillierError, match="64-byte width"):
+            self.RUNS[run](alice, bob)
