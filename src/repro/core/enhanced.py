@@ -23,14 +23,22 @@ The core test per own point ``A``:
       ``(u_i - u_j)`` vs ``(v_i - v_j)``.
    c. One final comparison ``u_kth - Eps^2 <= v_kth`` -- the core bit.
 
+Every comparison of b and c declares its public gap: the two sides
+differ by ``d_i - d_j`` or ``d_kth - Eps^2`` however large the masks
+``v_i`` are, so the bitwise backend pays for ``bits(gap) + 1`` positions
+(about ``bits(value_bound) + 1``), not for the masked interval
+(DESIGN.md, "Comparisons at the gap width (Section 5)").
+
 A point's core bit depends only on the point, never on when the
 traversal asks for it, so a pass computes every own point's bit first
 and runs the interactive tests in lockstep: one round-trip shares every
-tested point's distances, each selection step runs the next comparison
-of every unfinished selection, and one more round-trip runs all the
-final tests.  A pass with tested points takes ``2 + 2(S + 1)`` rounds on
-the bitwise backend, ``S`` its longest selection's comparison count;
-each comparison and each point's sharing keeps its own messages.
+tested point's distances, each selection step runs every comparison
+each unfinished selection can ask at once, and one more round-trip runs
+all the final tests.  A pass with tested points takes ``2 + 2(S + 1)``
+rounds on the bitwise backend, ``S`` its longest selection's step count
+(its comparison count for the scan, its partition levels for
+quickselect); each comparison and each point's sharing keeps its own
+messages.
 Expansion then proceeds exactly as in Algorithm 4, through own points
 only (Algorithm 8), in the traversal every horizontal protocol shares
 (:func:`~repro.clustering.expansion.expand_clusters`).
@@ -151,14 +159,17 @@ def _core_bits(session: SmcSession, driver: Party,
         method=config.selection, label=f"{label}/kselect")
 
     # Final tests: dist_kth <= Eps^2  <=>  u_kth - Eps^2 <= v_kth.  Every
-    # point's shares have the same public bounds, so one interval holds.
+    # point's shares have the same public bounds, so one interval holds;
+    # the sides differ by dist_kth - Eps^2, so one gap bounds them.
     lo, hi = shares[0].threshold_interval(config.eps_squared)
     outcomes = session.compare_leq_batch(
         driver, [vector.u_values[kth] - config.eps_squared
                  for vector, kth in zip(shares, kth_indices)],
         peer, [vector.v_values[kth]
                for vector, kth in zip(shares, kth_indices)],
-        lo=lo, hi=hi, reveal_to="a", label=f"{label}/core_test")
+        lo=lo, hi=hi, reveal_to="a",
+        gap=shares[0].threshold_gap(config.eps_squared),
+        label=f"{label}/core_test")
     for point_index, outcome in zip(tested, outcomes):
         ledger.record(label, driver.name, Disclosure.ORDER_BIT,
                       detail=f"selection of rank {needed[point_index]} "

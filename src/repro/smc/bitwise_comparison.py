@@ -59,6 +59,23 @@ round-trip instead of taking one each.  Messages, bytes and each
 party's coin draws equal a loop of :func:`dgk_greater_than`; only the
 message order changes.
 
+Gap batches: :func:`dgk_leq_within_gap` decides ``x_i <= y_i`` pairwise
+under a public promise ``|x_i - y_i| <= gap``, on ``bits(gap) + 1``
+positions whatever the values' range.  With ``l = bits(gap)``,
+``z = y - x + 2^l`` lies in ``(0, 2^(l+1))``, so ``x <= y`` is bit ``l``
+of ``z``.  The key holder holds ``A = (2^l - x) mod 2^(l+1)``, the other
+party ``B = y mod 2^(l+1)``; bit ``l`` of ``z = A + B mod 2^(l+1)`` is
+``A_l XOR B_l XOR c``, ``c`` the carry ``[A' + B' >= 2^l]`` out of the
+low ``l`` bits ``A'``, ``B'``.  The key holder sends ``E`` of ``A'``'s
+``l`` bits; the other party appends the trivial ``E(0) = 1`` for the
+low bit of ``2A'`` and witnesses ``c = [2A' > 2(2^l - 1 - B')]`` when
+``B_l = 0``, or -- reading the complements ``E(1 - x_t)`` as the key
+holder's bits, which encrypt ``2(2^l - 1 - A') + 1`` -- ``not c =
+[2(2^l - 1 - A') + 1 > 2B']`` when ``B_l = 1``.  The zero test gives
+``c XOR B_l``, and the key holder outputs ``A_l XOR (c XOR B_l)``.  So
+its view is one witness list holding a zero exactly when
+``result XOR A_l``: a function of its output and its own input.
+
 Every form runs each party's steps only where it is hosted
 (:attr:`~repro.net.party.Party.hosted`); a process that does not host
 the key holder returns ``False`` placeholders for its predicate bits.
@@ -250,6 +267,70 @@ def dgk_greater_than_pairwise(key_holder: Party, xs: list[int],
             public, key_holder.receive(f"{label}/witnesses"), bits,
             "witnesses")
         results.append(any(keypair.private_key.zero_test_batch(witnesses)))
+    return results
+
+
+def dgk_leq_within_gap(key_holder: Party, xs: list[int], other: Party,
+                       ys: list[int], gap: int, keypair: DgkKeyPair, *,
+                       label: str = "dgk") -> list[bool]:
+    """Decide ``x_i <= y_i`` for every pair, given the public promise
+    ``|x_i - y_i| <= gap``; only ``key_holder`` learns them.
+
+    The pairwise form at the gap's width (module docstring, "Gap
+    batches"): the key holder sends ``bits(gap)`` bit ciphertexts per
+    pair, the other party answers with ``bits(gap) + 1`` witnesses, and
+    the pairs advance phase by phase, one round trip for all.  A broken
+    promise gives the key holder a wrong bit and nothing more.
+    """
+    if gap < 0:
+        raise BitwiseComparisonError(f"gap must be >= 0, got {gap}")
+    low_bits = gap.bit_length()  # l: |x - y| < 2^l
+    bits = low_bits + 1
+    _check_width(bits)
+    if len(xs) != len(ys):
+        raise BitwiseComparisonError(
+            f"{len(xs)} key-holder values but {len(ys)} other values")
+    half, modulus = 1 << low_bits, 1 << bits
+    public = keypair.public_key
+
+    # --- Step 1 (key holder): E of A's low l bits, MSB first. ---------------
+    for x in xs:
+        encrypted_bits = None
+        if key_holder.hosted:
+            encrypted_bits = _encrypted_bits(public, -x % half, low_bits,
+                                             key_holder.rng)
+        key_holder.send(f"{label}/x_bits", encrypted_bits)
+
+    # --- Steps 2-3 (other party): witnesses of c, or of not c. -------------
+    for y in ys:
+        blinded = None
+        if other.hosted:
+            # E(2A'): the received bits, then the trivial E(0) = 1.
+            doubled = _checked_batch(
+                public, other.receive(f"{label}/x_bits"), low_bits,
+                "bit ciphertexts") + [1]
+            complements = _complements(public, doubled)
+            b = y % modulus
+            if b < half:  # B_l = 0: c = [2A' > 2(2^l - 1 - B')]
+                blinded = _blinded_witnesses(
+                    public, doubled, complements,
+                    _bits_of(2 * (half - 1 - b), bits), other.rng)
+            else:  # B_l = 1: not c = [2(2^l - 1 - A') + 1 > 2B']
+                blinded = _blinded_witnesses(
+                    public, complements, doubled,
+                    _bits_of(2 * (b - half), bits), other.rng)
+        other.send(f"{label}/witnesses", blinded)
+
+    # --- Step 4 (key holder): c XOR B_l, then bit l of z. ------------------
+    if not key_holder.hosted:
+        return [False] * len(xs)
+    results = []
+    for x in xs:
+        witnesses = _checked_batch(
+            public, key_holder.receive(f"{label}/witnesses"), bits,
+            "witnesses")
+        flipped_carry = any(keypair.private_key.zero_test_batch(witnesses))
+        results.append(flipped_carry != ((half - x) % modulus >= half))
     return results
 
 

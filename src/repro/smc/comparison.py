@@ -20,7 +20,13 @@ call.  On the bitwise backend an undeclared batch is one DGK round-trip
 for all its pairs, each pair keeping its own messages (a batch of
 selection steps or final core tests in the Section 5 protocol, or a
 blinded region query's thresholds); a batch declared ``amortize`` also
-shares one bit-encryption.
+shares one bit-encryption.  A batch that declares a ``gap`` -- a public
+bound on every ``|a_i - b_i|`` -- pays for the gap instead of the
+interval: the bitwise backend compares on ``bits(gap) + 1`` positions
+(:func:`~repro.smc.bitwise_comparison.dgk_leq_within_gap`), the oracle
+checks the promise on every item, and YMPP ignores it.  The Section 5
+protocol declares one for its selection steps and final core tests,
+whose masks widen the interval far beyond the distances they hide.
 
 Strict/loose mapping: all backends reduce ``a <= b`` to the primitive
 each protocol natively offers (YMPP decides ``i < j``; DGK decides
@@ -41,6 +47,7 @@ from repro.smc.bitwise_comparison import (
     dgk_greater_than,
     dgk_greater_than_batch,
     dgk_greater_than_pairwise,
+    dgk_leq_within_gap,
 )
 from repro.smc.millionaires import ympp_less_than
 
@@ -57,6 +64,17 @@ def _check_reveal_and_interval(reveal_to: str, lo: int, hi: int) -> None:
         raise ComparisonError(f"reveal_to must be one of {_REVEAL_TARGETS}")
     if hi < lo:
         raise ComparisonError(f"empty interval [{lo}, {hi}]")
+
+
+def _check_gap(gap: int | None, reveal_to: str, amortize: bool) -> None:
+    if gap is None:
+        return
+    if type(gap) is not int or gap < 0:
+        raise ComparisonError(f"gap must be a non-negative int, got {gap!r}")
+    if amortize or reveal_to != "a":
+        raise ComparisonError(
+            "a gap is declared only on batches revealed to 'a' and not "
+            "amortized")
 
 
 def _check_in_interval(name: str, value: int, lo: int, hi: int) -> None:
@@ -120,6 +138,7 @@ class SecureComparison(ABC):
     def leq_batch(self, a_party: Party, a_values: list[int], b_party: Party,
                   b_values: list[int], *, lo: int, hi: int,
                   reveal_to: str = "both", amortize: bool = False,
+                  gap: int | None = None,
                   label: str = "cmp") -> list[ComparisonOutcome]:
         """Decide ``a_i <= b_i`` for every pair; semantics of one
         :meth:`leq` per pair.
@@ -147,8 +166,15 @@ class SecureComparison(ABC):
         private values themselves: message shapes would then depend on
         secret-value collisions, an equality side channel the
         per-point protocol does not have.
+
+        ``gap`` is another declaration of public protocol structure:
+        every ``|a_i - b_i| <= gap``.  The bitwise backend then pays for
+        the gap, not the interval; the oracle refuses a broken promise,
+        and YMPP ignores it.  Nothing declares it on an amortized batch
+        or with a reveal target other than ``"a"``, so those raise.
         """
         _check_reveal_and_interval(reveal_to, lo, hi)
+        _check_gap(gap, reveal_to, amortize)
         if len(a_values) != len(b_values):
             raise ComparisonError(
                 f"{len(a_values)} a-values but {len(b_values)} b-values")
@@ -169,7 +195,7 @@ class SecureComparison(ABC):
             a_party, [a - lo for a in a_values],
             b_party, [b - lo for b in b_values],
             domain=hi - lo, reveal_to=reveal_to, amortize=amortize,
-            label=f"{label}/{self.name}")
+            gap=gap, label=f"{label}/{self.name}")
         revealed = _revealed(reveal_to, a_party, b_party)
         return [ComparisonOutcome(result=result, revealed_to=revealed)
                 for result in results]
@@ -181,8 +207,10 @@ class SecureComparison(ABC):
 
     def _leq_batch(self, a_party: Party, a_values: list[int], b_party: Party,
                    b_values: list[int], *, domain: int, reveal_to: str,
-                   amortize: bool, label: str) -> list[bool]:
-        """Serial fallback: one :meth:`_leq` per pair (YMPP, oracle)."""
+                   amortize: bool, gap: int | None,
+                   label: str) -> list[bool]:
+        """Serial fallback: one :meth:`_leq` per pair (YMPP, oracle);
+        the gap is not used."""
         return [self._leq(a_party, a, b_party, b, domain=domain,
                           reveal_to=reveal_to, label=label)
                 for a, b in zip(a_values, b_values)]
@@ -281,7 +309,8 @@ class BitwiseComparison(SecureComparison):
 
     def _leq_batch(self, a_party: Party, a_values: list[int], b_party: Party,
                    b_values: list[int], *, domain: int, reveal_to: str,
-                   amortize: bool, label: str) -> list[bool]:
+                   amortize: bool, gap: int | None,
+                   label: str) -> list[bool]:
         """Every pair of the batch in one DGK round-trip.
 
         Undeclared batches run one independent comparison per pair --
@@ -305,7 +334,17 @@ class BitwiseComparison(SecureComparison):
         collisions (e.g. equal ``blind_cross_sum`` offsets) to the
         evaluating party.  Predicate bits are identical to the per-pair
         loop either way.
+
+        A declared ``gap`` (``reveal_to="a"``, not amortized) runs the
+        pairs at the gap's width instead
+        (:func:`~repro.smc.bitwise_comparison.dgk_leq_within_gap`): the
+        a-holder keyed, the same messages and labels, ``bits(gap) + 1``
+        positions.
         """
+        if gap is not None:
+            return dgk_leq_within_gap(a_party, a_values, b_party, b_values,
+                                      gap, self._keys_of(a_party),
+                                      label=label)
         # Width covers domain + 1 so the b + 1 trick cannot overflow.
         bits = max(1, (domain + 1).bit_length())
         if reveal_to in ("a", "both"):
@@ -354,6 +393,21 @@ class OracleComparison(SecureComparison):
     def _leq(self, a_party: Party, a: int, b_party: Party, b: int, *,
              domain: int, reveal_to: str, label: str) -> bool:
         return a <= b
+
+    def _leq_batch(self, a_party: Party, a_values: list[int], b_party: Party,
+                   b_values: list[int], *, domain: int, reveal_to: str,
+                   amortize: bool, gap: int | None,
+                   label: str) -> list[bool]:
+        """The serial fallback, refusing a broken ``gap`` promise."""
+        if gap is not None:
+            for a, b in zip(a_values, b_values):
+                if abs(a - b) > gap:
+                    raise ComparisonError(
+                        f"|a - b| = {abs(a - b)} breaks the declared "
+                        f"gap {gap}")
+        return super()._leq_batch(a_party, a_values, b_party, b_values,
+                                  domain=domain, reveal_to=reveal_to,
+                                  amortize=amortize, gap=gap, label=label)
 
 
 def make_comparison_backend(kind: str, *,

@@ -5,10 +5,13 @@ distance ``d_i`` exists only as the pair ``(u_i, v_i)`` with
 ``d_i = u_i - v_i``: the *driving* party (the paper's Alice during her
 pass) holds all ``u_i``, the peer holds all ``v_i``.
 :class:`SharedValues` groups the two sides and provides the derived
-public intervals the selection protocol compares over, keeping the "who
-holds what" bookkeeping out of the selection logic.  Field names follow
-the paper's ``u``/``v`` notation because either real party can play
-either role.
+public intervals the selection protocol compares over, and the public
+gaps that bound how far apart the two compared sides can be, keeping
+the "who holds what" bookkeeping out of the selection logic.  The
+intervals grow with the masks; the gaps depend on the hidden values
+alone, because each comparison sets ``u`` against ``v`` and the masks
+cancel in ``u_i - v_i = d_i``.  Field names follow the paper's
+``u``/``v`` notation because either real party can play either role.
 """
 
 from __future__ import annotations
@@ -72,8 +75,18 @@ class SharedValues:
         spread = self.value_bound + self.mask_bound
         return -spread, spread
 
+    def difference_gap(self) -> int:
+        """Public bound on ``|(u_i - u_j) - (v_i - v_j)| = |d_i - d_j|``:
+        ``value_bound``, whatever the masks."""
+        return self.value_bound
+
     def threshold_interval(self, threshold: int) -> tuple[int, int]:
         """Public interval for the final ``u_i - threshold`` vs ``v_i`` test."""
         lo = min(-threshold, 0)
         hi = max(self.value_bound + self.mask_bound, self.mask_bound)
         return lo, hi
+
+    def threshold_gap(self, threshold: int) -> int:
+        """Public bound on ``|(u_i - threshold) - v_i| = |d_i - threshold|``
+        with ``d_i`` in ``[0, value_bound]``."""
+        return max(self.value_bound - threshold, threshold)

@@ -523,16 +523,18 @@ class SmcSession:
     def compare_leq_batch(self, a_party: Party, a_values: list[int],
                           b_party: Party, b_values: list[int], *,
                           lo: int, hi: int, reveal_to: str = "both",
-                          amortize: bool = False,
+                          amortize: bool = False, gap: int | None = None,
                           label: str = "cmp") -> list[ComparisonOutcome]:
         """Batched ``a_i <= b_i``: one invocation per pair.  With
         ``amortize`` the caller declares the learning party's side
         constant (public protocol structure), letting the backend share
-        one bit-encryption and round-trip across the whole batch -- see
+        one bit-encryption and round-trip across the whole batch; with
+        ``gap`` it declares a public bound on every ``|a_i - b_i|``, and
+        the backend pays for the gap instead of the interval -- see
         :meth:`SecureComparison.leq_batch`."""
         return self.comparison_backend.leq_batch(
             a_party, a_values, b_party, b_values, lo=lo, hi=hi,
-            reveal_to=reveal_to, amortize=amortize, label=label)
+            reveal_to=reveal_to, amortize=amortize, gap=gap, label=label)
 
     def multiplication(self, receiver: Party, x: int, masker: Party, y: int,
                        mask: int, *, label: str = "mult") -> int:

@@ -2,16 +2,18 @@
 
 A point's core bit depends only on the point, so a pass computes every
 own point's bit before the expansion: one round-trip shares every tested
-point's distances, each selection step runs the next comparison of
-every unfinished selection, and one more round-trip runs all the final
-core tests.  The labels must equal the plaintext model, each tested
-point must disclose exactly one core bit -- a noise seed the traversal
-reaches again is not tested again -- and the rounds must equal the
-closed form: 2 for the key exchange, then per pass with tested points
-2 for the sharing plus, on a backend that sends comparison messages,
-2 per lockstep step (``S_p`` selection steps and the final tests); the
-second pass starts with the party that sent the round before it, so
-its first round merges with that one.
+point's distances, each selection step runs every comparison each
+unfinished selection can ask at once, and one more round-trip runs all
+the final core tests.  The labels must equal the plaintext model, each
+tested point must disclose exactly one core bit -- a noise seed the
+traversal reaches again is not tested again -- and the rounds must
+equal the closed form: 2 for the key exchange, then per pass with
+tested points 2 for the sharing plus, on a backend that sends
+comparison messages, 2 per lockstep step (``S_p`` selection steps and
+the final tests; a scan selection steps once per comparison, a
+quickselect once per partition level); the second pass starts with the
+party that sent the round before it, so its first round merges with
+that one.
 """
 
 import pytest
@@ -78,30 +80,32 @@ def expected_rounds(pass_rounds: list[int]) -> int:
 
 
 def _run(alice, bob, config):
-    """Run the protocol on a session whose lockstep steps are counted:
-    ``steps[pass label]`` is the number of selection batches."""
+    """Run the protocol on a session whose lockstep steps are recorded:
+    ``batches[pass label]`` holds each selection step's comparison
+    count."""
     channel = Channel()
     session = SmcSession(*make_party_pair(channel, config.alice_seed,
                                           config.bob_seed), config.smc)
     backend = session.comparison_backend
     leq_batch = backend.leq_batch
-    steps = {"alice": 0, "bob": 0}
+    batches = {"alice": [], "bob": []}
 
-    def counting(*args, label, **kwargs):
-        for name in steps:
+    def counting(a_party, a_values, *args, label, **kwargs):
+        for name in batches:
             if label.startswith(f"enhanced/{name}_pass/kselect/"):
-                steps[name] += 1
-        return leq_batch(*args, label=label, **kwargs)
+                batches[name].append(len(a_values))
+        return leq_batch(a_party, a_values, *args, label=label, **kwargs)
 
     backend.leq_batch = counting
     result = run_enhanced_horizontal_dbscan(
         HorizontalPartition(tuple(alice), tuple(bob)), config,
         session=session)
-    return result, steps
+    return result, batches
 
 
 def _check(alice, bob, config) -> dict[str, int]:
-    result, steps = _run(alice, bob, config)
+    result, batches = _run(alice, bob, config)
+    steps = {name: len(sizes) for name, sizes in batches.items()}
     sides = {"alice": (alice, bob), "bob": (bob, alice)}
     labels = {"alice": result.alice_labels, "bob": result.bob_labels}
     pass_rounds = []
@@ -113,6 +117,14 @@ def _check(alice, bob, config) -> dict[str, int]:
         assert result.ledger.count(Disclosure.CORE_BIT, name) == len(ranks)
         if config.selection == "scan":
             assert steps[name] == _scan_steps(ranks, len(peer))
+        elif ranks and len(peer) > 1:
+            # Quickselect asks a whole partition per step: the first step
+            # holds every tested point's n_peer - 1 comparisons against
+            # its first pivot, so once n_peer > 2 a pass takes fewer
+            # steps than comparisons.
+            assert batches[name][0] == len(ranks) * (len(peer) - 1)
+            if len(peer) > 2:
+                assert steps[name] < sum(batches[name])
         if not ranks:
             pass_rounds.append(0)
         elif config.smc.comparison == "oracle":

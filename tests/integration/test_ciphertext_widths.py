@@ -12,6 +12,9 @@ in-process runs of each protocol and checks that
   ``n^2``'s;
 - no other entry holds a fixed-width list, or a plain list with an
   integer as wide as a ciphertext (key announcements aside).
+
+The Section 5 comparisons are also held to their length: each travels
+at its declared gap's width, not at the masked interval's.
 """
 
 import random
@@ -30,6 +33,7 @@ from repro.data.partitioning import (
     partition_arbitrary,
     partition_vertical,
 )
+from repro.data.quantize import squared_distance_bound
 from repro.multiparty.horizontal import run_multiparty_horizontal_dbscan
 from repro.multiparty.mesh import PartyMesh
 from repro.net.channel import Channel
@@ -163,6 +167,37 @@ class TestCiphertextsTravelAtKeyWidth:
                                        channel=channel)
         _check_transcript(channel.transcript, "encrypted_alpha",
                           "masked_products", "x_bits", "witnesses")
+
+    @pytest.mark.parametrize("selection", ["scan", "quickselect"])
+    def test_enhanced_comparisons_travel_at_the_gap_width(self, selection):
+        """Every Section 5 comparison pays for its gap, not for the
+        masked interval: a selection step's sides differ by
+        ``d_i - d_j``, a core test's by ``d_kth - Eps^2``, so each
+        ``x_bits`` list holds ``bits(gap)`` ciphertexts and each
+        ``witnesses`` list one more."""
+        channel = Channel()
+        partition = _horizontal()
+        config = _config(selection=selection)
+        run_enhanced_horizontal_dbscan(partition, config, channel=channel)
+        bound = squared_distance_bound(partition.alice_points,
+                                       partition.bob_points)
+        eps_squared = config.eps_squared
+        gaps = {"kselect": bound,
+                "core_test": max(bound - eps_squared, eps_squared)}
+        # The masked interval the comparisons used to pay for.
+        mask_bound = config.smc.mask_bound(bound)
+        assert (2 * (bound + mask_bound) + 1).bit_length() \
+            > bound.bit_length() + config.smc.mask_sigma
+        sizes = {}
+        for entry in channel.transcript.entries:
+            kind = entry.label.rsplit("/", 1)[-1]
+            if kind in ("x_bits", "witnesses"):
+                phase = entry.label.split("/")[2]
+                sizes.setdefault((phase, kind), set()).add(len(entry.value))
+        assert sizes == {
+            (phase, kind): {gap.bit_length() + (kind == "witnesses")}
+            for phase, gap in gaps.items()
+            for kind in ("x_bits", "witnesses")}
 
     def test_mesh(self):
         points = {"p0": POINTS[:2], "p1": POINTS[2:4], "p2": POINTS[4:]}

@@ -15,6 +15,7 @@ from repro.smc.bitwise_comparison import (
     dgk_greater_than,
     dgk_greater_than_batch,
     dgk_greater_than_pairwise,
+    dgk_leq_within_gap,
 )
 
 KEYS = cached_dgk_keypair(256, 810)
@@ -352,4 +353,108 @@ class TestPairwise:
             dgk_greater_than_pairwise(alice, [1, 8], bob, [1, 1], 3, KEYS)
         assert channel.transcript.entries == []
         assert dgk_greater_than_pairwise(alice, [], bob, [], 3, KEYS) == []
+        assert channel.transcript.entries == []
+
+
+#: A 128-bit DGK key, the smallest the module accepts.
+SMALL_KEYS = cached_dgk_keypair(128, 992)
+
+
+def _key_holder_high_bit(x: int, gap: int) -> int:
+    """``A_l``: bit ``l`` of the key holder's ``(2^l - x) mod 2^(l+1)``."""
+    low_bits = gap.bit_length()
+    return ((1 << low_bits) - x) % (2 << low_bits) >> low_bits
+
+
+@st.composite
+def _gap_pairs(draw):
+    """``(x, y, gap)`` with ``bits(gap)`` in 1-40, values up to about
+    2^60 and ``|x - y| <= gap``: either end of the gap, ties, and pairs
+    straddling a multiple of ``2^(l+1)``."""
+    low_bits = draw(st.integers(min_value=1, max_value=40))
+    gap = draw(st.integers(min_value=1 << (low_bits - 1),
+                           max_value=(1 << low_bits) - 1))
+    if draw(st.booleans()):
+        x = draw(st.integers(min_value=gap, max_value=1 << 60))
+        y = x + draw(st.one_of(st.sampled_from([-gap, 0, gap]),
+                               st.integers(min_value=-gap, max_value=gap)))
+    else:
+        boundary = draw(st.integers(min_value=1, max_value=1 << 18)) \
+            << (low_bits + 1)
+        below = boundary - draw(st.integers(min_value=1, max_value=gap))
+        above = boundary + draw(st.integers(min_value=0,
+                                            max_value=gap - boundary + below))
+        x, y = (below, above) if draw(st.booleans()) else (above, below)
+    return x, y, gap
+
+
+class TestWithinGap:
+    """``x <= y`` under the public promise ``|x - y| <= gap``, on
+    ``bits(gap) + 1`` positions whatever the values' range."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_gap_pairs(), st.integers(min_value=0, max_value=100))
+    def test_decides_x_leq_y(self, pair, seed):
+        x, y, gap = pair
+        assert abs(x - y) <= gap
+        alice, bob = _fresh_parties(seed)
+        assert dgk_leq_within_gap(alice, [x], bob, [y], gap,
+                                  SMALL_KEYS) == [x <= y]
+
+    def test_every_pair_of_small_gaps(self):
+        """Every pair with ``|x - y| <= gap`` over a few periods of
+        ``2^(l+1)``, for gaps 0-9: ties, both ends of the gap and every
+        carry pattern."""
+        for gap in range(10):
+            pairs = [(x, y) for x in range(4 << gap.bit_length())
+                     for y in range(max(0, x - gap), x + gap + 1)]
+            alice, bob = _fresh_parties(gap)
+            xs, ys = zip(*pairs)
+            assert dgk_leq_within_gap(alice, list(xs), bob, list(ys), gap,
+                                      SMALL_KEYS) \
+                == [x <= y for x, y in pairs], gap
+
+    def test_sizes_follow_the_gap_not_the_values(self):
+        channel = Channel()
+        alice, bob = make_party_pair(channel, 1, 2)
+        gap = 1000  # 10 bits
+        dgk_leq_within_gap(alice, [2**50, 3], bob, [2**50 - 1000, 1003],
+                           gap, KEYS, label="t")
+        assert [len(e.value) for e in channel.transcript.entries] \
+            == [10, 10, 11, 11]
+        assert [e.label for e in channel.transcript.entries] \
+            == ["t/x_bits"] * 2 + ["t/witnesses"] * 2
+        assert channel.stats.rounds == 2
+
+    def test_the_key_holder_sees_a_zero_exactly_at_result_xor_a_l(self):
+        """One zero when ``x <= y`` differs from ``A_l``, none otherwise,
+        whether or not the other party flipped its witnesses (``B_l``):
+        the view is a function of the output and the key holder's own
+        input."""
+        gap = 5  # l = 3
+        pairs = [(x, y) for x in range(5, 40)
+                 for y in range(x - gap, x + gap + 1)]
+        channel = Channel()
+        alice, bob = make_party_pair(channel, 11, 12)
+        xs, ys = zip(*pairs)
+        dgk_leq_within_gap(alice, list(xs), bob, list(ys), gap, KEYS,
+                           label="t")
+        witnesses = channel.transcript.with_label("t/witnesses")
+        seen = set()
+        for (x, y), entry in zip(pairs, witnesses):
+            result, a_l = x <= y, _key_holder_high_bit(x, gap)
+            assert _zeros(entry.value) == (result != a_l), (x, y)
+            seen.add((result, a_l, y >> 3 & 1))  # B_l: the flip
+        assert seen == {(r, a, b) for r in (False, True) for a in (0, 1)
+                        for b in (0, 1)}
+
+    def test_checks_before_sending(self):
+        channel = Channel()
+        alice, bob = make_party_pair(channel, 1, 2)
+        with pytest.raises(BitwiseComparisonError, match="gap"):
+            dgk_leq_within_gap(alice, [1], bob, [1], -1, KEYS)
+        with pytest.raises(BitwiseComparisonError, match="values"):
+            dgk_leq_within_gap(alice, [1, 2], bob, [1], 3, KEYS)
+        with pytest.raises(BitwiseComparisonError, match="3 \\* bits"):
+            dgk_leq_within_gap(alice, [1], bob, [1], 1 << DGK_U, KEYS)
         assert channel.transcript.entries == []

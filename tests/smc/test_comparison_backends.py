@@ -222,6 +222,82 @@ class TestBatchApi:
         assert [o.result for o in outcomes] == [a <= b for a in a_values]
 
 
+class TestGapDeclaration:
+    """``gap``: the caller's public bound on every ``|a_i - b_i|``."""
+
+    PAIRS = [(0, 0), (3, 7), (7, 3), (-10, -6), (50, 46), (100, 100),
+             (96, 100), (-6, -10)]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_results_and_invocations(self, backend):
+        session = _session(backend, seed=17)
+        a_values, b_values = map(list, zip(*self.PAIRS))
+        outcomes = session.compare_leq_batch(
+            session.alice, a_values, session.bob, b_values,
+            lo=-10, hi=100, reveal_to="a", gap=4)
+        assert [o.result for o in outcomes] \
+            == [a <= b for a, b in self.PAIRS]
+        assert all(o.revealed_to == ("alice",) for o in outcomes)
+        assert session.comparison_backend.invocations == len(self.PAIRS)
+
+    def test_bitwise_pays_for_the_gap_not_the_interval(self):
+        """Same messages and labels as the undeclared batch; each pair's
+        bit ciphertexts and witnesses shrink from the interval's width
+        (2^20 + 1 values: 21 positions) to ``bits(gap) + 1``."""
+        def lists(gap):
+            session = _session("bitwise", seed=18)
+            transcript = session.alice.endpoint.transcript
+            before = len(transcript.entries)
+            session.compare_leq_batch(
+                session.alice, [0, 2**20, 77], session.bob, [5, 2**20 - 5, 80],
+                lo=0, hi=2**20, reveal_to="a", gap=gap, label="t")
+            return [(e.label, len(e.value))
+                    for e in transcript.entries[before:]]
+        undeclared = lists(None)
+        declared = lists(5)
+        assert [label for label, _ in declared] \
+            == [label for label, _ in undeclared]
+        assert {size for _, size in undeclared} == {21}
+        assert [size for _, size in declared] == [3] * 3 + [4] * 3
+
+    def test_oracle_refuses_a_broken_promise(self):
+        session = _session("oracle")
+        session.compare_leq_batch(session.alice, [0, 10], session.bob,
+                                  [4, 6], lo=0, hi=10, reveal_to="a", gap=4)
+        with pytest.raises(ComparisonError, match="gap 4"):
+            session.compare_leq_batch(session.alice, [0, 10], session.bob,
+                                      [4, 5], lo=0, hi=10, reveal_to="a",
+                                      gap=4)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("declaration,match", [
+        (dict(gap=-1), "non-negative int"),
+        (dict(gap=True), "non-negative int"),
+        (dict(gap=4.0), "non-negative int"),
+        (dict(gap=4, amortize=True), "amortized"),
+        (dict(gap=4, reveal_to="b"), "revealed to 'a'"),
+        (dict(gap=4, reveal_to="both"), "revealed to 'a'"),
+    ])
+    def test_refused_declarations_send_nothing(self, backend, declaration,
+                                               match):
+        session = _session(backend, seed=19)
+        transcript = session.alice.endpoint.transcript
+        before = len(transcript.entries)
+        declaration = {"reveal_to": "a", **declaration}
+        with pytest.raises(ComparisonError, match=match):
+            session.compare_leq_batch(session.alice, [3, 3], session.bob,
+                                      [4, 5], lo=0, hi=10, **declaration)
+        assert len(transcript.entries) == before
+        assert session.comparison_backend.invocations == 0
+
+    def test_every_item_is_still_interval_checked(self):
+        session = _session("bitwise", seed=20)
+        with pytest.raises(ComparisonError, match="b=11 outside"):
+            session.compare_leq_batch(session.alice, [9, 10], session.bob,
+                                      [9, 11], lo=0, hi=10, reveal_to="a",
+                                      gap=4)
+
+
 class TestWidthBoundary:
     """The backend width choice ``bits = max(1, (domain + 1).bit_length())``
     must cover every shifted input *and* the ``b + 1`` strict-to-loose

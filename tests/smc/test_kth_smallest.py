@@ -1,5 +1,6 @@
 """Tests for secure k-th order statistic selection (Section 5)."""
 
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.net.channel import Channel
 from repro.net.party import make_party_pair
+from repro.smc import kth_smallest as kth_module
 from repro.smc.kth_smallest import (
     SelectionError,
     kth_smallest_quickselect,
@@ -145,12 +147,14 @@ class TestWithCryptoBackend:
 
 
 class TestLockstep:
-    """Several selections advance together: each step runs the next
-    comparison of every unfinished selection as one batch."""
+    """Several selections advance together: each step runs every
+    comparison each unfinished selection can ask at once as one
+    batch."""
 
     VECTORS = [([9, 1, 5, 7, 3], 3), ([4, 8, 2], 1), ([6, 6, 1, 0], 4)]
 
-    def _shares(self, session, values, seed):
+    @staticmethod
+    def _shares(session, values, seed):
         mask_bound = session.config.mask_bound(10)
         rng = random.Random(seed)
         pairs = [share_additively(v, rng, mask_bound) for v in values]
@@ -185,6 +189,30 @@ class TestLockstep:
         assert session.comparison_backend.invocations - before[1] \
             == sum(lengths)
 
+    def test_quickselect_asks_a_whole_partition_per_step(self):
+        """One step per partition level: a lone selection's batches are
+        its partitions against their pivots, n - 1 comparisons first,
+        each later one from the side kept."""
+        values = [(7 * i) % 31 for i in range(24)]
+        session, shares = _setup(values, seed=21)
+        backend = session.comparison_backend
+        leq_batch = backend.leq_batch
+        sizes = []
+
+        def recording(a_party, a_values, *args, **kwargs):
+            sizes.append(len(a_values))
+            return leq_batch(a_party, a_values, *args, **kwargs)
+
+        backend.leq_batch = recording
+        [index] = kth_smallest_quickselect(backend, session.alice,
+                                           session.bob, [shares], [12])
+        assert values[index] == sorted(values)[11]
+        assert sizes[0] == len(values) - 1
+        assert all(later < earlier
+                   for earlier, later in zip(sizes, sizes[1:]))
+        assert sum(sizes) == backend.invocations
+        assert len(sizes) < backend.invocations
+
     def test_mismatched_inputs(self):
         session, shares = _setup([1, 2, 3])
         backend = session.comparison_backend
@@ -200,3 +228,131 @@ class TestLockstep:
                               [shares, wider], [1, 1])
         assert kth_smallest_scan(backend, session.alice, session.bob,
                                  [], []) == []
+
+
+def _recorded(monkeypatch, name):
+    """Wrap the selection generator ``name`` so every run logs the pairs
+    it asked per step, the answers it got and the index it returned."""
+    make = getattr(kth_module, name)
+    log = []
+
+    def recording(*args):
+        run = {"steps": [], "answers": [], "index": None}
+        log.append(run)
+        selection = make(*args)
+        answers = None
+        while True:
+            try:
+                asked = selection.send(answers)
+            except StopIteration as done:
+                run["index"] = done.value
+                return done.value
+            run["steps"].append(asked)
+            answers = yield asked
+            run["answers"].append(answers)
+
+    monkeypatch.setattr(kth_module, name, recording)
+    return log
+
+
+class _PivotsShown:
+    """An rng that draws the pivots the requests show: every pair of a
+    partition ends in its pivot, and the candidates, kept in index
+    order, are the pivot and the indices asked against it."""
+
+    def __init__(self, steps):
+        self._positions = iter(
+            sorted({i for i, _ in step} | {step[0][1]}).index(step[0][1])
+            for step in steps)
+
+    def randrange(self, size):
+        # A replay that strayed from the requests is pruned at its next
+        # request, whatever pivot it draws here.
+        position = next(self._positions, 0)
+        return position if position < size else 0
+
+
+def _replays(make, steps, index):
+    """Every answer sequence under which ``make()`` asks exactly
+    ``steps`` and returns ``index``."""
+    found = []
+
+    def explore(prefix):
+        selection = make()
+        answers = None
+        try:
+            for depth in range(len(prefix) + 1):
+                asked = selection.send(answers)
+                if depth == len(steps) or asked != steps[depth]:
+                    return
+                answers = prefix[depth] if depth < len(prefix) else None
+        except StopIteration as done:
+            if depth == len(prefix) == len(steps) and done.value == index:
+                found.append(prefix)
+            return
+        for answers in itertools.product([False, True],
+                                         repeat=len(steps[len(prefix)])):
+            explore(prefix + [list(answers)])
+
+    explore([])
+    return found
+
+
+#: The public selection code a peer replays (bound at import, before
+#: any test wraps it).
+_SCAN, _QUICKSELECT = kth_module._scan, kth_module._quickselect
+
+
+def _peer_rebuilds(selection, n, steps, index):
+    """What the v-holder can rebuild, knowing only its vector length,
+    the pairs it is asked for and the index whose share it supplies to
+    the final core test: every ``(k, answers)`` consistent with them."""
+    def make(k):
+        if selection == "scan":
+            return lambda: _SCAN(n, k)
+        return lambda: _QUICKSELECT(n, k, _PivotsShown(steps))
+    return [(k, answers) for k in range(1, n + 1)
+            for answers in _replays(make(k), steps, index)]
+
+
+class TestWhatThePeerWouldLearn:
+    """The pairs depend on the order bits only the u-holder learns, and
+    the v-holder needs each pair to form ``v_i - v_j`` and the k-th
+    index to supply ``v_kth``.  Handed those, a v-holder in its own
+    process would rebuild the order bits: every one of a scan's (the
+    last one up to whether k is n - 1 or n, which give the same count),
+    and each quickselect partition's split up to which side is the
+    smaller."""
+
+    VECTORS = [[9, 1, 5, 7, 3, 8], [4, 4, 2, 6, 0], [5, 3, 3, 8]]
+
+    @pytest.mark.parametrize("selection", ["scan", "quickselect"])
+    def test_the_requested_pairs_give_the_order_bits_away(
+            self, monkeypatch, selection):
+        name = "_scan" if selection == "scan" else "_quickselect"
+        select = (kth_smallest_scan if selection == "scan"
+                  else kth_smallest_quickselect)
+        log = _recorded(monkeypatch, name)
+        cases = [(values, k) for values in self.VECTORS
+                 for k in range(1, len(values) + 1)]
+        session, _ = _setup([1], seed=22)
+        shares = [TestLockstep._shares(session, values, seed)
+                  for seed, (values, _) in enumerate(cases)]
+        select(session.comparison_backend, session.alice, session.bob,
+               shares, [k for _, k in cases])
+        assert len(log) == len(cases)
+        for (values, k), run in zip(cases, log):
+            n = len(values)
+            assert values[run["index"]] == sorted(values)[k - 1]
+            rebuilt = _peer_rebuilds(selection, n, run["steps"],
+                                     run["index"])
+            assert (k, run["answers"]) in rebuilt
+            for _, answers in rebuilt:
+                if selection == "scan" and k <= n - 2:
+                    assert answers == run["answers"]
+                elif selection == "scan":
+                    assert answers[:-1] == run["answers"][:-1]
+                else:
+                    for seen, truth in zip(answers[:-1],
+                                           run["answers"][:-1]):
+                        assert seen in (truth, [not a for a in truth])
