@@ -30,15 +30,21 @@ differ by ``d_i - d_j`` or ``d_kth - Eps^2`` however large the masks
 (DESIGN.md, "Comparisons at the gap width (Section 5)").
 
 A point's core bit depends only on the point, never on when the
-traversal asks for it, so a pass computes every own point's bit first
-and runs the interactive tests in lockstep: one round-trip shares every
-tested point's distances, each selection step runs every comparison
-each unfinished selection can ask at once, and one more round-trip runs
-all the final tests.  A pass with tested points takes ``2 + 2(S + 1)``
-rounds on the bitwise backend, ``S`` its longest selection's step count
-(its comparison count for the scan, its partition levels for
-quickselect); each comparison and each point's sharing keeps its own
-messages.
+traversal asks for it, so the protocol computes every own point's bit
+of both passes first and runs the interactive tests in lockstep, one
+lane per pass: one step shares every tested point's distances of both
+passes, each later step runs every comparison each unfinished selection
+of either pass can ask at once, and a pass's final tests are its step
+after its last selection step.  Every step is one lanes call, alice's
+lane first: alice's requests, bob's requests and his answers to alice,
+then alice's answers, so both passes' steps share their flights.  Pass
+``p`` has ``P_p`` steps -- the sharing, ``S_p`` selection steps (its
+longest selection's comparison count for the scan, its partition levels
+for quickselect) and the final tests on the bitwise backend -- and with
+both passes testing points a session takes ``2 + 2 max(P_A, P_B) +
+[P_B >= P_A]`` rounds (DESIGN.md, "Overlapped Section 5 passes").  Each
+comparison and each point's sharing keeps its own messages, labels and
+fresh coins; the ledger records alice's pass, then bob's.
 Expansion then proceeds exactly as in Algorithm 4, through own points
 only (Algorithm 8), in the traversal every horizontal protocol shares
 (:func:`~repro.clustering.expansion.expand_clusters`).
@@ -46,10 +52,10 @@ only (Algorithm 8), in the traversal every horizontal protocol shares
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from repro.clustering.expansion import expand_clusters
-from repro.clustering.labels import ClusterLabels
 from repro.clustering.neighborhoods import GridIndex
 from repro.core.config import ProtocolConfig
 from repro.core.leakage import Disclosure, LeakageLedger
@@ -57,7 +63,15 @@ from repro.data.partitioning import HorizontalPartition
 from repro.data.quantize import squared_distance_bound
 from repro.net.channel import Channel
 from repro.net.party import Party, make_party_pair
+from repro.smc.comparison import ComparisonLane
+from repro.smc.kth_smallest import (
+    Lane,
+    kth_smallest_lane,
+    pivot_stream,
+    run_lockstep,
+)
 from repro.smc.permutation import PermutedView
+from repro.smc.scalar_product import secure_scalar_products_lanes
 from repro.smc.secret_sharing import SharedValues
 from repro.smc.session import SmcSession, channel_for_config
 
@@ -98,17 +112,19 @@ def run_enhanced_horizontal_dbscan(partition: HorizontalPartition,
 
     value_bound = squared_distance_bound(partition.alice_points,
                                          partition.bob_points)
-
-    alice_labels = _party_pass(
-        session, driver=alice, driver_points=list(partition.alice_points),
-        peer=bob, peer_points=list(partition.bob_points),
-        config=config, value_bound=value_bound, ledger=ledger,
-        label="enhanced/alice_pass")
-    bob_labels = _party_pass(
-        session, driver=bob, driver_points=list(partition.bob_points),
-        peer=alice, peer_points=list(partition.alice_points),
-        config=config, value_bound=value_bound, ledger=ledger,
-        label="enhanced/bob_pass")
+    alice_points = list(partition.alice_points)
+    bob_points = list(partition.bob_points)
+    passes = [
+        _party_pass(alice, alice_points, bob, bob_points, config,
+                    "enhanced/alice_pass"),
+        _party_pass(bob, bob_points, alice, alice_points, config,
+                    "enhanced/bob_pass"),
+    ]
+    cores = _core_bits(session, passes, config, value_bound, ledger)
+    alice_labels, bob_labels = (
+        expand_clusters(driving.driver_points, config.eps_squared,
+                        lambda point_index, _own, core=core: core[point_index])
+        for driving, core in zip(passes, cores))
 
     return EnhancedRunResult(
         alice_labels=alice_labels.as_tuple(),
@@ -119,26 +135,24 @@ def run_enhanced_horizontal_dbscan(partition: HorizontalPartition,
     )
 
 
-def _party_pass(session: SmcSession, *, driver: Party,
-                driver_points: list[tuple[int, ...]], peer: Party,
-                peer_points: list[tuple[int, ...]], config: ProtocolConfig,
-                value_bound: int, ledger: LeakageLedger,
-                label: str) -> ClusterLabels:
-    """Algorithms 7 + 8 for one driving party: every own point's core
-    bit, then the expansion reads them."""
-    core = _core_bits(session, driver, driver_points, peer, peer_points,
-                      config, value_bound, ledger, label=label)
-    return expand_clusters(driver_points, config.eps_squared,
-                           lambda point_index, _own: core[point_index])
+@dataclass(frozen=True)
+class _Pass:
+    """One driving party's pass: its points against the peer's, the rank
+    ``k = MinPts - |own neighbours|`` each own point needs from the peer,
+    and the points whose core test needs the peer (``0 < k <= n_peer``)."""
+
+    driver: Party
+    driver_points: list[tuple[int, ...]]
+    peer: Party
+    peer_points: list[tuple[int, ...]]
+    label: str
+    needed: list[int]
+    tested: list[int]
 
 
-def _core_bits(session: SmcSession, driver: Party,
-               driver_points: list[tuple[int, ...]], peer: Party,
-               peer_points: list[tuple[int, ...]], config: ProtocolConfig,
-               value_bound: int, ledger: LeakageLedger, *,
-               label: str) -> list[bool]:
-    """Section 5's "Updated Protocol": every own point's single-bit core
-    test, the interactive ones in lockstep."""
+def _party_pass(driver: Party, driver_points: list[tuple[int, ...]],
+                peer: Party, peer_points: list[tuple[int, ...]],
+                config: ProtocolConfig, label: str) -> _Pass:
     index = GridIndex(driver_points, config.eps_squared)
     needed = [config.min_pts
               - len(index.region_query(point, config.eps_squared))
@@ -146,46 +160,81 @@ def _core_bits(session: SmcSession, driver: Party,
     # k <= 0: own points already reach MinPts -- core, no interaction, no
     # disclosure.  k > n_peer: even all of the peer's points could not
     # reach MinPts -- not core, no interaction.
-    core = [k <= 0 for k in needed]
     tested = [i for i, k in enumerate(needed) if 0 < k <= len(peer_points)]
-    if not tested:
-        return core
+    return _Pass(driver, driver_points, peer, peer_points, label, needed,
+                 tested)
 
-    shares = _share_distances(
-        session, driver, [driver_points[i] for i in tested], peer,
-        peer_points, value_bound, label=label)
-    kth_indices = session.kth_smallest(
-        driver, peer, shares, [needed[i] for i in tested],
-        method=config.selection, label=f"{label}/kselect")
 
+def _core_bits(session: SmcSession, passes: list[_Pass],
+               config: ProtocolConfig, value_bound: int,
+               ledger: LeakageLedger) -> list[list[bool]]:
+    """Section 5's "Updated Protocol": every own point's single-bit core
+    test, for every pass; the interactive ones of all passes run in one
+    lockstep, one lane per pass (DESIGN.md, "Overlapped Section 5
+    passes")."""
+    lanes = [driving for driving in passes if driving.tested]
+    # Quickselect's pivots come from one stream per pass, forked from the
+    # driver's coins before any lane draws, so they depend on neither
+    # the backend's coin use nor the schedule.
+    pivots = [pivot_stream(driving.driver)
+              if config.selection == "quickselect" else None
+              for driving in lanes]
+    # Step 1 shares every pass's distances; every later step holds each
+    # unfinished pass's next selection step or its final tests.
+    shares = _share_distances(session, lanes, value_bound)
+    outcomes = run_lockstep(session.comparison_backend, [
+        _core_tests(driving, pass_shares, config, stream)
+        for driving, pass_shares, stream in zip(lanes, shares, pivots)])
+    bits = {driving.label: lane_bits
+            for driving, lane_bits in zip(lanes, outcomes)}
+
+    cores = []
+    for driving in passes:
+        core = [k <= 0 for k in driving.needed]
+        for point_index, bit in zip(driving.tested,
+                                    bits.get(driving.label, [])):
+            k = driving.needed[point_index]
+            ledger.record(driving.label, driving.driver.name,
+                          Disclosure.ORDER_BIT,
+                          detail=f"selection of rank {k} among "
+                                 f"{len(driving.peer_points)} shared "
+                                 f"distances")
+            ledger.record(driving.label, driving.driver.name,
+                          Disclosure.CORE_BIT, detail=f"k={k}")
+            core[point_index] = bit
+        cores.append(core)
+    return cores
+
+
+def _core_tests(driving: _Pass, shares: list[SharedValues],
+                config: ProtocolConfig,
+                pivots: random.Random | None) -> Lane:
+    """One pass's comparisons as one lane: every tested point's k-th
+    selection, then every tested point's final test; returns the core
+    bits."""
+    kth_indices = yield from kth_smallest_lane(
+        driving.driver, driving.peer, shares,
+        [driving.needed[i] for i in driving.tested],
+        method=config.selection, pivots=pivots,
+        label=f"{driving.label}/kselect")
     # Final tests: dist_kth <= Eps^2  <=>  u_kth - Eps^2 <= v_kth.  Every
     # point's shares have the same public bounds, so one interval holds;
     # the sides differ by dist_kth - Eps^2, so one gap bounds them.
     lo, hi = shares[0].threshold_interval(config.eps_squared)
-    outcomes = session.compare_leq_batch(
-        driver, [vector.u_values[kth] - config.eps_squared
-                 for vector, kth in zip(shares, kth_indices)],
-        peer, [vector.v_values[kth]
-               for vector, kth in zip(shares, kth_indices)],
-        lo=lo, hi=hi, reveal_to="a",
-        gap=shares[0].threshold_gap(config.eps_squared),
-        label=f"{label}/core_test")
-    for point_index, outcome in zip(tested, outcomes):
-        ledger.record(label, driver.name, Disclosure.ORDER_BIT,
-                      detail=f"selection of rank {needed[point_index]} "
-                             f"among {len(peer_points)} shared distances")
-        ledger.record(label, driver.name, Disclosure.CORE_BIT,
-                      detail=f"k={needed[point_index]}")
-        core[point_index] = outcome.result
-    return core
+    return (yield ComparisonLane(
+        driving.driver, [vector.u_values[kth] - config.eps_squared
+                         for vector, kth in zip(shares, kth_indices)],
+        driving.peer, [vector.v_values[kth]
+                       for vector, kth in zip(shares, kth_indices)],
+        lo=lo, hi=hi, gap=shares[0].threshold_gap(config.eps_squared),
+        label=f"{driving.label}/core_test"))
 
 
-def _share_distances(session: SmcSession, driver: Party,
-                     query_points: list[tuple[int, ...]], peer: Party,
-                     peer_points: list[tuple[int, ...]], value_bound: int,
-                     *, label: str) -> list[SharedValues]:
-    """Section 5 distance sharing, each query point against a fresh
-    permutation of the peer's points, all in one round-trip.
+def _share_distances(session: SmcSession, lanes: list[_Pass],
+                     value_bound: int) -> list[list[SharedValues]]:
+    """Section 5 distance sharing, each tested point of each pass against
+    a fresh permutation of the peer's points, all in one lanes call: one
+    lane per pass.
 
     ``alpha = (sum A_t^2, -2A_1, ..., -2A_m, 1)`` and
     ``beta_i = (1, B_i1, ..., B_im, sum B_it^2)`` give
@@ -193,29 +242,36 @@ def _share_distances(session: SmcSession, driver: Party,
     hands the driver ``u_i = dist^2 + v_i``.
     """
     mask_bound = session.config.mask_bound(value_bound)
-    alphas = []
-    betas = []
-    masks = []
-    for query_point in query_points:
-        view = PermutedView.fresh(len(peer_points), peer.rng)
-        alpha = [sum(c * c for c in query_point)]
-        alpha.extend(-2 * c for c in query_point)
-        alpha.append(1)
-        alphas.append(alpha)
-        point_betas = []
-        point_masks = []
-        for permuted_position in range(len(view)):
-            peer_point = peer_points[view.true_index(permuted_position)]
-            beta = [1]
-            beta.extend(peer_point)
-            beta.append(sum(c * c for c in peer_point))
-            point_betas.append(beta)
-            point_masks.append(peer.rng.randrange(mask_bound))
-        betas.append(point_betas)
-        masks.append(point_masks)
+    requests = []
+    for driving in lanes:
+        peer, peer_points = driving.peer, driving.peer_points
+        alphas = []
+        betas = []
+        masks = []
+        for point_index in driving.tested:
+            query_point = driving.driver_points[point_index]
+            view = PermutedView.fresh(len(peer_points), peer.rng)
+            alpha = [sum(c * c for c in query_point)]
+            alpha.extend(-2 * c for c in query_point)
+            alpha.append(1)
+            alphas.append(alpha)
+            point_betas = []
+            point_masks = []
+            for permuted_position in range(len(view)):
+                peer_point = peer_points[view.true_index(permuted_position)]
+                beta = [1]
+                beta.extend(peer_point)
+                beta.append(sum(c * c for c in peer_point))
+                point_betas.append(beta)
+                point_masks.append(peer.rng.randrange(mask_bound))
+            betas.append(point_betas)
+            masks.append(point_masks)
+        requests.append(session.scalar_product_lane(
+            driving.driver, alphas, peer, betas, masks,
+            label=f"{driving.label}/share"))
 
-    u_values = session.scalar_products(driver, alphas, peer, betas, masks,
-                                       label=f"{label}/share")
-    return [SharedValues(u_values=tuple(point_u), v_values=tuple(point_v),
-                         value_bound=value_bound, mask_bound=mask_bound)
-            for point_u, point_v in zip(u_values, masks)]
+    products = secure_scalar_products_lanes(requests, engine=session.engine)
+    return [[SharedValues(u_values=tuple(point_u), v_values=tuple(point_v),
+                          value_bound=value_bound, mask_bound=mask_bound)
+             for point_u, point_v in zip(u_values, request.masks)]
+            for request, u_values in zip(requests, products)]

@@ -76,6 +76,16 @@ holder's bits, which encrypt ``2(2^l - 1 - A') + 1`` -- ``not c =
 its view is one witness list holding a zero exactly when
 ``result XOR A_l``: a function of its output and its own input.
 
+Lanes: :func:`dgk_leq_within_gap_lanes` runs several gap batches -- each
+a :class:`GapLane` with its own key holder, other party, keys, gap and
+label -- phase by phase across the lanes: every lane's ``x_bits``, then
+every lane's ``witnesses``, then every lane's zero tests.  Each lane
+keeps its messages, labels, coins and bits; only the order changes.
+With one lane in each direction (the two passes of the Section 5
+protocol) the senders run ``K1 | K2 O1 | O2``, so both lanes take the
+three flights of one, and a next step's first request rides the last.
+:func:`dgk_leq_within_gap` is the one-lane call.
+
 Every form runs each party's steps only where it is hosted
 (:attr:`~repro.net.party.Party.hosted`); a process that does not host
 the key holder returns ``False`` placeholders for its predicate bits.
@@ -87,6 +97,8 @@ width, and a receiver refuses a batch sent at any other width.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.crypto.dgk import DGK_U, DgkKeyPair, DgkPublicKey
@@ -270,6 +282,36 @@ def dgk_greater_than_pairwise(key_holder: Party, xs: list[int],
     return results
 
 
+@dataclass(frozen=True)
+class GapLane:
+    """One lane of :func:`dgk_leq_within_gap_lanes`: ``key_holder``
+    decides ``x_i <= y_i`` for every pair against ``other``, under its
+    own ``keypair``, the public promise ``|x_i - y_i| <= gap`` and its
+    own label."""
+
+    key_holder: Party
+    xs: Sequence[int]
+    other: Party
+    ys: Sequence[int]
+    gap: int
+    keypair: DgkKeyPair
+    label: str = "dgk"
+
+    @property
+    def low_bits(self) -> int:
+        """``l = bits(gap)``: ``|x - y| < 2^l``."""
+        return self.gap.bit_length()
+
+    def check(self) -> None:
+        if self.gap < 0:
+            raise BitwiseComparisonError(f"gap must be >= 0, got {self.gap}")
+        _check_width(self.low_bits + 1)
+        if len(self.xs) != len(self.ys):
+            raise BitwiseComparisonError(
+                f"{len(self.xs)} key-holder values but {len(self.ys)} "
+                f"other values")
+
+
 def dgk_leq_within_gap(key_holder: Party, xs: list[int], other: Party,
                        ys: list[int], gap: int, keypair: DgkKeyPair, *,
                        label: str = "dgk") -> list[bool]:
@@ -280,57 +322,83 @@ def dgk_leq_within_gap(key_holder: Party, xs: list[int], other: Party,
     batches"): the key holder sends ``bits(gap)`` bit ciphertexts per
     pair, the other party answers with ``bits(gap) + 1`` witnesses, and
     the pairs advance phase by phase, one round trip for all.  A broken
-    promise gives the key holder a wrong bit and nothing more.
+    promise gives the key holder a wrong bit and nothing more.  One
+    lane of :func:`dgk_leq_within_gap_lanes`.
     """
-    if gap < 0:
-        raise BitwiseComparisonError(f"gap must be >= 0, got {gap}")
-    low_bits = gap.bit_length()  # l: |x - y| < 2^l
-    bits = low_bits + 1
-    _check_width(bits)
-    if len(xs) != len(ys):
-        raise BitwiseComparisonError(
-            f"{len(xs)} key-holder values but {len(ys)} other values")
-    half, modulus = 1 << low_bits, 1 << bits
-    public = keypair.public_key
+    [results] = dgk_leq_within_gap_lanes(
+        [GapLane(key_holder, xs, other, ys, gap, keypair, label)])
+    return results
 
-    # --- Step 1 (key holder): E of A's low l bits, MSB first. ---------------
-    for x in xs:
+
+def dgk_leq_within_gap_lanes(lanes: Sequence[GapLane]) -> list[list[bool]]:
+    """Every lane's gap comparisons, phase by phase across the lanes
+    (module docstring, "Lanes"): every key holder's ``x_bits`` in lane
+    order, then every other party's ``witnesses``, then every key
+    holder's zero tests.  Every lane is checked before anything is
+    sent.  Returns each lane's bits, ``False`` placeholders where its
+    key holder is not hosted.
+    """
+    for lane in lanes:
+        lane.check()
+    for lane in lanes:
+        _send_gap_bits(lane)
+    for lane in lanes:
+        _send_gap_witnesses(lane)
+    return [_gap_results(lane) for lane in lanes]
+
+
+def _send_gap_bits(lane: GapLane) -> None:
+    """Step 1 (key holder): E of each ``A``'s low ``l`` bits, MSB first."""
+    half = 1 << lane.low_bits
+    for x in lane.xs:
         encrypted_bits = None
-        if key_holder.hosted:
-            encrypted_bits = _encrypted_bits(public, -x % half, low_bits,
-                                             key_holder.rng)
-        key_holder.send(f"{label}/x_bits", encrypted_bits)
+        if lane.key_holder.hosted:
+            encrypted_bits = _encrypted_bits(
+                lane.keypair.public_key, -x % half, lane.low_bits,
+                lane.key_holder.rng)
+        lane.key_holder.send(f"{lane.label}/x_bits", encrypted_bits)
 
-    # --- Steps 2-3 (other party): witnesses of c, or of not c. -------------
-    for y in ys:
+
+def _send_gap_witnesses(lane: GapLane) -> None:
+    """Steps 2-3 (other party): witnesses of ``c``, or of ``not c``."""
+    public = lane.keypair.public_key
+    low_bits = lane.low_bits
+    half = 1 << low_bits
+    for y in lane.ys:
         blinded = None
-        if other.hosted:
+        if lane.other.hosted:
             # E(2A'): the received bits, then the trivial E(0) = 1.
             doubled = _checked_batch(
-                public, other.receive(f"{label}/x_bits"), low_bits,
-                "bit ciphertexts") + [1]
+                public, lane.other.receive(f"{lane.label}/x_bits"),
+                low_bits, "bit ciphertexts") + [1]
             complements = _complements(public, doubled)
-            b = y % modulus
+            b = y % (2 * half)
             if b < half:  # B_l = 0: c = [2A' > 2(2^l - 1 - B')]
                 blinded = _blinded_witnesses(
                     public, doubled, complements,
-                    _bits_of(2 * (half - 1 - b), bits), other.rng)
+                    _bits_of(2 * (half - 1 - b), low_bits + 1),
+                    lane.other.rng)
             else:  # B_l = 1: not c = [2(2^l - 1 - A') + 1 > 2B']
                 blinded = _blinded_witnesses(
                     public, complements, doubled,
-                    _bits_of(2 * (b - half), bits), other.rng)
-        other.send(f"{label}/witnesses", blinded)
+                    _bits_of(2 * (b - half), low_bits + 1), lane.other.rng)
+        lane.other.send(f"{lane.label}/witnesses", blinded)
 
-    # --- Step 4 (key holder): c XOR B_l, then bit l of z. ------------------
-    if not key_holder.hosted:
-        return [False] * len(xs)
+
+def _gap_results(lane: GapLane) -> list[bool]:
+    """Step 4 (key holder): ``c XOR B_l``, then bit ``l`` of ``z``."""
+    if not lane.key_holder.hosted:
+        return [False] * len(lane.xs)
+    half = 1 << lane.low_bits
     results = []
-    for x in xs:
+    for x in lane.xs:
         witnesses = _checked_batch(
-            public, key_holder.receive(f"{label}/witnesses"), bits,
-            "witnesses")
-        flipped_carry = any(keypair.private_key.zero_test_batch(witnesses))
-        results.append(flipped_carry != ((half - x) % modulus >= half))
+            lane.keypair.public_key,
+            lane.key_holder.receive(f"{lane.label}/witnesses"),
+            lane.low_bits + 1, "witnesses")
+        flipped_carry = any(
+            lane.keypair.private_key.zero_test_batch(witnesses))
+        results.append(flipped_carry != ((half - x) % (2 * half) >= half))
     return results
 
 

@@ -28,6 +28,14 @@ checks the promise on every item, and YMPP ignores it.  The Section 5
 protocol declares one for its selection steps and final core tests,
 whose masks widen the interval far beyond the distances they hide.
 
+Lanes: :meth:`SecureComparison.leq_lanes` decides several gap-declared
+batches at once -- one :class:`ComparisonLane` each, with its own
+parties, interval, gap and label -- and a gap-declared ``leq_batch`` is
+its one-lane call.  The bitwise backend runs the lanes phase by phase
+across them, so the Section 5 protocol's two passes, one lane each in
+opposite directions, share every flight of a step (DESIGN.md,
+"Overlapped Section 5 passes").
+
 Strict/loose mapping: all backends reduce ``a <= b`` to the primitive
 each protocol natively offers (YMPP decides ``i < j``; DGK decides
 ``x > y``) using the integer identity ``a <= b  <=>  a < b + 1`` so no
@@ -37,17 +45,19 @@ backend ever mis-handles ties.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 from repro.crypto.dgk import DgkKeyPair
 from repro.crypto.engine import ModexpEngine
 from repro.crypto.rsa import RsaKeyPair
 from repro.net.party import Party
 from repro.smc.bitwise_comparison import (
+    GapLane,
     dgk_greater_than,
     dgk_greater_than_batch,
     dgk_greater_than_pairwise,
-    dgk_leq_within_gap,
+    dgk_leq_within_gap_lanes,
 )
 from repro.smc.millionaires import ympp_less_than
 
@@ -82,6 +92,17 @@ def _check_in_interval(name: str, value: int, lo: int, hi: int) -> None:
         raise ComparisonError(f"{name}={value} outside [{lo}, {hi}]")
 
 
+def _check_batch(a_values, b_values, lo: int, hi: int) -> None:
+    """Equal lengths, and every item inside ``[lo, hi]``."""
+    if len(a_values) != len(b_values):
+        raise ComparisonError(
+            f"{len(a_values)} a-values but {len(b_values)} b-values")
+    for a in a_values:
+        _check_in_interval("a", a, lo, hi)
+    for b in b_values:
+        _check_in_interval("b", b, lo, hi)
+
+
 def _revealed(reveal_to: str, a_party: Party,
               b_party: Party) -> tuple[str, ...]:
     if reveal_to == "both":
@@ -95,6 +116,22 @@ class ComparisonOutcome:
 
     result: bool
     revealed_to: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class ComparisonLane:
+    """One lane of :meth:`SecureComparison.leq_lanes`: ``a_i <= b_i`` for
+    every pair, revealed to ``a_party``, over the public interval
+    ``[lo, hi]`` and under the public promise ``|a_i - b_i| <= gap``."""
+
+    a_party: Party
+    a_values: Sequence[int]
+    b_party: Party
+    b_values: Sequence[int]
+    lo: int
+    hi: int
+    gap: int
+    label: str = "cmp"
 
 
 class SecureComparison(ABC):
@@ -168,20 +205,19 @@ class SecureComparison(ABC):
         per-point protocol does not have.
 
         ``gap`` is another declaration of public protocol structure:
-        every ``|a_i - b_i| <= gap``.  The bitwise backend then pays for
-        the gap, not the interval; the oracle refuses a broken promise,
-        and YMPP ignores it.  Nothing declares it on an amortized batch
-        or with a reveal target other than ``"a"``, so those raise.
+        every ``|a_i - b_i| <= gap``.  The batch is then the one lane of
+        a :meth:`leq_lanes` call.  Nothing declares it on an amortized
+        batch or with a reveal target other than ``"a"``, so those
+        raise.
         """
         _check_reveal_and_interval(reveal_to, lo, hi)
         _check_gap(gap, reveal_to, amortize)
-        if len(a_values) != len(b_values):
-            raise ComparisonError(
-                f"{len(a_values)} a-values but {len(b_values)} b-values")
-        for a in a_values:
-            _check_in_interval("a", a, lo, hi)
-        for b in b_values:
-            _check_in_interval("b", b, lo, hi)
+        if gap is not None:
+            [outcomes] = self.leq_lanes([ComparisonLane(
+                a_party, a_values, b_party, b_values, lo=lo, hi=hi, gap=gap,
+                label=label)])
+            return outcomes
+        _check_batch(a_values, b_values, lo, hi)
         if not a_values:
             return []
         if amortize:
@@ -195,10 +231,40 @@ class SecureComparison(ABC):
             a_party, [a - lo for a in a_values],
             b_party, [b - lo for b in b_values],
             domain=hi - lo, reveal_to=reveal_to, amortize=amortize,
-            gap=gap, label=f"{label}/{self.name}")
+            label=f"{label}/{self.name}")
         revealed = _revealed(reveal_to, a_party, b_party)
         return [ComparisonOutcome(result=result, revealed_to=revealed)
                 for result in results]
+
+    def leq_lanes(self, lanes: Sequence[ComparisonLane]
+                  ) -> list[list[ComparisonOutcome]]:
+        """Decide every lane's ``a_i <= b_i``, each lane a gap-declared
+        batch revealed to its ``a_party``; semantics of one
+        :meth:`leq_batch` per lane.
+
+        Every lane is validated -- its gap, its interval and every item
+        in it -- before anything is sent, and each pair counts one
+        invocation.  The bitwise backend runs the lanes phase by phase
+        across them
+        (:func:`~repro.smc.bitwise_comparison.dgk_leq_within_gap_lanes`):
+        every lane's requests, then every lane's answers, so lanes in
+        opposite directions share their flights.  The oracle refuses a
+        broken promise; YMPP ignores the gap and runs lane after lane.
+        """
+        shifted = []
+        for lane in lanes:
+            _check_reveal_and_interval("a", lane.lo, lane.hi)
+            _check_gap(lane.gap, "a", False)
+            _check_batch(lane.a_values, lane.b_values, lane.lo, lane.hi)
+            shifted.append(replace(
+                lane, a_values=[a - lane.lo for a in lane.a_values],
+                b_values=[b - lane.lo for b in lane.b_values], lo=0,
+                hi=lane.hi - lane.lo, label=f"{lane.label}/{self.name}"))
+        self.invocations += sum(len(lane.a_values) for lane in lanes)
+        return [[ComparisonOutcome(result=result,
+                                   revealed_to=(lane.a_party.name,))
+                 for result in results]
+                for lane, results in zip(lanes, self._leq_lanes(shifted))]
 
     @abstractmethod
     def _leq(self, a_party: Party, a: int, b_party: Party, b: int, *,
@@ -207,13 +273,21 @@ class SecureComparison(ABC):
 
     def _leq_batch(self, a_party: Party, a_values: list[int], b_party: Party,
                    b_values: list[int], *, domain: int, reveal_to: str,
-                   amortize: bool, gap: int | None,
-                   label: str) -> list[bool]:
-        """Serial fallback: one :meth:`_leq` per pair (YMPP, oracle);
-        the gap is not used."""
+                   amortize: bool, label: str) -> list[bool]:
+        """Serial fallback: one :meth:`_leq` per pair (YMPP, oracle)."""
         return [self._leq(a_party, a, b_party, b, domain=domain,
                           reveal_to=reveal_to, label=label)
                 for a, b in zip(a_values, b_values)]
+
+    def _leq_lanes(self, lanes: list[ComparisonLane]) -> list[list[bool]]:
+        """Serial fallback: each lane as one :meth:`_leq_batch` revealed
+        to ``a``, lane after lane (YMPP, oracle); the gap is not used.
+        Lanes arrive shifted into ``[0, hi]``."""
+        return [self._leq_batch(lane.a_party, lane.a_values, lane.b_party,
+                                lane.b_values, domain=lane.hi,
+                                reveal_to="a", amortize=False,
+                                label=lane.label)
+                for lane in lanes]
 
 
 class YaoMillionairesComparison(SecureComparison):
@@ -309,8 +383,7 @@ class BitwiseComparison(SecureComparison):
 
     def _leq_batch(self, a_party: Party, a_values: list[int], b_party: Party,
                    b_values: list[int], *, domain: int, reveal_to: str,
-                   amortize: bool, gap: int | None,
-                   label: str) -> list[bool]:
+                   amortize: bool, label: str) -> list[bool]:
         """Every pair of the batch in one DGK round-trip.
 
         Undeclared batches run one independent comparison per pair --
@@ -334,17 +407,7 @@ class BitwiseComparison(SecureComparison):
         collisions (e.g. equal ``blind_cross_sum`` offsets) to the
         evaluating party.  Predicate bits are identical to the per-pair
         loop either way.
-
-        A declared ``gap`` (``reveal_to="a"``, not amortized) runs the
-        pairs at the gap's width instead
-        (:func:`~repro.smc.bitwise_comparison.dgk_leq_within_gap`): the
-        a-holder keyed, the same messages and labels, ``bits(gap) + 1``
-        positions.
         """
-        if gap is not None:
-            return dgk_leq_within_gap(a_party, a_values, b_party, b_values,
-                                      gap, self._keys_of(a_party),
-                                      label=label)
         # Width covers domain + 1 so the b + 1 trick cannot overflow.
         bits = max(1, (domain + 1).bit_length())
         if reveal_to in ("a", "both"):
@@ -379,6 +442,18 @@ class BitwiseComparison(SecureComparison):
                 results = received[0] if amortize else received
         return results
 
+    def _leq_lanes(self, lanes: list[ComparisonLane]) -> list[list[bool]]:
+        """Every lane at its gap's width, each a-holder keyed: the same
+        messages and labels as an undeclared batch per lane,
+        ``bits(gap) + 1`` positions, and one round trip for all lanes
+        (:func:`~repro.smc.bitwise_comparison.dgk_leq_within_gap_lanes`).
+        """
+        return dgk_leq_within_gap_lanes(
+            [GapLane(lane.a_party, lane.a_values, lane.b_party,
+                     lane.b_values, lane.gap, self._keys_of(lane.a_party),
+                     lane.label)
+             for lane in lanes])
+
 
 class OracleComparison(SecureComparison):
     """Ideal functionality: a trusted third party, zero communication.
@@ -394,20 +469,16 @@ class OracleComparison(SecureComparison):
              domain: int, reveal_to: str, label: str) -> bool:
         return a <= b
 
-    def _leq_batch(self, a_party: Party, a_values: list[int], b_party: Party,
-                   b_values: list[int], *, domain: int, reveal_to: str,
-                   amortize: bool, gap: int | None,
-                   label: str) -> list[bool]:
-        """The serial fallback, refusing a broken ``gap`` promise."""
-        if gap is not None:
-            for a, b in zip(a_values, b_values):
-                if abs(a - b) > gap:
+    def _leq_lanes(self, lanes: list[ComparisonLane]) -> list[list[bool]]:
+        """The serial fallback, refusing a broken ``gap`` promise in any
+        lane."""
+        for lane in lanes:
+            for a, b in zip(lane.a_values, lane.b_values):
+                if abs(a - b) > lane.gap:
                     raise ComparisonError(
                         f"|a - b| = {abs(a - b)} breaks the declared "
-                        f"gap {gap}")
-        return super()._leq_batch(a_party, a_values, b_party, b_values,
-                                  domain=domain, reveal_to=reveal_to,
-                                  amortize=amortize, gap=gap, label=label)
+                        f"gap {lane.gap}")
+        return super()._leq_lanes(lanes)
 
 
 def make_comparison_backend(kind: str, *,

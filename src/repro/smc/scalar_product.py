@@ -21,7 +21,10 @@ Three call shapes the DBSCAN protocols need:
   ``<alpha, beta_i> + v_i``.  This is the batched form of Algorithm 2
   that makes the enhanced protocol's ``u_i = dist^2 + v_i`` shares cost
   ``m + 2`` ciphertexts up front plus one per point; a pass's tested
-  points share one round-trip.
+  points share one round-trip.  Its lanes form,
+  :func:`secure_scalar_products_lanes`, runs several receivers' sharings
+  phase by phase across them, so the protocol's two passes -- one lane
+  each, in opposite directions -- share one round-trip's flights.
 
 All three accept optional :class:`~repro.crypto.precompute.RandomnessPool`
 arguments -- one per (acting party, key) -- which move the randomness
@@ -44,6 +47,9 @@ factor.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from repro.crypto.encoding import SignedEncoder
 from repro.crypto.engine import ModexpEngine, default_engine
@@ -201,6 +207,54 @@ def secure_masked_dot_terms_batch(holder: Party, alpha: list[int],
     return [value - blind for value, blind in zip(returned, blinds)]
 
 
+@dataclass(frozen=True)
+class ScalarProductLane:
+    """One lane of :func:`secure_scalar_products_lanes`: ``receiver``
+    learns ``<alpha, beta_i> + v_i`` for every ``beta_i`` of every
+    ``alpha``, under its own ``keypair``.
+
+    Attributes:
+        receiver: holds the ``alphas`` and the keypair; learns the
+            masked products.
+        alphas: receiver's vectors (signed ints).
+        masker: holds the ``beta_i`` vectors and the masks ``v_i``.
+        betas: per alpha, a list of vectors, each as long as the alpha.
+        masks: per alpha, one signed mask per beta vector.
+        keypair: receiver's Paillier keys.
+        label: transcript label prefix.
+        receiver_pool / masker_pool: optional randomness pools for each
+            party's encryptions under the receiver's key.
+    """
+
+    receiver: Party
+    alphas: Sequence[Sequence[int]]
+    masker: Party
+    betas: Sequence[Sequence[Sequence[int]]]
+    masks: Sequence[Sequence[int]]
+    keypair: PaillierKeyPair
+    label: str = "sprod"
+    receiver_pool: RandomnessPool | None = None
+    masker_pool: RandomnessPool | None = None
+
+    def check(self) -> None:
+        if not len(self.alphas) == len(self.betas) == len(self.masks):
+            raise ScalarProductError(
+                f"{len(self.alphas)} alphas but {len(self.betas)} beta "
+                f"lists and {len(self.masks)} mask lists")
+        for alpha, group, group_masks in zip(self.alphas, self.betas,
+                                             self.masks):
+            if len(group) != len(group_masks):
+                raise ScalarProductError(
+                    f"{len(group)} beta vectors but {len(group_masks)} "
+                    f"masks")
+            for index, beta in enumerate(group):
+                if len(beta) != len(alpha):
+                    raise ScalarProductError(
+                        f"beta[{index}] has length {len(beta)}, alpha has "
+                        f"{len(alpha)}"
+                    )
+
+
 def secure_scalar_products(receiver: Party, alphas: list[list[int]],
                            masker: Party, betas: list[list[list[int]]],
                            masks: list[list[int]],
@@ -216,62 +270,78 @@ def secure_scalar_products(receiver: Party, alphas: list[list[int]],
     Each receiver vector keeps its own two messages -- its encrypted
     ``alpha`` and the masker's replies -- but the receiver sends every
     encrypted vector before the masker replies, so any number of
-    vectors shares one round-trip.
-
-    Args:
-        receiver: holds the ``alphas`` and the keypair; learns the
-            masked products.
-        alphas: receiver's vectors (signed ints).
-        masker: holds the ``beta_i`` vectors and the masks ``v_i``.
-        betas: per alpha, a list of vectors, each as long as the alpha.
-        masks: per alpha, one signed mask per beta vector.
-        keypair: receiver's Paillier keys.
-        receiver_pool / masker_pool: optional randomness pools for each
-            party's encryptions under the receiver's key.
-        engine: optional :class:`~repro.crypto.engine.ModexpEngine`
-            executing the batch encryptions/decryptions as sharded jobs.
+    vectors shares one round-trip.  The one-lane call of
+    :func:`secure_scalar_products_lanes`; the arguments are
+    :class:`ScalarProductLane`'s, and ``engine`` an optional
+    :class:`~repro.crypto.engine.ModexpEngine` executing the batch
+    encryptions/decryptions as sharded jobs.
     """
-    if not len(alphas) == len(betas) == len(masks):
-        raise ScalarProductError(
-            f"{len(alphas)} alphas but {len(betas)} beta lists and "
-            f"{len(masks)} mask lists")
-    for alpha, group, group_masks in zip(alphas, betas, masks):
-        if len(group) != len(group_masks):
-            raise ScalarProductError(
-                f"{len(group)} beta vectors but {len(group_masks)} masks")
-        for index, beta in enumerate(group):
-            if len(beta) != len(alpha):
-                raise ScalarProductError(
-                    f"beta[{index}] has length {len(beta)}, alpha has "
-                    f"{len(alpha)}"
-                )
-    public = keypair.public_key
-    encoder = SignedEncoder(public.n)
+    [products] = secure_scalar_products_lanes(
+        [ScalarProductLane(receiver, alphas, masker, betas, masks, keypair,
+                           label, receiver_pool, masker_pool)],
+        engine=engine)
+    return products
+
+
+def secure_scalar_products_lanes(lanes: Sequence[ScalarProductLane], *,
+                                 engine: ModexpEngine | None = None,
+                                 ) -> list[list[list[int]]]:
+    """Every lane's sharing, phase by phase across the lanes: every
+    receiver's ``encrypted_alpha`` messages in lane order, then every
+    masker's ``masked_products``, then every receiver's decryptions.
+
+    Each lane keeps its messages, labels, key and pools; only the order
+    changes.  With one lane in each direction (the two passes of the
+    Section 5 protocol) the senders run ``R1 | R2 M1 | M2``: both lanes
+    take the three flights of one.  Every lane is checked before
+    anything is sent.
+    """
+    for lane in lanes:
+        lane.check()
     engine = engine or default_engine()
+    for lane in lanes:
+        _send_encrypted_alphas(lane, engine)
+    for lane in lanes:
+        _send_masked_products(lane, engine)
+    return [_masked_products(lane, engine) for lane in lanes]
 
-    width = public.ciphertext_width
+
+def _send_encrypted_alphas(lane: ScalarProductLane,
+                           engine: ModexpEngine) -> None:
+    """The receiver encrypts every alpha in one engine batch and sends
+    each as its own message."""
+    public = lane.keypair.public_key
+    encoder = SignedEncoder(public.n)
     encrypted = iter([cipher.value for cipher in engine.encrypt_batch(
-        public, [encoder.encode(a) for alpha in alphas for a in alpha],
-        receiver.rng, receiver_pool)])
-    for alpha in alphas:
-        receiver.send(f"{label}/encrypted_alpha",
-                      FixedWidthList([next(encrypted) for _ in alpha],
-                                     width))
+        public, [encoder.encode(a) for alpha in lane.alphas for a in alpha],
+        lane.receiver.rng, lane.receiver_pool)])
+    for alpha in lane.alphas:
+        lane.receiver.send(f"{lane.label}/encrypted_alpha",
+                           FixedWidthList([next(encrypted) for _ in alpha],
+                                          public.ciphertext_width))
 
+
+def _send_masked_products(lane: ScalarProductLane,
+                          engine: ModexpEngine) -> None:
+    """The masker answers every encrypted alpha with one masked product
+    per beta vector."""
+    public = lane.keypair.public_key
+    encoder = SignedEncoder(public.n)
     received = [[PaillierCiphertext(public, v)
                  for v in public.check_width(
-                     masker.receive(f"{label}/encrypted_alpha"))]
-                for _ in alphas]
+                     lane.masker.receive(f"{lane.label}/encrypted_alpha"))]
+                for _ in lane.alphas]
     # Masker-side powmods (one mask encryption per beta, the ``r^n``
     # halves) run as one sharded engine batch; the factors come back in
     # the serial draw order, so the produced ciphertexts are
     # bit-identical to the per-item loop.  The fresh mask encryption is
     # each reply's only rerandomization (the module docstring's note).
     factors = iter(engine.encryption_factors(
-        public, sum(len(group) for group in betas), masker.rng,
-        masker_pool))
-    for ciphers, group, group_masks in zip(received, betas, masks):
-        replies = FixedWidthList([], width)
+        public, sum(len(group) for group in lane.betas), lane.masker.rng,
+        lane.masker_pool))
+    for ciphers, group, group_masks in zip(received, lane.betas,
+                                           lane.masks):
+        replies = FixedWidthList([], public.ciphertext_width)
         for beta, mask in zip(group, group_masks):
             accumulator = PaillierCiphertext(
                 public, public.raw_encrypt_with_factor(encoder.encode(mask),
@@ -281,11 +351,19 @@ def secure_scalar_products(receiver: Party, alphas: list[list[int]],
                     accumulator = (accumulator
                                    + cipher * encoder.encode(coefficient))
             replies.append(accumulator.value)
-        masker.send(f"{label}/masked_products", replies)
+        lane.masker.send(f"{lane.label}/masked_products", replies)
 
+
+def _masked_products(lane: ScalarProductLane,
+                     engine: ModexpEngine) -> list[list[int]]:
+    """The receiver decrypts every reply in one engine batch."""
+    public = lane.keypair.public_key
+    encoder = SignedEncoder(public.n)
     replies = [public.check_width(
-        receiver.receive(f"{label}/masked_products")) for _ in alphas]
+        lane.receiver.receive(f"{lane.label}/masked_products"))
+        for _ in lane.alphas]
     decrypted = iter(engine.decrypt_raw_batch(
-        keypair.private_key, [value for group in replies for value in group]))
+        lane.keypair.private_key,
+        [value for group in replies for value in group]))
     return [[encoder.decode(next(decrypted)) for _ in group]
             for group in replies]

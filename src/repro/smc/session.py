@@ -50,9 +50,10 @@ from repro.smc.comparison import (
 from repro.smc.kth_smallest import kth_smallest_quickselect, kth_smallest_scan
 from repro.smc.multiplication import secure_multiplication
 from repro.smc.scalar_product import (
+    ScalarProductLane,
     secure_masked_dot_terms,
     secure_masked_dot_terms_batch,
-    secure_scalar_products,
+    secure_scalar_products_lanes,
 )
 from repro.smc.secret_sharing import SharedValues
 
@@ -578,13 +579,28 @@ class SmcSession:
                         masks: list[list[int]], *,
                         label: str = "sprod") -> list[list[int]]:
         """Section 5 batched sharing: for every ``alpha``, the receiver
-        learns ``<alpha, b_i> + v_i`` -- one round-trip for all."""
-        return secure_scalar_products(
+        learns ``<alpha, b_i> + v_i`` -- one round-trip for all; the
+        one-lane call of
+        :func:`~repro.smc.scalar_product.secure_scalar_products_lanes`."""
+        [products] = secure_scalar_products_lanes(
+            [self.scalar_product_lane(receiver, alphas, masker, betas, masks,
+                                      label=label)],
+            engine=self.engine)
+        return products
+
+    def scalar_product_lane(self, receiver: Party,
+                            alphas: list[list[int]], masker: Party,
+                            betas: list[list[list[int]]],
+                            masks: list[list[int]], *,
+                            label: str = "sprod") -> ScalarProductLane:
+        """One lane of
+        :func:`~repro.smc.scalar_product.secure_scalar_products_lanes`,
+        under the receiver's key and both parties' pools for it."""
+        return ScalarProductLane(
             receiver, alphas, masker, betas, masks,
             self.paillier_keys(receiver.name), label=label,
             receiver_pool=self.pool(receiver, receiver),
-            masker_pool=self.pool(masker, receiver),
-            engine=self.engine)
+            masker_pool=self.pool(masker, receiver))
 
     def kth_smallest(self, u_party: Party, v_party: Party,
                      shares: list[SharedValues], ks: list[int], *,

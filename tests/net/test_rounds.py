@@ -70,9 +70,12 @@ class TestProtocolRoundCounts:
     def test_enhanced_two_party_session_keeps_its_exchange(self):
         """The Section 5 protocol over one channel: the session's own
         key exchange opens it, and a 2 x 4 point run over three blobs
-        costs 122 messages in 33 rounds -- 2 for the exchange, 16 per
-        pass (the sharing, then 7 lockstep steps: 6 selection steps and
-        the final core tests), less 1 where the passes meet."""
+        costs 122 messages in 19 rounds.  Each pass has 8 steps (the
+        sharing, 6 selection steps and the final core tests), and the
+        two passes run them together, alice's lane first: 2 rounds for
+        the exchange, 3 for the first step (alice | bob | alice), 2 for
+        each of the other 7 (bob | alice, alice's next requests riding
+        her answers) -- 2 + 2 * 8 + 1 = 19."""
         from repro.core import enhanced
         from repro.core.config import ProtocolConfig
         from repro.data.partitioning import HorizontalPartition
@@ -91,4 +94,4 @@ class TestProtocolRoundCounts:
                 ((5, 25), (-15, 5), (590, 600), (0, 585))),
             config, session=session)
         assert result.stats["total_messages"] == 122
-        assert result.stats["rounds"] == 33
+        assert result.stats["rounds"] == 19

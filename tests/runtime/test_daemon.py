@@ -526,7 +526,11 @@ class TestOverlappedPasses:
 
     def test_pass_spans_overlap_and_session_is_bit_identical(
             self, tmp_path):
-        from repro.obs.trace import read_trace_dir, summarize_trace_dir
+        from repro.obs.trace import (
+            format_trace_summary,
+            read_trace_dir,
+            summarize_trace_dir,
+        )
 
         by_party = workload(3)
         seeds = [31, 32, 33]
@@ -557,6 +561,11 @@ class TestOverlappedPasses:
                                            reference=reference, mesh=mesh)
         assert all(checks.values()), checks
         spans = read_trace_dir(tmp_path)
+        summary = summarize_trace_dir(tmp_path)["sessions"]["overlap"]
+        # Every timing assertion's message carries the session's trace
+        # summary -- each party's first query, sync check and pass
+        # durations -- so a missed bound names itself and the stall.
+        timeline = format_trace_summary({"sessions": {"overlap": summary}})
         passes = {}
         for span in spans:
             if span["kind"] == "pass":
@@ -567,7 +576,8 @@ class TestOverlappedPasses:
                           for span in party_passes) == [0, 1, 2], party
             # One instant inside every pass of this daemon.
             assert max(span["t0"] for span in party_passes) \
-                < min(span["t1"] for span in party_passes), party
+                < min(span["t1"] for span in party_passes), \
+                f"{party}: its passes share no instant\n{timeline}"
             [drive] = [span for span in party_passes
                        if span["attrs"]["role"] == "drive"]
             queries = [span for span in spans
@@ -577,22 +587,30 @@ class TestOverlappedPasses:
             # Both points against both peers, all in flight at once.
             assert len(queries) == 4, party
             assert max(span["t0"] for span in queries) \
-                < min(span["t1"] for span in queries), party
+                < min(span["t1"] for span in queries), \
+                f"{party}: its drive queries share no instant\n{timeline}"
             # Four link delays plus CPU; two tests in series wait at
             # least eight.  (The three daemons here share one
             # interpreter lock: on a 2-CPU host a pass read 0.24-0.33 s,
             # so six link delays would not be a reliable bound.)
-            assert drive["dur"] < 8 * delay, (party, drive["dur"])
-        summary = summarize_trace_dir(tmp_path)["sessions"]["overlap"]
+            assert drive["dur"] < 8 * delay, \
+                (f"{party}: drive pass {drive['dur']:.3f}s, bound "
+                 f"{8 * delay:.3f}s\n{timeline}")
         for party, entry in summary["parties"].items():
-            assert entry["passes_union"] < entry["passes_sum"], party
+            assert entry["passes_union"] < entry["passes_sum"], \
+                f"{party}: passes ran in series\n{timeline}"
             # The first queries leave with the sync record, and the
             # peers' records arrive one link delay later; when the
             # queries waited for the check, they left about one link
             # delay in, and before the one-flight setup about three.
-            assert entry["first_query"] < delay, (party, entry)
+            assert entry["first_query"] < delay, \
+                (f"{party}: first query at {entry['first_query']}s, "
+                 f"bound {delay:.3f}s\n{timeline}")
             assert entry["first_query"] < entry["sync_checked"] \
-                < 2 * delay, (party, entry)
+                < 2 * delay, \
+                (f"{party}: first query at {entry['first_query']}s, sync "
+                 f"checked at {entry['sync_checked']}s, bound "
+                 f"{2 * delay:.3f}s\n{timeline}")
             assert run.reports[party].runtime_info["setup_seconds"] \
                 == entry["setup"]
         setup_spans = {}

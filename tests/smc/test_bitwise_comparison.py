@@ -12,10 +12,12 @@ from repro.net.party import make_party_pair
 from repro.net.serialization import FixedWidthList
 from repro.smc.bitwise_comparison import (
     BitwiseComparisonError,
+    GapLane,
     dgk_greater_than,
     dgk_greater_than_batch,
     dgk_greater_than_pairwise,
     dgk_leq_within_gap,
+    dgk_leq_within_gap_lanes,
 )
 
 KEYS = cached_dgk_keypair(256, 810)
@@ -457,4 +459,76 @@ class TestWithinGap:
             dgk_leq_within_gap(alice, [1, 2], bob, [1], 3, KEYS)
         with pytest.raises(BitwiseComparisonError, match="3 \\* bits"):
             dgk_leq_within_gap(alice, [1], bob, [1], 1 << DGK_U, KEYS)
+        assert channel.transcript.entries == []
+
+
+class TestWithinGapLanes:
+    """Several gap batches -- each with its own key holder, keys, gap
+    and label -- phase by phase across the lanes."""
+
+    @staticmethod
+    def _lanes(alice, bob):
+        """Alice keyed at gap 1000 (10 bits), bob at gap 5 (3 bits)."""
+        return [GapLane(alice, [7, 2000], bob, [900, 1500], 1000, KEYS,
+                        "a"),
+                GapLane(bob, [3, 9, 4], alice, [5, 4, 4], 5, SMALL_KEYS,
+                        "b")]
+
+    def test_each_lane_decides_its_own_pairs(self):
+        alice, bob = _fresh_parties(3)
+        assert dgk_leq_within_gap_lanes(self._lanes(alice, bob)) \
+            == [[True, False], [True, False, True]]
+
+    def test_lanes_in_opposite_directions_share_their_flights(self):
+        """Every lane's requests, then every lane's answers: alice's
+        bits, bob's bits and his witnesses, alice's witnesses -- three
+        flights for both lanes."""
+        channel = Channel()
+        alice, bob = make_party_pair(channel, 4, 5)
+        dgk_leq_within_gap_lanes(self._lanes(alice, bob))
+        entries = channel.transcript.entries
+        assert [e.label for e in entries] \
+            == (["a/x_bits"] * 2 + ["b/x_bits"] * 3 + ["a/witnesses"] * 2
+                + ["b/witnesses"] * 3)
+        assert [len(e.value) for e in entries] \
+            == [10] * 2 + [3] * 3 + [11] * 2 + [4] * 3
+        assert channel.stats.rounds == 3
+
+    def test_lanes_in_one_direction_share_one_round_trip(self):
+        channel = Channel()
+        alice, bob = make_party_pair(channel, 6, 7)
+        results = dgk_leq_within_gap_lanes([
+            GapLane(alice, [7], bob, [900], 1000, KEYS, "a"),
+            GapLane(alice, [9, 4], bob, [4, 4], 5, KEYS, "c")])
+        assert results == [[True], [False, True]]
+        assert [e.label for e in channel.transcript.entries] \
+            == ["a/x_bits", "c/x_bits", "c/x_bits", "a/witnesses",
+                "c/witnesses", "c/witnesses"]
+        assert channel.stats.rounds == 2
+
+    def test_a_lane_sends_and_learns_what_it_does_alone(self):
+        channel = Channel()
+        alice, bob = make_party_pair(channel, 8, 9)
+        together = dgk_leq_within_gap_lanes(self._lanes(alice, bob))
+        for lane, results in zip(self._lanes(alice, bob), together):
+            alone = Channel()
+            key_holder, other = make_party_pair(alone, 8, 9)
+            if lane.key_holder is bob:
+                other, key_holder = key_holder, other
+            assert dgk_leq_within_gap(
+                key_holder, list(lane.xs), other, list(lane.ys), lane.gap,
+                lane.keypair, label=lane.label) == results
+            sent = [(e.label, len(e.value))
+                    for e in channel.transcript.entries
+                    if e.label.startswith(f"{lane.label}/")]
+            assert [(e.label, len(e.value))
+                    for e in alone.transcript.entries] == sent
+
+    def test_every_lane_is_checked_before_anything_is_sent(self):
+        channel = Channel()
+        alice, bob = make_party_pair(channel, 1, 2)
+        with pytest.raises(BitwiseComparisonError, match="values"):
+            dgk_leq_within_gap_lanes([
+                GapLane(alice, [1], bob, [1], 3, KEYS),
+                GapLane(bob, [1, 2], alice, [1], 3, SMALL_KEYS)])
         assert channel.transcript.entries == []

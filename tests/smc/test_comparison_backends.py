@@ -10,7 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.net.channel import Channel
 from repro.net.party import make_party_pair
-from repro.smc.comparison import ComparisonError, make_comparison_backend
+from repro.smc.comparison import (
+    ComparisonError,
+    ComparisonLane,
+    make_comparison_backend,
+)
 from repro.smc.session import SmcConfig, SmcSession
 
 BACKENDS = ("oracle", "bitwise", "ympp")
@@ -296,6 +300,51 @@ class TestGapDeclaration:
             session.compare_leq_batch(session.alice, [9, 10], session.bob,
                                       [9, 11], lo=0, hi=10, reveal_to="a",
                                       gap=4)
+
+
+class TestLanes:
+    """``leq_lanes``: one gap-declared batch per lane, each revealed to
+    its own ``a_party``."""
+
+    @staticmethod
+    def _lanes(session):
+        return [ComparisonLane(session.alice, [0, 7, -6], session.bob,
+                               [3, 3, -10], lo=-10, hi=100, gap=4,
+                               label="x"),
+                ComparisonLane(session.bob, [50, 96], session.alice,
+                               [46, 100], lo=0, hi=100, gap=4, label="y")]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_results_reveal_targets_and_invocations(self, backend):
+        session = _session(backend, seed=21)
+        outcomes = session.comparison_backend.leq_lanes(
+            self._lanes(session))
+        assert [[o.result for o in lane] for lane in outcomes] \
+            == [[True, False, False], [False, True]]
+        assert [{o.revealed_to for o in lane} for lane in outcomes] \
+            == [{("alice",)}, {("bob",)}]
+        assert session.comparison_backend.invocations == 5
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_refused_lane_sends_nothing(self, backend):
+        session = _session(backend, seed=23)
+        transcript = session.alice.endpoint.transcript
+        before = len(transcript.entries)
+        lanes = self._lanes(session)
+        lanes[1] = ComparisonLane(session.bob, [50], session.alice, [101],
+                                  lo=0, hi=100, gap=4, label="y")
+        with pytest.raises(ComparisonError, match="b=101 outside"):
+            session.comparison_backend.leq_lanes(lanes)
+        assert len(transcript.entries) == before
+        assert session.comparison_backend.invocations == 0
+
+    def test_oracle_refuses_a_broken_promise_in_any_lane(self):
+        session = _session("oracle")
+        lanes = self._lanes(session)
+        lanes[1] = ComparisonLane(session.bob, [50], session.alice, [40],
+                                  lo=0, hi=100, gap=4, label="y")
+        with pytest.raises(ComparisonError, match="gap 4"):
+            session.comparison_backend.leq_lanes(lanes)
 
 
 class TestWidthBoundary:

@@ -196,14 +196,15 @@ class TestLockstep:
         values = [(7 * i) % 31 for i in range(24)]
         session, shares = _setup(values, seed=21)
         backend = session.comparison_backend
-        leq_batch = backend.leq_batch
+        leq_lanes = backend.leq_lanes
         sizes = []
 
-        def recording(a_party, a_values, *args, **kwargs):
-            sizes.append(len(a_values))
-            return leq_batch(a_party, a_values, *args, **kwargs)
+        def recording(lanes):
+            [lane] = lanes
+            sizes.append(len(lane.a_values))
+            return leq_lanes(lanes)
 
-        backend.leq_batch = recording
+        backend.leq_lanes = recording
         [index] = kth_smallest_quickselect(backend, session.alice,
                                            session.bob, [shares], [12])
         assert values[index] == sorted(values)[11]
@@ -253,6 +254,36 @@ def _recorded(monkeypatch, name):
 
     monkeypatch.setattr(kth_module, name, recording)
     return log
+
+
+class TestPivotStream:
+    """Quickselect draws its pivots from a stream forked from the
+    u-holder's coins before the first comparison, never from the coins
+    its comparisons draw."""
+
+    VECTORS = TestLockstep.VECTORS + [
+        ([(7 * i) % 11 for i in range(12)], 6),
+        ([(5 * i + 3) % 10 for i in range(9)], 2)]
+
+    def test_the_backend_does_not_move_the_pivots(self, monkeypatch):
+        """The bitwise key holder's DGK coins come from the u-holder's
+        stream; the same run asks the same pairs in the same steps, gets
+        the same bits and returns the same indices on both backends."""
+        runs = {}
+        for backend in ("oracle", "bitwise"):
+            log = _recorded(monkeypatch, "_quickselect")
+            session, _ = _setup([1], backend=backend, mask_sigma=8)
+            shares = [TestLockstep._shares(session, values, seed)
+                      for seed, (values, _) in enumerate(self.VECTORS)]
+            indices = kth_smallest_quickselect(
+                session.comparison_backend, session.alice, session.bob,
+                shares, [k for _, k in self.VECTORS])
+            for (values, k), index in zip(self.VECTORS, indices):
+                assert values[index] == sorted(values)[k - 1]
+            runs[backend] = (log, indices)
+            monkeypatch.undo()
+        assert runs["oracle"] == runs["bitwise"]
+        assert any(len(run["steps"]) > 2 for run in runs["oracle"][0])
 
 
 class _PivotsShown:

@@ -10,9 +10,11 @@ from repro.net.party import make_party_pair
 from repro.net.serialization import FixedWidthList
 from repro.smc.scalar_product import (
     ScalarProductError,
+    ScalarProductLane,
     secure_masked_dot_terms,
     secure_masked_dot_terms_batch,
     secure_scalar_products,
+    secure_scalar_products_lanes,
 )
 
 KEYS = cached_paillier_keypair(256, 830)
@@ -161,6 +163,63 @@ class TestScalarProducts:
         with pytest.raises(ScalarProductError, match="alphas"):
             secure_scalar_products(alice, [[1], [2]], bob, [[[2]]], [[0]],
                                    KEYS)
+
+
+def _products(lane: ScalarProductLane) -> list[list[int]]:
+    """What ``lane``'s receiver should learn: ``<alpha, beta_i> + v_i``."""
+    return [[sum(a * b for a, b in zip(alpha, beta)) + mask
+             for beta, mask in zip(group, group_masks)]
+            for alpha, group, group_masks in zip(lane.alphas, lane.betas,
+                                                 lane.masks)]
+
+
+class TestScalarProductLanes:
+    """Several receivers' sharings, phase by phase across the lanes."""
+
+    BOB_KEYS = cached_paillier_keypair(256, 831)
+
+    def _lanes(self, alice, bob):
+        return [ScalarProductLane(alice, [[1, 2], [3, -4]], bob,
+                                  [[[1, 1]], [[2, 0], [0, 2]]], [[5], [6, 7]],
+                                  KEYS, "a"),
+                ScalarProductLane(bob, [[-2, 5, 1]], alice,
+                                  [[[4, 0, 1], [1, 1, 1], [0, 0, 9]]],
+                                  [[8, -9, 10]], self.BOB_KEYS, "b")]
+
+    def test_lanes_in_opposite_directions_share_their_flights(self):
+        """Every receiver's alphas, then every masker's replies: alice
+        | bob | alice, each lane under its own receiver's key."""
+        channel, alice, bob = _fresh_parties(5)
+        lanes = self._lanes(alice, bob)
+        assert secure_scalar_products_lanes(lanes) \
+            == [_products(lane) for lane in lanes]
+        assert [(e.sender, e.label) for e in channel.transcript.entries] \
+            == ([("alice", "a/encrypted_alpha")] * 2
+                + [("bob", "b/encrypted_alpha"),
+                   ("bob", "a/masked_products"), ("bob", "a/masked_products"),
+                   ("alice", "b/masked_products")])
+        assert channel.stats.rounds == 3
+
+    def test_lanes_in_one_direction_share_one_round_trip(self):
+        channel, alice, bob = _fresh_parties(6)
+        lanes = [ScalarProductLane(alice, [[1, 2]], bob, [[[3, 4]]], [[5]],
+                                   KEYS, "a"),
+                 ScalarProductLane(alice, [[7]], bob, [[[1], [2]]], [[0, 1]],
+                                   KEYS, "c")]
+        assert secure_scalar_products_lanes(lanes) == [[[16]], [[7, 15]]]
+        assert [e.label for e in channel.transcript.entries] \
+            == ["a/encrypted_alpha", "c/encrypted_alpha",
+                "a/masked_products", "c/masked_products"]
+        assert channel.stats.rounds == 2
+
+    def test_every_lane_is_checked_before_anything_is_sent(self):
+        channel, alice, bob = _fresh_parties()
+        with pytest.raises(ScalarProductError, match="alphas"):
+            secure_scalar_products_lanes([
+                ScalarProductLane(alice, [[1]], bob, [[[2]]], [[0]], KEYS),
+                ScalarProductLane(bob, [[1], [2]], alice, [[[2]]], [[0]],
+                                  self.BOB_KEYS)])
+        assert channel.transcript.entries == []
 
 
 class TestOneFactorPerReply:
