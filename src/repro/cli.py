@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats = commands.add_parser(
         "stats",
         help="ask every daemon of a standing mesh for a live metrics "
-             "snapshot (sessions, restarts, pool hit rate, per-pair "
+             "snapshot (sessions, restarts, threads, per-pair "
              "frames/bytes)")
     stats.add_argument("--spec", required=True,
                        help="mesh spec JSON from 'repro mesh-spec'")
@@ -671,13 +671,9 @@ def _print_daemon_stats(party: str, snapshot: dict) -> None:
         return sum(value for key, value in counters.items()
                    if parse_series_key(key)[0] == name)
 
-    def level(name: str, **labels) -> float:
-        from repro.obs.metrics import series_key
-        return gauges.get(series_key(name, labels), 0)
+    def level(name: str) -> float:
+        return gauges.get(name, 0)
 
-    consumed = level("repro_randomness", stat="factors_consumed")
-    hits = level("repro_randomness", stat="factors_hit")
-    hit_rate = f"{hits / consumed:.1%}" if consumed else "n/a"
     print(f"{party}: sessions run={level('repro_sessions_run'):g} "
           f"active={level('repro_sessions_active'):g} "
           f"admitted={total('repro_sessions_admitted_total'):g} "
@@ -685,7 +681,6 @@ def _print_daemon_stats(party: str, snapshot: dict) -> None:
           f"failed={total('repro_sessions_failed_total'):g} "
           f"rejected={total('repro_sessions_rejected_total'):g}")
     print(f"  restarts={total('repro_restarts_total'):g}  "
-          f"pool hit rate {hit_rate} ({hits:g}/{consumed:g})  "
           f"threads={level('repro_daemon_threads'):g}")
     links: dict[str, dict[str, float]] = {}
     for key, value in counters.items():

@@ -15,7 +15,10 @@ precomputation tools:
   ``rerandomize`` each collapse to one mulmod; an empty pool falls back
   to on-demand generation (identical results), so pools never change
   correctness -- only when the factor work is done.  This is the
-  standard offline/online split of the MPC literature.
+  standard offline/online split of the MPC literature.  A pool's
+  attempt log lets a daemon's restarted query hand out the factors an
+  aborted attempt drew again instead of computing them twice
+  (:meth:`RandomnessPool.log_draws`, :meth:`RandomnessPool.rewind`).
 - :class:`FixedBaseExp` -- windowed fixed-base exponentiation: the
   ``h_s`` table behind every factor, DGK's ``h^r`` table, and the
   ``g^m`` term when a keypair uses the paper's literal "random g"
@@ -28,12 +31,15 @@ through the :func:`~repro.crypto.integer_math.cached_pow` memo.
 Security note: a pooled factor is exactly a fresh factor drawn earlier
 from the same party RNG -- pooling reorders randomness generation in
 time, it does not weaken or correlate it.  Each factor is consumed at
-most once (the queue pops).
+most once (the queue pops).  A factor :meth:`RandomnessPool.rewind`
+hands back is the same draw used again for the same ciphertext: the
+restarted attempt recomputes exactly what the aborted one sent, which
+the daemon's replay check verifies byte for byte, so no two distinct
+ciphertexts ever share a factor.
 """
 
 from __future__ import annotations
 
-import asyncio
 import random
 from collections import deque
 from typing import TYPE_CHECKING
@@ -59,18 +65,31 @@ class RandomnessPool:
     Accounting attributes (read by benchmarks and tests):
 
     - ``pregenerated``: factors produced by :meth:`refill` (offline).
-    - ``consumed``: factors handed out in total.
+    - ``consumed``: factors handed out in total; a :meth:`rewind` takes
+      back the ones it returns to the queue.
     - ``misses``: factors generated on demand because the queue was
-      empty (online cost identical to the unpooled path).
+      empty (online cost identical to the unpooled path), each counted
+      once however often a rewind hands it out again.
+
+    Attempt log: after :meth:`log_draws` the pool records every factor
+    it hands out, and :meth:`rewind` pushes them back to the front of
+    the queue in draw order.  A daemon's restartable query
+    (:class:`~repro.runtime.async_pass.PairRuntime`) starts the log at
+    the query's start and rewinds it whenever an attempt parks for a
+    frame, so the next attempt pops the same factors in the same order
+    and computes none of them again.
     """
 
-    __slots__ = ("public_key", "rng", "_factors", "pregenerated",
+    __slots__ = ("public_key", "rng", "_factors", "_drawn", "pregenerated",
                  "consumed", "misses")
 
     def __init__(self, public_key: "PaillierPublicKey", rng: random.Random):
         self.public_key = public_key
         self.rng = rng
         self._factors: deque[int] = deque()
+        # The attempt log: factors handed out since log_draws or the
+        # last rewind; None until log_draws (always, in process).
+        self._drawn: list[int] | None = None
         self.pregenerated = 0
         self.consumed = 0
         self.misses = 0
@@ -90,9 +109,31 @@ class RandomnessPool:
         """Pop one factor; falls back to on-demand generation when empty."""
         self.consumed += 1
         if self._factors:
-            return self._factors.popleft()
-        self.misses += 1
-        return self.public_key.fresh_factor(self.rng)
+            factor = self._factors.popleft()
+        else:
+            self.misses += 1
+            factor = self.public_key.fresh_factor(self.rng)
+        if self._drawn is not None:
+            self._drawn.append(factor)
+        return factor
+
+    def log_draws(self) -> None:
+        """Start an attempt log (dropping any earlier one): every factor
+        handed out from here on is recorded for :meth:`rewind`."""
+        self._drawn = []
+
+    def rewind(self) -> None:
+        """Give back every factor the log recorded: they return to the
+        front of the queue in draw order, ``consumed`` drops by their
+        number, and the log starts over.  ``misses`` is left alone, so
+        a factor computed online counts once."""
+        drawn = self._drawn
+        if drawn is None:
+            raise PrecomputeError("rewind needs an attempt log: call "
+                                  "log_draws when the attempt starts")
+        self._factors.extendleft(reversed(drawn))
+        self.consumed -= len(drawn)
+        drawn.clear()
 
     def rerandomization_unit(self) -> int:
         """Alias of :meth:`encryption_factor` (same object, see class doc)."""
@@ -172,207 +213,3 @@ class FixedBaseExp:
             position += 1
         return result
 
-
-class RandomnessLease:
-    """One session's registration with a daemon :class:`RandomnessService`.
-
-    A lease holds the session's own :class:`RandomnessPool` objects --
-    factor *values* are never shared across sessions, because each pool
-    draws from a per-session forked RNG stream and sharing values would
-    break the bit-identity contract between runtimes.  What the lease
-    buys the session is the service's cross-session knowledge: how many
-    factors past sessions under the same keypair actually consumed, so
-    the pools can be filled to that demand up front (and topped up in
-    idle time) instead of missing their way through the first run.
-
-    Accounting attributes (read by ``runtime_info`` and tests):
-
-    - ``prefilled``: factors filled synchronously at registration.
-    - ``background_refilled``: factors added by the idle refill
-      coroutine while the session ran.
-    - ``busy``: count of in-flight secure queries, incremented by the
-      pass runtime around each one (several pair runtimes share one
-      lease); the idle refiller skips busy leases so background
-      deposits never interleave with an in-flight (restartable)
-      query attempt.
-    """
-
-    __slots__ = ("service", "session_id", "pools", "busy", "prefilled",
-                 "background_refilled", "released")
-
-    def __init__(self, service: "RandomnessService", session_id: str):
-        self.service = service
-        self.session_id = session_id
-        self.pools: list[tuple[tuple, RandomnessPool]] = []
-        self.busy = 0
-        self.prefilled = 0
-        self.background_refilled = 0
-        self.released = False
-
-    def register_pool(self, pool: RandomnessPool, owner_digest: str,
-                      actor_is_owner: bool, *, role: str = "") -> int:
-        """Adopt one session pool; prefill it to the learned demand.
-
-        ``owner_digest`` is the Paillier public-key digest of the pool's
-        key owner -- the cross-session identity demand is scoped by
-        (factor *counts* transfer between sessions of the same keypair;
-        nothing else does).  ``role`` names the protocol role that draws
-        from the pool (a daemon registers ``drive`` and ``respond``
-        stream pools), so two pools under one key whose roles draw
-        differently never share a demand.  Returns the number of
-        factors prefilled.
-        """
-        if self.released:
-            raise PrecomputeError(
-                f"lease {self.session_id!r} already released")
-        key = (owner_digest[:16], bool(actor_is_owner)) + (
-            (role,) if role else ())
-        self.pools.append((key, pool))
-        target = self.service.demand_for(key)
-        shortfall = max(0, target - len(pool))
-        if shortfall:
-            self.service.fill(pool, shortfall)
-            self.prefilled += shortfall
-        return shortfall
-
-    def hit_report(self) -> dict[str, int]:
-        """Consumption totals over the lease's pools (hit = no miss)."""
-        totals = combine_pool_reports(
-            pool.report() for __, pool in self.pools)
-        totals["prefilled"] = self.prefilled
-        totals["background_refilled"] = self.background_refilled
-        totals["hits"] = totals["consumed"] - totals["misses"]
-        return totals
-
-
-class RandomnessService:
-    """Daemon-wide offline-phase broker: demand learning + idle refill.
-
-    Lives on the daemon event loop (single-threaded by construction; no
-    locks).  Two jobs:
-
-    1. **Demand model.**  Keyed by ``(key digest[:16], actor-is-owner)``
-       -- the two pool roles a keypair induces -- refined by the
-       protocol role that draws from the pool when one is registered,
-       the service remembers the peak factor consumption any released
-       session reported.  A new
-       session's pools are prefilled to that target at registration, so
-       session N+1 starts warm from session N's experience even though
-       their factor values come from disjoint per-session RNG streams.
-    2. **Idle refill.**  :meth:`refill_idle` is a background coroutine
-       that tops up registered pools toward their remaining need
-       (learned demand minus factors already consumed) in small chunks
-       between protocol work, yielding to the loop after every chunk
-       and skipping leases that are mid-query.
-    """
-
-    def __init__(self, engine=None, *, refill_chunk: int = 8,
-                 idle_interval_s: float = 0.02):
-        if refill_chunk < 1:
-            raise PrecomputeError(
-                f"refill_chunk must be >= 1, got {refill_chunk}")
-        self.engine = engine
-        self.refill_chunk = refill_chunk
-        self.idle_interval_s = idle_interval_s
-        self._demand: dict[tuple, int] = {}
-        self._leases: dict[str, RandomnessLease] = {}
-        self.sessions_served = 0
-        self.factors_prefilled = 0
-        self.factors_background = 0
-        # Lifetime consumption totals folded in at lease release -- the
-        # single source for the daemon-wide pool hit rate.
-        self.factors_consumed = 0
-        self.factors_missed = 0
-        self._closed = False
-
-    # -- leases -------------------------------------------------------------
-
-    def lease(self, session_id: str) -> RandomnessLease:
-        if self._closed:
-            raise PrecomputeError("randomness service is closed")
-        if session_id in self._leases:
-            raise PrecomputeError(
-                f"session {session_id!r} already holds a lease")
-        grant = RandomnessLease(self, session_id)
-        self._leases[session_id] = grant
-        return grant
-
-    def release(self, session_id: str) -> dict[str, int]:
-        """End a lease: learn its demand, return its hit accounting."""
-        grant = self._leases.pop(session_id, None)
-        if grant is None:
-            raise PrecomputeError(f"no lease for session {session_id!r}")
-        grant.released = True
-        for key, pool in grant.pools:
-            self._demand[key] = max(self._demand.get(key, 0), pool.consumed)
-        self.sessions_served += 1
-        self.factors_prefilled += grant.prefilled
-        self.factors_background += grant.background_refilled
-        report = grant.hit_report()
-        self.factors_consumed += report["consumed"]
-        self.factors_missed += report["misses"]
-        return report
-
-    def demand_for(self, key: tuple) -> int:
-        return self._demand.get(key, 0)
-
-    def fill(self, pool: RandomnessPool, count: int) -> None:
-        """Refill through the engine when one is attached (sharded
-        modexps), serially otherwise -- bit-identical either way."""
-        if count <= 0:
-            return
-        if self.engine is not None:
-            self.engine.fill_pool(pool, count)
-        else:
-            pool.refill(count)
-
-    # -- background refill --------------------------------------------------
-
-    def refill_step(self) -> int:
-        """Top up at most one chunk across all idle leases; returns the
-        number of factors generated (0 = every pool is at target).
-
-        The target is the session's *remaining* need: the learned
-        demand minus what the pool already handed out.  Topping up to
-        the whole demand again would pregenerate factors the session
-        never consumes (they are dropped at release).
-        """
-        for grant in list(self._leases.values()):
-            if grant.busy or grant.released:
-                continue
-            for key, pool in grant.pools:
-                shortfall = self.demand_for(key) - pool.consumed - len(pool)
-                if shortfall <= 0:
-                    continue
-                count = min(self.refill_chunk, shortfall)
-                self.fill(pool, count)
-                grant.background_refilled += count
-                return count
-        return 0
-
-    async def refill_idle(self) -> None:
-        """Idle-time top-up loop; cancel to stop (daemon teardown)."""
-        while not self._closed:
-            generated = self.refill_step()
-            # A productive step yields briefly so protocol coroutines
-            # preempt it; a dry pass sleeps until there is plausible
-            # new demand.
-            await asyncio.sleep(0 if generated else self.idle_interval_s)
-
-    # -- reporting / lifecycle ----------------------------------------------
-
-    def report(self) -> dict[str, int]:
-        return {
-            "sessions_served": self.sessions_served,
-            "active_leases": len(self._leases),
-            "demand_entries": len(self._demand),
-            "factors_prefilled": self.factors_prefilled,
-            "factors_background": self.factors_background,
-            "factors_consumed": self.factors_consumed,
-            "factors_missed": self.factors_missed,
-            "factors_hit": self.factors_consumed - self.factors_missed,
-        }
-
-    def close(self) -> None:
-        self._closed = True
-        self._leases.clear()

@@ -22,9 +22,10 @@ of a deterministic prefix, applied at message granularity:
    frame queue; if the authentic frame has not arrived, the channel
    raises :class:`NeedFrame`.
 2. The pair runtime catches it, rolls the pair's mutable state (party
-   RNGs, randomness pools, comparison counter, cipher cache) back to
-   the snapshot taken at query start, and ``await``\\ s the frame --
-   yielding the event loop to every other session's coroutines.
+   RNGs, comparison counter, cipher cache) back to the snapshot taken
+   at query start, hands the randomness factors the attempt drew back
+   to their pools, and ``await``\\ s the frame -- yielding the event
+   loop to every other session's coroutines.
 3. When the frame arrives, the query re-executes *from its start*.
    The channel's frame log doubles as the replay record: frames the
    previous attempt already produced are byte-verified and suppressed
@@ -33,10 +34,12 @@ of a deterministic prefix, applied at message granularity:
    once, on its live execution.
 
 Re-execution costs repeated local compute (bounded by the handful of
-round-trips per query), and buys a daemon whose thread count is
-independent of its session count.  Determinism makes it sound: a
-restarted attempt with restored state re-produces byte-identical
-frames, which the replay check enforces rather than assumes.
+round-trips per query) -- but not the Paillier randomness factors,
+which the next attempt pops from the pools' queues again -- and buys a
+daemon whose thread count is independent of its session count.
+Determinism makes it sound: a restarted attempt with restored state
+and the same factors re-produces byte-identical frames, which the
+replay check enforces rather than assumes.
 """
 
 from __future__ import annotations
@@ -200,11 +203,15 @@ class PairRuntime:
     pair.
 
     Owns the snapshot/restore of everything a re-executed attempt
-    mutates: both parties' RNG states, every randomness pool (factors,
-    counters, and the pool's forked RNG), the comparison backend's
-    invocation counter, and the peer cipher cache.  Restoration is
-    total -- even a background pool deposit that landed mid-attempt is
-    rolled back with the pool RNG, so re-generation stays consistent.
+    mutates: both parties' RNG states, the comparison backend's
+    invocation counter and the peer cipher cache are captured at the
+    query's start and restored before every further attempt.  The
+    randomness pools keep their own attempt logs instead
+    (:meth:`~repro.crypto.precompute.RandomnessPool.rewind`): an
+    aborted attempt's factors go back to the front of their queues, so
+    the next attempt pops the same factors and computes none twice --
+    the pools' RNGs are never rewound, and their ``consumed`` counts
+    roll back with the factors.
     """
 
     #: Restart/parked accounting; the daemon rebinds these to its
@@ -212,11 +219,9 @@ class PairRuntime:
     obs_restarts = NULL_INSTRUMENT
     obs_parked = NULL_INSTRUMENT
 
-    def __init__(self, channel: RestartableMirrorChannel, link,
-                 lease=None):
+    def __init__(self, channel: RestartableMirrorChannel, link):
         self.channel = channel
         self.link = link
-        self.lease = lease
         self.session = None
         self.cache = None
         self.restarts = 0
@@ -228,14 +233,11 @@ class PairRuntime:
         session = self.session
         if session is None:
             return None
-        pools = {}
-        for key, pool in session._pools.items():
-            pools[key] = (tuple(pool._factors), pool.pregenerated,
-                          pool.consumed, pool.misses, pool.rng.getstate())
+        for pool in session.pools().values():
+            pool.log_draws()
         return {
             "rngs": {name: session.party(name).rng.getstate()
                      for name in (session.alice.name, session.bob.name)},
-            "pools": pools,
             "invocations": session.comparison_backend.invocations,
             "cache": (dict(self.cache.ciphers)
                       if self.cache is not None else None),
@@ -247,15 +249,8 @@ class PairRuntime:
         session = self.session
         for name, rng_state in state["rngs"].items():
             session.party(name).rng.setstate(rng_state)
-        for key, (factors, pregenerated, consumed, misses,
-                  rng_state) in state["pools"].items():
-            pool = session._pools[key]
-            pool._factors.clear()
-            pool._factors.extend(factors)
-            pool.pregenerated = pregenerated
-            pool.consumed = consumed
-            pool.misses = misses
-            pool.rng.setstate(rng_state)
+        for pool in session.pools().values():
+            pool.rewind()
         session.comparison_backend.invocations = state["invocations"]
         if self.cache is not None:
             self.cache.ciphers.clear()
@@ -268,52 +263,44 @@ class PairRuntime:
 
         ``fn`` receives a fresh ledger per attempt (an aborted attempt
         must leave no disclosure records); the successful attempt's
-        records are folded into ``out_ledger``.  While an attempt is in
-        flight the lease is flagged busy, so the service's idle refill
-        never deposits into a pool between snapshot and restore.
-        ``span`` (a peer-query span) gets one child per attempt; parked
-        attempts record the frame label they waited for.  A parked
-        attempt's ``timeout_s`` frame wait starts only once
-        :attr:`peer_keys` is set: the peer announces its keys before it
-        sends any frame of the pair, so this adds no wait, and a silent
-        peer fails the session at its announcement alone.
+        records are folded into ``out_ledger``.  ``span`` (a peer-query
+        span) gets one child per attempt; parked attempts record the
+        frame label they waited for.  A parked attempt's ``timeout_s``
+        frame wait starts only once :attr:`peer_keys` is set: the peer
+        announces its keys before it sends any frame of the pair, so
+        this adds no wait, and a silent peer fails the session at its
+        announcement alone.
         """
-        if self.lease is not None:
-            self.lease.busy += 1
-        try:
-            self.channel.begin_query()
-            snapshot = self._capture()
-            attempt = 0
-            while True:
-                attempt += 1
-                self.channel.begin_attempt()
-                attempt_span = span.child("attempt", f"attempt{attempt}",
-                                          attempt=attempt)
-                attempt_ledger = LeakageLedger()
-                try:
-                    result = fn(attempt_ledger)
-                except NeedFrame as need:
-                    self.restarts += 1
-                    self.obs_restarts.inc()
-                    self._restore(snapshot)
-                    attempt_span.set(parked_on=need.label)
-                    attempt_span.close()
-                    self.obs_parked.inc()
-                    try:
-                        if self.peer_keys is not None:
-                            await self.peer_keys.wait()
-                        self.channel.stage(await self.link.wait_message(
-                            f"frame {need.label!r}"))
-                    finally:
-                        self.obs_parked.dec()
-                    continue
+        self.channel.begin_query()
+        snapshot = self._capture()
+        attempt = 0
+        while True:
+            attempt += 1
+            self.channel.begin_attempt()
+            attempt_span = span.child("attempt", f"attempt{attempt}",
+                                      attempt=attempt)
+            attempt_ledger = LeakageLedger()
+            try:
+                result = fn(attempt_ledger)
+            except NeedFrame as need:
+                self.restarts += 1
+                self.obs_restarts.inc()
+                self._restore(snapshot)
+                attempt_span.set(parked_on=need.label)
                 attempt_span.close()
-                if out_ledger is not None:
-                    out_ledger.extend(attempt_ledger)
-                return result
-        finally:
-            if self.lease is not None:
-                self.lease.busy -= 1
+                self.obs_parked.inc()
+                try:
+                    if self.peer_keys is not None:
+                        await self.peer_keys.wait()
+                    self.channel.stage(await self.link.wait_message(
+                        f"frame {need.label!r}"))
+                finally:
+                    self.obs_parked.dec()
+                continue
+            attempt_span.close()
+            if out_ledger is not None:
+                out_ledger.extend(attempt_ledger)
+            return result
 
 
 #: Points one pass role works on at once: it bounds the restart

@@ -59,14 +59,12 @@ passed the shape and pinned-digest checks and been adopted -- all of
 which arrived in the same flight as the driver's queries.  A session
 spends no link delay on setup.
 
-A daemon-wide :class:`~repro.crypto.precompute.RandomnessService`
-amortizes the offline phase across sessions: it learns each keypair's
-per-session factor demand as sessions release their leases, prefills
-the hosted party's pools of new sessions to that demand, and tops them
-up to the remaining need from an idle-time background coroutine.
-Factor *values* stay per-session (each pool draws from a per-session
-forked RNG stream), so warm starts change where offline time is spent,
-never a byte of any transcript.
+Randomness: a daemon runs no offline phase.  Each stream's pools start
+empty and compute every Paillier randomness factor online, from the
+per-stream forked RNG streams the in-process mesh uses; a restarted
+attempt pops the factors its aborted attempts drew again
+(:meth:`~repro.crypto.precompute.RandomnessPool.rewind`), so each
+factor is computed once however often its query re-executes.
 
 Determinism: a session's coins, keys, and channel machinery are exactly
 the in-process mesh's (same ``derive_pair_rng`` streams per (pair,
@@ -111,8 +109,7 @@ from repro.core.horizontal import secure_peer_neighbor_count
 from repro.core.leakage import Disclosure, LeakageEvent, LeakageLedger
 from repro.crypto.engine import ModexpEngine
 from repro.crypto.integer_math import powmod_cache_report
-from repro.crypto.precompute import PrecomputeError, RandomnessService
-from repro.crypto.sealed import public_key_digest
+from repro.crypto.precompute import combine_pool_reports
 from repro.multiparty.mesh import (
     PairStream,
     build_stream,
@@ -222,7 +219,8 @@ class PartyReport:
     round-trip cost from setup.
     ``runtime_info`` holds the daemon's per-session amortization
     figures: whether the session warm-started on an already-warmed
-    engine, setup timings, and the randomness-pool hit/miss counts.
+    engine, setup timings, and the hosted party's randomness-pool
+    counts.
     """
 
     party: str
@@ -510,13 +508,16 @@ class _Stream:
     runtime: PairRuntime
     stream: PairStream | None         # None once retired
     comparisons: int = 0
+    pools: dict = field(default_factory=dict)   # reports, kept at retire
 
     def retire(self) -> None:
         """Drop the finished query's protocol state -- its session,
-        parties and coins -- and keep what the report reads: the
-        channel's stats and transcript and the comparison count."""
-        self.comparisons = \
-            self.stream.session.comparison_backend.invocations
+        parties, coins and pools -- and keep what the report reads: the
+        channel's stats and transcript, the comparison count and the
+        pools' reports."""
+        session = self.stream.session
+        self.comparisons = session.comparison_backend.invocations
+        self.pools = session.pool_report()
         self.stream = None
         self.runtime.session = None
 
@@ -547,7 +548,6 @@ class _SessionState:
     # (peer, driver) -> the pass's PeerCipherCache, or None
     caches: dict = field(default_factory=dict)
     config: object = None                          # the session's SmcConfig
-    lease: object = None
     setup_seconds: float = 0.0
 
     def pass_streams(self, peer: str, driver: str) -> list[_Stream]:
@@ -636,7 +636,6 @@ class PartyDaemon:
                                if spec.link_auth else None)
         self.engine = ModexpEngine(workers=spec.engine_workers)
         self.engine_warm = False
-        self.randomness = RandomnessService(engine=self.engine)
         self.hubs: dict[str, AsyncTcpTransport] = {}
         self.sessions_run = 0
         self.ready = threading.Event()
@@ -650,7 +649,6 @@ class PartyDaemon:
         self._session_tasks: set[asyncio.Task] = set()
         # Open client connections: each handler task and its writer.
         self._clients: dict[asyncio.Task, asyncio.StreamWriter] = {}
-        self._refill_task: asyncio.Task | None = None
         self._draining = False
         self._drain = False
         # Observability: every subsystem of this daemon reports into
@@ -693,8 +691,6 @@ class PartyDaemon:
             round(self._setup_seconds, 6))
         for key, value in self.engine.report().items():
             registry.gauge("repro_engine", stat=key).set(value)
-        for key, value in self.randomness.report().items():
-            registry.gauge("repro_randomness", stat=key).set(value)
         for key, value in powmod_cache_report().items():
             registry.gauge("repro_powmod_cache", stat=key).set(value)
 
@@ -751,8 +747,6 @@ class PartyDaemon:
             if not await self._unless_stopped(self._start_up()):
                 return  # stopped during link-up: tear down what exists
             self._setup_seconds = time.perf_counter() - started
-            self._refill_task = self._loop.create_task(
-                self.randomness.refill_idle())
             self._links_ready.set()
             self.ready.set()
             await self._stop_event.wait()
@@ -766,11 +760,6 @@ class PartyDaemon:
             self._draining = True
             for task in list(self._session_tasks):
                 task.cancel()
-            if self._refill_task is not None:
-                self._refill_task.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await self._refill_task
-            self.randomness.close()
             for hub in self.hubs.values():
                 await hub.aclose("daemon stopping")
             # A client connection outlives a drain on purpose (the
@@ -1168,8 +1157,6 @@ class PartyDaemon:
 
         state = _SessionState(manifest=manifest, points=points,
                               started=started, faults=faults)
-        lease = self.randomness.lease(manifest.session_id)
-        lease_report: dict | None = None
         session_span = self.tracer.span(
             "session", manifest.session_id,
             session_index=session_index, warm_start=warm_start,
@@ -1191,7 +1178,7 @@ class PartyDaemon:
             # cancels the rest and fails the session.
             self._send_sync(state, digest)
             await asyncio.sleep(0)
-            self._build_streams(state, config, lease)
+            self._build_streams(state, config)
             if faults is not None:
                 faults.at_boundary(0)
             self._announce_keys(state)
@@ -1207,7 +1194,6 @@ class PartyDaemon:
             labels = results[1 + len(peers)
                              + manifest.names.index(self.name)]
             finished = time.perf_counter()
-            lease_report = self.randomness.release(manifest.session_id)
             restarts = sum(rt.restarts for rt in state.runtimes())
             session_span.set(restarts=restarts)
             return self._build_report(
@@ -1216,20 +1202,17 @@ class PartyDaemon:
                 passes=finished - passes_started,
                 runtime_info=self._runtime_info(
                     session_index, warm_start, state.setup_seconds,
-                    restarts, lease_report))
+                    restarts, state))
         finally:
             sync_span.close()
             session_span.close()
-            if lease_report is None:
-                with contextlib.suppress(PrecomputeError):
-                    self.randomness.release(manifest.session_id)
             # Every view this session owns on each hub, opened here or
             # created by an early peer frame.
             for hub in self.hubs.values():
                 hub.release_session(manifest.session_id)
             self._active.discard(manifest.session_id)
 
-    def _pair_runtime(self, view, lease=None, link=None) -> PairRuntime:
+    def _pair_runtime(self, view, link=None) -> PairRuntime:
         """A restartable runner over a fresh mirror channel on ``view``
         (through ``link``, a fault wrapper, when given)."""
         channel = RestartableMirrorChannel(
@@ -1237,7 +1220,7 @@ class PartyDaemon:
             view if link is None else link)
         channel.obs_live = self._obs_segments["live"]
         channel.obs_replayed = self._obs_segments["replayed"]
-        runtime = PairRuntime(channel, view, lease)
+        runtime = PairRuntime(channel, view)
         runtime.obs_restarts = self.metrics.counter("repro_restarts_total")
         runtime.obs_parked = self.metrics.gauge("repro_parked_coroutines")
         return runtime
@@ -1308,7 +1291,7 @@ class PartyDaemon:
                            failures[0])
         state.synced.set()
 
-    def _build_streams(self, state: _SessionState, config, lease) -> None:
+    def _build_streams(self, state: _SessionState, config) -> None:
         """Build what the first flight needs; no frame leaves here.
 
         Key material is sealed: this daemon derives only its *own*
@@ -1320,9 +1303,7 @@ class PartyDaemon:
         so neither side's waits on the other's.  Then each pair gets the
         streams of the drive pass's first
         :data:`~repro.runtime.async_pass.POINTS_IN_FLIGHT` queries over
-        it (:meth:`_stream`), with the hosted party's pools under its
-        own key registered and prefilled: the queries of the first
-        flight draw on them.  A respond role's streams, and a later
+        it (:meth:`_stream`).  A respond role's streams, and a later
         query's, are built when their points enter the pass's window.
         With cached peer ciphertexts, a pass's queries to one peer
         share one cache, and the drive role waits for every adoption,
@@ -1333,10 +1314,8 @@ class PartyDaemon:
                                      key_digests=manifest.key_digests)
         state.contexts = {name: provider.context_for(name, slot)
                           for slot, name in enumerate(manifest.names)}
-        state.config, state.lease = config.smc, lease
+        state.config = config.smc
         for peer, session_view in state.views.items():
-            # No lease: an announcement draws from no pool, and one
-            # parked on a silent peer must not hold off the idle refill.
             state.keys[peer] = {
                 announcer: self._pair_runtime(session_view)
                 for announcer in self.spec.ordered_pair(self.name, peer)}
@@ -1366,9 +1345,8 @@ class PartyDaemon:
         that arrived before it was built wait there), per-query coins
         and pools on the shared contexts, the same key slots, RNG
         substreams and channel machinery as the in-process mesh.  A
-        stream built after the peer's keys were adopted starts on them;
-        the hosted party's pools are registered under every key already
-        known.  Its frame waits start once the peer's keys are adopted
+        stream built after the peer's keys were adopted starts on them.
+        Its frame waits start once the peer's keys are adopted
         (:attr:`~repro.runtime.async_pass.PairRuntime.peer_keys`), so a
         peer silent at its announcement times out there alone.
         """
@@ -1382,7 +1360,7 @@ class PartyDaemon:
         link = (None if state.faults is None
                 else state.faults.link(view, pair_key(self.name, peer),
                                        manifest.names.index(driver), query))
-        runtime = self._pair_runtime(view, state.lease, link)
+        runtime = self._pair_runtime(view, link)
         stream = build_stream(
             state.contexts, state.config, runtime.channel, driver, query,
             {name: manifest.seed_of(name) for name in manifest.names},
@@ -1391,9 +1369,6 @@ class PartyDaemon:
         runtime.cache = state.caches[(peer, driver)]
         runtime.peer_keys = state.adopted[peer]
         entry = state.streams[key] = _Stream(view, runtime, stream)
-        self._register_pools(state, entry, self.name)
-        if state.adopted[peer].is_set():
-            self._register_pools(state, entry, peer)
         return entry
 
     def _announce_keys(self, state: _SessionState) -> None:
@@ -1416,9 +1391,8 @@ class PartyDaemon:
         with a typed timeout.  A malformed or unpinned key fails it
         before any role has used it.  Adoption re-points the pair's
         streams built so far at the authentic keys
-        (:meth:`~repro.smc.session.SmcSession.peer_keys_adopted`) and
-        registers the hosted pools under them; a stream built later
-        starts on them.
+        (:meth:`~repro.smc.session.SmcSession.peer_keys_adopted`); a
+        stream built later starts on them.
         """
         channel = state.keys[peer][peer].channel
         owner, receiver = _endpoint(channel, peer), _endpoint(channel,
@@ -1435,38 +1409,7 @@ class PartyDaemon:
             await state.keys[peer][peer].run(take)
         for entry in state.pair_streams(peer):
             entry.stream.session.peer_keys_adopted(peer)
-            self._register_pools(state, entry, peer)
         state.adopted[peer].set()
-
-    def _register_pools(self, state: _SessionState, entry: _Stream,
-                        key_owner: str) -> None:
-        """Hand the hosted party's pools of one stream under
-        ``key_owner``'s key to the randomness service -- its own key's
-        when the stream is built, each peer's once adopted (or at once
-        for a stream built after that).
-
-        Only this daemon's own party draws from its pools here (the
-        peer's steps run in the peer's daemon), so the peer-actor pools
-        are never registered or prefilled.  Each pool is registered
-        under its pass role -- ``drive`` on this party's own stream,
-        ``respond`` on a peer's -- because each pool is drawn by one
-        role only (by default the driver encrypts under its own key and
-        the responder under the driver's; cached ciphertexts swap
-        them).  Registration prefills each pool to the demand the
-        service learned for that (key, ownership, role) from released
-        sessions -- the cross-session warm start -- so a pool its role
-        never draws is never prefilled.  The pools themselves (and their
-        factor values) stay session-private.
-        """
-        role = "drive" if entry.stream.driver == self.name else "respond"
-        session = entry.stream.session
-        for (actor, owner), pool in session.pools().items():
-            if actor != self.name or owner != key_owner:
-                continue
-            digest = public_key_digest(
-                session.paillier_keys(owner).public_key)
-            state.lease.register_pool(pool, digest, actor == owner,
-                                      role=role)
 
     async def _pass_role(self, state: _SessionState, pass_index: int,
                          driver: str, config, ledger, session_span):
@@ -1591,10 +1534,12 @@ class PartyDaemon:
 
     def _runtime_info(self, session_index: int, warm_start: bool,
                       setup_seconds: float, restarts: int,
-                      lease_report: dict) -> dict:
-        # One accounting source: the session's pool totals come from
-        # its lease's hit report (the same numbers the randomness
-        # service folds into the registry at release).
+                      state: _SessionState) -> dict:
+        # The pools of every stream, kept when the stream retired: only
+        # the hosted party draws from them in this process.
+        pool = combine_pool_reports(
+            report for entry in state.streams.values()
+            for report in entry.pools.values())
         return {
             "runtime": "daemon",
             "pass_model": "async-restartable",
@@ -1604,7 +1549,7 @@ class PartyDaemon:
             "engine": self.engine.report(),
             "daemon_setup_seconds": round(self._setup_seconds, 6),
             "setup_seconds": round(setup_seconds, 6),
-            "pool": {key: lease_report.get(key, 0)
+            "pool": {key: pool[key]
                      for key in ("pregenerated", "consumed", "misses")},
             # The scale-out observable: loop + engine machinery only,
             # independent of how many sessions run concurrently.
@@ -1612,10 +1557,6 @@ class PartyDaemon:
             # and per-session reports can never disagree.
             "thread_count": self._observe_thread_count(),
             "restarts": restarts,
-            "randomness": {
-                "lease": lease_report,
-                "service": self.randomness.report(),
-            },
         }
 
     def _build_report(self, state: _SessionState, labels, ledger, *,

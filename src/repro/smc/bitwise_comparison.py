@@ -59,7 +59,7 @@ round-trip instead of taking one each.  Messages, bytes and each
 party's coin draws equal a loop of :func:`dgk_greater_than`; only the
 message order changes.
 
-Gap batches: :func:`dgk_leq_within_gap` decides ``x_i <= y_i`` pairwise
+Gap batches: a :class:`GapLane` decides ``x_i <= y_i`` pairwise
 under a public promise ``|x_i - y_i| <= gap``, on ``bits(gap) + 1``
 positions whatever the values' range.  With ``l = bits(gap)``,
 ``z = y - x + 2^l`` lies in ``(0, 2^(l+1))``, so ``x <= y`` is bit ``l``
@@ -84,7 +84,6 @@ keeps its messages, labels, coins and bits; only the order changes.
 With one lane in each direction (the two passes of the Section 5
 protocol) the senders run ``K1 | K2 O1 | O2``, so both lanes take the
 three flights of one, and a next step's first request rides the last.
-:func:`dgk_leq_within_gap` is the one-lane call.
 
 Every form runs each party's steps only where it is hosted
 (:attr:`~repro.net.party.Party.hosted`); a process that does not host
@@ -312,31 +311,16 @@ class GapLane:
                 f"other values")
 
 
-def dgk_leq_within_gap(key_holder: Party, xs: list[int], other: Party,
-                       ys: list[int], gap: int, keypair: DgkKeyPair, *,
-                       label: str = "dgk") -> list[bool]:
-    """Decide ``x_i <= y_i`` for every pair, given the public promise
-    ``|x_i - y_i| <= gap``; only ``key_holder`` learns them.
-
-    The pairwise form at the gap's width (module docstring, "Gap
-    batches"): the key holder sends ``bits(gap)`` bit ciphertexts per
-    pair, the other party answers with ``bits(gap) + 1`` witnesses, and
-    the pairs advance phase by phase, one round trip for all.  A broken
-    promise gives the key holder a wrong bit and nothing more.  One
-    lane of :func:`dgk_leq_within_gap_lanes`.
-    """
-    [results] = dgk_leq_within_gap_lanes(
-        [GapLane(key_holder, xs, other, ys, gap, keypair, label)])
-    return results
-
-
 def dgk_leq_within_gap_lanes(lanes: Sequence[GapLane]) -> list[list[bool]]:
     """Every lane's gap comparisons, phase by phase across the lanes
     (module docstring, "Lanes"): every key holder's ``x_bits`` in lane
     order, then every other party's ``witnesses``, then every key
-    holder's zero tests.  Every lane is checked before anything is
-    sent.  Returns each lane's bits, ``False`` placeholders where its
-    key holder is not hosted.
+    holder's zero tests.  Per pair the key holder sends ``bits(gap)``
+    bit ciphertexts and the other party answers with ``bits(gap) + 1``
+    witnesses; a broken promise gives the key holder a wrong bit and
+    nothing more.  Every lane is checked before anything is sent.
+    Returns each lane's bits, ``False`` placeholders where its key
+    holder is not hosted.
     """
     for lane in lanes:
         lane.check()

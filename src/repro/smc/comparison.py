@@ -17,24 +17,23 @@ answer"*.  Three interchangeable backends provide it:
 
 Batches: :meth:`SecureComparison.leq_batch` decides many pairs in one
 call.  On the bitwise backend an undeclared batch is one DGK round-trip
-for all its pairs, each pair keeping its own messages (a batch of
-selection steps or final core tests in the Section 5 protocol, or a
-blinded region query's thresholds); a batch declared ``amortize`` also
-shares one bit-encryption.  A batch that declares a ``gap`` -- a public
-bound on every ``|a_i - b_i|`` -- pays for the gap instead of the
-interval: the bitwise backend compares on ``bits(gap) + 1`` positions
-(:func:`~repro.smc.bitwise_comparison.dgk_leq_within_gap`), the oracle
-checks the promise on every item, and YMPP ignores it.  The Section 5
-protocol declares one for its selection steps and final core tests,
-whose masks widen the interval far beyond the distances they hide.
+for all its pairs, each pair keeping its own messages (a blinded region
+query's thresholds); a batch declared ``amortize`` also shares one
+bit-encryption.
 
-Lanes: :meth:`SecureComparison.leq_lanes` decides several gap-declared
-batches at once -- one :class:`ComparisonLane` each, with its own
-parties, interval, gap and label -- and a gap-declared ``leq_batch`` is
-its one-lane call.  The bitwise backend runs the lanes phase by phase
-across them, so the Section 5 protocol's two passes, one lane each in
-opposite directions, share every flight of a step (DESIGN.md,
-"Overlapped Section 5 passes").
+Lanes: :meth:`SecureComparison.leq_lanes` decides several batches at
+once -- one :class:`ComparisonLane` each, with its own parties,
+interval, label and ``gap``, a public bound on every ``|a_i - b_i|``.
+A lane pays for its gap instead of its interval: the bitwise backend
+compares on ``bits(gap) + 1`` positions
+(:func:`~repro.smc.bitwise_comparison.dgk_leq_within_gap_lanes`), the
+oracle checks the promise on every item, and YMPP ignores it.  The
+Section 5 protocol runs its selection steps and final core tests as
+lanes, whose masks widen the interval far beyond the distances they
+hide.  The bitwise backend runs the lanes phase by phase across them,
+so the protocol's two passes, one lane each in opposite directions,
+share every flight of a step (DESIGN.md, "Overlapped Section 5
+passes").
 
 Strict/loose mapping: all backends reduce ``a <= b`` to the primitive
 each protocol natively offers (YMPP decides ``i < j``; DGK decides
@@ -76,15 +75,9 @@ def _check_reveal_and_interval(reveal_to: str, lo: int, hi: int) -> None:
         raise ComparisonError(f"empty interval [{lo}, {hi}]")
 
 
-def _check_gap(gap: int | None, reveal_to: str, amortize: bool) -> None:
-    if gap is None:
-        return
+def _check_gap(gap: int) -> None:
     if type(gap) is not int or gap < 0:
         raise ComparisonError(f"gap must be a non-negative int, got {gap!r}")
-    if amortize or reveal_to != "a":
-        raise ComparisonError(
-            "a gap is declared only on batches revealed to 'a' and not "
-            "amortized")
 
 
 def _check_in_interval(name: str, value: int, lo: int, hi: int) -> None:
@@ -175,7 +168,6 @@ class SecureComparison(ABC):
     def leq_batch(self, a_party: Party, a_values: list[int], b_party: Party,
                   b_values: list[int], *, lo: int, hi: int,
                   reveal_to: str = "both", amortize: bool = False,
-                  gap: int | None = None,
                   label: str = "cmp") -> list[ComparisonOutcome]:
         """Decide ``a_i <= b_i`` for every pair; semantics of one
         :meth:`leq` per pair.
@@ -203,20 +195,8 @@ class SecureComparison(ABC):
         private values themselves: message shapes would then depend on
         secret-value collisions, an equality side channel the
         per-point protocol does not have.
-
-        ``gap`` is another declaration of public protocol structure:
-        every ``|a_i - b_i| <= gap``.  The batch is then the one lane of
-        a :meth:`leq_lanes` call.  Nothing declares it on an amortized
-        batch or with a reveal target other than ``"a"``, so those
-        raise.
         """
         _check_reveal_and_interval(reveal_to, lo, hi)
-        _check_gap(gap, reveal_to, amortize)
-        if gap is not None:
-            [outcomes] = self.leq_lanes([ComparisonLane(
-                a_party, a_values, b_party, b_values, lo=lo, hi=hi, gap=gap,
-                label=label)])
-            return outcomes
         _check_batch(a_values, b_values, lo, hi)
         if not a_values:
             return []
@@ -238,9 +218,10 @@ class SecureComparison(ABC):
 
     def leq_lanes(self, lanes: Sequence[ComparisonLane]
                   ) -> list[list[ComparisonOutcome]]:
-        """Decide every lane's ``a_i <= b_i``, each lane a gap-declared
-        batch revealed to its ``a_party``; semantics of one
-        :meth:`leq_batch` per lane.
+        """Decide every lane's ``a_i <= b_i``, each lane a batch revealed
+        to its ``a_party`` under the public promise
+        ``|a_i - b_i| <= gap``; semantics of one :meth:`leq_batch` per
+        lane, revealed to ``"a"``.
 
         Every lane is validated -- its gap, its interval and every item
         in it -- before anything is sent, and each pair counts one
@@ -254,7 +235,7 @@ class SecureComparison(ABC):
         shifted = []
         for lane in lanes:
             _check_reveal_and_interval("a", lane.lo, lane.hi)
-            _check_gap(lane.gap, "a", False)
+            _check_gap(lane.gap)
             _check_batch(lane.a_values, lane.b_values, lane.lo, lane.hi)
             shifted.append(replace(
                 lane, a_values=[a - lane.lo for a in lane.a_values],

@@ -28,7 +28,7 @@ import random
 
 from repro.crypto.engine import ModexpEngine, default_engine
 from repro.crypto.primes import random_prime_in_range
-from repro.crypto.rsa import RsaKeyPair, RsaPublicKey
+from repro.crypto.rsa import RsaKeyPair
 from repro.net.party import Party
 
 # Step 4 retries a fresh prime when residues collide; with p >= 8*n0 the

@@ -10,8 +10,8 @@ A :class:`SmcSession` is created once per distributed-DBSCAN run.  It
   announcement choreography the multi-party mesh and the daemons run
   per pair too),
 - exposes the protocol primitives (comparison, multiplication, scalar
-  products, k-th smallest) with party lookup by name, so the DBSCAN
-  layers never touch raw key objects.
+  products) with party lookup by name, so the DBSCAN layers never touch
+  raw key objects.
 """
 
 from __future__ import annotations
@@ -47,15 +47,12 @@ from repro.smc.comparison import (
     SecureComparison,
     make_comparison_backend,
 )
-from repro.smc.kth_smallest import kth_smallest_quickselect, kth_smallest_scan
 from repro.smc.multiplication import secure_multiplication
 from repro.smc.scalar_product import (
     ScalarProductLane,
     secure_masked_dot_terms,
     secure_masked_dot_terms_batch,
-    secure_scalar_products_lanes,
 )
-from repro.smc.secret_sharing import SharedValues
 
 
 class SessionError(ValueError):
@@ -337,14 +334,16 @@ class SmcSession:
         # Every (actor, key_owner) pool is created eagerly, in fixed
         # order, each with its own RNG stream *forked* from the actor's
         # protocol RNG at this pinned point.  The fork is what makes
-        # pool refills timing-invariant: a pool filled in the
-        # background (the daemon's RandomnessService), filled up front,
-        # or filled on demand produces the same factor sequence,
-        # because pool draws no longer interleave with the party's
-        # protocol coin draws.  Pooling therefore only reorders work in
-        # time -- the bit-identity contract across runtimes holds
-        # whatever the refill schedule.  A pool under a pending peer key
-        # holds the placeholder until peer_keys_adopted.
+        # pool refills timing-invariant: a pool filled up front
+        # (precompute_pools) or on demand produces the same factor
+        # sequence, because pool draws never interleave with the
+        # party's protocol coin draws -- and a daemon's restarted query
+        # can hand an aborted attempt's factors back to the pool
+        # (RandomnessPool.rewind) without rewinding either RNG.
+        # Pooling therefore only reorders work in time -- the
+        # bit-identity contract across runtimes holds whatever the
+        # refill schedule.  A pool under a pending peer key holds the
+        # placeholder until peer_keys_adopted.
         self._pools: dict[tuple[str, str], RandomnessPool] = {}
         if self.config.precompute:
             for actor in (self.alice, self.bob):
@@ -507,8 +506,8 @@ class SmcSession:
 
     def pools(self) -> dict[tuple[str, str], RandomnessPool]:
         """The live pool objects, keyed ``(actor, key_owner)`` in fixed
-        creation order -- what the daemon's randomness service registers
-        under a session lease."""
+        creation order -- what a daemon's restartable query logs and
+        rewinds."""
         return dict(self._pools)
 
     # -- protocol entry points ----------------------------------------------
@@ -524,18 +523,16 @@ class SmcSession:
     def compare_leq_batch(self, a_party: Party, a_values: list[int],
                           b_party: Party, b_values: list[int], *,
                           lo: int, hi: int, reveal_to: str = "both",
-                          amortize: bool = False, gap: int | None = None,
+                          amortize: bool = False,
                           label: str = "cmp") -> list[ComparisonOutcome]:
         """Batched ``a_i <= b_i``: one invocation per pair.  With
         ``amortize`` the caller declares the learning party's side
         constant (public protocol structure), letting the backend share
-        one bit-encryption and round-trip across the whole batch; with
-        ``gap`` it declares a public bound on every ``|a_i - b_i|``, and
-        the backend pays for the gap instead of the interval -- see
+        one bit-encryption and round-trip across the whole batch -- see
         :meth:`SecureComparison.leq_batch`."""
         return self.comparison_backend.leq_batch(
             a_party, a_values, b_party, b_values, lo=lo, hi=hi,
-            reveal_to=reveal_to, amortize=amortize, gap=gap, label=label)
+            reveal_to=reveal_to, amortize=amortize, label=label)
 
     def multiplication(self, receiver: Party, x: int, masker: Party, y: int,
                        mask: int, *, label: str = "mult") -> int:
@@ -574,20 +571,6 @@ class SmcSession:
             receiver_pool=self.pool(receiver, holder),
             engine=self.engine)
 
-    def scalar_products(self, receiver: Party, alphas: list[list[int]],
-                        masker: Party, betas: list[list[list[int]]],
-                        masks: list[list[int]], *,
-                        label: str = "sprod") -> list[list[int]]:
-        """Section 5 batched sharing: for every ``alpha``, the receiver
-        learns ``<alpha, b_i> + v_i`` -- one round-trip for all; the
-        one-lane call of
-        :func:`~repro.smc.scalar_product.secure_scalar_products_lanes`."""
-        [products] = secure_scalar_products_lanes(
-            [self.scalar_product_lane(receiver, alphas, masker, betas, masks,
-                                      label=label)],
-            engine=self.engine)
-        return products
-
     def scalar_product_lane(self, receiver: Party,
                             alphas: list[list[int]], masker: Party,
                             betas: list[list[list[int]]],
@@ -601,19 +584,3 @@ class SmcSession:
             self.paillier_keys(receiver.name), label=label,
             receiver_pool=self.pool(receiver, receiver),
             masker_pool=self.pool(masker, receiver))
-
-    def kth_smallest(self, u_party: Party, v_party: Party,
-                     shares: list[SharedValues], ks: list[int], *,
-                     method: str = "scan",
-                     label: str = "kselect") -> list[int]:
-        """Section 5 selection, every share vector's ``ks``-th smallest
-        in lockstep; ``method`` is ``"scan"`` or ``"quickselect"``."""
-        if method == "scan":
-            return kth_smallest_scan(
-                self.comparison_backend, u_party, v_party, shares, ks,
-                label=label)
-        if method == "quickselect":
-            return kth_smallest_quickselect(
-                self.comparison_backend, u_party, v_party, shares, ks,
-                label=label)
-        raise SessionError(f"unknown selection method {method!r}")

@@ -225,6 +225,7 @@ class TestEncryptionFactorsEquivalence:
     def test_scalar_products_transcript_engine_vs_serial(self):
         """Section 5 sharing routed through the engine is bit-identical
         on the wire (same masker ciphertexts, same results)."""
+        from repro.smc.scalar_product import secure_scalar_products_lanes
         from repro.smc.session import SmcConfig, SmcSession
 
         def run(engine):
@@ -232,9 +233,11 @@ class TestEncryptionFactorsEquivalence:
             session = SmcSession(
                 *make_party_pair(channel, 31, 32),
                 SmcConfig(paillier_bits=128, key_seed=922, engine=engine))
-            values = session.scalar_products(
-                session.alice, [[3, -1, 4]], session.bob,
-                [[[1, 5, 9], [2, 6, 5], [0, 0, 1]]], [[7, 8, 9]])
+            [values] = secure_scalar_products_lanes(
+                [session.scalar_product_lane(
+                    session.alice, [[3, -1, 4]], session.bob,
+                    [[[1, 5, 9], [2, 6, 5], [0, 0, 1]]], [[7, 8, 9]])],
+                engine=session.engine)
             wire = [(e.sender, e.label, e.value)
                     for e in channel.transcript.entries]
             return values, wire

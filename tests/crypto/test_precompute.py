@@ -94,6 +94,109 @@ class TestRandomnessPool:
         assert pool.consumed == 2 and pool.misses == 0
 
 
+class TestAttemptLog:
+    """A restarted query's pools hand its aborted attempt's factors out
+    again, in draw order, instead of computing them twice."""
+
+    def test_rewind_hands_out_the_same_factors_and_computes_none_twice(
+            self, monkeypatch):
+        computed = []
+        fresh_factor = type(PUB).fresh_factor
+
+        def counting(public, rng):
+            factor = fresh_factor(public, rng)
+            computed.append(factor)
+            return factor
+
+        monkeypatch.setattr(type(PUB), "fresh_factor", counting)
+        pool = _pool(14)
+        pool.refill(2)
+        pool.log_draws()
+        aborted = [pool.encryption_factor() for _ in range(5)]
+        assert (pool.consumed, pool.misses, len(computed)) == (5, 3, 5)
+        pool.rewind()
+        assert (pool.consumed, pool.misses, len(pool)) == (0, 3, 5)
+        restarted = [pool.encryption_factor() for _ in range(5)]
+        assert restarted == aborted == computed
+        assert (pool.consumed, pool.misses, len(computed)) == (5, 3, 5)
+        # A longer attempt computes only the factors past the log.
+        pool.rewind()
+        longer = [pool.encryption_factor() for _ in range(7)]
+        assert longer[:5] == aborted and longer[5:] == computed[5:]
+        assert (pool.consumed, pool.misses, len(computed)) == (7, 5, 7)
+
+    def test_rewinding_keeps_the_pool_s_factor_stream(self):
+        """Rewinding changes when a factor is handed out again, never
+        which factors the pool's stream produces."""
+        plain, logged = _pool(15), _pool(15)
+        expected = [plain.encryption_factor() for _ in range(4)]
+        logged.log_draws()
+        logged.encryption_factor()
+        logged.rewind()
+        assert [logged.encryption_factor() for _ in range(4)] == expected
+
+    def test_a_new_log_gives_back_only_the_current_attempt_s_factors(self):
+        """Each query starts its own log: a rewind returns what the
+        current attempt drew, never a finished query's factors."""
+        pool = _pool(16)
+        pool.log_draws()
+        finished = [pool.encryption_factor() for _ in range(2)]
+        pool.log_draws()
+        aborted = pool.encryption_factor()
+        pool.rewind()
+        assert (pool.consumed, pool.misses, len(pool)) == (2, 3, 1)
+        later = [pool.encryption_factor() for _ in range(3)]
+        assert later[0] == aborted
+        assert not set(later) & set(finished)
+
+    def test_rerandomization_units_share_the_log(self):
+        pool = _pool(17)
+        pool.log_draws()
+        drawn = [pool.rerandomization_unit(), pool.encryption_factor()]
+        pool.rewind()
+        assert [pool.encryption_factor(), pool.rerandomization_unit()] \
+            == drawn
+        assert (pool.consumed, pool.misses) == (2, 2)
+
+    def test_a_rewind_with_nothing_drawn_changes_nothing(self):
+        """An attempt that parks before its first encryption leaves
+        every pool as it found it."""
+        plain, logged = _pool(18), _pool(18)
+        plain.refill(3)
+        logged.refill(3)
+        logged.log_draws()
+        logged.rewind()
+        assert logged.report() == plain.report() == {
+            "pregenerated": 3, "consumed": 0, "misses": 0, "available": 3}
+        assert [logged.encryption_factor() for _ in range(4)] \
+            == [plain.encryption_factor() for _ in range(4)]
+
+    def test_rewind_without_a_log_is_refused(self):
+        pool = _pool(19)
+        pool.encryption_factor()
+        with pytest.raises(PrecomputeError, match="log_draws"):
+            pool.rewind()
+        assert (pool.consumed, pool.misses, len(pool)) == (1, 1, 0)
+
+    def test_engine_fill_queues_behind_a_rewound_attempt(self):
+        """An offline fill after a rewind appends to the queue: the
+        rewound factors still come first, and the pool hands out the
+        same stream as a pool that never rewound."""
+        from repro.crypto.engine import ModexpEngine
+
+        plain, logged = _pool(20), _pool(20)
+        expected = [plain.encryption_factor() for _ in range(5)]
+        logged.log_draws()
+        drawn = [logged.encryption_factor() for _ in range(2)]
+        logged.rewind()
+        ModexpEngine(workers=1).fill_pool(logged, 3)
+        assert (logged.pregenerated, logged.misses, len(logged)) == (3, 2, 5)
+        handed_out = [logged.encryption_factor() for _ in range(5)]
+        assert handed_out[:2] == drawn
+        assert handed_out == expected
+        assert (logged.consumed, logged.misses) == (5, 2)
+
+
 class TestBatchEntryPoints:
     def test_encrypt_decrypt_batch_roundtrip(self):
         rng = random.Random(10)
@@ -171,194 +274,3 @@ class TestFixedBaseExp:
         for message in (0, 1, 12345, keys.public_key.n - 1):
             cipher = keys.public_key.encrypt(message, rng)
             assert keys.private_key.decrypt(cipher) == message
-
-
-class TestRandomnessService:
-    """The daemon-wide broker: demand learning, leases, idle refill."""
-
-    DIGEST_A = "a" * 64
-    DIGEST_B = "b" * 64
-
-    def _service(self, **kwargs):
-        from repro.crypto.precompute import RandomnessService
-        return RandomnessService(**kwargs)
-
-    def test_released_demand_prefills_the_next_lease(self):
-        service = self._service()
-        first = service.lease("s1")
-        pool = _pool(20)
-        assert first.register_pool(pool, self.DIGEST_A, True) == 0
-        for _ in range(5):
-            pool.encryption_factor()   # all misses: cold first session
-        report = service.release("s1")
-        assert report["misses"] == 5 and report["hits"] == 0
-
-        second = service.lease("s2")
-        warm = _pool(21)
-        assert second.register_pool(warm, self.DIGEST_A, True) == 5
-        assert len(warm) == 5
-        for _ in range(5):
-            warm.encryption_factor()
-        report = service.release("s2")
-        assert report["misses"] == 0 and report["hits"] == 5
-        assert report["prefilled"] == 5
-        assert service.report()["sessions_served"] == 2
-
-    def test_demand_scoped_by_digest_and_role(self):
-        service = self._service()
-        grant = service.lease("s1")
-        owner_pool, peer_pool = _pool(22), _pool(23)
-        grant.register_pool(owner_pool, self.DIGEST_A, True)
-        grant.register_pool(peer_pool, self.DIGEST_A, False)
-        for _ in range(3):
-            owner_pool.encryption_factor()
-        peer_pool.encryption_factor()
-        service.release("s1")
-        assert service.demand_for((self.DIGEST_A[:16], True)) == 3
-        assert service.demand_for((self.DIGEST_A[:16], False)) == 1
-        # A different keypair shares nothing.
-        assert service.demand_for((self.DIGEST_B[:16], True)) == 0
-        fresh = service.lease("s2")
-        other_key = _pool(24)
-        assert fresh.register_pool(other_key, self.DIGEST_B, True) == 0
-        assert len(other_key) == 0
-
-    def test_factor_values_never_cross_sessions(self):
-        """Only demand *counts* transfer: two sessions' pools draw from
-        their own RNG streams, so their factor values are disjoint."""
-        service = self._service()
-        grant = service.lease("s1")
-        pool = _pool(25)
-        grant.register_pool(pool, self.DIGEST_A, True)
-        for _ in range(4):
-            pool.encryption_factor()
-        service.release("s1")
-
-        one = service.lease("s2")
-        two = service.lease("s3")
-        pool_one, pool_two = _pool(26), _pool(27)
-        one.register_pool(pool_one, self.DIGEST_A, True)
-        two.register_pool(pool_two, self.DIGEST_A, True)
-        drawn_one = {pool_one.encryption_factor() for _ in range(4)}
-        drawn_two = {pool_two.encryption_factor() for _ in range(4)}
-        assert not drawn_one & drawn_two
-        # And a same-seeded pool reproduces its stream exactly: warmth
-        # changes timing, never values.
-        replay = _pool(26)
-        replay.refill(4)
-        assert {replay.encryption_factor() for _ in range(4)} == drawn_one
-
-    def test_miss_accounting_stays_per_session(self):
-        service = self._service()
-        grant = service.lease("s1")
-        pool = _pool(28)
-        grant.register_pool(pool, self.DIGEST_A, True)
-        for _ in range(2):
-            pool.encryption_factor()
-        service.release("s1")
-
-        warm_grant = service.lease("warm")
-        cold_grant = service.lease("cold")
-        warm = _pool(29)
-        warm_grant.register_pool(warm, self.DIGEST_A, True)
-        cold = _pool(30)
-        cold_grant.register_pool(cold, self.DIGEST_B, True)  # no demand
-        for _ in range(2):
-            warm.encryption_factor()
-            cold.encryption_factor()
-        warm_report = service.release("warm")
-        cold_report = service.release("cold")
-        assert warm_report["hits"] == 2 and warm_report["misses"] == 0
-        assert cold_report["hits"] == 0 and cold_report["misses"] == 2
-
-    def test_refill_step_skips_busy_leases(self):
-        """Idle refill tops a pool up to the session's *remaining* need
-        (learned demand minus factors consumed), one chunk per step,
-        and never while a query is in flight."""
-        service = self._service(refill_chunk=3)
-        seed_demand = service.lease("s1")
-        pool = _pool(31)
-        seed_demand.register_pool(pool, self.DIGEST_A, True)
-        for _ in range(8):
-            pool.encryption_factor()
-        service.release("s1")
-
-        grant = service.lease("s2")
-        prefilled = _pool(32)
-        # Register with demand already learned: prefilled to 8.  Drawing
-        # from the prefill leaves the remaining need covered.
-        assert grant.register_pool(prefilled, self.DIGEST_A, True) == 8
-        for _ in range(5):
-            prefilled.encryption_factor()
-        assert service.refill_step() == 0
-        # A pool that missed its first 2 factors still needs 6.
-        cold = _pool(33)
-        grant.pools.append(((self.DIGEST_A[:16], True), cold))
-        for _ in range(2):
-            cold.encryption_factor()
-        grant.busy += 1            # a restartable query is in flight
-        assert service.refill_step() == 0
-        grant.busy -= 1
-        assert service.refill_step() == 3    # one chunk
-        assert service.refill_step() == 3    # the remaining need
-        assert service.refill_step() == 0    # at target
-        assert len(prefilled) == 3 and len(cold) == 6
-        assert grant.background_refilled == 6
-        report = service.release("s2")
-        assert report["background_refilled"] == 6
-
-    def test_refill_idle_coroutine_tops_up_between_work(self):
-        import asyncio
-
-        service = self._service(refill_chunk=2, idle_interval_s=0.001)
-        seed_demand = service.lease("s1")
-        pool = _pool(33)
-        seed_demand.register_pool(pool, self.DIGEST_A, True)
-        for _ in range(4):
-            pool.encryption_factor()
-        service.release("s1")
-
-        async def scenario():
-            grant = service.lease("s2")
-            empty = _pool(34)
-            grant.pools.append(((self.DIGEST_A[:16], True), empty))
-            refiller = asyncio.get_running_loop().create_task(
-                service.refill_idle())
-            try:
-                async with asyncio.timeout(10):
-                    while len(empty) < 4:
-                        await asyncio.sleep(0.001)
-            finally:
-                refiller.cancel()
-            assert grant.background_refilled == 4
-
-        asyncio.run(scenario())
-
-    def test_lease_lifecycle_errors(self):
-        service = self._service()
-        grant = service.lease("s1")
-        with pytest.raises(PrecomputeError, match="already holds"):
-            service.lease("s1")
-        with pytest.raises(PrecomputeError, match="no lease"):
-            service.release("unknown")
-        service.release("s1")
-        with pytest.raises(PrecomputeError, match="already released"):
-            grant.register_pool(_pool(35), self.DIGEST_A, True)
-        service.close()
-        with pytest.raises(PrecomputeError, match="closed"):
-            service.lease("s2")
-
-    def test_invalid_refill_chunk(self):
-        with pytest.raises(PrecomputeError, match="refill_chunk"):
-            self._service(refill_chunk=0)
-
-    def test_engine_fill_matches_serial_fill(self):
-        from repro.crypto.engine import ModexpEngine
-
-        with ModexpEngine(workers=2, min_parallel_jobs=2) as engine:
-            service = self._service(engine=engine)
-            pool = _pool(36)
-            service.fill(pool, 5)
-        serial = _pool(36)
-        serial.refill(5)
-        assert list(pool._factors) == list(serial._factors)

@@ -349,7 +349,8 @@ class TestRoleLocalExecution:
     """Each daemon executes only the party it hosts: the protocol
     variants whose guarded paths otherwise run on sockets only in the
     slow matrix stay bit-identical, and every daemon consumes exactly
-    the randomness its own party consumes in process."""
+    the randomness its own party consumes in process, computing each
+    factor once however often its query restarts."""
 
     @pytest.mark.parametrize("overrides", [
         {},
@@ -373,8 +374,38 @@ class TestRoleLocalExecution:
         expected = own_pool_consumption(mesh)
         assert all(expected.values())
         for name, report in run.reports.items():
-            assert report.runtime_info["pool"]["consumed"] \
-                == expected[name], name
+            assert report.runtime_info["restarts"] > 0, name
+            assert report.runtime_info["pool"] == {
+                "pregenerated": 0, "consumed": expected[name],
+                "misses": expected[name]}, name
+
+    def test_later_sessions_start_from_the_same_empty_pools(self):
+        """A daemon carries no randomness from one session to the next:
+        its second session on the same seeds pregenerates nothing and
+        computes each factor once, as its first did."""
+        by_party = workload(3)
+        seeds = [31, 32, 33]
+        config = make_config()
+        mesh = PartyMesh(list(by_party), config.smc, seeds=seeds)
+        reference = run_multiparty_horizontal_dbscan(
+            by_party, config, seeds=seeds, mesh=mesh)
+        expected = own_pool_consumption(mesh)
+        with DaemonFleet(list(by_party)) as fleet:
+            with fleet.client() as client:
+                runs = [run_via_daemons(by_party, config, seeds,
+                                        client=client,
+                                        session_id=f"later-{index}",
+                                        timeout=120)
+                        for index in range(2)]
+        for run in runs:
+            checks = verify_against_in_process(
+                run, by_party, config, seeds, reference=reference,
+                mesh=mesh)
+            assert all(checks.values()), checks
+            for name, report in run.reports.items():
+                assert report.runtime_info["pool"] == {
+                    "pregenerated": 0, "consumed": expected[name],
+                    "misses": expected[name]}, name
 
     def test_cached_coordinates_cross_once_per_peer_point_per_pass(self):
         """With cached peer ciphertexts the query on a pass's point 0
@@ -489,26 +520,6 @@ class TestRoleLocalExecution:
         for name, report in run.reports.items():
             assert report.runtime_info["pool"]["consumed"] \
                 == expected[name], name
-
-    def test_idle_refill_pregenerates_only_the_consumed_factors(self):
-        """From the second sequential session on, the randomness
-        service prefills and tops up each pool to the session's
-        remaining need: every pregenerated factor is consumed."""
-        by_party = workload(3)
-        seeds = [31, 32, 33]
-        config = make_config()
-        with DaemonFleet(list(by_party)) as fleet:
-            with fleet.client() as client:
-                runs = [run_via_daemons(by_party, config, seeds,
-                                        client=client,
-                                        session_id=f"refill-{index}",
-                                        timeout=120)
-                        for index in range(3)]
-        for run in runs[1:]:
-            for name, report in run.reports.items():
-                pool = report.runtime_info["pool"]
-                assert pool["consumed"] > 0 and pool["misses"] == 0
-                assert pool["pregenerated"] == pool["consumed"], name
 
 
 @pytest.mark.sockets
@@ -1130,36 +1141,6 @@ class TestDaemonDrain:
             for member in fleet._members:
                 member.thread.join(10)
                 assert not member.thread.is_alive()
-
-
-@pytest.mark.sockets
-class TestRandomnessServiceAcrossSessions:
-    def test_later_sessions_start_warm_from_learned_demand(self):
-        """Session 0 misses its way through (cold pools, no demand
-        model); once released, the service prefills session 1's pools
-        to the observed demand -- hit rate goes from 0 to 100%."""
-        by_party = workload(3)
-        seeds = [31, 32, 33]
-        config = make_config()
-        with DaemonFleet(list(by_party)) as fleet:
-            with fleet.client() as client:
-                runs = [run_via_daemons(by_party, config, seeds,
-                                        client=client,
-                                        session_id=f"svc-{index}",
-                                        timeout=120)
-                        for index in range(3)]
-        leases = [run.reports["p0"].runtime_info["randomness"]["lease"]
-                  for run in runs]
-        assert leases[0]["consumed"] > 0
-        assert leases[0]["misses"] == leases[0]["consumed"]
-        assert leases[0]["prefilled"] == 0
-        for lease in leases[1:]:
-            assert lease["misses"] == 0
-            assert lease["hits"] == lease["consumed"] > 0
-            assert lease["prefilled"] >= lease["consumed"]
-        service = runs[-1].reports["p0"].runtime_info["randomness"]
-        assert service["service"]["sessions_served"] >= 2
-        assert service["service"]["factors_prefilled"] > 0
 
 
 @pytest.mark.sockets

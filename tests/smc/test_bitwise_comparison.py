@@ -16,7 +16,6 @@ from repro.smc.bitwise_comparison import (
     dgk_greater_than,
     dgk_greater_than_batch,
     dgk_greater_than_pairwise,
-    dgk_leq_within_gap,
     dgk_leq_within_gap_lanes,
 )
 
@@ -392,7 +391,8 @@ def _gap_pairs(draw):
 
 class TestWithinGap:
     """``x <= y`` under the public promise ``|x - y| <= gap``, on
-    ``bits(gap) + 1`` positions whatever the values' range."""
+    ``bits(gap) + 1`` positions whatever the values' range: one lane of
+    :func:`dgk_leq_within_gap_lanes`."""
 
     @settings(max_examples=60, deadline=None)
     @given(_gap_pairs(), st.integers(min_value=0, max_value=100))
@@ -400,8 +400,8 @@ class TestWithinGap:
         x, y, gap = pair
         assert abs(x - y) <= gap
         alice, bob = _fresh_parties(seed)
-        assert dgk_leq_within_gap(alice, [x], bob, [y], gap,
-                                  SMALL_KEYS) == [x <= y]
+        assert dgk_leq_within_gap_lanes(
+            [GapLane(alice, [x], bob, [y], gap, SMALL_KEYS)]) == [[x <= y]]
 
     def test_every_pair_of_small_gaps(self):
         """Every pair with ``|x - y| <= gap`` over a few periods of
@@ -412,16 +412,16 @@ class TestWithinGap:
                      for y in range(max(0, x - gap), x + gap + 1)]
             alice, bob = _fresh_parties(gap)
             xs, ys = zip(*pairs)
-            assert dgk_leq_within_gap(alice, list(xs), bob, list(ys), gap,
-                                      SMALL_KEYS) \
-                == [x <= y for x, y in pairs], gap
+            assert dgk_leq_within_gap_lanes(
+                [GapLane(alice, xs, bob, ys, gap, SMALL_KEYS)]) \
+                == [[x <= y for x, y in pairs]], gap
 
     def test_sizes_follow_the_gap_not_the_values(self):
         channel = Channel()
         alice, bob = make_party_pair(channel, 1, 2)
         gap = 1000  # 10 bits
-        dgk_leq_within_gap(alice, [2**50, 3], bob, [2**50 - 1000, 1003],
-                           gap, KEYS, label="t")
+        dgk_leq_within_gap_lanes([GapLane(
+            alice, [2**50, 3], bob, [2**50 - 1000, 1003], gap, KEYS, "t")])
         assert [len(e.value) for e in channel.transcript.entries] \
             == [10, 10, 11, 11]
         assert [e.label for e in channel.transcript.entries] \
@@ -439,8 +439,8 @@ class TestWithinGap:
         channel = Channel()
         alice, bob = make_party_pair(channel, 11, 12)
         xs, ys = zip(*pairs)
-        dgk_leq_within_gap(alice, list(xs), bob, list(ys), gap, KEYS,
-                           label="t")
+        dgk_leq_within_gap_lanes([GapLane(alice, xs, bob, ys, gap, KEYS,
+                                          "t")])
         witnesses = channel.transcript.with_label("t/witnesses")
         seen = set()
         for (x, y), entry in zip(pairs, witnesses):
@@ -454,11 +454,14 @@ class TestWithinGap:
         channel = Channel()
         alice, bob = make_party_pair(channel, 1, 2)
         with pytest.raises(BitwiseComparisonError, match="gap"):
-            dgk_leq_within_gap(alice, [1], bob, [1], -1, KEYS)
+            dgk_leq_within_gap_lanes([GapLane(alice, [1], bob, [1], -1,
+                                              KEYS)])
         with pytest.raises(BitwiseComparisonError, match="values"):
-            dgk_leq_within_gap(alice, [1, 2], bob, [1], 3, KEYS)
+            dgk_leq_within_gap_lanes([GapLane(alice, [1, 2], bob, [1], 3,
+                                              KEYS)])
         with pytest.raises(BitwiseComparisonError, match="3 \\* bits"):
-            dgk_leq_within_gap(alice, [1], bob, [1], 1 << DGK_U, KEYS)
+            dgk_leq_within_gap_lanes([GapLane(alice, [1], bob, [1],
+                                              1 << DGK_U, KEYS)])
         assert channel.transcript.entries == []
 
 
@@ -515,9 +518,9 @@ class TestWithinGapLanes:
             key_holder, other = make_party_pair(alone, 8, 9)
             if lane.key_holder is bob:
                 other, key_holder = key_holder, other
-            assert dgk_leq_within_gap(
-                key_holder, list(lane.xs), other, list(lane.ys), lane.gap,
-                lane.keypair, label=lane.label) == results
+            assert dgk_leq_within_gap_lanes([GapLane(
+                key_holder, lane.xs, other, lane.ys, lane.gap, lane.keypair,
+                lane.label)]) == [results]
             sent = [(e.label, len(e.value))
                     for e in channel.transcript.entries
                     if e.label.startswith(f"{lane.label}/")]

@@ -227,18 +227,25 @@ class TestBatchApi:
 
 
 class TestGapDeclaration:
-    """``gap``: the caller's public bound on every ``|a_i - b_i|``."""
+    """``gap``: a lane's public bound on every ``|a_i - b_i|``, here on
+    one-lane :meth:`leq_lanes` calls."""
 
     PAIRS = [(0, 0), (3, 7), (7, 3), (-10, -6), (50, 46), (100, 100),
              (96, 100), (-6, -10)]
+
+    @staticmethod
+    def _one_lane(session, a_values, b_values, *, lo, hi, gap, label="cmp"):
+        [outcomes] = session.comparison_backend.leq_lanes([ComparisonLane(
+            session.alice, a_values, session.bob, b_values, lo=lo, hi=hi,
+            gap=gap, label=label)])
+        return outcomes
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_results_and_invocations(self, backend):
         session = _session(backend, seed=17)
         a_values, b_values = map(list, zip(*self.PAIRS))
-        outcomes = session.compare_leq_batch(
-            session.alice, a_values, session.bob, b_values,
-            lo=-10, hi=100, reveal_to="a", gap=4)
+        outcomes = self._one_lane(session, a_values, b_values, lo=-10,
+                                  hi=100, gap=4)
         assert [o.result for o in outcomes] \
             == [a <= b for a, b in self.PAIRS]
         assert all(o.revealed_to == ("alice",) for o in outcomes)
@@ -252,9 +259,14 @@ class TestGapDeclaration:
             session = _session("bitwise", seed=18)
             transcript = session.alice.endpoint.transcript
             before = len(transcript.entries)
-            session.compare_leq_batch(
-                session.alice, [0, 2**20, 77], session.bob, [5, 2**20 - 5, 80],
-                lo=0, hi=2**20, reveal_to="a", gap=gap, label="t")
+            a_values, b_values = [0, 2**20, 77], [5, 2**20 - 5, 80]
+            if gap is None:
+                session.compare_leq_batch(
+                    session.alice, a_values, session.bob, b_values,
+                    lo=0, hi=2**20, reveal_to="a", label="t")
+            else:
+                self._one_lane(session, a_values, b_values, lo=0,
+                               hi=2**20, gap=gap, label="t")
             return [(e.label, len(e.value))
                     for e in transcript.entries[before:]]
         undeclared = lists(None)
@@ -266,40 +278,35 @@ class TestGapDeclaration:
 
     def test_oracle_refuses_a_broken_promise(self):
         session = _session("oracle")
-        session.compare_leq_batch(session.alice, [0, 10], session.bob,
-                                  [4, 6], lo=0, hi=10, reveal_to="a", gap=4)
+        self._one_lane(session, [0, 10], [4, 6], lo=0, hi=10, gap=4)
         with pytest.raises(ComparisonError, match="gap 4"):
-            session.compare_leq_batch(session.alice, [0, 10], session.bob,
-                                      [4, 5], lo=0, hi=10, reveal_to="a",
-                                      gap=4)
+            self._one_lane(session, [0, 10], [4, 5], lo=0, hi=10, gap=4)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("declaration,match", [
         (dict(gap=-1), "non-negative int"),
         (dict(gap=True), "non-negative int"),
         (dict(gap=4.0), "non-negative int"),
-        (dict(gap=4, amortize=True), "amortized"),
-        (dict(gap=4, reveal_to="b"), "revealed to 'a'"),
-        (dict(gap=4, reveal_to="both"), "revealed to 'a'"),
+        (dict(lo=10, hi=0), "empty interval"),
+        (dict(b_values=[4]), "2 a-values but 1 b-values"),
+        (dict(a_values=[3, 11]), "a=11 outside"),
     ])
     def test_refused_declarations_send_nothing(self, backend, declaration,
                                                match):
         session = _session(backend, seed=19)
         transcript = session.alice.endpoint.transcript
         before = len(transcript.entries)
-        declaration = {"reveal_to": "a", **declaration}
+        lane = {"a_values": [3, 3], "b_values": [4, 5], "lo": 0, "hi": 10,
+                "gap": 4, **declaration}
         with pytest.raises(ComparisonError, match=match):
-            session.compare_leq_batch(session.alice, [3, 3], session.bob,
-                                      [4, 5], lo=0, hi=10, **declaration)
+            self._one_lane(session, **lane)
         assert len(transcript.entries) == before
         assert session.comparison_backend.invocations == 0
 
     def test_every_item_is_still_interval_checked(self):
         session = _session("bitwise", seed=20)
         with pytest.raises(ComparisonError, match="b=11 outside"):
-            session.compare_leq_batch(session.alice, [9, 10], session.bob,
-                                      [9, 11], lo=0, hi=10, reveal_to="a",
-                                      gap=4)
+            self._one_lane(session, [9, 10], [9, 11], lo=0, hi=10, gap=4)
 
 
 class TestLanes:

@@ -5,6 +5,8 @@ import pytest
 from repro.net.channel import Channel
 from repro.net.party import make_party_pair
 from repro.smc.comparison import ComparisonError
+from repro.smc.kth_smallest import SelectionError, kth_smallest_lane
+from repro.smc.secret_sharing import SharedValues
 from repro.smc.session import SessionError, SmcConfig, SmcSession
 
 
@@ -51,14 +53,17 @@ class TestSessionSetup:
             SmcSession(alice, bob, SmcConfig(key_seed=70))
 
     def test_unknown_selection_method(self):
-        alice, bob = make_party_pair(Channel(), 1, 2)
-        session = SmcSession(alice, bob, SmcConfig(key_seed=70))
-        from repro.smc.secret_sharing import SharedValues
+        """A selection lane on the session's parties refuses a method it
+        does not know when it is made, before anything is sent."""
+        channel = Channel()
+        alice, bob = make_party_pair(channel, 1, 2)
+        SmcSession(alice, bob, SmcConfig(key_seed=70))
+        before = len(channel.transcript.entries)
         shares = SharedValues(u_values=(1,), v_values=(0,),
                               value_bound=2, mask_bound=2)
-        with pytest.raises(SessionError, match="selection"):
-            session.kth_smallest(alice, bob, [shares], [1],
-                                 method="bogosort")
+        with pytest.raises(SelectionError, match="selection method"):
+            kth_smallest_lane(alice, bob, [shares], [1], method="bogosort")
+        assert len(channel.transcript.entries) == before
 
 
 class TestConfig:
