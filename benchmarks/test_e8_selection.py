@@ -11,7 +11,7 @@ k; quickselect stays flat in k; the crossover sits at small k.
 import random
 
 from repro.analysis.report import render_table
-from repro.net.channel import Channel
+from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
 from repro.smc.kth_smallest import (
     kth_smallest_quickselect,
@@ -46,8 +46,8 @@ def _run_sweep():
         session = SmcSession(alice, bob,
                              SmcConfig(comparison="oracle", key_seed=520))
         backend = session.comparison_backend
-        [index] = kth_smallest_scan(backend, alice, bob,
-                                    [_shares(session, values)], [k])
+        [index] = drive(kth_smallest_scan(backend, alice, bob,
+                                          [_shares(session, values)], [k]))
         scan_count = backend.invocations
         assert values[index] == ranked[k - 1]
 
@@ -55,8 +55,9 @@ def _run_sweep():
         session2 = SmcSession(alice2, bob2,
                               SmcConfig(comparison="oracle", key_seed=520))
         backend2 = session2.comparison_backend
-        [index2] = kth_smallest_quickselect(backend2, alice2, bob2,
-                                            [_shares(session2, values)], [k])
+        [index2] = drive(kth_smallest_quickselect(backend2, alice2, bob2,
+                                                  [_shares(session2, values)],
+                                                  [k]))
         quick_count = backend2.invocations
         assert values[index2] == ranked[k - 1]
 

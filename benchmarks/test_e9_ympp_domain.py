@@ -14,7 +14,7 @@ import math
 from repro.analysis.communication import fit_through_origin
 from repro.analysis.report import render_table
 from repro.crypto.keycache import cached_rsa_keypair
-from repro.net.channel import Channel
+from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
 from repro.smc.millionaires import ympp_less_than
 
@@ -28,7 +28,8 @@ def _run_sweep():
     for n0 in N0_SWEEP:
         channel = Channel()
         alice, bob = make_party_pair(channel, 1, 2)
-        result = ympp_less_than(alice, n0 // 2, bob, n0 // 2 + 1, n0, KEYS)
+        result = drive(ympp_less_than(alice, n0 // 2, bob, n0 // 2 + 1, n0,
+                                      KEYS))
         assert result is True
         total = channel.stats.total_bytes
         rows.append([n0, total, f"{total / n0:.1f}"])

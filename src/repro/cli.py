@@ -245,8 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats = commands.add_parser(
         "stats",
         help="ask every daemon of a standing mesh for a live metrics "
-             "snapshot (sessions, restarts, threads, per-pair "
-             "frames/bytes)")
+             "snapshot (sessions, threads, per-pair frames/bytes)")
     stats.add_argument("--spec", required=True,
                        help="mesh spec JSON from 'repro mesh-spec'")
     stats.add_argument("--psk", default=None,
@@ -680,8 +679,7 @@ def _print_daemon_stats(party: str, snapshot: dict) -> None:
           f"completed={total('repro_sessions_completed_total'):g} "
           f"failed={total('repro_sessions_failed_total'):g} "
           f"rejected={total('repro_sessions_rejected_total'):g}")
-    print(f"  restarts={total('repro_restarts_total'):g}  "
-          f"threads={level('repro_daemon_threads'):g}")
+    print(f"  threads={level('repro_daemon_threads'):g}")
     links: dict[str, dict[str, float]] = {}
     for key, value in counters.items():
         name, labels = parse_series_key(key)

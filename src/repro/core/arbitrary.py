@@ -29,7 +29,7 @@ from repro.core.distance import adp_within_eps
 from repro.core.leakage import Disclosure, LeakageLedger
 from repro.data.partitioning import ArbitraryPartition
 from repro.data.quantize import squared_distance_bound
-from repro.net.channel import Channel
+from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
 from repro.smc.session import SmcSession, channel_for_config
 
@@ -112,11 +112,12 @@ class _ArbitraryPass:
         for other in range(self.partition.size):
             if other == record:
                 continue
-            within = adp_within_eps(
+            within = drive(adp_within_eps(
                 self.session, self.session.alice, self.session.bob,
                 self._ownership_view(record), self._ownership_view(other),
                 self.config.eps_squared, self.value_bound,
-                ledger=self.ledger, reveal_to="both", label="arbitrary/adp")
+                ledger=self.ledger, reveal_to="both",
+                label="arbitrary/adp"))
             if within:
                 neighbors.append(other)
         for party in (self.session.alice, self.session.bob):

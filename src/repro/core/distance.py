@@ -55,12 +55,13 @@ def _comparison_interval(value_bound: int, eps_squared: int,
     return -spread, spread
 
 
-def hdp_within_eps(session: SmcSession, querier: Party,
-                   querier_point: tuple[int, ...], peer: Party,
-                   peer_point: tuple[int, ...], eps_squared: int,
-                   value_bound: int, *, ledger: LeakageLedger | None = None,
-                   blind_cross_sum: bool = False,
-                   label: str = "hdp") -> bool:
+async def hdp_within_eps(session: SmcSession, querier: Party,
+                         querier_point: tuple[int, ...], peer: Party,
+                         peer_point: tuple[int, ...], eps_squared: int,
+                         value_bound: int, *,
+                         ledger: LeakageLedger | None = None,
+                         blind_cross_sum: bool = False,
+                         label: str = "hdp") -> bool:
     """Protocol HDP: querier learns whether the peer's point is within Eps.
 
     Faithful to Section 4.2: the querier draws per-attribute masks
@@ -89,7 +90,7 @@ def hdp_within_eps(session: SmcSession, querier: Party,
     masks.append(offset - sum(masks))
 
     # Multiplication Protocol batch: the peer receives d_x,t*d_y,t + r_t.
-    received = session.masked_dot_terms(
+    received = await session.masked_dot_terms(
         peer, list(peer_point), querier, list(querier_point), masks,
         label=f"{label}/cross_terms")
     cross_sum = sum(received)  # = <d_x, d_y> + offset
@@ -107,7 +108,7 @@ def hdp_within_eps(session: SmcSession, querier: Party,
 
     lo, hi = _comparison_interval(value_bound, eps_squared,
                                   mask_spread=2 * (mask_bound + 1))
-    outcome = session.compare_leq(
+    outcome = await session.compare_leq(
         peer, peer_side, querier, threshold,
         lo=lo, hi=hi, reveal_to="b", label=f"{label}/threshold")
     if ledger is not None:
@@ -134,14 +135,14 @@ def _query_offsets(querier: Party, count: int, mask_bound: int, *,
     return [querier.rng.randrange(mask_bound + 1) for _ in range(count)]
 
 
-def hdp_region_query(session: SmcSession, querier: Party,
-                     querier_point: tuple[int, ...], peer: Party,
-                     peer_points: list[tuple[int, ...]], eps_squared: int,
-                     value_bound: int, *,
-                     ledger: LeakageLedger | None = None,
-                     blind_cross_sum: bool = False,
-                     query_constant_blinding: bool = False,
-                     label: str = "hdp") -> list[bool]:
+async def hdp_region_query(session: SmcSession, querier: Party,
+                           querier_point: tuple[int, ...], peer: Party,
+                           peer_points: list[tuple[int, ...]],
+                           eps_squared: int, value_bound: int, *,
+                           ledger: LeakageLedger | None = None,
+                           blind_cross_sum: bool = False,
+                           query_constant_blinding: bool = False,
+                           label: str = "hdp") -> list[bool]:
     """Batched HDP: one region query against all of the peer's points.
 
     Semantically one :func:`hdp_within_eps` per peer point -- same
@@ -184,12 +185,12 @@ def hdp_region_query(session: SmcSession, querier: Party,
 
     # Batched cross terms: the peer ends with <d_x, d_y_i> + offset_i for
     # every presented point -- exactly the per-point HDP cross sum.
-    cross_sums = session.masked_dot_terms_batch(
+    cross_sums = await session.masked_dot_terms_batch(
         querier, list(querier_point), peer,
         [list(point) for point in presented], offsets,
         blind_bound=mask_bound, label=f"{label}/cross_terms")
 
-    return _batched_threshold_comparisons(
+    return await _batched_threshold_comparisons(
         session, querier, querier_point, peer, presented, cross_sums,
         offsets, eps_squared, value_bound, mask_bound, ledger=ledger,
         blind_cross_sum=blind_cross_sum,
@@ -197,18 +198,18 @@ def hdp_region_query(session: SmcSession, querier: Party,
         label=label)
 
 
-def _batched_threshold_comparisons(session: SmcSession, querier: Party,
-                                   querier_point: tuple[int, ...],
-                                   peer: Party,
-                                   presented: list[tuple[int, ...]],
-                                   cross_sums: list[int],
-                                   offsets: list[int], eps_squared: int,
-                                   value_bound: int, mask_bound: int, *,
-                                   ledger: LeakageLedger | None,
-                                   blind_cross_sum: bool,
-                                   query_constant_blinding: bool = False,
-                                   point_ids: list[int] | None,
-                                   label: str) -> list[bool]:
+async def _batched_threshold_comparisons(session: SmcSession, querier: Party,
+                                         querier_point: tuple[int, ...],
+                                         peer: Party,
+                                         presented: list[tuple[int, ...]],
+                                         cross_sums: list[int],
+                                         offsets: list[int], eps_squared: int,
+                                         value_bound: int, mask_bound: int, *,
+                                         ledger: LeakageLedger | None,
+                                         blind_cross_sum: bool,
+                                         query_constant_blinding: bool = False,
+                                         point_ids: list[int] | None,
+                                         label: str) -> list[bool]:
     """Per-point threshold comparisons shared by the batched variants.
 
     Reproduces the per-point HDP tail exactly: identical comparison
@@ -238,7 +239,7 @@ def _batched_threshold_comparisons(session: SmcSession, querier: Party,
     # thresholds are per-point secrets; amortization is never declared,
     # so the message pattern cannot leak offset collisions.
     amortize = not blind_cross_sum or query_constant_blinding
-    outcomes = session.compare_leq_batch(
+    outcomes = await session.compare_leq_batch(
         peer, peer_sides, querier, thresholds,
         lo=lo, hi=hi, reveal_to="b", amortize=amortize,
         label=f"{label}/threshold")
@@ -297,14 +298,15 @@ class PeerCipherCache:
         return len(self.ciphers)
 
 
-def hdp_within_eps_cached(session: SmcSession, querier: Party,
-                          querier_point: tuple[int, ...], peer: Party,
-                          peer_point: tuple[int, ...], peer_point_id: int,
-                          cache: PeerCipherCache, eps_squared: int,
-                          value_bound: int, *,
-                          ledger: LeakageLedger | None = None,
-                          blind_cross_sum: bool = False,
-                          label: str = "hdp_cached") -> bool:
+async def hdp_within_eps_cached(session: SmcSession, querier: Party,
+                                querier_point: tuple[int, ...], peer: Party,
+                                peer_point: tuple[int, ...],
+                                peer_point_id: int, cache: PeerCipherCache,
+                                eps_squared: int,
+                                value_bound: int, *,
+                                ledger: LeakageLedger | None = None,
+                                blind_cross_sum: bool = False,
+                                label: str = "hdp_cached") -> bool:
     """HDP with the peer's encrypted coordinates cached across queries.
 
     Functionally identical to :func:`hdp_within_eps` (property-tested);
@@ -327,14 +329,14 @@ def hdp_within_eps_cached(session: SmcSession, querier: Party,
 
     # Peer announces which cached entry this query uses (the linkable id)
     # and uploads the encrypted coordinates on first use.
-    peer.send(f"{label}/point_id", peer_point_id)
+    await peer.send(f"{label}/point_id", peer_point_id)
     announced_id = querier.receive(f"{label}/point_id")
     if peer_point_id not in cache:
         encrypted = FixedWidthList(
             [cipher.value for cipher in session.engine.encrypt_batch(
                 public, [encoder.encode(c) for c in peer_point], peer.rng,
                 session.pool(peer, peer))], width)
-        peer.send(f"{label}/coords", encrypted)
+        await peer.send(f"{label}/coords", encrypted)
         cache.store(peer_point_id,
                     public.check_width(querier.receive(f"{label}/coords")))
 
@@ -357,7 +359,7 @@ def hdp_within_eps_cached(session: SmcSession, querier: Party,
         masked = product + public.encrypt(encoder.encode(mask), querier.rng,
                                           querier_pool)
         replies.append(masked.value)
-    querier.send(f"{label}/masked_terms", replies)
+    await querier.send(f"{label}/masked_terms", replies)
 
     received = public.check_width(peer.receive(f"{label}/masked_terms"))
     cross_sum = sum(
@@ -374,7 +376,7 @@ def hdp_within_eps_cached(session: SmcSession, querier: Party,
 
     lo, hi = _comparison_interval(value_bound, eps_squared,
                                   mask_spread=2 * (mask_bound + 1))
-    outcome = session.compare_leq(
+    outcome = await session.compare_leq(
         peer, peer_side, querier, threshold,
         lo=lo, hi=hi, reveal_to="b", label=f"{label}/threshold")
     if ledger is not None:
@@ -386,15 +388,15 @@ def hdp_within_eps_cached(session: SmcSession, querier: Party,
     return outcome.result
 
 
-def hdp_region_query_cached(session: SmcSession, querier: Party,
-                            querier_point: tuple[int, ...], peer: Party,
-                            peer_points: list[tuple[int, ...]],
-                            point_ids: list[int], cache: PeerCipherCache,
-                            eps_squared: int, value_bound: int, *,
-                            ledger: LeakageLedger | None = None,
-                            blind_cross_sum: bool = False,
-                            query_constant_blinding: bool = False,
-                            label: str = "hdp_cached") -> list[bool]:
+async def hdp_region_query_cached(session: SmcSession, querier: Party,
+                                  querier_point: tuple[int, ...], peer: Party,
+                                  peer_points: list[tuple[int, ...]],
+                                  point_ids: list[int], cache: PeerCipherCache,
+                                  eps_squared: int, value_bound: int, *,
+                                  ledger: LeakageLedger | None = None,
+                                  blind_cross_sum: bool = False,
+                                  query_constant_blinding: bool = False,
+                                  label: str = "hdp_cached") -> list[bool]:
     """Batched cached HDP: one region query over the peer's cached ciphers.
 
     The batched form of :func:`hdp_within_eps_cached`: the peer's
@@ -449,7 +451,7 @@ def hdp_region_query_cached(session: SmcSession, querier: Party,
                     [cipher.value for cipher in
                      flat[cursor:cursor + len(point)]], width)])
                 cursor += len(point)
-        peer.send(f"{label}/coords", payload)
+        await peer.send(f"{label}/coords", payload)
         # The cache is the querier's, but the uploading peer picks the
         # missing ids from it too: without a hosted querier to receive
         # the upload, the peer records what it sent.
@@ -483,7 +485,7 @@ def hdp_region_query_cached(session: SmcSession, querier: Party,
             # own fresh randomness.
             replies.append(accumulator.rerandomize(querier.rng,
                                                    querier_pool).value)
-    querier.send(f"{label}/masked_sums", replies)
+    await querier.send(f"{label}/masked_sums", replies)
 
     cross_sums = [0] * len(peer_points)
     if peer.hosted:
@@ -493,7 +495,7 @@ def hdp_region_query_cached(session: SmcSession, querier: Party,
                           public.check_width(
                               peer.receive(f"{label}/masked_sums")))]
 
-    return _batched_threshold_comparisons(
+    return await _batched_threshold_comparisons(
         session, querier, querier_point, peer, list(peer_points),
         cross_sums, offsets, eps_squared, value_bound, mask_bound,
         ledger=ledger, blind_cross_sum=blind_cross_sum,
@@ -501,11 +503,12 @@ def hdp_region_query_cached(session: SmcSession, querier: Party,
         point_ids=list(point_ids), label=label)
 
 
-def vdp_within_eps(session: SmcSession, alice: Party, alice_partial: int,
-                   bob: Party, bob_partial: int, eps_squared: int,
-                   value_bound: int, *, ledger: LeakageLedger | None = None,
-                   reveal_to: str = "both",
-                   label: str = "vdp") -> bool:
+async def vdp_within_eps(session: SmcSession, alice: Party, alice_partial: int,
+                         bob: Party, bob_partial: int, eps_squared: int,
+                         value_bound: int, *,
+                         ledger: LeakageLedger | None = None,
+                         reveal_to: str = "both",
+                         label: str = "vdp") -> bool:
     """Protocol VDP: compare locally-computed partial squared distances.
 
     ``alice_partial`` / ``bob_partial`` are each party's sum of squared
@@ -513,7 +516,7 @@ def vdp_within_eps(session: SmcSession, alice: Party, alice_partial: int,
     ``alice_partial <= eps^2 - bob_partial``.
     """
     lo, hi = _comparison_interval(value_bound, eps_squared)
-    outcome = session.compare_leq(
+    outcome = await session.compare_leq(
         alice, alice_partial, bob, eps_squared - bob_partial,
         lo=lo, hi=hi, reveal_to=reveal_to, label=f"{label}/threshold")
     if ledger is not None:
@@ -522,13 +525,13 @@ def vdp_within_eps(session: SmcSession, alice: Party, alice_partial: int,
     return outcome.result
 
 
-def adp_within_eps(session: SmcSession, alice: Party, bob: Party,
-                   x_values: dict[int, tuple[str, int]],
-                   y_values: dict[int, tuple[str, int]],
-                   eps_squared: int, value_bound: int, *,
-                   ledger: LeakageLedger | None = None,
-                   reveal_to: str = "both",
-                   label: str = "adp") -> bool:
+async def adp_within_eps(session: SmcSession, alice: Party, bob: Party,
+                         x_values: dict[int, tuple[str, int]],
+                         y_values: dict[int, tuple[str, int]],
+                         eps_squared: int, value_bound: int, *,
+                         ledger: LeakageLedger | None = None,
+                         reveal_to: str = "both",
+                         label: str = "adp") -> bool:
     """Protocol for arbitrarily partitioned data (Section 4.4).
 
     ``x_values`` / ``y_values`` map attribute index -> ``(owner, value)``
@@ -572,7 +575,7 @@ def adp_within_eps(session: SmcSession, alice: Party, bob: Party,
         masks = [alice.rng.randrange(-mask_bound, mask_bound + 1)
                  for _ in cross_alice]
         offset = sum(masks)
-        received = session.masked_dot_terms(
+        received = await session.masked_dot_terms(
             bob, cross_bob, alice, cross_alice, masks,
             label=f"{label}/cross_terms")
         bob_side += -2 * sum(received)  # -2 * (<a, b> + offset)
@@ -582,7 +585,7 @@ def adp_within_eps(session: SmcSession, alice: Party, bob: Party,
     lo, hi = _comparison_interval(
         value_bound, eps_squared,
         mask_spread=2 * len(cross_alice) * (mask_bound + 1))
-    outcome = session.compare_leq(
+    outcome = await session.compare_leq(
         alice, alice_side + 2 * offset, bob, eps_squared - bob_side,
         lo=lo, hi=hi, reveal_to=reveal_to, label=f"{label}/threshold")
     if ledger is not None:

@@ -61,7 +61,7 @@ from repro.core.config import ProtocolConfig
 from repro.core.leakage import Disclosure, LeakageLedger
 from repro.data.partitioning import HorizontalPartition
 from repro.data.quantize import squared_distance_bound
-from repro.net.channel import Channel
+from repro.net.channel import Channel, drive
 from repro.net.party import Party, make_party_pair
 from repro.smc.comparison import ComparisonLane
 from repro.smc.kth_smallest import (
@@ -120,7 +120,7 @@ def run_enhanced_horizontal_dbscan(partition: HorizontalPartition,
         _party_pass(bob, bob_points, alice, alice_points, config,
                     "enhanced/bob_pass"),
     ]
-    cores = _core_bits(session, passes, config, value_bound, ledger)
+    cores = drive(_core_bits(session, passes, config, value_bound, ledger))
     alice_labels, bob_labels = (
         expand_clusters(driving.driver_points, config.eps_squared,
                         lambda point_index, _own, core=core: core[point_index])
@@ -165,9 +165,9 @@ def _party_pass(driver: Party, driver_points: list[tuple[int, ...]],
                  tested)
 
 
-def _core_bits(session: SmcSession, passes: list[_Pass],
-               config: ProtocolConfig, value_bound: int,
-               ledger: LeakageLedger) -> list[list[bool]]:
+async def _core_bits(session: SmcSession, passes: list[_Pass],
+                     config: ProtocolConfig, value_bound: int,
+                     ledger: LeakageLedger) -> list[list[bool]]:
     """Section 5's "Updated Protocol": every own point's single-bit core
     test, for every pass; the interactive ones of all passes run in one
     lockstep, one lane per pass (DESIGN.md, "Overlapped Section 5
@@ -181,8 +181,8 @@ def _core_bits(session: SmcSession, passes: list[_Pass],
               for driving in lanes]
     # Step 1 shares every pass's distances; every later step holds each
     # unfinished pass's next selection step or its final tests.
-    shares = _share_distances(session, lanes, value_bound)
-    outcomes = run_lockstep(session.comparison_backend, [
+    shares = await _share_distances(session, lanes, value_bound)
+    outcomes = await run_lockstep(session.comparison_backend, [
         _core_tests(driving, pass_shares, config, stream)
         for driving, pass_shares, stream in zip(lanes, shares, pivots)])
     bits = {driving.label: lane_bits
@@ -230,8 +230,8 @@ def _core_tests(driving: _Pass, shares: list[SharedValues],
         label=f"{driving.label}/core_test"))
 
 
-def _share_distances(session: SmcSession, lanes: list[_Pass],
-                     value_bound: int) -> list[list[SharedValues]]:
+async def _share_distances(session: SmcSession, lanes: list[_Pass],
+                           value_bound: int) -> list[list[SharedValues]]:
     """Section 5 distance sharing, each tested point of each pass against
     a fresh permutation of the peer's points, all in one lanes call: one
     lane per pass.
@@ -270,7 +270,8 @@ def _share_distances(session: SmcSession, lanes: list[_Pass],
             driving.driver, alphas, peer, betas, masks,
             label=f"{driving.label}/share"))
 
-    products = secure_scalar_products_lanes(requests, engine=session.engine)
+    products = await secure_scalar_products_lanes(requests,
+                                                  engine=session.engine)
     return [[SharedValues(u_values=tuple(point_u), v_values=tuple(point_v),
                           value_bound=value_bound, mask_bound=mask_bound)
              for point_u, point_v in zip(u_values, request.masks)]

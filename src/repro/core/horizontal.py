@@ -32,7 +32,7 @@ from repro.core.distance import (
 from repro.core.leakage import Disclosure, LeakageLedger
 from repro.data.partitioning import HorizontalPartition
 from repro.data.quantize import squared_distance_bound
-from repro.net.channel import Channel
+from repro.net.channel import Channel, drive
 from repro.net.party import Party, make_party_pair
 from repro.smc.session import SmcSession, channel_for_config
 
@@ -117,10 +117,10 @@ def _density_test(session: SmcSession, driver: Party,
     def dense(point_index: int, own_count: int) -> bool:
         if not peer_points:
             return own_count >= config.min_pts
-        count = secure_peer_neighbor_count(
+        count = drive(secure_peer_neighbor_count(
             session, driver, driver_points[point_index], peer, peer_points,
             config, value_bound, ledger, cache, label=f"{label}/hdp",
-            cached_label=f"{label}/hdp_cached")
+            cached_label=f"{label}/hdp_cached"))
         ledger.record(label, driver.name, Disclosure.NEIGHBOR_COUNT,
                       detail=f"peer neighbourhood size {count}")
         return own_count + count >= config.min_pts
@@ -128,13 +128,13 @@ def _density_test(session: SmcSession, driver: Party,
     return dense
 
 
-def secure_peer_neighbor_count(session: SmcSession, driver: Party,
-                               query_point: tuple[int, ...], peer: Party,
-                               peer_points: list[tuple[int, ...]],
-                               config: ProtocolConfig, value_bound: int,
-                               ledger: LeakageLedger,
-                               cache: PeerCipherCache | None = None, *,
-                               label: str, cached_label: str) -> int:
+async def secure_peer_neighbor_count(session: SmcSession, driver: Party,
+                                     query_point: tuple[int, ...], peer: Party,
+                                     peer_points: list[tuple[int, ...]],
+                                     config: ProtocolConfig, value_bound: int,
+                                     ledger: LeakageLedger,
+                                     cache: PeerCipherCache | None = None, *,
+                                     label: str, cached_label: str) -> int:
     """Steps 3/13 of Algorithm 4: ``|seedsB|`` as one batched HDP query.
 
     The single secure region count of every horizontal protocol: the
@@ -157,7 +157,7 @@ def secure_peer_neighbor_count(session: SmcSession, driver: Party,
     count's own disclosure.
     """
     if cache is not None:
-        bits = hdp_region_query_cached(
+        bits = await hdp_region_query_cached(
             session, driver, query_point, peer, list(peer_points),
             list(range(len(peer_points))), cache, config.eps_squared,
             value_bound, ledger=ledger,
@@ -165,7 +165,7 @@ def secure_peer_neighbor_count(session: SmcSession, driver: Party,
             query_constant_blinding=config.query_constant_blinding,
             label=cached_label)
     else:
-        bits = hdp_region_query(
+        bits = await hdp_region_query(
             session, driver, query_point, peer, list(peer_points),
             config.eps_squared, value_bound, ledger=ledger,
             blind_cross_sum=config.blind_cross_sum,

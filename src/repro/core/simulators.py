@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from repro.crypto.paillier import PaillierKeyPair
-from repro.net.channel import Channel
+from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
 from repro.smc.session import SmcConfig, SmcSession
 
@@ -98,7 +98,7 @@ def real_masker_view_samples(trials: int, x: int, y: int,
         alice, bob = make_party_pair(channel, seed + trial, seed + trial + 1)
         session = SmcSession(alice, bob, config)
         mask = bob.rng.randrange(1 << 16)
-        session.multiplication(alice, x, bob, y, mask)
+        drive(session.multiplication(alice, x, bob, y, mask))
         n_squared = session.paillier_keys(alice.name).public_key.n_squared
         for entry in channel.transcript.with_label("mult/encrypted_x"):
             samples.append(entry.value / n_squared)
@@ -133,7 +133,7 @@ def real_receiver_output_samples(trials: int, x: int, y: int,
         alice, bob = make_party_pair(channel, seed + trial, seed + 7 * trial + 3)
         session = SmcSession(alice, bob, config)
         mask = bob.rng.randrange(mask_bound)
-        u = session.multiplication(alice, x, bob, y, mask)
+        u = drive(session.multiplication(alice, x, bob, y, mask))
         samples.append(u / (abs(x * y) + mask_bound))
     return samples
 
@@ -174,8 +174,8 @@ def real_hdp_term_samples(trials: int, querier_point: tuple[int, ...],
         masks = [alice.rng.randrange(-mask_bound, mask_bound + 1)
                  for _ in range(len(querier_point) - 1)]
         masks.append(-sum(masks))
-        received = session.masked_dot_terms(
-            bob, list(peer_point), alice, list(querier_point), masks)
+        received = drive(session.masked_dot_terms(
+            bob, list(peer_point), alice, list(querier_point), masks))
         samples.extend(term / mask_bound for term in received[:-1])
     return samples
 

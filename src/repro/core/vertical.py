@@ -29,7 +29,7 @@ from repro.core.distance import vdp_within_eps
 from repro.core.leakage import Disclosure, LeakageLedger
 from repro.data.partitioning import VerticalPartition
 from repro.data.quantize import squared_distance_bound
-from repro.net.channel import Channel
+from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
 from repro.smc.session import SmcSession, channel_for_config
 
@@ -123,11 +123,11 @@ class _VerticalPass:
                 self.partition.alice_records, record, other)
             bob_partial = _partial_squared_distance(
                 self.partition.bob_records, record, other)
-            within = vdp_within_eps(
+            within = drive(vdp_within_eps(
                 self.session, self.session.alice, alice_partial,
                 self.session.bob, bob_partial, self.config.eps_squared,
                 self.value_bound, ledger=self.ledger,
-                reveal_to="both", label="vertical/vdp")
+                reveal_to="both", label="vertical/vdp"))
             if within:
                 neighbors.append(other)
         self.ledger.record("vertical", self.session.alice.name,

@@ -42,11 +42,20 @@ none of them a setting:
   bits ``2 u v_p`` alone is wider than p, so no such prime exists
   (:class:`DgkKeySizeError`).
 
+The key holder encrypts its own bits through its primes
+(:meth:`DgkPrivateKey.encrypt`): ``h`` has order ``v_p`` modulo ``p``
+and ``v_q`` modulo ``q``, so ``h^r`` is ``(h mod p)^(r mod v_p)`` and
+``(h mod q)^(r mod v_q)`` recombined by CRT -- two ``t``-bit powers
+modulo half-size primes, each from a window-8 table on the key object,
+instead of one ``2.5 t``-bit power modulo ``n``.  The draw and the
+ciphertext are the public path's, bit for bit.
+
 Nothing here touches the process-wide
 :func:`~repro.crypto.integer_math.cached_pow` memo: encryption uses a
 :class:`~repro.crypto.precompute.FixedBaseExp` table on ``h`` (cached
-per public key, public values only) and plain ``pow``; the zero test,
-keyed by ``p`` and ``v_p``, uses plain ``pow``.
+per public key, public values only), the owner's tables live on its
+private key, and the rest is plain ``pow``; the zero test, keyed by
+``p`` and ``v_p``, uses plain ``pow``.
 """
 
 from __future__ import annotations
@@ -54,7 +63,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from repro.crypto.integer_math import crt_pair
@@ -149,15 +158,51 @@ class DgkPublicKey:
         return values
 
 
+class DgkCrtTables(NamedTuple):
+    """A DGK key holder's CRT randomizer: fixed-base tables of
+    ``h mod p`` and ``h mod q`` over exponents below ``v_p`` and ``v_q``,
+    and ``p^-1 mod q``."""
+
+    p_table: FixedBaseExp
+    q_table: FixedBaseExp
+    p_inv_q: int
+
+
 @dataclass(frozen=True)
 class DgkPrivateKey:
-    """The factorization with the orders ``v_p`` and ``v_q``."""
+    """The factorization with the orders ``v_p`` and ``v_q``.
+
+    ``crt`` holds the key holder's encryption tables
+    (:class:`DgkCrtTables`), built on its first encryption, as
+    :attr:`~repro.crypto.paillier.PaillierPrivateKey.crt` holds the
+    Paillier key's CRT constants."""
 
     public_key: DgkPublicKey
     p: int
     q: int
     v_p: int
     v_q: int
+
+    @cached_property
+    def crt(self) -> DgkCrtTables:
+        h = self.public_key.h
+        return DgkCrtTables(
+            FixedBaseExp(h % self.p, self.p, self.v_p.bit_length(), window=8),
+            FixedBaseExp(h % self.q, self.q, self.v_q.bit_length(), window=8),
+            pow(self.p, -1, self.q))
+
+    def encrypt(self, plaintext: int, rng: random.Random) -> int:
+        """:meth:`DgkPublicKey.encrypt` -- the same draw of ``r``, the
+        same ciphertext -- with ``h^r`` by CRT on the key's primes."""
+        public = self.public_key
+        if not 0 <= plaintext < DGK_U:
+            raise DgkError(f"plaintext {plaintext} outside [0, {DGK_U})")
+        r = rng.getrandbits(dgk_parameters(public.n.bit_length()).r_bits)
+        tables = self.crt
+        h_r = crt_pair(tables.p_table.pow(r % self.v_p), self.p,
+                       tables.q_table.pow(r % self.v_q), self.q,
+                       tables.p_inv_q)
+        return pow(public.g, plaintext, public.n) * h_r % public.n
 
     def zero_test_batch(self, ciphertext_values) -> list[bool]:
         """Whether each ciphertext encrypts a multiple of ``u``.

@@ -17,21 +17,19 @@ from functools import lru_cache
 def cached_pow(base: int, exponent: int, modulus: int) -> int:
     """``pow(base, exponent, modulus)`` behind a bounded memo.
 
-    The restartable async pass runtime
-    (:mod:`repro.runtime.async_pass`) re-executes a region query from
-    its start whenever a missing frame parks it, so the online powmods
-    of the replayed prefix repeat with *identical* arguments -- this
-    memo turns every repeat into a dict hit instead of a fresh
-    exponentiation.  The function is pure, so memoization cannot change
-    any result, transcript, or ledger.
+    A daemon query runs once, so within a session nothing repeats
+    these arguments and the memo saves no work; it stays because the
+    benchmark reads its report (:func:`powmod_cache_report`).  The
+    function is pure, so memoization cannot change any result,
+    transcript, or ledger.
 
     Only public arguments belong here: the memo lives as long as the
     process (a daemon's whole lifetime), so every kernel keyed by the
     factorization -- decryption above all -- uses plain ``pow``
     instead.  Paillier randomness factors do not pass through it either:
     a factor is one mulmod per six exponent bits from its key's table
-    (:mod:`repro.crypto.paillier`), so a replayed one is recomputed
-    rather than looked up, and the memo holds no entry per factor.
+    (:mod:`repro.crypto.paillier`), so the memo holds no entry per
+    factor.
     Nothing of the DGK comparison (:mod:`repro.crypto.dgk`) enters it.
     What remains are the homomorphic scalar powers ``E(m)^k``.
     """

@@ -15,10 +15,8 @@ precomputation tools:
   ``rerandomize`` each collapse to one mulmod; an empty pool falls back
   to on-demand generation (identical results), so pools never change
   correctness -- only when the factor work is done.  This is the
-  standard offline/online split of the MPC literature.  A pool's
-  attempt log lets a daemon's restarted query hand out the factors an
-  aborted attempt drew again instead of computing them twice
-  (:meth:`RandomnessPool.log_draws`, :meth:`RandomnessPool.rewind`).
+  standard offline/online split of the MPC literature.  A daemon runs
+  each query once, so its pools compute every factor online, once.
 - :class:`FixedBaseExp` -- windowed fixed-base exponentiation: the
   ``h_s`` table behind every factor, DGK's ``h^r`` table, and the
   ``g^m`` term when a keypair uses the paper's literal "random g"
@@ -31,11 +29,7 @@ through the :func:`~repro.crypto.integer_math.cached_pow` memo.
 Security note: a pooled factor is exactly a fresh factor drawn earlier
 from the same party RNG -- pooling reorders randomness generation in
 time, it does not weaken or correlate it.  Each factor is consumed at
-most once (the queue pops).  A factor :meth:`RandomnessPool.rewind`
-hands back is the same draw used again for the same ciphertext: the
-restarted attempt recomputes exactly what the aborted one sent, which
-the daemon's replay check verifies byte for byte, so no two distinct
-ciphertexts ever share a factor.
+most once (the queue pops), so no two ciphertexts share a factor.
 """
 
 from __future__ import annotations
@@ -65,31 +59,18 @@ class RandomnessPool:
     Accounting attributes (read by benchmarks and tests):
 
     - ``pregenerated``: factors produced by :meth:`refill` (offline).
-    - ``consumed``: factors handed out in total; a :meth:`rewind` takes
-      back the ones it returns to the queue.
+    - ``consumed``: factors handed out in total.
     - ``misses``: factors generated on demand because the queue was
-      empty (online cost identical to the unpooled path), each counted
-      once however often a rewind hands it out again.
-
-    Attempt log: after :meth:`log_draws` the pool records every factor
-    it hands out, and :meth:`rewind` pushes them back to the front of
-    the queue in draw order.  A daemon's restartable query
-    (:class:`~repro.runtime.async_pass.PairRuntime`) starts the log at
-    the query's start and rewinds it whenever an attempt parks for a
-    frame, so the next attempt pops the same factors in the same order
-    and computes none of them again.
+      empty (online cost identical to the unpooled path).
     """
 
-    __slots__ = ("public_key", "rng", "_factors", "_drawn", "pregenerated",
+    __slots__ = ("public_key", "rng", "_factors", "pregenerated",
                  "consumed", "misses")
 
     def __init__(self, public_key: "PaillierPublicKey", rng: random.Random):
         self.public_key = public_key
         self.rng = rng
         self._factors: deque[int] = deque()
-        # The attempt log: factors handed out since log_draws or the
-        # last rewind; None until log_draws (always, in process).
-        self._drawn: list[int] | None = None
         self.pregenerated = 0
         self.consumed = 0
         self.misses = 0
@@ -109,31 +90,9 @@ class RandomnessPool:
         """Pop one factor; falls back to on-demand generation when empty."""
         self.consumed += 1
         if self._factors:
-            factor = self._factors.popleft()
-        else:
-            self.misses += 1
-            factor = self.public_key.fresh_factor(self.rng)
-        if self._drawn is not None:
-            self._drawn.append(factor)
-        return factor
-
-    def log_draws(self) -> None:
-        """Start an attempt log (dropping any earlier one): every factor
-        handed out from here on is recorded for :meth:`rewind`."""
-        self._drawn = []
-
-    def rewind(self) -> None:
-        """Give back every factor the log recorded: they return to the
-        front of the queue in draw order, ``consumed`` drops by their
-        number, and the log starts over.  ``misses`` is left alone, so
-        a factor computed online counts once."""
-        drawn = self._drawn
-        if drawn is None:
-            raise PrecomputeError("rewind needs an attempt log: call "
-                                  "log_draws when the attempt starts")
-        self._factors.extendleft(reversed(drawn))
-        self.consumed -= len(drawn)
-        drawn.clear()
+            return self._factors.popleft()
+        self.misses += 1
+        return self.public_key.fresh_factor(self.rng)
 
     def rerandomization_unit(self) -> int:
         """Alias of :meth:`encryption_factor` (same object, see class doc)."""

@@ -171,7 +171,7 @@ def _make_peer_task(mesh: PartyMesh, driver_name: str, peer_name: str,
                     value_bound: int,
                     caches: dict[str, PeerCipherCache] | None):
     """Bind one peer's query, on its stream, into a scheduler task
-    closure."""
+    closure (a choreography: the executor drives or awaits it)."""
     stream = mesh.stream(driver_name, peer_name, point_index)
     session = stream.session
     driver = stream.parties[driver_name]
@@ -180,8 +180,8 @@ def _make_peer_task(mesh: PartyMesh, driver_name: str, peer_name: str,
 
     label = f"multiparty/{driver_name}-{peer_name}"
 
-    def run(sub_ledger: LeakageLedger) -> int:
-        count = secure_peer_neighbor_count(
+    async def run(sub_ledger: LeakageLedger) -> int:
+        count = await secure_peer_neighbor_count(
             session, driver, query_point, peer, peer_points, config,
             value_bound, sub_ledger, cache, label=label,
             cached_label=f"{label}/cached")

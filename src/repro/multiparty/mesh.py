@@ -39,6 +39,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.net.channel import drive
 from repro.net.party import Party
 from repro.net.stats import CommunicationStats
 from repro.net.transcript import Transcript
@@ -217,8 +218,8 @@ class PartyMesh:
             channel.right, derive_pair_rng(self._seeds[right], right,
                                            left, right,
                                            namespace=self.rng_namespace))
-        exchange_public_keys(left_party, right_party, self._contexts,
-                             self.config.paillier_bits)
+        drive(exchange_public_keys(left_party, right_party, self._contexts,
+                                   self.config.paillier_bits))
         session = SmcSession(left_party, right_party, self.config,
                              preset_contexts=self._contexts)
         key = (left, right)

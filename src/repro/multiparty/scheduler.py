@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Awaitable, Callable
 
 from repro.core.leakage import LeakageLedger
+from repro.net.channel import drive
 from repro.obs.metrics import default_registry
 
 
@@ -45,16 +46,19 @@ class PeerQuery:
 
     Attributes:
         peer: the queried peer's name (merge order follows task order).
-        run: executes the pairwise protocol, recording every disclosure
-            into the supplied sub-ledger; returns the neighbour count.
-            An executor may run it more than once (the restartable
-            async path re-executes an attempt that waited for a frame).
+        run: the pairwise protocol as a choreography: called with the
+            sub-ledger it records every disclosure into, it returns a
+            coroutine whose value is the neighbour count.  An executor
+            runs it once: :class:`PassExecutor` drives it
+            (:func:`~repro.net.channel.drive`), the async executor
+            awaits it, suspending wherever a peer frame has not
+            arrived.
         query: the driver's own point the test is about -- which stream
             the query runs on.
     """
 
     peer: str
-    run: Callable[[LeakageLedger], int]
+    run: Callable[[LeakageLedger], Awaitable[int]]
     query: int = 0
 
 
@@ -106,16 +110,17 @@ class PassExecutor:
     @staticmethod
     def _run_one(task: PeerQuery) -> PeerQueryOutcome:
         ledger = LeakageLedger()
-        count = task.run(ledger)
+        count = drive(task.run(ledger))
         return PeerQueryOutcome(peer=task.peer, count=count, ledger=ledger)
 
 
 class AsyncPassExecutor(PassExecutor):
     """Coroutine-per-peer scheduling on the daemon's event loop.
 
-    The daemon runtime injects ``run_query`` -- an awaitable that
-    drives one task's pairwise choreography at message granularity,
-    parking on its stream's frame queue instead of blocking a thread.
+    The daemon runtime injects ``run_query`` -- an awaitable that runs
+    one task's pairwise choreography on its stream, suspending on the
+    stream's frame queue wherever a peer frame has not arrived instead
+    of blocking a thread.
     ``asyncio.gather`` preserves argument order, so outcomes
     come back in task order and the merge-determinism contract of
     :class:`PassExecutor` carries over unchanged.

@@ -14,7 +14,12 @@ separate processes.
 """
 
 from repro.net.serialization import serialize_message, deserialize_message
-from repro.net.channel import Channel, ChannelEndpoint, ChannelClosedError
+from repro.net.channel import (
+    Channel,
+    ChannelClosedError,
+    ChannelEndpoint,
+    drive,
+)
 from repro.net.transcript import Transcript, TranscriptEntry
 from repro.net.stats import CommunicationStats
 from repro.net.party import Party
@@ -33,6 +38,7 @@ __all__ = [
     "Channel",
     "ChannelEndpoint",
     "ChannelClosedError",
+    "drive",
     "Transcript",
     "TranscriptEntry",
     "CommunicationStats",

@@ -9,6 +9,13 @@ receiving deserializes from the wire bytes, so a value that cannot
 round-trip the wire format can never silently leak through the
 accounting.
 
+Every choreography is an ``async def`` whose sends are awaited and
+whose receives are plain calls.  On a daemon a remote send is where the
+mirror channel awaits the peer's frame
+(:class:`~repro.runtime.async_pass.RestartableMirrorChannel`); in
+process every frame is queued before its receive, so :func:`drive` runs
+a choreography to its end with no event loop.
+
 Delivery itself is delegated to a
 :class:`~repro.net.transport.Transport`: the default
 :class:`~repro.net.transport.InProcessTransport` reproduces the seed-era
@@ -63,7 +70,8 @@ class Channel:
         self.transport.close(reason)
         self._closed = True
 
-    def _send(self, sender: str, receiver: str, label: str, value) -> None:
+    async def _send(self, sender: str, receiver: str, label: str,
+                    value) -> None:
         if self._closed:
             raise ChannelClosedError("channel is closed")
         wire = serialize_message(value)
@@ -81,6 +89,24 @@ class Channel:
                 f"but got {label!r}"
             )
         return deserialize_message(wire)
+
+
+def drive(coroutine):
+    """Run an in-process choreography to its end and return its value.
+
+    Its first ``send(None)`` must end in ``StopIteration``.  One that
+    suspends instead is closed and refused with
+    :class:`ProtocolDesyncError`; one that raises has ended, and its
+    exception propagates.  No coroutine is left suspended.
+    """
+    try:
+        coroutine.send(None)
+    except StopIteration as done:
+        return done.value
+    coroutine.close()
+    raise ProtocolDesyncError(
+        f"choreography {coroutine.__qualname__!r} suspended; an "
+        f"in-process choreography finds every frame already sent")
 
 
 class ChannelEndpoint:
@@ -101,9 +127,10 @@ class ChannelEndpoint:
         self.peer_name = peer_name
         self.hosted = hosted
 
-    def send(self, label: str, value) -> None:
-        """Send ``value`` to the peer, tagged with a protocol-phase label."""
-        self._channel._send(self.name, self.peer_name, label, value)
+    async def send(self, label: str, value) -> None:
+        """Send ``value`` to the peer, tagged with a protocol-phase label
+        (a coroutine: a mirror channel may await the peer's frame here)."""
+        await self._channel._send(self.name, self.peer_name, label, value)
 
     def receive(self, expected_label: str | None = None):
         """Pop the next inbound message; verify its label when given."""

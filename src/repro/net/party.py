@@ -3,7 +3,10 @@
 Protocol implementations take :class:`Party` objects rather than raw
 endpoints so that each party's private data, keys, and RNG are grouped in
 one place and never accidentally cross the channel except through
-explicit ``send`` calls.
+explicit ``send`` calls.  ``send`` is a coroutine that every
+choreography awaits -- on a daemon's mirror channel it is where a
+remote party's frame is awaited -- and ``receive`` a plain call
+(:mod:`repro.net.channel`).
 """
 
 from __future__ import annotations
@@ -43,14 +46,15 @@ class Party:
 
         Always true in process.  Under the mirrored runtime only the
         local party is hosted: a choreography skips a non-hosted party's
-        step blocks, keeps its ``send`` as the point where the mirror
-        substitutes the authentic frame, and returns shape-correct
-        placeholders for its results.
+        step blocks, keeps its awaited ``send`` as the point where the
+        mirror substitutes the authentic frame (awaiting it when it has
+        not arrived), and returns shape-correct placeholders for its
+        results.
         """
         return self.endpoint.hosted
 
-    def send(self, label: str, value) -> None:
-        self.endpoint.send(label, value)
+    async def send(self, label: str, value) -> None:
+        await self.endpoint.send(label, value)
 
     def receive(self, expected_label: str | None = None):
         return self.endpoint.receive(expected_label)

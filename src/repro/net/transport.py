@@ -116,15 +116,19 @@ class Transport(ABC):
                 wire: bytes) -> None:
         """Append one framed message to ``receiver``'s inbox."""
 
-    @abstractmethod
     def collect(self, receiver: str,
                 expected_label: str | None) -> tuple[str, bytes]:
         """Pop the next inbound ``(label, wire)`` for ``receiver``.
 
         ``expected_label`` is advisory -- it only improves error
         messages; label *verification* happens in the channel so every
-        fabric enforces identical framing rules.
+        fabric enforces identical framing rules.  Only the in-process
+        fabric collects: a daemon's mirror channel takes frames through
+        ``try_collect`` and awaits them through ``wait_message``.
         """
+        raise TransportError(
+            f"{type(self).__name__} has no blocking collect: daemon "
+            f"sessions receive through try_collect and wait_message")
 
     def close(self, reason: str | None = None) -> None:
         """Release fabric resources; delivery after close is undefined.
@@ -555,7 +559,7 @@ class SessionLinkTransport(Transport):
     Receiving happens on the event loop, never on a blocked thread:
     :meth:`try_collect` takes an already-arrived frame and
     :meth:`wait_message` awaits the next one, both from the session's
-    inbound queue (the blocking :meth:`collect` refuses).  The control
+    inbound queue (the blocking ``collect`` refuses).  The control
     plane (``c`` frames: the session sync) uses :meth:`send_control` /
     :meth:`next_control` and never touches the message queue: control
     records are runtime plumbing, never protocol messages.
@@ -599,23 +603,17 @@ class SessionLinkTransport(Transport):
             encode_mux_payload(self.session_id,
                                encode_message_payload(label, wire)))
 
-    def collect(self, receiver: str,
-                expected_label: str | None) -> tuple[str, bytes]:
-        raise TransportError(
-            f"daemon sessions receive through try_collect and "
-            f"wait_message, never a blocking collect ({self._context()})")
-
     def try_collect(self, receiver: str,
                     expected_label: str | None
                     ) -> tuple[str, bytes] | None:
         """The already-arrived frame for ``receiver``, or ``None`` when
         the peer's frame is still in flight.
 
-        This is the message-granularity probe of the async pass
-        executor: a restartable choreography segment calls it at a
-        remote-send substitution and, on ``None``, unwinds so its
-        *coroutine* can park on :meth:`wait_message` -- no thread ever
-        blocks.  Event-loop thread only (the queue is loop-owned).
+        The daemons' mirror channel calls it at a remote-send
+        substitution and, on ``None``, awaits :meth:`wait_message`
+        instead: the choreography's *coroutine* suspends there, and no
+        thread ever blocks.  Event-loop thread only (the queue is
+        loop-owned).
         """
         self._check_endpoint(receiver)
         if receiver != self.local_name:

@@ -34,7 +34,7 @@ import threading
 from typing import Callable, Iterable, Mapping
 
 #: Hard bound on metric magnitudes and label numerals.  Everything the
-#: runtime counts (frames, bytes, sessions, restarts) sits far below
+#: runtime counts (frames, bytes, sessions, queries) sits far below
 #: this; Paillier/RSA material sits far above it.
 VALUE_BOUND = 1 << 63
 
@@ -112,7 +112,7 @@ NULL_INSTRUMENT = _NullInstrument()
 
 
 class Counter:
-    """Monotonically increasing count (frames, restarts, sessions)."""
+    """Monotonically increasing count (frames, bytes, sessions)."""
 
     __slots__ = ("_lock", "_value")
 
@@ -134,7 +134,7 @@ class Counter:
 
 
 class Gauge:
-    """Point-in-time level (parked coroutines, active sessions)."""
+    """Point-in-time level (active sessions, daemon threads)."""
 
     __slots__ = ("_lock", "_value")
 

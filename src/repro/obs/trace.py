@@ -4,7 +4,7 @@ A :class:`Tracer` records a tree of timed spans -- session -> pass ->
 peer-query -> attempt -- and writes one JSON line per finished span to a
 per-party file under the run's trace directory.  ``repro trace
 summarize`` folds those files back into a per-session critical-path
-breakdown (which pass, which peer, how much replay).
+breakdown (which pass, which peer, how long its queries took).
 
 Every attribute that enters a span passes through :func:`guard_value`,
 which admits only *shapes* of data -- small numbers, short digit-free
@@ -32,7 +32,7 @@ import time
 from typing import Mapping
 
 #: Integers at or above this magnitude are digested, never recorded.
-#: Protocol counts (frames, restarts, steps) sit far below; Paillier and
+#: Protocol counts (frames, queries, steps) sit far below; Paillier and
 #: RSA material sits far above.
 INT_BOUND = 1 << 63
 
@@ -248,7 +248,7 @@ def summarize_trace_dir(trace_dir: str | os.PathLike) -> dict:
 
     Returns ``{"sessions": {session: {"parties": {party: {...}}}}}``
     where each party entry carries total duration, per-pass rows in
-    pass order (role, duration, queries, attempts, restarts), and the
+    pass order (role, duration, queries), and the
     pass critical path: the time covered by at least one of the pass's
     peer queries -- a pass runs its queries at once, so their union,
     not their sum, is the time it spends on them.  A daemon
@@ -301,21 +301,15 @@ def summarize_trace_dir(trace_dir: str | os.PathLike) -> dict:
                 "role": span["attrs"].get("role"),
                 "duration": span["dur"],
                 "queries": 0,
-                "attempts": 0,
-                "restarts": 0,
                 "critical_path": 0.0,
             })
         elif span["kind"] == "peer_query":
             entry["_queries"].setdefault(
                 span.get("parent"), []).append(span)
-        elif span["kind"] == "attempt":
-            entry.setdefault("_attempts", {}).setdefault(
-                span.get("parent"), []).append(span)
 
     for session in sessions.values():
         for entry in session["parties"].values():
             queries = entry.pop("_queries", {})
-            attempts = entry.pop("_attempts", {})
             start = entry.pop("_start")
             sync_end = entry.pop("_sync_end")
             if sync_end is not None:
@@ -335,10 +329,6 @@ def summarize_trace_dir(trace_dir: str | os.PathLike) -> dict:
                     entry["first_query"] = round(
                         min(query["t0"] for query in pass_queries)
                         - start, 6)
-                for query in pass_queries:
-                    query_attempts = attempts.get(query["id"], [])
-                    row["attempts"] += len(query_attempts)
-                    row["restarts"] += max(0, len(query_attempts) - 1)
                 row["critical_path"] = round(_union_length(
                     (query["t0"], query["t1"]) for query in pass_queries),
                     6)
@@ -382,7 +372,5 @@ def format_trace_summary(summary: dict) -> str:
                     f"    {row['name']} [{role}] "
                     f"{row['duration']:.3f}s"
                     f" critical-path {row['critical_path']:.3f}s"
-                    f" queries {row['queries']}"
-                    f" attempts {row['attempts']}"
-                    f" restarts {row['restarts']}")
+                    f" queries {row['queries']}")
     return "\n".join(lines) + ("\n" if lines else "")

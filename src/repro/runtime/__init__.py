@@ -25,7 +25,8 @@ across *real OS processes* over loopback (or LAN) TCP, on one runtime:
 - :mod:`repro.runtime.mirror` and :mod:`repro.runtime.async_pass` --
   the mirrored-choreography channel that lets the existing two-sided
   protocol implementations run unchanged across a process boundary,
-  and its restartable, never-blocking form on the daemon event loop.
+  and its suspending form on the daemon event loop, where a query
+  awaits each peer frame that has not arrived.
 - :mod:`repro.runtime.failure` -- typed failure reports: the cause a
   daemon classifies and the retryable/fatal split the orchestrator
   acts on.

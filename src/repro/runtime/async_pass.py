@@ -4,48 +4,36 @@ The daemon runtime used to burn one worker thread per session: the
 session's driver pass ran the blocking mirrored choreography on a
 dedicated thread, and each blocking ``collect`` parked that thread on a
 future.  At 64 concurrent sessions that is 64 threads doing nothing but
-waiting.  This module removes them: the *unchanged, synchronous*
-choreographies run inline on the event loop, and the thing that parks
-when a frame has not arrived yet is a **coroutine**, not a thread.
+waiting.  This module removes them: the choreographies run on the event
+loop as coroutines, and the thing that waits when a frame has not
+arrived yet is the query's coroutine, not a thread.
 
-Restartable execution
+Suspendable execution
 ---------------------
 
-Python cannot suspend a plain synchronous call stack from underneath
-(no continuations without C extensions), so the trick is re-execution
-of a deterministic prefix, applied at message granularity:
+Every choreography is an ``async def`` whose sends are awaited
+(:mod:`repro.net.channel`).  On a daemon each per-peer secure query runs
+once, as one coroutine, through :meth:`PairRuntime.run`:
 
-1. A per-peer secure query runs inline.  Channel sends by the local
-   party execute in full (serialize, record, deliver).  A *remote*
-   send -- the substitution point where a blocking channel would wait
-   on the socket -- instead polls the per-(session, pair)
-   frame queue; if the authentic frame has not arrived, the channel
-   raises :class:`NeedFrame`.
-2. The pair runtime catches it, rolls the pair's mutable state (party
-   RNGs, comparison counter, cipher cache) back to the snapshot taken
-   at query start, hands the randomness factors the attempt drew back
-   to their pools, and ``await``\\ s the frame -- yielding the event
-   loop to every other session's coroutines.
-3. When the frame arrives, the query re-executes *from its start*.
-   The channel's frame log doubles as the replay record: frames the
-   previous attempt already produced are byte-verified and suppressed
-   (outbound) or served from the log (inbound), so the wire sees every
-   frame exactly once and stats/transcripts record each frame exactly
-   once, on its live execution.
+1. A send by the local party executes in full (serialize, record,
+   deliver) and never waits.
+2. A *remote* send -- the substitution point where the mirror takes
+   the peer's authentic frame (:mod:`repro.runtime.mirror`) -- takes the
+   frame that has already arrived on the per-(session, pair) queue.
+   When it has not, the channel awaits it: first the peer's keys being
+   adopted, then the queue, bounded by ``timeout_s``.  The coroutine
+   suspends at that ``await`` and the event loop serves every other
+   session's coroutines until the frame lands.
+3. The query resumes where it stopped, so the wire, stats and the
+   transcript see every frame once and nothing is computed twice: no
+   snapshot, no rollback, no replay.
 
-Re-execution costs repeated local compute (bounded by the handful of
-round-trips per query) -- but not the Paillier randomness factors,
-which the next attempt pops from the pools' queues again -- and buys a
-daemon whose thread count is independent of its session count.
-Determinism makes it sound: a restarted attempt with restored state
-and the same factors re-produces byte-identical frames, which the
-replay check enforces rather than assumes.
+The daemon's thread count stays independent of its session count.
 """
 
 from __future__ import annotations
 
 import asyncio
-from collections import deque
 from typing import Awaitable, Callable
 
 from repro.clustering.expansion import expand_clusters
@@ -60,104 +48,54 @@ from repro.obs.trace import NULL_SPAN
 from repro.runtime.mirror import MirrorChannel, MirrorChannelError
 
 
-class NeedFrame(Exception):
-    """A remote-send substitution found the frame queue empty.
-
-    Internal control flow of the restartable runner -- never escapes
-    :meth:`PairRuntime.run`.  Carries the label the choreography is
-    waiting for, for diagnostics and the awaited-frame message.
-    """
-
-    def __init__(self, label: str):
-        super().__init__(label)
-        self.label = label
-
-
-class ReplayDivergenceError(ProtocolDesyncError):
-    """A re-executed attempt produced different bytes than its log.
-
-    Determinism is the soundness condition of restartable execution;
-    this error means restored state did not reproduce the recorded
-    wire view -- a bug, never a recoverable condition.
-    """
-
-
 class RestartableMirrorChannel(MirrorChannel):
-    """A mirror channel whose remote-send substitution never blocks.
+    """The daemons' mirror channel: a remote send awaits its frame.
 
-    Same mirrored-choreography semantics as :class:`MirrorChannel`
-    (see its module docstring); the difference is confined to where
-    the authentic frame comes from:
-
-    - within the replayed prefix of the current query (``_cursor``
-      below the frame-log high-water mark), outbound frames are
-      byte-verified against the log and **not** re-delivered, inbound
-      frames are served **from** the log -- stats and transcript are
-      untouched, they recorded these frames on their live execution;
-    - past the prefix, a local send runs the full live path, and a
-      remote send polls the staged frame (delivered while the runner
-      was parked) or the transport's non-blocking ``try_collect`` --
-      raising :class:`NeedFrame` instead of blocking a thread.
+    Same mirrored-choreography semantics as :class:`MirrorChannel` (see
+    its module docstring); its send is the one remote-send
+    substitution.  It takes the frame the transport has already queued
+    (``try_collect``) or, when the frame is still in flight, awaits
+    :attr:`peer_keys` and then the transport's ``wait_message``, which
+    ``timeout_s`` bounds -- suspending the query's coroutine, never a
+    thread.  Nothing restarts; the class keeps its name because the
+    benchmark's probes look it up.
     """
 
-    #: Live-vs-replayed segment accounting (``repro_segment_frames``)
-    #: -- the daemon rebinds these to real counters per pair; the class
-    #: defaults keep non-instrumented channels at one no-op call.
+    #: Live frame accounting (``repro_segment_frames_total{mode="live"}``)
+    #: -- the daemon rebinds it to its registry's counter; the class
+    #: default keeps non-instrumented channels at one no-op call.
     obs_live = NULL_INSTRUMENT
-    obs_replayed = NULL_INSTRUMENT
 
     def __init__(self, left_name: str, right_name: str, local_name: str,
                  transport):
         super().__init__(left_name, right_name, local_name, transport)
-        # Frames collected by the parked runner, to serve on the next
-        # attempt's first live remote-send.
-        self._staged: deque[tuple[str, bytes]] = deque()
-        self._replay_base = 0
-        self._cursor = 0
-        self._inbox_snapshot: tuple = ()
+        # Set once the peer's keys are adopted (an asyncio.Event), or
+        # None: a frame wait awaits it first.  The peer announces its
+        # keys before it sends any frame of the pair, so this adds no
+        # wait, and a silent peer fails the session at its
+        # announcement alone.
+        self.peer_keys: asyncio.Event | None = None
 
-    # -- restart protocol ---------------------------------------------------
-
-    def begin_query(self) -> None:
-        """Pin the replay base: frames logged before this point are
-        settled history and never replayed."""
-        self._replay_base = len(self.frame_log)
-        self._inbox_snapshot = tuple(self._remote_inbox)
-
-    def begin_attempt(self) -> None:
-        """Rewind to the query start: replay cursor to base, inbox to
-        its query-start contents (an aborted attempt leaves it
-        mid-choreography)."""
-        self._cursor = self._replay_base
-        self._remote_inbox.clear()
-        self._remote_inbox.extend(self._inbox_snapshot)
-
-    def stage(self, item: tuple[str, bytes]) -> None:
-        """Hand the runner's awaited frame to the next attempt."""
-        self._staged.append(item)
-
-    # -- Channel protocol ---------------------------------------------------
-
-    def _send(self, sender: str, receiver: str, label: str, value) -> None:
+    async def _send(self, sender: str, receiver: str, label: str,
+                    value) -> None:
         if self._closed:
             raise MirrorChannelError("channel is closed")
-        if self._cursor < len(self.frame_log):
-            self._replay(sender, label, value)
-            return
         if sender == self.local_name:
-            super()._send(sender, receiver, label, value)
-            self._cursor = len(self.frame_log)
+            wire = serialize_message(value)
+            self.stats.record(sender, receiver, label, len(wire))
+            self.transcript.record(sender, receiver, label, wire)
+            self.transport.deliver(sender, receiver, label, wire)
             self.obs_live.inc()
             return
-        # Live remote send: the staged frame (collected while parked)
-        # first, then whatever the pump has queued; never block.
-        if self._staged:
-            authentic_label, wire = self._staged.popleft()
-        else:
-            item = self.transport.try_collect(self.local_name, label)
-            if item is None:
-                raise NeedFrame(label)
-            authentic_label, wire = item
+        # The remote party's send: substitute the authentic frame.  The
+        # locally-passed value is a placeholder and is dropped
+        # unserialized.
+        item = self.transport.try_collect(self.local_name, label)
+        if item is None:
+            if self.peer_keys is not None:
+                await self.peer_keys.wait()
+            item = await self.transport.wait_message(f"frame {label!r}")
+        authentic_label, wire = item
         if authentic_label != label:
             raise ProtocolDesyncError(
                 f"cross-process desync on "
@@ -167,144 +105,42 @@ class RestartableMirrorChannel(MirrorChannel):
         self.stats.record(sender, receiver, label, len(wire))
         self.transcript.record(sender, receiver, label, wire)
         self._remote_inbox.append((label, wire))
-        self.frame_log.append(("in", label, wire))
-        self._cursor = len(self.frame_log)
         self.obs_live.inc()
-
-    def _replay(self, sender: str, label: str, value) -> None:
-        direction, logged_label, logged_wire = self.frame_log[self._cursor]
-        expected = "out" if sender == self.local_name else "in"
-        if direction != expected or logged_label != label:
-            raise ReplayDivergenceError(
-                f"restart divergence on "
-                f"{self.local_name!r}<->{self.remote_name!r}: attempt "
-                f"reached {expected!r} {label!r} but the log recorded "
-                f"{direction!r} {logged_label!r} at position "
-                f"{self._cursor}")
-        if sender == self.local_name:
-            # Already on the wire and in stats/transcript: only verify.
-            wire = serialize_message(value)
-            if wire != logged_wire:
-                raise ReplayDivergenceError(
-                    f"restart divergence on "
-                    f"{self.local_name!r}<->{self.remote_name!r}: "
-                    f"re-executed send of {label!r} produced different "
-                    f"bytes than the delivered frame "
-                    f"({len(wire)} vs {len(logged_wire)} bytes)")
-        else:
-            self._remote_inbox.append((label, logged_wire))
-        self._cursor += 1
-        self.obs_replayed.inc()
 
 
 class PairRuntime:
-    """Restartable executor for one (session, pair) stream's choreography
-    -- a peer's key announcement, or one density test's query over the
-    pair.
+    """Runs one (session, pair) stream's query -- a density test's
+    query over the pair -- on its :class:`RestartableMirrorChannel`.
 
-    Owns the snapshot/restore of everything a re-executed attempt
-    mutates: both parties' RNG states, the comparison backend's
-    invocation counter and the peer cipher cache are captured at the
-    query's start and restored before every further attempt.  The
-    randomness pools keep their own attempt logs instead
-    (:meth:`~repro.crypto.precompute.RandomnessPool.rewind`): an
-    aborted attempt's factors go back to the front of their queues, so
-    the next attempt pops the same factors and computes none twice --
-    the pools' RNGs are never rewound, and their ``consumed`` counts
-    roll back with the factors.
+    A query runs once: where a peer frame has not arrived, its
+    coroutine suspends in the channel.  :meth:`_capture` and
+    :meth:`_restore` snapshot nothing; they stay because the
+    benchmark's probes look their names up.
     """
 
-    #: Restart/parked accounting; the daemon rebinds these to its
-    #: registry's instruments, non-instrumented runtimes stay no-op.
-    obs_restarts = NULL_INSTRUMENT
-    obs_parked = NULL_INSTRUMENT
-
-    def __init__(self, channel: RestartableMirrorChannel, link):
+    def __init__(self, channel: RestartableMirrorChannel):
         self.channel = channel
-        self.link = link
-        self.session = None
-        self.cache = None
-        self.restarts = 0
-        # Set once the peer's keys are adopted (an asyncio.Event), or
-        # None: a parked attempt awaits it before its frame wait.
-        self.peer_keys = None
 
-    def _capture(self):
-        session = self.session
-        if session is None:
-            return None
-        for pool in session.pools().values():
-            pool.log_draws()
-        return {
-            "rngs": {name: session.party(name).rng.getstate()
-                     for name in (session.alice.name, session.bob.name)},
-            "invocations": session.comparison_backend.invocations,
-            "cache": (dict(self.cache.ciphers)
-                      if self.cache is not None else None),
-        }
+    def _capture(self) -> None:
+        """An empty hook (class docstring)."""
 
     def _restore(self, state) -> None:
-        if state is None:
-            return
-        session = self.session
-        for name, rng_state in state["rngs"].items():
-            session.party(name).rng.setstate(rng_state)
-        for pool in session.pools().values():
-            pool.rewind()
-        session.comparison_backend.invocations = state["invocations"]
-        if self.cache is not None:
-            self.cache.ciphers.clear()
-            self.cache.ciphers.update(state["cache"])
+        """An empty hook (class docstring)."""
 
-    async def run(self, fn: Callable[[LeakageLedger], object],
+    async def run(self, fn: Callable[[LeakageLedger], Awaitable],
                   out_ledger: LeakageLedger | None = None,
                   span=NULL_SPAN):
-        """Run ``fn`` to completion, re-executing on :class:`NeedFrame`.
-
-        ``fn`` receives a fresh ledger per attempt (an aborted attempt
-        must leave no disclosure records); the successful attempt's
-        records are folded into ``out_ledger``.  ``span`` (a peer-query
-        span) gets one child per attempt; parked attempts record the
-        frame label they waited for.  A parked attempt's ``timeout_s``
-        frame wait starts only once :attr:`peer_keys` is set: the peer
-        announces its keys before it sends any frame of the pair, so
-        this adds no wait, and a silent peer fails the session at its
-        announcement alone.
-        """
-        self.channel.begin_query()
-        snapshot = self._capture()
-        attempt = 0
-        while True:
-            attempt += 1
-            self.channel.begin_attempt()
-            attempt_span = span.child("attempt", f"attempt{attempt}",
-                                      attempt=attempt)
-            attempt_ledger = LeakageLedger()
-            try:
-                result = fn(attempt_ledger)
-            except NeedFrame as need:
-                self.restarts += 1
-                self.obs_restarts.inc()
-                self._restore(snapshot)
-                attempt_span.set(parked_on=need.label)
-                attempt_span.close()
-                self.obs_parked.inc()
-                try:
-                    if self.peer_keys is not None:
-                        await self.peer_keys.wait()
-                    self.channel.stage(await self.link.wait_message(
-                        f"frame {need.label!r}"))
-                finally:
-                    self.obs_parked.dec()
-                continue
-            attempt_span.close()
-            if out_ledger is not None:
-                out_ledger.extend(attempt_ledger)
-            return result
+        """Await the choreography ``fn(ledger)`` to its end, recording
+        into ``out_ledger`` (a throwaway ledger when ``None``); ``span``
+        (a peer-query span) gets one ``attempt`` child for the run."""
+        with span.child("attempt", "attempt1", attempt=1):
+            return await fn(out_ledger if out_ledger is not None
+                            else LeakageLedger())
 
 
-#: Points one pass role works on at once: it bounds the restart
-#: snapshots in flight and the segments a parked frame waits behind.
+#: Points one pass role works on at once: it bounds the streams in
+#: flight (their sessions, coins and pools) and the queries a frame
+#: queues behind on the loop.
 POINTS_IN_FLIGHT = 3
 
 
@@ -359,10 +195,8 @@ async def drive_pass_async(
 
 
 __all__ = [
-    "NeedFrame",
     "POINTS_IN_FLIGHT",
     "PairRuntime",
-    "ReplayDivergenceError",
     "RestartableMirrorChannel",
     "drive_pass_async",
     "run_points",

@@ -16,16 +16,13 @@ Execution model
 One :mod:`asyncio` event loop per daemon owns *all* socket I/O: every
 pair connection is an :class:`~repro.net.transport.AsyncTcpTransport`
 hub whose demux task routes inbound session-tagged ``m``/``c`` frames
-into per-session future queues.  The protocol choreographies themselves
-are synchronous and run *unchanged* -- but inline on the event loop,
-at message granularity, through the restartable machinery of
-:mod:`repro.runtime.async_pass`: a choreography that reaches a frame
-not yet arrived unwinds via ``NeedFrame``, its *coroutine* parks on the
-session's frame queue, and the segment re-executes (replay-verified
-against the pair's frame log) once the frame lands.  No session owns a
-worker thread, so the daemon's thread count is O(1) in its session
-count -- the loop plus the shared engine's workers, whatever the
-concurrency.
+into per-session future queues.  The protocol choreographies are
+coroutines and run on the event loop (:mod:`repro.runtime.async_pass`):
+a choreography that reaches a frame not yet arrived awaits it on the
+session's frame queue, and resumes where it stopped once the frame
+lands, so every query runs once.  No session owns a worker thread, so
+the daemon's thread count is O(1) in its session count -- the loop plus
+the shared engine's workers, whatever the concurrency.
 
 Overlapped passes and order-free density tests: the k driver passes of
 a session do not depend on each other, and within a pass no density
@@ -60,11 +57,8 @@ which arrived in the same flight as the driver's queries.  A session
 spends no link delay on setup.
 
 Randomness: a daemon runs no offline phase.  Each stream's pools start
-empty and compute every Paillier randomness factor online, from the
-per-stream forked RNG streams the in-process mesh uses; a restarted
-attempt pops the factors its aborted attempts drew again
-(:meth:`~repro.crypto.precompute.RandomnessPool.rewind`), so each
-factor is computed once however often its query re-executes.
+empty and compute every Paillier randomness factor online, once, from
+the per-stream forked RNG streams the in-process mesh uses.
 
 Determinism: a session's coins, keys, and channel machinery are exactly
 the in-process mesh's (same ``derive_pair_rng`` streams per (pair,
@@ -127,6 +121,7 @@ from repro.net.framing import (
     encode_frame,
     read_frame_async,
 )
+from repro.net.channel import drive
 from repro.net.party import Party
 from repro.net.serialization import (
     SerializationError,
@@ -504,9 +499,9 @@ async def _run_together(coroutines) -> list:
 class _Stream:
     """One (pair, driver, query) stream as a daemon runs it."""
 
-    view: object                      # its sub-session of the pair hub
     runtime: PairRuntime
     stream: PairStream | None         # None once retired
+    cache: PeerCipherCache | None     # its pass's cache on the pair
     comparisons: int = 0
     pools: dict = field(default_factory=dict)   # reports, kept at retire
 
@@ -519,7 +514,6 @@ class _Stream:
         self.comparisons = session.comparison_backend.invocations
         self.pools = session.pool_report()
         self.stream = None
-        self.runtime.session = None
 
 
 @dataclass
@@ -532,14 +526,14 @@ class _SessionState:
     faults: PartyFaults | None = None
     contexts: dict = field(default_factory=dict)   # party -> CryptoContext
     views: dict = field(default_factory=dict)      # peer -> link view
-    # peer -> {announcer: runtime}: one announcement channel per side
+    # peer -> {announcer: channel}: one announcement channel per side
     keys: dict = field(default_factory=dict)
     adopted: dict = field(default_factory=dict)    # peer -> asyncio.Event
     # Set once every peer's session-sync record has checked out; no
     # peer's keys are adopted before.
     synced: asyncio.Event = field(default_factory=asyncio.Event)
     # The first flight's drive queries, (peer, query), that have not
-    # made their first attempt yet; `flown` is set once none is left.
+    # started yet; `flown` is set once none is left.
     flight: set = field(default_factory=set)
     flown: asyncio.Event = field(default_factory=asyncio.Event)
     # (peer, driver, query) -> _Stream, built as the query's point
@@ -563,15 +557,10 @@ class _SessionState:
         return [entry for driver in self.manifest.names
                 for entry in self.pass_streams(peer, driver)]
 
-    def runtimes(self) -> list[PairRuntime]:
-        return [*(runtime for announcers in self.keys.values()
-                  for runtime in announcers.values()),
-                *(stream.runtime for stream in self.streams.values())]
-
     def took_off(self, peer: str, query: int) -> None:
-        """The drive query on point ``query`` to ``peer`` starts its
-        first attempt in this loop step -- which runs up to the query's
-        first reply, so its first frame leaves in the same step."""
+        """The drive query on point ``query`` to ``peer`` starts in this
+        loop step -- which runs it up to its first wait for a reply, so
+        its first frame leaves in the same step."""
         self.flight.discard((peer, query))
         if not self.flight:
             self.flown.set()
@@ -668,9 +657,8 @@ class PartyDaemon:
                                   code=code)
             for code in (REJECT_CAPACITY, REJECT_DRAINING)}
         self._obs_threads = metrics.gauge("repro_daemon_threads")
-        self._obs_segments = {
-            mode: metrics.counter("repro_segment_frames_total", mode=mode)
-            for mode in ("live", "replayed")}
+        self._obs_frames = metrics.counter("repro_segment_frames_total",
+                                           mode="live")
         metrics.register_collector(self._collect_metrics)
 
     def _observe_thread_count(self) -> int:
@@ -1194,15 +1182,12 @@ class PartyDaemon:
             labels = results[1 + len(peers)
                              + manifest.names.index(self.name)]
             finished = time.perf_counter()
-            restarts = sum(rt.restarts for rt in state.runtimes())
-            session_span.set(restarts=restarts)
             return self._build_report(
                 state, labels, ledger,
                 elapsed=finished - started,
                 passes=finished - passes_started,
                 runtime_info=self._runtime_info(
-                    session_index, warm_start, state.setup_seconds,
-                    restarts, state))
+                    session_index, warm_start, state.setup_seconds, state))
         finally:
             sync_span.close()
             session_span.close()
@@ -1212,18 +1197,13 @@ class PartyDaemon:
                 hub.release_session(manifest.session_id)
             self._active.discard(manifest.session_id)
 
-    def _pair_runtime(self, view, link=None) -> PairRuntime:
-        """A restartable runner over a fresh mirror channel on ``view``
-        (through ``link``, a fault wrapper, when given)."""
+    def _channel(self, link) -> RestartableMirrorChannel:
+        """A fresh mirror channel over ``link`` (a session view, or a
+        fault wrapper around one)."""
         channel = RestartableMirrorChannel(
-            view.left_name, view.right_name, self.name,
-            view if link is None else link)
-        channel.obs_live = self._obs_segments["live"]
-        channel.obs_replayed = self._obs_segments["replayed"]
-        runtime = PairRuntime(channel, view)
-        runtime.obs_restarts = self.metrics.counter("repro_restarts_total")
-        runtime.obs_parked = self.metrics.gauge("repro_parked_coroutines")
-        return runtime
+            link.left_name, link.right_name, self.name, link)
+        channel.obs_live = self._obs_frames
+        return channel
 
     def _send_sync(self, state: _SessionState, digest: str) -> None:
         """Announce the manifest digest on every pair link (the
@@ -1317,7 +1297,7 @@ class PartyDaemon:
         state.config = config.smc
         for peer, session_view in state.views.items():
             state.keys[peer] = {
-                announcer: self._pair_runtime(session_view)
+                announcer: self._channel(session_view)
                 for announcer in self.spec.ordered_pair(self.name, peer)}
             state.adopted[peer] = asyncio.Event()
             for driver in (self.name, peer):
@@ -1347,8 +1327,8 @@ class PartyDaemon:
         substreams and channel machinery as the in-process mesh.  A
         stream built after the peer's keys were adopted starts on them.
         Its frame waits start once the peer's keys are adopted
-        (:attr:`~repro.runtime.async_pass.PairRuntime.peer_keys`), so a
-        peer silent at its announcement times out there alone.
+        (:attr:`~repro.runtime.async_pass.RestartableMirrorChannel.peer_keys`),
+        so a peer silent at its announcement times out there alone.
         """
         key = (peer, driver, query)
         entry = state.streams.get(key)
@@ -1360,24 +1340,24 @@ class PartyDaemon:
         link = (None if state.faults is None
                 else state.faults.link(view, pair_key(self.name, peer),
                                        manifest.names.index(driver), query))
-        runtime = self._pair_runtime(view, link)
+        channel = self._channel(view if link is None else link)
+        channel.peer_keys = state.adopted[peer]
         stream = build_stream(
-            state.contexts, state.config, runtime.channel, driver, query,
+            state.contexts, state.config, channel, driver, query,
             {name: manifest.seed_of(name) for name in manifest.names},
             manifest.rng_namespace)
-        runtime.session = stream.session
-        runtime.cache = state.caches[(peer, driver)]
-        runtime.peer_keys = state.adopted[peer]
-        entry = state.streams[key] = _Stream(view, runtime, stream)
+        entry = state.streams[key] = _Stream(
+            PairRuntime(channel), stream, state.caches[(peer, driver)])
         return entry
 
     def _announce_keys(self, state: _SessionState) -> None:
         """Send this daemon's key announcement on every pair link; no
-        wait -- each goes out on its own channel."""
+        wait -- each goes out on its own channel, a local send that
+        never suspends."""
         own = state.contexts[self.name]
         for announcers in state.keys.values():
-            announce_public_keys(
-                _endpoint(announcers[self.name].channel, self.name), own)
+            drive(announce_public_keys(
+                _endpoint(announcers[self.name], self.name), own))
 
     async def _adopt_keys(self, state: _SessionState, peer: str, config,
                           session_span) -> None:
@@ -1385,28 +1365,22 @@ class PartyDaemon:
         ``peer``'s announcement, check and adopt its keys, then open the
         roles that use them.
 
-        The announcement is substituted like any remote send: an attempt
-        that reaches it before it arrived parks on the session view,
-        bounded by ``timeout_s``, so a silent peer fails the session
-        with a typed timeout.  A malformed or unpinned key fails it
+        The announcement is substituted like any remote send: one that
+        has not arrived is awaited on the session view, bounded by
+        ``timeout_s``, so a silent peer fails the session with a typed
+        timeout.  A malformed or unpinned key fails it
         before any role has used it.  Adoption re-points the pair's
         streams built so far at the authentic keys
         (:meth:`~repro.smc.session.SmcSession.peer_keys_adopted`); a
         stream built later starts on them.
         """
-        channel = state.keys[peer][peer].channel
-        owner, receiver = _endpoint(channel, peer), _endpoint(channel,
-                                                              self.name)
+        channel = state.keys[peer][peer]
         context = state.contexts[peer]
-
-        def take(_ledger):
-            announce_public_keys(owner, context)
-            receive_public_keys(receiver, peer, context,
-                                config.smc.paillier_bits)
-
         await state.synced.wait()
         with session_span.child("adopt", f"keys:{peer}", peer=peer):
-            await state.keys[peer][peer].run(take)
+            await announce_public_keys(_endpoint(channel, peer), context)
+            receive_public_keys(_endpoint(channel, self.name), peer,
+                                context, config.smc.paillier_bits)
         for entry in state.pair_streams(peer):
             entry.stream.session.peer_keys_adopted(peer)
         state.adopted[peer].set()
@@ -1449,7 +1423,7 @@ class PartyDaemon:
                           config, ledger, span) -> tuple[int, ...]:
         """This daemon's own pass
         (:func:`~repro.runtime.async_pass.drive_pass_async`), each query
-        through its stream's restartable runner."""
+        through its stream's runner."""
         manifest = state.manifest
         caches = ({peer: cache for (peer, driver), cache
                    in state.caches.items() if driver == self.name}
@@ -1488,17 +1462,15 @@ class PartyDaemon:
         manifest declares for it, on the driver's schedule
         (:func:`~repro.runtime.async_pass.run_points`).
 
-        Each query runs the unchanged ``secure_peer_neighbor_count``
-        choreography inline through its stream's restartable runner,
-        after its first frame from the driver has arrived -- awaited
-        within ``timeout_s``, so a silent driver fails the session with
-        a typed timeout -- and been staged, so the first attempt does
-        not park at once.  With cached peer ciphertexts the query on
-        point 0 opens by uploading this party's coordinates, which the
-        pass's other queries read.  The per-attempt ledger is
-        discarded (the responder's disclosure view is the driver's
-        report, not this daemon's).  Returns the number of queries
-        served.
+        Each query runs the ``secure_peer_neighbor_count`` choreography
+        once through its stream's runner; its first step awaits the
+        driver's first frame within ``timeout_s``, so a silent driver
+        fails the session with a typed timeout.  With cached peer
+        ciphertexts the query on point 0 opens by uploading this
+        party's coordinates, which the pass's other queries read.  The
+        query's ledger is discarded (the responder's disclosure view is
+        the driver's report, not this daemon's).  Returns the number of
+        queries served.
         """
         manifest = state.manifest
         queries = manifest.counts[driver] if state.points else 0
@@ -1507,24 +1479,20 @@ class PartyDaemon:
 
         async def serve(query: int) -> None:
             entry = self._stream(state, driver, driver, query)
-            runtime = entry.runtime
             session, parties = entry.stream.session, entry.stream.parties
 
-            def serve_query(attempt_ledger: LeakageLedger) -> int:
+            def serve_query(ledger: LeakageLedger):
                 return secure_peer_neighbor_count(
                     session, parties[driver], placeholder,
                     parties[self.name], state.points, config,
-                    manifest.value_bound, attempt_ledger, runtime.cache,
+                    manifest.value_bound, ledger, entry.cache,
                     label=label, cached_label=f"{label}/cached")
 
-            if runtime.cache is None or query > 0:
-                runtime.channel.stage(await entry.view.wait_message(
-                    f"{driver}'s query {query}"))
             if state.faults is not None:
                 state.faults.on_query(pass_index, query)
             with span.child("peer_query", f"serve{query}:{driver}",
                             query=query, peer=driver) as query_span:
-                await runtime.run(serve_query, span=query_span)
+                await entry.runtime.run(serve_query, span=query_span)
             entry.retire()
 
         await run_points(queries, config.cache_peer_ciphertexts, serve)
@@ -1533,8 +1501,7 @@ class PartyDaemon:
     # -- reporting ---------------------------------------------------------
 
     def _runtime_info(self, session_index: int, warm_start: bool,
-                      setup_seconds: float, restarts: int,
-                      state: _SessionState) -> dict:
+                      setup_seconds: float, state: _SessionState) -> dict:
         # The pools of every stream, kept when the stream retired: only
         # the hosted party draws from them in this process.
         pool = combine_pool_reports(
@@ -1542,7 +1509,7 @@ class PartyDaemon:
             for report in entry.pools.values())
         return {
             "runtime": "daemon",
-            "pass_model": "async-restartable",
+            "pass_model": "async",
             "session_index": session_index,
             "warm_start": warm_start,
             "engine_warm": self.engine_warm,
@@ -1556,7 +1523,6 @@ class PartyDaemon:
             # Published through the registry gauge so `repro stats`
             # and per-session reports can never disagree.
             "thread_count": self._observe_thread_count(),
-            "restarts": restarts,
         }
 
     def _build_report(self, state: _SessionState, labels, ledger, *,
@@ -1569,7 +1535,7 @@ class PartyDaemon:
         pair_reports = {}
         for peer, announcers in state.keys.items():
             streams = state.pair_streams(peer)
-            channels = [announcers[name].channel
+            channels = [announcers[name]
                         for name in self.spec.ordered_pair(self.name, peer)]
             channels += [entry.runtime.channel for entry in streams]
             for channel in channels:

@@ -325,8 +325,7 @@ class PartyFaults:
 class FaultyLink(Transport):
     """A stream's pair link that interprets frame-level faults.
 
-    Counts the live message frames the stream's channel delivers
-    (replayed resends of a restarted query never reach ``deliver``), so
+    Counts the message frames the stream's channel delivers, so
     ``.f<F>`` means "the F-th message frame this party sends on the
     pair in the query on that pass's point 0".  A delay holds the pair
     connection's writer; a truncation writes a seeded-length prefix of
@@ -361,11 +360,11 @@ class FaultyLink(Transport):
             raise TransportClosedError(f"{hub.name}: {reason}")
         self.view.deliver(sender, receiver, label, wire)
 
-    def collect(self, receiver: str, expected_label: str | None):
-        return self.view.collect(receiver, expected_label)
-
     def try_collect(self, receiver: str, expected_label: str | None):
         return self.view.try_collect(receiver, expected_label)
+
+    async def wait_message(self, want: str = "a message"):
+        return await self.view.wait_message(want)
 
     def close(self, reason: str | None = None) -> None:
         self.view.close(reason)

@@ -27,26 +27,29 @@ performs the substitution that makes the execution real:
   recorded and written to the socket as one frame;
 - a **remote** party's send is only a marker -- the choreography did
   not compute its value (it passes a placeholder, usually ``None``) --
-  and here the mirror reads the authentic frame from the socket
+  and here the mirror takes the authentic frame from the socket
   instead: the real peer process, holding the real data, computed and
-  sent it at the same point of its own choreography.  Stats and the
-  transcript record the authentic bytes, so the accounting is identical
-  to an in-process run;
+  sent it at the same point of its own choreography.  The send is
+  awaited, so when the frame has not arrived yet the choreography's
+  coroutine suspends there until it does.  Stats and the transcript
+  record the authentic bytes, so the accounting is identical to an
+  in-process run;
 - a **local** receive pops the frame the preceding remote send
   substituted; it never touches the socket.  A **remote** receive is a
   missing guard: it raises :class:`ProtocolDesyncError` naming the
   label, so a step block that should not run here fails loudly instead
   of silently burning CPU on placeholders.
 
-The daemons run a restartable subclass
-(:class:`~repro.runtime.async_pass.RestartableMirrorChannel`) whose
-substitution never blocks a thread; this base class collects through
-the transport's ``collect``.
+The substitution itself is the daemons' subclass's
+(:class:`~repro.runtime.async_pass.RestartableMirrorChannel`): it
+suspends the query's coroutine on the event loop, never a thread.  This
+base class holds what both directions share: the endpoints, stats,
+transcript and the inbox of substituted frames.
 
 Why this terminates: both processes execute the same deterministic
 sequence of sends (control flow depends only on public shapes, wire
-values, and seed-derived coins -- property-tested).  A process blocks
-only at a remote-send substitution, i.e. waiting for a frame its peer
+values, and seed-derived coins -- property-tested).  A process waits
+only at a remote-send substitution, i.e. for a frame its peer
 produces at the same choreography point; since the order is shared,
 there is no circular wait.  The same order also means a party's send
 waits for every remote send before it on the channel.  Where two sends
@@ -83,7 +86,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.net.channel import ChannelEndpoint
-from repro.net.serialization import deserialize_message, serialize_message
+from repro.net.serialization import deserialize_message
 from repro.net.stats import CommunicationStats
 from repro.net.transcript import Transcript
 from repro.net.transport import ProtocolDesyncError, Transport
@@ -98,8 +101,10 @@ class MirrorChannel:
 
     Drop-in for :class:`repro.net.channel.Channel` wherever a session or
     protocol holds a channel: same endpoints, stats, transcript, and
-    close semantics; delivery is the mirrored substitution described in
-    the module docstring, over a transport serving ``local_name``.
+    close semantics, over a transport serving ``local_name``.  Delivery
+    is the mirrored substitution described in the module docstring; its
+    send is the subclass's
+    (:meth:`~repro.runtime.async_pass.RestartableMirrorChannel._send`).
     """
 
     def __init__(self, left_name: str, right_name: str, local_name: str,
@@ -119,11 +124,6 @@ class MirrorChannel:
         self._closed = False
         # Frames substituted off the wire, awaiting the local receive.
         self._remote_inbox: deque[tuple[str, bytes]] = deque()
-        # The party's wire view of this pair, in choreography order:
-        # ("out", label, wire) for local sends, ("in", label, wire) for
-        # substituted authentic frames -- what a restarted query of
-        # repro.runtime.async_pass replays against.
-        self.frame_log: list[tuple[str, str, bytes]] = []
         self.left = ChannelEndpoint(self, left_name, right_name,
                                     hosted=left_name == local_name)
         self.right = ChannelEndpoint(self, right_name, left_name,
@@ -152,32 +152,6 @@ class MirrorChannel:
                 f"{self._remote_inbox[0][0]!r})")
 
     # -- Channel protocol --------------------------------------------------
-
-    def _send(self, sender: str, receiver: str, label: str, value) -> None:
-        if self._closed:
-            raise MirrorChannelError("channel is closed")
-        if sender == self.local_name:
-            wire = serialize_message(value)
-            self.stats.record(sender, receiver, label, len(wire))
-            self.transcript.record(sender, receiver, label, wire)
-            self.transport.deliver(sender, receiver, label, wire)
-            self.frame_log.append(("out", label, wire))
-            return
-        # The remote party's send: substitute the authentic frame.  The
-        # locally-passed value is a placeholder and is dropped
-        # unserialized.
-        authentic_label, wire = self.transport.collect(self.local_name,
-                                                       label)
-        if authentic_label != label:
-            raise ProtocolDesyncError(
-                f"cross-process desync on "
-                f"{self.local_name!r}<->{self.remote_name!r}: this "
-                f"choreography reached {sender}'s send of {label!r} but "
-                f"the peer process sent {authentic_label!r}")
-        self.stats.record(sender, receiver, label, len(wire))
-        self.transcript.record(sender, receiver, label, wire)
-        self._remote_inbox.append((label, wire))
-        self.frame_log.append(("in", label, wire))
 
     def _receive(self, receiver: str, expected_label: str | None):
         if self._closed:

@@ -101,6 +101,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.crypto.dgk import DGK_U, DgkKeyPair, DgkPublicKey
+from repro.crypto.sealed import is_sealed
 from repro.net.party import Party
 from repro.net.serialization import FixedWidthList
 
@@ -127,11 +128,18 @@ def _bits_of(value: int, bits: int) -> list[int]:
     return [(value >> (bits - 1 - t)) & 1 for t in range(bits)]
 
 
-def _encrypted_bits(public: DgkPublicKey, x: int, bits: int,
+def _encrypted_bits(keypair: DgkKeyPair, x: int, bits: int,
                     rng) -> FixedWidthList:
-    """Step 1: ``E(x_t)``, MSB first, at the key's width."""
-    return FixedWidthList([public.encrypt(bit, rng)
-                           for bit in _bits_of(x, bits)],
+    """Step 1: ``E(x_t)``, MSB first, at the key's width.
+
+    The key holder encrypts through its own primes
+    (:meth:`~repro.crypto.dgk.DgkPrivateKey.encrypt`): the same
+    ciphertext from the same draw, by CRT.  A sealed key -- this
+    process does not hold the key -- takes the public path."""
+    public = keypair.public_key
+    encrypt = (public.encrypt if is_sealed(keypair.private_key)
+               else keypair.private_key.encrypt)
+    return FixedWidthList([encrypt(bit, rng) for bit in _bits_of(x, bits)],
                           public.ciphertext_width)
 
 
@@ -207,9 +215,9 @@ def _blinded_witnesses(public: DgkPublicKey, received: list[int],
     return FixedWidthList(blinded, public.ciphertext_width)
 
 
-def dgk_greater_than(key_holder: Party, x: int, other: Party, y: int,
-                     bits: int, keypair: DgkKeyPair, *,
-                     label: str = "dgk") -> bool:
+async def dgk_greater_than(key_holder: Party, x: int, other: Party, y: int,
+                           bits: int, keypair: DgkKeyPair, *,
+                           label: str = "dgk") -> bool:
     """Decide ``x > y``; only ``key_holder`` (who owns ``keypair``) learns it.
 
     Args:
@@ -223,14 +231,15 @@ def dgk_greater_than(key_holder: Party, x: int, other: Party, y: int,
             already known to ``other`` (the session exchanges it once).
         label: transcript label prefix.
     """
-    return dgk_greater_than_pairwise(key_holder, [x], other, [y], bits,
-                                     keypair, label=label)[0]
+    [result] = await dgk_greater_than_pairwise(
+        key_holder, [x], other, [y], bits, keypair, label=label)
+    return result
 
 
-def dgk_greater_than_pairwise(key_holder: Party, xs: list[int],
-                              other: Party, ys: list[int], bits: int,
-                              keypair: DgkKeyPair, *,
-                              label: str = "dgk") -> list[bool]:
+async def dgk_greater_than_pairwise(key_holder: Party, xs: list[int],
+                                    other: Party, ys: list[int], bits: int,
+                                    keypair: DgkKeyPair, *,
+                                    label: str = "dgk") -> list[bool]:
     """Decide ``x_i > y_i`` for every pair; only ``key_holder`` learns them.
 
     Every pair is its own :func:`dgk_greater_than` -- its own bit
@@ -254,8 +263,9 @@ def dgk_greater_than_pairwise(key_holder: Party, xs: list[int],
     for x in xs:
         encrypted_bits = None
         if key_holder.hosted:
-            encrypted_bits = _encrypted_bits(public, x, bits, key_holder.rng)
-        key_holder.send(f"{label}/x_bits", encrypted_bits)
+            encrypted_bits = _encrypted_bits(keypair, x, bits,
+                                             key_holder.rng)
+        await key_holder.send(f"{label}/x_bits", encrypted_bits)
 
     # --- Steps 2-3 (other party): blinded witness ciphertexts. ------------
     for y in ys:
@@ -267,7 +277,7 @@ def dgk_greater_than_pairwise(key_holder: Party, xs: list[int],
             blinded = _blinded_witnesses(public, received,
                                          _complements(public, received),
                                          _bits_of(y, bits), other.rng)
-        other.send(f"{label}/witnesses", blinded)
+        await other.send(f"{label}/witnesses", blinded)
 
     # --- Step 4 (key holder): zero-test every witness. ---------------------
     if not key_holder.hosted:
@@ -311,7 +321,8 @@ class GapLane:
                 f"other values")
 
 
-def dgk_leq_within_gap_lanes(lanes: Sequence[GapLane]) -> list[list[bool]]:
+async def dgk_leq_within_gap_lanes(lanes: Sequence[GapLane]
+                                   ) -> list[list[bool]]:
     """Every lane's gap comparisons, phase by phase across the lanes
     (module docstring, "Lanes"): every key holder's ``x_bits`` in lane
     order, then every other party's ``witnesses``, then every key
@@ -325,25 +336,24 @@ def dgk_leq_within_gap_lanes(lanes: Sequence[GapLane]) -> list[list[bool]]:
     for lane in lanes:
         lane.check()
     for lane in lanes:
-        _send_gap_bits(lane)
+        await _send_gap_bits(lane)
     for lane in lanes:
-        _send_gap_witnesses(lane)
+        await _send_gap_witnesses(lane)
     return [_gap_results(lane) for lane in lanes]
 
 
-def _send_gap_bits(lane: GapLane) -> None:
+async def _send_gap_bits(lane: GapLane) -> None:
     """Step 1 (key holder): E of each ``A``'s low ``l`` bits, MSB first."""
     half = 1 << lane.low_bits
     for x in lane.xs:
         encrypted_bits = None
         if lane.key_holder.hosted:
             encrypted_bits = _encrypted_bits(
-                lane.keypair.public_key, -x % half, lane.low_bits,
-                lane.key_holder.rng)
-        lane.key_holder.send(f"{lane.label}/x_bits", encrypted_bits)
+                lane.keypair, -x % half, lane.low_bits, lane.key_holder.rng)
+        await lane.key_holder.send(f"{lane.label}/x_bits", encrypted_bits)
 
 
-def _send_gap_witnesses(lane: GapLane) -> None:
+async def _send_gap_witnesses(lane: GapLane) -> None:
     """Steps 2-3 (other party): witnesses of ``c``, or of ``not c``."""
     public = lane.keypair.public_key
     low_bits = lane.low_bits
@@ -366,7 +376,7 @@ def _send_gap_witnesses(lane: GapLane) -> None:
                 blinded = _blinded_witnesses(
                     public, complements, doubled,
                     _bits_of(2 * (b - half), low_bits + 1), lane.other.rng)
-        lane.other.send(f"{lane.label}/witnesses", blinded)
+        await lane.other.send(f"{lane.label}/witnesses", blinded)
 
 
 def _gap_results(lane: GapLane) -> list[bool]:
@@ -386,9 +396,10 @@ def _gap_results(lane: GapLane) -> list[bool]:
     return results
 
 
-def dgk_greater_than_batch(key_holder: Party, x: int, other: Party,
-                           ys: list[int], bits: int, keypair: DgkKeyPair, *,
-                           label: str = "dgk") -> list[bool]:
+async def dgk_greater_than_batch(key_holder: Party, x: int, other: Party,
+                                 ys: list[int], bits: int,
+                                 keypair: DgkKeyPair, *,
+                                 label: str = "dgk") -> list[bool]:
     """Decide ``x > y_i`` for every ``y_i``; only ``key_holder`` learns them.
 
     The amortized form of :func:`dgk_greater_than`: the key holder's bit
@@ -410,8 +421,8 @@ def dgk_greater_than_batch(key_holder: Party, x: int, other: Party,
     # --- Step 1 (key holder), once for the whole batch. --------------------
     encrypted_bits = None
     if key_holder.hosted:
-        encrypted_bits = _encrypted_bits(public, x, bits, key_holder.rng)
-    key_holder.send(f"{label}/x_bits", encrypted_bits)
+        encrypted_bits = _encrypted_bits(keypair, x, bits, key_holder.rng)
+    await key_holder.send(f"{label}/x_bits", encrypted_bits)
 
     # --- Steps 2-3 (other party), per y, against the shared bits. ----------
     batches = None
@@ -422,7 +433,7 @@ def dgk_greater_than_batch(key_holder: Party, x: int, other: Party,
         batches = [_blinded_witnesses(public, received, complements,
                                       _bits_of(y, bits), other.rng)
                    for y in ys]
-    other.send(f"{label}/witnesses", batches)
+    await other.send(f"{label}/witnesses", batches)
 
     # --- Step 4 (key holder): one zero-test sweep over every batch. --------
     if not key_holder.hosted:

@@ -140,9 +140,9 @@ class SecureComparison(ABC):
     def __init__(self):
         self.invocations = 0
 
-    def leq(self, a_party: Party, a: int, b_party: Party, b: int, *,
-            lo: int, hi: int, reveal_to: str = "both",
-            label: str = "cmp") -> ComparisonOutcome:
+    async def leq(self, a_party: Party, a: int, b_party: Party, b: int, *,
+                  lo: int, hi: int, reveal_to: str = "both",
+                  label: str = "cmp") -> ComparisonOutcome:
         """Decide ``a <= b``; ``a, b`` must lie in ``[lo, hi]``.
 
         Args:
@@ -158,17 +158,18 @@ class SecureComparison(ABC):
         _check_in_interval("a", a, lo, hi)
         _check_in_interval("b", b, lo, hi)
         self.invocations += 1
-        result = self._leq(a_party, a - lo, b_party, b - lo,
-                           domain=hi - lo, reveal_to=reveal_to,
-                           label=f"{label}/{self.name}")
+        result = await self._leq(a_party, a - lo, b_party, b - lo,
+                                 domain=hi - lo, reveal_to=reveal_to,
+                                 label=f"{label}/{self.name}")
         return ComparisonOutcome(result=result,
                                  revealed_to=_revealed(reveal_to, a_party,
                                                        b_party))
 
-    def leq_batch(self, a_party: Party, a_values: list[int], b_party: Party,
-                  b_values: list[int], *, lo: int, hi: int,
-                  reveal_to: str = "both", amortize: bool = False,
-                  label: str = "cmp") -> list[ComparisonOutcome]:
+    async def leq_batch(self, a_party: Party, a_values: list[int],
+                        b_party: Party, b_values: list[int], *, lo: int,
+                        hi: int, reveal_to: str = "both",
+                        amortize: bool = False,
+                        label: str = "cmp") -> list[ComparisonOutcome]:
         """Decide ``a_i <= b_i`` for every pair; semantics of one
         :meth:`leq` per pair.
 
@@ -207,7 +208,7 @@ class SecureComparison(ABC):
                     "amortize=True declares a constant key-holder side, "
                     "but the values differ")
         self.invocations += len(a_values)
-        results = self._leq_batch(
+        results = await self._leq_batch(
             a_party, [a - lo for a in a_values],
             b_party, [b - lo for b in b_values],
             domain=hi - lo, reveal_to=reveal_to, amortize=amortize,
@@ -216,8 +217,8 @@ class SecureComparison(ABC):
         return [ComparisonOutcome(result=result, revealed_to=revealed)
                 for result in results]
 
-    def leq_lanes(self, lanes: Sequence[ComparisonLane]
-                  ) -> list[list[ComparisonOutcome]]:
+    async def leq_lanes(self, lanes: Sequence[ComparisonLane]
+                        ) -> list[list[ComparisonOutcome]]:
         """Decide every lane's ``a_i <= b_i``, each lane a batch revealed
         to its ``a_party`` under the public promise
         ``|a_i - b_i| <= gap``; semantics of one :meth:`leq_batch` per
@@ -245,29 +246,32 @@ class SecureComparison(ABC):
         return [[ComparisonOutcome(result=result,
                                    revealed_to=(lane.a_party.name,))
                  for result in results]
-                for lane, results in zip(lanes, self._leq_lanes(shifted))]
+                for lane, results in zip(lanes,
+                                         await self._leq_lanes(shifted))]
 
     @abstractmethod
-    def _leq(self, a_party: Party, a: int, b_party: Party, b: int, *,
-             domain: int, reveal_to: str, label: str) -> bool:
+    async def _leq(self, a_party: Party, a: int, b_party: Party, b: int, *,
+                   domain: int, reveal_to: str, label: str) -> bool:
         """Decide ``a <= b`` for shifted inputs in ``[0, domain]``."""
 
-    def _leq_batch(self, a_party: Party, a_values: list[int], b_party: Party,
-                   b_values: list[int], *, domain: int, reveal_to: str,
-                   amortize: bool, label: str) -> list[bool]:
+    async def _leq_batch(self, a_party: Party, a_values: list[int],
+                         b_party: Party, b_values: list[int], *,
+                         domain: int, reveal_to: str, amortize: bool,
+                         label: str) -> list[bool]:
         """Serial fallback: one :meth:`_leq` per pair (YMPP, oracle)."""
-        return [self._leq(a_party, a, b_party, b, domain=domain,
-                          reveal_to=reveal_to, label=label)
+        return [await self._leq(a_party, a, b_party, b, domain=domain,
+                                reveal_to=reveal_to, label=label)
                 for a, b in zip(a_values, b_values)]
 
-    def _leq_lanes(self, lanes: list[ComparisonLane]) -> list[list[bool]]:
+    async def _leq_lanes(self, lanes: list[ComparisonLane]
+                         ) -> list[list[bool]]:
         """Serial fallback: each lane as one :meth:`_leq_batch` revealed
         to ``a``, lane after lane (YMPP, oracle); the gap is not used.
         Lanes arrive shifted into ``[0, hi]``."""
-        return [self._leq_batch(lane.a_party, lane.a_values, lane.b_party,
-                                lane.b_values, domain=lane.hi,
-                                reveal_to="a", amortize=False,
-                                label=lane.label)
+        return [await self._leq_batch(lane.a_party, lane.a_values,
+                                      lane.b_party, lane.b_values,
+                                      domain=lane.hi, reveal_to="a",
+                                      amortize=False, label=lane.label)
                 for lane in lanes]
 
 
@@ -297,21 +301,21 @@ class YaoMillionairesComparison(SecureComparison):
             raise ComparisonError(
                 f"no RSA key material registered for party {party.name!r}")
 
-    def _leq(self, a_party: Party, a: int, b_party: Party, b: int, *,
-             domain: int, reveal_to: str, label: str) -> bool:
+    async def _leq(self, a_party: Party, a: int, b_party: Party, b: int, *,
+                   domain: int, reveal_to: str, label: str) -> bool:
         n0 = domain + 2
         if reveal_to in ("a", "both"):
             # a-holder learns: run with i = b, j = a (the i-holder --
             # b_party -- owns the keypair), so the j-holder (a-holder)
             # learns b < a, and a <= b  <=>  not (b < a).
-            strictly_greater = ympp_less_than(
+            strictly_greater = await ympp_less_than(
                 b_party, b + 1, a_party, a + 1, n0,
                 self._keys_of(b_party), announce=(reveal_to == "both"),
                 label=f"{label}/b_lt_a", engine=self._engine)
             return not strictly_greater
         # b-holder learns: i = a, j = b + 1 -> j-holder learns
         # a < b + 1 <=> a <= b.
-        return ympp_less_than(
+        return await ympp_less_than(
             a_party, a + 1, b_party, b + 2, n0,
             self._keys_of(a_party), announce=False, label=f"{label}/a_le_b",
             engine=self._engine)
@@ -342,29 +346,30 @@ class BitwiseComparison(SecureComparison):
                 f"{party.name!r}")
         return keypair
 
-    def _leq(self, a_party: Party, a: int, b_party: Party, b: int, *,
-             domain: int, reveal_to: str, label: str) -> bool:
+    async def _leq(self, a_party: Party, a: int, b_party: Party, b: int, *,
+                   domain: int, reveal_to: str, label: str) -> bool:
         # Width covers domain + 1 so the b + 1 trick cannot overflow.
         bits = max(1, (domain + 1).bit_length())
         if reveal_to in ("a", "both"):
             # a-holder keyed, learns a > b; a <= b is the negation.
-            greater = dgk_greater_than(
+            greater = await dgk_greater_than(
                 a_party, a, b_party, b, bits, self._keys_of(a_party),
                 label=label)
             result = not greater
             if reveal_to == "both":
-                a_party.send(f"{label}/conclusion", result)
+                await a_party.send(f"{label}/conclusion", result)
                 if b_party.hosted:
                     result = b_party.receive(f"{label}/conclusion")
             return result
         # b-holder keyed, learns b + 1 > a  <=>  a <= b.
-        return dgk_greater_than(
+        return await dgk_greater_than(
             b_party, b + 1, a_party, a, bits, self._keys_of(b_party),
             label=label)
 
-    def _leq_batch(self, a_party: Party, a_values: list[int], b_party: Party,
-                   b_values: list[int], *, domain: int, reveal_to: str,
-                   amortize: bool, label: str) -> list[bool]:
+    async def _leq_batch(self, a_party: Party, a_values: list[int],
+                         b_party: Party, b_values: list[int], *,
+                         domain: int, reveal_to: str, amortize: bool,
+                         label: str) -> list[bool]:
         """Every pair of the batch in one DGK round-trip.
 
         Undeclared batches run one independent comparison per pair --
@@ -400,11 +405,11 @@ class BitwiseComparison(SecureComparison):
         keypair = self._keys_of(key_party)
         if amortize:
             label = f"{label}/batch"
-            greater = dgk_greater_than_batch(
+            greater = await dgk_greater_than_batch(
                 key_party, holder_values[0], other_party, other_values,
                 bits, keypair, label=label)
         else:
-            greater = dgk_greater_than_pairwise(
+            greater = await dgk_greater_than_pairwise(
                 key_party, holder_values, other_party, other_values, bits,
                 keypair, label=label)
         if reveal_to == "b":
@@ -416,20 +421,21 @@ class BitwiseComparison(SecureComparison):
             # One conclusion for the amortized batch, one per pair else.
             conclusions = [results] if amortize else results
             for conclusion in conclusions:
-                a_party.send(f"{label}/conclusion", conclusion)
+                await a_party.send(f"{label}/conclusion", conclusion)
             if b_party.hosted:
                 received = [b_party.receive(f"{label}/conclusion")
                             for _ in conclusions]
                 results = received[0] if amortize else received
         return results
 
-    def _leq_lanes(self, lanes: list[ComparisonLane]) -> list[list[bool]]:
+    async def _leq_lanes(self, lanes: list[ComparisonLane]
+                         ) -> list[list[bool]]:
         """Every lane at its gap's width, each a-holder keyed: the same
         messages and labels as an undeclared batch per lane,
         ``bits(gap) + 1`` positions, and one round trip for all lanes
         (:func:`~repro.smc.bitwise_comparison.dgk_leq_within_gap_lanes`).
         """
-        return dgk_leq_within_gap_lanes(
+        return await dgk_leq_within_gap_lanes(
             [GapLane(lane.a_party, lane.a_values, lane.b_party,
                      lane.b_values, lane.gap, self._keys_of(lane.a_party),
                      lane.label)
@@ -446,11 +452,12 @@ class OracleComparison(SecureComparison):
 
     name = "oracle"
 
-    def _leq(self, a_party: Party, a: int, b_party: Party, b: int, *,
-             domain: int, reveal_to: str, label: str) -> bool:
+    async def _leq(self, a_party: Party, a: int, b_party: Party, b: int, *,
+                   domain: int, reveal_to: str, label: str) -> bool:
         return a <= b
 
-    def _leq_lanes(self, lanes: list[ComparisonLane]) -> list[list[bool]]:
+    async def _leq_lanes(self, lanes: list[ComparisonLane]
+                         ) -> list[list[bool]]:
         """The serial fallback, refusing a broken ``gap`` promise in any
         lane."""
         for lane in lanes:
@@ -459,7 +466,7 @@ class OracleComparison(SecureComparison):
                     raise ComparisonError(
                         f"|a - b| = {abs(a - b)} breaks the declared "
                         f"gap {lane.gap}")
-        return super()._leq_lanes(lanes)
+        return await super()._leq_lanes(lanes)
 
 
 def make_comparison_backend(kind: str, *,

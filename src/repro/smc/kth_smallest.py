@@ -212,7 +212,8 @@ def _selection_lane(u_party: Party, v_party: Party,
     return lockstep.results
 
 
-def run_lockstep(backend: SecureComparison, lanes: Sequence[Lane]) -> list:
+async def run_lockstep(backend: SecureComparison,
+                       lanes: Sequence[Lane]) -> list:
     """Advance every lane one request per step until all end, and return
     each lane's result.
 
@@ -223,16 +224,17 @@ def run_lockstep(backend: SecureComparison, lanes: Sequence[Lane]) -> list:
     """
     lockstep = _Lockstep(lanes)
     while pending := lockstep.pending():
-        outcomes = backend.leq_lanes([request for _, request in pending])
+        outcomes = await backend.leq_lanes(
+            [request for _, request in pending])
         lockstep.answer([[outcome.result for outcome in lane]
                          for lane in outcomes])
     return lockstep.results
 
 
-def kth_smallest_scan(backend: SecureComparison, u_party: Party,
-                      v_party: Party, shares: Sequence[SharedValues],
-                      ks: Sequence[int], *,
-                      label: str = "kselect") -> list[int]:
+async def kth_smallest_scan(backend: SecureComparison, u_party: Party,
+                            v_party: Party, shares: Sequence[SharedValues],
+                            ks: Sequence[int], *,
+                            label: str = "kselect") -> list[int]:
     """k rounds of secure minimum finding per vector; ``O(k*n)``
     comparisons each, ``k(2n - k - 1)/2`` exactly.
 
@@ -241,16 +243,17 @@ def kth_smallest_scan(backend: SecureComparison, u_party: Party,
     bits along the way, the v-holder learns nothing.  The one-lane run
     of :func:`kth_smallest_lane`.
     """
-    [indices] = run_lockstep(backend, [kth_smallest_lane(
+    [indices] = await run_lockstep(backend, [kth_smallest_lane(
         u_party, v_party, shares, ks, method="scan", label=label)])
     return indices
 
 
-def kth_smallest_quickselect(backend: SecureComparison, u_party: Party,
-                             v_party: Party, shares: Sequence[SharedValues],
-                             ks: Sequence[int], *,
-                             rng: random.Random | None = None,
-                             label: str = "kselect") -> list[int]:
+async def kth_smallest_quickselect(backend: SecureComparison,
+                                   u_party: Party, v_party: Party,
+                                   shares: Sequence[SharedValues],
+                                   ks: Sequence[int], *,
+                                   rng: random.Random | None = None,
+                                   label: str = "kselect") -> list[int]:
     """Randomized quickselect per vector; expected ``O(n)`` comparisons.
 
     Pivots are drawn from ``rng``, by default a stream forked from the
@@ -259,7 +262,7 @@ def kth_smallest_quickselect(backend: SecureComparison, u_party: Party,
     them only pivot-relative order bits, the same class of disclosure as
     the scan variant.  The one-lane run of :func:`kth_smallest_lane`.
     """
-    [indices] = run_lockstep(backend, [kth_smallest_lane(
+    [indices] = await run_lockstep(backend, [kth_smallest_lane(
         u_party, v_party, shares, ks, method="quickselect", pivots=rng,
         label=label)])
     return indices

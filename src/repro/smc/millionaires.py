@@ -52,10 +52,10 @@ def ympp_bit_parameter(n0: int) -> int:
     return 2 * max(16, 2 * n0.bit_length() + 6)
 
 
-def ympp_less_than(i_party: Party, i: int, j_party: Party, j: int,
-                   n0: int, keypair: RsaKeyPair, *, announce: bool = True,
-                   label: str = "ympp",
-                   engine: ModexpEngine | None = None) -> bool:
+async def ympp_less_than(i_party: Party, i: int, j_party: Party, j: int,
+                         n0: int, keypair: RsaKeyPair, *,
+                         announce: bool = True, label: str = "ympp",
+                         engine: ModexpEngine | None = None) -> bool:
     """Run Algorithm 1: decide ``i < j`` for ``i, j`` in ``[1, n0]``.
 
     Args:
@@ -94,7 +94,7 @@ def ympp_less_than(i_party: Party, i: int, j_party: Party, j: int,
     k = keypair.public_key.encrypt(x % modulus)
 
     # --- Step 2 (j_party -> i_party): k - j + 1. -------------------------
-    j_party.send(f"{label}/step2_shifted_cipher", (k - j + 1) % modulus)
+    await j_party.send(f"{label}/step2_shifted_cipher", (k - j + 1) % modulus)
 
     # --- Step 3 (i_party): y_u = Da(k - j + u), u = 1..n0. ---------------
     shifted = i_party.receive(f"{label}/step2_shifted_cipher")
@@ -109,8 +109,8 @@ def ympp_less_than(i_party: Party, i: int, j_party: Party, j: int,
     # --- Step 5 (i_party -> j_party): p, then z_u (+1 past position i). --
     disclosed = [residues[u - 1] if u <= i else (residues[u - 1] + 1) % prime
                  for u in range(1, n0 + 1)]
-    i_party.send(f"{label}/step5_prime", prime)
-    i_party.send(f"{label}/step5_sequence", disclosed)
+    await i_party.send(f"{label}/step5_prime", prime)
+    await i_party.send(f"{label}/step5_sequence", disclosed)
 
     # --- Step 6 (j_party): check the j-th number. -------------------------
     prime_received = j_party.receive(f"{label}/step5_prime")
@@ -119,7 +119,7 @@ def ympp_less_than(i_party: Party, i: int, j_party: Party, j: int,
 
     # --- Step 7 (j_party -> i_party): announce. ---------------------------
     if announce:
-        j_party.send(f"{label}/step7_conclusion", i_less_than_j)
+        await j_party.send(f"{label}/step7_conclusion", i_less_than_j)
         return i_party.receive(f"{label}/step7_conclusion")
     return i_less_than_j
 

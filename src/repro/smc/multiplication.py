@@ -36,12 +36,13 @@ class MultiplicationError(ValueError):
     """Raised when operands would overflow the plaintext space."""
 
 
-def secure_multiplication(receiver: Party, x: int, masker: Party, y: int,
-                          mask: int, keypair: PaillierKeyPair, *,
-                          label: str = "mult",
-                          faithful_shared_r: bool = False,
-                          receiver_pool: RandomnessPool | None = None,
-                          masker_pool: RandomnessPool | None = None) -> int:
+async def secure_multiplication(receiver: Party, x: int, masker: Party, y: int,
+                                mask: int, keypair: PaillierKeyPair, *,
+                                label: str = "mult",
+                                faithful_shared_r: bool = False,
+                                receiver_pool: RandomnessPool | None = None,
+                                masker_pool: RandomnessPool | None = None,
+                                ) -> int:
     """Run Algorithm 2; returns ``x*y + mask`` as learned by ``receiver``.
 
     Args:
@@ -74,12 +75,12 @@ def secure_multiplication(receiver: Party, x: int, masker: Party, y: int,
     if faithful_shared_r:
         shared_r = receiver.rng.getrandbits(public.randomness_bits)
         ciphertext = public.raw_encrypt(encoder.encode(x), shared_r)
-        receiver.send(f"{label}/encrypted_x", ciphertext)
-        receiver.send(f"{label}/shared_r", shared_r)
+        await receiver.send(f"{label}/encrypted_x", ciphertext)
+        await receiver.send(f"{label}/shared_r", shared_r)
     else:
         ciphertext = public.encrypt(encoder.encode(x), receiver.rng,
                                     receiver_pool).value
-        receiver.send(f"{label}/encrypted_x", ciphertext)
+        await receiver.send(f"{label}/encrypted_x", ciphertext)
 
     # --- Steps 4-6 (masker): u' = E(x)^y * E(v). --------------------------
     received = PaillierCiphertext(public, masker.receive(f"{label}/encrypted_x"))
@@ -89,7 +90,7 @@ def secure_multiplication(receiver: Party, x: int, masker: Party, y: int,
         masked_value = (
             product.value * public.raw_encrypt(encoder.encode(mask), r_value)
         ) % public.n_squared
-        masker.send(f"{label}/masked_product", masked_value)
+        await masker.send(f"{label}/masked_product", masked_value)
     else:
         # The fresh encryption of the mask rerandomizes the product:
         # E(xy; r1) * E(v; r2) = E(xy + v; r1 r2) with r2 fresh and
@@ -97,7 +98,7 @@ def secure_multiplication(receiver: Party, x: int, masker: Party, y: int,
         product = received * encoder.encode(y)
         masked = product + public.encrypt(encoder.encode(mask),
                                           masker.rng, masker_pool)
-        masker.send(f"{label}/masked_product", masked.value)
+        await masker.send(f"{label}/masked_product", masked.value)
 
     # --- Step 7 (receiver): decrypt. ---------------------------------------
     result_cipher = PaillierCiphertext(

@@ -63,14 +63,15 @@ class ScalarProductError(ValueError):
     """Raised on shape mismatches or plaintext-space overflow."""
 
 
-def secure_masked_dot_terms(receiver: Party, x_vector: list[int],
-                            masker: Party, y_vector: list[int],
-                            masks: list[int], keypair: PaillierKeyPair, *,
-                            label: str = "dot",
-                            receiver_pool: RandomnessPool | None = None,
-                            masker_pool: RandomnessPool | None = None,
-                            engine: ModexpEngine | None = None,
-                            ) -> list[int]:
+async def secure_masked_dot_terms(receiver: Party, x_vector: list[int],
+                                  masker: Party, y_vector: list[int],
+                                  masks: list[int],
+                                  keypair: PaillierKeyPair, *,
+                                  label: str = "dot",
+                                  receiver_pool: RandomnessPool | None = None,
+                                  masker_pool: RandomnessPool | None = None,
+                                  engine: ModexpEngine | None = None,
+                                  ) -> list[int]:
     """Per-coordinate Multiplication Protocol batch (HDP inner loop).
 
     The receiver learns ``[x_t * y_t + r_t for t]``; the masker learns
@@ -90,7 +91,7 @@ def secure_masked_dot_terms(receiver: Party, x_vector: list[int],
         [cipher.value for cipher in engine.encrypt_batch(
             public, [encoder.encode(x) for x in x_vector], receiver.rng,
             receiver_pool)], width)
-    receiver.send(f"{label}/encrypted_vector", encrypted)
+    await receiver.send(f"{label}/encrypted_vector", encrypted)
 
     received = public.check_width(
         masker.receive(f"{label}/encrypted_vector"))
@@ -102,7 +103,7 @@ def secure_masked_dot_terms(receiver: Party, x_vector: list[int],
         masked = product + public.encrypt(encoder.encode(mask), masker.rng,
                                           masker_pool)
         replies.append(masked.value)
-    masker.send(f"{label}/masked_terms", replies)
+    await masker.send(f"{label}/masked_terms", replies)
 
     results = public.check_width(receiver.receive(f"{label}/masked_terms"))
     return [encoder.decode(value)
@@ -110,16 +111,14 @@ def secure_masked_dot_terms(receiver: Party, x_vector: list[int],
                                                   results)]
 
 
-def secure_masked_dot_terms_batch(holder: Party, alpha: list[int],
-                                  receiver: Party, betas: list[list[int]],
-                                  offsets: list[int],
-                                  keypair: PaillierKeyPair, *,
-                                  blind_bound: int,
-                                  label: str = "dotbatch",
-                                  holder_pool: RandomnessPool | None = None,
-                                  receiver_pool: RandomnessPool | None = None,
-                                  engine: ModexpEngine | None = None,
-                                  ) -> list[int]:
+async def secure_masked_dot_terms_batch(
+        holder: Party, alpha: list[int], receiver: Party,
+        betas: list[list[int]], offsets: list[int],
+        keypair: PaillierKeyPair, *, blind_bound: int,
+        label: str = "dotbatch",
+        holder_pool: RandomnessPool | None = None,
+        receiver_pool: RandomnessPool | None = None,
+        engine: ModexpEngine | None = None) -> list[int]:
     """Batched region-query cross terms: receiver learns
     ``<alpha, beta_i> + offsets[i]`` for every ``beta_i``.
 
@@ -167,7 +166,7 @@ def secure_masked_dot_terms_batch(holder: Party, alpha: list[int],
             [cipher.value for cipher in engine.encrypt_batch(
                 public, [encoder.encode(a) for a in alpha], holder.rng,
                 holder_pool)], width)
-    holder.send(f"{label}/encrypted_alpha", encrypted_alpha)
+    await holder.send(f"{label}/encrypted_alpha", encrypted_alpha)
 
     blinds = []
     replies = None
@@ -189,7 +188,7 @@ def secure_masked_dot_terms_batch(holder: Party, alpha: list[int],
                     accumulator = (accumulator
                                    + cipher * encoder.encode(coefficient))
             replies.append(accumulator.value)
-    receiver.send(f"{label}/blinded_sums", replies)
+    await receiver.send(f"{label}/blinded_sums", replies)
 
     sums = None
     if holder.hosted:
@@ -199,7 +198,7 @@ def secure_masked_dot_terms_batch(holder: Party, alpha: list[int],
                        public.check_width(
                            holder.receive(f"{label}/blinded_sums")))]
         sums = [value + offset for value, offset in zip(blinded, offsets)]
-    holder.send(f"{label}/cross_sums", sums)
+    await holder.send(f"{label}/cross_sums", sums)
 
     if not receiver.hosted:
         return [0] * len(betas)
@@ -255,15 +254,15 @@ class ScalarProductLane:
                     )
 
 
-def secure_scalar_products(receiver: Party, alphas: list[list[int]],
-                           masker: Party, betas: list[list[list[int]]],
-                           masks: list[list[int]],
-                           keypair: PaillierKeyPair, *,
-                           label: str = "sprod",
-                           receiver_pool: RandomnessPool | None = None,
-                           masker_pool: RandomnessPool | None = None,
-                           engine: ModexpEngine | None = None,
-                           ) -> list[list[int]]:
+async def secure_scalar_products(receiver: Party, alphas: list[list[int]],
+                                 masker: Party, betas: list[list[list[int]]],
+                                 masks: list[list[int]],
+                                 keypair: PaillierKeyPair, *,
+                                 label: str = "sprod",
+                                 receiver_pool: RandomnessPool | None = None,
+                                 masker_pool: RandomnessPool | None = None,
+                                 engine: ModexpEngine | None = None,
+                                 ) -> list[list[int]]:
     """Section 5 batched sharing: receiver learns ``<alpha, beta_i> + v_i``
     for every ``beta_i`` of every ``alpha``.
 
@@ -276,16 +275,16 @@ def secure_scalar_products(receiver: Party, alphas: list[list[int]],
     :class:`~repro.crypto.engine.ModexpEngine` executing the batch
     encryptions/decryptions as sharded jobs.
     """
-    [products] = secure_scalar_products_lanes(
+    [products] = await secure_scalar_products_lanes(
         [ScalarProductLane(receiver, alphas, masker, betas, masks, keypair,
                            label, receiver_pool, masker_pool)],
         engine=engine)
     return products
 
 
-def secure_scalar_products_lanes(lanes: Sequence[ScalarProductLane], *,
-                                 engine: ModexpEngine | None = None,
-                                 ) -> list[list[list[int]]]:
+async def secure_scalar_products_lanes(lanes: Sequence[ScalarProductLane], *,
+                                       engine: ModexpEngine | None = None,
+                                       ) -> list[list[list[int]]]:
     """Every lane's sharing, phase by phase across the lanes: every
     receiver's ``encrypted_alpha`` messages in lane order, then every
     masker's ``masked_products``, then every receiver's decryptions.
@@ -300,14 +299,14 @@ def secure_scalar_products_lanes(lanes: Sequence[ScalarProductLane], *,
         lane.check()
     engine = engine or default_engine()
     for lane in lanes:
-        _send_encrypted_alphas(lane, engine)
+        await _send_encrypted_alphas(lane, engine)
     for lane in lanes:
-        _send_masked_products(lane, engine)
+        await _send_masked_products(lane, engine)
     return [_masked_products(lane, engine) for lane in lanes]
 
 
-def _send_encrypted_alphas(lane: ScalarProductLane,
-                           engine: ModexpEngine) -> None:
+async def _send_encrypted_alphas(lane: ScalarProductLane,
+                                 engine: ModexpEngine) -> None:
     """The receiver encrypts every alpha in one engine batch and sends
     each as its own message."""
     public = lane.keypair.public_key
@@ -316,13 +315,13 @@ def _send_encrypted_alphas(lane: ScalarProductLane,
         public, [encoder.encode(a) for alpha in lane.alphas for a in alpha],
         lane.receiver.rng, lane.receiver_pool)])
     for alpha in lane.alphas:
-        lane.receiver.send(f"{lane.label}/encrypted_alpha",
+        await lane.receiver.send(f"{lane.label}/encrypted_alpha",
                            FixedWidthList([next(encrypted) for _ in alpha],
                                           public.ciphertext_width))
 
 
-def _send_masked_products(lane: ScalarProductLane,
-                          engine: ModexpEngine) -> None:
+async def _send_masked_products(lane: ScalarProductLane,
+                                engine: ModexpEngine) -> None:
     """The masker answers every encrypted alpha with one masked product
     per beta vector."""
     public = lane.keypair.public_key
@@ -351,7 +350,7 @@ def _send_masked_products(lane: ScalarProductLane,
                     accumulator = (accumulator
                                    + cipher * encoder.encode(coefficient))
             replies.append(accumulator.value)
-        lane.masker.send(f"{lane.label}/masked_products", replies)
+        await lane.masker.send(f"{lane.label}/masked_products", replies)
 
 
 def _masked_products(lane: ScalarProductLane,

@@ -40,7 +40,7 @@ from repro.crypto.sealed import (
     seal_dgk_keypair,
     seal_paillier_keypair,
 )
-from repro.net.channel import Channel
+from repro.net.channel import Channel, drive
 from repro.net.party import Party
 from repro.smc.comparison import (
     ComparisonOutcome,
@@ -163,7 +163,8 @@ def sealed_peer_context(owner: str, expected_digest: str | None = None, *,
                          dgk=dgk, expected_digest=expected_digest)
 
 
-def announce_public_keys(party: Party, context: CryptoContext) -> None:
+async def announce_public_keys(party: Party,
+                               context: CryptoContext) -> None:
     """Send ``party``'s public keys to its peer.
 
     The Paillier announcement is ``[n, g]``, followed by the DGK public
@@ -177,9 +178,9 @@ def announce_public_keys(party: Party, context: CryptoContext) -> None:
     if context.dgk is not None:
         dgk = context.dgk.public_key
         announcement += [dgk.n, dgk.g, dgk.h]
-    party.send("keys/paillier_pub", announcement)
+    await party.send("keys/paillier_pub", announcement)
     if context.rsa is not None:
-        party.send("keys/rsa_pub",
+        await party.send("keys/rsa_pub",
                    [context.rsa.public_key.n, context.rsa.public_key.e])
 
 
@@ -199,9 +200,9 @@ def receive_public_keys(receiver: Party, owner: str,
         SmcSession._adopt_peer_public(owner, context, announced, key_bits)
 
 
-def exchange_public_keys(alice: Party, bob: Party,
-                         contexts: dict[str, CryptoContext],
-                         key_bits: int) -> None:
+async def exchange_public_keys(alice: Party, bob: Party,
+                               contexts: dict[str, CryptoContext],
+                               key_bits: int) -> None:
     """One pair's key exchange on one channel: ``alice`` announces,
     then ``bob``, then each hosted party takes the other's keys.
 
@@ -211,7 +212,7 @@ def exchange_public_keys(alice: Party, bob: Party,
     for the other's (``repro.runtime.daemon``).
     """
     for party in (alice, bob):
-        announce_public_keys(party, contexts[party.name])
+        await announce_public_keys(party, contexts[party.name])
     for owner, receiver in ((alice, bob), (bob, alice)):
         if receiver.hosted:
             receive_public_keys(receiver, owner.name,
@@ -324,8 +325,8 @@ class SmcSession:
                 self.alice.name: self._make_context(self.alice, slot=0),
                 self.bob.name: self._make_context(self.bob, slot=1),
             }
-            exchange_public_keys(self.alice, self.bob, self._contexts,
-                                 self.config.paillier_bits)
+            drive(exchange_public_keys(self.alice, self.bob, self._contexts,
+                                       self.config.paillier_bits))
         self._start()
 
     def _start(self) -> None:
@@ -337,9 +338,7 @@ class SmcSession:
         # pool refills timing-invariant: a pool filled up front
         # (precompute_pools) or on demand produces the same factor
         # sequence, because pool draws never interleave with the
-        # party's protocol coin draws -- and a daemon's restarted query
-        # can hand an aborted attempt's factors back to the pool
-        # (RandomnessPool.rewind) without rewinding either RNG.
+        # party's protocol coin draws.
         # Pooling therefore only reorders work in time -- the
         # bit-identity contract across runtimes holds whatever the
         # refill schedule.  A pool under a pending peer key holds the
@@ -506,64 +505,65 @@ class SmcSession:
 
     def pools(self) -> dict[tuple[str, str], RandomnessPool]:
         """The live pool objects, keyed ``(actor, key_owner)`` in fixed
-        creation order -- what a daemon's restartable query logs and
-        rewinds."""
+        creation order."""
         return dict(self._pools)
 
     # -- protocol entry points ----------------------------------------------
 
-    def compare_leq(self, a_party: Party, a: int, b_party: Party, b: int, *,
-                    lo: int, hi: int, reveal_to: str = "both",
-                    label: str = "cmp") -> ComparisonOutcome:
+    async def compare_leq(self, a_party: Party, a: int, b_party: Party,
+                          b: int, *, lo: int, hi: int,
+                          reveal_to: str = "both",
+                          label: str = "cmp") -> ComparisonOutcome:
         """Secure ``a <= b`` through the configured backend."""
-        return self.comparison_backend.leq(
+        return await self.comparison_backend.leq(
             a_party, a, b_party, b, lo=lo, hi=hi, reveal_to=reveal_to,
             label=label)
 
-    def compare_leq_batch(self, a_party: Party, a_values: list[int],
-                          b_party: Party, b_values: list[int], *,
-                          lo: int, hi: int, reveal_to: str = "both",
-                          amortize: bool = False,
-                          label: str = "cmp") -> list[ComparisonOutcome]:
+    async def compare_leq_batch(self, a_party: Party, a_values: list[int],
+                                b_party: Party, b_values: list[int], *,
+                                lo: int, hi: int, reveal_to: str = "both",
+                                amortize: bool = False,
+                                label: str = "cmp") -> list[ComparisonOutcome]:
         """Batched ``a_i <= b_i``: one invocation per pair.  With
         ``amortize`` the caller declares the learning party's side
         constant (public protocol structure), letting the backend share
         one bit-encryption and round-trip across the whole batch -- see
         :meth:`SecureComparison.leq_batch`."""
-        return self.comparison_backend.leq_batch(
+        return await self.comparison_backend.leq_batch(
             a_party, a_values, b_party, b_values, lo=lo, hi=hi,
             reveal_to=reveal_to, amortize=amortize, label=label)
 
-    def multiplication(self, receiver: Party, x: int, masker: Party, y: int,
-                       mask: int, *, label: str = "mult") -> int:
+    async def multiplication(self, receiver: Party, x: int, masker: Party,
+                             y: int, mask: int, *,
+                             label: str = "mult") -> int:
         """Algorithm 2: receiver learns ``x*y + mask``."""
-        return secure_multiplication(
+        return await secure_multiplication(
             receiver, x, masker, y, mask,
             self.paillier_keys(receiver.name), label=label,
             faithful_shared_r=self.config.faithful_shared_r,
             receiver_pool=self.pool(receiver, receiver),
             masker_pool=self.pool(masker, receiver))
 
-    def masked_dot_terms(self, receiver: Party, x_vector: list[int],
-                         masker: Party, y_vector: list[int],
-                         masks: list[int], *,
-                         label: str = "dot") -> list[int]:
+    async def masked_dot_terms(self, receiver: Party, x_vector: list[int],
+                               masker: Party, y_vector: list[int],
+                               masks: list[int], *,
+                               label: str = "dot") -> list[int]:
         """HDP inner loop: receiver learns each ``x_t*y_t + r_t``."""
-        return secure_masked_dot_terms(
+        return await secure_masked_dot_terms(
             receiver, x_vector, masker, y_vector, masks,
             self.paillier_keys(receiver.name), label=label,
             receiver_pool=self.pool(receiver, receiver),
             masker_pool=self.pool(masker, receiver),
             engine=self.engine)
 
-    def masked_dot_terms_batch(self, holder: Party, alpha: list[int],
-                               receiver: Party, betas: list[list[int]],
-                               offsets: list[int], *, blind_bound: int,
-                               label: str = "dotbatch") -> list[int]:
+    async def masked_dot_terms_batch(self, holder: Party, alpha: list[int],
+                                     receiver: Party, betas: list[list[int]],
+                                     offsets: list[int], *, blind_bound: int,
+                                     label: str = "dotbatch") -> list[int]:
         """Batched region-query cross terms: receiver learns
         ``<alpha, beta_i> + offsets[i]`` with the holder's vector
         encrypted once for the whole batch."""
-        return secure_masked_dot_terms_batch(
+        return await secure_masked_dot_terms_batch(
             holder, alpha, receiver, betas, offsets,
             self.paillier_keys(holder.name), blind_bound=blind_bound,
             label=label,

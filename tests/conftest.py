@@ -99,3 +99,36 @@ def oracle_session(parties, oracle_config) -> SmcSession:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xDB5CA)
+
+
+@pytest.fixture
+def key_work(monkeypatch) -> dict[str, list]:
+    """From here on, the modulus of the key under which each Paillier
+    batch decryption, each DGK bit encryption and each fresh Paillier
+    randomness factor ran -- which names the party that ran it, in this
+    process or in a thread-mode daemon fleet's."""
+    from repro.crypto.engine import ModexpEngine
+    from repro.crypto.paillier import PaillierPublicKey
+    from repro.smc import bitwise_comparison
+
+    work = {"decrypt": [], "dgk_bits": [], "factors": []}
+    decrypt = ModexpEngine.decrypt_raw_batch
+    encrypted_bits = bitwise_comparison._encrypted_bits
+    fresh_factor = PaillierPublicKey.fresh_factor
+
+    def decrypting(engine, private_key, values):
+        work["decrypt"].append(private_key.public_key.n)
+        return decrypt(engine, private_key, values)
+
+    def encrypting(keypair, x, bits, rng):
+        work["dgk_bits"].append(keypair.public_key.n)
+        return encrypted_bits(keypair, x, bits, rng)
+
+    def computing(public, rng):
+        work["factors"].append(public.n)
+        return fresh_factor(public, rng)
+
+    monkeypatch.setattr(ModexpEngine, "decrypt_raw_batch", decrypting)
+    monkeypatch.setattr(bitwise_comparison, "_encrypted_bits", encrypting)
+    monkeypatch.setattr(PaillierPublicKey, "fresh_factor", computing)
+    return work

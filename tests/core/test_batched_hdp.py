@@ -26,7 +26,7 @@ from repro.core.horizontal import run_horizontal_dbscan
 from repro.core.leakage import LeakageLedger
 from repro.crypto.paillier import PaillierPublicKey
 from repro.data.partitioning import HorizontalPartition
-from repro.net.channel import Channel
+from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
 from repro.smc.session import SmcConfig, SmcSession
 from tests.per_point import (
@@ -68,17 +68,17 @@ class TestRegionQueryAgainstPerPoint:
                                                   blind, seed):
         __, batched_session = _session(seed, backend="oracle")
         batched_ledger = LeakageLedger()
-        bits = hdp_region_query(
+        bits = drive(hdp_region_query(
             batched_session, batched_session.alice, querier_point,
             batched_session.bob, peer_points, eps_squared, VALUE_BOUND,
-            ledger=batched_ledger, blind_cross_sum=blind, label="q")
+            ledger=batched_ledger, blind_cross_sum=blind, label="q"))
 
         __, loop_session = _session(seed + 7, backend="oracle")
         loop_ledger = LeakageLedger()
-        loop_bits = [hdp_within_eps(
+        loop_bits = [drive(hdp_within_eps(
             loop_session, loop_session.alice, querier_point,
             loop_session.bob, point, eps_squared, VALUE_BOUND,
-            ledger=loop_ledger, blind_cross_sum=blind, label="q")
+            ledger=loop_ledger, blind_cross_sum=blind, label="q"))
             for point in peer_points]
 
         # The batched bits come back in the peer's permuted order; the
@@ -99,20 +99,20 @@ class TestRegionQueryAgainstPerPoint:
 
         __, batched_session = _session(seed, backend="oracle")
         batched_ledger = LeakageLedger()
-        bits = hdp_region_query_cached(
+        bits = drive(hdp_region_query_cached(
             batched_session, batched_session.alice, querier_point,
             batched_session.bob, peer_points, ids, PeerCipherCache(),
             eps_squared, VALUE_BOUND, ledger=batched_ledger,
-            blind_cross_sum=blind, label="q")
+            blind_cross_sum=blind, label="q"))
 
         __, loop_session = _session(seed + 7, backend="oracle")
         loop_ledger = LeakageLedger()
         loop_cache = PeerCipherCache()
-        loop_bits = [hdp_within_eps_cached(
+        loop_bits = [drive(hdp_within_eps_cached(
             loop_session, loop_session.alice, querier_point,
             loop_session.bob, point, point_id, loop_cache, eps_squared,
             VALUE_BOUND, ledger=loop_ledger, blind_cross_sum=blind,
-            label="q") for point_id, point in zip(ids, peer_points)]
+            label="q")) for point_id, point in zip(ids, peer_points)]
 
         # Stable ids fix the order, so bits compare positionally here.
         assert bits == loop_bits == _truth(querier_point, peer_points,
@@ -124,16 +124,16 @@ class TestRegionQueryAgainstPerPoint:
         __, session = _session(3)
         peer_points = [(4, 6), (1, 2), (30, 40)]
         for eps_squared, expected_count in ((25, 2), (24, 1), (0, 1)):
-            bits = hdp_region_query(
+            bits = drive(hdp_region_query(
                 session, session.alice, (1, 2), session.bob, peer_points,
-                eps_squared, VALUE_BOUND)
+                eps_squared, VALUE_BOUND))
             assert sum(bits) == expected_count, eps_squared
 
     def test_real_crypto_blind_mode(self):
         __, session = _session(4)
-        bits = hdp_region_query(
+        bits = drive(hdp_region_query(
             session, session.alice, (1, 2), session.bob,
-            [(4, 6), (50, 50)], 25, VALUE_BOUND, blind_cross_sum=True)
+            [(4, 6), (50, 50)], 25, VALUE_BOUND, blind_cross_sum=True))
         assert sum(bits) == 1
 
     def test_cached_real_crypto_reuses_uploads(self):
@@ -141,9 +141,9 @@ class TestRegionQueryAgainstPerPoint:
         cache = PeerCipherCache()
         peer_points = [(0, 3), (40, 0)]
         for _ in range(3):
-            bits = hdp_region_query_cached(
+            bits = drive(hdp_region_query_cached(
                 session, session.alice, (0, 0), session.bob, peer_points,
-                [0, 1], cache, 25, VALUE_BOUND, label="c")
+                [0, 1], cache, 25, VALUE_BOUND, label="c"))
             assert bits == [True, False]
         uploads = [e for e in channel.transcript.entries
                    if e.label == "c/coords"]
@@ -151,15 +151,15 @@ class TestRegionQueryAgainstPerPoint:
 
     def test_empty_peer_set(self):
         __, session = _session(6, backend="oracle")
-        assert hdp_region_query(session, session.alice, (0, 0),
-                                session.bob, [], 25, VALUE_BOUND) == []
+        assert drive(hdp_region_query(session, session.alice, (0, 0),
+                                      session.bob, [], 25, VALUE_BOUND)) == []
 
     def test_dimension_mismatch(self):
         from repro.core.distance import DistanceProtocolError
         __, session = _session(7, backend="oracle")
         with pytest.raises(DistanceProtocolError, match="dimension"):
-            hdp_region_query(session, session.alice, (0, 0), session.bob,
-                             [(1, 2, 3)], 25, VALUE_BOUND)
+            drive(hdp_region_query(session, session.alice, (0, 0), session.bob,
+                                   [(1, 2, 3)], 25, VALUE_BOUND))
 
 
 class TestBatchedComparisons:
@@ -174,17 +174,17 @@ class TestBatchedComparisons:
             self, querier_point, peer_points, eps_squared, blind, seed):
         __, batched_session = _session(seed)
         batched_ledger = LeakageLedger()
-        bits = hdp_region_query(
+        bits = drive(hdp_region_query(
             batched_session, batched_session.alice, querier_point,
             batched_session.bob, peer_points, eps_squared, VALUE_BOUND,
-            ledger=batched_ledger, blind_cross_sum=blind, label="q")
+            ledger=batched_ledger, blind_cross_sum=blind, label="q"))
 
         __, loop_session = _session(seed)
         loop_ledger = LeakageLedger()
-        loop_bits = per_point_region_query(
+        loop_bits = drive(per_point_region_query(
             loop_session, loop_session.alice, querier_point,
             loop_session.bob, peer_points, eps_squared, VALUE_BOUND,
-            ledger=loop_ledger, blind_cross_sum=blind, label="q")
+            ledger=loop_ledger, blind_cross_sum=blind, label="q"))
 
         # Same seeds -> same presentation permutation (the peer draws it
         # first), so the bits compare positionally, not just as a
@@ -203,11 +203,11 @@ class TestBatchedComparisons:
                           per_point_region_query_cached):
                 __, session = _session(21)
                 ledger = LeakageLedger()
-                bits = query(
+                bits = drive(query(
                     session, session.alice, (1, 2), session.bob,
                     [(4, 6), (1, 2), (30, 40), (2, 3)], [0, 1, 2, 3],
                     PeerCipherCache(), 25, VALUE_BOUND, ledger=ledger,
-                    blind_cross_sum=blind, label="q")
+                    blind_cross_sum=blind, label="q"))
                 results.append((bits, ledger.events,
                                 session.comparison_backend.invocations))
             assert results[0] == results[1], blind
@@ -218,9 +218,9 @@ class TestBatchedComparisons:
         the per-point reference produces one per peer point."""
         def count_x_bits(query):
             channel, session = _session(22)
-            query(session, session.alice, (0, 0), session.bob,
-                  [(0, 3), (4, 0), (50, 50), (1, 1)], 25, VALUE_BOUND,
-                  label="q")
+            drive(query(session, session.alice, (0, 0), session.bob,
+                        [(0, 3), (4, 0), (50, 50), (1, 1)], 25, VALUE_BOUND,
+                        label="q"))
             return sum(1 for e in channel.transcript.entries
                        if e.label.endswith("/x_bits"))
         assert count_x_bits(hdp_region_query) == 1
@@ -247,8 +247,8 @@ class TestQuerierEncryptionCount:
                        for i in range(n_peer)]
         try:
             PaillierPublicKey.encrypt = counting_encrypt
-            hdp_region_query(session, alice, tuple(range(dimensions)),
-                             bob, peer_points, 100, VALUE_BOUND)
+            drive(hdp_region_query(session, alice, tuple(range(dimensions)),
+                                   bob, peer_points, 100, VALUE_BOUND))
         finally:
             PaillierPublicKey.encrypt = original
         return {"querier": counts[id(alice.rng)],
@@ -330,9 +330,9 @@ class TestSessionPools:
         """The offline/online contract: prefilling by a probe run's
         consumption makes the online run miss-free."""
         def run_query(session):
-            return hdp_region_query(
+            return drive(hdp_region_query(
                 session, session.alice, (0, 0), session.bob,
-                [(0, 3), (4, 0), (50, 50)], 25, VALUE_BOUND)
+                [(0, 3), (4, 0), (50, 50)], 25, VALUE_BOUND))
 
         __, probe = _session(9)
         expected = run_query(probe)

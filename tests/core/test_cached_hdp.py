@@ -1,6 +1,5 @@
 """Tests for the cached-ciphertext HDP variant (the E12 ablation)."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.clustering.labels import canonicalize
@@ -9,7 +8,7 @@ from repro.core.distance import PeerCipherCache, hdp_within_eps_cached
 from repro.core.horizontal import run_horizontal_dbscan
 from repro.core.leakage import Disclosure, LeakageLedger
 from repro.data.partitioning import HorizontalPartition
-from repro.net.channel import Channel
+from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
 from repro.smc.session import SmcConfig, SmcSession
 
@@ -32,9 +31,9 @@ class TestCachedDistanceProtocol:
     def test_agrees_with_plain_predicate(self, qp, pp, eps_squared):
         __, session = _session(1)
         cache = PeerCipherCache()
-        result = hdp_within_eps_cached(
+        result = drive(hdp_within_eps_cached(
             session, session.alice, qp, session.bob, pp, 0, cache,
-            eps_squared, VALUE_BOUND)
+            eps_squared, VALUE_BOUND))
         truth = sum((a - b) ** 2 for a, b in zip(qp, pp)) <= eps_squared
         assert result == truth
 
@@ -42,9 +41,9 @@ class TestCachedDistanceProtocol:
         channel, session = _session(2)
         cache = PeerCipherCache()
         for __ in range(3):
-            hdp_within_eps_cached(session, session.alice, (1, 2),
-                                  session.bob, (4, 6), 0, cache, 25,
-                                  VALUE_BOUND, label="c")
+            drive(hdp_within_eps_cached(session, session.alice, (1, 2),
+                                        session.bob, (4, 6), 0, cache, 25,
+                                        VALUE_BOUND, label="c"))
         uploads = [e for e in channel.transcript.entries
                    if e.label == "c/coords"]
         assert len(uploads) == 1
@@ -53,27 +52,29 @@ class TestCachedDistanceProtocol:
     def test_distinct_points_cached_separately(self):
         __, session = _session(3)
         cache = PeerCipherCache()
-        assert hdp_within_eps_cached(session, session.alice, (0, 0),
-                                     session.bob, (3, 4), 0, cache, 25,
-                                     VALUE_BOUND)
-        assert not hdp_within_eps_cached(session, session.alice, (0, 0),
-                                         session.bob, (30, 40), 1, cache,
-                                         25, VALUE_BOUND)
+        assert drive(hdp_within_eps_cached(session, session.alice, (0, 0),
+                                           session.bob, (3, 4), 0, cache, 25,
+                                           VALUE_BOUND))
+        assert not drive(hdp_within_eps_cached(session, session.alice, (0, 0),
+                                               session.bob, (30, 40), 1, cache,
+                                               25, VALUE_BOUND))
         assert len(cache) == 2
 
     def test_ledger_records_linkable_hits(self):
         __, session = _session(4)
         cache = PeerCipherCache()
         ledger = LeakageLedger()
-        hdp_within_eps_cached(session, session.alice, (0, 0), session.bob,
-                              (3, 4), 7, cache, 25, VALUE_BOUND,
-                              ledger=ledger)
+        drive(hdp_within_eps_cached(session, session.alice, (0, 0),
+                                    session.bob,
+                                    (3, 4), 7, cache, 25, VALUE_BOUND,
+                                    ledger=ledger))
         assert ledger.count(Disclosure.LINKED_NEIGHBOR_ID,
                             learner="alice") == 1
         # A miss (out of range) is not a linkable hit.
-        hdp_within_eps_cached(session, session.alice, (0, 0), session.bob,
-                              (30, 40), 8, cache, 25, VALUE_BOUND,
-                              ledger=ledger)
+        drive(hdp_within_eps_cached(session, session.alice, (0, 0),
+                                    session.bob,
+                                    (30, 40), 8, cache, 25, VALUE_BOUND,
+                                    ledger=ledger))
         assert ledger.count(Disclosure.LINKED_NEIGHBOR_ID) == 1
 
 
@@ -121,9 +122,9 @@ class TestCachedReplyFactors:
         __, session = _session(3)
         pool = session.pool(session.alice, session.bob)
         before = pool.consumed
-        hdp_within_eps_cached(session, session.alice, (1, 2, 3),
-                              session.bob, (4, 6, 8), 0, PeerCipherCache(),
-                              25, VALUE_BOUND)
+        drive(hdp_within_eps_cached(session, session.alice, (1, 2, 3),
+                                    session.bob, (4, 6, 8), 0,
+                                    PeerCipherCache(), 25, VALUE_BOUND))
         assert pool.consumed - before == 3
 
     def test_batched_reply_keeps_one_rerandomization_per_point(self):
@@ -133,7 +134,7 @@ class TestCachedReplyFactors:
         pool = session.pool(session.alice, session.bob)
         before = pool.consumed
         peer_points = [(4, 6), (1, 1), (0, 9)]
-        hdp_region_query_cached(
+        drive(hdp_region_query_cached(
             session, session.alice, (1, 2), session.bob, peer_points,
-            [0, 1, 2], PeerCipherCache(), 25, VALUE_BOUND)
+            [0, 1, 2], PeerCipherCache(), 25, VALUE_BOUND))
         assert pool.consumed - before == len(peer_points)

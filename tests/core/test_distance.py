@@ -10,7 +10,7 @@ from repro.core.distance import (
     vdp_within_eps,
 )
 from repro.core.leakage import Disclosure, LeakageLedger
-from repro.net.channel import Channel
+from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
 from repro.smc.session import SmcConfig, SmcSession
 
@@ -40,16 +40,16 @@ class TestHdp:
     ])
     def test_boundary_cases(self, qp, pp, eps_squared):
         __, session = _session(abs(qp[0]) + abs(pp[1]))
-        result = hdp_within_eps(session, session.alice, qp, session.bob, pp,
-                                eps_squared, VALUE_BOUND)
+        result = drive(hdp_within_eps(session, session.alice, qp, session.bob,
+                                      pp, eps_squared, VALUE_BOUND))
         assert result == _true_within(qp, pp, eps_squared)
 
     @settings(max_examples=10, deadline=None)
     @given(point2d, point2d, st.integers(min_value=0, max_value=40000))
     def test_random_property(self, qp, pp, eps_squared):
         __, session = _session(1)
-        result = hdp_within_eps(session, session.alice, qp, session.bob, pp,
-                                eps_squared, VALUE_BOUND)
+        result = drive(hdp_within_eps(session, session.alice, qp, session.bob,
+                                      pp, eps_squared, VALUE_BOUND))
         assert result == _true_within(qp, pp, eps_squared)
 
     def test_blind_cross_sum_same_result(self):
@@ -59,62 +59,65 @@ class TestHdp:
         __, session = _session(2)
         for blind in (False, True):
             # dist^2((1,2),(4,6)) = 25: exactly on the boundary.
-            assert hdp_within_eps(session, session.alice, (1, 2),
-                                  session.bob, (4, 6), 25, VALUE_BOUND,
-                                  blind_cross_sum=blind) is True
+            assert drive(hdp_within_eps(session, session.alice, (1, 2),
+                                        session.bob, (4, 6), 25, VALUE_BOUND,
+                                        blind_cross_sum=blind)) is True
             # One below the boundary: must be rejected.
-            assert hdp_within_eps(session, session.alice, (1, 2),
-                                  session.bob, (4, 6), 24, VALUE_BOUND,
-                                  blind_cross_sum=blind) is False
+            assert drive(hdp_within_eps(session, session.alice, (1, 2),
+                                        session.bob, (4, 6), 24, VALUE_BOUND,
+                                        blind_cross_sum=blind)) is False
 
     @settings(max_examples=10, deadline=None)
     @given(point2d, point2d, st.integers(min_value=0, max_value=40000))
     def test_blind_cross_sum_random_property(self, qp, pp, eps_squared):
         __, session = _session(21)
-        result = hdp_within_eps(session, session.alice, qp, session.bob, pp,
-                                eps_squared, VALUE_BOUND,
-                                blind_cross_sum=True)
+        result = drive(hdp_within_eps(session, session.alice, qp, session.bob,
+                                      pp, eps_squared, VALUE_BOUND,
+                                      blind_cross_sum=True))
         assert result == _true_within(qp, pp, eps_squared)
 
     def test_roles_can_swap(self):
         """Bob as querier (his pass of Algorithm 3)."""
         __, session = _session(3)
-        result = hdp_within_eps(session, session.bob, (0, 0),
-                                session.alice, (3, 4), 25, VALUE_BOUND)
+        result = drive(hdp_within_eps(session, session.bob, (0, 0),
+                                      session.alice, (3, 4), 25, VALUE_BOUND))
         assert result is True
 
     def test_dimension_mismatch(self):
         __, session = _session(4)
         with pytest.raises(DistanceProtocolError, match="dimension"):
-            hdp_within_eps(session, session.alice, (1,), session.bob,
-                           (1, 2), 25, VALUE_BOUND)
+            drive(hdp_within_eps(session, session.alice, (1,), session.bob,
+                                 (1, 2), 25, VALUE_BOUND))
 
     def test_ledger_records_dot_product_when_faithful(self):
         __, session = _session(5)
         ledger = LeakageLedger()
-        hdp_within_eps(session, session.alice, (1, 2), session.bob, (3, 4),
-                       25, VALUE_BOUND, ledger=ledger)
+        drive(hdp_within_eps(session, session.alice, (1, 2), session.bob, (3,
+                                                                           4),
+                             25, VALUE_BOUND, ledger=ledger))
         assert ledger.count(Disclosure.DOT_PRODUCT, learner="bob") == 1
         assert ledger.count(Disclosure.NEIGHBOR_BIT, learner="alice") == 1
 
     def test_ledger_clean_when_blinded(self):
         __, session = _session(6)
         ledger = LeakageLedger()
-        hdp_within_eps(session, session.alice, (1, 2), session.bob, (3, 4),
-                       25, VALUE_BOUND, ledger=ledger, blind_cross_sum=True)
+        drive(hdp_within_eps(session, session.alice, (1, 2), session.bob, (3,
+                                                                           4),
+                             25, VALUE_BOUND, ledger=ledger,
+                             blind_cross_sum=True))
         assert ledger.count(Disclosure.DOT_PRODUCT) == 0
 
     def test_three_dimensions(self):
         __, session = _session(7)
-        assert hdp_within_eps(session, session.alice, (1, 2, 3),
-                              session.bob, (1, 2, 4), 1, VALUE_BOUND)
+        assert drive(hdp_within_eps(session, session.alice, (1, 2, 3),
+                                    session.bob, (1, 2, 4), 1, VALUE_BOUND))
 
     def test_one_dimension(self):
         __, session = _session(8)
-        assert hdp_within_eps(session, session.alice, (5,), session.bob,
-                              (9,), 16, VALUE_BOUND)
-        assert not hdp_within_eps(session, session.alice, (5,), session.bob,
-                                  (10,), 16, VALUE_BOUND)
+        assert drive(hdp_within_eps(session, session.alice, (5,), session.bob,
+                                    (9,), 16, VALUE_BOUND))
+        assert not drive(hdp_within_eps(session, session.alice, (5,),
+                                        session.bob, (10,), 16, VALUE_BOUND))
 
 
 class TestVdp:
@@ -124,16 +127,16 @@ class TestVdp:
            st.integers(min_value=0, max_value=25000))
     def test_random_property(self, alice_part, bob_part, eps_squared):
         __, session = _session(9)
-        result = vdp_within_eps(session, session.alice, alice_part,
-                                session.bob, bob_part, eps_squared,
-                                30000)
+        result = drive(vdp_within_eps(session, session.alice, alice_part,
+                                      session.bob, bob_part, eps_squared,
+                                      30000))
         assert result == (alice_part + bob_part <= eps_squared)
 
     def test_ledger_both_learn(self):
         __, session = _session(10)
         ledger = LeakageLedger()
-        vdp_within_eps(session, session.alice, 4, session.bob, 5, 25,
-                       VALUE_BOUND, ledger=ledger)
+        drive(vdp_within_eps(session, session.alice, 4, session.bob, 5, 25,
+                             VALUE_BOUND, ledger=ledger))
         assert ledger.count(Disclosure.NEIGHBOR_BIT, learner="alice") == 1
         assert ledger.count(Disclosure.NEIGHBOR_BIT, learner="bob") == 1
 
@@ -160,9 +163,9 @@ class TestAdp:
         for eps_squared in (0, 51, 52, 53, 1000):
             x_values, y_values = self._views(x_point, y_point,
                                              x_owners, y_owners)
-            result = adp_within_eps(session, session.alice, session.bob,
-                                    x_values, y_values, eps_squared,
-                                    VALUE_BOUND)
+            result = drive(adp_within_eps(session, session.alice, session.bob,
+                                          x_values, y_values, eps_squared,
+                                          VALUE_BOUND))
             assert result == _true_within(x_point, y_point, eps_squared), \
                 (x_owners, y_owners, eps_squared)
 
@@ -178,16 +181,17 @@ class TestAdp:
         __, session = _session(12)
         x_values, y_values = self._views(x_point, y_point, x_owners,
                                          y_owners)
-        result = adp_within_eps(session, session.alice, session.bob,
-                                x_values, y_values, eps_squared, VALUE_BOUND)
+        result = drive(adp_within_eps(session, session.alice, session.bob,
+                                      x_values, y_values, eps_squared,
+                                      VALUE_BOUND))
         assert result == _true_within(x_point, y_point, eps_squared)
 
     def test_attribute_mismatch(self):
         __, session = _session(13)
         with pytest.raises(DistanceProtocolError, match="disagree"):
-            adp_within_eps(session, session.alice, session.bob,
-                           {0: ("alice", 1)}, {1: ("bob", 2)}, 25,
-                           VALUE_BOUND)
+            drive(adp_within_eps(session, session.alice, session.bob,
+                                 {0: ("alice", 1)}, {1: ("bob", 2)}, 25,
+                                 VALUE_BOUND))
 
     def test_single_cross_attribute_hides_product(self):
         """With one cross attribute the random offset must prevent the
@@ -195,6 +199,6 @@ class TestAdp:
         channel, session = _session(14)
         x_values = {0: ("alice", 7)}
         y_values = {0: ("bob", 3)}
-        result = adp_within_eps(session, session.alice, session.bob,
-                                x_values, y_values, 16, VALUE_BOUND)
+        result = drive(adp_within_eps(session, session.alice, session.bob,
+                                      x_values, y_values, 16, VALUE_BOUND))
         assert result == ((7 - 3) ** 2 <= 16)

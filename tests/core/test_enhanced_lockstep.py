@@ -35,7 +35,7 @@ from repro.core.config import ProtocolConfig
 from repro.core.enhanced import run_enhanced_horizontal_dbscan
 from repro.core.leakage import Disclosure, LeakageEvent
 from repro.data.partitioning import HorizontalPartition
-from repro.net.channel import Channel
+from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
 from repro.smc.comparison import OracleComparison
 from repro.smc.kth_smallest import run_lockstep
@@ -133,8 +133,8 @@ def _run(alice, bob, config):
     lanes = []
     alone = []
 
-    def counting(requests):
-        outcomes = leq_lanes(requests)
+    async def counting(requests):
+        outcomes = await leq_lanes(requests)
         lanes.append([])
         for lane, lane_outcomes in zip(requests, outcomes):
             for name in batches:
@@ -313,16 +313,16 @@ class TestOverlappedPasses:
             leq_lanes = oracle.leq_lanes
             replayed = []
 
-            def recording(requests):
+            async def recording(requests):
                 [lane] = requests
-                [outcomes] = leq_lanes(requests)
+                [outcomes] = await leq_lanes(requests)
                 replayed.append((lane.label, list(lane.a_values),
                                  list(lane.b_values),
                                  [outcome.result for outcome in outcomes]))
                 return [outcomes]
 
             oracle.leq_lanes = recording
-            run_lockstep(oracle, [enhanced._core_tests(*args)])
+            drive(run_lockstep(oracle, [enhanced._core_tests(*args)]))
             driving = args[0]
             assert replayed == overlapped[driving.label.split("/")[1]]
 

@@ -20,7 +20,7 @@ from repro.core.leakage import Disclosure, LeakageLedger
 from repro.data.partitioning import HorizontalPartition
 from repro.data.quantize import squared_distance_bound
 from repro.multiparty.horizontal import run_multiparty_horizontal_dbscan
-from repro.net.channel import Channel
+from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
 from repro.smc.session import SmcConfig, SmcSession
 from tests.per_point import per_point_region_query
@@ -65,17 +65,17 @@ class TestRegionQueryBits:
         eps_squared = 9
 
         session = self._session()
-        batch_bits = hdp_region_query(
+        batch_bits = drive(hdp_region_query(
             session, session.alice, query, session.bob, peer_points,
             eps_squared, value_bound, blind_cross_sum=True,
-            query_constant_blinding=True, label="q")
+            query_constant_blinding=True, label="q"))
 
         # Reference: one per-point blind HDP per peer point over the
         # same permutation (fresh session, same seeds => same view).
         reference = self._session()
-        expected = per_point_region_query(
+        expected = drive(per_point_region_query(
             reference, reference.alice, query, reference.bob, peer_points,
-            eps_squared, value_bound, blind_cross_sum=True, label="q")
+            eps_squared, value_bound, blind_cross_sum=True, label="q"))
         assert batch_bits == expected
 
     def test_one_dgk_batch_per_query(self):
@@ -87,10 +87,10 @@ class TestRegionQueryBits:
 
         def messages(query_constant):
             session = self._session()
-            hdp_region_query(
+            drive(hdp_region_query(
                 session, session.alice, (1, 0), session.bob, peer_points,
                 5, value_bound, blind_cross_sum=True,
-                query_constant_blinding=query_constant, label="q")
+                query_constant_blinding=query_constant, label="q"))
             return session.alice.endpoint.stats.total_messages
 
         assert messages(True) < messages(False)
@@ -116,10 +116,10 @@ class TestLedger:
             SmcConfig(comparison="oracle", key_seed=252, mask_sigma=8,
                       paillier_bits=128))
         ledger = LeakageLedger()
-        hdp_region_query(session, session.alice, (0, 0), session.bob,
-                         [(1, 0)], 5, 100, ledger=ledger,
-                         blind_cross_sum=True,
-                         query_constant_blinding=True, label="q")
+        drive(hdp_region_query(session, session.alice, (0, 0), session.bob,
+                               [(1, 0)], 5, 100, ledger=ledger,
+                               blind_cross_sum=True,
+                               query_constant_blinding=True, label="q"))
         assert ledger.count(Disclosure.DOT_DIFFERENCE) == 0
 
 

@@ -25,7 +25,7 @@ from repro.crypto.integer_math import cached_pow
 from repro.crypto.keycache import cached_dgk_keypair
 from repro.crypto.primes import is_probable_prime
 from repro.crypto.sealed import PublicOnlyKeyError, seal_dgk_keypair
-from repro.net.channel import Channel
+from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
 from repro.smc.bitwise_comparison import (
     BitwiseComparisonError,
@@ -197,6 +197,32 @@ class TestZeroTest:
                                                 random.Random(5))])
 
 
+class TestOwnerEncryption:
+    """The key holder encrypts through CRT tables on its own primes:
+    the same draw of ``r`` gives the public path's ciphertext, bit for
+    bit, at every key size."""
+
+    @pytest.mark.parametrize("bits", [128, 256, 1024])
+    def test_owner_and_public_ciphertexts_are_equal(self, bits):
+        keys = cached_dgk_keypair(bits, 31)
+        public_rng, owner_rng = random.Random(bits), random.Random(bits)
+        for plaintext in (0, 1, 1, 0, 2, DGK_U - 1):
+            assert keys.private_key.encrypt(plaintext, owner_rng) \
+                == keys.public_key.encrypt(plaintext, public_rng)
+        assert owner_rng.getstate() == public_rng.getstate()
+
+    def test_tables_live_on_the_private_key(self):
+        tables = PRIV.crt
+        assert tables is PRIV.crt
+        assert (tables.p_table.modulus, tables.q_table.modulus) \
+            == (PRIV.p, PRIV.q)
+        assert tables.p_table.max_bits == PRIV.v_p.bit_length()
+
+    def test_out_of_range_plaintext_rejected(self):
+        with pytest.raises(DgkError, match="outside"):
+            PRIV.encrypt(DGK_U, random.Random(1))
+
+
 class TestKeyCache:
     def test_deterministic(self):
         assert cached_dgk_keypair(256, 31) is KEYS
@@ -215,8 +241,8 @@ class TestMemoStaysPublic:
         values = [PUB.encrypt(bit, rng) for bit in (0, 1, 1)]
         PRIV.zero_test_batch(values)
         holder, other = make_party_pair(Channel(), 7, 8)
-        dgk_greater_than(holder, 13, other, 9, 5, KEYS)
-        dgk_greater_than_batch(holder, 13, other, [0, 20], 5, KEYS)
+        drive(dgk_greater_than(holder, 13, other, 9, 5, KEYS))
+        drive(dgk_greater_than_batch(holder, 13, other, [0, 20], 5, KEYS))
         assert cached_pow.cache_info() == before
 
 
@@ -226,7 +252,7 @@ class TestWidth:
         channel = Channel()
         holder, other = make_party_pair(channel, 1, 2)
         with pytest.raises(BitwiseComparisonError, match="3 \\* bits < u"):
-            dgk_greater_than(holder, 1, other, 0, bits, KEYS)
+            drive(dgk_greater_than(holder, 1, other, 0, bits, KEYS))
         with pytest.raises(BitwiseComparisonError, match="3 \\* bits < u"):
-            dgk_greater_than_batch(holder, 1, other, [0], bits, KEYS)
+            drive(dgk_greater_than_batch(holder, 1, other, [0], bits, KEYS))
         assert channel.transcript.entries == []

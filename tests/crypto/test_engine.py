@@ -16,7 +16,7 @@ from repro.crypto.engine import EngineError, ModexpEngine, default_engine
 from repro.crypto.keycache import cached_paillier_keypair
 from repro.crypto.paillier import PaillierError
 from repro.crypto.precompute import RandomnessPool
-from repro.net.channel import Channel
+from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
 
 KEYS = cached_paillier_keypair(256, 920)
@@ -233,11 +233,11 @@ class TestEncryptionFactorsEquivalence:
             session = SmcSession(
                 *make_party_pair(channel, 31, 32),
                 SmcConfig(paillier_bits=128, key_seed=922, engine=engine))
-            [values] = secure_scalar_products_lanes(
+            [values] = drive(secure_scalar_products_lanes(
                 [session.scalar_product_lane(
                     session.alice, [[3, -1, 4]], session.bob,
                     [[[1, 5, 9], [2, 6, 5], [0, 0, 1]]], [[7, 8, 9]])],
-                engine=session.engine)
+                engine=session.engine))
             wire = [(e.sender, e.label, e.value)
                     for e in channel.transcript.entries]
             return values, wire

@@ -30,7 +30,7 @@ from repro.crypto.paillier import (
 )
 from repro.crypto.precompute import RandomnessPool
 from repro.crypto.sealed import PublicOnlyKeyError, seal_dgk_keypair
-from repro.net.channel import Channel
+from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
 from repro.smc.session import CryptoContext, SmcConfig, SmcSession
 
@@ -69,8 +69,8 @@ class TestZeroTest:
                              SmcConfig(comparison="bitwise", engine=engine),
                              preset_contexts=contexts)
         with pytest.raises(PublicOnlyKeyError, match="zero_test_batch"):
-            session.compare_leq(alice, 3, bob, 5, lo=0, hi=7,
-                                reveal_to="a")
+            drive(session.compare_leq(alice, 3, bob, 5, lo=0, hi=7,
+                                      reveal_to="a"))
         assert engine.report()["jobs"] == 0
         engine.close()
 

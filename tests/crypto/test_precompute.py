@@ -94,109 +94,6 @@ class TestRandomnessPool:
         assert pool.consumed == 2 and pool.misses == 0
 
 
-class TestAttemptLog:
-    """A restarted query's pools hand its aborted attempt's factors out
-    again, in draw order, instead of computing them twice."""
-
-    def test_rewind_hands_out_the_same_factors_and_computes_none_twice(
-            self, monkeypatch):
-        computed = []
-        fresh_factor = type(PUB).fresh_factor
-
-        def counting(public, rng):
-            factor = fresh_factor(public, rng)
-            computed.append(factor)
-            return factor
-
-        monkeypatch.setattr(type(PUB), "fresh_factor", counting)
-        pool = _pool(14)
-        pool.refill(2)
-        pool.log_draws()
-        aborted = [pool.encryption_factor() for _ in range(5)]
-        assert (pool.consumed, pool.misses, len(computed)) == (5, 3, 5)
-        pool.rewind()
-        assert (pool.consumed, pool.misses, len(pool)) == (0, 3, 5)
-        restarted = [pool.encryption_factor() for _ in range(5)]
-        assert restarted == aborted == computed
-        assert (pool.consumed, pool.misses, len(computed)) == (5, 3, 5)
-        # A longer attempt computes only the factors past the log.
-        pool.rewind()
-        longer = [pool.encryption_factor() for _ in range(7)]
-        assert longer[:5] == aborted and longer[5:] == computed[5:]
-        assert (pool.consumed, pool.misses, len(computed)) == (7, 5, 7)
-
-    def test_rewinding_keeps_the_pool_s_factor_stream(self):
-        """Rewinding changes when a factor is handed out again, never
-        which factors the pool's stream produces."""
-        plain, logged = _pool(15), _pool(15)
-        expected = [plain.encryption_factor() for _ in range(4)]
-        logged.log_draws()
-        logged.encryption_factor()
-        logged.rewind()
-        assert [logged.encryption_factor() for _ in range(4)] == expected
-
-    def test_a_new_log_gives_back_only_the_current_attempt_s_factors(self):
-        """Each query starts its own log: a rewind returns what the
-        current attempt drew, never a finished query's factors."""
-        pool = _pool(16)
-        pool.log_draws()
-        finished = [pool.encryption_factor() for _ in range(2)]
-        pool.log_draws()
-        aborted = pool.encryption_factor()
-        pool.rewind()
-        assert (pool.consumed, pool.misses, len(pool)) == (2, 3, 1)
-        later = [pool.encryption_factor() for _ in range(3)]
-        assert later[0] == aborted
-        assert not set(later) & set(finished)
-
-    def test_rerandomization_units_share_the_log(self):
-        pool = _pool(17)
-        pool.log_draws()
-        drawn = [pool.rerandomization_unit(), pool.encryption_factor()]
-        pool.rewind()
-        assert [pool.encryption_factor(), pool.rerandomization_unit()] \
-            == drawn
-        assert (pool.consumed, pool.misses) == (2, 2)
-
-    def test_a_rewind_with_nothing_drawn_changes_nothing(self):
-        """An attempt that parks before its first encryption leaves
-        every pool as it found it."""
-        plain, logged = _pool(18), _pool(18)
-        plain.refill(3)
-        logged.refill(3)
-        logged.log_draws()
-        logged.rewind()
-        assert logged.report() == plain.report() == {
-            "pregenerated": 3, "consumed": 0, "misses": 0, "available": 3}
-        assert [logged.encryption_factor() for _ in range(4)] \
-            == [plain.encryption_factor() for _ in range(4)]
-
-    def test_rewind_without_a_log_is_refused(self):
-        pool = _pool(19)
-        pool.encryption_factor()
-        with pytest.raises(PrecomputeError, match="log_draws"):
-            pool.rewind()
-        assert (pool.consumed, pool.misses, len(pool)) == (1, 1, 0)
-
-    def test_engine_fill_queues_behind_a_rewound_attempt(self):
-        """An offline fill after a rewind appends to the queue: the
-        rewound factors still come first, and the pool hands out the
-        same stream as a pool that never rewound."""
-        from repro.crypto.engine import ModexpEngine
-
-        plain, logged = _pool(20), _pool(20)
-        expected = [plain.encryption_factor() for _ in range(5)]
-        logged.log_draws()
-        drawn = [logged.encryption_factor() for _ in range(2)]
-        logged.rewind()
-        ModexpEngine(workers=1).fill_pool(logged, 3)
-        assert (logged.pregenerated, logged.misses, len(logged)) == (3, 2, 5)
-        handed_out = [logged.encryption_factor() for _ in range(5)]
-        assert handed_out[:2] == drawn
-        assert handed_out == expected
-        assert (logged.consumed, logged.misses) == (5, 2)
-
-
 class TestBatchEntryPoints:
     def test_encrypt_decrypt_batch_roundtrip(self):
         rng = random.Random(10)

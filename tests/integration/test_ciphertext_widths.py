@@ -36,7 +36,7 @@ from repro.data.partitioning import (
 from repro.data.quantize import squared_distance_bound
 from repro.multiparty.horizontal import run_multiparty_horizontal_dbscan
 from repro.multiparty.mesh import PartyMesh
-from repro.net.channel import Channel
+from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
 from repro.net.serialization import FixedWidthList
 from repro.smc.session import SmcConfig, SmcSession
@@ -138,8 +138,9 @@ class TestCiphertextsTravelAtKeyWidth:
         session = SmcSession(alice, bob, _config().smc)
         cache = PeerCipherCache()
         for peer_point in ((3, 4), (30, 40)):
-            hdp_within_eps_cached(session, alice, (0, 0), bob, peer_point,
-                                  0, cache, 25, 8 * 200 * 200)
+            drive(hdp_within_eps_cached(session, alice, (0, 0), bob,
+                                        peer_point,
+                                        0, cache, 25, 8 * 200 * 200))
         _check_transcript(channel.transcript, "coords", "masked_terms",
                           "x_bits", "witnesses")
 

@@ -12,7 +12,7 @@ from repro.core.config import ConfigError, ProtocolConfig
 from repro.crypto.encoding import EncodingError, SignedEncoder
 from repro.crypto.keycache import cached_paillier_keypair
 from repro.crypto.paillier import PaillierError
-from repro.net.channel import Channel, ProtocolDesyncError
+from repro.net.channel import Channel, ProtocolDesyncError, drive
 from repro.net.party import make_party_pair
 from repro.net.serialization import SerializationError, serialize_message
 from repro.smc.comparison import ComparisonError
@@ -26,8 +26,8 @@ class TestProtocolDesync:
     def test_out_of_order_receive_detected(self):
         channel = Channel()
         alice, bob = make_party_pair(channel, 1, 2)
-        alice.send("phase_one", 1)
-        alice.send("phase_two", 2)
+        drive(alice.send("phase_one", 1))
+        drive(alice.send("phase_two", 2))
         with pytest.raises(ProtocolDesyncError, match="expected"):
             bob.receive("phase_two")
 
@@ -40,7 +40,7 @@ class TestProtocolDesync:
     def test_double_receive_detected(self):
         channel = Channel()
         alice, bob = make_party_pair(channel, 1, 2)
-        alice.send("once", 1)
+        drive(alice.send("once", 1))
         bob.receive("once")
         with pytest.raises(ProtocolDesyncError):
             bob.receive("once")
@@ -51,7 +51,7 @@ class TestOverflowInjection:
         alice, bob = make_party_pair(Channel(), 1, 2)
         big = 1 << 140
         with pytest.raises(MultiplicationError, match="capacity"):
-            secure_multiplication(alice, big, bob, big, 0, KEYS)
+            drive(secure_multiplication(alice, big, bob, big, 0, KEYS))
 
     def test_signed_encoder_overflow(self):
         encoder = SignedEncoder(KEYS.public_key.n)
@@ -95,7 +95,7 @@ class TestConfigurationErrors:
         alice, bob = make_party_pair(Channel(), 1, 2)
         session = SmcSession(alice, bob, SmcConfig(key_seed=171))
         with pytest.raises(ComparisonError, match="outside"):
-            session.compare_leq(alice, 100, bob, 5, lo=0, hi=50)
+            drive(session.compare_leq(alice, 100, bob, 5, lo=0, hi=50))
 
     def test_ympp_domain_too_large_for_keys(self):
         """YMPP with a domain too big for the RSA modulus must refuse."""
@@ -104,7 +104,7 @@ class TestConfigurationErrors:
         small_keys = cached_rsa_keypair(64, 172)
         alice, bob = make_party_pair(Channel(), 1, 2)
         with pytest.raises(YmppError, match="too small"):
-            ympp_less_than(alice, 1, bob, 2, 2 ** 62, small_keys)
+            drive(ympp_less_than(alice, 1, bob, 2, 2 ** 62, small_keys))
 
 
 class TestDeterminismUnderInjection:
@@ -116,5 +116,5 @@ class TestDeterminismUnderInjection:
         baseline = channel.stats.total_bytes
         assert baseline > 0  # key exchange
         with pytest.raises(ComparisonError):
-            session.compare_leq(alice, 999, bob, 1, lo=0, hi=10)
+            drive(session.compare_leq(alice, 999, bob, 1, lo=0, hi=10))
         assert channel.stats.total_bytes == baseline

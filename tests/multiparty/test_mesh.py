@@ -4,6 +4,7 @@ import pytest
 
 from repro.multiparty.mesh import MeshError, PartyMesh
 from repro.smc.session import SmcConfig
+from repro.net.channel import drive
 
 CONFIG = SmcConfig(comparison="oracle", key_seed=200)
 
@@ -90,8 +91,8 @@ class TestMeshConstruction:
         mesh = PartyMesh(["a", "b", "c"], CONFIG, seeds=[1, 2, 3])
         baseline = mesh.merged_stats().total_messages  # key exchange
         assert baseline == 6  # one Paillier pubkey each way, per pair
-        mesh.party_in_pair("a", "b").send("x", 123)
-        mesh.party_in_pair("a", "c").send("y", 456)
+        drive(mesh.party_in_pair("a", "b").send("x", 123))
+        drive(mesh.party_in_pair("a", "c").send("y", 456))
         merged = mesh.merged_stats()
         assert merged.total_messages == baseline + 2
         assert merged.messages_by_label["x"] == 1
@@ -104,7 +105,8 @@ class TestMeshConstruction:
             session = mesh.session_between("a", peer)
             receiver = mesh.party_in_pair("a", peer)
             masker = mesh.party_in_pair(peer, "a")
-            assert session.multiplication(receiver, 6, masker, 7, 1) == 43
+            assert drive(session.multiplication(receiver, 6, masker, 7,
+                                                1)) == 43
 
 
 class TestPairStreams:
@@ -197,8 +199,8 @@ class TestKeyExchangeAccounting:
         for endpoint, name in ((channel.left, left), (channel.right, right)):
             context = provider.context_for(name, slots[name])
             public, dgk = context.paillier.public_key, context.dgk.public_key
-            endpoint.send("keys/paillier_pub",
-                          [public.n, public.g, dgk.n, dgk.g, dgk.h])
+            drive(endpoint.send("keys/paillier_pub",
+                                [public.n, public.g, dgk.n, dgk.g, dgk.h]))
         return channel
 
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -230,9 +232,9 @@ class TestKeyExchangeAccounting:
                     channel = Channel(left, right)
                     endpoint = (channel.left if name == left
                                 else channel.right)
-                    announce_public_keys(Party(endpoint),
-                                         provider.context_for(name,
-                                                              slots[name]))
+                    drive(announce_public_keys(Party(endpoint),
+                                               provider.context_for(name,
+                                                              slots[name])))
                     announcements.append(channel)
                 stats, transcript = link_accounting(announcements)
                 assert transcript_digest(transcript) \

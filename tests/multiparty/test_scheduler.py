@@ -31,6 +31,7 @@ from repro.multiparty.scheduler import (
     PeerQuery,
     SchedulerError,
 )
+from repro.net.channel import drive
 from repro.runtime.async_pass import (
     POINTS_IN_FLIGHT,
     drive_pass_async,
@@ -59,9 +60,9 @@ def _config(backend="oracle", *, blind=False, min_pts=3, key_seed=240):
 
 
 def _threaded(task, ledger):
-    """Stands in for the daemon's pair runtimes: runs each query body
+    """Stands in for the daemon's pair runtimes: drives each query body
     on a worker thread, so the queries of one pass overlap for real."""
-    return asyncio.to_thread(task.run, ledger)
+    return asyncio.to_thread(drive, task.run(ledger))
 
 
 def _run_concurrent(points, config, mesh) -> MultipartyRunResult:
@@ -234,7 +235,7 @@ class TestExecutorUnit:
 
         barrier = threading.Barrier(2, timeout=10)
 
-        def rendezvous(ledger):
+        async def rendezvous(ledger):
             barrier.wait()
             return 1
 
@@ -248,7 +249,7 @@ class TestExecutorUnit:
         import time
 
         def make_task(name, delay):
-            def run(ledger):
+            async def run(ledger):
                 time.sleep(delay)
                 ledger.record("t", name, Disclosure.NEIGHBOR_BIT)
                 return ord(name[-1])
@@ -296,9 +297,12 @@ class TestPairRngDerivation:
             != derive_pair_rng(None, "a", "a", "b").random()
 
 
+async def _one(ledger):
+    return 1
+
+
 def _noop_tasks(count):
-    return [PeerQuery(peer=f"p{i}", run=lambda ledger: 1)
-            for i in range(count)]
+    return [PeerQuery(peer=f"p{i}", run=_one) for i in range(count)]
 
 
 class TestAsyncPassExecutor:
@@ -308,21 +312,21 @@ class TestAsyncPassExecutor:
             executor.run_pass(_noop_tasks(2))
 
     def test_outcomes_in_order_when_a_run_repeats(self):
-        """The restartable path re-executes a task's ``run``: each task
-        still yields one outcome, in task order, with the last run's
-        count."""
+        """An injected ``run_query`` that runs a task's ``run`` twice
+        still yields one outcome per task, in task order, with the last
+        run's count."""
         calls = []
 
         def make_task(name, query):
-            def run(ledger):
+            async def run(ledger):
                 calls.append(name)
                 return ord(name[-1])
             return PeerQuery(peer=name, run=run, query=query)
 
         async def run_query(task, ledger):
             await asyncio.sleep(0)
-            task.run(ledger)       # first attempt, restarted
-            return task.run(ledger)
+            await task.run(ledger)
+            return await task.run(ledger)
 
         executor = AsyncPassExecutor(run_query)
         tasks = [make_task("p0", 3), make_task("p1", 3)]

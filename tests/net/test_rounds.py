@@ -1,6 +1,6 @@
 """Tests for communication-round accounting."""
 
-from repro.net.channel import Channel
+from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
 from repro.net.stats import CommunicationStats
 from repro.smc.session import SmcConfig, SmcSession
@@ -45,7 +45,7 @@ class TestProtocolRoundCounts:
         alice, bob = make_party_pair(channel, 1, 2)
         session = SmcSession(alice, bob, SmcConfig(key_seed=230))
         setup_rounds = channel.stats.rounds  # key exchange
-        session.multiplication(alice, 3, bob, 4, 5)
+        drive(session.multiplication(alice, 3, bob, 4, 5))
         # One batch each way: request then reply.
         assert channel.stats.rounds == setup_rounds + 2
 
@@ -56,7 +56,8 @@ class TestProtocolRoundCounts:
         alice, bob = make_party_pair(channel, 1, 2)
         session = SmcSession(alice, bob, SmcConfig(key_seed=230))
         setup_rounds = channel.stats.rounds
-        session.masked_dot_terms(alice, [1] * 10, bob, [2] * 10, [0] * 10)
+        drive(session.masked_dot_terms(alice, [1] * 10, bob, [2] * 10,
+                                       [0] * 10))
         assert channel.stats.rounds == setup_rounds + 2
 
     def test_bitwise_comparison_two_rounds(self):
@@ -64,7 +65,8 @@ class TestProtocolRoundCounts:
         alice, bob = make_party_pair(channel, 1, 2)
         session = SmcSession(alice, bob, SmcConfig(key_seed=230))
         setup_rounds = channel.stats.rounds
-        session.compare_leq(alice, 3, bob, 7, lo=0, hi=10, reveal_to="a")
+        drive(session.compare_leq(alice, 3, bob, 7, lo=0, hi=10,
+                                  reveal_to="a"))
         assert channel.stats.rounds == setup_rounds + 2
 
     def test_enhanced_two_party_session_keeps_its_exchange(self):

@@ -178,8 +178,6 @@ class TestSummaries:
         assert row["role"] == "drive"
         assert row["queries"] == 3
         assert row["critical_path"] == pytest.approx(3.5 + 1.5)
-        assert row["attempts"] == 3
-        assert row["restarts"] == 1  # one query needed a second attempt
 
     def test_parties_grouped_under_one_session(self, tmp_path):
         _write_trace(tmp_path, "p0", [

@@ -20,11 +20,11 @@ from repro.core.distance import hdp_within_eps, hdp_within_eps_cached
 from repro.smc.permutation import PermutedView
 
 
-def per_point_region_query(session, querier, querier_point, peer,
-                           peer_points, eps_squared, value_bound, *,
-                           ledger=None, blind_cross_sum=False,
-                           query_constant_blinding=False,
-                           label="hdp") -> list[bool]:
+async def per_point_region_query(session, querier, querier_point, peer,
+                                 peer_points, eps_squared, value_bound, *,
+                                 ledger=None, blind_cross_sum=False,
+                                 query_constant_blinding=False,
+                                 label="hdp") -> list[bool]:
     """One HDP per peer point over a fresh permutation of the peer's
     points (Algorithm 4's ``SetOfPointsOfBobPermutation``).  Bits come
     back in presentation order, as the batched query returns them."""
@@ -32,28 +32,29 @@ def per_point_region_query(session, querier, querier_point, peer,
         raise ValueError("the per-point HDP draws one offset per point; "
                          "it has no query-constant form")
     view = PermutedView.fresh(len(peer_points), peer.rng)
-    return [hdp_within_eps(session, querier, querier_point, peer,
-                           peer_points[view.true_index(position)],
-                           eps_squared, value_bound, ledger=ledger,
-                           blind_cross_sum=blind_cross_sum, label=label)
+    return [await hdp_within_eps(session, querier, querier_point, peer,
+                                 peer_points[view.true_index(position)],
+                                 eps_squared, value_bound, ledger=ledger,
+                                 blind_cross_sum=blind_cross_sum, label=label)
             for position in range(len(view))]
 
 
-def per_point_region_query_cached(session, querier, querier_point, peer,
-                                  peer_points, point_ids, cache,
-                                  eps_squared, value_bound, *, ledger=None,
-                                  blind_cross_sum=False,
-                                  query_constant_blinding=False,
-                                  label="hdp_cached") -> list[bool]:
+async def per_point_region_query_cached(session, querier, querier_point, peer,
+                                        peer_points, point_ids, cache,
+                                        eps_squared, value_bound, *,
+                                        ledger=None, blind_cross_sum=False,
+                                        query_constant_blinding=False,
+                                        label="hdp_cached") -> list[bool]:
     """One cached HDP per peer point, in stable-id order."""
     if query_constant_blinding:
         raise ValueError("the per-point HDP draws one offset per point; "
                          "it has no query-constant form")
-    return [hdp_within_eps_cached(session, querier, querier_point, peer,
-                                  point, point_id, cache, eps_squared,
-                                  value_bound, ledger=ledger,
-                                  blind_cross_sum=blind_cross_sum,
-                                  label=label)
+    return [await hdp_within_eps_cached(session, querier, querier_point,
+                                        peer, point, point_id, cache,
+                                        eps_squared, value_bound,
+                                        ledger=ledger,
+                                        blind_cross_sum=blind_cross_sum,
+                                        label=label)
             for point_id, point in zip(point_ids, peer_points)]
 
 

@@ -16,6 +16,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -350,7 +351,8 @@ class TestRoleLocalExecution:
     variants whose guarded paths otherwise run on sockets only in the
     slow matrix stay bit-identical, and every daemon consumes exactly
     the randomness its own party consumes in process, computing each
-    factor once however often its query restarts."""
+    factor once: a query that waits for a frame suspends and resumes,
+    it never runs again."""
 
     @pytest.mark.parametrize("overrides", [
         {},
@@ -374,10 +376,35 @@ class TestRoleLocalExecution:
         expected = own_pool_consumption(mesh)
         assert all(expected.values())
         for name, report in run.reports.items():
-            assert report.runtime_info["restarts"] > 0, name
             assert report.runtime_info["pool"] == {
                 "pregenerated": 0, "consumed": expected[name],
                 "misses": expected[name]}, name
+
+    def test_each_party_does_its_key_work_once(self, key_work):
+        """Per party, a session decrypts as many Paillier batches,
+        encrypts as many DGK bit lists and computes as many randomness
+        factors on the daemons as in process: each daemon runs each of
+        its queries once."""
+        by_party = workload(3)
+        seeds = [31, 32, 33]
+        config = make_config()
+        mesh = PartyMesh(list(by_party), config.smc, seeds=seeds)
+        for moduli in key_work.values():
+            moduli.clear()
+        run_multiparty_horizontal_dbscan(by_party, config, mesh=mesh)
+        in_process = {kind: Counter(moduli)
+                      for kind, moduli in key_work.items()}
+        for moduli in key_work.values():
+            moduli.clear()
+        with DaemonFleet(list(by_party)) as fleet:
+            with fleet.client() as client:
+                run_via_daemons(by_party, config, seeds, client=client,
+                                timeout=120)
+        assert {kind: Counter(moduli)
+                for kind, moduli in key_work.items()} == in_process
+        # Every party decrypted and encrypted its bits under its own key.
+        assert all(len(counts) == len(by_party)
+                   for counts in in_process.values()), in_process
 
     def test_later_sessions_start_from_the_same_empty_pools(self):
         """A daemon carries no randomness from one session to the next:
@@ -1030,8 +1057,7 @@ class TestDaemonScaleOut:
         """The PR-9 acceptance bar: 64 sessions in flight on one 3-party
         mesh, every one bit-identical to the single-session reference,
         with the process's thread count independent of session count
-        (the restartable pass model runs sessions as coroutines, not
-        threads)."""
+        (the pass model runs sessions as coroutines, not threads)."""
         by_party = workload(3)
         seeds = [31, 32, 33]
         config = make_config()
@@ -1053,16 +1079,12 @@ class TestDaemonScaleOut:
             assert_matches_reference(run, reference, digests)
         assert sorted(info["session_index"] for info in infos) \
             == list(range(64))
-        assert all(info["pass_model"] == "async-restartable"
-                   for info in infos)
+        assert all(info["pass_model"] == "async" for info in infos)
         # Thread flatness: reports are built at every stage of the
         # burst (1 in flight .. 64 in flight), so a per-session thread
         # would show up as a spread of dozens here.
         threads = [info["thread_count"] for info in infos]
         assert max(threads) - min(threads) <= 4, threads
-        # The coroutines genuinely parked mid-query (frames not yet
-        # arrived), exercising the restartable path.
-        assert sum(info["restarts"] for info in infos) > 0
 
     def test_submit_wave_isolates_coin_streams(self):
         """``submit_wave`` fans one manifest out under derived

@@ -1,96 +1,110 @@
 """Mirrored-choreography channel: substitution, equivalence, desyncs.
 
-These tests run the *same* choreography in two threads -- each with only
-its own party's real input, the peer's replaced by a placeholder, and
-only its own party's steps executed -- over a pair of blocking queues,
-the execution model the party daemons use, and assert the protocol
-observables match a single in-process run with the real inputs on both
-sides.
+These tests run the *same* choreography as two asyncio tasks -- each
+with only its own party's real input, the peer's replaced by a
+placeholder, and only its own party's steps executed -- over a pair of
+queues, through the daemons' mirror channel, the execution model the
+party daemons use, and assert the protocol observables match a single
+in-process run with the real inputs on both sides.
 """
 
-import queue
-import threading
+import asyncio
 
 import pytest
 
-from repro.net.channel import Channel, ProtocolDesyncError
+from repro.net.channel import Channel, ProtocolDesyncError, drive
 from repro.net.party import Party, make_party_pair
 from repro.net.transcript import transcript_digest
 from repro.net.transport import Transport, TransportTimeoutError
-from repro.runtime.mirror import MirrorChannel
-from repro.smc.session import SmcConfig, SmcSession
+from repro.runtime.async_pass import RestartableMirrorChannel
+from repro.smc.session import (
+    FullKeyProvider,
+    SmcConfig,
+    SmcSession,
+    exchange_public_keys,
+)
 
 SMC = SmcConfig(paillier_bits=128, comparison="bitwise", key_seed=871)
 
 
 class QueueTransport(Transport):
-    """One endpoint's side of a link whose far end is another thread:
-    ``deliver`` feeds the peer's inbox, ``collect`` blocks on ours."""
+    """One endpoint's side of a link whose far end is another task:
+    ``deliver`` feeds the peer's queue; ``try_collect`` takes a frame
+    that has arrived on ours and ``wait_message`` awaits one, as a
+    daemon's session view does."""
 
-    def __init__(self, local_name: str, inbox: queue.Queue,
-                 outbox: queue.Queue, timeout_s: float):
+    def __init__(self, local_name: str, inbox: asyncio.Queue,
+                 outbox: asyncio.Queue, timeout_s: float):
         super().__init__("alice", "bob")
         self.local_name = local_name
         self.inbox, self.outbox = inbox, outbox
         self.timeout_s = timeout_s
 
     def deliver(self, sender, receiver, label, wire):
-        self.outbox.put((label, wire))
+        self.outbox.put_nowait((label, wire))
 
-    def collect(self, receiver, expected_label):
+    def try_collect(self, receiver, expected_label):
         try:
-            return self.inbox.get(timeout=self.timeout_s)
-        except queue.Empty:
+            return self.inbox.get_nowait()
+        except asyncio.QueueEmpty:
+            return None
+
+    async def wait_message(self, want):
+        try:
+            return await asyncio.wait_for(self.inbox.get(), self.timeout_s)
+        except asyncio.TimeoutError:
             raise TransportTimeoutError(
-                f"{receiver} waited {self.timeout_s}s for "
-                f"{expected_label}") from None
+                f"{self.local_name} waited {self.timeout_s}s for "
+                f"{want}") from None
 
 
 def mirror_pair(timeout_s: float = 10.0):
-    to_alice, to_bob = queue.Queue(), queue.Queue()
-    return [MirrorChannel("alice", "bob", "alice",
-                          QueueTransport("alice", to_alice, to_bob,
-                                         timeout_s)),
-            MirrorChannel("alice", "bob", "bob",
-                          QueueTransport("bob", to_bob, to_alice,
-                                         timeout_s))]
+    to_alice, to_bob = asyncio.Queue(), asyncio.Queue()
+    return [RestartableMirrorChannel(
+                "alice", "bob", "alice",
+                QueueTransport("alice", to_alice, to_bob, timeout_s)),
+            RestartableMirrorChannel(
+                "alice", "bob", "bob",
+                QueueTransport("bob", to_bob, to_alice, timeout_s))]
 
 
 def run_mirrored(choreography, inputs: dict[str, object],
                  placeholder: object, timeout_s: float = 10.0) -> dict:
     """Run ``choreography(channel, local_inputs)`` in both processes'
-    style: each thread gets its own value real, the peer's replaced."""
-    left, right = mirror_pair(timeout_s)
-    outcomes = {}
-    errors = {}
+    style, as two tasks on one loop: each gets its own value real, the
+    peer's replaced."""
+    async def both() -> dict:
+        left, right = mirror_pair(timeout_s)
+        outcomes = {}
 
-    def side(local, channel):
-        view = {name: (value if name == local else placeholder)
-                for name, value in inputs.items()}
-        try:
-            outcomes[local] = choreography(channel, view)
-        except BaseException as exc:  # noqa: BLE001 - test harness
-            errors[local] = exc
-            channel.close(reason=f"{local} failed: {exc}")
+        async def side(local, channel):
+            view = {name: (value if name == local else placeholder)
+                    for name, value in inputs.items()}
+            try:
+                outcomes[local] = await choreography(channel, view)
+            except BaseException as exc:
+                channel.close(reason=f"{local} failed: {exc}")
+                raise
 
-    threads = [threading.Thread(target=side, args=("alice", left)),
-               threading.Thread(target=side, args=("bob", right))]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=30)
-    if errors:
-        raise next(iter(errors.values()))
-    return {"outcomes": outcomes, "channels": {"alice": left, "bob": right}}
+        await asyncio.gather(side("alice", left), side("bob", right))
+        return {"outcomes": outcomes,
+                "channels": {"alice": left, "bob": right}}
+
+    return asyncio.run(both())
 
 
-def comparison_choreography(channel, values):
-    """A full DGK comparison, placeholder-tolerant on either side."""
+async def comparison_choreography(channel, values):
+    """A key exchange and a full DGK comparison, placeholder-tolerant on
+    either side."""
     alice, bob = make_party_pair(channel, 41, 42)
-    session = SmcSession(alice, bob, SMC)
-    outcome = session.compare_leq(alice, values["alice"], bob,
-                                  values["bob"], lo=0, hi=100,
-                                  reveal_to="b", label="t")
+    provider = FullKeyProvider(SMC)
+    contexts = {"alice": provider.context_for("alice", 0),
+                "bob": provider.context_for("bob", 1)}
+    await exchange_public_keys(alice, bob, contexts, SMC.paillier_bits)
+    session = SmcSession(alice, bob, SMC, preset_contexts=contexts)
+    outcome = await session.compare_leq(alice, values["alice"], bob,
+                                        values["bob"], lo=0, hi=100,
+                                        reveal_to="b", label="t")
     return outcome.result
 
 
@@ -102,8 +116,8 @@ class TestMirrorEquivalence:
         assert run["outcomes"]["bob"] is True
 
         reference_channel = Channel()
-        reference = comparison_choreography(reference_channel,
-                                            {"alice": 3, "bob": 7})
+        reference = drive(comparison_choreography(reference_channel,
+                                                  {"alice": 3, "bob": 7}))
         assert reference is True
         # Both mirrored transcripts are byte-identical to the reference:
         # every frame was computed by the party owning the data.
@@ -119,7 +133,8 @@ class TestMirrorEquivalence:
                            {"alice": 30, "bob": 7}, placeholder=0)
         assert run["outcomes"]["bob"] is False
         reference_channel = Channel()
-        comparison_choreography(reference_channel, {"alice": 30, "bob": 7})
+        drive(comparison_choreography(reference_channel,
+                                      {"alice": 30, "bob": 7}))
         reference = reference_channel.stats.snapshot()
         for name in ("alice", "bob"):
             assert run["channels"][name].stats.snapshot() == reference
@@ -127,52 +142,58 @@ class TestMirrorEquivalence:
 
 class TestMirrorMechanics:
     def test_non_hosted_receive_raises(self):
-        left, right = mirror_pair()
-        assert left.left.hosted and not left.right.hosted
-        assert right.right.hosted and not right.left.hosted
-        # A local send is not echoed: the remote party's receive is a
-        # step block missing its hosted guard, and fails loudly.
-        left.left.send("m", [1, 2])
-        with pytest.raises(ProtocolDesyncError, match="not hosted.*'m'"):
-            left.right.receive("m")
-        # In the peer's process the same send is the substitution point
-        # and its hosted receive gets the authentic frame.
-        right._send("alice", "bob", "m", None)
-        assert right.right.receive("m") == [1, 2]
-        left.close()
-        right.close()
+        async def scenario():
+            left, right = mirror_pair()
+            assert left.left.hosted and not left.right.hosted
+            assert right.right.hosted and not right.left.hosted
+            # A local send is not echoed: the remote party's receive is
+            # a step block missing its hosted guard, and fails loudly.
+            await left.left.send("m", [1, 2])
+            with pytest.raises(ProtocolDesyncError,
+                               match="not hosted.*'m'"):
+                left.right.receive("m")
+            # In the peer's process the same send is the substitution
+            # point and its hosted receive gets the authentic frame.
+            await right._send("alice", "bob", "m", None)
+            assert right.right.receive("m") == [1, 2]
+            left.close()
+            right.close()
+
+        asyncio.run(scenario())
 
     def test_substitution_records_authentic_values(self):
-        left, right = mirror_pair()
-        done = threading.Event()
+        async def scenario():
+            left, right = mirror_pair()
 
-        def bob_side():
-            # Bob's process: bob's send is local and real.
-            right.right.send("secret", 777)
-            done.set()
+            async def bob_side():
+                # Bob's process: bob's send is local and real.
+                await right.right.send("secret", 777)
 
-        thread = threading.Thread(target=bob_side)
-        thread.start()
-        # Alice's process: the choreography says "bob sends", with a
-        # garbage value computed from placeholders; the mirror must
-        # substitute the authentic 777 from the wire.
-        left._send("bob", "alice", "secret", -1)
-        assert left.left.receive("secret") == 777
-        assert left.transcript.entries[-1].value == 777
-        thread.join(timeout=5)
-        assert done.is_set()
+            bob = asyncio.create_task(bob_side())
+            # Alice's process: the choreography says "bob sends", with
+            # a garbage value computed from placeholders; the mirror
+            # must await and substitute the authentic 777 from the wire.
+            await left._send("bob", "alice", "secret", -1)
+            assert left.left.receive("secret") == 777
+            assert left.transcript.entries[-1].value == 777
+            await bob
+            assert bob.done()
+
+        asyncio.run(scenario())
 
     def test_cross_process_label_divergence_detected(self):
-        left, right = mirror_pair(timeout_s=2.0)
+        async def scenario():
+            left, right = mirror_pair(timeout_s=2.0)
 
-        def bob_side():
-            right.right.send("phase_two", 1)
+            async def bob_side():
+                await right.right.send("phase_two", 1)
 
-        thread = threading.Thread(target=bob_side)
-        thread.start()
-        with pytest.raises(ProtocolDesyncError, match="cross-process"):
-            left._send("bob", "alice", "phase_one", 0)
-        thread.join(timeout=5)
+            bob = asyncio.create_task(bob_side())
+            with pytest.raises(ProtocolDesyncError, match="cross-process"):
+                await left._send("bob", "alice", "phase_one", 0)
+            await bob
+
+        asyncio.run(scenario())
 
     def test_receive_without_send_is_desync_not_hang(self):
         left, _ = mirror_pair(timeout_s=2.0)
@@ -180,23 +201,27 @@ class TestMirrorMechanics:
             left.left.receive("never")
 
     def test_assert_drained_reports_leftovers(self):
-        left, right = mirror_pair()
-        left.left.send("m", 5)
-        left.assert_drained()       # a local send leaves nothing behind
-        # The peer substitutes the frame but never receives it.
-        right._send("alice", "bob", "m", None)
-        with pytest.raises(ProtocolDesyncError,
-                           match="not drained: 1 unconsumed substituted"):
-            right.assert_drained()
-        right.close()
-        left.close()
+        async def scenario():
+            left, right = mirror_pair()
+            await left.left.send("m", 5)
+            left.assert_drained()   # a local send leaves nothing behind
+            # The peer substitutes the frame but never receives it.
+            await right._send("alice", "bob", "m", None)
+            with pytest.raises(ProtocolDesyncError,
+                               match="not drained: 1 unconsumed "
+                                     "substituted"):
+                right.assert_drained()
+            right.close()
+            left.close()
+
+        asyncio.run(scenario())
 
     def test_unknown_local_party_rejected(self):
-        transport = QueueTransport("alice", queue.Queue(), queue.Queue(),
-                                   timeout_s=1.0)
+        transport = QueueTransport("alice", asyncio.Queue(),
+                                   asyncio.Queue(), timeout_s=1.0)
         from repro.runtime.mirror import MirrorChannelError
         with pytest.raises(MirrorChannelError, match="not an endpoint"):
-            MirrorChannel("alice", "bob", "carol", transport)
+            RestartableMirrorChannel("alice", "bob", "carol", transport)
 
 
 class TestMirrorWithParties:
@@ -204,7 +229,7 @@ class TestMirrorWithParties:
         """Each process draws only its hosted party's coins, from public
         seeds; the peer's placeholder input must neither shift a draw nor
         reach an authentic value."""
-        def choreography(channel, values):
+        async def choreography(channel, values):
             alice = Party(channel.left)
             bob = Party(channel.right)
             alice.rng.seed(5)
@@ -213,11 +238,11 @@ class TestMirrorWithParties:
             offer = None
             if alice.hosted:
                 offer = alice.rng.randrange(1000) + values["alice"]
-            alice.send("a", offer)
+            await alice.send("a", offer)
             reply = None
             if bob.hosted:
                 reply = bob.receive("a") + bob.rng.randrange(1000)
-            bob.send("b", reply)
+            await bob.send("b", reply)
             if alice.hosted:
                 return alice.receive("b"), alice.rng.getstate()
             return reply, bob.rng.getstate()

@@ -1,27 +1,28 @@
-"""A restarted daemon query: byte-identical frames, and every Paillier
-randomness factor computed once.
+"""A daemon query runs once: byte-identical frames, and every Paillier
+randomness factor, decryption and DGK bit encryption computed once.
 
 The queries run on a :class:`~repro.runtime.async_pass.PairRuntime` in
-this process, hosting alice only.  Its link withholds every one of bob's
-frames until an attempt parks for it, so the queries restart, some after
-alice has drawn pool factors -- the path a daemon takes on every frame
-that has not arrived yet.
+this process, hosting alice only.  Its link withholds every one of
+bob's frames until the query awaits it, so each query suspends at every
+frame of bob's -- the path a daemon takes on every frame that has not
+arrived yet -- and resumes where it stopped.
 """
 
 import asyncio
 
 import pytest
 
-from repro.crypto.paillier import PaillierPublicKey
-from repro.net.channel import Channel
+from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
 from repro.net.transcript import transcript_digest
+from repro.obs.trace import NULL_SPAN
 from repro.runtime.async_pass import PairRuntime, RestartableMirrorChannel
 from repro.smc.session import FullKeyProvider, SmcConfig, SmcSession
 
 SMC = SmcConfig(paillier_bits=128, comparison="bitwise", key_seed=873)
 SEEDS = (61, 62)
 BATCHES = (("q1", [5, 7]), ("q2", [-2, 4]))
+BETAS = [[1, 2], [3, -1]]
 
 
 def make_session(channel) -> SmcSession:
@@ -34,30 +35,40 @@ def make_session(channel) -> SmcSession:
         "bob": provider.context_for("bob", 1)})
 
 
-def cross_sum_batch(session: SmcSession, holder: str, batch) -> list:
-    """One batched cross-term exchange with ``holder`` holding
-    ``alpha``: the holder encrypts it (two pool factors under its key),
-    and the receiver answers with one fresh encryption per beta (two
-    pool factors under the holder's key)."""
+async def region_step(session: SmcSession, stepper: str, label: str,
+                      alpha: list) -> None:
+    """One HDP-shaped step keyed by ``stepper``: it encrypts ``alpha``
+    (two pool factors under its key), the peer answers with blinded
+    cross sums (two pool factors under the stepper's key), the stepper
+    decrypts them in one batch, and an amortized comparison under the
+    stepper's DGK key -- one bit encryption of its threshold -- tells
+    it which of the peer's sums are at most 10."""
+    party, peer = session.party(stepper), session.peer_of(stepper)
+    sums = await session.masked_dot_terms_batch(
+        party, alpha, peer, BETAS, [0, 0], blind_bound=1 << 20,
+        label=f"{label}/sums")
+    await session.compare_leq_batch(
+        peer, sums, party, [10, 10], lo=-100, hi=100, reveal_to="b",
+        amortize=True, label=f"{label}/cmp")
+
+
+async def query(session: SmcSession, first: str, batch) -> None:
+    """One query: ``first``'s step, then its peer's -- so each party
+    decrypts once and encrypts its DGK bits once."""
     label, alpha = batch
-    return session.masked_dot_terms_batch(
-        session.party(holder), alpha, session.peer_of(holder),
-        [[1, 2], [3, -1]], [0, 0], blind_bound=1 << 20, label=label)
-
-
-def two_cross_sum_batches(session: SmcSession, holder: str = "alice"
-                          ) -> list:
-    return [cross_sum_batch(session, holder, batch) for batch in BATCHES]
+    for stepper in (first, session.peer_of(first).name):
+        await region_step(session, stepper, f"{label}/{stepper}", alpha)
 
 
 class WithheldLink:
     """Both ends of alice's link: the transport her channel sends on and
-    the link a parked attempt waits on.  No frame of bob's has arrived
-    when an attempt looks for it; each arrives once an attempt parks."""
+    the queue it awaits.  No frame of bob's has arrived when the query
+    looks for it; each arrives once the query has suspended for it."""
 
     def __init__(self, frames):
         self.frames = iter(frames)
         self.sent = []
+        self.waits = 0
 
     def deliver(self, sender, receiver, label, wire):
         self.sent.append((label, wire))
@@ -66,33 +77,57 @@ class WithheldLink:
         return None
 
     async def wait_message(self, want):
+        self.waits += 1
+        await asyncio.sleep(0)
         return next(self.frames)
 
 
-def withheld_runtime(reference: Channel) -> tuple[PairRuntime,
-                                                   WithheldLink]:
-    """Alice's runtime, whose link hands over bob's frames of the
-    ``reference`` run one parked attempt at a time."""
-    link = WithheldLink([(entry.label, entry.wire)
-                         for entry in reference.transcript.entries
-                         if entry.sender == "bob"])
+class Attempts:
+    """A peer-query span that counts the attempt spans opened under
+    it."""
+
+    def __init__(self):
+        self.count = 0
+
+    def child(self, kind, name, **attrs):
+        assert kind == "attempt"
+        self.count += 1
+        return NULL_SPAN
+
+
+def reference_run(first: str) -> Channel:
+    channel = Channel()
+    session = make_session(channel)
+    for batch in BATCHES:
+        drive(query(session, first, batch))
+    return channel
+
+
+def bob_frames(reference: Channel) -> list:
+    return [(entry.label, entry.wire)
+            for entry in reference.transcript.entries
+            if entry.sender == "bob"]
+
+
+def withheld_runtime(reference: Channel):
+    """Alice's runtime and session, whose link hands over bob's frames
+    of the ``reference`` run one awaited frame at a time."""
+    link = WithheldLink(bob_frames(reference))
     channel = RestartableMirrorChannel("alice", "bob", "alice", link)
-    runtime = PairRuntime(channel, link)
-    runtime.session = make_session(channel)
-    return runtime, link
+    return PairRuntime(channel), make_session(channel), link
 
 
-def count_fresh_factors(monkeypatch) -> list:
-    """Every factor computed from here on, by any pool or encryption."""
-    computed = []
-    fresh_factor = PaillierPublicKey.fresh_factor
-
-    def counting(public, rng):
-        computed.append(public)
-        return fresh_factor(public, rng)
-
-    monkeypatch.setattr(PaillierPublicKey, "fresh_factor", counting)
-    return computed
+def run_queries(runtime, session, first: str) -> list[int]:
+    """Every batch as one query on ``runtime``; the attempts each
+    query opened."""
+    attempts = []
+    for batch in BATCHES:
+        span = Attempts()
+        asyncio.run(runtime.run(
+            lambda _ledger, batch=batch: query(session, first, batch),
+            span=span))
+        attempts.append(span.count)
+    return attempts
 
 
 def assert_same_frames(runtime, link, reference: Channel) -> None:
@@ -101,6 +136,14 @@ def assert_same_frames(runtime, link, reference: Channel) -> None:
     assert link.sent == [(entry.label, entry.wire)
                          for entry in reference.transcript.entries
                          if entry.sender == "alice"]
+    # Every frame of bob's was awaited, once.
+    assert link.waits == len(bob_frames(reference))
+
+
+def forget(key_work: dict) -> None:
+    """Drop the key work counted so far (the reference run's)."""
+    for moduli in key_work.values():
+        moduli.clear()
 
 
 def consumed(session: SmcSession) -> int:
@@ -108,64 +151,45 @@ def consumed(session: SmcSession) -> int:
                for report in session.pool_report().values())
 
 
-# As the holder alice's three attempts draw 2, 4 and 4 factors under her
-# key and compute 2, 2, 0.  As the receiver her first attempt parks
-# before it draws anything, and her five attempts draw 0, 2, 2, 4 and 4
-# factors under bob's key and compute 0, 2, 0, 2, 0.
-@pytest.mark.parametrize("holder,restarts,pool", [
-    ("alice", 2, ("alice", "alice")),
-    ("bob", 4, ("alice", "bob")),
-], ids=["holder", "receiver"])
-def test_a_restarted_query_computes_no_factor_twice(monkeypatch, holder,
-                                                    restarts, pool):
-    reference = Channel()
-    two_cross_sum_batches(make_session(reference), holder)
-    runtime, link = withheld_runtime(reference)
-    computed = count_fresh_factors(monkeypatch)
-    asyncio.run(runtime.run(
-        lambda _ledger: two_cross_sum_batches(runtime.session, holder)))
-
-    assert runtime.restarts == restarts
-    assert runtime.session.pool_report()[pool] == {
-        "pregenerated": 0, "consumed": 4, "misses": 4, "available": 0}
-    assert consumed(runtime.session) == len(computed) == 4
-    assert_same_frames(runtime, link, reference)
+def alice_keys(session: SmcSession) -> tuple[int, int]:
+    """The moduli of alice's Paillier and DGK keys."""
+    context = session._contexts["alice"]
+    return context.paillier.public_key.n, context.dgk.public_key.n
 
 
-def test_each_query_gives_back_only_its_own_draws(monkeypatch):
-    """Two queries, one batch each: the second query's restart hands
-    back only its own factors, never the first query's."""
-    reference = Channel()
-    two_cross_sum_batches(make_session(reference))
-    runtime, link = withheld_runtime(reference)
-    computed = count_fresh_factors(monkeypatch)
-    for batch in BATCHES:
-        asyncio.run(runtime.run(
-            lambda _ledger, batch=batch: cross_sum_batch(
-                runtime.session, "alice", batch)))
+@pytest.mark.parametrize("first", ["alice", "bob"],
+                         ids=["holder", "receiver"])
+def test_a_query_runs_once_and_computes_nothing_twice(key_work, first):
+    reference = reference_run(first)
+    runtime, session, link = withheld_runtime(reference)
+    forget(key_work)
 
-    assert runtime.restarts == 2
-    assert consumed(runtime.session) == len(computed) == 4
+    assert run_queries(runtime, session, first) == [1] * len(BATCHES)
+    paillier, dgk = alice_keys(session)
+    assert key_work["decrypt"] == [paillier] * len(BATCHES)
+    assert key_work["dgk_bits"] == [dgk] * len(BATCHES)
+    # Per query alice encrypts her alpha under her key and her blinds
+    # under bob's: two factors each.
+    assert session.pool_report()[("alice", "alice")]["consumed"] == 4
+    assert session.pool_report()[("alice", "bob")]["consumed"] == 4
+    assert consumed(session) == len(key_work["factors"]) == 8
     assert_same_frames(runtime, link, reference)
 
 
 @pytest.mark.parametrize("prefill", [2, 5])
-def test_a_restart_hands_back_prefilled_factors_in_order(monkeypatch,
-                                                         prefill):
-    """Factors a pool pregenerated and an aborted attempt drew go back
-    ahead of the ones still queued: the frames are the unfilled run's,
-    and only the factors past the prefill are computed online."""
-    reference = Channel()
-    two_cross_sum_batches(make_session(reference))
-    runtime, link = withheld_runtime(reference)
-    computed = count_fresh_factors(monkeypatch)
-    runtime.session.precompute_pools({("alice", "alice"): prefill})
-    asyncio.run(runtime.run(
-        lambda _ledger: two_cross_sum_batches(runtime.session)))
+def test_prefilled_factors_are_handed_out_in_order(key_work, prefill):
+    """Factors a pool pregenerated go out ahead of any computed online:
+    the frames are the unfilled run's, and only the factors past the
+    prefill are computed."""
+    reference = reference_run("alice")
+    runtime, session, link = withheld_runtime(reference)
+    forget(key_work)
+    session.precompute_pools({("alice", "alice"): prefill})
+    run_queries(runtime, session, "alice")
 
-    report = runtime.session.pool_report()[("alice", "alice")]
+    report = session.pool_report()[("alice", "alice")]
     assert report == {"pregenerated": prefill, "consumed": 4,
                       "misses": max(0, 4 - prefill),
                       "available": max(0, prefill - 4)}
-    assert len(computed) == prefill + report["misses"]
+    assert len(key_work["factors"]) == prefill + report["misses"] + 4
     assert_same_frames(runtime, link, reference)

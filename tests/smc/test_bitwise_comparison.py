@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.dgk import DGK_U, DgkError
 from repro.crypto.keycache import cached_dgk_keypair
-from repro.net.channel import Channel
+from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
 from repro.net.serialization import FixedWidthList
 from repro.smc.bitwise_comparison import (
@@ -40,7 +40,7 @@ class TestCorrectness:
     ])
     def test_boundary_cases(self, x, y, bits):
         alice, bob = _fresh_parties(x * 31 + y)
-        assert dgk_greater_than(alice, x, bob, y, bits, KEYS) == (x > y)
+        assert drive(dgk_greater_than(alice, x, bob, y, bits, KEYS)) == (x > y)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**20 - 1),
@@ -48,31 +48,31 @@ class TestCorrectness:
            st.integers(min_value=0, max_value=100))
     def test_random_pairs(self, x, y, seed):
         alice, bob = _fresh_parties(seed)
-        assert dgk_greater_than(alice, x, bob, y, 20, KEYS) == (x > y)
+        assert drive(dgk_greater_than(alice, x, bob, y, 20, KEYS)) == (x > y)
 
 
 class TestValidation:
     def test_x_out_of_range(self):
         alice, bob = _fresh_parties()
         with pytest.raises(BitwiseComparisonError, match="x=8"):
-            dgk_greater_than(alice, 8, bob, 1, 3, KEYS)
+            drive(dgk_greater_than(alice, 8, bob, 1, 3, KEYS))
 
     def test_y_out_of_range(self):
         alice, bob = _fresh_parties()
         with pytest.raises(BitwiseComparisonError, match="y=-1"):
-            dgk_greater_than(alice, 1, bob, -1, 3, KEYS)
+            drive(dgk_greater_than(alice, 1, bob, -1, 3, KEYS))
 
     def test_zero_bits(self):
         alice, bob = _fresh_parties()
         with pytest.raises(BitwiseComparisonError, match="bits"):
-            dgk_greater_than(alice, 0, bob, 0, 0, KEYS)
+            drive(dgk_greater_than(alice, 0, bob, 0, 0, KEYS))
 
 
 class TestCommunicationShape:
     def test_two_messages_per_run(self):
         channel = Channel()
         alice, bob = make_party_pair(channel, 1, 2)
-        dgk_greater_than(alice, 9, bob, 5, 8, KEYS, label="t")
+        drive(dgk_greater_than(alice, 9, bob, 5, 8, KEYS, label="t"))
         labels = [e.label for e in channel.transcript.entries]
         assert labels == ["t/x_bits", "t/witnesses"]
 
@@ -80,7 +80,7 @@ class TestCommunicationShape:
         channel = Channel()
         alice, bob = make_party_pair(channel, 1, 2)
         bits = 12
-        dgk_greater_than(alice, 9, bob, 5, bits, KEYS, label="t")
+        drive(dgk_greater_than(alice, 9, bob, 5, bits, KEYS, label="t"))
         for entry in channel.transcript.entries:
             assert len(entry.value) == bits
 
@@ -90,7 +90,7 @@ class TestCommunicationShape:
         # what YMPP's 2^20-number sequence would be.
         channel = Channel()
         alice, bob = make_party_pair(channel, 1, 2)
-        dgk_greater_than(alice, 2**19, bob, 2**19 - 1, 20, KEYS)
+        drive(dgk_greater_than(alice, 2**19, bob, 2**19 - 1, 20, KEYS))
         n_bytes = (KEYS.public_key.n.bit_length() + 7) // 8
         assert channel.stats.total_bytes < 3 * 20 * (n_bytes + 8)
 
@@ -105,20 +105,20 @@ class TestBatch:
            st.integers(min_value=0, max_value=100))
     def test_matches_per_point_predicates(self, x, ys, seed):
         alice, bob = _fresh_parties(seed)
-        assert dgk_greater_than_batch(alice, x, bob, ys, 16, KEYS) \
+        assert drive(dgk_greater_than_batch(alice, x, bob, ys, 16, KEYS)) \
             == [x > y for y in ys]
 
     def test_empty_batch_sends_nothing(self):
         channel = Channel()
         alice, bob = make_party_pair(channel, 1, 2)
-        assert dgk_greater_than_batch(alice, 3, bob, [], 4, KEYS) == []
+        assert drive(dgk_greater_than_batch(alice, 3, bob, [], 4, KEYS)) == []
         assert channel.transcript.entries == []
 
     def test_one_round_trip_regardless_of_batch_size(self):
         channel = Channel()
         alice, bob = make_party_pair(channel, 1, 2)
-        dgk_greater_than_batch(alice, 9, bob, [5, 11, 9, 0], 8, KEYS,
-                               label="t")
+        drive(dgk_greater_than_batch(alice, 9, bob, [5, 11, 9, 0], 8, KEYS,
+                                     label="t"))
         labels = [e.label for e in channel.transcript.entries]
         assert labels == ["t/x_bits", "t/witnesses"]
 
@@ -126,8 +126,8 @@ class TestBatch:
         channel = Channel()
         alice, bob = make_party_pair(channel, 1, 2)
         bits = 12
-        dgk_greater_than_batch(alice, 9, bob, [5, 3000, 9], bits, KEYS,
-                               label="t")
+        drive(dgk_greater_than_batch(alice, 9, bob, [5, 3000, 9], bits, KEYS,
+                                     label="t"))
         x_bits = channel.transcript.with_label("t/x_bits")[0].value
         assert len(x_bits) == bits  # encrypted once, not per point
         batches = channel.transcript.with_label("t/witnesses")[0].value
@@ -140,7 +140,7 @@ class TestBatch:
         channel = Channel()
         alice, bob = make_party_pair(channel, 3, 4)
         ys = [13, 700, 699, 701]
-        dgk_greater_than_batch(alice, 700, bob, ys, 10, KEYS, label="t")
+        drive(dgk_greater_than_batch(alice, 700, bob, ys, 10, KEYS, label="t"))
         batches = channel.transcript.with_label("t/witnesses")[0].value
         for y, batch in zip(ys, batches):
             assert _zeros(batch) == (1 if 700 > y else 0), y
@@ -148,11 +148,11 @@ class TestBatch:
     def test_validation_covers_every_item(self):
         alice, bob = _fresh_parties()
         with pytest.raises(BitwiseComparisonError, match="y=8"):
-            dgk_greater_than_batch(alice, 1, bob, [0, 8], 3, KEYS)
+            drive(dgk_greater_than_batch(alice, 1, bob, [0, 8], 3, KEYS))
         with pytest.raises(BitwiseComparisonError, match="x=8"):
-            dgk_greater_than_batch(alice, 8, bob, [0], 3, KEYS)
+            drive(dgk_greater_than_batch(alice, 8, bob, [0], 3, KEYS))
         with pytest.raises(BitwiseComparisonError, match="bits"):
-            dgk_greater_than_batch(alice, 0, bob, [0], 0, KEYS)
+            drive(dgk_greater_than_batch(alice, 0, bob, [0], 0, KEYS))
 
 
 class TestObliviousness:
@@ -161,14 +161,14 @@ class TestObliviousness:
         # most one witness decrypts to zero.
         channel = Channel()
         alice, bob = make_party_pair(channel, 3, 4)
-        dgk_greater_than(alice, 700, bob, 13, 10, KEYS, label="t")
+        drive(dgk_greater_than(alice, 700, bob, 13, 10, KEYS, label="t"))
         witnesses = channel.transcript.with_label("t/witnesses")[0].value
         assert _zeros(witnesses) == 1  # x > y here, exactly one witness
 
     def test_no_zero_when_not_greater(self):
         channel = Channel()
         alice, bob = make_party_pair(channel, 5, 6)
-        dgk_greater_than(alice, 13, bob, 700, 10, KEYS, label="t")
+        drive(dgk_greater_than(alice, 13, bob, 700, 10, KEYS, label="t"))
         witnesses = channel.transcript.with_label("t/witnesses")[0].value
         assert _zeros(witnesses) == 0
 
@@ -190,7 +190,7 @@ class TestReceivedCiphertexts:
         alice, bob = _fresh_parties(7)
         self._tampered(alice, "/x_bits", tamper)
         with pytest.raises(ValueError, match=match):
-            dgk_greater_than(alice, 9, bob, 5, 8, KEYS)
+            drive(dgk_greater_than(alice, 9, bob, 5, 8, KEYS))
 
     @pytest.mark.parametrize("batch", [False, True])
     def test_key_holder_checks_the_witnesses(self, batch):
@@ -200,12 +200,12 @@ class TestReceivedCiphertexts:
                            lambda batches: batches + [batches[0]])
             with pytest.raises(BitwiseComparisonError,
                                match="expected 2 witness batches"):
-                dgk_greater_than_batch(alice, 9, bob, [5, 11], 8, KEYS)
+                drive(dgk_greater_than_batch(alice, 9, bob, [5, 11], 8, KEYS))
         else:
             self._tampered(bob, "/witnesses", lambda values: values[1:])
             with pytest.raises(BitwiseComparisonError,
                                match="expected 8 witnesses"):
-                dgk_greater_than(alice, 9, bob, 5, 8, KEYS)
+                drive(dgk_greater_than(alice, 9, bob, 5, 8, KEYS))
 
     @pytest.mark.parametrize("resize", [
         list, lambda values: FixedWidthList(values, values.width + 1)])
@@ -213,7 +213,7 @@ class TestReceivedCiphertexts:
         alice, bob = _fresh_parties(9)
         self._tampered(alice, "/x_bits", resize)
         with pytest.raises(DgkError, match="32-byte width"):
-            dgk_greater_than(alice, 9, bob, 5, 8, KEYS)
+            drive(dgk_greater_than(alice, 9, bob, 5, 8, KEYS))
 
     @pytest.mark.parametrize("batch", [False, True])
     def test_key_holder_refuses_witnesses_not_at_the_key_width(self, batch):
@@ -222,11 +222,11 @@ class TestReceivedCiphertexts:
             self._tampered(bob, "/witnesses", lambda batches: [
                 FixedWidthList(values, 64) for values in batches])
             with pytest.raises(DgkError, match="32-byte width"):
-                dgk_greater_than_batch(alice, 9, bob, [5, 11], 8, KEYS)
+                drive(dgk_greater_than_batch(alice, 9, bob, [5, 11], 8, KEYS))
         else:
             self._tampered(bob, "/witnesses", list)
             with pytest.raises(DgkError, match="32-byte width"):
-                dgk_greater_than(alice, 9, bob, 5, 8, KEYS)
+                drive(dgk_greater_than(alice, 9, bob, 5, 8, KEYS))
 
 
 def _reference_witnesses(public, received, y, bits, rng):
@@ -273,11 +273,11 @@ class TestBatchedInversion:
             x = random.Random(seed).randrange(1 << bits)
             state = bob.rng.getstate()
             if batched:
-                dgk_greater_than_batch(alice, x, bob, ys, bits, KEYS,
-                                       label="t")
+                drive(dgk_greater_than_batch(alice, x, bob, ys, bits, KEYS,
+                                             label="t"))
             else:
-                dgk_greater_than(alice, x, bob, ys[0], bits, KEYS,
-                                 label="t")
+                drive(dgk_greater_than(alice, x, bob, ys[0], bits, KEYS,
+                                       label="t"))
             received = channel.transcript.with_label("t/x_bits")[0].value
             rng = random.Random()
             rng.setstate(state)
@@ -304,9 +304,9 @@ class TestBatchedInversion:
             ys = _peer_values(pattern, 8, 2, position)
             with pytest.raises(BitwiseComparisonError, match="not a unit"):
                 if batched:
-                    dgk_greater_than_batch(alice, 9, bob, ys, 8, KEYS)
+                    drive(dgk_greater_than_batch(alice, 9, bob, ys, 8, KEYS))
                 else:
-                    dgk_greater_than(alice, 9, bob, ys[0], 8, KEYS)
+                    drive(dgk_greater_than(alice, 9, bob, ys[0], 8, KEYS))
 
 
 class TestPairwise:
@@ -319,19 +319,19 @@ class TestPairwise:
     def test_predicates(self):
         alice, bob = _fresh_parties(5)
         xs, ys = zip(*self.PAIRS)
-        assert dgk_greater_than_pairwise(alice, list(xs), bob, list(ys), 8,
-                                         KEYS) == [x > y for x, y in
+        assert drive(dgk_greater_than_pairwise(alice, list(xs), bob, list(ys),
+                                               8, KEYS)) == [x > y for x, y in
                                                    self.PAIRS]
 
     def test_messages_of_a_loop_in_one_round_trip(self):
         pairwise, looped = Channel(), Channel()
         alice, bob = make_party_pair(pairwise, 6, 7)
         xs, ys = zip(*self.PAIRS)
-        dgk_greater_than_pairwise(alice, list(xs), bob, list(ys), 8, KEYS,
-                                  label="t")
+        drive(dgk_greater_than_pairwise(alice, list(xs), bob, list(ys), 8,
+                                        KEYS, label="t"))
         alice, bob = make_party_pair(looped, 6, 7)
         for x, y in self.PAIRS:
-            dgk_greater_than(alice, x, bob, y, 8, KEYS, label="t")
+            drive(dgk_greater_than(alice, x, bob, y, 8, KEYS, label="t"))
 
         def payloads(channel, label):
             return [e.wire for e in channel.transcript.with_label(label)]
@@ -349,11 +349,13 @@ class TestPairwise:
         channel = Channel()
         alice, bob = make_party_pair(channel, 1, 2)
         with pytest.raises(BitwiseComparisonError, match="values"):
-            dgk_greater_than_pairwise(alice, [1, 2], bob, [1], 3, KEYS)
+            drive(dgk_greater_than_pairwise(alice, [1, 2], bob, [1], 3, KEYS))
         with pytest.raises(BitwiseComparisonError, match="outside"):
-            dgk_greater_than_pairwise(alice, [1, 8], bob, [1, 1], 3, KEYS)
+            drive(dgk_greater_than_pairwise(alice, [1, 8], bob, [1, 1], 3,
+                                            KEYS))
         assert channel.transcript.entries == []
-        assert dgk_greater_than_pairwise(alice, [], bob, [], 3, KEYS) == []
+        assert drive(dgk_greater_than_pairwise(alice, [], bob, [], 3,
+                                               KEYS)) == []
         assert channel.transcript.entries == []
 
 
@@ -400,8 +402,8 @@ class TestWithinGap:
         x, y, gap = pair
         assert abs(x - y) <= gap
         alice, bob = _fresh_parties(seed)
-        assert dgk_leq_within_gap_lanes(
-            [GapLane(alice, [x], bob, [y], gap, SMALL_KEYS)]) == [[x <= y]]
+        assert drive(dgk_leq_within_gap_lanes(
+            [GapLane(alice, [x], bob, [y], gap, SMALL_KEYS)])) == [[x <= y]]
 
     def test_every_pair_of_small_gaps(self):
         """Every pair with ``|x - y| <= gap`` over a few periods of
@@ -412,16 +414,16 @@ class TestWithinGap:
                      for y in range(max(0, x - gap), x + gap + 1)]
             alice, bob = _fresh_parties(gap)
             xs, ys = zip(*pairs)
-            assert dgk_leq_within_gap_lanes(
-                [GapLane(alice, xs, bob, ys, gap, SMALL_KEYS)]) \
+            assert drive(dgk_leq_within_gap_lanes(
+                [GapLane(alice, xs, bob, ys, gap, SMALL_KEYS)])) \
                 == [[x <= y for x, y in pairs]], gap
 
     def test_sizes_follow_the_gap_not_the_values(self):
         channel = Channel()
         alice, bob = make_party_pair(channel, 1, 2)
         gap = 1000  # 10 bits
-        dgk_leq_within_gap_lanes([GapLane(
-            alice, [2**50, 3], bob, [2**50 - 1000, 1003], gap, KEYS, "t")])
+        drive(dgk_leq_within_gap_lanes([GapLane(
+            alice, [2**50, 3], bob, [2**50 - 1000, 1003], gap, KEYS, "t")]))
         assert [len(e.value) for e in channel.transcript.entries] \
             == [10, 10, 11, 11]
         assert [e.label for e in channel.transcript.entries] \
@@ -439,8 +441,8 @@ class TestWithinGap:
         channel = Channel()
         alice, bob = make_party_pair(channel, 11, 12)
         xs, ys = zip(*pairs)
-        dgk_leq_within_gap_lanes([GapLane(alice, xs, bob, ys, gap, KEYS,
-                                          "t")])
+        drive(dgk_leq_within_gap_lanes([GapLane(alice, xs, bob, ys, gap, KEYS,
+                                                "t")]))
         witnesses = channel.transcript.with_label("t/witnesses")
         seen = set()
         for (x, y), entry in zip(pairs, witnesses):
@@ -454,14 +456,14 @@ class TestWithinGap:
         channel = Channel()
         alice, bob = make_party_pair(channel, 1, 2)
         with pytest.raises(BitwiseComparisonError, match="gap"):
-            dgk_leq_within_gap_lanes([GapLane(alice, [1], bob, [1], -1,
-                                              KEYS)])
+            drive(dgk_leq_within_gap_lanes([GapLane(alice, [1], bob, [1], -1,
+                                                    KEYS)]))
         with pytest.raises(BitwiseComparisonError, match="values"):
-            dgk_leq_within_gap_lanes([GapLane(alice, [1, 2], bob, [1], 3,
-                                              KEYS)])
+            drive(dgk_leq_within_gap_lanes([GapLane(alice, [1, 2], bob, [1], 3,
+                                                    KEYS)]))
         with pytest.raises(BitwiseComparisonError, match="3 \\* bits"):
-            dgk_leq_within_gap_lanes([GapLane(alice, [1], bob, [1],
-                                              1 << DGK_U, KEYS)])
+            drive(dgk_leq_within_gap_lanes([GapLane(alice, [1], bob, [1],
+                                                    1 << DGK_U, KEYS)]))
         assert channel.transcript.entries == []
 
 
@@ -479,7 +481,7 @@ class TestWithinGapLanes:
 
     def test_each_lane_decides_its_own_pairs(self):
         alice, bob = _fresh_parties(3)
-        assert dgk_leq_within_gap_lanes(self._lanes(alice, bob)) \
+        assert drive(dgk_leq_within_gap_lanes(self._lanes(alice, bob))) \
             == [[True, False], [True, False, True]]
 
     def test_lanes_in_opposite_directions_share_their_flights(self):
@@ -488,7 +490,7 @@ class TestWithinGapLanes:
         flights for both lanes."""
         channel = Channel()
         alice, bob = make_party_pair(channel, 4, 5)
-        dgk_leq_within_gap_lanes(self._lanes(alice, bob))
+        drive(dgk_leq_within_gap_lanes(self._lanes(alice, bob)))
         entries = channel.transcript.entries
         assert [e.label for e in entries] \
             == (["a/x_bits"] * 2 + ["b/x_bits"] * 3 + ["a/witnesses"] * 2
@@ -500,9 +502,9 @@ class TestWithinGapLanes:
     def test_lanes_in_one_direction_share_one_round_trip(self):
         channel = Channel()
         alice, bob = make_party_pair(channel, 6, 7)
-        results = dgk_leq_within_gap_lanes([
+        results = drive(dgk_leq_within_gap_lanes([
             GapLane(alice, [7], bob, [900], 1000, KEYS, "a"),
-            GapLane(alice, [9, 4], bob, [4, 4], 5, KEYS, "c")])
+            GapLane(alice, [9, 4], bob, [4, 4], 5, KEYS, "c")]))
         assert results == [[True], [False, True]]
         assert [e.label for e in channel.transcript.entries] \
             == ["a/x_bits", "c/x_bits", "c/x_bits", "a/witnesses",
@@ -512,15 +514,15 @@ class TestWithinGapLanes:
     def test_a_lane_sends_and_learns_what_it_does_alone(self):
         channel = Channel()
         alice, bob = make_party_pair(channel, 8, 9)
-        together = dgk_leq_within_gap_lanes(self._lanes(alice, bob))
+        together = drive(dgk_leq_within_gap_lanes(self._lanes(alice, bob)))
         for lane, results in zip(self._lanes(alice, bob), together):
             alone = Channel()
             key_holder, other = make_party_pair(alone, 8, 9)
             if lane.key_holder is bob:
                 other, key_holder = key_holder, other
-            assert dgk_leq_within_gap_lanes([GapLane(
+            assert drive(dgk_leq_within_gap_lanes([GapLane(
                 key_holder, lane.xs, other, lane.ys, lane.gap, lane.keypair,
-                lane.label)]) == [results]
+                lane.label)])) == [results]
             sent = [(e.label, len(e.value))
                     for e in channel.transcript.entries
                     if e.label.startswith(f"{lane.label}/")]
@@ -531,7 +533,7 @@ class TestWithinGapLanes:
         channel = Channel()
         alice, bob = make_party_pair(channel, 1, 2)
         with pytest.raises(BitwiseComparisonError, match="values"):
-            dgk_leq_within_gap_lanes([
+            drive(dgk_leq_within_gap_lanes([
                 GapLane(alice, [1], bob, [1], 3, KEYS),
-                GapLane(bob, [1, 2], alice, [1], 3, SMALL_KEYS)])
+                GapLane(bob, [1, 2], alice, [1], 3, SMALL_KEYS)]))
         assert channel.transcript.entries == []

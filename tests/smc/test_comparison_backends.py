@@ -8,7 +8,7 @@ DGK-style, and the oracle fails loudly.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net.channel import Channel
+from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
 from repro.smc.comparison import (
     ComparisonError,
@@ -34,16 +34,16 @@ class TestAllBackendsAgree:
     ])
     def test_boundary_pairs(self, backend, a, b):
         session = _session(backend, seed=abs(a * 13 + b))
-        out = session.compare_leq(session.alice, a, session.bob, b,
-                                  lo=-10, hi=100, reveal_to="both")
+        out = drive(session.compare_leq(session.alice, a, session.bob, b,
+                                        lo=-10, hi=100, reveal_to="both"))
         assert out.result == (a <= b)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("reveal", ["a", "b", "both"])
     def test_reveal_targets(self, backend, reveal):
         session = _session(backend, seed=3)
-        out = session.compare_leq(session.alice, 4, session.bob, 9,
-                                  lo=0, hi=16, reveal_to=reveal)
+        out = drive(session.compare_leq(session.alice, 4, session.bob, 9,
+                                        lo=0, hi=16, reveal_to=reveal))
         assert out.result is True
         if reveal == "both":
             assert set(out.revealed_to) == {"alice", "bob"}
@@ -56,8 +56,8 @@ class TestAllBackendsAgree:
            st.integers(min_value=-50, max_value=50))
     def test_bitwise_random(self, a, b):
         session = _session("bitwise", seed=1)
-        out = session.compare_leq(session.alice, a, session.bob, b,
-                                  lo=-50, hi=50, reveal_to="a")
+        out = drive(session.compare_leq(session.alice, a, session.bob, b,
+                                        lo=-50, hi=50, reveal_to="a"))
         assert out.result == (a <= b)
 
     @settings(max_examples=10, deadline=None)
@@ -65,8 +65,8 @@ class TestAllBackendsAgree:
            st.integers(min_value=-20, max_value=20))
     def test_ympp_random(self, a, b):
         session = _session("ympp", seed=2)
-        out = session.compare_leq(session.alice, a, session.bob, b,
-                                  lo=-20, hi=20, reveal_to="b")
+        out = drive(session.compare_leq(session.alice, a, session.bob, b,
+                                        lo=-20, hi=20, reveal_to="b"))
         assert out.result == (a <= b)
 
 
@@ -79,13 +79,13 @@ class TestBatchApi:
         a_values = [0, 3, -7, 12, 12, -10]
         b_values = [0, 3, 12, -7, 12, 12]
         batch_session = _session(backend, seed=11)
-        outcomes = batch_session.compare_leq_batch(
+        outcomes = drive(batch_session.compare_leq_batch(
             batch_session.alice, a_values, batch_session.bob, b_values,
-            lo=-10, hi=12, reveal_to=reveal)
+            lo=-10, hi=12, reveal_to=reveal))
         loop_session = _session(backend, seed=11)
-        loop = [loop_session.compare_leq(
+        loop = [drive(loop_session.compare_leq(
             loop_session.alice, a, loop_session.bob, b,
-            lo=-10, hi=12, reveal_to=reveal)
+            lo=-10, hi=12, reveal_to=reveal))
             for a, b in zip(a_values, b_values)]
         assert [o.result for o in outcomes] == [o.result for o in loop] \
             == [a <= b for a, b in zip(a_values, b_values)]
@@ -105,9 +105,9 @@ class TestBatchApi:
         else:
             a_values, b_values = values, [5] * len(values)
             expected = [v <= 5 for v in values]
-        outcomes = session.compare_leq_batch(
+        outcomes = drive(session.compare_leq_batch(
             session.alice, a_values, session.bob, b_values,
-            lo=-5, hi=20, reveal_to=reveal, amortize=True)
+            lo=-5, hi=20, reveal_to=reveal, amortize=True))
         assert [o.result for o in outcomes] == expected
 
     @pytest.mark.parametrize("reveal,messages", [
@@ -123,14 +123,14 @@ class TestBatchApi:
         batch_stats = batch_session.alice.endpoint.stats
         transcript = batch_session.alice.endpoint.transcript
         before = len(transcript.entries)
-        batch_session.compare_leq_batch(
+        drive(batch_session.compare_leq_batch(
             batch_session.alice, a_values, batch_session.bob, b_values,
-            lo=-10, hi=12, reveal_to=reveal)
+            lo=-10, hi=12, reveal_to=reveal))
         loop_session = _session("bitwise", seed=13)
         for a, b in zip(a_values, b_values):
-            loop_session.compare_leq(loop_session.alice, a,
-                                     loop_session.bob, b, lo=-10, hi=12,
-                                     reveal_to=reveal)
+            drive(loop_session.compare_leq(loop_session.alice, a,
+                                           loop_session.bob, b, lo=-10, hi=12,
+                                           reveal_to=reveal))
         loop_stats = loop_session.alice.endpoint.stats
         senders = [entry.sender for entry in transcript.entries[before:]]
         assert 1 + sum(first != second for first, second
@@ -141,36 +141,37 @@ class TestBatchApi:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_invocations_count_pairs_not_round_trips(self, backend):
         session = _session(backend, seed=13)
-        session.compare_leq_batch(session.alice, [1, 2, 3], session.bob,
-                                  [2, 2, 2], lo=0, hi=4, reveal_to="b")
+        drive(session.compare_leq_batch(session.alice, [1, 2, 3], session.bob,
+                                        [2, 2, 2], lo=0, hi=4, reveal_to="b"))
         assert session.comparison_backend.invocations == 3
 
     def test_empty_batch(self):
         session = _session("bitwise", seed=14)
-        assert session.compare_leq_batch(session.alice, [], session.bob, [],
-                                         lo=0, hi=4) == []
+        assert drive(session.compare_leq_batch(session.alice, [], session.bob,
+                                               [], lo=0, hi=4)) == []
         assert session.comparison_backend.invocations == 0
 
     def test_per_item_interval_checks(self):
         session = _session("oracle")
         with pytest.raises(ComparisonError, match="a=11 outside"):
-            session.compare_leq_batch(session.alice, [1, 11], session.bob,
-                                      [2, 2], lo=0, hi=10)
+            drive(session.compare_leq_batch(session.alice, [1, 11],
+                                            session.bob, [2, 2], lo=0, hi=10))
         with pytest.raises(ComparisonError, match="b=-1 outside"):
-            session.compare_leq_batch(session.alice, [1, 2], session.bob,
-                                      [2, -1], lo=0, hi=10)
+            drive(session.compare_leq_batch(session.alice, [1, 2], session.bob,
+                                            [2, -1], lo=0, hi=10))
 
     def test_length_mismatch(self):
         session = _session("oracle")
         with pytest.raises(ComparisonError, match="a-values"):
-            session.compare_leq_batch(session.alice, [1, 2], session.bob,
-                                      [2], lo=0, hi=10)
+            drive(session.compare_leq_batch(session.alice, [1, 2], session.bob,
+                                            [2], lo=0, hi=10))
 
     def test_bad_reveal_target(self):
         session = _session("oracle")
         with pytest.raises(ComparisonError, match="reveal_to"):
-            session.compare_leq_batch(session.alice, [1], session.bob, [2],
-                                      lo=0, hi=3, reveal_to="everyone")
+            drive(session.compare_leq_batch(session.alice, [1], session.bob,
+                                            [2],
+                                            lo=0, hi=3, reveal_to="everyone"))
 
     def test_amortize_declaration_controls_bit_encryption_sharing(self):
         """The amortization is declaration-driven: amortize=True shares
@@ -183,9 +184,9 @@ class TestBatchApi:
             alice, bob = make_party_pair(channel, 1, 2)
             session = SmcSession(alice, bob, SmcConfig(
                 comparison="bitwise", key_seed=53))
-            session.compare_leq_batch(
+            drive(session.compare_leq_batch(
                 alice, [1] * len(b_values), bob, b_values,
-                lo=0, hi=10, reveal_to="b", amortize=amortize, label="t")
+                lo=0, hi=10, reveal_to="b", amortize=amortize, label="t"))
             return sum(1 for e in channel.transcript.entries
                        if e.label.endswith("/x_bits"))
         assert x_bits_messages([5, 5, 5, 5], amortize=True) == 1
@@ -203,15 +204,15 @@ class TestBatchApi:
                 comparison=backend, key_seed=54))
             baseline = len(channel.transcript.entries)
             with pytest.raises(ComparisonError, match="amortize"):
-                session.compare_leq_batch(alice, [1, 2], bob, [5, 6],
-                                          lo=0, hi=10, reveal_to="b",
-                                          amortize=True)
+                drive(session.compare_leq_batch(alice, [1, 2], bob, [5, 6],
+                                                lo=0, hi=10, reveal_to="b",
+                                                amortize=True))
             assert len(channel.transcript.entries) == baseline
         # The a side is the key side under reveal "a"; varying b is fine.
         session = _session("bitwise", seed=16)
-        outcomes = session.compare_leq_batch(
+        outcomes = drive(session.compare_leq_batch(
             session.alice, [4, 4], session.bob, [3, 5],
-            lo=0, hi=10, reveal_to="a", amortize=True)
+            lo=0, hi=10, reveal_to="a", amortize=True))
         assert [o.result for o in outcomes] == [False, True]
 
     @settings(max_examples=15, deadline=None)
@@ -220,9 +221,9 @@ class TestBatchApi:
            st.integers(min_value=-30, max_value=30))
     def test_bitwise_random_batches_against_threshold(self, a_values, b):
         session = _session("bitwise", seed=15)
-        outcomes = session.compare_leq_batch(
+        outcomes = drive(session.compare_leq_batch(
             session.alice, a_values, session.bob, [b] * len(a_values),
-            lo=-30, hi=30, reveal_to="b", amortize=True)
+            lo=-30, hi=30, reveal_to="b", amortize=True))
         assert [o.result for o in outcomes] == [a <= b for a in a_values]
 
 
@@ -235,9 +236,9 @@ class TestGapDeclaration:
 
     @staticmethod
     def _one_lane(session, a_values, b_values, *, lo, hi, gap, label="cmp"):
-        [outcomes] = session.comparison_backend.leq_lanes([ComparisonLane(
-            session.alice, a_values, session.bob, b_values, lo=lo, hi=hi,
-            gap=gap, label=label)])
+        lane = ComparisonLane(session.alice, a_values, session.bob,
+                              b_values, lo=lo, hi=hi, gap=gap, label=label)
+        [outcomes] = drive(session.comparison_backend.leq_lanes([lane]))
         return outcomes
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -261,9 +262,9 @@ class TestGapDeclaration:
             before = len(transcript.entries)
             a_values, b_values = [0, 2**20, 77], [5, 2**20 - 5, 80]
             if gap is None:
-                session.compare_leq_batch(
+                drive(session.compare_leq_batch(
                     session.alice, a_values, session.bob, b_values,
-                    lo=0, hi=2**20, reveal_to="a", label="t")
+                    lo=0, hi=2**20, reveal_to="a", label="t"))
             else:
                 self._one_lane(session, a_values, b_values, lo=0,
                                hi=2**20, gap=gap, label="t")
@@ -324,8 +325,8 @@ class TestLanes:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_results_reveal_targets_and_invocations(self, backend):
         session = _session(backend, seed=21)
-        outcomes = session.comparison_backend.leq_lanes(
-            self._lanes(session))
+        outcomes = drive(session.comparison_backend.leq_lanes(
+            self._lanes(session)))
         assert [[o.result for o in lane] for lane in outcomes] \
             == [[True, False, False], [False, True]]
         assert [{o.revealed_to for o in lane} for lane in outcomes] \
@@ -341,7 +342,7 @@ class TestLanes:
         lanes[1] = ComparisonLane(session.bob, [50], session.alice, [101],
                                   lo=0, hi=100, gap=4, label="y")
         with pytest.raises(ComparisonError, match="b=101 outside"):
-            session.comparison_backend.leq_lanes(lanes)
+            drive(session.comparison_backend.leq_lanes(lanes))
         assert len(transcript.entries) == before
         assert session.comparison_backend.invocations == 0
 
@@ -351,7 +352,7 @@ class TestLanes:
         lanes[1] = ComparisonLane(session.bob, [50], session.alice, [40],
                                   lo=0, hi=100, gap=4, label="y")
         with pytest.raises(ComparisonError, match="gap 4"):
-            session.comparison_backend.leq_lanes(lanes)
+            drive(session.comparison_backend.leq_lanes(lanes))
 
 
 class TestWidthBoundary:
@@ -375,8 +376,9 @@ class TestWidthBoundary:
         session = _session("bitwise", seed=domain % 5)
         for a in (lo, hi):
             for b in (lo, hi):
-                out = session.compare_leq(session.alice, a, session.bob, b,
-                                          lo=lo, hi=hi, reveal_to=reveal)
+                out = drive(session.compare_leq(session.alice, a, session.bob,
+                                                b, lo=lo, hi=hi,
+                                                reveal_to=reveal))
                 assert out.result == (a <= b), (domain, a, b)
 
     @pytest.mark.parametrize("domain", DOMAINS)
@@ -385,10 +387,10 @@ class TestWidthBoundary:
         hi = lo + domain
         pairs = [(a, b) for a in (lo, hi) for b in (lo, hi)]
         session = _session("bitwise", seed=domain % 5)
-        outcomes = session.compare_leq_batch(
+        outcomes = drive(session.compare_leq_batch(
             session.alice, [a for a, _ in pairs],
             session.bob, [b for _, b in pairs],
-            lo=lo, hi=hi, reveal_to="b")
+            lo=lo, hi=hi, reveal_to="b"))
         assert [o.result for o in outcomes] == [a <= b for a, b in pairs]
 
     def test_b_plus_one_carry_needs_extra_bit(self):
@@ -399,12 +401,12 @@ class TestWidthBoundary:
         assert max(1, (3 + 1).bit_length()) == 3  # not 2
         session = _session("bitwise", seed=1)
         assert isinstance(session.comparison_backend, BitwiseComparison)
-        out = session.compare_leq(session.alice, 3, session.bob, 3,
-                                  lo=0, hi=3, reveal_to="b")
+        out = drive(session.compare_leq(session.alice, 3, session.bob, 3,
+                                        lo=0, hi=3, reveal_to="b"))
         assert out.result is True
-        outcomes = session.compare_leq_batch(
+        outcomes = drive(session.compare_leq_batch(
             session.alice, [3, 3], session.bob, [3, 2],
-            lo=0, hi=3, reveal_to="b")
+            lo=0, hi=3, reveal_to="b"))
         assert [o.result for o in outcomes] == [True, False]
 
 
@@ -428,14 +430,14 @@ class TestKeyOwnership:
         session = _session("bitwise", seed=6)
         # a_party=bob, reveal "a": bob is the DGK key holder and must
         # run under *bob's* keypair.
-        out = session.compare_leq(session.bob, 3, session.alice, 5,
-                                  lo=0, hi=10, reveal_to="a")
+        out = drive(session.compare_leq(session.bob, 3, session.alice, 5,
+                                        lo=0, hi=10, reveal_to="a"))
         assert out.result is True
         assert captured["bob"] is session._contexts["bob"].dgk
         # Symmetric check: reveal "b" makes alice the key holder.
         captured.clear()
-        session.compare_leq(session.bob, 3, session.alice, 5,
-                            lo=0, hi=10, reveal_to="b")
+        drive(session.compare_leq(session.bob, 3, session.alice, 5,
+                                  lo=0, hi=10, reveal_to="b"))
         assert captured["alice"] is session._contexts["alice"].dgk
 
     def test_ympp_i_holder_uses_own_keypair(self, monkeypatch):
@@ -452,8 +454,8 @@ class TestKeyOwnership:
         # a_party=bob, reveal "a": bob plays Algorithm 1's j-holder (he
         # learns), alice is the i-holder and must own the RSA keys --
         # the seed-era code would have used bob's here.
-        session.compare_leq(session.bob, 2, session.alice, 4,
-                            lo=0, hi=8, reveal_to="a")
+        drive(session.compare_leq(session.bob, 2, session.alice, 4,
+                                  lo=0, hi=8, reveal_to="a"))
         assert captured["alice"] is session._contexts["alice"].rsa
 
     def test_unknown_party_rejected(self):
@@ -463,8 +465,8 @@ class TestKeyOwnership:
             {"carol": cached_paillier_keypair(256, 60)})
         session = _session("oracle", seed=8)
         with pytest.raises(ComparisonError, match="no Paillier key"):
-            backend.leq(session.alice, 1, session.bob, 2, lo=0, hi=4,
-                        reveal_to="a")
+            drive(backend.leq(session.alice, 1, session.bob, 2, lo=0, hi=4,
+                              reveal_to="a"))
 
 
 class TestValidation:
@@ -481,20 +483,20 @@ class TestValidation:
     def test_out_of_interval(self):
         session = _session("oracle")
         with pytest.raises(ComparisonError, match="outside"):
-            session.compare_leq(session.alice, 11, session.bob, 5,
-                                lo=0, hi=10)
+            drive(session.compare_leq(session.alice, 11, session.bob, 5,
+                                      lo=0, hi=10))
 
     def test_empty_interval(self):
         session = _session("oracle")
         with pytest.raises(ComparisonError, match="empty"):
-            session.compare_leq(session.alice, 1, session.bob, 1,
-                                lo=5, hi=4)
+            drive(session.compare_leq(session.alice, 1, session.bob, 1,
+                                      lo=5, hi=4))
 
     def test_bad_reveal_target(self):
         session = _session("oracle")
         with pytest.raises(ComparisonError, match="reveal_to"):
-            session.compare_leq(session.alice, 1, session.bob, 2,
-                                lo=0, hi=3, reveal_to="everyone")
+            drive(session.compare_leq(session.alice, 1, session.bob, 2,
+                                      lo=0, hi=3, reveal_to="everyone"))
 
 
 class TestInvocationCounting:
@@ -504,8 +506,9 @@ class TestInvocationCounting:
         backend_obj = session.comparison_backend
         assert backend_obj.invocations == 0
         for round_number in range(3):
-            session.compare_leq(session.alice, round_number, session.bob, 2,
-                                lo=0, hi=4, reveal_to="a")
+            drive(session.compare_leq(session.alice, round_number,
+                                      session.bob, 2,
+                                      lo=0, hi=4, reveal_to="a"))
         assert backend_obj.invocations == 3
 
 
@@ -516,7 +519,7 @@ class TestCommunication:
         session = SmcSession(alice, bob,
                              SmcConfig(comparison="oracle", key_seed=51))
         baseline = channel.stats.total_bytes  # key exchange only
-        session.compare_leq(alice, 1, bob, 2, lo=0, hi=3)
+        drive(session.compare_leq(alice, 1, bob, 2, lo=0, hi=3))
         assert channel.stats.total_bytes == baseline
 
     def test_crypto_backends_send_bytes(self):
@@ -526,5 +529,5 @@ class TestCommunication:
             session = SmcSession(alice, bob,
                                  SmcConfig(comparison=backend, key_seed=52))
             baseline = channel.stats.total_bytes
-            session.compare_leq(alice, 1, bob, 2, lo=0, hi=3)
+            drive(session.compare_leq(alice, 1, bob, 2, lo=0, hi=3))
             assert channel.stats.total_bytes > baseline

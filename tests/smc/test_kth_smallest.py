@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net.channel import Channel
+from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
 from repro.smc import kth_smallest as kth_module
 from repro.smc.kth_smallest import (
@@ -45,9 +45,9 @@ class TestScanSelection:
     ])
     def test_cases(self, values, k):
         session, shares = _setup(values, seed=k)
-        [index] = kth_smallest_scan(session.comparison_backend,
-                                    session.alice, session.bob, [shares],
-                                    [k])
+        [index] = drive(kth_smallest_scan(session.comparison_backend,
+                                          session.alice, session.bob, [shares],
+                                          [k]))
         assert values[index] == sorted(values)[k - 1]
 
     @settings(max_examples=25, deadline=None)
@@ -57,29 +57,29 @@ class TestScanSelection:
     def test_random_property(self, values, data):
         k = data.draw(st.integers(min_value=1, max_value=len(values)))
         session, shares = _setup(values, seed=k)
-        [index] = kth_smallest_scan(session.comparison_backend,
-                                    session.alice, session.bob, [shares],
-                                    [k])
+        [index] = drive(kth_smallest_scan(session.comparison_backend,
+                                          session.alice, session.bob, [shares],
+                                          [k]))
         assert values[index] == sorted(values)[k - 1]
 
     def test_rank_validation(self):
         session, shares = _setup([1, 2, 3])
         with pytest.raises(SelectionError, match="rank"):
-            kth_smallest_scan(session.comparison_backend, session.alice,
-                              session.bob, [shares], [0])
+            drive(kth_smallest_scan(session.comparison_backend, session.alice,
+                                    session.bob, [shares], [0]))
         with pytest.raises(SelectionError, match="rank"):
-            kth_smallest_scan(session.comparison_backend, session.alice,
-                              session.bob, [shares], [4])
+            drive(kth_smallest_scan(session.comparison_backend, session.alice,
+                                    session.bob, [shares], [4]))
 
     def test_comparison_count_is_k_scaled(self):
         values = list(range(20))
         session, shares = _setup(values)
         backend = session.comparison_backend
-        kth_smallest_scan(backend, session.alice, session.bob, [shares],
-                          [1])
+        drive(kth_smallest_scan(backend, session.alice, session.bob, [shares],
+                                [1]))
         after_k1 = backend.invocations
-        kth_smallest_scan(backend, session.alice, session.bob, [shares],
-                          [5])
+        drive(kth_smallest_scan(backend, session.alice, session.bob, [shares],
+                                [5]))
         after_k5 = backend.invocations - after_k1
         assert after_k1 == 19        # n - 1 comparisons for the minimum
         assert after_k5 == 19 + 18 + 17 + 16 + 15
@@ -91,9 +91,9 @@ class TestQuickselect:
     ])
     def test_cases(self, values, k):
         session, shares = _setup(values, seed=k + 50)
-        [index] = kth_smallest_quickselect(
+        [index] = drive(kth_smallest_quickselect(
             session.comparison_backend, session.alice, session.bob,
-            [shares], [k])
+            [shares], [k]))
         assert values[index] == sorted(values)[k - 1]
 
     @settings(max_examples=25, deadline=None)
@@ -103,17 +103,17 @@ class TestQuickselect:
     def test_random_property(self, values, data):
         k = data.draw(st.integers(min_value=1, max_value=len(values)))
         session, shares = _setup(values, seed=k + 7)
-        [index] = kth_smallest_quickselect(
+        [index] = drive(kth_smallest_quickselect(
             session.comparison_backend, session.alice, session.bob,
-            [shares], [k])
+            [shares], [k]))
         assert values[index] == sorted(values)[k - 1]
 
     def test_rank_validation(self):
         session, shares = _setup([1])
         with pytest.raises(SelectionError, match="rank"):
-            kth_smallest_quickselect(session.comparison_backend,
-                                     session.alice, session.bob, [shares],
-                                     [2])
+            drive(kth_smallest_quickselect(session.comparison_backend,
+                                           session.alice, session.bob,
+                                           [shares], [2]))
 
     def test_expected_linear_comparisons(self):
         """For small k, quickselect should use far fewer comparisons than
@@ -121,12 +121,12 @@ class TestQuickselect:
         values = list(range(64))
         session, shares = _setup(values, seed=13)
         backend = session.comparison_backend
-        kth_smallest_quickselect(backend, session.alice, session.bob,
-                                 [shares], [32])
+        drive(kth_smallest_quickselect(backend, session.alice, session.bob,
+                                       [shares], [32]))
         quickselect_count = backend.invocations
         before = backend.invocations
-        kth_smallest_scan(backend, session.alice, session.bob, [shares],
-                          [32])
+        drive(kth_smallest_scan(backend, session.alice, session.bob, [shares],
+                                [32]))
         scan_count = backend.invocations - before
         assert quickselect_count < scan_count
 
@@ -140,9 +140,9 @@ class TestWithCryptoBackend:
         k = data.draw(st.integers(min_value=1, max_value=len(values)))
         session, shares = _setup(values, backend="bitwise", seed=k,
                                  mask_sigma=8)
-        [index] = kth_smallest_scan(session.comparison_backend,
-                                    session.alice, session.bob, [shares],
-                                    [k])
+        [index] = drive(kth_smallest_scan(session.comparison_backend,
+                                          session.alice, session.bob, [shares],
+                                          [k]))
         assert values[index] == sorted(values)[k - 1]
 
 
@@ -168,9 +168,9 @@ class TestLockstep:
         session, _ = _setup([1], backend="bitwise", mask_sigma=8)
         shares = [self._shares(session, values, seed)
                   for seed, (values, _) in enumerate(self.VECTORS)]
-        indices = select(session.comparison_backend, session.alice,
-                         session.bob, shares,
-                         [k for _, k in self.VECTORS])
+        indices = drive(select(session.comparison_backend, session.alice,
+                               session.bob, shares,
+                               [k for _, k in self.VECTORS]))
         for (values, k), index in zip(self.VECTORS, indices):
             assert values[index] == sorted(values)[k - 1]
 
@@ -180,8 +180,9 @@ class TestLockstep:
         shares = [self._shares(session, values, seed)
                   for seed, (values, _) in enumerate(self.VECTORS)]
         before = (stats.rounds, session.comparison_backend.invocations)
-        kth_smallest_scan(session.comparison_backend, session.alice,
-                          session.bob, shares, [k for _, k in self.VECTORS])
+        drive(kth_smallest_scan(session.comparison_backend, session.alice,
+                                session.bob, shares, [k for _,
+                                                      k in self.VECTORS]))
         lengths = [k * (2 * len(values) - k - 1) // 2
                    for values, k in self.VECTORS]
         assert lengths == [9, 2, 6]
@@ -205,8 +206,8 @@ class TestLockstep:
             return leq_lanes(lanes)
 
         backend.leq_lanes = recording
-        [index] = kth_smallest_quickselect(backend, session.alice,
-                                           session.bob, [shares], [12])
+        [index] = drive(kth_smallest_quickselect(backend, session.alice,
+                                                 session.bob, [shares], [12]))
         assert values[index] == sorted(values)[11]
         assert sizes[0] == len(values) - 1
         assert all(later < earlier
@@ -218,17 +219,17 @@ class TestLockstep:
         session, shares = _setup([1, 2, 3])
         backend = session.comparison_backend
         with pytest.raises(SelectionError, match="ranks"):
-            kth_smallest_scan(backend, session.alice, session.bob,
-                              [shares], [1, 2])
+            drive(kth_smallest_scan(backend, session.alice, session.bob,
+                                    [shares], [1, 2]))
         wider = SharedValues(u_values=shares.u_values,
                              v_values=shares.v_values,
                              value_bound=shares.value_bound + 1,
                              mask_bound=shares.mask_bound)
         with pytest.raises(SelectionError, match="interval"):
-            kth_smallest_scan(backend, session.alice, session.bob,
-                              [shares, wider], [1, 1])
-        assert kth_smallest_scan(backend, session.alice, session.bob,
-                                 [], []) == []
+            drive(kth_smallest_scan(backend, session.alice, session.bob,
+                                    [shares, wider], [1, 1]))
+        assert drive(kth_smallest_scan(backend, session.alice, session.bob,
+                                       [], [])) == []
 
 
 def _recorded(monkeypatch, name):
@@ -275,9 +276,9 @@ class TestPivotStream:
             session, _ = _setup([1], backend=backend, mask_sigma=8)
             shares = [TestLockstep._shares(session, values, seed)
                       for seed, (values, _) in enumerate(self.VECTORS)]
-            indices = kth_smallest_quickselect(
+            indices = drive(kth_smallest_quickselect(
                 session.comparison_backend, session.alice, session.bob,
-                shares, [k for _, k in self.VECTORS])
+                shares, [k for _, k in self.VECTORS]))
             for (values, k), index in zip(self.VECTORS, indices):
                 assert values[index] == sorted(values)[k - 1]
             runs[backend] = (log, indices)
@@ -369,8 +370,8 @@ class TestWhatThePeerWouldLearn:
         session, _ = _setup([1], seed=22)
         shares = [TestLockstep._shares(session, values, seed)
                   for seed, (values, _) in enumerate(cases)]
-        select(session.comparison_backend, session.alice, session.bob,
-               shares, [k for _, k in cases])
+        drive(select(session.comparison_backend, session.alice, session.bob,
+                     shares, [k for _, k in cases]))
         assert len(log) == len(cases)
         for (values, k), run in zip(cases, log):
             n = len(values)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.keycache import cached_rsa_keypair
-from repro.net.channel import Channel
+from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
 from repro.smc.millionaires import (
     YmppError,
@@ -27,7 +27,7 @@ class TestCorrectness:
     ])
     def test_boundary_cases(self, i, j):
         alice, bob = _fresh_parties(i * 100 + j)
-        assert ympp_less_than(alice, i, bob, j, 64, KEYS) == (i < j)
+        assert drive(ympp_less_than(alice, i, bob, j, 64, KEYS)) == (i < j)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=50),
@@ -35,37 +35,37 @@ class TestCorrectness:
            st.integers(min_value=0, max_value=1000))
     def test_random_pairs(self, i, j, seed):
         alice, bob = _fresh_parties(seed)
-        assert ympp_less_than(alice, i, bob, j, 50, KEYS) == (i < j)
+        assert drive(ympp_less_than(alice, i, bob, j, 50, KEYS)) == (i < j)
 
     def test_no_announce_same_result(self):
         alice, bob = _fresh_parties(7)
-        assert ympp_less_than(alice, 3, bob, 9, 16, KEYS,
-                              announce=False) is True
+        assert drive(ympp_less_than(alice, 3, bob, 9, 16, KEYS,
+                                    announce=False)) is True
 
 
 class TestDomainValidation:
     def test_i_out_of_domain(self):
         alice, bob = _fresh_parties()
         with pytest.raises(YmppError, match="i=0"):
-            ympp_less_than(alice, 0, bob, 5, 10, KEYS)
+            drive(ympp_less_than(alice, 0, bob, 5, 10, KEYS))
 
     def test_j_out_of_domain(self):
         alice, bob = _fresh_parties()
         with pytest.raises(YmppError, match="j=11"):
-            ympp_less_than(alice, 5, bob, 11, 10, KEYS)
+            drive(ympp_less_than(alice, 5, bob, 11, 10, KEYS))
 
     def test_modulus_too_small(self):
         small_keys = cached_rsa_keypair(64, 802)
         alice, bob = _fresh_parties()
         with pytest.raises(YmppError, match="too small"):
-            ympp_less_than(alice, 1, bob, 2, 2 ** 40, small_keys)
+            drive(ympp_less_than(alice, 1, bob, 2, 2 ** 40, small_keys))
 
 
 class TestCommunicationShape:
     def test_message_sequence(self):
         channel = Channel()
         alice, bob = make_party_pair(channel, 1, 2)
-        ympp_less_than(alice, 4, bob, 9, 16, KEYS, label="test")
+        drive(ympp_less_than(alice, 4, bob, 9, 16, KEYS, label="test"))
         labels = [e.label for e in channel.transcript.entries]
         assert labels == ["test/step2_shifted_cipher", "test/step5_prime",
                           "test/step5_sequence", "test/step7_conclusion"]
@@ -74,7 +74,7 @@ class TestCommunicationShape:
         channel = Channel()
         alice, bob = make_party_pair(channel, 1, 2)
         n0 = 23
-        ympp_less_than(alice, 4, bob, 9, n0, KEYS, label="test")
+        drive(ympp_less_than(alice, 4, bob, 9, n0, KEYS, label="test"))
         sequence_entry = channel.transcript.with_label("test/step5_sequence")[0]
         assert len(sequence_entry.value) == n0
 
@@ -82,7 +82,7 @@ class TestCommunicationShape:
         def run_bytes(n0: int) -> int:
             channel = Channel()
             alice, bob = make_party_pair(channel, 1, 2)
-            ympp_less_than(alice, 1, bob, 2, n0, KEYS)
+            drive(ympp_less_than(alice, 1, bob, 2, n0, KEYS))
             return channel.stats.total_bytes
 
         small, large = run_bytes(16), run_bytes(64)

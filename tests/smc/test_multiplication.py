@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.keycache import cached_paillier_keypair
-from repro.net.channel import Channel
+from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
 from repro.smc.multiplication import MultiplicationError, secure_multiplication
 
@@ -24,7 +24,7 @@ class TestCorrectness:
     ])
     def test_cases(self, x, y, mask):
         __, alice, bob = _fresh_parties(abs(x) + abs(y))
-        assert secure_multiplication(alice, x, bob, y, mask, KEYS) \
+        assert drive(secure_multiplication(alice, x, bob, y, mask, KEYS)) \
             == x * y + mask
 
     @settings(max_examples=30, deadline=None)
@@ -33,13 +33,13 @@ class TestCorrectness:
            st.integers(min_value=-(2**40), max_value=2**40))
     def test_random_property(self, x, y, mask):
         __, alice, bob = _fresh_parties(1)
-        assert secure_multiplication(alice, x, bob, y, mask, KEYS) \
+        assert drive(secure_multiplication(alice, x, bob, y, mask, KEYS)) \
             == x * y + mask
 
     def test_faithful_shared_r_mode(self):
         __, alice, bob = _fresh_parties(5)
-        result = secure_multiplication(alice, 11, bob, 13, 7, KEYS,
-                                       faithful_shared_r=True)
+        result = drive(secure_multiplication(alice, 11, bob, 13, 7, KEYS,
+                                             faithful_shared_r=True))
         assert result == 11 * 13 + 7
 
 
@@ -48,27 +48,27 @@ class TestOverflowProtection:
         __, alice, bob = _fresh_parties()
         huge = 1 << 130
         with pytest.raises(MultiplicationError, match="capacity"):
-            secure_multiplication(alice, huge, bob, huge, 0, KEYS)
+            drive(secure_multiplication(alice, huge, bob, huge, 0, KEYS))
 
 
 class TestWireBehaviour:
     def test_message_sequence_default(self):
         channel, alice, bob = _fresh_parties()
-        secure_multiplication(alice, 3, bob, 4, 5, KEYS, label="m")
+        drive(secure_multiplication(alice, 3, bob, 4, 5, KEYS, label="m"))
         labels = [e.label for e in channel.transcript.entries]
         assert labels == ["m/encrypted_x", "m/masked_product"]
 
     def test_message_sequence_faithful(self):
         channel, alice, bob = _fresh_parties()
-        secure_multiplication(alice, 3, bob, 4, 5, KEYS, label="m",
-                              faithful_shared_r=True)
+        drive(secure_multiplication(alice, 3, bob, 4, 5, KEYS, label="m",
+                                    faithful_shared_r=True))
         labels = [e.label for e in channel.transcript.entries]
         assert labels == ["m/encrypted_x", "m/shared_r", "m/masked_product"]
 
     def test_masker_sees_only_ciphertext(self):
         """The value on the wire decrypts to x but is not x itself."""
         channel, alice, bob = _fresh_parties()
-        secure_multiplication(alice, 42, bob, 2, 0, KEYS, label="m")
+        drive(secure_multiplication(alice, 42, bob, 2, 0, KEYS, label="m"))
         wire_value = channel.transcript.with_label("m/encrypted_x")[0].value
         assert wire_value != 42
         assert KEYS.private_key.decrypt_raw(wire_value) == 42
@@ -78,8 +78,8 @@ class TestWireBehaviour:
         wire the masker can strip the factor it selects and brute-force a
         small domain."""
         channel, alice, bob = _fresh_parties()
-        secure_multiplication(alice, 42, bob, 2, 0, KEYS, label="m",
-                              faithful_shared_r=True)
+        drive(secure_multiplication(alice, 42, bob, 2, 0, KEYS, label="m",
+                                    faithful_shared_r=True))
         cipher = channel.transcript.with_label("m/encrypted_x")[0].value
         shared_r = channel.transcript.with_label("m/shared_r")[0].value
         public = KEYS.public_key
@@ -93,7 +93,7 @@ class TestWireBehaviour:
 
     def test_fresh_r_resists_the_same_attack(self):
         channel, alice, bob = _fresh_parties()
-        secure_multiplication(alice, 42, bob, 2, 0, KEYS, label="m")
+        drive(secure_multiplication(alice, 42, bob, 2, 0, KEYS, label="m"))
         cipher = channel.transcript.with_label("m/encrypted_x")[0].value
         public = KEYS.public_key
         assert all(public.raw_encrypt_constant(x) != cipher
@@ -101,8 +101,8 @@ class TestWireBehaviour:
 
     def test_runs_are_probabilistic(self):
         channel, alice, bob = _fresh_parties(9)
-        secure_multiplication(alice, 3, bob, 4, 5, KEYS, label="a")
-        secure_multiplication(alice, 3, bob, 4, 5, KEYS, label="b")
+        drive(secure_multiplication(alice, 3, bob, 4, 5, KEYS, label="a"))
+        drive(secure_multiplication(alice, 3, bob, 4, 5, KEYS, label="b"))
         first = channel.transcript.with_label("a/encrypted_x")[0].value
         second = channel.transcript.with_label("b/encrypted_x")[0].value
         assert first != second

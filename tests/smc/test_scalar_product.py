@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.keycache import cached_paillier_keypair
 from repro.crypto.paillier import PaillierError
-from repro.net.channel import Channel
+from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
 from repro.net.serialization import FixedWidthList
 from repro.smc.scalar_product import (
@@ -29,8 +29,8 @@ def _fresh_parties(seed: int = 0):
 class TestMaskedDotTerms:
     def test_basic(self):
         __, alice, bob = _fresh_parties()
-        terms = secure_masked_dot_terms(alice, [2, 3, 4], bob, [5, 6, 7],
-                                        [10, -10, 0], KEYS)
+        terms = drive(secure_masked_dot_terms(alice, [2, 3, 4], bob, [5, 6, 7],
+                                              [10, -10, 0], KEYS))
         assert terms == [2 * 5 + 10, 3 * 6 - 10, 4 * 7 + 0]
 
     def test_zero_sum_masks_reveal_dot_product(self):
@@ -38,8 +38,8 @@ class TestMaskedDotTerms:
         terms sum to the exact dot product."""
         __, alice, bob = _fresh_parties()
         masks = [17, -20, 3]
-        terms = secure_masked_dot_terms(alice, [1, 2, 3], bob, [4, 5, 6],
-                                        masks, KEYS)
+        terms = drive(secure_masked_dot_terms(alice, [1, 2, 3], bob, [4, 5, 6],
+                                              masks, KEYS))
         assert sum(terms) == 1 * 4 + 2 * 5 + 3 * 6
 
     @settings(max_examples=15, deadline=None)
@@ -53,17 +53,19 @@ class TestMaskedDotTerms:
         xs = [row[0] for row in rows]
         ys = [row[1] for row in rows]
         masks = [row[2] for row in rows]
-        terms = secure_masked_dot_terms(alice, xs, bob, ys, masks, KEYS)
+        terms = drive(secure_masked_dot_terms(alice, xs, bob, ys, masks, KEYS))
         assert terms == [x * y + m for x, y, m in rows]
 
     def test_length_mismatch(self):
         __, alice, bob = _fresh_parties()
         with pytest.raises(ScalarProductError, match="length mismatch"):
-            secure_masked_dot_terms(alice, [1, 2], bob, [1], [0, 0], KEYS)
+            drive(secure_masked_dot_terms(alice, [1, 2], bob, [1], [0, 0],
+                                          KEYS))
 
     def test_two_messages_total(self):
         channel, alice, bob = _fresh_parties()
-        secure_masked_dot_terms(alice, [1] * 8, bob, [2] * 8, [0] * 8, KEYS)
+        drive(secure_masked_dot_terms(alice, [1] * 8, bob, [2] * 8, [0] * 8,
+                                      KEYS))
         assert channel.stats.total_messages == 2
 
 
@@ -73,8 +75,8 @@ class TestScalarProducts:
         alpha = [30, -2, -4, 1]
         betas = [[1, 3, 5, 34], [1, 0, 0, 0], [1, -1, -1, 2]]
         masks = [55, -7, 0]
-        [results] = secure_scalar_products(alice, [alpha], bob, [betas],
-                                           [masks], KEYS)
+        [results] = drive(secure_scalar_products(alice, [alpha], bob, [betas],
+                                                 [masks], KEYS))
         expected = [sum(a * b for a, b in zip(alpha, beta)) + mask
                     for beta, mask in zip(betas, masks)]
         assert results == expected
@@ -89,8 +91,8 @@ class TestScalarProducts:
                  -2 * point_a[1], 1]
         betas = [[1, b[0], b[1], b[0] ** 2 + b[1] ** 2] for b in points_b]
         masks = [100, 200, 300]
-        [results] = secure_scalar_products(alice, [alpha], bob, [betas],
-                                           [masks], KEYS)
+        [results] = drive(secure_scalar_products(alice, [alpha], bob, [betas],
+                                                 [masks], KEYS))
         for result, point_b, mask in zip(results, points_b, masks):
             true_distance = sum((a - b) ** 2 for a, b in zip(point_a, point_b))
             assert result - mask == true_distance
@@ -107,8 +109,8 @@ class TestScalarProducts:
         betas = [[rng.randrange(-100, 101) for _ in range(width)]
                  for _ in range(count)]
         masks = [rng.randrange(-1000, 1001) for _ in range(count)]
-        [results] = secure_scalar_products(alice, [alpha], bob, [betas],
-                                           [masks], KEYS)
+        [results] = drive(secure_scalar_products(alice, [alpha], bob, [betas],
+                                                 [masks], KEYS))
         assert results == [
             sum(a * b for a, b in zip(alpha, beta)) + mask
             for beta, mask in zip(betas, masks)]
@@ -116,22 +118,22 @@ class TestScalarProducts:
     def test_mask_count_mismatch(self):
         __, alice, bob = _fresh_parties()
         with pytest.raises(ScalarProductError, match="masks"):
-            secure_scalar_products(alice, [[1]], bob, [[[2]]], [[0, 0]],
-                                   KEYS)
+            drive(secure_scalar_products(alice, [[1]], bob, [[[2]]], [[0, 0]],
+                                         KEYS))
 
     def test_beta_width_mismatch(self):
         __, alice, bob = _fresh_parties()
         with pytest.raises(ScalarProductError, match="length"):
-            secure_scalar_products(alice, [[1, 2]], bob, [[[3]]], [[0]],
-                                   KEYS)
+            drive(secure_scalar_products(alice, [[1, 2]], bob, [[[3]]], [[0]],
+                                         KEYS))
 
     def test_alpha_sent_once(self):
         """The batching advantage: alpha ciphertexts go out once no matter
         how many betas are evaluated."""
         channel, alice, bob = _fresh_parties()
-        secure_scalar_products(alice, [[1, 2, 3]], bob,
-                               [[[1, 1, 1]] * 10], [[0] * 10], KEYS,
-                               label="sp")
+        drive(secure_scalar_products(alice, [[1, 2, 3]], bob,
+                                     [[[1, 1, 1]] * 10], [[0] * 10], KEYS,
+                                     label="sp"))
         alpha_entries = channel.transcript.with_label("sp/encrypted_alpha")
         assert len(alpha_entries) == 1
         assert len(alpha_entries[0].value) == 3
@@ -146,8 +148,8 @@ class TestScalarProducts:
         alphas = [[1, 2], [3, -4], [0, 5]]
         betas = [[[1, 1]], [[2, 0], [0, 2]], [[7, 1], [1, 7], [0, 0]]]
         masks = [[5], [6, 7], [8, 9, 10]]
-        results = secure_scalar_products(alice, alphas, bob, betas, masks,
-                                         KEYS, label="sp")
+        results = drive(secure_scalar_products(alice, alphas, bob, betas,
+                                               masks, KEYS, label="sp"))
         assert results == [
             [sum(a * b for a, b in zip(alpha, beta)) + mask
              for beta, mask in zip(group, group_masks)]
@@ -161,8 +163,8 @@ class TestScalarProducts:
     def test_alpha_count_mismatch(self):
         __, alice, bob = _fresh_parties()
         with pytest.raises(ScalarProductError, match="alphas"):
-            secure_scalar_products(alice, [[1], [2]], bob, [[[2]]], [[0]],
-                                   KEYS)
+            drive(secure_scalar_products(alice, [[1], [2]], bob, [[[2]]],
+                                         [[0]], KEYS))
 
 
 def _products(lane: ScalarProductLane) -> list[list[int]]:
@@ -191,7 +193,7 @@ class TestScalarProductLanes:
         | bob | alice, each lane under its own receiver's key."""
         channel, alice, bob = _fresh_parties(5)
         lanes = self._lanes(alice, bob)
-        assert secure_scalar_products_lanes(lanes) \
+        assert drive(secure_scalar_products_lanes(lanes)) \
             == [_products(lane) for lane in lanes]
         assert [(e.sender, e.label) for e in channel.transcript.entries] \
             == ([("alice", "a/encrypted_alpha")] * 2
@@ -206,7 +208,8 @@ class TestScalarProductLanes:
                                    KEYS, "a"),
                  ScalarProductLane(alice, [[7]], bob, [[[1], [2]]], [[0, 1]],
                                    KEYS, "c")]
-        assert secure_scalar_products_lanes(lanes) == [[[16]], [[7, 15]]]
+        assert drive(secure_scalar_products_lanes(lanes)) == [[[16]], [[7,
+                                                                        15]]]
         assert [e.label for e in channel.transcript.entries] \
             == ["a/encrypted_alpha", "c/encrypted_alpha",
                 "a/masked_products", "c/masked_products"]
@@ -215,10 +218,10 @@ class TestScalarProductLanes:
     def test_every_lane_is_checked_before_anything_is_sent(self):
         channel, alice, bob = _fresh_parties()
         with pytest.raises(ScalarProductError, match="alphas"):
-            secure_scalar_products_lanes([
+            drive(secure_scalar_products_lanes([
                 ScalarProductLane(alice, [[1]], bob, [[[2]]], [[0]], KEYS),
                 ScalarProductLane(bob, [[1], [2]], alice, [[[2]]], [[0]],
-                                  self.BOB_KEYS)])
+                                  self.BOB_KEYS)]))
         assert channel.transcript.entries == []
 
 
@@ -240,9 +243,9 @@ class TestOneFactorPerReply:
     def test_masked_dot_terms(self):
         __, alice, bob = _fresh_parties()
         receiver_pool, masker_pool = self._pools()
-        terms = secure_masked_dot_terms(
+        terms = drive(secure_masked_dot_terms(
             alice, [2, 3, 4], bob, [5, 6, 7], [1, -2, 3], KEYS,
-            receiver_pool=receiver_pool, masker_pool=masker_pool)
+            receiver_pool=receiver_pool, masker_pool=masker_pool))
         assert terms == [11, 16, 31]
         assert receiver_pool.consumed == 3   # E(x_t), one per term
         assert masker_pool.consumed == 3     # one per reply
@@ -253,9 +256,9 @@ class TestOneFactorPerReply:
         __, alice, bob = _fresh_parties()
         holder_pool, receiver_pool = self._pools()
         betas = [[1, 0], [2, 5], [0, 0], [-3, 4]]
-        sums = secure_masked_dot_terms_batch(
+        sums = drive(secure_masked_dot_terms_batch(
             alice, [7, -1], bob, betas, [0, 3, 0, 1], KEYS, blind_bound=99,
-            holder_pool=holder_pool, receiver_pool=receiver_pool)
+            holder_pool=holder_pool, receiver_pool=receiver_pool))
         assert sums == [7, 12, 0, -24]
         assert holder_pool.consumed == 2     # alpha, encrypted once
         assert receiver_pool.consumed == len(betas)
@@ -264,9 +267,9 @@ class TestOneFactorPerReply:
         __, alice, bob = _fresh_parties()
         receiver_pool, masker_pool = self._pools()
         betas = [[1, 2], [3, 4], [5, 6]]
-        [results] = secure_scalar_products(
+        [results] = drive(secure_scalar_products(
             alice, [[10, 20]], bob, [betas], [[1, 2, 3]], KEYS,
-            receiver_pool=receiver_pool, masker_pool=masker_pool)
+            receiver_pool=receiver_pool, masker_pool=masker_pool))
         assert results == [51, 112, 173]
         assert masker_pool.consumed == len(betas)
 
@@ -275,9 +278,9 @@ class TestOneFactorPerReply:
 
         __, alice, bob = _fresh_parties()
         receiver_pool, masker_pool = self._pools()
-        assert secure_multiplication(
+        assert drive(secure_multiplication(
             alice, 6, bob, 7, 5, KEYS, receiver_pool=receiver_pool,
-            masker_pool=masker_pool) == 47
+            masker_pool=masker_pool)) == 47
         assert (receiver_pool.consumed, masker_pool.consumed) == (1, 1)
 
     def test_replies_stay_fresh_encryptions(self):
@@ -287,8 +290,8 @@ class TestOneFactorPerReply:
         for seed in (1, 2):
             channel, alice, bob = _fresh_parties(10)
             bob.rng.seed(seed)
-            secure_masked_dot_terms(alice, [2, 3], bob, [4, 5], [0, 0],
-                                    KEYS)
+            drive(secure_masked_dot_terms(alice, [2, 3], bob, [4, 5], [0, 0],
+                                          KEYS))
             [entry] = [e for e in channel.transcript.entries
                        if e.label == "dot/masked_terms"]
             replies.append(set(entry.value))
@@ -301,13 +304,13 @@ class TestReceivedWidth:
     raises for a ciphertext outside ``Z_{n^2}``."""
 
     RUNS = {
-        "dot": lambda alice, bob: secure_masked_dot_terms(
-            alice, [2, 3], bob, [4, 5], [0, 0], KEYS),
-        "dotbatch": lambda alice, bob: secure_masked_dot_terms_batch(
+        "dot": lambda alice, bob: drive(secure_masked_dot_terms(
+            alice, [2, 3], bob, [4, 5], [0, 0], KEYS)),
+        "dotbatch": lambda alice, bob: drive(secure_masked_dot_terms_batch(
             alice, [7, -1], bob, [[1, 0], [2, 5]], [0, 3], KEYS,
-            blind_bound=99),
-        "sprod": lambda alice, bob: secure_scalar_products(
-            alice, [[10, 20]], bob, [[[1, 2], [3, 4]]], [[1, 2]], KEYS),
+            blind_bound=99)),
+        "sprod": lambda alice, bob: drive(secure_scalar_products(
+            alice, [[10, 20]], bob, [[[1, 2], [3, 4]]], [[1, 2]], KEYS)),
     }
 
     @pytest.mark.parametrize("resize", [

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.channel import Channel
+from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
 from repro.smc.comparison import ComparisonError
 from repro.smc.kth_smallest import SelectionError, kth_smallest_lane
@@ -85,15 +85,15 @@ class TestSessionProtocols:
     def test_multiplication_both_directions(self):
         alice, bob = make_party_pair(Channel(), 1, 2)
         session = SmcSession(alice, bob, SmcConfig(key_seed=71))
-        assert session.multiplication(alice, 6, bob, 7, 1) == 43
-        assert session.multiplication(bob, 6, alice, 7, 1) == 43
+        assert drive(session.multiplication(alice, 6, bob, 7, 1)) == 43
+        assert drive(session.multiplication(bob, 6, alice, 7, 1)) == 43
 
     def test_deterministic_under_seeds(self):
         def run() -> tuple:
             channel = Channel()
             alice, bob = make_party_pair(channel, 5, 6)
             session = SmcSession(alice, bob, SmcConfig(key_seed=72))
-            session.multiplication(alice, 3, bob, 4, 9)
+            drive(session.multiplication(alice, 3, bob, 4, 9))
             return tuple(e.value for e in channel.transcript.entries
                          if isinstance(e.value, int))
 
@@ -202,7 +202,7 @@ class TestAnnouncedLater:
 
         def adopt():
             wire = Channel()
-            announce_public_keys(wire.right, peer)
+            drive(announce_public_keys(wire.right, peer))
             receive_public_keys(wire.left, "bob", contexts["bob"],
                                 self.BITS)
             session.peer_keys_adopted("bob")
@@ -219,8 +219,8 @@ class TestAnnouncedLater:
         # Comparing under the pending DGK key fails too: the backend
         # holds no key for bob yet.
         with pytest.raises(ComparisonError, match="DGK key for party 'bob'"):
-            session.compare_leq(alice, 3, bob, 5, lo=0, hi=16,
-                                reveal_to="b")
+            drive(session.compare_leq(alice, 3, bob, 5, lo=0, hi=16,
+                                      reveal_to="b"))
         # Alice's own keys work meanwhile.
         assert session.paillier_keys("alice").public_key.n > 0
         assert session.pool("alice", "alice") is not None
@@ -233,8 +233,8 @@ class TestAnnouncedLater:
     def test_adoption_keeps_the_comparison_count(self):
         session, _peer, adopt = self._sessions()
         alice, bob = session.alice, session.bob
-        assert session.compare_leq(alice, 3, bob, 5, lo=0, hi=16,
-                                   reveal_to="a").result is True
+        assert drive(session.compare_leq(alice, 3, bob, 5, lo=0, hi=16,
+                                         reveal_to="a")).result is True
         before = session.comparison_backend.invocations
         adopt()
         assert session.comparison_backend.invocations == before
