@@ -21,9 +21,8 @@ from repro.analysis.report import render_table
 from repro.core.config import ProtocolConfig
 from repro.core.horizontal import run_horizontal_dbscan
 from repro.data.partitioning import HorizontalPartition
-from repro.net.channel import Channel
-from repro.net.party import make_party_pair
-from repro.smc.session import SmcConfig, SmcSession
+from repro.multiparty.mesh import PartyMesh
+from repro.smc.session import SmcConfig
 
 KEY_SIZES = (128, 256, 384)
 N_SWEEP = (4, 8, 12)
@@ -78,23 +77,23 @@ def _run_pipeline_ablation():
     no_pool_result = run_horizontal_dbscan(partition, no_pool_config)
     no_pool_seconds = time.perf_counter() - started
 
-    # Probe run learns the randomness budget; the real run pregenerates
-    # it offline and times only the online protocol.
+    # Probe run learns the randomness budget of every stream; the real
+    # run pregenerates it offline and times only the online protocol.
     pipeline_config = _config(256)
-    probe_session = SmcSession(
-        *make_party_pair(Channel(), 23, 24), pipeline_config.smc)
-    run_horizontal_dbscan(partition, pipeline_config, session=probe_session)
-    plan = {key: report["consumed"]
-            for key, report in probe_session.pool_report().items()}
+    probe_mesh = PartyMesh(["alice", "bob"], pipeline_config.smc,
+                           seeds=[23, 24])
+    run_horizontal_dbscan(partition, pipeline_config, mesh=probe_mesh)
+    plan = {pair: {key: report["consumed"]
+                   for key, report in reports.items()}
+            for pair, reports in probe_mesh.pool_report().items()}
 
-    session = SmcSession(*make_party_pair(Channel(), 23, 24),
-                         pipeline_config.smc)
+    mesh = PartyMesh(["alice", "bob"], pipeline_config.smc, seeds=[23, 24])
     started = time.perf_counter()
-    session.precompute_pools(plan)
+    mesh.precompute_pools(plan)
     offline_seconds = time.perf_counter() - started
     started = time.perf_counter()
     pipeline_result = run_horizontal_dbscan(partition, pipeline_config,
-                                            session=session)
+                                            mesh=mesh)
     online_seconds = time.perf_counter() - started
 
     assert no_pool_result.alice_labels == pipeline_result.alice_labels

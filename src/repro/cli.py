@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import time
 
 from repro.analysis.attacks import (
     Domain2D,
@@ -54,8 +55,9 @@ from repro.analysis.figures import (
     render_vertical_figure,
 )
 from repro.analysis.report import format_ratio, render_table
-from repro.core.api import cluster_partitioned
+from repro.core.api import ClusteringRun, cluster_partitioned
 from repro.core.config import ProtocolConfig
+from repro.core.horizontal import run_horizontal_dbscan
 from repro.data.dataset import Dataset
 from repro.data.generators import gaussian_blobs, interleave_for_horizontal
 from repro.data.partitioning import (
@@ -69,11 +71,10 @@ from repro.crypto.engine import ModexpEngine
 from repro.crypto.precompute import combine_pool_reports
 from repro.multiparty.horizontal import run_multiparty_horizontal_dbscan
 from repro.multiparty.mesh import PartyMesh
-from repro.net.party import make_party_pair
 from repro.runtime.daemon import DaemonError, MeshSpec
 from repro.runtime.faults import FaultSpecError
 from repro.runtime.manifest import ManifestError
-from repro.smc.session import SmcConfig, SmcSession, channel_for_config
+from repro.smc.session import SmcConfig
 
 _SCENARIOS = ("horizontal", "enhanced", "vertical", "arbitrary",
               "multiparty")
@@ -314,9 +315,13 @@ def _demo_config(args, engine: ModexpEngine) -> ProtocolConfig:
         alice_seed=args.seed, bob_seed=args.seed + 1)
 
 
-def _print_crypto_summary(engine: ModexpEngine, pool_reports) -> None:
-    """The --workers / --precompute visibility lines of the run summary."""
-    pool_reports = list(pool_reports)
+def _print_crypto_summary(engine: ModexpEngine,
+                          mesh: PartyMesh | None) -> None:
+    """The --workers / --precompute visibility lines of the run summary;
+    the ``pools:`` line sums every stream's pools of ``mesh``."""
+    pool_reports = [] if mesh is None else [
+        entry for report in mesh.pool_report().values()
+        for entry in report.values()]
     if pool_reports:
         totals = combine_pool_reports(pool_reports)
         print("pools: pregenerated={pregenerated}  consumed={consumed}  "
@@ -352,19 +357,8 @@ def _run_demo_with_engine(args, points, engine: ModexpEngine) -> int:
         by_party = {"party0": points[:thirds],
                     "party1": points[thirds:2 * thirds],
                     "party2": points[2 * thirds:]}
-        mesh = PartyMesh(list(by_party), config.smc,
-                         seeds=[args.seed, args.seed + 1, args.seed + 2])
-        if prefill:
-            # A fresh mesh has no stream before its run: name each one
-            # the run queries on -- per driver, own point and peer
-            # holding points -- with ``prefill`` factors in every pool.
-            mesh.precompute_pools({
-                (driver, peer): {(driver, query, actor, owner): prefill
-                                 for query in range(len(own))
-                                 for actor in (driver, peer)
-                                 for owner in (driver, peer)}
-                for driver, own in by_party.items()
-                for peer in by_party if peer != driver and by_party[peer]})
+        mesh = _demo_mesh(by_party, config,
+                          [args.seed, args.seed + 1, args.seed + 2], prefill)
         result = run_multiparty_horizontal_dbscan(by_party, config,
                                                   mesh=mesh)
         for name, labels in result.labels_by_party.items():
@@ -373,29 +367,29 @@ def _run_demo_with_engine(args, points, engine: ModexpEngine) -> int:
               f"rounds: {result.stats['rounds']}  "
               f"comparisons: {result.comparisons}")
         print(f"disclosures: {result.ledger.profile()}")
-        _print_crypto_summary(
-            engine, (entry for report in mesh.pool_report().values()
-                     for entry in report.values()))
+        _print_crypto_summary(engine, mesh)
         return 0
 
-    session = None
+    mesh = None
     if args.scenario in ("horizontal", "enhanced"):
         alice_pts, bob_pts = interleave_for_horizontal(
             points, random.Random(args.seed + 9))
         partition = HorizontalPartition(alice_points=tuple(alice_pts),
                                         bob_points=tuple(bob_pts))
         if args.scenario == "horizontal":
-            # Plain horizontal runs over an injected session so the pool
+            # Plain horizontal runs on a mesh built here, so the pool
             # accounting (and any --prefill offline phase) is visible.
-            session = SmcSession(
-                *make_party_pair(channel_for_config(config.smc),
-                                 config.alice_seed,
-                                 config.bob_seed), config.smc)
-            if prefill:
-                session.precompute_pools(prefill)
-        run = cluster_partitioned(partition, config,
-                                  enhanced=args.scenario == "enhanced",
-                                  session=session)
+            mesh = _demo_mesh({"alice": alice_pts, "bob": bob_pts}, config,
+                              [config.alice_seed, config.bob_seed], prefill)
+            started = time.perf_counter()
+            result = run_horizontal_dbscan(partition, config, mesh=mesh)
+            run = ClusteringRun(
+                variant="horizontal", alice_labels=result.alice_labels,
+                bob_labels=result.bob_labels, ledger=result.ledger,
+                stats=result.stats, comparisons=result.comparisons,
+                elapsed_seconds=time.perf_counter() - started)
+        else:
+            run = cluster_partitioned(partition, config, enhanced=True)
     elif args.scenario == "vertical":
         run = cluster_partitioned(
             partition_vertical(Dataset.from_points(points), 1), config)
@@ -412,9 +406,26 @@ def _run_demo_with_engine(args, points, engine: ModexpEngine) -> int:
           f"comparisons: {run.comparisons}  "
           f"time: {run.elapsed_seconds:.2f}s")
     print(f"disclosures: {run.ledger.profile()}")
-    _print_crypto_summary(
-        engine, session.pool_report().values() if session else ())
+    _print_crypto_summary(engine, mesh)
     return 0
+
+
+def _demo_mesh(by_party: dict[str, list], config: ProtocolConfig,
+               seeds: list[int], prefill: int) -> PartyMesh:
+    """The demo run's mesh; with ``prefill``, its offline phase."""
+    mesh = PartyMesh(list(by_party), config.smc, seeds=seeds)
+    if prefill:
+        # A fresh mesh has no stream before its run: name each one the
+        # run queries on -- per driver, own point and peer holding
+        # points -- with ``prefill`` factors in every pool.
+        mesh.precompute_pools({
+            (driver, peer): {(driver, query, actor, owner): prefill
+                             for query in range(len(own))
+                             for actor in (driver, peer)
+                             for owner in (driver, peer)}
+            for driver, own in by_party.items()
+            for peer in by_party if peer != driver and by_party[peer]})
+    return mesh
 
 
 def _orchestrate_workload(args) -> tuple[dict[str, list], list[int]]:

@@ -1,7 +1,7 @@
 """Algorithm 3/4's traversal, shared by every secure horizontal protocol.
 
 Each protocol differs only in how it decides a point's density test:
-the two-party protocol and the k-party mesh add secure peer neighbour
+the horizontal mesh (two parties or more) adds secure peer neighbour
 counts to the own count, the enhanced protocol (Section 5) reads one
 core bit per point.  They all hand that test to :func:`expand_clusters`
 as a callable, so the paper's traversal exists once.  The plaintext

@@ -3,7 +3,8 @@
 - :mod:`repro.core.config` -- run configuration.
 - :mod:`repro.core.distance` -- the HDP / VDP / ADP distance protocols
   (Sections 4.2, 4.3, 4.4).
-- :mod:`repro.core.horizontal` -- Algorithms 3 + 4.
+- :mod:`repro.core.horizontal` -- Algorithms 3 + 4 for two parties, the
+  ``k = 2`` case of :mod:`repro.multiparty.horizontal`.
 - :mod:`repro.core.vertical` -- Algorithms 5 + 6.
 - :mod:`repro.core.arbitrary` -- Section 4.4 composition.
 - :mod:`repro.core.enhanced` -- Section 5, Algorithms 7 + 8.

@@ -56,8 +56,7 @@ class ClusteringRun:
 
 
 def cluster_partitioned(partition, config: ProtocolConfig, *,
-                        enhanced: bool = False,
-                        session=None) -> ClusteringRun:
+                        enhanced: bool = False) -> ClusteringRun:
     """Cluster a partitioned dataset with the matching paper protocol.
 
     Args:
@@ -66,24 +65,18 @@ def cluster_partitioned(partition, config: ProtocolConfig, *,
         config: protocol parameters (eps, min_pts, crypto settings).
         enhanced: for horizontal partitions, run the Section 5 protocol
             instead of Algorithms 3 + 4.  Invalid for other partitions.
-        session: a pre-built :class:`~repro.smc.session.SmcSession`, so
-            callers can run the offline phase (``precompute_pools``) and
-            inspect ``pool_report()`` around the run.  Supported by the
-            plain horizontal protocol only.
+
+    A caller that wants the plain horizontal run's offline phase or pool
+    report builds its two-party mesh and calls
+    :func:`~repro.core.horizontal.run_horizontal_dbscan` with ``mesh=``.
     """
-    if session is not None and (enhanced
-                                or not isinstance(partition,
-                                                  HorizontalPartition)):
-        raise ApiError("session injection is supported for the plain "
-                       "horizontal protocol only")
     started = time.perf_counter()
     if isinstance(partition, HorizontalPartition):
         if enhanced:
             result = run_enhanced_horizontal_dbscan(partition, config)
             variant = "enhanced"
         else:
-            result = run_horizontal_dbscan(partition, config,
-                                           session=session)
+            result = run_horizontal_dbscan(partition, config)
             variant = "horizontal"
         alice_labels = result.alice_labels
         bob_labels = result.bob_labels

@@ -20,7 +20,7 @@ class ProtocolConfig:
     How a region query executes is not configurable: the horizontal
     protocols always run each secure query as one batched HDP with one
     amortized comparison batch (see
-    :func:`~repro.core.horizontal.secure_peer_neighbor_count`).
+    :func:`~repro.multiparty.horizontal.secure_peer_neighbor_count`).
 
     Attributes:
         eps: DBSCAN radius, in original (real) coordinate units.

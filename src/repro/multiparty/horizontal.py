@@ -2,23 +2,22 @@
 
 Algorithm 3/4 generalized: each party drives a pass over its own points;
 the density test for a point sums the local neighbour count with one
-secure count per peer; expansion proceeds through own points only.  For
-``k = 2`` this reduces exactly to the two-party protocol.
+secure count per peer; expansion proceeds through own points only.  The
+two-party protocol (:func:`~repro.core.horizontal.run_horizontal_dbscan`)
+is this run at ``k = 2``, over parties ``alice`` and ``bob``.
 
-Each per-peer secure count is the two-party protocol's
-:func:`~repro.core.horizontal.secure_peer_neighbor_count`: **one batched
-HDP region query** in which the driver's point is encrypted once per
-peer (``O(d)`` encryptions regardless of the peer's point count), all
-cross terms travel in a single round-trip, and the threshold
-comparisons run as one amortized batch.  Labels and leakage-ledger
-sequences equal a loop of the per-point ``hdp_within_eps`` reference
-(property-tested in ``tests/multiparty``).  With
-``cache_peer_ciphertexts=True`` each driver pass keeps one
+Each per-peer secure count is :func:`secure_peer_neighbor_count`: **one
+batched HDP region query** in which the driver's point is encrypted
+once per peer (``O(d)`` encryptions regardless of the peer's point
+count), all cross terms travel in a single round-trip, and the
+threshold comparisons run as one amortized batch.  Labels and
+leakage-ledger sequences equal a loop of the per-point
+``hdp_within_eps`` reference (property-tested in ``tests/multiparty``).
+With ``cache_peer_ciphertexts=True`` each driver pass keeps one
 :class:`~repro.core.distance.PeerCipherCache` per peer, so a peer
-point's encrypted coordinates cross the wire once per pass (the linkable
-trade recorded by the ledger, exactly as in the two-party protocol):
-the query on the driver's point 0 fills it, and the pass's other
-queries to that peer read it.
+point's encrypted coordinates cross the wire once per pass (the
+linkable trade recorded by the ledger): the query on the driver's point
+0 fills it, and the pass's other queries to that peer read it.
 
 Order-free density tests: a point's secure count depends only on the
 point, never on when the expansion asks for it, so each point asks one
@@ -45,12 +44,17 @@ from dataclasses import dataclass
 from repro.clustering.expansion import expand_clusters
 from repro.clustering.labels import ClusterLabels
 from repro.core.config import ProtocolConfig
-from repro.core.distance import PeerCipherCache
-from repro.core.horizontal import secure_peer_neighbor_count
+from repro.core.distance import (
+    PeerCipherCache,
+    hdp_region_query,
+    hdp_region_query_cached,
+)
 from repro.core.leakage import Disclosure, LeakageLedger
 from repro.data.quantize import squared_distance_bound
 from repro.multiparty.mesh import MeshError, PartyMesh
 from repro.multiparty.scheduler import PassExecutor, PeerQuery
+from repro.net.party import Party
+from repro.smc.session import SmcSession
 
 
 @dataclass(frozen=True)
@@ -191,3 +195,48 @@ def _make_peer_task(mesh: PartyMesh, driver_name: str, peer_name: str,
         return count
 
     return run
+
+
+async def secure_peer_neighbor_count(session: SmcSession, driver: Party,
+                                     query_point: tuple[int, ...], peer: Party,
+                                     peer_points: list[tuple[int, ...]],
+                                     config: ProtocolConfig, value_bound: int,
+                                     ledger: LeakageLedger,
+                                     cache: PeerCipherCache | None = None, *,
+                                     label: str, cached_label: str) -> int:
+    """Steps 3/13 of Algorithm 4: ``|seedsB|`` as one batched HDP query.
+
+    The single secure region count of every horizontal protocol: each
+    per-peer query of the mesh above (two parties or more), and the
+    responder side of the daemon runtime.  The whole query runs through
+    :func:`~repro.core.distance.hdp_region_query` -- the peer presents
+    its points in a fresh random order (``SetOfPointsOfBobPermutation``),
+    so the driver's per-point bits are unlinkable across queries -- with
+    one cross-term round-trip and one amortized comparison batch.  Bits
+    and ledger records equal one :func:`~repro.core.distance.hdp_within_eps`
+    per peer point, the seed-era reference the tests compare against.
+
+    With a :class:`PeerCipherCache` (``cache_peer_ciphertexts=True``)
+    the query runs through the cached twin instead: the peer's encrypted
+    coordinates travel once per point per pass, the permutation is
+    dropped (stable ids make it pointless), and the ledger records the
+    linkable hits.  ``label`` / ``cached_label`` are the caller's
+    transcript labels for the two variants.  The caller records the
+    count's own disclosure.
+    """
+    if cache is not None:
+        bits = await hdp_region_query_cached(
+            session, driver, query_point, peer, list(peer_points),
+            list(range(len(peer_points))), cache, config.eps_squared,
+            value_bound, ledger=ledger,
+            blind_cross_sum=config.blind_cross_sum,
+            query_constant_blinding=config.query_constant_blinding,
+            label=cached_label)
+    else:
+        bits = await hdp_region_query(
+            session, driver, query_point, peer, list(peer_points),
+            config.eps_squared, value_bound, ledger=ledger,
+            blind_cross_sum=config.blind_cross_sum,
+            query_constant_blinding=config.query_constant_blinding,
+            label=label)
+    return sum(bits)

@@ -165,8 +165,7 @@ class PartyMesh:
 
     def __init__(self, names: list[str], config: SmcConfig,
                  seeds: list[int | None] | None = None,
-                 rng_namespace: str | None = None,
-                 key_provider=None):
+                 rng_namespace: str | None = None):
         if len(names) < 2:
             raise MeshError("a mesh needs at least two parties")
         if len(set(names)) != len(names):
@@ -186,13 +185,9 @@ class PartyMesh:
         self._rngs = {
             name: random.Random(seed) for name, seed in self._seeds.items()
         }
-        # Key material goes through a provider so the runtime layers can
-        # swap the trust model (sealed peer contexts) without touching
-        # the mesh wiring; the default derives every party's full
-        # keypair exactly as before.
-        self._key_provider = key_provider or FullKeyProvider(config)
+        keys = FullKeyProvider(config)
         self._contexts = {
-            name: self._make_context(name, slot)
+            name: keys.context_for(name, slot, self._rngs[name])
             for slot, name in enumerate(names)
         }
         self._channels: dict[tuple[str, str], object] = {}
@@ -204,9 +199,6 @@ class PartyMesh:
         for index, left in enumerate(names):
             for right in names[index + 1:]:
                 self._build_pair(left, right)
-
-    def _make_context(self, name: str, slot: int) -> CryptoContext:
-        return self._key_provider.context_for(name, slot, self._rngs[name])
 
     def _build_pair(self, left: str, right: str) -> None:
         channel = channel_for_config(self.config, left, right)

@@ -99,11 +99,11 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.core.distance import PeerCipherCache
-from repro.core.horizontal import secure_peer_neighbor_count
 from repro.core.leakage import Disclosure, LeakageEvent, LeakageLedger
 from repro.crypto.engine import ModexpEngine
 from repro.crypto.integer_math import powmod_cache_report
 from repro.crypto.precompute import combine_pool_reports
+from repro.multiparty.horizontal import secure_peer_neighbor_count
 from repro.multiparty.mesh import (
     PairStream,
     build_stream,

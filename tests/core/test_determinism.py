@@ -73,15 +73,16 @@ class TestDifferentSeedsSameClustering:
     def test_transcripts_actually_differ(self):
         """Different randomness must produce different ciphertext bytes
         somewhere -- otherwise the 'randomness' is not flowing."""
-        from repro.net.channel import Channel
         from repro.core.horizontal import run_horizontal_dbscan
+        from repro.multiparty.mesh import PartyMesh
 
-        channel_a = Channel()
-        run_horizontal_dbscan(_horizontal(), _config(1, 2),
-                              channel=channel_a)
-        channel_b = Channel()
-        run_horizontal_dbscan(_horizontal(), _config(99, 77),
-                              channel=channel_b)
+        def transcript(alice_seed, bob_seed):
+            config = _config(alice_seed, bob_seed)
+            mesh = PartyMesh(["alice", "bob"], config.smc,
+                             seeds=[alice_seed, bob_seed])
+            run_horizontal_dbscan(_horizontal(), config, mesh=mesh)
+            return mesh.pair_transcripts()[("alice", "bob")]
+
         def flatten(entries):
             out = []
             for entry in entries:
@@ -92,8 +93,8 @@ class TestDifferentSeedsSameClustering:
                     out.append(value)
             return out
 
-        values_a = flatten(channel_a.transcript.entries)
-        values_b = flatten(channel_b.transcript.entries)
+        values_a = flatten(transcript(1, 2).entries)
+        values_b = flatten(transcript(99, 77).entries)
         assert values_a and values_a != values_b
 
     def test_multiparty_deterministic(self):

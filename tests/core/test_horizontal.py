@@ -4,8 +4,6 @@ The binding correctness property: the secure run must reproduce the
 union-density plaintext reference bit-for-bit, per party.
 """
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -125,16 +123,25 @@ class TestDisclosureProfile:
             partition, _config(min_pts=1, blind_cross_sum=True))
         assert result.ledger.count(Disclosure.DOT_PRODUCT) == 0
 
-    def test_query_count_bound(self):
-        """Every driver point is queried at most once per pass, so
-        neighbor-count disclosures are bounded by n."""
-        alice_points = tuple((i, 0) for i in range(5))
-        bob_points = tuple((i, 1) for i in range(4))
+    @pytest.mark.parametrize("alice_points,bob_points,min_pts", [
+        (tuple((i, 0) for i in range(5)), tuple((i, 1) for i in range(4)),
+         2),
+        # E7's input, on which the traversal tests one point twice.
+        (tuple([(i * 6, 0) for i in range(4)]
+               + [(100 + i * 6, 0) for i in range(3)]),
+         tuple([(i * 6, 4) for i in range(4)]
+               + [(200, 200), (206, 200), (203, 204)]),
+         3),
+    ], ids=["no-retest", "retest"])
+    def test_query_count_bound(self, alice_points, bob_points, min_pts):
+        """Every driver point is queried once per pass, however often
+        the traversal tests it, so each point's count is disclosed
+        exactly once."""
         partition = HorizontalPartition(alice_points=alice_points,
                                         bob_points=bob_points)
-        result = run_horizontal_dbscan(partition, _config(min_pts=2))
+        result = run_horizontal_dbscan(partition, _config(min_pts=min_pts))
         assert result.ledger.count(Disclosure.NEIGHBOR_COUNT) \
-            <= len(alice_points) + len(bob_points)
+            == len(alice_points) + len(bob_points)
 
 
 class TestCommunicationScaling:

@@ -78,6 +78,14 @@ def _horizontal() -> HorizontalPartition:
                                bob_points=tuple(POINTS[1::2]))
 
 
+def _two_party_transcript(config: ProtocolConfig):
+    """The pair's transcript of a two-party horizontal run."""
+    mesh = PartyMesh(["alice", "bob"], config.smc,
+                     seeds=[config.alice_seed, config.bob_seed])
+    run_horizontal_dbscan(_horizontal(), config, mesh=mesh)
+    return mesh.pair_transcripts()[("alice", "bob")]
+
+
 def _lists(value):
     """Every list inside a decoded message, outermost first."""
     if isinstance(value, list):
@@ -119,18 +127,14 @@ def _check_transcript(transcript, *labels) -> None:
 
 class TestCiphertextsTravelAtKeyWidth:
     def test_two_party_horizontal(self):
-        channel = Channel()
-        run_horizontal_dbscan(_horizontal(), _config(), channel=channel)
-        _check_transcript(channel.transcript, "encrypted_alpha",
-                          "blinded_sums", "x_bits", "witnesses")
+        _check_transcript(_two_party_transcript(_config()),
+                          "encrypted_alpha", "blinded_sums", "x_bits",
+                          "witnesses")
 
     def test_cached_hdp(self):
-        channel = Channel()
-        run_horizontal_dbscan(_horizontal(),
-                              _config(cache_peer_ciphertexts=True),
-                              channel=channel)
-        _check_transcript(channel.transcript, "coords", "masked_sums",
-                          "x_bits", "witnesses")
+        _check_transcript(
+            _two_party_transcript(_config(cache_peer_ciphertexts=True)),
+            "coords", "masked_sums", "x_bits", "witnesses")
 
     def test_per_point_cached_hdp(self):
         channel = Channel()

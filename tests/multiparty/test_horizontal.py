@@ -1,7 +1,5 @@
 """Tests for the k-party horizontal protocol."""
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,8 +9,15 @@ from repro.core.config import ProtocolConfig
 from repro.core.horizontal import run_horizontal_dbscan
 from repro.core.leakage import Disclosure
 from repro.data.partitioning import HorizontalPartition
-from repro.multiparty.horizontal import run_multiparty_horizontal_dbscan
-from repro.multiparty.mesh import MeshError
+from repro.multiparty.horizontal import (
+    MultipartyRunResult,
+    run_multiparty_horizontal_dbscan,
+)
+from repro.multiparty.mesh import MeshError, PartyMesh
+from repro.runtime.orchestrator import (
+    orchestrate_run,
+    verify_against_in_process,
+)
 from repro.smc.session import SmcConfig
 
 
@@ -83,22 +88,31 @@ class TestAgainstReference:
         assert sub.alice_labels == (-1,)
 
 
-class TestTwoPartyReduction:
-    def test_matches_two_party_protocol(self):
-        """k=2 multiparty == the two-party horizontal protocol."""
-        alice_points = ((0, 0), (1, 0), (10, 10))
-        bob_points = ((0, 1), (10, 11))
-        config = _config(min_pts=3, alice_seed=1, bob_seed=2)
-        two_party = run_horizontal_dbscan(
-            HorizontalPartition(alice_points=alice_points,
-                                bob_points=bob_points), config)
-        multi = run_multiparty_horizontal_dbscan(
-            {"alice": list(alice_points), "bob": list(bob_points)},
-            config, seeds=[1, 2])
-        assert canonicalize(multi.labels_by_party["alice"]) \
-            == canonicalize(two_party.alice_labels)
-        assert canonicalize(multi.labels_by_party["bob"]) \
-            == canonicalize(two_party.bob_labels)
+@pytest.mark.sockets
+class TestTwoPartyOnDaemons:
+    def test_two_party_run_on_two_daemons_is_bit_identical(self):
+        """The two-party protocol is the k = 2 mesh, so two daemons
+        named ``alice`` and ``bob`` run it: labels, ledger, comparisons,
+        the pair's transcript and stats equal ``run_horizontal_dbscan``
+        in process."""
+        partition = HorizontalPartition(
+            alice_points=((0, 0), (1, 0), (10, 10)),
+            bob_points=((0, 1), (10, 11)))
+        config = _config("bitwise", min_pts=3, alice_seed=1, bob_seed=2)
+        seeds = [config.alice_seed, config.bob_seed]
+        mesh = PartyMesh(["alice", "bob"], config.smc, seeds=seeds)
+        two_party = run_horizontal_dbscan(partition, config, mesh=mesh)
+        by_party = {"alice": list(partition.alice_points),
+                    "bob": list(partition.bob_points)}
+        run = orchestrate_run(by_party, config, seeds=seeds, deadline_s=120)
+        reference = MultipartyRunResult(
+            labels_by_party={"alice": two_party.alice_labels,
+                             "bob": two_party.bob_labels},
+            ledger=two_party.ledger, stats=two_party.stats,
+            comparisons=two_party.comparisons)
+        checks = verify_against_in_process(run, by_party, config, seeds,
+                                           reference=reference, mesh=mesh)
+        assert all(checks.values()), checks
 
 
 class TestDisclosureAndStats:

@@ -15,8 +15,8 @@ from __future__ import annotations
 import contextlib
 from unittest import mock
 
-from repro.core import horizontal
 from repro.core.distance import hdp_within_eps, hdp_within_eps_cached
+from repro.multiparty import horizontal
 from repro.smc.permutation import PermutedView
 
 
@@ -62,10 +62,10 @@ async def per_point_region_query_cached(session, querier, querier_point, peer,
 def per_point_queries():
     """Run every horizontal protocol's region queries on the reference.
 
-    Both the two-party passes and the k-party mesh count a peer's
-    neighbours through ``horizontal.secure_peer_neighbor_count``, so
-    replacing the two region queries it calls swaps the reference into
-    every driver.
+    The mesh -- two parties or more -- counts a peer's neighbours
+    through ``repro.multiparty.horizontal.secure_peer_neighbor_count``,
+    so replacing the two region queries it calls swaps the reference
+    into every driver.
     """
     with mock.patch.multiple(
             horizontal, hdp_region_query=per_point_region_query,

@@ -41,11 +41,12 @@ class TestDemoCommand:
         output = capsys.readouterr().out
         assert "party0" in output and "party2" in output
 
-    def test_multiparty_prefill_runs_before_the_run(self, capsys):
+    @pytest.mark.parametrize("scenario", ["horizontal", "multiparty"])
+    def test_prefill_runs_before_the_run(self, scenario, capsys):
         """``--prefill`` fills the pool of every stream the run will
         query on ahead of it (a fresh mesh has none yet), so the online
         run never misses a pool."""
-        exit_code = main(["demo", "--scenario", "multiparty",
+        exit_code = main(["demo", "--scenario", scenario,
                           "--points", "9", "--backend", "oracle",
                           "--min-pts", "2", "--prefill", "8"])
         assert exit_code == 0
