@@ -42,7 +42,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-import time
 
 from repro.analysis.attacks import (
     Domain2D,
@@ -55,9 +54,8 @@ from repro.analysis.figures import (
     render_vertical_figure,
 )
 from repro.analysis.report import format_ratio, render_table
-from repro.core.api import ClusteringRun, cluster_partitioned
+from repro.core.api import cluster_partitioned
 from repro.core.config import ProtocolConfig
-from repro.core.horizontal import run_horizontal_dbscan
 from repro.data.dataset import Dataset
 from repro.data.generators import gaussian_blobs, interleave_for_horizontal
 from repro.data.partitioning import (
@@ -68,7 +66,6 @@ from repro.data.partitioning import (
 )
 from repro.crypto.dgk import DgkKeySizeError
 from repro.crypto.engine import ModexpEngine
-from repro.crypto.precompute import combine_pool_reports
 from repro.multiparty.horizontal import run_multiparty_horizontal_dbscan
 from repro.multiparty.mesh import PartyMesh
 from repro.runtime.daemon import DaemonError, MeshSpec
@@ -100,11 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--key-bits", type=int, default=256)
     demo.add_argument("--workers", type=int, default=1,
                       help="modexp engine worker processes (1 = serial)")
-    demo.add_argument("--no-precompute", action="store_true",
-                      help="disable randomness pools (seed-era behaviour)")
-    demo.add_argument("--prefill", type=int, default=0,
-                      help="factors to pregenerate per randomness pool "
-                           "before the run (offline phase)")
 
     attack = commands.add_parser("attack",
                                  help="quantify the Figure 1 attack")
@@ -310,22 +302,12 @@ def _demo_config(args, engine: ModexpEngine) -> ProtocolConfig:
     return ProtocolConfig(
         eps=args.eps, min_pts=args.min_pts, scale=100,
         smc=SmcConfig(paillier_bits=args.key_bits, comparison=args.backend,
-                      key_seed=args.seed, engine=engine,
-                      precompute=not args.no_precompute),
+                      key_seed=args.seed, engine=engine),
         alice_seed=args.seed, bob_seed=args.seed + 1)
 
 
-def _print_crypto_summary(engine: ModexpEngine,
-                          mesh: PartyMesh | None) -> None:
-    """The --workers / --precompute visibility lines of the run summary;
-    the ``pools:`` line sums every stream's pools of ``mesh``."""
-    pool_reports = [] if mesh is None else [
-        entry for report in mesh.pool_report().values()
-        for entry in report.values()]
-    if pool_reports:
-        totals = combine_pool_reports(pool_reports)
-        print("pools: pregenerated={pregenerated}  consumed={consumed}  "
-              "misses={misses}  available={available}".format(**totals))
+def _print_crypto_summary(engine: ModexpEngine) -> None:
+    """The --workers visibility line of the run summary."""
     stats = engine.report()
     print("engine: workers={workers}  batches={batches}  jobs={jobs}  "
           "parallel_modexps={parallel_modexps}  fallbacks={fallbacks}  "
@@ -348,48 +330,32 @@ def _run_demo(args) -> int:
 
 def _run_demo_with_engine(args, points, engine: ModexpEngine) -> int:
     config = _demo_config(args, engine)
-    prefill = 0 if args.no_precompute else args.prefill
-    # Precompute phase: spawn the worker pool before anything is run (or
-    # timed), so the first online batch never absorbs pool startup.
+    # Spawn the worker processes before anything is run (or timed), so
+    # the first batch never absorbs their startup.
     engine.warm_up()
     if args.scenario == "multiparty":
         thirds = max(1, len(points) // 3)
         by_party = {"party0": points[:thirds],
                     "party1": points[thirds:2 * thirds],
                     "party2": points[2 * thirds:]}
-        mesh = _demo_mesh(by_party, config,
-                          [args.seed, args.seed + 1, args.seed + 2], prefill)
-        result = run_multiparty_horizontal_dbscan(by_party, config,
-                                                  mesh=mesh)
+        result = run_multiparty_horizontal_dbscan(
+            by_party, config, seeds=[args.seed, args.seed + 1, args.seed + 2])
         for name, labels in result.labels_by_party.items():
             print(f"{name}: {labels}")
         print(f"bytes: {result.stats['total_bytes']:,}  "
               f"rounds: {result.stats['rounds']}  "
               f"comparisons: {result.comparisons}")
         print(f"disclosures: {result.ledger.profile()}")
-        _print_crypto_summary(engine, mesh)
+        _print_crypto_summary(engine)
         return 0
 
-    mesh = None
     if args.scenario in ("horizontal", "enhanced"):
         alice_pts, bob_pts = interleave_for_horizontal(
             points, random.Random(args.seed + 9))
         partition = HorizontalPartition(alice_points=tuple(alice_pts),
                                         bob_points=tuple(bob_pts))
-        if args.scenario == "horizontal":
-            # Plain horizontal runs on a mesh built here, so the pool
-            # accounting (and any --prefill offline phase) is visible.
-            mesh = _demo_mesh({"alice": alice_pts, "bob": bob_pts}, config,
-                              [config.alice_seed, config.bob_seed], prefill)
-            started = time.perf_counter()
-            result = run_horizontal_dbscan(partition, config, mesh=mesh)
-            run = ClusteringRun(
-                variant="horizontal", alice_labels=result.alice_labels,
-                bob_labels=result.bob_labels, ledger=result.ledger,
-                stats=result.stats, comparisons=result.comparisons,
-                elapsed_seconds=time.perf_counter() - started)
-        else:
-            run = cluster_partitioned(partition, config, enhanced=True)
+        run = cluster_partitioned(partition, config,
+                                  enhanced=args.scenario == "enhanced")
     elif args.scenario == "vertical":
         run = cluster_partitioned(
             partition_vertical(Dataset.from_points(points), 1), config)
@@ -406,26 +372,8 @@ def _run_demo_with_engine(args, points, engine: ModexpEngine) -> int:
           f"comparisons: {run.comparisons}  "
           f"time: {run.elapsed_seconds:.2f}s")
     print(f"disclosures: {run.ledger.profile()}")
-    _print_crypto_summary(engine, mesh)
+    _print_crypto_summary(engine)
     return 0
-
-
-def _demo_mesh(by_party: dict[str, list], config: ProtocolConfig,
-               seeds: list[int], prefill: int) -> PartyMesh:
-    """The demo run's mesh; with ``prefill``, its offline phase."""
-    mesh = PartyMesh(list(by_party), config.smc, seeds=seeds)
-    if prefill:
-        # A fresh mesh has no stream before its run: name each one the
-        # run queries on -- per driver, own point and peer holding
-        # points -- with ``prefill`` factors in every pool.
-        mesh.precompute_pools({
-            (driver, peer): {(driver, query, actor, owner): prefill
-                             for query in range(len(own))
-                             for actor in (driver, peer)
-                             for owner in (driver, peer)}
-            for driver, own in by_party.items()
-            for peer in by_party if peer != driver and by_party[peer]})
-    return mesh
 
 
 def _orchestrate_workload(args) -> tuple[dict[str, list], list[int]]:

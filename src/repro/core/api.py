@@ -66,8 +66,8 @@ def cluster_partitioned(partition, config: ProtocolConfig, *,
         enhanced: for horizontal partitions, run the Section 5 protocol
             instead of Algorithms 3 + 4.  Invalid for other partitions.
 
-    A caller that wants the plain horizontal run's offline phase or pool
-    report builds its two-party mesh and calls
+    A caller that wants the plain horizontal run's pair transcript
+    builds its two-party mesh and calls
     :func:`~repro.core.horizontal.run_horizontal_dbscan` with ``mesh=``.
     """
     started = time.perf_counter()

@@ -334,8 +334,8 @@ async def hdp_within_eps_cached(session: SmcSession, querier: Party,
     if peer_point_id not in cache:
         encrypted = FixedWidthList(
             [cipher.value for cipher in session.engine.encrypt_batch(
-                public, [encoder.encode(c) for c in peer_point], peer.rng,
-                session.pool(peer, peer))], width)
+                public, [encoder.encode(c) for c in peer_point],
+                peer.rng)], width)
         await peer.send(f"{label}/coords", encrypted)
         cache.store(peer_point_id,
                     public.check_width(querier.receive(f"{label}/coords")))
@@ -350,14 +350,12 @@ async def hdp_within_eps_cached(session: SmcSession, querier: Party,
     # Querier is the masker: reply = E(y_t)^{x_t} * E(r_t).  The fresh
     # encryption of the mask is the reply's rerandomization (one factor;
     # see repro.smc.scalar_product).
-    querier_pool = session.pool(querier, peer)
     replies = FixedWidthList([], width)
     for cipher_value, coordinate, mask in zip(cache.get(announced_id),
                                               querier_point, masks):
         product = (PaillierCiphertext(public, cipher_value)
                    * encoder.encode(coordinate))
-        masked = product + public.encrypt(encoder.encode(mask), querier.rng,
-                                          querier_pool)
+        masked = product + public.encrypt(encoder.encode(mask), querier.rng)
         replies.append(masked.value)
     await querier.send(f"{label}/masked_terms", replies)
 
@@ -443,7 +441,7 @@ async def hdp_region_query_cached(session: SmcSession, querier: Party,
             flat = session.engine.encrypt_batch(
                 public,
                 [encoder.encode(c) for _, point in missing for c in point],
-                peer.rng, session.pool(peer, peer))
+                peer.rng)
             payload = []
             cursor = 0
             for point_id, point in missing:
@@ -468,7 +466,6 @@ async def hdp_region_query_cached(session: SmcSession, querier: Party,
     # Querier accumulates E(<d_x, d_y_i> + offset_i) per cached point.
     replies = None
     if querier.hosted:
-        querier_pool = session.pool(querier, peer)
         replies = FixedWidthList([], width)
         for point_id, offset in zip(point_ids, offsets):
             accumulator = None
@@ -483,8 +480,7 @@ async def hdp_region_query_cached(session: SmcSession, querier: Party,
             # Only a plaintext offset entered: the sum is still a
             # function of the peer's own ciphertexts, so it needs its
             # own fresh randomness.
-            replies.append(accumulator.rerandomize(querier.rng,
-                                                   querier_pool).value)
+            replies.append(accumulator.rerandomize(querier.rng).value)
     await querier.send(f"{label}/masked_sums", replies)
 
     cross_sums = [0] * len(peer_points)

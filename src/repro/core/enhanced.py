@@ -94,9 +94,9 @@ def run_enhanced_horizontal_dbscan(partition: HorizontalPartition,
                                    ) -> EnhancedRunResult:
     """Run Algorithms 7 + 8 over a horizontal partition.
 
-    A pre-built ``session`` may be supplied so callers can run the
-    offline phase (``session.precompute_pools``) outside whatever they
-    are timing; otherwise channel, parties, and session are created here.
+    A pre-built ``session`` may be supplied so callers can read its
+    channel afterwards; otherwise channel, parties, and session are
+    created here.
     """
     if session is None:
         channel = (channel if channel is not None

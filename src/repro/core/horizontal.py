@@ -58,9 +58,8 @@ def run_horizontal_dbscan(partition: HorizontalPartition,
 
     The run is the two-party mesh ``alice``/``bob`` with seeds
     ``[config.alice_seed, config.bob_seed]``.  A pre-built ``mesh`` over
-    those two names may be supplied, so callers can run the offline
-    phase (``mesh.precompute_pools``) outside whatever they are timing
-    and read its pool report and pair transcript afterwards.
+    those two names may be supplied, so callers can read its pair
+    transcript afterwards.
     """
     result = run_multiparty_horizontal_dbscan(
         {"alice": list(partition.alice_points),

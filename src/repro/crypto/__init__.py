@@ -12,14 +12,13 @@ Implements everything Section 3.7/3.8 of the paper depends on:
   secure comparison (the large-domain substitute for YMPP) runs.
 - :mod:`repro.crypto.encoding` -- signed/fixed-point encodings bridging
   real-valued records and the integer plaintext spaces.
-- :mod:`repro.crypto.precompute` -- offline randomness pools and fixed
-  bases (the offline/online split).
+- :mod:`repro.crypto.precompute` -- fixed-base exponentiation tables,
+  behind every Paillier and DGK randomness factor.
 - :mod:`repro.crypto.engine` -- the parallel modexp engine executing
-  pool refills and batch encrypt/decrypt as sharded worker jobs.
+  batch decryption and YMPP's RSA sweep as sharded worker jobs.
 """
 
 from repro.crypto.engine import ModexpEngine, default_engine
-from repro.crypto.precompute import RandomnessPool
 from repro.crypto.paillier import (
     PaillierCiphertext,
     PaillierKeyPair,
@@ -33,7 +32,6 @@ from repro.crypto.encoding import FixedPointEncoder, SignedEncoder
 __all__ = [
     "ModexpEngine",
     "default_engine",
-    "RandomnessPool",
     "PaillierCiphertext",
     "PaillierKeyPair",
     "PaillierPrivateKey",

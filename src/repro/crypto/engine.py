@@ -9,23 +9,24 @@ arrays are plain integer tuples -- picklable bytes on the worker
 boundary.
 
 The engine is also the entry point of the Paillier layer's batch
-encryption, factor batches and pool fills (:meth:`encrypt_batch`,
-:meth:`encryption_factors`, :meth:`fill_pool`), which count their jobs
-here but run in-process: a randomness factor is a few lookups in the
-key's fixed-base table (:mod:`repro.crypto.paillier`), cheaper than a
-worker's plain ``pow`` of the same factor, let alone the round trip.
+encryption and factor batches (:meth:`encrypt_batch`,
+:meth:`encryption_factors`), which count their jobs here but run
+in-process: a randomness factor is a few lookups in the key's fixed-base
+table (:mod:`repro.crypto.paillier`), drawn from the caller's RNG, and
+cheaper than a worker's plain ``pow`` of the same factor, let alone the
+round trip.
 
 Design rules (see DESIGN.md, "Parallel modexp engine"):
 
 - **Bit-identical results.** The engine never changes *what* is
   computed, only *where*: randomness is drawn from the caller's RNG in
   exactly the order the serial code path draws it.  Engine-vs-serial
-  equivalence is property-tested for pool fills, batch encryption and
-  batch decryption.
+  equivalence is property-tested for batch encryption, factor batches
+  and batch decryption.
 - **Serial fallback.** ``workers <= 1``, batches below
-  ``min_parallel_jobs``, or a pool that cannot be spawned (sandboxed
-  hosts) all run the jobs in-process; the fallback is recorded in
-  :meth:`report`, never raised.
+  ``min_parallel_jobs``, or a process pool that cannot be spawned
+  (sandboxed hosts) all run the jobs in-process; the fallback is
+  recorded in :meth:`report`, never raised.
 - **Trust boundary.** Worker processes belong to the party that owns the
   engine call: CRT-split decryption jobs carry ``p``/``q``-derived
   moduli and are only ever issued by the private-key holder for its own
@@ -51,7 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (paillier types)
         PaillierPrivateKey,
         PaillierPublicKey,
     )
-    from repro.crypto.precompute import RandomnessPool
 
 ModexpJob = tuple  # (base, exponent, modulus)
 
@@ -180,8 +180,8 @@ class ModexpEngine:
         """Execution accounting for benchmarks and the CLI summary.
 
         ``jobs`` counts *logical* items handed to the engine (one per
-        plaintext/ciphertext/factor, including fully-pooled encryptions
-        that execute zero modexps); ``parallel_modexps`` counts raw
+        plaintext/ciphertext/factor, including encryptions whose factors
+        are table lookups, not modexps); ``parallel_modexps`` counts raw
         modexp jobs actually executed on workers (CRT decryption runs
         two per ciphertext), so the two are deliberately not comparable.
         """
@@ -210,9 +210,8 @@ class ModexpEngine:
     def _count(self, job_count: int) -> None:
         """Uniform accounting: one batch, ``job_count`` logical jobs.
 
-        Every public operation counts exactly once at entry -- including
-        fully-pooled encrypt batches that end up executing zero modexps
-        -- so ``report()`` means the same thing on every code path.
+        Every public operation counts exactly once at entry, so
+        ``report()`` means the same thing on every code path.
         """
         with self._lock:
             self.batches += 1
@@ -260,44 +259,30 @@ class ModexpEngine:
 
     # -- high-level operations --------------------------------------------
 
-    def fill_pool(self, pool: "RandomnessPool", count: int) -> None:
-        """Offline pool refill, counted as ``count`` jobs: exactly
-        ``pool.refill(count)`` (module docstring: factors run
-        in-process)."""
-        self._count(count)
-        pool.refill(count)
+    def fill_pool(self, *_args) -> None:
+        """Gone with the offline randomness pools: every factor is drawn
+        online (:meth:`encryption_factors`).  The name stays only because
+        the layered benchmark's probes look it up; it goes with them
+        (ROADMAP direction 1)."""
+        raise EngineError("randomness pools are gone: factors are drawn "
+                          "online from the acting party's RNG")
 
     def encrypt_batch(self, public: "PaillierPublicKey",
                       plaintexts: Sequence[int], rng: "random.Random",
-                      pool: "RandomnessPool | None" = None,
                       ) -> "list[PaillierCiphertext]":
         """Batch Paillier encryption: ``public.encrypt_batch``, counted
         as one job per plaintext."""
         plaintexts = list(plaintexts)
         self._count(len(plaintexts))
-        return public.encrypt_batch(plaintexts, rng, pool)
+        return public.encrypt_batch(plaintexts, rng)
 
     def encryption_factors(self, public: "PaillierPublicKey", count: int,
-                           rng: "random.Random",
-                           pool: "RandomnessPool | None" = None,
-                           ) -> list[int]:
-        """``count`` encryption/rerandomization factors, serial draw order.
-
-        For masker-side loops that alternate encrypt and rerandomize
-        per item (Section 5 share generation): every slot pops the pool
-        -- counting consumption and misses exactly as the per-item
-        ``encrypt``/``rerandomize`` path does -- or, unpooled, draws a
-        fresh factor from ``rng``, so the factors are bit-identical to
-        the serial interleaved sequence under the same RNG state
-        (property-tested in ``tests/crypto/test_engine.py``).
-        """
-        from repro.crypto.paillier import PaillierError
-
-        if pool is not None and pool.public_key != public:
-            raise PaillierError("randomness pool bound to a different key")
+                           rng: "random.Random") -> list[int]:
+        """``count`` fresh encryption factors drawn from ``rng``, in the
+        order the per-item ``encrypt`` path draws them, so the factors
+        are bit-identical to it under the same RNG state
+        (property-tested in ``tests/crypto/test_engine.py``)."""
         self._count(count)
-        if pool is not None:
-            return [pool.encryption_factor() for _ in range(count)]
         return [public.fresh_factor(rng) for _ in range(count)]
 
     def decrypt_raw_batch(self, private: "PaillierPrivateKey",

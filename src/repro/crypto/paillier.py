@@ -51,13 +51,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from repro.crypto.integer_math import cached_pow, crt_pair, lcm, mod_inverse
+from repro.crypto.precompute import FixedBaseExp
 from repro.crypto.primes import generate_prime
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
-    from repro.crypto.precompute import RandomnessPool
 
 
 class PaillierError(ValueError):
@@ -120,12 +118,8 @@ class PaillierPublicKey:
                                             self.randomness_factor(r))
 
     def raw_encrypt_with_factor(self, plaintext: int, factor: int) -> int:
-        """``c = g^m * factor`` with a randomness factor ``h_s^r mod n^2``.
-
-        The online half of the offline/online split: with the factor
-        drawn from a :class:`~repro.crypto.precompute.RandomnessPool`
-        (and ``g = n + 1``), encryption is two mulmods, no powmod.
-        """
+        """``c = g^m * factor`` with a randomness factor ``h_s^r mod n^2``
+        (:meth:`fresh_factor`); with ``g = n + 1`` two mulmods."""
         if not 0 <= plaintext < self.n:
             raise PaillierError(
                 f"plaintext {plaintext} outside [0, n); encode signed values "
@@ -142,34 +136,20 @@ class PaillierPublicKey:
         return _fixed_base_table(self.g, n_sq, self.n.bit_length()).pow(
             plaintext)
 
-    def encrypt(self, plaintext: int, rng: random.Random,
-                pool: "RandomnessPool | None" = None) -> "PaillierCiphertext":
-        """Encrypt with fresh randomness drawn from ``rng``.
-
-        With ``pool`` the randomness factor is taken from the pool
-        instead (one mulmod online when the pool is filled); the result
-        is a perfectly ordinary ciphertext either way.
-        """
-        if pool is not None:
-            if pool.public_key != self:
-                raise PaillierError("randomness pool bound to a different key")
-            return PaillierCiphertext(
-                self,
-                self.raw_encrypt_with_factor(plaintext,
-                                             pool.encryption_factor()))
+    def encrypt(self, plaintext: int,
+                rng: random.Random) -> "PaillierCiphertext":
+        """Encrypt with a fresh factor drawn from ``rng``."""
         return PaillierCiphertext(
             self, self.raw_encrypt_with_factor(plaintext,
                                                self.fresh_factor(rng)))
 
-    def encrypt_batch(self, plaintexts: list[int], rng: random.Random,
-                      pool: "RandomnessPool | None" = None,
-                      ) -> list["PaillierCiphertext"]:
+    def encrypt_batch(self, plaintexts: list[int],
+                      rng: random.Random) -> list["PaillierCiphertext"]:
         """Encrypt a batch; the entry point batched protocols call."""
-        return [self.encrypt(plaintext, rng, pool) for plaintext in plaintexts]
+        return [self.encrypt(plaintext, rng) for plaintext in plaintexts]
 
-    def encrypt_signed(self, value: int, rng: random.Random,
-                       pool: "RandomnessPool | None" = None,
-                       ) -> "PaillierCiphertext":
+    def encrypt_signed(self, value: int,
+                       rng: random.Random) -> "PaillierCiphertext":
         """Encrypt a signed value using the half-range convention.
 
         Values in ``[-(n-1)//2, (n-1)//2]`` map to ``value mod n``;
@@ -178,7 +158,7 @@ class PaillierPublicKey:
         half = (self.n - 1) // 2
         if not -half <= value <= half:
             raise PaillierError(f"signed value {value} exceeds +/-{half}")
-        return self.encrypt(value % self.n, rng, pool)
+        return self.encrypt(value % self.n, rng)
 
 
 class CrtConstants(NamedTuple):
@@ -325,22 +305,14 @@ class PaillierCiphertext:
             return self + (other * -1)
         return self + (-other)
 
-    def rerandomize(self, rng: random.Random,
-                    pool: "RandomnessPool | None" = None,
-                    ) -> "PaillierCiphertext":
-        """Multiply by a fresh encryption of zero.
+    def rerandomize(self, rng: random.Random) -> "PaillierCiphertext":
+        """Multiply by a fresh encryption of zero drawn from ``rng``.
 
         Strips any algebraic relationship between this ciphertext and the
         operands it was derived from -- required before a ciphertext built
-        with homomorphic ops is sent to the key holder.  With ``pool``
-        the zero-encryption comes pregenerated (one mulmod online).
+        with homomorphic ops is sent to the key holder.
         """
-        if pool is not None:
-            if pool.public_key != self.public_key:
-                raise PaillierError("randomness pool bound to a different key")
-            zero_enc = pool.rerandomization_unit()
-        else:
-            zero_enc = self.public_key.fresh_factor(rng)
+        zero_enc = self.public_key.fresh_factor(rng)
         return PaillierCiphertext(
             self.public_key,
             (self.value * zero_enc) % self.public_key.n_squared)
@@ -384,12 +356,7 @@ def _raw_encrypt_constant(self: PaillierPublicKey, constant: int) -> int:
 
 @lru_cache(maxsize=16)
 def _fixed_base_table(g: int, n_squared: int, bits: int):
-    """Memoized fixed-base window table for random-``g`` keys.
-
-    Imported lazily: :mod:`repro.crypto.precompute` type-checks against
-    this module, so a module-level import would be circular.
-    """
-    from repro.crypto.precompute import FixedBaseExp
+    """Memoized fixed-base window table for random-``g`` keys."""
     return FixedBaseExp(g, n_squared, bits)
 
 
@@ -443,7 +410,6 @@ def djn_base(n: int) -> int:
 def _factor_table(n: int):
     """The fixed-base table of ``h_s`` for one modulus: public values
     only, built once per key and never entered into the powmod memo."""
-    from repro.crypto.precompute import FixedBaseExp
     return FixedBaseExp(djn_base(n), n * n, _randomness_bits(n),
                         window=FACTOR_WINDOW)
 

@@ -88,9 +88,8 @@ def run_multiparty_horizontal_dbscan(points_by_party: dict[str, list],
             pairwise session.
         seeds: optional per-party RNG seeds (ordered as the dict).
         mesh: a pre-built :class:`PartyMesh` over the same party names,
-            so callers can run the offline phase
-            (``mesh.precompute_pools``) outside whatever they are
-            timing; when omitted, the mesh is created here.
+            so callers can read its pair transcripts afterwards; when
+            omitted, the mesh is created here.
         rng_namespace: per-session coin-stream namespace for the mesh
             built here (ignored when ``mesh`` is supplied); matches the
             daemon runtime's per-session derivation so reference runs

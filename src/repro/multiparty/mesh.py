@@ -6,22 +6,23 @@ key-exchange channel and session (the public keys cross once per pair,
 :func:`~repro.smc.session.exchange_public_keys`) plus one **stream per
 density test**: the channel, parties and :class:`SmcSession` that one
 driver's query on one of its own points runs on, to the pair's other
-party.  A stream has its own transcript and stats, its own randomness
-pools and its own comparison counter, so no two queries share mutable
-state and every query of every pass may run at the same time.  A
-stream is built on first use (:meth:`PartyMesh.stream`); a peer with
-no points is never queried and gets none.
+party.  A stream has its own transcript and stats, its own coins and
+its own comparison counter, so no two queries share mutable state and
+every query of every pass may run at the same time.  A stream is built
+on first use (:meth:`PartyMesh.stream`); a peer with no points is
+never queried and gets none.
 
 Coins: a party's coin tosses on a stream come from a dedicated
 substream derived from the party's seed, the canonical pair key, the
 stream's driver and the driver's point index (SHA-256 of
-``seed | party | pair | driver | query``).  One generator shared by
-several streams would hand out its draws in whatever order the streams
-happened to interleave; with per-(pair, driver, query) substreams a
-stream draws the same coins whenever it runs -- alone, next to the
-pass's other queries, or next to the other drivers' passes -- so
-labels, transcripts and ledgers match exactly (property-tested in
-``tests/multiparty/test_scheduler.py``).
+``seed | party | pair | driver | query``); every Paillier factor of the
+stream is drawn from them, by the step that needs it.  One generator
+shared by several streams would hand out its draws in whatever order
+the streams happened to interleave; with per-(pair, driver, query)
+substreams a stream draws the same coins whenever it runs -- alone,
+next to the pass's other queries, or next to the other drivers' passes
+-- so labels, transcripts and ledgers match exactly (property-tested
+in ``tests/multiparty/test_scheduler.py``).
 
 Accounting: a pair's transcript and stats are the *canonical
 concatenation* of its key exchange -- the left party's announcement,
@@ -98,7 +99,7 @@ class PairStream:
 
     Its own channel (transcript and stats), both parties with coins
     keyed by (pair, driver, query), and a session on the pair's
-    exchanged key contexts with its own pools and comparison counter.
+    exchanged key contexts with its own comparison counter.
     The in-process mesh builds them over in-process channels, a daemon
     over its mirror channels; :func:`build_stream` is the one
     constructor.
@@ -267,43 +268,11 @@ class PartyMesh:
             raise MeshError(f"unknown party {name!r}")
         return [other for other in self.names if other != name]
 
-    def precompute_pools(self, factors: "int | dict") -> None:
-        """Offline phase across the whole mesh.
-
-        ``factors`` is either one count applied to every (actor, key)
-        pool of every stream built so far, or a ``{(left, right):
-        plan}`` mapping keyed like :meth:`pool_report`, e.g. the
-        consumption a probe run reported, which builds the streams it
-        names -- a fresh mesh has no stream before its run, so the
-        mapping is how an offline phase reaches them.  Refills run
-        through each session's engine; every distinct engine is warmed
-        up first so the pool-spawn latency is paid here, in the offline
-        phase, not by the first online batch.
-        """
-        sessions = [*self._sessions.values(), *self._stream_sessions()]
-        for engine in {id(session.engine): session.engine
-                       for session in sessions}.values():
-            engine.warm_up()
-        if isinstance(factors, int):
-            for session in self._stream_sessions():
-                session.precompute_pools(factors)
-            return
-        for pair, plan in factors.items():
-            left, right = self._pair_key(*pair)
-            for (driver, query, actor, owner), count in plan.items():
-                peer = right if driver == left else left
-                self.stream(driver, peer, query).session.precompute_pools(
-                    {(actor, owner): count})
-
     def pool_report(self) -> dict:
-        """Per-pair pool accounting over the pair's streams:
-        ``{(left, right): {(driver, query, actor, key_owner):
-        pool_report}}``."""
-        return {pair: {(stream.driver, stream.query, actor, owner): report
-                       for stream in self._ordered_streams(pair)
-                       for (actor, owner), report
-                       in stream.session.pool_report().items()}
-                for pair in sorted(self._streams)}
+        """Empty: the offline randomness pools are gone.  Kept only
+        because the layered benchmark's harness still reads it (ROADMAP
+        direction 1)."""
+        return {}
 
     def _pair_channels(self, pair: tuple[str, str]) -> list:
         return [self._channels[pair]] + [

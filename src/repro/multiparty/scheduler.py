@@ -2,8 +2,8 @@
 
 Every secure region query of the k-party protocol is *independent*: it
 runs on its own stream (:class:`~repro.multiparty.mesh.PairStream`: own
-channel, own :class:`~repro.smc.session.SmcSession` with its own pools
-and comparison backend, and its own per-(pair, driver, point)
+channel, own :class:`~repro.smc.session.SmcSession` with its own
+comparison backend, and its own per-(pair, driver, point)
 randomness stream).  A density test of a driver's point hands the
 pass's executor one :class:`PeerQuery` task per peer, and each task
 runs once per pass: a later test of the point (the traversal re-tests

@@ -139,8 +139,8 @@ class PairRuntime:
 
 
 #: Points one pass role works on at once: it bounds the streams in
-#: flight (their sessions, coins and pools) and the queries a frame
-#: queues behind on the loop.
+#: flight (their sessions and coins) and the queries a frame queues
+#: behind on the loop.
 POINTS_IN_FLIGHT = 3
 
 

@@ -34,7 +34,7 @@ group -- and each role runs its queries at once, on the
 point of the driver, peer), each on its own stream
 (:class:`~repro.multiparty.mesh.PairStream`), a sub-session of the pair
 hub (tag ``<session>#<driver>#<point>``) with its own frame queue,
-channel, coins, pools and comparison counter.  The drive role then
+channel, coins and comparison counter.  The drive role then
 expands its clusters locally over the counts.  A respond role serves
 exactly the driver's point count from the manifest, so no control
 record announces a query or ends a pass: a pass waits for its slowest
@@ -56,9 +56,9 @@ passed the shape and pinned-digest checks and been adopted -- all of
 which arrived in the same flight as the driver's queries.  A session
 spends no link delay on setup.
 
-Randomness: a daemon runs no offline phase.  Each stream's pools start
-empty and compute every Paillier randomness factor online, once, from
-the per-stream forked RNG streams the in-process mesh uses.
+Randomness: each stream draws every Paillier randomness factor
+online, once, from the hosted party's coins on that stream -- the
+per-stream RNGs the in-process mesh uses.
 
 Determinism: a session's coins, keys, and channel machinery are exactly
 the in-process mesh's (same ``derive_pair_rng`` streams per (pair,
@@ -80,7 +80,7 @@ into every session's :class:`~repro.smc.session.SmcSession`; the
 process-level key cache makes every session after the first reuse the
 derived key material.  Each session's
 :attr:`PartyReport.runtime_info` records whether
-it warm-started and its setup/pool figures, so the amortization is
+it warm-started and its setup figures, so the amortization is
 observable in reports, not just in wall-clock.
 """
 
@@ -102,7 +102,6 @@ from repro.core.distance import PeerCipherCache
 from repro.core.leakage import Disclosure, LeakageEvent, LeakageLedger
 from repro.crypto.engine import ModexpEngine
 from repro.crypto.integer_math import powmod_cache_report
-from repro.crypto.precompute import combine_pool_reports
 from repro.multiparty.horizontal import secure_peer_neighbor_count
 from repro.multiparty.mesh import (
     PairStream,
@@ -214,8 +213,7 @@ class PartyReport:
     round-trip cost from setup.
     ``runtime_info`` holds the daemon's per-session amortization
     figures: whether the session warm-started on an already-warmed
-    engine, setup timings, and the hosted party's randomness-pool
-    counts.
+    engine, the engine's accounting and setup timings.
     """
 
     party: str
@@ -503,16 +501,12 @@ class _Stream:
     stream: PairStream | None         # None once retired
     cache: PeerCipherCache | None     # its pass's cache on the pair
     comparisons: int = 0
-    pools: dict = field(default_factory=dict)   # reports, kept at retire
 
     def retire(self) -> None:
         """Drop the finished query's protocol state -- its session,
-        parties, coins and pools -- and keep what the report reads: the
-        channel's stats and transcript, the comparison count and the
-        pools' reports."""
-        session = self.stream.session
-        self.comparisons = session.comparison_backend.invocations
-        self.pools = session.pool_report()
+        parties and coins -- and keep what the report reads: the
+        channel's stats and transcript and the comparison count."""
+        self.comparisons = self.stream.session.comparison_backend.invocations
         self.stream = None
 
 
@@ -1187,7 +1181,7 @@ class PartyDaemon:
                 elapsed=finished - started,
                 passes=finished - passes_started,
                 runtime_info=self._runtime_info(
-                    session_index, warm_start, state.setup_seconds, state))
+                    session_index, warm_start, state.setup_seconds))
         finally:
             sync_span.close()
             session_span.close()
@@ -1323,7 +1317,7 @@ class PartyDaemon:
 
         Its own sub-session of the pair hub (:func:`_stream_tag`; frames
         that arrived before it was built wait there), per-query coins
-        and pools on the shared contexts, the same key slots, RNG
+        on the shared contexts, the same key slots, RNG
         substreams and channel machinery as the in-process mesh.  A
         stream built after the peer's keys were adopted starts on them.
         Its frame waits start once the peer's keys are adopted
@@ -1501,12 +1495,7 @@ class PartyDaemon:
     # -- reporting ---------------------------------------------------------
 
     def _runtime_info(self, session_index: int, warm_start: bool,
-                      setup_seconds: float, state: _SessionState) -> dict:
-        # The pools of every stream, kept when the stream retired: only
-        # the hosted party draws from them in this process.
-        pool = combine_pool_reports(
-            report for entry in state.streams.values()
-            for report in entry.pools.values())
+                      setup_seconds: float) -> dict:
         return {
             "runtime": "daemon",
             "pass_model": "async",
@@ -1516,8 +1505,6 @@ class PartyDaemon:
             "engine": self.engine.report(),
             "daemon_setup_seconds": round(self._setup_seconds, 6),
             "setup_seconds": round(setup_seconds, 6),
-            "pool": {key: pool[key]
-                     for key in ("pregenerated", "consumed", "misses")},
             # The scale-out observable: loop + engine machinery only,
             # independent of how many sessions run concurrently.
             # Published through the registry gauge so `repro stats`

@@ -96,7 +96,7 @@ def json_object(payload: str, error: type[Exception], where: str) -> dict:
 
 
 _SMC_FIELDS = ("paillier_bits", "rsa_bits", "comparison", "mask_sigma",
-               "faithful_shared_r", "key_seed", "precompute")
+               "faithful_shared_r", "key_seed")
 _PROTOCOL_FIELDS = ("eps", "min_pts", "scale", "selection",
                     "blind_cross_sum", "query_constant_blinding",
                     "cache_peer_ciphertexts")
@@ -255,8 +255,17 @@ class RunManifest:
             raise ManifestError(f"party names must be strings: {self.names}")
         if len(self.seeds) != len(self.names):
             raise ManifestError("seeds must parallel names")
+        for name, seed in zip(self.names, self.seeds):
+            if type(seed) is not int:
+                raise ManifestError(f"seed of {name!r} must be an int, got "
+                                    f"{seed!r}")
         if set(self.counts) != set(self.names):
             raise ManifestError("counts must cover exactly the party names")
+        for name in self.names:
+            count = self.counts[name]
+            if type(count) is not int or count < 0:
+                raise ManifestError(f"count of {name!r} must be a "
+                                    f"non-negative int, got {count!r}")
         if self.dimensions < 1:
             raise ManifestError(
                 f"dimensions must be >= 1, got {self.dimensions}")

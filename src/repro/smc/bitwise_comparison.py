@@ -37,7 +37,7 @@ Protocol:
    and a nonzero witness times a uniform multiplier is uniform in
    ``Z_u^*``.
 
-The comparison draws no Paillier pool factors and runs no engine jobs:
+The comparison draws no Paillier factors and runs no engine jobs:
 its work is a table lookup and a short power per ciphertext.
 
 Amortized batches: :func:`dgk_greater_than_batch` compares one

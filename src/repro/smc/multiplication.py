@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from repro.crypto.encoding import SignedEncoder
 from repro.crypto.paillier import PaillierCiphertext, PaillierKeyPair
-from repro.crypto.precompute import RandomnessPool
 from repro.net.party import Party
 
 
@@ -39,10 +38,7 @@ class MultiplicationError(ValueError):
 async def secure_multiplication(receiver: Party, x: int, masker: Party, y: int,
                                 mask: int, keypair: PaillierKeyPair, *,
                                 label: str = "mult",
-                                faithful_shared_r: bool = False,
-                                receiver_pool: RandomnessPool | None = None,
-                                masker_pool: RandomnessPool | None = None,
-                                ) -> int:
+                                faithful_shared_r: bool = False) -> int:
     """Run Algorithm 2; returns ``x*y + mask`` as learned by ``receiver``.
 
     Args:
@@ -56,10 +52,7 @@ async def secure_multiplication(receiver: Party, x: int, masker: Party, y: int,
             the masker (the session sends it once).
         label: transcript label prefix.
         faithful_shared_r: reproduce the paper's shared-randomness step
-            literally (see module docstring).  This mode encrypts under
-            an explicitly agreed ``r``, so pools never apply to it.
-        receiver_pool / masker_pool: optional pregenerated randomness
-            for the default mode's encryptions under the receiver's key.
+            literally (see module docstring).
     """
     public = keypair.public_key
     encoder = SignedEncoder(public.n)
@@ -78,8 +71,7 @@ async def secure_multiplication(receiver: Party, x: int, masker: Party, y: int,
         await receiver.send(f"{label}/encrypted_x", ciphertext)
         await receiver.send(f"{label}/shared_r", shared_r)
     else:
-        ciphertext = public.encrypt(encoder.encode(x), receiver.rng,
-                                    receiver_pool).value
+        ciphertext = public.encrypt(encoder.encode(x), receiver.rng).value
         await receiver.send(f"{label}/encrypted_x", ciphertext)
 
     # --- Steps 4-6 (masker): u' = E(x)^y * E(v). --------------------------
@@ -96,8 +88,7 @@ async def secure_multiplication(receiver: Party, x: int, masker: Party, y: int,
         # E(xy; r1) * E(v; r2) = E(xy + v; r1 r2) with r2 fresh and
         # uniform, so one factor suffices.
         product = received * encoder.encode(y)
-        masked = product + public.encrypt(encoder.encode(mask),
-                                          masker.rng, masker_pool)
+        masked = product + public.encrypt(encoder.encode(mask), masker.rng)
         await masker.send(f"{label}/masked_product", masked.value)
 
     # --- Step 7 (receiver): decrypt. ---------------------------------------

@@ -26,12 +26,12 @@ Three call shapes the DBSCAN protocols need:
   phase by phase across them, so the protocol's two passes -- one lane
   each, in opposite directions -- share one round-trip's flights.
 
-All three accept optional :class:`~repro.crypto.precompute.RandomnessPool`
-arguments -- one per (acting party, key) -- which move the randomness
-factors of encryption into an offline phase.  Every ciphertext list
-travels as a :class:`~repro.net.serialization.FixedWidthList` at the
-key's width (``n^2``'s bytes), and every receiver refuses one sent at
-any other width.
+Every randomness factor is drawn online from the acting party's RNG
+(:meth:`~repro.crypto.paillier.PaillierPublicKey.fresh_factor`).
+Every ciphertext list travels as a
+:class:`~repro.net.serialization.FixedWidthList` at the key's width
+(``n^2``'s bytes), and every receiver refuses one sent at any other
+width.
 
 Rerandomization note: every reply the masker (or the batch receiver)
 returns is a homomorphic combination of ciphertexts the other party
@@ -54,7 +54,6 @@ from dataclasses import dataclass
 from repro.crypto.encoding import SignedEncoder
 from repro.crypto.engine import ModexpEngine, default_engine
 from repro.crypto.paillier import PaillierCiphertext, PaillierKeyPair
-from repro.crypto.precompute import RandomnessPool
 from repro.net.party import Party
 from repro.net.serialization import FixedWidthList
 
@@ -68,8 +67,6 @@ async def secure_masked_dot_terms(receiver: Party, x_vector: list[int],
                                   masks: list[int],
                                   keypair: PaillierKeyPair, *,
                                   label: str = "dot",
-                                  receiver_pool: RandomnessPool | None = None,
-                                  masker_pool: RandomnessPool | None = None,
                                   engine: ModexpEngine | None = None,
                                   ) -> list[int]:
     """Per-coordinate Multiplication Protocol batch (HDP inner loop).
@@ -89,8 +86,8 @@ async def secure_masked_dot_terms(receiver: Party, x_vector: list[int],
     width = public.ciphertext_width
     encrypted = FixedWidthList(
         [cipher.value for cipher in engine.encrypt_batch(
-            public, [encoder.encode(x) for x in x_vector], receiver.rng,
-            receiver_pool)], width)
+            public, [encoder.encode(x) for x in x_vector],
+            receiver.rng)], width)
     await receiver.send(f"{label}/encrypted_vector", encrypted)
 
     received = public.check_width(
@@ -100,8 +97,7 @@ async def secure_masked_dot_terms(receiver: Party, x_vector: list[int],
         product = PaillierCiphertext(public, value) * encoder.encode(y)
         # The fresh encryption of the mask is also the reply's only
         # rerandomization (the module docstring's note).
-        masked = product + public.encrypt(encoder.encode(mask), masker.rng,
-                                          masker_pool)
+        masked = product + public.encrypt(encoder.encode(mask), masker.rng)
         replies.append(masked.value)
     await masker.send(f"{label}/masked_terms", replies)
 
@@ -116,8 +112,6 @@ async def secure_masked_dot_terms_batch(
         betas: list[list[int]], offsets: list[int],
         keypair: PaillierKeyPair, *, blind_bound: int,
         label: str = "dotbatch",
-        holder_pool: RandomnessPool | None = None,
-        receiver_pool: RandomnessPool | None = None,
         engine: ModexpEngine | None = None) -> list[int]:
     """Batched region-query cross terms: receiver learns
     ``<alpha, beta_i> + offsets[i]`` for every ``beta_i``.
@@ -164,8 +158,8 @@ async def secure_masked_dot_terms_batch(
     if holder.hosted:
         encrypted_alpha = FixedWidthList(
             [cipher.value for cipher in engine.encrypt_batch(
-                public, [encoder.encode(a) for a in alpha], holder.rng,
-                holder_pool)], width)
+                public, [encoder.encode(a) for a in alpha],
+                holder.rng)], width)
     await holder.send(f"{label}/encrypted_alpha", encrypted_alpha)
 
     blinds = []
@@ -182,7 +176,7 @@ async def secure_masked_dot_terms_batch(
             # accumulated reply a fresh encryption (one factor, no
             # extra rerandomization).
             accumulator = public.encrypt(encoder.encode(blind),
-                                         receiver.rng, receiver_pool)
+                                         receiver.rng)
             for cipher, coefficient in zip(received, beta):
                 if coefficient:
                     accumulator = (accumulator
@@ -221,8 +215,6 @@ class ScalarProductLane:
         masks: per alpha, one signed mask per beta vector.
         keypair: receiver's Paillier keys.
         label: transcript label prefix.
-        receiver_pool / masker_pool: optional randomness pools for each
-            party's encryptions under the receiver's key.
     """
 
     receiver: Party
@@ -232,8 +224,6 @@ class ScalarProductLane:
     masks: Sequence[Sequence[int]]
     keypair: PaillierKeyPair
     label: str = "sprod"
-    receiver_pool: RandomnessPool | None = None
-    masker_pool: RandomnessPool | None = None
 
     def check(self) -> None:
         if not len(self.alphas) == len(self.betas) == len(self.masks):
@@ -259,8 +249,6 @@ async def secure_scalar_products(receiver: Party, alphas: list[list[int]],
                                  masks: list[list[int]],
                                  keypair: PaillierKeyPair, *,
                                  label: str = "sprod",
-                                 receiver_pool: RandomnessPool | None = None,
-                                 masker_pool: RandomnessPool | None = None,
                                  engine: ModexpEngine | None = None,
                                  ) -> list[list[int]]:
     """Section 5 batched sharing: receiver learns ``<alpha, beta_i> + v_i``
@@ -277,7 +265,7 @@ async def secure_scalar_products(receiver: Party, alphas: list[list[int]],
     """
     [products] = await secure_scalar_products_lanes(
         [ScalarProductLane(receiver, alphas, masker, betas, masks, keypair,
-                           label, receiver_pool, masker_pool)],
+                           label)],
         engine=engine)
     return products
 
@@ -289,7 +277,7 @@ async def secure_scalar_products_lanes(lanes: Sequence[ScalarProductLane], *,
     receiver's ``encrypted_alpha`` messages in lane order, then every
     masker's ``masked_products``, then every receiver's decryptions.
 
-    Each lane keeps its messages, labels, key and pools; only the order
+    Each lane keeps its messages, labels and key; only the order
     changes.  With one lane in each direction (the two passes of the
     Section 5 protocol) the senders run ``R1 | R2 M1 | M2``: both lanes
     take the three flights of one.  Every lane is checked before
@@ -313,7 +301,7 @@ async def _send_encrypted_alphas(lane: ScalarProductLane,
     encoder = SignedEncoder(public.n)
     encrypted = iter([cipher.value for cipher in engine.encrypt_batch(
         public, [encoder.encode(a) for alpha in lane.alphas for a in alpha],
-        lane.receiver.rng, lane.receiver_pool)])
+        lane.receiver.rng)])
     for alpha in lane.alphas:
         await lane.receiver.send(f"{lane.label}/encrypted_alpha",
                            FixedWidthList([next(encrypted) for _ in alpha],
@@ -330,14 +318,12 @@ async def _send_masked_products(lane: ScalarProductLane,
                  for v in public.check_width(
                      lane.masker.receive(f"{lane.label}/encrypted_alpha"))]
                 for _ in lane.alphas]
-    # Masker-side powmods (one mask encryption per beta, the ``r^n``
-    # halves) run as one sharded engine batch; the factors come back in
-    # the serial draw order, so the produced ciphertexts are
-    # bit-identical to the per-item loop.  The fresh mask encryption is
-    # each reply's only rerandomization (the module docstring's note).
+    # One factor per beta (the mask encryption's ``r^n`` half), drawn
+    # in one engine batch in the per-item loop's order.  The fresh mask
+    # encryption is each reply's only rerandomization (the module
+    # docstring's note).
     factors = iter(engine.encryption_factors(
-        public, sum(len(group) for group in lane.betas), lane.masker.rng,
-        lane.masker_pool))
+        public, sum(len(group) for group in lane.betas), lane.masker.rng))
     for ciphers, group, group_masks in zip(received, lane.betas,
                                            lane.masks):
         replies = FixedWidthList([], public.ciphertext_width)

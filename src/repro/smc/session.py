@@ -32,7 +32,6 @@ from repro.crypto.paillier import (
     PaillierPublicKey,
     generate_paillier_keypair,
 )
-from repro.crypto.precompute import RandomnessPool
 from repro.crypto.rsa import RsaKeyPair, generate_rsa_keypair
 from repro.crypto.sealed import (
     is_sealed,
@@ -78,13 +77,6 @@ class SmcConfig:
         key_seed: when set, key material is derived deterministically
             from this seed (and memoized) -- reproducible tests and
             benchmarks that should not pay key-generation time.
-        precompute: enable per-(actor, key) randomness pools (the
-            offline/online split).  Pools change only *when* the
-            randomness factors are computed -- never the protocol
-            semantics or disclosures; empty pools generate on demand.
-            Call :meth:`SmcSession.precompute_pools` to move that work
-            into an offline phase.  Off = seed-era behaviour, useful for
-            ablations.
         engine: a :class:`~repro.crypto.engine.ModexpEngine` executing
             the Paillier layer's batch decryption and YMPP's RSA sweep;
             randomness factors and the DGK comparison run no engine
@@ -99,7 +91,6 @@ class SmcConfig:
     mask_sigma: int = 16
     faithful_shared_r: bool = False
     key_seed: int | None = None
-    precompute: bool = True
     engine: ModexpEngine | None = None
 
     def mask_bound(self, value_bound: int) -> int:
@@ -138,7 +129,7 @@ class CryptoContext:
     @property
     def pending(self) -> bool:
         """A sealed peer context whose placeholder keys still wait for
-        the owner's announcement: a session refuses to encrypt, pool or
+        the owner's announcement: a session refuses to encrypt or
         compare under a pending key
         (:meth:`SmcSession.peer_keys_adopted`)."""
         return self.paillier.public_key.n == 0
@@ -327,29 +318,8 @@ class SmcSession:
             }
             drive(exchange_public_keys(self.alice, self.bob, self._contexts,
                                        self.config.paillier_bits))
-        self._start()
-
-    def _start(self) -> None:
-        """The session's own mutable state: pools, engine, comparison
-        backend -- built from its contexts."""
-        # Every (actor, key_owner) pool is created eagerly, in fixed
-        # order, each with its own RNG stream *forked* from the actor's
-        # protocol RNG at this pinned point.  The fork is what makes
-        # pool refills timing-invariant: a pool filled up front
-        # (precompute_pools) or on demand produces the same factor
-        # sequence, because pool draws never interleave with the
-        # party's protocol coin draws.
-        # Pooling therefore only reorders work in time -- the
-        # bit-identity contract across runtimes holds whatever the
-        # refill schedule.  A pool under a pending peer key holds the
-        # placeholder until peer_keys_adopted.
-        self._pools: dict[tuple[str, str], RandomnessPool] = {}
-        if self.config.precompute:
-            for actor in (self.alice, self.bob):
-                for owner in (self.alice, self.bob):
-                    self._pools[(actor.name, owner.name)] = RandomnessPool(
-                        self._contexts[owner.name].paillier.public_key,
-                        random.Random(actor.rng.getrandbits(128)))
+        # No coin is drawn here: each Paillier factor is drawn by the
+        # protocol step that needs it, from the acting party's RNG.
         self.engine: ModexpEngine = self.config.engine or default_engine()
         self.comparison_backend: SecureComparison = self._comparison_backend()
 
@@ -371,14 +341,11 @@ class SmcSession:
         )
 
     def peer_keys_adopted(self, owner: str) -> None:
-        """Re-point this session at ``owner``'s keys, adopted from its
-        announcement after the session was built: the pools under that
-        key and the comparison backend (its invocation count carries
-        over)."""
-        public = self.paillier_keys(owner).public_key
-        for (_actor, key_owner), pool in self._pools.items():
-            if key_owner == owner:
-                pool.public_key = public
+        """Re-point this session's comparison backend at ``owner``'s
+        keys, adopted from its announcement after the session was built
+        (its invocation count carries over); refuses a key still
+        pending."""
+        self.paillier_keys(owner)
         invocations = self.comparison_backend.invocations
         self.comparison_backend = self._comparison_backend()
         self.comparison_backend.invocations = invocations
@@ -447,66 +414,18 @@ class SmcSession:
         if context.pending:
             raise SessionError(
                 f"{name!r} has not announced its keys yet: nothing is "
-                f"encrypted, pooled or compared under them before its "
+                f"encrypted or compared under them before its "
                 f"announcement is adopted")
         return context
 
     def paillier_keys(self, name: str) -> PaillierKeyPair:
         return self._context(name).paillier
 
-    # -- randomness pools (offline/online split) ----------------------------
-
-    def pool(self, actor: "Party | str",
-             key_owner: "Party | str") -> RandomnessPool | None:
-        """Randomness pool for ``actor`` encrypting under ``key_owner``'s key.
-
-        Pools are keyed by both coordinates because each party draws its
-        encryption randomness from its *own* forked pool stream, but may
-        encrypt under either Paillier key (e.g. the HDP masker encrypts
-        under the querier's key).  All four pools exist from session
-        construction (see ``__post_init__``); ``None`` when
-        ``precompute`` is disabled, which every pooled primitive treats
-        as "generate fresh".
-        """
-        if not self.config.precompute:
-            return None
-        actor_name = actor if isinstance(actor, str) else actor.name
-        owner_name = key_owner if isinstance(key_owner, str) else key_owner.name
-        self._context(owner_name)
-        return self._pools[(self.party(actor_name).name,
-                            self.party(owner_name).name)]
-
-    def precompute_pools(self, factors: "int | dict") -> None:
-        """Offline phase: pregenerate encryption/rerandomization factors.
-
-        ``factors`` is either one count applied to every (actor, key)
-        combination or a ``{(actor, key_owner): count}`` plan -- e.g. the
-        consumption a probe run reported via :meth:`pool_report`.  The
-        refills run through the session's engine, so a multi-worker
-        engine shards this offline phase across processes.
-        """
-        if not self.config.precompute:
-            raise SessionError(
-                "precompute_pools requires SmcConfig(precompute=True)")
-        names = (self.alice.name, self.bob.name)
-        if isinstance(factors, int):
-            plan = {(actor, owner): factors
-                    for actor in names for owner in names}
-        else:
-            plan = factors
-        for (actor, owner), count in plan.items():
-            if count > 0:
-                self.engine.fill_pool(self.pool(actor, owner), count)
-
-    def pool_report(self) -> dict[tuple[str, str], dict[str, int]]:
-        """Per-pool accounting: pregenerated/consumed/misses/available."""
-        return {key: pool.report()
-                for key, pool in sorted(self._pools.items())}
-
-    def pools(self) -> dict[tuple[str, str], RandomnessPool]:
-        """The live pool objects, keyed ``(actor, key_owner)`` in fixed
-        creation order."""
-        return dict(self._pools)
+    def pool_report(self) -> dict:
+        """Empty: the offline randomness pools are gone.  Kept only
+        because the layered benchmark's harness still reads it (ROADMAP
+        direction 1)."""
+        return {}
 
     # -- protocol entry points ----------------------------------------------
 
@@ -540,9 +459,7 @@ class SmcSession:
         return await secure_multiplication(
             receiver, x, masker, y, mask,
             self.paillier_keys(receiver.name), label=label,
-            faithful_shared_r=self.config.faithful_shared_r,
-            receiver_pool=self.pool(receiver, receiver),
-            masker_pool=self.pool(masker, receiver))
+            faithful_shared_r=self.config.faithful_shared_r)
 
     async def masked_dot_terms(self, receiver: Party, x_vector: list[int],
                                masker: Party, y_vector: list[int],
@@ -552,8 +469,6 @@ class SmcSession:
         return await secure_masked_dot_terms(
             receiver, x_vector, masker, y_vector, masks,
             self.paillier_keys(receiver.name), label=label,
-            receiver_pool=self.pool(receiver, receiver),
-            masker_pool=self.pool(masker, receiver),
             engine=self.engine)
 
     async def masked_dot_terms_batch(self, holder: Party, alpha: list[int],
@@ -566,10 +481,7 @@ class SmcSession:
         return await secure_masked_dot_terms_batch(
             holder, alpha, receiver, betas, offsets,
             self.paillier_keys(holder.name), blind_bound=blind_bound,
-            label=label,
-            holder_pool=self.pool(holder, holder),
-            receiver_pool=self.pool(receiver, holder),
-            engine=self.engine)
+            label=label, engine=self.engine)
 
     def scalar_product_lane(self, receiver: Party,
                             alphas: list[list[int]], masker: Party,
@@ -578,9 +490,7 @@ class SmcSession:
                             label: str = "sprod") -> ScalarProductLane:
         """One lane of
         :func:`~repro.smc.scalar_product.secure_scalar_products_lanes`,
-        under the receiver's key and both parties' pools for it."""
+        under the receiver's key."""
         return ScalarProductLane(
             receiver, alphas, masker, betas, masks,
-            self.paillier_keys(receiver.name), label=label,
-            receiver_pool=self.pool(receiver, receiver),
-            masker_pool=self.pool(masker, receiver))
+            self.paillier_keys(receiver.name), label=label)

@@ -106,12 +106,13 @@ def key_work(monkeypatch) -> dict[str, list]:
     """From here on, the modulus of the key under which each Paillier
     batch decryption, each DGK bit encryption and each fresh Paillier
     randomness factor ran -- which names the party that ran it, in this
-    process or in a thread-mode daemon fleet's."""
+    process or in a thread-mode daemon fleet's -- and, parallel to
+    ``factors``, the RNG that drew each factor (``factor_rngs``)."""
     from repro.crypto.engine import ModexpEngine
     from repro.crypto.paillier import PaillierPublicKey
     from repro.smc import bitwise_comparison
 
-    work = {"decrypt": [], "dgk_bits": [], "factors": []}
+    work = {"decrypt": [], "dgk_bits": [], "factors": [], "factor_rngs": []}
     decrypt = ModexpEngine.decrypt_raw_batch
     encrypted_bits = bitwise_comparison._encrypted_bits
     fresh_factor = PaillierPublicKey.fresh_factor
@@ -126,6 +127,7 @@ def key_work(monkeypatch) -> dict[str, list]:
 
     def computing(public, rng):
         work["factors"].append(public.n)
+        work["factor_rngs"].append(rng)
         return fresh_factor(public, rng)
 
     monkeypatch.setattr(ModexpEngine, "decrypt_raw_batch", decrypting)

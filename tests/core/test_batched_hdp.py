@@ -41,14 +41,14 @@ point2d = st.tuples(coordinate, coordinate)
 points_list = st.lists(point2d, min_size=1, max_size=6)
 
 
-def _session(seed=0, backend="bitwise", precompute=True):
+def _session(seed=0, backend="bitwise"):
     channel = Channel()
     alice, bob = make_party_pair(channel, seed, seed + 1)
     # 128-bit keys: the equivalence properties under test do not depend
     # on key size, and tier-1 wall-clock does (benchmarks keep 256).
     session = SmcSession(alice, bob, SmcConfig(
         comparison=backend, key_seed=95, mask_sigma=8,
-        paillier_bits=128, precompute=precompute))
+        paillier_bits=128))
     return channel, session
 
 
@@ -239,9 +239,9 @@ class TestQuerierEncryptionCount:
         counts = {id(alice.rng): 0, id(bob.rng): 0}
         original = PaillierPublicKey.encrypt
 
-        def counting_encrypt(self, plaintext, rng, pool=None):
+        def counting_encrypt(self, plaintext, rng):
             counts[id(rng)] += 1
-            return original(self, plaintext, rng, pool)
+            return original(self, plaintext, rng)
 
         peer_points = [tuple(5 * i + t for t in range(dimensions))
                        for i in range(n_peer)]
@@ -318,34 +318,18 @@ class TestFullRunEquivalence:
             assert reference.labels.as_tuple() == labels
 
 
-class TestSessionPools:
-    def test_precompute_off_disables_pools(self):
-        __, session = _session(8, precompute=False)
-        assert session.pool(session.alice, session.bob) is None
-        from repro.smc.session import SessionError
-        with pytest.raises(SessionError, match="precompute"):
-            session.precompute_pools(4)
-
-    def test_prefill_plan_eliminates_misses(self):
-        """The offline/online contract: prefilling by a probe run's
-        consumption makes the online run miss-free."""
-        def run_query(session):
-            return drive(hdp_region_query(
+class TestSessionCoins:
+    def test_equal_coins_give_an_equal_wire(self):
+        """Every factor is drawn online from the acting party's coins,
+        so two sessions built from the same seeds answer a region query
+        in the same presentation order over a bit-identical wire."""
+        runs = []
+        for _ in range(2):
+            channel, session = _session(9)
+            bits = drive(hdp_region_query(
                 session, session.alice, (0, 0), session.bob,
                 [(0, 3), (4, 0), (50, 50)], 25, VALUE_BOUND))
-
-        __, probe = _session(9)
-        expected = run_query(probe)
-        plan = {key: report["consumed"]
-                for key, report in probe.pool_report().items()}
-        assert sum(plan.values()) > 0
-
-        __, online = _session(9)
-        online.precompute_pools(plan)
-        # Prefilling reorders RNG draws, so the peer's presentation
-        # permutation differs; the neighbor multiset cannot.
-        assert sorted(run_query(online)) == sorted(expected)
-        report = online.pool_report()
-        assert all(entry["misses"] == 0 for entry in report.values())
-        assert sum(entry["consumed"] for entry in report.values()) \
-            == sum(plan.values())
+            runs.append((bits, [(entry.sender, entry.label, entry.value)
+                                for entry in channel.transcript.entries]))
+        assert runs[0] == runs[1]
+        assert sorted(runs[0][0]) == [False, True, True]

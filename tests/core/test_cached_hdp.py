@@ -118,23 +118,29 @@ class TestCachedReplyFactors:
     separate rerandomization); the batched variant adds only a
     plaintext offset, so it keeps one rerandomization per reply."""
 
-    def test_per_point_reply_draws_one_factor_per_coordinate(self):
+    @staticmethod
+    def _querier_factors(key_work, session) -> int:
+        """Factors the querier alice drew under the peer bob's key."""
+        peer_n = session.paillier_keys("bob").public_key.n
+        return sum(n == peer_n and rng is session.alice.rng
+                   for n, rng in zip(key_work["factors"],
+                                     key_work["factor_rngs"]))
+
+    def test_per_point_reply_draws_one_factor_per_coordinate(self,
+                                                             key_work):
         __, session = _session(3)
-        pool = session.pool(session.alice, session.bob)
-        before = pool.consumed
         drive(hdp_within_eps_cached(session, session.alice, (1, 2, 3),
                                     session.bob, (4, 6, 8), 0,
                                     PeerCipherCache(), 25, VALUE_BOUND))
-        assert pool.consumed - before == 3
+        assert self._querier_factors(key_work, session) == 3
 
-    def test_batched_reply_keeps_one_rerandomization_per_point(self):
+    def test_batched_reply_keeps_one_rerandomization_per_point(self,
+                                                              key_work):
         from repro.core.distance import hdp_region_query_cached
 
         __, session = _session(4)
-        pool = session.pool(session.alice, session.bob)
-        before = pool.consumed
         peer_points = [(4, 6), (1, 1), (0, 9)]
         drive(hdp_region_query_cached(
             session, session.alice, (1, 2), session.bob, peer_points,
             [0, 1, 2], PeerCipherCache(), 25, VALUE_BOUND))
-        assert pool.consumed - before == len(peer_points)
+        assert self._querier_factors(key_work, session) == len(peer_points)

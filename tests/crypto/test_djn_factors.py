@@ -159,30 +159,26 @@ class TestOneKernelForEveryHolder:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("bits", [256, 1024])
-    def test_full_and_sealed_keys_agree(self, bits, workers):
+    def test_full_and_sealed_keys_agree(self, key_work, bits, workers):
         keys = _keys(bits)
         public = keys.public_key
         produced = []
         for session in self._sessions(keys, workers):
-            pool = session.pool("alice", "alice")
-            session.precompute_pools({("alice", "alice"): 3})
+            key_work["factors"].clear()
+            key_work["factor_rngs"].clear()
             ciphers = session.engine.encrypt_batch(
-                public, [0, 7, 99, 123456, 5], session.alice.rng, pool)
+                public, [0, 7, 99, 123456, 5], session.alice.rng)
             factors = session.engine.encryption_factors(
-                public, 2, session.alice.rng, pool)
+                public, 2, session.alice.rng)
             fresh = public.encrypt(11, session.alice.rng)
             produced.append(([c.value for c in ciphers], factors,
-                             fresh.rerandomize(session.alice.rng).value,
-                             pool.report()))
+                             fresh.rerandomize(session.alice.rng).value))
+            # Each of the nine factors is computed once, online, under
+            # the key, from the acting party's own coins.
+            assert key_work["factors"] == [public.n] * 9
+            assert key_work["factor_rngs"] == [session.alice.rng] * 9
             session.engine.close()
         assert produced[0] == produced[1]
-        assert produced[0][3]["misses"] == 4
-
-    def test_session_pools_hold_public_keys_only(self):
-        session = self._sessions(_keys(256), 1)[0]
-        for (_actor, owner), pool in session.pools().items():
-            assert pool.public_key == session.paillier_keys(owner).public_key
-            assert not hasattr(pool, "private_key")
 
 
 def _discrete_log(base: int, value: int, prime: int) -> int:

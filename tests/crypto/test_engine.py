@@ -2,9 +2,9 @@
 
 The binding property (the PR-2 tentpole contract): a
 :class:`~repro.crypto.engine.ModexpEngine` never changes *what* is
-computed -- pool fills, batch encryptions and batch decryptions must be
-bit-identical to the seed-era serial loops under the same RNG state, for
-every worker count and for the serial fallback.
+computed -- batch encryptions, factor batches and batch decryptions must
+be bit-identical to the seed-era serial loops under the same RNG state,
+for every worker count and for the serial fallback.
 """
 
 import dataclasses
@@ -15,7 +15,6 @@ import pytest
 from repro.crypto.engine import EngineError, ModexpEngine, default_engine
 from repro.crypto.keycache import cached_paillier_keypair
 from repro.crypto.paillier import PaillierError
-from repro.crypto.precompute import RandomnessPool
 from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
 
@@ -25,7 +24,7 @@ PRIV = KEYS.private_key
 
 
 def _parallel_engine(workers=2):
-    """An engine that shards even tiny batches (exercises the pool path)."""
+    """An engine that shards even tiny batches (exercises the workers)."""
     return ModexpEngine(workers=workers, min_parallel_jobs=1)
 
 
@@ -65,6 +64,12 @@ class TestModexpBatch:
         with pytest.raises(EngineError, match="shards_per_worker"):
             ModexpEngine(shards_per_worker=0)
 
+    def test_fill_pool_is_a_stub(self):
+        """The offline pools are gone: the name stays for the layered
+        benchmark's probes only, and refuses to run."""
+        with pytest.raises(EngineError, match="pools are gone"):
+            ModexpEngine(workers=1).fill_pool(None, 3)
+
     def test_default_engine_is_serial_singleton(self):
         engine = default_engine()
         assert engine is default_engine()
@@ -95,52 +100,6 @@ class TestWarmUp:
         # the engine keeps running serially -- never an exception.
         assert isinstance(warmed, bool)
 
-    def test_mesh_precompute_warms_each_engine_once(self):
-        from repro.multiparty.mesh import PartyMesh
-        from repro.smc.session import SmcConfig
-        with _parallel_engine() as engine:
-            mesh = PartyMesh(["a", "b", "c"],
-                             SmcConfig(key_seed=81, engine=engine),
-                             seeds=[1, 2, 3])
-            mesh.precompute_pools(2)
-            # Three pairwise sessions share one engine object; the mesh
-            # offline phase warms it exactly once per precompute call.
-            assert engine.report()["warmups"] <= 1
-
-
-class TestPoolFillEquivalence:
-    def _pools(self, seed):
-        return (RandomnessPool(PUB, random.Random(seed)),
-                RandomnessPool(PUB, random.Random(seed)))
-
-    @pytest.mark.parametrize("count", [0, 1, 7, 40])
-    def test_engine_fill_matches_serial_refill(self, count):
-        serial_pool, engine_pool = self._pools(3)
-        serial_pool.refill(count)
-        with _parallel_engine() as engine:
-            engine.fill_pool(engine_pool, count)
-        assert [serial_pool.encryption_factor() for _ in range(count)] \
-            == [engine_pool.encryption_factor() for _ in range(count)]
-        assert serial_pool.pregenerated == engine_pool.pregenerated == count
-        assert engine_pool.misses == 0
-
-    def test_serial_engine_fill_matches_refill(self):
-        serial_pool, engine_pool = self._pools(4)
-        serial_pool.refill(12)
-        ModexpEngine(workers=1).fill_pool(engine_pool, 12)
-        assert list(serial_pool._factors) == list(engine_pool._factors)
-
-    def test_session_precompute_uses_engine(self):
-        from repro.smc.session import SmcConfig, SmcSession
-        with _parallel_engine() as engine:
-            session = SmcSession(
-                *make_party_pair(Channel(), 1, 2),
-                SmcConfig(key_seed=77, engine=engine))
-            session.precompute_pools(6)
-            report = session.pool_report()
-        assert all(entry["pregenerated"] == 6 for entry in report.values())
-        assert engine.report()["jobs"] >= 24  # 4 pools x 6 factors
-
 
 class TestEncryptBatchEquivalence:
     MESSAGES = [0, 1, 17, PUB.n - 1, 123456789]
@@ -152,33 +111,26 @@ class TestEncryptBatchEquivalence:
                                           random.Random(5))
         assert [c.value for c in serial] == [c.value for c in pooled]
 
-    @pytest.mark.parametrize("prefilled", [0, 2, 5])
-    def test_pool_with_misses(self, prefilled):
-        """Engine consumption must mirror the serial pop/miss order."""
-        serial_pool = RandomnessPool(PUB, random.Random(6))
-        engine_pool = RandomnessPool(PUB, random.Random(6))
-        serial_pool.refill(prefilled)
-        engine_pool.refill(prefilled)
-        serial = PUB.encrypt_batch(self.MESSAGES, serial_pool.rng,
-                                   serial_pool)
-        with _parallel_engine() as engine:
-            parallel = engine.encrypt_batch(PUB, self.MESSAGES,
-                                            engine_pool.rng, engine_pool)
-        assert [c.value for c in serial] == [c.value for c in parallel]
-        assert serial_pool.report() == engine_pool.report()
-
     def test_decrypts_back(self):
         with _parallel_engine() as engine:
             ciphers = engine.encrypt_batch(PUB, self.MESSAGES,
                                            random.Random(7))
         assert [PRIV.decrypt(c) for c in ciphers] == self.MESSAGES
 
-    def test_pool_key_mismatch_raises(self):
-        other = cached_paillier_keypair(256, 921)
-        pool = RandomnessPool(other.public_key, random.Random(0))
-        with pytest.raises(PaillierError, match="different key"):
-            _parallel_engine().encrypt_batch(PUB, [1], random.Random(0),
-                                             pool)
+    @pytest.mark.parametrize("count", [0, 2, 5])
+    def test_leaves_the_rng_where_serial_encryption_does(self, count):
+        """Every engine draws one factor per plaintext, in order, and
+        counts one job each: the caller's next draw is the serial
+        loop's."""
+        messages = self.MESSAGES[:count]
+        for engine in (ModexpEngine(workers=1), _parallel_engine()):
+            with engine:
+                rng, twin = random.Random(6), random.Random(6)
+                ciphers = engine.encrypt_batch(PUB, messages, rng)
+                report = engine.report()
+            assert ciphers == [PUB.encrypt(m, twin) for m in messages]
+            assert rng.getstate() == twin.getstate()
+            assert (report["batches"], report["jobs"]) == (1, count)
 
 
 class TestEncryptionFactorsEquivalence:
@@ -186,41 +138,24 @@ class TestEncryptionFactorsEquivalence:
     batches (Section 5 share generation) drawn through the engine must
     be bit-identical to the serial interleaved sequence."""
 
-    def _serial_factors(self, count, rng, pool):
-        """The seed-era draw order: one factor per encrypt/rerandomize."""
-        factors = []
-        for _ in range(count):
-            if pool is not None:
-                factors.append(pool.encryption_factor())
-            else:
-                factors.append(PUB.fresh_factor(rng))
-        return factors
-
     def test_no_pool(self):
-        serial = self._serial_factors(10, random.Random(8), None)
+        """The seed-era draw order: one factor per encryption."""
+        rng = random.Random(8)
+        serial = [PUB.fresh_factor(rng) for _ in range(10)]
         with _parallel_engine() as engine:
             batched = engine.encryption_factors(PUB, 10, random.Random(8))
         assert serial == batched
 
-    @pytest.mark.parametrize("prefilled", [0, 3, 10])
-    def test_pool_with_misses(self, prefilled):
-        serial_pool = RandomnessPool(PUB, random.Random(9))
-        engine_pool = RandomnessPool(PUB, random.Random(9))
-        serial_pool.refill(prefilled)
-        engine_pool.refill(prefilled)
-        serial = self._serial_factors(6, serial_pool.rng, serial_pool)
-        with _parallel_engine() as engine:
-            batched = engine.encryption_factors(PUB, 6, engine_pool.rng,
-                                                engine_pool)
-        assert serial == batched
-        assert serial_pool.report() == engine_pool.report()
-
-    def test_pool_key_mismatch_raises(self):
-        other = cached_paillier_keypair(256, 921)
-        pool = RandomnessPool(other.public_key, random.Random(0))
-        with pytest.raises(PaillierError, match="different key"):
-            _parallel_engine().encryption_factors(PUB, 1, random.Random(0),
-                                                  pool)
+    @pytest.mark.parametrize("count", [0, 3, 10])
+    def test_leaves_the_rng_where_serial_draws_do(self, count):
+        for engine in (ModexpEngine(workers=1), _parallel_engine()):
+            with engine:
+                rng, twin = random.Random(9), random.Random(9)
+                factors = engine.encryption_factors(PUB, count, rng)
+                report = engine.report()
+            assert factors == [PUB.fresh_factor(twin) for _ in range(count)]
+            assert rng.getstate() == twin.getstate()
+            assert (report["batches"], report["jobs"]) == (1, count)
 
     def test_scalar_products_transcript_engine_vs_serial(self):
         """Section 5 sharing routed through the engine is bit-identical
@@ -277,17 +212,3 @@ class TestDecryptBatchEquivalence:
         with pytest.raises(PaillierError, match="Z_"):
             ModexpEngine(workers=1).decrypt_raw_batch(PRIV, [-1])
 
-
-@pytest.mark.slow
-class TestWorkerScaling:
-    """Heavier fills across worker counts -- excluded from tier-1."""
-
-    def test_fill_identical_across_worker_counts(self):
-        reference = RandomnessPool(PUB, random.Random(14))
-        reference.refill(120)
-        expected = list(reference._factors)
-        for workers in (1, 2, 4):
-            pool = RandomnessPool(PUB, random.Random(14))
-            with ModexpEngine(workers=workers) as engine:
-                engine.fill_pool(pool, 120)
-            assert list(pool._factors) == expected, workers

@@ -6,7 +6,7 @@ computation it replaces, and neither decryption nor any randomness
 factor may put a value into the process-wide powmod memo.  The DGK key
 holder's zero test is tested in ``tests/crypto/test_dgk.py``; here only
 its refusal on a sealed key inside a session.  Randomness factors have
-one kernel for every holder of a key: the owner's pools match a peer's
+one kernel for every holder of a key: the owner's draws match a peer's
 here, and the kernel itself is tested in
 ``tests/crypto/test_djn_factors.py``.
 """
@@ -28,7 +28,6 @@ from repro.crypto.paillier import (
     PaillierPublicKey,
     generate_paillier_keypair,
 )
-from repro.crypto.precompute import RandomnessPool
 from repro.crypto.sealed import PublicOnlyKeyError, seal_dgk_keypair
 from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
@@ -121,44 +120,40 @@ class TestSignedScalars:
             PUB.encrypt(1, random.Random(0)) - cipher
 
 
-class TestOwnerPools:
-    """The key owner's pool and a pool on the same key rebuilt from its
-    announced ``(n, g)`` -- what a peer holds -- draw identical factors
-    from the same coins: the owner has no kernel of its own."""
+class TestOwnerFactors:
+    """The key owner's public key and one rebuilt from its announced
+    ``(n, g)`` -- what a peer holds -- draw identical factors from the
+    same coins: the owner has no kernel of its own."""
 
-    def _pair(self, seed):
-        peer_view = PaillierPublicKey(n=PUB.n, g=PUB.g)
-        return (RandomnessPool(KEYS.public_key, random.Random(seed)),
-                RandomnessPool(peer_view, random.Random(seed)))
+    def _pair(self):
+        return KEYS.public_key, PaillierPublicKey(n=PUB.n, g=PUB.g)
 
-    def test_refill_and_misses_match_a_public_pool(self):
-        owner, public = self._pair(1)
-        owner.refill(4)
-        public.refill(4)
-        assert list(owner._factors) == list(public._factors)
-        for _ in range(6):  # 4 pooled, then 2 on-demand misses
-            assert owner.encryption_factor() == public.encryption_factor()
-        assert owner.report() == public.report()
+    def test_online_draws_match_a_public_view(self):
+        owner, peer_view = self._pair()
+        drawn = []
+        for key in (owner, peer_view):
+            rng = random.Random(1)
+            cipher = key.encrypt(42, rng)
+            drawn.append((key.fresh_factor(rng), cipher.value,
+                          cipher.rerandomize(rng).value,
+                          key.encrypt_signed(-42, rng).value,
+                          rng.getstate()))
+        assert drawn[0] == drawn[1]
 
     @pytest.mark.parametrize("engine_factory", [
-        lambda: ModexpEngine(workers=1), _parallel_engine])
-    def test_engine_paths_match_a_public_pool(self, engine_factory):
-        owner, public = self._pair(2)
+        lambda: ModexpEngine(workers=1), _parallel_engine],
+        ids=["serial", "parallel"])
+    def test_engine_paths_match_a_public_view(self, engine_factory):
+        owner, peer_view = self._pair()
+        drawn = []
         with engine_factory() as engine:
-            engine.fill_pool(owner, 3)
-            engine.fill_pool(public, 3)
-            assert list(owner._factors) == list(public._factors)
-            rng_a, rng_b = random.Random(3), random.Random(3)
-            owned = engine.encrypt_batch(
-                owner.public_key, list(range(5)), rng_a, owner)
-            plain = engine.encrypt_batch(
-                public.public_key, list(range(5)), rng_b, public)
-            assert owned == plain
-            assert engine.encryption_factors(
-                owner.public_key, 4, rng_a, owner) \
-                == engine.encryption_factors(
-                    public.public_key, 4, rng_b, public)
-        assert owner.report() == public.report()
+            for key in (owner, peer_view):
+                rng = random.Random(2)
+                ciphers = engine.encrypt_batch(key, list(range(5)), rng)
+                factors = engine.encryption_factors(key, 4, rng)
+                drawn.append(([cipher.value for cipher in ciphers], factors,
+                              rng.getstate()))
+        assert drawn[0] == drawn[1]
 
 
 class TestMemoStaysPublic:
@@ -173,7 +168,6 @@ class TestMemoStaysPublic:
     def test_no_memo_entries(self):
         rng = random.Random(8)
         standard = dataclasses.replace(PRIV, hp=None, hq=None)
-        pool = RandomnessPool(PUB, random.Random(9))
         before = cached_pow.cache_info()
         values = [PUB.encrypt(m % PUB.n, rng).value for m in (0, 99, -198)]
         PRIV.decrypt_raw(values[0])
@@ -182,13 +176,8 @@ class TestMemoStaysPublic:
         for engine in (default_engine(), self._closed_engine()):
             engine.decrypt_raw_batch(PRIV, values)
             engine.decrypt_raw_batch(standard, values)
-            engine.fill_pool(pool, 2)
-            engine.encrypt_batch(PUB, [1, 2, 3], rng, pool)
+            engine.encrypt_batch(PUB, [1, 2, 3], rng)
             engine.encryption_factors(PUB, 2, rng)
-        pool.refill(2)
-        pool.encryption_factor()
-        pool.encryption_factor()
-        pool.encryption_factor()  # a miss
         PUB.raw_encrypt(5, 12345)
         PaillierCiphertext(PUB, values[2]).rerandomize(rng)
         assert cached_pow.cache_info() == before

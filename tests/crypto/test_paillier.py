@@ -132,6 +132,83 @@ class TestRerandomize:
         assert PRIV.decrypt(cipher) == message
 
 
+class TestOnlineFactors:
+    """The one randomness path: each encryption and rerandomization
+    takes exactly one factor, ``fresh_factor(rng)``, from the RNG it is
+    handed -- nothing is drawn ahead of time or from another stream."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**64))
+    def test_a_factor_is_an_encryption_of_zero(self, seed):
+        factor = PUB.fresh_factor(random.Random(seed))
+        assert PRIV.decrypt(PaillierCiphertext(PUB, factor)) == 0
+        assert PRIV.decrypt_raw_standard(factor) == 0
+
+    def test_a_factor_spends_one_exponent_of_randomness_bits(self):
+        rng, twin = random.Random(2), random.Random(2)
+        assert PUB.fresh_factor(rng) == PUB.randomness_factor(
+            twin.getrandbits(PUB.randomness_bits))
+        assert rng.getstate() == twin.getstate()
+
+    @pytest.mark.parametrize("message", [0, 1, 17, PUB.n - 1, PUB.n // 2],
+                             ids=["0", "1", "17", "n-1", "half-n"])
+    def test_encrypt_takes_one_factor_from_its_rng(self, message):
+        rng, twin = random.Random(3), random.Random(3)
+        cipher = PUB.encrypt(message, rng)
+        assert cipher.value == PUB.raw_encrypt_with_factor(
+            message, PUB.fresh_factor(twin))
+        assert rng.getstate() == twin.getstate()
+        assert PRIV.decrypt(cipher) == message
+        assert PRIV.decrypt_raw_standard(cipher.value) == message
+
+    def test_encrypt_signed_takes_one_factor_from_its_rng(self):
+        half = (PUB.n - 1) // 2
+        for value in (-half, -1, 0, half):
+            rng, twin = random.Random(4), random.Random(4)
+            cipher = PUB.encrypt_signed(value, rng)
+            assert cipher.value == PUB.raw_encrypt_with_factor(
+                value % PUB.n, PUB.fresh_factor(twin))
+            assert rng.getstate() == twin.getstate()
+            assert PRIV.decrypt_signed(cipher) == value
+
+    def test_rerandomize_takes_one_factor_from_its_rng(self):
+        cipher = PUB.encrypt(123, random.Random(5))
+        rng, twin = random.Random(6), random.Random(6)
+        refreshed = cipher.rerandomize(rng)
+        assert refreshed.value == (cipher.value * PUB.fresh_factor(twin)
+                                   % PUB.n_squared)
+        assert rng.getstate() == twin.getstate()
+        assert PRIV.decrypt(refreshed) == 123
+
+    def test_every_path_draws_the_next_factor_of_one_stream(self):
+        """Encryptions, rerandomizations, batches and signed encryptions
+        interleave on one stream, each taking the next factor."""
+        rng = random.Random(7)
+        first = PUB.encrypt(7, rng)
+        second = first.rerandomize(rng)
+        batch = PUB.encrypt_batch([8, 9], rng)
+        signed = PUB.encrypt_signed(-10, rng)
+        twin = random.Random(7)
+        factors = [PUB.fresh_factor(twin) for _ in range(5)]
+        assert rng.getstate() == twin.getstate()
+        assert len(set(factors)) == 5
+        assert first.value == PUB.raw_encrypt_with_factor(7, factors[0])
+        assert second.value == first.value * factors[1] % PUB.n_squared
+        assert [cipher.value for cipher in batch] == [
+            PUB.raw_encrypt_with_factor(8, factors[2]),
+            PUB.raw_encrypt_with_factor(9, factors[3])]
+        assert signed.value == PUB.raw_encrypt_with_factor(
+            -10 % PUB.n, factors[4])
+
+    def test_equal_coins_give_equal_ciphertexts(self):
+        """What lets a daemon's run be re-checked bit for bit in
+        process: the ciphertexts are a function of the coins."""
+        runs = [PUB.encrypt_batch([0, 5, 5, 99], random.Random(8))
+                for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert runs[0][1] != runs[0][2]
+
+
 class TestSignedEncryption:
     @settings(max_examples=30, deadline=None)
     @given(signed_values)

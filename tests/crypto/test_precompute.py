@@ -1,4 +1,4 @@
-"""Tests for the offline precomputation layer (pools, fixed bases)."""
+"""Tests for the fixed-base tables and the Paillier batch entry points."""
 
 import random
 
@@ -6,92 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.keycache import cached_paillier_keypair
-from repro.crypto.paillier import PaillierError, generate_paillier_keypair
-from repro.crypto.precompute import (
-    FixedBaseExp,
-    PrecomputeError,
-    RandomnessPool,
-)
+from repro.crypto.paillier import generate_paillier_keypair
+from repro.crypto.precompute import FixedBaseExp, PrecomputeError
 
 KEYS = cached_paillier_keypair(256, 910)
 PUB = KEYS.public_key
 PRIV = KEYS.private_key
-
-
-def _pool(seed=0):
-    return RandomnessPool(PUB, random.Random(seed))
-
-
-class TestRandomnessPool:
-    def test_pooled_encryption_decrypts_identically_to_fresh(self):
-        """The binding property: a pooled ciphertext is an ordinary
-        ciphertext -- same plaintext back out, under either decrypt path."""
-        pool = _pool(1)
-        pool.refill(8)
-        rng = random.Random(2)
-        for message in (0, 1, 17, PUB.n - 1, PUB.n // 2):
-            fresh = PUB.encrypt(message, rng)
-            pooled = PUB.encrypt(message, rng, pool)
-            assert PRIV.decrypt(pooled) == PRIV.decrypt(fresh) == message
-            assert PRIV.decrypt_raw_standard(pooled.value) == message
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**64))
-    def test_pooled_encryption_roundtrip_property(self, message):
-        pool = _pool(3)
-        assert PRIV.decrypt(PUB.encrypt(message, pool.rng, pool)) == message
-
-    def test_empty_pool_falls_back_and_counts_misses(self):
-        pool = _pool(4)
-        pool.refill(2)
-        for _ in range(5):
-            PUB.encrypt(9, pool.rng, pool)
-        assert pool.pregenerated == 2
-        assert pool.consumed == 5
-        assert pool.misses == 3
-        assert len(pool) == 0
-        assert pool.report() == {"pregenerated": 2, "consumed": 5,
-                                 "misses": 3, "available": 0}
-
-    def test_prefilled_pool_has_zero_misses(self):
-        pool = _pool(5)
-        pool.refill(10)
-        for _ in range(10):
-            pool.encryption_factor()
-        assert pool.misses == 0
-
-    def test_factors_are_consumed_once(self):
-        pool = _pool(6)
-        pool.refill(4)
-        factors = [pool.encryption_factor() for _ in range(4)]
-        assert len(set(factors)) == 4  # never handed out twice
-
-    def test_rerandomize_with_pool_preserves_plaintext(self):
-        pool = _pool(7)
-        pool.refill(3)
-        cipher = PUB.encrypt(123, pool.rng)
-        refreshed = cipher.rerandomize(pool.rng, pool)
-        assert refreshed.value != cipher.value
-        assert PRIV.decrypt(refreshed) == 123
-
-    def test_pool_key_mismatch_raises(self):
-        other = cached_paillier_keypair(256, 911)
-        pool = RandomnessPool(other.public_key, random.Random(0))
-        with pytest.raises(PaillierError, match="different key"):
-            PUB.encrypt(1, pool.rng, pool)
-        with pytest.raises(PaillierError, match="different key"):
-            PUB.encrypt(1, pool.rng).rerandomize(pool.rng, pool)
-
-    def test_negative_refill_rejected(self):
-        with pytest.raises(PrecomputeError):
-            _pool(8).refill(-1)
-
-    def test_rerandomization_unit_draws_same_queue(self):
-        pool = _pool(9)
-        pool.refill(2)
-        pool.rerandomization_unit()
-        pool.encryption_factor()
-        assert pool.consumed == 2 and pool.misses == 0
 
 
 class TestBatchEntryPoints:
@@ -101,38 +21,6 @@ class TestBatchEntryPoints:
         ciphers = PUB.encrypt_batch(messages, rng)
         assert PRIV.decrypt_batch(ciphers) == messages
         assert PRIV.decrypt_raw_batch([c.value for c in ciphers]) == messages
-
-    def test_encrypt_batch_consumes_pool(self):
-        pool = _pool(11)
-        pool.refill(6)
-        PUB.encrypt_batch([1, 2, 3], pool.rng, pool)
-        assert pool.consumed == 3 and len(pool) == 3
-
-    @pytest.mark.parametrize("workers,min_parallel", [(1, 32), (2, 2)])
-    def test_empty_pool_misses_counted_through_engine_batch(
-            self, workers, min_parallel):
-        """The batch API's miss accounting: an engine encrypt_batch over
-        an empty pool must count one consumed + one miss per plaintext
-        (and still decrypt correctly), on both the serial path and the
-        sharded path that collects misses into one modexp batch."""
-        from repro.crypto.engine import ModexpEngine
-        pool = _pool(12)
-        messages = [3, 1, 4, 1, 5, 9]
-        with ModexpEngine(workers=workers,
-                          min_parallel_jobs=min_parallel) as engine:
-            ciphers = engine.encrypt_batch(PUB, messages, pool.rng, pool)
-        assert [PRIV.decrypt(c) for c in ciphers] == messages
-        assert pool.report() == {"pregenerated": 0, "consumed": 6,
-                                 "misses": 6, "available": 0}
-
-    def test_partially_filled_pool_misses_only_the_shortfall(self):
-        from repro.crypto.engine import ModexpEngine
-        pool = _pool(13)
-        pool.refill(2)
-        with ModexpEngine(workers=2, min_parallel_jobs=2) as engine:
-            engine.encrypt_batch(PUB, [7, 7, 7, 7, 7], pool.rng, pool)
-        assert pool.report() == {"pregenerated": 2, "consumed": 5,
-                                 "misses": 3, "available": 0}
 
 
 class TestFixedBaseExp:

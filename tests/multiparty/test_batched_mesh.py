@@ -159,36 +159,36 @@ class TestCachedMesh:
         assert batched.ledger.events == per_point.ledger.events
 
 
-class TestMeshOfflinePhase:
-    def test_prefilled_mesh_is_miss_free_and_label_identical(self):
-        """The mesh offline/online contract: prefill by a probe run's
-        consumption, then the online run never misses a pool."""
-        points = {"p0": [(0, 0), (1, 1)], "p1": [(1, 0)], "p2": [(0, 1)]}
-        config = _config(backend="bitwise")
-
-        probe_mesh = PartyMesh(list(points), config.smc, seeds=[1, 2, 3])
-        probe = run_multiparty_horizontal_dbscan(points, config,
-                                                 mesh=probe_mesh)
-        plan = {pair: {key: entry["consumed"]
-                       for key, entry in report.items()}
-                for pair, report in probe_mesh.pool_report().items()}
-        assert sum(sum(p.values()) for p in plan.values()) > 0
-
-        online_mesh = PartyMesh(list(points), config.smc, seeds=[1, 2, 3])
-        online_mesh.precompute_pools(plan)
-        online = run_multiparty_horizontal_dbscan(points, config,
-                                                  mesh=online_mesh)
-        # Prefilling reorders RNG draws, so permutations differ; labels
-        # cannot (the predicate bits are exact).
-        assert online.labels_by_party == probe.labels_by_party
-        for report in online_mesh.pool_report().values():
-            assert all(entry["misses"] == 0 for entry in report.values())
-
+class TestPrebuiltMesh:
     def test_mesh_party_mismatch_rejected(self):
         points = {"p0": [(0, 0)], "p1": [(1, 0)]}
         mesh = PartyMesh(["a", "b"], _config().smc)
         with pytest.raises(MeshError, match="do not match"):
             run_multiparty_horizontal_dbscan(points, _config(), mesh=mesh)
+
+    def test_prebuilt_mesh_runs_like_one_built_from_its_seeds(self):
+        """A mesh handed in is the mesh the run would build from the
+        same seeds: every coin is drawn by a protocol step, so labels,
+        ledger, stats and comparisons agree, and two such meshes carry
+        bit-identical pair transcripts."""
+        points = {"p0": [(0, 0), (1, 1)], "p1": [(1, 0)], "p2": [(0, 1)]}
+        config = _config(backend="bitwise")
+        built = run_multiparty_horizontal_dbscan(points, config,
+                                                 seeds=[1, 2, 3])
+        transcripts = []
+        for _ in range(2):
+            mesh = PartyMesh(list(points), config.smc, seeds=[1, 2, 3])
+            prebuilt = run_multiparty_horizontal_dbscan(points, config,
+                                                        mesh=mesh)
+            assert prebuilt.labels_by_party == built.labels_by_party
+            assert prebuilt.ledger.events == built.ledger.events
+            assert prebuilt.stats == built.stats
+            assert prebuilt.comparisons == built.comparisons
+            transcripts.append({
+                pair: [(entry.sender, entry.label, entry.value)
+                       for entry in transcript.entries]
+                for pair, transcript in mesh.pair_transcripts().items()})
+        assert transcripts[0] == transcripts[1]
 
 
 class TestBlindQueryRounds:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.multiparty.mesh import MeshError, PartyMesh
+from repro.multiparty.mesh import MeshError, PartyMesh, derive_pair_rng
 from repro.smc.session import SmcConfig
 from repro.net.channel import drive
 
@@ -87,6 +87,18 @@ class TestMeshConstruction:
         b_to_a = mesh.party_in_pair("b", "a")
         assert b_to_a.rng.random() != first_draws[0]
 
+    def test_building_a_mesh_draws_no_coin(self):
+        """Generating the keys and exchanging them on every pair leaves
+        each pair's parties with the RNGs derive_pair_rng gave them."""
+        mesh = PartyMesh(["a", "b", "c"], SmcConfig(key_seed=202),
+                         seeds=[7, 8, 9])
+        seeds = {"a": 7, "b": 8, "c": 9}
+        for left, right in (("a", "b"), ("a", "c"), ("b", "c")):
+            for name, peer in ((left, right), (right, left)):
+                fresh = derive_pair_rng(seeds[name], name, left, right)
+                assert mesh.party_in_pair(name, peer).rng.getstate() \
+                    == fresh.getstate()
+
     def test_merged_stats(self):
         mesh = PartyMesh(["a", "b", "c"], CONFIG, seeds=[1, 2, 3])
         baseline = mesh.merged_stats().total_messages  # key exchange
@@ -127,10 +139,13 @@ class TestPairStreams:
         accounting lists them pass by pass, each pass in point order."""
         mesh = PartyMesh(["a", "b"], CONFIG, seeds=[1, 2])
         for driver, query in (("b", 1), ("a", 1), ("b", 0), ("a", 0)):
-            mesh.stream(driver, "a" if driver == "b" else "b", query)
-        assert list(mesh.pool_report()[("a", "b")])[::4] == [
-            ("a", 0, "a", "a"), ("a", 1, "a", "a"),
-            ("b", 0, "a", "a"), ("b", 1, "a", "a")]
+            stream = mesh.stream(driver, "a" if driver == "b" else "b",
+                                 query)
+            drive(stream.parties[driver].send(f"{driver}{query}", query))
+        labels = [entry.label for entry
+                  in mesh.pair_transcripts()[("a", "b")].entries]
+        assert labels == ["keys/paillier_pub", "keys/paillier_pub",
+                          "a0", "a1", "b0", "b1"]
 
     def test_stream_coins_are_keyed_by_driver(self):
         """A party's coins on a pair differ per stream and from the key
@@ -151,36 +166,48 @@ class TestPairStreams:
             == draws["b drives"]
 
     def test_streams_reuse_the_pair_keys_with_their_own_state(self):
+        """A stream shares the pair's keys and owns the rest: its
+        parties' RNGs, its session and its comparison backend."""
         mesh = PartyMesh(["a", "b"], CONFIG, seeds=[1, 2])
         key_session = mesh.session_between("a", "b")
-        sessions = [mesh.stream(driver, peer, query).session
-                    for driver, peer, query in (("a", "b", 0),
-                                                ("b", "a", 0),
-                                                ("b", "a", 1))]
-        for session in sessions:
-            assert session.paillier_keys("a") is key_session.paillier_keys(
-                "a")
-            assert session.comparison_backend \
-                is not key_session.comparison_backend
-        assert len({id(session.pool("a", "a")) for session in sessions}) \
-            == 3
+        streams = [mesh.stream(driver, peer, query)
+                   for driver, peer, query in (("a", "b", 0),
+                                               ("b", "a", 0),
+                                               ("b", "a", 1))]
+        for stream in streams:
+            assert stream.session.paillier_keys("a") \
+                is key_session.paillier_keys("a")
+        owned = [(stream.parties["a"].rng, stream.parties["b"].rng,
+                  stream.session, stream.session.comparison_backend)
+                 for stream in streams]
+        owned.append((key_session.alice.rng, key_session.bob.rng,
+                      key_session, key_session.comparison_backend))
+        for column in zip(*owned):
+            assert len({id(state) for state in column}) == len(owned)
         # The keys crossed once, on the key-exchange channel.
         assert mesh.merged_stats().messages_by_label == {
             "keys/paillier_pub": 2}
 
-    def test_pool_report_is_keyed_by_stream(self):
+    def test_building_a_stream_draws_no_coin(self):
+        """A new stream's parties hold their RNGs in the state
+        derive_pair_rng gave them: coins are drawn only by protocol
+        steps."""
         mesh = PartyMesh(["a", "b"], CONFIG, seeds=[1, 2])
-        assert mesh.pool_report() == {("a", "b"): {}}
+        stream = mesh.stream("b", "a", 1)
+        for name, seed in (("a", 1), ("b", 2)):
+            fresh = derive_pair_rng(seed, name, "a", "b", driver="b",
+                                    query=1)
+            assert stream.parties[name].rng.getstate() == fresh.getstate()
+
+    def test_pool_report_is_an_empty_stub(self):
+        """The layered benchmark's harness reads ``pool_report()`` on
+        every in-process mesh; with no pools it is empty, with streams
+        built or not."""
+        mesh = PartyMesh(["a", "b", "c"], CONFIG, seeds=[1, 2, 3])
+        assert mesh.pool_report() == {}
         mesh.stream("a", "b", 0)
-        [(pair, report)] = mesh.pool_report().items()
-        assert pair == ("a", "b")
-        assert sorted(report) == sorted(
-            ("a", 0, actor, owner) for actor in "ab" for owner in "ab")
-        mesh.precompute_pools({("a", "b"): {("b", 2, "a", "b"): 3}})
-        report = mesh.pool_report()[("a", "b")]
-        assert report[("b", 2, "a", "b")]["pregenerated"] == 3
-        assert sum(entry["pregenerated"]
-                   for entry in report.values()) == 3
+        mesh.stream("c", "a", 1)
+        assert mesh.pool_report() == {}
 
 
 class TestKeyExchangeAccounting:

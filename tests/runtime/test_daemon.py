@@ -295,7 +295,6 @@ class TestDaemonEquivalence:
         assert second_info["session_index"] == first_info["session_index"] + 1
         assert (second_info["engine"]["jobs"]
                 > first_info["engine"]["jobs"])
-        assert second_info["pool"]["consumed"] > 0
         assert second_info["daemon_setup_seconds"] >= 0
         assert second_info["setup_seconds"] >= 0
 
@@ -334,25 +333,14 @@ class TestDaemonEquivalence:
         assert len(set(digest_sets)) == len(jobs)
 
 
-def own_pool_consumption(mesh: PartyMesh) -> dict[str, int]:
-    """Factors each party drew from its own pools (actor == party)
-    over every pair stream of an in-process run."""
-    consumed = {name: 0 for name in mesh.names}
-    for session_report in mesh.pool_report().values():
-        for (_driver, _query, actor, _owner), report \
-                in session_report.items():
-            consumed[actor] += report["consumed"]
-    return consumed
-
-
 @pytest.mark.sockets
 class TestRoleLocalExecution:
     """Each daemon executes only the party it hosts: the protocol
     variants whose guarded paths otherwise run on sockets only in the
-    slow matrix stay bit-identical, and every daemon consumes exactly
-    the randomness its own party consumes in process, computing each
-    factor once: a query that waits for a frame suspends and resumes,
-    it never runs again."""
+    slow matrix stay bit-identical, and every daemon does exactly the
+    key work its own party does in process, computing each factor
+    once: a query that waits for a frame suspends and resumes, it
+    never runs again."""
 
     @pytest.mark.parametrize("overrides", [
         {},
@@ -373,12 +361,6 @@ class TestRoleLocalExecution:
         checks = verify_against_in_process(run, by_party, config, seeds,
                                            reference=reference, mesh=mesh)
         assert all(checks.values()), checks
-        expected = own_pool_consumption(mesh)
-        assert all(expected.values())
-        for name, report in run.reports.items():
-            assert report.runtime_info["pool"] == {
-                "pregenerated": 0, "consumed": expected[name],
-                "misses": expected[name]}, name
 
     def test_each_party_does_its_key_work_once(self, key_work):
         """Per party, a session decrypts as many Paillier batches,
@@ -389,34 +371,33 @@ class TestRoleLocalExecution:
         seeds = [31, 32, 33]
         config = make_config()
         mesh = PartyMesh(list(by_party), config.smc, seeds=seeds)
+        kinds = ("decrypt", "dgk_bits", "factors")   # by key modulus
         for moduli in key_work.values():
             moduli.clear()
         run_multiparty_horizontal_dbscan(by_party, config, mesh=mesh)
-        in_process = {kind: Counter(moduli)
-                      for kind, moduli in key_work.items()}
+        in_process = {kind: Counter(key_work[kind]) for kind in kinds}
         for moduli in key_work.values():
             moduli.clear()
         with DaemonFleet(list(by_party)) as fleet:
             with fleet.client() as client:
                 run_via_daemons(by_party, config, seeds, client=client,
                                 timeout=120)
-        assert {kind: Counter(moduli)
-                for kind, moduli in key_work.items()} == in_process
+        assert {kind: Counter(key_work[kind])
+                for kind in kinds} == in_process
         # Every party decrypted and encrypted its bits under its own key.
         assert all(len(counts) == len(by_party)
                    for counts in in_process.values()), in_process
 
-    def test_later_sessions_start_from_the_same_empty_pools(self):
+    def test_later_sessions_carry_no_coins_over(self):
         """A daemon carries no randomness from one session to the next:
-        its second session on the same seeds pregenerates nothing and
-        computes each factor once, as its first did."""
+        its second session on the same seeds is its first again, bit
+        for bit."""
         by_party = workload(3)
         seeds = [31, 32, 33]
         config = make_config()
         mesh = PartyMesh(list(by_party), config.smc, seeds=seeds)
         reference = run_multiparty_horizontal_dbscan(
             by_party, config, seeds=seeds, mesh=mesh)
-        expected = own_pool_consumption(mesh)
         with DaemonFleet(list(by_party)) as fleet:
             with fleet.client() as client:
                 runs = [run_via_daemons(by_party, config, seeds,
@@ -429,10 +410,6 @@ class TestRoleLocalExecution:
                 run, by_party, config, seeds, reference=reference,
                 mesh=mesh)
             assert all(checks.values()), checks
-            for name, report in run.reports.items():
-                assert report.runtime_info["pool"] == {
-                    "pregenerated": 0, "consumed": expected[name],
-                    "misses": expected[name]}, name
 
     def test_cached_coordinates_cross_once_per_peer_point_per_pass(self):
         """With cached peer ciphertexts the query on a pass's point 0
@@ -513,8 +490,7 @@ class TestRoleLocalExecution:
         """With more points per party than a pass keeps in flight, the
         first flight builds only the drive pass's first-window streams;
         the rest, and every respond role's, are built as their points
-        start, and the session stays bit-identical, each daemon's pools
-        included."""
+        start, and the session stays bit-identical."""
         from repro.runtime.async_pass import POINTS_IN_FLIGHT
         from repro.runtime.daemon import PartyDaemon
 
@@ -543,10 +519,6 @@ class TestRoleLocalExecution:
             assert built_for_flight[name] == sorted(
                 (peer, name, query) for peer in by_party if peer != name
                 for query in range(POINTS_IN_FLIGHT)), name
-        expected = own_pool_consumption(mesh)
-        for name, report in run.reports.items():
-            assert report.runtime_info["pool"]["consumed"] \
-                == expected[name], name
 
 
 @pytest.mark.sockets

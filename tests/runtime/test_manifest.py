@@ -1,5 +1,8 @@
 """Run manifests: roundtrip, digest binding, unsupported-config refusal."""
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.core.config import ProtocolConfig
@@ -43,12 +46,22 @@ class TestConfigSerialization:
             eps=1.5, min_pts=4, scale=100, blind_cross_sum=True,
             query_constant_blinding=True, cache_peer_ciphertexts=True,
             smc=SmcConfig(paillier_bits=192, comparison="bitwise",
-                          key_seed=33, mask_sigma=12, precompute=False))
+                          key_seed=33, mask_sigma=12))
         restored = config_from_dict(config_to_dict(original))
         assert config_to_dict(restored) == config_to_dict(original)
         assert restored.eps == original.eps
         assert restored.smc.key_seed == 33
-        assert restored.smc.precompute is False
+
+    def test_precompute_field_refused(self):
+        """The offline randomness pools and their option are gone: a
+        manifest that still carries ``precompute`` names a
+        configuration this version cannot run."""
+        old_shape = config_to_dict(config())
+        old_shape["smc"]["precompute"] = True
+        with pytest.raises(ManifestError,
+                           match=r"smc config: unknown field\(s\) "
+                                 r"precompute"):
+            config_from_dict(old_shape)
 
     def test_old_manifest_fields_refused(self):
         """A config written before the ablation knobs were removed must
@@ -146,13 +159,44 @@ class TestRunManifest:
         with pytest.raises(ManifestError, match="mesh pairs"):
             manifest(ports={"p0|p1": 9001})
 
+    @pytest.mark.parametrize("value", [2.0, -1, True, "4", None])
+    def test_malformed_count_is_refused_naming_its_party(self, value):
+        """Counts are outside input: each must be a non-negative int
+        (``bool`` refused), wherever the manifest is built -- directly,
+        by ``dataclasses.replace`` or from a daemon's JSON."""
+        counts = {"p0": 4, "p1": value, "p2": 5}
+        with pytest.raises(ManifestError, match="count of 'p1'"):
+            manifest(counts=counts)
+        with pytest.raises(ManifestError, match="count of 'p1'"):
+            dataclasses.replace(manifest(), counts=counts)
+        payload = json.loads(manifest().to_json())
+        payload["counts"]["p1"] = value
+        with pytest.raises(ManifestError, match="count of 'p1'"):
+            RunManifest.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("value", [2.0, True, "2", None])
+    def test_malformed_seed_is_refused_naming_its_party(self, value):
+        from repro.runtime.orchestrator import build_manifest
+
+        seeds = (1, value, 3)
+        with pytest.raises(ManifestError, match="seed of 'p1'"):
+            manifest(seeds=seeds)
+        with pytest.raises(ManifestError, match="seed of 'p1'"):
+            dataclasses.replace(manifest(), seeds=seeds)
+        with pytest.raises(ManifestError, match="seed of 'p1'"):
+            build_manifest({"p0": [(0, 0)], "p1": [(1, 1)], "p2": []},
+                           config(), list(seeds))
+        payload = json.loads(manifest().to_json())
+        payload["seeds"][1] = value
+        with pytest.raises(ManifestError, match="seed of 'p1'"):
+            RunManifest.from_json(json.dumps(payload))
+
     def test_pair_key_is_order_insensitive(self):
         assert pair_key("b", "a") == pair_key("a", "b") == "a|b"
 
     def test_optional_fields_have_defaults(self):
         """Only the session's shape is required; faults, namespace, key
         pins and the auth flag default to a plain fault-free run."""
-        import json
         payload = json.loads(manifest().to_json())
         for name in ("host", "faults", "rng_namespace", "key_digests",
                      "link_auth", "version"):
@@ -193,14 +237,12 @@ class TestMalformedManifestJson:
         ("link_auth", "yes"),
     ])
     def test_wrong_shaped_field_is_named(self, field, value):
-        import json
         payload = json.loads(manifest().to_json())
         payload[field] = value
         with pytest.raises(ManifestError, match=f"'{field}'"):
             RunManifest.from_json(json.dumps(payload))
 
     def test_missing_field_is_named(self):
-        import json
         payload = json.loads(manifest().to_json())
         del payload["value_bound"]
         with pytest.raises(ManifestError, match="'value_bound'"):

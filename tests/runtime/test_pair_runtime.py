@@ -9,6 +9,7 @@ arrived yet -- and resumes where it stopped.
 """
 
 import asyncio
+from collections import Counter
 
 import pytest
 
@@ -38,8 +39,8 @@ def make_session(channel) -> SmcSession:
 async def region_step(session: SmcSession, stepper: str, label: str,
                       alpha: list) -> None:
     """One HDP-shaped step keyed by ``stepper``: it encrypts ``alpha``
-    (two pool factors under its key), the peer answers with blinded
-    cross sums (two pool factors under the stepper's key), the stepper
+    (two factors under its key), the peer answers with blinded cross
+    sums (two factors under the stepper's key), the stepper
     decrypts them in one batch, and an amortized comparison under the
     stepper's DGK key -- one bit encryption of its threshold -- tells
     it which of the peer's sums are at most 10."""
@@ -146,11 +147,6 @@ def forget(key_work: dict) -> None:
         moduli.clear()
 
 
-def consumed(session: SmcSession) -> int:
-    return sum(report["consumed"]
-               for report in session.pool_report().values())
-
-
 def alice_keys(session: SmcSession) -> tuple[int, int]:
     """The moduli of alice's Paillier and DGK keys."""
     context = session._contexts["alice"]
@@ -169,27 +165,8 @@ def test_a_query_runs_once_and_computes_nothing_twice(key_work, first):
     assert key_work["decrypt"] == [paillier] * len(BATCHES)
     assert key_work["dgk_bits"] == [dgk] * len(BATCHES)
     # Per query alice encrypts her alpha under her key and her blinds
-    # under bob's: two factors each.
-    assert session.pool_report()[("alice", "alice")]["consumed"] == 4
-    assert session.pool_report()[("alice", "bob")]["consumed"] == 4
-    assert consumed(session) == len(key_work["factors"]) == 8
-    assert_same_frames(runtime, link, reference)
-
-
-@pytest.mark.parametrize("prefill", [2, 5])
-def test_prefilled_factors_are_handed_out_in_order(key_work, prefill):
-    """Factors a pool pregenerated go out ahead of any computed online:
-    the frames are the unfilled run's, and only the factors past the
-    prefill are computed."""
-    reference = reference_run("alice")
-    runtime, session, link = withheld_runtime(reference)
-    forget(key_work)
-    session.precompute_pools({("alice", "alice"): prefill})
-    run_queries(runtime, session, "alice")
-
-    report = session.pool_report()[("alice", "alice")]
-    assert report == {"pregenerated": prefill, "consumed": 4,
-                      "misses": max(0, 4 - prefill),
-                      "available": max(0, prefill - 4)}
-    assert len(key_work["factors"]) == prefill + report["misses"] + 4
+    # under bob's: two factors each, from her own coins.
+    bob_paillier = session.paillier_keys("bob").public_key.n
+    assert Counter(key_work["factors"]) == {paillier: 4, bob_paillier: 4}
+    assert key_work["factor_rngs"] == [session.alice.rng] * 8
     assert_same_frames(runtime, link, reference)

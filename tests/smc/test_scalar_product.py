@@ -232,56 +232,44 @@ class TestOneFactorPerReply:
     rerandomization."""
 
     @staticmethod
-    def _pools(seed: int = 5):
-        import random
+    def _drawn(key_work, *parties) -> tuple[int, ...]:
+        """The factors each of ``parties`` drew from its own coins, all
+        under the receiver's key."""
+        assert set(key_work["factors"]) == {KEYS.public_key.n}
+        return tuple(sum(rng is party.rng for rng in key_work["factor_rngs"])
+                     for party in parties)
 
-        from repro.crypto.precompute import RandomnessPool
-
-        return (RandomnessPool(KEYS.public_key, random.Random(seed)),
-                RandomnessPool(KEYS.public_key, random.Random(seed + 1)))
-
-    def test_masked_dot_terms(self):
+    def test_masked_dot_terms(self, key_work):
         __, alice, bob = _fresh_parties()
-        receiver_pool, masker_pool = self._pools()
         terms = drive(secure_masked_dot_terms(
-            alice, [2, 3, 4], bob, [5, 6, 7], [1, -2, 3], KEYS,
-            receiver_pool=receiver_pool, masker_pool=masker_pool))
+            alice, [2, 3, 4], bob, [5, 6, 7], [1, -2, 3], KEYS))
         assert terms == [11, 16, 31]
-        assert receiver_pool.consumed == 3   # E(x_t), one per term
-        assert masker_pool.consumed == 3     # one per reply
+        # E(x_t), one per term; then one per reply.
+        assert self._drawn(key_work, alice, bob) == (3, 3)
 
-    def test_masked_dot_terms_batch(self):
-        from repro.smc.scalar_product import secure_masked_dot_terms_batch
-
+    def test_masked_dot_terms_batch(self, key_work):
         __, alice, bob = _fresh_parties()
-        holder_pool, receiver_pool = self._pools()
         betas = [[1, 0], [2, 5], [0, 0], [-3, 4]]
         sums = drive(secure_masked_dot_terms_batch(
-            alice, [7, -1], bob, betas, [0, 3, 0, 1], KEYS, blind_bound=99,
-            holder_pool=holder_pool, receiver_pool=receiver_pool))
+            alice, [7, -1], bob, betas, [0, 3, 0, 1], KEYS, blind_bound=99))
         assert sums == [7, 12, 0, -24]
-        assert holder_pool.consumed == 2     # alpha, encrypted once
-        assert receiver_pool.consumed == len(betas)
+        # Alpha, encrypted once; then one per reply.
+        assert self._drawn(key_work, alice, bob) == (2, len(betas))
 
-    def test_scalar_products(self):
+    def test_scalar_products(self, key_work):
         __, alice, bob = _fresh_parties()
-        receiver_pool, masker_pool = self._pools()
         betas = [[1, 2], [3, 4], [5, 6]]
         [results] = drive(secure_scalar_products(
-            alice, [[10, 20]], bob, [betas], [[1, 2, 3]], KEYS,
-            receiver_pool=receiver_pool, masker_pool=masker_pool))
+            alice, [[10, 20]], bob, [betas], [[1, 2, 3]], KEYS))
         assert results == [51, 112, 173]
-        assert masker_pool.consumed == len(betas)
+        assert self._drawn(key_work, bob) == (len(betas),)
 
-    def test_multiplication(self):
+    def test_multiplication(self, key_work):
         from repro.smc.multiplication import secure_multiplication
 
         __, alice, bob = _fresh_parties()
-        receiver_pool, masker_pool = self._pools()
-        assert drive(secure_multiplication(
-            alice, 6, bob, 7, 5, KEYS, receiver_pool=receiver_pool,
-            masker_pool=masker_pool)) == 47
-        assert (receiver_pool.consumed, masker_pool.consumed) == (1, 1)
+        assert drive(secure_multiplication(alice, 6, bob, 7, 5, KEYS)) == 47
+        assert self._drawn(key_work, alice, bob) == (1, 1)
 
     def test_replies_stay_fresh_encryptions(self):
         """Same plaintexts, different masker coins: the replies share no

@@ -35,6 +35,18 @@ class TestSessionSetup:
         assert (session.paillier_keys("alice").public_key.n
                 != session.paillier_keys("bob").public_key.n)
 
+    @pytest.mark.parametrize("comparison", ["bitwise", "ympp", "oracle"])
+    def test_building_a_session_draws_no_coin(self, comparison):
+        """Coins are drawn only by protocol steps: each Paillier factor
+        comes from the acting party's RNG when a step needs it, so a
+        freshly built session leaves both parties' RNGs untouched,
+        whichever comparison backend it sets up."""
+        alice, bob = make_party_pair(Channel(), 1, 2)
+        states = [party.rng.getstate() for party in (alice, bob)]
+        SmcSession(alice, bob, SmcConfig(comparison=comparison,
+                                         key_seed=70))
+        assert [party.rng.getstate() for party in (alice, bob)] == states
+
     def test_party_lookup(self):
         alice, bob = make_party_pair(Channel(), 1, 2)
         session = SmcSession(alice, bob, SmcConfig(key_seed=70))
@@ -98,6 +110,32 @@ class TestSessionProtocols:
                          if isinstance(e.value, int))
 
         assert run() == run()
+
+    def test_factors_come_from_the_acting_party(self, key_work):
+        """A multiplication draws its two factors under the receiver's
+        key: the receiver's encryption from the receiver's coins, the
+        masker's blinding from the masker's."""
+        alice, bob = make_party_pair(Channel(), 1, 2)
+        session = SmcSession(alice, bob, SmcConfig(key_seed=71))
+        for receiver, masker in ((alice, bob), (bob, alice)):
+            key_work["factors"].clear()
+            key_work["factor_rngs"].clear()
+            assert drive(session.multiplication(receiver, 6, masker, 7,
+                                                1)) == 43
+            receiver_n = session.paillier_keys(
+                receiver.name).public_key.n
+            assert key_work["factors"] == [receiver_n] * 2
+            assert key_work["factor_rngs"] == [receiver.rng, masker.rng]
+
+    def test_pool_report_is_an_empty_stub(self):
+        """The layered benchmark's harness reads ``pool_report()`` on
+        every in-process session; with no pools it is empty, before and
+        after a protocol runs."""
+        alice, bob = make_party_pair(Channel(), 1, 2)
+        session = SmcSession(alice, bob, SmcConfig(key_seed=71))
+        assert session.pool_report() == {}
+        drive(session.multiplication(alice, 6, bob, 7, 1))
+        assert session.pool_report() == {}
 
 
 class TestKeyAnnouncements:
@@ -214,7 +252,7 @@ class TestAnnouncedLater:
         with pytest.raises(SessionError, match="not announced"):
             session.paillier_keys("bob")
         with pytest.raises(SessionError, match="not announced"):
-            session.pool("alice", "bob")
+            session.peer_keys_adopted("bob")
         alice, bob = session.alice, session.bob
         # Comparing under the pending DGK key fails too: the backend
         # holds no key for bob yet.
@@ -223,11 +261,8 @@ class TestAnnouncedLater:
                                       reveal_to="b"))
         # Alice's own keys work meanwhile.
         assert session.paillier_keys("alice").public_key.n > 0
-        assert session.pool("alice", "alice") is not None
         adopt()
         assert session.paillier_keys("bob").public_key \
-            == peer.paillier.public_key
-        assert session.pool("alice", "bob").public_key \
             == peer.paillier.public_key
 
     def test_adoption_keeps_the_comparison_count(self):

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import random
 import re
 
 import pytest
@@ -20,6 +21,17 @@ class TestParser:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["demo", "--scenario", "quantum"])
+
+    @pytest.mark.parametrize("flag", [["--prefill", "8"],
+                                      ["--no-precompute"]],
+                             ids=["prefill", "no-precompute"])
+    def test_pool_flags_are_refused(self, flag, capsys):
+        """There is no offline phase to ask for: a script still passing
+        a pool flag fails loudly instead of running without it."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["demo", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestDemoCommand:
@@ -42,18 +54,49 @@ class TestDemoCommand:
         assert "party0" in output and "party2" in output
 
     @pytest.mark.parametrize("scenario", ["horizontal", "multiparty"])
-    def test_prefill_runs_before_the_run(self, scenario, capsys):
-        """``--prefill`` fills the pool of every stream the run will
-        query on ahead of it (a fresh mesh has none yet), so the online
-        run never misses a pool."""
-        exit_code = main(["demo", "--scenario", scenario,
-                          "--points", "9", "--backend", "oracle",
-                          "--min-pts", "2", "--prefill", "8"])
-        assert exit_code == 0
-        pools = re.search(r"pools: pregenerated=(\d+) .* misses=(\d+)",
-                          capsys.readouterr().out)
-        assert pools is not None
-        assert int(pools.group(1)) > 0 and int(pools.group(2)) == 0
+    def test_summary_is_the_library_run(self, scenario, capsys):
+        """The demo runs the library call on its seeds and nothing
+        else: its labels, bytes, rounds and comparisons are those of
+        ``cluster_partitioned`` (horizontal) or
+        ``run_multiparty_horizontal_dbscan`` (multiparty) on the same
+        points, config and seeds."""
+        from repro.cli import _demo_config, _demo_points
+        from repro.core.api import cluster_partitioned
+        from repro.crypto.engine import ModexpEngine
+        from repro.data.generators import interleave_for_horizontal
+        from repro.data.partitioning import HorizontalPartition
+        from repro.multiparty.horizontal import (
+            run_multiparty_horizontal_dbscan)
+
+        argv = ["demo", "--scenario", scenario, "--points", "6",
+                "--backend", "bitwise", "--key-bits", "128",
+                "--min-pts", "2", "--seed", "3"]
+        assert main(argv) == 0
+        lines = [re.sub(r"  time: \S+$", "", line)
+                 for line in capsys.readouterr().out.splitlines()]
+        args = build_parser().parse_args(argv)
+        points = _demo_points(args)
+        config = _demo_config(args, ModexpEngine(workers=1))
+        if scenario == "multiparty":
+            by_party = {"party0": points[:2], "party1": points[2:4],
+                        "party2": points[4:]}
+            run = run_multiparty_horizontal_dbscan(by_party, config,
+                                                   seeds=[3, 4, 5])
+            expected = [f"{name}: {labels}"
+                        for name, labels in run.labels_by_party.items()]
+        else:
+            alice_points, bob_points = interleave_for_horizontal(
+                points, random.Random(3 + 9))
+            run = cluster_partitioned(
+                HorizontalPartition(alice_points=tuple(alice_points),
+                                    bob_points=tuple(bob_points)), config)
+            expected = [f"alice labels: {run.alice_labels}",
+                        f"bob   labels: {run.bob_labels}"]
+        expected.append(f"bytes: {run.stats['total_bytes']:,}  "
+                        f"rounds: {run.stats['rounds']}  "
+                        f"comparisons: {run.comparisons}")
+        for line in expected:
+            assert line in lines
 
     def test_crypto_backend_small(self, capsys):
         exit_code = main(["demo", "--points", "4", "--min-pts", "2",
