@@ -26,8 +26,11 @@ They are the only way the protocols query a peer.  The per-point
 as written; they stay as the reference the batched queries are tested
 against.  Predicate bits, comparison counts and every ledger disclosure
 are identical to a loop of the per-point protocol; only the encryption
-count (querier: ``O(d)`` per query instead of ``O(n_peer * d)``) and the
-message count differ.
+count (querier: ``O(d)`` per query instead of ``O(n_peer * d)``), the
+message count, and the reply ciphertexts differ: the cross sums come
+back packed, ``ceil(n_peer / slots)`` ciphertexts per query, each
+decrypted once by the key holder
+(:class:`~repro.smc.scalar_product.PackedLayout`).
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from repro.core.leakage import Disclosure, LeakageLedger
 from repro.net.party import Party
 from repro.net.serialization import FixedWidthList
 from repro.smc.permutation import PermutedView
+from repro.smc.scalar_product import PackedLayout
 from repro.smc.session import SmcSession
 
 
@@ -188,7 +192,8 @@ async def hdp_region_query(session: SmcSession, querier: Party,
     cross_sums = await session.masked_dot_terms_batch(
         querier, list(querier_point), peer,
         [list(point) for point in presented], offsets,
-        blind_bound=mask_bound, label=f"{label}/cross_terms")
+        value_bound=value_bound, blind_bound=mask_bound,
+        label=f"{label}/cross_terms")
 
     return await _batched_threshold_comparisons(
         session, querier, querier_point, peer, presented, cross_sums,
@@ -400,11 +405,16 @@ async def hdp_region_query_cached(session: SmcSession, querier: Party,
     The batched form of :func:`hdp_within_eps_cached`: the peer's
     encrypted coordinates are uploaded once per stable ``point_id`` (the
     linkable disclosure E12 measures -- recorded per hit exactly as in
-    the per-point variant), and each query sends back **one accumulated
-    ciphertext per peer point** -- ``E(<d_x, d_y_i> + offset_i)`` built
-    homomorphically from the cached coordinates -- instead of ``d``
-    masked terms per point.  The peer decrypts the same cross sum the
+    the per-point variant), and each query sends back **one packed
+    ciphertext per chunk of peer points**
+    (:class:`~repro.smc.scalar_product.PackedLayout`): each slot is
+    ``E(<d_x, d_y_i> + offset_i)`` built homomorphically from the cached
+    coordinates, and the querier shifts the chunk Horner-style
+    (``acc^(2^width) * E(slot)``) and rerandomizes it once.  The peer
+    decrypts each chunk once and unpacks the same cross sums the
     per-point protocol delivers, so bits and disclosures are identical.
+    Each party refuses its own points when a squared norm exceeds
+    ``value_bound`` (so no slot can carry), before anything is sent.
 
     Each party's steps run only where it is hosted
     (:attr:`~repro.net.party.Party.hosted`); a process that does not host
@@ -428,6 +438,11 @@ async def hdp_region_query_cached(session: SmcSession, querier: Party,
     public = peer_keys.public_key
     width = public.ciphertext_width
     encoder = SignedEncoder(public.n)
+    layout = PackedLayout.fit(public, value_bound, mask_bound)
+    if querier.hosted:
+        layout.check_vectors([querier_point], "querier point")
+    if peer.hosted:
+        layout.check_vectors(peer_points, "peer point")
 
     # First-use upload: ids the cache has not seen yet, in one message.
     missing = [(point_id, point)
@@ -463,33 +478,35 @@ async def hdp_region_query_cached(session: SmcSession, querier: Party,
         blind_cross_sum=blind_cross_sum,
         query_constant_blinding=query_constant_blinding)
 
-    # Querier accumulates E(<d_x, d_y_i> + offset_i) per cached point.
+    # Querier packs E(<d_x, d_y_i> + offset_i) per chunk of cached
+    # points.
     replies = None
     if querier.hosted:
         replies = FixedWidthList([], width)
-        for point_id, offset in zip(point_ids, offsets):
-            accumulator = None
-            for cipher_value, coordinate in zip(cache.get(point_id),
-                                                querier_point):
-                term = (PaillierCiphertext(public, cipher_value)
-                        * encoder.encode(coordinate))
-                accumulator = (term if accumulator is None
-                               else accumulator + term)
-            if offset:
-                accumulator = accumulator + encoder.encode(offset)
-            # Only a plaintext offset entered: the sum is still a
+        for chunk in layout.chunks(len(point_ids)):
+            # E(<d_x, d_y_i>) per point, summed from 1 (the unit
+            # encryption of zero), stacked into the chunk's slots.
+            dots = [sum((PaillierCiphertext(public, cipher_value)
+                         * encoder.encode(coordinate)
+                         for cipher_value, coordinate in zip(
+                             cache.get(point_ids[position]), querier_point)),
+                        start=PaillierCiphertext(public, 1))
+                    for position in chunk]
+            packed = layout.stacked(dots) + layout.pack(
+                [offsets[position] for position in chunk])
+            # Only plaintext offsets entered: the chunk is still a
             # function of the peer's own ciphertexts, so it needs its
             # own fresh randomness.
-            replies.append(accumulator.rerandomize(querier.rng).value)
+            replies.append(packed.rerandomize(querier.rng).value)
     await querier.send(f"{label}/masked_sums", replies)
 
     cross_sums = [0] * len(peer_points)
     if peer.hosted:
-        cross_sums = [encoder.decode(value) for value in
-                      session.engine.decrypt_raw_batch(
-                          peer_keys.private_key,
-                          public.check_width(
-                              peer.receive(f"{label}/masked_sums")))]
+        packed = layout.received(
+            public, peer.receive(f"{label}/masked_sums"), len(peer_points),
+            f"{label}/masked_sums")
+        cross_sums = layout.unpack(session.engine.decrypt_raw_batch(
+            peer_keys.private_key, packed), len(peer_points))
 
     return await _batched_threshold_comparisons(
         session, querier, querier_point, peer, list(peer_points),

@@ -239,9 +239,15 @@ async def _share_distances(session: SmcSession, lanes: list[_Pass],
     ``alpha = (sum A_t^2, -2A_1, ..., -2A_m, 1)`` and
     ``beta_i = (1, B_i1, ..., B_im, sum B_it^2)`` give
     ``<alpha, beta_i> = dist^2(A, B_i)``; the Multiplication Protocol
-    hands the driver ``u_i = dist^2 + v_i``.
+    hands the driver ``u_i = dist^2 + v_i``, packed into one reply
+    ciphertext per chunk of the peer's points.  Every point has ``sum
+    A_t^2 <= q = value_bound / 4``, so every alpha and beta has squared
+    norm at most ``q^2 + 4q + 1``: the public bound the packed layout
+    needs (Cauchy-Schwarz bounds ``|<alpha, beta_i>|`` by it).
     """
     mask_bound = session.config.mask_bound(value_bound)
+    quarter = value_bound // 4
+    norm_bound = quarter * quarter + 4 * quarter + 1
     requests = []
     for driving in lanes:
         peer, peer_points = driving.peer, driving.peer_points
@@ -268,6 +274,7 @@ async def _share_distances(session: SmcSession, lanes: list[_Pass],
             masks.append(point_masks)
         requests.append(session.scalar_product_lane(
             driving.driver, alphas, peer, betas, masks,
+            value_bound=norm_bound, mask_bound=mask_bound,
             label=f"{driving.label}/share"))
 
     products = await secure_scalar_products_lanes(requests,

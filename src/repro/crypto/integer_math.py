@@ -23,15 +23,20 @@ def cached_pow(base: int, exponent: int, modulus: int) -> int:
     function is pure, so memoization cannot change any result,
     transcript, or ledger.
 
-    Only public arguments belong here: the memo lives as long as the
-    process (a daemon's whole lifetime), so every kernel keyed by the
-    factorization -- decryption above all -- uses plain ``pow``
-    instead.  Paillier randomness factors do not pass through it either:
-    a factor is one mulmod per six exponent bits from its key's table
-    (:mod:`repro.crypto.paillier`), so the memo holds no entry per
-    factor.
-    Nothing of the DGK comparison (:mod:`repro.crypto.dgk`) enters it.
-    What remains are the homomorphic scalar powers ``E(m)^k``.
+    The memo lives as long as the process (a daemon's whole lifetime),
+    so every kernel keyed by the factorization -- decryption above all
+    -- uses plain ``pow`` instead.  Paillier randomness factors do not
+    pass through it either: a factor is one mulmod per six exponent bits
+    from its key's table (:mod:`repro.crypto.paillier`), so the memo
+    holds no entry per factor.  Nothing of the DGK comparison
+    (:mod:`repro.crypto.dgk`) enters it.  What remains are the
+    homomorphic scalar powers ``E(m)^k`` -- and their exponents are not
+    public: ``k`` is the masker's private coordinate, or a packed reply's
+    column of them (:class:`~repro.smc.scalar_product.PackedLayout`),
+    and the cached HDP's Horner shifts key an entry by a reply being
+    built.  So each entry keeps a party's private values for the
+    process's lifetime, up to ``maxsize`` entries; deleting the memo
+    (ROADMAP direction 1) ends that retention.
     """
     return pow(base, exponent, modulus)
 

@@ -49,7 +49,10 @@ from repro.net.serialization import (
 #: role leave the hello, and the dedicated ``M`` message frame leaves
 #: the wire.  6: protocol messages send ciphertext lists as the
 #: serializer's fixed-width ``W`` lists, at their key's width.
-PROTOCOL_VERSION = 6
+#: 7: packed reply lists -- ``blinded_sums``, ``masked_sums`` and
+#: ``masked_products`` carry one ciphertext per chunk of values, which
+#: a v6 peer would read as a short list.
+PROTOCOL_VERSION = 7
 
 #: Endpoint roles.  ``daemon`` marks a resident daemon's pair links;
 #: ``client`` marks a session-submission connection into a daemon.

@@ -473,24 +473,28 @@ class SmcSession:
 
     async def masked_dot_terms_batch(self, holder: Party, alpha: list[int],
                                      receiver: Party, betas: list[list[int]],
-                                     offsets: list[int], *, blind_bound: int,
+                                     offsets: list[int], *, value_bound: int,
+                                     blind_bound: int,
                                      label: str = "dotbatch") -> list[int]:
         """Batched region-query cross terms: receiver learns
         ``<alpha, beta_i> + offsets[i]`` with the holder's vector
-        encrypted once for the whole batch."""
+        encrypted once for the whole batch and the replies packed
+        (``value_bound`` bounds every vector's squared norm)."""
         return await secure_masked_dot_terms_batch(
             holder, alpha, receiver, betas, offsets,
-            self.paillier_keys(holder.name), blind_bound=blind_bound,
-            label=label, engine=self.engine)
+            self.paillier_keys(holder.name), value_bound=value_bound,
+            blind_bound=blind_bound, label=label, engine=self.engine)
 
     def scalar_product_lane(self, receiver: Party,
                             alphas: list[list[int]], masker: Party,
                             betas: list[list[list[int]]],
-                            masks: list[list[int]], *,
+                            masks: list[list[int]], *, value_bound: int,
+                            mask_bound: int,
                             label: str = "sprod") -> ScalarProductLane:
         """One lane of
         :func:`~repro.smc.scalar_product.secure_scalar_products_lanes`,
-        under the receiver's key."""
+        under the receiver's key, with its public bounds."""
         return ScalarProductLane(
             receiver, alphas, masker, betas, masks,
-            self.paillier_keys(receiver.name), label=label)
+            self.paillier_keys(receiver.name), label=label,
+            value_bound=value_bound, mask_bound=mask_bound)

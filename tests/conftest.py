@@ -103,11 +103,13 @@ def rng() -> random.Random:
 
 @pytest.fixture
 def key_work(monkeypatch) -> dict[str, list]:
-    """From here on, the modulus of the key under which each Paillier
-    batch decryption, each DGK bit encryption and each fresh Paillier
-    randomness factor ran -- which names the party that ran it, in this
-    process or in a thread-mode daemon fleet's -- and, parallel to
-    ``factors``, the RNG that drew each factor (``factor_rngs``)."""
+    """From here on, the modulus of the key under which each DGK bit
+    encryption and each fresh Paillier randomness factor ran -- which
+    names the party that ran it, in this process or in a thread-mode
+    daemon fleet's -- and, parallel to ``factors``, the RNG that drew
+    each factor (``factor_rngs``).  Each Paillier batch decryption is
+    recorded as ``(modulus, ciphertexts)``: its key and how many
+    ciphertexts it opened."""
     from repro.crypto.engine import ModexpEngine
     from repro.crypto.paillier import PaillierPublicKey
     from repro.smc import bitwise_comparison
@@ -118,7 +120,8 @@ def key_work(monkeypatch) -> dict[str, list]:
     fresh_factor = PaillierPublicKey.fresh_factor
 
     def decrypting(engine, private_key, values):
-        work["decrypt"].append(private_key.public_key.n)
+        values = list(values)
+        work["decrypt"].append((private_key.public_key.n, len(values)))
         return decrypt(engine, private_key, values)
 
     def encrypting(keypair, x, bits, rng):

@@ -229,9 +229,16 @@ class TestBatchedComparisons:
 
 class TestQuerierEncryptionCount:
     """Acceptance criterion: querier-side encryptions per region query are
-    O(d) -- independent of the peer point count."""
+    O(d) -- independent of the peer point count -- and the replies are
+    packed: the peer encrypts, and the querier decrypts, one ciphertext
+    per chunk of ``slots`` peer points."""
 
-    def _count_encryptions(self, n_peer: int, dimensions: int) -> dict:
+    # 27-bit slots (VALUE_BOUND, masks below VALUE_BOUND << 8) in the
+    # 256-bit key's 255 plaintext bits.
+    SLOTS = 9
+
+    def _count_work(self, n_peer: int, dimensions: int,
+                    key_work) -> dict:
         channel = Channel()
         alice, bob = make_party_pair(channel, 1, 2)
         session = SmcSession(alice, bob, SmcConfig(
@@ -245,6 +252,7 @@ class TestQuerierEncryptionCount:
 
         peer_points = [tuple(5 * i + t for t in range(dimensions))
                        for i in range(n_peer)]
+        key_work["decrypt"].clear()
         try:
             PaillierPublicKey.encrypt = counting_encrypt
             drive(hdp_region_query(session, alice, tuple(range(dimensions)),
@@ -252,18 +260,24 @@ class TestQuerierEncryptionCount:
         finally:
             PaillierPublicKey.encrypt = original
         return {"querier": counts[id(alice.rng)],
-                "peer": counts[id(bob.rng)]}
+                "peer": counts[id(bob.rng)],
+                "decrypt": list(key_work["decrypt"]),
+                "querier_key": session.paillier_keys("alice").public_key.n}
 
     @pytest.mark.parametrize("dimensions", [1, 2, 3])
-    def test_querier_encryptions_independent_of_peer_count(self, dimensions):
-        for n_peer in (1, 4, 9):
-            counts = self._count_encryptions(n_peer, dimensions)
+    def test_querier_encryptions_independent_of_peer_count(self, dimensions,
+                                                           key_work):
+        for n_peer in (1, 4, 9, 10, 19):
+            counts = self._count_work(n_peer, dimensions, key_work)
             # Exactly one encryption per querier coordinate, regardless
             # of how many peer points the query covers.
             assert counts["querier"] == dimensions, (n_peer, counts)
-            # The peer pays one blind encryption per point (plus its
-            # rerandomizations, which are not encryptions).
-            assert counts["peer"] == n_peer
+            # The peer pays one encryption of its packed blinds per
+            # chunk of points, and the querier opens each chunk once,
+            # in one batch under its own key.
+            chunks = -(-n_peer // self.SLOTS)
+            assert counts["peer"] == chunks, (n_peer, counts)
+            assert counts["decrypt"] == [(counts["querier_key"], chunks)]
 
 
 class TestFullRunEquivalence:

@@ -1,15 +1,22 @@
 """Tests for the cached-ciphertext HDP variant (the E12 ablation)."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.clustering.labels import canonicalize
 from repro.core.config import ProtocolConfig
-from repro.core.distance import PeerCipherCache, hdp_within_eps_cached
+from repro.core.distance import (
+    PeerCipherCache,
+    hdp_region_query_cached,
+    hdp_within_eps_cached,
+)
 from repro.core.horizontal import run_horizontal_dbscan
 from repro.core.leakage import Disclosure, LeakageLedger
 from repro.data.partitioning import HorizontalPartition
 from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
+from repro.net.serialization import FixedWidthList
+from repro.smc.scalar_product import ScalarProductError
 from repro.smc.session import SmcConfig, SmcSession
 
 VALUE_BOUND = 8 * 200 * 200
@@ -115,8 +122,13 @@ class TestCachedFullProtocol:
 class TestCachedReplyFactors:
     """The cached variants' reply randomness: the per-point protocol's
     masked terms carry a fresh mask encryption (one factor each, no
-    separate rerandomization); the batched variant adds only a
-    plaintext offset, so it keeps one rerandomization per reply."""
+    separate rerandomization); the batched variant adds only plaintext
+    offsets to its packed chunks, so it keeps one rerandomization per
+    reply ciphertext."""
+
+    # 27-bit slots (VALUE_BOUND, masks below VALUE_BOUND << 8) in the
+    # 128-bit keys' 127 plaintext bits.
+    SLOTS = 4
 
     @staticmethod
     def _querier_factors(key_work, session) -> int:
@@ -134,13 +146,61 @@ class TestCachedReplyFactors:
                                     PeerCipherCache(), 25, VALUE_BOUND))
         assert self._querier_factors(key_work, session) == 3
 
-    def test_batched_reply_keeps_one_rerandomization_per_point(self,
+    def test_batched_reply_keeps_one_rerandomization_per_chunk(self,
                                                               key_work):
-        from repro.core.distance import hdp_region_query_cached
+        peer_points = [(4, 6), (1, 1), (0, 9), (3, 3), (5, 0), (2, 7),
+                       (6, 1), (0, 0), (8, 8)]
+        for n_peer in (1, 4, 5, 9):
+            for moduli in key_work.values():
+                moduli.clear()
+            __, session = _session(4)
+            bits = drive(hdp_region_query_cached(
+                session, session.alice, (1, 2), session.bob,
+                peer_points[:n_peer], list(range(n_peer)),
+                PeerCipherCache(), 25, VALUE_BOUND))
+            assert bits == [sum((a - b) ** 2 for a, b in zip((1, 2), point))
+                            <= 25 for point in peer_points[:n_peer]]
+            chunks = -(-n_peer // self.SLOTS)
+            assert self._querier_factors(key_work, session) == chunks
+            # The peer opens each chunk once, in one batch.
+            peer_n = session.paillier_keys("bob").public_key.n
+            assert key_work["decrypt"] == [(peer_n, chunks)], n_peer
 
-        __, session = _session(4)
-        peer_points = [(4, 6), (1, 1), (0, 9)]
-        drive(hdp_region_query_cached(
-            session, session.alice, (1, 2), session.bob, peer_points,
-            [0, 1, 2], PeerCipherCache(), 25, VALUE_BOUND))
-        assert self._querier_factors(key_work, session) == len(peer_points)
+
+class TestCachedReplyChecks:
+    """The batched cached query's packed replies: the peer refuses a
+    reply list of the wrong length before decrypting it, and each party
+    refuses a point that could overflow a slot before anything is
+    sent."""
+
+    POINTS = [(4, 6), (1, 1), (0, 9), (3, 3), (5, 0)]
+
+    def _query(self, session, querier_point=(1, 2), points=None):
+        points = self.POINTS if points is None else points
+        return drive(hdp_region_query_cached(
+            session, session.alice, querier_point, session.bob, points,
+            list(range(len(points))), PeerCipherCache(), 25, VALUE_BOUND,
+            label="c"))
+
+    def test_peer_checks_the_masked_sums(self):
+        __, session = _session(5)
+        send = session.alice.send
+        session.alice.send = lambda label, value: send(
+            label, FixedWidthList(value[:-1], value.width)
+            if label == "c/masked_sums" else value)
+        with pytest.raises(ScalarProductError,
+                           match="c/masked_sums: expected 2 reply "
+                                 "ciphertexts for 5 values, received 1"):
+            self._query(session)
+
+    @pytest.mark.parametrize("querier_point,points,match", [
+        ((600, 0), None, "querier point"),
+        ((1, 2), [(0, 0), (0, 600)], r"peer point\[1\]"),
+    ])
+    def test_a_point_above_the_bound_is_refused(self, querier_point,
+                                                points, match):
+        channel, session = _session(6)
+        keys = len(channel.transcript.entries)   # the key exchange
+        with pytest.raises(ScalarProductError, match=match):
+            self._query(session, querier_point, points)
+        assert len(channel.transcript.entries) == keys

@@ -4,6 +4,8 @@ Binding properties: (1) identical clustering output to the base
 horizontal protocol, (2) strictly reduced disclosure profile.
 """
 
+from collections import Counter
+
 from hypothesis import given, settings, strategies as st
 
 from repro.clustering.labels import canonicalize
@@ -130,3 +132,64 @@ class TestWithRealCrypto:
                          selection="quickselect")
         result = run_enhanced_horizontal_dbscan(partition, config)
         assert result.alice_labels == (1,)
+
+
+class TestPackedSharing:
+    """Section 5's masked products come back packed: per tested point
+    (one alpha), ``ceil(n_peer / slots)`` reply ciphertexts, each one
+    factor drawn by the masker and each opened once by the driver."""
+
+    ALICE = ((0, 0), (30, 30))
+    # Isolated from each other (11 apart, eps 10 on the grid): with
+    # min_pts 2 every point of both parties is tested.
+    BOB = tuple((11 * a, 11 * b) for a in range(3) for b in range(3))
+
+    def test_one_reply_ciphertext_per_chunk_of_peer_points(self, key_work):
+        from repro.data.quantize import squared_distance_bound
+        from repro.net.channel import Channel
+        from repro.net.party import make_party_pair
+        from repro.smc.scalar_product import PackedLayout
+        from repro.smc.session import SmcSession
+
+        config = _config(min_pts=2)
+        for n_peer in (1, 5, 6, 9):
+            bob = self.BOB[:n_peer]
+            channel = Channel()
+            session = SmcSession(*make_party_pair(channel, 7, 8),
+                                 config.smc)
+            alice_key = session.paillier_keys("alice").public_key
+            bob_key = session.paillier_keys("bob").public_key
+            # value_bound 7200 (coordinates up to 30): the sharing's
+            # 23-bit slots pack 5 values into a 128-bit key's reply.
+            bound = squared_distance_bound(self.ALICE, bob)
+            quarter = bound // 4
+            assert PackedLayout.fit(
+                alice_key, quarter * quarter + 4 * quarter + 1,
+                config.smc.mask_bound(bound)).slots == 5
+            for moduli in key_work.values():
+                moduli.clear()
+            result = run_enhanced_horizontal_dbscan(
+                HorizontalPartition(alice_points=self.ALICE, bob_points=bob),
+                config, session=session)
+            assert result.ledger.count(Disclosure.CORE_BIT) \
+                == len(self.ALICE) + n_peer
+            chunks = -(-n_peer // 5)
+            replies = {label: [len(entry.value) for entry in
+                               channel.transcript.with_label(label)]
+                       for label in ("enhanced/alice_pass/share/"
+                                     "masked_products",
+                                     "enhanced/bob_pass/share/"
+                                     "masked_products")}
+            assert replies == {
+                "enhanced/alice_pass/share/masked_products":
+                    [chunks] * len(self.ALICE),
+                "enhanced/bob_pass/share/masked_products": [1] * n_peer}
+            # One batch per pass, one ciphertext per chunk of each alpha.
+            assert key_work["decrypt"] == [
+                (alice_key.n, chunks * len(self.ALICE)),
+                (bob_key.n, n_peer)]
+            # Each alpha's d + 2 = 4 coordinates under its driver's key,
+            # then one reply factor per chunk.
+            assert Counter(key_work["factors"]) == {
+                alice_key.n: len(self.ALICE) * (4 + chunks),
+                bob_key.n: n_peer * (4 + 1)}

@@ -65,7 +65,10 @@ OVERLAP_CASES = {
 
 #: ``{case: {label: [messages, bytes]}}`` of the OVERLAP_CASES' scan
 #: runs, recorded when the second pass still started after the first
-#: had ended: overlapping the passes changes only the order.
+#: had ended: overlapping the passes changes only the order.  The
+#: ``share/masked_products`` entries were re-derived when the replies
+#: were packed: each message now carries one 32-byte ciphertext where
+#: it carried one per peer point (at most 4, one chunk at these keys).
 SEQUENTIAL_COUNTS = json.loads(
     (Path(__file__).parent / "enhanced_label_counts.json").read_text())
 

@@ -171,7 +171,8 @@ class TestEncryptionFactorsEquivalence:
             [values] = drive(secure_scalar_products_lanes(
                 [session.scalar_product_lane(
                     session.alice, [[3, -1, 4]], session.bob,
-                    [[[1, 5, 9], [2, 6, 5], [0, 0, 1]]], [[7, 8, 9]])],
+                    [[[1, 5, 9], [2, 6, 5], [0, 0, 1]]], [[7, 8, 9]],
+                    value_bound=1000, mask_bound=1000)],
                 engine=session.engine))
             wire = [(e.sender, e.label, e.value)
                     for e in channel.transcript.entries]

@@ -158,7 +158,12 @@ class TestOwnerFactors:
 
 class TestMemoStaysPublic:
     """Decryption and randomness factors never touch the process-wide
-    powmod memo, serially or through a fallen-back engine."""
+    powmod memo, serially or through a fallen-back engine.
+
+    The name overstates what the memo keeps: the homomorphic scalar
+    powers ``E(m)^k`` still go through it, and there ``k`` is the
+    masker's private coordinate or a packed reply's column of them, kept
+    for the process's lifetime (``cached_pow``'s docstring)."""
 
     def _closed_engine(self):
         engine = _parallel_engine()

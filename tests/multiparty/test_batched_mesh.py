@@ -9,8 +9,16 @@ both ``blind_cross_sum`` modes.  Only wall-clock, message counts, and
 encryption counts may differ.
 """
 
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import (
+    HealthCheck,
+    example,
+    given,
+    settings,
+    strategies as st,
+)
 
 from repro.core.config import ProtocolConfig
 from repro.core.leakage import Disclosure
@@ -210,3 +218,70 @@ class TestBlindQueryRounds:
                 assert stats.rounds == 4
                 assert stats.total_messages \
                     == 3 + 2 * len(points[peer])
+
+
+class TestPackedReplies:
+    """Each region query's cross sums come back packed: the peer draws
+    one reply factor per chunk of its points, and the driver decrypts
+    ``ceil(n_peer / slots)`` ciphertexts in one batch.  The driver still
+    encrypts its ``d`` coordinates once per query."""
+
+    # Coordinates in [400, 600]: value_bound between 8 * 400^2 and
+    # 8 * 600^2, so with masks below value_bound << 16 the slots are 37
+    # or 38 bits and a 256-bit key packs 6 of them.
+    SLOTS = 6
+
+    # Each example clears key_work before its run.
+    @settings(max_examples=6, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.integers(min_value=0, max_value=13), min_size=2,
+                    max_size=4),
+           st.integers(min_value=0, max_value=1000))
+    @example(counts=[13, 0, 7, 1], seed=5)
+    @example(counts=[6, 12, 1], seed=1)
+    def test_one_ciphertext_per_chunk_of_peer_points(self, key_work, counts,
+                                                     seed):
+        import random
+
+        from repro.data.quantize import squared_distance_bound
+        from repro.smc.scalar_product import PackedLayout
+
+        rng = random.Random(seed)
+        points = {f"q{slot}": [(rng.randrange(400, 601),
+                                rng.randrange(400, 601))
+                               for _ in range(count)]
+                  for slot, count in enumerate(counts)}
+        config = ProtocolConfig(
+            eps=1.0, min_pts=3, scale=100,
+            smc=SmcConfig(comparison="oracle", key_seed=231,
+                          paillier_bits=256))
+        mesh = PartyMesh(list(points), config.smc,
+                         seeds=list(range(len(points))))
+        for moduli in key_work.values():
+            moduli.clear()
+        run_multiparty_horizontal_dbscan(points, config, mesh=mesh)
+
+        keys = {name: mesh.session_between(name, mesh.peers_of(name)[0])
+                .paillier_keys(name).public_key for name in points}
+        everything = [p for party in points.values() for p in party]
+        if everything:
+            bound = squared_distance_bound(everything, everything)
+            for public in keys.values():
+                assert PackedLayout.fit(
+                    public, bound, config.smc.mask_bound(bound)).slots \
+                    == self.SLOTS
+        decrypts = []
+        factors = {}
+        for driver, own in points.items():
+            for peer, theirs in points.items():
+                if peer == driver or not own or not theirs:
+                    continue
+                chunks = -(-len(theirs) // self.SLOTS)
+                # One query per own point: d = 2 alpha encryptions by the
+                # driver and one reply factor per chunk by the peer, all
+                # under the driver's key; one batch of the chunks.
+                decrypts += [(keys[driver].n, chunks)] * len(own)
+                factors[keys[driver].n] = (factors.get(keys[driver].n, 0)
+                                           + len(own) * (2 + chunks))
+        assert sorted(key_work["decrypt"]) == sorted(decrypts)
+        assert Counter(key_work["factors"]) == Counter(factors)

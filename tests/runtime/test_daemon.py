@@ -363,15 +363,16 @@ class TestRoleLocalExecution:
         assert all(checks.values()), checks
 
     def test_each_party_does_its_key_work_once(self, key_work):
-        """Per party, a session decrypts as many Paillier batches,
-        encrypts as many DGK bit lists and computes as many randomness
-        factors on the daemons as in process: each daemon runs each of
-        its queries once."""
+        """Per party, a session decrypts as many Paillier batches of as
+        many ciphertexts, encrypts as many DGK bit lists and computes as
+        many randomness factors on the daemons as in process: each
+        daemon runs each of its queries once."""
         by_party = workload(3)
         seeds = [31, 32, 33]
         config = make_config()
         mesh = PartyMesh(list(by_party), config.smc, seeds=seeds)
-        kinds = ("decrypt", "dgk_bits", "factors")   # by key modulus
+        # By key modulus; decryptions by (modulus, ciphertexts opened).
+        kinds = ("decrypt", "dgk_bits", "factors")
         for moduli in key_work.values():
             moduli.clear()
         run_multiparty_horizontal_dbscan(by_party, config, mesh=mesh)

@@ -39,15 +39,16 @@ def make_session(channel) -> SmcSession:
 async def region_step(session: SmcSession, stepper: str, label: str,
                       alpha: list) -> None:
     """One HDP-shaped step keyed by ``stepper``: it encrypts ``alpha``
-    (two factors under its key), the peer answers with blinded cross
-    sums (two factors under the stepper's key), the stepper
-    decrypts them in one batch, and an amortized comparison under the
-    stepper's DGK key -- one bit encryption of its threshold -- tells
-    it which of the peer's sums are at most 10."""
+    (two factors under its key), the peer answers with both blinded
+    cross sums packed into one reply ciphertext (one factor under the
+    stepper's key), the stepper decrypts it in one batch, and an
+    amortized comparison under the stepper's DGK key -- one bit
+    encryption of its threshold -- tells it which of the peer's sums
+    are at most 10."""
     party, peer = session.party(stepper), session.peer_of(stepper)
     sums = await session.masked_dot_terms_batch(
-        party, alpha, peer, BETAS, [0, 0], blind_bound=1 << 20,
-        label=f"{label}/sums")
+        party, alpha, peer, BETAS, [0, 0], value_bound=100,
+        blind_bound=1 << 20, label=f"{label}/sums")
     await session.compare_leq_batch(
         peer, sums, party, [10, 10], lo=-100, hi=100, reveal_to="b",
         amortize=True, label=f"{label}/cmp")
@@ -162,11 +163,12 @@ def test_a_query_runs_once_and_computes_nothing_twice(key_work, first):
 
     assert run_queries(runtime, session, first) == [1] * len(BATCHES)
     paillier, dgk = alice_keys(session)
-    assert key_work["decrypt"] == [paillier] * len(BATCHES)
+    # Per query alice opens one packed reply ciphertext, once.
+    assert key_work["decrypt"] == [(paillier, 1)] * len(BATCHES)
     assert key_work["dgk_bits"] == [dgk] * len(BATCHES)
-    # Per query alice encrypts her alpha under her key and her blinds
-    # under bob's: two factors each, from her own coins.
+    # Per query alice encrypts her alpha under her key (two factors) and
+    # her packed blinds under bob's (one factor), from her own coins.
     bob_paillier = session.paillier_keys("bob").public_key.n
-    assert Counter(key_work["factors"]) == {paillier: 4, bob_paillier: 4}
-    assert key_work["factor_rngs"] == [session.alice.rng] * 8
+    assert Counter(key_work["factors"]) == {paillier: 4, bob_paillier: 2}
+    assert key_work["factor_rngs"] == [session.alice.rng] * 6
     assert_same_frames(runtime, link, reference)
