@@ -44,9 +44,9 @@ class ProtocolConfig:
             a *relative* disclosure: the non-querying party now learns
             the differences between the query's cross dot products
             (each shifted by the same unknown offset), recorded as
-            ``DOT_DIFFERENCE`` in the ledger.  Off by default = PR-3
-            semantics (per-point offsets, no relative leakage, no
-            amortization in blind mode).  See DESIGN.md,
+            ``DOT_DIFFERENCE`` in the ledger.  Off by default:
+            per-point offsets, no relative leakage, no amortization in
+            blind mode.  See DESIGN.md,
             "Query-constant blinding".
         cache_peer_ciphertexts: when True, the horizontal protocols
             (two-party and k-party) reuse each peer point's encrypted

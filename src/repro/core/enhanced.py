@@ -13,9 +13,10 @@ The core test per own point ``A``:
 3. Otherwise the parties run the Section 5 machinery:
 
    a. Distance sharing via the Multiplication Protocol in its batched
-      scalar-product form: the driver's vector
-      ``alpha = (sum A_t^2, -2A_1, ..., -2A_m, 1)`` meets the peer's
-      ``beta_i = (1, B_i1, ..., B_im, sum B_it^2)`` so the driver learns
+      scalar-product form over the cross terms only: the driver's
+      vector ``alpha = (-2A_1, ..., -2A_m)`` meets the peer's
+      ``beta_i = (B_i1, ..., B_im)``, the peer adds ``sum B_it^2`` to
+      its mask and the driver adds ``sum A_t^2``, so the driver learns
       ``u_i = dist^2(A, B_i) + v_i`` with ``v_i`` private to the peer.
    b. Secure selection of the k-th smallest shared distance
       (scan ``O(kn)`` or quickselect expected ``O(n)``, paper's two
@@ -236,50 +237,57 @@ async def _share_distances(session: SmcSession, lanes: list[_Pass],
     a fresh permutation of the peer's points, all in one lanes call: one
     lane per pass.
 
-    ``alpha = (sum A_t^2, -2A_1, ..., -2A_m, 1)`` and
-    ``beta_i = (1, B_i1, ..., B_im, sum B_it^2)`` give
-    ``<alpha, beta_i> = dist^2(A, B_i)``; the Multiplication Protocol
-    hands the driver ``u_i = dist^2 + v_i``, packed into one reply
-    ciphertext per chunk of the peer's points.  Every point has ``sum
-    A_t^2 <= q = value_bound / 4``, so every alpha and beta has squared
-    norm at most ``q^2 + 4q + 1``: the public bound the packed layout
-    needs (Cauchy-Schwarz bounds ``|<alpha, beta_i>|`` by it).
+    ``dist^2(A, B_i) = ||A||^2 + <-2A, B_i> + ||B_i||^2``, and each party
+    knows its own squared norm, so only the cross term is multiplied:
+    ``alpha = -2A`` meets ``beta_i = B_i``.  The peer adds ``||B_i||^2``
+    to its mask term -- its share stays ``v_i`` -- and the driver adds
+    ``||A||^2`` to each unpacked value, so it holds ``u_i = dist^2 +
+    v_i``, packed into one reply ciphertext per chunk of the peer's
+    points (DESIGN.md, "Section 5 shares the cross terms").  Every point
+    has ``||A||^2 <= q = value_bound // 4``, so the lane's public bounds
+    are ``4q`` on every vector's squared norm (Cauchy-Schwarz bounds
+    ``|<alpha, beta_i>|`` by it) and ``mask_bound + q`` on the raised
+    masks.
     """
     mask_bound = session.config.mask_bound(value_bound)
     quarter = value_bound // 4
-    norm_bound = quarter * quarter + 4 * quarter + 1
     requests = []
+    shares = []
     for driving in lanes:
         peer, peer_points = driving.peer, driving.peer_points
         alphas = []
         betas = []
         masks = []
+        lane_shares = []
         for point_index in driving.tested:
             query_point = driving.driver_points[point_index]
             view = PermutedView.fresh(len(peer_points), peer.rng)
-            alpha = [sum(c * c for c in query_point)]
-            alpha.extend(-2 * c for c in query_point)
-            alpha.append(1)
-            alphas.append(alpha)
-            point_betas = []
-            point_masks = []
-            for permuted_position in range(len(view)):
-                peer_point = peer_points[view.true_index(permuted_position)]
-                beta = [1]
-                beta.extend(peer_point)
-                beta.append(sum(c * c for c in peer_point))
-                point_betas.append(beta)
-                point_masks.append(peer.rng.randrange(mask_bound))
+            alphas.append([-2 * c for c in query_point])
+            point_betas = [peer_points[view.true_index(position)]
+                           for position in range(len(view))]
+            point_shares = [peer.rng.randrange(mask_bound)
+                            for _ in point_betas]
             betas.append(point_betas)
-            masks.append(point_masks)
+            lane_shares.append(point_shares)
+            masks.append([share + sum(c * c for c in beta)
+                          for share, beta in zip(point_shares, point_betas)])
         requests.append(session.scalar_product_lane(
             driving.driver, alphas, peer, betas, masks,
-            value_bound=norm_bound, mask_bound=mask_bound,
+            value_bound=4 * quarter, mask_bound=mask_bound + quarter,
             label=f"{driving.label}/share"))
+        shares.append(lane_shares)
 
     products = await secure_scalar_products_lanes(requests,
                                                   engine=session.engine)
-    return [[SharedValues(u_values=tuple(point_u), v_values=tuple(point_v),
-                          value_bound=value_bound, mask_bound=mask_bound)
-             for point_u, point_v in zip(u_values, request.masks)]
-            for request, u_values in zip(requests, products)]
+    shared = []
+    for driving, lane_shares, u_values in zip(lanes, shares, products):
+        lane = []
+        for point_index, point_u, point_v in zip(driving.tested, u_values,
+                                                 lane_shares):
+            norm = sum(c * c for c in driving.driver_points[point_index])
+            lane.append(SharedValues(
+                u_values=tuple(norm + u for u in point_u),
+                v_values=tuple(point_v),
+                value_bound=value_bound, mask_bound=mask_bound))
+        shared.append(lane)
+    return shared

@@ -50,12 +50,13 @@ modulo half-size primes, each from a window-8 table on the key object,
 instead of one ``2.5 t``-bit power modulo ``n``.  The draw and the
 ciphertext are the public path's, bit for bit.
 
-Nothing here touches the process-wide
-:func:`~repro.crypto.integer_math.cached_pow` memo: encryption uses a
-:class:`~repro.crypto.precompute.FixedBaseExp` table on ``h`` (cached
-per public key, public values only), the owner's tables live on its
-private key, and the rest is plain ``pow``; the zero test, keyed by
-``p`` and ``v_p``, uses plain ``pow``.
+Encryption uses a :class:`~repro.crypto.precompute.FixedBaseExp` table
+on ``h`` (:attr:`DgkPublicKey.randomizer_table`, public values only),
+the owner's tables live on its private key, and the rest is plain
+``pow``; the zero test, keyed by ``p`` and ``v_p``, uses plain ``pow``.
+The comparison's loops look each table up once per call
+(:meth:`DgkPrivateKey.encrypt_batch`, the witness loop of
+:mod:`repro.smc.bitwise_comparison`).
 """
 
 from __future__ import annotations
@@ -123,10 +124,17 @@ class DgkPublicKey:
     g: int
     h: int
 
+    @cached_property
+    def randomizer_table(self) -> FixedBaseExp:
+        """The ``h^r`` table for exponents of the key's randomness width
+        (public values only), looked up once per key object; every
+        object of one key shares it."""
+        return _randomizer_table(self.h, self.n)
+
     def randomizer(self, rng: random.Random) -> int:
         """``h^r mod n`` for a fresh ``r``: an encryption of zero, one
         table lookup per window of ``r``."""
-        table = _randomizer_table(self.h, self.n)
+        table = self.randomizer_table
         return table.pow(rng.getrandbits(table.max_bits))
 
     def encrypt(self, plaintext: int, rng: random.Random) -> int:
@@ -194,15 +202,34 @@ class DgkPrivateKey:
     def encrypt(self, plaintext: int, rng: random.Random) -> int:
         """:meth:`DgkPublicKey.encrypt` -- the same draw of ``r``, the
         same ciphertext -- with ``h^r`` by CRT on the key's primes."""
+        [ciphertext] = self.encrypt_batch([plaintext], rng)
+        return ciphertext
+
+    def encrypt_batch(self, plaintexts, rng: random.Random) -> list[int]:
+        """:meth:`encrypt` of each plaintext in order, one draw of ``r``
+        each: the tables, the randomness width and each distinct
+        ``g^m`` are looked up once per call, not once per plaintext."""
         public = self.public_key
-        if not 0 <= plaintext < DGK_U:
-            raise DgkError(f"plaintext {plaintext} outside [0, {DGK_U})")
-        r = rng.getrandbits(dgk_parameters(public.n.bit_length()).r_bits)
+        n, g = public.n, public.g
+        r_bits = dgk_parameters(n.bit_length()).r_bits
+        p, q, v_p, v_q = self.p, self.q, self.v_p, self.v_q
         tables = self.crt
-        h_r = crt_pair(tables.p_table.pow(r % self.v_p), self.p,
-                       tables.q_table.pow(r % self.v_q), self.q,
-                       tables.p_inv_q)
-        return pow(public.g, plaintext, public.n) * h_r % public.n
+        p_pow, q_pow = tables.p_table.pow, tables.q_table.pow
+        draw = rng.getrandbits
+        g_powers: dict[int, int] = {}
+        ciphertexts = []
+        for plaintext in plaintexts:
+            g_m = g_powers.get(plaintext)
+            if g_m is None:
+                if not 0 <= plaintext < DGK_U:
+                    raise DgkError(
+                        f"plaintext {plaintext} outside [0, {DGK_U})")
+                g_m = g_powers[plaintext] = pow(g, plaintext, n)
+            r = draw(r_bits)
+            h_r = crt_pair(p_pow(r % v_p), p, q_pow(r % v_q), q,
+                           tables.p_inv_q)
+            ciphertexts.append(g_m * h_r % n)
+        return ciphertexts
 
     def zero_test_batch(self, ciphertext_values) -> list[bool]:
         """Whether each ciphertext encrypts a multiple of ``u``.

@@ -1,9 +1,9 @@
-"""Parallel modular-exponentiation engine (the PR-2 tentpole).
+"""Parallel modular-exponentiation engine.
 
 Paillier batch decryption and YMPP's RSA sweep reduce to an *array of
 independent modexp jobs* ``(base, exponent, modulus)``.
 :class:`ModexpEngine` executes such arrays either serially (the
-default, bit-identical to the seed-era inner loops) or sharded across a
+default: one plain ``pow`` per job, in order) or sharded across a
 process pool, so wall-clock scales with cores on multi-core hosts.  Job
 arrays are plain integer tuples -- picklable bytes on the worker
 boundary.
@@ -30,8 +30,7 @@ Design rules (see DESIGN.md, "Parallel modexp engine"):
 - **Trust boundary.** Worker processes belong to the party that owns the
   engine call: CRT-split decryption jobs carry ``p``/``q``-derived
   moduli and are only ever issued by the private-key holder for its own
-  ciphertexts -- the same boundary as the in-process CRT decrypt.  No
-  engine job goes through the powmod memo.
+  ciphertexts -- the same boundary as the in-process CRT decrypt.
 
 The DGK comparison (:mod:`repro.crypto.dgk`) issues no engine jobs: its
 per-ciphertext work is a table lookup and a short power, below the
@@ -334,7 +333,7 @@ def default_engine() -> ModexpEngine:
     """The shared serial engine protocol code falls back to.
 
     Serial by construction: a bare primitive call (no session, no
-    configured engine) must behave exactly like the seed-era inner loop,
+    configured engine) must behave exactly like a plain per-job loop,
     with zero process overhead.
     """
     global _SERIAL_ENGINE

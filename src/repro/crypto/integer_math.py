@@ -10,52 +10,39 @@ deterministic pure-integer math; randomized routines live in
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import threading
 
 
-@lru_cache(maxsize=1 << 16)
-def cached_pow(base: int, exponent: int, modulus: int) -> int:
-    """``pow(base, exponent, modulus)`` behind a bounded memo.
+_powers_lock = threading.Lock()
+_powers = 0
 
-    A daemon query runs once, so within a session nothing repeats
-    these arguments and the memo saves no work; it stays because the
-    benchmark reads its report (:func:`powmod_cache_report`).  The
-    function is pure, so memoization cannot change any result,
-    transcript, or ledger.
 
-    The memo lives as long as the process (a daemon's whole lifetime),
-    so every kernel keyed by the factorization -- decryption above all
-    -- uses plain ``pow`` instead.  Paillier randomness factors do not
-    pass through it either: a factor is one mulmod per six exponent bits
-    from its key's table (:mod:`repro.crypto.paillier`), so the memo
-    holds no entry per factor.  Nothing of the DGK comparison
-    (:mod:`repro.crypto.dgk`) enters it.  What remains are the
-    homomorphic scalar powers ``E(m)^k`` -- and their exponents are not
-    public: ``k`` is the masker's private coordinate, or a packed reply's
-    column of them (:class:`~repro.smc.scalar_product.PackedLayout`),
-    and the cached HDP's Horner shifts key an entry by a reply being
-    built.  So each entry keeps a party's private values for the
-    process's lifetime, up to ``maxsize`` entries; deleting the memo
-    (ROADMAP direction 1) ends that retention.
+def counted_pow(base: int, exponent: int, modulus: int) -> int:
+    """``pow(base, exponent, modulus)``, counted for
+    :func:`powmod_cache_report`.
+
+    The homomorphic scalar powers ``E(m)^k`` come here.  Their exponents
+    are not public -- ``k`` is the masker's private coordinate, or a
+    packed reply's column of them
+    (:class:`~repro.smc.scalar_product.PackedLayout`) -- so nothing of a
+    call is kept: only the count of powers computed.  Decryption,
+    randomness factors and the DGK comparison use plain ``pow`` or their
+    keys' tables and are not counted.
     """
+    global _powers
+    with _powers_lock:
+        _powers += 1
     return pow(base, exponent, modulus)
 
 
 def powmod_cache_report() -> dict[str, int]:
-    """Hit/miss/eviction accounting for the :func:`cached_pow` memo.
-
-    ``evictions`` is derived: every miss inserts one entry, so entries
-    beyond ``currsize`` were pushed out by the LRU bound.  Feeds the
-    daemon's metrics collector and the ``repro stats`` summary.
-    """
-    info = cached_pow.cache_info()
-    return {
-        "hits": info.hits,
-        "misses": info.misses,
-        "size": info.currsize,
-        "maxsize": info.maxsize or 0,
-        "evictions": max(0, info.misses - info.currsize),
-    }
+    """The power accounting of :func:`counted_pow`, in the shape the
+    daemon's ``repro_powmod_cache`` gauges and the benchmark read:
+    ``misses`` counts the powers computed since the process started;
+    ``hits``, ``size``, ``maxsize`` and ``evictions`` are 0, because no
+    power is kept."""
+    return {"hits": 0, "misses": _powers, "size": 0, "maxsize": 0,
+            "evictions": 0}
 
 
 def egcd(a: int, b: int) -> tuple[int, int, int]:

@@ -38,10 +38,10 @@ nobody chooses it) and ``r`` of ``k + 128`` uniform bits for a ``k``-bit
 ``n`` (:data:`RANDOMNESS_SLACK_BITS` says why not DJN's ``k/2``).
 ``h_s^r`` is an ``n``-th power, an encryption of zero.  Every party,
 owner or not, draws its factors from one cached fixed-base table per
-key; neither the table nor decryption goes through the process-wide
-:func:`~repro.crypto.integer_math.cached_pow` memo.  The secure
-comparison does not run on Paillier: it has its own cryptosystem
-(:mod:`repro.crypto.dgk`).
+key.  Only the homomorphic scalar powers ``E(m)^k`` are counted
+(:func:`~repro.crypto.integer_math.counted_pow`); no power is kept
+beyond its call.  The secure comparison does not run on Paillier: it
+has its own cryptosystem (:mod:`repro.crypto.dgk`).
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
-from repro.crypto.integer_math import cached_pow, crt_pair, lcm, mod_inverse
+from repro.crypto.integer_math import counted_pow, crt_pair, lcm, mod_inverse
 from repro.crypto.precompute import FixedBaseExp
 from repro.crypto.primes import generate_prime
 
@@ -291,7 +291,8 @@ class PaillierCiphertext:
             # exponent instead of an (n-1)-bit one (module docstring).
             exponent -= n
         try:
-            value = cached_pow(self.value, exponent, self.public_key.n_squared)
+            value = counted_pow(self.value, exponent,
+                                self.public_key.n_squared)
         except ValueError as error:
             raise PaillierError(
                 "cannot negate a ciphertext that is not a unit mod n^2"
@@ -409,7 +410,7 @@ def djn_base(n: int) -> int:
 @lru_cache(maxsize=16)
 def _factor_table(n: int):
     """The fixed-base table of ``h_s`` for one modulus: public values
-    only, built once per key and never entered into the powmod memo."""
+    only, built once per key."""
     return FixedBaseExp(djn_base(n), n * n, _randomness_bits(n),
                         window=FACTOR_WINDOW)
 

@@ -11,9 +11,7 @@ part ``g^m`` is a single mulmod for the standard ``g = n + 1`` choice.
 exponentiation, built once per key for ``h_s``, for DGK's ``h^r``, and
 for the ``g^m`` term when a keypair uses the paper's literal "random g"
 (``random_g=True``) instead of ``n + 1``.  A table holds public values
-only, and no factor passes through the
-:func:`~repro.crypto.integer_math.cached_pow` memo.  Each factor is
-drawn online from the acting party's RNG
+only.  Each factor is drawn online from the acting party's RNG
 (:meth:`~repro.crypto.paillier.PaillierPublicKey.fresh_factor`).
 """
 
@@ -36,7 +34,7 @@ class FixedBaseExp:
     table -- its ``g^m`` is already a single mulmod).
     """
 
-    __slots__ = ("modulus", "window", "max_bits", "_table")
+    __slots__ = ("modulus", "window", "max_bits", "_table", "_limit")
 
     def __init__(self, base: int, modulus: int, max_bits: int,
                  window: int = 4):
@@ -60,19 +58,29 @@ class FixedBaseExp:
             # Advance the block base to base^(2^((i+1)*window)).
             block = (row[-1] * block) % modulus
         self._table = tuple(table)
+        self._limit = 1 << max_bits
 
     def pow(self, exponent: int) -> int:
         """``base^exponent mod modulus`` via table lookups."""
-        if not 0 <= exponent < (1 << self.max_bits):
+        if not 0 <= exponent < self._limit:
             raise PrecomputeError(
                 f"exponent {exponent} outside [0, 2^{self.max_bits})")
-        mask = (1 << self.window) - 1
+        modulus = self.modulus
         result = 1
+        if self.window == 8:
+            # Window-8 digits are the exponent's bytes, least significant
+            # first: one row per byte.
+            for row, digit in zip(self._table, exponent.to_bytes(
+                    len(self._table), "little")):
+                if digit:
+                    result = result * row[digit] % modulus
+            return result
+        mask = (1 << self.window) - 1
         position = 0
         while exponent:
             digit = exponent & mask
             if digit:
-                result = (result * self._table[position][digit]) % self.modulus
+                result = (result * self._table[position][digit]) % modulus
             exponent >>= self.window
             position += 1
         return result

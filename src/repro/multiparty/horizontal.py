@@ -213,7 +213,7 @@ async def secure_peer_neighbor_count(session: SmcSession, driver: Party,
     so the driver's per-point bits are unlinkable across queries -- with
     one cross-term round-trip and one amortized comparison batch.  Bits
     and ledger records equal one :func:`~repro.core.distance.hdp_within_eps`
-    per peer point, the seed-era reference the tests compare against.
+    per peer point, the per-point reference the tests compare against.
 
     With a :class:`PeerCipherCache` (``cache_peer_ciphertexts=True``)
     the query runs through the cached twin instead: the peer's encrypted

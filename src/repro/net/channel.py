@@ -18,8 +18,8 @@ a choreography to its end with no event loop.
 
 Delivery itself is delegated to a
 :class:`~repro.net.transport.Transport`: the default
-:class:`~repro.net.transport.InProcessTransport` reproduces the seed-era
-FIFO-deque semantics exactly (empty inbox = :class:`ProtocolDesyncError`);
+:class:`~repro.net.transport.InProcessTransport` delivers through
+per-receiver FIFO deques (empty inbox = :class:`ProtocolDesyncError`);
 across processes, :class:`~repro.runtime.mirror.MirrorChannel` keeps the
 same accounting over a daemon's session link.  The channel's accounting
 does not depend on the fabric.
@@ -30,7 +30,7 @@ from __future__ import annotations
 from repro.net.serialization import deserialize_message, serialize_message
 from repro.net.stats import CommunicationStats
 from repro.net.transcript import Transcript
-from repro.net.transport import (  # noqa: F401  (re-exported: seed-era API)
+from repro.net.transport import (  # noqa: F401  (re-exported for callers)
     InProcessTransport,
     ProtocolDesyncError,
     Transport,

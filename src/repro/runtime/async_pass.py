@@ -1,12 +1,9 @@
 """Message-granularity pass execution on the daemon event loop.
 
-The daemon runtime used to burn one worker thread per session: the
-session's driver pass ran the blocking mirrored choreography on a
-dedicated thread, and each blocking ``collect`` parked that thread on a
-future.  At 64 concurrent sessions that is 64 threads doing nothing but
-waiting.  This module removes them: the choreographies run on the event
-loop as coroutines, and the thing that waits when a frame has not
-arrived yet is the query's coroutine, not a thread.
+A daemon runs every session's choreographies on its event loop as
+coroutines: what waits when a frame has not arrived yet is the query's
+coroutine, not a thread, so a daemon serving 64 concurrent sessions
+needs no thread per session.
 
 Suspendable execution
 ---------------------

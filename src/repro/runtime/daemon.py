@@ -1129,7 +1129,7 @@ class PartyDaemon:
         # Inject the daemon's shared warmed engine.  The manifest
         # requires engine=None (engines cannot cross processes); the
         # engine changes where modexps run, never their results
-        # (engine-vs-serial equivalence is property-tested since PR 2).
+        # (engine-vs-serial equivalence is property-tested).
         config = dataclasses.replace(
             config, smc=dataclasses.replace(config.smc, engine=self.engine))
         session_index = self.sessions_run

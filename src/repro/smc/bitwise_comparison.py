@@ -132,15 +132,17 @@ def _encrypted_bits(keypair: DgkKeyPair, x: int, bits: int,
                     rng) -> FixedWidthList:
     """Step 1: ``E(x_t)``, MSB first, at the key's width.
 
-    The key holder encrypts through its own primes
-    (:meth:`~repro.crypto.dgk.DgkPrivateKey.encrypt`): the same
-    ciphertext from the same draw, by CRT.  A sealed key -- this
+    The key holder encrypts through its own primes, in one batch
+    (:meth:`~repro.crypto.dgk.DgkPrivateKey.encrypt_batch`): the same
+    ciphertexts from the same draws, by CRT.  A sealed key -- this
     process does not hold the key -- takes the public path."""
     public = keypair.public_key
-    encrypt = (public.encrypt if is_sealed(keypair.private_key)
-               else keypair.private_key.encrypt)
-    return FixedWidthList([encrypt(bit, rng) for bit in _bits_of(x, bits)],
-                          public.ciphertext_width)
+    x_bits = _bits_of(x, bits)
+    if is_sealed(keypair.private_key):
+        encrypted = [public.encrypt(bit, rng) for bit in x_bits]
+    else:
+        encrypted = keypair.private_key.encrypt_batch(x_bits, rng)
+    return FixedWidthList(encrypted, public.ciphertext_width)
 
 
 def _checked_batch(public: DgkPublicKey, values, bits: int,
@@ -198,17 +200,22 @@ def _blinded_witnesses(public: DgkPublicKey, received: list[int],
     call.  Runs the other party's RNG in exactly the per-point order
     (one multiplier and one rerandomization per bit, then one shuffle),
     so batched and per-point executions draw identical randomness for
-    this half.
+    this half.  The shifts, the ``h^r`` table and its exponent width are
+    looked up once per call.
     """
     n = public.n
     shifts = _shifts(public.g, n)
+    table = public.randomizer_table
+    randomizer, r_bits = table.pow, table.max_bits
+    draw_multiplier, draw_r = rng.randrange, rng.getrandbits
     blinded: list[int] = []
     # running_w encrypts the XORs of strictly-higher bit positions.
     running_w = 1
     for enc_x_bit, complement, y_bit in zip(received, complements, y_bits):
         c = enc_x_bit * shifts[y_bit] % n * pow(running_w, 3, n) % n
-        multiplier = rng.randrange(1, DGK_U)
-        blinded.append(pow(c, multiplier, n) * public.randomizer(rng) % n)
+        multiplier = draw_multiplier(1, DGK_U)
+        blinded.append(pow(c, multiplier, n) * randomizer(draw_r(r_bits))
+                       % n)
         # XOR under encryption: x ^ y = x when y=0, 1 - x when y=1.
         running_w = running_w * (complement if y_bit else enc_x_bit) % n
     rng.shuffle(blinded)

@@ -326,10 +326,8 @@ class BitwiseComparison(SecureComparison):
 
     Key material is looked up by *party identity*: whichever party plays
     the DGK key holder runs under its own DGK keypair, regardless of
-    which argument slot it arrived in (the seed-era code bound keys to
-    the ``a``/``b`` roles, so passing ``a_party=bob`` ran DGK under
-    alice's keypair -- functionally correct in-process, wrong key
-    ownership for any real network deployment).
+    which argument slot it arrived in: each party holds only its own
+    private key, as in a network deployment.
     """
 
     name = "bitwise"

@@ -20,8 +20,10 @@ Three call shapes the DBSCAN protocols need:
   of the masker's vectors ``beta_i`` the receiver obtains
   ``<alpha, beta_i> + v_i``.  This is the batched form of Algorithm 2
   that makes the enhanced protocol's ``u_i = dist^2 + v_i`` shares cost
-  ``m + 2`` ciphertexts up front plus one per chunk of points; a pass's
-  tested points share one round-trip.  Its lanes form,
+  ``m`` ciphertexts up front -- the cross terms' ``-2A``; each party
+  adds its own squared norm outside (:mod:`repro.core.enhanced`) --
+  plus one per chunk of points; a pass's tested points share one
+  round-trip.  Its lanes form,
   :func:`secure_scalar_products_lanes`, runs several receivers' sharings
   phase by phase across them, so the protocol's two passes -- one lane
   each, in opposite directions -- share one round-trip's flights.

@@ -135,61 +135,127 @@ class TestWithRealCrypto:
 
 
 class TestPackedSharing:
-    """Section 5's masked products come back packed: per tested point
-    (one alpha), ``ceil(n_peer / slots)`` reply ciphertexts, each one
-    factor drawn by the masker and each opened once by the driver."""
+    """Section 5 shares the cross terms only: per tested point (one
+    alpha), the driver encrypts its d coordinates of ``-2A``, the masker
+    answers with ``ceil(n_peer / slots)`` reply ciphertexts, each one
+    factor and d homomorphic powers, and the driver opens each once."""
 
     ALICE = ((0, 0), (30, 30))
     # Isolated from each other (11 apart, eps 10 on the grid): with
-    # min_pts 2 every point of both parties is tested.
-    BOB = tuple((11 * a, 11 * b) for a in range(3) for b in range(3))
+    # min_pts 2 every point of both parties is tested.  No coordinate is
+    # 0, so every chunk's column of them is a power to raise.
+    BOB = tuple((11 * a + 1, 11 * b + 1) for a in range(3) for b in range(3))
+    D = 2
 
-    def test_one_reply_ciphertext_per_chunk_of_peer_points(self, key_work):
-        from repro.data.quantize import squared_distance_bound
+    def _session(self, config):
         from repro.net.channel import Channel
         from repro.net.party import make_party_pair
-        from repro.smc.scalar_product import PackedLayout
         from repro.smc.session import SmcSession
 
+        channel = Channel()
+        return channel, SmcSession(*make_party_pair(channel, 7, 8),
+                                   config.smc)
+
+    def test_one_reply_ciphertext_per_chunk_of_peer_points(self, key_work):
+        from repro.crypto.integer_math import powmod_cache_report
+        from repro.data.quantize import squared_distance_bound
+        from repro.smc.scalar_product import PackedLayout
+
         config = _config(min_pts=2)
-        for n_peer in (1, 5, 6, 9):
+        for n_peer in (1, 6, 7, 9):
             bob = self.BOB[:n_peer]
-            channel = Channel()
-            session = SmcSession(*make_party_pair(channel, 7, 8),
-                                 config.smc)
+            channel, session = self._session(config)
             alice_key = session.paillier_keys("alice").public_key
             bob_key = session.paillier_keys("bob").public_key
-            # value_bound 7200 (coordinates up to 30): the sharing's
-            # 23-bit slots pack 5 values into a 128-bit key's reply.
+            # value_bound 7200 (coordinates up to 30), q = 1800: vectors
+            # within 4q and masks within mask_bound + q give 21-bit
+            # slots, 6 to a 128-bit key's reply.
             bound = squared_distance_bound(self.ALICE, bob)
             quarter = bound // 4
             assert PackedLayout.fit(
-                alice_key, quarter * quarter + 4 * quarter + 1,
-                config.smc.mask_bound(bound)).slots == 5
+                alice_key, 4 * quarter,
+                config.smc.mask_bound(bound) + quarter).slots == 6
             for moduli in key_work.values():
                 moduli.clear()
+            powers = powmod_cache_report()["misses"]
             result = run_enhanced_horizontal_dbscan(
                 HorizontalPartition(alice_points=self.ALICE, bob_points=bob),
                 config, session=session)
+            powers = powmod_cache_report()["misses"] - powers
             assert result.ledger.count(Disclosure.CORE_BIT) \
                 == len(self.ALICE) + n_peer
-            chunks = -(-n_peer // 5)
-            replies = {label: [len(entry.value) for entry in
-                               channel.transcript.with_label(label)]
-                       for label in ("enhanced/alice_pass/share/"
-                                     "masked_products",
-                                     "enhanced/bob_pass/share/"
-                                     "masked_products")}
-            assert replies == {
+            chunks = -(-n_peer // 6)
+            sent = {label: [len(entry.value) for entry in
+                            channel.transcript.with_label(label)]
+                    for label in ("enhanced/alice_pass/share/encrypted_alpha",
+                                  "enhanced/alice_pass/share/masked_products",
+                                  "enhanced/bob_pass/share/encrypted_alpha",
+                                  "enhanced/bob_pass/share/masked_products")}
+            assert sent == {
+                "enhanced/alice_pass/share/encrypted_alpha":
+                    [self.D] * len(self.ALICE),
                 "enhanced/alice_pass/share/masked_products":
                     [chunks] * len(self.ALICE),
+                "enhanced/bob_pass/share/encrypted_alpha": [self.D] * n_peer,
                 "enhanced/bob_pass/share/masked_products": [1] * n_peer}
             # One batch per pass, one ciphertext per chunk of each alpha.
             assert key_work["decrypt"] == [
                 (alice_key.n, chunks * len(self.ALICE)),
                 (bob_key.n, n_peer)]
-            # Each alpha's d + 2 = 4 coordinates under its driver's key,
-            # then one reply factor per chunk.
+            # Each alpha's d coordinates under its driver's key, then one
+            # reply factor per chunk.
             assert Counter(key_work["factors"]) == {
-                alice_key.n: len(self.ALICE) * (4 + chunks),
-                bob_key.n: n_peer * (4 + 1)}
+                alice_key.n: len(self.ALICE) * (self.D + chunks),
+                bob_key.n: n_peer * (self.D + 1)}
+            # d homomorphic powers per reply chunk.
+            assert powers == self.D * (len(self.ALICE) * chunks + n_peer)
+
+    def test_shares_are_the_distances_plus_the_peers_draws(self):
+        """``u_i - v_i`` is the squared distance to the peer point at
+        permuted position ``i``, and ``v_i`` is the peer's own draw, as
+        when the driver's vector carried the norms."""
+        import random
+
+        import repro.core.enhanced as enhanced
+        from repro.data.quantize import squared_distance_bound
+        from repro.smc.permutation import PermutedView
+
+        config = _config(min_pts=2)
+        _, session = self._session(config)
+        coins = {name: random.Random() for name in ("alice", "bob")}
+        for name, clone in coins.items():
+            clone.setstate(session.party(name).rng.getstate())
+        share = enhanced._share_distances
+        shared = []
+
+        async def recording(*args):
+            lanes = await share(*args)
+            shared.extend(lanes)
+            return lanes
+
+        enhanced._share_distances = recording
+        try:
+            run_enhanced_horizontal_dbscan(
+                HorizontalPartition(alice_points=self.ALICE,
+                                    bob_points=self.BOB),
+                config, session=session)
+        finally:
+            enhanced._share_distances = share
+        bound = squared_distance_bound(self.ALICE, self.BOB)
+        mask_bound = config.smc.mask_bound(bound)
+        for own, theirs, peer, lane in ((self.ALICE, self.BOB, "bob",
+                                         shared[0]),
+                                        (self.BOB, self.ALICE, "alice",
+                                         shared[1])):
+            rng = coins[peer]
+            assert len(lane) == len(own)
+            for point, shares in zip(own, lane):
+                view = PermutedView.fresh(len(theirs), rng)
+                v_values = tuple(rng.randrange(mask_bound) for _ in theirs)
+                assert shares.v_values == v_values
+                assert shares.u_values == tuple(
+                    sum((a - b) ** 2 for a, b in
+                        zip(point, theirs[view.true_index(i)])) + v
+                    for i, v in enumerate(v_values))
+                assert (shares.value_bound, shares.mask_bound) \
+                    == (bound, mask_bound)

@@ -69,6 +69,9 @@ OVERLAP_CASES = {
 #: ``share/masked_products`` entries were re-derived when the replies
 #: were packed: each message now carries one 32-byte ciphertext where
 #: it carried one per peer point (at most 4, one chunk at these keys).
+#: The ``share/encrypted_alpha`` entries were re-derived when the
+#: sharing went to the cross terms alone: each message now carries
+#: d = 2 ciphertexts of 32 bytes where it carried d + 2 = 4.
 SEQUENTIAL_COUNTS = json.loads(
     (Path(__file__).parent / "enhanced_label_counts.json").read_text())
 

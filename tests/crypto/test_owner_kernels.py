@@ -2,8 +2,8 @@
 
 Negation by modular inverse (signed scalars in
 ``PaillierCiphertext.__mul__``) must agree exactly with the generic
-computation it replaces, and neither decryption nor any randomness
-factor may put a value into the process-wide powmod memo.  The DGK key
+computation it replaces, neither decryption nor any randomness factor
+is a counted power, and no power is kept once computed.  The DGK key
 holder's zero test is tested in ``tests/crypto/test_dgk.py``; here only
 its refusal on a sealed key inside a session.  Randomness factors have
 one kernel for every holder of a key: the owner's draws match a peer's
@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.encoding import SignedEncoder
 from repro.crypto.engine import ModexpEngine, default_engine
-from repro.crypto.integer_math import cached_pow
+from repro.crypto.integer_math import powmod_cache_report
 from repro.crypto.keycache import cached_dgk_keypair
 from repro.crypto.paillier import (
     PaillierCiphertext,
@@ -157,13 +157,11 @@ class TestOwnerFactors:
 
 
 class TestMemoStaysPublic:
-    """Decryption and randomness factors never touch the process-wide
-    powmod memo, serially or through a fallen-back engine.
-
-    The name overstates what the memo keeps: the homomorphic scalar
-    powers ``E(m)^k`` still go through it, and there ``k`` is the
-    masker's private coordinate or a packed reply's column of them, kept
-    for the process's lifetime (``cached_pow``'s docstring)."""
+    """Decryption and randomness factors are not counted powers,
+    serially or through a fallen-back engine; the homomorphic scalar
+    powers ``E(m)^k`` are counted and none is kept, though ``k`` is the
+    masker's private coordinate or a packed reply's column of them
+    (``counted_pow``'s docstring)."""
 
     def _closed_engine(self):
         engine = _parallel_engine()
@@ -173,7 +171,7 @@ class TestMemoStaysPublic:
     def test_no_memo_entries(self):
         rng = random.Random(8)
         standard = dataclasses.replace(PRIV, hp=None, hq=None)
-        before = cached_pow.cache_info()
+        before = powmod_cache_report()
         values = [PUB.encrypt(m % PUB.n, rng).value for m in (0, 99, -198)]
         PRIV.decrypt_raw(values[0])
         standard.decrypt_raw(values[0])
@@ -185,4 +183,26 @@ class TestMemoStaysPublic:
             engine.encryption_factors(PUB, 2, rng)
         PUB.raw_encrypt(5, 12345)
         PaillierCiphertext(PUB, values[2]).rerandomize(rng)
-        assert cached_pow.cache_info() == before
+        assert powmod_cache_report() == before
+
+    def test_a_mesh_session_keeps_no_power(self):
+        """A mesh session's masked replies raise the peers' ciphertexts
+        to private columns: each power is counted, and none is kept."""
+        from repro.core.config import ProtocolConfig
+        from repro.multiparty.horizontal import (
+            run_multiparty_horizontal_dbscan,
+        )
+        from repro.smc.session import SmcConfig
+
+        points = {"p0": [(0, 0), (3, 1)], "p1": [(1, 0), (9, 9)],
+                  "p2": [(0, 2), (2, 2)]}
+        config = ProtocolConfig(
+            eps=2.0, min_pts=3, scale=1,
+            smc=SmcConfig(comparison="oracle", key_seed=232,
+                          paillier_bits=128))
+        before = powmod_cache_report()
+        run_multiparty_horizontal_dbscan(points, config, seeds=[1, 2, 3])
+        after = powmod_cache_report()
+        assert after["misses"] > before["misses"]
+        assert {key: after[key] for key in after if key != "misses"} \
+            == {"hits": 0, "size": 0, "maxsize": 0, "evictions": 0}

@@ -41,6 +41,22 @@ class TestFixedBaseExp:
         with pytest.raises(PrecomputeError):
             table.pow(-1)
 
+    @pytest.mark.parametrize("window", [3, 6, 8])
+    @pytest.mark.parametrize("max_bits", [1, 13, 61, 64, 160])
+    def test_every_window_and_width(self, window, max_bits):
+        """The window-8 path reads its digits from the exponent's bytes;
+        every path agrees with ``pow`` at both ends of the range and
+        refuses the first exponent past it."""
+        modulus = (1 << 127) - 1
+        table = FixedBaseExp(base=98765, modulus=modulus, max_bits=max_bits,
+                             window=window)
+        rng = random.Random(max_bits * window)
+        for exponent in (0, 1, (1 << max_bits) - 1,
+                         rng.getrandbits(max_bits), rng.getrandbits(max_bits)):
+            assert table.pow(exponent) == pow(98765, exponent, modulus)
+        with pytest.raises(PrecomputeError):
+            table.pow(1 << max_bits)
+
     def test_invalid_parameters(self):
         with pytest.raises(PrecomputeError):
             FixedBaseExp(2, 1, 8)

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.dgk import DGK_U, DgkError
+from repro.crypto.dgk import DGK_U, DgkError, dgk_parameters
 from repro.crypto.keycache import cached_dgk_keypair
 from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
@@ -230,18 +230,21 @@ class TestReceivedCiphertexts:
 
 
 def _reference_witnesses(public, received, y, bits, rng):
-    """Steps 2-3 as the module docstring states them, one modular
-    inverse per position where ``y`` has a 1 bit and ``g^-1`` per call:
-    what the batched inversion must reproduce bit for bit."""
-    n, g = public.n, public.g
-    g_inverse = pow(g, -1, n)
-    shifts = (g_inverse, g_inverse * g_inverse % n)
+    """Steps 2-3 as the module docstring states them, position by
+    position with plain powers: ``c_t = E(x_t) * g^(-y_t - 1) * W_t^3``
+    with one modular inverse per position where ``y`` has a 1 bit, then
+    ``c_t^m * h^r`` with ``m`` drawn before ``r``, and one shuffle at the
+    end: what the batched inversion and the ``h^r`` table must reproduce
+    bit for bit."""
+    n, g, h = public.n, public.g, public.h
+    r_bits = dgk_parameters(n.bit_length()).r_bits
     blinded, running_w = [], 1
     for position, enc_x_bit in enumerate(received):
         y_bit = (y >> (bits - 1 - position)) & 1
-        c = enc_x_bit * shifts[y_bit] % n * pow(running_w, 3, n) % n
+        c = enc_x_bit * pow(g, -1 - y_bit, n) * pow(running_w, 3, n) % n
         multiplier = rng.randrange(1, DGK_U)
-        blinded.append(pow(c, multiplier, n) * public.randomizer(rng) % n)
+        blinded.append(pow(c, multiplier, n)
+                       * pow(h, rng.getrandbits(r_bits), n) % n)
         xor_term = g * pow(enc_x_bit, -1, n) % n if y_bit else enc_x_bit
         running_w = running_w * xor_term % n
     rng.shuffle(blinded)
@@ -537,3 +540,112 @@ class TestWithinGapLanes:
                 GapLane(alice, [1], bob, [1], 3, KEYS),
                 GapLane(bob, [1, 2], alice, [1], 3, SMALL_KEYS)]))
         assert channel.transcript.entries == []
+
+
+def _literal_bits(public, x: int, bits: int, rng) -> list[int]:
+    """Step 1 position by position with plain powers: ``E(x_t) = g^(x_t)
+    * h^r mod n``, MSB first, one draw of ``r`` per bit."""
+    n, r_bits = public.n, dgk_parameters(public.n.bit_length()).r_bits
+    return [pow(public.g, (x >> (bits - 1 - t)) & 1, n)
+            * pow(public.h, rng.getrandbits(r_bits), n) % n
+            for t in range(bits)]
+
+
+def _cloned_coins(*parties) -> list[random.Random]:
+    clones = []
+    for party in parties:
+        clone = random.Random()
+        clone.setstate(party.rng.getstate())
+        clones.append(clone)
+    return clones
+
+
+class TestLiteralKernels:
+    """Every DGK ciphertext the forms send -- the key holder's bit
+    encryptions (CRT tables on its own primes) and the other party's
+    witnesses (a fixed-base ``h^r`` table) -- equals the literal formula
+    rebuilt position by position with plain powers from cloned coins, so
+    a faster kernel cannot change a ciphertext unnoticed."""
+
+    @pytest.fixture(params=[256, 1024])
+    def keys(self, request):
+        return KEYS if request.param == 256 else cached_dgk_keypair(1024, 31)
+
+    def test_batch(self, keys):
+        public = keys.public_key
+        for seed, (x, ys, bits) in enumerate([(9, [5, 11, 0], 8),
+                                              (2**39 + 7, [3, 2**40 - 1], 40),
+                                              (1, [0], 1)]):
+            channel = Channel()
+            alice, bob = make_party_pair(channel, 60 + seed, 70 + seed)
+            holder_coins, other_coins = _cloned_coins(alice, bob)
+            drive(dgk_greater_than_batch(alice, x, bob, ys, bits, keys,
+                                         label="t"))
+            x_bits = _literal_bits(public, x, bits, holder_coins)
+            assert channel.transcript.with_label("t/x_bits")[0].value \
+                == x_bits
+            assert channel.transcript.with_label("t/witnesses")[0].value \
+                == [_reference_witnesses(public, x_bits, y, bits, other_coins)
+                    for y in ys]
+
+    def test_pairwise(self, keys):
+        public = keys.public_key
+        xs, ys, bits = [9, 5, 255, 0], [5, 9, 0, 0], 8
+        channel = Channel()
+        alice, bob = make_party_pair(channel, 80, 81)
+        holder_coins, other_coins = _cloned_coins(alice, bob)
+        drive(dgk_greater_than_pairwise(alice, xs, bob, ys, bits, keys,
+                                        label="t"))
+        x_bits = [_literal_bits(public, x, bits, holder_coins) for x in xs]
+        assert [e.value for e in channel.transcript.with_label("t/x_bits")] \
+            == x_bits
+        assert [e.value
+                for e in channel.transcript.with_label("t/witnesses")] \
+            == [_reference_witnesses(public, sent, y, bits, other_coins)
+                for sent, y in zip(x_bits, ys)]
+
+    def test_gap_lanes(self, keys):
+        """Both lanes of a Section 5 step: each key holder sends ``E`` of
+        ``A'``'s low ``l`` bits; the other party appends ``E(0) = 1`` and
+        witnesses over those bits when ``B_l = 0``, over their
+        complements ``g * E(x_t)^-1`` when ``B_l = 1``."""
+        lanes_of = [(1000, [7, 2000, 500], [900, 1500, 1500], "a"),
+                    (5, [3, 9, 4, 40], [5, 12, 4, 36], "b")]
+        channel = Channel()
+        alice, bob = make_party_pair(channel, 90, 91)
+        alice_coins, bob_coins = _cloned_coins(alice, bob)
+        lanes = [GapLane(alice, xs, bob, ys, gap, keys, label)
+                 if label == "a" else
+                 GapLane(bob, xs, alice, ys, gap, SMALL_KEYS, label)
+                 for gap, xs, ys, label in lanes_of]
+        drive(dgk_leq_within_gap_lanes(lanes))
+        coins = {alice.name: alice_coins, bob.name: bob_coins}
+        sent_bits = {}
+        for lane in lanes:
+            public, low_bits = lane.keypair.public_key, lane.low_bits
+            half = 1 << low_bits
+            sent_bits[lane.label] = [
+                _literal_bits(public, -x % half, low_bits,
+                              coins[lane.key_holder.name]) for x in lane.xs]
+            assert [e.value for e in
+                    channel.transcript.with_label(f"{lane.label}/x_bits")] \
+                == sent_bits[lane.label]
+        for lane in lanes:
+            public, low_bits = lane.keypair.public_key, lane.low_bits
+            n, half = public.n, 1 << lane.low_bits
+            expected = []
+            for x_bits, y in zip(sent_bits[lane.label], lane.ys):
+                doubled = x_bits + [1]
+                b = y % (2 * half)
+                if b < half:
+                    received, peer_bits = doubled, 2 * (half - 1 - b)
+                else:
+                    received = [public.g * pow(value, -1, n) % n
+                                for value in doubled]
+                    peer_bits = 2 * (b - half)
+                expected.append(_reference_witnesses(
+                    public, received, peer_bits, low_bits + 1,
+                    coins[lane.other.name]))
+            assert [e.value for e in
+                    channel.transcript.with_label(f"{lane.label}/witnesses")] \
+                == expected
