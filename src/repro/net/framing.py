@@ -34,11 +34,9 @@ from many concurrent clustering sessions:
   **not** protocol messages: they never enter a channel's stats or
   transcript.
 
-:class:`FramedConnection` wraps a connected blocking socket with these
-frames, a receive timeout, a maximum frame size (malformed length
-prefixes must not trigger gigabyte allocations), and close-versus-
-timeout error mapping; the session client uses it.  The daemons read
-frames on their event loops with :func:`read_frame_async`.
+Every endpoint -- the daemons and the session client -- reads frames on
+an event loop with :func:`read_frame_async`, which refuses a length
+prefix above a ceiling before allocating anything.
 
 Link authentication
 -------------------
@@ -63,9 +61,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import hmac
-import socket
 import struct
-import threading
 
 FRAME_HELLO = b"H"
 FRAME_CONTROL = b"C"
@@ -93,10 +89,6 @@ class FramingError(RuntimeError):
 
 class ConnectionClosedError(FramingError):
     """The stream ended (EOF or reset) where a frame was expected."""
-
-
-class ReceiveTimeout(FramingError):
-    """No frame arrived within the configured timeout."""
 
 
 class FrameAuthenticationError(FramingError):
@@ -168,9 +160,9 @@ class FrameAuthenticator:
 
 
 def encode_frame(kind: bytes, payload: bytes = b"") -> bytes:
-    """The exact bytes :meth:`FramedConnection.write_frame` emits.
+    """The exact bytes of one frame on the wire.
 
-    The daemon hubs encode every frame here; the ``truncate`` fault
+    Every endpoint encodes its frames here; the ``truncate`` fault
     (``repro.runtime.faults``) writes a prefix of one, so the receiver
     sees the stream end mid-frame -- the connection-loss shape the
     framing layer distinguishes from a timeout.
@@ -247,16 +239,17 @@ async def read_frame_async(reader: asyncio.StreamReader, *,
                            ) -> tuple[bytes, bytes]:
     """One ``(kind, payload)`` frame from an asyncio stream.
 
-    The event-loop twin of :meth:`FramedConnection.read_frame`, with the
-    same length/kind validation; EOF maps to
-    :class:`ConnectionClosedError` so loop-side readers classify peer
-    death exactly like the blocking client does.  Timeouts are the
-    caller's concern (``asyncio.wait_for`` or none at all -- a daemon's
-    demux reader legitimately idles between sessions).  When an
-    ``authenticator`` is given, the trailing MAC is verified and
-    stripped before the payload is returned -- and in particular before
-    any mux demultiplexing parses it.
+    A length below 1 or above ``max_frame_bytes`` and an unknown kind
+    raise :class:`FramingError`; EOF, at a frame boundary or mid-frame,
+    and a reset raise :class:`ConnectionClosedError`, so every reader
+    classifies peer death alike.  Timeouts are the caller's concern
+    (``asyncio.timeout`` or none at all -- a daemon's demux reader
+    legitimately idles between sessions).  When an ``authenticator`` is
+    given, the trailing MAC is verified and stripped before the payload
+    is returned -- and in particular before any mux demultiplexing
+    parses it.
     """
+    header = b""
     try:
         header = await reader.readexactly(_LENGTH.size)
         (length,) = _LENGTH.unpack(header)
@@ -268,7 +261,7 @@ async def read_frame_async(reader: asyncio.StreamReader, *,
                 f"{max_frame_bytes}-byte ceiling")
         body = await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:
-        if exc.partial:
+        if exc.partial or header:
             raise ConnectionClosedError(
                 f"{name}: stream ended mid-frame (peer died with a "
                 f"frame in flight)") from exc
@@ -284,146 +277,3 @@ async def read_frame_async(reader: asyncio.StreamReader, *,
     if authenticator is not None:
         payload = authenticator.open(kind, payload, name=name)
     return kind, payload
-
-
-class FramedConnection:
-    """Typed length-prefixed frames over one connected socket.
-
-    Writes are locked (the client's submitting threads share one
-    connection per daemon); reads are single-consumer by design --
-    exactly one logical reader per link at any time -- and locked anyway
-    so a misuse corrupts nothing.
-    """
-
-    def __init__(self, sock: socket.socket, *,
-                 timeout_s: float = 30.0,
-                 max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-                 name: str = "link",
-                 authenticator: FrameAuthenticator | None = None):
-        if timeout_s <= 0:
-            raise FramingError(f"timeout_s must be > 0, got {timeout_s}")
-        if max_frame_bytes < 1:
-            raise FramingError(
-                f"max_frame_bytes must be >= 1, got {max_frame_bytes}")
-        self._sock = sock
-        self.timeout_s = timeout_s
-        self.max_frame_bytes = max_frame_bytes
-        self.name = name
-        #: Optional per-frame MAC layer; sealing happens on write,
-        #: verification on read, both below the kind/payload interface
-        #: so callers never see tags.
-        self.authenticator = authenticator
-        self._send_lock = threading.Lock()
-        self._recv_lock = threading.Lock()
-        # Partial-read buffer: bytes consumed from the socket stay here
-        # until a whole frame is available, so a ReceiveTimeout never
-        # loses data and read_frame is safely retryable mid-frame.
-        self._pending = b""
-        self._closed = False
-        sock.settimeout(timeout_s)
-
-    # -- writing -----------------------------------------------------------
-
-    def write_frame(self, kind: bytes, payload: bytes = b"") -> None:
-        if kind not in _FRAME_KINDS:
-            raise FramingError(f"unknown frame kind {kind!r}")
-        if self.authenticator is not None:
-            payload = self.authenticator.seal(kind, payload)
-        if 1 + len(payload) > self.max_frame_bytes:
-            # Mirror of the read-side ceiling: fail at the producing call
-            # site with the real cause, not at the receiver as a
-            # malformed-frame desync.
-            raise FramingError(
-                f"{self.name}: frame of {1 + len(payload)} bytes exceeds "
-                f"the {self.max_frame_bytes}-byte ceiling; raise "
-                f"max_frame_bytes on both ends for batches this large")
-        frame = encode_frame(kind, payload)
-        with self._send_lock:
-            if self._closed:
-                raise ConnectionClosedError(
-                    f"{self.name}: write on closed connection")
-            try:
-                self._sock.sendall(frame)
-            except (BrokenPipeError, ConnectionResetError, OSError) as exc:
-                raise ConnectionClosedError(
-                    f"{self.name}: peer gone while writing "
-                    f"{kind!r} frame ({exc})") from exc
-
-    def write_goodbye(self, reason: str = "done") -> None:
-        self.write_frame(FRAME_GOODBYE, reason.encode("utf-8"))
-
-    # -- reading -----------------------------------------------------------
-
-    def _fill(self, count: int, context: str) -> None:
-        """Grow the pending buffer to ``count`` bytes without consuming.
-
-        A timeout raises :class:`ReceiveTimeout` but *keeps* whatever
-        arrived -- the next call resumes where this one stopped, so a
-        frame that straddles a timeout window (slow peer, split TCP
-        segments) is never corrupted by a retry.  EOF with bytes already
-        buffered means the peer died with a frame in flight -- a
-        connection loss, not a protocol bug.
-        """
-        while len(self._pending) < count:
-            try:
-                chunk = self._sock.recv(count - len(self._pending))
-            except socket.timeout:
-                raise ReceiveTimeout(
-                    f"{self.name}: no data for {self.timeout_s}s while "
-                    f"reading {context}") from None
-            except (ConnectionResetError, OSError) as exc:
-                raise ConnectionClosedError(
-                    f"{self.name}: connection lost while reading "
-                    f"{context} ({exc})") from exc
-            if not chunk:
-                if self._pending:
-                    raise ConnectionClosedError(
-                        f"{self.name}: stream ended mid-frame while "
-                        f"reading {context} (peer died with a frame in "
-                        f"flight)")
-                raise ConnectionClosedError(
-                    f"{self.name}: peer closed the connection")
-            self._pending += chunk
-
-    def read_frame(self) -> tuple[bytes, bytes]:
-        """Read one ``(kind, payload)`` frame, blocking up to the timeout.
-
-        Retryable after :class:`ReceiveTimeout`: partially received
-        bytes stay buffered and the next call resumes the same frame.
-        """
-        with self._recv_lock:
-            self._fill(_LENGTH.size, "a frame length")
-            (length,) = _LENGTH.unpack_from(self._pending)
-            if length < 1:
-                raise FramingError(
-                    f"{self.name}: frame length {length} < 1")
-            if length > self.max_frame_bytes:
-                raise FramingError(
-                    f"{self.name}: frame length {length} exceeds the "
-                    f"{self.max_frame_bytes}-byte ceiling")
-            self._fill(_LENGTH.size + length, "a frame body")
-            body = self._pending[_LENGTH.size:_LENGTH.size + length]
-            self._pending = self._pending[_LENGTH.size + length:]
-            kind, payload = body[:1], body[1:]
-            if kind not in _FRAME_KINDS:
-                raise FramingError(
-                    f"{self.name}: unknown frame kind {kind!r}")
-            if self.authenticator is not None:
-                payload = self.authenticator.open(kind, payload,
-                                                  name=self.name)
-            return kind, payload
-
-    def close(self) -> None:
-        with self._send_lock:
-            if self._closed:
-                return
-            self._closed = True
-            try:
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            self._sock.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed

@@ -1,16 +1,17 @@
 """Session client + daemon fleet harness.
 
 :class:`SessionClient` is the submission plane of the daemon runtime:
-it keeps one framed connection open to every
+it keeps one connection open to every
 :class:`~repro.runtime.daemon.PartyDaemon` of a mesh and submits runs
 as ``start_session`` control records -- each daemon receiving the full
 :class:`~repro.runtime.manifest.RunManifest` plus *only its own
-partition*, the per-process privacy boundary.  Submissions return
-immediately with a
-:class:`SessionHandle`; reports stream back asynchronously on the same
-connections (a reader thread per daemon routes them), so many sessions
-can be in flight at once and ``submit(...); submit(...); wait both``
-is the natural client idiom.
+partition*, the per-process privacy boundary.  The connections run on
+one asyncio event loop, on the client's own thread, with the frame and
+hello code the daemons use; the methods are synchronous.  Submissions
+return immediately with a :class:`SessionHandle`; reports stream back
+asynchronously on the same connections (a reader task per daemon
+routes them), so many sessions can be in flight at once and
+``submit(...); submit(...); wait both`` is the natural client idiom.
 
 Merging (:func:`~repro.runtime.orchestrator.merge_reports`)
 cross-checks the per-pair transcript digests between both owners of
@@ -29,10 +30,12 @@ benchmark).
 
 from __future__ import annotations
 
+import asyncio
+import concurrent.futures
+import contextlib
 import json
 import os
 import pathlib
-import socket
 import subprocess
 import sys
 import tempfile
@@ -46,9 +49,8 @@ from repro.net.framing import (
     ConnectionClosedError,
     FrameAuthenticationError,
     FrameAuthenticator,
-    FramedConnection,
     FramingError,
-    ReceiveTimeout,
+    read_frame_async,
 )
 from repro.net.serialization import (
     SerializationError,
@@ -79,7 +81,7 @@ from repro.runtime.failure import (
     CAUSE_TIMEOUT,
     FailureReport,
 )
-from repro.runtime.handshake import perform_client_handshake
+from repro.runtime.handshake import _send_frame, perform_client_handshake
 from repro.runtime.manifest import RunManifest
 from repro.runtime.orchestrator import (
     allocate_ports,
@@ -185,18 +187,24 @@ class _MetricsWaiter:
     def __init__(self, expected: set[str]):
         self.expected = expected
         self.snapshots: dict[str, dict] = {}
-        self.lock = threading.Lock()
-        self.event = threading.Event()
+        self.complete = asyncio.Event()
 
     def offer(self, party: str, snapshot: dict) -> None:
-        with self.lock:
-            self.snapshots[party] = snapshot
-            if set(self.snapshots) >= self.expected:
-                self.event.set()
+        self.snapshots[party] = snapshot
+        if set(self.snapshots) >= self.expected:
+            self.complete.set()
 
 
 class SessionClient:
-    """One client endpoint connected to every daemon of a mesh."""
+    """One client endpoint connected to every daemon of a mesh.
+
+    The connections live on one event loop, run by this client's own
+    thread: a reader task per daemon routes its records, and every
+    write is one whole frame, so callers on any number of threads
+    never interleave frames.  The methods are synchronous and hand
+    their I/O to the loop; handle, record-routing and metrics state is
+    touched on the loop only.
+    """
 
     def __init__(self, spec: MeshSpec, *, client_id: str = "client",
                  psk: str | None = None):
@@ -209,92 +217,122 @@ class SessionClient:
                 f"{client_id!r} was given no PSK")
         self._authenticator = (FrameAuthenticator(psk, self.digest)
                                if spec.link_auth else None)
-        self._connections: dict[str, FramedConnection] = {}
-        self._write_locks: dict[str, threading.Lock] = {}
-        self._readers: list[threading.Thread] = []
+        self._writers: dict[str, asyncio.StreamWriter] = {}
+        # The loop holds tasks weakly; the client holds its readers.
+        self._reader_tasks: list[asyncio.Task] = []
         self._handles: dict[str, SessionHandle] = {}
-        self._handles_lock = threading.Lock()
         self._metrics_waiters: dict[str, _MetricsWaiter] = {}
-        self._metrics_lock = threading.Lock()
         self._metrics_seq = 0
         self._closed = False
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(target=self._loop.run_forever,
+                                        name=f"client-{client_id}",
+                                        daemon=True)
+        self._thread.start()
         try:
-            for name in spec.names:
-                connection = self._connect(name)
-                try:
-                    perform_client_handshake(connection,
-                                             client_id=client_id,
-                                             daemon_id=name,
-                                             config_digest=self.digest)
-                except BaseException:
-                    connection.close()
-                    raise
-                self._connections[name] = connection
-                self._write_locks[name] = threading.Lock()
-            for name, connection in self._connections.items():
-                reader = threading.Thread(
-                    target=self._read_loop, args=(name, connection),
-                    name=f"client-read-{name}", daemon=True)
-                reader.start()
-                self._readers.append(reader)
+            self._call(self._link_up())
         except BaseException:
             self.close()
             raise
 
-    def _connect(self, name: str) -> FramedConnection:
-        deadline = time.monotonic() + self.spec.connect_timeout_s
-        last_error: Exception | None = None
-        while time.monotonic() < deadline:
+    def _call(self, coroutine):
+        """Run ``coroutine`` on the client's loop and wait for its result."""
+        future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
+        try:
+            return future.result()
+        except concurrent.futures.CancelledError:
+            # close() cancels every call still running on the loop.
+            raise SessionClientError("client is closed") from None
+
+    async def _link_up(self) -> None:
+        """Connect to and shake hands with every daemon, in mesh order,
+        starting a reader task for each."""
+        for name in self.spec.names:
+            reader, writer = await self._connect(name)
+            self._writers[name] = writer
             try:
-                sock = socket.create_connection(
-                    (self.spec.host, self.spec.ports[name]), timeout=5.0)
-                # Every record is one whole frame, written at once.
-                # Nagle would hold a second record sent right behind the
-                # first -- the next submit of a wave -- until the daemon
-                # acknowledged the first: up to its delayed-ACK timeout,
-                # 40 ms on Linux.  (The daemons' asyncio sockets set
-                # TCP_NODELAY already.)
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                return FramedConnection(
-                    sock, timeout_s=self.spec.timeout_s,
-                    name=f"{self.client_id}->{name}",
+                await perform_client_handshake(
+                    reader, writer, name=f"{self.client_id}->{name}",
+                    client_id=self.client_id, daemon_id=name,
+                    config_digest=self.digest, timeout_s=self.spec.timeout_s,
                     authenticator=self._authenticator)
+            except BaseException:
+                writer.close()
+                raise
+            self._reader_tasks.append(
+                asyncio.create_task(self._read_loop(name, reader)))
+
+    async def _connect(self, name: str) -> tuple[asyncio.StreamReader,
+                                                 asyncio.StreamWriter]:
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.spec.connect_timeout_s
+        last_error: Exception | None = None
+        while loop.time() < deadline:
+            try:
+                async with asyncio.timeout_at(deadline):
+                    return await asyncio.open_connection(
+                        self.spec.host, self.spec.ports[name])
             except OSError as exc:
                 last_error = exc
-                time.sleep(_CONNECT_BACKOFF_S)
+                await asyncio.sleep(_CONNECT_BACKOFF_S)
         message = (f"could not reach daemon {name!r} at "
                    f"{self.spec.host}:{self.spec.ports[name]} within "
                    f"{self.spec.connect_timeout_s}s: {last_error}")
         raise SessionClientError(message, failures=(FailureReport.from_cause(
             name, CAUSE_CONNECTION_LOST, message),))
 
+    async def _send(self, name: str, kind: bytes, payload: bytes) -> None:
+        """One frame to daemon ``name``; a closed link, or a daemon that
+        takes no bytes for ``timeout_s``, is a lost connection."""
+        writer, link = self._writers[name], f"{self.client_id}->{name}"
+        if writer.is_closing():
+            raise ConnectionClosedError(
+                f"{link}: write on closed connection")
+        try:
+            async with asyncio.timeout(self.spec.timeout_s):
+                await _send_frame(writer, kind, payload, self._authenticator)
+        except OSError as exc:
+            raise ConnectionClosedError(
+                f"{link}: peer gone while writing {kind!r} frame "
+                f"({exc!r})") from exc
+
+    async def _send_each(self, records: dict[str, bytes],
+                         ) -> dict[str, FramingError]:
+        """Send each daemon its control record; the failures, by daemon."""
+        failures = {}
+        for name, record in records.items():
+            try:
+                await self._send(name, FRAME_CONTROL, record)
+            except FramingError as exc:
+                failures[name] = exc
+        return failures
+
     # -- inbound report routing --------------------------------------------
 
-    def _read_loop(self, name: str, connection: FramedConnection) -> None:
+    async def _read_loop(self, name: str,
+                         reader: asyncio.StreamReader) -> None:
         while True:
             try:
-                kind, payload = connection.read_frame()
-            except ReceiveTimeout:
-                # Idle between reports (sessions can outlast the frame
-                # timeout); keep listening until goodbye/EOF.
-                continue
+                kind, payload = await read_frame_async(
+                    reader, name=f"{self.client_id}->{name}",
+                    authenticator=self._authenticator)
             except FrameAuthenticationError as exc:
                 # Tampered or mis-keyed daemon frames are terminal for
                 # every in-flight session on this link -- and named as
                 # such, never as a generic lost connection.
                 self._fail_pending(name, CAUSE_AUTH_FAILED,
                                    f"link authentication failed: {exc}")
-                return
-            except (ConnectionClosedError, FramingError, OSError):
+                break
+            except FramingError:
                 self._fail_pending(name, CAUSE_CONNECTION_LOST,
                                    "daemon connection lost")
-                return
+                break
             if kind == FRAME_GOODBYE:
                 self._fail_pending(
                     name, CAUSE_CONNECTION_LOST,
                     f"daemon said goodbye: "
                     f"{payload.decode('utf-8', 'replace')}")
-                return
+                break
             if kind != FRAME_CONTROL:
                 continue
             try:
@@ -308,8 +346,7 @@ class SessionClient:
                 continue
             if tag == CONTROL_METRICS:
                 # `session_id` is the request id on this record shape.
-                with self._metrics_lock:
-                    waiter = self._metrics_waiters.get(session_id)
+                waiter = self._metrics_waiters.get(session_id)
                 if waiter is not None:
                     try:
                         snapshot = json.loads(body)
@@ -318,8 +355,7 @@ class SessionClient:
                     if isinstance(snapshot, dict):
                         waiter.offer(name, snapshot)
                 continue
-            with self._handles_lock:
-                handle = self._handles.get(session_id)
+            handle = self._handles.get(session_id)
             if handle is None:
                 continue
             if tag == CONTROL_SESSION_REPORT:
@@ -346,13 +382,13 @@ class SessionClient:
                 code = f" ({record[3]})" if len(record) == 4 else ""
                 handle._offer(name, None, FailureReport.from_cause(
                     name, CAUSE_REJECTED, f"rejected{code}: {body}"))
+        # The link is dead: a later write to it fails at once.
+        self._writers[name].close()
 
     def _fail_pending(self, name: str, cause: str, reason: str) -> None:
         if self._closed:
             return
-        with self._handles_lock:
-            handles = list(self._handles.values())
-        for handle in handles:
+        for handle in self._handles.values():
             if handle.done():
                 continue
             with handle._lock:
@@ -389,26 +425,24 @@ class SessionClient:
                 f"partitions must cover exactly {sorted(self.spec.names)},"
                 f" got {sorted(points_by_party)}")
         handle = SessionHandle(self, manifest)
-        with self._handles_lock:
-            if manifest.session_id in self._handles:
-                raise SessionClientError(
-                    f"session {manifest.session_id!r} is already in "
-                    f"flight")
-            self._handles[manifest.session_id] = handle
         manifest_json = manifest.to_json()
-        for name in self.spec.names:
-            points_json = json.dumps(
-                [list(point) for point in points_by_party[name]])
-            record = serialize_message(
-                [CONTROL_START_SESSION, manifest_json, points_json])
-            try:
-                with self._write_locks[name]:
-                    self._connections[name].write_frame(
-                        FRAME_CONTROL, record)
-            except (ConnectionClosedError, FramingError) as exc:
-                handle._offer(name, None, FailureReport.from_cause(
-                    name, CAUSE_CONNECTION_LOST, f"submit failed: {exc}"))
+        records = {
+            name: serialize_message([
+                CONTROL_START_SESSION, manifest_json,
+                json.dumps([list(point) for point in points_by_party[name]])])
+            for name in self.spec.names}
+        self._call(self._submit(handle, records))
         return handle
+
+    async def _submit(self, handle: SessionHandle,
+                      records: dict[str, bytes]) -> None:
+        if handle.session_id in self._handles:
+            raise SessionClientError(
+                f"session {handle.session_id!r} is already in flight")
+        self._handles[handle.session_id] = handle
+        for name, exc in (await self._send_each(records)).items():
+            handle._offer(name, None, FailureReport.from_cause(
+                name, CAUSE_CONNECTION_LOST, f"submit failed: {exc}"))
 
     def run(self, manifest: RunManifest,
             points_by_party: dict[str, list],
@@ -451,35 +485,34 @@ class SessionClient:
         """
         if self._closed:
             raise SessionClientError("client is closed")
-        with self._metrics_lock:
-            self._metrics_seq += 1
-            request_id = f"metrics-{self._metrics_seq}"
-            waiter = _MetricsWaiter(set(self.spec.names))
-            self._metrics_waiters[request_id] = waiter
+        budget = timeout if timeout is not None else self.spec.timeout_s
+        return self._call(self._get_metrics(budget))
+
+    async def _get_metrics(self, budget: float) -> dict[str, dict]:
+        self._metrics_seq += 1
+        request_id = f"metrics-{self._metrics_seq}"
+        waiter = _MetricsWaiter(set(self.spec.names))
+        self._metrics_waiters[request_id] = waiter
         record = serialize_message([CONTROL_GET_METRICS, request_id])
         try:
             for name in self.spec.names:
                 try:
-                    with self._write_locks[name]:
-                        self._connections[name].write_frame(
-                            FRAME_CONTROL, record)
-                except (ConnectionClosedError, FramingError) as exc:
+                    await self._send(name, FRAME_CONTROL, record)
+                except FramingError as exc:
                     raise SessionClientError(
                         f"metrics request to daemon {name!r} failed: "
                         f"{exc}") from exc
-            budget = timeout if timeout is not None else self.spec.timeout_s
-            if not waiter.event.wait(budget):
-                with waiter.lock:
-                    missing = sorted(waiter.expected
-                                     - set(waiter.snapshots))
+            try:
+                async with asyncio.timeout(budget):
+                    await waiter.complete.wait()
+            except TimeoutError:
+                missing = sorted(waiter.expected - set(waiter.snapshots))
                 raise SessionClientError(
                     f"metrics request timed out after {budget}s; no "
-                    f"answer from {missing}")
-            with waiter.lock:
-                return dict(waiter.snapshots)
+                    f"answer from {missing}") from None
+            return dict(waiter.snapshots)
         finally:
-            with self._metrics_lock:
-                self._metrics_waiters.pop(request_id, None)
+            del self._metrics_waiters[request_id]
 
     def shutdown_mesh(self, *, drain: bool = False) -> None:
         """Ask every daemon to stop (idempotent, best-effort).
@@ -488,25 +521,47 @@ class SessionClient:
         before closing links; new submissions get a typed ``draining``
         rejection in the meantime.
         """
+        if self._closed:
+            return
         record = serialize_message(
             [CONTROL_SHUTDOWN, SHUTDOWN_DRAIN] if drain
             else [CONTROL_SHUTDOWN])
-        for name in self.spec.names:
-            try:
-                with self._write_locks[name]:
-                    self._connections[name].write_frame(
-                        FRAME_CONTROL, record)
-            except (ConnectionClosedError, FramingError, KeyError):
-                pass
+        self._call(self._send_each(dict.fromkeys(self.spec.names, record)))
 
     def close(self) -> None:
+        """Say goodbye to every daemon, close the connections and stop
+        the loop thread (idempotent)."""
+        if self._loop.is_closed():
+            return
         self._closed = True
-        for connection in self._connections.values():
-            try:
-                connection.write_goodbye("client done")
-            except ConnectionClosedError:
-                pass
-            connection.close()
+        try:
+            self._call(self._close_links())
+        finally:
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._thread.join()
+            self._loop.close()
+
+    async def _close_links(self) -> None:
+        for name, writer in self._writers.items():
+            with contextlib.suppress(FramingError):
+                await self._send(name, FRAME_GOODBYE, b"client done")
+            writer.close()
+        # The readers, and any call another thread still waits on.
+        tasks = asyncio.all_tasks() - {asyncio.current_task()}
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        try:
+            # Closing flushes what is buffered first; a daemon that
+            # stopped reading gets timeout_s for it.
+            async with asyncio.timeout(self.spec.timeout_s):
+                await asyncio.gather(
+                    *(writer.wait_closed()
+                      for writer in self._writers.values()),
+                    return_exceptions=True)
+        except TimeoutError:
+            for writer in self._writers.values():
+                writer.transport.abort()
 
     def __enter__(self) -> "SessionClient":
         return self

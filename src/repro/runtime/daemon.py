@@ -117,7 +117,6 @@ from repro.net.framing import (
     FrameAuthenticationError,
     FrameAuthenticator,
     FramingError,
-    encode_frame,
     read_frame_async,
 )
 from repro.net.channel import drive
@@ -145,8 +144,12 @@ from repro.runtime.handshake import (
     HandshakeError,
     HandshakePeerLost,
     Hello,
+    _refuse_mismatch,
+    _refuse_stream,
+    _send_frame,
     client_hello_mismatch,
     hello_mismatch,
+    read_hello_async,
 )
 from repro.runtime.manifest import (
     DEFAULT_HOST,
@@ -396,59 +399,6 @@ class MeshSpec:
 def mesh_digest(spec: MeshSpec) -> str:
     """SHA-256 over the canonical spec JSON -- the handshake binding."""
     return hashlib.sha256(spec.to_json().encode()).hexdigest()
-
-
-# -- async handshake plumbing (asyncio streams, not FramedConnection) ------
-
-async def _send_frame(writer: asyncio.StreamWriter, kind: bytes,
-                      payload: bytes,
-                      authenticator: FrameAuthenticator | None = None,
-                      ) -> None:
-    if authenticator is not None:
-        payload = authenticator.seal(kind, payload)
-    writer.write(encode_frame(kind, payload))
-    await writer.drain()
-
-
-async def _refuse_stream(writer: asyncio.StreamWriter, name: str,
-                         reason: str,
-                         authenticator: FrameAuthenticator | None = None,
-                         ) -> None:
-    try:
-        payload = f"handshake refused: {reason}".encode()
-        if authenticator is not None:
-            payload = authenticator.seal(FRAME_GOODBYE, payload)
-        writer.write(encode_frame(FRAME_GOODBYE, payload))
-        await writer.drain()
-    except (ConnectionResetError, OSError):
-        pass
-    writer.close()
-    raise HandshakeError(f"{name}: {reason}")
-
-
-async def read_hello_async(reader: asyncio.StreamReader,
-                           name: str,
-                           authenticator: FrameAuthenticator | None = None,
-                           ) -> Hello:
-    """The asyncio twin of :func:`repro.runtime.handshake.read_hello`."""
-    try:
-        kind, payload = await read_frame_async(
-            reader, name=name, authenticator=authenticator)
-    except FrameAuthenticationError:
-        # Never fold a MAC failure into "peer vanished": that path is
-        # retried, and an attacker (or wrong PSK) re-fails identically.
-        raise
-    except (ConnectionClosedError, FramingError) as exc:
-        raise HandshakePeerLost(
-            f"{name}: peer vanished during the handshake ({exc})") from exc
-    if kind == FRAME_GOODBYE:
-        raise HandshakeError(
-            f"{name}: peer refused the link: "
-            f"{payload.decode('utf-8', 'replace')}")
-    if kind != FRAME_HELLO:
-        raise HandshakeError(
-            f"{name}: expected a hello frame, got kind {kind!r}")
-    return Hello.from_wire(payload)
 
 
 def _session_id_of(manifest_json: str) -> str:
@@ -868,11 +818,8 @@ class PartyDaemon:
             mismatch = hello_mismatch(mine, theirs, expected_peer=peer,
                                       authenticator=self._authenticator)
             if mismatch is not None:
-                field_name, ours, theirs_value = mismatch
-                await _refuse_stream(
-                    writer, name,
-                    f"{field_name} mismatch: ours {ours!r}, "
-                    f"peer {theirs_value!r}", self._authenticator)
+                await _refuse_mismatch(writer, name, mismatch, "peer",
+                                       self._authenticator)
             self._register_hub(peer, reader, writer)
             return
         raise DaemonError(
@@ -927,11 +874,8 @@ class PartyDaemon:
         mismatch = hello_mismatch(mine, theirs, expected_peer=peer,
                                   authenticator=self._authenticator)
         if mismatch is not None:
-            field_name, ours, theirs_value = mismatch
-            await _refuse_stream(
-                writer, name,
-                f"{field_name} mismatch: ours {ours!r}, "
-                f"peer {theirs_value!r}", self._authenticator)
+            await _refuse_mismatch(writer, name, mismatch, "peer",
+                                   self._authenticator)
         await _send_frame(writer, FRAME_HELLO, mine.to_wire(),
                           self._authenticator)
         self._register_hub(peer, reader, writer)
@@ -945,11 +889,8 @@ class PartyDaemon:
         mismatch = client_hello_mismatch(theirs, self.digest,
                                          authenticator=self._authenticator)
         if mismatch is not None:
-            field_name, ours, theirs_value = mismatch
-            await _refuse_stream(
-                writer, name,
-                f"{field_name} mismatch: ours {ours!r}, "
-                f"client {theirs_value!r}", self._authenticator)
+            await _refuse_mismatch(writer, name, mismatch, "client",
+                                   self._authenticator)
         mine = Hello(version=PROTOCOL_VERSION, session_id="",
                      pair_left=theirs.pair_left,
                      pair_right=theirs.pair_right,
@@ -960,19 +901,14 @@ class PartyDaemon:
 
         handler = asyncio.current_task()
         self._clients[handler] = writer
-        write_lock = asyncio.Lock()
 
         async def send_record(record: list) -> None:
-            payload = serialize_message(record)
-            if self._authenticator is not None:
-                payload = self._authenticator.seal(FRAME_CONTROL, payload)
-            frame = encode_frame(FRAME_CONTROL, payload)
-            async with write_lock:
-                try:
-                    writer.write(frame)
-                    await writer.drain()
-                except (ConnectionResetError, OSError):
-                    pass  # client gone; the session result is lost with it
+            try:
+                await _send_frame(writer, FRAME_CONTROL,
+                                  serialize_message(record),
+                                  self._authenticator)
+            except OSError:
+                pass  # client gone; the session result is lost with it
 
         try:
             while True:

@@ -28,7 +28,6 @@ from repro.net.framing import (
     ConnectionClosedError,
     FrameAuthenticationError,
     FramingError,
-    ReceiveTimeout,
 )
 from repro.net.serialization import SerializationError
 from repro.net.transport import (
@@ -73,11 +72,10 @@ def classify_exception(exc: BaseException) -> tuple[str, str]:
     """Map a session failure to its ``(cause, classification)``.
 
     Order matters: the framing and transport hierarchies overlap
-    (``ReceiveTimeout`` and ``ConnectionClosedError`` subclass
-    ``FramingError``; ``TransportTimeoutError`` subclasses
-    ``ProtocolDesyncError``; ``HandshakePeerLost`` subclasses
-    ``HandshakeError``), so the retryable leaves are matched before
-    their fatal ancestors.
+    (``ConnectionClosedError`` subclasses ``FramingError``;
+    ``TransportTimeoutError`` subclasses ``ProtocolDesyncError``;
+    ``HandshakePeerLost`` subclasses ``HandshakeError``), so the
+    retryable leaves are matched before their fatal ancestors.
     """
     if isinstance(exc, FrameAuthenticationError):
         # Before every retryable branch: it subclasses FramingError.
@@ -86,7 +84,7 @@ def classify_exception(exc: BaseException) -> tuple[str, str]:
         cause = CAUSE_CONNECTION_LOST
     elif isinstance(exc, HandshakeError):
         cause = CAUSE_HANDSHAKE_REFUSED
-    elif isinstance(exc, (TransportTimeoutError, ReceiveTimeout)):
+    elif isinstance(exc, TransportTimeoutError):
         cause = CAUSE_TIMEOUT
     elif isinstance(exc, (TransportClosedError, ConnectionClosedError)):
         cause = CAUSE_CONNECTION_LOST

@@ -19,20 +19,30 @@ an immediate, diagnosable refusal, never a mid-protocol desync where
 two differently-configured parties exchange ciphertexts that decrypt to
 garbage three rounds later.  Sessions are validated individually when
 they are submitted (the daemons' per-session sync records).
+
+Every endpoint -- the session client, a daemon dialing a peer, a daemon
+accepting a peer or a client -- sends, reads and refuses hellos on
+asyncio streams through the one set of helpers at the end of this
+module.
 """
 
 from __future__ import annotations
 
+import asyncio
 import hmac
 from dataclasses import dataclass, replace
+from typing import NoReturn
 
 from repro.net.framing import (
+    DEFAULT_MAX_FRAME_BYTES,
     FRAME_GOODBYE,
     FRAME_HELLO,
     ConnectionClosedError,
     FrameAuthenticationError,
-    FramedConnection,
+    FrameAuthenticator,
     FramingError,
+    encode_frame,
+    read_frame_async,
 )
 from repro.net.serialization import (
     SerializationError,
@@ -156,40 +166,13 @@ class Hello:
                    role=fields[6], auth_tag=fields[7])
 
 
-def read_hello(connection: FramedConnection) -> Hello:
-    """Read one hello frame; map EOF/goodbye to the handshake errors.
-
-    The second half of :func:`perform_client_handshake`; the daemon's
-    asyncio accept loop reads hellos with
-    :func:`~repro.runtime.daemon.read_hello_async` instead.
-    """
-    try:
-        kind, payload = connection.read_frame()
-    except FrameAuthenticationError:
-        # Not a vanished peer: the peer is present but fails the MAC
-        # (tamper or PSK mismatch).  Let the classifier see the real
-        # cause -- fatal, never retried.
-        raise
-    except (ConnectionClosedError, FramingError) as exc:
-        raise HandshakePeerLost(
-            f"{connection.name}: peer vanished during the handshake "
-            f"({exc})") from exc
-    if kind == FRAME_GOODBYE:
-        raise HandshakeError(
-            f"{connection.name}: peer refused the link: "
-            f"{payload.decode('utf-8', 'replace')}")
-    if kind != FRAME_HELLO:
-        _refuse(connection,
-                f"expected a hello frame, got kind {kind!r}")
-    return Hello.from_wire(payload)
-
-
 def hello_mismatch(mine: Hello, theirs: Hello, expected_peer: str,
                    authenticator=None) -> tuple[str, object, object] | None:
     """First binding mismatch between two daemons' hellos, or ``None``.
 
     Returns ``(field_name, ours, theirs)`` so both ends of the daemon's
-    asyncio link-up refuse with identical diagnostics.  The config
+    asyncio link-up refuse with identical diagnostics; a client checks
+    a daemon's answer here too.  The config
     digest is compared constant-time (it is the one field an attacker
     could usefully probe byte-by-byte); with an ``authenticator``, the
     peer's ``auth_tag`` must also verify under the shared PSK.
@@ -231,63 +214,121 @@ def client_hello_mismatch(theirs: Hello, config_digest: str,
     return None
 
 
-def perform_client_handshake(connection: FramedConnection, *,
-                             client_id: str, daemon_id: str,
-                             config_digest: str) -> Hello:
+# -- the hello exchange on asyncio streams: client, dial and accept -------
+
+async def _send_frame(writer: asyncio.StreamWriter, kind: bytes,
+                      payload: bytes,
+                      authenticator: FrameAuthenticator | None = None,
+                      ) -> None:
+    """Write one frame -- sealed on an authenticated link -- in a single
+    write, so frames from concurrent tasks never interleave, and wait
+    for the stream to drain.  A frame over the reader's ceiling fails
+    here, at the producing call site, with the real cause."""
+    if authenticator is not None:
+        payload = authenticator.seal(kind, payload)
+    if 1 + len(payload) > DEFAULT_MAX_FRAME_BYTES:
+        raise FramingError(
+            f"frame of {1 + len(payload)} bytes exceeds the "
+            f"{DEFAULT_MAX_FRAME_BYTES}-byte ceiling")
+    writer.write(encode_frame(kind, payload))
+    await writer.drain()
+
+
+async def read_hello_async(reader: asyncio.StreamReader, name: str,
+                           authenticator: FrameAuthenticator | None = None,
+                           ) -> Hello:
+    """Read one hello frame; map EOF/goodbye to the handshake errors."""
+    try:
+        kind, payload = await read_frame_async(
+            reader, name=name, authenticator=authenticator)
+    except FrameAuthenticationError:
+        # Never fold a MAC failure into "peer vanished": that path is
+        # retried, and an attacker (or wrong PSK) re-fails identically.
+        raise
+    except (ConnectionClosedError, FramingError) as exc:
+        raise HandshakePeerLost(
+            f"{name}: peer vanished during the handshake ({exc})") from exc
+    if kind == FRAME_GOODBYE:
+        raise HandshakeError(
+            f"{name}: peer refused the link: "
+            f"{payload.decode('utf-8', 'replace')}")
+    if kind != FRAME_HELLO:
+        raise HandshakeError(
+            f"{name}: expected a hello frame, got kind {kind!r}")
+    return Hello.from_wire(payload)
+
+
+async def _refuse_stream(writer: asyncio.StreamWriter, name: str,
+                         reason: str,
+                         authenticator: FrameAuthenticator | None = None,
+                         **details) -> NoReturn:
+    """Refuse a link: a goodbye naming ``reason``, the stream closed,
+    and :class:`HandshakeError` raised with ``details`` (``field_name``,
+    ``ours``, ``theirs``, ``peer``)."""
+    try:
+        await _send_frame(writer, FRAME_GOODBYE,
+                          f"handshake refused: {reason}".encode(),
+                          authenticator)
+    except OSError:
+        pass
+    writer.close()
+    raise HandshakeError(f"{name}: {reason}", **details)
+
+
+async def _refuse_mismatch(writer: asyncio.StreamWriter, name: str,
+                           mismatch: tuple[str, object, object], other: str,
+                           authenticator: FrameAuthenticator | None = None,
+                           peer: str | None = None) -> NoReturn:
+    """:func:`_refuse_stream` for a ``(field_name, ours, theirs)``
+    mismatch in the hello of the ``other`` end."""
+    field_name, ours, theirs = mismatch
+    await _refuse_stream(
+        writer, name,
+        f"{field_name} mismatch: ours {ours!r}, {other} {theirs!r}",
+        authenticator, field_name=field_name, ours=ours, theirs=theirs,
+        peer=peer)
+
+
+async def perform_client_handshake(reader: asyncio.StreamReader,
+                                   writer: asyncio.StreamWriter, *,
+                                   name: str, client_id: str,
+                                   daemon_id: str, config_digest: str,
+                                   timeout_s: float,
+                                   authenticator: FrameAuthenticator
+                                   | None = None) -> Hello:
     """Client side of a session-submission link into a daemon.
 
     The client binds the protocol version and the mesh-spec digest (not
     a run manifest -- sessions are validated individually when they are
     submitted).  The daemon's answer must carry its own party id with
-    the ``daemon`` role and the same digest.
+    the ``daemon`` role and the same digest, within ``timeout_s``.  A
+    daemon that drops the connection, or stays silent, raises
+    :class:`HandshakePeerLost` -- a daemon drops a hello whose MAC
+    fails.
     """
     mine = Hello(version=PROTOCOL_VERSION, session_id="",
                  pair_left=client_id, pair_right=daemon_id,
                  party_id=client_id, config_digest=config_digest,
-                 role=ROLE_CLIENT).authenticated(connection.authenticator)
+                 role=ROLE_CLIENT).authenticated(authenticator)
     try:
-        connection.write_frame(FRAME_HELLO, mine.to_wire())
-    except (ConnectionClosedError, FramingError) as exc:
-        raise HandshakePeerLost(
-            f"{connection.name}: daemon vanished during the handshake "
-            f"({exc})", peer=daemon_id) from exc
-    try:
-        theirs = read_hello(connection)
+        await _send_frame(writer, FRAME_HELLO, mine.to_wire(), authenticator)
+        async with asyncio.timeout(timeout_s):
+            theirs = await read_hello_async(reader, name, authenticator)
     except HandshakeError as exc:
         exc.peer = daemon_id
         raise
-    checks = [
-        ("protocol version", PROTOCOL_VERSION, theirs.version,
-         PROTOCOL_VERSION == theirs.version),
-        ("role", ROLE_DAEMON, theirs.role, ROLE_DAEMON == theirs.role),
-        ("config digest", config_digest, theirs.config_digest,
-         hmac.compare_digest(config_digest, theirs.config_digest)),
-        ("party", daemon_id, theirs.party_id,
-         daemon_id == theirs.party_id),
-    ]
-    if connection.authenticator is not None:
-        checks.append(
-            ("auth tag", "<valid HMAC under the shared PSK>",
-             theirs.auth_tag or "<missing>",
-             theirs.auth_tag_valid(connection.authenticator)))
-    for field_name, ours_value, theirs_value, matches in checks:
-        if not matches:
-            _refuse(connection,
-                    f"{field_name} mismatch: ours {ours_value!r}, "
-                    f"daemon {theirs_value!r}",
-                    field_name=field_name, ours=ours_value,
-                    theirs=theirs_value, peer=daemon_id)
+    except TimeoutError as exc:
+        raise HandshakePeerLost(
+            f"{name}: the daemon sent no hello within {timeout_s}s",
+            peer=daemon_id) from exc
+    except OSError as exc:
+        raise HandshakePeerLost(
+            f"{name}: daemon vanished during the handshake ({exc})",
+            peer=daemon_id) from exc
+    # The daemon's answer is our hello in the daemon's role and name.
+    mismatch = hello_mismatch(replace(mine, role=ROLE_DAEMON), theirs,
+                              daemon_id, authenticator)
+    if mismatch is not None:
+        await _refuse_mismatch(writer, name, mismatch, "daemon",
+                               authenticator, peer=daemon_id)
     return theirs
-
-
-def _refuse(connection: FramedConnection, reason: str, *,
-            field_name: str | None = None, ours=None, theirs=None,
-            peer: str | None = None) -> None:
-    try:
-        connection.write_goodbye(f"handshake refused: {reason}")
-    except ConnectionClosedError:
-        pass
-    connection.close()
-    raise HandshakeError(f"{connection.name}: {reason}",
-                         field_name=field_name, ours=ours, theirs=theirs,
-                         peer=peer)

@@ -145,16 +145,30 @@ def _encrypted_bits(keypair: DgkKeyPair, x: int, bits: int,
     return FixedWidthList(encrypted, public.ciphertext_width)
 
 
-def _checked_batch(public: DgkPublicKey, values, bits: int,
-                   what: str) -> list[int]:
-    """A received batch of ``bits`` ciphertexts, range-checked, counted,
-    and refused unless it was sent at the key's width."""
-    checked = public.check_ciphertexts(values)
-    if len(checked) != bits:
+def _check_shape(public: DgkPublicKey, values, bits: int,
+                 what: str) -> None:
+    """Refuse a received batch unless it holds ``bits`` ciphertexts sent
+    at the key's width."""
+    if len(values) != bits:
         raise BitwiseComparisonError(
-            f"expected {bits} {what}, received {len(checked)}")
+            f"expected {bits} {what}, received {len(values)}")
     public.check_width(values)
+
+
+def _checked_bits(public: DgkPublicKey, values, bits: int) -> list[int]:
+    """Received bit ciphertexts, range-checked, counted, and refused
+    unless they were sent at the key's width."""
+    checked = public.check_ciphertexts(values)
+    _check_shape(public, values, bits, "bit ciphertexts")
     return checked
+
+
+def _zero_tests(keypair: DgkKeyPair, values, bits: int) -> list[bool]:
+    """Step 4 on one received witness list: counted, refused unless it
+    was sent at the key's width, and zero-tested.  The zero test
+    range-checks every value, so the list is checked once."""
+    _check_shape(keypair.public_key, values, bits, "witnesses")
+    return keypair.private_key.zero_test_batch(values)
 
 
 @lru_cache(maxsize=16)
@@ -181,10 +195,11 @@ def _complements(public: DgkPublicKey, received: list[int]) -> list[int]:
     except ValueError:
         raise BitwiseComparisonError(
             "a bit ciphertext is not a unit mod n") from None
+    inverse = g * inverse % n
     complements = [0] * len(received)
     for position in range(len(received) - 1, -1, -1):
-        # Here inverse is prefix[position + 1]^-1.
-        complements[position] = g * (inverse * prefix[position] % n) % n
+        # Here inverse is g * prefix[position + 1]^-1.
+        complements[position] = inverse * prefix[position] % n
         inverse = inverse * received[position] % n
     return complements
 
@@ -278,9 +293,8 @@ async def dgk_greater_than_pairwise(key_holder: Party, xs: list[int],
     for y in ys:
         blinded = None
         if other.hosted:
-            received = _checked_batch(
-                public, other.receive(f"{label}/x_bits"), bits,
-                "bit ciphertexts")
+            received = _checked_bits(
+                public, other.receive(f"{label}/x_bits"), bits)
             blinded = _blinded_witnesses(public, received,
                                          _complements(public, received),
                                          _bits_of(y, bits), other.rng)
@@ -289,13 +303,9 @@ async def dgk_greater_than_pairwise(key_holder: Party, xs: list[int],
     # --- Step 4 (key holder): zero-test every witness. ---------------------
     if not key_holder.hosted:
         return [False] * len(xs)
-    results = []
-    for _ in xs:
-        witnesses = _checked_batch(
-            public, key_holder.receive(f"{label}/witnesses"), bits,
-            "witnesses")
-        results.append(any(keypair.private_key.zero_test_batch(witnesses)))
-    return results
+    return [any(_zero_tests(keypair,
+                            key_holder.receive(f"{label}/witnesses"), bits))
+            for _ in xs]
 
 
 @dataclass(frozen=True)
@@ -369,9 +379,9 @@ async def _send_gap_witnesses(lane: GapLane) -> None:
         blinded = None
         if lane.other.hosted:
             # E(2A'): the received bits, then the trivial E(0) = 1.
-            doubled = _checked_batch(
+            doubled = _checked_bits(
                 public, lane.other.receive(f"{lane.label}/x_bits"),
-                low_bits, "bit ciphertexts") + [1]
+                low_bits) + [1]
             complements = _complements(public, doubled)
             b = y % (2 * half)
             if b < half:  # B_l = 0: c = [2A' > 2(2^l - 1 - B')]
@@ -393,12 +403,9 @@ def _gap_results(lane: GapLane) -> list[bool]:
     half = 1 << lane.low_bits
     results = []
     for x in lane.xs:
-        witnesses = _checked_batch(
-            lane.keypair.public_key,
-            lane.key_holder.receive(f"{lane.label}/witnesses"),
-            lane.low_bits + 1, "witnesses")
-        flipped_carry = any(
-            lane.keypair.private_key.zero_test_batch(witnesses))
+        flipped_carry = any(_zero_tests(
+            lane.keypair, lane.key_holder.receive(f"{lane.label}/witnesses"),
+            lane.low_bits + 1))
         results.append(flipped_carry != ((half - x) % (2 * half) >= half))
     return results
 
@@ -434,8 +441,8 @@ async def dgk_greater_than_batch(key_holder: Party, x: int, other: Party,
     # --- Steps 2-3 (other party), per y, against the shared bits. ----------
     batches = None
     if other.hosted:
-        received = _checked_batch(public, other.receive(f"{label}/x_bits"),
-                                  bits, "bit ciphertexts")
+        received = _checked_bits(public, other.receive(f"{label}/x_bits"),
+                                 bits)
         complements = _complements(public, received)
         batches = [_blinded_witnesses(public, received, complements,
                                       _bits_of(y, bits), other.rng)
@@ -450,8 +457,10 @@ async def dgk_greater_than_batch(key_holder: Party, x: int, other: Party,
         raise BitwiseComparisonError(
             f"expected {len(ys)} witness batches, received "
             f"{len(witness_batches)}")
-    flat = [value for batch in witness_batches
-            for value in _checked_batch(public, batch, bits, "witnesses")]
-    zeros = keypair.private_key.zero_test_batch(flat)
+    for batch in witness_batches:
+        _check_shape(public, batch, bits, "witnesses")
+    # The sweep range-checks every value, each batch's once.
+    zeros = keypair.private_key.zero_test_batch(
+        [value for batch in witness_batches for value in batch])
     return [any(zeros[index * bits:(index + 1) * bits])
             for index in range(len(ys))]

@@ -1,8 +1,8 @@
-"""Frame layer: roundtrips, malformed input, timeout and close paths."""
+"""Frame layer: roundtrips, malformed input and close paths."""
 
+import asyncio
 import socket
 import struct
-import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,20 +14,13 @@ from repro.net.framing import (
     FRAME_MUX_CONTROL,
     FRAME_MUX_MESSAGE,
     ConnectionClosedError,
-    FramedConnection,
     FramingError,
-    ReceiveTimeout,
     decode_message_payload,
+    encode_frame,
     encode_message_payload,
+    read_frame_async,
 )
-
-
-def connected_pair(timeout_s: float = 2.0, **kwargs):
-    left, right = socket.socketpair()
-    return (FramedConnection(left, timeout_s=timeout_s, name="left",
-                             **kwargs),
-            FramedConnection(right, timeout_s=timeout_s, name="right",
-                             **kwargs))
+from repro.runtime import handshake
 
 
 class TestMessagePayload:
@@ -68,135 +61,108 @@ class TestMessagePayload:
         assert encode_message_payload(label, wire) == blob
 
 
-class TestFramedConnection:
+def read_frames(data: bytes, count: int = 1, **kwargs) -> list:
+    """``count`` frames read with :func:`read_frame_async` from a stream
+    that holds ``data`` and then ends."""
+    async def run():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return [await read_frame_async(reader, name="right", **kwargs)
+                for _ in range(count)]
+    return asyncio.run(run())
+
+
+class TestReadFrameAsync:
     def test_frame_roundtrip_all_kinds(self):
-        left, right = connected_pair()
-        for kind in (FRAME_HELLO, FRAME_CONTROL, FRAME_GOODBYE,
-                     FRAME_MUX_MESSAGE, FRAME_MUX_CONTROL):
-            left.write_frame(kind, b"payload-" + kind)
-            assert right.read_frame() == (kind, b"payload-" + kind)
-        left.close()
-        right.close()
+        kinds = (FRAME_HELLO, FRAME_CONTROL, FRAME_GOODBYE,
+                 FRAME_MUX_MESSAGE, FRAME_MUX_CONTROL)
+        data = b"".join(encode_frame(kind, b"payload-" + kind)
+                        for kind in kinds)
+        assert read_frames(data, len(kinds)) \
+            == [(kind, b"payload-" + kind) for kind in kinds]
 
     def test_empty_payload_frame(self):
-        left, right = connected_pair()
-        left.write_frame(FRAME_CONTROL)
-        assert right.read_frame() == (FRAME_CONTROL, b"")
+        assert encode_frame(FRAME_CONTROL) == b"\x00\x00\x00\x01C"
+        assert read_frames(encode_frame(FRAME_CONTROL)) \
+            == [(FRAME_CONTROL, b"")]
 
     def test_unknown_kind_rejected_on_write(self):
-        left, _ = connected_pair()
         with pytest.raises(FramingError, match="unknown frame kind"):
-            left.write_frame(b"Z", b"")
+            encode_frame(b"Z", b"")
 
     def test_unknown_kind_rejected_on_read(self):
-        left, right = connected_pair()
-        left._sock.sendall(struct.pack(">I", 1) + b"Q")
         with pytest.raises(FramingError, match="unknown frame kind"):
-            right.read_frame()
+            read_frames(struct.pack(">I", 1) + b"Q")
 
     def test_oversized_length_refused_without_allocation(self):
-        left, right = connected_pair(max_frame_bytes=1024)
-        left._sock.sendall(struct.pack(">I", 1 << 30) + b"M")
+        """The length is refused before the body is read: a stream that
+        ends after the header still reports the ceiling, not a short
+        read."""
         with pytest.raises(FramingError, match="ceiling"):
-            right.read_frame()
+            read_frames(struct.pack(">I", 1 << 30) + b"M",
+                        max_frame_bytes=1024)
 
-    def test_oversized_frame_refused_at_the_sender(self):
+    def test_oversized_frame_refused_at_the_sender(self, monkeypatch):
         """The ceiling is symmetric: an oversized frame fails loudly at
         the producing call site, not as a desync at the receiver."""
-        left, _ = connected_pair(max_frame_bytes=64)
+        monkeypatch.setattr(handshake, "DEFAULT_MAX_FRAME_BYTES", 64)
+        writer = _RecordingWriter()
         with pytest.raises(FramingError, match="ceiling"):
-            left.write_frame(FRAME_CONTROL, b"x" * 64)
+            asyncio.run(handshake._send_frame(writer, FRAME_CONTROL,
+                                              b"x" * 64))
+        asyncio.run(handshake._send_frame(writer, FRAME_CONTROL, b"x" * 63))
+        assert writer.written == [encode_frame(FRAME_CONTROL, b"x" * 63)]
 
     def test_zero_length_refused(self):
-        left, right = connected_pair()
-        left._sock.sendall(struct.pack(">I", 0))
         with pytest.raises(FramingError, match="< 1"):
-            right.read_frame()
-
-    def test_timeout_is_distinct_error(self):
-        _, right = connected_pair(timeout_s=0.05)
-        with pytest.raises(ReceiveTimeout, match="no data for"):
-            right.read_frame()
+            read_frames(struct.pack(">I", 0))
 
     def test_peer_close_at_frame_boundary(self):
-        left, right = connected_pair()
-        left.write_frame(FRAME_CONTROL, b"last")
-        left.close()
-        assert right.read_frame() == (FRAME_CONTROL, b"last")
-        with pytest.raises(ConnectionClosedError, match="closed"):
-            right.read_frame()
+        with pytest.raises(ConnectionClosedError,
+                           match="closed the connection"):
+            read_frames(encode_frame(FRAME_CONTROL, b"last"), 2)
+        assert read_frames(encode_frame(FRAME_CONTROL, b"last")) \
+            == [(FRAME_CONTROL, b"last")]
 
-    def test_mid_frame_eof_is_connection_loss(self):
-        """A peer dying with a frame in flight is a *connection* failure
-        (TransportClosedError upstream), not a malformed-frame desync."""
-        left, right = connected_pair()
-        left._sock.sendall(struct.pack(">I", 10) + b"M123")
-        left.close()
+    @pytest.mark.parametrize("cut", [2, 4, 8])
+    def test_mid_frame_eof_is_connection_loss(self, cut):
+        """A peer dying with a frame in flight -- inside the length or
+        the body -- is a *connection* failure (TransportClosedError
+        upstream), not a malformed-frame desync."""
+        frame = encode_frame(FRAME_MUX_MESSAGE, b"123456789")
         with pytest.raises(ConnectionClosedError, match="mid-frame"):
-            right.read_frame()
+            read_frames(frame[:cut])
 
-    def test_timeout_mid_frame_is_retryable_without_corruption(self):
-        """Partially received bytes survive a ReceiveTimeout: the next
-        read_frame resumes the same frame instead of parsing garbage
-        from its middle (the client's reader retries on timeout)."""
-        left, right = connected_pair(timeout_s=0.1)
-        frame = struct.pack(">I", 6) + b"C" + b"hello"
-        left._sock.sendall(frame[:7])  # header + kind + 2 payload bytes
-        with pytest.raises(ReceiveTimeout):
-            right.read_frame()
-        left._sock.sendall(frame[7:])
-        assert right.read_frame() == (FRAME_CONTROL, b"hello")
-
-    def test_timeout_before_any_bytes_then_clean_read(self):
-        left, right = connected_pair(timeout_s=0.1)
-        with pytest.raises(ReceiveTimeout):
-            right.read_frame()
-        left.write_frame(FRAME_CONTROL, b"late")
-        assert right.read_frame() == (FRAME_CONTROL, b"late")
-
-    def test_write_after_close_fails(self):
-        left, _ = connected_pair()
-        left.close()
-        with pytest.raises(ConnectionClosedError, match="closed"):
-            left.write_frame(FRAME_CONTROL, b"")
-
-    def test_concurrent_writers_never_interleave_frames(self):
-        """Two threads hammering one connection: every frame arrives
-        intact (the write lock covers the whole frame)."""
-        left, right = connected_pair(timeout_s=5.0)
-        per_thread = 200
-
-        def hammer(tag: bytes):
-            for index in range(per_thread):
-                left.write_frame(FRAME_CONTROL,
-                                 tag * 3 + str(index).encode())
-
-        threads = [threading.Thread(target=hammer, args=(tag,))
-                   for tag in (b"a", b"b")]
-        for thread in threads:
-            thread.start()
-        seen = []
-        for _ in range(2 * per_thread):
-            kind, payload = right.read_frame()
-            assert kind == FRAME_CONTROL
-            assert payload[:3] in (b"aaa", b"bbb")
-            seen.append(payload)
-        for thread in threads:
-            thread.join()
-        assert len(seen) == 2 * per_thread
-
-    def test_large_frame_roundtrip(self):
-        """Frames above the socket buffer size must reassemble exactly
-        (exercises the partial-recv loop)."""
-        left, right = connected_pair(timeout_s=5.0)
+    def test_large_frame_roundtrip_over_a_socket(self):
+        """Frames above the socket buffer size reassemble exactly."""
         blob = bytes(range(256)) * 4096  # 1 MiB
-        received = {}
 
-        def reader():
-            received["frame"] = right.read_frame()
+        async def run():
+            left, right = socket.socketpair()
+            reader, right_writer = await asyncio.open_connection(sock=right)
+            _, writer = await asyncio.open_connection(sock=left)
+            try:
+                sent = asyncio.create_task(handshake._send_frame(
+                    writer, FRAME_CONTROL, blob))
+                frame = await read_frame_async(reader)
+                await sent
+                return frame
+            finally:
+                writer.close()
+                right_writer.close()
 
-        thread = threading.Thread(target=reader)
-        thread.start()
-        left.write_frame(FRAME_CONTROL, blob)
-        thread.join(timeout=10)
-        assert received["frame"] == (FRAME_CONTROL, blob)
+        assert asyncio.run(run()) == (FRAME_CONTROL, blob)
+
+
+class _RecordingWriter:
+    """Records each frame :func:`_send_frame` writes."""
+
+    def __init__(self):
+        self.written = []
+
+    def write(self, data: bytes) -> None:
+        self.written.append(data)
+
+    async def drain(self) -> None:
+        pass

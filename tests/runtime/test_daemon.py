@@ -79,18 +79,21 @@ def spec_ports(names) -> dict[str, int]:
             for b in names[index + 1:]}
 
 
-def send_start(client, manifest, by_party: dict, name: str) -> None:
-    """Send daemon ``name`` the session's start record, with its own
+def start_record(manifest, by_party: dict, name: str) -> bytes:
+    """Daemon ``name``'s start record of the session, with its own
     partition from ``by_party``."""
-    from repro.net.framing import FRAME_CONTROL
     from repro.net.serialization import serialize_message
     from repro.runtime.daemon import CONTROL_START_SESSION
 
-    record = serialize_message([
+    return serialize_message([
         CONTROL_START_SESSION, manifest.to_json(),
         json.dumps([list(point) for point in by_party[name]])])
-    with client._write_locks[name]:
-        client._connections[name].write_frame(FRAME_CONTROL, record)
+
+
+def send_start(client, manifest, by_party: dict, name: str) -> None:
+    """Send daemon ``name`` the session's start record."""
+    assert client._call(client._send_each(
+        {name: start_record(manifest, by_party, name)})) == {}
 
 
 def submit_per_daemon(client, manifests: dict, by_party: dict):
@@ -102,9 +105,9 @@ def submit_per_daemon(client, manifests: dict, by_party: dict):
 
     first = next(iter(manifests.values()))
     handle = SessionHandle(client, first)
-    client._handles[first.session_id] = handle
-    for name, manifest in manifests.items():
-        send_start(client, manifest, by_party, name)
+    client._call(client._submit(handle, {
+        name: start_record(manifest, by_party, name)
+        for name, manifest in manifests.items()}))
     return handle
 
 

@@ -1,11 +1,12 @@
 """Handshake: matched hellos accept, every mismatch refuses with the field."""
 
+import asyncio
 import dataclasses
 import socket
 
 import pytest
 
-from repro.net.framing import FrameAuthenticator, FramedConnection
+from repro.net.framing import FrameAuthenticator
 from repro.runtime.client import DaemonFleet, SessionClient
 from repro.runtime.handshake import (
     PROTOCOL_VERSION,
@@ -81,15 +82,27 @@ class TestHandshake:
         assert not isinstance(excinfo.value, HandshakePeerLost)
         assert excinfo.value.peer == "p0"
 
-    def test_peer_vanishing_mid_handshake(self):
-        left_sock, right_sock = socket.socketpair()
-        left = FramedConnection(left_sock, timeout_s=2.0, name="left")
-        right_sock.close()
-        with pytest.raises(HandshakePeerLost, match="vanished") as excinfo:
-            perform_client_handshake(left, client_id="c", daemon_id="p1",
-                                     config_digest="d" * 64)
+    @pytest.mark.parametrize("daemon_end", ["closed", "silent"])
+    def test_a_daemon_that_answers_nothing_is_lost(self, daemon_end):
+        """A daemon end that closed, or that stays silent past the
+        handshake timeout, raises HandshakePeerLost naming the daemon."""
+        async def handshake():
+            left_sock, right_sock = socket.socketpair()
+            if daemon_end == "closed":
+                right_sock.close()
+            reader, writer = await asyncio.open_connection(sock=left_sock)
+            try:
+                await perform_client_handshake(
+                    reader, writer, name="left", client_id="c",
+                    daemon_id="p1", config_digest="d" * 64, timeout_s=0.2)
+            finally:
+                writer.close()
+                right_sock.close()
+
+        match = "vanished" if daemon_end == "closed" else "no hello"
+        with pytest.raises(HandshakePeerLost, match=match) as excinfo:
+            asyncio.run(handshake())
         assert excinfo.value.peer == "p1"
-        left.close()
 
     def test_malformed_hello_record(self):
         with pytest.raises(HandshakeError, match="malformed"):

@@ -3,7 +3,7 @@
 Two trust-boundary changes land together and both get their rejection
 matrix here: per-frame HMAC link authentication (flipped MAC bytes,
 truncated MACs, cross-mesh replay, PSK mismatch on dial and accept,
-across the client's blocking connection and the daemon's asyncio path)
+on the asyncio streams every endpoint reads and writes)
 and sealed per-party key material (a party daemon holds a usable
 private key for its own slot ONLY; any code path touching a peer's
 private raises ``PublicOnlyKeyError``).  The equivalence bar stays bit-exact: the same
@@ -11,8 +11,8 @@ workload with auth on and auth off must reproduce the in-process mesh
 on every protocol observable.
 """
 
+import asyncio
 import random
-import socket
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,9 +38,9 @@ from repro.net.framing import (
     MAC_BYTES,
     FrameAuthenticationError,
     FrameAuthenticator,
-    FramedConnection,
     FramingError,
     encode_frame,
+    read_frame_async,
 )
 from repro.net.transcript import transcript_digest
 from repro.runtime.client import (
@@ -59,7 +59,7 @@ from repro.runtime.failure import CAUSE_AUTH_FAILED, FATAL, classify_exception
 from repro.runtime.handshake import (
     PROTOCOL_VERSION,
     ROLE_CLIENT,
-    HandshakeError,
+    HandshakePeerLost,
     Hello,
 )
 from repro.runtime.manifest import ManifestError, pair_key
@@ -181,58 +181,51 @@ class TestFrameAuthenticator:
             FrameAuthenticator("", "session-a")
 
 
-# -- the client's blocking connection ---------------------------------------
+# -- a sealed frame over an asyncio stream ----------------------------------
 
-def connected_pair(left_auth=None, right_auth=None):
-    left_sock, right_sock = socket.socketpair()
-    return (FramedConnection(left_sock, timeout_s=2.0, name="left",
-                             authenticator=left_auth),
-            FramedConnection(right_sock, timeout_s=2.0, name="right",
-                             authenticator=right_auth))
+def through_the_wire(payload: bytes, sender_auth, receiver_auth,
+                     tamper=lambda frame: frame):
+    """One control frame sealed with ``sender_auth`` (if any), changed
+    in transit by ``tamper``, and read back with ``receiver_auth``."""
+    if sender_auth is not None:
+        payload = sender_auth.seal(FRAME_CONTROL, payload)
+
+    async def run():
+        reader = asyncio.StreamReader()
+        reader.feed_data(tamper(encode_frame(FRAME_CONTROL, payload)))
+        reader.feed_eof()
+        return await read_frame_async(reader, name="right",
+                                      authenticator=receiver_auth)
+    return asyncio.run(run())
 
 
-class TestAuthenticatedConnection:
+class TestAuthenticatedFrames:
     def test_roundtrip_with_matching_psk(self):
-        auth = FrameAuthenticator(PSK, "s")
-        left, right = connected_pair(auth, FrameAuthenticator(PSK, "s"))
-        left.write_frame(FRAME_CONTROL, b"hello")
-        assert right.read_frame() == (FRAME_CONTROL, b"hello")
-        left.close()
-        right.close()
+        assert through_the_wire(b"hello", FrameAuthenticator(PSK, "s"),
+                                FrameAuthenticator(PSK, "s")) \
+            == (FRAME_CONTROL, b"hello")
 
     def test_psk_mismatch_rejected_on_read(self):
-        left, right = connected_pair(FrameAuthenticator(PSK, "s"),
-                                     FrameAuthenticator("wrong", "s"))
-        left.write_frame(FRAME_CONTROL, b"hello")
         with pytest.raises(FrameAuthenticationError):
-            right.read_frame()
-        left.close()
-        right.close()
+            through_the_wire(b"hello", FrameAuthenticator(PSK, "s"),
+                             FrameAuthenticator("wrong", "s"))
 
     def test_unauthenticated_peer_rejected(self):
         """A peer that doesn't seal at all (no PSK configured) must be
         refused by an authenticating endpoint."""
-        left, right = connected_pair(None, FrameAuthenticator(PSK, "s"))
-        left.write_frame(FRAME_CONTROL, b"hello")
         with pytest.raises(FrameAuthenticationError):
-            right.read_frame()
-        left.close()
-        right.close()
+            through_the_wire(b"hello", None, FrameAuthenticator(PSK, "s"))
 
     def test_wire_tamper_rejected(self):
         """A bit flipped in transit (not by the sender) is caught."""
+        def flip(frame: bytes) -> bytes:
+            flipped = bytearray(frame)
+            flipped[-5] ^= 0x40  # inside the sealed payload
+            return bytes(flipped)
+
         auth = FrameAuthenticator(PSK, "s")
-        left_sock, right_sock = socket.socketpair()
-        right = FramedConnection(right_sock, timeout_s=2.0, name="right",
-                                 authenticator=auth)
-        frame = bytearray(encode_frame(
-            FRAME_CONTROL, auth.seal(FRAME_CONTROL, b"payload")))
-        frame[-5] ^= 0x40  # inside the sealed payload
-        left_sock.sendall(bytes(frame))
         with pytest.raises(FrameAuthenticationError):
-            right.read_frame()
-        left_sock.close()
-        right.close()
+            through_the_wire(b"payload", auth, auth, tamper=flip)
 
 
 # -- classification: auth failures are fatal, never retried -----------------
@@ -428,11 +421,13 @@ class TestDaemonLinkAuth:
         assert_matches_reference(run, reference, digests)
 
     def test_wrong_client_psk_is_refused(self):
+        """The daemon drops a hello whose MAC fails without a reply --
+        no oracle -- so the client sees the daemon vanish."""
         by_party = workload(2)
         with DaemonFleet(list(by_party), psk=PSK) as fleet:
-            with pytest.raises((HandshakeError,
-                                FrameAuthenticationError)):
+            with pytest.raises(HandshakePeerLost) as excinfo:
                 SessionClient(fleet.spec, psk="the wrong secret")
+        assert excinfo.value.peer == fleet.spec.names[0]
 
     def test_missing_client_psk_fails_at_construction(self):
         by_party = workload(2)
@@ -455,12 +450,18 @@ class TestDaemonLinkAuth:
                           role=ROLE_CLIENT).authenticated(auth)
             sealed = bytearray(auth.seal(FRAME_HELLO, hello.to_wire()))
             sealed[-1] ^= 0x01
-            with socket.create_connection(
-                    (spec.host, spec.ports[spec.names[0]]),
-                    timeout=5.0) as sock:
-                sock.sendall(encode_frame(FRAME_HELLO, bytes(sealed)))
-                sock.settimeout(10.0)
-                assert sock.recv(1024) == b""  # dropped, no goodbye
+
+            async def send_the_hello() -> bytes:
+                reader, writer = await asyncio.open_connection(
+                    spec.host, spec.ports[spec.names[0]])
+                try:
+                    writer.write(encode_frame(FRAME_HELLO, bytes(sealed)))
+                    async with asyncio.timeout(10.0):
+                        return await reader.read()  # to the end of stream
+                finally:
+                    writer.close()
+
+            assert asyncio.run(send_the_hello()) == b""  # no goodbye
             # The daemon still serves correctly-keyed clients.
             with fleet.client() as client:
                 run = run_via_daemons(by_party, make_config(), [1, 2],

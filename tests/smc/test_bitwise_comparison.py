@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.dgk import DGK_U, DgkError, dgk_parameters
+from repro.crypto.dgk import DGK_U, DgkError, DgkPublicKey, dgk_parameters
 from repro.crypto.keycache import cached_dgk_keypair
 from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
@@ -227,6 +227,50 @@ class TestReceivedCiphertexts:
             self._tampered(bob, "/witnesses", list)
             with pytest.raises(DgkError, match="32-byte width"):
                 drive(dgk_greater_than(alice, 9, bob, 5, 8, KEYS))
+
+
+class TestEachListCheckedOnce:
+    """Every received ciphertext list is range-checked exactly once: bit
+    ciphertexts by the other party on receipt, witnesses by the key
+    holder's zero test, which refuses out-of-range values itself."""
+
+    @staticmethod
+    def _checked_lengths(monkeypatch) -> list[int]:
+        lengths = []
+        check = DgkPublicKey.check_ciphertexts
+
+        def counting_check(self, values):
+            checked = check(self, values)
+            lengths.append(len(checked))
+            return checked
+
+        monkeypatch.setattr(DgkPublicKey, "check_ciphertexts",
+                            counting_check)
+        return lengths
+
+    def test_pairwise(self, monkeypatch):
+        lengths = self._checked_lengths(monkeypatch)
+        alice, bob = _fresh_parties(11)
+        assert drive(dgk_greater_than_pairwise(
+            alice, [9, 5, 7], bob, [5, 9, 7], 8, KEYS)) \
+            == [True, False, False]
+        assert lengths == [8] * 6  # three x_bits lists, three witness lists
+
+    def test_batch(self, monkeypatch):
+        lengths = self._checked_lengths(monkeypatch)
+        alice, bob = _fresh_parties(12)
+        assert drive(dgk_greater_than_batch(
+            alice, 9, bob, [5, 11, 200], 8, KEYS)) == [True, False, False]
+        assert lengths == [8, 24]  # the x_bits, then one sweep of 3 lists
+
+    def test_gap_lanes(self, monkeypatch):
+        lengths = self._checked_lengths(monkeypatch)
+        alice, bob = _fresh_parties(13)
+        assert drive(dgk_leq_within_gap_lanes(
+            TestWithinGapLanes._lanes(alice, bob))) \
+            == [[True, False], [True, False, True]]
+        # Every lane's x_bits lists, then every lane's witness lists.
+        assert lengths == [10] * 2 + [3] * 3 + [11] * 2 + [4] * 3
 
 
 def _reference_witnesses(public, received, y, bits, rng):
