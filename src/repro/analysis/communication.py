@@ -19,18 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-def horizontal_work_term(n: int, l: int, m: int) -> int:
-    """The driver of both horizontal cost terms: ``l*(n-l)`` pairings,
-    scaled by attribute count for the ciphertext term."""
-    return l * (n - l) * m
-
-
-def horizontal_pair_term(n: int, l: int) -> int:
-    """The comparison term's driver: one comparison per cross pair,
-    counted once per direction (both parties run a pass)."""
-    return l * (n - l)
-
-
 def horizontal_predicted_bits(n: int, l: int, m: int, c1: int, c2: int,
                               n0: int) -> int:
     """Section 4.2.2 formula, literally."""
@@ -92,10 +80,3 @@ def fit_through_origin(xs: list[float], ys: list[float]) -> OriginFit:
     residual = sum((y - coefficient * x) ** 2 for x, y in zip(xs, ys))
     r_squared = 1.0 if total == 0 else 1.0 - residual / total
     return OriginFit(coefficient=coefficient, r_squared=r_squared)
-
-
-def bytes_per_unit(measured_bytes: list[int],
-                   work_terms: list[int]) -> OriginFit:
-    """Convenience wrapper naming the common fit direction."""
-    return fit_through_origin([float(w) for w in work_terms],
-                              [float(b) for b in measured_bytes])

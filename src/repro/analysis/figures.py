@@ -53,15 +53,6 @@ def render_arbitrary_figure(partition: ArbitraryPartition) -> str:
     return "\n".join(lines)
 
 
-def ownership_summary(partition: ArbitraryPartition) -> dict[str, int]:
-    """Cell counts per owner -- quick sanity summary for reports."""
-    counts = {"alice": 0, "bob": 0}
-    for record in range(partition.size):
-        for attribute in range(partition.dimensions):
-            counts[partition.owner_of(record, attribute)] += 1
-    return counts
-
-
 def _header(dimensions: int) -> str:
     cells = [f"attr{k + 1}" for k in range(dimensions)]
     return _row("", cells)

@@ -33,15 +33,6 @@ def render_table(headers: list[str], rows: list[list],
     return "\n".join(lines)
 
 
-def format_bytes(count: int) -> str:
-    """Human-readable byte count (KiB/MiB) for table cells."""
-    if count < 1024:
-        return f"{count} B"
-    if count < 1024 * 1024:
-        return f"{count / 1024:.1f} KiB"
-    return f"{count / (1024 * 1024):.2f} MiB"
-
-
 def format_ratio(value: float) -> str:
     """Ratio cell with sensible precision for both tiny and large values."""
     if value == 0:

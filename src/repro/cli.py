@@ -40,7 +40,9 @@ public API.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import random
+import signal
 import sys
 
 from repro.analysis.attacks import (
@@ -67,7 +69,6 @@ from repro.data.partitioning import (
 from repro.crypto.dgk import DgkKeySizeError
 from repro.crypto.engine import ModexpEngine
 from repro.multiparty.horizontal import run_multiparty_horizontal_dbscan
-from repro.multiparty.mesh import PartyMesh
 from repro.runtime.daemon import DaemonError, MeshSpec
 from repro.runtime.faults import FaultSpecError
 from repro.runtime.manifest import ManifestError
@@ -284,18 +285,39 @@ def _run_command(args) -> int:
     if args.command == "figures":
         return _run_figures()
     if args.command == "orchestrate":
-        return _run_orchestrate(args)
+        with _sigterm_exits():
+            return _run_orchestrate(args)
     if args.command == "mesh-spec":
         return _run_mesh_spec(args)
     if args.command == "serve":
         return _run_serve(args)
     if args.command == "submit":
-        return _run_submit(args)
+        with _sigterm_exits():
+            return _run_submit(args)
     if args.command == "stats":
         return _run_stats(args)
     if args.command == "trace":
         return _run_trace(args)
     return 2  # unreachable: argparse enforces the choices
+
+
+@contextlib.contextmanager
+def _sigterm_exits():
+    """While the block runs, SIGTERM raises ``SystemExit`` in the main
+    thread, so a terminated command unwinds through its ``finally``
+    blocks and stops the daemons it spawned."""
+    def _exit(signum, frame) -> None:
+        raise SystemExit(128 + signum)
+
+    try:
+        previous = signal.signal(signal.SIGTERM, _exit)
+    except ValueError:  # not the main thread: keep default delivery
+        previous = None
+    try:
+        yield
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
 def _demo_config(args, engine: ModexpEngine) -> ProtocolConfig:
@@ -429,10 +451,8 @@ def _run_orchestrate(args) -> int:
     if not args.verify:
         return 0
 
-    checks = verify_against_in_process(run, by_party, config, seeds)
-    for check, passed in checks.items():
-        print(f"verify {check}: {'bit-identical' if passed else 'MISMATCH'}")
-    return 0 if all(checks.values()) else 1
+    return 0 if _report_checks(verify_against_in_process(
+        run, by_party, config, seeds)) else 1
 
 
 def _resolve_psk(args) -> str | None:
@@ -483,10 +503,12 @@ def _run_mesh_spec(args) -> int:
 
 def _run_serve(args) -> int:
     import os
-    import signal
 
+    from repro.runtime.client import STOP_SIGNALS
     from repro.runtime.daemon import PartyDaemon
 
+    # A fleet spawns its daemons with these held (DaemonFleet.start).
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, STOP_SIGNALS)
     spec = _load_spec(args.spec)
     trace_dir = args.trace_dir or os.environ.get("REPRO_TRACE_DIR") or None
     daemon = PartyDaemon(spec, args.party_name, psk=_resolve_psk(args),
@@ -515,7 +537,7 @@ def _run_serve(args) -> int:
           f"{', link auth on' if spec.link_auth else ''}; "
           f"ctrl-c drains, twice stops hard)", flush=True)
     handlers = {}
-    for signum in (signal.SIGINT, signal.SIGTERM):
+    for signum in STOP_SIGNALS:
         try:
             handlers[signum] = signal.signal(signum, _on_interrupt)
         except ValueError:
@@ -536,7 +558,10 @@ def _run_submit(args) -> int:
         SessionClient,
         SessionClientError,
     )
-    from repro.runtime.orchestrator import build_manifest
+    from repro.runtime.orchestrator import (
+        build_manifest,
+        verify_against_in_process,
+    )
 
     if bool(args.spec) == bool(args.spawn):
         raise SystemExit("submit needs exactly one of --spec or --spawn")
@@ -546,7 +571,7 @@ def _run_submit(args) -> int:
     if args.spawn:
         names = tuple(f"party{index}" for index in range(args.parties))
         fleet = DaemonFleet(names, mode="process", psk=psk,
-                            trace_dir=args.trace_dir).start()
+                            trace_dir=args.trace_dir)
         spec = fleet.spec
     else:
         spec = _load_spec(args.spec)
@@ -561,6 +586,8 @@ def _run_submit(args) -> int:
         smc=SmcConfig(paillier_bits=args.key_bits, comparison="bitwise",
                       key_seed=args.seed))
     try:
+        if fleet is not None:
+            fleet.start()
         with SessionClient(spec, psk=psk) as client:
             concurrency = max(1, getattr(args, "concurrency", 1))
             handles = []
@@ -588,8 +615,9 @@ def _run_submit(args) -> int:
                       f"comparisons={run.result.comparisons}  "
                       f"{run.elapsed_seconds:.2f}s  "
                       f"(warm_start={info.get('warm_start')})")
-                if args.verify and not _verify_daemon_run(
-                        run, by_party, config, seeds):
+                if args.verify and not _report_checks(
+                        verify_against_in_process(run, by_party, config,
+                                                  seeds), indent="  "):
                     failures += 1
             if args.shutdown:
                 client.shutdown_mesh(drain=True)
@@ -667,28 +695,10 @@ def _run_trace(args) -> int:
     return 0
 
 
-def _verify_daemon_run(run, by_party, config, seeds) -> bool:
-    from repro.net.transcript import transcript_digest
-    from repro.runtime.manifest import pair_key
-
-    # The reference must share the session's coin stream: wave sessions
-    # (--concurrency) run under derived rng_namespaces, and a
-    # namespace-mismatched reference would flag transcript drift that
-    # is really just different coins.
-    mesh = PartyMesh(list(by_party), config.smc, seeds=seeds,
-                     rng_namespace=run.manifest.rng_namespace)
-    reference = run_multiparty_horizontal_dbscan(by_party, config,
-                                                 seeds=seeds, mesh=mesh)
-    digests = {pair_key(*pair): transcript_digest(transcript)
-               for pair, transcript in mesh.pair_transcripts().items()}
-    checks = {
-        "labels": run.result.labels_by_party == reference.labels_by_party,
-        "ledger": run.result.ledger.events == reference.ledger.events,
-        "comparisons": run.result.comparisons == reference.comparisons,
-        "transcripts": run.transcript_digests == digests,
-    }
+def _report_checks(checks: dict[str, bool], indent: str = "") -> bool:
+    """Print each equivalence check; whether all of them passed."""
     for check, passed in checks.items():
-        print(f"  verify {check}: "
+        print(f"{indent}verify {check}: "
               f"{'bit-identical' if passed else 'MISMATCH'}")
     return all(checks.values())
 

@@ -20,7 +20,7 @@ from repro.clustering.labels import (
     ClusterLabels,
     next_cluster_id,
 )
-from repro.clustering.neighborhoods import BruteForceIndex, GridIndex
+from repro.clustering.neighborhoods import GridIndex
 
 
 def dbscan(points: list[tuple[int, ...]], eps_squared: int,
@@ -73,11 +73,3 @@ def _expand_cluster(points, index, labels: ClusterLabels, point_index: int,
                         queue.append(neighbor)
                     labels.change_cluster_id(neighbor, cluster_id)
     return True
-
-
-def core_points(points: list[tuple[int, ...]], eps_squared: int,
-                min_pts: int) -> list[int]:
-    """Indices of all core points (|N_eps| >= min_pts); analysis helper."""
-    index = BruteForceIndex(points)
-    return [i for i, point in enumerate(points)
-            if len(index.region_query(point, eps_squared)) >= min_pts]

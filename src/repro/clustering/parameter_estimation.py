@@ -84,9 +84,3 @@ def suggest_eps(points: list[tuple[int, ...]], k: int = 3, *,
     """
     profile = k_distance_profile(points, k)
     return profile[knee_index(profile)] / scale
-
-
-def suggest_parameters(points: list[tuple[int, ...]], *, k: int = 3,
-                       scale: int = 1) -> tuple[float, int]:
-    """``(eps, min_pts)`` from the Ester et al. heuristic."""
-    return suggest_eps(points, k, scale=scale), k + 1

@@ -99,22 +99,3 @@ def crt_pair(residue_p: int, p: int, residue_q: int, q: int,
             raise ValueError(f"moduli must be coprime, gcd({p}, {q}) = {g}")
     diff = (residue_q - residue_p) % q
     return (residue_p + p * ((diff * inv_p_mod_q) % q)) % (p * q)
-
-
-def int_bit_length_bytes(value: int) -> int:
-    """Number of bytes needed to store ``value`` (minimum one byte).
-
-    The accounting channel uses this to charge protocols for the exact
-    serialized size of each transmitted integer.
-    """
-    if value < 0:
-        value = -value
-    return max(1, (value.bit_length() + 7) // 8)
-
-
-def isqrt_exact(value: int) -> int | None:
-    """Integer square root if ``value`` is a perfect square, else ``None``."""
-    if value < 0:
-        return None
-    root = math.isqrt(value)
-    return root if root * root == value else None

@@ -9,8 +9,8 @@ would still hold usable private keys it has no business holding, there
 for a compromised process to take.
 
 This module makes key ownership *structural*.  A remote party's context
-carries a :class:`SealedPaillierPrivateKey`, :class:`SealedDgkPrivateKey`
-(or :class:`SealedRsaPrivateKey`): an object with the public half and an
+carries a :class:`SealedPaillierPrivateKey` and a
+:class:`SealedDgkPrivateKey`: objects with the public half and an
 owner tag but **no secret fields at all** -- there is nothing to steal
 -- and every decrypt/sign entry point (the DGK zero test included)
 raises :class:`PublicOnlyKeyError`, as does the engine's batch decrypt
@@ -36,7 +36,6 @@ from repro.crypto.paillier import (
     PaillierKeyPair,
     PaillierPublicKey,
 )
-from repro.crypto.rsa import RsaKeyPair, RsaPublicKey
 
 
 class PublicOnlyKeyError(RuntimeError):
@@ -107,22 +106,6 @@ class SealedDgkPrivateKey:
         raise PublicOnlyKeyError(self.owner, "zero_test_batch")
 
 
-@dataclass(frozen=True)
-class SealedRsaPrivateKey:
-    """Public-only stand-in for a remote party's RSA private key."""
-
-    public_key: RsaPublicKey
-    owner: str
-    sealed = True
-
-    @property
-    def d(self) -> int:
-        raise PublicOnlyKeyError(self.owner, "private exponent access")
-
-    def decrypt(self, ciphertext: int) -> int:
-        raise PublicOnlyKeyError(self.owner, "decrypt")
-
-
 def is_sealed(private_key) -> bool:
     """True when ``private_key`` is a public-only sealed stand-in."""
     return bool(getattr(private_key, "sealed", False))
@@ -144,12 +127,6 @@ def seal_dgk_keypair(public_key: DgkPublicKey, owner: str) -> DgkKeyPair:
     return DgkKeyPair(
         public_key=public_key,
         private_key=SealedDgkPrivateKey(public_key=public_key, owner=owner))
-
-
-def seal_rsa_keypair(public_key: RsaPublicKey, owner: str) -> RsaKeyPair:
-    return RsaKeyPair(
-        public_key=public_key,
-        private_key=SealedRsaPrivateKey(public_key=public_key, owner=owner))
 
 
 def public_key_digest(paillier: PaillierPublicKey,

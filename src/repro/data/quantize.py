@@ -17,11 +17,6 @@ def quantize_points(points, scale: int = 100) -> list[tuple[int, ...]]:
     return [encoder.encode_point(point) for point in points]
 
 
-def quantize_eps(eps: float, scale: int = 100) -> int:
-    """Integer squared-radius threshold matching :func:`quantize_points`."""
-    return FixedPointEncoder(scale).encode_eps_squared(eps)
-
-
 def max_coordinate(points) -> int:
     """Largest absolute integer coordinate; sizes comparison domains."""
     return max((abs(c) for point in points for c in point), default=0)

@@ -99,10 +99,3 @@ def standard_workload(name: str, *, seed: int = 7,
     if size not in ("small", "medium", "large"):
         raise WorkloadError(f"unknown size {size!r}")
     return _build(name, seed, size)
-
-
-def all_standard_workloads(*, seed: int = 7,
-                           size: str = "small") -> list[Workload]:
-    """Every registered workload, for matrix-style tests."""
-    return [standard_workload(name, seed=seed, size=size)
-            for name in WORKLOAD_NAMES]

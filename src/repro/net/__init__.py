@@ -7,10 +7,10 @@ provides both: a duplex channel whose endpoints serialize every message,
 count the exact bytes, and append to a transcript that the privacy
 simulators replay.
 
-Delivery underneath the channel is a ``repro.net.transport`` fabric:
-in-process deques for choreographies that run both parties in one
-interpreter, and socket fabrics for the runtimes whose parties live in
-separate processes.
+In process the channel delivers through its own per-receiver deques;
+a daemon's channel, whose far party runs in another process
+(:class:`repro.runtime.mirror.MirrorChannel`), sends and substitutes
+frames through the pair links of ``repro.net.transport``.
 """
 
 from repro.net.serialization import serialize_message, deserialize_message
@@ -24,9 +24,7 @@ from repro.net.transcript import Transcript, TranscriptEntry
 from repro.net.stats import CommunicationStats
 from repro.net.party import Party
 from repro.net.transport import (
-    InProcessTransport,
     ProtocolDesyncError,
-    Transport,
     TransportClosedError,
     TransportError,
     TransportTimeoutError,
@@ -43,10 +41,8 @@ __all__ = [
     "TranscriptEntry",
     "CommunicationStats",
     "Party",
-    "Transport",
     "TransportError",
     "TransportClosedError",
     "TransportTimeoutError",
     "ProtocolDesyncError",
-    "InProcessTransport",
 ]

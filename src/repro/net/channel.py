@@ -1,4 +1,4 @@
-"""Duplex channel between two semi-honest parties, over a Transport.
+"""Duplex channel between two semi-honest parties.
 
 The protocols in this library are written in "choreography" style: a
 single thread alternates between the two parties' local steps, and every
@@ -10,32 +10,25 @@ round-trip the wire format can never silently leak through the
 accounting.
 
 Every choreography is an ``async def`` whose sends are awaited and
-whose receives are plain calls.  On a daemon a remote send is where the
-mirror channel awaits the peer's frame
-(:class:`~repro.runtime.async_pass.RestartableMirrorChannel`); in
-process every frame is queued before its receive, so :func:`drive` runs
-a choreography to its end with no event loop.
-
-Delivery itself is delegated to a
-:class:`~repro.net.transport.Transport`: the default
-:class:`~repro.net.transport.InProcessTransport` delivers through
-per-receiver FIFO deques (empty inbox = :class:`ProtocolDesyncError`);
-across processes, :class:`~repro.runtime.mirror.MirrorChannel` keeps the
-same accounting over a daemon's session link.  The channel's accounting
-does not depend on the fabric.
+whose receives are plain calls.  In process the channel queues each
+frame on its receiver's FIFO deque before the receive runs, so
+:func:`drive` runs a choreography to its end with no event loop, and an
+empty inbox is a protocol bug (:class:`ProtocolDesyncError`), never a
+timing condition.  A daemon's channel is the same class with its far
+party remote (:class:`~repro.runtime.mirror.MirrorChannel`): a remote
+send is where it awaits the peer's frame, and every frame, sent or
+taken off the wire, is recorded by the one :meth:`Channel._record`, so
+the accounting does not depend on where the far party runs.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 from repro.net.serialization import deserialize_message, serialize_message
 from repro.net.stats import CommunicationStats
 from repro.net.transcript import Transcript
-from repro.net.transport import (  # noqa: F401  (re-exported for callers)
-    InProcessTransport,
-    ProtocolDesyncError,
-    Transport,
-    TransportTimeoutError,
-)
+from repro.net.transport import ProtocolDesyncError
 
 
 class ChannelClosedError(RuntimeError):
@@ -43,19 +36,15 @@ class ChannelClosedError(RuntimeError):
 
 
 class Channel:
-    """A duplex link between two named parties."""
+    """A duplex link between two named parties, with one inbox each."""
 
-    def __init__(self, left_name: str = "alice", right_name: str = "bob",
-                 transcript: Transcript | None = None,
-                 stats: CommunicationStats | None = None,
-                 transport: Transport | None = None):
+    def __init__(self, left_name: str = "alice", right_name: str = "bob"):
         if left_name == right_name:
             raise ValueError("parties must have distinct names")
-        self.transcript = transcript if transcript is not None else Transcript()
-        self.stats = stats if stats is not None else CommunicationStats()
-        if transport is None:
-            transport = InProcessTransport(left_name, right_name)
-        self.transport = transport
+        self.transcript = Transcript()
+        self.stats = CommunicationStats()
+        self._inboxes: dict[str, deque[tuple[str, bytes]]] = {
+            left_name: deque(), right_name: deque()}
         self._closed = False
         self.left = ChannelEndpoint(self, left_name, right_name)
         self.right = ChannelEndpoint(self, right_name, left_name)
@@ -64,25 +53,35 @@ class Channel:
     def endpoints(self) -> tuple["ChannelEndpoint", "ChannelEndpoint"]:
         return self.left, self.right
 
-    def close(self, reason: str | None = None) -> None:
-        """Close the link; ``reason`` is passed to
-        :meth:`Transport.close` for fabrics that can report it."""
-        self.transport.close(reason)
+    def close(self) -> None:
         self._closed = True
+
+    def _record(self, sender: str, receiver: str, label: str,
+                wire: bytes) -> bytes:
+        """Account for one frame -- its bytes in the stats, its entry in
+        the transcript -- and return it.  Every frame of every channel
+        is recorded here once: an in-process send, a daemon's own send
+        and the peer's frame a daemon takes off the wire."""
+        self.stats.record(sender, receiver, label, len(wire))
+        self.transcript.record(sender, receiver, label, wire)
+        return wire
 
     async def _send(self, sender: str, receiver: str, label: str,
                     value) -> None:
         if self._closed:
             raise ChannelClosedError("channel is closed")
-        wire = serialize_message(value)
-        self.stats.record(sender, receiver, label, len(wire))
-        self.transcript.record(sender, receiver, label, wire)
-        self.transport.deliver(sender, receiver, label, wire)
+        self._inboxes[receiver].append((label, self._record(
+            sender, receiver, label, serialize_message(value))))
 
     def _receive(self, receiver: str, expected_label: str | None):
         if self._closed:
             raise ChannelClosedError("channel is closed")
-        label, wire = self.transport.collect(receiver, expected_label)
+        inbox = self._inboxes[receiver]
+        if not inbox:
+            raise ProtocolDesyncError(
+                f"{receiver} tried to receive "
+                f"{expected_label or 'a message'} but the inbox is empty")
+        label, wire = inbox.popleft()
         if expected_label is not None and label != expected_label:
             raise ProtocolDesyncError(
                 f"{receiver} expected message {expected_label!r} "
@@ -115,17 +114,15 @@ class ChannelEndpoint:
     ``hosted`` says whether this process executes the party's steps.
     Both endpoints of an in-process :class:`Channel` are hosted; a
     channel whose far party lives in another process (the runtime's
-    mirror channel) hosts only its local endpoint.  Choreographies
-    guard each party's step blocks with it (see
-    :attr:`repro.net.party.Party.hosted`).
+    mirror channel) un-hosts the remote one.  Choreographies guard each
+    party's step blocks with it (see :attr:`repro.net.party.Party.hosted`).
     """
 
-    def __init__(self, channel: Channel, name: str, peer_name: str, *,
-                 hosted: bool = True):
+    def __init__(self, channel: Channel, name: str, peer_name: str):
         self._channel = channel
         self.name = name
         self.peer_name = peer_name
-        self.hosted = hosted
+        self.hosted = True
 
     async def send(self, label: str, value) -> None:
         """Send ``value`` to the peer, tagged with a protocol-phase label

@@ -72,11 +72,6 @@ def deserialize_message(data: bytes):
     return value
 
 
-def serialized_size(value) -> int:
-    """Wire size in bytes; what the accounting channel charges."""
-    return len(serialize_message(value))
-
-
 def list_header(count: int) -> bytes:
     """The bytes a ``count``-element list's encoding starts with; the
     elements' encodings follow it, concatenated."""

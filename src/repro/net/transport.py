@@ -1,28 +1,22 @@
-"""Message-delivery fabrics for a two-party link.
+"""The daemons' pair links: one multiplexed connection per pair.
 
-A :class:`~repro.net.channel.Channel` owns *accounting* (wire
-serialization, byte/round statistics, the transcript); the
-:class:`Transport` underneath it owns *delivery*: how a framed message
-travels from one endpoint's outbox to the other endpoint's inbox, and
-what "the inbox is empty" means.  The fabrics, one per place a link
-can live:
+A :class:`~repro.net.channel.Channel` owns the accounting (wire
+serialization, byte/round statistics, the transcript) and, in process,
+delivery too: one FIFO deque per receiver.  This module is what a
+daemon's channel (:class:`~repro.runtime.mirror.MirrorChannel`) sends
+and receives through when the far party lives in another OS process:
 
-- :class:`InProcessTransport` -- both endpoints in one interpreter:
-  plain FIFO deques, zero cost, and an empty inbox is a protocol bug
-  (:class:`ProtocolDesyncError`), never a timing condition.  Every
-  in-process channel runs on it.
-- :class:`SessionLinkTransport` -- one daemon session's view of an
-  :class:`AsyncTcpTransport`, the persistent pair connection that
-  multiplexes many sessions on the daemon's event loop.  The link's two
-  endpoints live in different OS processes; each daemon serves only
-  its local endpoint.  Timeouts map to :class:`TransportTimeoutError`,
-  peer teardown (goodbye frame or EOF) to
-  :class:`TransportClosedError`, and both error messages name the
+- :class:`AsyncTcpTransport` -- the persistent pair connection that
+  multiplexes many sessions on the daemon's event loop;
+- :class:`SessionLinkTransport` -- one session stream's view of it.
+  Each daemon serves only its local endpoint.  Timeouts map to
+  :class:`TransportTimeoutError`, peer teardown (goodbye frame or EOF)
+  to :class:`TransportClosedError`, and both error messages name the
   session, the pair, the local party and the last frame seen, so a
   session that dies mid-protocol is diagnosable from the survivor's
   exception alone.
 
-Transports never look inside ``wire`` bytes and never see plaintext
+Links never look inside ``wire`` bytes and never see plaintext
 values; the trust boundary stays in the channel layer.  (A hub checks
 the first field of a control record -- runtime plumbing, not a protocol
 message -- only for a session it has released.)
@@ -33,8 +27,6 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import random
-from abc import ABC, abstractmethod
-from collections import deque
 
 from repro.net.framing import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -96,74 +88,6 @@ def link_context(left_name: str, right_name: str,
     return f"pair {left_name!r}<->{right_name!r}{local}; {trail}"
 
 
-class Transport(ABC):
-    """Delivery fabric between the two named endpoints of one link."""
-
-    def __init__(self, left_name: str, right_name: str):
-        if left_name == right_name:
-            raise TransportError("endpoints must have distinct names")
-        self.left_name = left_name
-        self.right_name = right_name
-
-    def _check_endpoint(self, name: str) -> None:
-        if name not in (self.left_name, self.right_name):
-            raise TransportError(
-                f"{name!r} is not an endpoint of this link "
-                f"({self.left_name!r} <-> {self.right_name!r})")
-
-    @abstractmethod
-    def deliver(self, sender: str, receiver: str, label: str,
-                wire: bytes) -> None:
-        """Append one framed message to ``receiver``'s inbox."""
-
-    def collect(self, receiver: str,
-                expected_label: str | None) -> tuple[str, bytes]:
-        """Pop the next inbound ``(label, wire)`` for ``receiver``.
-
-        ``expected_label`` is advisory -- it only improves error
-        messages; label *verification* happens in the channel so every
-        fabric enforces identical framing rules.  Only the in-process
-        fabric collects: a daemon's mirror channel takes frames through
-        ``try_collect`` and awaits them through ``wait_message``.
-        """
-        raise TransportError(
-            f"{type(self).__name__} has no blocking collect: daemon "
-            f"sessions receive through try_collect and wait_message")
-
-    def close(self, reason: str | None = None) -> None:
-        """Release fabric resources; delivery after close is undefined.
-
-        ``reason`` is a human-readable diagnosis (e.g. *"party bob died:
-        ZeroDivisionError"*) that fabrics with blocking receivers thread
-        into the error their parked peers see.  Fabrics with nothing to
-        unblock ignore it.
-        """
-
-
-class InProcessTransport(Transport):
-    """Seed-era FIFO deques: free delivery, loud desync on empty inbox."""
-
-    def __init__(self, left_name: str = "alice", right_name: str = "bob"):
-        super().__init__(left_name, right_name)
-        self._inboxes: dict[str, deque] = {left_name: deque(),
-                                           right_name: deque()}
-
-    def deliver(self, sender: str, receiver: str, label: str,
-                wire: bytes) -> None:
-        self._check_endpoint(receiver)
-        self._inboxes[receiver].append((label, wire))
-
-    def collect(self, receiver: str,
-                expected_label: str | None) -> tuple[str, bytes]:
-        self._check_endpoint(receiver)
-        inbox = self._inboxes[receiver]
-        if not inbox:
-            raise ProtocolDesyncError(
-                f"{receiver} tried to receive "
-                f"{expected_label or 'a message'} but the inbox is empty")
-        return inbox.popleft()
-
-
 #: Released sessions each hub remembers, oldest forgotten first.  A
 #: frame that arrives for any tag of one of them after the session
 #: ended is dropped; a tag of an older session would get a fresh view,
@@ -216,14 +140,13 @@ class AsyncTcpTransport:
       session-sync record re-opens a released session -- a session id
       used again;
     - an *outbound writer task* drains a loop-side queue of pre-encoded
-      frames, so worker threads enqueue via ``call_soon_threadsafe``
-      and per-thread send order is preserved end to end.
+      frames in the order the loop enqueued them.
 
-    Each :meth:`session` view is a full :class:`Transport`: the
-    unchanged :class:`~repro.runtime.mirror.MirrorChannel` machinery
-    runs over it, which is the equivalence argument -- multiplexing
-    changes which frames share a socket, never the bytes or the
-    per-session order of any (session, pair, direction) stream.
+    A daemon's :class:`~repro.runtime.mirror.MirrorChannel` sends and
+    substitutes through a :meth:`session` view, which is the
+    equivalence argument -- multiplexing changes which frames share a
+    socket, never the bytes or the per-session order of any (session,
+    pair, direction) stream.
 
     ``net_delay_s`` is the daemon's simulated-latency profile: every
     inbound frame is released to its queue ``net_delay_s`` after it is
@@ -333,12 +256,6 @@ class AsyncTcpTransport:
             self._sessions[session_id] = view
         return view
 
-    def release(self, session_id: str) -> None:
-        """Forget one tag's queues (memory hygiene) and drop the frames
-        that still arrive for any tag of its session."""
-        self._sessions.pop(session_id, None)
-        self._mark_released(session_of_tag(session_id))
-
     def release_session(self, session_id: str) -> None:
         """Forget the views of every tag of one session -- its own and
         its streams', opened here or by a peer's early frame -- and drop
@@ -411,7 +328,7 @@ class AsyncTcpTransport:
         else:
             self.abort(reason)
 
-    # -- outbound (any thread) ---------------------------------------------
+    # -- outbound (event-loop thread) --------------------------------------
 
     def encode_sealed(self, kind: bytes, payload: bytes) -> bytes:
         """Encode one frame, sealing it when the link is authenticated.
@@ -429,12 +346,8 @@ class AsyncTcpTransport:
         return frame
 
     def send_frame(self, frame: bytes) -> None:
-        """Enqueue one pre-encoded frame for the writer task.
-
-        Thread-safe: per-thread enqueue order is preserved, which is
-        all the protocol needs -- within one session exactly one thread
-        sends on a given link at a time.
-        """
+        """Enqueue one pre-encoded frame for the writer task (on the
+        hub's loop, which every sender runs on)."""
         if len(frame) > 4 + self.max_frame_bytes:
             raise FramingError(
                 f"{self.name}: frame of {len(frame) - 4} bytes exceeds "
@@ -444,14 +357,7 @@ class AsyncTcpTransport:
                 f"{self.name}: send on closed connection"
                 + (f": {self._close_reason}" if self._close_reason
                    else ""))
-        try:
-            running = asyncio.get_running_loop()
-        except RuntimeError:
-            running = None
-        if running is self._loop:
-            self._outbox.put_nowait(frame)
-        else:
-            self._loop.call_soon_threadsafe(self._outbox.put_nowait, frame)
+        self._outbox.put_nowait(frame)
 
     # -- fault injection (event-loop thread) -------------------------------
 
@@ -551,7 +457,7 @@ class AsyncTcpTransport:
                             self._last_frame, local_name=self.local_name)
 
 
-class SessionLinkTransport(Transport):
+class SessionLinkTransport:
     """One session's view of a shared :class:`AsyncTcpTransport`.
 
     ``deliver`` encodes the protocol message as an ``m`` frame tagged
@@ -559,29 +465,26 @@ class SessionLinkTransport(Transport):
     Receiving happens on the event loop, never on a blocked thread:
     :meth:`try_collect` takes an already-arrived frame and
     :meth:`wait_message` awaits the next one, both from the session's
-    inbound queue (the blocking ``collect`` refuses).  The control
-    plane (``c`` frames: the session sync) uses :meth:`send_control` /
-    :meth:`next_control` and never touches the message queue: control
-    records are runtime plumbing, never protocol messages.
-
-    Closing a view never closes the shared connection; it only detaches
-    the session from the hub's demux table.
+    inbound queue.  The control plane (``c`` frames: the session sync)
+    uses :meth:`send_control` / :meth:`next_control` and never touches
+    the message queue: control records are runtime plumbing, never
+    protocol messages.  The hub forgets a view when it releases its
+    session.
     """
 
     def __init__(self, hub: AsyncTcpTransport, session_id: str):
-        super().__init__(hub.left_name, hub.right_name)
+        self.left_name = hub.left_name
+        self.right_name = hub.right_name
         self.hub = hub
         self.session_id = session_id
         self.local_name = hub.local_name
         self._message_queue: asyncio.Queue = asyncio.Queue()
         self._control_queue: asyncio.Queue = asyncio.Queue()
 
-    # -- protocol-message plane (Transport interface) ----------------------
+    # -- protocol-message plane --------------------------------------------
 
     def deliver(self, sender: str, receiver: str, label: str,
                 wire: bytes) -> None:
-        self._check_endpoint(sender)
-        self._check_endpoint(receiver)
         if sender != self.local_name:
             raise TransportError(
                 f"{sender!r} is not the local endpoint of this daemon; "
@@ -615,7 +518,6 @@ class SessionLinkTransport(Transport):
         thread ever blocks.  Event-loop thread only (the queue is
         loop-owned).
         """
-        self._check_endpoint(receiver)
         if receiver != self.local_name:
             raise TransportError(
                 f"{receiver!r} is not the local endpoint of this daemon "
@@ -647,13 +549,10 @@ class SessionLinkTransport(Transport):
             ) from None
         return self._checked_item(item, self._message_queue, want)
 
-    def close(self, reason: str | None = None) -> None:
-        self.hub.release(self.session_id)
-
     # -- control plane -----------------------------------------------------
 
     def send_control(self, record_wire: bytes) -> None:
-        """Write one session-tagged control frame (thread-safe)."""
+        """Write one session-tagged control frame."""
         self.hub.send_frame(self.hub.encode_sealed(
             FRAME_MUX_CONTROL,
             encode_mux_payload(self.session_id, record_wire)))

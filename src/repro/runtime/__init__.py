@@ -1,8 +1,9 @@
 """Distributed runtime: party daemons over TCP, and the orchestrator.
 
-The in-process fabric of :mod:`repro.net.transport` runs every party
-inside one interpreter; this package runs the horizontal k-party mesh
-across *real OS processes* over loopback (or LAN) TCP, on one runtime:
+An in-process :class:`~repro.net.channel.Channel` runs both parties of
+a link inside one interpreter; this package runs the horizontal k-party
+mesh across *real OS processes* over loopback (or LAN) TCP, on one
+runtime:
 
 - :mod:`repro.runtime.daemon` -- the party daemon: one asyncio event
   loop per party, persistent pair links carrying *many* interleaved
@@ -22,11 +23,13 @@ across *real OS processes* over loopback (or LAN) TCP, on one runtime:
 - :mod:`repro.runtime.manifest` -- the public description of one
   session: party names, seeds, point counts, the protocol
   configuration, and any planned faults.
-- :mod:`repro.runtime.mirror` and :mod:`repro.runtime.async_pass` --
-  the mirrored-choreography channel that lets the existing two-sided
-  protocol implementations run unchanged across a process boundary,
-  and its suspending form on the daemon event loop, where a query
-  awaits each peer frame that has not arrived.
+- :mod:`repro.runtime.mirror` -- the mirrored-choreography channel: a
+  :class:`~repro.net.channel.Channel` whose far party is remote, which
+  lets the existing two-sided protocol implementations run unchanged
+  across a process boundary; a query awaits each peer frame that has
+  not arrived on the daemon's event loop.
+- :mod:`repro.runtime.async_pass` -- a daemon's pass roles: the points
+  in flight and each query run once as a coroutine.
 - :mod:`repro.runtime.failure` -- typed failure reports: the cause a
   daemon classifies and the retryable/fatal split the orchestrator
   acts on.

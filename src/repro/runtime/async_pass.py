@@ -38,76 +38,19 @@ from repro.clustering.labels import ClusterLabels
 from repro.core.leakage import LeakageLedger
 from repro.multiparty.horizontal import point_queries
 from repro.multiparty.scheduler import AsyncPassExecutor, PeerQuery
-from repro.net.serialization import serialize_message
-from repro.net.transport import ProtocolDesyncError
-from repro.obs.metrics import NULL_INSTRUMENT
 from repro.obs.trace import NULL_SPAN
-from repro.runtime.mirror import MirrorChannel, MirrorChannelError
+from repro.runtime.mirror import MirrorChannel
 
 
-class RestartableMirrorChannel(MirrorChannel):
-    """The daemons' mirror channel: a remote send awaits its frame.
-
-    Same mirrored-choreography semantics as :class:`MirrorChannel` (see
-    its module docstring); its send is the one remote-send
-    substitution.  It takes the frame the transport has already queued
-    (``try_collect``) or, when the frame is still in flight, awaits
-    :attr:`peer_keys` and then the transport's ``wait_message``, which
-    ``timeout_s`` bounds -- suspending the query's coroutine, never a
-    thread.  Nothing restarts; the class keeps its name because the
-    benchmark's probes look it up.
-    """
-
-    #: Live frame accounting (``repro_segment_frames_total{mode="live"}``)
-    #: -- the daemon rebinds it to its registry's counter; the class
-    #: default keeps non-instrumented channels at one no-op call.
-    obs_live = NULL_INSTRUMENT
-
-    def __init__(self, left_name: str, right_name: str, local_name: str,
-                 transport):
-        super().__init__(left_name, right_name, local_name, transport)
-        # Set once the peer's keys are adopted (an asyncio.Event), or
-        # None: a frame wait awaits it first.  The peer announces its
-        # keys before it sends any frame of the pair, so this adds no
-        # wait, and a silent peer fails the session at its
-        # announcement alone.
-        self.peer_keys: asyncio.Event | None = None
-
-    async def _send(self, sender: str, receiver: str, label: str,
-                    value) -> None:
-        if self._closed:
-            raise MirrorChannelError("channel is closed")
-        if sender == self.local_name:
-            wire = serialize_message(value)
-            self.stats.record(sender, receiver, label, len(wire))
-            self.transcript.record(sender, receiver, label, wire)
-            self.transport.deliver(sender, receiver, label, wire)
-            self.obs_live.inc()
-            return
-        # The remote party's send: substitute the authentic frame.  The
-        # locally-passed value is a placeholder and is dropped
-        # unserialized.
-        item = self.transport.try_collect(self.local_name, label)
-        if item is None:
-            if self.peer_keys is not None:
-                await self.peer_keys.wait()
-            item = await self.transport.wait_message(f"frame {label!r}")
-        authentic_label, wire = item
-        if authentic_label != label:
-            raise ProtocolDesyncError(
-                f"cross-process desync on "
-                f"{self.local_name!r}<->{self.remote_name!r}: this "
-                f"choreography reached {sender}'s send of {label!r} but "
-                f"the peer process sent {authentic_label!r}")
-        self.stats.record(sender, receiver, label, len(wire))
-        self.transcript.record(sender, receiver, label, wire)
-        self._remote_inbox.append((label, wire))
-        self.obs_live.inc()
+#: The daemons' mirror channel under the name the benchmark's probes
+#: look up (``RestartableMirrorChannel._send``); nothing restarts.
+RestartableMirrorChannel = MirrorChannel
 
 
 class PairRuntime:
     """Runs one (session, pair) stream's query -- a density test's
-    query over the pair -- on its :class:`RestartableMirrorChannel`.
+    query over the pair -- on its
+    :class:`~repro.runtime.mirror.MirrorChannel`.
 
     A query runs once: where a peer frame has not arrived, its
     coroutine suspends in the channel.  :meth:`_capture` and
@@ -115,7 +58,7 @@ class PairRuntime:
     benchmark's probes look their names up.
     """
 
-    def __init__(self, channel: RestartableMirrorChannel):
+    def __init__(self, channel: MirrorChannel):
         self.channel = channel
 
     def _capture(self) -> None:
@@ -194,7 +137,6 @@ async def drive_pass_async(
 __all__ = [
     "POINTS_IN_FLIGHT",
     "PairRuntime",
-    "RestartableMirrorChannel",
     "drive_pass_async",
     "run_points",
 ]

@@ -36,6 +36,7 @@ import contextlib
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import tempfile
@@ -133,14 +134,23 @@ class SessionHandle:
 
     def _offer(self, party: str, report: PartyReport | None,
                error: FailureReport | None) -> None:
+        """Record one party's outcome (on the client's loop).  The result
+        is ready once every report is in or at the first failure; the
+        handle leaves the client once every party has delivered its
+        outcome, so no record of this run can reach a later session
+        submitted under the same id."""
         with self._lock:
             if report is not None:
                 self._reports[party] = report
             if error is not None:
                 self._errors[party] = error
-            settled = len(self._reports) + len(self._errors)
-            if self._errors or settled == len(self.manifest.names):
-                self._event.set()
+            delivered = len(self._reports.keys() | self._errors.keys())
+            ready = self._errors or delivered == len(self.manifest.names)
+        if delivered == len(self.manifest.names) \
+                and self._client._handles.get(self.session_id) is self:
+            del self._client._handles[self.session_id]
+        if ready:
+            self._event.set()
 
     def done(self) -> bool:
         return self._event.is_set()
@@ -220,6 +230,7 @@ class SessionClient:
         self._writers: dict[str, asyncio.StreamWriter] = {}
         # The loop holds tasks weakly; the client holds its readers.
         self._reader_tasks: list[asyncio.Task] = []
+        # Sessions some daemon has not answered yet.
         self._handles: dict[str, SessionHandle] = {}
         self._metrics_waiters: dict[str, _MetricsWaiter] = {}
         self._metrics_seq = 0
@@ -388,9 +399,8 @@ class SessionClient:
     def _fail_pending(self, name: str, cause: str, reason: str) -> None:
         if self._closed:
             return
-        for handle in self._handles.values():
-            if handle.done():
-                continue
+        # An offer can settle a handle, which then leaves the dict.
+        for handle in list(self._handles.values()):
             with handle._lock:
                 # A lost connection can only lose what this daemon had
                 # not delivered yet.  A daemon that already reported --
@@ -598,6 +608,9 @@ def run_via_daemons(points_by_party: dict[str, list], config,
 
 # -- fleet harness ---------------------------------------------------------
 
+#: The signals that end a fleet's caller or one of its daemons.
+STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
 class _DaemonThread:
     """One in-process daemon on a background thread with its own loop."""
 
@@ -752,10 +765,17 @@ class DaemonFleet:
                 prefix="repro-mesh-")
             spec_path = pathlib.Path(self._spec_dir.name) / "mesh.json"
             spec_path.write_text(self.spec.to_json())
-            self._members = [
-                _DaemonProcess(spec_path, name, self.psk,
-                               trace_dir=self.trace_dir)
-                for name in self.spec.names]
+            # SIGINT and SIGTERM wait until every child is registered, so
+            # a caller ended mid-spawn stops them all; `repro serve`
+            # unblocks both, which its children inherit blocked.
+            held = signal.pthread_sigmask(signal.SIG_BLOCK, STOP_SIGNALS)
+            try:
+                self._members = [
+                    _DaemonProcess(spec_path, name, self.psk,
+                                   trace_dir=self.trace_dir)
+                    for name in self.spec.names]
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, held)
         return self
 
     def client(self, *, client_id: str = "client") -> SessionClient:

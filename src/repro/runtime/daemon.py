@@ -162,10 +162,10 @@ from repro.runtime.manifest import (
 from repro.runtime.async_pass import (
     POINTS_IN_FLIGHT,
     PairRuntime,
-    RestartableMirrorChannel,
     drive_pass_async,
     run_points,
 )
+from repro.runtime.mirror import MirrorChannel
 from repro.smc.session import (
     SealedKeyProvider,
     announce_public_keys,
@@ -1127,10 +1127,10 @@ class PartyDaemon:
                 hub.release_session(manifest.session_id)
             self._active.discard(manifest.session_id)
 
-    def _channel(self, link) -> RestartableMirrorChannel:
+    def _channel(self, link) -> MirrorChannel:
         """A fresh mirror channel over ``link`` (a session view, or a
         fault wrapper around one)."""
-        channel = RestartableMirrorChannel(
+        channel = MirrorChannel(
             link.left_name, link.right_name, self.name, link)
         channel.obs_live = self._obs_frames
         return channel
@@ -1257,7 +1257,7 @@ class PartyDaemon:
         substreams and channel machinery as the in-process mesh.  A
         stream built after the peer's keys were adopted starts on them.
         Its frame waits start once the peer's keys are adopted
-        (:attr:`~repro.runtime.async_pass.RestartableMirrorChannel.peer_keys`),
+        (:attr:`~repro.runtime.mirror.MirrorChannel.peer_keys`),
         so a peer silent at its announcement times out there alone.
         """
         key = (peer, driver, query)

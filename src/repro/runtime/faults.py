@@ -67,7 +67,6 @@ import re
 from dataclasses import dataclass, replace
 
 from repro.net.transport import (
-    Transport,
     TransportClosedError,
     canonical_pair,
     derive_seeded_stream,
@@ -310,7 +309,7 @@ class PartyFaults:
                           f"{spec.pair_key()} {context}")
 
     def link(self, view, pair_key: str, pass_index: int,
-             point_index: int) -> Transport:
+             point_index: int):
         """``view`` -- the pair's stream of the query on pass
         ``pass_index``'s point ``point_index`` -- itself, or a
         :class:`FaultyLink` around it when a frame spec names this pair
@@ -322,7 +321,7 @@ class PartyFaults:
         return FaultyLink(view, specs) if specs else view
 
 
-class FaultyLink(Transport):
+class FaultyLink:
     """A stream's pair link that interprets frame-level faults.
 
     Counts the message frames the stream's channel delivers, so
@@ -334,7 +333,8 @@ class FaultyLink(Transport):
     """
 
     def __init__(self, view, specs):
-        super().__init__(view.left_name, view.right_name)
+        self.left_name = view.left_name
+        self.right_name = view.right_name
         self.view = view
         self._specs = list(specs)
         self._frames = 0
@@ -365,6 +365,3 @@ class FaultyLink(Transport):
 
     async def wait_message(self, want: str = "a message"):
         return await self.view.wait_message(want)
-
-    def close(self, reason: str | None = None) -> None:
-        self.view.close(reason)

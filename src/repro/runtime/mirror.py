@@ -40,11 +40,13 @@ performs the substitution that makes the execution real:
   label, so a step block that should not run here fails loudly instead
   of silently burning CPU on placeholders.
 
-The substitution itself is the daemons' subclass's
-(:class:`~repro.runtime.async_pass.RestartableMirrorChannel`): it
-suspends the query's coroutine on the event loop, never a thread.  This
-base class holds what both directions share: the endpoints, stats,
-transcript and the inbox of substituted frames.
+The mirror channel is a :class:`~repro.net.channel.Channel` whose far
+party is remote: it inherits the endpoints, stats, transcript and the
+local party's inbox, where substituted frames wait for their receive,
+and it records every frame -- its own sends and the peer's substituted
+ones -- through the same :meth:`~repro.net.channel.Channel._record` as
+an in-process send.  A substitution whose frame has not arrived
+suspends the query's coroutine on the event loop, never a thread.
 
 Why this terminates: both processes execute the same deterministic
 sequence of sends (control flow depends only on public shapes, wire
@@ -83,60 +85,57 @@ key, so every decrypt entry point of a sealed key raises
 
 from __future__ import annotations
 
-from collections import deque
+import asyncio
 
-from repro.net.channel import ChannelEndpoint
-from repro.net.serialization import deserialize_message
-from repro.net.stats import CommunicationStats
-from repro.net.transcript import Transcript
-from repro.net.transport import ProtocolDesyncError, Transport
+from repro.net.channel import Channel
+from repro.net.serialization import serialize_message
+from repro.net.transport import ProtocolDesyncError
+from repro.obs.metrics import NULL_INSTRUMENT
 
 
 class MirrorChannelError(RuntimeError):
     """Misuse of the mirror channel (unknown party, closed link)."""
 
 
-class MirrorChannel:
-    """Channel-compatible duplex link whose far party lives elsewhere.
+class MirrorChannel(Channel):
+    """A :class:`~repro.net.channel.Channel` whose far party lives in
+    another process: the daemons' one channel.
 
-    Drop-in for :class:`repro.net.channel.Channel` wherever a session or
-    protocol holds a channel: same endpoints, stats, transcript, and
-    close semantics, over a transport serving ``local_name``.  Delivery
-    is the mirrored substitution described in the module docstring; its
-    send is the subclass's
-    (:meth:`~repro.runtime.async_pass.RestartableMirrorChannel._send`).
+    Same endpoints, stats, transcript and close semantics as an
+    in-process channel, over a session link (``transport``) serving
+    ``local_name``; the remote endpoint is not hosted.  Delivery is the
+    mirrored substitution of the module docstring: a local send is
+    recorded and written to the link, and a remote send takes the frame
+    the link has already queued (``try_collect``) or, when it is still
+    in flight, awaits :attr:`peer_keys` and then the link's
+    ``wait_message``, which ``timeout_s`` bounds.
     """
 
+    #: Live frame accounting (``repro_segment_frames_total{mode="live"}``)
+    #: -- the daemon rebinds it to its registry's counter; the class
+    #: default keeps non-instrumented channels at one no-op call.
+    obs_live = NULL_INSTRUMENT
+
     def __init__(self, left_name: str, right_name: str, local_name: str,
-                 transport: Transport):
+                 transport):
         if left_name == right_name:
             raise MirrorChannelError("parties must have distinct names")
         if local_name not in (left_name, right_name):
             raise MirrorChannelError(
                 f"{local_name!r} is not an endpoint of "
                 f"({left_name!r}, {right_name!r})")
-        self.transcript = Transcript()
-        self.stats = CommunicationStats()
+        super().__init__(left_name, right_name)
         self.transport = transport
         self.local_name = local_name
         self.remote_name = (right_name if local_name == left_name
                             else left_name)
-        self._closed = False
-        # Frames substituted off the wire, awaiting the local receive.
-        self._remote_inbox: deque[tuple[str, bytes]] = deque()
-        self.left = ChannelEndpoint(self, left_name, right_name,
-                                    hosted=left_name == local_name)
-        self.right = ChannelEndpoint(self, right_name, left_name,
-                                     hosted=right_name == local_name)
-
-    @property
-    def endpoints(self) -> tuple[ChannelEndpoint, ChannelEndpoint]:
-        return self.left, self.right
-
-    def close(self, reason: str | None = None) -> None:
-        if not self._closed:
-            self._closed = True
-            self.transport.close(reason)
+        (self.right if local_name == left_name else self.left).hosted = False
+        # Set once the peer's keys are adopted (an asyncio.Event), or
+        # None: a frame wait awaits it first.  The peer announces its
+        # keys before it sends any frame of the pair, so this adds no
+        # wait, and a silent peer fails the session at its
+        # announcement alone.
+        self.peer_keys: asyncio.Event | None = None
 
     def assert_drained(self) -> None:
         """Post-run invariant: every substituted frame met its receive.
@@ -144,14 +143,41 @@ class MirrorChannel:
         A leftover means the two processes' choreographies diverged --
         raise with enough context to see where.
         """
-        if self._remote_inbox:
+        inbox = self._inboxes[self.local_name]
+        if inbox:
             raise ProtocolDesyncError(
                 f"mirror channel {self.local_name!r}<->{self.remote_name!r} "
-                f"not drained: {len(self._remote_inbox)} unconsumed "
-                f"substituted frames (first label "
-                f"{self._remote_inbox[0][0]!r})")
+                f"not drained: {len(inbox)} unconsumed "
+                f"substituted frames (first label {inbox[0][0]!r})")
 
-    # -- Channel protocol --------------------------------------------------
+    async def _send(self, sender: str, receiver: str, label: str,
+                    value) -> None:
+        if self._closed:
+            raise MirrorChannelError("channel is closed")
+        if sender == self.local_name:
+            wire = self._record(sender, receiver, label,
+                                serialize_message(value))
+            self.transport.deliver(sender, receiver, label, wire)
+            self.obs_live.inc()
+            return
+        # The remote party's send: substitute the authentic frame.  The
+        # locally-passed value is a placeholder and is dropped
+        # unserialized.
+        item = self.transport.try_collect(self.local_name, label)
+        if item is None:
+            if self.peer_keys is not None:
+                await self.peer_keys.wait()
+            item = await self.transport.wait_message(f"frame {label!r}")
+        authentic_label, wire = item
+        if authentic_label != label:
+            raise ProtocolDesyncError(
+                "cross-process desync on "
+                f"{self.local_name!r}<->{self.remote_name!r}: this "
+                f"choreography reached {sender}'s send of {label!r} but "
+                f"the peer process sent {authentic_label!r}")
+        self._inboxes[receiver].append(
+            (label, self._record(sender, receiver, label, wire)))
+        self.obs_live.inc()
 
     def _receive(self, receiver: str, expected_label: str | None):
         if self._closed:
@@ -163,15 +189,10 @@ class MirrorChannel:
                 f"{expected_label or 'a message'!r}: a step block is "
                 f"missing its hosted guard (mirror channel "
                 f"{self.local_name!r}<->{self.remote_name!r})")
-        if not self._remote_inbox:
+        if not self._inboxes[receiver]:
             raise ProtocolDesyncError(
                 f"{receiver} tried to receive "
                 f"{expected_label or 'a message'} but no matching send "
                 f"has executed (mirror channel "
                 f"{self.local_name!r}<->{self.remote_name!r})")
-        label, wire = self._remote_inbox.popleft()
-        if expected_label is not None and label != expected_label:
-            raise ProtocolDesyncError(
-                f"{receiver} expected message {expected_label!r} "
-                f"but got {label!r}")
-        return deserialize_message(wire)
+        return super()._receive(receiver, expected_label)

@@ -267,19 +267,24 @@ def verify_against_in_process(run: OrchestratedRun,
                               seeds: list[int], *,
                               reference=None,
                               mesh=None) -> dict[str, bool]:
-    """The equivalence bar, as data: run the workload on the in-process
-    fabric and compare every protocol observable.
+    """The equivalence bar, as data: run the workload in process and
+    compare every protocol observable.
 
-    Returns ``{check: passed}`` for labels, the disclosure ledger, the
+    ``run`` is an orchestrated run or a daemon session
+    (:class:`~repro.runtime.client.DaemonRun`).  Returns
+    ``{check: passed}`` for labels, the disclosure ledger, the
     comparison count, the per-pair transcript digests, and the merged
     stats snapshot (rounds included).  The daemons run the k passes at
     once and the mesh one after another; both report each pair in
-    canonical pass order, so the two compare bit for bit.  The CLI's
-    ``--verify``, the distributed example, and the benchmark's
-    ``socket_runtime`` arm all call this one helper, so the bar cannot
-    drift between surfaces.  Callers that already ran
-    the in-process arm (benchmarks, timing both sides) pass their
-    ``reference`` result and ``mesh`` to skip the duplicate execution.
+    canonical pass order, so the two compare bit for bit.  The reference
+    mesh runs under the session's ``rng_namespace``, so a wave session
+    (``submit_wave``, ``repro submit --concurrency``) is checked against
+    its own coins.  ``repro orchestrate --verify``, ``repro submit
+    --verify``, the distributed example, and the layered benchmark all
+    call this one helper, so the bar cannot drift between surfaces.
+    Callers that already ran the in-process arm (benchmarks, timing both
+    sides) pass their ``reference`` result and ``mesh`` to skip the
+    duplicate execution.
     """
     from repro.multiparty.horizontal import run_multiparty_horizontal_dbscan
     from repro.multiparty.mesh import PartyMesh
@@ -290,7 +295,8 @@ def verify_against_in_process(run: OrchestratedRun,
             "pass reference and mesh together (the digests come from the "
             "mesh that produced the reference result)")
     if mesh is None:
-        mesh = PartyMesh(list(points_by_party), config.smc, seeds=seeds)
+        mesh = PartyMesh(list(points_by_party), config.smc, seeds=seeds,
+                         rng_namespace=run.manifest.rng_namespace)
         reference = run_multiparty_horizontal_dbscan(
             points_by_party, config, seeds=seeds, mesh=mesh)
     reference_digests = {

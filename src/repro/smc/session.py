@@ -104,7 +104,8 @@ def channel_for_config(config: SmcConfig, left_name: str = "alice",
 
     The two-party runners, each pairwise link of the k-party mesh and
     the benchmark harness build their channels here; every config gets
-    the same :class:`~repro.net.transport.InProcessTransport` fabric.
+    the same :class:`~repro.net.channel.Channel`, which delivers
+    through its own per-receiver deques.
     """
     return Channel(left_name=left_name, right_name=right_name)
 

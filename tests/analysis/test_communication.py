@@ -3,12 +3,9 @@
 import pytest
 
 from repro.analysis.communication import (
-    bytes_per_unit,
     enhanced_predicted_bits,
     fit_through_origin,
-    horizontal_pair_term,
     horizontal_predicted_bits,
-    horizontal_work_term,
     vertical_predicted_bits,
     vertical_work_term,
     ympp_predicted_bits,
@@ -35,8 +32,6 @@ class TestFormulas:
         assert ympp_predicted_bits(128, 16) > 1.9 * ympp_predicted_bits(64, 16)
 
     def test_work_terms(self):
-        assert horizontal_work_term(10, 4, 3) == 72
-        assert horizontal_pair_term(10, 4) == 24
         assert vertical_work_term(10) == 90
 
 
@@ -74,7 +69,3 @@ class TestFitting:
             fit_through_origin([1.0], [1.0])
         with pytest.raises(ValueError, match="zero"):
             fit_through_origin([0.0, 0.0], [1.0, 2.0])
-
-    def test_bytes_per_unit_wrapper(self):
-        fit = bytes_per_unit([100, 200, 300], [1, 2, 3])
-        assert fit.coefficient == pytest.approx(100.0)

@@ -3,7 +3,6 @@
 import random
 
 from repro.analysis.figures import (
-    ownership_summary,
     render_arbitrary_figure,
     render_horizontal_figure,
     render_vertical_figure,
@@ -55,11 +54,6 @@ class TestArbitraryFigure:
         assert lines[1].count("A") == 2 and lines[1].count("B") == 1
         assert lines[2].count("B") == 3
         assert lines[3].count("A") == 2
-
-    def test_summary_counts_cells(self):
-        partition = partition_arbitrary(DATASET, random.Random(0))
-        summary = ownership_summary(partition)
-        assert summary["alice"] + summary["bob"] == 9
 
     def test_header_names_attributes(self):
         partition = partition_arbitrary(DATASET, random.Random(0))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.report import format_bytes, format_ratio, render_table
+from repro.analysis.report import format_ratio, render_table
 
 
 class TestRenderTable:
@@ -28,11 +28,6 @@ class TestRenderTable:
 
 
 class TestFormatting:
-    def test_format_bytes(self):
-        assert format_bytes(500) == "500 B"
-        assert format_bytes(2048) == "2.0 KiB"
-        assert format_bytes(3 * 1024 * 1024) == "3.00 MiB"
-
     def test_format_ratio(self):
         assert format_ratio(0) == "0"
         assert format_ratio(0.25) == "0.250"

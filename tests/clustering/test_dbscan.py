@@ -6,10 +6,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.clustering.dbscan import core_points, dbscan
+from repro.clustering.dbscan import dbscan
 from repro.clustering.labels import NOISE, UNCLASSIFIED
 from repro.clustering.neighborhoods import BruteForceIndex
 from repro.clustering.union_density import union_density_dbscan
+
+
+def core_points(points, eps_squared: int, min_pts: int) -> list[int]:
+    """Indices of the core points (|N_eps| >= min_pts), by brute force."""
+    index = BruteForceIndex(points)
+    return [i for i, point in enumerate(points)
+            if len(index.region_query(point, eps_squared)) >= min_pts]
+
 
 points_strategy = st.lists(
     st.tuples(st.integers(min_value=-100, max_value=100),

@@ -9,10 +9,9 @@ from repro.clustering.parameter_estimation import (
     k_distance_profile,
     knee_index,
     suggest_eps,
-    suggest_parameters,
 )
+from repro.crypto.encoding import FixedPointEncoder
 from repro.data.workloads import standard_workload
-from repro.data.quantize import quantize_eps
 
 
 class TestKDistanceProfile:
@@ -68,10 +67,10 @@ class TestSuggestions:
         """On the grid workload (tight clusters, far apart) the suggested
         eps must recover the designed structure."""
         workload = standard_workload("grid")
-        eps, min_pts = suggest_parameters(list(workload.points), k=3,
-                                          scale=100)
+        eps = suggest_eps(list(workload.points), k=3, scale=100)
+        # Ester et al.: min_pts = k + 1.
         labels = dbscan(list(workload.points),
-                        quantize_eps(eps, 100), min_pts)
+                        FixedPointEncoder(100).encode_eps_squared(eps), 4)
         found = {label for label in labels.as_tuple() if label != -1}
         assert len(found) == workload.expected_clusters
 
@@ -80,8 +79,3 @@ class TestSuggestions:
         eps = suggest_eps(list(workload.points), k=3, scale=100)
         # Intra-cluster spacing 0.2, inter-cluster gap 5.0.
         assert 0.2 <= eps < 5.0
-
-    def test_min_pts_is_k_plus_one(self):
-        points = [(i, 0) for i in range(10)]
-        __, min_pts = suggest_parameters(points, k=4)
-        assert min_pts == 5

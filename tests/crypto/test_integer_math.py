@@ -8,8 +8,6 @@ from hypothesis import given, strategies as st
 from repro.crypto.integer_math import (
     crt_pair,
     egcd,
-    int_bit_length_bytes,
-    isqrt_exact,
     lcm,
     mod_inverse,
 )
@@ -91,27 +89,3 @@ class TestCrtPair:
         p, q = 10007, 10009
         value = x % (p * q)
         assert crt_pair(value % p, p, value % q, q) == value
-
-
-class TestBitLengthBytes:
-    @pytest.mark.parametrize("value,expected", [
-        (0, 1), (1, 1), (255, 1), (256, 2), (65535, 2), (65536, 3),
-        (-300, 2),
-    ])
-    def test_cases(self, value, expected):
-        assert int_bit_length_bytes(value) == expected
-
-
-class TestIsqrtExact:
-    def test_perfect_square(self):
-        assert isqrt_exact(144) == 12
-
-    def test_non_square(self):
-        assert isqrt_exact(145) is None
-
-    def test_negative(self):
-        assert isqrt_exact(-4) is None
-
-    @given(st.integers(min_value=0, max_value=10**9))
-    def test_squares_recognized(self, root):
-        assert isqrt_exact(root * root) == root

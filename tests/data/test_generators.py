@@ -5,6 +5,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.clustering.dbscan import dbscan
+from repro.crypto.encoding import FixedPointEncoder
 from repro.data.generators import (
     concentric_rings,
     gaussian_blobs,
@@ -13,7 +14,9 @@ from repro.data.generators import (
     two_moons,
     uniform_noise,
 )
-from repro.data.quantize import quantize_eps
+
+#: The scale the generators' points are quantized with.
+ENCODER = FixedPointEncoder(100)
 
 
 class TestGaussianBlobs:
@@ -29,7 +32,7 @@ class TestGaussianBlobs:
         points = gaussian_blobs(random.Random(1),
                                 centers=[(0, 0), (20, 20)],
                                 points_per_blob=15, spread=0.3)
-        labels = dbscan(points, quantize_eps(1.5), 4)
+        labels = dbscan(points, ENCODER.encode_eps_squared(1.5), 4)
         first = set(labels.as_tuple()[:15]) - {-1}
         second = set(labels.as_tuple()[15:]) - {-1}
         assert first and second and not (first & second)
@@ -52,7 +55,7 @@ class TestTwoMoons:
 
     def test_moons_are_disjoint_clusters(self):
         points = two_moons(random.Random(3), points_per_moon=60, noise=0.08)
-        labels = dbscan(points, quantize_eps(0.8), 4)
+        labels = dbscan(points, ENCODER.encode_eps_squared(0.8), 4)
         clusters = {label for label in labels.as_tuple() if label != -1}
         assert len(clusters) >= 2
 
@@ -65,7 +68,7 @@ class TestConcentricRings:
     def test_rings_separate(self):
         points = concentric_rings(random.Random(4), points_per_ring=70,
                                   radii=(1.5, 5.0), noise=0.05)
-        labels = dbscan(points, quantize_eps(0.7), 3)
+        labels = dbscan(points, ENCODER.encode_eps_squared(0.7), 3)
         inner = {labels[i] for i in range(70)} - {-1}
         outer = {labels[i] for i in range(70, 140)} - {-1}
         assert inner and outer and not (inner & outer)
@@ -95,7 +98,7 @@ class TestGridClusters:
         """The designed property: obvious ground truth for mid eps."""
         points = grid_clusters(clusters_per_side=2, cluster_size=3,
                                cluster_step=0.2, cluster_gap=10.0)
-        labels = dbscan(points, quantize_eps(0.5), 3)
+        labels = dbscan(points, ENCODER.encode_eps_squared(0.5), 3)
         clusters = {label for label in labels.as_tuple() if label != -1}
         assert len(clusters) == 4
 

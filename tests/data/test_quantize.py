@@ -2,9 +2,9 @@
 
 from hypothesis import given, strategies as st
 
+from repro.crypto.encoding import FixedPointEncoder
 from repro.data.quantize import (
     max_coordinate,
-    quantize_eps,
     quantize_points,
     squared_distance_bound,
 )
@@ -23,12 +23,12 @@ class TestQuantizePoints:
 
 class TestQuantizeEps:
     def test_exact(self):
-        assert quantize_eps(1.0, scale=100) == 10000
+        assert FixedPointEncoder(100).encode_eps_squared(1.0) == 10000
 
     def test_consistency_with_points(self):
         """Points exactly eps apart must satisfy dist^2 <= eps^2."""
         points = quantize_points([(0.0, 0.0), (0.0, 1.0)], scale=100)
-        eps_squared = quantize_eps(1.0, scale=100)
+        eps_squared = FixedPointEncoder(100).encode_eps_squared(1.0)
         actual = sum((a - b) ** 2 for a, b in zip(*points))
         assert actual <= eps_squared
 

@@ -3,11 +3,10 @@
 import pytest
 
 from repro.clustering.dbscan import dbscan
-from repro.data.quantize import quantize_eps
+from repro.crypto.encoding import FixedPointEncoder
 from repro.data.workloads import (
     WORKLOAD_NAMES,
     WorkloadError,
-    all_standard_workloads,
     standard_workload,
 )
 
@@ -36,25 +35,19 @@ class TestRegistry:
         assert standard_workload("moons", seed=3).points \
             == standard_workload("moons", seed=3).points
 
-    def test_all_standard_workloads(self):
-        workloads = all_standard_workloads()
-        assert [w.name for w in workloads] == list(WORKLOAD_NAMES)
-
 
 class TestParametersResolveStructure:
     @pytest.mark.parametrize("name", [n for n in WORKLOAD_NAMES
                                       if n != "noisy_blob"])
     def test_expected_cluster_count(self, name):
         workload = standard_workload(name)
-        labels = dbscan(list(workload.points),
-                        quantize_eps(workload.eps, 100),
-                        workload.min_pts)
+        eps_squared = FixedPointEncoder(100).encode_eps_squared(workload.eps)
+        labels = dbscan(list(workload.points), eps_squared, workload.min_pts)
         found = {label for label in labels.as_tuple() if label != -1}
         assert len(found) == workload.expected_clusters, name
 
     def test_noisy_blob_has_noise(self):
         workload = standard_workload("noisy_blob")
-        labels = dbscan(list(workload.points),
-                        quantize_eps(workload.eps, 100),
-                        workload.min_pts)
+        eps_squared = FixedPointEncoder(100).encode_eps_squared(workload.eps)
+        labels = dbscan(list(workload.points), eps_squared, workload.min_pts)
         assert -1 in labels.as_tuple()

@@ -12,6 +12,7 @@ from repro.net.channel import (
     drive,
 )
 from repro.net.party import make_party_pair
+from repro.net.serialization import serialize_message
 
 
 class TestSendReceive:
@@ -89,6 +90,13 @@ class TestAccounting:
         assert entries[0].sender == "alice"
         assert entries[0].value == [1, "two"]
         assert entries[1].receiver == "alice"
+
+    @pytest.mark.parametrize("value", [12345, "abc", [1, "x", None]])
+    def test_charges_the_serialized_size(self, channel, value):
+        drive(channel.left.send("m", value))
+        wire = serialize_message(value)
+        assert channel.stats.total_bytes == len(wire)
+        assert channel.transcript.entries[0].wire == wire
 
     def test_unserializable_value_never_counted(self, channel):
         with pytest.raises(Exception):

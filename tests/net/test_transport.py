@@ -1,18 +1,17 @@
-"""Transport fabrics: delivery semantics, error diagnosis, thread safety."""
+"""Pair links: delivery semantics, error diagnosis, thread safety."""
 
 import asyncio
 import threading
 
 import pytest
 
-from repro.net.channel import Channel, ProtocolDesyncError
+from repro.net.channel import Channel, ProtocolDesyncError, drive
 from repro.net.framing import FRAME_CONTROL
 from repro.net.serialization import serialize_message
 from repro.net.stats import CommunicationStats
 from repro.net.transport import (
     RELEASED_TAGS_KEPT,
     AsyncTcpTransport,
-    InProcessTransport,
     TransportClosedError,
     TransportError,
     TransportTimeoutError,
@@ -39,27 +38,20 @@ async def tcp_transport_pair(timeout_s: float = 2.0, metrics=None):
     return left, right
 
 
-class TestInProcessTransport:
+class TestInProcessChannel:
     def test_fifo_and_desync(self):
-        transport = InProcessTransport("a", "b")
-        transport.deliver("a", "b", "x", b"1")
-        transport.deliver("a", "b", "y", b"2")
-        assert transport.collect("b", None) == ("x", b"1")
-        assert transport.collect("b", None) == ("y", b"2")
+        channel = Channel("a", "b")
+        drive(channel.left.send("x", 1))
+        drive(channel.left.send("y", 2))
+        assert channel.right.receive() == 1
+        assert channel.right.receive() == 2
         with pytest.raises(ProtocolDesyncError, match="inbox is empty"):
-            transport.collect("b", "z")
-
-    def test_unknown_endpoint(self):
-        transport = InProcessTransport("a", "b")
-        with pytest.raises(TransportError, match="not an endpoint"):
-            transport.deliver("a", "c", "x", b"1")
+            channel.right.receive("z")
 
     def test_channel_for_config(self):
         channel = channel_for_config(SmcConfig(), "x", "y")
         assert isinstance(channel, Channel)
-        assert isinstance(channel.transport, InProcessTransport)
-        assert (channel.transport.left_name,
-                channel.transport.right_name) == ("x", "y")
+        assert (channel.left.name, channel.right.name) == ("x", "y")
 
 
 class TestTcpTransport:
@@ -199,7 +191,7 @@ class TestReleasedTags:
             tags = ("s", "s#alice")
             for tag in tags:
                 right.session(tag)
-                right.release(tag)
+            right.release_session("s")
             for tag in tags:
                 view = left.session(tag)
                 view.deliver("alice", "bob", "late", b"1")
@@ -229,7 +221,7 @@ class TestReleasedTags:
             left, right = await tcp_transport_pair(metrics=registry)
             for tag in ("again", "local"):
                 right.session(tag)
-                right.release(tag)
+                right.release_session(tag)
             left.session("again").send_control(sync)
             await _arrived(right, "again")
             record = await right.session("again").next_control()
@@ -257,7 +249,7 @@ class TestReleasedTags:
         async def run():
             left, right = await tcp_transport_pair(metrics=registry)
             right.session("timed-out")
-            right.release("timed-out")
+            right.release_session("timed-out")
             late = left.session("timed-out")
             late.send_control(sync)
             late.deliver("alice", "bob", "keys/paillier_pub", b"4")
@@ -275,16 +267,16 @@ class TestReleasedTags:
         assert registry.snapshot()["counters"].get(self.LATE, 0) == 0
 
     def test_history_is_kept_per_session(self):
-        """A session releases one tag per stream; the history holds one
-        entry for it, and a frame for any tag of it -- even one this hub
-        never opened -- is late."""
+        """Releasing a session drops the view of every stream of it;
+        the history holds one entry for it, and a frame for any tag of
+        it -- even one this hub never opened -- is late."""
         registry = MetricsRegistry()
 
         async def run():
             left, right = await tcp_transport_pair(metrics=registry)
             for tag in ("s", "s#alice#0", "s#alice#1", "s#bob#0"):
                 right.session(tag)
-                right.release(tag)
+            right.release_session("s")
             released = dict(right._released)
             left.session("s#bob#7").deliver("alice", "bob", "late", b"1")
             left.session("fresh").deliver("alice", "bob", "m", b"2")
@@ -302,19 +294,10 @@ class TestReleasedTags:
     def test_released_tags_are_bounded(self):
         hub = AsyncTcpTransport("alice", "bob", "bob")
         for index in range(RELEASED_TAGS_KEPT + 10):
-            hub.release(f"s{index}")
+            hub.release_session(f"s{index}")
         assert len(hub._released) == RELEASED_TAGS_KEPT
         assert "s0" not in hub._released
         assert f"s{RELEASED_TAGS_KEPT + 9}" in hub._released
-
-
-class TestSessionLinkTransport:
-    def test_blocking_collect_refused(self):
-        """Daemon sessions park coroutines, never threads: the blocking
-        receive of the Transport interface is refused by name."""
-        view = AsyncTcpTransport("alice", "bob", "alice").session("s")
-        with pytest.raises(TransportError, match="try_collect"):
-            view.collect("alice", "m")
 
 
 class TestStatsThreadSafety:

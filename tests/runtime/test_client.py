@@ -31,6 +31,7 @@ from repro.runtime.client import (
 from repro.runtime.daemon import (
     CONTROL_GET_METRICS,
     CONTROL_METRICS,
+    CONTROL_SESSION_FAILED,
     CONTROL_SESSION_REPORT,
     CONTROL_SHUTDOWN,
     CONTROL_START_SESSION,
@@ -293,6 +294,81 @@ class TestOneLoop:
             client.close()
         assert {failure.cause for failure in excinfo.value.failures} \
             == {"connection-lost"}
+
+
+def _failure_messages(handle) -> dict[str, str]:
+    return {party: failure.message
+            for party, failure in handle._errors.items()}
+
+
+@pytest.mark.sockets
+class TestSettledSessions:
+    """A session leaves the client once every daemon has answered it.
+    Each fake answers a ``get_metrics`` after its session records, so
+    a completed ``get_metrics`` call means both daemons' session
+    records have been routed."""
+
+    def test_a_failed_session_leaves_the_client_and_frees_its_id(self):
+        starts = {"p0": 0, "p1": 0}
+
+        def failing(name):
+            def on_start(manifest):
+                starts[name] += 1
+                return [[CONTROL_SESSION_FAILED, manifest.session_id,
+                         f"{name} run {starts[name]}", "internal"]]
+            return on_start
+
+        fakes = {name: FakeDaemon(on_start=failing(name))
+                 for name in ("p0", "p1")}
+        spec = _fake_mesh(fakes)
+        points = {"p0": [(0, 0)], "p1": [(1, 0)]}
+        client = SessionClient(spec)
+        try:
+            for run in (1, 2):
+                handle = client.submit(_manifest(spec, points), points)
+                with pytest.raises(SessionClientError, match="failed on"):
+                    handle.result(timeout=5.0)
+                client.get_metrics(timeout=5.0)
+                assert client._handles == {}
+                assert _failure_messages(handle) \
+                    == {"p0": f"p0 run {run}", "p1": f"p1 run {run}"}
+        finally:
+            client.close()
+            for fake in fakes.values():
+                fake.join()
+
+    def test_a_record_for_a_settled_session_changes_nothing(self):
+        def on_start(manifest):
+            records = [[CONTROL_SESSION_FAILED, manifest.session_id,
+                        f"{manifest.session_id} failed", "internal"]]
+            if manifest.session_id == "s2":
+                # Arrives after s1 has left the client.
+                records.insert(0, [CONTROL_SESSION_FAILED, "s1", "stale",
+                                   "internal"])
+            return records
+
+        fakes = {"p0": FakeDaemon(on_start=on_start),
+                 "p1": FakeDaemon(on_start=on_start)}
+        spec = _fake_mesh(fakes)
+        points = {"p0": [(0, 0)], "p1": [(1, 0)]}
+        client = SessionClient(spec)
+        try:
+            handles = []
+            for session_id in ("s1", "s2"):
+                handles.append(client.submit(
+                    _manifest(spec, points, session_id=session_id), points))
+                with pytest.raises(SessionClientError):
+                    handles[-1].result(timeout=5.0)
+                client.get_metrics(timeout=5.0)
+                assert client._handles == {}
+        finally:
+            client.close()
+            for fake in fakes.values():
+                fake.join()
+        for handle in handles:
+            failed = f"{handle.session_id} failed"
+            assert _failure_messages(handle) \
+                == {"p0": failed, "p1": failed}
 
 
 @pytest.mark.sockets

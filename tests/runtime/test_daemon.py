@@ -12,7 +12,11 @@ validation) run unmarked; everything touching real sockets carries the
 import asyncio
 import json
 import logging
+import os
+import pathlib
 import random
+import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -1012,6 +1016,64 @@ class TestDaemonRejections:
                         by_party)
                 first.result(120)
 
+    def test_settled_sessions_leave_the_client(self):
+        """A handle leaves the client once every daemon has answered, so
+        a long-lived client does not grow per session, and a finished
+        session's id may be submitted again: the re-run is bit-identical
+        to the first."""
+        by_party = workload(2)
+        seeds = [31, 32]
+        config = make_config()
+        manifests = [build_manifest(by_party, config, seeds,
+                                    session_id=f"h{index}",
+                                    ports=spec_ports(by_party))
+                     for index in range(4)]
+        with DaemonFleet(list(by_party)) as fleet:
+            with fleet.client() as client:
+                handles = [client.submit(manifest, by_party)
+                           for manifest in manifests]
+                first = [handle.result(120) for handle in handles][0]
+                assert client._handles == {}
+                again = client.run(manifests[0], by_party, timeout=120)
+                assert client._handles == {}
+        assert again.transcript_digests == first.transcript_digests
+        assert again.result.labels_by_party == first.result.labels_by_party
+        assert again.result.ledger.events == first.result.ledger.events
+        assert again.result.comparisons == first.result.comparisons
+        assert again.result.stats == first.result.stats
+
+
+def _proc_stat(pid: int) -> list[str] | None:
+    """The fields of ``/proc/<pid>/stat`` after the command name (state,
+    parent pid, ...), or ``None`` once the process is gone."""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return stat.rpartition(")")[2].split()
+
+
+def _alive(pid: int) -> bool:
+    fields = _proc_stat(pid)
+    return fields is not None and fields[0] != "Z"
+
+
+def _serve_children(parent: int) -> dict[int, list[str]]:
+    """The live ``repro serve`` children of ``parent``: pid -> argv."""
+    children = {}
+    for entry in pathlib.Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        fields = _proc_stat(int(entry.name))
+        try:
+            argv = (entry / "cmdline").read_bytes().decode().split("\0")
+        except OSError:
+            continue
+        if fields and fields[0] != "Z" and int(fields[1]) == parent \
+                and "serve" in argv:
+            children[int(entry.name)] = argv
+    return children
+
 
 @pytest.mark.sockets
 class TestDaemonCli:
@@ -1023,8 +1085,39 @@ class TestDaemonCli:
             capture_output=True, text=True, timeout=240)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("labels=") == 2
+        assert proc.stdout.count("verify stats: bit-identical") == 2
         assert "MISMATCH" not in proc.stdout
         assert "warm_start=True" in proc.stdout
+
+    def test_sigterm_stops_the_spawned_daemons(self):
+        """``repro submit --spawn`` ended by SIGTERM unwinds through its
+        fleet's stop: no ``repro serve`` child outlives it, and its
+        spec directory is removed."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "submit", "--spawn",
+             "--parties", "3", "--sessions", "40", "--points", "12"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        children: dict[int, list[str]] = {}
+        try:
+            wait_until(lambda: len(_serve_children(proc.pid)) == 3,
+                       timeout=60)
+            children = _serve_children(proc.pid)
+            argv = next(iter(children.values()))
+            spec_dir = pathlib.Path(argv[argv.index("--spec") + 1]).parent
+            assert spec_dir.name.startswith("repro-mesh-")
+            proc.send_signal(signal.SIGTERM)
+            _, stderr = proc.communicate(timeout=60)
+            assert [pid for pid in children if _alive(pid)] == []
+            assert not spec_dir.exists()
+            assert proc.returncode == 128 + signal.SIGTERM, stderr
+        finally:
+            proc.kill()
+            proc.wait()
+            for pid in children:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            if children:
+                shutil.rmtree(spec_dir, ignore_errors=True)
 
 
 @pytest.mark.sockets
@@ -1086,6 +1179,26 @@ class TestDaemonScaleOut:
             assert_matches_reference(run, reference, digests)
             digest_sets.add(frozenset(digests.items()))
         assert len(digest_sets) == 3
+
+    def test_wave_sessions_pass_the_verification_helper(self):
+        """``verify_against_in_process`` checks each wave copy against a
+        reference under the copy's own ``rng_namespace``, so every one
+        of its five checks passes."""
+        by_party = workload(3)
+        seeds = [31, 32, 33]
+        config = make_config()
+        manifest = build_manifest(by_party, config, seeds,
+                                  session_id="verified",
+                                  ports=spec_ports(by_party))
+        with DaemonFleet(list(by_party)) as fleet:
+            with fleet.client() as client:
+                runs = [handle.result(240) for handle in
+                        client.submit_wave(manifest, by_party, 2)]
+        for run in runs:
+            assert verify_against_in_process(
+                run, by_party, config, seeds) == dict.fromkeys(
+                ("labels", "ledger", "comparisons", "transcripts",
+                 "stats"), True)
 
 
 @pytest.mark.sockets

@@ -24,9 +24,7 @@ from repro.crypto.sealed import (
     is_sealed,
     public_key_digest,
     seal_paillier_keypair,
-    seal_rsa_keypair,
 )
-from repro.crypto.rsa import generate_rsa_keypair
 from repro.data.generators import gaussian_blobs
 from repro.multiparty.horizontal import run_multiparty_horizontal_dbscan
 from repro.multiparty.mesh import PartyMesh
@@ -297,14 +295,6 @@ class TestSealedKeys:
                 engine.decrypt_raw_batch(sealed.private_key, [cipher] * 4)
             assert engine.report()["jobs"] == 0
             assert engine._executor is None
-
-    def test_sealed_rsa_private_raises_on_sign_and_secret_access(self):
-        keypair = generate_rsa_keypair(bits=512, rng=random.Random(7))
-        sealed = seal_rsa_keypair(keypair.public_key, "peer")
-        with pytest.raises(PublicOnlyKeyError):
-            sealed.private_key.decrypt(12345)
-        with pytest.raises(PublicOnlyKeyError):
-            _ = sealed.private_key.d
 
     def test_wire_adoption_pins_the_manifest_digest(self):
         from repro.smc.session import (

@@ -14,9 +14,11 @@ import pytest
 
 from repro.net.channel import Channel, ProtocolDesyncError, drive
 from repro.net.party import Party, make_party_pair
+from repro.net.serialization import FixedWidthList
 from repro.net.transcript import transcript_digest
-from repro.net.transport import Transport, TransportTimeoutError
-from repro.runtime.async_pass import RestartableMirrorChannel
+from repro.net.transport import TransportTimeoutError
+from repro.obs.metrics import Counter
+from repro.runtime.mirror import MirrorChannel, MirrorChannelError
 from repro.smc.session import (
     FullKeyProvider,
     SmcConfig,
@@ -27,7 +29,7 @@ from repro.smc.session import (
 SMC = SmcConfig(paillier_bits=128, comparison="bitwise", key_seed=871)
 
 
-class QueueTransport(Transport):
+class QueueTransport:
     """One endpoint's side of a link whose far end is another task:
     ``deliver`` feeds the peer's queue; ``try_collect`` takes a frame
     that has arrived on ours and ``wait_message`` awaits one, as a
@@ -35,7 +37,6 @@ class QueueTransport(Transport):
 
     def __init__(self, local_name: str, inbox: asyncio.Queue,
                  outbox: asyncio.Queue, timeout_s: float):
-        super().__init__("alice", "bob")
         self.local_name = local_name
         self.inbox, self.outbox = inbox, outbox
         self.timeout_s = timeout_s
@@ -60,10 +61,10 @@ class QueueTransport(Transport):
 
 def mirror_pair(timeout_s: float = 10.0):
     to_alice, to_bob = asyncio.Queue(), asyncio.Queue()
-    return [RestartableMirrorChannel(
+    return [MirrorChannel(
                 "alice", "bob", "alice",
                 QueueTransport("alice", to_alice, to_bob, timeout_s)),
-            RestartableMirrorChannel(
+            MirrorChannel(
                 "alice", "bob", "bob",
                 QueueTransport("bob", to_bob, to_alice, timeout_s))]
 
@@ -82,8 +83,8 @@ def run_mirrored(choreography, inputs: dict[str, object],
                     for name, value in inputs.items()}
             try:
                 outcomes[local] = await choreography(channel, view)
-            except BaseException as exc:
-                channel.close(reason=f"{local} failed: {exc}")
+            except BaseException:
+                channel.close()
                 raise
 
         await asyncio.gather(side("alice", left), side("bob", right))
@@ -219,9 +220,123 @@ class TestMirrorMechanics:
     def test_unknown_local_party_rejected(self):
         transport = QueueTransport("alice", asyncio.Queue(),
                                    asyncio.Queue(), timeout_s=1.0)
-        from repro.runtime.mirror import MirrorChannelError
         with pytest.raises(MirrorChannelError, match="not an endpoint"):
-            RestartableMirrorChannel("alice", "bob", "carol", transport)
+            MirrorChannel("alice", "bob", "carol", transport)
+
+    def test_same_party_names_rejected(self):
+        transport = QueueTransport("alice", asyncio.Queue(),
+                                   asyncio.Queue(), timeout_s=1.0)
+        with pytest.raises(MirrorChannelError, match="distinct"):
+            MirrorChannel("alice", "alice", "alice", transport)
+
+    def test_closed_channel_refuses_sends_and_receives(self):
+        async def scenario():
+            left, _ = mirror_pair()
+            left.close()
+            with pytest.raises(MirrorChannelError, match="closed"):
+                await left.left.send("m", 1)
+            with pytest.raises(MirrorChannelError, match="closed"):
+                await left._send("bob", "alice", "m", None)
+            with pytest.raises(MirrorChannelError, match="closed"):
+                left.left.receive("m")
+
+        asyncio.run(scenario())
+
+    def test_substituted_frame_checks_the_receive_label(self):
+        async def scenario():
+            left, right = mirror_pair()
+            await left.left.send("m", 5)
+            await right._send("alice", "bob", "m", None)
+            with pytest.raises(ProtocolDesyncError,
+                               match="expected message 'n' but got 'm'"):
+                right.right.receive("n")
+
+        asyncio.run(scenario())
+
+    def test_substitution_waits_for_the_peer_keys(self):
+        """A frame not yet taken off the link waits for the peer's keys
+        first, even when the frame itself arrives before them."""
+        async def scenario():
+            left, right = mirror_pair()
+            right.peer_keys = asyncio.Event()
+            substitution = asyncio.create_task(
+                right._send("alice", "bob", "m", None))
+            await asyncio.sleep(0)
+            await left.left.send("m", 9)
+            for _ in range(5):
+                await asyncio.sleep(0)
+            assert not substitution.done()
+            right.peer_keys.set()
+            await substitution
+            assert right.right.receive("m") == 9
+
+        asyncio.run(scenario())
+
+    def test_live_counter_counts_own_and_substituted_frames(self):
+        async def scenario():
+            left, right = mirror_pair()
+            left.obs_live = counter = Counter()
+            await left.left.send("offer", 1)
+            await right.right.send("answer", 2)
+            await left._send("bob", "alice", "answer", None)
+            return counter.value
+
+        assert asyncio.run(scenario()) == 2
+
+
+# Values of every wire tag, the ciphertext list form included.
+WIRE_VALUES = {
+    "int": 7, "negative": -300, "wide": 2**300, "bool": True,
+    "str": "label", "none": None, "list": [1, "x", None],
+    "fixed-width": FixedWidthList([1, 2**255], 32),
+}
+
+
+class TestOneRecord:
+    """A mirror channel records each frame through the same
+    ``Channel._record`` as an in-process send, so its accounting and
+    the values its receives return cannot drift from an in-process
+    run's."""
+
+    @pytest.mark.parametrize("value", list(WIRE_VALUES.values()),
+                             ids=list(WIRE_VALUES))
+    def test_both_sends_match_an_in_process_send(self, value):
+        reference = Channel()
+        drive(reference.left.send("v", value))
+        expected = reference.right.receive("v")
+
+        async def scenario():
+            left, right = mirror_pair()
+            await left.left.send("v", value)       # alice's own frame
+            await right._send("alice", "bob", "v", None)  # substituted
+            return left, right, right.right.receive("v")
+
+        left, right, received = asyncio.run(scenario())
+        assert received == expected
+        assert type(received) is type(expected)
+        assert getattr(received, "width", None) \
+            == getattr(expected, "width", None)
+        digest = transcript_digest(reference.transcript)
+        for channel in (left, right):
+            assert channel.stats.snapshot() == reference.stats.snapshot()
+            assert transcript_digest(channel.transcript) == digest
+
+    def test_every_frame_passes_the_one_record(self, monkeypatch):
+        recorded = {}
+        record = Channel._record
+
+        def counting(channel, *frame):
+            recorded[id(channel)] = recorded.get(id(channel), 0) + 1
+            return record(channel, *frame)
+
+        monkeypatch.setattr(Channel, "_record", counting)
+        run = run_mirrored(comparison_choreography,
+                           {"alice": 3, "bob": 7}, placeholder=0)
+        for channel in run["channels"].values():
+            frames = len(channel.transcript.entries)
+            assert frames > 0
+            assert recorded[id(channel)] == frames \
+                == channel.stats.total_messages
 
 
 class TestMirrorWithParties:

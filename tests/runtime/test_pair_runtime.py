@@ -17,7 +17,8 @@ from repro.net.channel import Channel, drive
 from repro.net.party import make_party_pair
 from repro.net.transcript import transcript_digest
 from repro.obs.trace import NULL_SPAN
-from repro.runtime.async_pass import PairRuntime, RestartableMirrorChannel
+from repro.runtime.async_pass import PairRuntime
+from repro.runtime.mirror import MirrorChannel
 from repro.smc.session import FullKeyProvider, SmcConfig, SmcSession
 
 SMC = SmcConfig(paillier_bits=128, comparison="bitwise", key_seed=873)
@@ -115,7 +116,7 @@ def withheld_runtime(reference: Channel):
     """Alice's runtime and session, whose link hands over bob's frames
     of the ``reference`` run one awaited frame at a time."""
     link = WithheldLink(bob_frames(reference))
-    channel = RestartableMirrorChannel("alice", "bob", "alice", link)
+    channel = MirrorChannel("alice", "bob", "alice", link)
     return PairRuntime(channel), make_session(channel), link
 
 

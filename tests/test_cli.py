@@ -1,11 +1,15 @@
 """Tests for the command-line interface."""
 
+import os
 import random
 import re
+import signal
+import threading
+import time
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _sigterm_exits, build_parser, main
 
 
 class TestParser:
@@ -233,3 +237,32 @@ class TestFiguresCommand:
         assert "Figure 3" in output
         assert "Figure 4" in output
         assert "attr1" in output
+
+
+class TestSigtermExits:
+    """``repro submit`` and ``repro orchestrate`` run inside
+    ``_sigterm_exits``, so a SIGTERM unwinds their ``finally`` blocks."""
+
+    def test_sigterm_raises_system_exit_and_restores_the_handler(self):
+        before = signal.getsignal(signal.SIGTERM)
+        with pytest.raises(SystemExit) as exit_info:
+            with _sigterm_exits():
+                # Never send the signal unless the handler is in place.
+                assert signal.getsignal(signal.SIGTERM) != before
+                os.kill(os.getpid(), signal.SIGTERM)
+                time.sleep(5.0)
+        assert exit_info.value.code == 128 + signal.SIGTERM
+        assert signal.getsignal(signal.SIGTERM) == before
+
+    def test_off_the_main_thread_sigterm_is_left_alone(self):
+        before = signal.getsignal(signal.SIGTERM)
+        seen = []
+
+        def run():
+            with _sigterm_exits():
+                seen.append(signal.getsignal(signal.SIGTERM))
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=5.0)
+        assert seen == [before]
